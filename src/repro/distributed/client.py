@@ -833,32 +833,38 @@ class GraphClient(GraphStoreAPI):
             lambda s: s.put_attribute(name, vertex, value),
         )
 
-    def gather_attributes(self, name: str, vertices: Sequence[int]) -> np.ndarray:
+    def gather_attributes(self, name: str, vertices) -> np.ndarray:
         """Gather feature rows across shards, merged in input order.
 
-        In degraded mode, rows owned by fully-unavailable shards are
-        zero-filled (matching the store's unknown-vertex convention).
+        ``vertices`` is an integer array or any iterable of ids; each
+        owning shard receives its ids as one array.  In degraded mode,
+        rows owned by fully-unavailable shards are zero-filled (matching
+        the store's unknown-vertex convention).
         """
-        vertices = list(vertices)
-        per_shard: Dict[int, List[int]] = defaultdict(list)
-        for i, v in enumerate(vertices):
-            per_shard[self.partitioner.shard_for(v)].append(i)
+        if not isinstance(vertices, np.ndarray):
+            vertices = list(vertices)
+        ids = np.asarray(vertices, dtype=np.int64)
+        shards = self.partitioner.shards_for_array(ids)
+        order = np.argsort(shards, kind="stable")
+        cuts = np.flatnonzero(np.diff(shards[order])) + 1
+        # One group of input positions per owning shard; none when empty.
+        groups = np.split(order, cuts) if ids.size else []
         out: Optional[np.ndarray] = None
-        for shard, positions in per_shard.items():
-            shard_vertices = [vertices[i] for i in positions]
+        for positions in groups:
+            shard_ids = ids[positions]
             rows = self._read_shard(
-                shard,
-                _QUERY_BYTES * len(shard_vertices),
-                lambda s, sv=shard_vertices: s.gather_attributes(name, sv),
+                int(shards[positions[0]]),
+                _QUERY_BYTES * len(shard_ids),
+                lambda s, sv=shard_ids: s.gather_attributes(name, sv),
             )
             if rows is UNAVAILABLE:
                 continue
             if out is None:
-                out = np.zeros((len(vertices), rows.shape[1]), dtype=rows.dtype)
+                out = np.zeros((len(ids), rows.shape[1]), dtype=rows.dtype)
             out[positions] = rows
         if out is None:
             schema = self._any_live_server().attributes.schema(name)
-            out = np.zeros((len(vertices), schema.dim), dtype=schema.dtype)
+            out = np.zeros((len(ids), schema.dim), dtype=schema.dtype)
         return out
 
     # ------------------------------------------------------------------

@@ -559,10 +559,9 @@ class GraphServer:
         self.stats.attribute_requests += 1
         self.attributes.put(name, vertex, value)
 
-    def gather_attributes(
-        self, name: str, vertices: Sequence[int]
-    ) -> np.ndarray:
-        """Feature rows for vertices hosted on this shard."""
+    def gather_attributes(self, name: str, vertices) -> np.ndarray:
+        """Feature rows for vertices hosted on this shard (``vertices``:
+        an integer array or any iterable of ids)."""
         self._serve("gather_attributes")
         self.stats.attribute_requests += 1
         return self.attributes.gather(name, vertices)

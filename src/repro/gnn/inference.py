@@ -88,7 +88,7 @@ def embed_vertices(
             blocks = sample_blocks(store, chunk, fanouts, rng, etype)
             served_idx = list(range(len(chunk)))
         feats = [
-            features.gather(feat_name, level.tolist())
+            features.gather(feat_name, level)
             for level in blocks.levels
         ]
         served = encoder.forward(feats, blocks.fanouts)

@@ -180,7 +180,7 @@ class LinkPredictionTrainer:
             self.store, vertices, self.fanouts, self.rng, self.etype
         )
         feats = [
-            self.features.gather(self.feat_name, level.tolist())
+            self.features.gather(self.feat_name, level)
             for level in blocks.levels
         ]
         return self.encoder.forward(feats, blocks.fanouts)

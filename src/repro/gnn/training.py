@@ -218,7 +218,7 @@ class Trainer:
     # ------------------------------------------------------------------
     def _gather_levels(self, levels: Sequence[np.ndarray]) -> List[np.ndarray]:
         return [
-            self.features.gather(self.feat_name, level.tolist())
+            self.features.gather(self.feat_name, level)
             for level in levels
         ]
 

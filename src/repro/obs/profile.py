@@ -6,7 +6,8 @@ Two small tools close the loop between "p99 is fat" and "here is why"
 * :class:`LayerProfiler` — an opt-in :func:`sys.setprofile`-based
   deterministic profiler that attributes **exclusive** wall time to the
   subsystem layer owning each executing frame (samtree descent, Fenwick
-  FTS, snapshot read path, attribute gather, RPC plumbing, other).  It
+  FTS, snapshot read path, frozen images, mini-batch gather, GNN
+  compute, RPC plumbing, serving tier, instrumentation, other).  It
   answers "where inside one slow operation did the time go?" without
   the sampling bias of a statistical profiler and without external
   dependencies.  Deterministic profiling multiplies interpreter
@@ -60,11 +61,16 @@ DEFAULT_LAYERS: Dict[str, Tuple[str, ...]] = {
     ),
     # Fenwick-tree sampling / weight maintenance at the leaf
     "fts": ("fenwick.py",),
-    # flat snapshot build + vectorized batched draws
-    "snapshot": ("snapshot.py", "topology.py"),
-    # feature/attribute gather
-    "gather": ("attributes.py", "training.py", "sampler.py"),
-    # client/server plumbing, simulated network, retries, WAL
+    # the store above the trees: flat snapshot build, vectorized batched
+    # draws, columnar ingest
+    "snapshot": ("snapshot.py", "topology.py", "ingest.py"),
+    # compiled read-only CSC images and their alias-table kernels
+    "frozen": ("frozen.py",),
+    # mini-batch assembly: block sampling driver and feature gather
+    "gather": ("attributes.py", "training.py", "samplers.py"),
+    # GNN forward/backward arithmetic
+    "compute": ("models.py", "layers.py", "ops.py"),
+    # client/server plumbing, simulated network, retries, durability
     "rpc": (
         "rpc.py",
         "client.py",
@@ -73,7 +79,33 @@ DEFAULT_LAYERS: Dict[str, Tuple[str, ...]] = {
         "retry.py",
         "faults.py",
         "wal.py",
+        "checkpoint.py",
         "partition.py",
+    ),
+    # online inference front end
+    "serving": (
+        "service.py",
+        "admission.py",
+        "degraded.py",
+        "scenarios.py",
+        "slo.py",
+    ),
+    # instrumentation itself (obs/report.py is left out: lookup is by
+    # basename and bench/report.py shares it)
+    "obs": (
+        "registry.py",
+        "hist.py",
+        "trace.py",
+        "instrument.py",
+        "monitor.py",
+        "alerts.py",
+        "critical.py",
+        "flight.py",
+        "incident.py",
+        "replay.py",
+        "doctor.py",
+        "export.py",
+        "profile.py",
     ),
 }
 

@@ -553,7 +553,7 @@ class InferenceService:
             if blocks is not None:
                 with self._tspan("serve.gather", levels=len(blocks.levels)):
                     feats = [
-                        self.features.gather(self.feat_name, level.tolist())
+                        self.features.gather(self.feat_name, level)
                         for level in blocks.levels
                     ]
                 with self._tspan("serve.compute", seeds=len(served_idx)):

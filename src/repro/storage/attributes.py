@@ -8,13 +8,17 @@ overhead the samtree avoids for topology is the right tool here.
 
 The store is schema'd: each named field has a fixed dimensionality and
 dtype, so batch gathers return dense ``numpy`` matrices ready for the
-operator layer.
+operator layer.  The values of a field live in one contiguous
+``(capacity, dim)`` slab; the key-value index maps a vertex id to its
+row (*slot*) in the slab, so a batch gather is one id -> slot pass and a
+single ``ndarray.take``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +43,57 @@ class AttributeSchema:
             )
 
 
+#: Rows a fresh slab holds (slot 0 included) before its first doubling.
+_INITIAL_CAPACITY = 64
+
+
+class _Slab:
+    """The rows of one field.
+
+    ``rows[slot_of[v]]`` is the value of vertex ``v``.  Slot 0 is a
+    permanent zero row that no vertex owns: a missing id maps to it, so
+    a gather needs no per-row branch.  Slots ``1 .. top - 1`` have been
+    handed out; a deleted vertex's slot goes on ``free`` and is reused
+    before ``top`` advances.  A slot is always written in full when it
+    is (re)assigned, so a reused slot never shows its previous row.
+    """
+
+    __slots__ = ("schema", "rows", "slot_of", "free", "top")
+
+    def __init__(self, schema: AttributeSchema) -> None:
+        self.schema = schema
+        self.rows = np.zeros(
+            (_INITIAL_CAPACITY, schema.dim), dtype=schema.dtype
+        )
+        self.slot_of: Dict[int, int] = {}
+        self.free: List[int] = []
+        self.top = 1
+
+    def allocate(self, vertices: List[int]) -> None:
+        """Give each of ``vertices`` (distinct, none stored yet) a slot."""
+        reused = min(len(self.free), len(vertices))
+        slots = [self.free.pop() for _ in range(reused)]
+        fresh = len(vertices) - reused
+        if self.top + fresh > len(self.rows):
+            capacity = max(2 * len(self.rows), self.top + fresh)
+            grown = np.zeros(
+                (capacity, self.schema.dim), dtype=self.schema.dtype
+            )
+            grown[: self.top] = self.rows[: self.top]
+            self.rows = grown
+        slots.extend(range(self.top, self.top + fresh))
+        self.top += fresh
+        self.slot_of.update(zip(vertices, slots))
+
+    def slots(self, ids: list) -> np.ndarray:
+        """Slot of every id, 0 (the zero row) where the id is missing."""
+        return np.fromiter(
+            map(self.slot_of.get, ids, repeat(0)),
+            dtype=np.intp,
+            count=len(ids),
+        )
+
+
 class AttributeStore:
     """Per-vertex feature vectors behind a key-value interface.
 
@@ -52,8 +107,7 @@ class AttributeStore:
     """
 
     def __init__(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> None:
-        self._schemas: Dict[str, AttributeSchema] = {}
-        self._fields: Dict[str, Dict[int, np.ndarray]] = {}
+        self._slabs: Dict[str, _Slab] = {}
         self._model = model
 
     # ------------------------------------------------------------------
@@ -64,112 +118,155 @@ class AttributeStore:
     ) -> None:
         """Declare a field; idempotent if the declaration is identical."""
         schema = AttributeSchema(name, dim, np.dtype(dtype))
-        existing = self._schemas.get(name)
+        existing = self._slabs.get(name)
         if existing is not None:
-            if existing != schema:
+            if existing.schema != schema:
                 raise ConfigurationError(
                     f"attribute {name!r} already registered with a "
-                    f"different schema ({existing} vs {schema})"
+                    f"different schema ({existing.schema} vs {schema})"
                 )
             return
-        self._schemas[name] = schema
-        self._fields[name] = {}
+        self._slabs[name] = _Slab(schema)
 
     def schema(self, name: str) -> AttributeSchema:
         """Return the schema of a field."""
-        try:
-            return self._schemas[name]
-        except KeyError:
-            raise ConfigurationError(f"unknown attribute field {name!r}") from None
+        return self._slab(name).schema
 
     def fields(self) -> Iterator[str]:
         """Iterate over registered field names."""
-        return iter(self._schemas)
+        return iter(self._slabs)
+
+    def _slab(self, name: str) -> _Slab:
+        try:
+            return self._slabs[name]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown attribute field {name!r}"
+            ) from None
 
     # ------------------------------------------------------------------
     # point access
     # ------------------------------------------------------------------
     def put(self, name: str, vertex: int, value: Sequence[float]) -> None:
         """Set the feature vector of one vertex."""
-        schema = self.schema(name)
+        slab = self._slab(name)
+        schema = slab.schema
         arr = np.asarray(value, dtype=schema.dtype)
         if arr.shape != (schema.dim,):
             raise ShapeError(
                 f"attribute {name!r} expects shape ({schema.dim},), "
                 f"got {arr.shape}"
             )
-        self._fields[name][int(vertex)] = arr
+        vertex = int(vertex)
+        if vertex not in slab.slot_of:
+            slab.allocate([vertex])
+        slab.rows[slab.slot_of[vertex]] = arr
 
     def put_many(
         self, name: str, vertices: Sequence[int], values: np.ndarray
     ) -> None:
-        """Set feature vectors for many vertices from a dense matrix."""
-        schema = self.schema(name)
+        """Set feature vectors for many vertices from a dense matrix.
+
+        An id listed more than once keeps its last row.
+        """
+        slab = self._slab(name)
+        schema = slab.schema
         matrix = np.asarray(values, dtype=schema.dtype)
         if matrix.shape != (len(vertices), schema.dim):
             raise ShapeError(
                 f"attribute {name!r} expects shape "
                 f"({len(vertices)}, {schema.dim}), got {matrix.shape}"
             )
-        field = self._fields[name]
-        for i, v in enumerate(vertices):
-            field[int(v)] = matrix[i].copy()
+        # Stored keys are canonical Python ints, whatever the caller sent.
+        ids = np.asarray(vertices, dtype=np.int64).tolist()
+        # numpy leaves the winner of a repeated index in a fancy
+        # assignment unspecified, so repeats are dropped here, last kept.
+        last = dict(zip(ids, range(len(ids))))
+        if len(last) < len(ids):
+            ids = list(last)
+            matrix = matrix[list(last.values())]
+        new = [v for v in ids if v not in slab.slot_of]
+        if new:
+            slab.allocate(new)
+        slab.rows[slab.slots(ids)] = matrix
 
     def get(self, name: str, vertex: int) -> np.ndarray:
-        """Feature vector of one vertex; raises if missing."""
-        field = self._fields[self.schema(name).name]
-        try:
-            return field[int(vertex)]
-        except KeyError:
+        """Feature vector of one vertex (a copy); raises if missing."""
+        slab = self._slab(name)
+        slot = slab.slot_of.get(int(vertex))
+        if slot is None:
             raise VertexNotFoundError(
                 f"vertex {vertex} has no {name!r} attribute"
-            ) from None
+            )
+        return slab.rows[slot].copy()
 
     def get_or_default(self, name: str, vertex: int) -> np.ndarray:
-        """Feature vector or a zero vector when missing (cold vertices)."""
-        schema = self.schema(name)
-        value = self._fields[name].get(int(vertex))
-        if value is None:
-            return np.zeros(schema.dim, dtype=schema.dtype)
-        return value
+        """Feature vector (a copy), or a zero vector when missing (cold
+        vertices)."""
+        slab = self._slab(name)
+        return slab.rows[slab.slot_of.get(int(vertex), 0)].copy()
 
     def delete(self, name: str, vertex: int) -> bool:
         """Drop one vertex's value; returns whether it existed."""
-        return self._fields[self.schema(name).name].pop(int(vertex), None) is not None
+        slab = self._slab(name)
+        slot = slab.slot_of.pop(int(vertex), None)
+        if slot is None:
+            return False
+        slab.free.append(slot)
+        return True
 
     def has(self, name: str, vertex: int) -> bool:
         """Whether the vertex has a stored value for the field."""
-        return int(vertex) in self._fields[self.schema(name).name]
+        return int(vertex) in self._slab(name).slot_of
 
     def num_vertices(self, name: str) -> int:
         """Number of vertices with a stored value for the field."""
-        return len(self._fields[self.schema(name).name])
+        return len(self._slab(name).slot_of)
 
     # ------------------------------------------------------------------
     # batch access (the GNN gather path)
     # ------------------------------------------------------------------
     def gather(self, name: str, vertices: Iterable[int]) -> np.ndarray:
-        """Dense ``(len(vertices), dim)`` matrix; missing rows are zero."""
-        schema = self.schema(name)
-        field = self._fields[name]
-        ids = list(vertices)
-        out = np.zeros((len(ids), schema.dim), dtype=schema.dtype)
-        for i, v in enumerate(ids):
-            row = field.get(int(v))
-            if row is not None:
-                out[i] = row
-        return out
+        """Dense ``(len(vertices), dim)`` matrix; missing rows are zero.
+
+        ``vertices`` may be an integer array (a sampled frontier goes in
+        as it is) or any iterable of ids.
+        """
+        slab = self._slab(name)
+        # Plain Python ints are the fastest dict keys, and an int64
+        # frontier converts to them in one C pass.
+        if isinstance(vertices, np.ndarray):
+            ids = vertices.tolist()
+        else:
+            ids = list(vertices)
+        return slab.rows.take(slab.slots(ids), axis=0)
+
+    def export(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Every stored row of a field: ``(ids, matrix)`` with ``ids``
+        ascending ``int64`` and ``matrix[i]`` the value of ``ids[i]``."""
+        slab = self._slab(name)
+        count = len(slab.slot_of)
+        ids = np.fromiter(slab.slot_of, dtype=np.int64, count=count)
+        slots = np.fromiter(slab.slot_of.values(), dtype=np.intp, count=count)
+        order = np.argsort(ids)
+        return ids[order], slab.rows.take(slots[order], axis=0)
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
     def nbytes(self) -> int:
-        """Keys + index entries + payload bytes under the memory model."""
+        """Keys + index entries + payload bytes under the memory model.
+
+        This is the paper's accounting of a C key-value layout (Table
+        IV), a function of the stored pairs only; the slab's spare
+        capacity and Python's dict overhead are not part of it.
+        """
         model = self._model
         per_pair = model.id_bytes + model.kv_index_entry_bytes
         total = 0
-        for name, field in self._fields.items():
-            itemsize = self._schemas[name].dtype.itemsize
-            dim = self._schemas[name].dim
-            total += len(field) * (per_pair + itemsize * dim)
+        for slab in self._slabs.values():
+            schema = slab.schema
+            total += len(slab.slot_of) * (
+                per_pair + schema.dtype.itemsize * schema.dim
+            )
         return total

@@ -155,9 +155,7 @@ def save_attributes(
             schema = attrs.schema(name)
             name_bytes = name.encode("utf-8")
             dtype_bytes = schema.dtype.str.encode("ascii")
-            vertices = sorted(
-                v for v in attrs._fields[name]
-            )
+            vertices, matrix = attrs.export(name)
             head = struct.pack(
                 "<HHIq", len(name_bytes), len(dtype_bytes), schema.dim,
                 len(vertices),
@@ -165,9 +163,8 @@ def save_attributes(
             out.write(head)
             out.write(name_bytes)
             out.write(dtype_bytes)
-            out.write(np.asarray(vertices, dtype="<u8").tobytes())
-            matrix = attrs.gather(name, vertices)
-            out.write(matrix.astype(schema.dtype).tobytes())
+            out.write(vertices.astype("<u8").tobytes())
+            out.write(matrix.tobytes())
             written += (
                 len(head)
                 + len(name_bytes)
@@ -211,7 +208,7 @@ def load_attributes(source: Union[str, BinaryIO]) -> AttributeStore:
             matrix = np.frombuffer(
                 _read_exact(src, count * dim * dtype.itemsize), dtype=dtype
             ).reshape(count, dim)
-            attrs.put_many(name, [int(v) for v in vertices], matrix)
+            attrs.put_many(name, vertices, matrix)
         return attrs
     finally:
         if own:

@@ -296,6 +296,41 @@ class TestAttributeRoundtrip:
             )
             assert loaded.get("label", v * 7)[0] == v % 5
 
+    def test_snapshot_bytes_are_pinned(self):
+        """The on-disk image is a function of the content alone: these
+        are the bytes the dict-of-rows store wrote for it (ids ascending
+        per field, whatever order, overwrite or delete produced them)."""
+        attrs = AttributeStore()
+        attrs.register("feat", 3)
+        attrs.register("label", 1, np.int64)
+        attrs.put("feat", 9, [1.0, 2.0, 3.0])
+        attrs.put_many(
+            "feat",
+            [4, 2**40, 0],
+            np.arange(9, dtype=np.float32).reshape(3, 3) / 4,
+        )
+        attrs.put("feat", 4, [-1.5, 0.0, 7.25])
+        attrs.put("feat", 5, [9.0, 9.0, 9.0])
+        attrs.delete("feat", 5)
+        attrs.put("label", 7, [3])
+        attrs.put("label", 1, [-2])
+        golden = bytes.fromhex(
+            "5044324102000200000004000300030000000400000000000000666561743c66"
+            "3400000000000000000400000000000000090000000000000000000000000100"
+            "000000c03f0000e03f000000400000c0bf000000000000e8400000803f000000"
+            "40000040400000403f0000803f0000a03f050003000100000002000000000000"
+            "006c6162656c3c693801000000000000000700000000000000feffffffffffff"
+            "ff0300000000000000"
+        )
+        buf = io.BytesIO()
+        assert save_attributes(attrs, buf) == len(golden)
+        assert buf.getvalue() == golden
+        loaded = load_attributes(io.BytesIO(golden))
+        out = io.BytesIO()
+        save_attributes(loaded, out)
+        assert out.getvalue() == golden
+        assert loaded.get("feat", 2**40).tolist() == [0.75, 1.0, 1.25]
+
     def test_empty(self):
         buf = io.BytesIO()
         save_attributes(AttributeStore(), buf)

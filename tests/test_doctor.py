@@ -19,11 +19,14 @@ Pins the structural-health observability contract (DESIGN.md §12):
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main as cli_main
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.topology import DynamicGraphStore
@@ -47,6 +50,7 @@ from repro.obs import (
     to_prometheus_text,
 )
 from repro.obs.doctor import FILL_BINS
+from repro.obs.profile import DEFAULT_LAYERS
 from repro.storage.attributes import AttributeStore
 
 
@@ -395,6 +399,28 @@ class TestLayerProfiler:
     def test_duplicate_layer_claim_rejected(self):
         with pytest.raises(ConfigurationError):
             LayerProfiler(layers={"a": ("x.py",), "b": ("x.py",)})
+
+    def test_default_layers_name_real_modules_and_cover_the_benchmark(self):
+        """Every basename in the map is a module of the package (a typo
+        lands its module in "other"), and every module the end-to-end
+        benchmark reports as a layer is owned by a named layer."""
+        root = Path(repro.__file__).parent
+        modules = {path.name for path in root.rglob("*.py")}
+        owned = {b for names in DEFAULT_LAYERS.values() for b in names}
+        assert owned <= modules
+        bench = json.loads(
+            (root.parents[1] / "BENCHMARK.json").read_text()
+        )
+        layers = {
+            m["name"][: -len(".self_share")]
+            for m in bench["per_layer"]
+            if m["name"].endswith(".self_share")
+        } - {"harness"}
+        assert len(layers) >= 16
+        for layer in sorted(layers):
+            path = root.joinpath(*layer.split(".")).with_suffix(".py")
+            assert path.exists(), layer
+            assert path.name in owned, layer
 
 
 class TestTrainerResetSatellite:

@@ -104,6 +104,33 @@ class TestTrainer:
         logits = trainer.forward_batch([new_v])
         assert logits.shape == (1, 2)
 
+    def test_feature_put_between_steps_is_seen(self):
+        """A feature overwrite reaches the very next step's gather: of
+        two identical runs, the one whose features are zeroed after step
+        one takes a different step two, on all-zero inputs."""
+        def run(zero_features):
+            store, feats, seeds, labels = two_cluster_problem(80)
+            model = GraphSAGE(
+                8, 16, 2, num_layers=2, rng=np.random.default_rng(5)
+            )
+            trainer = Trainer(
+                store, feats, model, fanouts=[4, 4], rng=random.Random(2)
+            )
+            first = trainer.train_step(seeds[:16], labels[:16])
+            if zero_features:
+                feats.put_many(
+                    "feat", list(range(80)), np.zeros((80, 8), np.float32)
+                )
+            second = trainer.train_step(seeds[16:32], labels[16:32])
+            return first, second, trainer.forward_batch(seeds[:16])
+
+        first, second, logits = run(zero_features=False)
+        first_z, second_z, logits_z = run(zero_features=True)
+        assert first_z == first
+        assert second_z != second
+        assert np.ptp(logits, axis=0).max() > 0.0
+        assert np.ptp(logits_z, axis=0).max() == 0.0
+
     def test_evaluate_empty(self, nprng):
         store, feats, _, _ = two_cluster_problem(40)
         model = GraphSAGE(8, 8, 2, num_layers=2, rng=nprng)
