@@ -11,9 +11,9 @@ Four regimes per fan-out:
 * ``scalar``         — one root→leaf descent per draw (the PR-3 floor);
 * ``batched_warm``   — per-source snapshots off a warm cache (the prior
   hot path, recorded at ~320k vertices/s at fan-out 10);
-* ``frozen_rows``    — the frozen kernel behind the list-of-rows store
-  API (`sample_neighbors_many` dispatching to the shard) — pays a
-  Python list per frontier row, so it bounds what drop-in callers see;
+* ``frozen_rows``    — the frozen kernel behind the store API
+  (`sample_neighbors_many` dispatching to the shard and returning the
+  kernel's matrix as one `SampleBlock`) — what drop-in callers see;
 * ``frozen_matrix``  — the raw matrix kernel (`FrozenShard.sample_matrix`,
   one numpy pass for the whole frontier) — the figure the >= 10x
   acceptance criterion and the bench-history gate target.
@@ -40,6 +40,7 @@ import numpy as np
 
 from bench_batched_sampling import SEED, build_graph, make_frontier
 from repro.core.snapshot import SnapshotCache, coerce_generator
+from repro.gnn.samplers import sample_blocks
 
 FANOUTS = (5, 10, 25)
 FRONTIER_SWEEP = (100, 1000, 4000)
@@ -116,7 +117,7 @@ def run_benchmark(
             repeats,
         )
 
-        # -- frozen kernel behind the list-of-rows store API -----------
+        # -- frozen kernel behind the store API (one SampleBlock) ------
         store.freeze()
         store.sample_neighbors_many(frontier, fanout, rng=SEED)  # warm it
         t_rows = _time(
@@ -182,9 +183,9 @@ def run_benchmark(
     store.freeze()
     seeds = frontier[: max(1, frontier_size // 10)]
     t_hops = _time(
-        lambda: store.sample_fanouts(seeds, [10, 10], rng=SEED), repeats
+        lambda: sample_blocks(store, seeds, [10, 10], rng=SEED), repeats
     )
-    levels = store.sample_fanouts(seeds, [10, 10], rng=SEED)
+    levels = sample_blocks(store, seeds, [10, 10], rng=SEED).levels
     results["multi_hop"] = {
         "seeds": len(seeds),
         "fanouts": [10, 10],

@@ -74,8 +74,9 @@ def main() -> None:
 
     # --- cross-shard batch sampling ------------------------------------------
     sources = [s for _, s in zip(range(64), cluster.client.sources())]
-    rows = cluster.client.sample_neighbors_batch(sources, k=10, rng=rng)
-    fan_in = sum(len(r) for r in rows)
+    block = cluster.client.sample_neighbors_many(sources, k=10, rng=rng)
+    served = block.state == block.SERVED
+    fan_in = int(served.sum()) * block.ids.shape[1]
     print(f"\nsampled 10 neighbors for {len(sources)} vertices across "
           f"{len(cluster)} shards ({fan_in} draws, order-preserving merge)")
 

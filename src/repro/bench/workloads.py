@@ -215,7 +215,7 @@ def neighbor_sampling_sweep(
     for batch_size in batch_sizes:
         batch = [sources[rng.randrange(len(sources))] for _ in range(batch_size)]
         start = time.perf_counter()
-        store.sample_neighbors_batch(batch, k, rng)
+        store.sample_neighbors_many(batch, k, rng)
         results[batch_size] = time.perf_counter() - start
     return results
 

@@ -33,7 +33,6 @@ from repro.core.snapshot import (
     TreeSnapshot,
     coerce_generator,
     coerce_scalar_rng,
-    resolve_rngs,
 )
 from repro.core.sampling import (
     SamplingStrategy,
@@ -45,7 +44,14 @@ from repro.core.sampling import (
 )
 from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import DEFAULT_ETYPE, Edge, EdgeOp, GraphStoreAPI, OpKind
+from repro.core.types import (
+    DEFAULT_ETYPE,
+    Edge,
+    EdgeOp,
+    GraphStoreAPI,
+    OpKind,
+    SampleBlock,
+)
 
 __all__ = [
     "alpha_split",
@@ -81,7 +87,6 @@ __all__ = [
     "TreeSnapshot",
     "coerce_generator",
     "coerce_scalar_rng",
-    "resolve_rngs",
     "SamplingStrategy",
     "TopKByWeight",
     "UniformWithReplacement",
@@ -95,4 +100,5 @@ __all__ = [
     "EdgeOp",
     "GraphStoreAPI",
     "OpKind",
+    "SampleBlock",
 ]

@@ -125,7 +125,6 @@ class FrozenStats:
         "batches",
         "vertices",
         "draws",
-        "hops",
         "stale_misses",
         "missing_vertices",
     )
@@ -142,7 +141,6 @@ class FrozenStats:
         self.batches = 0  #: frontier batches served frozen
         self.vertices = 0  #: frontier vertices served frozen
         self.draws = 0  #: neighbor draws produced
-        self.hops = 0  #: multi-hop levels expanded
         self.stale_misses = 0  #: reads refused for epoch drift
         self.missing_vertices = 0  #: frontier entries with no frozen row
 
@@ -366,52 +364,3 @@ class FrozenShard:
         out[ok] = drawn
         valid[ok] = row_valid
         return out, valid
-
-    def sample_rows(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        gen: np.random.Generator,
-        uniform: bool = False,
-    ) -> List[Sequence[int]]:
-        """Store-API-shaped result: one row per input position, ``[]``
-        for vertices with no frozen adjacency (the
-        ``sample_neighbors_many`` contract)."""
-        matrix, valid = self.sample_matrix(srcs, k, gen, uniform=uniform)
-        return [
-            matrix[i] if valid[i] else [] for i in range(matrix.shape[0])
-        ]
-
-    # ------------------------------------------------------------------
-    # multi-hop kernel
-    # ------------------------------------------------------------------
-    def sample_fanouts(
-        self,
-        seeds: Sequence[int],
-        fanouts: Sequence[int],
-        gen: np.random.Generator,
-        uniform: bool = False,
-    ) -> List[np.ndarray]:
-        """Multi-hop expansion entirely inside the frozen image.
-
-        ``levels[0]`` are the seeds; each subsequent level is the
-        flattened fanout of the previous one.  Vertices without a frozen
-        row are padded with themselves (the mini-batch self-loop
-        convention of :mod:`repro.gnn.samplers`), so the result plugs
-        straight into :class:`~repro.gnn.samplers.MiniBatchBlocks`.
-        """
-        levels = [np.asarray(list(seeds), dtype=np.int64)]
-        for fanout in fanouts:
-            if fanout < 1:
-                raise ConfigurationError(
-                    f"fanout must be >= 1, got {fanout}"
-                )
-            frontier = levels[-1]
-            matrix, valid = self.sample_matrix(
-                frontier, fanout, gen, uniform=uniform
-            )
-            if not bool(valid.all()):
-                pad = ~valid
-                matrix[pad] = frontier[pad, None]
-            levels.append(matrix.reshape(-1))
-        return levels

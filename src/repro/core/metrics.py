@@ -175,23 +175,19 @@ class InstrumentedStore(GraphStoreAPI):
             "sample", self.store.sample_neighbors_uniform, src, k, rng, etype
         )
 
-    def sample_neighbors_many(self, srcs, k, rng=None, etype=DEFAULT_ETYPE):
+    def sample_neighbors_many(
+        self, srcs, k, rng=None, etype=DEFAULT_ETYPE, **kwargs
+    ):
         """Forward the batched read path (one timed observation per batch),
         so the wrapped store's snapshot cache keeps serving it."""
         return self._timed(
-            "sample", self.store.sample_neighbors_many, srcs, k, rng, etype
-        )
-
-    def sample_neighbors_uniform_many(
-        self, srcs, k, rng=None, etype=DEFAULT_ETYPE
-    ):
-        return self._timed(
             "sample",
-            self.store.sample_neighbors_uniform_many,
+            self.store.sample_neighbors_many,
             srcs,
             k,
             rng,
             etype,
+            **kwargs,
         )
 
     # -- accounting -----------------------------------------------------------

@@ -38,10 +38,13 @@ optimizers (FAST) pull over a dynamic store:
   re-enter the cache after one quiet read.
 
 RNG plumbing: the batched read APIs accept an explicit seed — an
-``int``, a ``random.Random``, or a ``numpy.random.Generator`` — and
-:func:`resolve_rngs` derives a (scalar rng, vector generator) pair from
-it deterministically, so scalar fallbacks and vectorized draws are both
-reproducible end-to-end from one seed.
+``int``, a ``random.Random``, or a ``numpy.random.Generator``.
+:func:`coerce_generator` turns it into the vector generator the
+batched draws use (a ``Generator`` passes through untouched, so one
+generator derived per expansion is shared by every hop and shard), and
+:func:`coerce_scalar_rng` derives the scalar rng of the exact-descent
+fallback from the same input — built only when a row actually falls
+back.  Both are deterministic functions of the seed.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ __all__ = [
     "coerce_scalar_rng",
     "coerce_generator",
     "flatten_tree",
-    "resolve_rngs",
 ]
 
 #: Anything the sampling APIs accept as a randomness source.
@@ -120,31 +122,6 @@ def coerce_generator(rng: RNGLike) -> np.random.Generator:
         return np.random.default_rng(int(rng))
     if isinstance(rng, random.Random):
         return np.random.default_rng(rng.getrandbits(64))
-    raise ConfigurationError(
-        f"rng must be None, an int seed, random.Random, or "
-        f"numpy.random.Generator; got {type(rng).__name__}"
-    )
-
-
-def resolve_rngs(
-    rng: RNGLike,
-) -> Tuple[Optional[random.Random], np.random.Generator]:
-    """Derive a ``(scalar_rng, vector_generator)`` pair from one seed.
-
-    The batched read path draws from the generator (vectorized); the
-    exact-descent fallback draws from the scalar rng.  Both are
-    deterministic functions of the input, so one seed reproduces a whole
-    mixed batched/exact run.
-    """
-    if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        return random.Random(seed), np.random.default_rng(seed)
-    if isinstance(rng, random.Random):
-        return rng, np.random.default_rng(rng.getrandbits(64))
-    if isinstance(rng, np.random.Generator):
-        return random.Random(int(rng.integers(0, 2**63))), rng
-    if rng is None:
-        return None, np.random.default_rng()
     raise ConfigurationError(
         f"rng must be None, an int seed, random.Random, or "
         f"numpy.random.Generator; got {type(rng).__name__}"

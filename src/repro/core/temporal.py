@@ -225,15 +225,12 @@ class TemporalGraphStore(GraphStoreAPI):
     def sample_neighbors_uniform(self, src, k, rng=None, etype=DEFAULT_ETYPE):
         return self.store.sample_neighbors_uniform(src, k, rng, etype)
 
-    def sample_neighbors_many(self, srcs, k, rng=None, etype=DEFAULT_ETYPE):
+    def sample_neighbors_many(
+        self, srcs, k, rng=None, etype=DEFAULT_ETYPE, **kwargs
+    ):
         """Forward the batched read path to the wrapped store (snapshot
         coherence is by tree version, so window evictions invalidate)."""
-        return self.store.sample_neighbors_many(srcs, k, rng, etype)
-
-    def sample_neighbors_uniform_many(
-        self, srcs, k, rng=None, etype=DEFAULT_ETYPE
-    ):
-        return self.store.sample_neighbors_uniform_many(srcs, k, rng, etype)
+        return self.store.sample_neighbors_many(srcs, k, rng, etype, **kwargs)
 
     def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
         """Underlying store + timestamp map + calendar entries."""

@@ -34,11 +34,16 @@ from repro.core.samtree import OpStats, Samtree, SamtreeConfig
 from repro.core.snapshot import (
     RNGLike,
     SnapshotCache,
+    TreeSnapshot,
     coerce_generator,
     coerce_scalar_rng,
-    resolve_rngs,
 )
-from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
+from repro.core.types import (
+    DEFAULT_ETYPE,
+    GraphStoreAPI,
+    SampleBlock,
+    run_bounds,
+)
 from repro.errors import ConfigurationError
 from repro.storage.cuckoo import CuckooHashMap
 
@@ -556,54 +561,6 @@ class DynamicGraphStore(GraphStoreAPI):
             return self.freeze(etype)[0]
         return None
 
-    def _frozen_sample_many(
-        self,
-        shard: FrozenShard,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike,
-        uniform: bool,
-    ) -> List[Sequence[int]]:
-        gen = coerce_generator(rng)
-        rows = shard.sample_rows(srcs, k, gen, uniform=uniform)
-        stats = self.frozen_stats
-        stats.batches += 1
-        stats.vertices += len(rows)
-        served = sum(1 for row in rows if len(row))
-        stats.draws += served * k
-        stats.missing_vertices += len(rows) - served
-        return rows
-
-    def sample_fanouts(
-        self,
-        seeds: Sequence[int],
-        fanouts: Sequence[int],
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> Optional[List[np.ndarray]]:
-        """Multi-hop frontier expansion on the frozen image.
-
-        Returns the per-hop levels (seeds first, self-loop padding for
-        sources without adjacency — the :mod:`repro.gnn.samplers`
-        convention), or ``None`` when the relation is not frozen or the
-        shard is stale — the caller falls back to the per-hop live
-        path.  This is the duck-typed fast path
-        :func:`repro.gnn.samplers.sample_blocks` probes for.
-        """
-        shard = self._frozen_for(etype)
-        if shard is None:
-            return None
-        gen = coerce_generator(rng)
-        levels = shard.sample_fanouts(seeds, fanouts, gen)
-        stats = self.frozen_stats
-        stats.batches += 1
-        stats.hops += len(fanouts)
-        stats.vertices += sum(
-            int(level.size) for level in levels[:-1]
-        )
-        stats.draws += sum(int(level.size) for level in levels[1:])
-        return levels
-
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
@@ -633,56 +590,73 @@ class DynamicGraphStore(GraphStoreAPI):
         rng = coerce_scalar_rng(rng)
         return [tree.sample_uniform(rng) for _ in range(k)]
 
-    def _group_positions(
-        self, srcs: Sequence[int]
-    ) -> "Dict[int, List[int]]":
-        """Input positions of each *distinct* source.
-
-        The batched read path resolves each source's tree exactly once
-        per batch (directory lookup + degree check + snapshot probe),
-        instead of once per occurrence per operation — GNN frontiers
-        repeat hot vertices heavily.
-        """
-        positions: Dict[int, List[int]] = {}
-        for i, src in enumerate(srcs):
-            positions.setdefault(int(src), []).append(i)
-        return positions
-
     def sample_neighbors_many(
         self,
         srcs: Sequence[int],
         k: int,
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
-    ) -> List[Sequence[int]]:
-        """Vectorized frontier sampling (the tentpole read path).
+        *,
+        weighted: bool = True,
+        counts: Optional[Sequence[int]] = None,
+    ) -> SampleBlock:
+        """Vectorized frontier sampling (the batched read path).
 
-        Every distinct source resolves its samtree once; hot trees are
+        When the relation has a fresh frozen shard (:meth:`freeze`) the
+        whole frontier is one columnar CSC kernel call and the block is
+        the kernel's ``(matrix, valid)`` as is.  Otherwise every
+        *distinct* source resolves its samtree once: hot trees are
         served from a flat :class:`~repro.core.snapshot.TreeSnapshot`
-        with one ``Generator.random`` block + one ``searchsorted`` for
-        *all* of that source's draws in the batch, and cold or
-        just-mutated trees fall back to the exact ITS/FTS descent —
-        distributionally identical by construction.
+        (one ``searchsorted`` over that source's slice of the batch's
+        single uniform block, written straight into the result matrix),
+        cold or just-mutated trees fall back to the exact ITS/FTS
+        descent — distributionally identical by construction.
 
-        When the relation has a fresh frozen shard (:meth:`freeze`),
-        the whole frontier is answered by one columnar CSC kernel
-        instead — same distribution, no per-distinct-source loop.
+        ``counts`` is the coalesced request shape (``srcs`` distinct,
+        ``counts[i]`` consecutive rows each); without it equal sources
+        are grouped here with one stable sort.
         """
+        srcs = np.asarray(srcs, dtype=np.int64)
+        gen = coerce_generator(rng)
         if self._frozen:
             shard = self._frozen_for(etype)
             if shard is not None:
-                return self._frozen_sample_many(
-                    shard, srcs, k, rng, uniform=False
+                if counts is not None:
+                    srcs = np.repeat(srcs, counts)
+                matrix, valid = shard.sample_matrix(
+                    srcs, k, gen, uniform=not weighted
                 )
-        srcs = list(srcs)
-        scalar_rng, gen = resolve_rngs(rng)
+                served = int(np.count_nonzero(valid))
+                stats = self.frozen_stats
+                stats.batches += 1
+                stats.vertices += srcs.size
+                stats.draws += served * k
+                stats.missing_vertices += srcs.size - served
+                return SampleBlock(matrix, (~valid).view(np.int8))
+        order = None
+        if counts is None:
+            order = np.argsort(srcs, kind="stable")
+            srcs = srcs[order]
+            bounds = run_bounds(srcs)
+            srcs = srcs[bounds[:-1]]
+            counts = bounds[1:] - bounds[:-1]
+        counts = np.asarray(counts).tolist()
+        n = sum(counts)
+        ids = np.zeros((n, k), dtype=np.int64)
+        state = np.zeros(n, dtype=np.int8)
         cache = self.snapshot_cache
-        out: List[Sequence[int]] = [()] * len(srcs)
         # One uniform block for the whole frontier: every snapshot-served
-        # source slices its rows out of it (one Generator.random call per
-        # batch instead of one per distinct source).
-        uniforms = gen.random((len(srcs), k)) if cache is not None else None
-        for src, positions in self._group_positions(srcs).items():
+        # source slices its rows out of it.
+        uniforms = gen.random((n, k)) if cache is not None else None
+        draw = (
+            TreeSnapshot.sample_from_uniforms
+            if weighted
+            else TreeSnapshot.sample_uniform_from_uniforms
+        )
+        scalar_rng = None  # built when a row first falls back to descent
+        hi = 0
+        for src, count in zip(srcs.tolist(), counts):
+            lo, hi = hi, hi + count
             key = (etype, src)
             # Fresh hit: coherence is checked against the snapshot's own
             # tree reference — no directory lookup on the hot path.
@@ -690,68 +664,27 @@ class DynamicGraphStore(GraphStoreAPI):
             if snapshot is None:
                 tree = self._tree(src, etype)
                 if tree is None or not tree:
-                    for i in positions:
-                        out[i] = []
+                    state[lo:hi] = SampleBlock.EMPTY
                     continue
                 snapshot = cache.get(key, tree) if cache is not None else None
             if snapshot is not None:
-                if len(positions) == 1:
-                    # Basic indexing: a view, no row-gather copy.
-                    i = positions[0]
-                    out[i] = snapshot.sample_from_uniforms(uniforms[i])
-                else:
-                    rows = snapshot.sample_from_uniforms(uniforms[positions])
-                    for i, row in zip(positions, rows):
-                        out[i] = row
-            else:
-                for i in positions:
-                    out[i] = tree.sample_many(k, scalar_rng)
-        return out
-
-    def sample_neighbors_uniform_many(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[Sequence[int]]:
-        """Batched uniform sampling through the same snapshot read path
-        (or the frozen CSC kernel when the relation is frozen)."""
-        if self._frozen:
-            shard = self._frozen_for(etype)
-            if shard is not None:
-                return self._frozen_sample_many(
-                    shard, srcs, k, rng, uniform=True
+                ids[lo:hi] = draw(snapshot, uniforms[lo:hi])
+                continue
+            if scalar_rng is None and rng is not None:
+                scalar_rng = coerce_scalar_rng(rng)
+            for i in range(lo, hi):
+                ids[i] = (
+                    tree.sample_many(k, scalar_rng)
+                    if weighted
+                    else [tree.sample_uniform(scalar_rng) for _ in range(k)]
                 )
-        srcs = list(srcs)
-        scalar_rng, gen = resolve_rngs(rng)
-        cache = self.snapshot_cache
-        out: List[Sequence[int]] = [()] * len(srcs)
-        uniforms = gen.random((len(srcs), k)) if cache is not None else None
-        for src, positions in self._group_positions(srcs).items():
-            key = (etype, src)
-            snapshot = cache.peek(key) if cache is not None else None
-            if snapshot is None:
-                tree = self._tree(src, etype)
-                if tree is None or not tree:
-                    for i in positions:
-                        out[i] = []
-                    continue
-                snapshot = cache.get(key, tree) if cache is not None else None
-            if snapshot is not None:
-                if len(positions) == 1:
-                    i = positions[0]
-                    out[i] = snapshot.sample_uniform_from_uniforms(uniforms[i])
-                else:
-                    rows = snapshot.sample_uniform_from_uniforms(
-                        uniforms[positions]
-                    )
-                    for i, row in zip(positions, rows):
-                        out[i] = row
-            else:
-                for i in positions:
-                    out[i] = [tree.sample_uniform(scalar_rng) for _ in range(k)]
-        return out
+        if order is None:
+            return SampleBlock(ids, state)
+        out_ids = np.empty_like(ids)
+        out_ids[order] = ids
+        out_state = np.empty_like(state)
+        out_state[order] = state
+        return SampleBlock(out_ids, out_state)
 
     def sample_vertices(
         self,

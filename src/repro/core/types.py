@@ -15,12 +15,16 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
 
 __all__ = [
     "DEFAULT_ETYPE",
     "UNAVAILABLE",
+    "SampleBlock",
+    "run_bounds",
     "Edge",
     "OpKind",
     "EdgeOp",
@@ -52,6 +56,65 @@ class _UnavailableType(tuple):
 
 #: Per-source marker returned by degraded reads.
 UNAVAILABLE = _UnavailableType()
+
+
+class SampleBlock:
+    """The columnar result of every batched sampling endpoint.
+
+    ``ids[i]`` holds the ``k`` draws of frontier row ``i`` and
+    ``state[i]`` says what that row is: :attr:`SERVED` (``ids[i]`` are
+    neighbors of the row's source), :attr:`EMPTY` (the source has no
+    out-edges) or :attr:`UNAVAILABLE` (a degraded read: no live replica
+    of its shard).  Rows that are not served hold zeros.  The block
+    travels untouched from the kernel that drew it to the trainer;
+    consumers pad or drop rows with array operations on ``state``.
+    """
+
+    __slots__ = ("ids", "state")
+
+    SERVED = 0
+    EMPTY = 1
+    UNAVAILABLE = 2
+
+    def __init__(self, ids: np.ndarray, state: np.ndarray) -> None:
+        self.ids = ids  #: ``(n, k)`` int64
+        self.state = state  #: ``(n,)`` int8
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __repr__(self) -> str:
+        n, k = self.ids.shape
+        return (
+            f"SampleBlock(n={n}, k={k}, "
+            f"served={int((self.state == self.SERVED).sum())})"
+        )
+
+    def rows(self) -> list:
+        """Ragged per-row view for callers that want Python lists:
+        the draws of a served row, ``[]`` for an empty one, the
+        :data:`UNAVAILABLE` marker for an unavailable one."""
+        rows = self.ids.tolist()
+        for i in np.flatnonzero(self.state).tolist():
+            rows[i] = [] if self.state[i] == self.EMPTY else UNAVAILABLE
+        return rows
+
+
+def run_bounds(sorted_keys: np.ndarray) -> np.ndarray:
+    """Boundaries of the runs of equal values in a sorted array.
+
+    The grouping step of the sample plane: for a frontier sorted by
+    source, run ``j`` spans ``[bounds[j], bounds[j + 1])`` — so
+    ``sorted_keys[bounds[:-1]]`` are the distinct sources and
+    ``np.diff(bounds)`` their multiplicities, without a hash table or
+    ``np.unique``.
+    """
+    n = sorted_keys.size
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=edge[1:n])
+    return edge.nonzero()[0]
+
 
 #: ``slots=True`` (3.10+) removes the per-instance ``__dict__`` from the
 #: per-edge record types — millions of them are alive during a stream
@@ -282,42 +345,37 @@ class GraphStoreAPI(abc.ABC):
         k: int,
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
-    ) -> List[Sequence[int]]:
-        """Batched weighted sampling: one row of ``k`` draws per source.
+        *,
+        weighted: bool = True,
+        counts: Optional[Sequence[int]] = None,
+    ) -> SampleBlock:
+        """Batched sampling: ``k`` draws for every row of a frontier.
 
-        This is the read path the operator layer
-        (:mod:`repro.gnn.samplers`) calls for whole frontiers.  The
-        generic fallback is a per-source loop; stores with a vectorized
-        read path (:class:`~repro.core.topology.DynamicGraphStore` via
-        its snapshot cache, the distributed client via one RPC per
-        shard) override it.  Rows may be lists **or** int64 arrays;
-        sources without out-edges yield empty rows.
+        The one batched read endpoint — the operator layer
+        (:mod:`repro.gnn.samplers`) calls it for whole frontiers and
+        every layer (store, server, client) returns the same
+        :class:`SampleBlock`.  ``weighted=False`` draws uniformly;
+        ``counts`` gives ``srcs[i]`` that many consecutive rows (the
+        coalesced wire shape: distinct sources + multiplicities), each
+        drawn independently.  This default loops the scalar endpoints;
+        stores with a vectorized read path override it.
         """
+        srcs = np.asarray(srcs, dtype=np.int64)
+        if counts is not None:
+            srcs = np.repeat(srcs, counts)
+        draw = (
+            self.sample_neighbors if weighted else self.sample_neighbors_uniform
+        )
         rng = coerce_scalar_rng(rng)
-        return [self.sample_neighbors(s, k, rng, etype) for s in srcs]
-
-    def sample_neighbors_uniform_many(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[Sequence[int]]:
-        """Batched uniform sampling (see :meth:`sample_neighbors_many`)."""
-        rng = coerce_scalar_rng(rng)
-        return [self.sample_neighbors_uniform(s, k, rng, etype) for s in srcs]
-
-    def sample_neighbors_batch(
-        self,
-        srcs: Iterable[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[List[int]]:
-        """Compatibility shim over :meth:`sample_neighbors_many` that
-        guarantees plain ``List[List[int]]`` rows."""
-        rows = self.sample_neighbors_many(list(srcs), k, rng, etype)
-        return [[int(v) for v in row] for row in rows]
+        ids = np.zeros((srcs.size, k), dtype=np.int64)
+        state = np.zeros(srcs.size, dtype=np.int8)
+        for i, src in enumerate(srcs.tolist()):
+            row = draw(src, k, rng, etype)
+            if len(row):
+                ids[i] = row
+            else:
+                state[i] = SampleBlock.EMPTY
+        return SampleBlock(ids, state)
 
     # -- accounting -------------------------------------------------------
     @abc.abstractmethod

@@ -18,12 +18,11 @@ Fault tolerance:
   live replica of the owning shard) and reads fail over from the
   primary to backups;
 * with ``degraded_reads=True``, a read whose shard has **no** live
-  replica returns the :data:`UNAVAILABLE` marker for the affected
-  sources instead of raising — callers get partial batch results with
-  explicit per-source outage markers.  ``UNAVAILABLE`` is a falsy,
-  empty-iterable singleton, so samplers that treat empty rows as
-  "no neighbors" degrade gracefully while callers that care can test
-  ``row is UNAVAILABLE``.
+  replica does not raise — callers get partial batch results with
+  explicit per-source outage markers: batched sampling marks the
+  affected rows ``state == SampleBlock.UNAVAILABLE``, scalar reads
+  return the :data:`UNAVAILABLE` singleton (falsy, iterates empty,
+  identity-testable).
 """
 
 from __future__ import annotations
@@ -37,14 +36,15 @@ import numpy as np
 
 from repro.core.ingest import EdgeBatch, IngestStats
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
-from repro.core.snapshot import RNGLike
+from repro.core.snapshot import RNGLike, coerce_generator
 from repro.core.types import (
     DEFAULT_ETYPE,
     UNAVAILABLE,
     EdgeOp,
     GraphStoreAPI,
     OpKind,
-    _UnavailableType,
+    SampleBlock,
+    run_bounds,
 )
 from repro.distributed.hotset import HotReplicaDirectory, HotSetTracker
 from repro.distributed.partition import Partitioner
@@ -69,9 +69,8 @@ _SAMPLE_RESP_BYTES = 8
 _QUERY_BYTES = 16
 
 
-# ``UNAVAILABLE`` / ``_UnavailableType`` now live in ``repro.core.types``
-# (store-agnostic consumers need them without importing this package);
-# re-exported here for backward compatibility.
+# ``UNAVAILABLE`` lives in ``repro.core.types`` (store-agnostic consumers
+# need it without importing this package); re-exported here.
 
 #: Failures that make one replica useless for this request but leave
 #: the rest of the group worth trying.
@@ -111,7 +110,7 @@ class ServingStats:
         #: Duplicate rows answered from a coalesced fetch.
         self.coalesced_sources = 0
         self.shard_rpcs = 0
-        #: Per-shard RPCs that used the grouped (coalesced) endpoint.
+        #: Per-shard RPCs whose request carried multiplicities > 1.
         self.grouped_rpcs = 0
         #: Reads routed through the hot-replica directory.
         self.hot_reads = 0
@@ -199,6 +198,8 @@ class GraphClient(GraphStoreAPI):
         #: (ship each distinct source once per shard).
         self.coalesce = coalesce
         self.serving_stats = ServingStats()
+        #: ``searchsorted`` probes cutting a shard-sorted frontier.
+        self._shard_ids = np.arange(len(self.servers) + 1)
         #: Absolute per-request deadline (on the network clock) applied
         #: to every RPC issued while a :meth:`deadline_scope` is active.
         self._request_deadline: Optional[float] = None
@@ -365,6 +366,13 @@ class GraphClient(GraphStoreAPI):
                 return shard
         return self.partitioner.shard_for(src)
 
+    def _hot_sources(self) -> np.ndarray:
+        """Every source in the hot-replica directory, as an array."""
+        hot = self.hot_replicas
+        return np.fromiter(
+            (src for src, _ in hot.items()), dtype=np.int64, count=len(hot)
+        )
+
     def _live_store(self, shard: int):
         """First live replica's store (control-plane introspection —
         no fault injection, no network charge)."""
@@ -520,13 +528,8 @@ class GraphClient(GraphStoreAPI):
                     lambda s, sub=sub: s.ingest_batch(sub),
                 )
                 stats.merge_from(shard_stats)
-            hot = self.hot_replicas
-            if hot:
-                hot_srcs = np.fromiter(
-                    (src for src, _ in hot.items()), dtype=np.int64,
-                    count=len(hot),
-                )
-                mask = np.isin(batch.src, hot_srcs)
+            if self.hot_replicas:
+                mask = np.isin(batch.src, self._hot_sources())
                 if mask.any():
                     self._hot_columnar_extras(batch.select(
                         np.flatnonzero(mask)
@@ -665,125 +668,31 @@ class GraphClient(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
+        """Scalar read: the ``n = 1`` case of the one server endpoint."""
         if self.hot_tracker is not None:
             self.hot_tracker.observe(int(src))
-        return self._read_shard(
+        block = self._read_shard(
             self._route_read(src),
             _SAMPLE_REQ_BYTES + k * _SAMPLE_RESP_BYTES,
-            lambda s: s.sample_neighbors_batch([src], k, rng, etype)[0],
+            lambda s: s.sample_neighbors_many([src], k, rng, etype),
         )
+        return block if block is UNAVAILABLE else block.rows()[0]
 
-    def _sample_many_routed(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike,
-        etype: int,
-        endpoint: str,
-    ) -> List[Sequence[int]]:
-        """Group a frontier per owning shard, issue **one** RPC per shard
-        (not one per vertex), and merge rows back in input order.
-
-        Each shard answers its whole sub-batch through the store's
-        vectorized read path, so the per-message payload grows with the
-        sub-batch while the message count stays at the shard count —
-        exactly the incentive the network model rewards.  Sources owned
-        by a fully-unavailable shard come back as :data:`UNAVAILABLE`
-        rows when degraded reads are enabled.
-
-        Skew-aware extras (all no-ops in the default idle state):
-
-        * duplicate in-flight sources are **coalesced** — each distinct
-          source of the window is routed once and shipped once per
-          shard; a shard whose sub-batch contains duplicates is asked
-          through the grouped endpoint (distinct sources +
-          multiplicities) and its expanded reply is fanned back out to
-          every original position.  Every occurrence still receives its
-          own independent draws (the server expands locally), so the
-          sampled distribution matches the uncoalesced path;
-        * sources in the **hot-replica directory** rotate across their
-          replica set (all copies are write-coherent);
-        * the **hot tracker** observes every distinct source with its
-          window multiplicity;
-        * per-RPC service time is accumulated per shard in
-          :attr:`serving_stats` (the bench's modeled-makespan input).
-        """
-        srcs = list(srcs)
-        stats = self.serving_stats
-        stats.batches += 1
-        stats.sources += len(srcs)
-        # Dedup the window first (insertion order == first appearance),
-        # then route each *distinct* source once.
-        positions: Dict[int, List[int]] = {}
-        for i, src in enumerate(srcs):
-            bucket = positions.get(src)
-            if bucket is None:
-                positions[src] = [i]
-            else:
-                bucket.append(i)
-        stats.distinct_sources += len(positions)
-        tracker = self.hot_tracker
-        per_shard: Dict[int, List[Tuple[int, List[int]]]] = defaultdict(list)
-        for src, pos in positions.items():
-            if tracker is not None:
-                tracker.observe(src, len(pos))
-            per_shard[self._route_read(src)].append((src, pos))
-        uniform = endpoint == "sample_neighbors_uniform_many"
-        with self._tspan(
-            f"client.{endpoint}",
-            sources=len(srcs),
-            k=k,
-            shards=len(per_shard),
-        ):
-            out: List[Sequence[int]] = [[] for _ in srcs]
-            for shard, entries in per_shard.items():
-                rows = sum(len(pos) for _, pos in entries)
-                coalesced = self.coalesce and rows > len(entries)
-                if coalesced:
-                    # Reply rows come back in expanded (grouped) order:
-                    # counts[j] consecutive rows per distinct source.
-                    order = [i for _, pos in entries for i in pos]
-                    shard_srcs = [src for src, _ in entries]
-                    counts = [len(pos) for _, pos in entries]
-                    payload = (
-                        len(entries) * (_SAMPLE_REQ_BYTES + 2)
-                        + rows * k * _SAMPLE_RESP_BYTES
-                    )
-                    stats.grouped_rpcs += 1
-                    stats.coalesced_sources += rows - len(entries)
-
-                    def fn(s, ss=shard_srcs, cc=counts):
-                        return s.sample_neighbors_grouped(
-                            ss, cc, k, rng, etype, uniform
-                        )
-
-                else:
-                    # No duplicates on this shard (or coalescing off):
-                    # the PR-1 wire shape — position-ascending rows.
-                    order = sorted(i for _, pos in entries for i in pos)
-                    expanded = [srcs[i] for i in order]
-                    payload = len(expanded) * (
-                        _SAMPLE_REQ_BYTES + k * _SAMPLE_RESP_BYTES
-                    )
-
-                    def fn(s, ss=expanded):
-                        return getattr(s, endpoint)(ss, k, rng, etype)
-
-                stats.shard_rpcs += 1
-                started = time.perf_counter()
-                results = self._read_shard(shard, payload, fn)
-                elapsed = time.perf_counter() - started
-                stats.busy_seconds += elapsed
-                stats.busy_by_shard[shard] = (
-                    stats.busy_by_shard.get(shard, 0.0) + elapsed
+    def _route_frontier(self, srcs: np.ndarray) -> np.ndarray:
+        """Owning shard of every frontier row: one vectorized hash pass,
+        then each *distinct* hot source present takes one rotation step
+        of its replica set (all its rows follow it)."""
+        shards = self.partitioner.shards_for_array(srcs)
+        if self.hot_replicas:
+            rows = np.flatnonzero(np.isin(srcs, self._hot_sources()))
+            if rows.size:
+                present = np.unique(srcs[rows])
+                routed = np.asarray(
+                    [self._route_read(src) for src in present.tolist()],
+                    dtype=np.int64,
                 )
-                if results is UNAVAILABLE:
-                    for i in order:
-                        out[i] = UNAVAILABLE
-                    continue
-                for i, res in zip(order, results):
-                    out[i] = res
-            return out
+                shards[rows] = routed[np.searchsorted(present, srcs[rows])]
+        return shards
 
     def sample_neighbors_many(
         self,
@@ -791,21 +700,120 @@ class GraphClient(GraphStoreAPI):
         k: int,
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
-    ) -> List[Sequence[int]]:
-        return self._sample_many_routed(
-            srcs, k, rng, etype, "sample_neighbors_many"
-        )
+        *,
+        weighted: bool = True,
+        counts: Optional[Sequence[int]] = None,
+    ) -> SampleBlock:
+        """Route a frontier with array operations, issue **one** RPC per
+        touched shard, and merge the replies into one block in input
+        order.
 
-    def sample_neighbors_uniform_many(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[Sequence[int]]:
-        return self._sample_many_routed(
-            srcs, k, rng, etype, "sample_neighbors_uniform_many"
-        )
+        The frontier is sorted once by ``(shard, source)``: run
+        boundaries over the sorted sources give the distinct sources
+        and their multiplicities, a ``searchsorted`` over the distinct
+        sources' shards gives the per-shard cuts, each shard is sent
+        array slices and its reply is one fancy assignment into the
+        output — the same shape :meth:`apply_edge_batch` and
+        :meth:`gather_attributes` use.  Rows owned by a fully
+        unavailable shard come back ``state == UNAVAILABLE`` when
+        degraded reads are enabled.
+
+        Skew-aware extras (all no-ops in the default idle state):
+
+        * duplicate in-flight sources are **coalesced** — a shard is
+          sent its distinct sources plus multiplicities and expands
+          them locally, so every occurrence still receives its own
+          independent draws and the sampled distribution matches the
+          uncoalesced path;
+        * sources in the **hot-replica directory** rotate across their
+          replica set (all copies are write-coherent);
+        * the **hot tracker** observes every distinct source with its
+          window multiplicity;
+        * per-RPC service time is accumulated per shard in
+          :attr:`serving_stats` (the bench's modeled-makespan input).
+        """
+        srcs = np.asarray(srcs, dtype=np.int64)
+        if counts is not None:
+            srcs = np.repeat(srcs, counts)
+        n = srcs.size
+        # One generator per call.  In process every shard draws from it;
+        # a real transport would ship each shard a 64-bit child seed.
+        gen = coerce_generator(rng)
+        stats = self.serving_stats
+        stats.batches += 1
+        stats.sources += n
+        shards = self._route_frontier(srcs)
+        order = np.lexsort((srcs, shards))
+        srcs = srcs[order]
+        bounds = run_bounds(srcs)
+        starts = bounds[:-1]
+        distinct = srcs[starts]
+        multiplicity = bounds[1:] - starts
+        stats.distinct_sources += distinct.size
+        if self.hot_tracker is not None:
+            self.hot_tracker.observe_counts(
+                zip(distinct.tolist(), multiplicity.tolist())
+            )
+        # Distinct sources are shard-sorted: shard ``s`` owns
+        # ``distinct[cuts[s]:cuts[s + 1]]``, i.e. sorted rows
+        # ``row_cuts[s]:row_cuts[s + 1]``.
+        cuts = shards[order[starts]].searchsorted(self._shard_ids)
+        row_cuts = bounds[cuts].tolist()
+        cuts = cuts.tolist()
+        touched = [
+            s for s in range(len(self.servers)) if cuts[s] < cuts[s + 1]
+        ]
+        ids = np.empty((n, k), dtype=np.int64)
+        state = np.empty(n, dtype=np.int8)
+        with self._tspan(
+            "client.sample_neighbors_many",
+            sources=n,
+            k=k,
+            shards=len(touched),
+        ):
+            for shard in touched:
+                a, b = cuts[shard], cuts[shard + 1]
+                lo, hi = row_cuts[shard], row_cuts[shard + 1]
+                rows = hi - lo
+                if self.coalesce:
+                    shard_srcs, shard_counts = distinct[a:b], multiplicity[a:b]
+                    duplicates = rows - (b - a)
+                else:
+                    shard_srcs, shard_counts = srcs[lo:hi], None
+                    duplicates = 0
+                if duplicates:
+                    payload = (
+                        (b - a) * (_SAMPLE_REQ_BYTES + 2)
+                        + rows * k * _SAMPLE_RESP_BYTES
+                    )
+                    stats.grouped_rpcs += 1
+                    stats.coalesced_sources += duplicates
+                else:
+                    payload = rows * (
+                        _SAMPLE_REQ_BYTES + k * _SAMPLE_RESP_BYTES
+                    )
+
+                def fn(s, ss=shard_srcs, cc=shard_counts):
+                    return s.sample_neighbors_many(
+                        ss, k, gen, etype, weighted=weighted, counts=cc
+                    )
+
+                stats.shard_rpcs += 1
+                started = time.perf_counter()
+                block = self._read_shard(shard, payload, fn)
+                elapsed = time.perf_counter() - started
+                stats.busy_seconds += elapsed
+                stats.busy_by_shard[shard] = (
+                    stats.busy_by_shard.get(shard, 0.0) + elapsed
+                )
+                positions = order[lo:hi]
+                if block is UNAVAILABLE:
+                    ids[positions] = 0
+                    state[positions] = SampleBlock.UNAVAILABLE
+                else:
+                    ids[positions] = block.ids
+                    state[positions] = block.state
+        return SampleBlock(ids, state)
 
     # ------------------------------------------------------------------
     # attributes (vertex features live on the shard that owns the vertex)

@@ -40,19 +40,29 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
 def splitmix64_array(xs) -> np.ndarray:
     """Vectorized :func:`splitmix64` (bit-exact, one pass over uint64).
 
-    The columnar ingest path hashes the whole ``src`` column at once;
-    ``uint64`` arithmetic wraps modulo :math:`2^{64}`, matching the
-    scalar masking.
+    The columnar ingest path and the sample plane hash a whole ``src``
+    column at once; ``uint64`` array arithmetic wraps modulo
+    :math:`2^{64}` silently, matching the scalar masking.  Every step
+    after the copy is in place — on a four-row serving frontier the
+    fixed cost per NumPy call is the whole price.
     """
     x = np.asarray(xs).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x += _GOLDEN
+    x ^= x >> _S30
+    x *= _MIX1
+    x ^= x >> _S27
+    x *= _MIX2
+    x ^= x >> _S31
+    return x
 
 
 class Partitioner(abc.ABC):

@@ -35,7 +35,12 @@ from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import SamtreeConfig
 from repro.core.snapshot import RNGLike
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import DEFAULT_ETYPE, EdgeOp, GraphStoreAPI
+from repro.core.types import (
+    DEFAULT_ETYPE,
+    EdgeOp,
+    GraphStoreAPI,
+    SampleBlock,
+)
 from repro.errors import ConfigurationError, ShardUnavailableError
 from repro.obs.trace import NULL_SPAN
 from repro.storage.attributes import AttributeStore
@@ -420,18 +425,31 @@ class GraphServer:
         k: int,
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
-    ):
-        """One batched request: the shard's store answers the whole
-        source list through its vectorized read path (snapshot cache on
-        the samtree store, loop fallback elsewhere)."""
+        *,
+        weighted: bool = True,
+        counts: Optional[Sequence[int]] = None,
+    ) -> SampleBlock:
+        """The one sampling endpoint: the shard's store answers the
+        whole frontier through its vectorized read path and the
+        :class:`~repro.core.types.SampleBlock` goes back as is.
+
+        ``counts`` is the client's coalesced request shape — each
+        duplicated source shipped **once** with its in-window
+        multiplicity; the store gives ``srcs[i]`` that many consecutive
+        rows, each drawn independently (sampling is i.i.d. with
+        replacement), so the reply is in the client's fan-out order.
+        """
         with self._span("sample_neighbors_many", sources=len(srcs), k=k):
             self._serve("sample_neighbors_many")
             self.stats.sample_requests += 1
-            self.stats.sample_sources += len(srcs)
             with self._span(
                 "samtree.sample_many", _prefix="", sources=len(srcs)
             ):
-                return self.store.sample_neighbors_many(srcs, k, rng, etype)
+                block = self.store.sample_neighbors_many(
+                    srcs, k, rng, etype, weighted=weighted, counts=counts
+                )
+            self.stats.sample_sources += len(block)
+            return block
 
     def sample_neighbors_uniform_many(
         self,
@@ -439,77 +457,11 @@ class GraphServer:
         k: int,
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
-    ):
-        """Uniform variant of :meth:`sample_neighbors_many`."""
-        with self._span(
-            "sample_neighbors_uniform_many", sources=len(srcs), k=k
-        ):
-            self._serve("sample_neighbors_uniform_many")
-            self.stats.sample_requests += 1
-            self.stats.sample_sources += len(srcs)
-            with self._span(
-                "samtree.sample_many", _prefix="", sources=len(srcs)
-            ):
-                return self.store.sample_neighbors_uniform_many(
-                    srcs, k, rng, etype
-                )
-
-    def sample_neighbors_grouped(
-        self,
-        srcs: Sequence[int],
-        counts: Sequence[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-        uniform: bool = False,
-    ):
-        """Coalesced batched sampling: distinct sources + multiplicities.
-
-        The client's request-coalescing path ships each duplicated
-        source **once** per shard together with its in-window
-        multiplicity; the server expands the frontier locally
-        (``np.repeat``) and answers through the same vectorized store
-        path as :meth:`sample_neighbors_many`, so every occurrence still
-        gets its own independent draws (sampling is i.i.d. with
-        replacement — expansion order is the client's fan-out order).
-        Returns rows in expanded order: ``counts[i]`` consecutive rows
-        of ``k`` draws for ``srcs[i]``.
-        """
-        with self._span(
-            "sample_neighbors_grouped",
-            sources=len(srcs),
-            k=k,
-            uniform=uniform,
-        ):
-            self._serve("sample_neighbors_grouped")
-            self.stats.sample_requests += 1
-            self.stats.sample_sources += int(sum(counts))
-            expanded = np.repeat(
-                np.asarray(srcs, dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-            )
-            with self._span(
-                "samtree.sample_many", _prefix="", sources=expanded.size
-            ):
-                if uniform:
-                    return self.store.sample_neighbors_uniform_many(
-                        expanded, k, rng, etype
-                    )
-                return self.store.sample_neighbors_many(
-                    expanded, k, rng, etype
-                )
-
-    def sample_neighbors_batch(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[List[int]]:
-        """Weighted neighbor samples for sources owned by this shard
-        (compatibility form: plain ``List[List[int]]`` rows)."""
-        rows = self.sample_neighbors_many(srcs, k, rng, etype)
-        return [[int(v) for v in row] for row in rows]
+    ) -> SampleBlock:
+        # Kept by name only: benchmarks/e2e/test_e2e_smoke.py deletes this
+        # attribute with ``raising=True`` and the benchmark cannot change
+        # in the PR that removed the endpoint.
+        return self.sample_neighbors_many(srcs, k, rng, etype, weighted=False)
 
     def neighbors_batch(
         self, srcs: Sequence[int], etype: int = DEFAULT_ETYPE

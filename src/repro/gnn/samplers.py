@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.snapshot import RNGLike, coerce_scalar_rng
-from repro.core.types import DEFAULT_ETYPE, UNAVAILABLE, GraphStoreAPI
+from repro.core.snapshot import RNGLike, coerce_generator, coerce_scalar_rng
+from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI, SampleBlock
 from repro.errors import ConfigurationError
 from repro.obs.trace import NULL_SPAN
 
@@ -88,6 +88,23 @@ def sample_seed_nodes(
     return np.asarray(seeds, dtype=np.int64)
 
 
+def _as_frontier(vertices: Sequence[int]) -> np.ndarray:
+    """An ``int64`` frontier from an array or any iterable of ids."""
+    if not isinstance(vertices, np.ndarray):
+        vertices = list(vertices)
+    return np.asarray(vertices, dtype=np.int64)
+
+
+def _pad_self_loops(
+    ids: np.ndarray, state: np.ndarray, srcs: np.ndarray
+) -> np.ndarray:
+    """Overwrite every row that is not ``SERVED`` with its own source
+    (one masked copy, in place: the block is the sampler's to keep)."""
+    if state.any():
+        np.copyto(ids, srcs[:, None], where=state.astype(bool)[:, None])
+    return ids
+
+
 def sample_neighbor_matrix(
     store: GraphStoreAPI,
     srcs: Sequence[int],
@@ -98,24 +115,20 @@ def sample_neighbor_matrix(
     """Neighbor sampling: a dense ``(len(srcs), fanout)`` index matrix.
 
     Each row holds ``fanout`` weighted draws (with replacement) from the
-    corresponding source's out-neighbors; sources without out-edges are
-    padded with themselves.
+    corresponding source's out-neighbors; sources without out-edges —
+    and rows a degraded read could not serve — are padded with
+    themselves.
 
-    The whole frontier goes through the store's *batched* read path
-    (:meth:`GraphStoreAPI.sample_neighbors_many`): each distinct source
-    resolves its tree once per batch — degree check and draws share the
-    lookup — and stores with a snapshot cache answer every row with
-    vectorized RNG instead of per-draw descents.
+    The whole frontier is one call of the store's batched read path
+    (:meth:`GraphStoreAPI.sample_neighbors_many`); its
+    :class:`~repro.core.types.SampleBlock` is padded with one masked
+    copy and its ``ids`` matrix handed on.
     """
     if fanout < 1:
         raise ConfigurationError(f"fanout must be >= 1, got {fanout}")
-    rows = store.sample_neighbors_many(srcs, fanout, rng, etype)
-    out = np.empty((len(rows), fanout), dtype=np.int64)
-    for i, (src, row) in enumerate(zip(srcs, rows)):
-        # Rows may be lists (exact path) or int64 arrays (snapshot path);
-        # test emptiness by length, never truthiness.
-        out[i] = row if len(row) else [int(src)] * fanout
-    return out
+    srcs = np.asarray(srcs, dtype=np.int64)
+    block = store.sample_neighbors_many(srcs, fanout, rng, etype)
+    return _pad_self_loops(block.ids, block.state, srcs)
 
 
 def sample_blocks(
@@ -130,28 +143,20 @@ def sample_blocks(
 
     Level ``d + 1`` is the flattened neighbor matrix of level ``d``; the
     result feeds :meth:`repro.gnn.models.GraphSAGE.forward` directly.
-    Every hop is one batched ``sample_neighbors_many`` call, so the
-    whole frontier is drawn with vectorized RNG per hot tree.
+    Every hop is one batched ``sample_neighbors_many`` call and the
+    frontier stays an ``int64`` array from hop to hop.  One
+    ``numpy.random.Generator`` is derived from ``rng`` for the whole
+    expansion and passed down as is, so no layer below re-seeds per hop
+    or per shard.
 
     ``tracer`` (optional :class:`~repro.obs.trace.Tracer`) wraps each
     hop in a ``sampler.hop`` span tagged with the hop index, frontier
     size, and fanout — under the distributed client the per-shard RPC
-    spans of the hop nest beneath it automatically.
-
-    Stores exposing the frozen fast path (``sample_fanouts``, see
-    :meth:`repro.core.topology.DynamicGraphStore.freeze`) answer the
-    whole expansion in one call; a ``None`` result — relation not
-    frozen, shard stale or degraded — falls back to the per-hop live
-    path automatically.  Tracing keeps the per-hop loop so the
-    ``sampler.hop`` span tree stays intact.
+    spans of the hop nest beneath it automatically.  Traced or not, the
+    same loop runs.
     """
-    if tracer is None:
-        frozen_path = getattr(store, "sample_fanouts", None)
-        if frozen_path is not None:
-            levels = frozen_path(seeds, fanouts, rng, etype)
-            if levels is not None:
-                return MiniBatchBlocks(levels=levels, fanouts=list(fanouts))
-    levels = [np.asarray(list(seeds), dtype=np.int64)]
+    gen = coerce_generator(rng)
+    levels = [_as_frontier(seeds)]
     for hop, fanout in enumerate(fanouts):
         span = (
             tracer.span(
@@ -165,7 +170,7 @@ def sample_blocks(
         )
         with span:
             matrix = sample_neighbor_matrix(
-                store, levels[-1].tolist(), fanout, rng, etype
+                store, levels[-1], fanout, gen, etype
             )
         levels.append(matrix.reshape(-1))
     return MiniBatchBlocks(levels=levels, fanouts=list(fanouts))
@@ -181,13 +186,13 @@ def sample_blocks_partial(
     """Multi-hop expansion tolerating degraded-read seed rows.
 
     Under a cluster client with ``degraded_reads=True``, seeds whose
-    owning shard has no live replica come back as the
-    :data:`~repro.core.types.UNAVAILABLE` marker.  :func:`sample_blocks`
-    would silently pad those rows with self-loops — destroying the
-    outage signal — so the serving tier uses this variant instead:
+    owning shard has no live replica come back with
+    ``state == UNAVAILABLE``.  :func:`sample_blocks` would silently pad
+    those rows with self-loops — destroying the outage signal — so the
+    serving tier uses this variant instead:
 
     * hop 0 is sampled directly through ``sample_neighbors_many`` and
-      each row is identity-tested against ``UNAVAILABLE``;
+      the block's ``state`` column is read;
     * unavailable seeds are *dropped* from the batch and reported in
       ``unavailable_idx`` (positions into ``seeds``) so the caller can
       answer them from a degraded cache;
@@ -202,34 +207,24 @@ def sample_blocks_partial(
     """
     if not fanouts:
         raise ConfigurationError("fanouts must be non-empty")
-    seed_list = [int(s) for s in seeds]
-    rng = coerce_scalar_rng(rng)
-    rows = store.sample_neighbors_many(seed_list, fanouts[0], rng, etype)
-    served_idx: List[int] = []
-    unavailable_idx: List[int] = []
-    for i, row in enumerate(rows):
-        if row is UNAVAILABLE:
-            unavailable_idx.append(i)
-        else:
-            served_idx.append(i)
-    if not served_idx:
+    seeds = _as_frontier(seeds)
+    gen = coerce_generator(rng)
+    block = store.sample_neighbors_many(seeds, fanouts[0], gen, etype)
+    unavailable = block.state == SampleBlock.UNAVAILABLE
+    unavailable_idx = np.flatnonzero(unavailable).tolist()
+    if len(unavailable_idx) == len(seeds):
         return None, [], unavailable_idx
-    fanout0 = fanouts[0]
-    matrix = np.empty((len(served_idx), fanout0), dtype=np.int64)
-    for j, i in enumerate(served_idx):
-        row = rows[i]
-        matrix[j] = row if len(row) else [seed_list[i]] * fanout0
-    levels = [
-        np.asarray([seed_list[i] for i in served_idx], dtype=np.int64),
-        matrix.reshape(-1),
-    ]
+    served_idx = np.flatnonzero(~unavailable)
+    seeds = seeds[served_idx]
+    matrix = _pad_self_loops(
+        block.ids[served_idx], block.state[served_idx], seeds
+    )
+    levels = [seeds, matrix.reshape(-1)]
     for fanout in fanouts[1:]:
-        matrix = sample_neighbor_matrix(
-            store, levels[-1].tolist(), fanout, rng, etype
-        )
+        matrix = sample_neighbor_matrix(store, levels[-1], fanout, gen, etype)
         levels.append(matrix.reshape(-1))
     blocks = MiniBatchBlocks(levels=levels, fanouts=list(fanouts))
-    return blocks, served_idx, unavailable_idx
+    return blocks, served_idx.tolist(), unavailable_idx
 
 
 def sample_subgraph(
@@ -274,10 +269,9 @@ def sample_metapath(
     (LIVE_LIVE, f2)]``.  Returns the flattened frontier per hop, seeds
     first.
     """
-    levels = [np.asarray(list(seeds), dtype=np.int64)]
+    gen = coerce_generator(rng)
+    levels = [_as_frontier(seeds)]
     for etype, fanout in path:
-        matrix = sample_neighbor_matrix(
-            store, levels[-1].tolist(), fanout, rng, etype
-        )
+        matrix = sample_neighbor_matrix(store, levels[-1], fanout, gen, etype)
         levels.append(matrix.reshape(-1))
     return levels

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.snapshot import RNGLike, coerce_scalar_rng
+from repro.core.snapshot import RNGLike, coerce_generator
 from repro.core.types import DEFAULT_ETYPE
 from repro.errors import ConfigurationError
 from repro.gnn.models import SampledGNN
@@ -274,7 +274,9 @@ class InferenceService:
         #: Optional flight recorder (set via :meth:`set_recorder`).
         self.recorder = None
         self.compute_seconds_per_seed = compute_seconds_per_seed
-        self.rng = coerce_scalar_rng(rng if rng is not None else 0)
+        # The vector generator itself: every flush's expansion passes it
+        # down as is (no per-flush re-derivation from a scalar rng).
+        self.rng = coerce_generator(rng if rng is not None else 0)
         self.etype = etype
         self.stats = ServiceStats()
         self.latency_hist = LatencyHistogram()

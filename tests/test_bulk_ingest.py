@@ -501,13 +501,13 @@ def test_no_stale_snapshot_across_interleaved_bulk_ingest_and_sampling():
             [100.0 if d < 10 else 1e-9 for d in range(30)],
         )
     )
-    rows = store.sample_neighbors_many([src] * 8, k, gen)
+    rows = store.sample_neighbors_many([src] * 8, k, gen).rows()
     drawn = {int(v) for row in rows for v in row}
     assert drawn and max(drawn) < 10, drawn
 
     # Round 3: incremental path rewrites one weight to dominate.
     store.apply_edge_batch(EdgeBatch([src], [3], 1e7, None, OP_UPDATE))
-    rows = store.sample_neighbors_many([src] * 8, k, gen)
+    rows = store.sample_neighbors_many([src] * 8, k, gen).rows()
     frac3 = sum(
         1 for row in rows for v in row if int(v) == 3
     ) / (8 * k)
@@ -518,9 +518,9 @@ def test_no_stale_snapshot_across_interleaved_bulk_ingest_and_sampling():
     store.apply_edge_batch(
         EdgeBatch([src] * 30, list(range(30)), None, None, OP_DELETE)
     )
-    assert store.sample_neighbors_many([src], k, gen) == [[]]
+    assert store.sample_neighbors_many([src], k, gen).rows() == [[]]
     store.bulk_load([src] * 5, [100, 200, 300, 400, 500])
-    rows = store.sample_neighbors_many([src] * 4, k, gen)
+    rows = store.sample_neighbors_many([src] * 4, k, gen).rows()
     assert {int(v) for row in rows for v in row} <= {100, 200, 300, 400, 500}
 
     # Distributional check on the final state.
@@ -533,7 +533,7 @@ def test_no_stale_snapshot_across_interleaved_bulk_ingest_and_sampling():
         )
     )
     draws = 40_000
-    rows = store.sample_neighbors_many([src] * (draws // k), k, gen)
+    rows = store.sample_neighbors_many([src] * (draws // k), k, gen).rows()
     counts = {d: 0 for d in weights}
     for row in rows:
         for v in row:

@@ -101,7 +101,7 @@ def _sample_with_recovery(cluster: LocalCluster, srcs, k, rng,
                           max_tries: int = 8):
     for _ in range(max_tries):
         try:
-            return cluster.client.sample_neighbors_many(srcs, k, rng)
+            return cluster.client.sample_neighbors_many(srcs, k, rng).rows()
         except _OUTAGE_ERRORS:
             cluster.recover_all(sync=True)
     raise AssertionError(f"sampling did not finish within {max_tries} tries")

@@ -115,7 +115,7 @@ class TestClientRouting:
         for src in range(30):
             client.add_edge(src, src * 10, 1.0)
         srcs = [5, 17, 5, 29]
-        rows = client.sample_neighbors_batch(srcs, 3, rng)
+        rows = client.sample_neighbors_many(srcs, 3, rng).rows()
         assert rows[0] == [50, 50, 50]
         assert rows[1] == [170, 170, 170]
         assert rows[2] == [50, 50, 50]
@@ -133,7 +133,7 @@ class TestClientRouting:
         client, _, _ = self.make(network=net)
         client.apply_batch([EdgeOp.insert(i, 0, 1.0) for i in range(100)])
         assert 1 <= net.stats.messages <= 4  # one message per shard
-        client.sample_neighbors_batch(list(range(100)), 5)
+        client.sample_neighbors_many(list(range(100)), 5)
         assert net.stats.messages <= 8
 
     def test_attributes_across_shards(self):

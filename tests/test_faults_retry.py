@@ -429,7 +429,7 @@ class TestReplication:
         for src in range(40):
             assert cluster.client.degree(src) == 1
             assert cluster.client.edge_weight(src, src + 100) == pytest.approx(2.0)
-        rows = cluster.client.sample_neighbors_batch(list(range(40)), 3)
+        rows = cluster.client.sample_neighbors_many(list(range(40)), 3).rows()
         assert all(row == [s + 100] * 3 for s, row in enumerate(rows))
         assert cluster.client.num_edges == 40
 
@@ -501,7 +501,7 @@ class TestDegradedReads:
     def test_partial_batch_with_unavailable_markers(self):
         cluster, owned = self._down_shard_cluster()
         srcs = list(range(60))
-        rows = cluster.client.sample_neighbors_many(srcs, 4)
+        rows = cluster.client.sample_neighbors_many(srcs, 4).rows()
         for s, row in zip(srcs, rows):
             if s in owned:
                 assert row is UNAVAILABLE

@@ -12,8 +12,8 @@ Covers the PR's acceptance criteria:
 * edge cases — empty frontier, missing/zero-degree sources,
   zero-weight edges (never drawn weighted; uniform fallback on
   all-zero rows);
-* the multi-hop ``sample_fanouts`` kernel and its self-loop padding,
-  plus the ``sample_blocks`` fast path and its automatic fallback;
+* multi-hop ``sample_blocks`` over the frozen kernel, its self-loop
+  padding, and its automatic fallback to the live path when stale;
 * the distributed path: ``LocalCluster.freeze_all`` and the
   per-endpoint accounting identity of the ``freeze`` RPC;
 * the satellite vectorizations: ``CompressedIDList.to_array`` /
@@ -243,7 +243,7 @@ class TestDistributionEquivalence:
         store.freeze()
         frozen_rows = store.sample_neighbors_many(
             [src] * n_batches, k, rng=99
-        )
+        ).rows()
         assert store.frozen_stats.batches == 1
 
         expected = np.asarray(
@@ -260,9 +260,9 @@ class TestDistributionEquivalence:
         store.freeze()
         k = 20
         n_batches = self.DRAWS // k
-        rows = store.sample_neighbors_uniform_many(
-            [src] * n_batches, k, rng=42
-        )
+        rows = store.sample_neighbors_many(
+            [src] * n_batches, k, rng=42, weighted=False
+        ).rows()
         expected = np.full(len(support), self.DRAWS / len(support))
         assert _chi2_pvalue(self._histogram(rows, support), expected) > 0.01
 
@@ -272,7 +272,7 @@ class TestDistributionEquivalence:
         store.add_edge(1, 11, 2.0)
         store.add_edge(1, 12, 1.0)
         store.freeze()
-        rows = store.sample_neighbors_many([1] * 200, 10, rng=5)
+        rows = store.sample_neighbors_many([1] * 200, 10, rng=5).rows()
         drawn = {int(v) for row in rows for v in row}
         assert 10 not in drawn
         assert drawn == {11, 12}
@@ -282,7 +282,7 @@ class TestDistributionEquivalence:
         for d in range(5):
             store.add_edge(1, 100 + d, 0.0)
         store.freeze()
-        rows = store.sample_neighbors_many([1] * 600, 10, rng=5)
+        rows = store.sample_neighbors_many([1] * 600, 10, rng=5).rows()
         counts = np.zeros(5)
         for row in rows:
             for v in row:
@@ -316,7 +316,7 @@ class TestEpochInvalidation:
         store.freeze()
         store.remove_edge(1, 10)
         store.add_edge(1, 20, 1.0)
-        rows = store.sample_neighbors_many([1] * 50, 8, rng=3)
+        rows = store.sample_neighbors_many([1] * 50, 8, rng=3).rows()
         drawn = {int(v) for row in rows for v in row}
         assert drawn == {20}  # the deleted neighbor is never served
         assert store.frozen_stats.stale_misses >= 1
@@ -329,7 +329,7 @@ class TestEpochInvalidation:
         store.freeze()
         store.frozen_staleness_budget = 2
         store.add_edge(1, 11, 1.0)  # drift 1 <= budget: still frozen
-        rows = store.sample_neighbors_many([1], 4, rng=0)
+        rows = store.sample_neighbors_many([1], 4, rng=0).rows()
         assert store.frozen_stats.batches == 1
         assert {int(v) for v in rows[0]} == {10}  # stale by design
         store.add_edge(1, 12, 1.0)
@@ -344,7 +344,7 @@ class TestEpochInvalidation:
         store.freeze()
         store.frozen_auto_refreeze = True
         store.add_edge(1, 30, 1000.0)
-        rows = store.sample_neighbors_many([1] * 20, 10, rng=8)
+        rows = store.sample_neighbors_many([1] * 20, 10, rng=8).rows()
         assert store.frozen_stats.refreezes == 1
         assert store.frozen_stats.compiles == 2
         assert 30 in {int(v) for row in rows for v in row}
@@ -367,14 +367,15 @@ class TestKernelEdgeCases:
     def test_empty_frontier(self):
         store = _churned_store()
         store.freeze()
-        assert store.sample_neighbors_many([], 5, rng=1) == []
-        levels = store.sample_fanouts([], [3, 2], rng=1)
+        block = store.sample_neighbors_many([], 5, rng=1)
+        assert block.ids.shape == (0, 5) and block.rows() == []
+        levels = sample_blocks(store, [], [3, 2], rng=1).levels
         assert [int(l.size) for l in levels] == [0, 0, 0]
 
     def test_missing_source_gets_empty_row(self):
         store = _churned_store()
         store.freeze()
-        rows = store.sample_neighbors_many([0, 10**8], 5, rng=1)
+        rows = store.sample_neighbors_many([0, 10**8], 5, rng=1).rows()
         assert len(rows[0]) == 5
         assert len(rows[1]) == 0
         assert store.frozen_stats.missing_vertices == 1
@@ -383,7 +384,8 @@ class TestKernelEdgeCases:
         store = _churned_store()
         store.freeze()
         seeds = [0, 3, 6, 10**8]  # last one has no adjacency
-        levels = store.sample_fanouts(seeds, [4, 3], rng=2)
+        levels = sample_blocks(store, seeds, [4, 3], rng=2).levels
+        assert store.frozen_stats.batches == 2  # one kernel call per hop
         assert [int(l.size) for l in levels] == [4, 16, 48]
         # Missing seed rows are padded with the seed itself.
         assert set(levels[1][12:16].tolist()) == {10**8}
@@ -394,18 +396,11 @@ class TestKernelEdgeCases:
             neighbors = {d for d, _ in store.neighbors(parent)}
             assert child in neighbors or child == parent
 
-    def test_sample_fanouts_returns_none_when_not_frozen(self):
-        store = _churned_store()
-        assert store.sample_fanouts([0], [2]) is None
-        store.freeze()
-        store.add_edge(0, 777, 1.0)  # stale again
-        assert store.sample_fanouts([0], [2]) is None
-
     def test_invalid_fanout_raises(self):
         store = _churned_store()
         (shard,) = store.freeze()
         with pytest.raises(ConfigurationError):
-            shard.sample_fanouts([0], [0], coerce_generator(1))
+            sample_blocks(store, [0], [0], rng=1)
         with pytest.raises(ConfigurationError):
             shard.sample_matrix([0], -1, coerce_generator(1))
 
@@ -425,7 +420,7 @@ class TestSamplerFastPath:
         store = _churned_store()
         store.freeze()
         blocks = sample_blocks(store, [0, 3, 6], [4, 3], rng=9)
-        assert store.frozen_stats.hops == 2
+        assert store.frozen_stats.batches == 2
         assert blocks.batch_size == 3
         assert [int(l.size) for l in blocks.levels] == [3, 12, 36]
 
@@ -434,7 +429,8 @@ class TestSamplerFastPath:
         store.freeze()
         store.add_edge(0, 424242, 0.5)
         blocks = sample_blocks(store, [0, 3], [2, 2], rng=9)
-        assert store.frozen_stats.hops == 0  # frozen path refused
+        assert store.frozen_stats.batches == 0  # frozen path refused
+        assert store.frozen_stats.stale_misses == 2
         assert [int(l.size) for l in blocks.levels] == [2, 4, 8]
 
 
@@ -457,7 +453,7 @@ class TestDistributedFreeze:
         compiled = cluster.freeze_all()
         assert compiled == 3
         frontier = list(range(40)) * 5
-        rows = cluster.client.sample_neighbors_many(frontier, 6, rng=4)
+        rows = cluster.client.sample_neighbors_many(frontier, 6, rng=4).rows()
         assert len(rows) == len(frontier)
         assert all(len(row) == 6 for row in rows)
         served = sum(
@@ -478,7 +474,7 @@ class TestDistributedFreeze:
         cluster.freeze_all()
         cluster.client.add_edge(0, 999999, 1.0)  # dirties one shard
         frontier = list(range(40))
-        rows = cluster.client.sample_neighbors_many(frontier, 4, rng=4)
+        rows = cluster.client.sample_neighbors_many(frontier, 4, rng=4).rows()
         assert all(len(row) == 4 for row in rows)
         stale = sum(
             s.store.frozen_stats.stale_misses for s in cluster.servers
@@ -486,7 +482,7 @@ class TestDistributedFreeze:
         assert stale == 1  # only the written shard fell back
         drawn = {
             int(v)
-            for row in cluster.client.sample_neighbors_many([0], 64, rng=1)
+            for row in cluster.client.sample_neighbors_many([0], 64, rng=1).rows()
             for v in row
         }
         assert 999999 in drawn or len(drawn) > 0  # fresh state reachable

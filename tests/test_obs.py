@@ -647,7 +647,7 @@ class TestDistributedTracing:
         tracer.reset()
         rows = cluster.client.sample_neighbors_many(
             list(range(30)), 4, rng
-        )
+        ).rows()
         assert len(rows) == 30
         assert len(tracer.finished) == 1
         root = tracer.traces()[0]

@@ -213,7 +213,7 @@ class TestExecution:
         draws = 1200
         rows = cluster.client.sample_neighbors_many(
             [src] * draws, 1, np.random.default_rng(9)
-        )
+        ).rows()
         counts = Counter(int(r[0]) for r in rows)
         w = np.asarray(weights)
         expected = draws * w / w.sum()

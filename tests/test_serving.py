@@ -116,7 +116,7 @@ class TestCoalescing:
         cluster = self._cluster(coalesce=True)
         rows = cluster.client.sample_neighbors_many(
             [7] * 400, 1, np.random.default_rng(1)
-        )
+        ).rows()
         counts = Counter(int(r[0]) for r in rows)
         assert len(counts) == 5  # all five neighbors appear
         weights = np.array([10.0, 5.0, 2.0, 2.0, 1.0])
@@ -131,7 +131,7 @@ class TestCoalescing:
             cluster = self._cluster(coalesce=coalesce)
             rows = cluster.client.sample_neighbors_many(
                 [7, 8, 7] * 200, 1, np.random.default_rng(2)
-            )
+            ).rows()
             counts = Counter(int(rows[i][0]) for i in range(0, 600, 3))
             observed = [counts.get(100 + i, 0) for i in range(5)]
             assert _chi2_pvalue(observed, expected) > 0.01, coalesce
@@ -220,7 +220,7 @@ class TestHotReplicas:
         # Reads keep flowing through the surviving copies.
         rows = cluster.client.sample_neighbors_many(
             [src] * 4, 2, np.random.default_rng(6)
-        )
+        ).rows()
         assert all(len(r) == 2 for r in rows)
 
     def test_drop_hot_replicas_restores_primary_only_reads(self):

@@ -27,7 +27,6 @@ from repro.core.snapshot import (
     TreeSnapshot,
     coerce_generator,
     coerce_scalar_rng,
-    resolve_rngs,
 )
 from repro.core.topology import DynamicGraphStore
 from repro.core.tree_batch import apply_tree_batch
@@ -91,19 +90,11 @@ class TestRNGHelpers:
         d = coerce_generator(random.Random(3)).random()
         assert c == d
 
-    def test_resolve_pair_from_one_seed(self):
-        s1, g1 = resolve_rngs(42)
-        s2, g2 = resolve_rngs(42)
-        assert s1.random() == s2.random()
-        assert g1.random() == g2.random()
-
     def test_rejects_garbage(self):
         with pytest.raises(ConfigurationError):
             coerce_scalar_rng("not an rng")
         with pytest.raises(ConfigurationError):
             coerce_generator(3.14)
-        with pytest.raises(ConfigurationError):
-            resolve_rngs(object())
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +187,7 @@ class TestDistributionEquivalence:
         for dst, w in weights.items():
             store.add_edge(1, dst, w)
         n = 20_000
-        rows = store.sample_neighbors_many([1] * 40, n // 40, rng=5)
+        rows = store.sample_neighbors_many([1] * 40, n // 40, rng=5).rows()
         draws = [int(v) for row in rows for v in row]
         ids = sorted(weights)
         total = sum(weights.values())
@@ -210,7 +201,9 @@ class TestDistributionEquivalence:
         for dst in range(20, 28):
             store.add_edge(2, dst, float(dst))  # skewed weights, ignored
         n = 16_000
-        rows = store.sample_neighbors_uniform_many([2] * 16, n // 16, rng=9)
+        rows = store.sample_neighbors_many(
+            [2] * 16, n // 16, rng=9, weighted=False
+        ).rows()
         draws = [int(v) for row in rows for v in row]
         ids = list(range(20, 28))
         observed = self._frequencies(draws, ids)
@@ -295,7 +288,7 @@ class TestCacheInvalidation:
         store, cache = self._warm_store()
         store.remove_edge(7, 100)
         # Post-mutation read: stale entry dropped, exact path serves it.
-        rows = store.sample_neighbors_many([7] * 6, 64, rng=2)
+        rows = store.sample_neighbors_many([7] * 6, 64, rng=2).rows()
         assert cache.stats.invalidations == 1
         assert cache.stats.exact_fallbacks >= 1
         assert (0, 7) not in cache
@@ -329,7 +322,7 @@ class TestCacheInvalidation:
         store.apply_source_batch(
             7, 0, [("delete", 100, 0.0), ("insert", 500, 100.0)]
         )
-        rows = store.sample_neighbors_many([7] * 4, 128, rng=5)
+        rows = store.sample_neighbors_many([7] * 4, 128, rng=5).rows()
         assert cache.stats.invalidations == 1
         drawn = {int(v) for row in rows for v in row}
         assert 100 not in drawn
@@ -338,7 +331,9 @@ class TestCacheInvalidation:
     def test_uniform_path_shares_coherence(self):
         store, cache = self._warm_store()
         store.remove_edge(7, 129)
-        rows = store.sample_neighbors_uniform_many([7] * 4, 64, rng=6)
+        rows = store.sample_neighbors_many(
+            [7] * 4, 64, rng=6, weighted=False
+        ).rows()
         drawn = {int(v) for row in rows for v in row}
         assert 129 not in drawn
 
@@ -348,7 +343,7 @@ class TestCacheInvalidation:
         )
         for dst in range(5):
             store.add_edge(1, dst, 1.0)
-        rows = store.sample_neighbors_many([1, 2, 1], 4, rng=0)
+        rows = store.sample_neighbors_many([1, 2, 1], 4, rng=0).rows()
         assert len(rows) == 3
         assert rows[1] == []
         assert all(0 <= int(v) < 5 for v in rows[0])
@@ -412,7 +407,7 @@ class TestLRUEviction:
         )
         for dst in range(12):
             store.add_edge(1, dst, 1.0)
-        rows = store.sample_neighbors_many([1] * 3, 5, rng=0)
+        rows = store.sample_neighbors_many([1] * 3, 5, rng=0).rows()
         assert all(len(r) == 5 for r in rows)
         assert len(cache) == 0 and cache.nbytes == 0
 
@@ -454,8 +449,8 @@ class TestSeedReproducibility:
 
     def test_same_seed_same_batched_samples(self):
         frontier = [0, 1, 0, 2, 3, 3, 4, 5] * 3
-        a = self._build().sample_neighbors_many(frontier, 7, rng=1234)
-        b = self._build().sample_neighbors_many(frontier, 7, rng=1234)
+        a = self._build().sample_neighbors_many(frontier, 7, rng=1234).rows()
+        b = self._build().sample_neighbors_many(frontier, 7, rng=1234).rows()
         assert [[int(v) for v in row] for row in a] == [
             [int(v) for v in row] for row in b
         ]
@@ -467,7 +462,7 @@ class TestSeedReproducibility:
             store = self._build()
             store.sample_neighbors_many([0, 1, 2], 4, rng=7)  # warm
             store.update_edge(1, 50, 9.0)  # tree 1 -> probation
-            return store.sample_neighbors_many([0, 1, 1, 2], 5, rng=99)
+            return store.sample_neighbors_many([0, 1, 1, 2], 5, rng=99).rows()
 
         a, b = run(), run()
         assert [[int(v) for v in row] for row in a] == [
@@ -476,17 +471,17 @@ class TestSeedReproducibility:
 
     def test_generator_and_random_seeds_accepted(self):
         store = self._build()
-        r1 = store.sample_neighbors_many([0, 1], 4, rng=random.Random(5))
-        r2 = store.sample_neighbors_many([0, 1], 4, rng=random.Random(5))
+        r1 = store.sample_neighbors_many([0, 1], 4, rng=random.Random(5)).rows()
+        r2 = store.sample_neighbors_many([0, 1], 4, rng=random.Random(5)).rows()
         assert [[int(v) for v in x] for x in r1] == [
             [int(v) for v in x] for x in r2
         ]
         g1 = store.sample_neighbors_many(
             [0, 1], 4, rng=np.random.default_rng(5)
-        )
+        ).rows()
         g2 = store.sample_neighbors_many(
             [0, 1], 4, rng=np.random.default_rng(5)
-        )
+        ).rows()
         assert [[int(v) for v in x] for x in g1] == [
             [int(v) for v in x] for x in g2
         ]

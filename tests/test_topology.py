@@ -115,7 +115,7 @@ class TestSampling:
     def test_sample_batch_shape(self, store):
         for s in range(5):
             store.add_edge(s, 100 + s, 1.0)
-        rows = store.sample_neighbors_batch(range(5), 3, random.Random(2))
+        rows = store.sample_neighbors_many(range(5), 3, random.Random(2)).rows()
         assert [len(r) for r in rows] == [3] * 5
 
     def test_sample_vertices_degree_weighted(self, store):
