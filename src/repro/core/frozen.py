@@ -31,10 +31,10 @@ static serving tier of Euler/Plato use, grown here from live samtrees:
 * ``epoch``          — the store's mutation epoch stamped at compile
   time.  Coherence piggybacks on the same epoch discipline as the
   snapshot cache: every store mutation path bumps the epoch, and a
-  frozen shard is served only while
-  ``store_epoch - shard.epoch <= staleness_budget`` (default 0 — any
-  post-compile mutation forces recompile-or-fallback, never a stale
-  read).
+  frozen shard is served only while ``shard.epoch == store_epoch`` —
+  any post-compile mutation sends reads back to the live tree until
+  the next :meth:`~repro.core.topology.DynamicGraphStore.freeze`,
+  never a stale read.
 
 Distribution equivalence: the alias table is an *exact* decomposition
 of each row's weight vector (zero-weight edges get cell probability 0
@@ -52,13 +52,15 @@ with Python-level work proportional to the number of tree leaves only.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.snapshot import flatten_tree
 from repro.errors import ConfigurationError
+from repro.obs.telemetry import Stats
 
 __all__ = ["FrozenShard", "FrozenStats"]
 
@@ -113,39 +115,19 @@ def _build_alias(
     return alias_prob, alias_idx
 
 
-class FrozenStats:
+@dataclass
+class FrozenStats(Stats):
     """Counters for the frozen read path (registered as ``repro_frozen_*``)."""
 
-    __slots__ = (
-        "compiles",
-        "refreezes",
-        "thaws",
-        "compiled_rows",
-        "compiled_edges",
-        "batches",
-        "vertices",
-        "draws",
-        "stale_misses",
-        "missing_vertices",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.compiles = 0  #: shard compiles (freeze + auto-refreeze)
-        self.refreezes = 0  #: compiles triggered by staleness on demand
-        self.thaws = 0  #: explicit shard drops
-        self.compiled_rows = 0  #: cumulative rows across compiles
-        self.compiled_edges = 0  #: cumulative edges across compiles
-        self.batches = 0  #: frontier batches served frozen
-        self.vertices = 0  #: frontier vertices served frozen
-        self.draws = 0  #: neighbor draws produced
-        self.stale_misses = 0  #: reads refused for epoch drift
-        self.missing_vertices = 0  #: frontier entries with no frozen row
-
-    def to_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+    compiles: int = 0  #: shard compiles
+    thaws: int = 0  #: explicit shard drops
+    compiled_rows: int = 0  #: cumulative rows across compiles
+    compiled_edges: int = 0  #: cumulative edges across compiles
+    batches: int = 0  #: frontier batches served frozen
+    vertices: int = 0  #: frontier vertices served frozen
+    draws: int = 0  #: neighbor draws produced
+    stale_misses: int = 0  #: reads refused for epoch drift
+    missing_vertices: int = 0  #: frontier entries with no frozen row
 
 
 class FrozenShard:

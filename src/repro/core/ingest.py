@@ -24,12 +24,14 @@ kinds of the paper's Table II.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.types import DEFAULT_ETYPE, EdgeOp, OpKind
 from repro.errors import ConfigurationError, InvalidWeightError
+from repro.obs.telemetry import Stats
 
 __all__ = [
     "OP_INSERT",
@@ -64,58 +66,25 @@ _ROW_BYTES = 8 + 8 + 4 + 2 + 1
 _HEADER_BYTES = 16
 
 
-class IngestStats:
+@dataclass
+class IngestStats(Stats):
     """Outcome counters of one bulk mutation (store- or shard-level)."""
 
-    __slots__ = (
-        "ops", "inserted", "removed", "trees_rebuilt", "trees_incremental",
-        "trees_created",
-    )
-
-    def __init__(
-        self,
-        ops: int = 0,
-        inserted: int = 0,
-        removed: int = 0,
-        trees_rebuilt: int = 0,
-        trees_incremental: int = 0,
-        trees_created: int = 0,
-    ) -> None:
-        self.ops = ops
-        #: Net new edges added by the batch.
-        self.inserted = inserted
-        #: Net edges removed by the batch.
-        self.removed = removed
-        #: Trees that took the O(n) bottom-up rebuild path.
-        self.trees_rebuilt = trees_rebuilt
-        #: Trees that took the incremental PALM/`apply_source_batch` path.
-        self.trees_incremental = trees_incremental
-        #: Trees created fresh by the batch (bulk-built).
-        self.trees_created = trees_created
+    ops: int = 0
+    #: Net new edges added by the batch.
+    inserted: int = 0
+    #: Net edges removed by the batch.
+    removed: int = 0
+    #: Trees that took the O(n) bottom-up rebuild path.
+    trees_rebuilt: int = 0
+    #: Trees that took the incremental PALM/`apply_source_batch` path.
+    trees_incremental: int = 0
+    #: Trees created fresh by the batch (bulk-built).
+    trees_created: int = 0
 
     @property
     def net_edges(self) -> int:
         return self.inserted - self.removed
-
-    def merge_from(self, other: "IngestStats") -> None:
-        self.ops += other.ops
-        self.inserted += other.inserted
-        self.removed += other.removed
-        self.trees_rebuilt += other.trees_rebuilt
-        self.trees_incremental += other.trees_incremental
-        self.trees_created += other.trees_created
-
-    def reset(self) -> None:
-        """Zero every counter in place (registered views stay bound)."""
-        for slot in self.__slots__:
-            setattr(self, slot, 0)
-
-    def to_dict(self) -> dict:
-        return {s: getattr(self, s) for s in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        fields = ", ".join(f"{s}={getattr(self, s)}" for s in self.__slots__)
-        return f"IngestStats({fields})"
 
 
 class EdgeBatch:

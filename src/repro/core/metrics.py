@@ -31,6 +31,7 @@ from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
 from repro.errors import ConfigurationError
 from repro.obs.hist import LatencyHistogram
+from repro.obs.telemetry import Telemetry
 
 __all__ = ["LatencyHistogram", "StoreMetrics", "InstrumentedStore"]
 
@@ -106,11 +107,10 @@ class InstrumentedStore(GraphStoreAPI):
     def __init__(self, store: GraphStoreAPI, tracer=None) -> None:
         self.store = store
         self.metrics = StoreMetrics()
-        #: Optional :class:`~repro.obs.trace.Tracer`; when set (and the
-        #: family histograms have exemplars enabled), every timed op is
-        #: tagged with the currently-active span's trace id so a fat
-        #: p99 bucket links back to the request tree that caused it.
-        self.tracer = tracer
+        #: With a tracer on this hub (and exemplars enabled), every
+        #: timed op carries the active span's trace id, so a fat p99
+        #: bucket links back to the request tree that caused it.
+        self.telemetry = Telemetry(tracer=tracer)
 
     def _timed(self, family: str, fn, *args, **kwargs):
         start = time.perf_counter()
@@ -118,12 +118,12 @@ class InstrumentedStore(GraphStoreAPI):
             return fn(*args, **kwargs)
         finally:
             seconds = time.perf_counter() - start
-            trace_id = None
-            if self.tracer is not None:
-                span = self.tracer.current()
-                if span is not None:
-                    trace_id = span.trace_id
-            self.metrics.record(family, seconds, trace_id=trace_id)
+            span = self.telemetry.current()
+            self.metrics.record(
+                family,
+                seconds,
+                trace_id=span.trace_id if span is not None else None,
+            )
 
     # -- updates ----------------------------------------------------------
     def add_edge(self, src, dst, weight=1.0, etype=DEFAULT_ETYPE):

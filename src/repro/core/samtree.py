@@ -48,6 +48,7 @@ from repro.errors import (
     InvalidWeightError,
     InvariantViolationError,
 )
+from repro.obs.telemetry import Stats
 
 __all__ = ["Samtree", "SamtreeConfig", "OpStats", "BULK_FILL_FRACTION"]
 
@@ -63,7 +64,7 @@ BULK_FILL_FRACTION = 0.75
 
 
 @dataclass
-class OpStats:
+class OpStats(Stats):
     """Structural-update counters (drive the paper's Table V).
 
     ``split_imbalance_sum`` accumulates, per α-Split of a leaf, the
@@ -97,23 +98,6 @@ class OpStats:
         if not self.leaf_splits:
             return 0.0
         return self.split_imbalance_sum / self.leaf_splits
-
-    def merge_from(self, other: "OpStats") -> None:
-        """Accumulate another counter set (used by store-level stats)."""
-        self.leaf_ops += other.leaf_ops
-        self.internal_ops += other.internal_ops
-        self.leaf_splits += other.leaf_splits
-        self.internal_splits += other.internal_splits
-        self.merges += other.merges
-        self.split_imbalance_sum += other.split_imbalance_sum
-
-    def reset(self) -> None:
-        self.leaf_ops = 0
-        self.internal_ops = 0
-        self.leaf_splits = 0
-        self.internal_splits = 0
-        self.merges = 0
-        self.split_imbalance_sum = 0.0
 
 
 @dataclass(frozen=True)

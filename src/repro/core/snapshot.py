@@ -51,12 +51,14 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.errors import ConfigurationError, EmptyStructureError
+from repro.obs.telemetry import Stats
 
 __all__ = [
     "AdmissionFilter",
@@ -292,42 +294,25 @@ class TreeSnapshot:
 # ---------------------------------------------------------------------------
 # the bounded cache
 # ---------------------------------------------------------------------------
-class SnapshotCacheStats:
+@dataclass
+class SnapshotCacheStats(Stats):
     """Counters describing cache effectiveness (exported by benchmarks)."""
 
-    __slots__ = ("hits", "misses", "builds", "invalidations", "evictions",
-                 "exact_fallbacks", "admission_rejects", "admission_ages")
+    DERIVED = ("hit_rate",)
 
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.builds = 0
-        self.invalidations = 0
-        self.evictions = 0
-        self.exact_fallbacks = 0
-        self.admission_rejects = 0
-        self.admission_ages = 0
+    hits: int = 0
+    misses: int = 0
+    builds: int = 0
+    invalidations: int = 0
+    evictions: int = 0
+    exact_fallbacks: int = 0
+    admission_rejects: int = 0
+    admission_ages: int = 0
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "builds": self.builds,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            "exact_fallbacks": self.exact_fallbacks,
-            "admission_rejects": self.admission_rejects,
-            "admission_ages": self.admission_ages,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class AdmissionFilter:

@@ -121,12 +121,6 @@ class DynamicGraphStore(GraphStoreAPI):
         #: a missed bump would be a stale read).
         self._mutation_epoch = 0
         self.frozen_stats = FrozenStats()
-        #: Epochs of drift a frozen shard may serve through (0 = any
-        #: post-compile mutation forces recompile-or-fallback).
-        self.frozen_staleness_budget = 0
-        #: When True, a stale shard recompiles on demand at read time
-        #: instead of falling back to the live samtree path.
-        self.frozen_auto_refreeze = False
 
     # ------------------------------------------------------------------
     # tree lookup
@@ -512,8 +506,7 @@ class DynamicGraphStore(GraphStoreAPI):
         ``etype=None`` freezes every relation present (an empty store
         freezes the default relation to an empty shard).  Returns the
         compiled shards; subsequent batched reads of a frozen relation
-        dispatch to the vectorized kernels until the store mutates past
-        ``frozen_staleness_budget`` epochs.
+        dispatch to the vectorized kernels until the store mutates.
         """
         if etype is not None:
             targets = [etype]
@@ -542,23 +535,16 @@ class DynamicGraphStore(GraphStoreAPI):
     def _frozen_for(self, etype: int) -> Optional[FrozenShard]:
         """The servable frozen shard of ``etype``, or ``None``.
 
-        Staleness is epoch drift since compile; a stale shard either
-        recompiles on demand (``frozen_auto_refreeze``) or is refused,
-        sending the read down the live samtree path — either way no
-        read is ever answered beyond the staleness budget.
+        A shard is fresh iff it was compiled at the current mutation
+        epoch; a stale one is refused, sending the read down the live
+        samtree path until the next :meth:`freeze`.
         """
         shard = self._frozen.get(etype)
         if shard is None:
             return None
-        if (
-            self._mutation_epoch - shard.epoch
-            <= self.frozen_staleness_budget
-        ):
+        if shard.epoch == self._mutation_epoch:
             return shard
         self.frozen_stats.stale_misses += 1
-        if self.frozen_auto_refreeze:
-            self.frozen_stats.refreezes += 1
-            return self.freeze(etype)[0]
         return None
 
     # ------------------------------------------------------------------

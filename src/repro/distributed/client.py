@@ -30,6 +30,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,7 +58,7 @@ from repro.errors import (
     RetryExhaustedError,
     ShardUnavailableError,
 )
-from repro.obs.trace import NULL_SPAN
+from repro.obs.telemetry import Stats, Telemetry
 
 __all__ = ["GraphClient", "ServingStats", "UNAVAILABLE"]
 
@@ -77,7 +78,8 @@ _QUERY_BYTES = 16
 _FAILOVER_ERRORS = (ShardUnavailableError, RetryExhaustedError)
 
 
-class ServingStats:
+@dataclass
+class ServingStats(Stats):
     """Client-side serving counters (exported as ``repro_cache_*``).
 
     Tracks the skew-aware serving layer: request coalescing (duplicate
@@ -90,53 +92,34 @@ class ServingStats:
     parallel-deployment bottleneck) from it.
     """
 
-    __slots__ = (
-        "batches", "sources", "distinct_sources", "coalesced_sources",
-        "shard_rpcs", "grouped_rpcs", "hot_reads", "spread_reads",
-        "hot_write_ops", "hot_write_drops", "busy_seconds",
-        "busy_by_shard",
-    )
+    DERIVED = ("coalesce_rate",)
 
-    def __init__(self) -> None:
-        self.busy_by_shard: Dict[int, float] = {}
-        self.reset()
-
-    def reset(self) -> None:
-        self.batches = 0
-        #: Frontier rows requested through the batched sampling path.
-        self.sources = 0
-        #: Distinct (source, shard-window) keys actually shipped.
-        self.distinct_sources = 0
-        #: Duplicate rows answered from a coalesced fetch.
-        self.coalesced_sources = 0
-        self.shard_rpcs = 0
-        #: Per-shard RPCs whose request carried multiplicities > 1.
-        self.grouped_rpcs = 0
-        #: Reads routed through the hot-replica directory.
-        self.hot_reads = 0
-        #: Hot reads served by a non-primary copy.
-        self.spread_reads = 0
-        #: Extra write messages keeping hot copies coherent.
-        self.hot_write_ops = 0
-        #: Hot copies dropped because their coherence write failed.
-        self.hot_write_drops = 0
-        #: Total measured in-RPC time of batched sampling (seconds).
-        self.busy_seconds = 0.0
-        self.busy_by_shard.clear()
+    batches: int = 0
+    #: Frontier rows requested through the batched sampling path.
+    sources: int = 0
+    #: Distinct (source, shard-window) keys actually shipped.
+    distinct_sources: int = 0
+    #: Duplicate rows answered from a coalesced fetch.
+    coalesced_sources: int = 0
+    shard_rpcs: int = 0
+    #: Per-shard RPCs whose request carried multiplicities > 1.
+    grouped_rpcs: int = 0
+    #: Reads routed through the hot-replica directory.
+    hot_reads: int = 0
+    #: Hot reads served by a non-primary copy.
+    spread_reads: int = 0
+    #: Extra write messages keeping hot copies coherent.
+    hot_write_ops: int = 0
+    #: Hot copies dropped because their coherence write failed.
+    hot_write_drops: int = 0
+    #: Total measured in-RPC time of batched sampling (seconds).
+    busy_seconds: float = 0.0
+    busy_by_shard: Dict[int, float] = field(default_factory=dict)
 
     @property
     def coalesce_rate(self) -> float:
         """Fraction of frontier rows deduplicated away before the wire."""
         return self.coalesced_sources / self.sources if self.sources else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        out = {
-            s: getattr(self, s)
-            for s in self.__slots__
-            if s != "busy_by_shard"
-        }
-        out["coalesce_rate"] = self.coalesce_rate
-        return out
 
 
 class GraphClient(GraphStoreAPI):
@@ -186,7 +169,8 @@ class GraphClient(GraphStoreAPI):
         self.network = network
         self.retry = retry
         self.degraded_reads = degraded_reads
-        self.tracer = tracer
+        #: Telemetry hub; a cluster swaps in the one it shares.
+        self.telemetry = Telemetry(tracer=tracer)
         #: Hot-vertex read-replica directory (empty = no spreading).
         self.hot_replicas = (
             hot_replicas if hot_replicas is not None else HotReplicaDirectory()
@@ -228,12 +212,6 @@ class GraphClient(GraphStoreAPI):
     # ------------------------------------------------------------------
     # routing helpers
     # ------------------------------------------------------------------
-    def _tspan(self, name: str, **tags):
-        """A client-side span (no-op without a tracer)."""
-        if self.tracer is None:
-            return NULL_SPAN
-        return self.tracer.span(name, **tags)
-
     def _account(self, payload_bytes: int) -> float:
         """Charge one message; returns its simulated transfer seconds."""
         if self.network is not None:
@@ -245,55 +223,45 @@ class GraphClient(GraphStoreAPI):
 
         Every attempt is charged to the network model (retries cost
         messages), and the retry policy measures deadlines / accounts
-        backoff on the same simulated clock.  With a tracer attached,
-        each attempt opens an ``rpc.attempt`` span (numbered from 1) —
-        a failed attempt closes its span with ``status="error"`` and the
-        exception type, so retries are visible in the trace tree.
+        backoff on the same simulated clock.  Each attempt opens an
+        ``rpc.attempt`` span (numbered from 1) — a failed attempt closes
+        its span with ``status="error"`` and the exception type, so
+        retries are visible in the trace tree.
         """
-        if self.tracer is None:
+        span = self.telemetry.span
+        attempts = 0
 
-            def attempt():
+        def attempt():
+            nonlocal attempts
+            attempts += 1
+            with span(
+                "rpc.attempt",
+                attempt=attempts,
+                shard=server.shard_id,
+                replica=server.replica_index,
+                bytes=payload_bytes,
+            ):
                 self._account(payload_bytes)
                 return fn(server)
 
-        else:
-            counter = [0]
-
-            def attempt():
-                counter[0] += 1
-                with self.tracer.span(
-                    "rpc.attempt",
-                    attempt=counter[0],
-                    shard=server.shard_id,
-                    replica=server.replica_index,
-                    bytes=payload_bytes,
-                ):
-                    self._account(payload_bytes)
-                    return fn(server)
-
         if self.retry is None:
             return attempt()
-        if self.network is not None:
-            if self.tracer is None:
-                sleep = self.network.sleep
-            else:
-                # Backoff is the classic invisible tail-latency eater;
-                # give it its own span so critical-path analysis can
-                # attribute it instead of folding it into read_shard
-                # self-time.
-                def sleep(delay, _shard=server.shard_id):
-                    with self.tracer.span(
-                        "rpc.backoff", shard=_shard, seconds=delay
-                    ):
-                        self.network.sleep(delay)
+        if self.network is None:
+            return self.retry.run(attempt, deadline=self._request_deadline)
 
-            return self.retry.run(
-                attempt,
-                now=self.network.now,
-                sleep=sleep,
-                deadline=self._request_deadline,
-            )
-        return self.retry.run(attempt, deadline=self._request_deadline)
+        # Backoff is the classic invisible tail-latency eater; give it
+        # its own span so critical-path analysis can attribute it
+        # instead of folding it into read_shard self-time.
+        def sleep(delay):
+            with span("rpc.backoff", shard=server.shard_id, seconds=delay):
+                self.network.sleep(delay)
+
+        return self.retry.run(
+            attempt,
+            now=self.network.now,
+            sleep=sleep,
+            deadline=self._request_deadline,
+        )
 
     def _read_shard(self, shard: int, payload_bytes: int, fn):
         """Read with failover: primary first, then backups in order.
@@ -302,7 +270,7 @@ class GraphClient(GraphStoreAPI):
         degraded reads are enabled; raises otherwise.
         """
         group = self.replica_groups[shard]
-        with self._tspan(
+        with self.telemetry.span(
             "rpc.read_shard", shard=shard, replicas=len(group)
         ) as span:
             last: Optional[Exception] = None
@@ -328,7 +296,7 @@ class GraphClient(GraphStoreAPI):
         the write.
         """
         group = self.replica_groups[shard]
-        with self._tspan(
+        with self.telemetry.span(
             "rpc.write_shard", shard=shard, replicas=len(group)
         ) as span:
             result = None
@@ -451,7 +419,7 @@ class GraphClient(GraphStoreAPI):
         per_shard: Dict[int, List[Tuple[int, EdgeOp]]] = defaultdict(list)
         for i, op in enumerate(ops):
             per_shard[self.partitioner.shard_for(op.src)].append((i, op))
-        with self._tspan(
+        with self.telemetry.span(
             "client.apply_batch", ops=len(ops), shards=len(per_shard)
         ):
             outcomes: List[bool] = [False] * len(ops)
@@ -515,7 +483,7 @@ class GraphClient(GraphStoreAPI):
             return stats
         shards = self.partitioner.shards_for_array(batch.src)
         unique_shards = np.unique(shards).tolist()
-        with self._tspan(
+        with self.telemetry.span(
             "client.apply_edge_batch",
             ops=len(batch),
             shards=len(unique_shards),
@@ -765,7 +733,7 @@ class GraphClient(GraphStoreAPI):
         ]
         ids = np.empty((n, k), dtype=np.int64)
         state = np.empty(n, dtype=np.int8)
-        with self._tspan(
+        with self.telemetry.span(
             "client.sample_neighbors_many",
             sources=n,
             k=k,

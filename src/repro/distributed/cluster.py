@@ -43,8 +43,9 @@ from repro.distributed.retry import RetryPolicy
 from repro.distributed.rpc import NetworkModel
 from repro.distributed.server import GraphServer
 from repro.errors import ConfigurationError
-from repro.obs.instrument import register_cluster
+from repro.obs.instrument import register_cluster, store_holders
 from repro.obs.registry import MetricsRegistry
+from repro.obs.telemetry import Telemetry
 from repro.storage.wal import ShardWAL
 
 __all__ = ["LocalCluster", "ShardInfo"]
@@ -103,8 +104,9 @@ class LocalCluster:
         scheme (DESIGN.md §11), so ``cluster.registry.snapshot()`` /
         Prometheus export always reflect current counters.
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer` handed to the client
-        and every server, producing client→RPC→server span trees.
+        Optional :class:`~repro.obs.trace.Tracer` for the cluster's
+        :class:`~repro.obs.telemetry.Telemetry` hub, producing
+        client→RPC→server span trees.
     hot_set_capacity:
         When > 0, attach a :class:`HotSetTracker` of that capacity to
         the client's batched read path (decayed SpaceSaving top-k of
@@ -154,6 +156,12 @@ class LocalCluster:
                 "partitioner shard count does not match num_servers"
             )
         self.replication_factor = replication_factor
+        #: The cluster's one telemetry hub, shared by reference with
+        #: every component wired below.
+        self.telemetry = Telemetry(
+            tracer=tracer,
+            clock=network.now if network is not None else None,
+        )
         self.fault_injector: Optional[FaultInjector] = (
             FaultInjector(fault_policy, seed=fault_seed, network=network)
             if fault_policy is not None
@@ -184,13 +192,11 @@ class LocalCluster:
                         faults=self.fault_injector,
                         store_factory=store_factory,
                         replica_index=r,
-                        tracer=tracer,
                     )
                 )
             self.replica_groups.append(group)
         self.servers: List[GraphServer] = [g[0] for g in self.replica_groups]
         self.network = network
-        self.tracer = tracer
         #: Decayed top-k read-frequency tracker (``hot_set_capacity=0``
         #: disables tracking — and with it ``replicate_hot``).
         self.hot_tracker: Optional[HotSetTracker] = (
@@ -205,10 +211,17 @@ class LocalCluster:
             replica_groups=self.replica_groups,
             retry=retry,
             degraded_reads=degraded_reads,
-            tracer=tracer,
             hot_tracker=self.hot_tracker,
             coalesce=coalesce,
         )
+        for part in (
+            self.fault_injector,
+            retry,
+            self.client,
+            *(server for group in self.replica_groups for server in group),
+        ):
+            if part is not None:
+                part.telemetry = self.telemetry
         self.hot_replicas = self.client.hot_replicas
         self.registry = registry if registry is not None else MetricsRegistry()
         register_cluster(self.registry, self)
@@ -219,12 +232,23 @@ class LocalCluster:
         #: Continuous-monitoring loop over this cluster's registry
         #: (:meth:`attach_monitor`); ``None`` until attached.
         self.monitor = None
-        #: Flight recorder of structured events across every layer
-        #: (:meth:`attach_recorder`); ``None`` until attached.
-        self.recorder = None
 
     def __len__(self) -> int:
         return len(self.servers)
+
+    @property
+    def tracer(self):
+        """The hub's tracer (assignable; ``None`` = untraced)."""
+        return self.telemetry.tracer
+
+    @tracer.setter
+    def tracer(self, tracer) -> None:
+        self.telemetry.tracer = tracer
+
+    @property
+    def recorder(self):
+        """The hub's flight recorder (:meth:`attach_recorder`)."""
+        return self.telemetry.recorder
 
     # ------------------------------------------------------------------
     # fault-tolerance control plane
@@ -436,14 +460,9 @@ class LocalCluster:
                     )
                 dropped += 1
             directory.drop(src)
-        rec = self.recorder
-        if rec is not None and targets:
-            rec.record(
-                "replica",
-                "drop",
-                t=self.network.now() if self.network is not None else None,
-                copies=dropped,
-                sources=len(targets),
+        if targets:
+            self.telemetry.event(
+                "replica", "drop", copies=dropped, sources=len(targets)
             )
         return dropped
 
@@ -533,17 +552,16 @@ class LocalCluster:
 
         monitor = Monitor(
             self.registry,
-            clock=self.network.now if self.network is not None else None,
+            clock=self.telemetry.clock,
             interval=interval,
             alerts=AlertManager(list(rules) if rules else []),
             max_points=max_points,
             name_filter=name_filter,
         )
         self.monitor = monitor
-        # A recorder attached before the monitor must still see the new
-        # manager's transitions (attach_recorder covers the other order).
-        if self.recorder is not None:
-            self.recorder.observe_alerts(monitor.alerts)
+        # Transitions reach whatever recorder the hub holds when they
+        # happen, so monitor/recorder attach order is immaterial.
+        monitor.alerts.add_listener(self.telemetry.on_alert)
         if not self.registry.has("repro_monitor_scrapes_total"):
             # Views read through ``self.monitor`` so a re-attach (new
             # interval / rules) does not leave them pointing at a stale
@@ -600,37 +618,22 @@ class LocalCluster:
 
         Creates one on the cluster's simulated clock when ``recorder``
         is ``None``; otherwise adopts the given instance (binding its
-        clock if unset).  Propagation covers the fault injector, the
-        retry policy (cluster- and client-side), every replica server,
-        the attached inference service, and — when a monitor is attached
-        (before *or* after) — the alert manager's transition stream.
+        clock if unset).  Attaching is one assignment on the shared
+        :attr:`telemetry` hub, so it reaches every component — and an
+        attached monitor's alert stream — whenever each was built.
         The recorder's own health surfaces as ``repro_recorder_*``
         views; like the monitor, :meth:`reset_stats` leaves it alone —
         its rings *are* the incident history.
         """
         from repro.obs.flight import FlightRecorder
 
-        clock = self.network.now if self.network is not None else None
         if recorder is None:
-            recorder = FlightRecorder(clock=clock, capacity=capacity)
+            recorder = FlightRecorder(
+                clock=self.telemetry.clock, capacity=capacity
+            )
         elif recorder.clock is None:
-            recorder.clock = clock
-        self.recorder = recorder
-        if self.fault_injector is not None:
-            self.fault_injector.recorder = recorder
-        if self.retry is not None:
-            self.retry.recorder = recorder
-        client_retry = getattr(self.client, "retry", None)
-        if client_retry is not None:
-            client_retry.recorder = recorder
-        for group in self.replica_groups:
-            for server in group:
-                server.recorder = recorder
-        service = getattr(self, "inference_service", None)
-        if service is not None:
-            service.set_recorder(recorder)
-        if self.monitor is not None:
-            recorder.observe_alerts(self.monitor.alerts)
+            recorder.clock = self.telemetry.clock
+        self.telemetry.recorder = recorder
         if not self.registry.has("repro_recorder_events_total"):
             # Views read through ``self.recorder`` so a re-attach
             # rebinds them to the current instance.
@@ -665,35 +668,20 @@ class LocalCluster:
         for group in self.replica_groups:
             for s in group:
                 s.stats.reset()
-                store = getattr(s, "store", None)
-                if store is not None:
-                    op_stats = getattr(store, "stats", None)
-                    if op_stats is not None:
-                        op_stats.reset()
-                    cache = getattr(store, "snapshot_cache", None)
-                    if cache is not None:
-                        cache.stats.reset()
-                    ingest = getattr(store, "ingest_stats", None)
-                    if ingest is not None:
-                        ingest.reset()
-                    frozen = getattr(store, "frozen_stats", None)
-                    if frozen is not None:
-                        frozen.reset()
+                for holder in store_holders(s.store):
+                    holder.reset()
                 wal = getattr(s, "wal", None)
                 if wal is not None:
                     # Zero the append ledger in place; truncate() would
                     # also drop records a future recovery still needs.
                     wal.records_appended = 0
                     wal.bytes_appended = 0
-        if self.network is not None:
-            self.network.stats.reset()
-        if self.fault_injector is not None:
-            self.fault_injector.stats.reset()
-        if self.retry is not None:
-            self.retry.stats.reset()
+        for owner in (
+            self.network, self.fault_injector, self.retry, self.hot_tracker
+        ):
+            if owner is not None:
+                owner.stats.reset()
         self.client.serving_stats.reset()
-        if self.hot_tracker is not None:
-            self.hot_tracker.stats.reset()
         # The online inference tier registers itself on construction
         # (``repro.serving.service.InferenceService``); clear its
         # request counters and latency histogram with everything else.

@@ -27,14 +27,14 @@ equals a fault-free reference run.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 from repro.errors import (
     ConfigurationError,
     ShardUnavailableError,
     TransientRPCError,
 )
+from repro.obs.telemetry import Stats, Telemetry
 
 __all__ = ["FaultPolicy", "FaultStats", "FaultInjector"]
 
@@ -66,7 +66,7 @@ class FaultPolicy:
 
 
 @dataclass
-class FaultStats:
+class FaultStats(Stats):
     """Counters of injected faults (cluster-wide when the injector is
     shared)."""
 
@@ -76,24 +76,6 @@ class FaultStats:
     spike_seconds: float = 0.0
     crashes: int = 0
     refused_while_down: int = 0
-
-    def reset(self) -> None:
-        self.requests = 0
-        self.transient_errors = 0
-        self.latency_spikes = 0
-        self.spike_seconds = 0.0
-        self.crashes = 0
-        self.refused_while_down = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "transient_errors": self.transient_errors,
-            "latency_spikes": self.latency_spikes,
-            "spike_seconds": self.spike_seconds,
-            "crashes": self.crashes,
-            "refused_while_down": self.refused_while_down,
-        }
 
 
 class FaultInjector:
@@ -114,7 +96,7 @@ class FaultInjector:
         spikes are charged to it so retry deadlines observe them.
     """
 
-    __slots__ = ("policy", "network", "stats", "recorder", "_rng", "_armed")
+    __slots__ = ("policy", "network", "stats", "telemetry", "_rng", "_armed")
 
     def __init__(
         self,
@@ -125,7 +107,10 @@ class FaultInjector:
         self.policy = policy
         self.network = network
         self.stats = FaultStats()
-        self.recorder = None
+        #: Telemetry hub; a cluster swaps in the one it shares.
+        self.telemetry = Telemetry(
+            clock=network.now if network is not None else None
+        )
         self._rng = random.Random(seed)
         self._armed = True
 
@@ -153,22 +138,13 @@ class FaultInjector:
         """
         previous = self.policy
         self.policy = policy
-        rec = self.recorder
-        if rec is not None:
-            rec.record(
-                "fault",
-                "policy_swap",
-                t=self._now(),
-                old=asdict(previous),
-                new=asdict(policy),
-            )
+        self.telemetry.event(
+            "fault",
+            "policy_swap",
+            old=asdict(previous),
+            new=asdict(policy),
+        )
         return previous
-
-    def _now(self) -> Optional[float]:
-        """Simulated time for recorder stamps (None lets the recorder
-        fall back to its own clock)."""
-        network = self.network
-        return network.now() if network is not None else None
 
     # ------------------------------------------------------------------
     # the hook servers call on every endpoint entry
@@ -187,45 +163,27 @@ class FaultInjector:
         policy = self.policy
         if policy.crash_rate and rng.random() < policy.crash_rate:
             self.stats.crashes += 1
-            rec = self.recorder
-            if rec is not None:
-                rec.record(
-                    "fault",
-                    "injected_crash",
-                    t=self._now(),
-                    shard=server.shard_id,
-                    replica=server.replica_index,
-                    endpoint=endpoint,
-                )
+            self._event("injected_crash", server, endpoint)
             server.crash()
             raise ShardUnavailableError(
                 f"injected crash: shard {server.shard_id} replica "
                 f"{server.replica_index} went down during {endpoint!r}",
                 shard=server.shard_id,
                 endpoint=endpoint,
-                timestamp=self._now(),
+                timestamp=self.telemetry.now(),
             )
         if (
             policy.transient_error_rate
             and rng.random() < policy.transient_error_rate
         ):
             self.stats.transient_errors += 1
-            rec = self.recorder
-            if rec is not None:
-                rec.record(
-                    "fault",
-                    "transient",
-                    t=self._now(),
-                    shard=server.shard_id,
-                    replica=server.replica_index,
-                    endpoint=endpoint,
-                )
+            self._event("transient", server, endpoint)
             raise TransientRPCError(
                 f"injected transient fault on shard {server.shard_id} "
                 f"replica {server.replica_index} endpoint {endpoint!r}",
                 shard=server.shard_id,
                 endpoint=endpoint,
-                timestamp=self._now(),
+                timestamp=self.telemetry.now(),
             )
         if (
             policy.latency_spike_rate
@@ -234,21 +192,21 @@ class FaultInjector:
             spike = policy.latency_spike_seconds
             self.stats.latency_spikes += 1
             self.stats.spike_seconds += spike
-            rec = self.recorder
-            if rec is not None:
-                rec.record(
-                    "fault",
-                    "latency_spike",
-                    t=self._now(),
-                    shard=server.shard_id,
-                    replica=server.replica_index,
-                    endpoint=endpoint,
-                    seconds=spike,
-                )
+            self._event("latency_spike", server, endpoint, seconds=spike)
             if self.network is not None:
                 self.network.sleep(spike)
             return spike
         return 0.0
+
+    def _event(self, kind: str, server, endpoint: str, **fields) -> None:
+        self.telemetry.event(
+            "fault",
+            kind,
+            shard=server.shard_id,
+            replica=server.replica_index,
+            endpoint=endpoint,
+            **fields,
+        )
 
     def note_refused(self) -> None:
         """Count a request refused because the shard was already down."""

@@ -31,9 +31,11 @@ hot path, so there is no numpy round-trip for single-batch updates.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.telemetry import Stats
 
 __all__ = [
     "HotSetEntry",
@@ -50,22 +52,14 @@ DEFAULT_CAPACITY = 1024
 DEFAULT_DECAY_INTERVAL = 1 << 17
 
 
-class HotSetStats:
+@dataclass
+class HotSetStats(Stats):
     """Counters describing tracker behaviour (exported as
     ``repro_hotset_*`` by :func:`repro.obs.instrument.register_cluster`)."""
 
-    __slots__ = ("observations", "replacements", "decays")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.observations = 0
-        self.replacements = 0
-        self.decays = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {s: getattr(self, s) for s in self.__slots__}
+    observations: int = 0
+    replacements: int = 0
+    decays: int = 0
 
 
 class HotSetEntry:

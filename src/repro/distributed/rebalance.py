@@ -46,6 +46,7 @@ from repro.core.types import DEFAULT_ETYPE
 from repro.distributed.cluster import LocalCluster
 from repro.distributed.partition import Partitioner
 from repro.errors import ConfigurationError, PartitionError
+from repro.obs.telemetry import Stats
 
 __all__ = [
     "Move",
@@ -67,7 +68,7 @@ class Move:
 
 
 @dataclass
-class MigrationStats:
+class MigrationStats(Stats):
     """Outcome counters of one :func:`execute_plan` run."""
 
     moves: int = 0
@@ -456,18 +457,14 @@ def execute_plan(
         partitioner.add_override(move.src, move.to_shard)
         stats.moves += 1
         stats.edges_moved += rows
-        rec = getattr(cluster, "recorder", None)
-        if rec is not None:
-            network = getattr(cluster, "network", None)
-            rec.record(
-                "migration",
-                "cutover",
-                t=network.now() if network is not None else None,
-                src=move.src,
-                from_shard=move.from_shard,
-                to_shard=move.to_shard,
-                edges=rows,
-            )
+        cluster.telemetry.event(
+            "migration",
+            "cutover",
+            src=move.src,
+            from_shard=move.from_shard,
+            to_shard=move.to_shard,
+            edges=rows,
+        )
         # Retract the old owner's copy (new traffic already routes away).
         _write_adjacency(
             cluster, move.from_shard, move.src, copied, op=OP_DELETE

@@ -25,7 +25,7 @@ degradation instead of burning the attempt budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Optional, TypeVar
 
 from repro.errors import (
@@ -34,6 +34,7 @@ from repro.errors import (
     RetryExhaustedError,
     TransientRPCError,
 )
+from repro.obs.telemetry import Stats, Telemetry
 
 __all__ = ["RetryPolicy", "RetryStats"]
 
@@ -41,7 +42,7 @@ T = TypeVar("T")
 
 
 @dataclass
-class RetryStats:
+class RetryStats(Stats):
     """Counters of retry activity (shared across requests)."""
 
     attempts: int = 0
@@ -51,26 +52,6 @@ class RetryStats:
     exhausted: int = 0
     deadline_exceeded: int = 0
     backoff_seconds: float = 0.0
-
-    def reset(self) -> None:
-        self.attempts = 0
-        self.retries = 0
-        self.transient_failures = 0
-        self.recoveries = 0
-        self.exhausted = 0
-        self.deadline_exceeded = 0
-        self.backoff_seconds = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "transient_failures": self.transient_failures,
-            "recoveries": self.recoveries,
-            "exhausted": self.exhausted,
-            "deadline_exceeded": self.deadline_exceeded,
-            "backoff_seconds": self.backoff_seconds,
-        }
 
 
 @dataclass
@@ -105,15 +86,11 @@ class RetryPolicy:
     deadline_seconds: Optional[float] = None
     seed: int = 0
     stats: RetryStats = field(default_factory=RetryStats)
-    #: Optional :class:`~repro.obs.flight.FlightRecorder`; retry events
-    #: (transient failures, exhaustions, deadline aborts) land in its
-    #: ``retry`` ring.  Excluded from equality/repr — it's wiring, not
-    #: policy.
-    recorder: Optional[object] = field(
-        default=None, repr=False, compare=False
-    )
+    #: Optional :class:`~repro.obs.flight.FlightRecorder` for the
+    #: policy's own hub (constructor-only; wiring, not policy).
+    recorder: InitVar[Optional[object]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, recorder) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
@@ -129,6 +106,8 @@ class RetryPolicy:
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigurationError("deadline_seconds must be > 0")
         self._rng = random.Random(self.seed)
+        #: Telemetry hub; a cluster swaps in the one it shares.
+        self.telemetry = Telemetry(recorder=recorder)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -205,7 +184,7 @@ class RetryPolicy:
                 timestamp=clock(),
             )
 
-        recorder = self.recorder
+        event = self.telemetry.event
         last_exc: Optional[TransientRPCError] = None
         for attempt in range(1, self.max_attempts + 1):
             self.stats.attempts += 1
@@ -221,32 +200,19 @@ class RetryPolicy:
                 exc.attempt = attempt
                 if exc.timestamp is None:
                     exc.timestamp = clock()
-                if recorder is not None:
-                    recorder.record(
-                        "retry",
-                        "transient",
-                        t=clock(),
-                        attempt=attempt,
-                        shard=exc.shard,
-                        endpoint=exc.endpoint,
-                    )
+                where = {
+                    "attempt": attempt,
+                    "shard": exc.shard,
+                    "endpoint": exc.endpoint,
+                }
+                event("retry", "transient", t=clock(), **where)
                 if budget_left() <= 0.0:
                     self.stats.deadline_exceeded += 1
-                    if recorder is not None:
-                        recorder.record(
-                            "retry",
-                            "deadline",
-                            t=clock(),
-                            attempt=attempt,
-                            shard=exc.shard,
-                            endpoint=exc.endpoint,
-                        )
+                    event("retry", "deadline", t=clock(), **where)
                     raise DeadlineExceededError(
                         f"request deadline exceeded after {attempt} "
                         f"attempt(s) ({elapsed():.6f}s simulated)",
-                        shard=exc.shard,
-                        endpoint=exc.endpoint,
-                        attempt=attempt,
+                        **where,
                         timestamp=clock(),
                     ) from exc
                 if attempt == self.max_attempts:
@@ -254,21 +220,11 @@ class RetryPolicy:
                 delay = self.backoff_for(attempt)
                 if delay >= budget_left():
                     self.stats.deadline_exceeded += 1
-                    if recorder is not None:
-                        recorder.record(
-                            "retry",
-                            "deadline",
-                            t=clock(),
-                            attempt=attempt,
-                            shard=exc.shard,
-                            endpoint=exc.endpoint,
-                        )
+                    event("retry", "deadline", t=clock(), **where)
                     raise DeadlineExceededError(
                         f"request deadline would elapse during backoff "
                         f"(attempt {attempt})",
-                        shard=exc.shard,
-                        endpoint=exc.endpoint,
-                        attempt=attempt,
+                        **where,
                         timestamp=clock(),
                     ) from exc
                 self.stats.retries += 1
@@ -282,15 +238,14 @@ class RetryPolicy:
                     self.stats.recoveries += 1
                 return result
         self.stats.exhausted += 1
-        if recorder is not None:
-            recorder.record(
-                "retry",
-                "exhausted",
-                t=clock(),
-                attempts=self.max_attempts,
-                shard=last_exc.shard if last_exc is not None else None,
-                endpoint=last_exc.endpoint if last_exc is not None else None,
-            )
+        event(
+            "retry",
+            "exhausted",
+            t=clock(),
+            attempts=self.max_attempts,
+            shard=last_exc.shard if last_exc is not None else None,
+            endpoint=last_exc.endpoint if last_exc is not None else None,
+        )
         raise RetryExhaustedError(
             f"request failed on all {self.max_attempts} attempts",
             shard=last_exc.shard if last_exc is not None else None,

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.obs.telemetry import Stats
 
 __all__ = ["NetworkModel", "NetworkStats"]
 
 
 @dataclass
-class NetworkStats:
+class NetworkStats(Stats):
     """Counters of simulated traffic.
 
     ``simulated_seconds`` is the cluster's simulated clock: it advances
@@ -38,14 +39,6 @@ class NetworkStats:
     #: Simulated sleeps (retry backoff, injected latency spikes).
     sleeps: int = 0
     slept_seconds: float = 0.0
-
-    def reset(self) -> None:
-        self.messages = 0
-        self.payload_bytes = 0
-        self.simulated_seconds = 0.0
-        self.last_send_seconds = 0.0
-        self.sleeps = 0
-        self.slept_seconds = 0.0
 
 
 @dataclass

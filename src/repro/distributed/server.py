@@ -42,7 +42,7 @@ from repro.core.types import (
     SampleBlock,
 )
 from repro.errors import ConfigurationError, ShardUnavailableError
-from repro.obs.trace import NULL_SPAN
+from repro.obs.telemetry import Stats, Telemetry
 from repro.storage.attributes import AttributeStore
 from repro.storage.checkpoint import (
     load_attributes,
@@ -56,7 +56,7 @@ __all__ = ["GraphServer", "ServerStats"]
 
 
 @dataclass
-class ServerStats:
+class ServerStats(Stats):
     """Per-server request counters.
 
     Every endpoint bumps exactly one request counter — scalar op batches
@@ -91,18 +91,6 @@ class ServerStats:
     ops_applied: int = 0
     recoveries: int = 0
     wal_records_replayed: int = 0
-
-    def reset(self) -> None:
-        self.requests = 0
-        self.refused_requests = 0
-        self.update_requests = 0
-        self.ingest_requests = 0
-        self.sample_requests = 0
-        self.sample_sources = 0
-        self.attribute_requests = 0
-        self.ops_applied = 0
-        self.recoveries = 0
-        self.wal_records_replayed = 0
 
 
 class GraphServer:
@@ -159,10 +147,10 @@ class GraphServer:
         self.stats = ServerStats()
         self.wal = wal
         self.faults = faults
-        self.tracer = tracer
-        #: Optional flight recorder (the cluster's ``attach_recorder``
-        #: propagates one); WAL and crash/recover events land in it.
-        self.recorder = None
+        #: Telemetry hub; a cluster swaps in the one it shares.
+        self.telemetry = Telemetry(tracer=tracer)
+        #: The tags every span and event of this replica leads with.
+        self._where = {"shard": shard_id, "replica": replica_index}
         self._alive = True
         # Durable (survives crash) checkpoint images of this replica.
         self._checkpoint_topology: Optional[bytes] = None
@@ -200,29 +188,10 @@ class GraphServer:
                 f"down (endpoint {endpoint!r})",
                 shard=self.shard_id,
                 endpoint=endpoint,
-                timestamp=self._recorder_now(),
+                timestamp=self.telemetry.now(),
             )
         if self.faults is not None:
             self.faults.on_request(self, endpoint)
-
-    def _recorder_now(self) -> Optional[float]:
-        """Simulated time for recorder stamps / error context (None when
-        no network model is reachable)."""
-        faults = self.faults
-        if faults is not None and faults.network is not None:
-            return faults.network.now()
-        return None
-
-    def _span(self, endpoint: str, _prefix: str = "server.", **tags):
-        """A ``server.<endpoint>`` span (no-op without a tracer)."""
-        if self.tracer is None:
-            return NULL_SPAN
-        return self.tracer.span(
-            f"{_prefix}{endpoint}",
-            shard=self.shard_id,
-            replica=self.replica_index,
-            **tags,
-        )
 
     # ------------------------------------------------------------------
     # crash / checkpoint / recovery
@@ -237,15 +206,7 @@ class GraphServer:
         self._alive = False
         self.store = None
         self.attributes = None
-        rec = self.recorder
-        if rec is not None:
-            rec.record(
-                "fault",
-                "crash",
-                t=self._recorder_now(),
-                shard=self.shard_id,
-                replica=self.replica_index,
-            )
+        self.telemetry.event("fault", "crash", **self._where)
 
     def checkpoint(self) -> int:
         """Capture a durable binary image and truncate the WAL.
@@ -274,16 +235,7 @@ class GraphServer:
         total = len(self._checkpoint_topology) + len(
             self._checkpoint_attributes
         )
-        rec = self.recorder
-        if rec is not None:
-            rec.record(
-                "wal",
-                "checkpoint",
-                t=self._recorder_now(),
-                shard=self.shard_id,
-                replica=self.replica_index,
-                bytes=total,
-            )
+        self.telemetry.event("wal", "checkpoint", **self._where, bytes=total)
         return total
 
     def recover(self, sync_from: Optional["GraphServer"] = None) -> int:
@@ -335,17 +287,13 @@ class GraphServer:
         self._alive = True
         self.stats.recoveries += 1
         self.stats.wal_records_replayed += replayed
-        rec = self.recorder
-        if rec is not None:
-            rec.record(
-                "fault",
-                "recover",
-                t=self._recorder_now(),
-                shard=self.shard_id,
-                replica=self.replica_index,
-                replayed=replayed,
-                synced=sync_from is not None,
-            )
+        self.telemetry.event(
+            "fault",
+            "recover",
+            **self._where,
+            replayed=replayed,
+            synced=sync_from is not None,
+        )
         return replayed
 
     # ------------------------------------------------------------------
@@ -353,22 +301,17 @@ class GraphServer:
     # ------------------------------------------------------------------
     def apply_ops(self, ops: Sequence[EdgeOp]) -> List[bool]:
         """Apply a batch of edge operations owned by this shard."""
-        with self._span("apply_ops", ops=len(ops)):
+        with self.telemetry.span(
+            "server.apply_ops", **self._where, ops=len(ops)
+        ):
             self._serve("apply_ops")
             self.stats.update_requests += 1
             self.stats.ops_applied += len(ops)
             if self.wal is not None:
                 self.wal.append_ops(ops)
-                rec = self.recorder
-                if rec is not None:
-                    rec.record(
-                        "wal",
-                        "append",
-                        t=self._recorder_now(),
-                        shard=self.shard_id,
-                        replica=self.replica_index,
-                        ops=len(ops),
-                    )
+                self.telemetry.event(
+                    "wal", "append", **self._where, ops=len(ops)
+                )
             return [self.store.apply(op) for op in ops]
 
     def ingest_batch(self, batch):
@@ -380,22 +323,17 @@ class GraphServer:
         samtree store, per-row replay elsewhere).  Returns the shard's
         :class:`~repro.core.ingest.IngestStats`.
         """
-        with self._span("ingest_batch", ops=len(batch)):
+        with self.telemetry.span(
+            "server.ingest_batch", **self._where, ops=len(batch)
+        ):
             self._serve("ingest_batch")
             self.stats.ingest_requests += 1
             self.stats.ops_applied += len(batch)
             if self.wal is not None:
                 self.wal.append_batch(batch)
-                rec = self.recorder
-                if rec is not None:
-                    rec.record(
-                        "wal",
-                        "append",
-                        t=self._recorder_now(),
-                        shard=self.shard_id,
-                        replica=self.replica_index,
-                        ops=len(batch),
-                    )
+                self.telemetry.event(
+                    "wal", "append", **self._where, ops=len(batch)
+                )
             return self.store.apply_edge_batch(batch)
 
     def freeze(self, etype: Optional[int] = None) -> int:
@@ -406,9 +344,9 @@ class GraphServer:
         the number of shards compiled; 0 when the store has no frozen
         path (baseline stores).  Subsequent ``sample_neighbors_many``
         RPCs are answered by one frozen kernel per shard until the
-        store mutates past its staleness budget.
+        store mutates.
         """
-        with self._span("freeze"):
+        with self.telemetry.span("server.freeze", **self._where):
             self._serve("freeze")
             self.stats.update_requests += 1
             compile_fn = getattr(self.store, "freeze", None)
@@ -439,11 +377,17 @@ class GraphServer:
         rows, each drawn independently (sampling is i.i.d. with
         replacement), so the reply is in the client's fan-out order.
         """
-        with self._span("sample_neighbors_many", sources=len(srcs), k=k):
+        span = self.telemetry.span
+        with span(
+            "server.sample_neighbors_many",
+            **self._where,
+            sources=len(srcs),
+            k=k,
+        ):
             self._serve("sample_neighbors_many")
             self.stats.sample_requests += 1
-            with self._span(
-                "samtree.sample_many", _prefix="", sources=len(srcs)
+            with span(
+                "samtree.sample_many", **self._where, sources=len(srcs)
             ):
                 block = self.store.sample_neighbors_many(
                     srcs, k, rng, etype, weighted=weighted, counts=counts

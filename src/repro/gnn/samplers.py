@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.snapshot import RNGLike, coerce_generator, coerce_scalar_rng
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI, SampleBlock
 from repro.errors import ConfigurationError
-from repro.obs.trace import NULL_SPAN
+from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "MiniBatchBlocks",
@@ -149,26 +149,21 @@ def sample_blocks(
     expansion and passed down as is, so no layer below re-seeds per hop
     or per shard.
 
-    ``tracer`` (optional :class:`~repro.obs.trace.Tracer`) wraps each
-    hop in a ``sampler.hop`` span tagged with the hop index, frontier
-    size, and fanout — under the distributed client the per-shard RPC
-    spans of the hop nest beneath it automatically.  Traced or not, the
-    same loop runs.
+    Each hop runs inside a ``sampler.hop`` span (hop index, frontier
+    size, fanout) on the store's telemetry hub — a cluster client shares
+    its cluster's, so the hop's per-shard RPC spans nest beneath it.
+    ``tracer`` (optional :class:`~repro.obs.trace.Tracer`) fills the hub.
     """
+    telemetry = Telemetry.of(store, tracer)
     gen = coerce_generator(rng)
     levels = [_as_frontier(seeds)]
     for hop, fanout in enumerate(fanouts):
-        span = (
-            tracer.span(
-                "sampler.hop",
-                hop=hop,
-                frontier=int(levels[-1].shape[0]),
-                fanout=fanout,
-            )
-            if tracer is not None
-            else NULL_SPAN
-        )
-        with span:
+        with telemetry.span(
+            "sampler.hop",
+            hop=hop,
+            frontier=int(levels[-1].shape[0]),
+            fanout=fanout,
+        ):
             matrix = sample_neighbor_matrix(
                 store, levels[-1], fanout, gen, etype
             )

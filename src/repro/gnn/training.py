@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError, ShapeError
 from repro.gnn.models import SampledGNN
 from repro.gnn.ops import accuracy, softmax_cross_entropy
 from repro.gnn.samplers import sample_blocks
-from repro.obs.trace import NULL_SPAN
+from repro.obs.telemetry import Telemetry
 from repro.storage.attributes import AttributeStore
 
 __all__ = ["Adam", "TrainResult", "Trainer", "PHASES"]
@@ -138,7 +138,9 @@ class Trainer:
         self.rng = rng or random.Random(0)
         self.optimizer = Adam(model, lr=lr)
         self.registry = registry
-        self.tracer = tracer
+        #: The store's telemetry hub (a cluster client shares its
+        #: cluster's) or a detached one; ``tracer`` fills it.
+        self.telemetry = Telemetry.of(store, tracer)
         if registry is not None:
             self._phase_hists = {
                 phase: registry.histogram(
@@ -159,13 +161,8 @@ class Trainer:
             self._c_batches = self._c_seeds = None
 
     # ------------------------------------------------------------------
-    # telemetry helpers (both no-ops when registry/tracer are absent)
+    # telemetry helpers (no-ops when the registry is absent)
     # ------------------------------------------------------------------
-    def _span(self, name: str, **tags):
-        if self.tracer is None:
-            return NULL_SPAN
-        return self.tracer.span(name, **tags)
-
     def _record_phase(self, phase: str, seconds: float) -> None:
         if self._phase_hists is not None:
             self._phase_hists[phase].record(seconds)
@@ -224,21 +221,21 @@ class Trainer:
 
     def _sample_phase(self, seeds: Sequence[int]):
         start = time.perf_counter()
-        with self._span("train.sample", seeds=len(seeds)):
+        with self.telemetry.span("train.sample", seeds=len(seeds)):
             blocks = sample_blocks(
                 self.store,
                 seeds,
                 self.fanouts,
                 self.rng,
                 self.etype,
-                tracer=self.tracer,
+                tracer=self.telemetry.tracer,
             )
         self._record_phase("sample", time.perf_counter() - start)
         return blocks
 
     def _gather_phase(self, blocks) -> List[np.ndarray]:
         start = time.perf_counter()
-        with self._span(
+        with self.telemetry.span(
             "train.gather", vertices=sum(len(l) for l in blocks.levels)
         ):
             feats = self._gather_levels(blocks.levels)
@@ -250,7 +247,7 @@ class Trainer:
         blocks = self._sample_phase(seeds)
         feats = self._gather_phase(blocks)
         start = time.perf_counter()
-        with self._span("train.compute"):
+        with self.telemetry.span("train.compute"):
             logits = self.model.forward(feats, blocks.fanouts)
         self._record_phase("compute", time.perf_counter() - start)
         return logits
@@ -268,11 +265,11 @@ class Trainer:
             raise ShapeError(
                 f"{len(seeds)} seeds but {len(labels_arr)} labels"
             )
-        with self._span("train.step", seeds=len(seeds)):
+        with self.telemetry.span("train.step", seeds=len(seeds)):
             blocks = self._sample_phase(seeds)
             feats = self._gather_phase(blocks)
             start = time.perf_counter()
-            with self._span("train.compute"):
+            with self.telemetry.span("train.compute"):
                 logits = self.model.forward(feats, blocks.fanouts)
                 loss, grad = softmax_cross_entropy(logits, labels_arr)
                 self.model.zero_grads()

@@ -14,6 +14,11 @@ subsystem reports into:
   legacy ``*Stats`` holders (pull-based, so hot paths keep their plain
   attribute increments and pay **zero** collection cost until a
   snapshot or export materialises them);
+* :mod:`repro.obs.telemetry` — the one instrumentation seam: the
+  :class:`Telemetry` hub every layer emits spans and flight events
+  through (a cluster owns one and shares it by reference), and the
+  :class:`Stats` base the ``*Stats`` counter holders take ``reset`` /
+  ``to_dict`` / ``merge_from`` from;
 * :mod:`repro.obs.trace` — structured tracing: a :class:`Tracer`
   producing span trees (trace/span/parent ids, wall or simulated
   clocks, tags) with head-based sampling and a slow-trace ring buffer;
@@ -121,6 +126,7 @@ from repro.obs.replay import (
     scenario_from_spec,
 )
 from repro.obs.report import render_report
+from repro.obs.telemetry import Stats, Telemetry
 from repro.obs.trace import Span, Tracer
 
 __all__ = [
@@ -146,6 +152,8 @@ __all__ = [
     "RegistrySnapshot",
     "ReplayResult",
     "Span",
+    "Stats",
+    "Telemetry",
     "ThresholdRule",
     "TimeSeriesStore",
     "Tracer",

@@ -143,8 +143,8 @@ class DoctorReport:
         #: Frozen-shard occupancy (the CSC read images of
         #: :mod:`repro.core.frozen`): how many shards are compiled, how
         #: much of the graph they cover, and the worst epoch drift —
-        #: drift past a store's staleness budget means the hot path is
-        #: silently falling back to live samtree reads.
+        #: any drift means the hot path is silently falling back to
+        #: live samtree reads.
         self.frozen_shards = 0
         self.frozen_rows = 0
         self.frozen_edges = 0

@@ -21,14 +21,17 @@ Categories (fixed at construction; see :data:`DEFAULT_CATEGORIES`):
 * ``alert``     — alert lifecycle transitions (via ``observe_alerts``);
 * ``chaos``     — scenario-level chaos events with their seeds.
 
-The hook points all follow the same zero-cost-when-detached idiom::
+No layer holds a recorder.  Hook sites emit through the one
+:class:`~repro.obs.telemetry.Telemetry` hub their cluster shares with
+them, unconditionally::
 
-    rec = self.recorder
-    if rec is not None:
-        rec.record("fault", "crash", t=now, shard=shard)
+    self.telemetry.event("fault", "crash", shard=shard)
 
-so an unattached recorder costs one attribute read per hook site —
-gated at <=2% end-to-end overhead by ``bench_flight_recorder.py``.
+and the hub forwards to whichever recorder is attached *now* (or drops
+the event), stamping it with the cluster's simulated clock unless the
+site passes a decision time of its own.  A detached recorder therefore
+costs one method call per hook site — gated at <=2% end-to-end overhead
+by ``bench_flight_recorder.py``.
 """
 
 from __future__ import annotations
@@ -188,9 +191,9 @@ class FlightRecorder:
         """Subscribe to an :class:`~repro.obs.alerts.AlertManager` so
         every lifecycle transition lands in the ``alert`` ring
         (idempotent)."""
-        manager.add_listener(self._on_alert_event)
+        manager.add_listener(self.record_alert)
 
-    def _on_alert_event(self, event) -> None:
+    def record_alert(self, event) -> None:
         self.record(
             "alert",
             event.to_state,

@@ -24,20 +24,23 @@ from typing import Iterable, List, Optional, Tuple
 from repro.obs.registry import MetricsRegistry
 
 __all__ = [
+    "live_view",
     "numeric_fields",
     "register_stats",
     "register_store",
     "register_server",
     "register_cluster",
+    "store_holders",
 ]
 
 
 def numeric_fields(obj) -> List[str]:
-    """Public int/float fields of a stats holder (dataclass or slots)."""
+    """Public int/float fields of a stats holder (a dataclass's declared
+    fields; any other object's instance attributes)."""
     if dataclasses.is_dataclass(obj):
         names: Iterable[str] = (f.name for f in dataclasses.fields(obj))
     else:
-        names = getattr(type(obj), "__slots__", ()) or vars(obj).keys()
+        names = vars(obj).keys()
     return [
         name
         for name in names
@@ -78,61 +81,86 @@ def register_stats(
 # ---------------------------------------------------------------------------
 # composite holders
 # ---------------------------------------------------------------------------
-def register_store(registry: MetricsRegistry, store, **labels) -> None:
-    """Register a topology store's holders: ``OpStats``
-    (``repro_samtree_*``), ``SnapshotCacheStats``
-    (``repro_snapshot_cache_*`` + hit-rate gauge), and the cumulative
-    ``IngestStats`` (``repro_ingest_*``) when the store keeps one, and
-    the frozen read path's ``FrozenStats`` (``repro_frozen_*``)."""
-    op_stats = getattr(store, "stats", None)
-    if op_stats is not None and numeric_fields(op_stats):
-        register_stats(registry, "repro_samtree", op_stats, **labels)
-        registry.register_view(
-            "repro_samtree_leaf_fraction",
-            lambda s=op_stats: float(s.leaf_fraction),
-            help="Fraction of structural updates touching only leaves",
-            kind="gauge",
-            **labels,
-        )
-    cache = getattr(store, "snapshot_cache", None)
-    cache_stats = getattr(cache, "stats", None)
-    if cache_stats is not None:
-        register_stats(registry, "repro_snapshot_cache", cache_stats, **labels)
-        registry.register_view(
-            "repro_snapshot_cache_hit_rate",
-            lambda s=cache_stats: float(s.hit_rate),
-            help="Snapshot cache hit rate",
-            kind="gauge",
-            **labels,
-        )
-    ingest = getattr(store, "ingest_stats", None)
-    if ingest is not None:
-        register_stats(registry, "repro_ingest", ingest, **labels)
-    frozen = getattr(store, "frozen_stats", None)
-    if frozen is not None:
-        register_stats(registry, "repro_frozen", frozen, **labels)
+def _resolve(root, path):
+    """``root.<path...>``, or ``None`` as soon as a hop is missing."""
+    for attr in path:
+        root = getattr(root, attr, None)
+    return root
 
 
-def _store_view(server, *path):
-    """Read ``server.store.<path>`` live, answering 0.0 while the
-    replica is crashed — :meth:`GraphServer.recover` swaps the store
-    object, so views must resolve through the server each time."""
+def live_view(root, *path):
+    """A view reading ``root.<path...>`` afresh on every collection
+    (0.0 while any hop is ``None``), so an owner that swaps the object
+    behind an attribute — ``GraphServer.recover`` its store, a new
+    ``InferenceService`` the cluster's — stays visible."""
 
     def read() -> float:
-        obj = getattr(server, "store", None)
-        for attr in path:
-            if obj is None:
-                return 0.0
-            obj = getattr(obj, attr, None)
-        return float(obj) if obj is not None else 0.0
+        value = _resolve(root, path)
+        return float(value) if value is not None else 0.0
 
     return read
 
 
+#: A topology store's stat holders: ``(attribute path, metric prefix,
+#: help prefix, derived gauges as (property, help))``.
+_STORE_HOLDERS = (
+    (
+        ("stats",),
+        "repro_samtree",
+        "samtree structural updates",
+        (("leaf_fraction",
+          "Fraction of structural updates touching only leaves"),),
+    ),
+    (
+        ("snapshot_cache", "stats"),
+        "repro_snapshot_cache",
+        "snapshot cache",
+        (("hit_rate", "Snapshot cache hit rate"),),
+    ),
+    (("ingest_stats",), "repro_ingest", "columnar ingest", ()),
+    (("frozen_stats",), "repro_frozen", "frozen read path", ()),
+)
+
+
+def store_holders(store) -> List[object]:
+    """The stat holders ``store`` keeps (none for a crashed replica)."""
+    holders = (_resolve(store, path) for path, *_ in _STORE_HOLDERS)
+    return [holder for holder in holders if holder is not None]
+
+
+def register_store(
+    registry: MetricsRegistry, store, server=None, **labels
+) -> None:
+    """Register the holders a topology store keeps (``repro_samtree_*``
+    + leaf fraction, ``repro_snapshot_cache_*`` + hit rate,
+    ``repro_ingest_*``, ``repro_frozen_*``).  With ``server``, views
+    resolve through ``server.store`` at read time, so crash/recover
+    cycles (which swap the store) stay visible."""
+    root = (store,) if server is None else (server, "store")
+    for path, prefix, what, gauges in _STORE_HOLDERS:
+        holder = _resolve(store, path)
+        if holder is None or not numeric_fields(holder):
+            continue
+        for field in numeric_fields(holder):
+            registry.register_view(
+                f"{prefix}_{field}",
+                live_view(*root, *path, field),
+                help=f"{what}: {field}",
+                **labels,
+            )
+        for prop, help_text in gauges:
+            registry.register_view(
+                f"{prefix}_{prop}",
+                live_view(*root, *path, prop),
+                help=help_text,
+                kind="gauge",
+                **labels,
+            )
+
+
 def register_server(registry: MetricsRegistry, server, **labels) -> None:
     """Register one graph server: ``ServerStats`` (``repro_server_*``),
-    its WAL's append ledger, and its store's holders (resolved live
-    through ``server.store``, so crash/recover cycles stay visible)."""
+    its WAL's append ledger, and its store's holders."""
     register_stats(registry, "repro_server", server.stats, **labels)
     wal = getattr(server, "wal", None)
     if wal is not None:
@@ -143,57 +171,8 @@ def register_server(registry: MetricsRegistry, server, **labels) -> None:
             fields=("records_appended", "bytes_appended"),
             **labels,
         )
-    store = server.store
-    if store is None:
-        return
-    op_stats = getattr(store, "stats", None)
-    if op_stats is not None and numeric_fields(op_stats):
-        for field in numeric_fields(op_stats):
-            registry.register_view(
-                f"repro_samtree_{field}",
-                _store_view(server, "stats", field),
-                help=f"samtree structural updates: {field}",
-                **labels,
-            )
-        registry.register_view(
-            "repro_samtree_leaf_fraction",
-            _store_view(server, "stats", "leaf_fraction"),
-            help="Fraction of structural updates touching only leaves",
-            kind="gauge",
-            **labels,
-        )
-    cache_stats = getattr(getattr(store, "snapshot_cache", None), "stats", None)
-    if cache_stats is not None:
-        for field in numeric_fields(cache_stats):
-            registry.register_view(
-                f"repro_snapshot_cache_{field}",
-                _store_view(server, "snapshot_cache", "stats", field),
-                help=f"snapshot cache: {field}",
-                **labels,
-            )
-        registry.register_view(
-            "repro_snapshot_cache_hit_rate",
-            _store_view(server, "snapshot_cache", "stats", "hit_rate"),
-            help="Snapshot cache hit rate",
-            kind="gauge",
-            **labels,
-        )
-    if getattr(store, "ingest_stats", None) is not None:
-        for field in numeric_fields(store.ingest_stats):
-            registry.register_view(
-                f"repro_ingest_{field}",
-                _store_view(server, "ingest_stats", field),
-                help=f"columnar ingest: {field}",
-                **labels,
-            )
-    if getattr(store, "frozen_stats", None) is not None:
-        for field in numeric_fields(store.frozen_stats):
-            registry.register_view(
-                f"repro_frozen_{field}",
-                _store_view(server, "frozen_stats", field),
-                help=f"frozen read path: {field}",
-                **labels,
-            )
+    if server.store is not None:
+        register_store(registry, server.store, server=server, **labels)
 
 
 def register_cluster(registry: MetricsRegistry, cluster) -> None:

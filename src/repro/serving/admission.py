@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import ConfigurationError
+from repro.obs.telemetry import Telemetry
 
 __all__ = ["TokenBucket", "AdmissionGate", "CircuitBreaker"]
 
@@ -131,7 +132,7 @@ class CircuitBreaker:
         "probing",
         "trips",
         "shard",
-        "recorder",
+        "telemetry",
     )
 
     def __init__(
@@ -158,9 +159,8 @@ class CircuitBreaker:
         self.trips = 0
         #: Which shard this breaker guards (recorder events name it).
         self.shard = shard
-        #: Optional :class:`~repro.obs.flight.FlightRecorder`; breaker
-        #: transitions land in its ``breaker`` ring.
-        self.recorder = recorder
+        #: Telemetry hub; the service swaps in its cluster's.
+        self.telemetry = Telemetry(recorder=recorder)
 
     def state(self, now: float) -> str:
         if self.opened_at is None:
@@ -180,11 +180,9 @@ class CircuitBreaker:
             return True
         if state == "half_open" and not self.probing:
             self.probing = True
-            rec = self.recorder
-            if rec is not None:
-                rec.record(
-                    "breaker", "half_open", t=now, shard=self.shard
-                )
+            self.telemetry.event(
+                "breaker", "half_open", t=now, shard=self.shard
+            )
             return True
         return False
 
@@ -193,9 +191,7 @@ class CircuitBreaker:
         # is a transition worth recording — the common per-seed success
         # on a closed breaker stays free.
         if self.opened_at is not None:
-            rec = self.recorder
-            if rec is not None:
-                rec.record("breaker", "close", shard=self.shard)
+            self.telemetry.event("breaker", "close", shard=self.shard)
         self.failures = 0
         self.opened_at = None
         self.probing = False
@@ -206,13 +202,9 @@ class CircuitBreaker:
         if self.opened_at is not None:
             # Failed while open / half-open: restart the timeout.
             self.opened_at = now
-            rec = self.recorder
-            if rec is not None:
-                rec.record("breaker", "reopen", t=now, shard=self.shard)
+            self.telemetry.event("breaker", "reopen", t=now, shard=self.shard)
             return
         if self.failures >= self.failure_threshold:
             self.opened_at = now
             self.trips += 1
-            rec = self.recorder
-            if rec is not None:
-                rec.record("breaker", "open", t=now, shard=self.shard)
+            self.telemetry.event("breaker", "open", t=now, shard=self.shard)

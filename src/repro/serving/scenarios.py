@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -527,19 +527,13 @@ class ScenarioRunner:
         # Chaos events land in the recorder with the scenario's seed, so
         # a brownout/outage incident bundle names exactly which seeded
         # schedule produced it (and replays bit-identically from it).
-        rec = getattr(self.cluster, "recorder", None)
+        event = self.cluster.telemetry.event
+        seed = self.scenario.seed
         if kind == "crash":
-            if rec is not None:
-                rec.record(
-                    "chaos", "crash", t=t_abs,
-                    shard=int(payload), seed=self.scenario.seed,
-                )
+            event("chaos", "crash", t=t_abs, shard=int(payload), seed=seed)
             self.cluster.crash_shard(int(payload))
         elif kind == "recover":
-            if rec is not None:
-                rec.record(
-                    "chaos", "recover", t=t_abs, seed=self.scenario.seed
-                )
+            event("chaos", "recover", t=t_abs, seed=seed)
             self.cluster.recover_all(sync=True)
         elif kind == "policy":
             injector = self.cluster.fault_injector
@@ -548,31 +542,26 @@ class ScenarioRunner:
                     "scenario swaps fault policy but the cluster has no "
                     "fault injector"
                 )
-            if rec is not None:
-                from dataclasses import asdict
-
-                rec.record(
-                    "chaos",
-                    "policy",
-                    t=t_abs,
-                    policy=(asdict(payload) if payload is not None
-                            else "restore"),
-                    seed=self.scenario.seed,
-                )
+            event(
+                "chaos",
+                "policy",
+                t=t_abs,
+                policy=asdict(payload) if payload is not None else "restore",
+                seed=seed,
+            )
             injector.set_policy(
                 payload if payload is not None else self._base_policy
             )
         elif kind == "churn":
-            if rec is not None:
-                rec.record(
-                    "chaos",
-                    "churn",
-                    t=t_abs,
-                    ops=len(payload),
-                    src_sum=int(payload.src.sum()),
-                    dst_sum=int(payload.dst.sum()),
-                    seed=self.scenario.seed,
-                )
+            event(
+                "chaos",
+                "churn",
+                t=t_abs,
+                ops=len(payload),
+                src_sum=int(payload.src.sum()),
+                dst_sum=int(payload.dst.sum()),
+                seed=seed,
+            )
             self.cluster.client.apply_edge_batch(payload)
         else:
             raise ConfigurationError(f"unknown scenario event kind {kind!r}")

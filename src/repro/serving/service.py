@@ -40,7 +40,7 @@ from repro.gnn.models import SampledGNN
 from repro.gnn.ops import l2_normalize
 from repro.gnn.samplers import sample_blocks_partial
 from repro.obs.hist import LatencyHistogram
-from repro.obs.trace import NULL_SPAN
+from repro.obs.telemetry import Stats
 from repro.serving.admission import (
     SHED_BREAKER_OPEN,
     SHED_DEADLINE_HOPELESS,
@@ -54,7 +54,8 @@ from repro.storage.attributes import AttributeStore
 __all__ = ["Answer", "InferenceService", "Request", "ServiceStats"]
 
 
-class ServiceStats:
+@dataclass
+class ServiceStats(Stats):
     """Request-path counters (exported as ``repro_serving_*``).
 
     Every submitted request resolves to exactly one of
@@ -66,42 +67,24 @@ class ServiceStats:
     fresh or degraded answers.
     """
 
-    __slots__ = (
-        "submitted",
-        "answered_fresh",
-        "answered_degraded",
-        "failed",
-        "shed_queue_full",
-        "shed_deadline_hopeless",
-        "shed_breaker_open",
-        "deadline_missed",
-        "batches",
-        "batched_requests",
-        "sample_errors",
-        "cache_fallbacks",
-        "compute_seconds",
-    )
+    DERIVED = ("shed_total", "availability", "degraded_fraction")
 
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.submitted = 0
-        self.answered_fresh = 0
-        self.answered_degraded = 0
-        self.failed = 0
-        self.shed_queue_full = 0
-        self.shed_deadline_hopeless = 0
-        self.shed_breaker_open = 0
-        self.deadline_missed = 0
-        self.batches = 0
-        self.batched_requests = 0
-        #: Whole-batch sampling exceptions converted to degraded/failed
-        #: answers (the request path itself never raises).
-        self.sample_errors = 0
-        #: Answers served from the degraded cache instead of a fresh pass.
-        self.cache_fallbacks = 0
-        self.compute_seconds = 0.0
+    submitted: int = 0
+    answered_fresh: int = 0
+    answered_degraded: int = 0
+    failed: int = 0
+    shed_queue_full: int = 0
+    shed_deadline_hopeless: int = 0
+    shed_breaker_open: int = 0
+    deadline_missed: int = 0
+    batches: int = 0
+    batched_requests: int = 0
+    #: Whole-batch sampling exceptions converted to degraded/failed
+    #: answers (the request path itself never raises).
+    sample_errors: int = 0
+    #: Answers served from the degraded cache instead of a fresh pass.
+    cache_fallbacks: int = 0
+    compute_seconds: float = 0.0
 
     @property
     def shed_total(self) -> int:
@@ -126,13 +109,6 @@ class ServiceStats:
     def degraded_fraction(self) -> float:
         answered = self.answered_fresh + self.answered_degraded
         return self.answered_degraded / answered if answered else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        out = {name: getattr(self, name) for name in self.__slots__}
-        out["shed_total"] = self.shed_total
-        out["availability"] = self.availability
-        out["degraded_fraction"] = self.degraded_fraction
-        return out
 
 
 @dataclass
@@ -250,10 +226,11 @@ class InferenceService:
         self.cluster = cluster
         self.client = cluster.client
         self.network = network
-        # Batch stages trace into the cluster's tracer (when attached),
-        # nesting over the client's rpc.* spans — the tree critical-path
-        # analysis attributes p999 time with.
-        self.tracer = getattr(cluster, "tracer", None)
+        # The cluster's hub, shared by reference: batch stages nest over
+        # the client's rpc.* spans (the tree critical-path analysis
+        # attributes p999 time with) and admission/breaker events reach
+        # whatever recorder is attached, now or later.
+        self.telemetry = cluster.telemetry
         # Shard outages must surface as per-seed markers, not exceptions.
         self.client.degraded_reads = True
         self.features = features
@@ -271,8 +248,8 @@ class InferenceService:
                                   shard=shard)
             for shard in range(len(cluster.servers))
         }
-        #: Optional flight recorder (set via :meth:`set_recorder`).
-        self.recorder = None
+        for breaker in self.breakers.values():
+            breaker.telemetry = self.telemetry
         self.compute_seconds_per_seed = compute_seconds_per_seed
         # The vector generator itself: every flush's expansion passes it
         # down as is (no per-flush re-derivation from a scalar rng).
@@ -291,22 +268,31 @@ class InferenceService:
     def _register(self, registry) -> None:
         if registry is None:
             return
-        from repro.obs.instrument import register_stats
+        from repro.obs.instrument import live_view
 
-        # Guarded: a replacement service against the same registry must
-        # not trip the duplicate-registration check.
+        # Views resolve through ``cluster.inference_service`` at read
+        # time, so a replacement service on the same cluster is what the
+        # registry reports from the moment it is constructed.
+        def live(*path):
+            return live_view(self.cluster, "inference_service", *path)
+
         if not registry.has("repro_serving_submitted"):
-            register_stats(registry, "repro_serving", self.stats)
+            for field in self.stats.counters():
+                registry.register_view(
+                    f"repro_serving_{field}",
+                    live("stats", field),
+                    help=f"repro serving: {field}",
+                )
             registry.register_view(
                 "repro_serving_availability",
-                lambda s=self.stats: s.availability,
+                live("stats", "availability"),
                 help="Fraction of requests answered in deadline",
                 kind="gauge",
             )
             registry.register_view(
                 "repro_serving_breaker_trips",
-                lambda svc=self: float(
-                    sum(b.trips for b in svc.breakers.values())
+                lambda c=self.cluster: float(
+                    sum(b.trips for b in c.inference_service.breakers.values())
                 ),
                 help="Closed->open circuit breaker transitions",
             )
@@ -316,19 +302,6 @@ class InferenceService:
                 self.latency_hist,
                 help="End-to-end request latency (simulated seconds)",
             )
-
-    def _tspan(self, name: str, **tags):
-        """A serving-stage span (no-op without a cluster tracer)."""
-        if self.tracer is None:
-            return NULL_SPAN
-        return self.tracer.span(name, **tags)
-
-    def set_recorder(self, recorder) -> None:
-        """Attach a flight recorder to the request path and the
-        per-shard breakers (``None`` detaches)."""
-        self.recorder = recorder
-        for breaker in self.breakers.values():
-            breaker.recorder = recorder
 
     # ------------------------------------------------------------------
     # request intake
@@ -380,18 +353,9 @@ class InferenceService:
             == "open"
             for v in verts
         )
-        rec = self.recorder
         if open_shard:
             self.stats.shed_breaker_open += 1
-            if rec is not None:
-                rec.record(
-                    "admission",
-                    "shed",
-                    t=now,
-                    request_id=request.request_id,
-                    cause=SHED_BREAKER_OPEN,
-                )
-            self._resolve_from_cache(request, SHED_BREAKER_OPEN, now)
+            self._shed(request, SHED_BREAKER_OPEN, now)
             return request
 
         if self.shedding:
@@ -408,25 +372,16 @@ class InferenceService:
                     self.stats.shed_queue_full += 1
                 else:
                     self.stats.shed_deadline_hopeless += 1
-                if rec is not None:
-                    rec.record(
-                        "admission",
-                        "shed",
-                        t=now,
-                        request_id=request.request_id,
-                        cause=cause,
-                    )
-                self._resolve_from_cache(request, cause, now)
+                self._shed(request, cause, now)
                 return request
 
-        if rec is not None:
-            rec.record(
-                "admission",
-                "admit",
-                t=now,
-                request_id=request.request_id,
-                queue_depth=len(self.queue),
-            )
+        self.telemetry.event(
+            "admission",
+            "admit",
+            t=now,
+            request_id=request.request_id,
+            queue_depth=len(self.queue),
+        )
         self.queue.append(request)
         if len(self.queue) >= self.max_batch:
             self._flush()
@@ -464,7 +419,6 @@ class InferenceService:
         self.stats.batches += 1
         self.stats.batched_requests += len(batch)
 
-        rec = self.recorder
         live: List[Request] = []
         for request in batch:
             # Expired while queued: with shedding on, cut losses before
@@ -475,17 +429,7 @@ class InferenceService:
                 and now >= request.deadline
             ):
                 self.stats.shed_deadline_hopeless += 1
-                if rec is not None:
-                    rec.record(
-                        "admission",
-                        "shed",
-                        t=now,
-                        request_id=request.request_id,
-                        cause=SHED_DEADLINE_HOPELESS,
-                    )
-                self._resolve_from_cache(
-                    request, SHED_DEADLINE_HOPELESS, now
-                )
+                self._shed(request, SHED_DEADLINE_HOPELESS, now)
                 continue
             live.append(request)
         if not live:
@@ -504,15 +448,7 @@ class InferenceService:
                 runnable.append(request)
             else:
                 self.stats.shed_breaker_open += 1
-                if rec is not None:
-                    rec.record(
-                        "admission",
-                        "shed",
-                        t=now,
-                        request_id=request.request_id,
-                        cause=SHED_BREAKER_OPEN,
-                    )
-                self._resolve_from_cache(request, SHED_BREAKER_OPEN, now)
+                self._shed(request, SHED_BREAKER_OPEN, now)
         if not runnable:
             return
 
@@ -525,12 +461,13 @@ class InferenceService:
         scope = min(deadlines) if deadlines else None
 
         flush_started = now
-        batch_span = self._tspan(
+        span = self.telemetry.span
+        batch_span = span(
             "serve.batch", requests=len(runnable), seeds=len(seeds)
         )
         with batch_span:
             try:
-                with self._tspan("serve.sample", seeds=len(seeds)):
+                with span("serve.sample", seeds=len(seeds)):
                     with self.client.deadline_scope(scope):
                         blocks, served_idx, unavailable_idx = (
                             sample_blocks_partial(
@@ -553,12 +490,12 @@ class InferenceService:
 
             embeddings: Dict[int, np.ndarray] = {}
             if blocks is not None:
-                with self._tspan("serve.gather", levels=len(blocks.levels)):
+                with span("serve.gather", levels=len(blocks.levels)):
                     feats = [
                         self.features.gather(self.feat_name, level)
                         for level in blocks.levels
                     ]
-                with self._tspan("serve.compute", seeds=len(served_idx)):
+                with span("serve.compute", seeds=len(served_idx)):
                     out = self.encoder.forward(feats, blocks.fanouts)
                     for layer in self.encoder.layers:
                         layer._cache.clear()
@@ -635,6 +572,17 @@ class InferenceService:
     # ------------------------------------------------------------------
     # resolution helpers
     # ------------------------------------------------------------------
+    def _shed(self, request: Request, cause: str, now: float) -> None:
+        """Record one admission shed and resolve it without a fresh pass."""
+        self.telemetry.event(
+            "admission",
+            "shed",
+            t=now,
+            request_id=request.request_id,
+            cause=cause,
+        )
+        self._resolve_from_cache(request, cause, now)
+
     def _resolve_from_cache(
         self,
         request: Request,

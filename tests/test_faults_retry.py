@@ -251,22 +251,50 @@ class TestServerDurability:
 
     def test_uniform_request_accounting(self):
         server = self._server(wal=False)
-        server.apply_ops([EdgeOp.insert(1, 2, 1.0)])
-        server.ingest_batch(EdgeBatch.inserts([1], [3]))
-        server.sample_neighbors_many([1], 2)
-        server.sample_neighbors_uniform_many([1], 2)
-        server.neighbors_batch([1])
-        server.degrees([1])
-        server.edge_weights([(1, 2)])
-        server.register_attribute("f", 1)
-        server.put_attribute("f", 1, [0.5])
-        server.gather_attributes("f", [1])
+        endpoints = [
+            lambda: server.apply_ops([EdgeOp.insert(1, 2, 1.0)]),
+            lambda: server.ingest_batch(EdgeBatch.inserts([1], [3])),
+            lambda: server.freeze(),
+            lambda: server.sample_neighbors_many([1], 2),
+            lambda: server.sample_neighbors_uniform_many([1], 2),
+            lambda: server.neighbors_batch([1]),
+            lambda: server.degrees([1]),
+            lambda: server.edge_weights([(1, 2)]),
+            lambda: server.register_attribute("f", 1),
+            lambda: server.put_attribute("f", 1, [0.5]),
+            lambda: server.gather_attributes("f", [1]),
+        ]
         stats = server.stats
-        assert stats.update_requests == 1
+
+        def identity_holds() -> bool:
+            return stats.requests == stats.refused_requests + (
+                stats.update_requests
+                + stats.ingest_requests
+                + stats.sample_requests
+                + stats.attribute_requests
+            )
+
+        for call in endpoints:
+            call()
+        assert stats.requests == len(endpoints)
+        assert stats.refused_requests == 0
+        assert identity_holds()
+        assert stats.update_requests == 2  # apply_ops + freeze
         assert stats.ingest_requests == 1
         assert stats.sample_requests == 5
         assert stats.attribute_requests == 3
         assert stats.ops_applied == 2
+
+        # Every endpoint, crashed: each arrival is counted and refused,
+        # none reaches its per-endpoint counter.
+        server.crash()
+        for call in endpoints:
+            with pytest.raises(ShardUnavailableError):
+                call()
+        assert stats.requests == 2 * len(endpoints)
+        assert stats.refused_requests == len(endpoints)
+        assert identity_holds()
+
         stats.reset()
         assert stats.update_requests == stats.ingest_requests == 0
         assert stats.sample_requests == stats.attribute_requests == 0

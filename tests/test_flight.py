@@ -237,7 +237,7 @@ class TestClusterHooks:
         )
         rec = cluster.attach_recorder()
         assert cluster.recorder is rec
-        assert cluster.fault_injector.recorder is rec
+        assert cluster.fault_injector.telemetry.recorder is rec
 
         rng = random.Random(0)
         srcs = [rng.randrange(40) for _ in range(200)]
@@ -344,6 +344,28 @@ class TestClusterHooks:
                   if e["kind"] == "admit"]
         assert admits and admits[0]["request_id"] == 0
         assert "queue_depth" in admits[0]
+
+    @pytest.mark.parametrize("recorder_first", [True, False])
+    def test_attach_order_does_not_matter(self, recorder_first):
+        """A service (and its breakers) records whether it was built
+        before or after ``attach_recorder`` — the hub is shared, not
+        copied at attach time."""
+        from repro.serving.service import InferenceService
+
+        rig = build_serving_rig(
+            num_shards=2, num_sources=100, seed=3, recorder=recorder_first
+        )
+        service = InferenceService(
+            rig.cluster, rig.features, rig.encoder, rig.service.fanouts
+        )
+        rec = rig.recorder or rig.cluster.attach_recorder()
+        service.submit([5], arrival=rig.cluster.network.now())
+        service.flush()
+        assert [e["kind"] for e in rec.events("admission")] == ["admit"]
+        breaker = service.breakers[0]
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure(rig.cluster.network.now())
+        assert [e["kind"] for e in rec.events("breaker")] == ["open"]
 
 
 # ---------------------------------------------------------------------------

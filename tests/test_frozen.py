@@ -323,32 +323,6 @@ class TestEpochInvalidation:
         # The frontier fell back to the live path, not the frozen kernel.
         assert store.frozen_stats.batches == 0
 
-    def test_staleness_budget_tolerates_bounded_drift(self):
-        store = DynamicGraphStore()
-        store.add_edge(1, 10, 1.0)
-        store.freeze()
-        store.frozen_staleness_budget = 2
-        store.add_edge(1, 11, 1.0)  # drift 1 <= budget: still frozen
-        rows = store.sample_neighbors_many([1], 4, rng=0).rows()
-        assert store.frozen_stats.batches == 1
-        assert {int(v) for v in rows[0]} == {10}  # stale by design
-        store.add_edge(1, 12, 1.0)
-        store.add_edge(1, 13, 1.0)  # drift 3 > budget: refused
-        store.sample_neighbors_many([1], 4, rng=0)
-        assert store.frozen_stats.stale_misses == 1
-        assert store.frozen_stats.batches == 1
-
-    def test_auto_refreeze_recompiles_on_demand(self):
-        store = DynamicGraphStore()
-        store.add_edge(1, 10, 1.0)
-        store.freeze()
-        store.frozen_auto_refreeze = True
-        store.add_edge(1, 30, 1000.0)
-        rows = store.sample_neighbors_many([1] * 20, 10, rng=8).rows()
-        assert store.frozen_stats.refreezes == 1
-        assert store.frozen_stats.compiles == 2
-        assert 30 in {int(v) for row in rows for v in row}
-
     def test_explicit_refreeze_restores_the_fast_path(self):
         store = _churned_store()
         store.freeze()

@@ -381,7 +381,59 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 # Stats holders registered into the cluster registry
 # ---------------------------------------------------------------------------
+def _stats_classes():
+    from repro.core.frozen import FrozenStats
+    from repro.core.ingest import IngestStats
+    from repro.core.samtree import OpStats
+    from repro.core.snapshot import SnapshotCacheStats
+    from repro.distributed.client import ServingStats
+    from repro.distributed.faults import FaultStats
+    from repro.distributed.hotset import HotSetStats
+    from repro.distributed.rebalance import MigrationStats
+    from repro.distributed.retry import RetryStats
+    from repro.distributed.rpc import NetworkStats
+    from repro.distributed.server import ServerStats
+    from repro.serving.service import ServiceStats
+
+    return [
+        OpStats, IngestStats, SnapshotCacheStats, FrozenStats, ServerStats,
+        ServingStats, NetworkStats, RetryStats, FaultStats, HotSetStats,
+        MigrationStats, ServiceStats,
+    ]
+
+
 class TestStatsInstrumentation:
+    @pytest.mark.parametrize("cls", _stats_classes(), ids=lambda c: c.__name__)
+    def test_reset_zeroes_exactly_the_reported_fields(self, cls):
+        """One declaration drives ``reset`` / ``to_dict`` /
+        ``numeric_fields``: a field added to a ``*Stats`` class cannot be
+        forgotten by one of them."""
+        from repro.obs.instrument import numeric_fields
+
+        stats = cls()
+        counters = numeric_fields(stats)
+        assert counters, cls.__name__
+        assert tuple(counters) == stats.counters()
+        assert list(stats.to_dict()) == counters + list(cls.DERIVED)
+        extras = sorted(set(vars(stats)) - set(counters))
+        for i, name in enumerate(counters, start=1):
+            setattr(stats, name, type(getattr(stats, name))(i))
+        for name in extras:  # non-counter state, e.g. a per-shard dict
+            getattr(stats, name)[0] = 1.0
+        assert [stats.to_dict()[n] for n in counters] == list(
+            range(1, len(counters) + 1)
+        )
+        other = cls()
+        other.merge_from(stats)
+        other.merge_from(stats)
+        assert [getattr(other, n) for n in counters] == [
+            2 * i for i in range(1, len(counters) + 1)
+        ]
+        stats.reset()
+        assert stats == cls()
+        assert all(stats.to_dict()[n] == 0 for n in counters)
+        assert all(not getattr(stats, name) for name in extras)
+
     def _cluster(self, **kw):
         kw.setdefault("num_servers", 2)
         kw.setdefault("config", SamtreeConfig(capacity=8))

@@ -418,6 +418,44 @@ def _small_rig(**kwargs):
 
 
 class TestInferenceService:
+    @pytest.mark.parametrize("tracer_first", [True, False])
+    def test_tracer_attach_order_does_not_matter(self, tracer_first):
+        """``serve.batch`` trees appear whether the tracer was on the
+        cluster before the service was built or assigned afterwards."""
+        from repro.obs.trace import Tracer
+
+        rig = _small_rig()
+        network = rig.cluster.network
+        tracer = Tracer(clock=network.now)
+        if tracer_first:
+            rig.cluster.tracer = tracer
+        service = InferenceService(
+            rig.cluster, rig.features, rig.encoder, rig.service.fanouts
+        )
+        rig.cluster.tracer = tracer
+        service.submit([5], arrival=network.now())
+        service.flush()
+        roots = [root.name for root in tracer.traces()]
+        assert roots == ["serve.batch"]
+
+    def test_replacement_service_is_what_the_registry_reads(self):
+        """Registry views resolve through ``cluster.inference_service``:
+        a second service on the same cluster replaces the first in every
+        ``repro_serving_*`` series instead of leaving them stale."""
+        rig = _small_rig()
+        rig.service.stats.submitted = 3
+        service = InferenceService(
+            rig.cluster, rig.features, rig.encoder, rig.service.fanouts
+        )
+        service.stats.submitted = 7
+        service.stats.answered_fresh = 7
+        service.stats.deadline_missed = 7
+        service.breakers[0].trips = 2
+        snap = rig.cluster.registry.snapshot()
+        assert snap.get("repro_serving_submitted") == 7.0
+        assert snap.get("repro_serving_availability") == 0.0
+        assert snap.get("repro_serving_breaker_trips") == 2.0
+
     def test_submit_validation(self):
         rig = _small_rig()
         with pytest.raises(ConfigurationError):
