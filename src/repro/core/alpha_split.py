@@ -18,8 +18,8 @@ With ``α == 0`` this is exactly QuickSelect (average ``O(n)``, paper
 Theorem 1); larger α terminates earlier at the cost of less balanced
 halves (paper Figure 11d shows the speed/balance trade-off).
 
-The partition moves a *companion* array (the weights recovered from the
-leaf's FSTable) in lockstep so the caller can rebuild the two new leaves'
+The partition moves a *companion* array (the leaf's weight column) in
+lockstep so the caller can rebuild the two new leaves'
 FSTables directly.
 """
 

@@ -27,11 +27,17 @@ Sampling uses the paper's FTS method (Algorithm 5): a *range-narrow*
 binary search over the padded range ``[0, 2^m - 1]`` that exploits the
 sub-tree-sum property ``F[2^k - 1] == prefix_sum(2^k - 1)`` (Theorem 4),
 subtracting covered mass when descending to the right half.
+
+The Fenwick entries are an *index*: sums of floats cannot be differenced
+back into the addends bit for bit, so the table also keeps the weights
+themselves in one packed float64 column and every mutator below moves
+the pair together.  A weight read back is the weight written.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import (
@@ -69,9 +75,11 @@ def _validate_weight(weight: float) -> float:
 class FSTable:
     """Fenwick-tree sum table over a leaf's (unordered) weight array.
 
-    The table only stores the Fenwick entries; raw weights are *recovered*
-    from the tree when needed (``weight(i)``), matching the paper's claim
-    that the index takes the same memory as storing the weights themselves.
+    ``_tree`` holds the Fenwick entries every sampling and update walk
+    uses; ``_weights`` holds the exact weights (``array('d')``, 8 B per
+    edge) that ``weight`` / ``to_weights`` / ``to_weight_array`` return.
+    The paper's C layout keeps only the entries, and :meth:`nbytes`
+    accounts that layout (DESIGN.md §2).
 
     Parameters
     ----------
@@ -80,10 +88,11 @@ class FSTable:
         ``O(n)`` using the child-accumulation construction.
     """
 
-    __slots__ = ("_tree",)
+    __slots__ = ("_tree", "_weights")
 
     def __init__(self, weights: Optional[Iterable[float]] = None) -> None:
         self._tree: List[float] = []
+        self._weights = array("d")
         if weights is not None:
             self._build(list(weights))
 
@@ -97,9 +106,10 @@ class FSTable:
         Every element is visited exactly once and charged one addition
         into its unique parent ``i + LSB(i + 1)`` — linear in ``n``, in
         contrast to the ``O(n log n)`` insert-loop (`append` per
-        element).  ``to_weights`` is the exact inverse pass.
+        element).
         """
         tree = [_validate_weight(w) for w in weights]
+        self._weights = array("d", tree)
         n = len(tree)
         for i in range(n):
             parent = i | (i + 1)  # == i + lsb(i + 1)
@@ -149,6 +159,7 @@ class FSTable:
                 tree[idx + step] += tree[idx]
             step <<= 1
         table._tree = tree.tolist()
+        table._weights = array("d", arr.tobytes())
         return table
 
     # ------------------------------------------------------------------
@@ -205,67 +216,21 @@ class FSTable:
         return s
 
     def weight(self, i: int) -> float:
-        """Recover the raw weight ``w_i`` in ``O(log n)``.
-
-        ``F[i]`` covers ``[g(i)+1, i]``; subtracting the entries of the
-        children of ``i`` (``x = i - 2^k`` with ``LSB(x+1) == 2^k``)
-        leaves exactly ``w_i``.
-        """
+        """The raw weight ``w_i``, exactly as written."""
         self._check_index(i)
-        tree = self._tree
-        value = tree[i]
-        span = (i + 1) & -(i + 1)
-        step = 1
-        while step < span:
-            value -= tree[i - step]
-            step <<= 1
-        # Every write path validates weights >= 0, so a negative here is
-        # pure float cancellation noise; clamp so reconstructed weights
-        # can be fed back into a fresh table (e.g. leaf splits).
-        return value if value > 0.0 else 0.0
+        return self._weights[i]
 
     def to_weights(self) -> List[float]:
-        """Return the raw weight array in ``O(n)`` (reverse construction)."""
-        weights = list(self._tree)
-        n = len(weights)
-        # Undo the bulk build: iterate top-down removing child contributions.
-        for i in range(n - 1, -1, -1):
-            parent = i | (i + 1)
-            if parent < n:
-                weights[parent] -= weights[i]
-        # Cancellation can leave -epsilon in place of a stored 0.0 (the
-        # subtraction order differs from the accumulation order); the
-        # table's invariant is weights >= 0, so clamp the noise.
-        return [w if w > 0.0 else 0.0 for w in weights]
+        """The raw weight array as a list, exactly as written."""
+        return self._weights.tolist()
 
     def to_weight_array(self):
-        """Vectorized ``O(n)`` inverse of :meth:`from_array`.
-
-        Runs the same level-wise child propagation as the vectorized
-        build, in reverse order with subtraction, so the Python-level
-        work is ``O(log n)`` array ops.  Cancellation noise is clamped
-        to the ``weights >= 0`` invariant exactly as :meth:`to_weights`
-        does.  This is the leaf *reader* of the flattening paths
-        (:class:`repro.core.snapshot.TreeSnapshot` and the frozen-shard
-        compiler).
-        """
+        """The raw weight array as a fresh float64 ndarray — the leaf
+        *reader* of the flattening paths
+        (:func:`repro.core.snapshot.flatten_tree`)."""
         import numpy as np
 
-        tree = np.asarray(self._tree, dtype=np.float64).copy()
-        n = int(tree.size)
-        if n == 0:
-            return tree
-        step = 1
-        while step < n:
-            step <<= 1
-        step >>= 1
-        while step:
-            idx = np.arange(step - 1, n - step, step << 1)
-            if idx.size:
-                tree[idx + step] -= tree[idx]
-            step >>= 1
-        np.maximum(tree, 0.0, out=tree)
-        return tree
+        return np.array(self._weights, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # dynamic updates (paper Algorithms 3 and 4)
@@ -277,34 +242,26 @@ class FSTable:
         ``i <- i + LSB(i + 1)``; ``O(log n)``.
         """
         self._check_index(i)
-        n = len(self._tree)
-        if delta != delta or delta == _INF or delta == -_INF:
-            raise InvalidWeightError(f"delta must be finite, got {delta!r}")
+        self._weights[i] = _validate_weight(self._weights[i] + delta)
+        self._push(i, delta)
+
+    def _push(self, i: int, delta: float) -> None:
+        """Add ``delta`` to every Fenwick entry covering index ``i``."""
         tree = self._tree
-        j = i
-        while j < n:
-            tree[j] += delta
-            j |= j + 1  # == j + lsb(j + 1)
+        n = len(tree)
+        while i < n:
+            tree[i] += delta
+            i |= i + 1  # == i + lsb(i + 1)
 
     def update(self, i: int, new_weight: float) -> float:
         """Set ``w_i`` to ``new_weight``; returns the previous weight."""
         new_weight = _validate_weight(new_weight)
         self._check_index(i)
-        tree = self._tree
-        # Recover w_i inline (children subtraction), then push the delta.
-        old = tree[i]
-        span = (i + 1) & -(i + 1)
-        step = 1
-        while step < span:
-            old -= tree[i - step]
-            step <<= 1
+        old = self._weights[i]
+        self._weights[i] = new_weight
         delta = new_weight - old
         if delta:
-            n = len(tree)
-            j = i
-            while j < n:
-                tree[j] += delta
-                j |= j + 1
+            self._push(i, delta)
         return old
 
     def append(self, weight: float) -> int:
@@ -327,6 +284,7 @@ class FSTable:
                 s += tree[x1 - 1]
             step <<= 1
         tree.append(s)
+        self._weights.append(weight)
         return i
 
     def delete(self, i: int) -> float:
@@ -338,18 +296,15 @@ class FSTable:
         deleted weight.  ``O(log n)``.
         """
         self._check_index(i)
-        n = len(self._tree)
-        last = n - 1
-        if i == last:
-            # F entries with index < last never cover index `last`
-            # (every range [g(j)+1, j] ends at j), so truncation is exact.
-            deleted = self.weight(last)
-            self._tree.pop()
-            return deleted
-        deleted = self.weight(i)
-        moved = self.weight(last)
+        # F entries with index < last never cover index `last` (every
+        # range [g(j)+1, j] ends at j), so truncating the entries is exact.
         self._tree.pop()
-        self.add(i, moved - deleted)
+        moved = self._weights.pop()
+        if i == len(self._tree):
+            return moved
+        deleted = self._weights[i]
+        self._weights[i] = moved
+        self._push(i, moved - deleted)
         return deleted
 
     def extend(self, weights: Iterable[float]) -> None:
@@ -360,6 +315,7 @@ class FSTable:
     def clear(self) -> None:
         """Remove all elements."""
         self._tree.clear()
+        del self._weights[:]
 
     # ------------------------------------------------------------------
     # FTS sampling (paper Algorithm 5)
@@ -424,7 +380,8 @@ class FSTable:
     # memory accounting
     # ------------------------------------------------------------------
     def nbytes(self, weight_bytes: int = 4) -> int:
-        """Bytes a C implementation would use: one weight-sized slot per
-        element (the FSTable replaces — not supplements — the raw weights).
+        """Bytes the paper's C layout uses: one weight-sized slot per
+        element (there the FSTable replaces — not supplements — the raw
+        weights; this class's exact column is a host cost, DESIGN.md §2).
         """
         return weight_bytes * len(self._tree)

@@ -16,8 +16,8 @@ static serving tier of Euler/Plato use, grown here from live samtrees:
 * ``indptr``         — row offsets into the edge arrays;
 * ``neighbor_ids``   — all destination IDs, row-major;
 * ``cum_weights``    — one *global* inclusive prefix sum over the edge
-  weights (per-row mass = ``row_total``, exact per-edge weights
-  recoverable by differencing — tests and the doctor read them back);
+  weights (row ``r`` starts at mass ``row_base[r]``); ``row_total`` is
+  each row's mass, summed from the weight column itself;
 * ``alias_prob`` / ``alias_idx`` — a per-row **alias table**
   (Walker/Vose) compiled from the same weights.  A weighted draw is
   ``slot = floor(u * deg)``, ``frac = u * deg - slot``, then pick
@@ -45,8 +45,8 @@ draws match the ITS/FTS descent distribution — chi-square-pinned in
 ``tests/test_frozen.py``.
 
 Compilation reuses the bulk-build leaf walk
-(:func:`~repro.core.snapshot.flatten_tree` — vectorized CP-ID and
-Fenwick decoders per leaf), so freezing an ``E``-edge shard is ``O(E)``
+(:func:`~repro.core.snapshot.flatten_tree` — one CP-ID decode and one
+weight-column copy per leaf), so freezing an ``E``-edge shard is ``O(E)``
 with Python-level work proportional to the number of tree leaves only.
 """
 
@@ -161,24 +161,23 @@ class FrozenShard:
         src_ids: np.ndarray,
         indptr: np.ndarray,
         neighbor_ids: np.ndarray,
-        cum_weights: np.ndarray,
-        weights: np.ndarray = None,
+        weights: np.ndarray,
     ) -> None:
         self.etype = etype
         self.epoch = epoch
         self.src_ids = src_ids
         self.indptr = indptr
         self.neighbor_ids = neighbor_ids
-        self.cum_weights = cum_weights
-        padded = np.concatenate(([0.0], cum_weights))
-        self.row_base = padded[indptr[:-1]]
-        # Float noise in the global prefix sum can leave -epsilon where a
-        # row's true mass is 0; clamp so the uniform fallback triggers.
-        self.row_total = np.maximum(padded[indptr[1:]] - self.row_base, 0.0)
-        if weights is None:
-            # Recover the per-edge weights from the global prefix sum
-            # (exact up to float cancellation; compile passes them raw).
-            weights = np.maximum(np.diff(padded), 0.0)
+        self.cum_weights = np.cumsum(weights)
+        self.row_base = np.concatenate(([0.0], self.cum_weights))[indptr[:-1]]
+        # Segmented sum of the weights themselves: an all-zero row totals
+        # exactly 0.0, which a difference of two prefix sums need not.
+        rows = int(src_ids.size)
+        self.row_total = np.bincount(
+            np.repeat(np.arange(rows), np.diff(indptr)),
+            weights=weights,
+            minlength=rows,
+        )
         self.alias_prob, self.alias_idx = _build_alias(weights, indptr)
         self._ws = None  # lazily-built draw workspace, keyed by shape
 
@@ -214,8 +213,7 @@ class FrozenShard:
             ids, ws = flatten_tree(tree)
             neighbor_ids[lo : lo + ids.size] = ids
             weights[lo : lo + ws.size] = ws
-        return cls(etype, epoch, src_ids, indptr, neighbor_ids,
-                   np.cumsum(weights), weights=weights)
+        return cls(etype, epoch, src_ids, indptr, neighbor_ids, weights)
 
     # ------------------------------------------------------------------
     # introspection

@@ -879,9 +879,7 @@ class Samtree:
     def items(self) -> Iterator[Tuple[int, float]]:
         """Iterate over ``(neighbor_id, weight)`` pairs."""
         for leaf in self._leaves():
-            weights = leaf.fstable.to_weights()
-            for i, vid in enumerate(leaf.ids):
-                yield vid, weights[i]
+            yield from zip(leaf.ids, leaf.fstable.to_weights())
 
     def to_dict(self) -> dict:
         """Materialise the adjacency as ``{neighbor_id: weight}``."""

@@ -137,9 +137,10 @@ def flatten_tree(tree) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten one samtree's leaves into ``(ids, weights)`` arrays.
 
     Preallocates both ``tree.degree``-sized arrays and fills them one
-    leaf slice at a time from the leaves' vectorized decoders
-    (``CompressedIDList.to_array`` / ``FSTable.to_weight_array``), so
-    the only Python-level loop is over *leaves*, not edges.  Shared by
+    leaf slice at a time (``CompressedIDList.to_array`` decodes the IDs,
+    ``FSTable.to_weight_array`` copies the stored weight column), so
+    the only Python-level loop is over *leaves*, not edges, and the
+    weights are the tree's, bit for bit.  Shared by
     :meth:`TreeSnapshot.from_tree` and the frozen-shard compiler
     (:mod:`repro.core.frozen`).
     """

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ingest import OP_DELETE, EdgeBatch
+from repro.core.ingest import OP_DELETE, OP_INSERT, EdgeBatch
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import SamtreeConfig
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
@@ -60,6 +60,13 @@ class ShardInfo:
     num_edges: int
     nbytes: int
     live_replicas: int = 1
+
+
+def read_adjacency(store, src: int) -> Dict[int, List[Tuple[int, float]]]:
+    """One source's full adjacency off one store, per etype — what
+    :meth:`LocalCluster.ship_adjacency` ships."""
+    etypes = getattr(store, "etypes", lambda: [DEFAULT_ETYPE])()
+    return {etype: store.neighbors(src, etype) for etype in list(etypes)}
 
 
 class LocalCluster:
@@ -371,9 +378,13 @@ class LocalCluster:
                 key=lambda s: projected[s],
             )[:wanted]
             read_set = list(current)
+            adjacency = read_adjacency(self.client._live_store(primary), src)
             for shard in targets:
-                if self._copy_adjacency(src, primary, shard):
-                    read_set.append(shard)
+                try:
+                    if self.ship_adjacency(shard, src, adjacency):
+                        read_set.append(shard)
+                except Exception:
+                    pass  # an unreachable target just gets no copy
             if len(read_set) > 1:
                 directory.set_replicas(src, read_set)
                 installed.append((src, read_set))
@@ -386,31 +397,37 @@ class LocalCluster:
                         projected[shard] += share
         return installed
 
-    def _copy_adjacency(self, src: int, from_shard: int, to_shard: int) -> bool:
-        """Copy one source's full adjacency between shards (columnar,
-        WAL-covered, replica-group coherent); returns success."""
-        store = self.client._live_store(from_shard)
-        etypes = getattr(store, "etypes", lambda: [DEFAULT_ETYPE])()
-        wrote = False
-        for etype in list(etypes):
-            adjacency = store.neighbors(src, etype)
-            if not adjacency:
+    def ship_adjacency(
+        self,
+        shard: int,
+        src: int,
+        adjacency: Dict[int, List[Tuple[int, float]]],
+        op: int = OP_INSERT,
+    ) -> int:
+        """Ship one source's adjacency (as :func:`read_adjacency` returns
+        it) to ``shard``: one columnar batch per etype through the client
+        write path — WAL-covered, replica-group coherent — inserting, or
+        retracting with ``op=OP_DELETE``; returns rows shipped."""
+        rows = 0
+        for etype, edges in adjacency.items():
+            if not edges:
                 continue
-            dsts = np.asarray([d for d, _ in adjacency], dtype=np.int64)
-            weights = np.asarray([w for _, w in adjacency], dtype=np.float64)
-            batch = EdgeBatch.inserts(
-                np.full(dsts.size, src, dtype=np.int64), dsts, weights, etype
+            dsts = np.asarray([d for d, _ in edges], dtype=np.int64)
+            weights = np.asarray([w for _, w in edges], dtype=np.float64)
+            batch = EdgeBatch(
+                np.full(dsts.size, src, dtype=np.int64),
+                dsts,
+                1.0 if op == OP_DELETE else weights,
+                etype,
+                op,
             )
-            try:
-                self.client._write_shard(
-                    to_shard,
-                    batch.payload_nbytes(),
-                    lambda s, b=batch: s.ingest_batch(b),
-                )
-            except Exception:
-                return False
-            wrote = True
-        return wrote
+            self.client._write_shard(
+                shard,
+                batch.payload_nbytes(),
+                lambda s, b=batch: s.ingest_batch(b),
+            )
+            rows += dsts.size
+        return rows
 
     def drop_hot_replicas(self, srcs: Optional[List[int]] = None) -> int:
         """Tear down hot read replicas (all of them by default).
@@ -435,29 +452,12 @@ class LocalCluster:
             for shard in group:
                 if shard == primary:
                     continue
-                store = self.client._live_store(shard)
-                etypes = getattr(
-                    store, "etypes", lambda: [DEFAULT_ETYPE]
-                )()
-                for etype in list(etypes):
-                    adjacency = store.neighbors(src, etype)
-                    if not adjacency:
-                        continue
-                    dsts = np.asarray(
-                        [d for d, _ in adjacency], dtype=np.int64
-                    )
-                    batch = EdgeBatch(
-                        np.full(dsts.size, src, dtype=np.int64),
-                        dsts,
-                        1.0,
-                        etype,
-                        OP_DELETE,
-                    )
-                    self.client._write_shard(
-                        shard,
-                        batch.payload_nbytes(),
-                        lambda s, b=batch: s.ingest_batch(b),
-                    )
+                self.ship_adjacency(
+                    shard,
+                    src,
+                    read_adjacency(self.client._live_store(shard), src),
+                    op=OP_DELETE,
+                )
                 dropped += 1
             directory.drop(src)
         if targets:

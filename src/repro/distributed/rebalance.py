@@ -34,16 +34,15 @@ This module implements that loop online for the in-process cluster:
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ingest import OP_DELETE, EdgeBatch
+from repro.core.ingest import OP_DELETE
 from repro.core.types import DEFAULT_ETYPE
-from repro.distributed.cluster import LocalCluster
+from repro.distributed.cluster import LocalCluster, read_adjacency
 from repro.distributed.partition import Partitioner
 from repro.errors import ConfigurationError, PartitionError
 from repro.obs.telemetry import Stats
@@ -296,65 +295,6 @@ def _tree_versions(store, src: int) -> Optional[Dict[int, int]]:
     return versions
 
 
-def _read_adjacency(store, src: int) -> Dict[int, List[Tuple[int, float]]]:
-    etypes = getattr(store, "etypes", lambda: [DEFAULT_ETYPE])()
-    return {
-        etype: store.neighbors(src, etype) for etype in list(etypes)
-    }
-
-
-def _adjacency_close(
-    got: List[Tuple[int, float]],
-    want: List[Tuple[int, float]],
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
-) -> bool:
-    """Same neighbor set with weights equal up to prefix-sum
-    reconstruction noise (see :meth:`CSTable.to_weights`)."""
-    if len(got) != len(want):
-        return False
-    got_sorted = sorted(got)
-    want_sorted = sorted(want)
-    for (dst_a, w_a), (dst_b, w_b) in zip(got_sorted, want_sorted):
-        if dst_a != dst_b:
-            return False
-        if not math.isclose(w_a, w_b, rel_tol=rel_tol, abs_tol=abs_tol):
-            return False
-    return True
-
-
-def _write_adjacency(
-    cluster: LocalCluster,
-    shard: int,
-    src: int,
-    adjacency: Dict[int, List[Tuple[int, float]]],
-    op: Optional[int] = None,
-) -> int:
-    """Ship one source's adjacency to a shard as columnar batches
-    (insert by default, ``op=OP_DELETE`` to retract); returns rows."""
-    client = cluster.client
-    rows = 0
-    for etype, edges in adjacency.items():
-        if not edges:
-            continue
-        dsts = np.asarray([d for d, _ in edges], dtype=np.int64)
-        weights = np.asarray([w for _, w in edges], dtype=np.float64)
-        batch = EdgeBatch(
-            np.full(dsts.size, src, dtype=np.int64),
-            dsts,
-            weights if op is None else 1.0,
-            etype,
-            OP_DELETE if op == OP_DELETE else None,
-        )
-        client._write_shard(
-            shard,
-            batch.payload_nbytes(),
-            lambda s, b=batch: s.ingest_batch(b),
-        )
-        rows += dsts.size
-    return rows
-
-
 def execute_plan(
     cluster: LocalCluster,
     moves: List[Move],
@@ -416,21 +356,21 @@ def execute_plan(
         copied: Optional[Dict[int, List[Tuple[int, float]]]] = None
         for attempt in range(max_recopy):
             versions = _tree_versions(source_store, move.src)
-            adjacency = _read_adjacency(source_store, move.src)
+            adjacency = read_adjacency(source_store, move.src)
             if copied is not None:
                 # A previous round raced a concurrent write: retract it
                 # before recopying (idempotent delete).
-                _write_adjacency(
-                    cluster, move.to_shard, move.src, copied, op=OP_DELETE
+                cluster.ship_adjacency(
+                    move.to_shard, move.src, copied, op=OP_DELETE
                 )
                 stats.recopies += 1
-            rows = _write_adjacency(cluster, move.to_shard, move.src, adjacency)
+            rows = cluster.ship_adjacency(move.to_shard, move.src, adjacency)
             copied = adjacency
             if before_cutover is not None and attempt == 0:
                 before_cutover(move)
             if versions is None:
                 # No version API: one extra read confirms quiescence.
-                if _read_adjacency(source_store, move.src) == adjacency:
+                if read_adjacency(source_store, move.src) == adjacency:
                     break
             elif _tree_versions(source_store, move.src) == versions:
                 break
@@ -440,14 +380,10 @@ def execute_plan(
                 f"rounds; rebalance it during a quieter window"
             )
         if verify:
-            migrated = _read_adjacency(target_store, move.src)
-            reference = _read_adjacency(source_store, move.src)
+            migrated = read_adjacency(target_store, move.src)
+            reference = read_adjacency(source_store, move.src)
             for etype, edges in reference.items():
-                # Weights are reconstructed from prefix-sum tables on
-                # read, so two structurally different trees holding the
-                # same logical adjacency can disagree in the last float
-                # bits — compare with a relative tolerance, not ==.
-                if not _adjacency_close(migrated.get(etype, []), edges):
+                if sorted(migrated.get(etype, [])) != sorted(edges):
                     raise ConfigurationError(
                         f"migration of source {move.src} diverged on "
                         f"etype {etype}: target adjacency != reference"
@@ -466,7 +402,5 @@ def execute_plan(
             edges=rows,
         )
         # Retract the old owner's copy (new traffic already routes away).
-        _write_adjacency(
-            cluster, move.from_shard, move.src, copied, op=OP_DELETE
-        )
+        cluster.ship_adjacency(move.from_shard, move.src, copied, op=OP_DELETE)
     return partitioner

@@ -224,19 +224,25 @@ class GraphServer:
                 "checkpointing requires the samtree-backed "
                 "DynamicGraphStore; baseline stores are not durable"
             )
+        total = self._capture_image(self)
+        self.telemetry.event("wal", "checkpoint", **self._where, bytes=total)
+        return total
+
+    def _capture_image(self, source: "GraphServer") -> int:
+        """Serialise ``source``'s store + attributes into this replica's
+        checkpoint buffers and truncate the local WAL (the image now
+        covers, or supersedes, everything it logged); returns bytes."""
         buf = io.BytesIO()
-        save_store(self.store, buf)
+        save_store(source.store, buf)
         self._checkpoint_topology = buf.getvalue()
         abuf = io.BytesIO()
-        save_attributes(self.attributes, abuf)
+        save_attributes(source.attributes, abuf)
         self._checkpoint_attributes = abuf.getvalue()
         if self.wal is not None:
             self.wal.truncate()
-        total = len(self._checkpoint_topology) + len(
+        return len(self._checkpoint_topology) + len(
             self._checkpoint_attributes
         )
-        self.telemetry.event("wal", "checkpoint", **self._where, bytes=total)
-        return total
 
     def recover(self, sync_from: Optional["GraphServer"] = None) -> int:
         """Rebuild state and come back up; returns WAL records replayed.
@@ -261,14 +267,7 @@ class GraphServer:
                 raise ConfigurationError(
                     "peer state transfer requires the samtree store"
                 )
-            buf = io.BytesIO()
-            save_store(sync_from.store, buf)
-            self._checkpoint_topology = buf.getvalue()
-            abuf = io.BytesIO()
-            save_attributes(sync_from.attributes, abuf)
-            self._checkpoint_attributes = abuf.getvalue()
-            if self.wal is not None:
-                self.wal.truncate()
+            self._capture_image(sync_from)
         if self._checkpoint_topology is not None:
             self.store = load_store(io.BytesIO(self._checkpoint_topology))
         else:

@@ -256,12 +256,24 @@ class InferenceService:
         self.rng = coerce_generator(rng if rng is not None else 0)
         self.etype = etype
         self.stats = ServiceStats()
-        self.latency_hist = LatencyHistogram()
+        registry = getattr(cluster, "registry", None)
+        # Resolved by name: the registry reads the histogram the current
+        # service records into, and a replacement service starts it from
+        # zero, like its stats.
+        self.latency_hist = (
+            registry.histogram(
+                "repro_serving_request_seconds",
+                help="End-to-end request latency (simulated seconds)",
+            )
+            if registry is not None
+            else LatencyHistogram()
+        )
+        self.latency_hist.reset()
         self.queue: List[Request] = []
         self._next_id = 0
         #: EWMA of measured per-request flush seconds (admission estimate).
         self._est_request_seconds = 1e-3
-        self._register(getattr(cluster, "registry", None))
+        self._register(registry)
         # The cluster's reset_stats / doctor / report probe this handle.
         cluster.inference_service = self
 
@@ -295,12 +307,6 @@ class InferenceService:
                     sum(b.trips for b in c.inference_service.breakers.values())
                 ),
                 help="Closed->open circuit breaker transitions",
-            )
-        if not registry.has("repro_serving_request_seconds"):
-            registry.register_histogram(
-                "repro_serving_request_seconds",
-                self.latency_hist,
-                help="End-to-end request latency (simulated seconds)",
             )
 
     # ------------------------------------------------------------------

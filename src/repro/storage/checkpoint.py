@@ -11,21 +11,28 @@ optionally an :class:`AttributeStore`) to a compact binary image:
   bulk inserts (no need to serialise tree internals — the tree shape is
   a function of the insertion stream, and any valid shape is
   equivalent);
-* attribute sections as (field, dtype, dim) blocks of packed rows.
+* attribute sections as (field, dtype, dim) blocks of packed rows;
+* a CRC-32 trailer over each section (topology, attributes).
 
 The format is self-contained little-endian ``struct`` packing — no
-pickle, so a snapshot is safe to load from untrusted storage.
+pickle, so a snapshot is safe to load from untrusted storage.  A loader
+walks a section twice: once only reading, up to the trailer check, then
+again to build — so truncated, mutated or foreign bytes raise
+:class:`~repro.errors.ConfigurationError`, never anything else, and never
+yield part of a store, and a load holds one record at a time.
 """
 
 from __future__ import annotations
 
 import io
 import struct
+import zlib
 from typing import BinaryIO, Union
 
 import numpy as np
 
 from repro.core.samtree import SamtreeConfig
+from repro.core.snapshot import flatten_tree
 from repro.errors import ConfigurationError
 from repro.storage.attributes import AttributeStore
 
@@ -36,65 +43,120 @@ from repro.storage.attributes import AttributeStore
 __all__ = ["save_store", "load_store", "save_attributes", "load_attributes"]
 
 _MAGIC = b"PD2G"
-_VERSION = 2
+_VERSION = 3  # 3: CRC-32 trailer per section
 _HEADER = struct.Struct("<4sHHIIq")  # magic, version, flags, cap, alpha, nsrc
 _ADJ_HEADER = struct.Struct("<qqI")  # etype, src, degree
 _ATTR_MAGIC = b"PD2A"
 _ATTR_HEADER = struct.Struct("<4sHI")  # magic, version, num_fields
+_FIELD_HEADER = struct.Struct("<HHIq")  # name len, dtype len, dim, rows
+_TRAILER = struct.Struct("<I")  # crc32 of the section before it
 
 
-def _write_adjacency(out: BinaryIO, etype: int, src: int, items) -> None:
-    ids = []
-    weights = []
-    for vid, w in items:
-        ids.append(vid)
-        weights.append(w)
-    out.write(_ADJ_HEADER.pack(etype, src, len(ids)))
-    out.write(np.asarray(ids, dtype="<u8").tobytes())
-    out.write(np.asarray(weights, dtype="<f8").tobytes())
+class _Section:
+    """One section of a snapshot: a path or stream, opened for ``mode``,
+    with the running CRC-32 and size of everything through it."""
+
+    def __init__(self, target: Union[str, BinaryIO], mode: str) -> None:
+        self._own = isinstance(target, str)
+        self._stream: BinaryIO = open(target, mode) if self._own else target  # type: ignore[arg-type]
+        self._crc = 0
+        self.nbytes = 0
+        if "r" in mode:
+            # Bytes left to read: a count field is checked against this
+            # before it sizes a read, so garbage cannot request 2**63.
+            self._start = self._stream.tell()
+            self._left = self._stream.seek(0, io.SEEK_END) - self._start
+            self._stream.seek(self._start)
+
+    def __enter__(self) -> "_Section":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._own:
+            self._stream.close()
+
+    def write(self, data: bytes) -> None:
+        self._stream.write(data)
+        self._crc = zlib.crc32(data, self._crc)
+        self.nbytes += len(data)
+
+    def write_trailer(self) -> int:
+        """Close the section with its checksum; returns the section size."""
+        self._stream.write(_TRAILER.pack(self._crc))
+        return self.nbytes + _TRAILER.size
+
+    def read(self, n: int) -> bytes:
+        if not 0 <= n <= self._left:
+            raise ConfigurationError(
+                f"truncated snapshot: wanted {n} bytes, {self._left} left"
+            )
+        data = self._stream.read(n)
+        self._left -= n
+        self._crc = zlib.crc32(data, self._crc)
+        return data
+
+    def read_header(self, header: struct.Struct, magic: bytes, what: str):
+        """Unpack and vet a section header; returns the fields after
+        ``(magic, version)``."""
+        got, version, *fields = header.unpack(self.read(header.size))
+        if got != magic:
+            raise ConfigurationError(f"not {what} (magic {got!r})")
+        if version != _VERSION:
+            raise ConfigurationError(
+                f"snapshot version {version} is not supported "
+                f"(this build reads version {_VERSION})"
+            )
+        return fields
+
+    def check_trailer(self) -> None:
+        """Vet the checksum of everything read, then go back to the
+        start of the section for the pass that builds from it."""
+        crc = self._crc
+        (want,) = _TRAILER.unpack(self.read(_TRAILER.size))
+        if want != crc:
+            raise ConfigurationError("corrupt snapshot: checksum mismatch")
+        self._left += self._stream.tell() - self._start
+        self._stream.seek(self._start)
 
 
 def save_store(store, target: Union[str, BinaryIO]) -> int:
     """Serialise a store; returns the snapshot size in bytes.
 
-    ``target`` is a path or a writable binary stream.
+    ``target`` is a path or a writable binary stream (loaders take a
+    path or a seekable one).
     """
-    own = isinstance(target, str)
-    out: BinaryIO = open(target, "wb") if own else target  # type: ignore[arg-type]
-    try:
+    with _Section(target, "wb") as out:
         keys = sorted(store._directory.keys())
-        flags = 1 if store.config.compress else 0
         out.write(
             _HEADER.pack(
                 _MAGIC,
                 _VERSION,
-                flags,
+                1 if store.config.compress else 0,
                 store.config.capacity,
                 store.config.alpha,
                 len(keys),
             )
         )
-        written = _HEADER.size
         for etype, src in keys:
-            tree = store.tree(src, etype)
-            buf = io.BytesIO()
-            _write_adjacency(buf, etype, src, tree.items())
-            data = buf.getvalue()
-            out.write(data)
-            written += len(data)
-        return written
-    finally:
-        if own:
-            out.close()
+            ids, weights = flatten_tree(store.tree(src, etype))
+            out.write(_ADJ_HEADER.pack(etype, src, ids.size))
+            out.write(ids.astype("<i8").tobytes())
+            out.write(weights.astype("<f8").tobytes())
+        return out.write_trailer()
 
 
-def _read_exact(src: BinaryIO, n: int) -> bytes:
-    data = src.read(n)
-    if len(data) != n:
-        raise ConfigurationError(
-            f"truncated snapshot: wanted {n} bytes, got {len(data)}"
-        )
-    return data
+def _read_topology(src: _Section):
+    """Yield the store's config, then ``(etype, vertex, ids, weights)``
+    per adjacency record."""
+    flags, capacity, alpha, nsrc = src.read_header(
+        _HEADER, _MAGIC, "a PlatoD2GL snapshot"
+    )
+    yield capacity, alpha, bool(flags & 1)
+    for _ in range(nsrc):
+        etype, vertex, degree = _ADJ_HEADER.unpack(src.read(_ADJ_HEADER.size))
+        ids = np.frombuffer(src.read(8 * degree), dtype="<i8")
+        weights = np.frombuffer(src.read(8 * degree), dtype="<f8")
+        yield etype, vertex, ids, weights
 
 
 def load_store(source: Union[str, BinaryIO]):
@@ -102,114 +164,91 @@ def load_store(source: Union[str, BinaryIO]):
     snapshot."""
     from repro.core.topology import DynamicGraphStore
 
-    own = isinstance(source, str)
-    src: BinaryIO = open(source, "rb") if own else source  # type: ignore[arg-type]
-    try:
-        magic, version, flags, capacity, alpha, nsrc = _HEADER.unpack(
-            _read_exact(src, _HEADER.size)
-        )
-        if magic != _MAGIC:
-            raise ConfigurationError(
-                f"not a PlatoD2GL snapshot (magic {magic!r})"
-            )
-        if version > _VERSION:
-            raise ConfigurationError(
-                f"snapshot version {version} is newer than supported "
-                f"({_VERSION})"
-            )
+    with _Section(source, "rb") as src:
+        for _ in _read_topology(src):
+            pass
+        src.check_trailer()
+        records = _read_topology(src)
+        capacity, alpha, compress = next(records)
         store = DynamicGraphStore(
-            SamtreeConfig(
-                capacity=capacity, alpha=alpha, compress=bool(flags & 1)
-            )
+            SamtreeConfig(capacity=capacity, alpha=alpha, compress=compress)
         )
-        for _ in range(nsrc):
-            etype, vertex, degree = _ADJ_HEADER.unpack(
-                _read_exact(src, _ADJ_HEADER.size)
-            )
-            ids = np.frombuffer(_read_exact(src, 8 * degree), dtype="<u8")
-            weights = np.frombuffer(_read_exact(src, 8 * degree), dtype="<f8")
+        for etype, vertex, ids, weights in records:
             # Bulk path: one batch per source rebuilds the samtree with
             # the Appendix-B rounds and keeps the counters exact.
             store.apply_source_batch(
-                int(vertex),
-                int(etype),
-                [("insert", int(v), float(w)) for v, w in zip(ids, weights)],
+                vertex,
+                etype,
+                [
+                    ("insert", v, w)
+                    for v, w in zip(ids.tolist(), weights.tolist())
+                ],
             )
-        return store
-    finally:
-        if own:
-            src.close()
+        src.read(_TRAILER.size)  # leave the stream at the section's end
+    return store
 
 
 def save_attributes(
     attrs: AttributeStore, target: Union[str, BinaryIO]
 ) -> int:
     """Serialise an attribute store; returns bytes written."""
-    own = isinstance(target, str)
-    out: BinaryIO = open(target, "wb") if own else target  # type: ignore[arg-type]
-    try:
+    with _Section(target, "wb") as out:
         fields = list(attrs.fields())
         out.write(_ATTR_HEADER.pack(_ATTR_MAGIC, _VERSION, len(fields)))
-        written = _ATTR_HEADER.size
         for name in fields:
             schema = attrs.schema(name)
             name_bytes = name.encode("utf-8")
             dtype_bytes = schema.dtype.str.encode("ascii")
             vertices, matrix = attrs.export(name)
-            head = struct.pack(
-                "<HHIq", len(name_bytes), len(dtype_bytes), schema.dim,
-                len(vertices),
+            out.write(
+                _FIELD_HEADER.pack(
+                    len(name_bytes), len(dtype_bytes), schema.dim,
+                    len(vertices),
+                )
             )
-            out.write(head)
             out.write(name_bytes)
             out.write(dtype_bytes)
             out.write(vertices.astype("<u8").tobytes())
             out.write(matrix.tobytes())
-            written += (
-                len(head)
-                + len(name_bytes)
-                + len(dtype_bytes)
-                + 8 * len(vertices)
-                + matrix.nbytes
+        return out.write_trailer()
+
+
+def _read_fields(src: _Section):
+    """Yield ``(name, dim, dtype, vertices, matrix)`` per field."""
+    (num_fields,) = src.read_header(
+        _ATTR_HEADER, _ATTR_MAGIC, "an attribute snapshot"
+    )
+    for _ in range(num_fields):
+        name_len, dtype_len, dim, count = _FIELD_HEADER.unpack(
+            src.read(_FIELD_HEADER.size)
+        )
+        try:
+            name = src.read(name_len).decode("utf-8")
+            dtype = np.dtype(src.read(dtype_len).decode("ascii"))
+        except (TypeError, ValueError, SyntaxError) as exc:
+            raise ConfigurationError(
+                f"corrupt attribute snapshot: {exc}"
+            ) from None
+        if dtype.kind not in "biufc":  # row width must be known to read on
+            raise ConfigurationError(
+                f"corrupt attribute snapshot: field dtype {dtype}"
             )
-        return written
-    finally:
-        if own:
-            out.close()
+        vertices = np.frombuffer(src.read(8 * count), dtype="<u8")
+        matrix = np.frombuffer(
+            src.read(count * dim * dtype.itemsize), dtype=dtype
+        )
+        yield name, dim, dtype, vertices, matrix
 
 
 def load_attributes(source: Union[str, BinaryIO]) -> AttributeStore:
     """Rebuild an :class:`AttributeStore` from a snapshot."""
-    own = isinstance(source, str)
-    src: BinaryIO = open(source, "rb") if own else source  # type: ignore[arg-type]
-    try:
-        magic, version, num_fields = _ATTR_HEADER.unpack(
-            _read_exact(src, _ATTR_HEADER.size)
-        )
-        if magic != _ATTR_MAGIC:
-            raise ConfigurationError(
-                f"not an attribute snapshot (magic {magic!r})"
-            )
-        if version > _VERSION:
-            raise ConfigurationError(
-                f"snapshot version {version} is newer than supported"
-            )
+    with _Section(source, "rb") as src:
+        for _ in _read_fields(src):
+            pass
+        src.check_trailer()
         attrs = AttributeStore()
-        for _ in range(num_fields):
-            name_len, dtype_len, dim, count = struct.unpack(
-                "<HHIq", _read_exact(src, 16)
-            )
-            name = _read_exact(src, name_len).decode("utf-8")
-            dtype = np.dtype(_read_exact(src, dtype_len).decode("ascii"))
+        for name, dim, dtype, vertices, matrix in _read_fields(src):
             attrs.register(name, dim, dtype)
-            vertices = np.frombuffer(
-                _read_exact(src, 8 * count), dtype="<u8"
-            )
-            matrix = np.frombuffer(
-                _read_exact(src, count * dim * dtype.itemsize), dtype=dtype
-            ).reshape(count, dim)
-            attrs.put_many(name, vertices, matrix)
-        return attrs
-    finally:
-        if own:
-            src.close()
+            attrs.put_many(name, vertices, matrix.reshape(len(vertices), dim))
+        src.read(_TRAILER.size)  # leave the stream at the section's end
+    return attrs

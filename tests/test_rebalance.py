@@ -169,7 +169,7 @@ class TestExecution:
         assert after == snapshot
         # Client reads route correctly through the overrides.
         for (etype, src, dst), w in list(snapshot.items())[:50]:
-            assert cluster.client.edge_weight(src, dst, etype) == pytest.approx(w)
+            assert cluster.client.edge_weight(src, dst, etype) == w
 
     def test_spread_shrinks_after_execution(self):
         cluster = skewed_cluster()
@@ -187,7 +187,7 @@ class TestExecution:
         moved = moves[0]
         cluster.client.add_edge(moved.src, 999_999, 2.0)
         owner = cluster.servers[moved.to_shard]
-        assert owner.store.edge_weight(moved.src, 999_999) == pytest.approx(2.0)
+        assert owner.store.edge_weight(moved.src, 999_999) == 2.0
 
     def test_idempotent_partitioner_reuse(self):
         cluster = skewed_cluster()
@@ -238,13 +238,11 @@ class TestExecution:
         assert stats.recopies >= len(moves)
         for move in moves:
             owner = cluster.servers[move.to_shard].store
-            assert owner.edge_weight(move.src, racing[move.src]) == (
-                pytest.approx(3.5)
-            )
+            assert owner.edge_weight(move.src, racing[move.src]) == 3.5
             # The racing edge is also visible through the client route.
             assert cluster.client.edge_weight(
                 move.src, racing[move.src]
-            ) == pytest.approx(3.5)
+            ) == 3.5
         # Source copies were fully retracted: no edge exists twice.
         total = sum(s.store.num_edges for s in cluster.servers)
         assert total == cluster.client.num_edges

@@ -441,9 +441,11 @@ class TestInferenceService:
     def test_replacement_service_is_what_the_registry_reads(self):
         """Registry views resolve through ``cluster.inference_service``:
         a second service on the same cluster replaces the first in every
-        ``repro_serving_*`` series instead of leaving them stale."""
+        ``repro_serving_*`` series instead of leaving them stale — the
+        latency histogram included, which resolves by name."""
         rig = _small_rig()
         rig.service.stats.submitted = 3
+        rig.service.latency_hist.record(1.0)
         service = InferenceService(
             rig.cluster, rig.features, rig.encoder, rig.service.fanouts
         )
@@ -451,7 +453,10 @@ class TestInferenceService:
         service.stats.answered_fresh = 7
         service.stats.deadline_missed = 7
         service.breakers[0].trips = 2
+        service.latency_hist.record(0.25)
         snap = rig.cluster.registry.snapshot()
+        _, count, total, _ = snap.histograms["repro_serving_request_seconds"]
+        assert (count, total) == (1, 0.25)
         assert snap.get("repro_serving_submitted") == 7.0
         assert snap.get("repro_serving_availability") == 0.0
         assert snap.get("repro_serving_breaker_trips") == 2.0

@@ -8,7 +8,6 @@ window semantics against a brute-force filter.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -20,6 +19,7 @@ from hypothesis.stateful import (
 )
 
 from repro.baselines.platogl import PlatoGLStore
+from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
 from repro.core.samtree import SamtreeConfig
 from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
@@ -28,6 +28,8 @@ SRC = st.integers(min_value=0, max_value=6)
 DST = st.integers(min_value=0, max_value=30)
 WEIGHT = st.floats(min_value=0.01, max_value=50.0, allow_nan=False)
 ETYPE = st.sampled_from([0, 1])
+OP = st.sampled_from([OP_INSERT, OP_UPDATE, OP_DELETE])
+_KIND = {OP_INSERT: "insert", OP_UPDATE: "update", OP_DELETE: "delete"}
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -61,6 +63,74 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.platogl.remove_edge(src, dst, etype) == expected
         self.model.pop((etype, src, dst), None)
 
+    @rule(src=SRC, dst=DST, w=WEIGHT, etype=ETYPE)
+    def accumulate(self, src, dst, w, etype):
+        key = (etype, src, dst)
+        expected_new = key not in self.model
+        assert self.store.accumulate_edge(src, dst, w, etype) == expected_new
+        self.model[key] = w if expected_new else self.model[key] + w
+        self.platogl.add_edge(src, dst, self.model[key], etype)
+
+    def _model_apply(self, etype, src, dst, op, w):
+        key = (etype, src, dst)
+        if op == OP_DELETE:
+            self.model.pop(key, None)
+        elif op == OP_INSERT or key in self.model:
+            self.model[key] = w
+
+    @rule(
+        src=SRC,
+        etype=ETYPE,
+        ops=st.lists(st.tuples(OP, DST, WEIGHT), min_size=1, max_size=24),
+    )
+    def source_batch(self, src, etype, ops):
+        """PALM within-tree batch: enough ops on one capacity-4 tree to
+        force several leaf splits and merges in one repair round."""
+        self.store.apply_source_batch(
+            src, etype, [(_KIND[op], dst, w) for op, dst, w in ops]
+        )
+        self.platogl.apply_edge_batch(
+            [src] * len(ops),
+            [dst for _, dst, _ in ops],
+            [w for _, _, w in ops],
+            etype,
+            [op for op, _, _ in ops],
+        )
+        for op, dst, w in ops:
+            self._model_apply(etype, src, dst, op, w)
+
+    @rule(
+        rows=st.lists(
+            st.tuples(SRC, DST, WEIGHT, ETYPE, OP), min_size=1, max_size=40
+        )
+    )
+    def edge_batch(self, rows):
+        """Columnar batch across trees: groups this small take the
+        incremental branch of ``apply_edge_batch`` (or bulk-build a
+        missing tree)."""
+        self._apply_edge_batch(rows)
+
+    @rule(
+        src=SRC,
+        etype=ETYPE,
+        dsts=st.lists(DST, min_size=16, max_size=31, unique=True),
+        ws=st.lists(WEIGHT, min_size=31, max_size=31),
+        ops=st.lists(OP, min_size=31, max_size=31),
+    )
+    def edge_batch_wide(self, src, etype, dsts, ws, ops):
+        """>= REBUILD_MIN_OPS distinct destinations on one source: an
+        existing tree takes the rebuild branch of ``apply_edge_batch``."""
+        self._apply_edge_batch(
+            [(src, d, w, etype, op) for d, w, op in zip(dsts, ws, ops)]
+        )
+
+    def _apply_edge_batch(self, rows):
+        columns = [list(col) for col in zip(*rows)]
+        self.store.apply_edge_batch(EdgeBatch(*columns))
+        self.platogl.apply_edge_batch(EdgeBatch(*columns))
+        for src, dst, w, etype, op in rows:
+            self._model_apply(etype, src, dst, op, w)
+
     @rule(src=SRC, etype=ETYPE)
     def read_neighbors(self, src, etype):
         expected = {
@@ -68,10 +138,7 @@ class StoreMachine(RuleBasedStateMachine):
             for (e, s, dst), w in self.model.items()
             if e == etype and s == src
         }
-        got = dict(self.store.neighbors(src, etype))
-        assert got.keys() == expected.keys()
-        for k, w in expected.items():
-            assert got[k] == pytest.approx(w)
+        assert dict(self.store.neighbors(src, etype)) == expected
         assert self.store.degree(src, etype) == len(expected)
         assert self.platogl.degree(src, etype) == len(expected)
 
@@ -81,8 +148,38 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.platogl.num_edges == len(self.model)
 
     @invariant()
+    def weights_read_back_exactly(self):
+        """Every weight read back ``==`` the weight written — through
+        ``neighbors`` (the leaf columns) and ``edge_weight`` (one slot)."""
+        got = {
+            (etype, src, dst): w
+            for etype in self.store.etypes()
+            for src in self.store.sources(etype)
+            for dst, w in self.store.neighbors(src, etype)
+        }
+        assert got == self.model
+        for (etype, src, dst), w in self.model.items():
+            assert self.store.edge_weight(src, dst, etype) == w
+
+    @invariant()
     def structure_valid(self):
         self.store.check_invariants()
+
+
+def test_edge_batch_rules_reach_both_branches():
+    """The machine's two ``apply_edge_batch`` rules cover the rebuild
+    and the incremental branch (pinned here because Hypothesis does not
+    promise which examples it draws)."""
+    machine = StoreMachine()
+    wide = dict(ws=[1.5] * 31, ops=[OP_INSERT] * 31)
+    machine.edge_batch_wide(src=1, etype=0, dsts=list(range(16)), **wide)
+    assert machine.store.ingest_stats.trees_created == 1
+    machine.edge_batch_wide(src=1, etype=0, dsts=list(range(8, 28)), **wide)
+    assert machine.store.ingest_stats.trees_rebuilt == 1
+    machine.edge_batch(rows=[(1, 3, 0.25, 0, OP_UPDATE), (1, 4, 0.0, 0, OP_DELETE)])
+    assert machine.store.ingest_stats.trees_incremental == 1
+    machine.weights_read_back_exactly()
+    machine.teardown()
 
 
 class TemporalMachine(RuleBasedStateMachine):

@@ -67,9 +67,12 @@ def test_all_stores_agree(ops):
             assert s.degree(src) == sum(1 for k in ref if k[0] == src)
             for dst, w in s.neighbors(src):
                 got[(src, dst)] = w
-        assert got.keys() == ref.keys()
-        for k, w in ref.items():
-            assert got[k] == pytest.approx(w)
+        if isinstance(s, PlatoGLStore):
+            # The baseline's CSTable *is* its weight storage (paper §III):
+            # weights come back by differencing cumulative sums.
+            assert got == pytest.approx(ref)
+        else:
+            assert got == ref
     stores[0].check_invariants()
     stores[1].check_invariants()
 

@@ -50,9 +50,7 @@ def _adjacency(store: DynamicGraphStore) -> dict:
 
 
 def _assert_adjacency_equal(a: dict, b: dict) -> None:
-    assert a.keys() == b.keys()
-    for key in a:
-        assert b[key] == pytest.approx(a[key]), key
+    assert a == b
 
 
 class TestFormatRoundtrip:
