@@ -2,15 +2,15 @@
 
 Measures the per-vertex scalar path (`sample_neighbors` in a Python
 loop — one root→leaf descent per draw) against the batched path
-(`sample_neighbors_many` — one directory lookup per distinct source,
-vectorized inverse-transform draws off flat snapshots) on a GNN-shaped
+(`sample_neighbors_many` — one vectorized inverse-transform draw over
+the read image's rows for the whole frontier) on a GNN-shaped
 frontier: 1k vertices drawn with hub-heavy repetition from a skewed
 synthetic graph, fan-outs {5, 10, 25}.
 
 Three regimes per fan-out:
 
 * ``scalar``        — the pre-PR read path (also the cache-off path);
-* ``batched_cold``  — first batched call on a cold cache (pays builds);
+* ``batched_cold``  — first batched call on an empty image (pays builds);
 * ``batched_warm``  — steady-state frontier sampling (the hot path the
   acceptance criterion targets: >= 5x over scalar at fan-out 10).
 
@@ -38,7 +38,6 @@ from typing import Dict, List
 
 from repro.core.metrics import InstrumentedStore
 from repro.core.samtree import SamtreeConfig
-from repro.core.snapshot import SnapshotCache
 from repro.core.topology import DynamicGraphStore
 from repro.obs import MetricsRegistry, register_store
 
@@ -117,13 +116,13 @@ def run_benchmark(
 
         t_scalar = _time(scalar, repeats)
 
-        # -- batched, cold cache (pays every snapshot build) -------------
-        store.snapshot_cache = SnapshotCache()
+        # -- batched, empty image (flattens every row) --------------------
+        store.snapshot_cache.clear()
         t_cold = _time(
             lambda: store.sample_neighbors_many(frontier, fanout, rng=SEED), 1
         )
 
-        # -- batched, warm cache (steady-state training) ------------------
+        # -- batched, warm image (steady-state training) ------------------
         store.snapshot_cache.stats.reset()
         t_warm = _time(
             lambda: store.sample_neighbors_many(frontier, fanout, rng=SEED),

@@ -9,8 +9,9 @@ graph, fan-outs {5, 10, 25}.
 Four regimes per fan-out:
 
 * ``scalar``         — one root→leaf descent per draw (the PR-3 floor);
-* ``batched_warm``   — per-source snapshots off a warm cache (the prior
-  hot path, recorded at ~320k vertices/s at fan-out 10);
+* ``batched_warm``   — the never-frozen tier: a warm read image
+  (the checked-in record predates it and shows the per-source snapshot
+  loop it replaced, ~320k vertices/s at fan-out 10);
 * ``frozen_rows``    — the frozen kernel behind the store API
   (`sample_neighbors_many` dispatching to the shard and returning the
   kernel's matrix as one `SampleBlock`) — what drop-in callers see;
@@ -39,7 +40,7 @@ from typing import Dict, List
 import numpy as np
 
 from bench_batched_sampling import SEED, build_graph, make_frontier
-from repro.core.snapshot import SnapshotCache, coerce_generator
+from repro.core.snapshot import coerce_generator
 from repro.gnn.samplers import sample_blocks
 
 FANOUTS = (5, 10, 25)
@@ -109,8 +110,8 @@ def run_benchmark(
 
         t_scalar = _time(scalar, repeats)
 
-        # -- warm batched snapshots (the prior hot path) ---------------
-        store.snapshot_cache = SnapshotCache()
+        # -- warm read image (the never-frozen tier) -------------------
+        store.snapshot_cache.clear()
         store.sample_neighbors_many(frontier, fanout, rng=SEED)  # warm it
         t_warm = _time(
             lambda: store.sample_neighbors_many(frontier, fanout, rng=SEED),
@@ -160,7 +161,7 @@ def run_benchmark(
         sweep = make_frontier(num_sources, size, seed=SEED + 2)
         sweep_arr = np.asarray(sweep, dtype=np.int64)
         store.thaw()
-        store.snapshot_cache = SnapshotCache()
+        store.snapshot_cache.clear()
         store.sample_neighbors_many(sweep, 10, rng=SEED)
         t_warm = _time(
             lambda: store.sample_neighbors_many(sweep, 10, rng=SEED),

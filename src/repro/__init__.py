@@ -41,8 +41,7 @@ from repro.core import (
     OpStats,
     Samtree,
     SamtreeConfig,
-    SnapshotCache,
-    TreeSnapshot,
+    ReadImage,
     humanize_bytes,
 )
 from repro.errors import ReproError
@@ -61,8 +60,7 @@ __all__ = [
     "OpStats",
     "Samtree",
     "SamtreeConfig",
-    "SnapshotCache",
-    "TreeSnapshot",
+    "ReadImage",
     "humanize_bytes",
     "ReproError",
     "__version__",

@@ -28,9 +28,8 @@ from repro.core.samtree import (
     SamtreeConfig,
 )
 from repro.core.snapshot import (
-    SnapshotCache,
+    ReadImage,
     SnapshotCacheStats,
-    TreeSnapshot,
     coerce_generator,
     coerce_scalar_rng,
 )
@@ -82,9 +81,8 @@ __all__ = [
     "OpStats",
     "Samtree",
     "SamtreeConfig",
-    "SnapshotCache",
+    "ReadImage",
     "SnapshotCacheStats",
-    "TreeSnapshot",
     "coerce_generator",
     "coerce_scalar_rng",
     "SamplingStrategy",

@@ -46,7 +46,7 @@ from repro.errors import (
     InvalidWeightError,
 )
 
-__all__ = ["FSTable", "lsb"]
+__all__ = ["FSTable", "join_weight_columns", "lsb"]
 
 
 def lsb(x: int) -> int:
@@ -385,3 +385,14 @@ class FSTable:
         weights; this class's exact column is a host cost, DESIGN.md §2).
         """
         return weight_bytes * len(self._tree)
+
+
+def join_weight_columns(tables: Sequence["FSTable"]):
+    """The weight columns of many tables as one float64 array — every
+    table's :meth:`FSTable.to_weight_array`, concatenated in one copy
+    (the batched leaf reader of :mod:`repro.core.snapshot`)."""
+    import numpy as np
+
+    return np.frombuffer(
+        b"".join([table._weights for table in tables]), dtype=np.float64
+    )

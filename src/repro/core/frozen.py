@@ -1,11 +1,9 @@
 """FrozenShard: flattened CSC sampling kernels for the hot read path.
 
-The snapshot cache (:mod:`repro.core.snapshot`) removed the per-*draw*
-descent but kept a per-*distinct-source* Python loop: every frontier
-batch still walks a dict of positions, probes the cache, and slices a
-uniform block per source.  On a training frontier of ~1k vertices that
-loop is the remaining interpreter floor (~320k vertices/s warm,
-``BENCH_batched_sampling.json``).
+The read image (:mod:`repro.core.snapshot`) serves a store that is
+being written to: rows are re-flattened one by one as they are read.
+A store that is *not* being written to can do better than a binary
+search per draw.
 
 A :class:`FrozenShard` compiles *all* sources of one relation into one
 CSC-style columnar image — the layout DGL's ``CSCSamplingGraph`` and the
@@ -29,18 +27,18 @@ static serving tier of Euler/Plato use, grown here from live samtrees:
   per-query dispatch inside numpy — the alias kernel is what clears
   the 10× bar over the warm snapshot path.)
 * ``epoch``          — the store's mutation epoch stamped at compile
-  time.  Coherence piggybacks on the same epoch discipline as the
-  snapshot cache: every store mutation path bumps the epoch, and a
-  frozen shard is served only while ``shard.epoch == store_epoch`` —
-  any post-compile mutation sends reads back to the live tree until
-  the next :meth:`~repro.core.topology.DynamicGraphStore.freeze`,
-  never a stale read.
+  time.  Every store mutation entry point bumps the epoch (the same
+  call that sets the read image's dirty bit), and a frozen shard is
+  served only while ``shard.epoch == store_epoch`` — any post-compile
+  mutation sends reads to the read image until the next
+  :meth:`~repro.core.topology.DynamicGraphStore.freeze`, never a stale
+  read.
 
 Distribution equivalence: the alias table is an *exact* decomposition
 of each row's weight vector (zero-weight edges get cell probability 0
 and are never selected; an all-zero or equal-weight row keeps the
 identity table, which degrades to exactly the uniform fallback of the
-:class:`~repro.core.snapshot.TreeSnapshot` path), so frozen weighted
+read image and the descent), so frozen weighted
 draws match the ITS/FTS descent distribution — chi-square-pinned in
 ``tests/test_frozen.py``.
 

@@ -1,69 +1,66 @@
-"""Read path: flat per-tree snapshots + a bounded snapshot cache.
+"""Read path: one row-granular read image per relation.
 
-The paper's hot path is *complete neighbor sampling* (§V-C): every GNN
-mini-batch issues thousands of weighted draws, each of which the samtree
-answers with a root→leaf descent (ITS at internal nodes, FTS at the
-leaf).  The descent is the right structure for a *mutating* tree — every
-maintenance operation stays ``O(log n)`` — but a training frontier reads
-the same hot vertices over and over between mutations, and in a Python
-substrate the per-draw descent is dominated by interpreter dispatch, not
-by algorithmic cost.
+The samtree answers a weighted draw with a root→leaf descent (ITS at
+internal nodes, FTS at the leaf) — the right structure for a *mutating*
+tree, but a training frontier reads the same hot vertices over and over
+between mutations, and in a Python substrate the per-draw descent is
+interpreter dispatch, not algorithmic cost.  This module keeps the
+adjacency in a read layout as well, row by row and incrementally (the
+lever GNNFlow's block store and LHGstore pull), instead of
+snapshot-and-rebuild:
 
-This module adds the read-optimized half of the store, the same lever
-block-level caching systems (GNNFlow) and holistic sampling/IO
-optimizers (FAST) pull over a dynamic store:
+* :class:`ReadImage` owns one image per relation: two append-only
+  arena columns (``ids`` and the per-row *local* inclusive cumulative
+  weights ``cum``), per-row ``start / length / total / version / clean /
+  idle`` columns, and a plain ``dict`` ``src → slot`` as the only
+  directory.  A draw of mass ``r ∈ [0, total)`` takes the smallest
+  ``i`` of the row with ``cum[i] > r`` — inverse transform sampling
+  over exactly the tree's weights, so the distribution is *identical*
+  to the ITS/FTS descent (chi-square-tested): zero-weight edges are
+  never selected, an all-zero row draws uniformly.
 
-* :class:`TreeSnapshot` — a *flat* image of one samtree: a contiguous
-  ``neighbor_ids`` int64 array plus the inclusive cumulative-weight
-  array over the same leaf order.  A batched draw is one vectorized
-  ``Generator.random(size=...)`` + one ``np.searchsorted`` — inverse
-  transform sampling over exactly the weights the tree holds, so the
-  sampled distribution is *identical* to the exact ITS/FTS descent
-  (property- and chi-square-tested).
+* **Coherence is one dirty bit** per row, set by the store's mutation
+  entry points *before* they write.  A dirty (or absent) row is
+  re-flattened on its next read: all such rows of a frontier share one
+  batched leaf decode (:func:`~repro.core.compression.decode_id_lists`)
+  and one append to the arena; the superseded segment becomes garbage.
+  Trees must not be mutated behind the store's back (the frozen tier's
+  contract too); :meth:`ReadImage.stale_rows` checks it.
 
-* :class:`SnapshotCache` — a bounded LRU over snapshots, keyed by
-  ``(etype, src)`` and sized in *modeled bytes* via the shared
-  :class:`~repro.core.memory.MemoryModel` (one ID + one cumulative
-  weight per edge).  Coherence is by *version*: every samtree carries a
-  monotonically increasing epoch counter bumped by every mutation path
-  (single-edge upsert/delete and the PALM tree-batch), and a cached
-  snapshot is served only while its build version still matches the
-  live tree.
+* **Two draw loops over the same rows**, picked from the call's own
+  size: a frontier draws every row in one size-classed vectorized
+  binary search; a call of fewer than :data:`ROW_LOOP_BELOW` sources
+  (a serving micro-batch) draws row by row, because the kernel's fixed
+  cost would dominate it.
 
-* a **write-hot fallback** policy: a tree whose snapshot was just
-  invalidated is *not* eagerly rebuilt — the read falls back to the
-  exact per-draw descent until the tree's version is observed unchanged
-  across two reads.  Trees in a mutate/sample/mutate/sample interleave
-  therefore never thrash ``O(n)`` rebuilds, while read-hot trees
-  re-enter the cache after one quiet read.
+* **Compaction is the only eviction**: once garbage passes
+  ``1/GARBAGE_DIVISOR`` of the live edges — or the image outgrows
+  ``capacity_bytes`` — one vectorized pass rewrites the arena, keeping
+  the clean rows read within the last :data:`KEEP_IDLE` passes.
 
-RNG plumbing: the batched read APIs accept an explicit seed — an
-``int``, a ``random.Random``, or a ``numpy.random.Generator``.
-:func:`coerce_generator` turns it into the vector generator the
-batched draws use (a ``Generator`` passes through untouched, so one
-generator derived per expansion is shared by every hop and shard), and
-:func:`coerce_scalar_rng` derives the scalar rng of the exact-descent
-fallback from the same input — built only when a row actually falls
-back.  Both are deterministic functions of the seed.
+The batched read APIs take a seed — an ``int``, a ``random.Random``, or
+a ``numpy.random.Generator`` (passed through untouched, so one
+generator serves every hop and shard).  :func:`coerce_generator` and
+its scalar twin :func:`coerce_scalar_rng` are deterministic in it.
 """
 
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from itertools import repeat
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
-from repro.errors import ConfigurationError, EmptyStructureError
+from repro.core.compression import decode_id_lists
+from repro.core.fenwick import join_weight_columns
+from repro.core.memory import DEFAULT_MEMORY_MODEL
+from repro.errors import ConfigurationError
 from repro.obs.telemetry import Stats
 
 __all__ = [
-    "AdmissionFilter",
-    "TreeSnapshot",
-    "SnapshotCache",
+    "ReadImage",
     "SnapshotCacheStats",
     "RNGLike",
     "coerce_scalar_rng",
@@ -74,22 +71,38 @@ __all__ = [
 #: Anything the sampling APIs accept as a randomness source.
 RNGLike = Union[None, int, random.Random, np.random.Generator]
 
-#: Default cache budget: 64 MiB of modeled snapshot bytes.
+#: Default image budget: 64 MiB of modeled arena bytes.
 DEFAULT_CAPACITY_BYTES = 64 << 20
 
-#: Trees below this degree are cheaper to sample exactly than to
-#: snapshot + vectorize; they always take the exact descent path.
-DEFAULT_MIN_DEGREE = 2
+#: Calls with fewer sources than this draw row by row; the frontier
+#: kernel costs a fixed ~40 numpy dispatches however few rows it serves.
+ROW_LOOP_BELOW = 32
 
-#: Bound on the write-hot probation side table.
-_PROBATION_CAP = 1 << 16
+#: Compact once garbage exceeds ``live edges / GARBAGE_DIVISOR``.
+GARBAGE_DIVISOR = 32
 
-#: Admission filter: halve all frequency counts every this many
-#: recorded accesses (TinyLFU's "reset" — keeps the estimate recent).
-_ADMISSION_SAMPLE_PERIOD = 1 << 17
+#: A compaction drops the clean rows that went unread through this
+#: many compaction intervals.  1 keeps `train_churn`'s image smallest
+#: (17.1 B/edge); 4 re-flattens 41 % fewer rows there for 20.0 B/edge,
+#: still below the 21.0 of the per-tree snapshot cache this replaced.
+KEEP_IDLE = 4
 
-#: Bound on the admission frequency table (ages early if exceeded).
-_ADMISSION_TABLE_CAP = 1 << 16
+#: ``SampleBlock.EMPTY`` (:mod:`repro.core.types` imports this module).
+_EMPTY = 1
+
+#: Modeled bytes per arena slot: one ID + one cumulative weight.
+_SLOT_BYTES = DEFAULT_MEMORY_MODEL.id_bytes + DEFAULT_MEMORY_MODEL.weight_bytes
+
+#: Per-row columns of an image, with their dtypes.
+_ROW_COLUMNS = (
+    ("src", np.int64),
+    ("start", np.int64),
+    ("length", np.int64),
+    ("total", np.float64),
+    ("version", np.int64),
+    ("clean", np.bool_),
+    ("idle", np.int8),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +144,7 @@ def coerce_generator(rng: RNGLike) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# flat snapshots
+# the reference flatten
 # ---------------------------------------------------------------------------
 def flatten_tree(tree) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten one samtree's leaves into ``(ids, weights)`` arrays.
@@ -140,9 +153,9 @@ def flatten_tree(tree) -> Tuple[np.ndarray, np.ndarray]:
     leaf slice at a time (``CompressedIDList.to_array`` decodes the IDs,
     ``FSTable.to_weight_array`` copies the stored weight column), so
     the only Python-level loop is over *leaves*, not edges, and the
-    weights are the tree's, bit for bit.  Shared by
-    :meth:`TreeSnapshot.from_tree` and the frozen-shard compiler
-    (:mod:`repro.core.frozen`).
+    weights are the tree's, bit for bit.  The frozen-shard compiler
+    (:mod:`repro.core.frozen`) builds from it, and every image row must
+    equal it (:meth:`ReadImage.stale_rows`).
     """
     n = tree.degree
     ids = np.empty(n, dtype=np.int64)
@@ -156,159 +169,21 @@ def flatten_tree(tree) -> Tuple[np.ndarray, np.ndarray]:
     return ids, weights
 
 
-class TreeSnapshot:
-    """A contiguous read-only image of one samtree's adjacency.
-
-    ``neighbor_ids[i]`` is a neighbor and ``cum_weights[i]`` the
-    inclusive prefix sum of the weights in the same (leaf) order, so a
-    weighted draw of mass ``r ∈ [0, total)`` maps to the smallest ``i``
-    with ``cum_weights[i] > r`` — ``np.searchsorted(..., side="right")``
-    — which is inverse transform sampling over exactly the tree's
-    weights.  Zero-weight edges are never selected (their cumulative
-    entry never strictly exceeds any mass), matching the descent path.
-    """
-
-    __slots__ = (
-        "neighbor_ids", "cum_weights", "version", "total_weight", "tree",
-    )
-
-    def __init__(
-        self,
-        neighbor_ids: np.ndarray,
-        cum_weights: np.ndarray,
-        version: int,
-        tree=None,
-    ) -> None:
-        self.neighbor_ids = neighbor_ids
-        self.cum_weights = cum_weights
-        self.version = version
-        self.total_weight = float(cum_weights[-1]) if cum_weights.size else 0.0
-        #: The samtree this snapshot images (enables the cache's lock-free
-        #: coherence check without a directory lookup); ``None`` when
-        #: built from raw arrays.
-        self.tree = tree
-
-    @classmethod
-    def from_tree(cls, tree, version: Optional[int] = None) -> "TreeSnapshot":
-        """Flatten a samtree into parallel ``(ids, cumulative weights)``
-        arrays (one preallocated numpy fill per leaf, no per-edge
-        Python list building)."""
-        neighbor_ids, weights = flatten_tree(tree)
-        cum = np.cumsum(weights)
-        if version is None:
-            version = tree.version
-        return cls(neighbor_ids, cum, version, tree=tree)
-
-    @classmethod
-    def from_arrays(
-        cls, ids, weights, version: int = 0
-    ) -> "TreeSnapshot":
-        """Build directly from parallel id/weight arrays (tests, baselines)."""
-        neighbor_ids = np.asarray(ids, dtype=np.int64)
-        cum = np.cumsum(np.asarray(weights, dtype=np.float64))
-        return cls(neighbor_ids, cum, version)
-
-    # -- introspection ----------------------------------------------------
-    @property
-    def degree(self) -> int:
-        return int(self.neighbor_ids.size)
-
-    def __len__(self) -> int:
-        return self.degree
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"TreeSnapshot(n={self.degree}, total={self.total_weight:.6g}, "
-            f"version={self.version})"
-        )
-
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
-        """Modeled bytes: one ID + one cumulative-weight entry per edge."""
-        return self.degree * (model.id_bytes + model.weight_bytes)
-
-    # -- vectorized draws -------------------------------------------------
-    def sample(self, k: int, gen: np.random.Generator) -> np.ndarray:
-        """``k`` weighted draws with replacement (shape ``(k,)``)."""
-        return self.sample_matrix(1, k, gen).reshape(-1)
-
-    def sample_matrix(
-        self, rows: int, k: int, gen: np.random.Generator
-    ) -> np.ndarray:
-        """``rows × k`` weighted draws with replacement.
-
-        One vectorized uniform block + one ``searchsorted`` for the whole
-        matrix — the batched equivalent of ``rows * k`` root→leaf
-        descents.
-        """
-        if k < 0 or rows < 0:
-            raise ConfigurationError(
-                f"sample shape must be non-negative, got ({rows}, {k})"
-            )
-        return self.sample_from_uniforms(gen.random((rows, k)))
-
-    def sample_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
-        """Weighted draws from pre-generated uniforms in ``[0, 1)``.
-
-        The batched store read path generates *one* uniform block for a
-        whole frontier and hands each snapshot its slice — hundreds of
-        per-source ``Generator.random`` calls collapse into one.  Inverse
-        transform sampling: each uniform scales to a mass in
-        ``[0, total)`` and maps to the smallest index whose cumulative
-        weight strictly exceeds it.
-        """
-        ids = self.neighbor_ids
-        n = ids.size
-        if n == 0:
-            raise EmptyStructureError("cannot sample from an empty snapshot")
-        total = self.total_weight
-        if total <= 0.0:
-            # Degenerate all-zero weights: fall back to uniform.
-            idx = (uniforms * n).astype(np.int64)
-        else:
-            idx = self.cum_weights.searchsorted(uniforms * total, side="right")
-            # Guard against float round-up at the top of the mass range.
-            np.minimum(idx, n - 1, out=idx)
-        return ids[idx]
-
-    def sample_uniform_matrix(
-        self, rows: int, k: int, gen: np.random.Generator
-    ) -> np.ndarray:
-        """``rows × k`` *uniform* draws with replacement."""
-        if k < 0 or rows < 0:
-            raise ConfigurationError(
-                f"sample shape must be non-negative, got ({rows}, {k})"
-            )
-        n = self.degree
-        if n == 0:
-            raise EmptyStructureError("cannot sample from an empty snapshot")
-        return self.neighbor_ids[gen.integers(0, n, size=(rows, k))]
-
-    def sample_uniform_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
-        """Uniform draws from pre-generated uniforms in ``[0, 1)``."""
-        ids = self.neighbor_ids
-        n = ids.size
-        if n == 0:
-            raise EmptyStructureError("cannot sample from an empty snapshot")
-        return ids[(uniforms * n).astype(np.int64)]
-
-
 # ---------------------------------------------------------------------------
-# the bounded cache
+# the image
 # ---------------------------------------------------------------------------
 @dataclass
 class SnapshotCacheStats(Stats):
-    """Counters describing cache effectiveness (exported by benchmarks)."""
+    """Counters describing image effectiveness (exported by benchmarks)."""
 
     DERIVED = ("hit_rate",)
 
-    hits: int = 0
-    misses: int = 0
-    builds: int = 0
-    invalidations: int = 0
-    evictions: int = 0
-    exact_fallbacks: int = 0
-    admission_rejects: int = 0
-    admission_ages: int = 0
+    hits: int = 0  #: lookups that found a clean row
+    misses: int = 0  #: lookups that found none, or a dirty one
+    builds: int = 0  #: rows flattened into the arena
+    invalidations: int = 0  #: dirty rows replaced by a build
+    evictions: int = 0  #: clean rows dropped by a compaction
+    compactions: int = 0  #: arena rewrites
 
     @property
     def hit_rate(self) -> float:
@@ -316,283 +191,388 @@ class SnapshotCacheStats(Stats):
         return self.hits / total if total else 0.0
 
 
-class AdmissionFilter:
-    """TinyLFU-style frequency filter guarding cache admission.
+class _Image:
+    """The rows of one relation (see the module docstring).
 
-    Keeps an exact, exponentially-aged access-frequency table (the
-    bounded-memory variant of TinyLFU's count-min sketch — exact counts
-    in a dict, halved every ``sample_period`` accesses with zero entries
-    pruned, so the table tracks *recent* popularity in bounded space).
-
-    The cache records every access — hit or miss — and consults the
-    filter at eviction time: a candidate may only displace the LRU
-    victim when its recent frequency is **at least** the victim's.
-    One-hit-wonder scans (frequency 1) therefore recycle each other's
-    slots but can never displace a warmer entry, while equal-frequency
-    keys preserve plain LRU order, which keeps the policy a strict
-    refinement of the PR-1 cache.
+    Slot 0 is a permanent empty row that is never clean: a source with
+    no row resolves to it, so "absent" and "dirty" are one test, and a
+    source that still has no adjacency after the directory was asked
+    draws from a zero-length row — ``EMPTY``.
     """
 
-    __slots__ = ("sample_period", "table_cap", "on_age", "_counts",
-                 "_accesses")
-
-    def __init__(
-        self,
-        sample_period: int = _ADMISSION_SAMPLE_PERIOD,
-        table_cap: int = _ADMISSION_TABLE_CAP,
-        on_age=None,
-    ) -> None:
-        if sample_period < 1:
-            raise ConfigurationError(
-                f"sample_period must be >= 1, got {sample_period}"
-            )
-        if table_cap < 1:
-            raise ConfigurationError(
-                f"table_cap must be >= 1, got {table_cap}"
-            )
-        self.sample_period = sample_period
-        self.table_cap = table_cap
-        #: Optional zero-arg callback fired on every aging pass (the
-        #: cache counts them in its stats).
-        self.on_age = on_age
-        self._counts: Dict[Hashable, int] = {}
-        self._accesses = 0
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def record(self, key: Hashable) -> None:
-        """Count one access of ``key``; ages the table periodically.
-
-        Returns nothing — the hot path wants one dict upsert, not a
-        conditional on the caller side.
-        """
-        counts = self._counts
-        counts[key] = counts.get(key, 0) + 1
-        self._accesses += 1
-        if (
-            self._accesses >= self.sample_period
-            or len(counts) > self.table_cap
-        ):
-            self.age()
-
-    def estimate(self, key: Hashable) -> int:
-        """Recent access frequency of ``key`` (0 when never seen)."""
-        return self._counts.get(key, 0)
-
-    def admits(self, candidate: Hashable, victim: Hashable) -> bool:
-        """Whether ``candidate`` may evict ``victim``."""
-        return self._counts.get(candidate, 0) >= self._counts.get(victim, 0)
-
-    def age(self) -> None:
-        """Halve every count and prune zeros (the TinyLFU reset)."""
-        self._accesses = 0
-        self._counts = {
-            key: half
-            for key, count in self._counts.items()
-            if (half := count >> 1) > 0
-        }
-        if self.on_age is not None:
-            self.on_age()
-
-    def clear(self) -> None:
-        self._counts.clear()
-        self._accesses = 0
-
-
-class SnapshotCache:
-    """LRU cache of :class:`TreeSnapshot` images, bounded in modeled bytes.
-
-    Parameters
-    ----------
-    capacity_bytes:
-        Budget for all cached entries, accounted with ``model`` (one ID
-        + one cumulative weight per edge).  Least-recently-used entries
-        are evicted when a build would exceed it.
-    model:
-        The shared :class:`MemoryModel` used for entry accounting.
-    min_degree:
-        Trees below this degree never enter the cache — a handful of
-        scalar descents beats an array build for them.
-    admission:
-        Frequency-aware admission (default on): every access is counted
-        in a TinyLFU-style :class:`AdmissionFilter`, and at eviction
-        time a newly built snapshot may only displace the LRU victim
-        when its recent access frequency is at least the victim's.
-        One-hit-wonder scans therefore stop evicting hot entries while
-        equal-frequency keys keep exact LRU behaviour.  Pass ``False``
-        for the PR-1 pure-LRU policy, or an :class:`AdmissionFilter`
-        instance to control the aging parameters.
-
-    Coherence policy (see module docstring): a cached entry is valid
-    while ``entry.version == tree.version``.  On a version mismatch the
-    entry is dropped and the tree is put on *probation*: reads take the
-    exact path until the version is seen unchanged twice, which stops
-    ``O(n)`` rebuild thrash on write-hot trees.
-    """
-
-    __slots__ = (
-        "capacity_bytes",
-        "model",
-        "min_degree",
-        "stats",
-        "admission",
-        "_entries",
-        "_probation",
-        "_bytes",
+    __slots__ = ("slot_of", "ids", "cum", "used", "garbage", "rows") + tuple(
+        name for name, _ in _ROW_COLUMNS
     )
 
-    def __init__(
-        self,
-        capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
-        model: MemoryModel = DEFAULT_MEMORY_MODEL,
-        min_degree: int = DEFAULT_MIN_DEGREE,
-        admission: Union[bool, "AdmissionFilter"] = True,
-    ) -> None:
+    def __init__(self) -> None:
+        self.slot_of: Dict[int, int] = {}
+        self.ids = np.empty(1024, dtype=np.int64)
+        self.cum = np.empty(1024, dtype=np.float64)
+        self.used = 0  #: arena slots written, garbage included
+        self.garbage = 0  #: arena slots of rows replaced since compaction
+        self.rows = 1  #: row slots handed out, the empty row included
+        for name, dtype in _ROW_COLUMNS:
+            setattr(self, name, np.zeros(64, dtype=dtype))
+
+    def mark(self, src: int) -> None:
+        """Set the dirty bit of ``src``'s row, if it has one.
+
+        A dict read and one flag store: safe from PALM executor threads
+        (no shared counter is touched).
+        """
+        slot = self.slot_of.get(src)
+        if slot is not None:
+            self.clean[slot] = False
+
+    # -- admission --------------------------------------------------------
+    def _reserve(self, rows: int, edges: int) -> None:
+        """Room for ``rows`` more row slots and ``edges`` arena slots."""
+        need = self.rows + rows
+        if need > self.clean.size:
+            for name, dtype in _ROW_COLUMNS:
+                grown = np.zeros(max(need, 2 * self.clean.size), dtype=dtype)
+                grown[: self.rows] = getattr(self, name)[: self.rows]
+                setattr(self, name, grown)
+        need = self.used + edges
+        if need > self.ids.size:
+            size = max(need, 2 * self.ids.size)
+            for name in ("ids", "cum"):
+                old = getattr(self, name)
+                grown = np.empty(size, dtype=old.dtype)
+                grown[: self.used] = old[: self.used]
+                setattr(self, name, grown)
+
+    def admit(
+        self, trees, etype: int, keys: List[int], slots,
+        stale: List[int], stats: SnapshotCacheStats,
+    ) -> int:
+        """Flatten the absent or dirty rows ``stale`` (positions in
+        ``keys``) and point ``slots`` at them; returns how many rows
+        were appended to the arena.
+
+        Python-level work is one directory ``get`` and one leaf walk per
+        row; the leaves of all rows are decoded together and appended to
+        the arena in one piece.  A source with no adjacency resolves to
+        the empty row.
+        """
+        self._reserve(len(stale), 0)
+        slot_of = self.slot_of
+        admitted: Dict[int, int] = {}  # repeats of one source in `keys`
+        built: List[Tuple[int, int, int]] = []  # (slot, degree, version)
+        leaves: list = []
+        for i in stale:
+            src = keys[i]
+            slot = admitted.get(src)
+            if slot is None:
+                tree = trees.get((etype, src))
+                if tree is None or not tree:
+                    slot = 0
+                else:
+                    slot = slot_of.get(src)
+                    if slot is None:
+                        slot = slot_of[src] = self.rows
+                        self.src[slot] = src
+                        self.rows += 1
+                    else:
+                        self.garbage += self.length.item(slot)
+                        stats.invalidations += 1
+                    built.append((slot, tree.degree, tree.version))
+                    leaves.extend(tree._leaves())
+                admitted[src] = slot
+            slots[i] = slot
+        if not built:
+            return 0
+        ids = decode_id_lists([leaf.ids for leaf in leaves])
+        weights = join_weight_columns([leaf.fstable for leaf in leaves])
+        self._reserve(0, ids.size)
+        a = self.used
+        self.used = a + ids.size
+        self.ids[a : self.used] = ids
+        cum = self.cum[a : self.used]
+        lo = 0
+        for slot, degree, version in built:
+            hi = lo + degree
+            # np.cumsum of the row's own weights: bit for bit what
+            # ``stale_rows`` recomputes from ``flatten_tree``.
+            np.cumsum(weights[lo:hi], out=cum[lo:hi])
+            self.start[slot] = a + lo
+            self.length[slot] = degree
+            self.total[slot] = cum[hi - 1]
+            self.version[slot] = version
+            self.clean[slot] = True
+            lo = hi
+        stats.builds += len(built)
+        return len(built)
+
+    # -- the two draw loops -------------------------------------------------
+    def draw_rows(
+        self, slots: List[int], counts, n: int, k: int,
+        gen: np.random.Generator, weighted: bool,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Row-by-row draw for a handful of sources: one ``searchsorted``
+        over each row's slice of the call's single uniform block."""
+        out = np.zeros((n, k), dtype=np.int64)
+        state = np.zeros(n, dtype=np.int8)
+        uniforms = gen.random((n, k))
+        start, length, total = self.start.item, self.length.item, self.total.item
+        hi = 0
+        for slot, count in zip(slots, counts):
+            lo, hi = hi, hi + count
+            m = length(slot)
+            if not m:
+                state[lo:hi] = _EMPTY
+                continue
+            self.idle[slot] = 0
+            a = start(slot)
+            mass = total(slot)
+            if weighted and mass > 0.0:
+                idx = self.cum[a : a + m].searchsorted(
+                    uniforms[lo:hi] * mass, side="right"
+                )
+            else:  # uniform, or the all-zero-weight fallback
+                idx = (uniforms[lo:hi] * m).astype(np.int64)
+            # mode="clip": the guard against float round-up at the top
+            # of the mass range.
+            self.ids[a : a + m].take(idx, mode="clip", out=out[lo:hi])
+        return out, state
+
+    def draw_frontier(
+        self, slots: np.ndarray, counts, k: int,
+        gen: np.random.Generator, weighted: bool,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One vectorized draw over a whole frontier.
+
+        Rows are ordered longest first, so step ``2^b`` of the binary
+        search (how many entries of the row are ``<= mass``) runs on the
+        prefix of rows at least that long: a row of length ``L`` costs
+        ``log2 L`` array steps, not the longest row's.
+        """
+        self.idle[slots] = 0
+        rows = slots if counts is None else np.repeat(slots, counts)
+        length = self.length[rows]
+        out = np.zeros((rows.size, k), dtype=np.int64)
+        state = (length == 0).view(np.int8)  # True is _EMPTY
+        order = np.argsort(-length, kind="stable")
+        order = order[: np.count_nonzero(length)]
+        if order.size == 0:
+            return out, state
+        rows = rows[order]
+        length = length[order]
+        start = self.start[rows][:, None]
+        span = length[:, None]
+        uniforms = gen.random((rows.size, k))
+        if weighted:
+            total = self.total[rows]
+            mass = uniforms * total[:, None]
+            idx = np.zeros(mass.shape, dtype=np.int64)
+            below = start - 1
+            shorter = -length
+            cum = self.cum
+            bit = int(length[0]).bit_length()
+            while bit:
+                bit -= 1
+                step = 1 << bit
+                live = int(shorter.searchsorted(-step, side="right"))
+                cand = idx[:live] + step
+                take = cum.take(below[:live] + cand, mode="clip") <= mass[:live]
+                take &= cand <= span[:live]
+                np.copyto(idx[:live], cand, where=take)
+            flat = total <= 0.0  # all-zero weights: fall back to uniform
+            if flat.any():
+                idx[flat] = (uniforms[flat] * span[flat]).astype(np.int64)
+        else:
+            idx = (uniforms * span).astype(np.int64)
+        # Guard against float round-up at the top of the mass range.
+        np.minimum(idx, span - 1, out=idx)
+        idx += start
+        out[order] = self.ids.take(idx)
+        return out, state
+
+    # -- compaction ---------------------------------------------------------
+    def compact(self, budget: Optional[int] = None) -> int:
+        """Rewrite the arena with the clean rows read in the last
+        ``KEEP_IDLE`` intervals, bit for bit; returns how many clean
+        rows were dropped.  Where those exceed ``budget`` arena slots
+        the shortest rows are kept first: a hub too large for the budget
+        is served once and dropped, it does not push everything else out.
+        """
+        rows = self.rows
+        clean = self.clean[:rows]
+        keep = np.flatnonzero(clean & (self.idle[:rows] < KEEP_IDLE))
+        length = self.length[keep]
+        if budget is not None and int(length.sum()) > budget:
+            order = np.argsort(length, kind="stable")
+            fits = int(np.searchsorted(np.cumsum(length[order]), budget, "right"))
+            keep = np.sort(keep[order[:fits]])
+            length = self.length[keep]
+        dropped = int(np.count_nonzero(clean)) - keep.size
+        ends = np.cumsum(length)
+        start = ends - length
+        self.used = int(ends[-1]) if keep.size else 0
+        self.garbage = 0
+        take = np.repeat(self.start[keep] - start, length) + np.arange(self.used)
+        self.ids[: self.used] = self.ids.take(take)
+        self.cum[: self.used] = self.cum.take(take)
+        self.rows = rows = keep.size + 1
+        for name in ("src", "total", "version"):
+            column = getattr(self, name)
+            column[1:rows] = column[keep]
+        self.start[1:rows] = start
+        self.length[1:rows] = length
+        self.clean[1:rows] = True
+        self.idle[1:rows] = self.idle[keep] + 1
+        self.slot_of = dict(zip(self.src[1:rows].tolist(), range(1, rows)))
+        return dropped
+
+
+class ReadImage:
+    """The store's batched read tier: one row image per relation.
+
+    ``capacity_bytes`` bounds the modeled arena bytes (one ID + one
+    cumulative weight per slot, garbage included) over all relations;
+    an image that outgrows it compacts at once, down to the budget.
+    """
+
+    __slots__ = ("capacity_bytes", "stats", "relations")
+
+    def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES) -> None:
         if capacity_bytes < 0:
             raise ConfigurationError(
                 f"capacity_bytes must be >= 0, got {capacity_bytes}"
             )
-        if min_degree < 0:
-            raise ConfigurationError(
-                f"min_degree must be >= 0, got {min_degree}"
-            )
         self.capacity_bytes = capacity_bytes
-        self.model = model
-        self.min_degree = min_degree
         self.stats = SnapshotCacheStats()
-        if admission is True:
-            admission = AdmissionFilter()
-        elif admission is False:
-            admission = None
-        self.admission: Optional[AdmissionFilter] = admission
-        if self.admission is not None:
-            self.admission.on_age = self._note_age
-        self._entries: "OrderedDict[Hashable, TreeSnapshot]" = OrderedDict()
-        self._probation: Dict[Hashable, int] = {}
-        self._bytes = 0
-
-    def _note_age(self) -> None:
-        self.stats.admission_ages += 1
+        #: ``etype -> _Image``; empty until the first batched read.
+        self.relations: Dict[int, _Image] = {}
 
     # -- introspection ----------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        """Clean rows held, over all relations."""
+        return sum(
+            int(np.count_nonzero(image.clean[: image.rows]))
+            for image in self.relations.values()
+        )
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+    def __contains__(self, key: Tuple[int, int]) -> bool:
+        """Whether ``(etype, src)`` has a clean row."""
+        image = self.relations.get(key[0])
+        return image is not None and bool(
+            image.clean[image.slot_of.get(key[1], 0)]
+        )
 
     @property
     def nbytes(self) -> int:
-        """Modeled bytes currently cached."""
-        return self._bytes
+        """Modeled bytes of every arena slot in use, garbage included."""
+        return _SLOT_BYTES * sum(
+            image.used for image in self.relations.values()
+        )
 
-    def keys(self):
-        """Cached keys, least- to most-recently used."""
-        return list(self._entries.keys())
-
-    # -- core protocol ----------------------------------------------------
-    def peek(self, key: Hashable) -> Optional[TreeSnapshot]:
-        """Fast-path hit check *without* a directory lookup.
-
-        A cached entry remembers the samtree it imaged, so a fresh hit
-        can verify coherence against ``entry.tree.version`` directly —
-        the hot frontier loop skips the store's cuckoo lookup entirely.
-        Misses and stale entries return ``None`` and must go through
-        :meth:`get` with the live tree (the store invalidates entries
-        whose tree leaves its directory, so a recreated source can never
-        be served a predecessor's snapshot).
-        """
-        entry = self._entries.get(key)
-        if (
-            entry is not None
-            and entry.tree is not None
-            and entry.tree.version == entry.version
-        ):
-            self.stats.hits += 1
-            if self.admission is not None:
-                self.admission.record(key)
-            self._entries.move_to_end(key)
-            return entry
-        return None
-
-    def get(self, key: Hashable, tree) -> Optional[TreeSnapshot]:
-        """Return a snapshot for ``tree`` or ``None`` (use the exact path).
-
-        ``tree`` must expose ``version``, ``degree``, and ``_leaves()``
-        (a :class:`~repro.core.samtree.Samtree` does).
-        """
-        version = tree.version
-        if self.admission is not None:
-            self.admission.record(key)
-        entry = self._entries.get(key)
-        if entry is not None:
-            if entry.version == version:
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                return entry
-            # Stale: drop it and put the tree on probation.
-            self.stats.invalidations += 1
-            self._drop(key)
-        self.stats.misses += 1
-        if tree.degree < self.min_degree:
-            self.stats.exact_fallbacks += 1
+    def row(self, key: Tuple[int, int]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(ids, cumulative weights)`` of the clean row of
+        ``(etype, src)`` (copies), or ``None``."""
+        if key not in self:
             return None
-        last_seen = self._probation.get(key)
-        if last_seen is not None and last_seen != version:
-            # Write-hot: mutated again since the last read.  Stay on the
-            # exact path; remember the new version for the next read.
-            if len(self._probation) > _PROBATION_CAP:
-                self._probation.clear()  # worst case: one early rebuild
-            self._probation[key] = version
-            self.stats.exact_fallbacks += 1
-            return None
-        return self._build(key, tree, version)
+        image = self.relations[key[0]]
+        slot = image.slot_of[key[1]]
+        a = int(image.start[slot])
+        b = a + int(image.length[slot])
+        return image.ids[a:b].copy(), image.cum[a:b].copy()
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Explicitly drop one entry (returns whether it existed)."""
-        if key in self._entries:
-            self.stats.invalidations += 1
-            self._drop(key)
-            return True
-        self._probation.pop(key, None)
-        return False
+    def stale_rows(self, trees) -> List[Tuple[int, int]]:
+        """Keys of clean rows that are not their tree's current flatten.
+
+        Empty unless a tree of ``trees`` (the store's directory) was
+        mutated without the store's entry points setting the dirty bit:
+        a clean row must carry its tree's version and equal
+        :func:`flatten_tree` with ``==``.
+        """
+        bad = []
+        for etype, image in self.relations.items():
+            for slot in np.flatnonzero(image.clean[: image.rows]).tolist():
+                key = (etype, int(image.src[slot]))
+                tree = trees.get(key)
+                if tree is not None and tree.version == image.version[slot]:
+                    ids, weights = flatten_tree(tree)
+                    row_ids, row_cum = self.row(key)
+                    if np.array_equal(row_ids, ids) and np.array_equal(
+                        row_cum, np.cumsum(weights)
+                    ):
+                        continue
+                bad.append(key)
+        return bad
+
+    # -- coherence --------------------------------------------------------
+    def mark_batch(self, etypes: np.ndarray, srcs: np.ndarray) -> None:
+        """Set the dirty bit of every row a columnar batch writes to."""
+        for etype, image in self.relations.items():
+            picked = srcs[etypes == etype].tolist()
+            slots = np.fromiter(
+                map(image.slot_of.get, picked, repeat(0)),
+                dtype=np.int64, count=len(picked),
+            )
+            image.clean[slots] = False
+
+    def compact(self) -> None:
+        """Compact every relation now (also runs by itself, see module
+        docstring)."""
+        for image in self.relations.values():
+            self.stats.evictions += image.compact()
+            self.stats.compactions += 1
 
     def clear(self) -> None:
-        """Drop every entry (counters are kept; use ``stats.reset()``)."""
-        self._entries.clear()
-        self._probation.clear()
-        if self.admission is not None:
-            self.admission.clear()
-        self._bytes = 0
+        """Drop every row (counters are kept; use ``stats.reset()``)."""
+        self.relations.clear()
 
-    # -- internals --------------------------------------------------------
-    def _drop(self, key: Hashable) -> None:
-        entry = self._entries.pop(key)
-        self._bytes -= entry.nbytes(self.model)
-        self._probation[key] = entry.version  # stale marker, any value
+    # -- the read ---------------------------------------------------------
+    def sample(
+        self, trees, etype: int, srcs: np.ndarray, counts, k: int,
+        gen: np.random.Generator, weighted: bool,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``k`` draws for every row of a frontier, from image rows.
 
-    def _build(self, key: Hashable, tree, version: int) -> Optional[TreeSnapshot]:
-        snapshot = TreeSnapshot.from_tree(tree, version)
-        self.stats.builds += 1
-        self._probation.pop(key, None)
-        cost = snapshot.nbytes(self.model)
-        if cost > self.capacity_bytes:
-            # Larger than the whole budget: serve it, never cache it.
-            return snapshot
-        while self._bytes + cost > self.capacity_bytes and self._entries:
-            victim_key = next(iter(self._entries))
-            if self.admission is not None and not self.admission.admits(
-                key, victim_key
-            ):
-                # The LRU victim is recently hotter than the candidate:
-                # serve the snapshot but keep the cache contents (the
-                # TinyLFU admission decision).
-                self.stats.admission_rejects += 1
-                return snapshot
-            evicted = self._entries.pop(victim_key)
-            self._bytes -= evicted.nbytes(self.model)
-            self.stats.evictions += 1
-        self._entries[key] = snapshot
-        self._bytes += cost
-        return snapshot
+        ``trees`` is the store's directory (``(etype, src) -> samtree``),
+        asked only for sources whose row is absent or dirty.  ``counts``
+        gives ``srcs[i]`` that many consecutive rows.  Returns the
+        ``ids[n, k]`` and ``state[n]`` columns of a ``SampleBlock``:
+        rows whose source has no adjacency are ``EMPTY`` and left at 0.
+        """
+        image = self.relations.get(etype)
+        if image is None:
+            image = self.relations[etype] = _Image()
+        stats = self.stats
+        keys = srcs.tolist()
+        small = len(keys) < ROW_LOOP_BELOW
+        if small:
+            slots = list(map(image.slot_of.get, keys, repeat(0)))
+            clean = image.clean
+            stale = [i for i, slot in enumerate(slots) if not clean[slot]]
+        else:
+            slots = np.fromiter(
+                map(image.slot_of.get, keys, repeat(0)),
+                dtype=np.int64, count=len(keys),
+            )
+            stale = (~image.clean[slots]).nonzero()[0].tolist()
+        stats.hits += len(keys) - len(stale)
+        stats.misses += len(stale)
+        appended = stale and image.admit(trees, etype, keys, slots, stale, stats)
+        if not small:
+            drawn = image.draw_frontier(slots, counts, k, gen, weighted)
+        elif counts is None:
+            drawn = image.draw_rows(slots, repeat(1), len(keys), k, gen, weighted)
+        else:
+            counts = np.asarray(counts).tolist()
+            drawn = image.draw_rows(slots, counts, sum(counts), k, gen, weighted)
+        if appended:
+            self._settle(image)
+        return drawn
+
+    def _settle(self, image: _Image) -> None:
+        """After a call that appended rows: compact if garbage or the
+        byte budget says so."""
+        live = image.used - image.garbage
+        spare = self.capacity_bytes - self.nbytes
+        if spare < 0 or image.garbage * GARBAGE_DIVISOR > live:
+            self.stats.compactions += 1
+            self.stats.evictions += image.compact(
+                max(0, image.used + spare // _SLOT_BYTES)
+            )

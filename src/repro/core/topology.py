@@ -33,18 +33,12 @@ from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import OpStats, Samtree, SamtreeConfig
 from repro.core.snapshot import (
     RNGLike,
-    SnapshotCache,
-    TreeSnapshot,
+    ReadImage,
     coerce_generator,
     coerce_scalar_rng,
 )
-from repro.core.types import (
-    DEFAULT_ETYPE,
-    GraphStoreAPI,
-    SampleBlock,
-    run_bounds,
-)
-from repro.errors import ConfigurationError
+from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI, SampleBlock
+from repro.errors import ConfigurationError, InvariantViolationError
 from repro.storage.cuckoo import CuckooHashMap
 
 __all__ = [
@@ -76,9 +70,9 @@ class DynamicGraphStore(GraphStoreAPI):
         Samtree parameters (capacity ``c``, slackness ``α``, CP-IDs
         compression); shared by every per-vertex tree.
     snapshot_cache:
-        The read-path cache serving vectorized frontier sampling
+        The read image serving vectorized frontier sampling
         (:mod:`repro.core.snapshot`).  Defaults to a fresh
-        :class:`SnapshotCache` with the standard budget; pass ``None``
+        :class:`ReadImage` with the standard budget; pass ``None``
         to force every draw down the exact ITS/FTS descent.
 
     Examples
@@ -109,8 +103,8 @@ class DynamicGraphStore(GraphStoreAPI):
         # `_num_edges += d` is a non-atomic read-modify-write; PALM
         # threads mutating disjoint trees still share this counter.
         self._count_lock = threading.Lock()
-        self.snapshot_cache: Optional[SnapshotCache] = (
-            SnapshotCache() if snapshot_cache is _DEFAULT_CACHE
+        self.snapshot_cache: Optional[ReadImage] = (
+            ReadImage() if snapshot_cache is _DEFAULT_CACHE
             else snapshot_cache
         )
         # -- frozen read path (repro.core.frozen) ----------------------
@@ -135,22 +129,31 @@ class DynamicGraphStore(GraphStoreAPI):
 
     def tree(self, src: int, etype: int = DEFAULT_ETYPE) -> Optional[Samtree]:
         """Expose the samtree of ``src`` (used by tests and the PALM
-        executor, which groups a batch per tree)."""
+        executor, which groups a batch per tree).  Read-only: a tree
+        mutated here instead of through the store leaves its image row
+        and any frozen shard stale (:meth:`check_invariants` says so)."""
         return self._tree(src, etype)
 
     # ------------------------------------------------------------------
     # dynamic updates
     # ------------------------------------------------------------------
-    def _bump_epoch(self) -> None:
-        """Advance the mutation epoch (frozen-shard coherence).
+    def _mark_written(self, src: int, etype: int) -> None:
+        """Read-tier coherence: advance the mutation epoch (frozen
+        shards) and set the dirty bit of ``src``'s image row.
 
         Called at every mutation entry point *before* the write, even
         when the write turns out to be a no-op — over-invalidation is
-        safe, a stale frozen read is not.  Racy increments under PALM
+        safe, a stale read is not.  Racy increments under PALM
         threads may coalesce, but any mutation still moves the epoch
-        past every prior compile stamp, which is all coherence needs.
+        past every prior compile stamp, which is all coherence needs;
+        the row mark is a dict read and a flag store.
         """
         self._mutation_epoch += 1
+        cache = self.snapshot_cache
+        if cache is not None and cache.relations:
+            image = cache.relations.get(etype)
+            if image is not None:
+                image.mark(src)
 
     def add_edge(
         self,
@@ -159,7 +162,7 @@ class DynamicGraphStore(GraphStoreAPI):
         weight: float = 1.0,
         etype: int = DEFAULT_ETYPE,
     ) -> bool:
-        self._bump_epoch()
+        self._mark_written(src, etype)
         tree = self._tree_or_create(src, etype)
         is_new = tree.insert(dst, weight)
         if is_new:
@@ -175,7 +178,7 @@ class DynamicGraphStore(GraphStoreAPI):
         etype: int = DEFAULT_ETYPE,
     ) -> bool:
         """Insert or *add onto* an edge weight (interaction counting)."""
-        self._bump_epoch()
+        self._mark_written(src, etype)
         tree = self._tree_or_create(src, etype)
         is_new = tree.add_weight(dst, delta)
         if is_new:
@@ -189,7 +192,7 @@ class DynamicGraphStore(GraphStoreAPI):
         tree = self._tree(src, etype)
         if tree is None or dst not in tree:
             return False
-        self._bump_epoch()
+        self._mark_written(src, etype)
         tree.insert(dst, weight)
         return True
 
@@ -197,18 +200,13 @@ class DynamicGraphStore(GraphStoreAPI):
         tree = self._tree(src, etype)
         if tree is None:
             return False
-        self._bump_epoch()
+        self._mark_written(src, etype)
         removed = tree.delete(dst)
         if removed:
             with self._count_lock:
                 self._num_edges -= 1
             if not tree:
                 self._directory.delete((etype, src))
-                if self.snapshot_cache is not None:
-                    # The tree object is gone from the directory; a later
-                    # re-creation of this source must never be served its
-                    # predecessor's snapshot via the peek fast path.
-                    self.snapshot_cache.invalidate((etype, src))
         return removed
 
     def apply_source_batch(
@@ -221,7 +219,7 @@ class DynamicGraphStore(GraphStoreAPI):
         rounds (:mod:`repro.core.tree_batch`), and this wrapper keeps the
         directory and the edge counter consistent.
         """
-        self._bump_epoch()
+        self._mark_written(src, etype)
         has_insert = any(kind == "insert" for kind, _, _ in ops)
         if has_insert:
             tree = self._tree_or_create(src, etype)
@@ -235,8 +233,6 @@ class DynamicGraphStore(GraphStoreAPI):
             self._num_edges += tree.degree - before
         if not tree:
             self._directory.delete((etype, src))
-            if self.snapshot_cache is not None:
-                self.snapshot_cache.invalidate((etype, src))
         return outcomes
 
     # ------------------------------------------------------------------
@@ -284,7 +280,9 @@ class DynamicGraphStore(GraphStoreAPI):
         if len(batch) == 0:
             self.ingest_stats.merge_from(stats)
             return stats
-        self._bump_epoch()
+        self._mutation_epoch += 1
+        if self.snapshot_cache is not None:
+            self.snapshot_cache.mark_batch(batch.etype, batch.src)
         for et, src, group in batch.sorted_by_tree().iter_tree_groups():
             self._apply_tree_group(et, src, group, stats)
         self.ingest_stats.merge_from(stats)
@@ -371,8 +369,7 @@ class DynamicGraphStore(GraphStoreAPI):
         degree = tree.degree
         if m >= REBUILD_MIN_OPS and m * REBUILD_DEGREE_RATIO >= degree:
             # Big relative batch: merge into a dict and rebuild bottom-up
-            # *in place* — outstanding snapshot-cache entries observe the
-            # version bump instead of pointing at a dead tree object.
+            # in place.
             merged = tree.to_dict()
             if insert_only:
                 before = len(merged)
@@ -405,12 +402,10 @@ class DynamicGraphStore(GraphStoreAPI):
                 self._num_edges += ins - rem
             if not tree:
                 self._directory.delete((etype, src))
-                if self.snapshot_cache is not None:
-                    self.snapshot_cache.invalidate((etype, src))
         else:
             # Small touch-up: one descent per op + bottom-up repair
-            # rounds (PALM).  apply_source_batch maintains the counter,
-            # the directory, and the cache invalidation.
+            # rounds (PALM).  apply_source_batch maintains the counter
+            # and the directory.
             if insert_only:
                 triples = [
                     ("insert", d, w)
@@ -590,21 +585,30 @@ class DynamicGraphStore(GraphStoreAPI):
 
         When the relation has a fresh frozen shard (:meth:`freeze`) the
         whole frontier is one columnar CSC kernel call and the block is
-        the kernel's ``(matrix, valid)`` as is.  Otherwise every
-        *distinct* source resolves its samtree once: hot trees are
-        served from a flat :class:`~repro.core.snapshot.TreeSnapshot`
-        (one ``searchsorted`` over that source's slice of the batch's
-        single uniform block, written straight into the result matrix),
-        cold or just-mutated trees fall back to the exact ITS/FTS
-        descent — distributionally identical by construction.
+        the kernel's ``(matrix, valid)`` as is.  Otherwise — never
+        frozen, or mutated since — it is served from the read image
+        (:class:`~repro.core.snapshot.ReadImage`): rows written since
+        their last read are re-flattened first, then the whole frontier
+        draws at once; distributionally identical to the exact ITS/FTS
+        descent, which a store built with ``snapshot_cache=None`` runs
+        for every draw.
 
-        ``counts`` is the coalesced request shape (``srcs`` distinct,
-        ``counts[i]`` consecutive rows each); without it equal sources
-        are grouped here with one stable sort.
+        ``counts`` is the coalesced request shape (``counts[i]``
+        consecutive rows for ``srcs[i]``); without it every entry of
+        ``srcs`` is one row.
         """
+        if k < 0:
+            raise ConfigurationError(f"fanout must be >= 0, got {k}")
+        cache = self.snapshot_cache
+        if cache is None:
+            return super().sample_neighbors_many(
+                srcs, k, rng, etype, weighted=weighted, counts=counts
+            )
         srcs = np.asarray(srcs, dtype=np.int64)
         gen = coerce_generator(rng)
-        if self._frozen:
+        # A zero fan-out draws nothing, but still says which sources
+        # have adjacency — the frozen kernel does not.
+        if self._frozen and k:
             shard = self._frozen_for(etype)
             if shard is not None:
                 if counts is not None:
@@ -619,58 +623,9 @@ class DynamicGraphStore(GraphStoreAPI):
                 stats.draws += served * k
                 stats.missing_vertices += srcs.size - served
                 return SampleBlock(matrix, (~valid).view(np.int8))
-        order = None
-        if counts is None:
-            order = np.argsort(srcs, kind="stable")
-            srcs = srcs[order]
-            bounds = run_bounds(srcs)
-            srcs = srcs[bounds[:-1]]
-            counts = bounds[1:] - bounds[:-1]
-        counts = np.asarray(counts).tolist()
-        n = sum(counts)
-        ids = np.zeros((n, k), dtype=np.int64)
-        state = np.zeros(n, dtype=np.int8)
-        cache = self.snapshot_cache
-        # One uniform block for the whole frontier: every snapshot-served
-        # source slices its rows out of it.
-        uniforms = gen.random((n, k)) if cache is not None else None
-        draw = (
-            TreeSnapshot.sample_from_uniforms
-            if weighted
-            else TreeSnapshot.sample_uniform_from_uniforms
-        )
-        scalar_rng = None  # built when a row first falls back to descent
-        hi = 0
-        for src, count in zip(srcs.tolist(), counts):
-            lo, hi = hi, hi + count
-            key = (etype, src)
-            # Fresh hit: coherence is checked against the snapshot's own
-            # tree reference — no directory lookup on the hot path.
-            snapshot = cache.peek(key) if cache is not None else None
-            if snapshot is None:
-                tree = self._tree(src, etype)
-                if tree is None or not tree:
-                    state[lo:hi] = SampleBlock.EMPTY
-                    continue
-                snapshot = cache.get(key, tree) if cache is not None else None
-            if snapshot is not None:
-                ids[lo:hi] = draw(snapshot, uniforms[lo:hi])
-                continue
-            if scalar_rng is None and rng is not None:
-                scalar_rng = coerce_scalar_rng(rng)
-            for i in range(lo, hi):
-                ids[i] = (
-                    tree.sample_many(k, scalar_rng)
-                    if weighted
-                    else [tree.sample_uniform(scalar_rng) for _ in range(k)]
-                )
-        if order is None:
-            return SampleBlock(ids, state)
-        out_ids = np.empty_like(ids)
-        out_ids[order] = ids
-        out_state = np.empty_like(state)
-        out_state[order] = state
-        return SampleBlock(out_ids, out_state)
+        return SampleBlock(*cache.sample(
+            self._directory, etype, srcs, counts, k, gen, weighted
+        ))
 
     def sample_vertices(
         self,
@@ -739,14 +694,20 @@ class DynamicGraphStore(GraphStoreAPI):
         return parts
 
     def check_invariants(self) -> None:
-        """Validate every samtree and the global edge counter."""
+        """Validate every samtree, the global edge counter, and that
+        every clean image row is its tree's current flatten."""
         edges = 0
         for _, tree in self._directory.items():
             tree.check_invariants()
             edges += tree.degree
         if edges != self._num_edges:
-            from repro.errors import InvariantViolationError
-
             raise InvariantViolationError(
                 f"edge counter {self._num_edges} != tree total {edges}"
             )
+        if self.snapshot_cache is not None:
+            stale = self.snapshot_cache.stale_rows(self._directory)
+            if stale:
+                raise InvariantViolationError(
+                    f"image rows differ from their trees (mutated "
+                    f"outside the store?): {stale[:5]}"
+                )

@@ -360,6 +360,10 @@ class GraphStoreAPI(abc.ABC):
         drawn independently.  This default loops the scalar endpoints;
         stores with a vectorized read path override it.
         """
+        if k < 0:
+            from repro.errors import ConfigurationError
+
+            raise ConfigurationError(f"fanout must be >= 0, got {k}")
         srcs = np.asarray(srcs, dtype=np.int64)
         if counts is not None:
             srcs = np.repeat(srcs, counts)
@@ -373,7 +377,7 @@ class GraphStoreAPI(abc.ABC):
             row = draw(src, k, rng, etype)
             if len(row):
                 ids[i] = row
-            else:
+            elif k or not self.degree(src, etype):
                 state[i] = SampleBlock.EMPTY
         return SampleBlock(ids, state)
 

@@ -139,7 +139,9 @@ class DoctorReport:
         #: aggregate rates the per-shard worst-rate above can't give.
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_admission_rejects = 0
+        #: Clean read-image rows that are not their tree's current
+        #: flatten: a tree was mutated behind the store's entry points.
+        self.cache_stale_rows = 0
         #: Frozen-shard occupancy (the CSC read images of
         #: :mod:`repro.core.frozen`): how many shards are compiled, how
         #: much of the graph they cover, and the worst epoch drift —
@@ -301,7 +303,7 @@ class DoctorReport:
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
                 "hit_rate_aggregate": self.cache_hit_rate_aggregate,
-                "admission_rejects": self.cache_admission_rejects,
+                "stale_rows": self.cache_stale_rows,
             },
             "frozen": {
                 "shards": self.frozen_shards,
@@ -401,11 +403,11 @@ class DoctorReport:
             f"load={self.directory_load_factor:.2f}"
         )
         lines.append(
-            f"  snapshot cache: entries={self.cache_entries} "
+            f"  read image: rows={self.cache_entries} "
             f"hit_rate={self.cache_hit_rate:.2f} "
             f"(aggregate={self.cache_hit_rate_aggregate:.2f}, "
             f"{self.cache_hits} hits / {self.cache_misses} misses, "
-            f"admission_rejects={self.cache_admission_rejects})"
+            f"stale_rows={self.cache_stale_rows})"
         )
         if self.frozen_vertices or self.frozen_missing:
             lines.append(
@@ -542,19 +544,19 @@ class DoctorReport:
             "repro_doctor_directory_load_factor", "Cuckoo directory load"
         ).set(self.directory_load_factor)
         g(
-            "repro_doctor_cache_entries", "Snapshot-cache entries"
+            "repro_doctor_cache_entries", "Clean read-image rows"
         ).set(self.cache_entries)
         g(
-            "repro_doctor_cache_hit_rate", "Snapshot-cache hit rate"
+            "repro_doctor_cache_hit_rate", "Read-image row hit rate"
         ).set(self.cache_hit_rate)
         g(
             "repro_doctor_cache_hit_rate_aggregate",
-            "Snapshot-cache hit rate over all shards' raw counters",
+            "Read-image row hit rate over all shards' raw counters",
         ).set(self.cache_hit_rate_aggregate)
         g(
-            "repro_doctor_cache_admission_rejects",
-            "Cache fills refused by the frequency admission filter",
-        ).set(self.cache_admission_rejects)
+            "repro_doctor_cache_stale_rows",
+            "Clean image rows that differ from their tree (direct mutation)",
+        ).set(self.cache_stale_rows)
         g(
             "repro_doctor_frozen_hit_rate",
             "Frozen read path frontier hit rate",
@@ -640,9 +642,7 @@ def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
             report.cache_hit_rate = min(report.cache_hit_rate, rate)
         report.cache_hits += cache.stats.hits
         report.cache_misses += cache.stats.misses
-        report.cache_admission_rejects += getattr(
-            cache.stats, "admission_rejects", 0
-        )
+        report.cache_stale_rows += len(cache.stale_rows(directory))
     frozen_stats = getattr(store, "frozen_stats", None)
     if frozen_stats is not None:
         report.frozen_vertices += frozen_stats.vertices

@@ -4,7 +4,7 @@ The repo grew seven disconnected stat holders across three PRs —
 ``OpStats`` (samtree structural updates), ``ServerStats`` (per-shard
 endpoints), ``NetworkStats`` (simulated traffic), ``RetryStats`` (client
 backoff), ``FaultStats`` (injected chaos), ``IngestStats`` (columnar
-writes), and ``SnapshotCacheStats`` (read-path cache).  Each keeps its
+writes), and ``SnapshotCacheStats`` (the read image).  Each keeps its
 public fields and plain-attribute increments — the hot paths are
 untouched — while this module registers **views** over those fields into
 one :class:`~repro.obs.registry.MetricsRegistry`, so exporters, the
@@ -114,8 +114,8 @@ _STORE_HOLDERS = (
     (
         ("snapshot_cache", "stats"),
         "repro_snapshot_cache",
-        "snapshot cache",
-        (("hit_rate", "Snapshot cache hit rate"),),
+        "read image",
+        (("hit_rate", "Read image row hit rate"),),
     ),
     (("ingest_stats",), "repro_ingest", "columnar ingest", ()),
     (("frozen_stats",), "repro_frozen", "frozen read path", ()),

@@ -52,9 +52,13 @@ def _counter_digest(snap: RegistrySnapshot) -> List[str]:
             "hits": _fmt(hits),
             "misses": _fmt(misses),
             "hit_rate": f"{hits / total:.2%}" if total else "n/a",
+            "builds": _fmt(_sum_by_name(snap, "repro_snapshot_cache_builds")),
             "evictions": _fmt(_sum_by_name(snap, "repro_snapshot_cache_evictions")),
             "invalidations": _fmt(
                 _sum_by_name(snap, "repro_snapshot_cache_invalidations")
+            ),
+            "compactions": _fmt(
+                _sum_by_name(snap, "repro_snapshot_cache_compactions")
             ),
         },
     )

@@ -129,6 +129,40 @@ class TestPalmExecutor:
             times[threads] = executor.apply_batch(ops).makespan
         assert times[8] < times[1]
 
+    def test_dirty_bits_survive_thread_races(self):
+        """The read image's dirty mark runs on the worker threads (a dict
+        read and a flag store per op): no written row may stay clean, or
+        the batched read below would serve a pre-batch adjacency."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(3):
+                store = DynamicGraphStore(SamtreeConfig(capacity=16))
+                r = random.Random(trial)
+                for src in range(64):
+                    store.add_edge(src, 500, 1.0)
+                frontier = list(range(64))
+                store.sample_neighbors_many(frontier, 2, rng=0)  # image all rows
+                ops = []
+                for _ in range(4000):
+                    src, dst = r.randrange(64), r.randrange(200)
+                    if r.random() < 0.7:
+                        ops.append(EdgeOp.insert(src, dst, 1.0 + dst))
+                    else:
+                        ops.append(EdgeOp.delete(src, dst))
+                PalmExecutor(store, num_threads=8).apply_batch(ops)
+                written = {op.src for op in ops}
+                cache = store.snapshot_cache
+                assert not any((0, src) in cache for src in written)
+                block = store.sample_neighbors_many(frontier, 8, rng=1)
+                for src, row in zip(frontier, block.ids.tolist()):
+                    assert set(row) <= {d for d, _ in store.neighbors(src)}
+                store.check_invariants()
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_edge_counter_survives_thread_races(self):
         """Regression: `_num_edges += d` from concurrent worker threads
         must not lose updates (the counter is lock-protected)."""

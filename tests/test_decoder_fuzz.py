@@ -91,14 +91,17 @@ _WAL_BATCHES = _batches(seed=11, count=5)
 _WAL_RECORDS = [_columns(b) for b in _WAL_BATCHES]
 
 
-def _wal_image() -> bytes:
+def _wal_image():
+    """The log's bytes, and its length after each appended record."""
     wal = ShardWAL(shard_id=3)
+    ends = []
     for batch in _WAL_BATCHES:
         wal.append_batch(batch)
-    return wal._read_all()
+        ends.append(len(wal._read_all()))
+    return wal._read_all(), ends
 
 
-_WAL_IMAGE = _wal_image()
+_WAL_IMAGE, _WAL_RECORD_ENDS = _wal_image()
 
 
 @given(DAMAGE)
@@ -118,6 +121,10 @@ def test_wal_replay_refuses_garbage(damage):
         assert got == []
     elif wal.torn_tail_seen:
         assert got == _WAL_RECORDS[: len(got)] and len(got) < len(_WAL_RECORDS)
+    elif data == _WAL_IMAGE[: len(data)] and len(data) in _WAL_RECORD_ENDS:
+        # Cut exactly between two records: a shorter log, not a torn one.
+        whole = _WAL_RECORD_ENDS.index(len(data)) + 1
+        assert got == _WAL_RECORDS[:whole]
     else:
         assert got == _WAL_RECORDS
 

@@ -146,6 +146,20 @@ class TestDoctorInvariants:
             store.stats.mean_split_imbalance
         )
 
+    def test_read_image_rows_and_direct_tree_mutation(self):
+        store = DynamicGraphStore()
+        for src in range(3):
+            for dst in range(4):
+                store.add_edge(src, dst, 1.0 + dst)
+        store.sample_neighbors_many([0, 1, 2], 2, rng=0)
+        store.update_edge(1, 0, 9.0)  # through the store: dirty, not stale
+        report = diagnose_store(store)
+        assert report.cache_entries == 2 and report.cache_stale_rows == 0
+        store.tree(0).insert(99, 1.0)  # behind the store's back
+        report = diagnose_store(store)
+        assert report.cache_stale_rows == 1
+        assert report.to_dict()["snapshot_cache"]["stale_rows"] == 1
+
     def test_diagnose_dispatch_and_bad_target(self):
         store = DynamicGraphStore()
         store.add_edge(1, 2, 1.0)

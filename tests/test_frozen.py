@@ -17,7 +17,7 @@ Covers the PR's acceptance criteria:
 * the distributed path: ``LocalCluster.freeze_all`` and the
   per-endpoint accounting identity of the ``freeze`` RPC;
 * the satellite vectorizations: ``CompressedIDList.to_array`` /
-  ``FSTable.to_weight_array`` / ``TreeSnapshot.from_tree`` preallocated
+  ``FSTable.to_weight_array`` / ``flatten_tree`` preallocated
   fills, and the lexsort-built static-CSR baseline.
 """
 
@@ -33,7 +33,7 @@ from repro.core.compression import CompressedIDList, PlainIDList
 from repro.core.fenwick import FSTable
 from repro.core.frozen import FrozenShard, FrozenStats
 from repro.core.samtree import Samtree, SamtreeConfig
-from repro.core.snapshot import TreeSnapshot, coerce_generator, flatten_tree
+from repro.core.snapshot import coerce_generator, flatten_tree
 from repro.core.topology import DynamicGraphStore
 from repro.distributed.cluster import LocalCluster
 from repro.errors import ConfigurationError
@@ -119,13 +119,12 @@ class TestVectorizedDecoders:
         rng = random.Random(11)
         for i in range(60):
             tree.insert(7_000_000_000 + i, rng.random() * 5)
-        snap = TreeSnapshot.from_tree(tree)
         ids, weights = flatten_tree(tree)
-        assert snap.degree == tree.degree
+        assert ids.size == tree.degree
         assert dict(zip(ids.tolist(), weights.tolist())) == pytest.approx(
             dict(tree.items())
         )
-        assert snap.total_weight == pytest.approx(tree.total_weight)
+        assert weights.sum() == pytest.approx(tree.total_weight)
 
 
 class TestStaticCSRVectorized:

@@ -22,6 +22,7 @@ import random
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
@@ -31,6 +32,7 @@ from repro.core.topology import DynamicGraphStore
 from repro.core.types import UNAVAILABLE, SampleBlock
 from repro.distributed.cluster import LocalCluster
 from repro.distributed.rpc import NetworkModel
+from repro.errors import ConfigurationError
 from repro.gnn.samplers import sample_blocks, sample_blocks_partial
 
 SERVED, EMPTY, DOWN = (
@@ -142,7 +144,7 @@ def _check_block(block, srcs, k):
 @settings(max_examples=60, deadline=None)
 @given(
     srcs=frontier_st,
-    k=st.integers(1, 6),
+    k=st.integers(0, 6),
     seed=st.integers(0, 2**32),
     weighted=st.booleans(),
     name=st.sampled_from(sorted(TARGETS)),
@@ -162,6 +164,15 @@ def test_every_layer_returns_the_same_block(srcs, k, seed, weighted, name):
         distinct, k, seed, weighted=weighted, counts=counts
     )
     _check_block(grouped, [s for s, c in zip(distinct, counts) for _ in range(c)], k)
+
+
+@pytest.mark.parametrize(
+    "name", ["store_frozen", "store_warm", "store_descent", "baseline_api_default"]
+)
+def test_negative_fanout_is_a_typed_error_on_every_store_tier(name):
+    target, _ = TARGETS[name]
+    with pytest.raises(ConfigurationError):
+        target.sample_neighbors_many([1, 2], -1, 0)
 
 
 def test_block_rows_helper_maps_the_three_states():

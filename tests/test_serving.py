@@ -1,4 +1,4 @@
-"""Tests for the skew-aware serving layer: TinyLFU cache admission,
+"""Tests for the skew-aware serving layer: the read image under a scan,
 request coalescing, and hot-replica read spreading / write coherence."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.samtree import SamtreeConfig
-from repro.core.snapshot import SnapshotCache
+from repro.core.snapshot import KEEP_IDLE
 from repro.core.topology import DynamicGraphStore
 from repro.distributed import LocalCluster
 
@@ -32,58 +32,28 @@ def _chi2_pvalue(observed, expected):
     return float(0.5 * (1.0 - np.math.erf(z / np.sqrt(2.0))))
 
 
-def _store_with_sources(num_sources: int, degree: int) -> DynamicGraphStore:
-    store = DynamicGraphStore(config=SamtreeConfig(capacity=16))
-    rng = np.random.default_rng(11)
-    for src in range(num_sources):
-        for dst in rng.integers(0, 1 << 20, degree):
-            store.add_edge(src, int(dst), 1.0)
-    return store
-
-
 class TestAdmission:
-    def _scan_workload(self, admission: bool) -> SnapshotCache:
-        """Warm a small hot set, then scan one-hit wonders through."""
-        store = _store_with_sources(120, 8)
-        # Budget fits ~6 degree-8 snapshots: the hot set exactly.
-        cache = SnapshotCache(
-            capacity_bytes=6 * 8 * 16, min_degree=0, admission=admission
-        )
-        store.snapshot_cache = cache
-        rng = np.random.default_rng(5)
-        hot = list(range(6))
-        for _ in range(10):  # train frequencies + fill the cache
-            store.sample_neighbors_many(hot, 4, rng)
-        for scan in range(6, 120):  # one access each, never again
-            store.sample_neighbors_many([scan], 4, rng)
-        return cache
-
     def test_scan_does_not_evict_hot_entries(self):
-        cache = self._scan_workload(admission=True)
-        cached = {src for _, src in cache.keys()}
-        assert set(range(6)) <= cached
-        assert cache.stats.admission_rejects > 0
-
-    def test_plain_lru_loses_hot_entries_to_scan(self):
-        # The contrast case: without admission the same scan flushes the
-        # hot set (this is the failure mode TinyLFU exists for).
-        cache = self._scan_workload(admission=False)
-        cached = {src for _, src in cache.keys()}
-        assert not (set(range(6)) & cached)
-        assert cache.stats.admission_rejects == 0
-
-    def test_admitted_when_hotter_than_victim(self):
-        store = _store_with_sources(4, 8)
-        cache = SnapshotCache(
-            capacity_bytes=1 * 8 * 16, min_degree=0, admission=True
-        )
-        store.snapshot_cache = cache
-        rng = np.random.default_rng(5)
-        store.sample_neighbors_many([0], 4, rng)  # cached, frequency 1
-        for _ in range(3):  # source 1 becomes clearly hotter
-            store.sample_neighbors_many([1], 4, rng)
-        assert {src for _, src in cache.keys()} == {1}
-        assert cache.stats.evictions == 1
+        """A hot set read in every compaction interval keeps its rows
+        while a scan of one-hit wonders passes through the image: the
+        scan's rows leave after ``KEEP_IDLE`` intervals, so the image
+        stays bounded by the hot set plus the recent scan window."""
+        store = DynamicGraphStore(config=SamtreeConfig(capacity=16))
+        rng = np.random.default_rng(11)
+        for src in range(120):
+            for dst in rng.integers(0, 1 << 20, 8):
+                store.add_edge(src, int(dst), 1.0)
+        cache = store.snapshot_cache
+        hot = list(range(6))
+        window = 10
+        for start in range(6, 120, window):
+            store.sample_neighbors_many(hot, 4, rng)
+            for scan in range(start, min(start + window, 120)):
+                store.sample_neighbors_many([scan], 4, rng)  # never again
+            cache.compact()
+            assert len(cache) <= len(hot) + KEEP_IDLE * window
+        assert all((0, src) in cache for src in hot)
+        assert (0, 6) not in cache and cache.stats.evictions > 0
 
 
 class TestCoalescing:

@@ -1,16 +1,19 @@
-"""Tests for the batched read path: flat snapshots + the bounded cache.
+"""Tests for the batched read path: the row-granular read image.
 
-Covers the PR's acceptance criteria:
+* chi-square distribution equivalence — image draws (both draw loops)
+  and the exact ITS/FTS descent sample the *same* distribution, on
+  skewed weights and after interleaved churn;
+* coherence — each of the store's six mutation entry points sets the
+  dirty bit of the row it writes, and the next batched read serves the
+  tree's current adjacency;
+* compaction is the only eviction: clean read rows survive it bit for
+  bit, rows that went unread are dropped (``test_touch_refreshes_recency``)
+  and re-admitted on their next read, ``capacity_bytes`` is respected;
+* seed reproducibility of both draw loops.
 
-* chi-square distribution equivalence — the vectorized snapshot draw and
-  the exact ITS/FTS tree descent sample the *same* distribution on
-  skewed weights (p > 0.01 for both against the analytic expectation);
-* coherence — every mutation path (single-edge insert/update/delete,
-  ``accumulate_edge``, ``apply_source_batch`` → PALM tree-batch) bumps
-  the samtree version and invalidates the cached snapshot, proven by an
-  interleaved update/sample workload;
-* LRU eviction under a byte budget, with MRU retention;
-* seed reproducibility of the mixed batched/exact read path.
+Class names predate the image (they keep the test ids stable):
+``TestTreeSnapshot`` checks single rows, ``TestCacheInvalidation`` the
+dirty bit, ``TestLRUEviction`` the byte budget.
 """
 
 from __future__ import annotations
@@ -20,22 +23,31 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
 from repro.core.memory import DEFAULT_MEMORY_MODEL
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.snapshot import (
-    SnapshotCache,
-    TreeSnapshot,
+    GARBAGE_DIVISOR,
+    KEEP_IDLE,
+    ROW_LOOP_BELOW,
+    ReadImage,
     coerce_generator,
     coerce_scalar_rng,
+    flatten_tree,
 )
 from repro.core.topology import DynamicGraphStore
 from repro.core.tree_batch import apply_tree_batch
-from repro.errors import ConfigurationError, EmptyStructureError
+from repro.errors import ConfigurationError, InvariantViolationError
 
 try:  # scipy is part of the baked toolchain, but degrade gracefully.
     from scipy import stats as _scipy_stats
 except ImportError:  # pragma: no cover
     _scipy_stats = None
+
+SLOT_BYTES = DEFAULT_MEMORY_MODEL.id_bytes + DEFAULT_MEMORY_MODEL.weight_bytes
+#: Sources no test gives edges to: padding that lifts a frontier over
+#: the cut between the two draw loops.
+PADDING = list(range(10_000, 10_000 + ROW_LOOP_BELOW))
 
 
 def _chi2_pvalue(observed, expected):
@@ -53,12 +65,26 @@ def _chi2_pvalue(observed, expected):
     return float(0.5 * (1.0 - np.math.erf(z / np.sqrt(2.0))))
 
 
-def _skewed_tree(n: int = 40, capacity: int = 8) -> Samtree:
-    """A multi-leaf samtree with heavily skewed (power-law-ish) weights."""
-    tree = Samtree(SamtreeConfig(capacity=capacity, alpha=0))
+def _skewed_store(n: int = 40, src: int = 7) -> DynamicGraphStore:
+    store = DynamicGraphStore(SamtreeConfig(capacity=8, alpha=0))
     for i in range(n):
-        tree.insert(100 + i, (i + 1) ** 1.8)
-    return tree
+        store.add_edge(src, 100 + i, (i + 1) ** 1.8)
+    return store
+
+
+def _draws(store, src, n, seed, wide, **kwargs):
+    """``n`` draws for ``src`` through the row loop (``wide=False``) or
+    the frontier kernel (``wide=True``: one call of ``n/4`` rows)."""
+    if wide:
+        assert n // 4 >= ROW_LOOP_BELOW
+        block = store.sample_neighbors_many([src] * (n // 4), 4, seed, **kwargs)
+    else:
+        block = store.sample_neighbors_many([src], n, seed, **kwargs)
+    assert not block.state.any()
+    return block.ids.reshape(-1).tolist()
+
+
+BOTH_LOOPS = pytest.mark.parametrize("wide", [False, True], ids=["rows", "frontier"])
 
 
 # ---------------------------------------------------------------------------
@@ -98,88 +124,84 @@ class TestRNGHelpers:
 
 
 # ---------------------------------------------------------------------------
-# TreeSnapshot
+# single rows
 # ---------------------------------------------------------------------------
 class TestTreeSnapshot:
     def test_from_tree_matches_tree_contents(self):
-        tree = _skewed_tree(25)
-        snap = TreeSnapshot.from_tree(tree)
-        assert snap.degree == tree.degree == 25
-        assert snap.version == tree.version
-        assert sorted(snap.neighbor_ids.tolist()) == sorted(
-            v for v, _ in tree.items()
-        )
-        assert snap.total_weight == pytest.approx(tree.total_weight)
+        store = _skewed_store(25)
+        store.sample_neighbors_many([7], 1, rng=0)
+        ids, cum = store.snapshot_cache.row((0, 7))
+        tree = store.tree(7)
+        flat_ids, flat_weights = flatten_tree(tree)
+        assert ids.size == tree.degree == 25
+        assert np.array_equal(ids, flat_ids)
+        assert np.array_equal(cum, np.cumsum(flat_weights))
+        assert cum[-1] == pytest.approx(tree.total_weight)
 
-    def test_membership_of_draws(self, nprng):
-        tree = _skewed_tree(30)
-        snap = TreeSnapshot.from_tree(tree)
-        valid = {v for v, _ in tree.items()}
-        out = snap.sample_matrix(4, 16, nprng)
-        assert out.shape == (4, 16)
-        assert set(out.reshape(-1).tolist()) <= valid
-        uni = snap.sample_uniform_matrix(4, 16, nprng)
-        assert set(uni.reshape(-1).tolist()) <= valid
+    def test_membership_of_draws(self):
+        store = _skewed_store(30)
+        valid = {v for v, _ in store.neighbors(7)}
+        for wide in (False, True):
+            assert set(_draws(store, 7, 256, 3, wide)) <= valid
+            assert set(_draws(store, 7, 256, 3, wide, weighted=False)) <= valid
 
-    def test_zero_weight_neighbor_never_sampled(self, nprng):
-        snap = TreeSnapshot.from_arrays([1, 2, 3], [1.0, 0.0, 1.0])
-        draws = snap.sample(4000, nprng)
-        assert 2 not in set(draws.tolist())
+    def test_zero_weight_neighbor_never_sampled(self):
+        store = DynamicGraphStore()
+        for dst, w in ((1, 1.0), (2, 0.0), (3, 1.0)):
+            store.add_edge(7, dst, w)
+        for wide in (False, True):
+            assert set(_draws(store, 7, 4000, 5, wide)) == {1, 3}
 
-    def test_all_zero_weights_fall_back_to_uniform(self, nprng):
-        snap = TreeSnapshot.from_arrays([5, 6], [0.0, 0.0])
-        draws = set(snap.sample(500, nprng).tolist())
-        assert draws == {5, 6}
+    def test_all_zero_weights_fall_back_to_uniform(self):
+        store = DynamicGraphStore()
+        store.add_edge(7, 5, 0.0)
+        store.add_edge(7, 6, 0.0)
+        for wide in (False, True):
+            assert set(_draws(store, 7, 512, 5, wide)) == {5, 6}
 
-    def test_empty_snapshot_raises(self, nprng):
-        snap = TreeSnapshot.from_arrays([], [])
-        with pytest.raises(EmptyStructureError):
-            snap.sample(3, nprng)
-        with pytest.raises(EmptyStructureError):
-            snap.sample_uniform_matrix(1, 3, nprng)
-
-    def test_negative_shape_rejected(self, nprng):
-        snap = TreeSnapshot.from_arrays([1], [1.0])
-        with pytest.raises(ConfigurationError):
-            snap.sample_matrix(-1, 2, nprng)
-        with pytest.raises(ConfigurationError):
-            snap.sample_uniform_matrix(1, -2, nprng)
+    def test_negative_shape_rejected(self):
+        for store in (_skewed_store(4), DynamicGraphStore(snapshot_cache=None)):
+            with pytest.raises(ConfigurationError):
+                store.sample_neighbors_many([7], -1, rng=0)
 
     def test_nbytes_uses_memory_model(self):
-        snap = TreeSnapshot.from_arrays(range(10), [1.0] * 10)
-        model = DEFAULT_MEMORY_MODEL
-        assert snap.nbytes(model) == 10 * (model.id_bytes + model.weight_bytes)
+        store = _skewed_store(10)
+        store.sample_neighbors_many([7], 2, rng=0)
+        assert store.snapshot_cache.nbytes == 10 * SLOT_BYTES
+        assert store.nbytes_breakdown()["snapshot_cache"] == 10 * SLOT_BYTES
 
 
 # ---------------------------------------------------------------------------
 # distribution equivalence (acceptance criterion: p > 0.01)
 # ---------------------------------------------------------------------------
+def _frequencies(draws, ids):
+    index = {v: i for i, v in enumerate(ids)}
+    counts = np.zeros(len(ids), dtype=np.int64)
+    for d in draws:
+        counts[index[int(d)]] += 1
+    return counts
+
+
 class TestDistributionEquivalence:
     N_DRAWS = 60_000
 
-    def _frequencies(self, draws, ids):
-        index = {v: i for i, v in enumerate(ids)}
-        counts = np.zeros(len(ids), dtype=np.int64)
-        for d in draws:
-            counts[index[int(d)]] += 1
-        return counts
-
     def test_snapshot_matches_exact_on_skewed_weights(self):
-        tree = _skewed_tree(24)
+        store = _skewed_store(24)
+        tree = store.tree(7)
         ids = [v for v, _ in tree.items()]
         weights = np.array([w for _, w in tree.items()], dtype=np.float64)
         expected = self.N_DRAWS * weights / weights.sum()
 
-        snap = TreeSnapshot.from_tree(tree)
-        snap_draws = snap.sample(self.N_DRAWS, np.random.default_rng(11))
-        exact_draws = tree.sample_many(self.N_DRAWS, random.Random(11))
-
-        p_snap = _chi2_pvalue(self._frequencies(snap_draws, ids), expected)
-        p_exact = _chi2_pvalue(self._frequencies(exact_draws, ids), expected)
-        # Both read paths must be indistinguishable from the analytic
-        # weighted distribution.
-        assert p_snap > 0.01, f"snapshot path diverges (p={p_snap:.4g})"
-        assert p_exact > 0.01, f"exact path diverges (p={p_exact:.4g})"
+        # Every read path must be indistinguishable from the analytic
+        # weighted distribution: both image draw loops and the descent.
+        paths = {
+            "image rows": _draws(store, 7, self.N_DRAWS, 11, False),
+            "image frontier": _draws(store, 7, self.N_DRAWS, 11, True),
+            "exact": tree.sample_many(self.N_DRAWS, random.Random(11)),
+        }
+        for name, draws in paths.items():
+            p = _chi2_pvalue(_frequencies(draws, ids), expected)
+            assert p > 0.01, f"{name} path diverges (p={p:.4g})"
 
     def test_store_batched_path_matches_weights(self):
         store = DynamicGraphStore(SamtreeConfig(capacity=8, alpha=0))
@@ -192,8 +214,7 @@ class TestDistributionEquivalence:
         ids = sorted(weights)
         total = sum(weights.values())
         expected = [n * weights[v] / total for v in ids]
-        observed = self._frequencies(draws, ids)
-        p = _chi2_pvalue(observed, expected)
+        p = _chi2_pvalue(_frequencies(draws, ids), expected)
         assert p > 0.01, f"store batched path diverges (p={p:.4g})"
 
     def test_uniform_batched_path_is_uniform(self):
@@ -206,9 +227,90 @@ class TestDistributionEquivalence:
         ).rows()
         draws = [int(v) for row in rows for v in row]
         ids = list(range(20, 28))
-        observed = self._frequencies(draws, ids)
-        p = _chi2_pvalue(observed, [n / len(ids)] * len(ids))
+        p = _chi2_pvalue(_frequencies(draws, ids), [n / len(ids)] * len(ids))
         assert p > 0.01, f"uniform batched path diverges (p={p:.4g})"
+
+
+class TestChurnEquivalence:
+    """Fixed-seed chi-square of image draws against the descent-only
+    store after interleaved churn, reads and compactions."""
+
+    HUB, ZERO_EDGE, ALL_ZERO, LONER, REBORN = 1, 2, 3, 4, 5
+    COLD = list(range(20, 28))
+
+    def _churned(self, cache: bool) -> DynamicGraphStore:
+        store = DynamicGraphStore(
+            SamtreeConfig(capacity=8, alpha=0),
+            **({} if cache else {"snapshot_cache": None}),
+        )
+        rng = random.Random(2)
+        frontier = [self.HUB, self.ZERO_EDGE, self.ALL_ZERO, self.LONER,
+                    self.REBORN]
+        for dst in range(60):  # a multi-leaf hub
+            store.add_edge(self.HUB, 100 + dst, 0.5 + rng.random() * 9)
+        for dst, w in ((1, 2.0), (2, 0.0), (3, 5.0), (4, 0.0)):
+            store.add_edge(self.ZERO_EDGE, dst, w)
+        for dst in (7, 8, 9):
+            store.add_edge(self.ALL_ZERO, dst, 0.0)
+        store.add_edge(self.LONER, 77, 3.0)  # degree-1 rows
+        store.add_edge(self.REBORN, 50, 1.0)
+        for src in self.COLD:
+            store.add_edge(src, 5, 1.0)
+            store.add_edge(src, 6, 2.0)
+        # Every row, the cold ones included, enters the image.
+        store.sample_neighbors_many(frontier + self.COLD + PADDING, 3, rng=0)
+        for step in range(12):  # churn beside small and wide reads
+            store.update_edge(self.HUB, 100 + step, 1.0 + step)
+            store.accumulate_edge(self.HUB, 300 + step, 0.25)
+            store.remove_edge(self.HUB, 130 + step)
+            store.apply_source_batch(
+                self.ZERO_EDGE, 0, [("update", 3, 5.0 + step)]
+            )
+            store.apply_edge_batch(EdgeBatch(
+                [self.HUB, self.LONER], [400 + step, 77], [2.0, 3.0 + step],
+                None, [OP_INSERT, OP_UPDATE],
+            ))
+            reads = frontier if step % 2 else frontier + PADDING
+            store.sample_neighbors_many(reads, 2, rng=step)
+        # The tree leaves the directory and is re-created.
+        store.remove_edge(self.REBORN, 50)
+        store.sample_neighbors_many([self.REBORN], 2, rng=1)
+        store.add_edge(self.REBORN, 51, 1.0)
+        store.add_edge(self.REBORN, 52, 3.0)
+        if cache:
+            # The cold rows sat unread through every compaction: gone.
+            for _ in range(KEEP_IDLE + 1):
+                store.snapshot_cache.compact()
+            assert store.snapshot_cache.stats.evictions >= len(self.COLD)
+            assert (0, self.COLD[0]) not in store.snapshot_cache
+        return store
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @BOTH_LOOPS
+    def test_image_matches_descent_after_churn(self, wide, weighted):
+        image, exact = self._churned(True), self._churned(False)
+        n = 12_000
+        for src in (self.HUB, self.ZERO_EDGE, self.ALL_ZERO, self.LONER,
+                    self.REBORN, self.COLD[0]):
+            adjacency = dict(exact.neighbors(src))
+            assert dict(image.neighbors(src)) == adjacency
+            flat = not weighted or not any(adjacency.values())
+            support = sorted(
+                d for d, w in adjacency.items() if flat or w > 0.0
+            )
+            got = _draws(image, src, n, 17, wide, weighted=weighted)
+            want = _draws(exact, src, n, 18, False, weighted=weighted)
+            assert set(got) <= set(support) and set(want) <= set(support)
+            if len(support) == 1:
+                continue
+            mass = np.asarray(
+                [1.0 if flat else adjacency[d] for d in support]
+            )
+            expected = n * mass / mass.sum()
+            for name, draws in (("image", got), ("descent", want)):
+                p = _chi2_pvalue(_frequencies(draws, support), expected)
+                assert p > 0.01, f"{name} diverges on {src} (p={p:.4g})"
+        image.check_invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -270,52 +372,63 @@ class TestVersionCounter:
 
 
 # ---------------------------------------------------------------------------
-# cache coherence under interleaved update/sample
+# the dirty bit: coherence under interleaved update/sample
 # ---------------------------------------------------------------------------
+MUTATIONS = {
+    "add_edge": lambda s: s.add_edge(7, 500, 100.0),
+    "accumulate_edge": lambda s: s.accumulate_edge(7, 101, 100.0),
+    "update_edge": lambda s: s.update_edge(7, 101, 100.0),
+    "remove_edge": lambda s: s.remove_edge(7, 100),
+    "apply_source_batch": lambda s: s.apply_source_batch(
+        7, 0, [("delete", 100, 0.0), ("insert", 500, 100.0)]
+    ),
+    "apply_edge_batch": lambda s: s.apply_edge_batch(
+        EdgeBatch([7, 7], [100, 500], [0.0, 100.0], None, [OP_DELETE, OP_INSERT])
+    ),
+}
+
+
 class TestCacheInvalidation:
     def _warm_store(self):
         store = DynamicGraphStore(SamtreeConfig(capacity=8, alpha=0))
         for dst in range(100, 130):
             store.add_edge(7, dst, 1.0)
-        # First batched read builds the snapshot.
-        store.sample_neighbors_many([7] * 4, 8, rng=1)
+        for dst in range(4):
+            store.add_edge(8, dst, 1.0)
+        # First batched read flattens the rows.
+        store.sample_neighbors_many([7, 8] * 2, 8, rng=1)
         cache = store.snapshot_cache
-        assert (0, 7) in cache
-        assert cache.stats.builds == 1
+        assert (0, 7) in cache and (0, 8) in cache
+        assert cache.stats.builds == 2
         return store, cache
+
+    @pytest.mark.parametrize("entry", sorted(MUTATIONS))
+    @BOTH_LOOPS
+    def test_every_entry_point_sets_the_dirty_bit(self, entry, wide):
+        store, cache = self._warm_store()
+        MUTATIONS[entry](store)
+        # Dirty at once, before any read; the untouched row stays clean.
+        assert (0, 7) not in cache and (0, 8) in cache
+        builds = cache.stats.builds
+        frontier = [7] * 4 + (PADDING if wide else [])
+        store.sample_neighbors_many(frontier, 4, rng=2)
+        # Re-flattened on the next read, to the tree's current state.
+        assert cache.stats.builds == builds + 1
+        assert cache.stats.invalidations == 1
+        ids, cum = cache.row((0, 7))
+        flat_ids, flat_weights = flatten_tree(store.tree(7))
+        assert np.array_equal(ids, flat_ids)
+        assert np.array_equal(cum, np.cumsum(flat_weights))
+        store.check_invariants()
 
     def test_single_edge_mutation_invalidates(self):
         store, cache = self._warm_store()
         store.remove_edge(7, 100)
-        # Post-mutation read: stale entry dropped, exact path serves it.
         rows = store.sample_neighbors_many([7] * 6, 64, rng=2).rows()
         assert cache.stats.invalidations == 1
-        assert cache.stats.exact_fallbacks >= 1
-        assert (0, 7) not in cache
+        assert (0, 7) in cache
         drawn = {int(v) for row in rows for v in row}
         assert 100 not in drawn  # deleted neighbor can never be sampled
-
-    def test_probation_then_readmission(self):
-        store, cache = self._warm_store()
-        store.update_edge(7, 101, 50.0)
-        store.sample_neighbors_many([7], 4, rng=3)  # exact (probation)
-        builds_before = cache.stats.builds
-        store.sample_neighbors_many([7], 4, rng=4)  # quiet read: rebuild
-        assert cache.stats.builds == builds_before + 1
-        assert (0, 7) in cache
-        # Readmitted snapshot reflects the post-update weights.
-        snap = cache.get((0, 7), store.tree(7))
-        assert snap.total_weight == pytest.approx(store.tree(7).total_weight)
-
-    def test_write_hot_tree_never_rebuilds(self):
-        store, cache = self._warm_store()
-        builds_before = cache.stats.builds
-        for i in range(10):  # mutate between every read
-            store.update_edge(7, 100 + (i % 20), float(i + 2))
-            store.sample_neighbors_many([7], 4, rng=i)
-        # The mutate/sample interleave stays on the exact path throughout.
-        assert cache.stats.builds == builds_before
-        assert cache.stats.exact_fallbacks >= 10
 
     def test_tree_batch_mutation_invalidates(self):
         store, cache = self._warm_store()
@@ -337,6 +450,38 @@ class TestCacheInvalidation:
         drawn = {int(v) for row in rows for v in row}
         assert 129 not in drawn
 
+    @BOTH_LOOPS
+    def test_recreated_source_never_sees_its_predecessor(self, wide):
+        store, cache = self._warm_store()
+        for dst in range(4):
+            store.remove_edge(8, dst)  # the tree leaves the directory
+        frontier = [8] * 3 + (PADDING if wide else [])
+        assert store.sample_neighbors_many(frontier, 4, rng=1).state[:3].all()
+        store.add_edge(8, 900, 1.0)
+        block = store.sample_neighbors_many(frontier, 4, rng=1)
+        assert not block.state[:3].any()
+        assert set(block.ids[:3].reshape(-1).tolist()) == {900}
+
+    def test_frozen_then_mutated_store_falls_to_the_image(self):
+        store, cache = self._warm_store()
+        store.freeze()
+        store.sample_neighbors_many([7, 8], 4, rng=1)
+        assert store.frozen_stats.batches == 1
+        store.remove_edge(7, 100)
+        hits = cache.stats.hits
+        rows = store.sample_neighbors_many([7] * 4 + [8], 64, rng=2).rows()
+        assert store.frozen_stats.stale_misses == 1
+        assert cache.stats.hits > hits  # row 8 was never dirtied
+        assert 100 not in {int(v) for row in rows[:4] for v in row}
+
+    def test_direct_tree_mutation_is_detected(self):
+        store, cache = self._warm_store()
+        store.check_invariants()
+        store.tree(7).insert(999, 5.0)  # behind the store's back
+        assert cache.stale_rows(store.directory) == [(0, 7)]
+        with pytest.raises(InvariantViolationError):
+            store.check_invariants()
+
     def test_cache_disabled_store_still_correct(self):
         store = DynamicGraphStore(
             SamtreeConfig(capacity=8), snapshot_cache=None
@@ -350,58 +495,110 @@ class TestCacheInvalidation:
 
     def test_explicit_invalidate_and_clear(self):
         store, cache = self._warm_store()
-        assert cache.invalidate((0, 7))
-        assert not cache.invalidate((0, 7))
+        cache.relations[0].mark(7)  # what every entry point does
+        assert (0, 7) not in cache and len(cache) == 1
         store.sample_neighbors_many([7], 2, rng=1)
-        assert len(cache) == 1
+        assert len(cache) == 2
         cache.clear()
         assert len(cache) == 0 and cache.nbytes == 0
 
+    def test_store_never_batch_read_holds_no_image(self):
+        store = DynamicGraphStore()
+        store.bulk_load([1, 1, 2], [5, 6, 7], [1.0, 2.0, 3.0])
+        store.update_edge(1, 5, 4.0)
+        store.remove_edge(2, 7)
+        store.sample_neighbors(1, 4, rng=0)  # scalar reads descend
+        assert store.snapshot_cache.relations == {}
+        assert store.nbytes_breakdown()["snapshot_cache"] == 0
+
 
 # ---------------------------------------------------------------------------
-# LRU eviction under a byte budget
+# compaction: the only eviction
 # ---------------------------------------------------------------------------
-class TestLRUEviction:
+class TestCompaction:
     DEG = 16
 
-    def _entry_bytes(self):
-        model = DEFAULT_MEMORY_MODEL
-        return self.DEG * (model.id_bytes + model.weight_bytes)
-
-    def _store_with_budget(self, n_entries_budget: int):
-        cache = SnapshotCache(
-            capacity_bytes=n_entries_budget * self._entry_bytes()
-        )
-        store = DynamicGraphStore(
-            SamtreeConfig(capacity=8, alpha=0), snapshot_cache=cache
-        )
-        for src in range(20):
+    def _store(self, sources: int = 20, **kwargs) -> DynamicGraphStore:
+        store = DynamicGraphStore(SamtreeConfig(capacity=8, alpha=0), **kwargs)
+        for src in range(sources):
             for dst in range(self.DEG):
-                store.add_edge(src, 1000 + dst, 1.0 + dst)
-        return store, cache
+                store.add_edge(src, 1000 + dst, 1.0 + dst + src)
+        return store
 
-    def test_capacity_is_respected_and_lru_evicts(self):
-        store, cache = self._store_with_budget(4)
+    def test_compaction_preserves_clean_read_rows_bit_for_bit(self):
+        store = self._store(80)
+        cache = store.snapshot_cache
+        everyone = list(range(80))
+        store.sample_neighbors_many(everyone, 4, rng=0)
+        for src in (0, 2):  # two re-flattened rows: garbage, below 1/32
+            store.update_edge(src, 1000, 99.0)
+        store.sample_neighbors_many(everyone, 4, rng=1)
+        assert cache.stats.compactions == 0
+        assert cache.nbytes == 82 * self.DEG * SLOT_BYTES  # garbage counted
+        before = {src: cache.row((0, src)) for src in everyone}
+        cache.compact()
+        assert cache.nbytes == 80 * self.DEG * SLOT_BYTES
+        for src, (ids, cum) in before.items():
+            got_ids, got_cum = cache.row((0, src))
+            assert np.array_equal(got_ids, ids) and np.array_equal(got_cum, cum)
+        store.check_invariants()
+        # Same seed, same block, before and after a compaction.
+        a = store.sample_neighbors_many(everyone, 4, rng=5)
+        cache.compact()
+        b = store.sample_neighbors_many(everyone, 4, rng=5)
+        assert np.array_equal(a.ids, b.ids)
+
+    def test_garbage_triggers_compaction_by_itself(self):
+        store = self._store()
+        cache = store.snapshot_cache
+        store.sample_neighbors_many(list(range(20)), 4, rng=0)
+        live = 20 * self.DEG
+        rewrites = live // (GARBAGE_DIVISOR * self.DEG) + 1
+        for i in range(rewrites):
+            store.update_edge(0, 1000, 2.0 + i)
+            store.sample_neighbors_many([0], 4, rng=i)
+        assert cache.stats.compactions == 1
+        assert cache.nbytes == live * SLOT_BYTES
+        store.check_invariants()
+
+    def test_capacity_bytes_is_respected(self):
+        budget = 4 * self.DEG * SLOT_BYTES
+        store = self._store(snapshot_cache=ReadImage(capacity_bytes=budget))
+        cache = store.snapshot_cache
         for src in range(10):
-            store.sample_neighbors_many([src], 4, rng=src)
-        assert len(cache) == 4
-        assert cache.nbytes <= cache.capacity_bytes
-        assert cache.stats.evictions == 6
-        # The four most recently read sources survive, LRU order.
-        assert cache.keys() == [(0, 6), (0, 7), (0, 8), (0, 9)]
+            block = store.sample_neighbors_many([src], 4, rng=src)
+            assert not block.state.any()
+            assert cache.nbytes <= budget
+        assert cache.stats.evictions > 0 and cache.stats.compactions > 0
+        store.check_invariants()
 
+
+class TestLRUEviction:
     def test_touch_refreshes_recency(self):
-        store, cache = self._store_with_budget(3)
-        for src in (0, 1, 2):
-            store.sample_neighbors_many([src], 4, rng=0)
-        store.sample_neighbors_many([0], 4, rng=0)  # touch 0 -> MRU
-        store.sample_neighbors_many([3], 4, rng=0)  # evicts 1, not 0
-        assert (0, 0) in cache
-        assert (0, 1) not in cache
-        assert cache.keys() == [(0, 2), (0, 0), (0, 3)]
+        # A read resets a row's idle count: rows touched in every
+        # compaction interval stay, the others are dropped after
+        # KEEP_IDLE intervals and re-admitted by their next read.
+        store = DynamicGraphStore(SamtreeConfig(capacity=8, alpha=0))
+        for src in range(20):
+            for dst in range(16):
+                store.add_edge(src, 1000 + dst, 1.0 + dst + src)
+        cache = store.snapshot_cache
+        store.sample_neighbors_many(list(range(20)), 4, rng=0)
+        for _ in range(KEEP_IDLE):
+            cache.compact()
+            assert len(cache) == 20
+            store.sample_neighbors_many(list(range(10)), 4, rng=0)  # touch
+        cache.compact()
+        assert len(cache) == 10 and cache.stats.evictions == 10
+        assert (0, 3) in cache and (0, 15) not in cache
+        builds = cache.stats.builds
+        block = store.sample_neighbors_many([15, 3], 4, rng=0)
+        assert not block.state.any()
+        assert cache.stats.builds == builds + 1 and (0, 15) in cache
+        store.check_invariants()
 
     def test_oversized_entry_served_uncached(self):
-        cache = SnapshotCache(capacity_bytes=8)  # smaller than any entry
+        cache = ReadImage(capacity_bytes=8)  # smaller than any row
         store = DynamicGraphStore(
             SamtreeConfig(capacity=8), snapshot_cache=cache
         )
@@ -411,33 +608,28 @@ class TestLRUEviction:
         assert all(len(r) == 5 for r in rows)
         assert len(cache) == 0 and cache.nbytes == 0
 
-    def test_min_degree_trees_stay_exact(self):
-        cache = SnapshotCache(min_degree=10)
-        store = DynamicGraphStore(
-            SamtreeConfig(capacity=8), snapshot_cache=cache
-        )
-        for dst in range(5):  # degree 5 < min_degree
-            store.add_edge(1, dst, 1.0)
-        store.sample_neighbors_many([1] * 3, 4, rng=0)
-        assert len(cache) == 0
-        assert cache.stats.exact_fallbacks >= 1
-
     def test_stats_export(self):
-        store, cache = self._store_with_budget(2)
+        store = DynamicGraphStore()
+        for src in range(2):
+            for dst in range(4):
+                store.add_edge(src, dst, 1.0)
+        cache = store.snapshot_cache
         store.sample_neighbors_many([0, 0, 1], 4, rng=0)
         d = cache.stats.to_dict()
         assert d["builds"] == 2
         assert 0.0 <= d["hit_rate"] <= 1.0
+        assert set(d) == {
+            "hits", "misses", "builds", "invalidations", "evictions",
+            "compactions", "hit_rate",
+        }
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
-            SnapshotCache(capacity_bytes=-1)
-        with pytest.raises(ConfigurationError):
-            SnapshotCache(min_degree=-1)
+            ReadImage(capacity_bytes=-1)
 
 
 # ---------------------------------------------------------------------------
-# seed reproducibility of the mixed read path
+# seed reproducibility of both draw loops
 # ---------------------------------------------------------------------------
 class TestSeedReproducibility:
     def _build(self):
@@ -448,26 +640,37 @@ class TestSeedReproducibility:
         return store
 
     def test_same_seed_same_batched_samples(self):
-        frontier = [0, 1, 0, 2, 3, 3, 4, 5] * 3
-        a = self._build().sample_neighbors_many(frontier, 7, rng=1234).rows()
-        b = self._build().sample_neighbors_many(frontier, 7, rng=1234).rows()
-        assert [[int(v) for v in row] for row in a] == [
-            [int(v) for v in row] for row in b
-        ]
+        for repeats in (3, 5):  # below and above the draw-loop cut
+            frontier = [0, 1, 0, 2, 3, 3, 4, 5] * repeats
+            a = self._build().sample_neighbors_many(frontier, 7, rng=1234)
+            b = self._build().sample_neighbors_many(frontier, 7, rng=1234)
+            assert a.ids.tobytes() == b.ids.tobytes()
+            assert a.state.tobytes() == b.state.tobytes()
+        assert 8 * 3 < ROW_LOOP_BELOW <= 8 * 5
 
     def test_same_seed_with_mixed_exact_fallback(self):
-        # Mutations put some trees on the exact path; determinism must
-        # survive the mix of vectorized and scalar draws.
-        def run():
+        # Some rows are re-flattened by the read, some are served as
+        # they are; determinism must survive the mix.
+        def run(padding):
             store = self._build()
             store.sample_neighbors_many([0, 1, 2], 4, rng=7)  # warm
-            store.update_edge(1, 50, 9.0)  # tree 1 -> probation
-            return store.sample_neighbors_many([0, 1, 1, 2], 5, rng=99).rows()
+            store.update_edge(1, 50, 9.0)  # row 1 -> dirty
+            return store.sample_neighbors_many(
+                [0, 1, 1, 2] + padding, 5, rng=99
+            )
 
-        a, b = run(), run()
-        assert [[int(v) for v in row] for row in a] == [
-            [int(v) for v in row] for row in b
-        ]
+        for padding in ([], PADDING):
+            assert run(padding).ids.tobytes() == run(padding).ids.tobytes()
+
+    def test_counts_and_repeats_draw_the_same_rows(self):
+        # The coalesced shape (distinct sources + counts) and the plain
+        # one address the same image rows with the same uniform block.
+        store = self._build()
+        plain = store.sample_neighbors_many([0, 0, 0, 1, 2, 2], 5, rng=3)
+        grouped = store.sample_neighbors_many(
+            [0, 1, 2], 5, rng=3, counts=[3, 1, 2]
+        )
+        assert np.array_equal(plain.ids, grouped.ids)
 
     def test_generator_and_random_seeds_accepted(self):
         store = self._build()

@@ -21,8 +21,10 @@ from hypothesis.stateful import (
 from repro.baselines.platogl import PlatoGLStore
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
 from repro.core.samtree import SamtreeConfig
+from repro.core.snapshot import ROW_LOOP_BELOW
 from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
+from repro.core.types import SampleBlock
 
 SRC = st.integers(min_value=0, max_value=6)
 DST = st.integers(min_value=0, max_value=30)
@@ -30,6 +32,12 @@ WEIGHT = st.floats(min_value=0.01, max_value=50.0, allow_nan=False)
 ETYPE = st.sampled_from([0, 1])
 OP = st.sampled_from([OP_INSERT, OP_UPDATE, OP_DELETE])
 _KIND = {OP_INSERT: "insert", OP_UPDATE: "update", OP_DELETE: "delete"}
+#: Frontiers on both sides of the read image's draw-loop cut; sources 7
+#: and 8 never get edges.
+FRONTIER = st.lists(
+    st.integers(min_value=0, max_value=8), min_size=1, max_size=48
+)
+assert 1 < ROW_LOOP_BELOW <= 48
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -142,6 +150,47 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.store.degree(src, etype) == len(expected)
         assert self.platogl.degree(src, etype) == len(expected)
 
+    @rule(
+        srcs=FRONTIER,
+        k=st.integers(min_value=0, max_value=4),
+        etype=ETYPE,
+        weighted=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def sample_many(self, srcs, k, etype, weighted, seed):
+        """The batched read tier — frozen shard, or the read image's row
+        loop / frontier kernel — serves only current neighbours."""
+        block = self.store.sample_neighbors_many(
+            srcs, k, seed, etype, weighted=weighted
+        )
+        assert block.ids.shape == (len(srcs), k)
+        for src, row, state in zip(srcs, block.ids.tolist(), block.state.tolist()):
+            adjacency = {
+                dst: w
+                for (e, s, dst), w in self.model.items()
+                if e == etype and s == src
+            }
+            assert (state == SampleBlock.SERVED) == bool(adjacency)
+            if not adjacency:
+                assert row == [0] * k
+                continue
+            positive = {d for d, w in adjacency.items() if w > 0.0}
+            if not weighted or not positive:  # an all-zero row draws uniformly
+                positive = set(adjacency)
+            assert set(row) <= positive
+
+    @rule()
+    def freeze(self):
+        self.store.freeze()
+
+    @rule()
+    def thaw(self):
+        self.store.thaw()
+
+    @rule()
+    def compact(self):
+        self.store.snapshot_cache.compact()
+
     @invariant()
     def counters_match(self):
         assert self.store.num_edges == len(self.model)
@@ -163,7 +212,42 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def structure_valid(self):
+        # Includes the read image: every clean row carries its tree's
+        # version and equals ``flatten_tree(tree)``.
         self.store.check_invariants()
+
+
+def test_sample_rule_reaches_every_read_tier():
+    """Pinned like the branch test below: the ``sample_many`` rule runs
+    the image's row loop, its frontier kernel and the frozen kernel,
+    across writes, a compaction and a re-created source."""
+    machine = StoreMachine()
+    for src in range(5):
+        for dst in range(src + 1):
+            machine.add(src=src, dst=dst, w=0.5 + dst, etype=0)
+    few, many = [0, 3, 7], [0, 1, 2, 3, 4, 7, 8] * 6
+    assert len(few) < ROW_LOOP_BELOW <= len(many)
+    cache = machine.store.snapshot_cache
+    for frontier in (few, many):
+        machine.sample_many(srcs=frontier, k=3, etype=0, weighted=True, seed=1)
+    assert cache.stats.builds == 5 and cache.stats.hits > 0
+    machine.remove(src=0, dst=0, etype=0)  # tree 0 leaves the directory
+    machine.update(src=3, dst=1, w=9.0, etype=0)
+    for frontier in (few, many):
+        machine.sample_many(srcs=frontier, k=3, etype=0, weighted=False, seed=2)
+    assert cache.stats.invalidations == 1
+    machine.add(src=0, dst=9, w=1.0, etype=0)  # ... and is re-created
+    machine.compact()
+    machine.sample_many(srcs=few, k=2, etype=0, weighted=True, seed=3)
+    machine.freeze()
+    machine.sample_many(srcs=many, k=2, etype=0, weighted=True, seed=4)
+    assert machine.store.frozen_stats.batches == 1
+    machine.accumulate(src=2, dst=0, w=1.0, etype=0)  # stale shard -> image
+    machine.sample_many(srcs=many, k=2, etype=0, weighted=True, seed=5)
+    assert machine.store.frozen_stats.stale_misses == 1
+    machine.thaw()
+    machine.structure_valid()
+    machine.teardown()
 
 
 def test_edge_batch_rules_reach_both_branches():
