@@ -87,14 +87,8 @@ def embed_vertices(
         else:
             blocks = sample_blocks(store, chunk, fanouts, rng, etype)
             served_idx = list(range(len(chunk)))
-        feats = [
-            features.gather(feat_name, level)
-            for level in blocks.levels
-        ]
+        feats = features.gather_levels(feat_name, blocks.levels)
         served = encoder.forward(feats, blocks.fanouts)
-        # Inference passes leave no gradient work behind.
-        for layer in encoder.layers:
-            layer._cache.clear()
         if skip_unavailable:
             out[np.asarray(served_idx, dtype=np.int64)] = served
             chunks.append(out)

@@ -5,11 +5,19 @@ accumulates gradients into a parallel dict so one layer instance can be
 applied at several depths of a sampled mini-batch (GraphSAGE reuses the
 level-1 layer for both the seeds and the sampled frontier; the gradient
 contributions sum).
+
+``forward`` pushes what ``backward`` needs onto the layer's tape
+(``_cache``) and ``backward`` pops it, last in first out; the model
+driving the layers empties the tape before each pass.  A convolution's
+``backward(grad_out, input_grad=False)`` stops after the parameter
+gradients: the products that give the gradients of the layer's *inputs*
+are the larger half of a backward, and below the bottom layer nothing
+consumes them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,6 +27,7 @@ from repro.gnn.ops import (
     mean_aggregate_grad,
     relu,
     relu_grad,
+    sum_aggregate,
     xavier_init,
 )
 
@@ -26,11 +35,13 @@ __all__ = ["Layer", "DenseLayer", "SAGEMeanLayer", "GCNLayer", "GATLayer"]
 
 
 class Layer:
-    """Base class: parameter/gradient bookkeeping."""
+    """Base class: parameter/gradient bookkeeping and the forward tape."""
 
     def __init__(self) -> None:
         self.params: Dict[str, np.ndarray] = {}
         self.grads: Dict[str, np.ndarray] = {}
+        #: The forward tape: one entry per forward not yet differentiated.
+        self._cache: List[tuple] = []
 
     def zero_grads(self) -> None:
         """Reset accumulated gradients to zero."""
@@ -58,7 +69,6 @@ class DenseLayer(Layer):
         self.activation = activation
         self._add_param("W", xavier_init(in_dim, out_dim, rng))
         self._add_param("b", np.zeros(out_dim, dtype=np.float32))
-        self._cache: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Apply the layer; caches inputs for the backward pass."""
@@ -104,7 +114,6 @@ class SAGEMeanLayer(Layer):
         self._add_param("W_self", xavier_init(in_dim, out_dim, rng))
         self._add_param("W_neigh", xavier_init(in_dim, out_dim, rng))
         self._add_param("b", np.zeros(out_dim, dtype=np.float32))
-        self._cache: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
     def forward(self, h_self: np.ndarray, h_neigh: np.ndarray) -> np.ndarray:
         """``h_self``: (B, D); ``h_neigh``: (B, F, D) → (B, out_dim)."""
@@ -132,14 +141,16 @@ class SAGEMeanLayer(Layer):
         return relu(z) if self.activation else z
 
     def backward(
-        self, grad_out: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Returns ``(grad_h_self, grad_h_neigh)`` for the latest forward."""
         h_self, h_neigh, agg, z = self._cache.pop()
         gz = relu_grad(z, grad_out) if self.activation else grad_out
         self.grads["W_self"] += h_self.T @ gz
         self.grads["W_neigh"] += agg.T @ gz
         self.grads["b"] += gz.sum(axis=0)
+        if not input_grad:
+            return None
         grad_self = gz @ self.params["W_self"].T
         grad_agg = gz @ self.params["W_neigh"].T
         grad_neigh = mean_aggregate_grad(grad_agg, h_neigh.shape[1])
@@ -167,7 +178,6 @@ class GCNLayer(Layer):
         self.activation = activation
         self._add_param("W", xavier_init(in_dim, out_dim, rng))
         self._add_param("b", np.zeros(out_dim, dtype=np.float32))
-        self._cache: List[Tuple[np.ndarray, np.ndarray, int]] = []
 
     def forward(self, h_self: np.ndarray, h_neigh: np.ndarray) -> np.ndarray:
         """Same shapes as :class:`SAGEMeanLayer`."""
@@ -186,19 +196,21 @@ class GCNLayer(Layer):
                 f"{h_self.shape} and {h_neigh.shape}"
             )
         fanout = h_neigh.shape[1]
-        pooled = (h_self + h_neigh.sum(axis=1)) / (fanout + 1)
+        pooled = (h_self + sum_aggregate(h_neigh)) / (fanout + 1)
         z = pooled @ self.params["W"] + self.params["b"]
         self._cache.append((pooled, z, fanout))
         return relu(z) if self.activation else z
 
     def backward(
-        self, grad_out: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Returns ``(grad_h_self, grad_h_neigh)``."""
         pooled, z, fanout = self._cache.pop()
         gz = relu_grad(z, grad_out) if self.activation else grad_out
         self.grads["W"] += pooled.T @ gz
         self.grads["b"] += gz.sum(axis=0)
+        if not input_grad:
+            return None
         grad_pooled = gz @ self.params["W"].T / (fanout + 1)
         grad_self = grad_pooled
         grad_neigh = np.repeat(grad_pooled[:, None, :], fanout, axis=1)
@@ -240,7 +252,6 @@ class GATLayer(Layer):
         self._add_param(
             "a_r", xavier_init(out_dim, 1, rng).reshape(out_dim)
         )
-        self._cache: List[tuple] = []
 
     def forward(self, h_self: np.ndarray, h_neigh: np.ndarray) -> np.ndarray:
         """``h_self``: (B, D); ``h_neigh``: (B, F, D) → (B, out_dim)."""
@@ -276,8 +287,8 @@ class GATLayer(Layer):
         return relu(out_pre) if self.activation else out_pre
 
     def backward(
-        self, grad_out: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Returns ``(grad_h_self, grad_h_neigh)`` for the latest forward."""
         h_self, h_neigh, z_self, z_all, u, alpha, out_pre = self._cache.pop()
         W = self.params["W"]
@@ -305,6 +316,8 @@ class GATLayer(Layer):
         # z = h W
         self.grads["W"] += h_self.T @ grad_z_self
         self.grads["W"] += np.einsum("bfd,bfo->do", h_neigh, grad_z_neigh)
+        if not input_grad:
+            return None
         grad_h_self = grad_z_self @ W.T
         grad_h_neigh = grad_z_neigh @ W.T
         return grad_h_self, grad_h_neigh

@@ -179,10 +179,7 @@ class LinkPredictionTrainer:
         blocks = sample_blocks(
             self.store, vertices, self.fanouts, self.rng, self.etype
         )
-        feats = [
-            self.features.gather(self.feat_name, level)
-            for level in blocks.levels
-        ]
+        feats = self.features.gather_levels(self.feat_name, blocks.levels)
         return self.encoder.forward(feats, blocks.fanouts)
 
     def score_pairs(

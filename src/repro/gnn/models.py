@@ -61,7 +61,10 @@ class SampledGNN:
         """Seed logits from per-level features.
 
         ``feats[d]`` holds the features of block level ``d``; level sizes
-        must telescope by the fan-outs.
+        must telescope by the fan-outs.  Each forward starts a fresh
+        tape: :meth:`backward` differentiates the latest forward only,
+        and a forward that is never differentiated (evaluation,
+        inference) leaves nothing behind for the next one to pile on.
         """
         if len(feats) != self.num_layers + 1:
             raise ShapeError(
@@ -81,6 +84,7 @@ class SampledGNN:
                     f"{h[d].shape[0]} * {fanouts[d]}"
                 )
         for layer in self.layers:
+            layer._cache.clear()
             new_h = []
             for d in range(len(h) - 1):
                 n_d = h[d].shape[0]
@@ -92,10 +96,10 @@ class SampledGNN:
     def backward(self, grad_logits: np.ndarray) -> None:
         """Accumulate parameter gradients from seed-logit gradients."""
         grads: List[np.ndarray] = [grad_logits]
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             depths = len(grads)
             new_grads: List[np.ndarray] = [None] * (depths + 1)  # type: ignore[list-item]
-            # The layer's caches are LIFO over d = 0..depths-1.
+            # The layer's tape is LIFO over d = 0..depths-1.
             for d in reversed(range(depths)):
                 grad_self, grad_neigh = layer.backward(grads[d])
                 if new_grads[d] is None:
@@ -108,6 +112,10 @@ class SampledGNN:
                 else:
                     new_grads[d + 1] = new_grads[d + 1] + flat
             grads = new_grads
+        # Nothing differentiates raw features: the bottom layer takes its
+        # parameter gradients and skips the input half.
+        for grad in reversed(grads):
+            self.layers[0].backward(grad, input_grad=False)
 
     # ------------------------------------------------------------------
     def zero_grads(self) -> None:

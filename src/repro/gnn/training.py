@@ -213,12 +213,6 @@ class Trainer:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    def _gather_levels(self, levels: Sequence[np.ndarray]) -> List[np.ndarray]:
-        return [
-            self.features.gather(self.feat_name, level)
-            for level in levels
-        ]
-
     def _sample_phase(self, seeds: Sequence[int]):
         start = time.perf_counter()
         with self.telemetry.span("train.sample", seeds=len(seeds)):
@@ -238,7 +232,9 @@ class Trainer:
         with self.telemetry.span(
             "train.gather", vertices=sum(len(l) for l in blocks.levels)
         ):
-            feats = self._gather_levels(blocks.levels)
+            feats = self.features.gather_levels(
+                self.feat_name, blocks.levels
+            )
         self._record_phase("gather", time.perf_counter() - start)
         return feats
 
@@ -260,7 +256,7 @@ class Trainer:
         The compute phase of a training step covers forward **and**
         backward + optimiser, timed as one observation.
         """
-        labels_arr = np.asarray(list(labels), dtype=np.int64)
+        labels_arr = np.asarray(labels, dtype=np.int64)
         if len(seeds) != len(labels_arr):
             raise ShapeError(
                 f"{len(seeds)} seeds but {len(labels_arr)} labels"
@@ -291,15 +287,14 @@ class Trainer:
         """Shuffle and run one pass over the seed set."""
         order = list(range(len(seeds)))
         self.rng.shuffle(order)
-        seeds = list(seeds)
-        labels = list(labels)
+        order = np.asarray(order, dtype=np.intp)
+        seeds = np.asarray(seeds, dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
         losses: List[float] = []
         accs: List[float] = []
         for start in range(0, len(order), batch_size):
             idx = order[start : start + batch_size]
-            loss, acc = self.train_step(
-                [seeds[i] for i in idx], [labels[i] for i in idx]
-            )
+            loss, acc = self.train_step(seeds[idx], labels[idx])
             losses.append(loss)
             accs.append(acc)
         return TrainResult(
@@ -316,14 +311,11 @@ class Trainer:
         batch_size: int = 512,
     ) -> float:
         """Accuracy over a held-out seed set (no parameter updates)."""
-        labels = list(labels)
-        seeds = list(seeds)
+        labels = np.asarray(labels, dtype=np.int64)
+        seeds = np.asarray(seeds, dtype=np.int64)
         correct = 0
         for start in range(0, len(seeds), batch_size):
-            chunk = seeds[start : start + batch_size]
-            chunk_labels = np.asarray(
-                labels[start : start + batch_size], dtype=np.int64
-            )
-            logits = self.forward_batch(chunk)
+            logits = self.forward_batch(seeds[start : start + batch_size])
+            chunk_labels = labels[start : start + batch_size]
             correct += int((logits.argmax(axis=1) == chunk_labels).sum())
-        return correct / len(seeds) if seeds else 0.0
+        return correct / len(seeds) if len(seeds) else 0.0

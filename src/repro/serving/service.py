@@ -497,14 +497,11 @@ class InferenceService:
             embeddings: Dict[int, np.ndarray] = {}
             if blocks is not None:
                 with span("serve.gather", levels=len(blocks.levels)):
-                    feats = [
-                        self.features.gather(self.feat_name, level)
-                        for level in blocks.levels
-                    ]
+                    feats = self.features.gather_levels(
+                        self.feat_name, blocks.levels
+                    )
                 with span("serve.compute", seeds=len(served_idx)):
                     out = self.encoder.forward(feats, blocks.fanouts)
-                    for layer in self.encoder.layers:
-                        layer._cache.clear()
                     out = l2_normalize(out.astype(np.float32))
                     cost = self.compute_seconds_per_seed * len(served_idx)
                     self.stats.compute_seconds += cost

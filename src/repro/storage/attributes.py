@@ -9,21 +9,22 @@ overhead the samtree avoids for topology is the right tool here.
 The store is schema'd: each named field has a fixed dimensionality and
 dtype, so batch gathers return dense ``numpy`` matrices ready for the
 operator layer.  The values of a field live in one contiguous
-``(capacity, dim)`` slab; the key-value index maps a vertex id to its
-row (*slot*) in the slab, so a batch gather is one id -> slot pass and a
-single ``ndarray.take``.
+``(capacity, dim)`` slab; the key-value index — one
+:class:`~repro.storage.directory.IdDirectory` per field — maps a vertex
+id to its row (*slot*) in the slab, so a batch gather is one vectorised
+id -> slot lookup and a single ``ndarray.take``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.errors import ConfigurationError, ShapeError, VertexNotFoundError
+from repro.storage.directory import IdDirectory
 
 __all__ = ["AttributeSchema", "AttributeStore"]
 
@@ -47,10 +48,17 @@ class AttributeSchema:
 _INITIAL_CAPACITY = 64
 
 
+def _as_ids(vertices: Iterable[int]) -> np.ndarray:
+    """An ``int64`` id array from an array or any iterable of ids."""
+    if isinstance(vertices, np.ndarray):
+        return np.asarray(vertices, dtype=np.int64)
+    return np.fromiter(vertices, dtype=np.int64)
+
+
 class _Slab:
     """The rows of one field.
 
-    ``rows[slot_of[v]]`` is the value of vertex ``v``.  Slot 0 is a
+    ``rows[index.get(v)]`` is the value of vertex ``v``.  Slot 0 is a
     permanent zero row that no vertex owns: a missing id maps to it, so
     a gather needs no per-row branch.  Slots ``1 .. top - 1`` have been
     handed out; a deleted vertex's slot goes on ``free`` and is reused
@@ -58,21 +66,21 @@ class _Slab:
     is (re)assigned, so a reused slot never shows its previous row.
     """
 
-    __slots__ = ("schema", "rows", "slot_of", "free", "top")
+    __slots__ = ("schema", "rows", "index", "free", "top")
 
     def __init__(self, schema: AttributeSchema) -> None:
         self.schema = schema
         self.rows = np.zeros(
             (_INITIAL_CAPACITY, schema.dim), dtype=schema.dtype
         )
-        self.slot_of: Dict[int, int] = {}
+        self.index = IdDirectory()
         self.free: List[int] = []
         self.top = 1
 
-    def allocate(self, vertices: List[int]) -> None:
-        """Give each of ``vertices`` (distinct, none stored yet) a slot."""
+    def allocate(self, vertices: np.ndarray) -> np.ndarray:
+        """Give each of ``vertices`` (distinct ``int64``, none stored
+        yet) a slot; returns the slots."""
         reused = min(len(self.free), len(vertices))
-        slots = [self.free.pop() for _ in range(reused)]
         fresh = len(vertices) - reused
         if self.top + fresh > len(self.rows):
             capacity = max(2 * len(self.rows), self.top + fresh)
@@ -81,17 +89,14 @@ class _Slab:
             )
             grown[: self.top] = self.rows[: self.top]
             self.rows = grown
-        slots.extend(range(self.top, self.top + fresh))
+        slots = np.empty(len(vertices), dtype=np.intp)
+        if reused:
+            slots[:reused] = self.free[-reused:]
+            del self.free[-reused:]
+        slots[reused:] = np.arange(self.top, self.top + fresh)
         self.top += fresh
-        self.slot_of.update(zip(vertices, slots))
-
-    def slots(self, ids: list) -> np.ndarray:
-        """Slot of every id, 0 (the zero row) where the id is missing."""
-        return np.fromiter(
-            map(self.slot_of.get, ids, repeat(0)),
-            dtype=np.intp,
-            count=len(ids),
-        )
+        self.index.insert(vertices, slots)
+        return slots
 
 
 class AttributeStore:
@@ -158,9 +163,10 @@ class AttributeStore:
                 f"got {arr.shape}"
             )
         vertex = int(vertex)
-        if vertex not in slab.slot_of:
-            slab.allocate([vertex])
-        slab.rows[slab.slot_of[vertex]] = arr
+        slot = slab.index.get(vertex)
+        if slot is None:
+            slot = slab.allocate(np.array([vertex], dtype=np.int64))[0]
+        slab.rows[slot] = arr
 
     def put_many(
         self, name: str, vertices: Sequence[int], values: np.ndarray
@@ -177,23 +183,24 @@ class AttributeStore:
                 f"attribute {name!r} expects shape "
                 f"({len(vertices)}, {schema.dim}), got {matrix.shape}"
             )
-        # Stored keys are canonical Python ints, whatever the caller sent.
-        ids = np.asarray(vertices, dtype=np.int64).tolist()
+        ids = np.asarray(vertices, dtype=np.int64)
         # numpy leaves the winner of a repeated index in a fancy
-        # assignment unspecified, so repeats are dropped here, last kept.
-        last = dict(zip(ids, range(len(ids))))
-        if len(last) < len(ids):
-            ids = list(last)
-            matrix = matrix[list(last.values())]
-        new = [v for v in ids if v not in slab.slot_of]
-        if new:
-            slab.allocate(new)
-        slab.rows[slab.slots(ids)] = matrix
+        # assignment unspecified, so repeats are dropped here, last kept
+        # (the first occurrence in the reversed column).
+        distinct, first = np.unique(ids[::-1], return_index=True)
+        if len(distinct) < len(ids):
+            ids = distinct
+            matrix = matrix[len(matrix) - 1 - first]
+        slots = slab.index.lookup(ids)
+        new = slots == 0
+        if new.any():
+            slots[new] = slab.allocate(ids[new])
+        slab.rows[slots] = matrix
 
     def get(self, name: str, vertex: int) -> np.ndarray:
         """Feature vector of one vertex (a copy); raises if missing."""
         slab = self._slab(name)
-        slot = slab.slot_of.get(int(vertex))
+        slot = slab.index.get(int(vertex))
         if slot is None:
             raise VertexNotFoundError(
                 f"vertex {vertex} has no {name!r} attribute"
@@ -204,12 +211,12 @@ class AttributeStore:
         """Feature vector (a copy), or a zero vector when missing (cold
         vertices)."""
         slab = self._slab(name)
-        return slab.rows[slab.slot_of.get(int(vertex), 0)].copy()
+        return slab.rows[slab.index.get(int(vertex), 0)].copy()
 
     def delete(self, name: str, vertex: int) -> bool:
         """Drop one vertex's value; returns whether it existed."""
         slab = self._slab(name)
-        slot = slab.slot_of.pop(int(vertex), None)
+        slot = slab.index.pop(int(vertex))
         if slot is None:
             return False
         slab.free.append(slot)
@@ -217,11 +224,11 @@ class AttributeStore:
 
     def has(self, name: str, vertex: int) -> bool:
         """Whether the vertex has a stored value for the field."""
-        return int(vertex) in self._slab(name).slot_of
+        return int(vertex) in self._slab(name).index
 
     def num_vertices(self, name: str) -> int:
         """Number of vertices with a stored value for the field."""
-        return len(self._slab(name).slot_of)
+        return len(self._slab(name).index)
 
     # ------------------------------------------------------------------
     # batch access (the GNN gather path)
@@ -230,24 +237,35 @@ class AttributeStore:
         """Dense ``(len(vertices), dim)`` matrix; missing rows are zero.
 
         ``vertices`` may be an integer array (a sampled frontier goes in
-        as it is) or any iterable of ids.
+        as it is) or any iterable of ids.  The ids become one ``int64``
+        array, the field's directory resolves them all to slots with
+        array operations (a missing id to slot 0, the zero row), and one
+        ``take`` copies the rows out.
         """
         slab = self._slab(name)
-        # Plain Python ints are the fastest dict keys, and an int64
-        # frontier converts to them in one C pass.
-        if isinstance(vertices, np.ndarray):
-            ids = vertices.tolist()
-        else:
-            ids = list(vertices)
-        return slab.rows.take(slab.slots(ids), axis=0)
+        return slab.rows.take(slab.index.lookup(_as_ids(vertices)), axis=0)
+
+    def gather_levels(
+        self, name: str, levels: Sequence[np.ndarray]
+    ) -> List[np.ndarray]:
+        """:meth:`gather` for every level of a sampled block at once.
+
+        The levels go through one directory lookup and one ``take`` as a
+        single frontier; the result is one ``(len(level), dim)`` view
+        per level of that matrix.
+        """
+        matrix = self.gather(name, np.concatenate(levels))
+        views, start = [], 0
+        for level in levels:
+            views.append(matrix[start : start + len(level)])
+            start += len(level)
+        return views
 
     def export(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
         """Every stored row of a field: ``(ids, matrix)`` with ``ids``
         ascending ``int64`` and ``matrix[i]`` the value of ``ids[i]``."""
         slab = self._slab(name)
-        count = len(slab.slot_of)
-        ids = np.fromiter(slab.slot_of, dtype=np.int64, count=count)
-        slots = np.fromiter(slab.slot_of.values(), dtype=np.intp, count=count)
+        ids, slots = slab.index.items()
         order = np.argsort(ids)
         return ids[order], slab.rows.take(slots[order], axis=0)
 
@@ -259,14 +277,14 @@ class AttributeStore:
 
         This is the paper's accounting of a C key-value layout (Table
         IV), a function of the stored pairs only; the slab's spare
-        capacity and Python's dict overhead are not part of it.
+        capacity and the directory's are not part of it.
         """
         model = self._model
         per_pair = model.id_bytes + model.kv_index_entry_bytes
         total = 0
         for slab in self._slabs.values():
             schema = slab.schema
-            total += len(slab.slot_of) * (
+            total += len(slab.index) * (
                 per_pair + schema.dtype.itemsize * schema.dim
             )
         return total

@@ -92,9 +92,10 @@ _WAL_RECORDS = [_columns(b) for b in _WAL_BATCHES]
 
 
 def _wal_image():
-    """The log's bytes, and its length after each appended record."""
+    """The log's bytes, and its length after 0, 1, ... appended records
+    (a cut right after the file header leaves a log of no records)."""
     wal = ShardWAL(shard_id=3)
-    ends = []
+    ends = [len(wal._read_all())]
     for batch in _WAL_BATCHES:
         wal.append_batch(batch)
         ends.append(len(wal._read_all()))
@@ -123,7 +124,7 @@ def test_wal_replay_refuses_garbage(damage):
         assert got == _WAL_RECORDS[: len(got)] and len(got) < len(_WAL_RECORDS)
     elif data == _WAL_IMAGE[: len(data)] and len(data) in _WAL_RECORD_ENDS:
         # Cut exactly between two records: a shorter log, not a torn one.
-        whole = _WAL_RECORD_ENDS.index(len(data)) + 1
+        whole = _WAL_RECORD_ENDS.index(len(data))
         assert got == _WAL_RECORDS[:whole]
     else:
         assert got == _WAL_RECORDS

@@ -15,6 +15,7 @@ from repro.gnn.ops import (
     relu,
     relu_grad,
     softmax_cross_entropy,
+    sum_aggregate,
     xavier_init,
 )
 
@@ -43,6 +44,17 @@ class TestAggregation:
         out = mean_aggregate(x)
         assert out.shape == (2, 2)
         assert out[0].tolist() == [2.0, 3.0]
+
+    def test_mean_aggregate_keeps_float32_and_matches_float64(self):
+        x = np.random.default_rng(2).normal(size=(64, 10, 32))
+        x = (x * 100).astype(np.float32)
+        out = mean_aggregate(x)
+        assert out.dtype == np.float32
+        want = x.astype(np.float64).mean(axis=1)
+        assert np.abs(out - want).max() <= 1e-6 * np.abs(want).max()
+        total = sum_aggregate(x)
+        assert total.dtype == np.float32
+        assert np.abs(total - 10 * want).max() <= 1e-5 * np.abs(want).max()
 
     def test_mean_aggregate_shape_check(self):
         with pytest.raises(ShapeError):

@@ -59,11 +59,16 @@ class TestInference:
         )
         assert emb.shape == (2, 6)
 
-    def test_caches_cleared(self, small_graph, rng, nprng):
+    def test_tape_bounded_to_one_forward(self, small_graph, rng, nprng):
+        """Three mini-batches leave the last forward's entries, not three
+        forwards' (layer 0 runs at two depths, layer 1 at one)."""
         store, feats = small_graph
         encoder = GraphSAGE(4, 8, 6, num_layers=2, rng=nprng)
-        embed_vertices(store, feats, encoder, list(range(10)), [2, 2], rng=rng)
-        assert all(not layer._cache for layer in encoder.layers)
+        embed_vertices(
+            store, feats, encoder, list(range(10)), [2, 2], rng=rng,
+            batch_size=4,
+        )
+        assert [len(layer._cache) for layer in encoder.layers] == [2, 1]
 
     def test_empty_vertex_list(self, small_graph, rng, nprng):
         store, feats = small_graph
