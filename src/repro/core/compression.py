@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import IndexOutOfRangeError, InvalidWeightError
 
 __all__ = [
@@ -35,7 +37,7 @@ __all__ = [
     "CompressedIDList",
     "PlainIDList",
     "make_id_list",
-    "make_id_list_from_array",
+    "pack_id_lists",
     "common_prefix_length",
     "decode_id_lists",
 ]
@@ -113,8 +115,6 @@ class CompressedIDList:
         no per-ID Python loop.  The result is byte-identical to
         ``CompressedIDList(list(ids))``.
         """
-        import numpy as np
-
         arr = np.asarray(ids, dtype=np.int64)
         n = int(arr.size)
         out = cls()
@@ -235,8 +235,6 @@ class CompressedIDList:
         views it back as 64-bit integers, so flattening a leaf costs no
         per-ID Python work (the snapshot/frozen-shard compilers' path).
         """
-        import numpy as np
-
         n = self._n
         if n == 0:
             return np.empty(0, dtype=np.int64)
@@ -363,8 +361,6 @@ class PlainIDList:
     @classmethod
     def from_array(cls, ids) -> "PlainIDList":
         """Vectorized construction (validation in one numpy pass)."""
-        import numpy as np
-
         arr = np.asarray(ids, dtype=np.int64)
         out = cls()
         if arr.size and bool((arr < 0).any()):
@@ -407,8 +403,6 @@ class PlainIDList:
 
     def to_array(self):
         """Decode to an ``int64`` array (interface parity with CP-IDs)."""
-        import numpy as np
-
         return np.asarray(self._ids, dtype=np.int64)
 
     def index_of(self, vertex_id: int) -> Optional[int]:
@@ -457,11 +451,52 @@ def make_id_list(
     return CompressedIDList(ids) if compress else PlainIDList(ids)
 
 
-def make_id_list_from_array(compress: bool, ids):
-    """Array-input factory (the bulk builder's vectorized leaf packer)."""
-    if compress:
-        return CompressedIDList.from_array(ids)
-    return PlainIDList.from_array(ids)
+def pack_id_lists(compress: bool, ids: np.ndarray, lengths: np.ndarray) -> list:
+    """One ID list per consecutive segment of ``ids`` (``lengths[j]``
+    validated, *ascending* IDs each), byte for byte the list type's
+    ``from_array`` of that segment.
+
+    An ascending segment's shared big-endian prefix is that of its first
+    and last ID, so every prefix class comes from one XOR of two
+    gathered columns, and each class packs its suffixes with one
+    narrowing cast (every allowed suffix width is an integer width).
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    out = []
+    if not compress:
+        values = ids.tolist()
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            plain = PlainIDList.__new__(PlainIDList)
+            plain._ids = values[a:b]
+            out.append(plain)
+        return out
+    spread = ids[starts] ^ ids[ends - 1]
+    widths = np.full(lengths.size, ID_BYTES, dtype=np.intp)
+    for z in ALLOWED_PREFIX_LENGTHS[-2::-1]:  # widest prefix last
+        widths[spread < (1 << (8 * (ID_BYTES - z)))] = ID_BYTES - z
+    packed = {}
+    offsets = np.empty(lengths.size, dtype=np.intp)  # into its class's bytes
+    for width in np.unique(widths).tolist():
+        mine = widths == width
+        nbytes = lengths[mine] * width
+        offsets[mine] = np.cumsum(nbytes) - nbytes
+        packed[width] = (
+            ids[np.repeat(mine, lengths)].astype(f">u{width}").tobytes()
+        )
+    for n, width, first, at in zip(
+        lengths.tolist(), widths.tolist(), ids[starts].tolist(),
+        offsets.tolist(),
+    ):
+        lst = CompressedIDList.__new__(CompressedIDList)
+        lst._z = ID_BYTES - width
+        lst._prefix = _id_to_bytes(first)[: lst._z]
+        lst._prefix_int = first >> (8 * width) << (8 * width)
+        lst._suffixes = bytearray(packed[width][at : at + n * width])
+        lst._n = n
+        out.append(lst)
+    return out
 
 
 def decode_id_lists(lists: Sequence):
@@ -475,8 +510,6 @@ def decode_id_lists(lists: Sequence):
     hundreds of small leaves per call, where one numpy round trip per
     leaf is the whole cost.
     """
-    import numpy as np
-
     zs = [ids._z if type(ids) is CompressedIDList else -1 for ids in lists]
     classes = set(zs)
     if len(classes) != 1:

@@ -40,13 +40,15 @@ import random
 from array import array
 from typing import Iterable, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import (
     EmptyStructureError,
     IndexOutOfRangeError,
     InvalidWeightError,
 )
 
-__all__ = ["FSTable", "join_weight_columns", "lsb"]
+__all__ = ["FSTable", "build_tables", "join_weight_columns", "lsb"]
 
 
 def lsb(x: int) -> int:
@@ -134,8 +136,6 @@ class FSTable:
         constructor of the bulk ingestion tier
         (:meth:`repro.core.samtree.Samtree.bulk_build`).
         """
-        import numpy as np
-
         arr = np.asarray(weights, dtype=np.float64)
         if arr.ndim != 1:
             raise InvalidWeightError(
@@ -228,8 +228,6 @@ class FSTable:
         """The raw weight array as a fresh float64 ndarray — the leaf
         *reader* of the flattening paths
         (:func:`repro.core.snapshot.flatten_tree`)."""
-        import numpy as np
-
         return np.array(self._weights, dtype=np.float64)
 
     # ------------------------------------------------------------------
@@ -387,12 +385,44 @@ class FSTable:
         return weight_bytes * len(self._tree)
 
 
+def build_tables(weights: np.ndarray, lengths: np.ndarray) -> List[FSTable]:
+    """One table per consecutive segment of ``weights`` (``lengths[j]``
+    validated elements each), bit for bit :meth:`FSTable.from_array` of
+    that segment.
+
+    The same level-by-level build over every segment at once: a push is
+    masked by position within its segment, so none crosses a boundary
+    and each entry receives its children in ``from_array``'s order.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    tree = np.array(weights, dtype=np.float64)
+    column = array("d", tree.tobytes())
+    starts = np.cumsum(lengths) - lengths
+    live = np.arange(tree.size)  # elements with LSB(position + 1) >= step
+    position = live - np.repeat(starts, lengths)
+    room = np.repeat(lengths, lengths) - position  # elements to segment end
+    step = 1
+    while live.size:
+        pushes = ((position[live] + 1) & step) != 0
+        idx = live[pushes]
+        idx = idx[room[idx] > step]  # the parent lies inside the segment
+        tree[idx + step] += tree[idx]
+        live = live[~pushes]
+        step <<= 1
+    entries = tree.tolist()
+    tables = []
+    for a, b in zip(starts.tolist(), (starts + lengths).tolist()):
+        table = FSTable.__new__(FSTable)
+        table._tree = entries[a:b]
+        table._weights = column[a:b]
+        tables.append(table)
+    return tables
+
+
 def join_weight_columns(tables: Sequence["FSTable"]):
     """The weight columns of many tables as one float64 array — every
     table's :meth:`FSTable.to_weight_array`, concatenated in one copy
     (the batched leaf reader of :mod:`repro.core.snapshot`)."""
-    import numpy as np
-
     return np.frombuffer(
         b"".join([table._weights for table in tables]), dtype=np.float64
     )

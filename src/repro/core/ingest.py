@@ -247,6 +247,19 @@ class EdgeBatch:
         order = np.lexsort((self.dst, self.src, self.etype))
         return self.select(order)
 
+    def tree_bounds(self) -> np.ndarray:
+        """First row of every per-tree group of a tree-sorted batch,
+        closed by ``len(self)`` (so group ``g`` is rows
+        ``bounds[g]:bounds[g + 1]``)."""
+        n = len(self)
+        new_tree = np.ones(n + 1, dtype=bool)  # rows 0 and n open a group
+        np.logical_or(
+            self.etype[1:] != self.etype[:-1],
+            self.src[1:] != self.src[:-1],
+            out=new_tree[1:n],
+        )
+        return np.flatnonzero(new_tree)
+
     def iter_tree_groups(
         self,
     ) -> Iterator[Tuple[int, int, "EdgeBatch"]]:
@@ -255,22 +268,46 @@ class EdgeBatch:
         The batch must already be tree-sorted; each yielded sub-batch is
         a contiguous slice (views, no copies of the underlying buffers).
         """
-        n = len(self)
-        if n == 0:
+        if len(self) == 0:
             return
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.logical_or(
-            self.etype[1:] != self.etype[:-1],
-            self.src[1:] != self.src[:-1],
-            out=change[1:],
-        )
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        for a, b in zip(starts.tolist(), ends.tolist()):
+        bounds = self.tree_bounds().tolist()
+        for a, b in zip(bounds[:-1], bounds[1:]):
             yield int(self.etype[a]), int(self.src[a]), self.select(
                 slice(a, b)
             )
+
+    def folded_by_tree(self) -> "EdgeBatch":
+        """Tree-sorted rows with every ``(etype, src, dst)`` key at most
+        once — each run of duplicates replaced by its net operation
+        (:func:`fold_run`), so the result applied row by row leaves the
+        state sequential application of ``self`` would.
+
+        One run mask over the whole batch; a run's last row *is* its net
+        unless it is an update (an insert wins over everything before
+        it, a delete cancels it), so only those runs fold in Python.
+        """
+        batch = self.sorted_by_tree()
+        dup = batch.dst[1:] == batch.dst[:-1]  # row i + 1 repeats row i
+        dup &= batch.src[1:] == batch.src[:-1]
+        dup &= batch.etype[1:] == batch.etype[:-1]
+        if not dup.any():
+            return batch
+        keep = np.ones(len(batch), dtype=bool)  # the last row of every run
+        np.logical_not(dup, out=keep[:-1])
+        ends = np.flatnonzero(dup & keep[1:]) + 1  # of runs longer than one
+        ends = ends[batch.op[ends] == OP_UPDATE]
+        if ends.size:
+            first = np.flatnonzero(~np.concatenate(([False], dup)))
+            starts = first[np.searchsorted(first, ends, side="right") - 1]
+            for a, b in zip(starts.tolist(), ends.tolist()):
+                net = fold_run(
+                    batch.op[a:b + 1].tolist(), batch.weight[a:b + 1].tolist()
+                )
+                if net is None:
+                    keep[b] = False
+                else:  # `batch` is this call's own sorted copy
+                    batch.op[b], batch.weight[b] = net
+        return batch.select(keep)
 
 
 def fold_run(

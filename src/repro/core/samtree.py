@@ -37,10 +37,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.core.alpha_split import split_arrays
-from repro.core.compression import make_id_list, make_id_list_from_array
+from repro.core.compression import make_id_list, pack_id_lists
 from repro.core.cstable import CSTable
-from repro.core.fenwick import FSTable
+from repro.core.fenwick import FSTable, build_tables
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.errors import (
     ConfigurationError,
@@ -346,6 +348,20 @@ class Samtree:
         edge (the common form for interaction-count graphs)."""
         return self._upsert(vertex_id, delta, add=True)
 
+    def update(self, vertex_id: int, weight: float) -> bool:
+        """Overwrite the weight of an *existing* neighbor in one descent;
+        returns ``False`` (and changes nothing) when it is absent."""
+        weight = _check_weight(weight)
+        leaf, path = self._descend(vertex_id)
+        idx = leaf.ids.index_of(vertex_id)
+        if idx is None:
+            return False
+        self._version += 1
+        old = leaf.fstable.update(idx, weight)
+        self.stats.leaf_ops += 1
+        self._propagate_up(path, None, weight - old, 0)
+        return True
+
     def _upsert(self, vertex_id: int, weight: float, add: bool) -> bool:
         weight = _check_weight(weight)
         self._version += 1
@@ -581,9 +597,7 @@ class Samtree:
         :mod:`repro.core.tree_batch`.  Semantically identical to applying
         the ops one by one.
         """
-        from repro.core.tree_batch import apply_tree_batch
-
-        return apply_tree_batch(self, ops)
+        return _tree_batch.apply_tree_batch(self, ops)
 
     # ------------------------------------------------------------------
     # bulk construction (bottom-up, the ingestion tier's tree builder)
@@ -605,43 +619,16 @@ class Samtree:
         from contiguous slices of the sorted arrays (each FSTable built
         with the linear vectorized Fenwick construction), then internal
         separator levels and their CSTables are assembled level by level
-        until a single root remains.  The result satisfies every
-        structural invariant of :meth:`check_invariants` and samples from
-        the *identical* distribution as an insert-loop tree over the same
-        edges (the stored weights are equal; only the node layout
-        differs).
+        until a single root remains (:func:`build_roots`).  The result
+        satisfies every structural invariant of :meth:`check_invariants`
+        and samples from the *identical* distribution as an insert-loop
+        tree over the same edges (the stored weights are equal; only the
+        node layout differs).
 
         Duplicate ids resolve last-wins, matching an upsert loop.  Pass
         ``assume_sorted_unique=True`` when the caller already sorted and
-        deduplicated (the columnar store path does) to skip the
-        ``argsort``.
+        deduplicated to skip the ``argsort``.
         """
-        tree = cls(config, stats)
-        tree._bulk_load_arrays(
-            ids, weights, assume_sorted_unique=assume_sorted_unique, fill=fill
-        )
-        return tree
-
-    def _bulk_load_arrays(
-        self,
-        ids,
-        weights=None,
-        *,
-        assume_sorted_unique: bool = False,
-        fill: float = BULK_FILL_FRACTION,
-    ) -> None:
-        """Replace this tree's whole content from arrays (in place).
-
-        Mutating in place (rather than swapping a fresh ``Samtree`` into
-        the directory) keeps every outstanding reference — snapshot-cache
-        entries in particular — pointed at a tree whose version bump they
-        can observe, so the read layer can never serve a pre-rebuild
-        snapshot of this source.
-        """
-        import numpy as np
-
-        from repro.core.fenwick import FSTable as _FSTable
-
         if not 0.0 < fill <= 1.0:
             raise ConfigurationError(
                 f"bulk fill fraction must be in (0, 1], got {fill}"
@@ -683,64 +670,28 @@ class Samtree:
             if not bool(keep.all()):
                 id_arr = id_arr[keep]
                 w_arr = w_arr[keep]
-                n = int(id_arr.size)
+        config = config or SamtreeConfig()
+        (built,) = build_roots(config, id_arr, w_arr, [int(id_arr.size)], fill)
+        return cls._over(config, stats if stats is not None else OpStats(), *built)
 
+    @classmethod
+    def _over(
+        cls, config: SamtreeConfig, stats: OpStats, root: _Node, size: int
+    ) -> "Samtree":
+        """A new tree over a built root (no throw-away empty leaf)."""
+        tree = cls.__new__(cls)
+        tree.config, tree.stats, tree._version = config, stats, 0
+        tree._replace(root, size)
+        return tree
+
+    def _replace(self, root: _Node, size: int) -> None:
+        """Swap in a built root.  In place — rather than a fresh
+        ``Samtree`` in the directory — so every outstanding reference
+        can observe the version bump and the read layer never serves a
+        pre-rebuild row of this source."""
         self._version += 1
-        if n == 0:
-            self._root = self._new_leaf([], [])
-            self._size = 0
-            return
-
-        cap = self.config.capacity
-        target = max(1, min(cap, int(round(cap * fill))))
-
-        # -- leaf level ------------------------------------------------
-        bounds = self._level_bounds(
-            n, target, cap, self.config.leaf_min_fill
-        )
-        nodes: List[_Node] = []
-        keys: List[int] = []
-        node_weights: List[float] = []
-        node_counts: List[int] = []
-        compress = self.config.compress
-        key_list = id_arr[bounds[:-1]].tolist()  # exact slice minima
-        for (a, b), key in zip(zip(bounds[:-1], bounds[1:]), key_list):
-            leaf = _LeafNode(
-                make_id_list_from_array(compress, id_arr[a:b]),
-                _FSTable.from_array(w_arr[a:b]),
-            )
-            nodes.append(leaf)
-            keys.append(key)  # exact minimum: slices are sorted
-            node_weights.append(leaf.fstable.total())
-            node_counts.append(b - a)
-
-        # -- internal separator levels, bottom-up ----------------------
-        min_internal = self.config.internal_min_fill
-        while len(nodes) > 1:
-            bounds = self._level_bounds(
-                len(nodes), target, cap, min_internal
-            )
-            parents: List[_Node] = []
-            parent_keys: List[int] = []
-            parent_weights: List[float] = []
-            parent_counts: List[int] = []
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                parents.append(
-                    _InternalNode(
-                        keys=keys[a:b],
-                        children=nodes[a:b],
-                        cstable=CSTable(node_weights[a:b]),
-                        counts=node_counts[a:b],
-                    )
-                )
-                parent_keys.append(keys[a])
-                parent_weights.append(parents[-1].cstable.total())
-                parent_counts.append(sum(node_counts[a:b]))
-            nodes, keys = parents, parent_keys
-            node_weights, node_counts = parent_weights, parent_counts
-
-        self._root = nodes[0]
-        self._size = n
+        self._root = root
+        self._size = size
 
     @staticmethod
     def _level_bounds(
@@ -1031,3 +982,67 @@ class Samtree:
                 )
             total += count
         return total
+
+
+def build_roots(
+    config: SamtreeConfig,
+    ids: np.ndarray,
+    weights: np.ndarray,
+    lengths: List[int],
+    fill: float = BULK_FILL_FRACTION,
+) -> Iterator[Tuple[_Node, int]]:
+    """The segmented builder of the bulk tier (DESIGN.md §9).
+
+    ``ids`` / ``weights`` hold the validated, ascending, unique
+    adjacency of ``len(lengths)`` trees back to back.  Every leaf of
+    every tree is packed in one pass over the columns — near
+    ``fill * capacity`` each, one leaf for a tree that fits one — then
+    each tree's separator levels are assembled bottom-up and its
+    ``(root, size)`` yielded for :meth:`Samtree._replace`.
+    """
+    cap = config.capacity
+    target = max(1, min(cap, int(round(cap * fill))))
+    level_bounds = Samtree._level_bounds
+    leaf_min, internal_min = config.leaf_min_fill, config.internal_min_fill
+    leaf_lengths: List[int] = []
+    leaves_of: List[int] = []
+    for n in lengths:
+        bounds = level_bounds(n, target, cap, leaf_min) if n else [0]
+        leaf_lengths.extend(b - a for a, b in zip(bounds, bounds[1:]))
+        leaves_of.append(len(bounds) - 1)
+    sizes = np.asarray(leaf_lengths, dtype=np.intp)
+    leaves = list(map(
+        _LeafNode,
+        pack_id_lists(config.compress, ids, sizes),
+        build_tables(weights, sizes),
+    ))
+    minima = ids[np.cumsum(sizes) - sizes].tolist()  # slices are sorted
+    at = 0
+    for n, count in zip(lengths, leaves_of):
+        nodes: List[_Node] = leaves[at : at + count]
+        if not n:  # an empty tree is one empty leaf
+            nodes = [_LeafNode(make_id_list(config.compress), FSTable())]
+        if count > 1:
+            keys = minima[at : at + count]
+            node_counts = leaf_lengths[at : at + count]
+            node_weights = [leaf.fstable.total() for leaf in nodes]
+        at += count
+        while len(nodes) > 1:
+            bounds = level_bounds(len(nodes), target, cap, internal_min)
+            parents = [
+                _InternalNode(
+                    keys[a:b], nodes[a:b], CSTable(node_weights[a:b]),
+                    node_counts[a:b],
+                )
+                for a, b in zip(bounds, bounds[1:])
+            ]
+            keys = [keys[a] for a in bounds[:-1]]
+            node_weights = [parent.cstable.total() for parent in parents]
+            node_counts = [sum(parent.counts) for parent in parents]
+            nodes = parents
+        yield nodes[0], n
+
+
+# tree_batch builds on the node classes above: resolve the cycle once,
+# here, instead of on every ``apply_batch`` call.
+from repro.core import tree_batch as _tree_batch  # noqa: E402

@@ -26,19 +26,23 @@ from repro.core.ingest import (
     OP_UPDATE,
     EdgeBatch,
     IngestStats,
-    fold_run,
 )
 from repro.core.frozen import FrozenShard, FrozenStats
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
-from repro.core.samtree import OpStats, Samtree, SamtreeConfig
+from repro.core.samtree import OpStats, Samtree, SamtreeConfig, build_roots
 from repro.core.snapshot import (
     RNGLike,
     ReadImage,
     coerce_generator,
     coerce_scalar_rng,
 )
+from repro.core.tree_batch import apply_tree_codes
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI, SampleBlock
-from repro.errors import ConfigurationError, InvariantViolationError
+from repro.errors import (
+    ConfigurationError,
+    InvalidWeightError,
+    InvariantViolationError,
+)
 from repro.storage.cuckoo import CuckooHashMap
 
 __all__ = [
@@ -54,11 +58,9 @@ _DEFAULT_CACHE = object()
 #: group takes the O(n) bottom-up rebuild only when it is *both* big in
 #: absolute terms and big relative to the tree it targets.  Small
 #: touch-ups on large trees route through the PALM batch path
-#: (``apply_source_batch``), which costs O(g log n) instead of O(n).
+#: (:mod:`repro.core.tree_batch`), which costs O(g log n) instead of O(n).
 REBUILD_MIN_OPS = 16
 REBUILD_DEGREE_RATIO = 4
-
-_CODE_TO_KIND = {OP_INSERT: "insert", OP_UPDATE: "update", OP_DELETE: "delete"}
 
 
 class DynamicGraphStore(GraphStoreAPI):
@@ -162,13 +164,7 @@ class DynamicGraphStore(GraphStoreAPI):
         weight: float = 1.0,
         etype: int = DEFAULT_ETYPE,
     ) -> bool:
-        self._mark_written(src, etype)
-        tree = self._tree_or_create(src, etype)
-        is_new = tree.insert(dst, weight)
-        if is_new:
-            with self._count_lock:
-                self._num_edges += 1
-        return is_new
+        return self._upsert_edge(src, dst, weight, etype, add=False)
 
     def accumulate_edge(
         self,
@@ -178,9 +174,19 @@ class DynamicGraphStore(GraphStoreAPI):
         etype: int = DEFAULT_ETYPE,
     ) -> bool:
         """Insert or *add onto* an edge weight (interaction counting)."""
+        return self._upsert_edge(src, dst, delta, etype, add=True)
+
+    def _upsert_edge(
+        self, src: int, dst: int, weight: float, etype: int, add: bool
+    ) -> bool:
         self._mark_written(src, etype)
         tree = self._tree_or_create(src, etype)
-        is_new = tree.add_weight(dst, delta)
+        try:
+            is_new = tree._upsert(dst, weight, add)
+        except InvalidWeightError:
+            if not tree:  # a rejected first write leaves no empty tree
+                self._directory.delete((etype, src))
+            raise
         if is_new:
             with self._count_lock:
                 self._num_edges += 1
@@ -190,11 +196,10 @@ class DynamicGraphStore(GraphStoreAPI):
         self, src: int, dst: int, weight: float, etype: int = DEFAULT_ETYPE
     ) -> bool:
         tree = self._tree(src, etype)
-        if tree is None or dst not in tree:
+        if tree is None:
             return False
         self._mark_written(src, etype)
-        tree.insert(dst, weight)
-        return True
+        return tree.update(dst, weight)
 
     def remove_edge(self, src: int, dst: int, etype: int = DEFAULT_ETYPE) -> bool:
         tree = self._tree(src, etype)
@@ -220,20 +225,20 @@ class DynamicGraphStore(GraphStoreAPI):
         directory and the edge counter consistent.
         """
         self._mark_written(src, etype)
-        has_insert = any(kind == "insert" for kind, _, _ in ops)
-        if has_insert:
+        if any(kind == "insert" for kind, _, _ in ops):
             tree = self._tree_or_create(src, etype)
         else:
             tree = self._tree(src, etype)
             if tree is None:
                 return [False] * len(ops)
         before = tree.degree
-        outcomes = tree.apply_batch(ops)
-        with self._count_lock:
-            self._num_edges += tree.degree - before
-        if not tree:
-            self._directory.delete((etype, src))
-        return outcomes
+        try:
+            return tree.apply_batch(ops)
+        finally:  # also when the batch is rejected: no empty tree stays
+            with self._count_lock:
+                self._num_edges += tree.degree - before
+            if not tree:
+                self._directory.delete((etype, src))
 
     # ------------------------------------------------------------------
     # bulk ingestion (the columnar write path)
@@ -265,167 +270,118 @@ class DynamicGraphStore(GraphStoreAPI):
     ) -> IngestStats:
         """Apply a columnar batch of dynamic updates (paper Table II).
 
-        One ``lexsort`` groups the rows per target samtree, duplicate
-        ``(etype, src, dst)`` keys fold to their net effect
-        (:func:`~repro.core.ingest.fold_run` — equivalent to sequential
-        application), and each tree then takes either the O(n) bottom-up
-        rebuild or the PALM incremental path depending on how large the
-        group is relative to the tree's degree.  Final store state is
-        identical to applying the same operations one by one through
+        One pass per batch (DESIGN.md §9): one ``lexsort`` groups the
+        rows per target samtree, duplicate ``(etype, src, dst)`` keys
+        fold to their net effect over the whole sorted batch, every
+        touched tree is looked up once, and each group then takes the
+        bottom-up build (new tree), the O(n) rebuild or the incremental
+        path depending on how large it is relative to the tree's degree.
+        Final store state is identical to applying the same operations
+        one by one through
         :meth:`add_edge`/:meth:`update_edge`/:meth:`remove_edge`.
         """
         if not isinstance(batch, EdgeBatch):
             batch = EdgeBatch(batch, dst, weight, etype, op)
         stats = IngestStats(ops=len(batch))
-        if len(batch) == 0:
-            self.ingest_stats.merge_from(stats)
-            return stats
-        self._mutation_epoch += 1
-        if self.snapshot_cache is not None:
-            self.snapshot_cache.mark_batch(batch.etype, batch.src)
-        for et, src, group in batch.sorted_by_tree().iter_tree_groups():
-            self._apply_tree_group(et, src, group, stats)
+        if len(batch):
+            self._mutation_epoch += 1
+            if self.snapshot_cache is not None:
+                self.snapshot_cache.mark_batch(batch.etype, batch.src)
+            self._apply_folded(batch.folded_by_tree(), stats)
         self.ingest_stats.merge_from(stats)
         return stats
 
-    @staticmethod
-    def _fold_group(group: EdgeBatch):
-        """Net ``(dsts, codes, weights)`` of one per-tree group.
-
-        The group is dst-sorted with submission order preserved inside
-        each equal-dst run (stable lexsort), so folding each run yields
-        exactly the state sequential application would leave.  Returns
-        ``(dst_array, code_list_or_None, weight_array)`` — ``None``
-        codes mean *all inserts*, the bulk-load shape, folded with one
-        vectorized last-wins keep-mask instead of per-run Python work.
-        """
-        n = len(group)
-        dsts = group.dst
-        codes = group.op
-        ws = group.weight
-        if not codes.any():  # all OP_INSERT (code 0): vectorized dedupe
-            if n > 1:
-                keep = np.empty(n, dtype=bool)
-                np.not_equal(dsts[1:], dsts[:-1], out=keep[:-1])
-                keep[-1] = True
-                if not bool(keep.all()):
-                    dsts = dsts[keep]
-                    ws = ws[keep]
-            return dsts, None, ws
-        net_dst: List[int] = []
-        net_code: List[int] = []
-        net_w: List[float] = []
-        if n == 1:
-            return dsts, [int(codes[0])], ws
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(dsts[1:], dsts[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], n)
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            if b - a == 1:
-                net_dst.append(int(dsts[a]))
-                net_code.append(int(codes[a]))
-                net_w.append(float(ws[a]))
+    def _apply_folded(self, batch: EdgeBatch, stats: IngestStats) -> None:
+        """Walk the per-tree groups of a tree-sorted, duplicate-free
+        batch over list columns and integer op codes."""
+        bounds = batch.tree_bounds()
+        keys = list(zip(
+            batch.etype[bounds[:-1]].tolist(), batch.src[bounds[:-1]].tolist()
+        ))
+        directory = self._directory
+        trees = list(map(directory.get, keys))  # the one probe per tree
+        built = self._build_missing(batch, bounds, trees)
+        if len(trees) > trees.count(None):  # a pure load reads no row here
+            dsts = batch.dst.tolist()
+            codes = batch.op.tolist()
+            weights = batch.weight.tolist()
+        bounds = bounds.tolist()
+        inserted = removed = 0
+        for key, tree, a, b in zip(keys, trees, bounds, bounds[1:]):
+            if tree is None:
+                # Updates and deletes against a missing tree are no-ops;
+                # its net inserts, if any, were bulk-built bottom-up.
+                tree = next(built)
+                if tree is not None:
+                    directory.put(key, tree)
+                    stats.trees_created += 1
+                    inserted += tree.degree
                 continue
-            net = fold_run(codes[a:b].tolist(), ws[a:b].tolist())
-            if net is None:
-                continue
-            net_dst.append(int(dsts[a]))
-            net_code.append(net[0])
-            net_w.append(net[1])
-        return (
-            np.asarray(net_dst, dtype=np.int64),
-            net_code,
-            np.asarray(net_w, dtype=np.float64),
-        )
-
-    def _apply_tree_group(
-        self, etype: int, src: int, group: EdgeBatch, stats: IngestStats
-    ) -> None:
-        net_dst, net_code, net_w = self._fold_group(group)
-        m = int(net_dst.size)
-        if m == 0:
-            return
-        insert_only = net_code is None
-        tree = self._tree(src, etype)
-        if tree is None:
-            # Updates and deletes against a missing tree are no-ops;
-            # net inserts bulk-build the tree bottom-up in one pass.
-            if insert_only:
-                ins_dst, ins_w = net_dst, net_w
-            else:
-                mask = np.asarray(net_code, dtype=np.uint8) == OP_INSERT
-                if not bool(mask.any()):
-                    return
-                ins_dst, ins_w = net_dst[mask], net_w[mask]
-            tree = self._tree_or_create(src, etype)
-            tree._bulk_load_arrays(ins_dst, ins_w, assume_sorted_unique=True)
-            stats.trees_created += 1
-            stats.inserted += tree.degree
-            with self._count_lock:
-                self._num_edges += tree.degree
-            return
-        degree = tree.degree
-        if m >= REBUILD_MIN_OPS and m * REBUILD_DEGREE_RATIO >= degree:
-            # Big relative batch: merge into a dict and rebuild bottom-up
-            # in place.
-            merged = tree.to_dict()
-            if insert_only:
-                before = len(merged)
-                merged.update(zip(net_dst.tolist(), net_w.tolist()))
-                ins = len(merged) - before
-                rem = 0
-            else:
-                ins = rem = 0
-                for d, c, w in zip(
-                    net_dst.tolist(), net_code, net_w.tolist()
-                ):
+            m = b - a
+            before, gone = tree.degree, 0  # gone: edges the group deleted
+            if m >= REBUILD_MIN_OPS and m * REBUILD_DEGREE_RATIO >= before:
+                # Big relative batch: dict merge, bottom-up rebuild in place.
+                merged = tree.to_dict()
+                for d, c, w in zip(dsts[a:b], codes[a:b], weights[a:b]):
                     if c == OP_INSERT:
-                        if d not in merged:
-                            ins += 1
                         merged[d] = w
                     elif c == OP_UPDATE:
                         if d in merged:
                             merged[d] = w
-                    else:  # OP_DELETE
-                        if merged.pop(d, None) is not None:
-                            rem += 1
-            ids = sorted(merged)
-            tree._bulk_load_arrays(
-                ids, [merged[i] for i in ids], assume_sorted_unique=True
-            )
-            stats.trees_rebuilt += 1
-            stats.inserted += ins
-            stats.removed += rem
-            with self._count_lock:
-                self._num_edges += ins - rem
-            if not tree:
-                self._directory.delete((etype, src))
-        else:
-            # Small touch-up: one descent per op + bottom-up repair
-            # rounds (PALM).  apply_source_batch maintains the counter
-            # and the directory.
-            if insert_only:
-                triples = [
-                    ("insert", d, w)
-                    for d, w in zip(net_dst.tolist(), net_w.tolist())
-                ]
+                    elif merged.pop(d, None) is not None:
+                        gone += 1
+                ids = sorted(merged)
+                (rebuilt,) = build_roots(
+                    self.config,
+                    np.asarray(ids, dtype=np.int64),
+                    np.asarray([merged[i] for i in ids], dtype=np.float64),
+                    [len(ids)],
+                )
+                tree._replace(*rebuilt)
+                stats.trees_rebuilt += 1
+            elif m == 1:
+                # One op: what PALM degenerates to is the scalar operation
+                # (Algorithm 2 / §IV-D) — one descent, path refreshed in place.
+                if codes[a] == OP_INSERT:
+                    tree.insert(dsts[a], weights[a])
+                elif codes[a] == OP_UPDATE:
+                    tree.update(dsts[a], weights[a])
+                else:
+                    gone = tree.delete(dsts[a])
+                stats.trees_incremental += 1
             else:
-                triples = [
-                    (_CODE_TO_KIND[c], d, w)
-                    for d, c, w in zip(
-                        net_dst.tolist(), net_code, net_w.tolist()
-                    )
-                ]
-            outcomes = self.apply_source_batch(src, etype, triples)
-            for (kind, _, _), ok in zip(triples, outcomes):
-                if ok:
-                    if kind == "insert":
-                        stats.inserted += 1
-                    elif kind == "delete":
-                        stats.removed += 1
-            stats.trees_incremental += 1
+                # Small touch-up: one descent per op, leaf-local
+                # application, bottom-up repair rounds.
+                group = codes[a:b]
+                done = apply_tree_codes(tree, dsts[a:b], group, weights[a:b])
+                gone = sum(ok for ok, c in zip(done, group) if c == OP_DELETE)
+                stats.trees_incremental += 1
+            inserted += tree.degree - before + gone
+            removed += gone
+            if not tree:
+                directory.delete(key)
+        stats.inserted += inserted
+        stats.removed += removed
+        with self._count_lock:
+            self._num_edges += inserted - removed
+
+    def _build_missing(
+        self, batch: EdgeBatch, bounds: np.ndarray, trees: List
+    ) -> Iterator[Samtree]:
+        """For every group of ``batch`` whose tree is missing, in order:
+        the new samtree of its inserts (``None`` when it holds none) —
+        all their leaves built in one segmented pass over the columns."""
+        if None not in trees:
+            return
+        missing = np.asarray([tree is None for tree in trees])
+        rows = np.repeat(missing, np.diff(bounds))
+        rows &= batch.op == OP_INSERT
+        lengths = np.add.reduceat(rows, bounds[:-1], dtype=np.intp)[missing]
+        for root, size in build_roots(
+            self.config, batch.dst[rows], batch.weight[rows], lengths.tolist()
+        ):
+            tree = Samtree._over(self.config, self.stats, root, size)
+            yield tree if size else None
 
     # ------------------------------------------------------------------
     # queries
@@ -697,7 +653,9 @@ class DynamicGraphStore(GraphStoreAPI):
         """Validate every samtree, the global edge counter, and that
         every clean image row is its tree's current flatten."""
         edges = 0
-        for _, tree in self._directory.items():
+        for key, tree in self._directory.items():
+            if not tree:  # no out-edges, no storage (paper Example 1)
+                raise InvariantViolationError(f"empty samtree at {key}")
             tree.check_invariants()
             edges += tree.degree
         if edges != self._num_edges:

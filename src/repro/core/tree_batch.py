@@ -20,24 +20,37 @@ parent whose ten children changed is rebuilt once, not ten times.
 
 Operations are ``(kind, vertex_id, weight)`` triples with kind one of
 ``"insert"`` (upsert), ``"update"`` (only if present), ``"delete"``.
-Outcomes mirror :meth:`GraphStoreAPI.apply` semantics per element.
+Outcomes mirror :meth:`GraphStoreAPI.apply` semantics per element.  The
+store's columnar pass calls the same core with the op codes of
+:mod:`repro.core.ingest` and columns it has already validated.
+
+A tree whose root is a leaf — almost every tree of a power-law graph —
+skips the grouping descents and has no round to run below the root.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.alpha_split import split_arrays
+from repro.core.compression import _check_id
 from repro.core.cstable import CSTable
-from repro.core.samtree import Samtree, _InternalNode, _LeafNode, _MIN_KEY
+from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE
+from repro.core.samtree import (
+    Samtree,
+    _check_weight,
+    _InternalNode,
+    _LeafNode,
+    _MIN_KEY,
+)
 from repro.errors import ConfigurationError
 
-__all__ = ["apply_tree_batch", "TreeOp"]
+__all__ = ["apply_tree_batch", "apply_tree_codes", "TreeOp"]
 
 #: One batched operation against a single tree.
 TreeOp = Tuple[str, int, float]
 
-_KINDS = ("insert", "update", "delete")
+_KIND_CODES = {"insert": OP_INSERT, "update": OP_UPDATE, "delete": OP_DELETE}
 
 
 def apply_tree_batch(tree: Samtree, ops: Sequence[TreeOp]) -> List[bool]:
@@ -46,94 +59,107 @@ def apply_tree_batch(tree: Samtree, ops: Sequence[TreeOp]) -> List[bool]:
     Returns one outcome per op, in submission order: inserts report
     "was new", updates/deletes report "existed".  Equivalent to applying
     the ops sequentially (property-tested), but with each touched node
-    repaired once per round instead of once per op.
+    repaired once per round instead of once per op.  A bad kind, ID or
+    insert/update weight raises before anything is applied.
     """
-    outcomes = [False] * len(ops)
-    if not ops:
-        return outcomes
-    for kind, _, _ in ops:
-        if kind not in _KINDS:
+    vids, codes, weights = [], [], []
+    for kind, vid, weight in ops:
+        code = _KIND_CODES.get(kind)
+        if code is None:
             raise ConfigurationError(
-                f"unknown tree op kind {kind!r}; expected one of {_KINDS}"
+                f"unknown tree op kind {kind!r}; expected one of "
+                f"{tuple(_KIND_CODES)}"
             )
-    # One epoch bump per batch: every snapshot of this tree is stale the
+        vids.append(_check_id(vid))
+        codes.append(code)
+        weights.append(weight if code == OP_DELETE else _check_weight(weight))
+    return apply_tree_codes(tree, vids, codes, weights)
+
+
+def apply_tree_codes(
+    tree: Samtree,
+    vids: Sequence[int],
+    codes: Sequence[int],
+    weights: Sequence[float],
+) -> List[bool]:
+    """:func:`apply_tree_batch` over validated parallel columns."""
+    outcomes = [False] * len(vids)
+    if not vids:
+        return outcomes
+    # One epoch bump per batch: every image row of this tree is stale the
     # moment the batch starts mutating leaves (see repro.core.snapshot).
     tree._version += 1
-
-    # ------------------------------------------------------------------
-    # Phase 1+2: one descent per op, grouped per leaf.  Leaf contents
-    # change in phase 3 but separators do not, so the grouping stays
-    # valid for the whole batch.
-    # ------------------------------------------------------------------
-    leaf_groups: Dict[int, Tuple[_LeafNode, List[int]]] = {}
-    parents: Dict[int, Tuple[_InternalNode, None]] = {}
+    root = tree._root
+    leaf_groups: Dict[int, Tuple[_LeafNode, Iterable[int]]] = {}
     child_parent: Dict[int, _InternalNode] = {}
-    for i, (kind, vid, _) in enumerate(ops):
-        node = tree._root
-        while not node.is_leaf:
-            ci = tree._route(node, vid)
-            child = node.children[ci]
-            child_parent[id(child)] = node
-            node = child
-        key = id(node)
-        if key not in leaf_groups:
-            leaf_groups[key] = (node, [])
-        leaf_groups[key][1].append(i)
+    # One descent per op, grouped per leaf (a root leaf has nothing to
+    # group and no round to run below it).  Leaf contents change below
+    # but separators do not, so the grouping stays valid for the batch.
+    if root.is_leaf:
+        leaf_groups[id(root)] = (root, range(len(vids)))
+    else:
+        for i, vid in enumerate(vids):
+            node = root
+            while not node.is_leaf:
+                child = node.children[tree._route(node, vid)]
+                child_parent[id(child)] = node
+                node = child
+            key = id(node)
+            if key not in leaf_groups:
+                leaf_groups[key] = (node, [])
+            leaf_groups[key][1].append(i)
 
-    # ------------------------------------------------------------------
-    # Phase 3: leaf-local application.
-    # ------------------------------------------------------------------
-    modified: Dict[int, object] = {}
+    current: Dict[int, object] = {}
     for key, (leaf, idxs) in leaf_groups.items():
-        for i in idxs:
-            kind, vid, weight = ops[i]
-            pos = leaf.ids.index_of(vid)
-            if kind == "delete":
-                if pos is None:
-                    continue
-                leaf.fstable.delete(pos)
-                leaf.ids.swap_delete(pos)
-                tree._size -= 1
-                outcomes[i] = True
-            elif kind == "update":
-                if pos is None:
-                    continue
-                leaf.fstable.update(pos, weight)
-                outcomes[i] = True
-            else:  # insert (upsert)
-                if pos is not None:
-                    leaf.fstable.update(pos, weight)
-                    outcomes[i] = False
-                else:
-                    leaf.ids.append(vid)
-                    leaf.fstable.append(weight)
-                    tree._size += 1
-                    outcomes[i] = True
-            tree.stats.leaf_ops += 1
-        modified[key] = leaf
+        _apply_to_leaf(tree, leaf, idxs, vids, codes, weights, outcomes)
+        current[key] = leaf
 
-    # ------------------------------------------------------------------
-    # Phase 4: bottom-up repair rounds.
-    # ------------------------------------------------------------------
-    current = modified
+    # Bottom-up repair rounds: each visits the parents of the nodes the
+    # previous one modified; the root is handled after the loop.
     while current:
-        # Group this round's modified nodes by parent; root-level nodes
-        # (no parent) are handled after the loop.
         by_parent: Dict[int, _InternalNode] = {}
-        for key, node in current.items():
+        for key in current:
             parent = child_parent.get(key)
             if parent is not None:
                 by_parent[id(parent)] = parent
-        if not by_parent:
-            break
-        next_round: Dict[int, object] = {}
-        for pkey, parent in by_parent.items():
+        for parent in by_parent.values():
             _repair_children(tree, parent)
-            next_round[pkey] = parent
-        current = next_round
+        current = by_parent
 
     _repair_root(tree)
     return outcomes
+
+
+def _apply_to_leaf(
+    tree: Samtree, leaf: _LeafNode, idxs: Iterable[int],
+    vids, codes, weights, outcomes: List[bool],
+) -> None:
+    """Leaf-local application of ops ``idxs``: upserts, in-place updates
+    and swap-deletes mutate the ID list and the FSTable together."""
+    ids, fstable = leaf.ids, leaf.fstable
+    applied = grown = 0
+    for i in idxs:
+        vid = vids[i]
+        code = codes[i]
+        pos = ids.index_of(vid)
+        if pos is None:
+            if code != OP_INSERT:
+                continue
+            ids.append(vid)
+            fstable.append(weights[i])
+            grown += 1
+            outcomes[i] = True
+        elif code == OP_DELETE:
+            fstable.delete(pos)
+            ids.swap_delete(pos)
+            grown -= 1
+            outcomes[i] = True
+        else:  # update, or an upsert that found the edge
+            fstable.update(pos, weights[i])
+            outcomes[i] = code == OP_UPDATE
+        applied += 1
+    tree._size += grown
+    tree.stats.leaf_ops += applied
 
 
 # ---------------------------------------------------------------------------

@@ -160,20 +160,21 @@ class CuckooHashMap:
             self._size += 1
 
     def get(self, key: Hashable, default: Any = None) -> Any:
-        """Return the value for ``key`` or ``default`` (lock-free)."""
+        """Return the value for ``key`` or ``default`` (lock-free).
+
+        The store's hottest call: :meth:`_buckets_for` inlined (the second
+        hash only on a first-bucket miss), each bucket read as one slice."""
         slots = self._slots
-        b1, b2 = self._buckets_for(key)
-        base = b1 * _BUCKET_WAYS
-        for s in range(base, base + _BUCKET_WAYS):
-            pair = slots[s]
+        h = hash(key)
+        mask = self._num_buckets - 1
+        base = (h & mask) * _BUCKET_WAYS
+        for pair in slots[base : base + _BUCKET_WAYS]:
             if pair is not None and pair[0] == key:
                 return pair[1]
-        if b2 != b1:
-            base = b2 * _BUCKET_WAYS
-            for s in range(base, base + _BUCKET_WAYS):
-                pair = slots[s]
-                if pair is not None and pair[0] == key:
-                    return pair[1]
+        base = ((((h * _SEED) & _MASK64) >> 17) & mask) * _BUCKET_WAYS
+        for pair in slots[base : base + _BUCKET_WAYS]:
+            if pair is not None and pair[0] == key:
+                return pair[1]
         return default
 
     def get_or_create(self, key: Hashable, factory) -> Any:
