@@ -25,6 +25,7 @@ kinds of the paper's Table II.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +41,8 @@ __all__ = [
     "OP_KIND_CODES",
     "EdgeBatch",
     "IngestStats",
+    "check_row",
+    "chunked",
     "fold_run",
 ]
 
@@ -177,6 +180,16 @@ class EdgeBatch:
         return cls(src, dst, weight, etype, OP_INSERT)
 
     @classmethod
+    def concat(cls, batches: Sequence["EdgeBatch"]) -> "EdgeBatch":
+        """The rows of ``batches`` back to back, in order — applied as
+        one batch they leave what applying each in turn would (the fold
+        is stable, so the last write of a key still wins)."""
+        return cls._from_validated(*(
+            np.concatenate([getattr(b, column) for b in batches])
+            for column in cls.__slots__
+        ))
+
+    @classmethod
     def from_edge_ops(cls, ops: Sequence[EdgeOp]) -> "EdgeBatch":
         """Columnarise a sequence of :class:`EdgeOp` records."""
         n = len(ops)
@@ -308,6 +321,33 @@ class EdgeBatch:
                 else:  # `batch` is this call's own sorted copy
                     batch.op[b], batch.weight[b] = net
         return batch.select(keep)
+
+
+def check_row(src: int, dst: int, weight: float, code: int) -> None:
+    """The column checks of :class:`EdgeBatch` on one row of scalars —
+    same rules, same errors — for a writer that packs a single
+    operation without building a batch (``code`` is a valid op code)."""
+    if src < 0 or dst < 0:
+        raise InvalidWeightError("vertex IDs must be non-negative")
+    if code != OP_DELETE and not 0.0 <= weight < inf:
+        raise InvalidWeightError(
+            "edge weights must be finite and non-negative"
+        )
+
+
+def chunked(items, size, limit: int) -> Iterator[list]:
+    """Consecutive runs of ``items`` whose ``size(item)`` total at most
+    ``limit`` (an item larger than ``limit`` is a run of its own)."""
+    run, total = [], 0
+    for item in items:
+        n = size(item)
+        if run and total + n > limit:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += n
+    if run:
+        yield run
 
 
 def fold_run(

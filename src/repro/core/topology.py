@@ -301,6 +301,11 @@ class DynamicGraphStore(GraphStoreAPI):
         directory = self._directory
         trees = list(map(directory.get, keys))  # the one probe per tree
         built = self._build_missing(batch, bounds, trees)
+        if built:
+            # The directory grows once for the trees about to be created,
+            # not by a rehash at every doubling under the put loop.
+            directory.reserve(len(directory) + len(built) - built.count(None))
+        built = iter(built)
         if len(trees) > trees.count(None):  # a pure load reads no row here
             dsts = batch.dst.tolist()
             codes = batch.op.tolist()
@@ -367,21 +372,23 @@ class DynamicGraphStore(GraphStoreAPI):
 
     def _build_missing(
         self, batch: EdgeBatch, bounds: np.ndarray, trees: List
-    ) -> Iterator[Samtree]:
+    ) -> List[Optional[Samtree]]:
         """For every group of ``batch`` whose tree is missing, in order:
         the new samtree of its inserts (``None`` when it holds none) —
         all their leaves built in one segmented pass over the columns."""
         if None not in trees:
-            return
+            return []
         missing = np.asarray([tree is None for tree in trees])
         rows = np.repeat(missing, np.diff(bounds))
         rows &= batch.op == OP_INSERT
         lengths = np.add.reduceat(rows, bounds[:-1], dtype=np.intp)[missing]
-        for root, size in build_roots(
-            self.config, batch.dst[rows], batch.weight[rows], lengths.tolist()
-        ):
-            tree = Samtree._over(self.config, self.stats, root, size)
-            yield tree if size else None
+        return [
+            Samtree._over(self.config, self.stats, root, size) if size else None
+            for root, size in build_roots(
+                self.config, batch.dst[rows], batch.weight[rows],
+                lengths.tolist(),
+            )
+        ]
 
     # ------------------------------------------------------------------
     # queries

@@ -31,6 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.ingest import EdgeBatch, chunked
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import SamtreeConfig
 from repro.core.snapshot import RNGLike
@@ -45,6 +46,7 @@ from repro.errors import ConfigurationError, ShardUnavailableError
 from repro.obs.telemetry import Stats, Telemetry
 from repro.storage.attributes import AttributeStore
 from repro.storage.checkpoint import (
+    LOAD_CHUNK_EDGES,
     load_attributes,
     load_store,
     save_attributes,
@@ -247,8 +249,10 @@ class GraphServer:
     def recover(self, sync_from: Optional["GraphServer"] = None) -> int:
         """Rebuild state and come back up; returns WAL records replayed.
 
-        Without ``sync_from``: load the last checkpoint (or start empty)
-        and replay the WAL tail through the columnar bulk-ingest path.
+        Without ``sync_from``: load the last checkpoint into a store
+        from the shard's factory (or start empty) and replay the WAL
+        tail through the columnar bulk-ingest path, its records
+        concatenated into batches of at most ``LOAD_CHUNK_EDGES`` rows.
 
         With a live ``sync_from`` peer replica: perform a state transfer
         (serialize the peer's store + attributes into this replica's
@@ -269,7 +273,9 @@ class GraphServer:
                 )
             self._capture_image(sync_from)
         if self._checkpoint_topology is not None:
-            self.store = load_store(io.BytesIO(self._checkpoint_topology))
+            self.store = load_store(
+                io.BytesIO(self._checkpoint_topology), self._fresh_store()
+            )
         else:
             self.store = self._fresh_store()
         if self._checkpoint_attributes is not None:
@@ -280,9 +286,9 @@ class GraphServer:
             self.attributes = AttributeStore()
         replayed = 0
         if self.wal is not None:
-            for batch in self.wal.replay():
-                self.store.apply_edge_batch(batch)
-                replayed += 1
+            for tail in chunked(self.wal.replay(), len, LOAD_CHUNK_EDGES):
+                self.store.apply_edge_batch(EdgeBatch.concat(tail))
+                replayed += len(tail)
         self._alive = True
         self.stats.recoveries += 1
         self.stats.wal_records_replayed += replayed

@@ -7,10 +7,10 @@ optionally an :class:`AttributeStore`) to a compact binary image:
 
 * a fixed header (magic, version, counts);
 * one record per (etype, src) adjacency: the IDs and weights of the
-  samtree's leaves in tree order, so loading rebuilds each samtree with
-  bulk inserts (no need to serialise tree internals — the tree shape is
-  a function of the insertion stream, and any valid shape is
-  equivalent);
+  samtree's leaves in tree order, so loading rebuilds the samtrees
+  through the store's columnar bulk path, a chunk of records per batch
+  (no need to serialise tree internals — the tree shape is a function
+  of the insertion stream, and any valid shape is equivalent);
 * attribute sections as (field, dtype, dim) blocks of packed rows;
 * a CRC-32 trailer over each section (topology, attributes).
 
@@ -19,7 +19,8 @@ pickle, so a snapshot is safe to load from untrusted storage.  A loader
 walks a section twice: once only reading, up to the trailer check, then
 again to build — so truncated, mutated or foreign bytes raise
 :class:`~repro.errors.ConfigurationError`, never anything else, and never
-yield part of a store, and a load holds one record at a time.
+yield part of a store, and a load holds one chunk of records
+(:data:`LOAD_CHUNK_EDGES`) at a time.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import BinaryIO, Union
 
 import numpy as np
 
+from repro.core.ingest import EdgeBatch, chunked
 from repro.core.samtree import SamtreeConfig
 from repro.core.snapshot import flatten_tree
 from repro.errors import ConfigurationError
@@ -50,6 +52,11 @@ _ATTR_MAGIC = b"PD2A"
 _ATTR_HEADER = struct.Struct("<4sHI")  # magic, version, num_fields
 _FIELD_HEADER = struct.Struct("<HHIq")  # name len, dtype len, dim, rows
 _TRAILER = struct.Struct("<I")  # crc32 of the section before it
+
+#: Edges a load (or a WAL-tail replay) hands the store per batch: enough
+#: to amortise the batch's sort and build, little enough that recovery
+#: holds a chunk of columns, not the snapshot (whole records per chunk).
+LOAD_CHUNK_EDGES = 1 << 16
 
 
 class _Section:
@@ -159,9 +166,32 @@ def _read_topology(src: _Section):
         yield etype, vertex, ids, weights
 
 
-def load_store(source: Union[str, BinaryIO]):
+def _insert_batch(records) -> EdgeBatch:
+    """The adjacency ``records`` as one insert-only batch: every tree of
+    it is new to the store, which packs their leaves in one segmented
+    pass."""
+    etypes, vertices, ids, weights = zip(*records)
+    degrees = [a.size for a in ids]
+    try:
+        return EdgeBatch.inserts(
+            np.repeat(np.asarray(vertices, dtype=np.int64), degrees),
+            np.concatenate(ids),
+            np.concatenate(weights),
+            np.repeat(np.asarray(etypes, dtype=np.int16), degrees),
+        )
+    except (OverflowError, ValueError) as exc:  # checksummed garbage
+        raise ConfigurationError(f"corrupt snapshot: {exc}") from None
+
+
+def load_store(source: Union[str, BinaryIO], store=None):
     """Rebuild a :class:`~repro.core.topology.DynamicGraphStore` from a
-    snapshot."""
+    snapshot.
+
+    Builds into ``store`` when one is given — an empty store carrying
+    the caller's options (read image, cache budget) — and into a default
+    store of the snapshot's :class:`SamtreeConfig` otherwise; a given
+    store whose config disagrees with the snapshot's is refused.
+    """
     from repro.core.topology import DynamicGraphStore
 
     with _Section(source, "rb") as src:
@@ -170,20 +200,16 @@ def load_store(source: Union[str, BinaryIO]):
         src.check_trailer()
         records = _read_topology(src)
         capacity, alpha, compress = next(records)
-        store = DynamicGraphStore(
-            SamtreeConfig(capacity=capacity, alpha=alpha, compress=compress)
-        )
-        for etype, vertex, ids, weights in records:
-            # Bulk path: one batch per source rebuilds the samtree with
-            # the Appendix-B rounds and keeps the counters exact.
-            store.apply_source_batch(
-                vertex,
-                etype,
-                [
-                    ("insert", v, w)
-                    for v, w in zip(ids.tolist(), weights.tolist())
-                ],
+        config = SamtreeConfig(capacity=capacity, alpha=alpha, compress=compress)
+        if store is None:
+            store = DynamicGraphStore(config)
+        elif store.config != config:
+            raise ConfigurationError(
+                f"snapshot was taken with {config}, "
+                f"cannot load it into a store of {store.config}"
             )
+        for chunk in chunked(records, lambda r: r[2].size, LOAD_CHUNK_EDGES):
+            store.apply_edge_batch(_insert_batch(chunk))
         src.read(_TRAILER.size)  # leave the stream at the section's end
     return store
 

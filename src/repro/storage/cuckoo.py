@@ -124,17 +124,18 @@ class CuckooHashMap:
             pair, self._slots[victim] = self._slots[victim], pair
             bucket = self._alternate(pair[0], bucket)
         # Path too long: grow, then place the displaced pair.
-        self._grow_locked()
+        self._rehash_locked(self._num_buckets * 2)
         return self._insert_with_evictions(pair[0], pair[1])
 
     def _alternate(self, key: Hashable, bucket: int) -> int:
         b1, b2 = self._buckets_for(key)
         return b2 if bucket == b1 else b1
 
-    def _grow_locked(self) -> None:
-        """Double the bucket count and rehash (write lock already held)."""
+    def _rehash_locked(self, num_buckets: int) -> None:
+        """Move every pair into a table of ``num_buckets`` buckets (write
+        lock already held)."""
         old = self._slots
-        self._num_buckets *= 2
+        self._num_buckets = num_buckets
         if self._num_buckets > 1 << 34:  # pragma: no cover - safety net
             raise HashMapFullError("cuckoo hashmap grew past 2^34 buckets")
         self._slots = [None] * (self._num_buckets * _BUCKET_WAYS)
@@ -158,6 +159,21 @@ class CuckooHashMap:
             if not self._insert_with_evictions(key, value):
                 raise HashMapFullError(f"could not place key {key!r}")
             self._size += 1
+
+    def reserve(self, n: int) -> None:
+        """Make room for ``n`` keys in all with one rehash.
+
+        Grows straight to the smallest table with a slot per key — the
+        size below which one-by-one :meth:`put` could not stop either,
+        so a reserved build never ends with more buckets than a grown
+        one — instead of doubling through every size on the way, each
+        step a full rehash behind a table packed to its last slots."""
+        with self._resize_lock:
+            buckets = self._num_buckets
+            while buckets * _BUCKET_WAYS < n:
+                buckets <<= 1
+            if buckets > self._num_buckets:
+                self._rehash_locked(buckets)
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Return the value for ``key`` or ``default`` (lock-free).

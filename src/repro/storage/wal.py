@@ -15,17 +15,22 @@ replay from untrusted storage:
 * one record per appended :class:`~repro.core.ingest.EdgeBatch`: a
   record header ``(n_rows, crc32)`` followed by the five columns
   (``src`` i64, ``dst`` i64, ``weight`` f64, ``etype`` i16, ``op`` u8)
-  packed back to back.
+  packed back to back.  A one-row record is therefore one
+  ``struct`` of the five fields, which is how a scalar write packs it.
 
 Each record carries a CRC-32 of its payload.  Replay tolerates a *torn
 tail* — a final record cut short by a crash mid-append — by stopping at
-the first incomplete record; a checksum mismatch **before** the tail
-raises :class:`~repro.errors.WALCorruptionError`.
+the first incomplete record and cutting the fragment off the log, so
+the next append lands behind a complete record; a checksum mismatch
+**before** the tail raises :class:`~repro.errors.WALCorruptionError`.
 
 The log can be file-backed (``path=...``; survives process restarts) or
 memory-backed (the default; models a durable device for the in-process
 cluster, surviving :meth:`GraphServer.crash`, which only drops volatile
-state).
+state).  A file-backed log appends through one ``O_APPEND`` handle held
+for the life of the object and flushed by every append: the bytes are
+with the OS when the append returns (there is no ``fsync``), and they
+land at the file's current end whoever else wrote or truncated it.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ import io
 import os
 import struct
 import zlib
-from typing import Iterator, List, Optional, Sequence
+from typing import BinaryIO, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.ingest import EdgeBatch
+from repro.core.ingest import OP_KIND_CODES, EdgeBatch, check_row
 from repro.core.types import EdgeOp
 from repro.errors import ConfigurationError, WALCorruptionError
 
@@ -50,9 +55,10 @@ WAL_VERSION = 1
 _FILE_HEADER = struct.Struct("<4sHHq")  # magic, version, flags, shard_id
 _REC_HEADER = struct.Struct("<qI")  # n_rows, crc32(payload)
 
-#: Bytes per row inside a record payload: src i64 + dst i64 + weight f64
-#: + etype i16 + op u8.
-_ROW_NBYTES = 8 + 8 + 8 + 2 + 1
+#: One payload row — src i64, dst i64, weight f64, etype i16, op u8 —
+#: which is also the whole payload of a one-row record.
+_ROW = struct.Struct("<qqdhB")
+_ROW_NBYTES = _ROW.size
 
 
 def _pack_payload(batch: EdgeBatch) -> bytes:
@@ -106,37 +112,40 @@ class ShardWAL:
     def __init__(self, path: Optional[str] = None, shard_id: int = 0) -> None:
         self.path = path
         self.shard_id = int(shard_id)
-        self._buf: Optional[io.BytesIO] = None if path else io.BytesIO()
         #: Records appended through this handle (best-effort; a
         #: pre-existing file-backed log may hold more).
         self.records_appended = 0
+        #: Size of the log as this handle last left or found it.
         self.bytes_appended = 0
         #: Whether the last replay stopped at a torn (truncated) tail.
         self.torn_tail_seen = False
-        if path is not None and os.path.exists(path) and os.path.getsize(path):
-            self._check_header_of(path)
+        size = os.path.getsize(path) if path and os.path.exists(path) else 0
+        if size:
+            with open(path, "rb") as f:
+                self._check_header_bytes(f.read(_FILE_HEADER.size))
+        #: Exactly one backing is set: the in-memory device, or the
+        #: append handle of ``path``.
+        self._buf: Optional[io.BytesIO] = None if path else io.BytesIO()
+        self._file: Optional[BinaryIO] = open(path, "ab") if path else None
+        if size:
+            self.bytes_appended = size
         else:
             self._write_header()
+
+    def close(self) -> None:
+        """Release the append handle of a file-backed log (idempotent;
+        the log itself stays, a later :class:`ShardWAL` reopens it)."""
+        if self._file is not None:
+            self._file.close()
 
     # ------------------------------------------------------------------
     # low-level IO
     # ------------------------------------------------------------------
     def _write_header(self) -> None:
-        head = _FILE_HEADER.pack(WAL_MAGIC, WAL_VERSION, 0, self.shard_id)
-        if self._buf is not None:
-            self._buf.seek(0)
-            self._buf.truncate()
-            self._buf.write(head)
-        else:
-            with open(self.path, "wb") as f:  # type: ignore[arg-type]
-                f.write(head)
-        self.bytes_appended = _FILE_HEADER.size
-
-    def _check_header_of(self, path: str) -> None:
-        with open(path, "rb") as f:
-            data = f.read(_FILE_HEADER.size)
-        self._check_header_bytes(data)
-        self.bytes_appended = os.path.getsize(path)
+        self._cut_to(0)
+        self._append_bytes(
+            _FILE_HEADER.pack(WAL_MAGIC, WAL_VERSION, 0, self.shard_id)
+        )
 
     def _check_header_bytes(self, data: bytes) -> None:
         if len(data) < _FILE_HEADER.size:
@@ -158,9 +167,15 @@ class ShardWAL:
             self._buf.seek(0, io.SEEK_END)
             self._buf.write(data)
         else:
-            with open(self.path, "ab") as f:  # type: ignore[arg-type]
-                f.write(data)
+            self._file.write(data)  # type: ignore[union-attr]
+            self._file.flush()  # type: ignore[union-attr]
         self.bytes_appended += len(data)
+
+    def _cut_to(self, size: int) -> None:
+        """Drop everything past byte ``size`` of the log."""
+        backing = self._buf if self._buf is not None else self._file
+        backing.truncate(size)  # type: ignore[union-attr]
+        self.bytes_appended = size
 
     def _read_all(self) -> bytes:
         if self._buf is not None:
@@ -173,6 +188,12 @@ class ShardWAL:
     # ------------------------------------------------------------------
     # append path
     # ------------------------------------------------------------------
+    def _append_record(self, n: int, payload: bytes) -> int:
+        record = _REC_HEADER.pack(n, zlib.crc32(payload)) + payload
+        self._append_bytes(record)
+        self.records_appended += 1
+        return len(record)
+
     def append_batch(self, batch: EdgeBatch) -> int:
         """Durably append one columnar batch; returns bytes written.
 
@@ -181,18 +202,25 @@ class ShardWAL:
         n = len(batch)
         if n == 0:
             return 0
-        payload = _pack_payload(batch)
-        record = _REC_HEADER.pack(n, zlib.crc32(payload)) + payload
-        self._append_bytes(record)
-        self.records_appended += 1
-        return len(record)
+        return self._append_record(n, _pack_payload(batch))
 
     def append_ops(self, ops: Sequence[EdgeOp]) -> int:
-        """Columnarise and append a scalar op batch (the ``apply_ops``
-        write path shares the log format with the bulk path)."""
-        if not ops:
-            return 0
-        return self.append_batch(EdgeBatch.from_edge_ops(ops))
+        """Append a scalar op batch as one record (the ``apply_ops``
+        write path shares the log format with the bulk path).
+
+        A single op — every ``add/update/remove_edge`` — is checked and
+        packed as scalars: the checks, their errors and the record
+        bytes are those of a one-row :class:`EdgeBatch`."""
+        if len(ops) != 1:
+            return self.append_batch(EdgeBatch.from_edge_ops(ops))
+        (op,) = ops
+        code = OP_KIND_CODES[op.kind]
+        try:
+            payload = _ROW.pack(op.src, op.dst, op.weight, op.etype, code)
+        except struct.error as exc:  # what a too-narrow numpy column raises
+            raise OverflowError(str(exc)) from None
+        check_row(op.src, op.dst, op.weight, code)
+        return self._append_record(1, payload)
 
     # ------------------------------------------------------------------
     # replay path
@@ -200,9 +228,11 @@ class ShardWAL:
     def replay(self) -> Iterator[EdgeBatch]:
         """Yield every complete record in append order.
 
-        Stops silently at a torn tail (setting :attr:`torn_tail_seen`);
-        raises :class:`WALCorruptionError` on a mid-file checksum
-        mismatch.
+        Stops at a torn tail, setting :attr:`torn_tail_seen` and
+        cutting the fragment off the log before the first record is
+        yielded — an append after this replay must not land behind
+        bytes the next replay would read as a corrupt record.  Raises
+        :class:`WALCorruptionError` on a mid-file checksum mismatch.
         """
         data = self._read_all()
         if not data:
@@ -238,6 +268,8 @@ class ShardWAL:
                 )
             pending.append(_unpack_payload(payload, n))
             pos = body_end
+        if self.torn_tail_seen:
+            self._cut_to(pos)
         yield from pending
 
     def num_records(self) -> int:
@@ -257,7 +289,7 @@ class ShardWAL:
     def nbytes(self) -> int:
         """Current size of the log in bytes."""
         if self._buf is not None:
-            return len(self._buf.getvalue())
+            return self._buf.seek(0, io.SEEK_END)
         if not os.path.exists(self.path):  # type: ignore[arg-type]
             return 0
         return os.path.getsize(self.path)  # type: ignore[arg-type]

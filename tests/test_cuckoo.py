@@ -155,3 +155,119 @@ def test_matches_dict_semantics(ops):
             ref.pop(k, None)
     assert len(m) == len(ref)
     assert dict(m.items()) == ref
+
+
+# ---------------------------------------------------------------------------
+# reserve: one rehash, same semantics, never a bigger table
+# ---------------------------------------------------------------------------
+from hypothesis.stateful import (  # noqa: E402
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+)
+
+
+class CuckooMachine(RuleBasedStateMachine):
+    """``CuckooHashMap`` against ``dict`` with ``reserve`` interleaved:
+    presizing moves pairs between tables and must lose or invent none."""
+
+    KEYS = st.tuples(st.integers(0, 1), st.integers(0, 400))
+
+    def __init__(self):
+        super().__init__()
+        self.map = CuckooHashMap(initial_buckets=1)
+        self.ref = {}
+
+    @rule(key=KEYS, value=st.integers())
+    def put(self, key, value):
+        self.map.put(key, value)
+        self.ref[key] = value
+
+    @rule(key=KEYS)
+    def delete(self, key):
+        assert self.map.delete(key) == (key in self.ref)
+        self.ref.pop(key, None)
+
+    @rule(key=KEYS)
+    def get_or_create(self, key):
+        assert self.map.get_or_create(key, lambda: -1) == self.ref.setdefault(
+            key, -1
+        )
+
+    @rule(n=st.integers(-5, 3000))
+    def reserve(self, n):
+        before = self.map._num_buckets
+        self.map.reserve(n)
+        buckets = self.map._num_buckets
+        assert buckets >= before  # never shrinks
+        assert buckets & (buckets - 1) == 0
+        if buckets > before:  # grew: to the smallest table that fits n
+            assert buckets * 4 >= n > buckets * 2
+
+    @rule(key=KEYS)
+    def get(self, key):
+        assert self.map.get(key, "absent") == self.ref.get(key, "absent")
+        assert (key in self.map) == (key in self.ref)
+
+    @invariant()
+    def same_pairs(self):
+        assert len(self.map) == len(self.ref)
+        assert dict(self.map.items()) == self.ref
+
+
+CuckooMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=60, deadline=None
+)
+TestCuckooMachine = CuckooMachine.TestCase
+
+
+class TestReserve:
+    @pytest.mark.parametrize("n", [1_000, 5_000, 10_000])
+    @pytest.mark.parametrize("shard", [0, 3])
+    def test_never_more_buckets_than_one_by_one(self, n, shard):
+        """On a shard's directory keys — ``(etype, src)`` with the
+        sources a 4-way hash partition owns — presizing ends on the
+        table growing by doubling ends on, or a smaller one."""
+        keys = [(0, 4 * i + shard) for i in range(n)]
+        grown = CuckooHashMap(initial_buckets=64)
+        for key in keys:
+            grown.put(key, None)
+        reserved = CuckooHashMap(initial_buckets=64)
+        reserved.reserve(len(keys))
+        for key in keys:
+            reserved.put(key, None)
+        assert reserved._num_buckets <= grown._num_buckets
+        assert len(reserved) == n and all(k in reserved for k in keys)
+
+    def test_grows_once(self, monkeypatch):
+        m = CuckooHashMap(initial_buckets=1)
+        for i in range(3):
+            m.put(i, i)
+        rehashes = []
+        rehash = m._rehash_locked
+        monkeypatch.setattr(
+            m, "_rehash_locked",
+            lambda buckets: rehashes.append(buckets) or rehash(buckets),
+        )
+        m.reserve(1000)
+        assert rehashes == [256]  # 256 * 4 slots is the first >= 1000
+        m.reserve(1000)
+        m.reserve(0)
+        assert rehashes == [256]
+        assert dict(m.items()) == {0: 0, 1: 1, 2: 2}
+
+    def test_bulk_load_presizes_the_directory(self):
+        import numpy as np
+
+        from repro.core.topology import DynamicGraphStore
+
+        src = np.repeat(np.arange(5_000) * 4, 2)
+        dst = np.tile([1, 2], 5_000)
+        loaded = DynamicGraphStore()
+        loaded.bulk_load(src, dst)
+        looped = DynamicGraphStore()
+        for s, d in zip(src.tolist(), dst.tolist()):
+            looped.add_edge(s, d)
+        assert (
+            loaded.directory._num_buckets == looped.directory._num_buckets
+        )
