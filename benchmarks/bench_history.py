@@ -85,16 +85,6 @@ def extract_metrics(bench: str, payload: Dict) -> Dict[str, float]:
                 "batched_ops_per_s"
             ],
         }
-    if bench == "frozen_sampling":
-        metrics = {
-            f"frozen_vertices_per_s_k{fanout}": stats[
-                "frozen_matrix_vertices_per_s"
-            ]
-            for fanout, stats in payload["fanouts"].items()
-        }
-        if not metrics:
-            raise KeyError("frozen_sampling payload has no fanouts")
-        return metrics
     if bench == "zipf_serving":
         metrics = {}
         for skew, entry in payload["skews"].items():
@@ -116,7 +106,7 @@ def extract_metrics(bench: str, payload: Dict) -> Dict[str, float]:
     raise KeyError(
         f"no metric extractor for bench {bench!r}; known: "
         f"batched_sampling, bulk_ingest, flight_recorder, "
-        f"frozen_sampling, monitoring, slo_serving, zipf_serving"
+        f"monitoring, slo_serving, zipf_serving"
     )
 
 
@@ -287,7 +277,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "batched_sampling",
                 "bulk_ingest",
                 "flight_recorder",
-                "frozen_sampling",
                 "monitoring",
                 "slo_serving",
                 "zipf_serving",

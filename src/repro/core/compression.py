@@ -233,7 +233,7 @@ class CompressedIDList:
         Rebuilds the big-endian byte matrix — prefix columns broadcast,
         suffix columns reshaped straight out of the packed buffer — and
         views it back as 64-bit integers, so flattening a leaf costs no
-        per-ID Python work (the snapshot/frozen-shard compilers' path).
+        per-ID Python work (the read image's reference flatten).
         """
         n = self._n
         if n == 0:

@@ -48,7 +48,14 @@ from repro.errors import (
     InvalidWeightError,
 )
 
-__all__ = ["FSTable", "build_tables", "join_weight_columns", "lsb"]
+__all__ = [
+    "FSTable", "ROW_PAD", "build_tables", "join_weight_columns", "lsb",
+    "pad_rows",
+]
+
+#: Rows up to this long are processed as one zero-padded matrix per batch
+#: by the read image (:func:`pad_rows`); 99 % of a power-law graph's rows.
+ROW_PAD = 16
 
 
 def lsb(x: int) -> int:
@@ -426,3 +433,15 @@ def join_weight_columns(tables: Sequence["FSTable"]):
     return np.frombuffer(
         b"".join([table._weights for table in tables]), dtype=np.float64
     )
+
+
+def pad_rows(column, start, length):
+    """Rows ``column[start[r] : start[r] + length[r]]`` (every length
+    at most :data:`ROW_PAD`) as one zero-padded ``(rows, ROW_PAD)``
+    matrix, with the flat position of every cell and the mask of the
+    cells that lie inside their row — so a per-row pass over many short
+    rows is one 2-D numpy pass (:mod:`repro.core.snapshot`)."""
+    cols = np.arange(ROW_PAD)
+    pos = start[:, None] + cols
+    inside = cols < length[:, None]
+    return np.where(inside, column.take(pos, mode="clip"), 0.0), pos, inside

@@ -12,7 +12,7 @@ snapshot-and-rebuild:
 * :class:`ReadImage` owns one image per relation: two append-only
   arena columns (``ids`` and the per-row *local* inclusive cumulative
   weights ``cum``), per-row ``start / length / total / version / clean /
-  idle`` columns, and a plain ``dict`` ``src → slot`` as the only
+  aliased / idle`` columns, and a plain ``dict`` ``src → slot`` as the
   directory.  A draw of mass ``r ∈ [0, total)`` takes the smallest
   ``i`` of the row with ``cum[i] > r`` — inverse transform sampling
   over exactly the tree's weights, so the distribution is *identical*
@@ -20,15 +20,29 @@ snapshot-and-rebuild:
   never selected, an all-zero row draws uniformly.
 
 * **Coherence is one dirty bit** per row, set by the store's mutation
-  entry points *before* they write.  A dirty (or absent) row is
-  re-flattened on its next read: all such rows of a frontier share one
-  batched leaf decode (:func:`~repro.core.compression.decode_id_lists`)
-  and one append to the arena; the superseded segment becomes garbage.
-  Trees must not be mutated behind the store's back (the frozen tier's
-  contract too); :meth:`ReadImage.stale_rows` checks it.
+  entry points *before* they write; a row is *absent*, *dirty*, *clean*
+  or clean and *aliased*.  A dirty or absent row is re-flattened on its
+  next read: all such rows of a frontier go through the one row builder
+  (:meth:`_Image.flatten`: one batched leaf decode, one padded 2-D
+  ``cumsum``, one arena append); the superseded segment becomes garbage.
+  A source with no adjacency holds a clean zero-length row.  Trees must
+  not be mutated behind the store's back; :meth:`ReadImage.stale_rows`
+  checks it.
 
-* **Two draw loops over the same rows**, picked from the call's own
-  size: a frontier draws every row in one size-classed vectorized
+* **Freezing a relation** is the same builder over every row that is
+  not clean, then an alias table (:mod:`repro.core.frozen`, two more
+  arena columns) for every row that lacks one.  Clean aliased rows draw
+  in O(1) per neighbor, a frontier of nothing else in exactly one
+  kernel call.  A write still dirties *its row* only: that row is
+  re-flattened and drawn by binary search beside the alias kernel until
+  the next ``freeze()`` gives it its table back.  ``freeze()`` writes
+  the row slots in ``src`` order, so a frozen relation resolves a
+  frontier by ``searchsorted`` over its own ``src`` column and asks the
+  ``dict`` only for rows admitted since; its clean rows are pinned
+  against eviction until ``thaw()`` drops the alias columns.
+
+* **Two binary-search loops over the same rows**, picked from the call's
+  own size: a frontier draws every row in one size-classed vectorized
   binary search; a call of fewer than :data:`ROW_LOOP_BELOW` sources
   (a serving micro-batch) draws row by row, because the kernel's fixed
   cost would dominate it.
@@ -36,7 +50,8 @@ snapshot-and-rebuild:
 * **Compaction is the only eviction**: once garbage passes
   ``1/GARBAGE_DIVISOR`` of the live edges — or the image outgrows
   ``capacity_bytes`` — one vectorized pass rewrites the arena, keeping
-  the clean rows read within the last :data:`KEEP_IDLE` passes.
+  the clean rows read within the last :data:`KEEP_IDLE` passes (every
+  clean row, for a frozen relation).
 
 The batched read APIs take a seed — an ``int``, a ``random.Random``, or
 a ``numpy.random.Generator`` (passed through untouched, so one
@@ -49,12 +64,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.compression import decode_id_lists
-from repro.core.fenwick import join_weight_columns
+from repro.core.fenwick import ROW_PAD, join_weight_columns, pad_rows
+from repro.core.frozen import alias_mass, build_alias, draw_alias
 from repro.core.memory import DEFAULT_MEMORY_MODEL
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import Stats
@@ -78,6 +95,11 @@ DEFAULT_CAPACITY_BYTES = 64 << 20
 #: kernel costs a fixed ~40 numpy dispatches however few rows it serves.
 ROW_LOOP_BELOW = 32
 
+#: The row builder works by columns from this many rows up: its column
+#: passes cost ~30 numpy dispatches however few rows they hold, the
+#: row-by-row form ~3 µs a row (a serving micro-batch re-flattens 1–4).
+PAD_FROM_ROWS = 16
+
 #: Compact once garbage exceeds ``live edges / GARBAGE_DIVISOR``.
 GARBAGE_DIVISOR = 32
 
@@ -92,6 +114,15 @@ _EMPTY = 1
 
 #: Modeled bytes per arena slot: one ID + one cumulative weight.
 _SLOT_BYTES = DEFAULT_MEMORY_MODEL.id_bytes + DEFAULT_MEMORY_MODEL.weight_bytes
+#: ... and of its alias cell: one probability + one arena position.
+_ALIAS_SLOT_BYTES = DEFAULT_MEMORY_MODEL.weight_bytes + 8
+
+#: How far an alias table's probability of an edge may sit from
+#: ``weight / total`` (the Vose pairing's float residue is below 1e-13).
+ALIAS_TOLERANCE = 1e-12
+
+#: Arena columns; the last two exist while the relation is frozen.
+_ARENA_COLUMNS = ("ids", "cum", "alias_prob", "alias_idx")
 
 #: Per-row columns of an image, with their dtypes.
 _ROW_COLUMNS = (
@@ -101,6 +132,7 @@ _ROW_COLUMNS = (
     ("total", np.float64),
     ("version", np.int64),
     ("clean", np.bool_),
+    ("aliased", np.bool_),
     ("idle", np.int8),
 )
 
@@ -153,9 +185,9 @@ def flatten_tree(tree) -> Tuple[np.ndarray, np.ndarray]:
     leaf slice at a time (``CompressedIDList.to_array`` decodes the IDs,
     ``FSTable.to_weight_array`` copies the stored weight column), so
     the only Python-level loop is over *leaves*, not edges, and the
-    weights are the tree's, bit for bit.  The frozen-shard compiler
-    (:mod:`repro.core.frozen`) builds from it, and every image row must
-    equal it (:meth:`ReadImage.stale_rows`).
+    weights are the tree's, bit for bit.  The reference every image row
+    must equal (:meth:`ReadImage.stale_rows`); the read path itself
+    flattens many trees at once (:meth:`_Image.flatten`).
     """
     n = tree.degree
     ids = np.empty(n, dtype=np.int64)
@@ -195,24 +227,38 @@ class _Image:
     """The rows of one relation (see the module docstring).
 
     Slot 0 is a permanent empty row that is never clean: a source with
-    no row resolves to it, so "absent" and "dirty" are one test, and a
-    source that still has no adjacency after the directory was asked
-    draws from a zero-length row — ``EMPTY``.
+    no row resolves to it, so "absent" and "dirty" are one test.
     """
 
-    __slots__ = ("slot_of", "ids", "cum", "used", "garbage", "rows") + tuple(
-        name for name, _ in _ROW_COLUMNS
-    )
+    __slots__ = (
+        "slot_of", "ids", "cum", "alias_prob", "alias_idx", "used",
+        "garbage", "rows", "ordered", "_workspace",
+    ) + tuple(name for name, _ in _ROW_COLUMNS)
 
     def __init__(self) -> None:
         self.slot_of: Dict[int, int] = {}
         self.ids = np.empty(1024, dtype=np.int64)
         self.cum = np.empty(1024, dtype=np.float64)
+        #: Alias columns, arena-parallel; present while frozen.
+        self.alias_prob: Optional[np.ndarray] = None
+        self.alias_idx: Optional[np.ndarray] = None
         self.used = 0  #: arena slots written, garbage included
-        self.garbage = 0  #: arena slots of rows replaced since compaction
+        #: Arena slots of rows replaced since compaction, plus one per
+        #: empty row admitted (unknown sources must not pile up rows
+        #: without bringing a compaction on).
+        self.garbage = 0
         self.rows = 1  #: row slots handed out, the empty row included
+        #: Slots ``1 .. ordered`` ascend in ``src`` (``freeze`` writes
+        #: them so, compaction keeps slot order): what :meth:`lookup`
+        #: resolves by ``searchsorted``.
+        self.ordered = 0
+        self._workspace: Optional[tuple] = None  # the alias draw's buffers
         for name, dtype in _ROW_COLUMNS:
             setattr(self, name, np.zeros(64, dtype=dtype))
+
+    @property
+    def frozen(self) -> bool:
+        return self.alias_prob is not None
 
     def mark(self, src: int) -> None:
         """Set the dirty bit of ``src``'s row, if it has one.
@@ -223,6 +269,31 @@ class _Image:
         slot = self.slot_of.get(src)
         if slot is not None:
             self.clean[slot] = False
+
+    def slots_of(self, keys: List[int]) -> np.ndarray:
+        """The row slot of every source of ``keys`` by the ``dict``,
+        0 where it has none."""
+        return np.fromiter(
+            map(self.slot_of.get, keys, repeat(0)),
+            dtype=np.int64, count=len(keys),
+        )
+
+    def lookup(self, srcs: np.ndarray) -> np.ndarray:
+        """The row slot of every source, 0 where it has none: one
+        ``searchsorted`` over the ``src``-ordered slots, the ``dict``
+        for what that misses."""
+        n = self.ordered
+        if not n:
+            return self.slots_of(srcs.tolist())
+        column = self.src[1 : n + 1]
+        slots = column.searchsorted(srcs)
+        np.minimum(slots, n - 1, out=slots)
+        found = column[slots] == srcs
+        slots += 1
+        if not found.all():
+            missed = (~found).nonzero()[0]
+            slots[missed] = self.slots_of(srcs[missed].tolist())
+        return slots
 
     # -- admission --------------------------------------------------------
     def _reserve(self, rows: int, edges: int) -> None:
@@ -236,7 +307,7 @@ class _Image:
         need = self.used + edges
         if need > self.ids.size:
             size = max(need, 2 * self.ids.size)
-            for name in ("ids", "cum"):
+            for name in _ARENA_COLUMNS if self.frozen else _ARENA_COLUMNS[:2]:
                 old = getattr(self, name)
                 grown = np.empty(size, dtype=old.dtype)
                 grown[: self.used] = old[: self.used]
@@ -245,66 +316,152 @@ class _Image:
     def admit(
         self, trees, etype: int, keys: List[int], slots,
         stale: List[int], stats: SnapshotCacheStats,
-    ) -> int:
-        """Flatten the absent or dirty rows ``stale`` (positions in
-        ``keys``) and point ``slots`` at them; returns how many rows
-        were appended to the arena.
+    ) -> None:
+        """Give the absent or dirty rows ``stale`` (positions in
+        ``keys``) a clean row and point ``slots`` at it.
 
-        Python-level work is one directory ``get`` and one leaf walk per
-        row; the leaves of all rows are decoded together and appended to
-        the arena in one piece.  A source with no adjacency resolves to
-        the empty row.
+        One directory ``get`` per row; the rows with a tree go to
+        :meth:`flatten` together.  A source with no adjacency gets a
+        clean zero-length row, so its next read is a hit that asks the
+        directory nothing; ``mark`` dirties it when a first edge arrives.
         """
         self._reserve(len(stale), 0)
         slot_of = self.slot_of
         admitted: Dict[int, int] = {}  # repeats of one source in `keys`
-        built: List[Tuple[int, int, int]] = []  # (slot, degree, version)
-        leaves: list = []
+        built: List[int] = []
+        built_trees: list = []
         for i in stale:
             src = keys[i]
             slot = admitted.get(src)
             if slot is None:
                 tree = trees.get((etype, src))
-                if tree is None or not tree:
-                    slot = 0
+                slot = slot_of.get(src)
+                if slot is None:
+                    slot = slot_of[src] = self.rows
+                    self.src[slot] = src
+                    self.rows += 1
                 else:
-                    slot = slot_of.get(src)
-                    if slot is None:
-                        slot = slot_of[src] = self.rows
-                        self.src[slot] = src
-                        self.rows += 1
-                    else:
-                        self.garbage += self.length.item(slot)
-                        stats.invalidations += 1
-                    built.append((slot, tree.degree, tree.version))
-                    leaves.extend(tree._leaves())
+                    self.garbage += self.length.item(slot)
+                    stats.invalidations += bool(tree)
+                if tree:
+                    built.append(slot)
+                    built_trees.append(tree)
+                else:
+                    self.length[slot] = 0
+                    self.total[slot] = 0.0
+                    self.clean[slot] = self.aliased[slot] = True
+                    self.garbage += 1
                 admitted[src] = slot
             slots[i] = slot
-        if not built:
-            return 0
+        if built:
+            self.flatten(built, built_trees, stats)
+
+    def flatten(self, slots, trees: list, stats: SnapshotCacheStats) -> None:
+        """The one row builder: flatten ``trees[i]`` (none empty) into
+        row ``slots[i]`` (all distinct), one append to the arena.
+
+        All leaves are decoded together, and the cumulative column of
+        every row of at most ``ROW_PAD`` edges comes from one zero-padded
+        2-D ``np.cumsum``: a running sum along an axis adds left to
+        right and trailing zero pads change no earlier prefix, so each
+        entry is bit for bit what ``stale_rows`` recomputes from
+        ``flatten_tree``.  Longer rows keep the per-row call, and fewer
+        than ``PAD_FROM_ROWS`` rows are written row by row.
+        """
+        leaves: list = []
+        for tree in trees:
+            root = tree._root
+            if root.is_leaf:
+                leaves.append(root)
+            else:
+                leaves.extend(tree._leaves())
         ids = decode_id_lists([leaf.ids for leaf in leaves])
         weights = join_weight_columns([leaf.fstable for leaf in leaves])
+        count = len(trees)
+        stats.builds += count
         self._reserve(0, ids.size)
         a = self.used
         self.used = a + ids.size
         self.ids[a : self.used] = ids
         cum = self.cum[a : self.used]
-        lo = 0
-        for slot, degree, version in built:
-            hi = lo + degree
-            # np.cumsum of the row's own weights: bit for bit what
-            # ``stale_rows`` recomputes from ``flatten_tree``.
+        if count < PAD_FROM_ROWS:
+            lo = 0
+            for slot, tree in zip(slots, trees):
+                hi = lo + tree.degree
+                np.cumsum(weights[lo:hi], out=cum[lo:hi])
+                self.start[slot] = a + lo
+                self.length[slot] = hi - lo
+                self.total[slot] = cum[hi - 1]
+                self.version[slot] = tree.version
+                self.clean[slot] = True
+                self.aliased[slot] = False
+                lo = hi
+            return
+        length = np.fromiter(
+            (tree.degree for tree in trees), dtype=np.int64, count=count
+        )
+        ends = np.cumsum(length)
+        start = ends - length
+        short = length <= ROW_PAD
+        padded, pos, inside = pad_rows(weights, start[short], length[short])
+        cum[pos[inside]] = np.cumsum(padded, axis=1)[inside]
+        long = ~short
+        for lo, hi in zip(start[long].tolist(), ends[long].tolist()):
             np.cumsum(weights[lo:hi], out=cum[lo:hi])
-            self.start[slot] = a + lo
-            self.length[slot] = degree
-            self.total[slot] = cum[hi - 1]
-            self.version[slot] = version
-            self.clean[slot] = True
-            lo = hi
-        stats.builds += len(built)
-        return len(built)
+        slots = np.asarray(slots)
+        self.start[slots] = a + start
+        self.length[slots] = length
+        self.total[slots] = cum[ends - 1]
+        self.version[slots] = np.fromiter(
+            (tree.version for tree in trees), dtype=np.int64, count=count
+        )
+        self.clean[slots] = True
+        self.aliased[slots] = False
 
-    # -- the two draw loops -------------------------------------------------
+    # -- freeze / thaw ------------------------------------------------------
+    def freeze(self, pairs: list, stats: SnapshotCacheStats, frozen_stats) -> None:
+        """Make every tree of ``pairs`` — the relation's ``(src, tree)``
+        in ``src`` order — a clean aliased row, in that order: clean
+        rows are kept, the rest go to :meth:`flatten` in one batch, then
+        every row without an alias table gets one.  Rows of sources
+        that left the directory are dropped."""
+        count = len(pairs)
+        srcs = [src for src, _ in pairs]
+        old = self.slots_of(srcs)
+        self._reserve(count, 0)
+        rows = count + 1
+        for name, _ in _ROW_COLUMNS:
+            column = getattr(self, name)
+            column[1:rows] = column[old]
+        self.src[1:rows] = srcs
+        self.aliased[1:rows] &= self.clean[1:rows]
+        self.rows = rows
+        self.ordered = count
+        self.slot_of = dict(zip(srcs, range(1, rows)))
+        stale = (~self.clean[1:rows]).nonzero()[0]
+        if stale.size:
+            self.flatten(stale + 1, [pairs[i][1] for i in stale.tolist()], stats)
+        self.garbage = self.used - int(self.length[1:rows].sum())
+        if not self.frozen:
+            self.alias_prob = np.empty(self.ids.size, dtype=np.float64)
+            self.alias_idx = np.empty(self.ids.size, dtype=np.int64)
+        bare = (~self.aliased[1:rows]).nonzero()[0] + 1
+        length = self.length[bare]
+        build_alias(
+            self.cum, self.start[bare], length, self.alias_prob, self.alias_idx
+        )
+        self.aliased[bare] = True
+        frozen_stats.compiles += 1
+        frozen_stats.compiled_rows += bare.size
+        frozen_stats.compiled_edges += int(length.sum())
+
+    def thaw(self) -> None:
+        """Drop the alias columns: every row is a binary-search row."""
+        self.alias_prob = self.alias_idx = self._workspace = None
+        self.aliased[: self.rows] = False
+        self.ordered = 0
+
+    # -- the draw loops -----------------------------------------------------
     def draw_rows(
         self, slots: List[int], counts, n: int, k: int,
         gen: np.random.Generator, weighted: bool,
@@ -337,7 +494,7 @@ class _Image:
         return out, state
 
     def draw_frontier(
-        self, slots: np.ndarray, counts, k: int,
+        self, rows: np.ndarray, k: int,
         gen: np.random.Generator, weighted: bool,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One vectorized draw over a whole frontier.
@@ -347,8 +504,7 @@ class _Image:
         prefix of rows at least that long: a row of length ``L`` costs
         ``log2 L`` array steps, not the longest row's.
         """
-        self.idle[slots] = 0
-        rows = slots if counts is None else np.repeat(slots, counts)
+        self.idle[rows] = 0
         length = self.length[rows]
         out = np.zeros((rows.size, k), dtype=np.int64)
         state = (length == 0).view(np.int8)  # True is _EMPTY
@@ -388,6 +544,82 @@ class _Image:
         out[order] = self.ids.take(idx)
         return out, state
 
+    def draw_aliased(
+        self, rows: np.ndarray, k: int,
+        gen: np.random.Generator, weighted: bool,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One O(1)-per-draw alias kernel over clean aliased rows."""
+        lo = self.start[rows][:, None]
+        deg = self.length[rows][:, None]
+        shape = (rows.size, k)
+        buffers = self._workspace
+        if buffers is None or buffers[0].shape != shape:
+            buffers = self._workspace = (
+                np.empty(shape, dtype=np.float64),  # uniforms / fracs
+                np.empty(shape, dtype=np.float64),  # gathered cell probs
+                np.empty(shape, dtype=np.int64),  # slot -> edge position
+                np.empty(shape, dtype=np.int64),  # chosen edge index
+                np.empty(shape, dtype=bool),  # keep-slot mask
+            )
+        out = draw_alias(
+            self.ids, self.alias_prob, self.alias_idx, lo, deg, gen,
+            not weighted, buffers,
+        )
+        empty = deg[:, 0] == 0
+        if empty.any():
+            out[empty] = 0
+        return out, empty.view(np.int8)  # True is _EMPTY
+
+    def draw_frozen(
+        self, slots: np.ndarray, counts, k: int, gen: np.random.Generator,
+        weighted: bool, frozen_stats,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The draw of a frozen relation (all rows clean): one alias
+        kernel call when every row is aliased, else that for the aliased
+        rows and a binary-search loop for those re-flattened since."""
+        rows = slots if counts is None else np.repeat(slots, counts)
+        fast = self.aliased[rows]
+        if fast.all():
+            missed = 0
+            drawn = self.draw_aliased(rows, k, gen, weighted)
+        else:  # the rest draw as the empty row, then are overwritten
+            cold = (~fast).nonzero()[0]
+            missed = cold.size
+            out, state = drawn = self.draw_aliased(
+                np.where(fast, rows, 0), k, gen, weighted
+            )
+            if cold.size < ROW_LOOP_BELOW:
+                out[cold], state[cold] = self.draw_rows(
+                    rows[cold].tolist(), repeat(1), cold.size, k, gen, weighted
+                )
+            else:
+                out[cold], state[cold] = self.draw_frontier(
+                    rows[cold], k, gen, weighted
+                )
+        served = rows.size - missed
+        empty = int(np.count_nonzero(drawn[1]))  # a re-flattened row has edges
+        frozen_stats.batches += 1
+        frozen_stats.vertices += served
+        frozen_stats.stale_misses += missed
+        frozen_stats.draws += (served - empty) * k
+        frozen_stats.missing_vertices += empty
+        return drawn
+
+    def sample_matrix(
+        self, srcs, k: int, gen: np.random.Generator, uniform: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The alias kernel alone over a frontier of a frozen relation:
+        the ``(len(srcs), k)`` draws and a row mask, False (and the row
+        0) where the source has no clean aliased row or no adjacency."""
+        if k < 0:
+            raise ConfigurationError(f"fanout must be >= 0, got {k}")
+        slots = self.lookup(np.asarray(srcs, dtype=np.int64))
+        usable = self.clean[slots] & self.aliased[slots]
+        if not usable.all():
+            slots[~usable] = 0  # the empty row
+        out, state = self.draw_aliased(slots, k, gen, not uniform)
+        return out, ~state.view(np.bool_)
+
     # -- compaction ---------------------------------------------------------
     def compact(self, budget: Optional[int] = None) -> int:
         """Rewrite the arena with the clean rows read in the last
@@ -395,12 +627,17 @@ class _Image:
         rows were dropped.  Where those exceed ``budget`` arena slots
         the shortest rows are kept first: a hub too large for the budget
         is served once and dropped, it does not push everything else out.
+        A frozen relation's clean rows are pinned: all of them stay.
         """
         rows = self.rows
         clean = self.clean[:rows]
-        keep = np.flatnonzero(clean & (self.idle[:rows] < KEEP_IDLE))
+        pinned = self.frozen
+        if pinned:
+            keep = np.flatnonzero(clean)
+        else:
+            keep = np.flatnonzero(clean & (self.idle[:rows] < KEEP_IDLE))
         length = self.length[keep]
-        if budget is not None and int(length.sum()) > budget:
+        if not pinned and budget is not None and int(length.sum()) > budget:
             order = np.argsort(length, kind="stable")
             fits = int(np.searchsorted(np.cumsum(length[order]), budget, "right"))
             keep = np.sort(keep[order[:fits]])
@@ -410,17 +647,23 @@ class _Image:
         start = ends - length
         self.used = int(ends[-1]) if keep.size else 0
         self.garbage = 0
-        take = np.repeat(self.start[keep] - start, length) + np.arange(self.used)
+        moved = np.repeat(self.start[keep] - start, length)
+        take = moved + np.arange(self.used)
         self.ids[: self.used] = self.ids.take(take)
         self.cum[: self.used] = self.cum.take(take)
+        if pinned:
+            self.alias_prob[: self.used] = self.alias_prob.take(take)
+            self.alias_idx[: self.used] = self.alias_idx.take(take) - moved
+        self.ordered = int(keep.searchsorted(self.ordered, "right"))
         self.rows = rows = keep.size + 1
-        for name in ("src", "total", "version"):
+        for name in ("src", "total", "version", "aliased"):
             column = getattr(self, name)
             column[1:rows] = column[keep]
         self.start[1:rows] = start
         self.length[1:rows] = length
         self.clean[1:rows] = True
-        self.idle[1:rows] = self.idle[keep] + 1
+        # Pinned rows do not age (and an int8 would wrap if they did).
+        self.idle[1:rows] = 0 if pinned else self.idle[keep] + 1
         self.slot_of = dict(zip(self.src[1:rows].tolist(), range(1, rows)))
         return dropped
 
@@ -467,6 +710,39 @@ class ReadImage:
             image.used for image in self.relations.values()
         )
 
+    @property
+    def alias_nbytes(self) -> int:
+        """Modeled bytes of the alias columns of the frozen relations
+        (one cell probability + one position per arena slot in use)."""
+        return _ALIAS_SLOT_BYTES * sum(
+            image.used for image in self.frozen_relations
+        )
+
+    @property
+    def frozen_relations(self) -> List[_Image]:
+        """The images of the frozen relations."""
+        return [image for image in self.relations.values() if image.frozen]
+
+    def occupancy(self) -> Dict[str, int]:
+        """The doctor's readout, over all relations: ``rows`` held,
+        the clean ones (``entries``), of those the ``aliased`` and the
+        ones ``pinned`` by a frozen relation, the arena slots clean rows
+        own (``edges``) and the ones none does (``garbage``)."""
+        out = dict.fromkeys(
+            ("rows", "entries", "aliased", "pinned", "edges", "garbage"), 0
+        )
+        for image in self.relations.values():
+            clean = image.clean[: image.rows]
+            entries = int(clean.sum())
+            edges = int(image.length[: image.rows][clean].sum())
+            aliased = int((clean & image.aliased[: image.rows]).sum())
+            for name, count in zip(out, (
+                image.rows - 1, entries, aliased, entries * image.frozen,
+                edges, image.used - edges,
+            )):
+                out[name] += count
+        return out
+
     def row(self, key: Tuple[int, int]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """``(ids, cumulative weights)`` of the clean row of
         ``(etype, src)`` (copies), or ``None``."""
@@ -484,19 +760,32 @@ class ReadImage:
         Empty unless a tree of ``trees`` (the store's directory) was
         mutated without the store's entry points setting the dirty bit:
         a clean row must carry its tree's version and equal
-        :func:`flatten_tree` with ``==``.
+        :func:`flatten_tree` with ``==`` (a zero-length row: have no
+        tree), and an aliased row's table must give every edge its
+        ``weight / total`` (uniform when all are zero) to within
+        ``ALIAS_TOLERANCE``.
         """
         bad = []
         for etype, image in self.relations.items():
             for slot in np.flatnonzero(image.clean[: image.rows]).tolist():
                 key = (etype, int(image.src[slot]))
                 tree = trees.get(key)
-                if tree is not None and tree.version == image.version[slot]:
+                a = int(image.start[slot])
+                b = a + int(image.length[slot])
+                if not tree:
+                    if a == b:
+                        continue
+                elif tree.version == image.version[slot]:
                     ids, weights = flatten_tree(tree)
-                    row_ids, row_cum = self.row(key)
-                    if np.array_equal(row_ids, ids) and np.array_equal(
-                        row_cum, np.cumsum(weights)
-                    ):
+                    fresh = np.array_equal(image.ids[a:b], ids) and np.array_equal(
+                        image.cum[a:b], np.cumsum(weights)
+                    )
+                    if fresh and image.frozen and image.aliased[slot]:
+                        total = float(weights.sum())
+                        wanted = weights / total if total > 0.0 else 1.0 / (b - a)
+                        mass = alias_mass(image.alias_prob, image.alias_idx, a, b)
+                        fresh = np.abs(mass - wanted).max() <= ALIAS_TOLERANCE
+                    if fresh:
                         continue
                 bad.append(key)
         return bad
@@ -505,11 +794,7 @@ class ReadImage:
     def mark_batch(self, etypes: np.ndarray, srcs: np.ndarray) -> None:
         """Set the dirty bit of every row a columnar batch writes to."""
         for etype, image in self.relations.items():
-            picked = srcs[etypes == etype].tolist()
-            slots = np.fromiter(
-                map(image.slot_of.get, picked, repeat(0)),
-                dtype=np.int64, count=len(picked),
-            )
+            slots = image.slots_of(srcs[etypes == etype].tolist())
             image.clean[slots] = False
 
     def compact(self) -> None:
@@ -523,10 +808,35 @@ class ReadImage:
         """Drop every row (counters are kept; use ``stats.reset()``)."""
         self.relations.clear()
 
+    # -- freeze / thaw ----------------------------------------------------
+    def freeze(self, etype: int, pairs: list, frozen_stats) -> _Image:
+        """Freeze relation ``etype``: every tree of ``pairs`` (all its
+        ``(src, tree)``, any order) becomes a clean aliased row, pinned
+        until :meth:`thaw`; only absent, dirty or table-less rows cost
+        anything.  Returns the relation's image."""
+        image = self.relations.get(etype)
+        if image is None:
+            image = self.relations[etype] = _Image()
+        pairs.sort(key=itemgetter(0))
+        image.freeze(pairs, self.stats, frozen_stats)
+        self._settle(image)
+        return image
+
+    def thaw(self, etype: Optional[int] = None) -> int:
+        """Thaw relation ``etype`` (default: all); returns how many were
+        frozen.  Their rows stay, as binary-search rows that age."""
+        thawed = [
+            image for et, image in self.relations.items()
+            if image.frozen and etype in (None, et)
+        ]
+        for image in thawed:
+            image.thaw()
+        return len(thawed)
+
     # -- the read ---------------------------------------------------------
     def sample(
         self, trees, etype: int, srcs: np.ndarray, counts, k: int,
-        gen: np.random.Generator, weighted: bool,
+        gen: np.random.Generator, weighted: bool, frozen_stats,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``k`` draws for every row of a frontier, from image rows.
 
@@ -535,43 +845,50 @@ class ReadImage:
         gives ``srcs[i]`` that many consecutive rows.  Returns the
         ``ids[n, k]`` and ``state[n]`` columns of a ``SampleBlock``:
         rows whose source has no adjacency are ``EMPTY`` and left at 0.
+        ``frozen_stats`` counts the reads of a frozen relation.
         """
         image = self.relations.get(etype)
         if image is None:
             image = self.relations[etype] = _Image()
         stats = self.stats
-        keys = srcs.tolist()
-        small = len(keys) < ROW_LOOP_BELOW
+        frozen = image.alias_prob is not None
+        keys = None if frozen else srcs.tolist()
+        small = not frozen and len(keys) < ROW_LOOP_BELOW
         if small:
             slots = list(map(image.slot_of.get, keys, repeat(0)))
             clean = image.clean
             stale = [i for i, slot in enumerate(slots) if not clean[slot]]
         else:
-            slots = np.fromiter(
-                map(image.slot_of.get, keys, repeat(0)),
-                dtype=np.int64, count=len(keys),
-            )
+            slots = image.lookup(srcs) if frozen else image.slots_of(keys)
             stale = (~image.clean[slots]).nonzero()[0].tolist()
-        stats.hits += len(keys) - len(stale)
+        stats.hits += srcs.size - len(stale)
         stats.misses += len(stale)
-        appended = stale and image.admit(trees, etype, keys, slots, stale, stats)
-        if not small:
-            drawn = image.draw_frontier(slots, counts, k, gen, weighted)
+        if stale:
+            image.admit(
+                trees, etype, keys or srcs.tolist(), slots, stale, stats
+            )
+        if frozen:
+            drawn = image.draw_frozen(slots, counts, k, gen, weighted, frozen_stats)
+        elif not small:
+            rows = slots if counts is None else np.repeat(slots, counts)
+            drawn = image.draw_frontier(rows, k, gen, weighted)
         elif counts is None:
             drawn = image.draw_rows(slots, repeat(1), len(keys), k, gen, weighted)
         else:
             counts = np.asarray(counts).tolist()
             drawn = image.draw_rows(slots, counts, sum(counts), k, gen, weighted)
-        if appended:
+        if stale:
             self._settle(image)
         return drawn
 
     def _settle(self, image: _Image) -> None:
-        """After a call that appended rows: compact if garbage or the
+        """After a call that admitted rows: compact if garbage or the
         byte budget says so."""
         live = image.used - image.garbage
         spare = self.capacity_bytes - self.nbytes
-        if spare < 0 or image.garbage * GARBAGE_DIVISOR > live:
+        # Nothing of a frozen relation can be evicted to meet the budget.
+        over = spare < 0 and not image.frozen
+        if over or image.garbage * GARBAGE_DIVISOR > live:
             self.stats.compactions += 1
             self.stats.evictions += image.compact(
                 max(0, image.used + spare // _SLOT_BYTES)

@@ -27,7 +27,7 @@ from repro.core.ingest import (
     EdgeBatch,
     IngestStats,
 )
-from repro.core.frozen import FrozenShard, FrozenStats
+from repro.core.frozen import FrozenStats
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import OpStats, Samtree, SamtreeConfig, build_roots
 from repro.core.snapshot import (
@@ -109,13 +109,7 @@ class DynamicGraphStore(GraphStoreAPI):
             ReadImage() if snapshot_cache is _DEFAULT_CACHE
             else snapshot_cache
         )
-        # -- frozen read path (repro.core.frozen) ----------------------
-        #: Compiled CSC images per etype; coherent via `_mutation_epoch`.
-        self._frozen: Dict[int, FrozenShard] = {}
-        #: Store-wide mutation epoch: bumped conservatively by *every*
-        #: mutation entry point (spurious bumps only cost a recompile;
-        #: a missed bump would be a stale read).
-        self._mutation_epoch = 0
+        #: Reads of frozen relations (:meth:`freeze`), by draw kernel.
         self.frozen_stats = FrozenStats()
 
     # ------------------------------------------------------------------
@@ -133,24 +127,20 @@ class DynamicGraphStore(GraphStoreAPI):
         """Expose the samtree of ``src`` (used by tests and the PALM
         executor, which groups a batch per tree).  Read-only: a tree
         mutated here instead of through the store leaves its image row
-        and any frozen shard stale (:meth:`check_invariants` says so)."""
+        stale (:meth:`check_invariants` says so)."""
         return self._tree(src, etype)
 
     # ------------------------------------------------------------------
     # dynamic updates
     # ------------------------------------------------------------------
     def _mark_written(self, src: int, etype: int) -> None:
-        """Read-tier coherence: advance the mutation epoch (frozen
-        shards) and set the dirty bit of ``src``'s image row.
+        """Read-tier coherence: set the dirty bit of ``src``'s image row.
 
         Called at every mutation entry point *before* the write, even
         when the write turns out to be a no-op — over-invalidation is
-        safe, a stale read is not.  Racy increments under PALM
-        threads may coalesce, but any mutation still moves the epoch
-        past every prior compile stamp, which is all coherence needs;
-        the row mark is a dict read and a flag store.
+        safe, a stale read is not.  A dict read and a flag store, so
+        PALM threads may call it.
         """
-        self._mutation_epoch += 1
         cache = self.snapshot_cache
         if cache is not None and cache.relations:
             image = cache.relations.get(etype)
@@ -284,7 +274,6 @@ class DynamicGraphStore(GraphStoreAPI):
             batch = EdgeBatch(batch, dst, weight, etype, op)
         stats = IngestStats(ops=len(batch))
         if len(batch):
-            self._mutation_epoch += 1
             if self.snapshot_cache is not None:
                 self.snapshot_cache.mark_batch(batch.etype, batch.src)
             self._apply_folded(batch.folded_by_tree(), stats)
@@ -446,64 +435,48 @@ class DynamicGraphStore(GraphStoreAPI):
         return self._directory
 
     # ------------------------------------------------------------------
-    # frozen read path
+    # frozen relations
     # ------------------------------------------------------------------
     @property
-    def mutation_epoch(self) -> int:
-        """Store-wide mutation epoch (frozen-shard coherence stamp)."""
-        return self._mutation_epoch
+    def frozen_shards(self) -> list:
+        """The frozen relations of the read image, one object each
+        (``.sample_matrix(frontier, k, gen)`` is the alias kernel alone)."""
+        cache = self.snapshot_cache
+        return cache.frozen_relations if cache is not None else []
 
-    @property
-    def frozen_shards(self) -> List[FrozenShard]:
-        """Currently compiled frozen shards (doctor/introspection)."""
-        return list(self._frozen.values())
+    def freeze(self, etype: Optional[int] = None) -> list:
+        """Freeze relation ``etype`` of the read image (default: every
+        relation present; an empty store freezes the default relation).
 
-    def freeze(self, etype: Optional[int] = None) -> List[FrozenShard]:
-        """Compile the frozen CSC image(s) for the hot read path.
-
-        ``etype=None`` freezes every relation present (an empty store
-        freezes the default relation to an empty shard).  Returns the
-        compiled shards; subsequent batched reads of a frozen relation
-        dispatch to the vectorized kernels until the store mutates.
+        Every source's row is made clean (the absent and dirty ones in
+        one batched flatten), given an alias table if it lacks one and
+        pinned until :meth:`thaw`; batched reads then draw in O(1) per
+        neighbor.  A later write dirties *its row* only: it is drawn by
+        binary search until the next ``freeze()``, which rebuilds just
+        such rows.  Returns the frozen relations — none for a store
+        built with ``snapshot_cache=None``, which has no image.
         """
-        if etype is not None:
-            targets = [etype]
-        else:
-            targets = self.etypes() or [DEFAULT_ETYPE]
-        shards: List[FrozenShard] = []
-        for et in targets:
-            shard = FrozenShard.compile(self, et, self._mutation_epoch)
-            self._frozen[et] = shard
-            self.frozen_stats.compiles += 1
-            self.frozen_stats.compiled_rows += shard.num_rows
-            self.frozen_stats.compiled_edges += shard.num_edges
-            shards.append(shard)
-        return shards
+        cache = self.snapshot_cache
+        if cache is None:
+            return []
+        groups: Dict[int, list] = {}
+        for (et, src), tree in self._directory.items():
+            if etype is None or et == etype:
+                groups.setdefault(et, []).append((src, tree))
+        if not groups:
+            groups[DEFAULT_ETYPE if etype is None else etype] = []
+        return [
+            cache.freeze(et, groups[et], self.frozen_stats)
+            for et in sorted(groups)
+        ]
 
     def thaw(self, etype: Optional[int] = None) -> int:
-        """Drop compiled shard(s); returns how many were dropped."""
-        if etype is not None:
-            dropped = 1 if self._frozen.pop(etype, None) is not None else 0
-        else:
-            dropped = len(self._frozen)
-            self._frozen.clear()
-        self.frozen_stats.thaws += dropped
-        return dropped
-
-    def _frozen_for(self, etype: int) -> Optional[FrozenShard]:
-        """The servable frozen shard of ``etype``, or ``None``.
-
-        A shard is fresh iff it was compiled at the current mutation
-        epoch; a stale one is refused, sending the read down the live
-        samtree path until the next :meth:`freeze`.
-        """
-        shard = self._frozen.get(etype)
-        if shard is None:
-            return None
-        if shard.epoch == self._mutation_epoch:
-            return shard
-        self.frozen_stats.stale_misses += 1
-        return None
+        """Drop the alias tables of relation ``etype`` (default: all)
+        and unpin its rows; returns how many relations were frozen."""
+        cache = self.snapshot_cache
+        thawed = cache.thaw(etype) if cache is not None else 0
+        self.frozen_stats.thaws += thawed
+        return thawed
 
     # ------------------------------------------------------------------
     # sampling
@@ -546,15 +519,14 @@ class DynamicGraphStore(GraphStoreAPI):
     ) -> SampleBlock:
         """Vectorized frontier sampling (the batched read path).
 
-        When the relation has a fresh frozen shard (:meth:`freeze`) the
-        whole frontier is one columnar CSC kernel call and the block is
-        the kernel's ``(matrix, valid)`` as is.  Otherwise — never
-        frozen, or mutated since — it is served from the read image
+        Served from the read image
         (:class:`~repro.core.snapshot.ReadImage`): rows written since
         their last read are re-flattened first, then the whole frontier
-        draws at once; distributionally identical to the exact ITS/FTS
-        descent, which a store built with ``snapshot_cache=None`` runs
-        for every draw.
+        draws at once — through the alias kernel for the rows of a
+        frozen relation (:meth:`freeze`) not written since, by binary
+        search for the rest; distributionally identical to the exact
+        ITS/FTS descent, which a store built with
+        ``snapshot_cache=None`` runs for every draw.
 
         ``counts`` is the coalesced request shape (``counts[i]``
         consecutive rows for ``srcs[i]``); without it every entry of
@@ -567,27 +539,9 @@ class DynamicGraphStore(GraphStoreAPI):
             return super().sample_neighbors_many(
                 srcs, k, rng, etype, weighted=weighted, counts=counts
             )
-        srcs = np.asarray(srcs, dtype=np.int64)
-        gen = coerce_generator(rng)
-        # A zero fan-out draws nothing, but still says which sources
-        # have adjacency — the frozen kernel does not.
-        if self._frozen and k:
-            shard = self._frozen_for(etype)
-            if shard is not None:
-                if counts is not None:
-                    srcs = np.repeat(srcs, counts)
-                matrix, valid = shard.sample_matrix(
-                    srcs, k, gen, uniform=not weighted
-                )
-                served = int(np.count_nonzero(valid))
-                stats = self.frozen_stats
-                stats.batches += 1
-                stats.vertices += srcs.size
-                stats.draws += served * k
-                stats.missing_vertices += srcs.size - served
-                return SampleBlock(matrix, (~valid).view(np.int8))
         return SampleBlock(*cache.sample(
-            self._directory, etype, srcs, counts, k, gen, weighted
+            self._directory, etype, np.asarray(srcs, dtype=np.int64), counts,
+            k, coerce_generator(rng), weighted, self.frozen_stats,
         ))
 
     def sample_vertices(
@@ -631,10 +585,11 @@ class DynamicGraphStore(GraphStoreAPI):
         Components: the four samtree node components aggregated over
         every tree (``leaf_nodes`` / ``fstables`` / ``internal_nodes`` /
         ``cstables``), the cuckoo ``directory``, the
-        ``snapshot_cache`` (cached entries accounted under the cache's
-        own :class:`MemoryModel` at build time — see
-        :mod:`repro.core.memory` for the assumptions), and the
-        ``frozen`` CSC images compiled by :meth:`freeze`.
+        ``snapshot_cache`` (the read image's arena slots, accounted
+        under the cache's own :class:`MemoryModel` — see
+        :mod:`repro.core.memory` for the assumptions), and ``frozen``
+        (the image's alias columns, present between :meth:`freeze` and
+        :meth:`thaw`).
         """
         parts = {
             "leaf_nodes": 0,
@@ -646,14 +601,9 @@ class DynamicGraphStore(GraphStoreAPI):
             for component, nbytes in tree.nbytes_breakdown(model).items():
                 parts[component] += nbytes
         parts["directory"] = self._directory.nbytes(model)
-        parts["snapshot_cache"] = (
-            self.snapshot_cache.nbytes
-            if self.snapshot_cache is not None
-            else 0
-        )
-        parts["frozen"] = sum(
-            shard.nbytes(model) for shard in self._frozen.values()
-        )
+        cache = self.snapshot_cache
+        parts["snapshot_cache"] = cache.nbytes if cache is not None else 0
+        parts["frozen"] = cache.alias_nbytes if cache is not None else 0
         return parts
 
     def check_invariants(self) -> None:

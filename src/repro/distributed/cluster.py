@@ -305,14 +305,14 @@ class LocalCluster:
         return total
 
     def freeze_all(self, etype: Optional[int] = None) -> int:
-        """Compile frozen CSC shards on every live replica.
+        """Freeze the read image of every live replica's store.
 
         One control-plane call after a bulk load (or between training
-        epochs) turns every shard's batched-read RPC into a single
-        frozen-kernel pass; returns the number of shards compiled.
-        Stale shards invalidate themselves through each store's
-        mutation epoch, so calling this again after a write burst is
-        always safe.
+        epochs) gives every row an alias table, so each shard's
+        batched-read RPC is one O(1)-per-draw kernel pass; returns the
+        number of relations frozen (0 for stores without a read image).
+        A later write thaws only its own row, and calling this again
+        rebuilds only such rows — always safe after a write burst.
         """
         compiled = 0
         for group in self.replica_groups:

@@ -342,14 +342,14 @@ class GraphServer:
             return self.store.apply_edge_batch(batch)
 
     def freeze(self, etype: Optional[int] = None) -> int:
-        """Compile the store's frozen CSC shard(s) for the hot read path.
+        """Freeze the store's read image for the hot read path.
 
         Counted as an ``update_request`` (it replaces server-side state),
         keeping the per-endpoint accounting identity intact.  Returns
-        the number of shards compiled; 0 when the store has no frozen
-        path (baseline stores).  Subsequent ``sample_neighbors_many``
-        RPCs are answered by one frozen kernel per shard until the
-        store mutates.
+        the number of relations frozen; 0 when the store has nothing to
+        freeze (baseline stores, stores without a read image).
+        Subsequent ``sample_neighbors_many`` RPCs draw through the alias
+        kernel, except for rows written since.
         """
         with self.telemetry.span("server.freeze", **self._where):
             self._serve("freeze")

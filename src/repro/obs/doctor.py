@@ -133,7 +133,16 @@ class DoctorReport:
         }
         self.directory_entries = 0
         self.directory_load_factor = 0.0
+        #: Read-image occupancy (:meth:`ReadImage.occupancy`, summed over
+        #: shards): row slots held, the clean ones (``entries``), the
+        #: clean ones with an alias table, the ones a frozen relation
+        #: pins, the arena slots clean rows own and the ones none does.
+        self.cache_rows = 0
         self.cache_entries = 0
+        self.cache_aliased = 0
+        self.cache_pinned = 0
+        self.cache_edges = 0
+        self.cache_garbage = 0
         self.cache_hit_rate = 0.0  #: worst single-shard rate (health signal)
         #: Raw snapshot-cache counters summed over shards — the exact
         #: aggregate rates the per-shard worst-rate above can't give.
@@ -142,19 +151,11 @@ class DoctorReport:
         #: Clean read-image rows that are not their tree's current
         #: flatten: a tree was mutated behind the store's entry points.
         self.cache_stale_rows = 0
-        #: Frozen-shard occupancy (the CSC read images of
-        #: :mod:`repro.core.frozen`): how many shards are compiled, how
-        #: much of the graph they cover, and the worst epoch drift —
-        #: any drift means the hot path is silently falling back to
-        #: live samtree reads.
-        self.frozen_shards = 0
-        self.frozen_rows = 0
-        self.frozen_edges = 0
-        self.frozen_epoch_drift = 0
-        #: Frozen read-path serving counters (summed ``FrozenStats``).
-        self.frozen_vertices = 0
-        self.frozen_missing = 0
-        self.frozen_stale_misses = 0
+        #: Frontier rows of frozen relations drawn by the alias kernel,
+        #: and drawn by binary search instead because they were written
+        #: after ``freeze()`` (summed ``FrozenStats``).
+        self.alias_served = 0
+        self.alias_missed = 0
         #: Cluster-scope serving readout: the client's ``ServingStats``
         #: dict (coalesce rate, hot reads, ...) — ``None`` at store scope.
         self.serving: Optional[Dict[str, object]] = None
@@ -210,11 +211,11 @@ class DoctorReport:
         return self.cache_hits / total if total else 0.0
 
     @property
-    def frozen_hit_rate(self) -> float:
-        """Fraction of frozen-path frontier vertices served from a
-        compiled row (misses = no frozen row for the vertex)."""
-        total = self.frozen_vertices + self.frozen_missing
-        return self.frozen_vertices / total if total else 0.0
+    def alias_share(self) -> float:
+        """Fraction of the frontier rows of frozen relations that the
+        alias kernel drew (the rest were written since ``freeze()``)."""
+        total = self.alias_served + self.alias_missed
+        return self.alias_served / total if total else 0.0
 
     @property
     def check_fill(self) -> float:
@@ -298,27 +299,20 @@ class DoctorReport:
                 "load_factor": self.directory_load_factor,
             },
             "snapshot_cache": {
+                "rows": self.cache_rows,
                 "entries": self.cache_entries,
+                "aliased": self.cache_aliased,
+                "pinned": self.cache_pinned,
+                "edges": self.cache_edges,
+                "garbage": self.cache_garbage,
                 "hit_rate": self.cache_hit_rate,
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
                 "hit_rate_aggregate": self.cache_hit_rate_aggregate,
                 "stale_rows": self.cache_stale_rows,
-            },
-            "frozen": {
-                "shards": self.frozen_shards,
-                "rows": self.frozen_rows,
-                "edges": self.frozen_edges,
-                "coverage": (
-                    self.frozen_edges / self.num_edges
-                    if self.num_edges
-                    else 0.0
-                ),
-                "max_epoch_drift": self.frozen_epoch_drift,
-                "vertices_served": self.frozen_vertices,
-                "missing_vertices": self.frozen_missing,
-                "stale_misses": self.frozen_stale_misses,
-                "hit_rate": self.frozen_hit_rate,
+                "alias_served": self.alias_served,
+                "alias_missed": self.alias_missed,
+                "alias_share": self.alias_share,
             },
             "serving": self.serving,
             "inference": self.inference,
@@ -403,18 +397,20 @@ class DoctorReport:
             f"load={self.directory_load_factor:.2f}"
         )
         lines.append(
-            f"  read image: rows={self.cache_entries} "
+            f"  read image: rows={self.cache_rows} "
+            f"clean={self.cache_entries} aliased={self.cache_aliased} "
+            f"pinned={self.cache_pinned} edges={self.cache_edges} "
+            f"garbage={self.cache_garbage} "
             f"hit_rate={self.cache_hit_rate:.2f} "
             f"(aggregate={self.cache_hit_rate_aggregate:.2f}, "
             f"{self.cache_hits} hits / {self.cache_misses} misses, "
             f"stale_rows={self.cache_stale_rows})"
         )
-        if self.frozen_vertices or self.frozen_missing:
+        if self.alias_served or self.alias_missed:
             lines.append(
-                f"  frozen serving: hit_rate={self.frozen_hit_rate:.2f} "
-                f"({self.frozen_vertices} vertices, "
-                f"{self.frozen_missing} missing, "
-                f"{self.frozen_stale_misses} stale refusals)"
+                f"    frozen relations: alias_share={self.alias_share:.2f} "
+                f"({self.alias_served} rows by the alias kernel, "
+                f"{self.alias_missed} written since freeze)"
             )
         if self.serving is not None:
             s = self.serving
@@ -449,18 +445,6 @@ class DoctorReport:
                     f"    src={src:<12} count={count:<8} "
                     f"(±{error}) {100.0 * count / total:5.1f}%"
                 )
-        if self.frozen_shards:
-            coverage = (
-                self.frozen_edges / self.num_edges if self.num_edges else 0.0
-            )
-            lines.append(
-                f"  frozen shards: {self.frozen_shards} "
-                f"({self.frozen_rows} rows, {self.frozen_edges} edges, "
-                f"{coverage:.0%} of stored edges) "
-                f"max_epoch_drift={self.frozen_epoch_drift}"
-            )
-        else:
-            lines.append("  frozen shards: (none compiled)")
         lines.append("  memory breakdown:")
         total = self.total_bytes or 1
         for name, nbytes in sorted(
@@ -543,9 +527,17 @@ class DoctorReport:
         g(
             "repro_doctor_directory_load_factor", "Cuckoo directory load"
         ).set(self.directory_load_factor)
-        g(
-            "repro_doctor_cache_entries", "Clean read-image rows"
-        ).set(self.cache_entries)
+        for name, what in (
+            ("rows", "Read-image row slots held"),
+            ("entries", "Clean read-image rows"),
+            ("aliased", "Clean read-image rows with an alias table"),
+            ("pinned", "Clean read-image rows pinned by a frozen relation"),
+            ("edges", "Arena slots owned by clean read-image rows"),
+            ("garbage", "Arena slots no clean read-image row owns"),
+        ):
+            g(f"repro_doctor_cache_{name}", what).set(
+                getattr(self, f"cache_{name}")
+            )
         g(
             "repro_doctor_cache_hit_rate", "Read-image row hit rate"
         ).set(self.cache_hit_rate)
@@ -558,9 +550,9 @@ class DoctorReport:
             "Clean image rows that differ from their tree (direct mutation)",
         ).set(self.cache_stale_rows)
         g(
-            "repro_doctor_frozen_hit_rate",
-            "Frozen read path frontier hit rate",
-        ).set(self.frozen_hit_rate)
+            "repro_doctor_cache_alias_share",
+            "Share of frozen relations' frontier rows the alias kernel drew",
+        ).set(self.alias_share)
         if self.serving is not None:
             g(
                 "repro_doctor_serving_coalesce_rate",
@@ -590,19 +582,6 @@ class DoctorReport:
                 rank=str(rank),
                 src=str(src),
             ).set(count)
-        g(
-            "repro_doctor_frozen_shards", "Compiled frozen CSC shards"
-        ).set(self.frozen_shards)
-        g(
-            "repro_doctor_frozen_rows", "Rows across frozen shards"
-        ).set(self.frozen_rows)
-        g(
-            "repro_doctor_frozen_edges", "Edges across frozen shards"
-        ).set(self.frozen_edges)
-        g(
-            "repro_doctor_frozen_epoch_drift",
-            "Worst mutation-epoch drift of any frozen shard",
-        ).set(self.frozen_epoch_drift)
         for name, nbytes in sorted(self.components.items()):
             g(
                 "repro_doctor_component_bytes",
@@ -632,7 +611,9 @@ def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
     )
     cache = getattr(store, "snapshot_cache", None)
     if cache is not None:
-        report.cache_entries += len(cache)
+        for name, count in cache.occupancy().items():
+            name = f"cache_{name}"
+            setattr(report, name, getattr(report, name) + count)
         # Worst (lowest) single-shard rate is the health signal; the raw
         # counters below give the exact aggregate alongside it.
         rate = cache.stats.hit_rate
@@ -645,19 +626,8 @@ def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
         report.cache_stale_rows += len(cache.stale_rows(directory))
     frozen_stats = getattr(store, "frozen_stats", None)
     if frozen_stats is not None:
-        report.frozen_vertices += frozen_stats.vertices
-        report.frozen_missing += frozen_stats.missing_vertices
-        report.frozen_stale_misses += frozen_stats.stale_misses
-    frozen = getattr(store, "frozen_shards", None)
-    if frozen:
-        epoch = getattr(store, "mutation_epoch", 0)
-        for shard in frozen:
-            report.frozen_shards += 1
-            report.frozen_rows += shard.num_rows
-            report.frozen_edges += shard.num_edges
-            report.frozen_epoch_drift = max(
-                report.frozen_epoch_drift, epoch - shard.epoch
-            )
+        report.alias_served += frozen_stats.vertices
+        report.alias_missed += frozen_stats.stale_misses
     report.add_components(store.nbytes_breakdown(model))
 
 

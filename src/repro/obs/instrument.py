@@ -118,7 +118,7 @@ _STORE_HOLDERS = (
         (("hit_rate", "Read image row hit rate"),),
     ),
     (("ingest_stats",), "repro_ingest", "columnar ingest", ()),
-    (("frozen_stats",), "repro_frozen", "frozen read path", ()),
+    (("frozen_stats",), "repro_frozen", "frozen image relations", ()),
 )
 
 

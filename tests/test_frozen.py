@@ -1,19 +1,22 @@
-"""Tests for the frozen-shard read path (repro.core.frozen).
+"""Tests for the frozen read path: the read image's alias column
+(repro.core.frozen) and the store's ``freeze`` / ``thaw``.
 
-Covers the PR's acceptance criteria:
-
-* chi-square distribution equivalence — the frozen CSC kernels
-  (weighted and uniform) sample the same distribution as the samtree
-  descent on a *churned* store (insert/update/delete/accumulate mix);
-* epoch invalidation — a post-compile mutation forces
-  recompile-or-fallback, proven by zero stale reads (a deleted neighbor
-  is never drawn, a new one is reachable) under the default staleness
-  budget of 0;
+* ``freeze()`` makes every source a clean aliased row, in ``src`` order,
+  equal to ``flatten_tree``; a store without an image freezes nothing;
+* the vectorised alias builder decomposes its weights (Hypothesis
+  property, pad boundaries, degenerate rows);
+* chi-square distribution equivalence — alias rows, binary-search rows
+  and the samtree descent draw one distribution on a *churned* store
+  (insert/update/delete/accumulate mix), weighted and uniform;
+* row-granular coherence — a write after ``freeze()`` sends *its row*
+  to a re-flattened binary-search row (never a stale read) and leaves
+  every other row on the alias kernel; the next ``freeze()`` rebuilds
+  that one row; a mixed frontier answers in request order;
 * edge cases — empty frontier, missing/zero-degree sources,
   zero-weight edges (never drawn weighted; uniform fallback on
   all-zero rows);
-* multi-hop ``sample_blocks`` over the frozen kernel, its self-loop
-  padding, and its automatic fallback to the live path when stale;
+* multi-hop ``sample_blocks`` over a frozen store and its self-loop
+  padding;
 * the distributed path: ``LocalCluster.freeze_all`` and the
   per-endpoint accounting identity of the ``freeze`` RPC;
 * the satellite vectorizations: ``CompressedIDList.to_array`` /
@@ -27,16 +30,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.static_csr import StaticCSRStore
 from repro.core.compression import CompressedIDList, PlainIDList
 from repro.core.fenwick import FSTable
-from repro.core.frozen import FrozenShard, FrozenStats
+from repro.core.fenwick import ROW_PAD
+from repro.core.frozen import FrozenStats, alias_mass, build_alias
 from repro.core.samtree import Samtree, SamtreeConfig
-from repro.core.snapshot import coerce_generator, flatten_tree
+from repro.core.snapshot import ALIAS_TOLERANCE, coerce_generator, flatten_tree
 from repro.core.topology import DynamicGraphStore
 from repro.distributed.cluster import LocalCluster
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvariantViolationError
 from repro.gnn.samplers import sample_blocks
 
 try:  # scipy is part of the baked toolchain, but degrade gracefully.
@@ -154,52 +160,49 @@ class TestStaticCSRVectorized:
 
 
 # ---------------------------------------------------------------------------
-# compilation & directory
+# freeze: the image's rows, directory and accounting
 # ---------------------------------------------------------------------------
 class TestFrozenCompile:
     def test_compile_matches_store_content(self):
         store = _churned_store()
-        (shard,) = store.freeze()
-        assert shard.num_rows == store.num_sources
-        assert shard.num_edges == store.num_edges
-        # Row directory is sorted and complete.
-        assert (np.diff(shard.src_ids) > 0).all()
+        (image,) = store.freeze()
+        assert image.frozen and image.rows - 1 == store.num_sources
+        assert image.used == store.num_edges and image.garbage == 0
+        # Rows were written in src order: the searchsorted directory.
+        assert image.ordered == store.num_sources
+        assert (np.diff(image.src[1 : image.rows]) > 0).all()
         for src in store.sources():
-            row = int(shard.lookup_rows(np.asarray([src]))[0])
-            assert row >= 0
-            lo, hi = int(shard.indptr[row]), int(shard.indptr[row + 1])
-            frozen_adj = dict(
-                zip(
-                    shard.neighbor_ids[lo:hi].tolist(),
-                    np.diff(
-                        np.concatenate(
-                            ([shard.row_base[row]],
-                             shard.cum_weights[lo:hi])
-                        )
-                    ).tolist(),
-                )
-            )
-            assert frozen_adj == pytest.approx(dict(store.neighbors(src)))
+            (slot,) = image.lookup(np.asarray([src])).tolist()
+            assert slot == image.slot_of[src]
+            assert image.clean[slot] and image.aliased[slot]
+            ids, weights = flatten_tree(store.tree(src))
+            row_ids, row_cum = store.snapshot_cache.row((0, src))
+            np.testing.assert_array_equal(row_ids, ids)
+            np.testing.assert_array_equal(row_cum, np.cumsum(weights))
 
     def test_lookup_missing_and_empty_shard(self):
         store = _churned_store()
-        (shard,) = store.freeze()
-        rows = shard.lookup_rows(np.asarray([-5, 10**9, 0]))
-        assert rows[0] == -1 and rows[1] == -1 and rows[2] >= 0
-        empty = FrozenShard.compile(DynamicGraphStore(), 0, epoch=0)
-        assert empty.num_rows == 0 and empty.num_edges == 0
-        assert (empty.lookup_rows(np.asarray([1, 2])) == -1).all()
+        (image,) = store.freeze()
+        slots = image.lookup(np.asarray([-5, 10**9, 0]))
+        assert slots[0] == 0 and slots[1] == 0 and slots[2] > 0
+        (empty,) = DynamicGraphStore().freeze()
+        assert empty.frozen and empty.rows == 1 and empty.used == 0
+        matrix, valid = empty.sample_matrix([1, 2], 3, coerce_generator(0))
+        assert matrix.shape == (2, 3) and not valid.any()
 
     def test_freeze_all_etypes_and_thaw(self):
         store = DynamicGraphStore()
         store.add_edge(1, 2, 1.0, etype=0)
         store.add_edge(1, 3, 1.0, etype=4)
-        shards = store.freeze()
-        assert sorted(s.etype for s in shards) == [0, 4]
+        assert len(store.freeze()) == 2
+        assert len(store.frozen_shards) == 2
         assert store.nbytes_breakdown()["frozen"] > 0
         assert store.thaw() == 2
+        assert store.frozen_shards == []
         assert store.nbytes_breakdown()["frozen"] == 0
         assert store.frozen_stats.thaws == 2
+        assert len(store.freeze(etype=4)) == 1  # one relation only
+        assert store.thaw(etype=0) == 0 and store.thaw(etype=4) == 1
 
     def test_nbytes_includes_frozen_component(self):
         store = _churned_store()
@@ -207,6 +210,79 @@ class TestFrozenCompile:
         store.freeze()
         assert store.nbytes() > before
         assert store.nbytes() == sum(store.nbytes_breakdown().values())
+
+    def test_freeze_without_an_image_compiles_nothing(self):
+        """A store built with ``snapshot_cache=None`` reads by descent
+        only: there is nothing to freeze, and nothing to account."""
+        store = DynamicGraphStore(snapshot_cache=None)
+        store.add_edge(1, 2, 1.0)
+        before = store.nbytes()
+        assert store.freeze() == [] and store.frozen_shards == []
+        assert store.nbytes() == before
+        assert store.frozen_stats.compiles == 0
+        assert store.sample_neighbors_many([1], 2, rng=0).rows() == [[2, 2]]
+        assert store.thaw() == 0
+
+
+# ---------------------------------------------------------------------------
+# the alias builder
+# ---------------------------------------------------------------------------
+def _alias_tables(rows):
+    """Alias columns for ``rows`` (weight lists) laid out as one arena."""
+    length = np.asarray([len(row) for row in rows], dtype=np.int64)
+    start = np.cumsum(length) - length
+    cum = np.concatenate([np.cumsum(row) for row in rows])
+    prob = np.full(cum.size, np.nan)
+    idx = np.full(cum.size, -1, dtype=np.int64)
+    build_alias(cum, start, length, prob, idx)
+    return prob, idx, start.tolist(), (start + length).tolist()
+
+
+#: Multiples of 1/8, zeros included: cumulative sums stay exact.
+_WEIGHT = st.integers(min_value=0, max_value=64).map(lambda v: v / 8.0)
+_ROW = st.one_of(
+    st.lists(_WEIGHT, min_size=1, max_size=2 * ROW_PAD),
+    st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40),
+    st.builds(lambda w, n: [w] * n, _WEIGHT, st.integers(1, ROW_PAD + 1)),
+)
+
+
+class TestAliasBuilder:
+    def _check(self, rows):
+        prob, idx, starts, ends = _alias_tables(rows)
+        for row, lo, hi in zip(rows, starts, ends):
+            weights = np.asarray(row, dtype=np.float64)
+            total = float(weights.sum())
+            mass = alias_mass(prob, idx, lo, hi)
+            assert ((idx[lo:hi] >= lo) & (idx[lo:hi] < hi)).all()
+            assert ((prob[lo:hi] >= 0.0) & (prob[lo:hi] <= 1.0)).all()
+            if total > 0.0:
+                assert np.abs(mass - weights / total).max() <= ALIAS_TOLERANCE
+                assert (mass[weights == 0.0] == 0.0).all()
+            else:  # the uniform fallback
+                assert (mass == 1.0 / len(row)).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_ROW, min_size=1, max_size=12))
+    def test_table_decomposes_the_weights(self, rows):
+        self._check(rows)
+
+    def test_pad_boundaries_and_degenerate_rows(self):
+        rng = np.random.default_rng(7)
+        rows = [
+            [3.0],  # one edge
+            [0.0] * 5,  # all zero
+            [2.5] * ROW_PAD,  # all equal
+            [0.0, 4.0, 0.0],  # one positive edge
+        ]
+        for n in (2, ROW_PAD - 1, ROW_PAD, ROW_PAD + 1, 5 * ROW_PAD):
+            rows.append((rng.integers(0, 64, n) / 8.0 + (n == 2)).tolist())
+            rows.append((rng.random(n) ** 8 * 1e3).tolist())  # heavy skew
+        self._check(rows)
+        # Equal-weight and single-edge rows keep the identity table.
+        prob, idx, starts, ends = _alias_tables(rows[:3])
+        assert (prob == 1.0).all()
+        assert idx.tolist() == list(range(ends[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +315,20 @@ class TestDistributionEquivalence:
             for i in range(n_batches)
         ]
 
+        searched_rows = store.sample_neighbors_many(  # binary-search rows
+            [src] * n_batches, k, rng=98
+        ).rows()
         store.freeze()
         frozen_rows = store.sample_neighbors_many(
             [src] * n_batches, k, rng=99
         ).rows()
         assert store.frozen_stats.batches == 1
+        assert store.frozen_stats.vertices == n_batches
 
         expected = np.asarray(
             [self.DRAWS * adjacency[d] / total for d in support]
         )
-        for rows in (exact_rows, frozen_rows):
+        for rows in (exact_rows, searched_rows, frozen_rows):
             p = _chi2_pvalue(self._histogram(rows, support), expected)
             assert p > 0.01
 
@@ -291,23 +371,27 @@ class TestDistributionEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# epoch coherence
+# coherence: a write thaws its row, not the relation
 # ---------------------------------------------------------------------------
 class TestEpochInvalidation:
-    def test_every_mutation_path_bumps_the_epoch(self):
+    def test_every_mutation_path_dirties_the_written_row(self):
         store = DynamicGraphStore()
-        epoch = store.mutation_epoch
+        store.bulk_load([1, 1, 5, 6], [2, 3, 1, 1], 1.0)
+        cache = store.snapshot_cache
         for mutate in (
-            lambda: store.add_edge(1, 2, 1.0),
+            lambda: store.add_edge(1, 4, 1.0),
             lambda: store.accumulate_edge(1, 2, 0.5),
             lambda: store.update_edge(1, 2, 3.0),
             lambda: store.remove_edge(1, 2),
             lambda: store.apply_source_batch(1, 0, [("insert", 9, 1.0)]),
-            lambda: store.bulk_load([5, 5], [1, 2], 1.0),
+            lambda: store.bulk_load([1, 1], [7, 8], 1.0),
         ):
+            store.freeze()
+            assert (0, 1) in cache and (0, 5) in cache
             mutate()
-            assert store.mutation_epoch > epoch
-            epoch = store.mutation_epoch
+            assert (0, 1) not in cache  # the written row ...
+            assert (0, 5) in cache and (0, 6) in cache  # ... and only it
+            store.check_invariants()
 
     def test_no_stale_reads_after_mutation(self):
         store = DynamicGraphStore()
@@ -318,19 +402,95 @@ class TestEpochInvalidation:
         rows = store.sample_neighbors_many([1] * 50, 8, rng=3).rows()
         drawn = {int(v) for row in rows for v in row}
         assert drawn == {20}  # the deleted neighbor is never served
-        assert store.frozen_stats.stale_misses >= 1
-        # The frontier fell back to the live path, not the frozen kernel.
-        assert store.frozen_stats.batches == 0
+        # Every row fell to the re-flattened row, none to the old table.
+        assert store.frozen_stats.stale_misses == 50
+        assert store.frozen_stats.vertices == 0
 
     def test_explicit_refreeze_restores_the_fast_path(self):
         store = _churned_store()
         store.freeze()
         store.add_edge(0, 9999, 1.0)
         store.sample_neighbors_many([0], 4, rng=1)
-        assert store.frozen_stats.batches == 0
+        assert store.frozen_stats.vertices == 0
         store.freeze()
         store.sample_neighbors_many([0], 4, rng=1)
-        assert store.frozen_stats.batches == 1
+        assert store.frozen_stats.vertices == 1
+
+    def test_write_thaws_one_row_and_refreeze_rebuilds_it(self):
+        store = _churned_store()
+        cache, stats = store.snapshot_cache, store.frozen_stats
+        (image,) = store.freeze()
+        builds = cache.stats.builds
+        assert builds == stats.compiled_rows == store.num_sources
+        store.add_edge(4, 31337, 2.0)
+        others = [src for src in store.sources() if src != 4]
+        store.sample_neighbors_many(others, 3, rng=1)
+        assert stats.vertices == len(others) and stats.stale_misses == 0
+        rows = store.sample_neighbors_many([4] * 40 + others, 16, rng=2).rows()
+        assert stats.vertices == 2 * len(others) and stats.stale_misses == 40
+        assert 31337 in {v for row in rows[:40] for v in row}
+        ids, weights = flatten_tree(store.tree(4))
+        row_ids, row_cum = cache.row((0, 4))
+        assert (row_ids == ids).all() and (row_cum == np.cumsum(weights)).all()
+        assert not image.aliased[image.slot_of[4]]
+        assert cache.stats.builds == builds + 1  # the read re-flattened it
+        # A second freeze builds one table and flattens nothing ...
+        store.freeze()
+        assert cache.stats.builds == builds + 1
+        assert stats.compiled_rows == store.num_sources + 1
+        # ... and, with no read in between, re-flattens exactly the
+        # written row.
+        store.update_edge(4, 31337, 5.0)
+        store.freeze()
+        assert cache.stats.builds == builds + 2
+        assert stats.compiled_rows == store.num_sources + 2
+        store.sample_neighbors_many([4], 3, rng=3)
+        assert stats.stale_misses == 40
+        store.check_invariants()
+
+    @pytest.mark.parametrize("dirty", [1, 40])  # row loop / frontier kernel
+    def test_mixed_frontier_answers_in_request_order(self, dirty):
+        store = DynamicGraphStore()
+        for src in range(100):
+            for dst in range(3):  # each source's neighbours name it
+                store.add_edge(src, 1000 * src + dst, 1.0 + dst)
+        store.freeze()
+        for src in range(dirty):
+            store.add_edge(src, 1000 * src + 3, 9.0)
+        sinks = [500, 501]
+        frontier = [0, 99, 500, 5, 98, 0, 501, 97] + list(range(100))
+        counts = [1 + i % 3 for i in range(len(frontier))]
+        for kwargs in ({}, {"counts": counts}):
+            block = store.sample_neighbors_many(frontier, 6, rng=4, **kwargs)
+            owners = np.repeat(frontier, kwargs.get("counts", 1))
+            assert block.ids.shape == (len(owners), 6)
+            for src, row, state in zip(
+                owners.tolist(), block.ids.tolist(), block.state.tolist()
+            ):
+                if src in sinks:
+                    assert state == 1 and row == [0] * 6
+                else:
+                    assert state == 0 and {v // 1000 for v in row} == {src}
+        written = {v for v in block.ids[owners == 0].ravel().tolist()}
+        assert 3 in written  # the dominant new edge is drawn at once
+        stats = store.frozen_stats
+        assert stats.stale_misses > 0 and stats.vertices > 0
+        assert stats.missing_vertices > 0
+
+    def test_stale_alias_table_is_detected(self):
+        store = _churned_store()
+        (image,) = store.freeze()
+        store.check_invariants()
+        slot = image.slot_of[0]
+        a = int(image.start[slot])
+        b = a + int(image.length[slot])
+        image.alias_prob[a:b] = 0.5  # half of every cell's mass ...
+        image.alias_idx[a:b] = a  # ... moved onto the first edge
+        assert store.snapshot_cache.stale_rows(store.directory) == [(0, 0)]
+        with pytest.raises(InvariantViolationError):
+            store.check_invariants()
+        image.aliased[slot] = False  # a binary-search row has no table
+        store.check_invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +554,8 @@ class TestSamplerFastPath:
         store.freeze()
         blocks = sample_blocks(store, [0, 3, 6], [4, 3], rng=9)
         assert store.frozen_stats.batches == 2
+        assert store.frozen_stats.vertices == 3 + 12
+        assert store.frozen_stats.stale_misses == 0
         assert blocks.batch_size == 3
         assert [int(l.size) for l in blocks.levels] == [3, 12, 36]
 
@@ -402,8 +564,10 @@ class TestSamplerFastPath:
         store.freeze()
         store.add_edge(0, 424242, 0.5)
         blocks = sample_blocks(store, [0, 3], [2, 2], rng=9)
-        assert store.frozen_stats.batches == 0  # frozen path refused
-        assert store.frozen_stats.stale_misses == 2
+        # The written row alone left the alias kernel, on the one hop
+        # that read it.
+        assert store.frozen_stats.stale_misses == 1
+        assert store.frozen_stats.vertices == 1 + 4
         assert [int(l.size) for l in blocks.levels] == [2, 4, 8]
 
 
@@ -445,20 +609,30 @@ class TestDistributedFreeze:
     def test_write_after_freeze_falls_back_per_shard(self):
         cluster = self._loaded_cluster()
         cluster.freeze_all()
-        cluster.client.add_edge(0, 999999, 1.0)  # dirties one shard
+        cluster.client.add_edge(0, 999999, 1.0)  # dirties one row
         frontier = list(range(40))
         rows = cluster.client.sample_neighbors_many(frontier, 4, rng=4).rows()
         assert all(len(row) == 4 for row in rows)
         stale = sum(
             s.store.frozen_stats.stale_misses for s in cluster.servers
         )
-        assert stale == 1  # only the written shard fell back
+        assert stale == 1  # only the written row fell back
         drawn = {
             int(v)
             for row in cluster.client.sample_neighbors_many([0], 64, rng=1).rows()
             for v in row
         }
         assert 999999 in drawn or len(drawn) > 0  # fresh state reachable
+
+    def test_freeze_all_on_image_less_stores_is_a_no_op(self):
+        cluster = self._loaded_cluster(
+            store_factory=lambda: DynamicGraphStore(snapshot_cache=None)
+        )
+        before = cluster.total_nbytes()
+        assert cluster.freeze_all() == 0
+        assert cluster.total_nbytes() == before
+        rows = cluster.client.sample_neighbors_many(list(range(40)), 3, rng=1)
+        assert all(len(row) == 3 for row in rows.rows())
 
     def test_reset_stats_clears_frozen_counters(self):
         cluster = self._loaded_cluster()
@@ -490,13 +664,25 @@ class TestDoctorFrozenSection:
 
         store = _churned_store()
         store.freeze()
+        rows, degree = store.num_sources, store.degree(0)
         store.add_edge(0, 31337, 1.0)
+        image = diagnose_store(store).to_dict()["snapshot_cache"]
+        assert image["rows"] == rows
+        # The written row is dirty: its arena slots are nobody's.
+        assert image["entries"] == image["aliased"] == rows - 1
+        assert image["pinned"] == rows - 1
+        assert image["edges"] == store.num_edges - 1 - degree
+        assert image["garbage"] == degree
+        store.sample_neighbors_many([0, 1, 10**8], 2, rng=0)
         report = diagnose_store(store)
-        payload = report.to_dict()
-        assert payload["frozen"]["shards"] == 1
-        assert payload["frozen"]["rows"] == store.num_sources
-        assert payload["frozen"]["max_epoch_drift"] >= 1
+        image = report.to_dict()["snapshot_cache"]
+        assert image["rows"] == rows + 1  # every source and one sink
+        assert image["entries"] == image["pinned"] == rows + 1
+        assert image["aliased"] == rows  # all but the re-flattened row
+        assert image["edges"] == store.num_edges
+        assert image["alias_served"] == 2 and image["alias_missed"] == 1
+        assert "frozen" not in report.to_dict()
         assert report.total_bytes == store.nbytes()
-        assert "frozen shards: 1" in report.render()
+        assert f"aliased={rows}" in report.render()
         reg = report.to_registry().snapshot().to_dict()["scalars"]
-        assert any(k.startswith("repro_doctor_frozen_shards") for k in reg)
+        assert any(k.startswith("repro_doctor_cache_aliased") for k in reg)

@@ -462,16 +462,60 @@ class TestCacheInvalidation:
         assert not block.state[:3].any()
         assert set(block.ids[:3].reshape(-1).tolist()) == {900}
 
+    @BOTH_LOOPS
+    def test_sink_has_a_row_of_its_own(self, wide):
+        """A source with no out-edges is a clean zero-length row: read
+        again it is a hit that asks the directory nothing, and a first
+        edge dirties it like any row."""
+        store, cache = self._warm_store()
+        frontier = [4242, 7] + (PADDING if wide else [])
+        assert store.sample_neighbors_many(frontier, 3, rng=1).state[0] == 1
+        assert (0, 4242) in cache and cache.row((0, 4242))[0].size == 0
+        hits, misses = cache.stats.hits, cache.stats.misses
+        probes = []
+        directory = store.directory
+        directory.get = lambda key: probes.append(key)
+        try:
+            block = store.sample_neighbors_many(frontier, 3, rng=1)
+        finally:
+            del directory.get
+        assert probes == [] and block.state[0] == 1
+        assert cache.stats.hits == hits + len(frontier)
+        assert cache.stats.misses == misses
+        store.check_invariants()
+        store.add_edge(4242, 5, 1.0)
+        assert (0, 4242) not in cache
+        block = store.sample_neighbors_many(frontier, 3, rng=1)
+        assert block.state[0] == 0 and block.ids[0].tolist() == [5, 5, 5]
+        store.remove_edge(4242, 5)  # ... and a sink again
+        assert store.sample_neighbors_many(frontier, 3, rng=1).state[0] == 1
+        assert cache.row((0, 4242))[0].size == 0
+        store.check_invariants()
+
+    def test_unknown_sources_cannot_pile_up_rows(self):
+        """Empty rows bring compactions on like any garbage, and age
+        out of the image when they are not read again."""
+        store, cache = self._warm_store()
+        image = cache.relations[0]
+        for junk in range(100_000, 101_000):
+            store.sample_neighbors_many([junk, 7], 2, rng=junk)
+        assert cache.stats.compactions > 0
+        assert image.rows < 200
+        assert (0, 7) in cache
+
     def test_frozen_then_mutated_store_falls_to_the_image(self):
         store, cache = self._warm_store()
         store.freeze()
         store.sample_neighbors_many([7, 8], 4, rng=1)
-        assert store.frozen_stats.batches == 1
+        assert store.frozen_stats.vertices == 2
         store.remove_edge(7, 100)
         hits = cache.stats.hits
         rows = store.sample_neighbors_many([7] * 4 + [8], 64, rng=2).rows()
-        assert store.frozen_stats.stale_misses == 1
-        assert cache.stats.hits > hits  # row 8 was never dirtied
+        # The written row alone left the alias path, for a re-flattened
+        # binary-search row; row 8 was never dirtied.
+        assert store.frozen_stats.stale_misses == 4
+        assert store.frozen_stats.vertices == 3
+        assert cache.stats.hits == hits + 1
         assert 100 not in {int(v) for row in rows[:4] for v in row}
 
     def test_direct_tree_mutation_is_detected(self):

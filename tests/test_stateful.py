@@ -8,6 +8,7 @@ window semantics against a brute-force filter.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -19,9 +20,10 @@ from hypothesis.stateful import (
 )
 
 from repro.baselines.platogl import PlatoGLStore
+from repro.core.frozen import alias_mass
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
 from repro.core.samtree import SamtreeConfig
-from repro.core.snapshot import ROW_LOOP_BELOW
+from repro.core.snapshot import ALIAS_TOLERANCE, ROW_LOOP_BELOW
 from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import SampleBlock
@@ -158,8 +160,8 @@ class StoreMachine(RuleBasedStateMachine):
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def sample_many(self, srcs, k, etype, weighted, seed):
-        """The batched read tier — frozen shard, or the read image's row
-        loop / frontier kernel — serves only current neighbours."""
+        """The batched read tier — the read image's row loop, frontier
+        kernel or alias kernel — serves only current neighbours."""
         block = self.store.sample_neighbors_many(
             srcs, k, seed, etype, weighted=weighted
         )
@@ -211,6 +213,34 @@ class StoreMachine(RuleBasedStateMachine):
             assert self.store.edge_weight(src, dst, etype) == w
 
     @invariant()
+    def frozen_rows_follow_the_model(self):
+        """A frozen relation never holds a clean row older than its
+        tree, and every aliased one's table decomposes the *model's*
+        current weights (``check_invariants`` asks the tree instead)."""
+        for etype, image in self.store.snapshot_cache.relations.items():
+            if not image.frozen:
+                continue
+            for slot in np.flatnonzero(image.clean[: image.rows]).tolist():
+                src = int(image.src[slot])
+                adjacency = {
+                    dst: w
+                    for (e, s, dst), w in self.model.items()
+                    if e == etype and s == src
+                }
+                a = int(image.start[slot])
+                b = a + int(image.length[slot])
+                ids = image.ids[a:b].tolist()
+                assert sorted(ids) == sorted(adjacency)
+                if not adjacency:
+                    continue
+                assert image.version[slot] == self.store.tree(src, etype).version
+                if image.aliased[slot]:
+                    weights = np.asarray([adjacency[dst] for dst in ids])
+                    mass = alias_mass(image.alias_prob, image.alias_idx, a, b)
+                    wanted = weights / weights.sum()
+                    assert np.abs(mass - wanted).max() <= ALIAS_TOLERANCE
+
+    @invariant()
     def structure_valid(self):
         # Includes the read image: every clean row carries its tree's
         # version and equals ``flatten_tree(tree)``.
@@ -219,8 +249,9 @@ class StoreMachine(RuleBasedStateMachine):
 
 def test_sample_rule_reaches_every_read_tier():
     """Pinned like the branch test below: the ``sample_many`` rule runs
-    the image's row loop, its frontier kernel and the frozen kernel,
-    across writes, a compaction and a re-created source."""
+    the image's row loop, its frontier kernel and the alias kernel —
+    alone and beside a re-flattened row — across writes, a compaction
+    and a re-created source."""
     machine = StoreMachine()
     for src in range(5):
         for dst in range(src + 1):
@@ -240,11 +271,20 @@ def test_sample_rule_reaches_every_read_tier():
     machine.compact()
     machine.sample_many(srcs=few, k=2, etype=0, weighted=True, seed=3)
     machine.freeze()
+    machine.frozen_rows_follow_the_model()
+    stats = machine.store.frozen_stats
     machine.sample_many(srcs=many, k=2, etype=0, weighted=True, seed=4)
-    assert machine.store.frozen_stats.batches == 1
-    machine.accumulate(src=2, dst=0, w=1.0, etype=0)  # stale shard -> image
+    assert (stats.batches, stats.vertices) == (1, len(many))
+    machine.accumulate(src=2, dst=0, w=1.0, etype=0)  # one row leaves the kernel
     machine.sample_many(srcs=many, k=2, etype=0, weighted=True, seed=5)
-    assert machine.store.frozen_stats.stale_misses == 1
+    assert stats.stale_misses == many.count(2)
+    assert stats.vertices == 2 * len(many) - many.count(2)
+    machine.frozen_rows_follow_the_model()
+    machine.structure_valid()
+    machine.freeze()  # ... and is given its table back
+    assert stats.compiled_rows == 5 + 1
+    machine.sample_many(srcs=many, k=2, etype=0, weighted=False, seed=6)
+    assert stats.stale_misses == many.count(2)
     machine.thaw()
     machine.structure_valid()
     machine.teardown()
