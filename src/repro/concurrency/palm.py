@@ -5,7 +5,10 @@ instead of latching every node on an update path, a *batch* of updates is
 
 1. sorted by source-vertex ID,
 2. partitioned across threads so each samtree is owned by exactly one
-   thread (latch-free by construction — threads share no tree), and
+   thread (latch-free by construction — threads share no tree; the
+   store's small sources are rows of one slab whose two arenas a
+   relocation moves, so ``apply_source_batch`` on a row holds the slab's
+   lock), and
 3. applied bottom-up inside each tree: the leaf modifications first,
    then the CSTable refreshes propagate towards the root in rounds
    (which is what :meth:`~repro.core.samtree.Samtree.insert` already

@@ -1024,6 +1024,10 @@ def build_roots(
             nodes = [_LeafNode(make_id_list(config.compress), FSTable())]
         if count > 1:
             keys = minima[at : at + count]
+            # The leftmost spine takes every id below the first leaf's
+            # smallest, as an insert-built tree's does: a separator may
+            # be stale-low, never stale-high (see `_route`).
+            keys[0] = _MIN_KEY
             node_counts = leaf_lengths[at : at + count]
             node_weights = [leaf.fstable.total() for leaf in nodes]
         at += count

@@ -23,11 +23,13 @@ snapshot-and-rebuild:
   entry points *before* they write; a row is *absent*, *dirty*, *clean*
   or clean and *aliased*.  A dirty or absent row is re-flattened on its
   next read: all such rows of a frontier go through the one row builder
-  (:meth:`_Image.flatten`: one batched leaf decode, one padded 2-D
-  ``cumsum``, one arena append); the superseded segment becomes garbage.
-  A source with no adjacency holds a clean zero-length row.  Trees must
-  not be mutated behind the store's back; :meth:`ReadImage.stale_rows`
-  checks it.
+  (:meth:`_Image.flatten`: one padded 2-D ``cumsum``, one arena append)
+  from one of its two row sources — one batched leaf decode for
+  samtrees, one ragged gather for the rows of the store's
+  :class:`~repro.core.slab.Slab`; the superseded segment becomes
+  garbage.  A source with no adjacency holds a clean zero-length row.
+  Trees and slab rows must not be mutated behind the store's back;
+  :meth:`ReadImage.stale_rows` checks it.
 
 * **Freezing a relation** is the same builder over every row that is
   not clean, then an alias table (:mod:`repro.core.frozen`, two more
@@ -187,8 +189,12 @@ def flatten_tree(tree) -> Tuple[np.ndarray, np.ndarray]:
     the only Python-level loop is over *leaves*, not edges, and the
     weights are the tree's, bit for bit.  The reference every image row
     must equal (:meth:`ReadImage.stale_rows`); the read path itself
-    flattens many trees at once (:meth:`_Image.flatten`).
+    flattens many trees at once (:meth:`_Image.flatten`).  A slab-row
+    view (``store.tree(src)`` of a small source) flattens to copies of
+    its two columns.
     """
+    if hasattr(tree, "arrays"):  # a SlabRow
+        return tree.arrays()
     n = tree.degree
     ids = np.empty(n, dtype=np.int64)
     weights = np.empty(n, dtype=np.float64)
@@ -221,6 +227,25 @@ class SnapshotCacheStats(Stats):
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+def _tree_columns(trees: list):
+    """The samtree row source of :meth:`_Image.flatten`: all leaves of
+    ``trees`` decoded together — ``(ids, weights)`` back to back, then
+    the trees' degrees and versions."""
+    leaves: list = []
+    for tree in trees:
+        root = tree._root
+        if root.is_leaf:
+            leaves.append(root)
+        else:
+            leaves.extend(tree._leaves())
+    return (
+        decode_id_lists([leaf.ids for leaf in leaves]),
+        join_weight_columns([leaf.fstable for leaf in leaves]),
+        [tree.degree for tree in trees],
+        [tree.version for tree in trees],
+    )
 
 
 class _Image:
@@ -314,14 +339,15 @@ class _Image:
                 setattr(self, name, grown)
 
     def admit(
-        self, trees, etype: int, keys: List[int], slots,
+        self, trees, slab, etype: int, keys: List[int], slots,
         stale: List[int], stats: SnapshotCacheStats,
     ) -> None:
         """Give the absent or dirty rows ``stale`` (positions in
         ``keys``) a clean row and point ``slots`` at it.
 
-        One directory ``get`` per row; the rows with a tree go to
-        :meth:`flatten` together.  A source with no adjacency gets a
+        One directory ``get`` per row (a samtree, a row of ``slab`` or
+        nothing); the rows with an adjacency go to :meth:`build`
+        together.  A source with no adjacency gets a
         clean zero-length row, so its next read is a hit that asks the
         directory nothing; ``mark`` dirties it when a first edge arrives.
         """
@@ -354,30 +380,40 @@ class _Image:
                 admitted[src] = slot
             slots[i] = slot
         if built:
-            self.flatten(built, built_trees, stats)
+            self.build(built, built_trees, slab, stats)
 
-    def flatten(self, slots, trees: list, stats: SnapshotCacheStats) -> None:
-        """The one row builder: flatten ``trees[i]`` (none empty) into
-        row ``slots[i]`` (all distinct), one append to the arena.
+    def build(self, slots, values: list, slab, stats: SnapshotCacheStats) -> None:
+        """Flatten the directory values ``values`` (samtrees and rows of
+        ``slab``, none empty) into rows ``slots``: each kind through
+        :meth:`flatten` from its own row source."""
+        slots = np.asarray(slots)
+        in_slab = np.asarray([type(value) is int for value in values])
+        trees = [value for value in values if type(value) is not int]
+        if trees:
+            self.flatten(slots[~in_slab], *_tree_columns(trees), stats)
+        if len(trees) < len(values):
+            self.flatten(slots[in_slab], *slab.gather(
+                [value for value in values if type(value) is int]
+            ), stats)
 
-        All leaves are decoded together, and the cumulative column of
-        every row of at most ``ROW_PAD`` edges comes from one zero-padded
-        2-D ``np.cumsum``: a running sum along an axis adds left to
-        right and trailing zero pads change no earlier prefix, so each
-        entry is bit for bit what ``stale_rows`` recomputes from
-        ``flatten_tree``.  Longer rows keep the per-row call, and fewer
-        than ``PAD_FROM_ROWS`` rows are written row by row.
+    def flatten(
+        self, slots, ids: np.ndarray, weights: np.ndarray,
+        length: List[int], version: List[int], stats: SnapshotCacheStats,
+    ) -> None:
+        """The one row builder: rows ``slots`` (all distinct) take the
+        adjacencies held back to back in ``ids`` / ``weights`` (none
+        empty; ``length[i]`` entries and source version ``version[i]``
+        each), one append to the arena.
+
+        The cumulative column of every row of at most ``ROW_PAD`` edges
+        comes from one zero-padded 2-D ``np.cumsum``: a running sum
+        along an axis adds left to right and trailing zero pads change
+        no earlier prefix, so each entry is bit for bit what
+        ``stale_rows`` recomputes from the source.  Longer rows keep the
+        per-row call, and fewer than ``PAD_FROM_ROWS`` rows are written
+        row by row.
         """
-        leaves: list = []
-        for tree in trees:
-            root = tree._root
-            if root.is_leaf:
-                leaves.append(root)
-            else:
-                leaves.extend(tree._leaves())
-        ids = decode_id_lists([leaf.ids for leaf in leaves])
-        weights = join_weight_columns([leaf.fstable for leaf in leaves])
-        count = len(trees)
+        count = len(length)
         stats.builds += count
         self._reserve(0, ids.size)
         a = self.used
@@ -386,20 +422,18 @@ class _Image:
         cum = self.cum[a : self.used]
         if count < PAD_FROM_ROWS:
             lo = 0
-            for slot, tree in zip(slots, trees):
-                hi = lo + tree.degree
+            for slot, n, v in zip(slots, length, version):
+                hi = lo + n
                 np.cumsum(weights[lo:hi], out=cum[lo:hi])
                 self.start[slot] = a + lo
-                self.length[slot] = hi - lo
+                self.length[slot] = n
                 self.total[slot] = cum[hi - 1]
-                self.version[slot] = tree.version
+                self.version[slot] = v
                 self.clean[slot] = True
                 self.aliased[slot] = False
                 lo = hi
             return
-        length = np.fromiter(
-            (tree.degree for tree in trees), dtype=np.int64, count=count
-        )
+        length = np.asarray(length, dtype=np.int64)
         ends = np.cumsum(length)
         start = ends - length
         short = length <= ROW_PAD
@@ -412,17 +446,18 @@ class _Image:
         self.start[slots] = a + start
         self.length[slots] = length
         self.total[slots] = cum[ends - 1]
-        self.version[slots] = np.fromiter(
-            (tree.version for tree in trees), dtype=np.int64, count=count
-        )
+        self.version[slots] = version
         self.clean[slots] = True
         self.aliased[slots] = False
 
     # -- freeze / thaw ------------------------------------------------------
-    def freeze(self, pairs: list, stats: SnapshotCacheStats, frozen_stats) -> None:
-        """Make every tree of ``pairs`` — the relation's ``(src, tree)``
-        in ``src`` order — a clean aliased row, in that order: clean
-        rows are kept, the rest go to :meth:`flatten` in one batch, then
+    def freeze(
+        self, pairs: list, slab, stats: SnapshotCacheStats, frozen_stats
+    ) -> None:
+        """Make every source of ``pairs`` — the relation's ``(src,
+        directory value)`` in ``src`` order — a clean aliased row, in
+        that order: clean
+        rows are kept, the rest go to :meth:`build` in one batch, then
         every row without an alias table gets one.  Rows of sources
         that left the directory are dropped."""
         count = len(pairs)
@@ -440,7 +475,9 @@ class _Image:
         self.slot_of = dict(zip(srcs, range(1, rows)))
         stale = (~self.clean[1:rows]).nonzero()[0]
         if stale.size:
-            self.flatten(stale + 1, [pairs[i][1] for i in stale.tolist()], stats)
+            self.build(
+                stale + 1, [pairs[i][1] for i in stale.tolist()], slab, stats
+            )
         self.garbage = self.used - int(self.length[1:rows].sum())
         if not self.frozen:
             self.alias_prob = np.empty(self.ids.size, dtype=np.float64)
@@ -754,14 +791,15 @@ class ReadImage:
         b = a + int(image.length[slot])
         return image.ids[a:b].copy(), image.cum[a:b].copy()
 
-    def stale_rows(self, trees) -> List[Tuple[int, int]]:
-        """Keys of clean rows that are not their tree's current flatten.
+    def stale_rows(self, trees, slab) -> List[Tuple[int, int]]:
+        """Keys of clean rows that are not their source's current flatten.
 
-        Empty unless a tree of ``trees`` (the store's directory) was
-        mutated without the store's entry points setting the dirty bit:
-        a clean row must carry its tree's version and equal
-        :func:`flatten_tree` with ``==`` (a zero-length row: have no
-        tree), and an aliased row's table must give every edge its
+        Empty unless a tree of ``trees`` (the store's directory) or a
+        row of ``slab`` was mutated without the store's entry points
+        setting the dirty bit: a clean row must carry its source's
+        version and equal :func:`flatten_tree` with ``==`` (a
+        zero-length row: have no source), and an aliased row's table
+        must give every edge its
         ``weight / total`` (uniform when all are zero) to within
         ``ALIAS_TOLERANCE``.
         """
@@ -770,6 +808,8 @@ class ReadImage:
             for slot in np.flatnonzero(image.clean[: image.rows]).tolist():
                 key = (etype, int(image.src[slot]))
                 tree = trees.get(key)
+                if type(tree) is int:
+                    tree = slab.view(tree)
                 a = int(image.start[slot])
                 b = a + int(image.length[slot])
                 if not tree:
@@ -809,16 +849,17 @@ class ReadImage:
         self.relations.clear()
 
     # -- freeze / thaw ----------------------------------------------------
-    def freeze(self, etype: int, pairs: list, frozen_stats) -> _Image:
-        """Freeze relation ``etype``: every tree of ``pairs`` (all its
-        ``(src, tree)``, any order) becomes a clean aliased row, pinned
+    def freeze(self, etype: int, pairs: list, slab, frozen_stats) -> _Image:
+        """Freeze relation ``etype``: every source of ``pairs`` (all its
+        ``(src, directory value)``, any order; ``slab`` holds the rows
+        among them) becomes a clean aliased row, pinned
         until :meth:`thaw`; only absent, dirty or table-less rows cost
         anything.  Returns the relation's image."""
         image = self.relations.get(etype)
         if image is None:
             image = self.relations[etype] = _Image()
         pairs.sort(key=itemgetter(0))
-        image.freeze(pairs, self.stats, frozen_stats)
+        image.freeze(pairs, slab, self.stats, frozen_stats)
         self._settle(image)
         return image
 
@@ -835,13 +876,14 @@ class ReadImage:
 
     # -- the read ---------------------------------------------------------
     def sample(
-        self, trees, etype: int, srcs: np.ndarray, counts, k: int,
+        self, trees, slab, etype: int, srcs: np.ndarray, counts, k: int,
         gen: np.random.Generator, weighted: bool, frozen_stats,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``k`` draws for every row of a frontier, from image rows.
 
-        ``trees`` is the store's directory (``(etype, src) -> samtree``),
-        asked only for sources whose row is absent or dirty.  ``counts``
+        ``trees`` is the store's directory (``(etype, src) ->`` samtree
+        or row of ``slab``), asked only for sources whose row is absent
+        or dirty.  ``counts``
         gives ``srcs[i]`` that many consecutive rows.  Returns the
         ``ids[n, k]`` and ``state[n]`` columns of a ``SampleBlock``:
         rows whose source has no adjacency are ``EMPTY`` and left at 0.
@@ -865,7 +907,7 @@ class ReadImage:
         stats.misses += len(stale)
         if stale:
             image.admit(
-                trees, etype, keys or srcs.tolist(), slots, stale, stats
+                trees, slab, etype, keys or srcs.tolist(), slots, stale, stats
             )
         if frozen:
             drawn = image.draw_frozen(slots, counts, k, gen, weighted, frozen_stats)

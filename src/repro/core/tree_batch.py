@@ -45,7 +45,7 @@ from repro.core.samtree import (
 )
 from repro.errors import ConfigurationError
 
-__all__ = ["apply_tree_batch", "apply_tree_codes", "TreeOp"]
+__all__ = ["apply_tree_batch", "apply_tree_codes", "check_tree_ops", "TreeOp"]
 
 #: One batched operation against a single tree.
 TreeOp = Tuple[str, int, float]
@@ -62,6 +62,15 @@ def apply_tree_batch(tree: Samtree, ops: Sequence[TreeOp]) -> List[bool]:
     repaired once per round instead of once per op.  A bad kind, ID or
     insert/update weight raises before anything is applied.
     """
+    return apply_tree_codes(tree, *check_tree_ops(ops))
+
+
+def check_tree_ops(
+    ops: Sequence[TreeOp],
+) -> Tuple[List[int], List[int], List[float]]:
+    """Validate ``ops`` into the ``(vids, codes, weights)`` columns of
+    :func:`apply_tree_codes`; raises on the first bad kind, ID or
+    insert/update weight."""
     vids, codes, weights = [], [], []
     for kind, vid, weight in ops:
         code = _KIND_CODES.get(kind)
@@ -73,7 +82,7 @@ def apply_tree_batch(tree: Samtree, ops: Sequence[TreeOp]) -> List[bool]:
         vids.append(_check_id(vid))
         codes.append(code)
         weights.append(weight if code == OP_DELETE else _check_weight(weight))
-    return apply_tree_codes(tree, vids, codes, weights)
+    return vids, codes, weights
 
 
 def apply_tree_codes(

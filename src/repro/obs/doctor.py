@@ -12,7 +12,9 @@ observable:
 * :func:`diagnose` walks a :class:`~repro.core.topology.DynamicGraphStore`
   (or every live primary of a
   :class:`~repro.distributed.cluster.LocalCluster`) and produces a
-  :class:`DoctorReport` — depth histogram, leaf fill-factor histogram
+  :class:`DoctorReport` — a slab row counts as the depth-1 one-leaf tree
+  it stands for, with fill ``length / c`` — depth histogram, leaf
+  fill-factor histogram
   (root leaves tracked separately from non-root leaves, whose occupancy
   the paper actually bounds), FSTable/CSTable node counts, mean internal
   fan-out, split/merge/rebuild counters, and the α-Split pivot-imbalance
@@ -34,6 +36,7 @@ observable:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.memory import (
@@ -71,19 +74,19 @@ class _FillStats:
         self.max = 0.0
         self.bins = [0] * FILL_BINS
 
-    def add(self, fill: float) -> None:
+    def add(self, fill: float, times: int = 1) -> None:
         if self.count == 0 or fill < self.min:
             self.min = fill
         if fill > self.max:
             self.max = fill
-        self.count += 1
-        self.sum += fill
+        self.count += times
+        self.sum += fill * times
         if fill <= 0.0:
             idx = 0
         else:
             # fill in (i/FILL_BINS, (i+1)/FILL_BINS] -> bin i
             idx = min(FILL_BINS - 1, int((fill * FILL_BINS) - 1e-9))
-        self.bins[idx] += 1
+        self.bins[idx] += times
 
     @property
     def mean(self) -> float:
@@ -133,6 +136,13 @@ class DoctorReport:
         }
         self.directory_entries = 0
         self.directory_load_factor = 0.0
+        #: Sources held as slab rows and as promoted samtrees, and the
+        #: slab's arena slots handed out / left behind by relocated or
+        #: released rows (compacted past a fixed share, as the image's).
+        self.slab_rows = 0
+        self.promoted = 0
+        self.slab_slots = 0
+        self.slab_garbage = 0
         #: Read-image occupancy (:meth:`ReadImage.occupancy`, summed over
         #: shards): row slots held, the clean ones (``entries``), the
         #: clean ones with an alias table, the ones a frozen relation
@@ -218,6 +228,11 @@ class DoctorReport:
         return self.alias_served / total if total else 0.0
 
     @property
+    def slab_garbage_share(self) -> float:
+        """Share of the slab's arena slots no live row owns."""
+        return self.slab_garbage / self.slab_slots if self.slab_slots else 0.0
+
+    @property
     def check_fill(self) -> float:
         """The fill figure the ``fill=`` threshold gates on: mean
         *non-root* leaf fill when any exist (the occupancy band the
@@ -247,6 +262,21 @@ class DoctorReport:
             else:
                 self.num_internal += 1
                 self.fanout_sum += node.size
+
+    def observe_slab(self, slab) -> None:
+        """Fold the slab's rows in, each as the depth-1 one-leaf tree it
+        stands for (fill ``length / c``), from its columns in one pass."""
+        lengths = slab.length[slab.live_rows()].tolist()
+        for length, rows in sorted(Counter(lengths).items()):
+            self.num_edges += length * rows
+            self.fill.add(length / slab.capacity, rows)
+        if lengths:
+            self.depth_hist[1] = self.depth_hist.get(1, 0) + len(lengths)
+        self.num_trees += len(lengths)
+        self.num_leaves += len(lengths)
+        self.slab_rows += len(lengths)
+        self.slab_slots += slab.used
+        self.slab_garbage += slab.garbage
 
     def observe_counters(self, op_stats, ingest_stats=None) -> None:
         """Fold structural-update counters (``OpStats`` +
@@ -297,6 +327,13 @@ class DoctorReport:
             "directory": {
                 "entries": self.directory_entries,
                 "load_factor": self.directory_load_factor,
+            },
+            "slab": {
+                "rows": self.slab_rows,
+                "promoted": self.promoted,
+                "slots": self.slab_slots,
+                "garbage": self.slab_garbage,
+                "garbage_share": self.slab_garbage_share,
             },
             "snapshot_cache": {
                 "rows": self.cache_rows,
@@ -395,6 +432,11 @@ class DoctorReport:
         lines.append(
             f"  directory: entries={self.directory_entries} "
             f"load={self.directory_load_factor:.2f}"
+        )
+        lines.append(
+            f"  slab: rows={self.slab_rows} promoted={self.promoted} "
+            f"slots={self.slab_slots} garbage={self.slab_garbage} "
+            f"({self.slab_garbage_share:.2f})"
         )
         lines.append(
             f"  read image: rows={self.cache_rows} "
@@ -527,6 +569,13 @@ class DoctorReport:
         g(
             "repro_doctor_directory_load_factor", "Cuckoo directory load"
         ).set(self.directory_load_factor)
+        for name, what, value in (
+            ("rows", "Sources held as slab rows", self.slab_rows),
+            ("promoted", "Sources promoted to samtrees", self.promoted),
+            ("garbage_share", "Share of slab arena slots no live row owns",
+             self.slab_garbage_share),
+        ):
+            g(f"repro_doctor_slab_{name}", what).set(value)
         for name, what in (
             ("rows", "Read-image row slots held"),
             ("entries", "Clean read-image rows"),
@@ -599,8 +648,12 @@ class DoctorReport:
 # diagnosis entry points
 # ---------------------------------------------------------------------------
 def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
-    for _key, tree in store.iter_trees():
-        report.observe_tree(tree)
+    slab = store.slab
+    for value in store.directory.values():
+        if type(value) is not int:
+            report.observe_tree(value)
+            report.promoted += 1
+    report.observe_slab(slab)
     report.observe_counters(store.stats, getattr(store, "ingest_stats", None))
     directory = store.directory
     report.directory_entries += len(directory)
@@ -623,7 +676,7 @@ def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
             report.cache_hit_rate = min(report.cache_hit_rate, rate)
         report.cache_hits += cache.stats.hits
         report.cache_misses += cache.stats.misses
-        report.cache_stale_rows += len(cache.stale_rows(directory))
+        report.cache_stale_rows += len(cache.stale_rows(directory, slab))
     frozen_stats = getattr(store, "frozen_stats", None)
     if frozen_stats is not None:
         report.alias_served += frozen_stats.vertices

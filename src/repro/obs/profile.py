@@ -63,7 +63,7 @@ DEFAULT_LAYERS: Dict[str, Tuple[str, ...]] = {
     "fts": ("fenwick.py",),
     # the store above the trees: flat snapshot build, vectorized batched
     # draws, columnar ingest
-    "snapshot": ("snapshot.py", "topology.py", "ingest.py"),
+    "snapshot": ("snapshot.py", "topology.py", "slab.py", "ingest.py"),
     # compiled read-only CSC images and their alias-table kernels
     "frozen": ("frozen.py",),
     # mini-batch assembly: block sampling driver and feature gather

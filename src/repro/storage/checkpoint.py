@@ -7,10 +7,11 @@ optionally an :class:`AttributeStore`) to a compact binary image:
 
 * a fixed header (magic, version, counts);
 * one record per (etype, src) adjacency: the IDs and weights of the
-  samtree's leaves in tree order, so loading rebuilds the samtrees
-  through the store's columnar bulk path, a chunk of records per batch
-  (no need to serialise tree internals — the tree shape is a function
-  of the insertion stream, and any valid shape is equivalent);
+  samtree's leaves in tree order — of a slab row, its two columns — so
+  loading rebuilds every source through the store's columnar bulk path,
+  a chunk of records per batch (no need to serialise tree internals or
+  which form a source had — both are functions of the insertion stream,
+  and any valid shape is equivalent);
 * attribute sections as (field, dtype, dim) blocks of packed rows;
 * a CRC-32 trailer over each section (topology, attributes).
 
@@ -133,7 +134,7 @@ def save_store(store, target: Union[str, BinaryIO]) -> int:
     path or a seekable one).
     """
     with _Section(target, "wb") as out:
-        keys = sorted(store._directory.keys())
+        items = sorted(store.directory.items())  # keys are distinct
         out.write(
             _HEADER.pack(
                 _MAGIC,
@@ -141,11 +142,28 @@ def save_store(store, target: Union[str, BinaryIO]) -> int:
                 1 if store.config.compress else 0,
                 store.config.capacity,
                 store.config.alpha,
-                len(keys),
+                len(items),
             )
         )
-        for etype, src in keys:
-            ids, weights = flatten_tree(store.tree(src, etype))
+        # Slab rows are written from the columns: one ragged gather in
+        # key order, then a slice of its bytes per record.
+        ids, weights, lengths, _ = store.slab.gather(
+            [value for _, value in items if type(value) is int]
+        )
+        row_ids, row_weights = (
+            ids.astype("<i8").tobytes(), weights.astype("<f8").tobytes()
+        )
+        lengths = iter(lengths)
+        at = 0
+        for (etype, src), value in items:
+            if type(value) is int:
+                end = at + 8 * next(lengths)
+                out.write(_ADJ_HEADER.pack(etype, src, (end - at) // 8))
+                out.write(row_ids[at:end])
+                out.write(row_weights[at:end])
+                at = end
+                continue
+            ids, weights = flatten_tree(value)
             out.write(_ADJ_HEADER.pack(etype, src, ids.size))
             out.write(ids.astype("<i8").tobytes())
             out.write(weights.astype("<f8").tobytes())

@@ -193,27 +193,6 @@ class CuckooHashMap:
                 return pair[1]
         return default
 
-    def get_or_create(self, key: Hashable, factory) -> Any:
-        """Return the value for ``key``, creating it atomically if absent.
-
-        The hit path is lock-free; only a miss takes the write lock and
-        re-checks before inserting.
-        """
-        slot = self._find_slot(key)
-        if slot >= 0:
-            pair = self._slots[slot]
-            if pair is not None and pair[0] == key:
-                return pair[1]
-        with self._resize_lock:
-            slot = self._find_slot(key)
-            if slot >= 0:
-                return self._slots[slot][1]
-            value = factory()
-            if not self._insert_with_evictions(key, value):
-                raise HashMapFullError(f"could not place key {key!r}")
-            self._size += 1
-            return value
-
     def delete(self, key: Hashable) -> bool:
         """Remove ``key``; returns whether it was present."""
         with self._resize_lock:

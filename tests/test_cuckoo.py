@@ -49,14 +49,6 @@ class TestBasics:
         assert m.get((0, 5)) == "tree"
         assert m.get((1, 5)) is None
 
-    def test_get_or_create(self):
-        m = CuckooHashMap()
-        created = []
-        v1 = m.get_or_create("k", lambda: created.append(1) or "v")
-        v2 = m.get_or_create("k", lambda: created.append(1) or "w")
-        assert v1 == v2 == "v"
-        assert created == [1]
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             CuckooHashMap(initial_buckets=0)
@@ -117,20 +109,6 @@ class TestConcurrency:
             for i in range(300):
                 assert m.get((t, i)) == t * 1000 + i
 
-    def test_threaded_get_or_create_single_winner(self):
-        m = CuckooHashMap()
-        created = []
-
-        def worker():
-            m.get_or_create("k", lambda: created.append(1) or object())
-
-        threads = [threading.Thread(target=worker) for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(created) == 1
-
 
 @given(
     st.lists(
@@ -187,12 +165,6 @@ class CuckooMachine(RuleBasedStateMachine):
     def delete(self, key):
         assert self.map.delete(key) == (key in self.ref)
         self.ref.pop(key, None)
-
-    @rule(key=KEYS)
-    def get_or_create(self, key):
-        assert self.map.get_or_create(key, lambda: -1) == self.ref.setdefault(
-            key, -1
-        )
 
     @rule(n=st.integers(-5, 3000))
     def reserve(self, n):

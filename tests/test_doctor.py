@@ -147,18 +147,22 @@ class TestDoctorInvariants:
         )
 
     def test_read_image_rows_and_direct_tree_mutation(self):
-        store = DynamicGraphStore()
+        store = DynamicGraphStore(SamtreeConfig(capacity=4))
         for src in range(3):
-            for dst in range(4):
+            for dst in range(4 + 2 * (src == 0)):  # source 0 outgrows c
                 store.add_edge(src, dst, 1.0 + dst)
         store.sample_neighbors_many([0, 1, 2], 2, rng=0)
         store.update_edge(1, 0, 9.0)  # through the store: dirty, not stale
         report = diagnose_store(store)
         assert report.cache_entries == 2 and report.cache_stale_rows == 0
-        store.tree(0).insert(99, 1.0)  # behind the store's back
+        assert (report.slab_rows, report.promoted) == (2, 1)
+        store.tree(0).insert(99, 1.0)  # a samtree, behind the store's back
         report = diagnose_store(store)
         assert report.cache_stale_rows == 1
         assert report.to_dict()["snapshot_cache"]["stale_rows"] == 1
+        slab = store.slab  # ... and a slab row, scribbled on
+        slab.weights[slab.start[store.directory.get((0, 2))]] = 7.0
+        assert diagnose_store(store).cache_stale_rows == 2
 
     def test_diagnose_dispatch_and_bad_target(self):
         store = DynamicGraphStore()
@@ -236,6 +240,11 @@ class TestDoctorCluster:
         assert stats["samples"] > 20
         assert "repro_doctor_total_bytes" in text
         assert 'repro_doctor_component_bytes{component="leaf_nodes"}' in text
+        for name in ("rows", "promoted", "garbage_share"):
+            assert f"repro_doctor_slab_{name} " in text
+        slab = report.to_dict()["slab"]
+        assert slab["rows"] + slab["promoted"] == report.num_trees
+        assert 0.0 <= slab["garbage_share"] <= 1.0
 
 
 class TestThresholdGate:

@@ -480,17 +480,24 @@ class TestEpochInvalidation:
     def test_stale_alias_table_is_detected(self):
         store = _churned_store()
         (image,) = store.freeze()
-        store.check_invariants()
-        slot = image.slot_of[0]
-        a = int(image.start[slot])
-        b = a + int(image.length[slot])
-        image.alias_prob[a:b] = 0.5  # half of every cell's mass ...
-        image.alias_idx[a:b] = a  # ... moved onto the first edge
-        assert store.snapshot_cache.stale_rows(store.directory) == [(0, 0)]
-        with pytest.raises(InvariantViolationError):
+        for promoted in (True, False):  # a samtree's row, a slab row's
+            src = next(
+                s for s in store.sources()
+                if (type(store.directory.get((0, s))) is not int) == promoted
+            )
             store.check_invariants()
-        image.aliased[slot] = False  # a binary-search row has no table
-        store.check_invariants()
+            slot = image.slot_of[src]
+            a = int(image.start[slot])
+            b = a + int(image.length[slot])
+            image.alias_prob[a:b] = 0.5  # half of every cell's mass ...
+            image.alias_idx[a:b] = a  # ... moved onto the first edge
+            assert store.snapshot_cache.stale_rows(
+                store.directory, store.slab
+            ) == [(0, src)]
+            with pytest.raises(InvariantViolationError):
+                store.check_invariants()
+            image.aliased[slot] = False  # a binary-search row has no table
+            store.check_invariants()
 
 
 # ---------------------------------------------------------------------------

@@ -521,8 +521,19 @@ class TestCacheInvalidation:
     def test_direct_tree_mutation_is_detected(self):
         store, cache = self._warm_store()
         store.check_invariants()
+        assert store.tree(7).height > 1  # source 7 outgrew c: a samtree
         store.tree(7).insert(999, 5.0)  # behind the store's back
-        assert cache.stale_rows(store.directory) == [(0, 7)]
+        assert cache.stale_rows(store.directory, store.slab) == [(0, 7)]
+        with pytest.raises(InvariantViolationError):
+            store.check_invariants()
+
+    @pytest.mark.parametrize("column", ["ids", "weights"])
+    def test_direct_slab_mutation_is_detected(self, column):
+        store, cache = self._warm_store()
+        slab, row = store.slab, store.directory.get((0, 8))
+        assert type(row) is int  # source 8 fits a leaf: a slab row
+        getattr(slab, column)[slab.start[row]] += 1  # a scribble
+        assert cache.stale_rows(store.directory, slab) == [(0, 8)]
         with pytest.raises(InvariantViolationError):
             store.check_invariants()
 

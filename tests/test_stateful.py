@@ -22,7 +22,8 @@ from hypothesis.stateful import (
 from repro.baselines.platogl import PlatoGLStore
 from repro.core.frozen import alias_mass
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
-from repro.core.samtree import SamtreeConfig
+from repro.core.memory import DEFAULT_MEMORY_MODEL
+from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.snapshot import ALIAS_TOLERANCE, ROW_LOOP_BELOW
 from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
@@ -50,9 +51,21 @@ class StoreMachine(RuleBasedStateMachine):
         self.store = DynamicGraphStore(SamtreeConfig(capacity=4, alpha=1))
         self.platogl = PlatoGLStore(block_size=4)
         self.model: dict = {}
+        #: Sources whose degree may have passed ``c`` since they last
+        #: entered the directory (a batch applies in key order, so the
+        #: bound is degree before + the batch's inserts).
+        self.may_have_outgrown: set = set()
+
+    def _degree(self, etype, src):
+        return sum(1 for e, s, _ in self.model if (e, s) == (etype, src))
+
+    def _note_growth(self, etype, src, inserts=1):
+        if self._degree(etype, src) + inserts > self.store.config.capacity:
+            self.may_have_outgrown.add((etype, src))
 
     @rule(src=SRC, dst=DST, w=WEIGHT, etype=ETYPE)
     def add(self, src, dst, w, etype):
+        self._note_growth(etype, src)
         expected_new = (etype, src, dst) not in self.model
         assert self.store.add_edge(src, dst, w, etype) == expected_new
         assert self.platogl.add_edge(src, dst, w, etype) == expected_new
@@ -77,6 +90,7 @@ class StoreMachine(RuleBasedStateMachine):
     def accumulate(self, src, dst, w, etype):
         key = (etype, src, dst)
         expected_new = key not in self.model
+        self._note_growth(etype, src)
         assert self.store.accumulate_edge(src, dst, w, etype) == expected_new
         self.model[key] = w if expected_new else self.model[key] + w
         self.platogl.add_edge(src, dst, self.model[key], etype)
@@ -96,6 +110,7 @@ class StoreMachine(RuleBasedStateMachine):
     def source_batch(self, src, etype, ops):
         """PALM within-tree batch: enough ops on one capacity-4 tree to
         force several leaf splits and merges in one repair round."""
+        self._note_growth(etype, src, sum(op == OP_INSERT for op, _, _ in ops))
         self.store.apply_source_batch(
             src, etype, [(_KIND[op], dst, w) for op, dst, w in ops]
         )
@@ -136,6 +151,11 @@ class StoreMachine(RuleBasedStateMachine):
 
     def _apply_edge_batch(self, rows):
         columns = [list(col) for col in zip(*rows)]
+        for src, _, _, etype, _ in rows:
+            self._note_growth(
+                etype, src,
+                sum(r[4] == OP_INSERT for r in rows if (r[0], r[3]) == (src, etype)),
+            )
         self.store.apply_edge_batch(EdgeBatch(*columns))
         self.platogl.apply_edge_batch(EdgeBatch(*columns))
         for src, dst, w, etype, op in rows:
@@ -239,6 +259,36 @@ class StoreMachine(RuleBasedStateMachine):
                     mass = alias_mass(image.alias_prob, image.alias_idx, a, b)
                     wanted = weights / weights.sum()
                     assert np.abs(mass - wanted).max() <= ALIAS_TOLERANCE
+
+    @invariant()
+    def forms_follow_size(self):
+        """Every directory value is a live slab row or a non-empty
+        samtree; a source past ``c`` is a tree, and a tree is a source
+        that once outgrew ``c`` (never demoted, gone with its last
+        edge); the rows are charged what their one-leaf samtrees cost."""
+        store = self.store
+        config, slab = store.config, store.slab
+        live = set(slab.live_rows().tolist())
+        leaf_nodes = fstables = 0
+        degrees: dict = {}
+        for etype, src, _ in self.model:
+            degrees[(etype, src)] = degrees.get((etype, src), 0) + 1
+        self.may_have_outgrown &= degrees.keys()
+        assert {key for key, _ in store.iter_trees()} == degrees.keys()
+        for key, value in store.directory.items():
+            if type(value) is int:
+                assert value in live and degrees[key] <= config.capacity
+                ids, weights = slab.arrays(value)
+                parts = Samtree.bulk_build(ids, weights, config).nbytes_breakdown()
+                assert parts["internal_nodes"] == parts["cstables"] == 0
+                leaf_nodes += parts["leaf_nodes"]
+                fstables += parts["fstables"]
+            else:
+                assert isinstance(value, Samtree) and value.degree
+                assert key in self.may_have_outgrown
+        assert slab.nbytes_parts(DEFAULT_MEMORY_MODEL, config.compress) == (
+            leaf_nodes, fstables
+        )
 
     @invariant()
     def structure_valid(self):

@@ -208,7 +208,9 @@ def test_segmented_builder_is_byte_identical_to_per_leaf_from_array(compress):
         tree.check_invariants()
         assert tree.degree == n and tree.version == 1
         leaves = list(tree._leaves())
-        keys = [ids[a]] if root.is_leaf else root.keys
+        # An internal node's first separator is the open lower bound.
+        keys = [ids[a]] if root.is_leaf else [ids[a]] + root.keys[1:]
+        assert root.is_leaf or root.keys[0] == 0
         target = max(1, min(capacity, int(round(capacity * 0.75))))
         bounds = Samtree._level_bounds(
             n, target, capacity, config.leaf_min_fill
@@ -233,6 +235,27 @@ def test_segmented_builder_is_byte_identical_to_per_leaf_from_array(compress):
         a += n
     if compress:
         assert seen_z == set(SPREADS)
+
+
+def test_bulk_built_tree_takes_ids_below_its_first_leaf():
+    """The builder leaves the leftmost separator of every level open
+    (``_MIN_KEY``), as an insert-built tree does: ids below the first
+    leaf's smallest split that leaf without a stale-high separator."""
+    store = DynamicGraphStore(SamtreeConfig(capacity=4))
+    store.bulk_load([0] * 20, list(range(10, 30)))
+    assert store.tree(0).height > 1
+    store.add_edge(0, 7)
+    store.add_edge(0, 1)  # splits the first leaf: separator 10 must not stay
+    store.check_invariants()
+    rng = random.Random(0)
+    for capacity in (4, 5, 8):
+        tree = Samtree.bulk_build(
+            range(1000, 1400, 2), None, SamtreeConfig(capacity=capacity)
+        )
+        for _ in range(300):
+            tree.insert(rng.randrange(1000), 1.0)
+            tree.delete(rng.randrange(1000, 1400))
+        tree.check_invariants()
 
 
 def test_segmented_builder_handles_empty_segments_and_trees_stay_usable():
@@ -274,7 +297,7 @@ def test_sparse_batch_probes_once_per_tree_and_marks_rows_once(monkeypatch):
     touched = len(set(zip(batch.etype.tolist(), batch.src.tolist())))
     assert touched > 0.85 * n  # sparse: about one op per tree
 
-    calls = {"get": 0, "get_or_create": 0, "mark_batch": 0, "mark": 0}
+    calls = {"get": 0, "mark_batch": 0, "mark": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -284,7 +307,6 @@ def test_sparse_batch_probes_once_per_tree_and_marks_rows_once(monkeypatch):
 
     directory = store.directory
     directory.get = counted("get", directory.get)
-    directory.get_or_create = counted("get_or_create", directory.get_or_create)
     monkeypatch.setattr(
         ReadImage, "mark_batch", counted("mark_batch", ReadImage.mark_batch)
     )
@@ -292,11 +314,9 @@ def test_sparse_batch_probes_once_per_tree_and_marks_rows_once(monkeypatch):
 
     stats = store.apply_edge_batch(batch)
 
-    assert calls == {
-        "get": touched, "get_or_create": 0, "mark_batch": 1, "mark": 0,
-    }
+    assert calls == {"get": touched, "mark_batch": 1, "mark": 0}
     assert stats.trees_created > 0 and stats.trees_incremental > 0
-    del directory.get, directory.get_or_create
+    del directory.get
     store.check_invariants()  # every written image row is dirty, none stale
 
 
