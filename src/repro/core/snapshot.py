@@ -345,40 +345,40 @@ class _Image:
         """Give the absent or dirty rows ``stale`` (positions in
         ``keys``) a clean row and point ``slots`` at it.
 
-        One directory ``get`` per row (a samtree, a row of ``slab`` or
-        nothing); the rows with an adjacency go to :meth:`build`
-        together.  A source with no adjacency gets a
-        clean zero-length row, so its next read is a hit that asks the
-        directory nothing; ``mark`` dirties it when a first edge arrives.
+        One batched directory probe over the distinct sources (each a
+        samtree, a row of ``slab`` or nothing); the rows with an
+        adjacency go to :meth:`build` together.  A source with no
+        adjacency gets a clean zero-length row, so its next read is a
+        hit that asks the directory nothing; ``mark`` dirties it when a
+        first edge arrives.
         """
         self._reserve(len(stale), 0)
         slot_of = self.slot_of
-        admitted: Dict[int, int] = {}  # repeats of one source in `keys`
+        # Distinct sources in first-seen order -> their slot, below.
+        admitted: Dict[int, int] = dict.fromkeys([keys[i] for i in stale])
+        found = trees.get_many([(etype, src) for src in admitted])
         built: List[int] = []
         built_trees: list = []
-        for i in stale:
-            src = keys[i]
-            slot = admitted.get(src)
+        for src, tree in zip(admitted, found):
+            slot = slot_of.get(src)
             if slot is None:
-                tree = trees.get((etype, src))
-                slot = slot_of.get(src)
-                if slot is None:
-                    slot = slot_of[src] = self.rows
-                    self.src[slot] = src
-                    self.rows += 1
-                else:
-                    self.garbage += self.length.item(slot)
-                    stats.invalidations += bool(tree)
-                if tree:
-                    built.append(slot)
-                    built_trees.append(tree)
-                else:
-                    self.length[slot] = 0
-                    self.total[slot] = 0.0
-                    self.clean[slot] = self.aliased[slot] = True
-                    self.garbage += 1
-                admitted[src] = slot
-            slots[i] = slot
+                slot = slot_of[src] = self.rows
+                self.src[slot] = src
+                self.rows += 1
+            else:
+                self.garbage += self.length.item(slot)
+                stats.invalidations += bool(tree)
+            if tree:
+                built.append(slot)
+                built_trees.append(tree)
+            else:
+                self.length[slot] = 0
+                self.total[slot] = 0.0
+                self.clean[slot] = self.aliased[slot] = True
+                self.garbage += 1
+            admitted[src] = slot
+        for i in stale:
+            slots[i] = admitted[keys[i]]
         if built:
             self.build(built, built_trees, slab, stats)
 

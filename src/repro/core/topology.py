@@ -375,15 +375,18 @@ class DynamicGraphStore(GraphStoreAPI):
 
     def _apply_folded(self, batch: EdgeBatch, stats: IngestStats) -> None:
         """Walk the per-source groups of a tree-sorted, duplicate-free
-        batch: one directory probe each, then by what the probe found."""
+        batch: one batched directory probe, then by what it found."""
         bounds = batch.tree_bounds()
         first = bounds[:-1]
         keys = list(zip(batch.etype[first].tolist(), batch.src[first].tolist()))
-        values = list(map(self._directory.get, keys))  # the one probe per group
+        values = self._directory.get_many(keys)
+        # One pass: a slab row's index, 0 for a samtree, -1 for nothing.
         rows = np.fromiter(
-            (v if type(v) is int else 0 for v in values), np.int64, len(keys)
+            (v if type(v) is int else -(v is None) for v in values),
+            np.int64, len(keys),
         )
-        missing = np.fromiter((v is None for v in values), np.bool_, len(keys))
+        missing = rows < 0
+        np.maximum(rows, 0, out=rows)
         if missing.any():
             self._create_missing(batch, bounds, keys, missing, stats)
             if missing.all():  # a pure load reads no row below

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.storage.cuckoo import CuckooHashMap
+from repro.storage.cuckoo import PROBE_LOOP_BELOW, CuckooHashMap, _second_bucket
 
 
 class TestBasics:
@@ -145,11 +147,21 @@ from hypothesis.stateful import (  # noqa: E402
 )
 
 
+#: ``hash((0, s)) == hash((0, s + M61))`` for ``s >= 0``, as
+#: ``hash(-1) == hash(-2)``: keys that share a hash column entry.
+M61 = 2**61 - 1
+KEYS = st.one_of(
+    st.tuples(st.integers(0, 1), st.integers(0, 400)),
+    st.integers(0, 400).map(lambda s: (0, s + M61)),
+    st.sampled_from([-1, -2]),
+)
+
+
 class CuckooMachine(RuleBasedStateMachine):
     """``CuckooHashMap`` against ``dict`` with ``reserve`` interleaved:
-    presizing moves pairs between tables and must lose or invent none."""
-
-    KEYS = st.tuples(st.integers(0, 1), st.integers(0, 400))
+    presizing moves pairs between tables and must lose or invent none;
+    ``get_many`` answers as the scalar ``get`` over keys that share
+    hashes, on both sides of ``PROBE_LOOP_BELOW``."""
 
     def __init__(self):
         super().__init__()
@@ -181,10 +193,28 @@ class CuckooMachine(RuleBasedStateMachine):
         assert self.map.get(key, "absent") == self.ref.get(key, "absent")
         assert (key in self.map) == (key in self.ref)
 
+    @rule(
+        data=st.data(),
+        n=st.sampled_from([0, 1, 4, PROBE_LOOP_BELOW - 1, PROBE_LOOP_BELOW, 90]),
+    )
+    def get_many(self, data, n):
+        stored = sorted(self.ref, key=repr)
+        pool = st.one_of(KEYS, st.sampled_from(stored)) if stored else KEYS
+        keys = data.draw(st.lists(pool, min_size=n, max_size=n))
+        assert self.map.get_many(keys) == [self.ref.get(k) for k in keys]
+
     @invariant()
     def same_pairs(self):
         assert len(self.map) == len(self.ref)
         assert dict(self.map.items()) == self.ref
+
+    @invariant()
+    def hash_column_mirrors_the_slots(self):
+        m = self.map
+        assert m._hashes.tolist() == [
+            -1 if pair is None else hash(pair[0]) for pair in m._slots
+        ]
+        assert m._moves % 2 == 0  # no pair in flight between calls
 
 
 CuckooMachine.TestCase.settings = settings(
@@ -243,3 +273,214 @@ class TestReserve:
         assert (
             loaded.directory._num_buckets == looped.directory._num_buckets
         )
+
+
+# ---------------------------------------------------------------------------
+# the batched probe: bucket math, placement
+# ---------------------------------------------------------------------------
+@given(
+    hashes=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40),
+    log_buckets=st.integers(0, 34),
+)
+@settings(max_examples=200, deadline=None)
+def test_numpy_bucket_pair_is_buckets_for(hashes, log_buckets):
+    m = CuckooHashMap()
+    m._num_buckets = 1 << log_buckets  # the bucket math reads nothing else
+    mask = m._num_buckets - 1
+    h = np.asarray(hashes, dtype=np.int64)
+    pairs = list(zip((h & mask).tolist(), _second_bucket(h, mask).tolist()))
+    assert pairs == [m._buckets_for(x) for x in hashes]
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["put", "delete", "get_many"]), KEYS),
+        max_size=200,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_get_many_leaves_placement_alone(ops):
+    """The same puts and deletes, with and without batched probes in
+    between, leave the same slots (and so the same ``items()`` order)."""
+    plain = CuckooHashMap(initial_buckets=1)
+    probed = CuckooHashMap(initial_buckets=1)
+    for kind, key in ops:
+        if kind == "put":
+            plain.put(key, 1)
+            probed.put(key, 1)
+        elif kind == "delete":
+            plain.delete(key)
+            probed.delete(key)
+        else:
+            probed.get_many([key] * PROBE_LOOP_BELOW + list(probed.keys()))
+    assert probed._slots == plain._slots
+    assert np.array_equal(probed._hashes, plain._hashes)
+
+
+def test_placement_is_the_pre_hash_column_one():
+    """Slot order pinned from before the hash column existed: the column
+    changes no bucket choice, eviction or rehash order."""
+    m = CuckooHashMap(initial_buckets=2)
+    for i in range(40):
+        m.put((i % 2, 7 * i), i)
+    for i in range(0, 40, 3):
+        m.delete((i % 2, 7 * i))
+    m.reserve(100)
+    for i in range(40, 60):
+        m.put((i % 2, 7 * i), i)
+    assert m._num_buckets == 32
+    assert list(m.values()) == [
+        49, 58, 46, 43, 52, 31, 40, 28, 37, 53, 25, 34, 50, 13, 22, 59,
+        47, 56, 19, 35, 44, 16, 7, 4, 41, 57, 29, 38, 26, 10, 1, 51, 23,
+        32, 48, 11, 20, 45, 54, 17, 42, 14, 5, 2, 55, 8,
+    ]
+
+
+# ---------------------------------------------------------------------------
+# a probe racing a displacement or a rehash (threads sequenced by events,
+# every wait bounded: a deadlock fails the test instead of hanging it)
+# ---------------------------------------------------------------------------
+WAIT_S = 10.0
+
+
+def _pause_while_in_flight(m, acknowledged, paused, resume, flight):
+    """Make the writer stop, once, at the first placement attempt that
+    finds a key of ``acknowledged`` in no slot — a displaced pair held
+    between slots, or a rehash refilling a fresh table — and record
+    that key in ``flight``."""
+    free_slot = m._free_slot
+
+    def hook(bucket):
+        if not paused.is_set():
+            present = {pair[0] for pair in m._slots if pair is not None}
+            gone = [key for key in acknowledged if key not in present]
+            if gone:
+                flight.append(gone[0])
+                paused.set()
+                resume.wait(WAIT_S)
+        return free_slot(bucket)
+
+    m._free_slot = hook
+
+
+def _start(target):
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    return thread
+
+
+@pytest.mark.parametrize("window", ["eviction", "rehash"])
+def test_a_probe_never_reports_an_acknowledged_key_absent(window):
+    m = CuckooHashMap(initial_buckets=64)
+    acknowledged = [(0, 3 * i) for i in range(200)]
+    for key in acknowledged:
+        m.put(key, ("value", key))
+    buckets = m._num_buckets
+    paused, resume, flight = threading.Event(), threading.Event(), []
+    _pause_while_in_flight(m, acknowledged, paused, resume, flight)
+
+    def write():
+        if window == "rehash":
+            m.reserve(4 * len(m._slots))
+        else:  # fresh keys until one displaces an acknowledged pair
+            for i in range(200):
+                m.put((1, i), None)
+
+    writer = _start(write)
+    assert paused.wait(WAIT_S), "the writer never moved an acknowledged pair"
+    assert (m._num_buckets == buckets) == (window == "eviction")
+    key = flight[0]
+    others = acknowledged[:PROBE_LOOP_BELOW]
+    answers = {}
+    readers = [
+        _start(lambda: answers.__setitem__("get", m.get(key, "absent"))),
+        _start(lambda: answers.__setitem__(
+            "get_many", m.get_many(others + [key])
+        )),
+        _start(lambda: answers.__setitem__("in", key in m)),
+    ]
+    for reader in readers:
+        reader.join(0.1)
+    # A miss while a pair is in flight waits for the writer to finish.
+    assert answers == {} and all(r.is_alive() for r in readers)
+    resume.set()
+    for thread in readers + [writer]:
+        thread.join(WAIT_S)
+        assert not thread.is_alive(), "deadlocked"
+    assert answers == {
+        "get": ("value", key),
+        "get_many": [("value", k) for k in others + [key]],
+        "in": True,
+    }
+
+
+def test_readers_racing_growing_writers_never_miss_an_acknowledged_key():
+    """Stress: two writers grow a map from one bucket (evictions and
+    rehashes) while three readers, switching threads every microsecond,
+    probe keys whose ``put`` has returned — none may read as absent."""
+    m = CuckooHashMap(initial_buckets=1)
+    acknowledged, misses = [], []
+    done = threading.Event()
+
+    def write(base):
+        for i in range(1500):
+            m.put((base, i), i)
+            acknowledged.append((base, i))
+
+    def read():
+        try:
+            while not done.is_set():
+                keys = acknowledged[-2 * PROBE_LOOP_BELOW :]
+                misses.extend(k for k in keys if m.get(k) is None or k not in m)
+                misses.extend(
+                    k for k, v in zip(keys, m.get_many(keys)) if v is None
+                )
+        except Exception as exc:  # a reader that dies must fail the test
+            misses.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [_start(read) for _ in range(3)]
+        writers = [_start(lambda b=b: write(b)) for b in range(2)]
+        for thread in writers:
+            thread.join(60)
+        done.set()
+        for thread in readers:
+            thread.join(WAIT_S)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers + writers), "deadlocked"
+    assert len(m) == 3000 and not misses
+
+
+def test_palm_write_racing_a_displacement_keeps_the_source():
+    """A PALM thread's per-source batch probes outside every lock; one
+    that probes a source whose directory pair is in flight must see the
+    source, not create it afresh over its old row."""
+    from repro.core.topology import DynamicGraphStore
+
+    store = DynamicGraphStore()
+    for s in range(200):
+        store.add_edge(s, 100 + s, 1.0)
+        store.add_edge(s, 300 + s, 2.0)
+    directory = store.directory
+    paused, resume, flight = threading.Event(), threading.Event(), []
+    _pause_while_in_flight(
+        directory, [(0, s) for s in range(200)], paused, resume, flight
+    )
+    writer = _start(
+        lambda: [store.add_edge(s, 1, 1.0) for s in range(1000, 1400)]
+    )
+    assert paused.wait(WAIT_S), "the writer never moved a source's pair"
+    _, k = flight[0]
+    palm = _start(
+        lambda: store.apply_source_batch(k, 0, [("insert", 7, 3.0)])
+    )
+    palm.join(0.1)
+    resume.set()
+    for thread in (palm, writer):
+        thread.join(WAIT_S)
+        assert not thread.is_alive(), "deadlocked"
+    assert sorted(store.neighbors(k)) == [(7, 3.0), (100 + k, 1.0), (300 + k, 2.0)]
+    store.check_invariants()

@@ -659,8 +659,13 @@ def test_sparse_batch_runs_no_samtree_op_and_probes_once_per_group(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    probed = []
     directory = store.directory
     directory.get = counted("get", directory.get)
+    get_many = directory.get_many
+    directory.get_many = counted(
+        "get_many", lambda keys: probed.extend(keys) or get_many(keys)
+    )
     for name in ("insert", "update", "delete", "_upsert", "apply_batch"):
         monkeypatch.setattr(Samtree, name, counted("tree", getattr(Samtree, name)))
     monkeypatch.setattr(Slab, "apply", counted("scalar", Slab.apply))
@@ -668,8 +673,10 @@ def test_sparse_batch_runs_no_samtree_op_and_probes_once_per_group(monkeypatch):
 
     stats = store.apply_edge_batch(batch)
 
-    del directory.get
-    assert calls["get"] == touched  # one probe per group, no more
+    del directory.get, directory.get_many
+    # One batched probe, each group's key once; no scalar get.
+    assert calls["get_many"] == 1 and calls["get"] == 0
+    assert sorted(probed) == sorted({(0, s) for s in batch.src.tolist()})
     assert 1 <= calls["tree"] <= 2  # the hub's one op (insert -> _upsert)
     assert 2 <= calls["round"] <= 6
     assert calls["scalar"] < 0.05 * n  # what the rounds leave

@@ -38,6 +38,7 @@ from repro.core.snapshot import (
 from repro.core.topology import DynamicGraphStore
 from repro.core.tree_batch import apply_tree_batch
 from repro.errors import ConfigurationError, InvariantViolationError
+from repro.storage.cuckoo import PROBE_LOOP_BELOW
 
 try:  # scipy is part of the baked toolchain, but degrade gracefully.
     from scipy import stats as _scipy_stats
@@ -565,6 +566,39 @@ class TestCacheInvalidation:
         store.sample_neighbors(1, 4, rng=0)  # scalar reads descend
         assert store.snapshot_cache.relations == {}
         assert store.nbytes_breakdown()["snapshot_cache"] == 0
+
+    @pytest.mark.parametrize("rows", [1, 4, PROBE_LOOP_BELOW, 200])
+    def test_admission_is_one_batched_probe_of_its_distinct_sources(self, rows):
+        """A stale frontier asks the directory once, for each distinct
+        source once; below ``PROBE_LOOP_BELOW`` that one call is the
+        scalar loop (a serving admission of 1–4 rows)."""
+        store = DynamicGraphStore()
+        src = np.repeat(np.arange(300), 2)
+        store.bulk_load(src, src % 7 + 1000, 1.0)
+        calls = {"get": 0, "get_many": 0}
+        probed = []
+        directory = store.directory
+        get, get_many = directory.get, directory.get_many
+
+        def counted_get(*args):
+            calls["get"] += 1
+            return get(*args)
+
+        def counted_get_many(keys):
+            calls["get_many"] += 1
+            probed.extend(keys)
+            return get_many(keys)
+
+        directory.get, directory.get_many = counted_get, counted_get_many
+        distinct = list(range(rows - 1)) + [5_000]  # one unknown source
+        store.sample_neighbors_many(distinct * 2, 3, rng=1)
+        scalar = rows if rows < PROBE_LOOP_BELOW else 0
+        assert calls == {"get": scalar, "get_many": 1}
+        assert probed == [(0, s) for s in distinct]
+        store.sample_neighbors_many(distinct, 3, rng=2)  # all clean now
+        assert calls == {"get": scalar, "get_many": 1}
+        del directory.get, directory.get_many
+        store.check_invariants()
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@
   multi-leaf trees);
 * the segmented leaf builder is byte-identical to one
   ``FSTable.from_array`` / ``CompressedIDList.from_array`` per leaf;
-* a sparse batch probes the directory once per touched tree and marks
-  image rows once;
+* a sparse batch probes the directory with one batched probe of every
+  touched tree's key and marks image rows once;
 * a rejected write leaves no empty samtree behind, and ``update`` is a
   single descent.
 """
@@ -297,7 +297,8 @@ def test_sparse_batch_probes_once_per_tree_and_marks_rows_once(monkeypatch):
     touched = len(set(zip(batch.etype.tolist(), batch.src.tolist())))
     assert touched > 0.85 * n  # sparse: about one op per tree
 
-    calls = {"get": 0, "mark_batch": 0, "mark": 0}
+    calls = {"get": 0, "get_many": 0, "mark_batch": 0, "mark": 0}
+    probed = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -307,6 +308,10 @@ def test_sparse_batch_probes_once_per_tree_and_marks_rows_once(monkeypatch):
 
     directory = store.directory
     directory.get = counted("get", directory.get)
+    get_many = directory.get_many
+    directory.get_many = counted(
+        "get_many", lambda keys: probed.extend(keys) or get_many(keys)
+    )
     monkeypatch.setattr(
         ReadImage, "mark_batch", counted("mark_batch", ReadImage.mark_batch)
     )
@@ -314,9 +319,12 @@ def test_sparse_batch_probes_once_per_tree_and_marks_rows_once(monkeypatch):
 
     stats = store.apply_edge_batch(batch)
 
-    assert calls == {"get": touched, "mark_batch": 1, "mark": 0}
+    # One batched probe whose keys are each touched tree once; no scalar get.
+    assert calls == {"get": 0, "get_many": 1, "mark_batch": 1, "mark": 0}
+    assert len(probed) == touched
+    assert set(probed) == set(zip(batch.etype.tolist(), batch.src.tolist()))
     assert stats.trees_created > 0 and stats.trees_incremental > 0
-    del directory.get
+    del directory.get, directory.get_many
     store.check_invariants()  # every written image row is dirty, none stale
 
 
