@@ -1,7 +1,6 @@
-"""Benchmark harness: timers, report formatting, and shared workloads."""
+"""Benchmark harness: report formatting and shared workloads."""
 
 from repro.bench.report import format_series, format_table, reduction_pct, speedup
-from repro.bench.timers import Timer, timed
 from repro.bench.workloads import (
     CLUSTER_BUDGET_BYTES,
     STORE_NAMES,
@@ -20,8 +19,6 @@ __all__ = [
     "format_table",
     "reduction_pct",
     "speedup",
-    "Timer",
-    "timed",
     "STORE_NAMES",
     "CLUSTER_BUDGET_BYTES",
     "BuildResult",

@@ -9,7 +9,6 @@ from repro.core.compression import (
     make_id_list,
 )
 from repro.core.cstable import CSTable
-from repro.core.diff import apply_diff, diff_stores, edge_set, stores_equal
 from repro.core.fenwick import FSTable
 from repro.core.ingest import (
     OP_DELETE,
@@ -20,7 +19,7 @@ from repro.core.ingest import (
     fold_run,
 )
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel, humanize_bytes
-from repro.core.metrics import InstrumentedStore, LatencyHistogram, StoreMetrics
+from repro.core.metrics import InstrumentedStore, StoreMetrics
 from repro.core.samtree import (
     BULK_FILL_FRACTION,
     OpStats,
@@ -32,14 +31,6 @@ from repro.core.snapshot import (
     SnapshotCacheStats,
     coerce_generator,
     coerce_scalar_rng,
-)
-from repro.core.sampling import (
-    SamplingStrategy,
-    TopKByWeight,
-    UniformWithReplacement,
-    WeightedWithReplacement,
-    WeightedWithoutReplacement,
-    make_strategy,
 )
 from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
@@ -60,10 +51,6 @@ __all__ = [
     "PlainIDList",
     "make_id_list",
     "CSTable",
-    "apply_diff",
-    "diff_stores",
-    "edge_set",
-    "stores_equal",
     "FSTable",
     "EdgeBatch",
     "IngestStats",
@@ -76,7 +63,6 @@ __all__ = [
     "DEFAULT_MEMORY_MODEL",
     "humanize_bytes",
     "InstrumentedStore",
-    "LatencyHistogram",
     "StoreMetrics",
     "OpStats",
     "Samtree",
@@ -85,12 +71,6 @@ __all__ = [
     "SnapshotCacheStats",
     "coerce_generator",
     "coerce_scalar_rng",
-    "SamplingStrategy",
-    "TopKByWeight",
-    "UniformWithReplacement",
-    "WeightedWithReplacement",
-    "WeightedWithoutReplacement",
-    "make_strategy",
     "TemporalGraphStore",
     "DynamicGraphStore",
     "DEFAULT_ETYPE",

@@ -41,6 +41,7 @@ __all__ = [
     "OP_KIND_CODES",
     "EdgeBatch",
     "IngestStats",
+    "check_key",
     "check_row",
     "chunked",
     "fold_run",
@@ -67,6 +68,9 @@ _CODE_KINDS = {v: k for k, v in OP_KIND_CODES.items()}
 #: same bytes per row — the win is one message per shard per batch.
 _ROW_BYTES = 8 + 8 + 4 + 2 + 1
 _HEADER_BYTES = 16
+
+#: Range of the ``etype`` column (int16).
+ETYPE_MIN, ETYPE_MAX = -(1 << 15), (1 << 15) - 1
 
 
 @dataclass
@@ -119,6 +123,13 @@ class EdgeBatch:
         self.weight = self._column(
             weight, n, np.float64, 1.0, "weight"
         )
+        if etype is not None:
+            etype = np.asarray(etype)
+            if etype.dtype != np.int16 and etype.size:
+                # Checked before the cast: numpy wraps an int64 column
+                # into int16 silently.  (The src column is checked below.)
+                lo, hi = int(etype.min()), int(etype.max())
+                check_key(0, lo if lo < ETYPE_MIN else hi)
         self.etype = self._column(
             etype, n, np.int16, DEFAULT_ETYPE, "etype"
         )
@@ -196,7 +207,7 @@ class EdgeBatch:
         src = np.empty(n, dtype=np.int64)
         dst = np.empty(n, dtype=np.int64)
         weight = np.empty(n, dtype=np.float64)
-        etype = np.empty(n, dtype=np.int16)
+        etype = np.empty(n, dtype=np.int64)  # range-checked by __init__
         op = np.empty(n, dtype=np.uint8)
         for i, e in enumerate(ops):
             src[i] = e.src
@@ -323,11 +334,28 @@ class EdgeBatch:
         return batch.select(keep)
 
 
-def check_row(src: int, dst: int, weight: float, code: int) -> None:
+def check_key(src: int, etype: int) -> None:
+    """The rules of a source key ``(etype, src)``: ``etype`` fits the
+    int16 column the WAL and checkpoints store, ``src`` is non-negative.
+    Every path that may create a key checks them (a scalar store write,
+    :func:`check_row`, :class:`EdgeBatch`), so each refuses a bad one
+    with the same error before anything is stored or logged."""
+    if not ETYPE_MIN <= etype <= ETYPE_MAX:
+        raise ConfigurationError(
+            f"etype must fit int16 ({ETYPE_MIN}..{ETYPE_MAX}), got {etype}"
+        )
+    if src < 0:
+        raise InvalidWeightError("vertex IDs must be non-negative")
+
+
+def check_row(
+    src: int, dst: int, weight: float, code: int, etype: int
+) -> None:
     """The column checks of :class:`EdgeBatch` on one row of scalars —
     same rules, same errors — for a writer that packs a single
     operation without building a batch (``code`` is a valid op code)."""
-    if src < 0 or dst < 0:
+    check_key(src, etype)
+    if dst < 0:
         raise InvalidWeightError("vertex IDs must be non-negative")
     if code != OP_DELETE and not 0.0 <= weight < inf:
         raise InvalidWeightError(

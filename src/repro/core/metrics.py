@@ -1,16 +1,11 @@
-"""Observability: latency histograms and an instrumented store wrapper.
+"""Observability: per-operation latency histograms of a store.
 
 A production storage tier lives or dies by its tail latencies; the
 paper's evaluation reports means, but the deployed system necessarily
-watches distributions.  This module provides:
+watches distributions.  This module provides, over the log₂
+:class:`~repro.obs.hist.LatencyHistogram` of the telemetry subsystem
+(DESIGN.md §11):
 
-* :class:`LatencyHistogram` — log₂-bucketed latency recording with
-  count/mean/percentile readout, mergeable across threads.  The class
-  now lives in :mod:`repro.obs.hist` (the telemetry subsystem of
-  DESIGN.md §11) and is re-exported here unchanged for compatibility —
-  with exact ``frexp`` bucketing, a public :meth:`bucket_bounds`
-  accessor, and an honest overflow bucket (the recorded max, not a
-  fabricated bound);
 * :class:`StoreMetrics` — one histogram per operation family
   (insert / update / delete / sample / read), registrable into a
   :class:`~repro.obs.registry.MetricsRegistry` via
@@ -33,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.obs.hist import LatencyHistogram
 from repro.obs.telemetry import Telemetry
 
-__all__ = ["LatencyHistogram", "StoreMetrics", "InstrumentedStore"]
+__all__ = ["StoreMetrics", "InstrumentedStore"]
 
 
 class StoreMetrics:

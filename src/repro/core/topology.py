@@ -32,6 +32,7 @@ from repro.core.ingest import (
     OP_UPDATE,
     EdgeBatch,
     IngestStats,
+    check_key,
 )
 from repro.core.frozen import FrozenStats
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
@@ -200,14 +201,17 @@ class DynamicGraphStore(GraphStoreAPI):
     ) -> bool:
         """One scalar operation: one probe, then the row or tree op.
 
-        Weight and id are checked before anything is touched, so a
+        Key, weight and id are checked before anything is touched, so a
         rejected first write leaves neither a row nor a directory entry
-        (a samtree runs the same checks itself).
+        (a samtree runs the same checks itself; a stored key was checked
+        when it was created).
         """
         key = (etype, src)
         value = self._directory.get(key)
-        if value is None and code != OP_INSERT:
-            return False
+        if value is None:
+            if code != OP_INSERT:
+                return False
+            check_key(src, etype)
         self._mark_written(src, etype)
         if value is None or type(value) is int:
             if code != OP_DELETE:
@@ -294,13 +298,15 @@ class DynamicGraphStore(GraphStoreAPI):
         applies the whole batch with one descent per op and bottom-up
         repair rounds (:mod:`repro.core.tree_batch`); a slab row applies
         it op by op under the slab lock — rows of different sources
-        share the arena a relocation replaces.  A bad kind, ID or weight
-        raises before anything is applied.
+        share the arena a relocation replaces.  A bad kind, ID or weight,
+        or a bad key for a new source, raises before anything is applied.
         """
         self._mark_written(src, etype)
         vids, codes, weights = check_tree_ops(ops)
         key = (etype, src)
         value = self._directory.get(key)
+        if value is None:
+            check_key(src, etype)
         if value is None or type(value) is int:
             outcomes: List[bool] = []
             with self.slab.lock:

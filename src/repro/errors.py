@@ -31,10 +31,6 @@ class VertexNotFoundError(ReproError, KeyError):
     """A vertex (or edge endpoint) is not present in the store."""
 
 
-class EdgeNotFoundError(ReproError, KeyError):
-    """A requested edge does not exist in the store."""
-
-
 class StoreOutOfMemoryError(ReproError, MemoryError):
     """The modeled memory footprint exceeded the configured budget.
 

@@ -3,22 +3,8 @@ and the mini-batch trainer.
 """
 
 from repro.gnn.embeddings import EmbeddingTable, SkipGramTrainer
-from repro.gnn.evaluation import (
-    evaluate_link_ranking,
-    hit_rate_at_k,
-    mean_reciprocal_rank,
-    ndcg_at_k,
-    recall_at_k,
-)
 from repro.gnn.inference import embed_vertices, topk_similar
 from repro.gnn.layers import DenseLayer, GATLayer, GCNLayer, SAGEMeanLayer
-from repro.gnn.link_prediction import (
-    LinkPredictionTrainer,
-    binary_cross_entropy_scores,
-    bpr_loss,
-    sample_negative_destinations,
-    sample_positive_edges,
-)
 from repro.gnn.models import GAT, GCN, GraphSAGE, SampledGNN
 from repro.gnn.ops import (
     accuracy,
@@ -48,22 +34,12 @@ from repro.gnn.walks import (
 __all__ = [
     "EmbeddingTable",
     "SkipGramTrainer",
-    "evaluate_link_ranking",
-    "hit_rate_at_k",
-    "mean_reciprocal_rank",
-    "ndcg_at_k",
-    "recall_at_k",
     "embed_vertices",
     "topk_similar",
     "DenseLayer",
     "GATLayer",
     "GCNLayer",
     "SAGEMeanLayer",
-    "LinkPredictionTrainer",
-    "binary_cross_entropy_scores",
-    "bpr_loss",
-    "sample_negative_destinations",
-    "sample_positive_edges",
     "GAT",
     "GCN",
     "GraphSAGE",

@@ -6,9 +6,10 @@ GNN training under continuous churn — rests on the system being able to
 cache-hit decay.  This package is the cross-cutting layer every
 subsystem reports into:
 
-* :mod:`repro.obs.hist` — the log₂ :class:`LatencyHistogram` (moved
-  from ``repro.core.metrics``), with exact bucket bounds, merge, and
-  snapshot state;
+* :mod:`repro.obs.hist` — the log₂ :class:`LatencyHistogram`, with
+  exact bucket bounds, merge, snapshot state, and opt-in exemplars
+  (``record(seconds, trace_id=…, detail=…)`` keeps the slowest op per
+  bucket);
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` of named
   counters, gauges, and histograms with labels, plus *views* over the
   legacy ``*Stats`` holders (pull-based, so hot paths keep their plain
@@ -34,10 +35,6 @@ subsystem reports into:
   diagnosis (depth/fill histograms, α-Split pivot quality, FSTable vs
   CSTable counts) plus the per-component memory breakdown whose sum
   equals the store's ``nbytes()`` (DESIGN.md §12);
-* :mod:`repro.obs.profile` — the opt-in layer-attributed deterministic
-  profiler and the :func:`~repro.obs.profile.observe` helper that
-  records histogram exemplars (trace id + args digest of the slowest
-  op per bucket);
 * :mod:`repro.obs.monitor` — continuous monitoring: a
   :class:`TimeSeriesStore` scraping the registry on the (simulated)
   clock with PromQL-flavored window queries (``rate``, ``increase``,
@@ -111,7 +108,6 @@ from repro.obs.instrument import (
     register_store,
 )
 from repro.obs.monitor import Monitor, TimeSeriesStore
-from repro.obs.profile import LayerProfiler, args_digest, observe
 from repro.obs.registry import (
     Counter,
     Gauge,
@@ -145,7 +141,6 @@ __all__ = [
     "Gauge",
     "IncidentManager",
     "LatencyHistogram",
-    "LayerProfiler",
     "MetricsRegistry",
     "Monitor",
     "PrometheusFormatError",
@@ -158,7 +153,6 @@ __all__ = [
     "TimeSeriesStore",
     "Tracer",
     "analyze_critical_paths",
-    "args_digest",
     "build_rig_from_spec",
     "check_thresholds",
     "critical_path",
@@ -171,7 +165,6 @@ __all__ = [
     "list_bundles",
     "load_bundle",
     "make_spec",
-    "observe",
     "parse_fail_on",
     "register_cluster",
     "register_stats",

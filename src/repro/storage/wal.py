@@ -215,11 +215,11 @@ class ShardWAL:
             return self.append_batch(EdgeBatch.from_edge_ops(ops))
         (op,) = ops
         code = OP_KIND_CODES[op.kind]
+        check_row(op.src, op.dst, op.weight, code, op.etype)
         try:
             payload = _ROW.pack(op.src, op.dst, op.weight, op.etype, code)
         except struct.error as exc:  # what a too-narrow numpy column raises
             raise OverflowError(str(exc)) from None
-        check_row(op.src, op.dst, op.weight, code)
         return self._append_record(1, payload)
 
     # ------------------------------------------------------------------

@@ -1,13 +1,10 @@
-"""Tests for the benchmark harness (timers, report, workloads)."""
+"""Tests for the benchmark harness (report, workloads)."""
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
 from repro.bench.report import format_series, format_table, reduction_pct, speedup
-from repro.bench.timers import Timer, timed
 from repro.bench.workloads import (
     CLUSTER_BUDGET_BYTES,
     STORE_NAMES,
@@ -23,20 +20,6 @@ from repro.core.topology import DynamicGraphStore
 from repro.datasets.presets import ogbn_scaled, wechat_scaled
 from repro.datasets.stream import EdgeStream
 from repro.errors import ConfigurationError
-
-
-class TestTimers:
-    def test_laps(self):
-        t = Timer()
-        with timed(t):
-            time.sleep(0.001)
-        with timed(t):
-            pass
-        assert t.count == 2
-        assert t.total >= 0.001
-        assert t.mean == pytest.approx(t.total / 2)
-        t.reset()
-        assert t.count == 0 and t.mean == 0.0
 
 
 class TestReport:

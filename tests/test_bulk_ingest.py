@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.diff import stores_equal
 from repro.core.ingest import (
     OP_DELETE,
     OP_INSERT,
@@ -49,6 +48,8 @@ from repro.distributed.partition import (
 from repro.distributed.rpc import NetworkModel
 from repro.distributed.server import GraphServer
 from repro.errors import ConfigurationError, InvalidWeightError
+
+from tests.conftest import stores_equal
 
 
 class _RefStore(DynamicGraphStore):

@@ -1,4 +1,4 @@
-"""Tests for the samtree doctor, exemplars, and the layer profiler.
+"""Tests for the samtree doctor and histogram exemplars.
 
 Pins the structural-health observability contract (DESIGN.md §12):
 
@@ -11,22 +11,17 @@ Pins the structural-health observability contract (DESIGN.md §12):
 * histogram exemplars survive the merge path and the Prometheus
   exposition round-trip (``lint_prometheus`` passes with exemplar
   families present);
-* the layer profiler attributes time to the samtree layers and its
-  per-layer exclusive times sum to the profiled total;
 * ``LocalCluster.reset_stats`` clears registered trainers' phase
   telemetry (the PR's satellite).
 """
 
 from __future__ import annotations
 
-import json
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
 from repro.cli import main as cli_main
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.topology import DynamicGraphStore
@@ -36,21 +31,17 @@ from repro.gnn.models import GraphSAGE
 from repro.gnn.training import PHASES, Trainer
 from repro.obs import (
     LatencyHistogram,
-    LayerProfiler,
     MetricsRegistry,
     Tracer,
-    args_digest,
     check_thresholds,
     diagnose,
     diagnose_cluster,
     diagnose_store,
     lint_prometheus,
-    observe,
     parse_fail_on,
     to_prometheus_text,
 )
 from repro.obs.doctor import FILL_BINS
-from repro.obs.profile import DEFAULT_LAYERS
 from repro.storage.attributes import AttributeStore
 
 
@@ -321,18 +312,6 @@ class TestExemplars:
         details = {e.detail for e in a.exemplars().values()}
         assert details == {"theirs"}
 
-    def test_observe_attaches_trace_and_digest(self):
-        h = LatencyHistogram().enable_exemplars()
-        tracer = Tracer(seed=0)
-        with tracer.span("op"):
-            observe(h, 0.02, tracer=tracer, srcs=list(range(128)), k=25)
-        (ex,) = h.exemplars().values()
-        assert ex.trace_id is not None
-        assert "srcs=len:128" in ex.detail and "k=25" in ex.detail
-        # args_digest is deterministic, sorted, and bounded.
-        assert args_digest(b=2, a=1) == "a=1 b=2"
-        assert len(args_digest(x="y" * 500)) <= 80
-
     def test_exemplars_survive_prometheus_lint_round_trip(self):
         reg = MetricsRegistry()
         h = reg.histogram(
@@ -340,8 +319,8 @@ class TestExemplars:
             shard=0,
         ).enable_exemplars()
         tracer = Tracer(seed=0)
-        with tracer.span("sample"):
-            observe(h, 0.004, tracer=tracer, srcs=[1] * 64, k=10)
+        with tracer.span("sample") as span:
+            h.record(0.004, trace_id=span.trace_id, detail="srcs=len:64 k=10")
         h.record(0.5, trace_id=None, detail="cold path")
         text = to_prometheus_text(reg)
         stats = lint_prometheus(text)  # must not raise
@@ -382,68 +361,6 @@ class TestExemplars:
         store.sample_neighbors(0, 4, rng=random.Random(0))
         sample_ex = store.metrics.histograms["sample"].exemplars()
         assert all(e.trace_id is None for e in sample_ex.values())
-
-
-class TestLayerProfiler:
-    def test_attributes_samtree_layers(self):
-        store = DynamicGraphStore(SamtreeConfig(capacity=16))
-        rng = random.Random(0)
-        prof = LayerProfiler()
-        with prof:
-            for _ in range(1500):
-                store.add_edge(
-                    rng.randrange(40), rng.randrange(4000), rng.random()
-                )
-            store.sample_neighbors_many(
-                [rng.randrange(40) for _ in range(64)], 10, rng
-            )
-        totals = prof.totals()
-        assert totals  # something was attributed
-        assert totals.get("descent", 0.0) > 0.0
-        assert totals.get("fts", 0.0) > 0.0
-        assert prof.total_seconds == pytest.approx(
-            sum(totals.values())
-        )
-        report = prof.report()
-        assert "descent" in report and "total" in report
-
-    def test_profiler_lifecycle_guards(self):
-        prof = LayerProfiler()
-        prof.start()
-        with pytest.raises(ConfigurationError):
-            prof.start()
-        with pytest.raises(ConfigurationError):
-            prof.reset()
-        prof.stop()
-        prof.stop()  # idempotent
-        prof.reset()
-        assert prof.totals() == {}
-
-    def test_duplicate_layer_claim_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LayerProfiler(layers={"a": ("x.py",), "b": ("x.py",)})
-
-    def test_default_layers_name_real_modules_and_cover_the_benchmark(self):
-        """Every basename in the map is a module of the package (a typo
-        lands its module in "other"), and every module the end-to-end
-        benchmark reports as a layer is owned by a named layer."""
-        root = Path(repro.__file__).parent
-        modules = {path.name for path in root.rglob("*.py")}
-        owned = {b for names in DEFAULT_LAYERS.values() for b in names}
-        assert owned <= modules
-        bench = json.loads(
-            (root.parents[1] / "BENCHMARK.json").read_text()
-        )
-        layers = {
-            m["name"][: -len(".self_share")]
-            for m in bench["per_layer"]
-            if m["name"].endswith(".self_share")
-        } - {"harness"}
-        assert len(layers) >= 16
-        for layer in sorted(layers):
-            path = root.joinpath(*layer.split(".")).with_suffix(".py")
-            assert path.exists(), layer
-            assert path.name in owned, layer
 
 
 class TestTrainerResetSatellite:

@@ -1,71 +1,17 @@
-"""Tests for ranking metrics, edge-list I/O, and store diffing."""
+"""Tests for edge-list I/O: parsing, loading into a store, round trip."""
 
 from __future__ import annotations
 
 import io
 import random
 
-import numpy as np
 import pytest
 
-from repro.baselines import PlatoGLStore
-from repro.core.diff import apply_diff, diff_stores, edge_set, stores_equal
-from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import OpKind
 from repro.datasets.io import load_edge_list, read_edge_list, write_edge_list
-from repro.errors import ConfigurationError, ShapeError
-from repro.gnn.evaluation import (
-    hit_rate_at_k,
-    mean_reciprocal_rank,
-    ndcg_at_k,
-    rank_of_positive,
-    recall_at_k,
-)
+from repro.errors import ConfigurationError
 
-
-class TestRankingMetrics:
-    def test_rank_of_positive(self):
-        assert rank_of_positive(np.array([5.0, 1.0, 3.0])) == 1
-        assert rank_of_positive(np.array([1.0, 5.0, 3.0])) == 3
-        # Pessimistic ties: an equal decoy outranks the positive.
-        assert rank_of_positive(np.array([2.0, 2.0])) == 2
-        with pytest.raises(ShapeError):
-            rank_of_positive(np.zeros((2, 2)))
-        with pytest.raises(ConfigurationError):
-            rank_of_positive(np.zeros(2), 5)
-
-    def test_hit_rate(self):
-        assert hit_rate_at_k([1, 3, 10], k=3) == pytest.approx(2 / 3)
-        assert hit_rate_at_k([], k=3) == 0.0
-        with pytest.raises(ConfigurationError):
-            hit_rate_at_k([1], k=0)
-
-    def test_mrr(self):
-        assert mean_reciprocal_rank([1, 2, 4]) == pytest.approx(
-            (1 + 0.5 + 0.25) / 3
-        )
-        assert mean_reciprocal_rank([]) == 0.0
-        with pytest.raises(ConfigurationError):
-            mean_reciprocal_rank([0])
-
-    def test_recall(self):
-        recs = [[1, 2, 3], [9, 8, 7]]
-        rels = [[2, 4], [5]]
-        assert recall_at_k(recs, rels, k=3) == pytest.approx((0.5 + 0.0) / 2)
-        assert recall_at_k(recs, rels, k=1) == pytest.approx(0.0)
-        with pytest.raises(ShapeError):
-            recall_at_k(recs, rels[:1], k=2)
-
-    def test_recall_skips_empty_relevance(self):
-        assert recall_at_k([[1], [2]], [[1], []], k=1) == pytest.approx(1.0)
-
-    def test_ndcg_perfect_and_worst(self):
-        assert ndcg_at_k([[1, 2]], [[1, 2]], k=2) == pytest.approx(1.0)
-        assert ndcg_at_k([[3, 4]], [[1, 2]], k=2) == pytest.approx(0.0)
-        # Relevant item at position 2 instead of 1.
-        got = ndcg_at_k([[9, 1]], [[1]], k=2)
-        assert 0.0 < got < 1.0
+from tests.conftest import stores_equal
 
 
 class TestEdgeListIO:
@@ -122,56 +68,3 @@ class TestEdgeListIO:
         reloaded = DynamicGraphStore()
         load_edge_list(reloaded, str(path))
         assert stores_equal(store, reloaded)
-
-
-class TestDiff:
-    def fill(self, store, edges):
-        for etype, src, dst, w in edges:
-            store.add_edge(src, dst, w, etype)
-        return store
-
-    def test_edge_set(self):
-        store = self.fill(DynamicGraphStore(), [(0, 1, 2, 1.0), (3, 1, 2, 2.0)])
-        assert edge_set(store) == {(0, 1, 2): 1.0, (3, 1, 2): 2.0}
-
-    def test_empty_diff_means_equal(self):
-        a = self.fill(DynamicGraphStore(), [(0, 1, 2, 1.0)])
-        b = self.fill(DynamicGraphStore(), [(0, 1, 2, 1.0)])
-        assert diff_stores(a, b) == []
-        assert stores_equal(a, b)
-
-    def test_diff_kinds(self):
-        a = self.fill(DynamicGraphStore(), [(0, 1, 2, 1.0), (0, 1, 3, 1.0)])
-        b = self.fill(DynamicGraphStore(), [(0, 1, 3, 5.0), (0, 1, 4, 1.0)])
-        ops = diff_stores(a, b)
-        assert {op.kind for op in ops} == {
-            OpKind.DELETE, OpKind.INSERT, OpKind.UPDATE,
-        }
-        assert len(ops) == 3
-
-    def test_apply_diff_converges(self):
-        rng = random.Random(1)
-        a = DynamicGraphStore(SamtreeConfig(capacity=8))
-        b = DynamicGraphStore(SamtreeConfig(capacity=8))
-        for _ in range(400):
-            a.add_edge(rng.randrange(10), rng.randrange(40), rng.random())
-            b.add_edge(rng.randrange(10), rng.randrange(40), rng.random())
-        apply_diff(a, diff_stores(a, b))
-        assert stores_equal(a, b)
-        assert diff_stores(a, b) == []
-
-    def test_diff_across_backends(self):
-        """Replicating a samtree store onto a PlatoGL store."""
-        rng = random.Random(2)
-        primary = DynamicGraphStore()
-        for _ in range(200):
-            primary.add_edge(rng.randrange(8), rng.randrange(30), rng.random())
-        replica = PlatoGLStore()
-        apply_diff(replica, diff_stores(replica, primary))
-        assert stores_equal(replica, primary)
-
-    def test_tolerance_suppresses_drift(self):
-        a = self.fill(DynamicGraphStore(), [(0, 1, 2, 1.0)])
-        b = self.fill(DynamicGraphStore(), [(0, 1, 2, 1.0 + 1e-12)])
-        assert stores_equal(a, b)
-        assert not stores_equal(a, b, weight_tolerance=1e-15)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.gnn.inference import embed_vertices
-from repro.gnn.link_prediction import LinkPredictionTrainer
 from repro.gnn.models import GAT, GCN, GraphSAGE
 from repro.gnn.ops import softmax_cross_entropy
 from repro.gnn.samplers import sample_blocks
@@ -65,14 +64,6 @@ class TestLayerTape:
         trainer.forward_batch(seeds[:8])
         assert self._tape(model) == self.ONE_FORWARD
 
-        link = LinkPredictionTrainer(
-            store, feats, model, FANOUTS, rng=random.Random(2)
-        )
-        link.set_vocabulary(seeds)
-        for _ in range(3):
-            link.score_pairs(seeds[:6], seeds[6:12])
-            link.evaluate_auc(num_pairs=16)
-            assert self._tape(model) == self.ONE_FORWARD
         embed_vertices(
             store, feats, model, seeds[:30], FANOUTS, batch_size=7, rng=3
         )

@@ -7,12 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.metrics import InstrumentedStore, LatencyHistogram, StoreMetrics
+from repro.core.metrics import InstrumentedStore, StoreMetrics
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.errors import ConfigurationError, VertexNotFoundError
 from repro.gnn.embeddings import EmbeddingTable, SkipGramTrainer
 from repro.gnn.samplers import sample_neighbor_matrix
+from repro.obs.hist import LatencyHistogram
 
 
 class TestLatencyHistogram:

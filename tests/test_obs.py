@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
-from repro.core.metrics import InstrumentedStore, LatencyHistogram, StoreMetrics
+from repro.core.metrics import InstrumentedStore, StoreMetrics
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.distributed import (
@@ -46,7 +46,7 @@ from repro.obs import (
     to_json,
     to_prometheus_text,
 )
-from repro.obs.hist import NUM_BUCKETS
+from repro.obs.hist import NUM_BUCKETS, LatencyHistogram
 from repro.obs.report import render_report
 from repro.storage.attributes import AttributeStore
 

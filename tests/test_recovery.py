@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.diff import stores_equal
 from repro.core.ingest import (
     OP_DELETE,
     OP_INSERT,
@@ -41,6 +40,8 @@ from repro.errors import ConfigurationError
 from repro.storage import checkpoint
 from repro.storage.checkpoint import LOAD_CHUNK_EDGES, load_store, save_store
 from repro.storage.wal import ShardWAL
+
+from tests.conftest import stores_equal
 
 CONFIG = SamtreeConfig(capacity=4)
 _KINDS = {OP_INSERT: OpKind.INSERT, OP_UPDATE: OpKind.UPDATE,
@@ -99,7 +100,7 @@ class TestChunkedLoad:
         original = _random_store(1)
         with mock.patch.object(checkpoint, "LOAD_CHUNK_EDGES", bound):
             loaded = load_store(io.BytesIO(_image(original)))
-        assert stores_equal(original, loaded, weight_tolerance=0.0)
+        assert stores_equal(original, loaded)
         assert loaded.num_edges == original.num_edges
         loaded.check_invariants()
         stats = loaded.ingest_stats
@@ -138,7 +139,7 @@ class TestChunkedLoad:
         target = DynamicGraphStore(CONFIG, snapshot_cache=None)
         assert load_store(io.BytesIO(_image(original)), target) is target
         assert target.snapshot_cache is None
-        assert stores_equal(original, target, weight_tolerance=0.0)
+        assert stores_equal(original, target)
 
     @pytest.mark.parametrize("config", [
         SamtreeConfig(capacity=8),
@@ -211,7 +212,7 @@ class TestRecoverKeepsStoreOptions:
         cluster.recover(0, replica=1, sync=True)
         backup, primary = cluster.replica_groups[0][1], cluster.servers[0]
         assert _options(backup.store) == _options(factory())
-        assert stores_equal(primary.store, backup.store, weight_tolerance=0.0)
+        assert stores_equal(primary.store, backup.store)
 
 
 def test_recover_refuses_a_factory_that_disagrees_with_the_checkpoint():
@@ -272,7 +273,7 @@ def test_concatenated_tail_equals_record_by_record(tail, seed, bound, base):
         else:
             server.ingest_batch(_batch_of(rows))
         reference.apply_edge_batch(_batch_of(rows))  # one call per record
-    assert stores_equal(reference, server.store, weight_tolerance=0.0)
+    assert stores_equal(reference, server.store)
     server.crash()
     applied = []
     apply = DynamicGraphStore.apply_edge_batch
@@ -285,7 +286,7 @@ def test_concatenated_tail_equals_record_by_record(tail, seed, bound, base):
             mock.patch.object(DynamicGraphStore, "apply_edge_batch", spy):
         assert server.recover() == len(tail)  # records, not batches
     assert server.stats.wal_records_replayed == len(tail)
-    assert stores_equal(reference, server.store, weight_tolerance=0.0)
+    assert stores_equal(reference, server.store)
     assert server.store.num_edges == reference.num_edges
     server.store.check_invariants()
     rows = sum(len(r) for r in tail)

@@ -1,0 +1,160 @@
+"""No module of the package is reached only by its tests.
+
+An import graph over every ``.py`` file of the repository outside
+``tests/`` (the library, its CLI, the benchmarks and the examples)
+resolves relative imports and package re-exports to the module that
+defines each name: ``from repro.gnn import Trainer`` is an import of
+``repro.gnn.training``.  Every module of ``src/repro`` other than a
+package ``__init__`` and ``__main__`` must have a live importer: a file
+outside the package, or a module that has one itself.  A re-export by
+one of its own packages' ``__init__``s keeps nothing alive.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+from typing import Dict, Iterator, Optional, Set, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: Modules nothing outside ``tests/`` imports, each kept on purpose.
+ALLOWED_ORPHANS = {
+    # The README's loader for users' own edge-list graphs.
+    "repro.datasets.io",
+    # The README's live shard migration (plan_rebalance / execute_plan).
+    "repro.distributed.rebalance",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _sources() -> Iterator[Path]:
+    """Every ``.py`` file outside ``tests/`` and hidden or cache dirs."""
+    for path in sorted(ROOT.rglob("*.py")):
+        rel = path.relative_to(ROOT).parts
+        if rel[0] == "tests" or any(
+            p.startswith(".") or p == "__pycache__" or p.endswith(".egg-info")
+            for p in rel[:-1]
+        ):
+            continue
+        yield path
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+#: ``repro`` module name -> file, and the names that are packages.
+MODULES: Dict[str, Path] = {
+    _module_name(p): p for p in (SRC / "repro").rglob("*.py")
+}
+PACKAGES = {name for name, p in MODULES.items() if p.name == "__init__.py"}
+
+
+def _base(node: ast.ImportFrom, module: Optional[str]) -> str:
+    """The absolute module a ``from ... import`` reads from."""
+    if not node.level:
+        return node.module or ""
+    assert module is not None, "relative import outside the package"
+    parts = module.split(".")
+    if module not in PACKAGES:
+        parts = parts[:-1]
+    parts = parts[: len(parts) - (node.level - 1)]
+    return ".".join(parts + ([node.module] if node.module else []))
+
+
+def _reexports(package: str) -> Dict[str, Tuple[str, str]]:
+    """``name -> (module, original name)`` of a package's ``from``
+    imports at top level."""
+    out = {}
+    for node in _parse(MODULES[package]).body:
+        if isinstance(node, ast.ImportFrom):
+            base = _base(node, package)
+            for alias in node.names:
+                out[alias.asname or alias.name] = (base, alias.name)
+    return out
+
+
+REEXPORTS = {package: _reexports(package) for package in PACKAGES}
+
+
+def resolve(module: str, name: str) -> str:
+    """The module that defines what ``from module import name`` binds."""
+    if f"{module}.{name}" in MODULES:
+        return f"{module}.{name}"
+    if module in PACKAGES and name in REEXPORTS[module]:
+        return resolve(*REEXPORTS[module][name])
+    return module
+
+
+def _imports(path: Path, module: Optional[str]) -> Iterator[str]:
+    """Every module ``path`` imports, lazy imports included."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = _base(node, module)
+            for alias in node.names:
+                yield resolve(base, alias.name)
+
+
+def _importers() -> Dict[str, Set[str]]:
+    """``repro`` module -> its importers (module names inside the
+    package, paths outside), its own packages' ``__init__``s left out."""
+    out: Dict[str, Set[str]] = {name: set() for name in MODULES}
+    for path in _sources():
+        inside = path.is_relative_to(SRC)
+        module = _module_name(path) if inside else None
+        for target in _imports(path, module):
+            if target not in MODULES or target == module:
+                continue
+            if module in PACKAGES and target.startswith(module + "."):
+                continue  # a re-export by an enclosing package
+            out[target].add(module or path.relative_to(ROOT).as_posix())
+    return out
+
+
+def _orphans() -> Set[str]:
+    """Modules with no live importer: none at all, or only orphans
+    (an allowlisted one counts as live)."""
+    importers = _importers()
+    dead: Set[str] = set()
+    while True:
+        found = {
+            name for name, who in importers.items()
+            if not who - (dead - ALLOWED_ORPHANS)
+            and name not in PACKAGES and not name.endswith(".__main__")
+        }
+        if found == dead:
+            return dead
+        dead = found
+
+
+def test_every_module_has_an_importer_outside_the_tests():
+    unexpected = _orphans() - ALLOWED_ORPHANS
+    assert not unexpected, (
+        f"only tests (or a package re-export) reach {sorted(unexpected)}: "
+        "wire each into the product or delete it with its tests"
+    )
+
+
+def test_the_allowlist_names_only_orphans():
+    stale = ALLOWED_ORPHANS - _orphans()
+    assert not stale, f"imported now, drop from ALLOWED_ORPHANS: {sorted(stale)}"
+
+
+def test_reexports_resolve_to_the_defining_module():
+    assert resolve("repro.gnn", "Trainer") == "repro.gnn.training"
+    assert resolve("repro", "DynamicGraphStore") == "repro.core.topology"
+    assert resolve("repro.core", "topology") == "repro.core.topology"
+    assert resolve("repro.errors", "ReproError") == "repro.errors"
+    importers = _importers()
+    # Reached only through its package: `from repro.datasets import EdgeStream`.
+    assert "examples/distributed_cluster.py" in importers["repro.datasets.stream"]
+    # A package re-export is not an importer.
+    assert "repro.core" not in importers["repro.core.topology"]

@@ -9,12 +9,14 @@
   ``FSTable.from_array`` / ``CompressedIDList.from_array`` per leaf;
 * a sparse batch probes the directory with one batched probe of every
   touched tree's key and marks image rows once;
-* a rejected write leaves no empty samtree behind, and ``update`` is a
-  single descent.
+* a rejected write leaves no empty samtree behind, every write path
+  refuses a bad source key with the same typed error, and ``update``
+  is a single descent.
 """
 
 from __future__ import annotations
 
+import io
 import random
 
 import numpy as np
@@ -39,7 +41,9 @@ from repro.core.topology import (
     REBUILD_MIN_OPS,
     DynamicGraphStore,
 )
-from repro.errors import InvalidWeightError, InvariantViolationError
+from repro.distributed import LocalCluster
+from repro.errors import InvalidWeightError, InvariantViolationError, ReproError
+from repro.storage.checkpoint import load_store, save_store
 
 CAPACITY = 4
 
@@ -350,6 +354,60 @@ def test_rejected_write_leaves_no_empty_tree(write):
     store.check_invariants()
     store.add_edge(7, 1, 2.0)  # and the source is still writable
     assert store.neighbors(7) == [(1, 2.0)]
+
+
+#: Source keys no path may create: a negative source, an etype past the
+#: int16 column the WAL and checkpoints store (either side).
+BAD_KEYS = [(-1, 0), (5, 70000), (5, -(2**15) - 1)]
+KEY_WRITES = {
+    "add_edge": lambda w, src, et: w.add_edge(src, 2, 1.0, et),
+    "accumulate_edge": lambda w, src, et: w.accumulate_edge(src, 2, 1.0, et),
+    "apply_source_batch": lambda w, src, et: w.apply_source_batch(
+        src, et, [("insert", 2, 1.0)]
+    ),
+    "EdgeBatch": lambda w, src, et: w.apply_edge_batch(
+        EdgeBatch([src], [2], 1.0, et)
+    ),
+    # numpy casts an int64 column to int16 without a word.
+    "EdgeBatch columns": lambda w, src, et: w.apply_edge_batch(
+        EdgeBatch(np.array([src]), np.array([2]), None, np.array([et]))
+    ),
+    "durable client": lambda w, src, et: w.add_edge(src, 2, 1.0, et),
+}
+
+
+@pytest.mark.parametrize("src,etype", BAD_KEYS)
+@pytest.mark.parametrize("entry", sorted(KEY_WRITES))
+def test_every_write_path_refuses_a_bad_key_with_a_typed_error(
+    entry, src, etype, tmp_path
+):
+    """One key contract on every path: before, a store took the key and
+    the next ``save_store`` wrote a snapshot ``load_store`` refused, and
+    the durable tier raised a bare ``OverflowError``."""
+    if entry == "durable client":
+        cluster = LocalCluster(num_servers=2, durable=True, wal_dir=str(tmp_path))
+        writer, stores = cluster.client, [s.store for s in cluster.servers]
+    else:
+        writer = DynamicGraphStore(SamtreeConfig(capacity=CAPACITY))
+        stores = [writer]
+    with pytest.raises(ReproError):
+        KEY_WRITES[entry](writer, src, etype)
+    assert all(len(s.directory) == 0 and s.num_edges == 0 for s in stores)
+    KEY_WRITES[entry](writer, 5, 3)  # a good key still goes in ...
+    if entry == "durable client":
+        assert sum(s.wal.num_records() for s in cluster.servers) == 1
+        cluster.checkpoint_all()
+        shard = next(i for i, s in enumerate(cluster.servers) if s.store.num_edges)
+        cluster.crash(shard)
+        cluster.recover(shard)
+        assert writer.neighbors(5, 3) == [(2, 1.0)]
+        for server in cluster.servers:
+            server.wal.close()
+    else:  # ... and the store round-trips through a snapshot
+        buf = io.BytesIO()
+        save_store(writer, buf)
+        buf.seek(0)
+        assert load_store(buf).neighbors(5, 3) == [(2, 1.0)]
 
 
 def test_rejected_tree_batch_applies_nothing():
