@@ -49,8 +49,8 @@ from repro.errors import (
 )
 
 __all__ = [
-    "FSTable", "ROW_PAD", "build_tables", "join_weight_columns", "lsb",
-    "pad_rows",
+    "FSTable", "ROW_PAD", "build_tables", "cumsum_rows", "join_weight_columns",
+    "lsb", "pad_rows",
 ]
 
 #: Rows up to this long are processed as one zero-padded matrix per batch
@@ -435,13 +435,31 @@ def join_weight_columns(tables: Sequence["FSTable"]):
     )
 
 
-def pad_rows(column, start, length):
+def pad_rows(column, start, length, width: int = ROW_PAD):
     """Rows ``column[start[r] : start[r] + length[r]]`` (every length
-    at most :data:`ROW_PAD`) as one zero-padded ``(rows, ROW_PAD)``
-    matrix, with the flat position of every cell and the mask of the
-    cells that lie inside their row — so a per-row pass over many short
-    rows is one 2-D numpy pass (:mod:`repro.core.snapshot`)."""
-    cols = np.arange(ROW_PAD)
+    at most ``width``) as one zero-padded ``(rows, width)`` matrix, with
+    the flat position of every cell and the mask of the cells that lie
+    inside their row — so a per-row pass over many short rows is one 2-D
+    numpy pass (:mod:`repro.core.snapshot`, :mod:`repro.core.slab`)."""
+    cols = np.arange(width)
     pos = start[:, None] + cols
     inside = cols < length[:, None]
     return np.where(inside, column.take(pos, mode="clip"), 0.0), pos, inside
+
+
+def cumsum_rows(column, start, length, out, width: int = ROW_PAD) -> None:
+    """``out[a:b] = np.cumsum(column[a:b])`` for every row ``a =
+    start[r]``, ``b = a + length[r]`` (none empty), bit for bit.  Rows
+    of at most ``width`` entries take a 2-D ``cumsum`` per 1 024 of them
+    (bounded scratch), zero-padded to the longest: a running sum along an
+    axis adds left to right, and trailing zero pads change no earlier
+    prefix.  Longer rows take one call each."""
+    short = length <= width
+    rows = np.flatnonzero(short)
+    for lo in range(0, rows.size, 1024):
+        part = rows[lo : lo + 1024]
+        width = int(length[part].max())
+        padded, pos, inside = pad_rows(column, start[part], length[part], width)
+        out[pos[inside]] = np.cumsum(padded, axis=1)[inside]
+    for a, b in zip(start[~short].tolist(), (start + length)[~short].tolist()):
+        np.cumsum(column[a:b], out=out[a:b])

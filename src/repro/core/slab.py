@@ -9,8 +9,10 @@ instead (the degree-aware layout of LHGstore, the in-place array blocks
 of GNNFlow), and promotes it to a samtree when an insert would take it
 past ``c``:
 
-* two arena columns, ``ids`` (int64) and ``weights`` (float64, exact),
-  and per-row ``start / length / room / version / src`` columns with a
+* three arena columns, ``ids`` (int64), ``weights`` (float64, exact)
+  and ``cum`` (the leaf's sum table, kept on write: ``np.cumsum`` of
+  the row's weights, bit for bit, so the read image draws a row where
+  it lies), per-row ``start / length / room / version / src`` columns with a
   free-row list.  Row 0 is never handed out, so a directory value is a
   slab row exactly when it is a non-zero ``int``;
 * a row owns ``room`` arena slots — a power of two from
@@ -39,10 +41,11 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.compression import ALLOWED_PREFIX_LENGTHS, ID_BYTES
+from repro.core.fenwick import cumsum_rows
 from repro.core.ingest import OP_DELETE, OP_INSERT
 from repro.core.memory import MemoryModel
 from repro.core.samtree import OpStats, _check_weight
-from repro.errors import ConfigurationError, InvariantViolationError
+from repro.errors import InvariantViolationError
 
 __all__ = ["Slab", "SlabRow", "ROW_MIN_ROOM", "ROUND_PAD", "MAX_ROW_ID"]
 
@@ -55,7 +58,7 @@ ROUND_PAD = 32
 
 #: Compact once garbage exceeds ``live slots / GARBAGE_DIVISOR`` (and a
 #: floor below which a rewrite is not worth its fixed cost).
-GARBAGE_DIVISOR = 2
+GARBAGE_DIVISOR = 4
 _GARBAGE_FLOOR = 1024
 
 #: The largest id the ``int64`` columns hold.  A samtree takes all 64
@@ -65,15 +68,15 @@ MAX_ROW_ID = (1 << 63) - 1
 
 _COLS = np.arange(ROUND_PAD)
 _ROW_COLUMNS = ("start", "length", "room", "version", "src")
+_ARENA_COLUMNS = ("ids", "weights", "cum")
 
 
 class Slab:
     """The rows of one store (see the module docstring)."""
 
     __slots__ = (
-        "capacity", "stats", "lock", "ids", "weights", "rows", "free",
-        "used", "garbage",
-    ) + _ROW_COLUMNS
+        "capacity", "stats", "lock", "rows", "free", "used", "garbage",
+    ) + _ROW_COLUMNS + _ARENA_COLUMNS
 
     def __init__(self, capacity: int, stats: OpStats) -> None:
         self.capacity = capacity
@@ -81,6 +84,7 @@ class Slab:
         self.lock = threading.RLock()
         self.ids = np.empty(1024, dtype=np.int64)
         self.weights = np.empty(1024, dtype=np.float64)
+        self.cum = np.empty(1024, dtype=np.float64)
         for name in _ROW_COLUMNS:
             setattr(self, name, np.zeros(64, dtype=np.int64))
         self.rows = 1  #: row slots handed out, the reserved row 0 included
@@ -99,8 +103,8 @@ class Slab:
                 setattr(self, name, grown)
         need = self.used + slots
         if need > self.ids.size:
-            size = max(need, 2 * self.ids.size)
-            for name in ("ids", "weights"):
+            size = max(need, self.ids.size + self.ids.size // 2)
+            for name in _ARENA_COLUMNS:
                 old = getattr(self, name)
                 grown = np.empty(size, dtype=old.dtype)
                 grown[: self.used] = old[: self.used]
@@ -146,6 +150,7 @@ class Slab:
         at = self._span(start, length)
         self.ids[at] = ids
         self.weights[at] = weights
+        cumsum_rows(self.weights, start, length, self.cum)
         self.src[rows] = srcs
         self.start[rows] = start
         self.length[rows] = length
@@ -172,8 +177,8 @@ class Slab:
         length = self.length[rows]
         old = self._span(self.start[rows], length)
         new = self._span(start, length)
-        self.ids[new] = self.ids[old]
-        self.weights[new] = self.weights[old]
+        for column in (self.ids, self.weights, self.cum):
+            column[new] = column[old]
         self.used += int(ends[-1])
         self.garbage += int(room.sum())
         self.start[rows] = start
@@ -190,8 +195,8 @@ class Slab:
         wider = min(2 * room, self.capacity)
         self._reserve(0, wider)
         b = self.used
-        self.ids[b : b + n] = self.ids[a : a + n]
-        self.weights[b : b + n] = self.weights[a : a + n]
+        for column in (self.ids, self.weights, self.cum):
+            column[b : b + n] = column[a : a + n]
         self.used = b + wider
         self.garbage += room
         self.start[row] = b
@@ -220,10 +225,9 @@ class Slab:
         ends = np.cumsum(room)
         start = ends - room
         old = self._span(self.start[live], length)
-        ids, weights = self.ids.take(old), self.weights.take(old)
         new = self._span(start, length)
-        self.ids[new] = ids
-        self.weights[new] = weights
+        for column in (self.ids, self.weights, self.cum):
+            column[new] = column.take(old)
         self.start[live] = start
         self.used = int(ends[-1]) if live.size else 0
         self.garbage = 0
@@ -254,6 +258,7 @@ class Slab:
                 a = self._grow_one(row, n)
             self.ids[a + n] = dst
             self.weights[a + n] = weight
+            self.cum[a + n] = self.cum.item(a + n - 1) + weight if n else weight
             self.length[row] = n + 1
         elif i < 0:
             return False
@@ -262,13 +267,24 @@ class Slab:
             self.ids[a + i] = self.ids[last]
             self.weights[a + i] = self.weights[last]
             self.length[row] = n - 1
+            self._resum(a + i, a + n - 1, i > 0)
         else:
             if add:
                 weight = _check_weight(self.weights.item(a + i) + weight)
             self.weights[a + i] = weight
+            self._resum(a + i, a + n, i > 0)
         self.version[row] += 1
         self.stats.leaf_ops += 1
         return i < 0 or code != OP_INSERT
+
+    def _resum(self, lo: int, hi: int, carry: bool) -> None:
+        """Re-sum a row's tail ``cum[lo:hi]`` in Python floats, from
+        ``cum[lo - 1]`` when ``carry``: ``np.cumsum``'s adds, in order."""
+        tail = self.weights[lo:hi].tolist()
+        if tail:
+            if carry:
+                tail[0] += self.cum.item(lo - 1)
+            self.cum[lo:hi] = list(accumulate(tail))
 
     # -- the round kernel ---------------------------------------------------
     def apply_round(
@@ -289,9 +305,10 @@ class Slab:
         length = self.length[rows]
         cols = _COLS[: min(int(length.max()), ROUND_PAD)]
         hit = self.ids.take(start[:, None] + cols, mode="clip") == dst[:, None]
-        hit &= cols < length[:, None]
+        # Entries precede a row's slack: the first match is an entry's.
         at = hit.argmax(axis=1)
-        found = hit.any(axis=1)
+        found = hit[np.arange(rows.size), at]
+        found &= at < length
         delete = code == OP_DELETE
         append = code == OP_INSERT
         append &= ~found
@@ -323,7 +340,13 @@ class Slab:
             end = start[append] + length[append]
             self.ids[end] = dst[append]
             self.weights[end] = weight[append]
+            self.cum[end] = self.cum[end - 1] + weight[append]
             self.length[rows[append]] = length[append] + 1
+        if found.any():  # an overwrite or a swap-delete re-sums its row
+            cumsum_rows(
+                self.weights, start[found], self.length[rows[found]], self.cum,
+                cols.size,
+            )
         touched = rows[found | append]
         self.version[touched] += 1
         self.stats.leaf_ops += touched.size
@@ -345,34 +368,27 @@ class Slab:
         b = a + self.length.item(row)
         return list(zip(self.ids[a:b].tolist(), self.weights[a:b].tolist()))
 
-    def gather(
-        self, rows
-    ) -> Tuple[np.ndarray, np.ndarray, List[int], List[int]]:
+    def gather(self, rows) -> Tuple[np.ndarray, np.ndarray, List[int]]:
         """The adjacency of ``rows`` back to back — ``(ids, weights)``
-        by one ragged gather, then their lengths and versions: the row
-        source the read image's builder and ``save_store`` read."""
+        by one ragged gather, then their lengths: what ``freeze`` copies
+        into the read image and ``save_store`` writes."""
         rows = np.asarray(rows, dtype=np.int64)
         length = self.length[rows]
         at = self._span(self.start[rows], length)
-        return (
-            self.ids.take(at), self.weights.take(at), length.tolist(),
-            self.version[rows].tolist(),
-        )
+        return self.ids.take(at), self.weights.take(at), length.tolist()
 
     def sample(
         self, row: int, k: int, rng: Optional[random.Random], weighted: bool
     ) -> List[int]:
-        """``k`` draws with replacement by inverse transform over the
-        row's running sum — the read image's rule: a zero-weight edge is
+        """``k`` (>= 0) draws with replacement by inverse transform over
+        the row's ``cum`` — the read image's rule: a zero-weight edge is
         never drawn, an all-zero row draws uniformly."""
-        if k < 0:
-            raise ConfigurationError(f"sample count must be >= 0, got {k}")
         rng = rng or random
         a = self.start.item(row)
         n = self.length.item(row)
         ids = self.ids[a : a + n].tolist()
         if weighted:
-            cum = list(accumulate(self.weights[a : a + n].tolist()))
+            cum = self.cum[a : a + n].tolist()
             total = cum[-1]
             if total > 0.0:
                 last = n - 1  # the guard against round-up at the top
@@ -435,7 +451,8 @@ class Slab:
     def check_rows(self, rows: np.ndarray) -> int:
         """Validate the content of ``rows`` — ``1 <= length <= room <=
         c``, ids unique and non-negative, weights finite and
-        non-negative; returns the edges they hold."""
+        non-negative, ``cum`` ``==`` each row's ``np.cumsum`` of them;
+        returns the edges they hold."""
         length, room = self.length[rows], self.room[rows]
         if (length < 1).any() or (length > room).any() or (
             room > self.capacity
@@ -443,6 +460,8 @@ class Slab:
             raise InvariantViolationError("slab: a row breaks 1 <= length <= room <= c")
         at = self._span(self.start[rows], length)
         ids, weights = self.ids.take(at), self.weights.take(at)
+        cum = np.empty_like(weights)
+        cumsum_rows(weights, np.cumsum(length) - length, length, cum)
         owner = np.repeat(np.arange(rows.size), length)
         order = np.lexsort((ids, owner))
         ids, owner = ids[order], owner[order]
@@ -452,6 +471,8 @@ class Slab:
              "duplicate neighbour id in a row"),
             (not np.isfinite(weights).all() or (weights < 0.0).any(),
              "edge weights must be finite and non-negative"),
+            (not np.array_equal(self.cum.take(at), cum),
+             "cum is not the running sum of a row's weights"),
         ):
             if broken:
                 raise InvariantViolationError(f"slab: {why}")
@@ -484,8 +505,10 @@ class SlabRow:
 
     @property
     def total_weight(self) -> float:
-        """The row's running sum, left to right (the image's ``total``)."""
-        return float(np.cumsum(self.arrays()[1])[-1])
+        """The last entry of the row's ``cum`` (what a draw scales by)."""
+        slab, row = self._slab, self._row
+        with slab.lock:
+            return slab.cum.item(slab.start.item(row) + slab.length.item(row) - 1)
 
     def get_weight(self, vertex_id: int) -> Optional[float]:
         with self._slab.lock:

@@ -10,25 +10,31 @@ lever GNNFlow's block store and LHGstore pull), instead of
 snapshot-and-rebuild:
 
 * :class:`ReadImage` owns one image per relation: two append-only
-  arena columns (``ids`` and the per-row *local* inclusive cumulative
-  weights ``cum``), per-row ``start / length / total / version / clean /
-  aliased / idle`` columns, and a plain ``dict`` ``src → slot`` as the
-  directory.  A draw of mass ``r ∈ [0, total)`` takes the smallest
-  ``i`` of the row with ``cum[i] > r`` — inverse transform sampling
-  over exactly the tree's weights, so the distribution is *identical*
-  to the ITS/FTS descent (chi-square-tested): zero-weight edges are
-  never selected, an all-zero row draws uniformly.
+  arena columns (``ids`` and the per-row inclusive running sums
+  ``cum``), per-row ``start / length / slab_row / clean / aliased /
+  idle`` columns and a ``dict`` ``src → slot``.  A draw of
+  mass ``r ∈ [0, total)`` takes the smallest ``i`` of the row with
+  ``cum[i] > r`` — inverse transform sampling over exactly the tree's
+  weights, so the distribution is *identical* to the ITS/FTS descent
+  (chi-square-tested); an all-zero row draws uniformly.  A small source
+  is **read in place**: the :class:`~repro.core.slab.Slab` keeps each
+  row's ``cum`` on write, so its slot holds a pointer (``slab_row``, 0
+  for an arena row) and the search runs over ``slab.ids`` /
+  ``slab.cum``; only samtrees (and a frozen relation's rows, for their
+  alias tables) take arena slots.  Reads hold :attr:`Slab.lock`.
 
 * **Coherence is one dirty bit** per row, set by the store's mutation
   entry points *before* they write; a row is *absent*, *dirty*, *clean*
-  or clean and *aliased*.  A dirty or absent row is re-flattened on its
-  next read: all such rows of a frontier go through the one row builder
-  (:meth:`_Image.flatten`: one padded 2-D ``cumsum``, one arena append)
-  from one of its two row sources — one batched leaf decode for
-  samtrees, one ragged gather for the rows of the store's
-  :class:`~repro.core.slab.Slab`; the superseded segment becomes
-  garbage.  A source with no adjacency holds a clean zero-length row.
-  Trees and slab rows must not be mutated behind the store's back;
+  or clean and *aliased*.  A pointer row is read where the slab writes,
+  so only its source leaving the slab row — a promotion or a release —
+  dirties it: it is fresh while the directory maps its key to that row.
+  The dirty and absent rows of a frontier are re-admitted after one
+  batched directory probe: a slab source becomes a pointer again,
+  samtrees go through the one row builder (:meth:`_Image.flatten`: one
+  batched leaf decode, one padded 2-D ``cumsum``, one arena append) and
+  the segment they supersede becomes garbage.  A source with no
+  adjacency holds a clean zero-length row.  Nothing may mutate a tree
+  or re-point a directory entry behind the store's back;
   :meth:`ReadImage.stale_rows` checks it.
 
 * **Freezing a relation** is the same builder over every row that is
@@ -50,10 +56,10 @@ snapshot-and-rebuild:
   cost would dominate it.
 
 * **Compaction is the only eviction**: once garbage passes
-  ``1/GARBAGE_DIVISOR`` of the live edges — or the image outgrows
-  ``capacity_bytes`` — one vectorized pass rewrites the arena, keeping
-  the clean rows read within the last :data:`KEEP_IDLE` passes (every
-  clean row, for a frozen relation).
+  ``1/GARBAGE_DIVISOR`` of the live edges and rows — or the image
+  outgrows ``capacity_bytes`` — one vectorized pass rewrites the arena,
+  keeping the clean rows read within the last :data:`KEEP_IDLE` passes
+  (every clean row, for a frozen relation), pointer rows included.
 
 The batched read APIs take a seed — an ``int``, a ``random.Random``, or
 a ``numpy.random.Generator`` (passed through untouched, so one
@@ -72,7 +78,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.compression import decode_id_lists
-from repro.core.fenwick import ROW_PAD, join_weight_columns, pad_rows
+from repro.core.fenwick import cumsum_rows, join_weight_columns
 from repro.core.frozen import alias_mass, build_alias, draw_alias
 from repro.core.memory import DEFAULT_MEMORY_MODEL
 from repro.errors import ConfigurationError
@@ -97,19 +103,14 @@ DEFAULT_CAPACITY_BYTES = 64 << 20
 #: kernel costs a fixed ~40 numpy dispatches however few rows it serves.
 ROW_LOOP_BELOW = 32
 
-#: The row builder works by columns from this many rows up: its column
-#: passes cost ~30 numpy dispatches however few rows they hold, the
-#: row-by-row form ~3 µs a row (a serving micro-batch re-flattens 1–4).
-PAD_FROM_ROWS = 16
-
-#: Compact once garbage exceeds ``live edges / GARBAGE_DIVISOR``.
+#: Compact once garbage exceeds ``(live edges + rows) / GARBAGE_DIVISOR``.
 GARBAGE_DIVISOR = 32
 
-#: A compaction drops the clean rows that went unread through this
-#: many compaction intervals.  1 keeps `train_churn`'s image smallest
-#: (17.1 B/edge); 4 re-flattens 41 % fewer rows there for 20.0 B/edge,
-#: still below the 21.0 of the per-tree snapshot cache this replaced.
-KEEP_IDLE = 4
+#: A compaction drops the clean rows that went unread through this many
+#: compaction intervals.  A pointer row owns no arena slot and costs one
+#: probe to re-admit: at 16 `train_churn` (seed 0) admits each source
+#: about once (21 k admissions, 50 k at 4) at the same 12.8 B/edge.
+KEEP_IDLE = 16
 
 #: ``SampleBlock.EMPTY`` (:mod:`repro.core.types` imports this module).
 _EMPTY = 1
@@ -131,8 +132,7 @@ _ROW_COLUMNS = (
     ("src", np.int64),
     ("start", np.int64),
     ("length", np.int64),
-    ("total", np.float64),
-    ("version", np.int64),
+    ("slab_row", np.int64),
     ("clean", np.bool_),
     ("aliased", np.bool_),
     ("idle", np.int8),
@@ -232,7 +232,7 @@ class SnapshotCacheStats(Stats):
 def _tree_columns(trees: list):
     """The samtree row source of :meth:`_Image.flatten`: all leaves of
     ``trees`` decoded together — ``(ids, weights)`` back to back, then
-    the trees' degrees and versions."""
+    the trees' degrees."""
     leaves: list = []
     for tree in trees:
         root = tree._root
@@ -244,8 +244,60 @@ def _tree_columns(trees: list):
         decode_id_lists([leaf.ids for leaf in leaves]),
         join_weight_columns([leaf.fstable for leaf in leaves]),
         [tree.degree for tree in trees],
-        [tree.version for tree in trees],
     )
+
+
+def _search(ids, cum, start, length, uniforms, weighted: bool) -> np.ndarray:
+    """The draws of rows ``start[i] : start[i] + length[i]`` of ``ids``
+    / ``cum`` (none empty, longest first), one row of ``uniforms`` each.
+
+    Step ``2^b`` of the binary search (how many entries of the row are
+    ``<= mass``) runs on the prefix of rows at least that long: a row of
+    length ``L`` costs ``log2 L`` array steps, not the longest row's.
+    Fewer than ``ROW_LOOP_BELOW`` rows (a frontier's few samtrees) are
+    drawn row by row, below the kernel's fixed cost."""
+    if length.size < ROW_LOOP_BELOW:
+        out = np.empty(uniforms.shape, dtype=np.int64)
+        for i, (a, m) in enumerate(zip(start.tolist(), length.tolist())):
+            _draw_row(ids, cum, a, m, uniforms[i], weighted, out[i])
+        return out
+    span = length[:, None]
+    start = start[:, None]
+    if weighted:
+        total = cum[start[:, 0] + length - 1]
+        mass = uniforms * total[:, None]
+        idx = np.zeros(mass.shape, dtype=np.int64)
+        below = start - 1
+        shorter = -length
+        bit = int(length[0]).bit_length()
+        while bit:
+            bit -= 1
+            step = 1 << bit
+            live = int(shorter.searchsorted(-step, side="right"))
+            cand = idx[:live] + step
+            take = cum.take(below[:live] + cand, mode="clip") <= mass[:live]
+            take &= cand <= span[:live]
+            np.copyto(idx[:live], cand, where=take)
+        flat = total <= 0.0  # all-zero weights: fall back to uniform
+        if flat.any():
+            idx[flat] = (uniforms[flat] * span[flat]).astype(np.int64)
+    else:
+        idx = (uniforms * span).astype(np.int64)
+    # Guard against float round-up at the top of the mass range.
+    np.minimum(idx, span - 1, out=idx)
+    idx += start
+    return ids.take(idx)
+
+
+def _draw_row(ids, cum, a: int, m: int, uniforms, weighted: bool, out) -> None:
+    """:func:`_search` of the one row ``a : a + m`` (``m > 0``) into ``out``."""
+    mass = cum.item(a + m - 1)
+    if weighted and mass > 0.0:
+        idx = cum[a : a + m].searchsorted(uniforms * mass, side="right")
+    else:  # uniform, or the all-zero-weight fallback
+        idx = (uniforms * m).astype(np.int64)
+    # mode="clip" guards against float round-up at the top of the mass range.
+    ids[a : a + m].take(idx, mode="clip", out=out)
 
 
 class _Image:
@@ -256,11 +308,12 @@ class _Image:
     """
 
     __slots__ = (
-        "slot_of", "ids", "cum", "alias_prob", "alias_idx", "used",
+        "slab", "slot_of", "ids", "cum", "alias_prob", "alias_idx", "used",
         "garbage", "rows", "ordered", "_workspace",
     ) + tuple(name for name, _ in _ROW_COLUMNS)
 
-    def __init__(self) -> None:
+    def __init__(self, slab) -> None:
+        self.slab = slab  #: the store's :class:`~repro.core.slab.Slab`
         self.slot_of: Dict[int, int] = {}
         self.ids = np.empty(1024, dtype=np.int64)
         self.cum = np.empty(1024, dtype=np.float64)
@@ -270,7 +323,7 @@ class _Image:
         self.used = 0  #: arena slots written, garbage included
         #: Arena slots of rows replaced since compaction, plus one per
         #: empty row admitted (unknown sources must not pile up rows
-        #: without bringing a compaction on).
+        #: without bringing a compaction on); a pointer row leaves none.
         self.garbage = 0
         self.rows = 1  #: row slots handed out, the empty row included
         #: Slots ``1 .. ordered`` ascend in ``src`` (``freeze`` writes
@@ -285,14 +338,15 @@ class _Image:
     def frozen(self) -> bool:
         return self.alias_prob is not None
 
-    def mark(self, src: int) -> None:
-        """Set the dirty bit of ``src``'s row, if it has one.
+    def mark(self, src: int, moved: bool = False) -> None:
+        """Set the dirty bit of ``src``'s row, if it has one — a pointer
+        row's only once its source ``moved`` out of the slab row.
 
         A dict read and one flag store: safe from PALM executor threads
         (no shared counter is touched).
         """
         slot = self.slot_of.get(src)
-        if slot is not None:
+        if slot is not None and (moved or not self.slab_row[slot]):
             self.clean[slot] = False
 
     def slots_of(self, keys: List[int]) -> np.ndarray:
@@ -339,127 +393,90 @@ class _Image:
                 setattr(self, name, grown)
 
     def admit(
-        self, trees, slab, etype: int, keys: List[int], slots,
+        self, trees, etype: int, keys: List[int], slots,
         stale: List[int], stats: SnapshotCacheStats,
     ) -> None:
         """Give the absent or dirty rows ``stale`` (positions in
         ``keys``) a clean row and point ``slots`` at it.
 
-        One batched directory probe over the distinct sources (each a
-        samtree, a row of ``slab`` or nothing); the rows with an
-        adjacency go to :meth:`build` together.  A source with no
+        One batched directory probe over the distinct sources: a slab
+        row becomes a pointer row (the probe is its whole cost), the
+        samtrees go to :meth:`flatten` together.  A source with no
         adjacency gets a clean zero-length row, so its next read is a
         hit that asks the directory nothing; ``mark`` dirties it when a
         first edge arrives.
         """
         self._reserve(len(stale), 0)
         slot_of = self.slot_of
-        # Distinct sources in first-seen order -> their slot, below.
-        admitted: Dict[int, int] = dict.fromkeys([keys[i] for i in stale])
-        found = trees.get_many([(etype, src) for src in admitted])
-        built: List[int] = []
-        built_trees: list = []
-        for src, tree in zip(admitted, found):
-            slot = slot_of.get(src)
-            if slot is None:
-                slot = slot_of[src] = self.rows
-                self.src[slot] = src
-                self.rows += 1
-            else:
-                self.garbage += self.length.item(slot)
-                stats.invalidations += bool(tree)
-            if tree:
-                built.append(slot)
-                built_trees.append(tree)
-            else:
-                self.length[slot] = 0
-                self.total[slot] = 0.0
-                self.clean[slot] = self.aliased[slot] = True
-                self.garbage += 1
-            admitted[src] = slot
-        for i in stale:
-            slots[i] = admitted[keys[i]]
+        stale_keys = list(map(keys.__getitem__, stale))
+        srcs = list(dict.fromkeys(stale_keys))  # first-seen order
+        found = trees.get_many([(etype, src) for src in srcs])
+        at = self.slots_of(srcs)
+        first = self.rows
+        fresh = np.flatnonzero(at == 0)
+        if fresh.size:  # the next row slots, in first-seen order
+            self.rows += fresh.size
+            at[fresh] = range(first, self.rows)
+            fresh = list(map(srcs.__getitem__, fresh.tolist()))
+            slot_of.update(zip(fresh, range(first, self.rows)))
+            self.src[first : self.rows] = fresh
+        slots[stale] = np.fromiter(
+            map(slot_of.__getitem__, stale_keys), dtype=np.int64, count=len(stale)
+        )
+        old = at[at < first]  # superseded: an arena row's slots are garbage
+        self.garbage += int(self.length[old][self.slab_row[old] == 0].sum())
+        # Every row a pointer row first; slab row 0 is empty.
+        pointer = np.array([v if type(v) is int else 0 for v in found], dtype=np.int64)
+        self.slab_row[at] = pointer
+        self.length[at] = 0
+        self.clean[at] = True
+        self.aliased[at] = False
+        other = np.flatnonzero(pointer == 0)
+        tree = np.array([found[i] is not None for i in other.tolist()], dtype=bool)
+        empty = at[other[~tree]]
+        self.aliased[empty] = True  # the empty row draws by the alias kernel
+        self.garbage += empty.size
+        stats.builds += at.size - other.size
+        stats.invalidations += old.size - int(np.count_nonzero(empty < first))
+        built = other[tree].tolist()
         if built:
-            self.build(built, built_trees, slab, stats)
-
-    def build(self, slots, values: list, slab, stats: SnapshotCacheStats) -> None:
-        """Flatten the directory values ``values`` (samtrees and rows of
-        ``slab``, none empty) into rows ``slots``: each kind through
-        :meth:`flatten` from its own row source."""
-        slots = np.asarray(slots)
-        in_slab = np.asarray([type(value) is int for value in values])
-        trees = [value for value in values if type(value) is not int]
-        if trees:
-            self.flatten(slots[~in_slab], *_tree_columns(trees), stats)
-        if len(trees) < len(values):
-            self.flatten(slots[in_slab], *slab.gather(
-                [value for value in values if type(value) is int]
-            ), stats)
+            self.flatten(at[built], *_tree_columns([found[i] for i in built]), stats)
 
     def flatten(
         self, slots, ids: np.ndarray, weights: np.ndarray,
-        length: List[int], version: List[int], stats: SnapshotCacheStats,
+        length: List[int], stats: SnapshotCacheStats,
     ) -> None:
         """The one row builder: rows ``slots`` (all distinct) take the
         adjacencies held back to back in ``ids`` / ``weights`` (none
-        empty; ``length[i]`` entries and source version ``version[i]``
-        each), one append to the arena.
-
-        The cumulative column of every row of at most ``ROW_PAD`` edges
-        comes from one zero-padded 2-D ``np.cumsum``: a running sum
-        along an axis adds left to right and trailing zero pads change
-        no earlier prefix, so each entry is bit for bit what
-        ``stale_rows`` recomputes from the source.  Longer rows keep the
-        per-row call, and fewer than ``PAD_FROM_ROWS`` rows are written
-        row by row.
+        empty, ``length[i]`` entries each), one append to the arena;
+        ``cum`` by :func:`cumsum_rows`, bit for bit what ``stale_rows``
+        recomputes and what the slab keeps for a row.
         """
-        count = len(length)
-        stats.builds += count
+        stats.builds += len(length)
         self._reserve(0, ids.size)
         a = self.used
         self.used = a + ids.size
         self.ids[a : self.used] = ids
-        cum = self.cum[a : self.used]
-        if count < PAD_FROM_ROWS:
-            lo = 0
-            for slot, n, v in zip(slots, length, version):
-                hi = lo + n
-                np.cumsum(weights[lo:hi], out=cum[lo:hi])
-                self.start[slot] = a + lo
-                self.length[slot] = n
-                self.total[slot] = cum[hi - 1]
-                self.version[slot] = v
-                self.clean[slot] = True
-                self.aliased[slot] = False
-                lo = hi
-            return
         length = np.asarray(length, dtype=np.int64)
-        ends = np.cumsum(length)
-        start = ends - length
-        short = length <= ROW_PAD
-        padded, pos, inside = pad_rows(weights, start[short], length[short])
-        cum[pos[inside]] = np.cumsum(padded, axis=1)[inside]
-        long = ~short
-        for lo, hi in zip(start[long].tolist(), ends[long].tolist()):
-            np.cumsum(weights[lo:hi], out=cum[lo:hi])
+        start = np.cumsum(length) - length
+        cumsum_rows(weights, start, length, self.cum[a : self.used])
         slots = np.asarray(slots)
         self.start[slots] = a + start
         self.length[slots] = length
-        self.total[slots] = cum[ends - 1]
-        self.version[slots] = version
+        self.slab_row[slots] = 0
         self.clean[slots] = True
         self.aliased[slots] = False
 
     # -- freeze / thaw ------------------------------------------------------
     def freeze(
-        self, pairs: list, slab, stats: SnapshotCacheStats, frozen_stats
+        self, pairs: list, stats: SnapshotCacheStats, frozen_stats
     ) -> None:
         """Make every source of ``pairs`` — the relation's ``(src,
-        directory value)`` in ``src`` order — a clean aliased row, in
-        that order: clean
-        rows are kept, the rest go to :meth:`build` in one batch, then
-        every row without an alias table gets one.  Rows of sources
-        that left the directory are dropped."""
+        directory value)`` in ``src`` order — a clean aliased arena row,
+        in that order: clean arena rows are kept, the rest go to
+        :meth:`flatten` (one batch per row source), then every row
+        without an alias table gets one.  Rows of sources that left the
+        directory are dropped."""
         count = len(pairs)
         srcs = [src for src, _ in pairs]
         old = self.slots_of(srcs)
@@ -473,11 +490,17 @@ class _Image:
         self.rows = rows
         self.ordered = count
         self.slot_of = dict(zip(srcs, range(1, rows)))
-        stale = (~self.clean[1:rows]).nonzero()[0]
-        if stale.size:
-            self.build(
-                stale + 1, [pairs[i][1] for i in stale.tolist()], slab, stats
-            )
+        # Pointer rows are copied too: an alias table lives in the arena.
+        stale = (~self.clean[1:rows] | (self.slab_row[1:rows] != 0)).nonzero()[0]
+        values = [pairs[i][1] for i in stale.tolist()]
+        in_slab = np.asarray([type(value) is int for value in values], dtype=bool)
+        trees = [value for value in values if type(value) is not int]
+        if trees:
+            self.flatten(stale[~in_slab] + 1, *_tree_columns(trees), stats)
+        if len(trees) < len(values):
+            self.flatten(stale[in_slab] + 1, *self.slab.gather(
+                [value for value in values if type(value) is int]
+            ), stats)
         self.garbage = self.used - int(self.length[1:rows].sum())
         if not self.frozen:
             self.alias_prob = np.empty(self.ids.size, dtype=np.float64)
@@ -504,81 +527,59 @@ class _Image:
         gen: np.random.Generator, weighted: bool,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Row-by-row draw for a handful of sources: one ``searchsorted``
-        over each row's slice of the call's single uniform block."""
+        per row (arena or slab) over its slice of one uniform block."""
         out = np.zeros((n, k), dtype=np.int64)
         state = np.zeros(n, dtype=np.int8)
         uniforms = gen.random((n, k))
-        start, length, total = self.start.item, self.length.item, self.total.item
+        slab_row, slab = self.slab_row.item, self.slab
         hi = 0
         for slot, count in zip(slots, counts):
             lo, hi = hi, hi + count
-            m = length(slot)
+            row = slab_row(slot)
+            home, at = (slab, row) if row else (self, slot)
+            m = home.length.item(at)
             if not m:
                 state[lo:hi] = _EMPTY
                 continue
             self.idle[slot] = 0
-            a = start(slot)
-            mass = total(slot)
-            if weighted and mass > 0.0:
-                idx = self.cum[a : a + m].searchsorted(
-                    uniforms[lo:hi] * mass, side="right"
-                )
-            else:  # uniform, or the all-zero-weight fallback
-                idx = (uniforms[lo:hi] * m).astype(np.int64)
-            # mode="clip": the guard against float round-up at the top
-            # of the mass range.
-            self.ids[a : a + m].take(idx, mode="clip", out=out[lo:hi])
+            a = home.start.item(at)
+            _draw_row(home.ids, home.cum, a, m, uniforms[lo:hi], weighted, out[lo:hi])
         return out, state
 
     def draw_frontier(
         self, rows: np.ndarray, k: int,
         gen: np.random.Generator, weighted: bool,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One vectorized draw over a whole frontier.
-
-        Rows are ordered longest first, so step ``2^b`` of the binary
-        search (how many entries of the row are ``<= mass``) runs on the
-        prefix of rows at least that long: a row of length ``L`` costs
-        ``log2 L`` array steps, not the longest row's.
-        """
+        """One vectorized draw over a whole frontier: the uniform block
+        is drawn for the rows longest first, then :func:`_search` runs
+        over the arena rows and over the pointer rows in the slab (each
+        part stays longest first)."""
         self.idle[rows] = 0
-        length = self.length[rows]
+        slab, pointer = self.slab, self.slab_row[rows]
+        # A pointer row's length is 0 here, an arena row's slab row is 0.
+        length = self.length[rows] + slab.length[pointer]
         out = np.zeros((rows.size, k), dtype=np.int64)
         state = (length == 0).view(np.int8)  # True is _EMPTY
         order = np.argsort(-length, kind="stable")
         order = order[: np.count_nonzero(length)]
         if order.size == 0:
             return out, state
-        rows = rows[order]
-        length = length[order]
-        start = self.start[rows][:, None]
-        span = length[:, None]
+        rows, pointer, length = rows[order], pointer[order], length[order]
         uniforms = gen.random((rows.size, k))
-        if weighted:
-            total = self.total[rows]
-            mass = uniforms * total[:, None]
-            idx = np.zeros(mass.shape, dtype=np.int64)
-            below = start - 1
-            shorter = -length
-            cum = self.cum
-            bit = int(length[0]).bit_length()
-            while bit:
-                bit -= 1
-                step = 1 << bit
-                live = int(shorter.searchsorted(-step, side="right"))
-                cand = idx[:live] + step
-                take = cum.take(below[:live] + cand, mode="clip") <= mass[:live]
-                take &= cand <= span[:live]
-                np.copyto(idx[:live], cand, where=take)
-            flat = total <= 0.0  # all-zero weights: fall back to uniform
-            if flat.any():
-                idx[flat] = (uniforms[flat] * span[flat]).astype(np.int64)
-        else:
-            idx = (uniforms * span).astype(np.int64)
-        # Guard against float round-up at the top of the mass range.
-        np.minimum(idx, span - 1, out=idx)
-        idx += start
-        out[order] = self.ids.take(idx)
+        arena = np.flatnonzero(pointer == 0)
+        # Samtrees outgrew c, so they usually lead: slab rows are a slice.
+        lead = not arena.size or arena.item(-1) == arena.size - 1
+        in_slab = slice(arena.size, None) if lead else pointer != 0
+        if arena.size:
+            out[order[arena]] = _search(
+                self.ids, self.cum, self.start[rows[arena]], length[arena],
+                uniforms[arena], weighted,
+            )
+        if arena.size < rows.size:
+            out[order[in_slab]] = _search(
+                slab.ids, slab.cum, slab.start[pointer[in_slab]],
+                length[in_slab], uniforms[in_slab], weighted,
+            )
         return out, state
 
     def draw_aliased(
@@ -608,8 +609,8 @@ class _Image:
         return out, empty.view(np.int8)  # True is _EMPTY
 
     def draw_frozen(
-        self, slots: np.ndarray, counts, k: int, gen: np.random.Generator,
-        weighted: bool, frozen_stats,
+        self, slots: np.ndarray, counts, k: int,
+        gen: np.random.Generator, weighted: bool, frozen_stats,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The draw of a frozen relation (all rows clean): one alias
         kernel call when every row is aliased, else that for the aliased
@@ -664,7 +665,8 @@ class _Image:
         rows were dropped.  Where those exceed ``budget`` arena slots
         the shortest rows are kept first: a hub too large for the budget
         is served once and dropped, it does not push everything else out.
-        A frozen relation's clean rows are pinned: all of them stay.
+        A frozen relation's clean rows are pinned: all of them stay.  A
+        pointer row ages like any other row.
         """
         rows = self.rows
         clean = self.clean[:rows]
@@ -673,18 +675,18 @@ class _Image:
             keep = np.flatnonzero(clean)
         else:
             keep = np.flatnonzero(clean & (self.idle[:rows] < KEEP_IDLE))
-        length = self.length[keep]
-        if not pinned and budget is not None and int(length.sum()) > budget:
-            order = np.argsort(length, kind="stable")
-            fits = int(np.searchsorted(np.cumsum(length[order]), budget, "right"))
-            keep = np.sort(keep[order[:fits]])
-            length = self.length[keep]
+        owned = np.where(self.slab_row[keep] != 0, 0, self.length[keep])
+        if not pinned and budget is not None and int(owned.sum()) > budget:
+            order = np.argsort(owned, kind="stable")
+            fits = int(np.searchsorted(np.cumsum(owned[order]), budget, "right"))
+            order = np.sort(order[:fits])
+            keep, owned = keep[order], owned[order]
         dropped = int(np.count_nonzero(clean)) - keep.size
-        ends = np.cumsum(length)
-        start = ends - length
+        ends = np.cumsum(owned)
+        start = ends - owned
         self.used = int(ends[-1]) if keep.size else 0
         self.garbage = 0
-        moved = np.repeat(self.start[keep] - start, length)
+        moved = np.repeat(self.start[keep] - start, owned)
         take = moved + np.arange(self.used)
         self.ids[: self.used] = self.ids.take(take)
         self.cum[: self.used] = self.cum.take(take)
@@ -693,11 +695,10 @@ class _Image:
             self.alias_idx[: self.used] = self.alias_idx.take(take) - moved
         self.ordered = int(keep.searchsorted(self.ordered, "right"))
         self.rows = rows = keep.size + 1
-        for name in ("src", "total", "version", "aliased"):
+        for name in ("src", "length", "slab_row", "aliased"):
             column = getattr(self, name)
             column[1:rows] = column[keep]
         self.start[1:rows] = start
-        self.length[1:rows] = length
         self.clean[1:rows] = True
         # Pinned rows do not age (and an int8 would wrap if they did).
         self.idle[1:rows] = 0 if pinned else self.idle[keep] + 1
@@ -771,7 +772,8 @@ class ReadImage:
         for image in self.relations.values():
             clean = image.clean[: image.rows]
             entries = int(clean.sum())
-            edges = int(image.length[: image.rows][clean].sum())
+            owner = clean & (image.slab_row[: image.rows] == 0)  # pointers own none
+            edges = int(image.length[: image.rows][owner].sum())
             aliased = int((clean & image.aliased[: image.rows]).sum())
             for name, count in zip(out, (
                 image.rows - 1, entries, aliased, entries * image.frozen,
@@ -782,32 +784,40 @@ class ReadImage:
 
     def row(self, key: Tuple[int, int]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """``(ids, cumulative weights)`` of the clean row of
-        ``(etype, src)`` (copies), or ``None``."""
+        ``(etype, src)`` (copies; a pointer row's from the slab), or ``None``."""
         if key not in self:
             return None
         image = self.relations[key[0]]
         slot = image.slot_of[key[1]]
-        a = int(image.start[slot])
-        b = a + int(image.length[slot])
-        return image.ids[a:b].copy(), image.cum[a:b].copy()
+        row = image.slab_row.item(slot)
+        home, at = (image.slab, row) if row else (image, slot)
+        a = home.start.item(at)
+        b = a + home.length.item(at)
+        return home.ids[a:b].copy(), home.cum[a:b].copy()
 
     def stale_rows(self, trees, slab) -> List[Tuple[int, int]]:
-        """Keys of clean rows that are not their source's current flatten.
+        """Keys of clean rows that are not their source's current state.
 
-        Empty unless a tree of ``trees`` (the store's directory) or a
-        row of ``slab`` was mutated without the store's entry points
-        setting the dirty bit: a clean row must carry its source's
-        version and equal :func:`flatten_tree` with ``==`` (a
-        zero-length row: have no source), and an aliased row's table
-        must give every edge its
-        ``weight / total`` (uniform when all are zero) to within
-        ``ALIAS_TOLERANCE``.
+        Empty unless a tree of ``trees`` (the store's directory) was
+        mutated, or a key re-pointed, without the store's entry points
+        setting the dirty bit.  A pointer row is fresh iff the directory
+        still maps its key to that row of ``slab`` (the slab's own rows
+        are :meth:`Slab.check_rows`'s).  An arena row must equal
+        :func:`flatten_tree` with ``==`` (a zero-length row: have no
+        source), and an aliased row's table
+        must give every edge its ``weight / total`` (uniform when all
+        are zero) to within ``ALIAS_TOLERANCE``.
         """
         bad = []
         for etype, image in self.relations.items():
             for slot in np.flatnonzero(image.clean[: image.rows]).tolist():
                 key = (etype, int(image.src[slot]))
                 tree = trees.get(key)
+                row = image.slab_row.item(slot)
+                if row:  # read in place: fresh while the key owns the row
+                    if type(tree) is not int or tree != row:
+                        bad.append(key)
+                    continue
                 if type(tree) is int:
                     tree = slab.view(tree)
                 a = int(image.start[slot])
@@ -815,7 +825,7 @@ class ReadImage:
                 if not tree:
                     if a == b:
                         continue
-                elif tree.version == image.version[slot]:
+                else:
                     ids, weights = flatten_tree(tree)
                     fresh = np.array_equal(image.ids[a:b], ids) and np.array_equal(
                         image.cum[a:b], np.cumsum(weights)
@@ -835,7 +845,7 @@ class ReadImage:
         """Set the dirty bit of every row a columnar batch writes to."""
         for etype, image in self.relations.items():
             slots = image.slots_of(srcs[etypes == etype].tolist())
-            image.clean[slots] = False
+            image.clean[slots[image.slab_row[slots] == 0]] = False
 
     def compact(self) -> None:
         """Compact every relation now (also runs by itself, see module
@@ -857,9 +867,9 @@ class ReadImage:
         anything.  Returns the relation's image."""
         image = self.relations.get(etype)
         if image is None:
-            image = self.relations[etype] = _Image()
+            image = self.relations[etype] = _Image(slab)
         pairs.sort(key=itemgetter(0))
-        image.freeze(pairs, slab, self.stats, frozen_stats)
+        image.freeze(pairs, self.stats, frozen_stats)
         self._settle(image)
         return image
 
@@ -891,42 +901,40 @@ class ReadImage:
         """
         image = self.relations.get(etype)
         if image is None:
-            image = self.relations[etype] = _Image()
+            image = self.relations[etype] = _Image(slab)
         stats = self.stats
         frozen = image.alias_prob is not None
         keys = None if frozen else srcs.tolist()
-        small = not frozen and len(keys) < ROW_LOOP_BELOW
-        if small:
-            slots = list(map(image.slot_of.get, keys, repeat(0)))
-            clean = image.clean
-            stale = [i for i, slot in enumerate(slots) if not clean[slot]]
-        else:
-            slots = image.lookup(srcs) if frozen else image.slots_of(keys)
-            stale = (~image.clean[slots]).nonzero()[0].tolist()
+        slots = image.lookup(srcs) if frozen else image.slots_of(keys)
+        stale = (~image.clean[slots]).nonzero()[0].tolist()
         stats.hits += srcs.size - len(stale)
         stats.misses += len(stale)
         if stale:
-            image.admit(
-                trees, slab, etype, keys or srcs.tolist(), slots, stale, stats
-            )
+            image.admit(trees, etype, keys or srcs.tolist(), slots, stale, stats)
         if frozen:
             drawn = image.draw_frozen(slots, counts, k, gen, weighted, frozen_stats)
-        elif not small:
+        elif srcs.size >= ROW_LOOP_BELOW:
             rows = slots if counts is None else np.repeat(slots, counts)
             drawn = image.draw_frontier(rows, k, gen, weighted)
         elif counts is None:
-            drawn = image.draw_rows(slots, repeat(1), len(keys), k, gen, weighted)
+            drawn = image.draw_rows(
+                slots.tolist(), repeat(1), srcs.size, k, gen, weighted
+            )
         else:
             counts = np.asarray(counts).tolist()
-            drawn = image.draw_rows(slots, counts, sum(counts), k, gen, weighted)
+            drawn = image.draw_rows(
+                slots.tolist(), counts, sum(counts), k, gen, weighted
+            )
         if stale:
             self._settle(image)
         return drawn
 
     def _settle(self, image: _Image) -> None:
         """After a call that admitted rows: compact if garbage or the
-        byte budget says so."""
-        live = image.used - image.garbage
+        byte budget says so.  Live is what the rows serve, in the arena
+        or the slab, plus one per row (an empty row serves nothing)."""
+        served = image.slab.length[image.slab_row[: image.rows]]  # pointer rows
+        live = int(image.length[: image.rows].sum() + served.sum()) + image.rows
         spare = self.capacity_bytes - self.nbytes
         # Nothing of a frozen relation can be evicted to meet the budget.
         over = spare < 0 and not image.frozen

@@ -154,19 +154,25 @@ class DynamicGraphStore(GraphStoreAPI):
     # ------------------------------------------------------------------
     # dynamic updates
     # ------------------------------------------------------------------
-    def _mark_written(self, src: int, etype: int) -> None:
+    def _mark_written(self, src: int, etype: int, moved: bool = False) -> None:
         """Read-tier coherence: set the dirty bit of ``src``'s image row.
 
         Called at every mutation entry point *before* the write, even
         when the write turns out to be a no-op — over-invalidation is
-        safe, a stale read is not.  A dict read and a flag store, so
-        PALM threads may call it.
+        safe, a stale read is not; a row read in place from the slab only
+        once its source leaves the row (``moved``, :meth:`_release`).  A
+        dict read and a flag store, so PALM threads may call it.
         """
         cache = self.snapshot_cache
         if cache is not None and cache.relations:
             image = cache.relations.get(etype)
             if image is not None:
-                image.mark(src)
+                image.mark(src, moved)
+
+    def _release(self, key, row: int) -> None:
+        """Give slab ``row`` back; a read-image pointer to it re-probes."""
+        self.slab.release(row)
+        self._mark_written(key[1], key[0], moved=True)
 
     def add_edge(
         self,
@@ -246,7 +252,7 @@ class DynamicGraphStore(GraphStoreAPI):
                 value = self._plant(key, value, ids[order], weights[order])
                 done = value._upsert(dst, weight, add)
             elif not slab.length[value]:  # gone with its last edge
-                slab.release(value)
+                self._release(key, value)
                 self._directory.delete(key)
                 value = None
         elif value is None:
@@ -286,7 +292,7 @@ class DynamicGraphStore(GraphStoreAPI):
         if row:
             # Holders of the row's version must see the source move on.
             tree._version += self.slab.version.item(row)
-            self.slab.release(row)
+            self._release(key, row)
         return tree
 
     def apply_source_batch(
@@ -558,7 +564,7 @@ class DynamicGraphStore(GraphStoreAPI):
         elif ids.size > self.config.capacity:
             self._plant(key, value, ids, weights)
         else:
-            slab.release(value)
+            self._release(key, value)
             if order:  # the row just released is the first one reused
                 (row,) = slab.alloc_many(
                     np.asarray([key[1]]), np.asarray([ids.size]), ids, weights
@@ -656,10 +662,11 @@ class DynamicGraphStore(GraphStoreAPI):
                 groups.setdefault(et, []).append((src, tree))
         if not groups:
             groups[DEFAULT_ETYPE if etype is None else etype] = []
-        return [
-            cache.freeze(et, groups[et], self.slab, self.frozen_stats)
-            for et in sorted(groups)
-        ]
+        with self.slab.lock:
+            return [
+                cache.freeze(et, groups[et], self.slab, self.frozen_stats)
+                for et in sorted(groups)
+            ]
 
     def thaw(self, etype: Optional[int] = None) -> int:
         """Drop the alias tables of relation ``etype`` (default: all)
@@ -695,7 +702,9 @@ class DynamicGraphStore(GraphStoreAPI):
         self, src: int, etype: int, k: int, rng: RNGLike, weighted: bool
     ) -> List[int]:
         """Scalar draws: the ITS/FTS descent of a samtree, inverse
-        transform over the running sum of a slab row."""
+        transform over the running sum of a slab row; ``k < 0`` raises."""
+        if k < 0:
+            raise ConfigurationError(f"sample count must be >= 0, got {k}")
         value = self._directory.get((etype, src))
         if value is None:
             return []
@@ -739,11 +748,12 @@ class DynamicGraphStore(GraphStoreAPI):
             return super().sample_neighbors_many(
                 srcs, k, rng, etype, weighted=weighted, counts=counts
             )
-        return SampleBlock(*cache.sample(
-            self._directory, self.slab, etype,
-            np.asarray(srcs, dtype=np.int64), counts,
-            k, coerce_generator(rng), weighted, self.frozen_stats,
-        ))
+        with self.slab.lock:  # pointer rows are read in the slab's arena
+            return SampleBlock(*cache.sample(
+                self._directory, self.slab, etype,
+                np.asarray(srcs, dtype=np.int64), counts,
+                k, coerce_generator(rng), weighted, self.frozen_stats,
+            ))
 
     def sample_vertices(
         self,

@@ -147,7 +147,7 @@ def save_store(store, target: Union[str, BinaryIO]) -> int:
         )
         # Slab rows are written from the columns: one ragged gather in
         # key order, then a slice of its bytes per record.
-        ids, weights, lengths, _ = store.slab.gather(
+        ids, weights, lengths = store.slab.gather(
             [value for _, value in items if type(value) is int]
         )
         row_ids, row_weights = (

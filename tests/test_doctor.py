@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.ingest import OP_UPDATE
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.distributed import LocalCluster
@@ -143,16 +144,20 @@ class TestDoctorInvariants:
             for dst in range(4 + 2 * (src == 0)):  # source 0 outgrows c
                 store.add_edge(src, dst, 1.0 + dst)
         store.sample_neighbors_many([0, 1, 2], 2, rng=0)
-        store.update_edge(1, 0, 9.0)  # through the store: dirty, not stale
+        store.update_edge(1, 0, 9.0)  # a slab row: written in place, clean
         report = diagnose_store(store)
-        assert report.cache_entries == 2 and report.cache_stale_rows == 0
+        assert report.cache_entries == 3 and report.cache_stale_rows == 0
         assert (report.slab_rows, report.promoted) == (2, 1)
         store.tree(0).insert(99, 1.0)  # a samtree, behind the store's back
         report = diagnose_store(store)
         assert report.cache_stale_rows == 1
         assert report.to_dict()["snapshot_cache"]["stale_rows"] == 1
-        slab = store.slab  # ... and a slab row, scribbled on
-        slab.weights[slab.start[store.directory.get((0, 2))]] = 7.0
+        # A slab row is read in place: a row op behind the store's back
+        # is what the next draw reads, nothing goes stale ...
+        store.slab.apply(store.directory.get((0, 2)), OP_UPDATE, 0, 7.0)
+        assert diagnose_store(store).cache_stale_rows == 1
+        # ... until the directory stops mapping the key to the row
+        store.directory.put((0, 2), store.directory.get((0, 1)))
         assert diagnose_store(store).cache_stale_rows == 2
 
     def test_diagnose_dispatch_and_bad_target(self):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cstable import CSTable
-from repro.core.fenwick import FSTable
+from repro.core.fenwick import FSTable, cumsum_rows
 
 # Weights with enough spread to stress float paths but no degenerate inf.
 weights_st = st.floats(
@@ -189,3 +189,20 @@ def test_delete_preserves_fts_its_agreement(weights: List[float], raw: int):
     for step in range(7):
         mass = (step / 7.0) * sum(ref)
         assert fs.sample_with(mass) == cs.search(mass)
+
+
+@given(
+    st.lists(st.lists(weights_st, min_size=1, max_size=70), min_size=0, max_size=30),
+    st.integers(1, 40),
+)
+@settings(max_examples=200)
+def test_cumsum_rows_is_each_rows_cumsum_bit_for_bit(rows, width: int):
+    """Width classes, padding and the per-row loop above ``width`` all
+    give every row exactly ``np.cumsum`` of its entries."""
+    column = np.asarray([w for row in rows for w in row], dtype=np.float64)
+    length = np.asarray([len(row) for row in rows], dtype=np.int64)
+    start = np.cumsum(length) - length
+    out = np.full(column.size, np.nan)
+    cumsum_rows(column, start, length, out, width)
+    want = np.concatenate([np.cumsum(row) for row in rows]) if rows else out
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))

@@ -40,15 +40,16 @@ class TestAdmission:
         stays bounded by the hot set plus the recent scan window."""
         store = DynamicGraphStore(config=SamtreeConfig(capacity=16))
         rng = np.random.default_rng(11)
-        for src in range(120):
+        hot = list(range(6))
+        window = 10
+        sources = len(hot) + window * (KEEP_IDLE + 2)  # the first scan ages out
+        for src in range(sources):
             for dst in rng.integers(0, 1 << 20, 8):
                 store.add_edge(src, int(dst), 1.0)
         cache = store.snapshot_cache
-        hot = list(range(6))
-        window = 10
-        for start in range(6, 120, window):
+        for start in range(len(hot), sources, window):
             store.sample_neighbors_many(hot, 4, rng)
-            for scan in range(start, min(start + window, 120)):
+            for scan in range(start, min(start + window, sources)):
                 store.sample_neighbors_many([scan], 4, rng)  # never again
             cache.compact()
             assert len(cache) <= len(hot) + KEEP_IDLE * window

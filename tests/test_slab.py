@@ -18,6 +18,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.concurrency.palm import PalmExecutor
 from repro.core.ingest import (
@@ -37,7 +39,11 @@ from repro.core.topology import (
 )
 from repro.core.tree_batch import apply_tree_codes
 from repro.core.types import EdgeOp
-from repro.errors import InvalidWeightError, InvariantViolationError
+from repro.errors import (
+    ConfigurationError,
+    InvalidWeightError,
+    InvariantViolationError,
+)
 from repro.storage.checkpoint import load_store, save_store
 from repro.storage.wal import ShardWAL
 
@@ -627,6 +633,72 @@ def test_seeded_slab_draws_are_the_one_leaf_samtrees():
     assert store.sample_neighbors_uniform(4, 50, 3) == [
         tree.sample_uniform(rng) for rng in [random.Random(3)] for _ in range(50)
     ]
+
+
+@pytest.mark.parametrize("src", [99, 1, 2], ids=["absent", "slab_row", "samtree"])
+@pytest.mark.parametrize("draw", ["sample_neighbors", "sample_neighbors_uniform"])
+def test_negative_k_is_refused_whatever_the_source(src, draw):
+    """One contract for ``k < 0``: a scalar draw raises on a missing
+    source, a slab row and a samtree alike, as the batched read does."""
+    store = DynamicGraphStore(SamtreeConfig(capacity=8))
+    store.bulk_load([1] * 3 + [2] * 20, list(range(3)) + list(range(20)), 1.0)
+    assert _is_row(store, 1) and isinstance(store.tree(2), Samtree)
+    with pytest.raises(ConfigurationError):
+        getattr(store, draw)(src, -1, 0)
+    with pytest.raises(ConfigurationError):
+        store.sample_neighbors_many([src], -1, 0)
+    assert getattr(store, draw)(src, 0, 0) == []
+
+
+_ROW_OP = st.tuples(
+    st.integers(0, 12), st.sampled_from([OP_INSERT, OP_UPDATE, OP_DELETE]),
+    st.floats(0.0, 8.0, allow_nan=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("scalar"), st.lists(
+                st.tuples(st.integers(0, 23), _ROW_OP), min_size=1, max_size=20
+            )),
+            st.tuples(st.just("batch"), st.lists(_ROW_OP, min_size=24, max_size=24)),
+            st.just(("compact", [])),
+        ),
+        max_size=10,
+    )
+)
+def test_row_running_sums_are_the_cumsum_of_their_weights(steps):
+    """Whatever mix of scalar ops and round kernels (a batch gives each
+    of 24 sources one op) grows, relocates, compacts, releases or
+    promotes rows, every live row's ``cum`` ``==`` ``np.cumsum`` of its
+    weights (``check_rows``), the scalar draw's total is its last entry,
+    and a read image reads the rows in place."""
+    store = DynamicGraphStore(SamtreeConfig(capacity=8))
+    store.bulk_load(np.repeat(np.arange(24), 4), np.tile(np.arange(4), 24), 0.5)
+    slab = store.slab
+    for kind, ops in steps:
+        if kind == "compact":
+            with slab.lock:
+                slab.compact()
+        elif kind == "scalar":
+            for src, (dst, code, w) in ops:
+                if code == OP_DELETE:
+                    store.remove_edge(src, dst)
+                elif code == OP_UPDATE:
+                    store.update_edge(src, dst, w)
+                else:
+                    store.add_edge(src, dst, w)
+        else:
+            dst, code, w = map(list, zip(*ops))
+            store.apply_edge_batch(EdgeBatch(list(range(24)), dst, w, op=code))
+        store.sample_neighbors_many(list(range(24)) * 2, 2, rng=0)
+        store.check_invariants()
+        for src in store.sources():
+            if _is_row(store, src):
+                weights = store.tree(src).arrays()[1]
+                assert store.total_weight(src) == np.cumsum(weights)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -463,6 +463,69 @@ class TestCacheInvalidation:
         assert not block.state[:3].any()
         assert set(block.ids[:3].reshape(-1).tolist()) == {900}
 
+    @pytest.mark.parametrize("leave", ["promote", "release"])
+    @BOTH_LOOPS
+    def test_reused_slab_row_is_never_read_by_its_old_source(self, leave, wide):
+        """Source 8 is read in place from slab row ``r``; it then leaves
+        ``r`` (promoted to a samtree, or emptied) and source 55 is given
+        ``r``.  8's pointer slot is dirty, so its next read re-probes and
+        never draws 55's edges, and 55 draws only its own."""
+        store, cache = self._warm_store()
+        image = cache.relations[0]
+        row = store.directory.get((0, 8))
+        assert image.slab_row[image.slot_of[8]] == row
+        if leave == "promote":
+            for dst in range(4, 9):
+                store.add_edge(8, dst, 1.0)
+            assert isinstance(store.tree(8), Samtree)
+            mine = set(range(9))
+        else:
+            for dst in range(4):
+                store.remove_edge(8, dst)
+            mine = set()
+        store.add_edge(55, 5000, 1.0)
+        store.add_edge(55, 5001, 1.0)
+        assert store.directory.get((0, 55)) == row  # the released row, reused
+        assert (0, 8) not in cache
+        slot = image.slot_of[8]
+        image.clean[slot] = True  # as if a write had not set the dirty bit
+        assert cache.stale_rows(store.directory, store.slab) == [(0, 8)]
+        image.clean[slot] = False
+        frontier = [8] * 3 + [55] * 3 + (PADDING if wide else [])
+        block = store.sample_neighbors_many(frontier, 16, rng=3)
+        assert block.state[:3].all() == (not mine)
+        assert set(block.ids[:3].reshape(-1).tolist()) <= (mine or {0})
+        assert set(block.ids[3:6].reshape(-1).tolist()) <= {5000, 5001}
+        assert (image.slab_row[image.slot_of[8]] == 0) and (
+            image.slab_row[image.slot_of[55]] == row
+        )
+        assert cache.stale_rows(store.directory, store.slab) == []
+        store.check_invariants()
+
+    @pytest.mark.parametrize("leave", ["promote", "rewrite"])
+    @BOTH_LOOPS
+    def test_batch_that_moves_a_slab_source_dirties_its_pointer(self, leave, wide):
+        """A dense batch group rebuilds source 8 — into a samtree, or
+        into a fresh slab row — so its pointer slot is dirty before the
+        next read, which draws only the new adjacency."""
+        store, cache = self._warm_store()
+        if leave == "promote":
+            dst = list(range(20, 36))
+            op = [OP_INSERT] * 16
+            mine = set(range(4)) | set(dst)
+        else:  # four real deletes, twelve no-ops, two inserts
+            dst = list(range(16)) + [40, 41]
+            op = [OP_DELETE] * 16 + [OP_INSERT] * 2
+            mine = {40, 41}
+        store.apply_edge_batch(EdgeBatch([8] * len(dst), dst, [1.0] * len(dst), op=op))
+        assert isinstance(store.tree(8), Samtree) == (leave == "promote")
+        assert (0, 8) not in cache
+        frontier = [8] * 3 + (PADDING if wide else [])
+        block = store.sample_neighbors_many(frontier, 16, rng=4)
+        assert set(block.ids[:3].reshape(-1).tolist()) <= mine
+        assert cache.stale_rows(store.directory, store.slab) == []
+        store.check_invariants()
+
     @BOTH_LOOPS
     def test_sink_has_a_row_of_its_own(self, wide):
         """A source with no out-edges is a clean zero-length row: read
@@ -530,13 +593,26 @@ class TestCacheInvalidation:
 
     @pytest.mark.parametrize("column", ["ids", "weights"])
     def test_direct_slab_mutation_is_detected(self, column):
+        """A slab row is read in place: a row op run on the slab behind
+        the store's back is what the next draw reads, a scribble that
+        breaks the row (a duplicate id, a weight without its running
+        sum) fails ``check_invariants``, and the pointer goes stale only
+        when the directory stops mapping its key to the row."""
         store, cache = self._warm_store()
         slab, row = store.slab, store.directory.get((0, 8))
         assert type(row) is int  # source 8 fits a leaf: a slab row
+        slab.apply(row, OP_UPDATE, 2, 1e12)
+        assert cache.stale_rows(store.directory, slab) == []
+        block = store.sample_neighbors_many([8] * 4, 8, rng=0)
+        assert set(block.ids.reshape(-1).tolist()) == {2}
         getattr(slab, column)[slab.start[row]] += 1  # a scribble
-        assert cache.stale_rows(store.directory, slab) == [(0, 8)]
         with pytest.raises(InvariantViolationError):
             store.check_invariants()
+        getattr(slab, column)[slab.start[row]] -= 1
+        store.check_invariants()
+        store.add_edge(9, 0, 1.0)
+        store.directory.put((0, 8), store.directory.get((0, 9)))
+        assert cache.stale_rows(store.directory, slab) == [(0, 8)]
 
     def test_cache_disabled_store_still_correct(self):
         store = DynamicGraphStore(
