@@ -47,6 +47,7 @@ Operational entry points a deployment actually uses:
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 import time
@@ -56,9 +57,24 @@ from repro.bench.workloads import build_store, make_store
 from repro.core.memory import humanize_bytes
 from repro.datasets.presets import load_dataset
 from repro.datasets.statistics import format_table3, published_table3_rows
+from repro.errors import ReproError
 from repro.storage.checkpoint import load_store, save_store
 
 __all__ = ["main"]
+
+
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _print_prometheus(registry) -> None:
+    """Print ``registry``'s text exposition, linted first: never emit an
+    invalid one."""
+    from repro.obs.export import lint_prometheus, to_prometheus_text
+
+    text = to_prometheus_text(registry)
+    lint_prometheus(text)
+    print(text, end="")
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -146,19 +162,33 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _churned_cluster(args: argparse.Namespace, trickle: int, **kwargs):
+    """A seeded ``--shards`` cluster (``kwargs`` go to
+    :class:`~repro.distributed.cluster.LocalCluster`) after a columnar
+    bulk load of ``--edges`` random edges over ``--vertices`` and
+    ``trickle`` per-op insert + delete pairs (both write shapes, so
+    splits *and* merges fire); returns it with the workload's RNG."""
+    from repro.distributed.cluster import LocalCluster
+
+    rng = random.Random(args.seed)
+    cluster = LocalCluster(num_servers=args.shards, **kwargs)
+    client = cluster.client
+    n = args.vertices
+    srcs = [rng.randrange(n) for _ in range(args.edges)]
+    dsts = [rng.randrange(n) for _ in range(args.edges)]
+    client.bulk_load(srcs, dsts, 1.0)
+    for _ in range(trickle):
+        client.add_edge(rng.randrange(n), rng.randrange(n), rng.random())
+        client.remove_edge(rng.randrange(n), rng.randrange(n))
+    return cluster, rng
+
+
 def _cmd_obs(args: argparse.Namespace) -> int:
     """Seeded churn+sample workload on a LocalCluster, then telemetry."""
-    import json
-
-    from repro.distributed.cluster import LocalCluster
     from repro.distributed.faults import FaultPolicy
     from repro.distributed.retry import RetryPolicy
     from repro.distributed.rpc import NetworkModel
-    from repro.obs.export import (
-        lint_prometheus,
-        to_json,
-        to_prometheus_text,
-    )
+    from repro.obs.export import to_json
     from repro.obs.report import render_report
     from repro.obs.trace import Tracer
 
@@ -166,14 +196,14 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     from repro.datasets.stream import RequestStream
 
-    rng = random.Random(args.seed)
     network = NetworkModel()
     tracer = Tracer(clock=network.now, seed=args.seed)
     fault_policy = None
     if args.fault_rate > 0:
         fault_policy = FaultPolicy(transient_error_rate=args.fault_rate)
-    cluster = LocalCluster(
-        num_servers=args.shards,
+    cluster, rng = _churned_cluster(
+        args,
+        args.edges // 10,
         network=network,
         replication_factor=args.replicas,
         durable=args.replicas > 1 or fault_policy is not None,
@@ -183,15 +213,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         tracer=tracer,
         hot_set_capacity=256 if args.skew > 0 else 0,
     )
-    client = cluster.client
-    # Churn: columnar bulk load + per-op trickle (both write shapes).
     n = args.vertices
-    srcs = [rng.randrange(n) for _ in range(args.edges)]
-    dsts = [rng.randrange(n) for _ in range(args.edges)]
-    client.bulk_load(srcs, dsts, 1.0)
-    for _ in range(args.edges // 10):
-        client.add_edge(rng.randrange(n), rng.randrange(n), rng.random())
-        client.remove_edge(rng.randrange(n), rng.randrange(n))
     # Batched sampling rounds: uniform frontiers by default, a seeded
     # power-law trace with ``--skew`` (which also enables the hot-set
     # tracker, so the ``repro_hotset_*`` series carry real counts).
@@ -206,7 +228,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             frontier = requests.batch(args.batch)
         else:
             frontier = [rng.randrange(n) for _ in range(args.batch)]
-        client.sample_neighbors_many(frontier, args.k, sample_rng)
+        cluster.client.sample_neighbors_many(frontier, args.k, sample_rng)
         if (
             args.hot_copies > 0
             and requests is not None
@@ -217,17 +239,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             # replica spreading.
             cluster.replicate_hot(top_n=8, copies=args.hot_copies)
     if args.format == "prometheus":
-        text = to_prometheus_text(cluster.registry)
-        lint_prometheus(text)  # never emit an invalid exposition
-        print(text, end="")
+        _print_prometheus(cluster.registry)
     elif args.format == "json":
-        print(
-            json.dumps(
-                to_json(cluster.registry, tracer, top_slow=args.top),
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        _print_json(to_json(cluster.registry, tracer, top_slow=args.top))
     elif args.format == "chrome":
         # chrome://tracing / ui.perfetto.dev flamegraph JSON.
         print(json.dumps(tracer.to_chrome_trace(), sort_keys=True))
@@ -243,48 +257,34 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         diagnose,
         parse_fail_on,
     )
-    from repro.obs.export import lint_prometheus, to_prometheus_text
 
     checks = parse_fail_on(args.fail_on) if args.fail_on else []
 
     if args.snapshot:
         target = load_store(args.snapshot)
     else:
-        # Seeded churn workload on an in-process cluster: columnar bulk
-        # load, per-op trickle (inserts + deletes, so splits *and*
-        # merges fire), then batched sampling rounds to populate the
-        # snapshot caches.  Mean degree is edges/vertices — the default
-        # 300 vertices x 30k edges at capacity 64 yields multi-level
-        # trees whose non-root leaves sit near the bulk fill fraction.
+        # The seeded churn workload, then batched sampling rounds to
+        # populate the read images.  Mean degree is edges/vertices — the
+        # default 300 vertices x 30k edges at capacity 64 yields
+        # multi-level trees whose non-root leaves sit near the bulk fill
+        # fraction.
         from repro.core.samtree import SamtreeConfig
-        from repro.distributed.cluster import LocalCluster
 
-        rng = random.Random(args.seed)
-        cluster = LocalCluster(
-            num_servers=args.shards,
+        target, rng = _churned_cluster(
+            args,
+            args.edges // 20,
             config=SamtreeConfig(capacity=args.capacity),
             durable=True,
         )
-        client = cluster.client
-        n = args.vertices
-        srcs = [rng.randrange(n) for _ in range(args.edges)]
-        dsts = [rng.randrange(n) for _ in range(args.edges)]
-        client.bulk_load(srcs, dsts, 1.0)
-        for _ in range(args.edges // 20):
-            client.add_edge(rng.randrange(n), rng.randrange(n), rng.random())
-            client.remove_edge(rng.randrange(n), rng.randrange(n))
         for _ in range(5):
-            frontier = [rng.randrange(n) for _ in range(64)]
-            client.sample_neighbors_many(frontier, 10, rng)
-        target = cluster
+            frontier = [rng.randrange(args.vertices) for _ in range(64)]
+            target.client.sample_neighbors_many(frontier, 10, rng)
 
     report = diagnose(target)
     if args.format == "json":
         print(report.to_json())
     elif args.format == "prometheus":
-        text = to_prometheus_text(report.to_registry())
-        lint_prometheus(text)  # never emit an invalid exposition
-        print(text, end="")
+        _print_prometheus(report.to_registry())
     else:
         print(report.render())
     violations = check_thresholds(report, checks)
@@ -295,36 +295,15 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_sim(args: argparse.Namespace) -> int:
-    """Run one chaos scenario against the serving tier, print the SLO."""
-    import json
+def _scenario_rig(args: argparse.Namespace, **rig_kwargs):
+    """Rig, scenario and incident manager of ``serve-sim``, ``watch``
+    and ``alerts``.
 
-    from repro.serving import run_scenario
-
-    rig, report = run_scenario(
-        args.scenario,
-        seed=args.seed,
-        shedding=not args.no_shedding,
-        rig_kwargs={
-            "num_shards": args.shards,
-            "num_sources": args.vertices,
-        },
-        target_availability=args.target,
-    )
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.render())
-    return 0 if report.meets_target else 3
-
-
-def _build_monitored_rig(args, trace: bool):
-    """Shared rig+scenario setup of the ``watch``/``alerts`` commands.
-
-    Goes through :func:`repro.obs.replay.make_spec`, so every monitored
-    CLI run is described by a replayable spec — the flight recorder is
-    always attached, and an :class:`IncidentManager` freezes a bundle on
-    every firing alert (written to ``--incidents-dir`` when given).
+    Goes through :func:`repro.obs.replay.make_spec`, so every scenario
+    run is described by a replayable spec — the flight recorder is
+    always attached, and on a monitored rig an :class:`IncidentManager`
+    freezes a bundle on every firing alert (written to
+    ``--incidents-dir`` when given).
     """
     from repro.obs.incident import IncidentManager
     from repro.obs.replay import (
@@ -340,28 +319,56 @@ def _build_monitored_rig(args, trace: bool):
             "shedding": not args.no_shedding,
             "num_shards": args.shards,
             "num_sources": args.vertices,
-            "trace": trace,
-            "monitor_interval": args.interval,
+            **rig_kwargs,
         },
     )
     rig = build_rig_from_spec(spec)
     incidents = IncidentManager(
         rig.cluster, out_dir=getattr(args, "incidents_dir", None)
     )
-    incidents.watch(rig.monitor.alerts)
+    if rig.monitor is not None:
+        incidents.watch(rig.monitor.alerts)
     incidents.mark_start(spec)
     scenario = scenario_from_spec(spec, rig.num_sources)
     return rig, scenario, incidents
 
 
+def _print_timeline(manager, t0: float, labels: bool = False) -> None:
+    """One line per alert transition (``watch`` and ``alerts``)."""
+    if not manager.events:
+        print("  (no transitions)")
+    for e in manager.events:
+        tail = ""
+        if labels:
+            pairs = ",".join(f"{k}={v}" for k, v in sorted(e.labels.items()))
+            tail = f"  [{pairs}]"
+        print(
+            f"  t={e.t - t0:7.3f}s  {e.rule:<28} "
+            f"{e.from_state} -> {e.to_state}  (value {e.value:.2f}){tail}"
+        )
+
+
+def _cmd_serve_sim(args: argparse.Namespace) -> int:
+    """Run one chaos scenario against the serving tier, print the SLO."""
+    from repro.serving.scenarios import ScenarioRunner
+
+    rig, scenario, _ = _scenario_rig(args)
+    report = ScenarioRunner(rig, scenario).run(target_availability=args.target)
+    if args.format == "json":
+        _print_json(report.to_dict())
+    else:
+        print(report.render())
+    return 0 if report.meets_target else 3
+
+
 def _cmd_watch(args: argparse.Namespace) -> int:
     """Monitored scenario run with a live per-scrape terminal view."""
-    import json
-
     from repro.obs.critical import analyze_critical_paths
     from repro.serving.scenarios import ScenarioRunner
 
-    rig, scenario, incidents = _build_monitored_rig(args, trace=True)
+    rig, scenario, incidents = _scenario_rig(
+        args, trace=True, monitor_interval=args.interval
+    )
     network = rig.cluster.network
     t0 = network.now()
     window = args.window
@@ -409,37 +416,23 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         rig.tracer.traces(), root_name="serve.batch"
     )
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "scenario": scenario.name,
-                    "slo": report.to_dict(),
-                    "samples": samples,
-                    "alerts": manager.to_dict(),
-                    "critical_path": critical.to_dict(),
-                    "incidents": [
-                        dict(b["meta"]) for b in incidents.incidents
-                    ],
-                    "incidents_suppressed": incidents.suppressed,
-                },
-                indent=2,
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "scenario": scenario.name,
+                "slo": report.to_dict(),
+                "samples": samples,
+                "alerts": manager.to_dict(),
+                "critical_path": critical.to_dict(),
+                "incidents": [dict(b["meta"]) for b in incidents.incidents],
+                "incidents_suppressed": incidents.suppressed,
+            }
         )
     else:
         print()
         print(report.render())
         print()
         print("alert timeline:")
-        if manager.events:
-            for e in manager.timeline():
-                print(
-                    f"  t={e.t - t0:7.3f}s  {e.rule:<28} "
-                    f"{e.from_state} -> {e.to_state}  "
-                    f"(value {e.value:.2f})"
-                )
-        else:
-            print("  (no transitions)")
+        _print_timeline(manager, t0)
         if incidents.incidents:
             print()
             print("incident bundles:")
@@ -460,12 +453,11 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 def _cmd_alerts(args: argparse.Namespace) -> int:
     """Monitored scenario run; print the alert timeline (or exposition)."""
-    import json
-
-    from repro.obs.export import lint_prometheus, to_prometheus_text
     from repro.serving.scenarios import ScenarioRunner
 
-    rig, scenario, incidents = _build_monitored_rig(args, trace=False)
+    rig, scenario, incidents = _scenario_rig(
+        args, trace=False, monitor_interval=args.interval
+    )
     t0 = rig.cluster.network.now()
     runner = ScenarioRunner(rig, scenario)
     runner.run(target_availability=args.target)
@@ -473,36 +465,21 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
     if args.format == "prometheus":
         # Post-run exposition: the workload series *plus* the monitor's
         # own repro_monitor_* / repro_alerts_* health series.
-        text = to_prometheus_text(rig.cluster.registry)
-        lint_prometheus(text)  # never emit an invalid exposition
-        print(text, end="")
+        _print_prometheus(rig.cluster.registry)
     elif args.format == "json":
         payload = manager.to_dict()
         payload["scenario"] = scenario.name
         payload["t0"] = t0
         payload["scrapes"] = rig.monitor.scrapes
-        payload["incidents"] = [
-            dict(b["meta"]) for b in incidents.incidents
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        payload["incidents"] = [dict(b["meta"]) for b in incidents.incidents]
+        _print_json(payload)
     else:
         print(
             f"alert timeline — scenario {scenario.name!r} "
             f"({rig.monitor.scrapes} scrapes, "
             f"{manager.evaluations} evaluations)"
         )
-        if manager.events:
-            for e in manager.timeline():
-                labels = ",".join(
-                    f"{k}={v}" for k, v in sorted(e.labels.items())
-                )
-                print(
-                    f"  t={e.t - t0:7.3f}s  {e.rule:<28} "
-                    f"{e.from_state} -> {e.to_state}  "
-                    f"(value {e.value:.2f})  [{labels}]"
-                )
-        else:
-            print("  (no transitions)")
+        _print_timeline(manager, t0, labels=True)
         for alert in manager.alerts.values():
             print(f"  final: {alert.rule.name} = {alert.state}")
     if args.fail_on_firing and manager.firing():
@@ -514,7 +491,6 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 
 def _cmd_incidents(args: argparse.Namespace) -> int:
     """List, show, or export captured incident bundle directories."""
-    import json
     import os
 
     from repro.obs.incident import list_bundles, load_bundle
@@ -522,8 +498,7 @@ def _cmd_incidents(args: argparse.Namespace) -> int:
     if args.action == "list":
         metas = list_bundles(args.dir)
         if args.format == "json":
-            print(json.dumps({"dir": args.dir, "incidents": metas},
-                             indent=2, sort_keys=True))
+            _print_json({"dir": args.dir, "incidents": metas})
             return 0
         if not metas:
             print(f"no incident bundles under {args.dir!r}")
@@ -554,7 +529,7 @@ def _cmd_incidents(args: argparse.Namespace) -> int:
 
     # show
     if args.format == "json":
-        print(json.dumps(bundle, indent=2, sort_keys=True))
+        _print_json(bundle)
         return 0
     meta = bundle["meta"]
     print(f"incident {meta['id']}")
@@ -592,16 +567,47 @@ def _cmd_incidents(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     """Replay an incident bundle; exit 3 when it diverges."""
-    import json
-
     from repro.obs.replay import replay_bundle
 
     result = replay_bundle(args.bundle)
     if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+        _print_json(result.to_dict())
     else:
         print(result.render())
     return 0 if result.converged else 3
+
+
+def _scenario_flags(scenario: str) -> argparse.ArgumentParser:
+    """The parent parser of ``serve-sim``, ``watch`` and ``alerts``:
+    the flags they share, with ``scenario`` as the default schedule."""
+    from repro.serving.scenarios import SCENARIOS
+
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--scenario",
+        default=scenario,
+        choices=list(SCENARIOS),
+        help="seeded traffic/fault schedule to replay",
+    )
+    flags.add_argument(
+        "--no-shedding",
+        action="store_true",
+        help="disable admission control (the control arm: under a flash "
+        "crowd the tier collapses instead of degrading gracefully)",
+    )
+    flags.add_argument(
+        "--target",
+        type=float,
+        default=0.99,
+        help="availability target for the error-budget burn (exit 3 "
+        "when violated)",
+    )
+    flags.add_argument("--shards", type=int, default=4)
+    flags.add_argument(
+        "--vertices", type=int, default=400, help="vertex universe size"
+    )
+    flags.add_argument("--seed", type=int, default=0)
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -742,27 +748,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve-sim",
+        parents=[_scenario_flags("calm")],
         help="run a seeded chaos scenario against the deadline-aware "
         "serving tier and print its SLO report",
-    )
-    p_serve.add_argument(
-        "--scenario",
-        default="calm",
-        choices=[
-            "calm",
-            "diurnal",
-            "flash_crowd",
-            "churn_burst",
-            "regional_outage",
-            "brownout",
-        ],
-        help="seeded traffic/fault schedule to replay",
-    )
-    p_serve.add_argument(
-        "--no-shedding",
-        action="store_true",
-        help="disable admission control (the control arm: under a flash "
-        "crowd the tier collapses instead of degrading gracefully)",
     )
     p_serve.add_argument(
         "--format",
@@ -770,37 +758,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["human", "json"],
         help="human SLO block or JSON dump",
     )
-    p_serve.add_argument(
-        "--target",
-        type=float,
-        default=0.99,
-        help="availability target for the error-budget burn (exit 3 "
-        "when violated)",
-    )
-    p_serve.add_argument("--shards", type=int, default=4)
-    p_serve.add_argument(
-        "--vertices", type=int, default=400, help="vertex universe size"
-    )
-    p_serve.add_argument("--seed", type=int, default=0)
     p_serve.set_defaults(func=_cmd_serve_sim)
-
-    scenario_choices = [
-        "calm",
-        "diurnal",
-        "flash_crowd",
-        "churn_burst",
-        "regional_outage",
-        "brownout",
-    ]
 
     p_watch = sub.add_parser(
         "watch",
+        parents=[_scenario_flags("flash_crowd")],
         help="run a monitored chaos scenario with a live per-scrape "
         "terminal view, then the SLO report, alert timeline, and "
         "critical-path layer table",
-    )
-    p_watch.add_argument(
-        "--scenario", default="flash_crowd", choices=scenario_choices
     )
     p_watch.add_argument(
         "--interval",
@@ -817,27 +782,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument(
         "--format", default="human", choices=["human", "json"]
     )
-    p_watch.add_argument("--no-shedding", action="store_true")
-    p_watch.add_argument("--target", type=float, default=0.99)
-    p_watch.add_argument("--shards", type=int, default=4)
-    p_watch.add_argument("--vertices", type=int, default=400)
-    p_watch.add_argument("--seed", type=int, default=0)
-    p_watch.add_argument(
-        "--incidents-dir",
-        default=None,
-        metavar="DIR",
-        help="write an incident bundle directory under DIR for every "
-        "firing alert (consumed by 'repro incidents' / 'repro replay')",
-    )
     p_watch.set_defaults(func=_cmd_watch)
 
     p_alerts = sub.add_parser(
         "alerts",
+        parents=[_scenario_flags("flash_crowd")],
         help="run a monitored chaos scenario and print its alert "
         "timeline (or the post-run Prometheus exposition)",
-    )
-    p_alerts.add_argument(
-        "--scenario", default="flash_crowd", choices=scenario_choices
     )
     p_alerts.add_argument(
         "--interval",
@@ -855,19 +806,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 3 when any alert is still firing at scenario end",
     )
-    p_alerts.add_argument("--no-shedding", action="store_true")
-    p_alerts.add_argument("--target", type=float, default=0.99)
-    p_alerts.add_argument("--shards", type=int, default=4)
-    p_alerts.add_argument("--vertices", type=int, default=400)
-    p_alerts.add_argument("--seed", type=int, default=0)
-    p_alerts.add_argument(
-        "--incidents-dir",
-        default=None,
-        metavar="DIR",
-        help="write an incident bundle directory under DIR for every "
-        "firing alert",
-    )
     p_alerts.set_defaults(func=_cmd_alerts)
+    for monitored in (p_watch, p_alerts):
+        monitored.add_argument(
+            "--incidents-dir",
+            default=None,
+            metavar="DIR",
+            help="write an incident bundle directory under DIR for every "
+            "firing alert (consumed by 'repro incidents' / 'repro replay')",
+        )
 
     p_incidents = sub.add_parser(
         "incidents",
@@ -912,7 +859,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:  # bad input: refuse it, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

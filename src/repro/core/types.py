@@ -13,7 +13,7 @@ import enum
 import random
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -204,14 +204,6 @@ class GraphStoreAPI(abc.ABC):
         if op.kind is OpKind.UPDATE:
             return self.update_edge(op.src, op.dst, op.weight, op.etype)
         return self.remove_edge(op.src, op.dst, op.etype)
-
-    def add_edges(self, edges: Iterable[Tuple[int, int, float]]) -> int:
-        """Bulk-insert ``(src, dst, weight)`` triples; returns #new edges."""
-        added = 0
-        for src, dst, weight in edges:
-            if self.add_edge(src, dst, weight):
-                added += 1
-        return added
 
     # -- columnar bulk ingestion ----------------------------------------
     # Generic fallbacks replaying row by row; samtree-backed stores

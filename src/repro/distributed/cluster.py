@@ -34,10 +34,7 @@ from repro.core.samtree import SamtreeConfig
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
 from repro.distributed.client import GraphClient
 from repro.distributed.faults import FaultInjector, FaultPolicy
-from repro.distributed.hotset import (
-    DEFAULT_DECAY_INTERVAL,
-    HotSetTracker,
-)
+from repro.distributed.hotset import HotSetTracker
 from repro.distributed.partition import HashBySourcePartitioner, Partitioner
 from repro.distributed.retry import RetryPolicy
 from repro.distributed.rpc import NetworkModel
@@ -103,13 +100,6 @@ class LocalCluster:
     degraded_reads:
         Return per-source ``UNAVAILABLE`` markers instead of raising
         when every replica of a shard is down.
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; a fresh
-        one is created when omitted.  Every layer's stats holder —
-        network, faults, retries, per-replica server/WAL/store — is
-        registered into it as live views under the ``repro_*`` naming
-        scheme (DESIGN.md §11), so ``cluster.registry.snapshot()`` /
-        Prometheus export always reflect current counters.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` for the cluster's
         :class:`~repro.obs.telemetry.Telemetry` hub, producing
@@ -119,8 +109,6 @@ class LocalCluster:
         the client's batched read path (decayed SpaceSaving top-k of
         source read traffic) — the input of :meth:`replicate_hot` and
         the traffic-based rebalance planner.
-    hot_decay_interval:
-        Halve the tracker's counts every this many observations.
     coalesce:
         Coalesce duplicate in-flight sources within each batched
         sampling window (default on; the zipf bench's baseline mode
@@ -141,10 +129,8 @@ class LocalCluster:
         fault_seed: int = 0,
         retry: Optional[RetryPolicy] = None,
         degraded_reads: bool = False,
-        registry: Optional[MetricsRegistry] = None,
         tracer=None,
         hot_set_capacity: int = 0,
-        hot_decay_interval: int = DEFAULT_DECAY_INTERVAL,
         coalesce: bool = True,
     ) -> None:
         if num_servers < 1:
@@ -207,7 +193,7 @@ class LocalCluster:
         #: Decayed top-k read-frequency tracker (``hot_set_capacity=0``
         #: disables tracking — and with it ``replicate_hot``).
         self.hot_tracker: Optional[HotSetTracker] = (
-            HotSetTracker(hot_set_capacity, hot_decay_interval)
+            HotSetTracker(hot_set_capacity)
             if hot_set_capacity > 0
             else None
         )
@@ -230,12 +216,10 @@ class LocalCluster:
             if part is not None:
                 part.telemetry = self.telemetry
         self.hot_replicas = self.client.hot_replicas
-        self.registry = registry if registry is not None else MetricsRegistry()
+        #: Every layer's stats holder as live ``repro_*`` views
+        #: (DESIGN.md §11).
+        self.registry = MetricsRegistry()
         register_cluster(self.registry, self)
-        #: Trainers whose phase telemetry :meth:`reset_stats` should
-        #: clear alongside the server/network counters
-        #: (:meth:`register_trainer`).
-        self._trainers: List[object] = []
         #: Continuous-monitoring loop over this cluster's registry
         #: (:meth:`attach_monitor`); ``None`` until attached.
         self.monitor = None
@@ -518,13 +502,6 @@ class LocalCluster:
         figure stays comparable across replication factors)."""
         return sum(s.nbytes(model) for s in self.servers)
 
-    def register_trainer(self, trainer) -> None:
-        """Tie a :class:`~repro.gnn.training.Trainer`'s telemetry
-        lifecycle to this cluster: :meth:`reset_stats` will also zero
-        its phase histograms and batch/seed counters (idempotent)."""
-        if trainer not in self._trainers:
-            self._trainers.append(trainer)
-
     def attach_monitor(
         self,
         interval: float = 0.05,
@@ -657,8 +634,7 @@ class LocalCluster:
 
     def reset_stats(self) -> None:
         """Clear server, network, fault, and retry counters (plus any
-        registry-owned metrics, archived traces, and the phase
-        telemetry of every :meth:`register_trainer`-ed trainer).
+        registry-owned metrics and archived traces).
 
         Registered *views* need no reset of their own — they read the
         stats holders live, so clearing the holders clears the views.
@@ -689,9 +665,5 @@ class LocalCluster:
         if service is not None:
             service.reset_stats()
         self.registry.reset_owned()
-        for trainer in self._trainers:
-            reset = getattr(trainer, "reset_phase_stats", None)
-            if reset is not None:
-                reset()
         if self.tracer is not None:
             self.tracer.reset()

@@ -5,23 +5,18 @@ neighborhoods are drawn *from the dynamic store at its current state*
 (so a concurrently updated graph immediately influences the next batch),
 features are gathered from the attribute store, and the model steps.
 
-Per-phase telemetry (DESIGN.md §11): when the trainer is given a
-:class:`~repro.obs.registry.MetricsRegistry` it times the three phases
-of every batch — neighborhood **sample**, feature **gather**, and model
-**compute** (forward, or forward+backward+step on the training path) —
-into ``repro_train_phase_seconds{phase=...}`` histograms, plus
-``repro_train_batches`` / ``repro_train_seeds`` counters.  A
-:class:`~repro.obs.trace.Tracer` nests the same phases as spans under a
-``train.step`` root, so one slow batch can be broken down after the
-fact.  Both are optional and default to off — the untimed path is
-byte-for-byte the previous behavior.
+Per-phase timing (DESIGN.md §11) is the span tree: with a
+:class:`~repro.obs.trace.Tracer` every batch is a ``train.step`` root
+over ``train.sample`` (neighborhood draw), ``train.gather`` (feature
+lookup) and ``train.compute`` (forward, or forward+backward+step on the
+training path) spans, which :mod:`repro.obs.critical` tabulates.
+Without one the spans are no-ops.
 """
 
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,10 +29,7 @@ from repro.gnn.samplers import sample_blocks
 from repro.obs.telemetry import Telemetry
 from repro.storage.attributes import AttributeStore
 
-__all__ = ["Adam", "TrainResult", "Trainer", "PHASES"]
-
-#: The per-batch phases the trainer times.
-PHASES = ("sample", "gather", "compute")
+__all__ = ["Adam", "TrainResult", "Trainer"]
 
 
 class Adam:
@@ -102,9 +94,6 @@ class Trainer:
         A :class:`SampledGNN`.
     fanouts:
         Per-hop sample counts, length = model depth.
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; turns on
-        per-phase timing into ``repro_train_phase_seconds{phase=...}``.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; every train step
         becomes a ``train.step`` span with sample/gather/compute
@@ -121,7 +110,6 @@ class Trainer:
         lr: float = 1e-2,
         etype: int = DEFAULT_ETYPE,
         rng: Optional[random.Random] = None,
-        registry=None,
         tracer=None,
     ) -> None:
         if len(fanouts) != model.num_layers:
@@ -137,86 +125,14 @@ class Trainer:
         self.etype = etype
         self.rng = rng or random.Random(0)
         self.optimizer = Adam(model, lr=lr)
-        self.registry = registry
         #: The store's telemetry hub (a cluster client shares its
         #: cluster's) or a detached one; ``tracer`` fills it.
         self.telemetry = Telemetry.of(store, tracer)
-        if registry is not None:
-            self._phase_hists = {
-                phase: registry.histogram(
-                    "repro_train_phase_seconds",
-                    help="Per-batch training phase latency",
-                    phase=phase,
-                )
-                for phase in PHASES
-            }
-            self._c_batches = registry.counter(
-                "repro_train_batches", "Mini-batches processed"
-            )
-            self._c_seeds = registry.counter(
-                "repro_train_seeds", "Seed vertices processed"
-            )
-        else:
-            self._phase_hists = None
-            self._c_batches = self._c_seeds = None
-
-    # ------------------------------------------------------------------
-    # telemetry helpers (no-ops when the registry is absent)
-    # ------------------------------------------------------------------
-    def _record_phase(self, phase: str, seconds: float) -> None:
-        if self._phase_hists is not None:
-            self._phase_hists[phase].record(seconds)
-
-    def reset_phase_stats(self) -> None:
-        """Zero the per-phase latency histograms and batch/seed counters.
-
-        Called by :meth:`LocalCluster.reset_stats` for registered
-        trainers, so a before/after measurement window covers training
-        telemetry too.  Note the phase histograms are *owned* by the
-        registry the trainer was built with — when that registry is the
-        cluster's own, ``registry.reset_owned()`` already clears them;
-        this method makes the reset explicit and covers trainers wired
-        to a *different* registry.  No-op without a registry.
-        """
-        if self._phase_hists is None:
-            return
-        for hist in self._phase_hists.values():
-            hist.reset()
-        self._c_batches.value = 0.0
-        self._c_seeds.value = 0.0
-
-    def phase_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase latency summaries (empty without a registry)."""
-        if self._phase_hists is None:
-            return {}
-        return {
-            phase: hist.summary()
-            for phase, hist in self._phase_hists.items()
-        }
-
-    def phase_report(self) -> str:
-        """Fixed-width sample/gather/compute breakdown (ms units)."""
-        summaries = self.phase_summary()
-        if not summaries:
-            return "(no phase telemetry: Trainer built without a registry)"
-        lines = [
-            f"{'phase':<8} {'count':>7} {'mean':>10} {'p50':>10} "
-            f"{'p99':>10} {'max':>10}"
-        ]
-        for phase in PHASES:
-            s = summaries[phase]
-            lines.append(
-                f"{phase:<8} {int(s['count']):>7} "
-                f"{s['mean'] * 1e3:>8.3f}ms {s['p50'] * 1e3:>8.3f}ms "
-                f"{s['p99'] * 1e3:>8.3f}ms {s['max'] * 1e3:>8.3f}ms"
-            )
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     def _sample_phase(self, seeds: Sequence[int]):
-        start = time.perf_counter()
         with self.telemetry.span("train.sample", seeds=len(seeds)):
-            blocks = sample_blocks(
+            return sample_blocks(
                 self.store,
                 seeds,
                 self.fanouts,
@@ -224,37 +140,27 @@ class Trainer:
                 self.etype,
                 tracer=self.telemetry.tracer,
             )
-        self._record_phase("sample", time.perf_counter() - start)
-        return blocks
 
     def _gather_phase(self, blocks) -> List[np.ndarray]:
-        start = time.perf_counter()
         with self.telemetry.span(
             "train.gather", vertices=sum(len(l) for l in blocks.levels)
         ):
-            feats = self.features.gather_levels(
-                self.feat_name, blocks.levels
-            )
-        self._record_phase("gather", time.perf_counter() - start)
-        return feats
+            return self.features.gather_levels(self.feat_name, blocks.levels)
 
     def forward_batch(self, seeds: Sequence[int]) -> np.ndarray:
         """Sample + gather + forward; returns seed logits."""
         blocks = self._sample_phase(seeds)
         feats = self._gather_phase(blocks)
-        start = time.perf_counter()
         with self.telemetry.span("train.compute"):
-            logits = self.model.forward(feats, blocks.fanouts)
-        self._record_phase("compute", time.perf_counter() - start)
-        return logits
+            return self.model.forward(feats, blocks.fanouts)
 
     def train_step(
         self, seeds: Sequence[int], labels: Sequence[int]
     ) -> Tuple[float, float]:
         """One optimisation step; returns ``(loss, batch_accuracy)``.
 
-        The compute phase of a training step covers forward **and**
-        backward + optimiser, timed as one observation.
+        The ``train.compute`` span of a training step covers forward
+        **and** backward + optimiser.
         """
         labels_arr = np.asarray(labels, dtype=np.int64)
         if len(seeds) != len(labels_arr):
@@ -264,17 +170,12 @@ class Trainer:
         with self.telemetry.span("train.step", seeds=len(seeds)):
             blocks = self._sample_phase(seeds)
             feats = self._gather_phase(blocks)
-            start = time.perf_counter()
             with self.telemetry.span("train.compute"):
                 logits = self.model.forward(feats, blocks.fanouts)
                 loss, grad = softmax_cross_entropy(logits, labels_arr)
                 self.model.zero_grads()
                 self.model.backward(grad)
                 self.optimizer.step()
-            self._record_phase("compute", time.perf_counter() - start)
-        if self._c_batches is not None:
-            self._c_batches.inc()
-            self._c_seeds.inc(len(seeds))
         return loss, accuracy(logits, labels_arr)
 
     def train_epoch(

@@ -298,6 +298,27 @@ def write_bundle(bundle: Dict, out_dir: str) -> str:
     return path
 
 
+def _read_section(path: str, section: str):
+    """One bundle file's JSON: ``traces`` is an array, ``spec`` an
+    object or null, every other section an object.  Anything else —
+    or bytes that do not decode — raises :class:`ConfigurationError`
+    naming the file."""
+    try:
+        with open(path) as fh:
+            value = json.load(fh)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path!r} is not JSON: {exc}") from None
+    if value is None and section == "spec":
+        return value
+    kind = list if section == "traces" else dict
+    if not isinstance(value, kind):
+        raise ConfigurationError(
+            f"{path!r} holds a JSON {type(value).__name__}, not "
+            f"{'an array' if kind is list else 'an object'}"
+        )
+    return value
+
+
 def load_bundle(path: str) -> Dict:
     """Load a bundle directory back into its dict form."""
     if not os.path.isdir(path):
@@ -309,8 +330,7 @@ def load_bundle(path: str) -> Dict:
             raise ConfigurationError(
                 f"bundle {path!r} is missing its {section}.json"
             )
-        with open(section_path) as fh:
-            bundle[section] = json.load(fh)
+        bundle[section] = _read_section(section_path, section)
     return bundle
 
 
@@ -322,8 +342,7 @@ def list_bundles(out_dir: str) -> List[Dict]:
     for name in sorted(os.listdir(out_dir)):
         meta_path = os.path.join(out_dir, name, "meta.json")
         if os.path.exists(meta_path):
-            with open(meta_path) as fh:
-                meta = json.load(fh)
+            meta = _read_section(meta_path, "meta")
             meta["path"] = os.path.join(out_dir, name)
             out.append(meta)
     return out

@@ -82,11 +82,31 @@ def make_spec(
     }
 
 
+def _check_spec(spec, where: str = "spec") -> Dict:
+    """``spec`` itself if it is an object with a ``scenario`` name, int
+    ``seed`` and ``scenario_seed`` and object-valued kwargs; otherwise
+    :class:`ConfigurationError` naming ``where``."""
+    if not (
+        isinstance(spec, dict)
+        and isinstance(spec.get("scenario"), str)
+        and all(isinstance(spec.get(k), int) for k in ("seed", "scenario_seed"))
+        and all(
+            isinstance(spec.get(k) or {}, dict)
+            for k in ("rig_kwargs", "scenario_kwargs")
+        )
+    ):
+        raise ConfigurationError(
+            f"{where} is not a spec: an object with a 'scenario' name, "
+            "int 'seed' and 'scenario_seed', and object kwargs"
+        )
+    return spec
+
+
 def build_rig_from_spec(spec: Dict):
     """Build the spec's serving rig, flight recorder always attached."""
     from repro.serving.scenarios import build_serving_rig
 
-    rig_kwargs = dict(spec.get("rig_kwargs") or {})
+    rig_kwargs = dict(_check_spec(spec).get("rig_kwargs") or {})
     rig_kwargs.pop("recorder", None)
     rig_kwargs.pop("seed", None)
     return build_serving_rig(
@@ -98,7 +118,7 @@ def scenario_from_spec(spec: Dict, num_sources: int):
     """Regenerate the spec's (bit-identical) event schedule."""
     from repro.serving.scenarios import SCENARIOS
 
-    name = spec["scenario"]
+    name = _check_spec(spec)["scenario"]
     if name not in SCENARIOS:
         raise ConfigurationError(f"unknown scenario {name!r} in spec")
     return SCENARIOS[name](
@@ -227,12 +247,15 @@ def replay_bundle(bundle_or_path, max_traces: int = 5) -> ReplayResult:
     from repro.obs.incident import IncidentManager, load_bundle
     from repro.serving.scenarios import ScenarioRunner
 
-    bundle = (
-        load_bundle(bundle_or_path)
-        if isinstance(bundle_or_path, str)
-        else bundle_or_path
-    )
-    meta = bundle["meta"]
+    if isinstance(bundle_or_path, str):
+        bundle = load_bundle(bundle_or_path)
+        where = repr(f"{bundle_or_path}/spec.json")
+    else:
+        bundle = bundle_or_path
+        where = "the bundle's spec"
+    meta = bundle.get("meta")
+    if not isinstance(meta, dict):
+        raise ConfigurationError("bundle has no meta object")
     spec = bundle.get("spec")
     if spec is None:
         raise ConfigurationError(
@@ -240,8 +263,9 @@ def replay_bundle(bundle_or_path, max_traces: int = 5) -> ReplayResult:
             "without IncidentManager.mark_start(spec) and cannot be "
             "replayed"
         )
+    _check_spec(spec, where)
     t_rel = meta.get("t_rel")
-    if t_rel is None:
+    if not isinstance(t_rel, (int, float)):
         raise ConfigurationError(
             f"bundle {meta.get('id')!r} has no t_rel; mark_start() was "
             "not called before the run"

@@ -184,9 +184,6 @@ class Tracer:
         Roots at least this slow also land in the slow-trace ring.
     max_slow_traces:
         Ring capacity of the slow-trace log.
-    registry:
-        Optional :class:`~repro.obs.registry.MetricsRegistry`; when
-        given, the tracer reports ``repro_trace_*`` counters into it.
     """
 
     def __init__(
@@ -197,7 +194,6 @@ class Tracer:
         max_traces: int = 256,
         slow_threshold_seconds: float = 0.0,
         max_slow_traces: int = 64,
-        registry=None,
     ) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ConfigurationError(
@@ -217,22 +213,6 @@ class Tracer:
         self._id_lock = threading.Lock()
         self._next_trace = 0
         self._next_span = 0
-        if registry is not None:
-            self._c_started = registry.counter(
-                "repro_trace_roots_total", "Root spans opened (pre-sampling)"
-            )
-            self._c_sampled = registry.counter(
-                "repro_trace_sampled_total", "Root spans kept by head sampling"
-            )
-            self._c_spans = registry.counter(
-                "repro_trace_spans_total", "Spans finished inside kept traces"
-            )
-            self._c_slow = registry.counter(
-                "repro_trace_slow_total", "Traces past the slow threshold"
-            )
-        else:
-            self._c_started = self._c_sampled = None
-            self._c_spans = self._c_slow = None
 
     # ------------------------------------------------------------------
     # span stack
@@ -274,13 +254,9 @@ class Tracer:
             stack.append(span)
             return span
         # Root: the head-based sampling decision.
-        if self._c_started is not None:
-            self._c_started.inc()
         if self.sample_rate < 1.0 and self._rng.random() >= self.sample_rate:
             stack.append(_UNSAMPLED)
             return _NullSpan(self)
-        if self._c_sampled is not None:
-            self._c_sampled.inc()
         with self._id_lock:
             self._next_trace += 1
             trace_id = self._next_trace
@@ -298,14 +274,10 @@ class Tracer:
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()
-        if self._c_spans is not None:
-            self._c_spans.inc()
         if span.parent_id is None:  # root: archive the whole tree
             self.finished.append(span)
             if span.duration >= self.slow_threshold_seconds:
                 self.slow.append(span)
-                if self._c_slow is not None:
-                    self._c_slow.inc()
 
     # ------------------------------------------------------------------
     # readout

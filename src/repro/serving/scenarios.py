@@ -298,9 +298,6 @@ def build_serving_rig(
     num_shards: int = 4,
     num_sources: int = 2000,
     degree: int = 8,
-    feat_dim: int = 16,
-    hidden_dim: int = 16,
-    out_dim: int = 8,
     fanouts: Sequence[int] = (3, 2),
     seed: int = 0,
     shedding: bool = True,
@@ -316,10 +313,7 @@ def build_serving_rig(
     breaker_reset: float = 0.25,
     prewarm: bool = True,
     trace: bool = False,
-    trace_sample_rate: float = 1.0,
-    slow_trace_threshold: float = 8e-3,
     monitor_interval: Optional[float] = None,
-    alert_rules: Optional[Sequence] = None,
     recorder=None,
 ) -> ServingRig:
     """One cluster + graph + features + encoder + service, pre-warmed.
@@ -332,13 +326,12 @@ def build_serving_rig(
     cache — the "last-good" state online serving falls back to.
 
     ``trace=True`` attaches a simulated-clock :class:`Tracer` (serving
-    batches produce ``serve.batch`` span trees; roots slower than
-    ``slow_trace_threshold`` also land in the slow ring).  A
-    ``monitor_interval`` attaches a continuous
-    :class:`~repro.obs.monitor.Monitor` scraping the registry every
-    that-many simulated seconds, with ``alert_rules`` (default: the
-    serving tier's :func:`~repro.obs.alerts.default_serving_rules`)
-    evaluated after each scrape.
+    batches produce ``serve.batch`` span trees; roots slower than 8 ms
+    also land in the slow ring).  A ``monitor_interval`` attaches a
+    continuous :class:`~repro.obs.monitor.Monitor` scraping the registry
+    every that-many simulated seconds, with the serving tier's
+    :func:`~repro.obs.alerts.default_serving_rules` evaluated after each
+    scrape.
 
     ``recorder`` attaches a flight recorder to every layer via
     :meth:`LocalCluster.attach_recorder` — pass ``True`` for a fresh
@@ -349,10 +342,9 @@ def build_serving_rig(
     tracer = (
         Tracer(
             clock=network.now,
-            sample_rate=trace_sample_rate,
             seed=seed,
             max_traces=512,
-            slow_threshold_seconds=slow_trace_threshold,
+            slow_threshold_seconds=8e-3,
         )
         if trace
         else None
@@ -371,14 +363,14 @@ def build_serving_rig(
     cluster.client.bulk_load(srcs, dsts, 1.0)
 
     features = AttributeStore()
-    features.register("feat", feat_dim)
+    features.register("feat", 16)
     features.put_many(
         "feat",
         list(range(num_sources)),
-        rng.standard_normal((num_sources, feat_dim)).astype(np.float32),
+        rng.standard_normal((num_sources, 16)).astype(np.float32),
     )
     encoder = GraphSAGE(
-        feat_dim, hidden_dim, out_dim, num_layers=len(fanouts),
+        16, 16, 8, num_layers=len(fanouts),
         rng=np.random.default_rng(seed + 1),
     )
     service = InferenceService(
@@ -421,11 +413,6 @@ def build_serving_rig(
         tracer.reset()
     monitor = None
     if monitor_interval is not None:
-        rules = (
-            list(alert_rules)
-            if alert_rules is not None
-            else default_serving_rules()
-        )
         # Keep-list scrape (standard practice on wide registries): the
         # serving rules, the watch CLI, and the monitor's self-metrics
         # only consume these prefixes, and the pushed-down filter means
@@ -434,7 +421,7 @@ def build_serving_rig(
         # everything if a broader store is wanted.
         monitor = cluster.attach_monitor(
             interval=monitor_interval,
-            rules=rules,
+            rules=default_serving_rules(),
             name_filter=(
                 "repro_serving_",
                 "repro_monitor_",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -72,3 +74,78 @@ class TestBuildAndSnapshotRoundtrip:
         src = next(iter(load_store(snap).sources()))
         assert main(["sample", snap, "--vertex", str(src), "--k", "4"]) == 0
         assert f"vertex {src}" in capsys.readouterr().out
+
+
+class TestScenarioFlags:
+    def test_one_parent_parser(self):
+        from repro.serving.scenarios import SCENARIOS
+
+        parser = build_parser()
+        for command, default in (
+            ("serve-sim", "calm"), ("watch", "flash_crowd"),
+            ("alerts", "flash_crowd"),
+        ):
+            args = parser.parse_args([command])
+            assert args.scenario == default
+            assert (args.shards, args.vertices, args.seed) == (4, 400, 0)
+            assert (args.target, args.no_shedding) == (0.99, False)
+            for name in SCENARIOS:
+                parsed = parser.parse_args([command, "--scenario", name])
+                assert parsed.scenario == name
+
+
+class TestBadInput:
+    """Bad input is refused with one ``error:`` line and exit code 2."""
+
+    def _refused(self, capsys, argv, needle):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert needle in err
+
+    def _bundle(self, tmp_path):
+        from repro.obs.incident import write_bundle
+        from repro.obs.replay import make_spec
+
+        bundle = {
+            "meta": {"id": "incident-x", "trigger": "manual", "t_rel": 0.0},
+            "spec": make_spec("calm"),
+            "events": {}, "metrics": {}, "series": {}, "traces": [],
+            "doctor": {},
+        }
+        return write_bundle(bundle, str(tmp_path))
+
+    def test_fail_on_without_a_bound(self, capsys):
+        self._refused(capsys, ["doctor", "--fail-on", "fill"], "fill")
+
+    def test_replay_of_a_missing_directory(self, capsys, tmp_path):
+        self._refused(capsys, ["replay", str(tmp_path / "gone")], "gone")
+
+    def test_show_of_a_missing_id(self, capsys, tmp_path):
+        self._refused(
+            capsys,
+            ["incidents", "show", "--dir", str(tmp_path), "--id", "ghost"],
+            "ghost",
+        )
+
+    def test_truncated_meta(self, capsys, tmp_path):
+        meta = os.path.join(self._bundle(tmp_path), "meta.json")
+        with open(meta) as fh:
+            text = fh.read()
+        with open(meta, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        self._refused(
+            capsys, ["incidents", "list", "--dir", str(tmp_path)], "meta.json"
+        )
+        self._refused(capsys, ["replay", os.path.dirname(meta)], "meta.json")
+
+    def test_spec_that_is_not_an_object(self, capsys, tmp_path):
+        path = self._bundle(tmp_path)
+        with open(os.path.join(path, "spec.json"), "w") as fh:
+            fh.write("[]\n")
+        self._refused(capsys, ["replay", path], "spec.json")
+        self._refused(
+            capsys,
+            ["incidents", "show", "--dir", str(tmp_path), "--id", "incident-x"],
+            "spec.json",
+        )

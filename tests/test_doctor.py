@@ -10,16 +10,13 @@ Pins the structural-health observability contract (DESIGN.md §12):
 * the ``--fail-on`` threshold gate (parsing + violations + CLI exit 3);
 * histogram exemplars survive the merge path and the Prometheus
   exposition round-trip (``lint_prometheus`` passes with exemplar
-  families present);
-* ``LocalCluster.reset_stats`` clears registered trainers' phase
-  telemetry (the PR's satellite).
+  families present).
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -28,8 +25,6 @@ from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.distributed import LocalCluster
 from repro.errors import ConfigurationError
-from repro.gnn.models import GraphSAGE
-from repro.gnn.training import PHASES, Trainer
 from repro.obs import (
     LatencyHistogram,
     MetricsRegistry,
@@ -43,7 +38,6 @@ from repro.obs import (
     to_prometheus_text,
 )
 from repro.obs.doctor import FILL_BINS
-from repro.storage.attributes import AttributeStore
 
 
 def _churned_store(
@@ -366,57 +360,6 @@ class TestExemplars:
         store.sample_neighbors(0, 4, rng=random.Random(0))
         sample_ex = store.metrics.histograms["sample"].exemplars()
         assert all(e.trace_id is None for e in sample_ex.values())
-
-
-class TestTrainerResetSatellite:
-    def _trainer(self, cluster_registry):
-        rng = random.Random(0)
-        nprng = np.random.default_rng(0)
-        store = DynamicGraphStore(SamtreeConfig(capacity=8))
-        feats = AttributeStore()
-        feats.register("feat", 4)
-        for v in range(40):
-            feats.put("feat", v, nprng.normal(0, 1, 4).astype(np.float32))
-        for _ in range(160):
-            store.add_edge(rng.randrange(40), rng.randrange(40), 1.0)
-        seeds = [v for v in range(40) if store.degree(v) > 0]
-        labels = [v % 2 for v in seeds]
-        model = GraphSAGE(4, 8, 2, num_layers=2,
-                          rng=np.random.default_rng(0))
-        trainer = Trainer(
-            store, feats, model, fanouts=[3, 3], registry=cluster_registry
-        )
-        return trainer, seeds, labels
-
-    def test_cluster_reset_clears_registered_trainer_phases(self):
-        cluster = LocalCluster(num_servers=2)
-        # The trainer deliberately uses its OWN registry so the only
-        # reset path is the cluster->trainer linkage under test.
-        own_registry = MetricsRegistry()
-        trainer, seeds, labels = self._trainer(own_registry)
-        cluster.register_trainer(trainer)
-        cluster.register_trainer(trainer)  # idempotent
-        trainer.train_epoch(seeds, labels, batch_size=16)
-        assert all(
-            s["count"] > 0 for s in trainer.phase_summary().values()
-        )
-        snap = own_registry.snapshot()
-        assert snap.get("repro_train_batches") > 0
-        cluster.reset_stats()
-        assert all(
-            s["count"] == 0 for s in trainer.phase_summary().values()
-        )
-        snap = own_registry.snapshot()
-        assert snap.get("repro_train_batches") == 0
-        assert snap.get("repro_train_seeds") == 0
-        assert set(trainer.phase_summary()) == set(PHASES)
-
-    def test_reset_phase_stats_is_safe_without_registry(self):
-        cluster = LocalCluster(num_servers=1)
-        trainer, _, _ = self._trainer(None)
-        cluster.register_trainer(trainer)
-        cluster.reset_stats()  # must not raise
-        assert trainer.phase_summary() == {}
 
 
 def test_fill_bins_cover_unit_interval():

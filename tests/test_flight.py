@@ -440,6 +440,33 @@ class TestIncidentManager:
         with pytest.raises(ConfigurationError):
             load_bundle(str(tmp_path / "incident-x"))
 
+    def test_bad_sections_and_specs_raise(self, tmp_path):
+        bundle = {
+            "meta": {"id": "incident-x", "trigger": "manual", "t_rel": 0.0},
+            # A manual capture's spec: no scenario_seed, so no replay.
+            "spec": {"scenario": "calm", "seed": 0},
+            "events": {}, "metrics": {}, "series": {}, "traces": [],
+            "doctor": {},
+        }
+        path = write_bundle(bundle, str(tmp_path))
+        assert load_bundle(path)["spec"] == bundle["spec"]
+        with pytest.raises(ConfigurationError, match="spec.json"):
+            replay_bundle(path)
+        for spec in ([], {"scenario": "calm", "seed": "0",
+                          "scenario_seed": 7}):
+            with pytest.raises(ConfigurationError):
+                build_rig_from_spec(spec)
+        with pytest.raises(ConfigurationError):
+            replay_bundle({"meta": [], "spec": make_spec("calm")})
+        with open(os.path.join(path, "traces.json"), "w") as fh:
+            fh.write("{}")
+        with pytest.raises(ConfigurationError, match="traces.json"):
+            load_bundle(path)
+        with open(os.path.join(path, "events.json"), "w") as fh:
+            fh.write('{"events_total": ')
+        with pytest.raises(ConfigurationError, match="events.json"):
+            load_bundle(path)
+
 
 # ---------------------------------------------------------------------------
 # the acceptance scenario: capture -> replay convergence

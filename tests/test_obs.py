@@ -36,7 +36,7 @@ from repro.distributed import (
 )
 from repro.errors import ConfigurationError
 from repro.gnn.models import GraphSAGE
-from repro.gnn.training import PHASES, Trainer
+from repro.gnn.training import Trainer
 from repro.obs import (
     MetricsRegistry,
     PrometheusFormatError,
@@ -599,17 +599,6 @@ class TestTracer:
             net.send(100)  # advances the simulated clock
         assert span.duration == pytest.approx(net.stats.last_send_seconds)
 
-    def test_trace_counters_in_registry(self):
-        reg = MetricsRegistry()
-        tracer = Tracer(sample_rate=1.0, registry=reg)
-        with tracer.span("r"):
-            with tracer.span("c"):
-                pass
-        snap = reg.snapshot()
-        assert snap.get("repro_trace_roots_total") == 1
-        assert snap.get("repro_trace_sampled_total") == 1
-        assert snap.get("repro_trace_spans_total") == 2
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             Tracer(sample_rate=1.5)
@@ -862,7 +851,7 @@ class TestObsCLI:
 
 
 # ---------------------------------------------------------------------------
-# Trainer phase timers
+# Trainer phase spans
 # ---------------------------------------------------------------------------
 class TestTrainerTelemetry:
     def _problem(self, n=40, dim=4):
@@ -878,33 +867,6 @@ class TestTrainerTelemetry:
         seeds = [v for v in range(n) if store.degree(v) > 0]
         labels = [v % 2 for v in seeds]
         return store, feats, seeds, labels
-
-    def test_phase_histograms_and_report(self):
-        store, feats, seeds, labels = self._problem()
-        reg = MetricsRegistry()
-        tracer = Tracer()
-        model = GraphSAGE(4, 8, 2, num_layers=2,
-                          rng=np.random.default_rng(0))
-        trainer = Trainer(
-            store, feats, model, fanouts=[3, 3],
-            registry=reg, tracer=tracer,
-        )
-        result = trainer.train_epoch(seeds, labels, batch_size=16)
-        assert result.num_batches > 0
-        summary = trainer.phase_summary()
-        assert set(summary) == set(PHASES)
-        for phase in PHASES:
-            assert summary[phase]["count"] == result.num_batches
-        snap = reg.snapshot()
-        assert snap.get("repro_train_batches") == result.num_batches
-        assert snap.get("repro_train_seeds") == len(seeds)
-        key = 'repro_train_phase_seconds{phase="sample"}'
-        assert snap.histograms[key][1] == result.num_batches
-        report = trainer.phase_report()
-        for phase in PHASES:
-            assert phase in report
-        # exposition of the phase histograms lints too
-        assert lint_prometheus(to_prometheus_text(reg))["samples"] > 0
 
     def test_train_step_span_nests_phases(self):
         store, feats, seeds, labels = self._problem()
@@ -922,12 +884,3 @@ class TestTrainerTelemetry:
         hops = root.find("sampler.hop")
         assert len(hops) == 2  # one per fanout
         assert all(h.parent_id == root.children[0].span_id for h in hops)
-
-    def test_without_registry_everything_is_off(self):
-        store, feats, seeds, labels = self._problem()
-        model = GraphSAGE(4, 8, 2, num_layers=2,
-                          rng=np.random.default_rng(0))
-        trainer = Trainer(store, feats, model, fanouts=[3, 3])
-        trainer.train_step(seeds[:8], labels[:8])
-        assert trainer.phase_summary() == {}
-        assert "no phase telemetry" in trainer.phase_report()

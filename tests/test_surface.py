@@ -8,11 +8,16 @@ defines each name: ``from repro.gnn import Trainer`` is an import of
 package ``__init__`` and ``__main__`` must have a live importer: a file
 outside the package, or a module that has one itself.  A re-export by
 one of its own packages' ``__init__``s keeps nothing alive.
+
+Two more guards keep the telemetry from growing back: a wall clock is
+read only in the files that own one (a phase is timed with a span), and
+the traced components take no metrics registry of their own.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Set, Tuple
 
@@ -25,6 +30,21 @@ ALLOWED_ORPHANS = {
     "repro.datasets.io",
     # The README's live shard migration (plan_rebalance / execute_plan).
     "repro.distributed.rebalance",
+}
+
+#: The ``src/repro`` files that may read ``time.perf_counter``: the clock
+#: defaults of the tracer and the monitor, the PALM makespan, the build
+#: and batch-size workloads, and ``repro sample``'s timing; plus two
+#: timers that bench_batched_sampling's overhead gate and
+#: bench_zipf_serving's modeled makespan read until those benches retire.
+WALL_CLOCK_FILES = {
+    "obs/trace.py",
+    "obs/monitor.py",
+    "concurrency/palm.py",
+    "bench/workloads.py",
+    "cli.py",
+    "core/metrics.py",
+    "distributed/client.py",
 }
 
 
@@ -158,3 +178,36 @@ def test_reexports_resolve_to_the_defining_module():
     assert "examples/distributed_cluster.py" in importers["repro.datasets.stream"]
     # A package re-export is not an importer.
     assert "repro.core" not in importers["repro.core.topology"]
+
+
+def _clock_readers() -> Set[str]:
+    """``src/repro`` files that mention ``perf_counter``."""
+    package = SRC / "repro"
+    return {
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        if "perf_counter" in path.read_text(encoding="utf-8")
+    }
+
+
+def test_wall_clock_reads_stay_in_their_files():
+    extra = _clock_readers() - WALL_CLOCK_FILES
+    assert not extra, (
+        f"perf_counter read in {sorted(extra)}: time a phase with a "
+        "telemetry span, or add the file to WALL_CLOCK_FILES with a reason"
+    )
+
+
+def test_the_clock_allowlist_names_only_readers():
+    stale = WALL_CLOCK_FILES - _clock_readers()
+    assert not stale, f"no clock read any more, drop: {sorted(stale)}"
+
+
+def test_traced_components_take_no_registry():
+    from repro.distributed.cluster import LocalCluster
+    from repro.gnn.training import Trainer
+    from repro.obs.trace import Tracer
+
+    for component in (Trainer, Tracer, LocalCluster):
+        params = inspect.signature(component).parameters
+        assert "registry" not in params, component.__name__

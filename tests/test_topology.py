@@ -50,11 +50,6 @@ class TestUpdates:
         assert store.apply(EdgeOp.delete(1, 2)) is True
         assert store.apply(EdgeOp(OpKind.DELETE, 1, 2)) is False
 
-    def test_add_edges_bulk(self, store):
-        added = store.add_edges([(1, 2, 1.0), (1, 3, 1.0), (1, 2, 2.0)])
-        assert added == 2
-        assert store.num_edges == 2
-
 
 class TestHeterogeneous:
     def test_relations_are_isolated(self, store):
