@@ -5,9 +5,9 @@ shows up against a remembered trajectory.  This module keeps that
 trajectory in ``BENCH_HISTORY.jsonl`` — one JSON object per recorded
 run — and gates new runs against it:
 
-* :func:`extract_metrics` pulls the **gated** throughput figures out of
-  a bench payload (warm-path batched sampling vertices/s per fanout;
-  bulk-build edges/s and batched-update ops/s) — all higher-is-better;
+* :func:`extract_metrics` pulls the **gated** figures out of a bench
+  payload (bulk-build edges/s and batched-update ops/s; the monitoring
+  and flight-recorder ``"metrics"`` blocks) — all higher-is-better;
 * :func:`record` appends a run (bench name, payload ``mode``, metrics,
   timestamp) to the history;
 * :func:`compare` checks a fresh payload against the **best** prior run
@@ -66,16 +66,6 @@ def extract_metrics(bench: str, payload: Dict) -> Dict[str, float]:
     Unknown bench names raise ``KeyError`` so a typo in CI fails loudly
     instead of gating on an empty metric set.
     """
-    if bench == "batched_sampling":
-        metrics = {
-            f"warm_vertices_per_s_k{fanout}": stats[
-                "batched_warm_vertices_per_s"
-            ]
-            for fanout, stats in payload["fanouts"].items()
-        }
-        if not metrics:
-            raise KeyError("batched_sampling payload has no fanouts")
-        return metrics
     if bench == "bulk_ingest":
         return {
             "bulk_edges_per_s": payload["build"]["compress_on"][
@@ -85,28 +75,14 @@ def extract_metrics(bench: str, payload: Dict) -> Dict[str, float]:
                 "batched_ops_per_s"
             ],
         }
-    if bench == "zipf_serving":
-        metrics = {}
-        for skew, entry in payload["skews"].items():
-            tag = skew.replace(".", "_")
-            metrics[f"hot_modeled_sources_per_s_s{tag}"] = entry["hot"][
-                "modeled_sources_per_s"
-            ]
-            metrics[f"hot_wall_sources_per_s_s{tag}"] = entry["hot"][
-                "wall_sources_per_s"
-            ]
-        if not metrics:
-            raise KeyError("zipf_serving payload has no skews")
-        return metrics
-    if bench in ("slo_serving", "monitoring", "flight_recorder"):
+    if bench in ("monitoring", "flight_recorder"):
         metrics = dict(payload["metrics"])
         if not metrics:
             raise KeyError(f"{bench} payload has no metrics")
         return {name: float(value) for name, value in metrics.items()}
     raise KeyError(
         f"no metric extractor for bench {bench!r}; known: "
-        f"batched_sampling, bulk_ingest, flight_recorder, "
-        f"monitoring, slo_serving, zipf_serving"
+        f"bulk_ingest, flight_recorder, monitoring"
     )
 
 
@@ -273,14 +249,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.add_argument(
             "--bench",
             required=True,
-            choices=[
-                "batched_sampling",
-                "bulk_ingest",
-                "flight_recorder",
-                "monitoring",
-                "slo_serving",
-                "zipf_serving",
-            ],
+            choices=["bulk_ingest", "flight_recorder", "monitoring"],
         )
         p.add_argument(
             "--input",

@@ -13,9 +13,8 @@ throughput.  This bench measures it two ways:
   interval, the serving burn-rate/threshold rule set, ~3.6k requests
   and ~60 scrapes per run).  Both sides run the identical seeded
   simulation — the monitor never advances the simulated clock — so the
-  wall-clock delta *is* the monitoring tax.  Same noise discipline as
-  ``bench_batched_sampling``: interleaved plain/monitored reps,
-  best-of-N per pass, and the *minimum* overhead across independent
+  wall-clock delta *is* the monitoring tax.  Noise discipline:
+  interleaved plain/monitored reps, best-of-N per pass, and the *minimum* overhead across independent
   passes (a genuine regression lifts every pass, a scheduler spike
   only one).  ``--check-overhead PCT`` gates it (CI uses 5).
 * **query cost** — steady-state throughput of ``scrape()``, ``rate()``

@@ -19,7 +19,6 @@ from repro.core.ingest import (
     fold_run,
 )
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel, humanize_bytes
-from repro.core.metrics import InstrumentedStore, StoreMetrics
 from repro.core.samtree import (
     BULK_FILL_FRACTION,
     OpStats,
@@ -62,8 +61,6 @@ __all__ = [
     "MemoryModel",
     "DEFAULT_MEMORY_MODEL",
     "humanize_bytes",
-    "InstrumentedStore",
-    "StoreMetrics",
     "OpStats",
     "Samtree",
     "SamtreeConfig",

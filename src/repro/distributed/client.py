@@ -27,10 +27,9 @@ Fault tolerance:
 
 from __future__ import annotations
 
-import time
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,11 +84,7 @@ class ServingStats(Stats):
     Tracks the skew-aware serving layer: request coalescing (duplicate
     in-flight sources within one ``sample_neighbors_many`` window are
     shipped once per shard), hot-replica read spreading, and the
-    coherence write fan-out to hot copies.  ``busy_by_shard`` attributes
-    the *measured* client-observed service time of every batched
-    sampling RPC to the shard that served it — the zipf benchmark
-    derives modeled cluster makespan (max per-shard busy time, i.e. the
-    parallel-deployment bottleneck) from it.
+    coherence write fan-out to hot copies.
     """
 
     DERIVED = ("coalesce_rate",)
@@ -112,9 +107,6 @@ class ServingStats(Stats):
     hot_write_ops: int = 0
     #: Hot copies dropped because their coherence write failed.
     hot_write_drops: int = 0
-    #: Total measured in-RPC time of batched sampling (seconds).
-    busy_seconds: float = 0.0
-    busy_by_shard: Dict[int, float] = field(default_factory=dict)
 
     @property
     def coalesce_rate(self) -> float:
@@ -136,7 +128,6 @@ class GraphClient(GraphStoreAPI):
         tracer=None,
         hot_replicas: Optional[HotReplicaDirectory] = None,
         hot_tracker: Optional[HotSetTracker] = None,
-        coalesce: bool = True,
     ) -> None:
         if len(servers) != partitioner.num_shards:
             raise PartitionError(
@@ -178,9 +169,6 @@ class GraphClient(GraphStoreAPI):
         #: Optional decayed top-k read-frequency tracker fed by the
         #: batched sampling path (drives replication decisions).
         self.hot_tracker = hot_tracker
-        #: Coalesce duplicate in-flight sources within one batch window
-        #: (ship each distinct source once per shard).
-        self.coalesce = coalesce
         self.serving_stats = ServingStats()
         #: ``searchsorted`` probes cutting a shard-sorted frontier.
         self._shard_ids = np.arange(len(self.servers) + 1)
@@ -637,6 +625,8 @@ class GraphClient(GraphStoreAPI):
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
         """Scalar read: the ``n = 1`` case of the one server endpoint."""
+        if k < 0:
+            raise ConfigurationError(f"sample count must be >= 0, got {k}")
         if self.hot_tracker is not None:
             self.hot_tracker.observe(int(src))
         block = self._read_shard(
@@ -691,15 +681,17 @@ class GraphClient(GraphStoreAPI):
         * duplicate in-flight sources are **coalesced** — a shard is
           sent its distinct sources plus multiplicities and expands
           them locally, so every occurrence still receives its own
-          independent draws and the sampled distribution matches the
-          uncoalesced path;
+          independent draws;
         * sources in the **hot-replica directory** rotate across their
           replica set (all copies are write-coherent);
         * the **hot tracker** observes every distinct source with its
-          window multiplicity;
-        * per-RPC service time is accumulated per shard in
-          :attr:`serving_stats` (the bench's modeled-makespan input).
+          window multiplicity.
+
+        A negative ``k`` raises before any counter, tracker or network
+        charge.
         """
+        if k < 0:
+            raise ConfigurationError(f"fanout must be >= 0, got {k}")
         srcs = np.asarray(srcs, dtype=np.int64)
         if counts is not None:
             srcs = np.repeat(srcs, counts)
@@ -743,12 +735,7 @@ class GraphClient(GraphStoreAPI):
                 a, b = cuts[shard], cuts[shard + 1]
                 lo, hi = row_cuts[shard], row_cuts[shard + 1]
                 rows = hi - lo
-                if self.coalesce:
-                    shard_srcs, shard_counts = distinct[a:b], multiplicity[a:b]
-                    duplicates = rows - (b - a)
-                else:
-                    shard_srcs, shard_counts = srcs[lo:hi], None
-                    duplicates = 0
+                duplicates = rows - (b - a)
                 if duplicates:
                     payload = (
                         (b - a) * (_SAMPLE_REQ_BYTES + 2)
@@ -761,19 +748,13 @@ class GraphClient(GraphStoreAPI):
                         _SAMPLE_REQ_BYTES + k * _SAMPLE_RESP_BYTES
                     )
 
-                def fn(s, ss=shard_srcs, cc=shard_counts):
+                def fn(s, ss=distinct[a:b], cc=multiplicity[a:b]):
                     return s.sample_neighbors_many(
                         ss, k, gen, etype, weighted=weighted, counts=cc
                     )
 
                 stats.shard_rpcs += 1
-                started = time.perf_counter()
                 block = self._read_shard(shard, payload, fn)
-                elapsed = time.perf_counter() - started
-                stats.busy_seconds += elapsed
-                stats.busy_by_shard[shard] = (
-                    stats.busy_by_shard.get(shard, 0.0) + elapsed
-                )
                 positions = order[lo:hi]
                 if block is UNAVAILABLE:
                     ids[positions] = 0

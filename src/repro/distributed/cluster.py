@@ -109,10 +109,6 @@ class LocalCluster:
         the client's batched read path (decayed SpaceSaving top-k of
         source read traffic) — the input of :meth:`replicate_hot` and
         the traffic-based rebalance planner.
-    coalesce:
-        Coalesce duplicate in-flight sources within each batched
-        sampling window (default on; the zipf bench's baseline mode
-        turns it off).
     """
 
     def __init__(
@@ -131,7 +127,6 @@ class LocalCluster:
         degraded_reads: bool = False,
         tracer=None,
         hot_set_capacity: int = 0,
-        coalesce: bool = True,
     ) -> None:
         if num_servers < 1:
             raise ConfigurationError(
@@ -205,7 +200,6 @@ class LocalCluster:
             retry=retry,
             degraded_reads=degraded_reads,
             hot_tracker=self.hot_tracker,
-            coalesce=coalesce,
         )
         for part in (
             self.fault_injector,

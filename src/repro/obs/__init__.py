@@ -7,9 +7,7 @@ cache-hit decay.  This package is the cross-cutting layer every
 subsystem reports into:
 
 * :mod:`repro.obs.hist` — the log₂ :class:`LatencyHistogram`, with
-  exact bucket bounds, merge, snapshot state, and opt-in exemplars
-  (``record(seconds, trace_id=…, detail=…)`` keeps the slowest op per
-  bucket);
+  exact bucket bounds, merge, and snapshot state;
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` of named
   counters, gauges, and histograms with labels, plus *views* over the
   legacy ``*Stats`` holders (pull-based, so hot paths keep their plain
@@ -95,7 +93,7 @@ from repro.obs.export import (
     to_prometheus_text,
 )
 from repro.obs.flight import EventRing, FlightRecorder
-from repro.obs.hist import Exemplar, LatencyHistogram
+from repro.obs.hist import LatencyHistogram
 from repro.obs.incident import (
     IncidentManager,
     list_bundles,
@@ -136,7 +134,6 @@ __all__ = [
     "CriticalSegment",
     "DoctorReport",
     "EventRing",
-    "Exemplar",
     "FlightRecorder",
     "Gauge",
     "IncidentManager",

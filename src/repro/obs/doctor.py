@@ -173,7 +173,7 @@ class DoctorReport:
         #: cluster's attached ``InferenceService``) — ``None`` when no
         #: service is attached or at store scope.
         self.inference: Optional[Dict[str, float]] = None
-        #: Hot-set top-k exemplars ``(src, count, error)``, hottest first.
+        #: Hot-set top-k entries ``(src, count, error)``, hottest first.
         self.hot_top: List[Tuple[int, int, int]] = []
         self.hot_observations = 0
         self.components: Dict[str, int] = {}

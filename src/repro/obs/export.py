@@ -24,7 +24,7 @@ in their ``BENCH_*.json`` records.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ReproError
 from repro.obs.registry import MetricsRegistry, metric_key
@@ -93,7 +93,6 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
             f"{_fmt_value(sample.value)}"
         )
 
-    exemplar_lines: List[str] = []
     for name, _, labels, hist in registry.collect_histograms():
         header(name, "histogram")
         cumulative = 0
@@ -112,33 +111,6 @@ def to_prometheus_text(registry: MetricsRegistry) -> str:
             f"{name}_sum{_fmt_labels(labels)} {_fmt_value(hist.sum)}"
         )
         lines.append(f"{name}_count{_fmt_labels(labels)} {hist.count}")
-        # Exemplars (DESIGN.md §12): the 0.0.4 text format has no native
-        # exemplar syntax (that's OpenMetrics), so the slowest op of each
-        # bucket is exported as a companion gauge family
-        # ``<name>_exemplar{le=..., trace_id=..., detail=...}`` whose
-        # value is the exemplar latency in seconds — still lintable and
-        # still joinable to the trace ring by ``trace_id``.
-        exemplars = getattr(hist, "exemplars", None)
-        if exemplars is None:
-            continue
-        for idx, ex in sorted(exemplars().items()):
-            ex_name = f"{name}_exemplar"
-            if ex_name not in emitted_header:
-                emitted_header.add(ex_name)
-                exemplar_lines.append(
-                    f"# HELP {ex_name} Slowest observation per bucket "
-                    f"(joinable to traces by trace_id)"
-                )
-                exemplar_lines.append(f"# TYPE {ex_name} gauge")
-            ex_labels = tuple(labels) + (
-                ("le", les[idx]),
-                ("trace_id", "" if ex.trace_id is None else str(ex.trace_id)),
-                ("detail", ex.detail),
-            )
-            exemplar_lines.append(
-                f"{ex_name}{_fmt_labels(ex_labels)} {_fmt_value(ex.value)}"
-            )
-    lines.extend(exemplar_lines)
 
     return "\n".join(lines) + "\n"
 

@@ -1,8 +1,5 @@
 """Log₂-bucketed latency histogram (the telemetry layer's distribution type).
 
-Moved here from ``repro.core.metrics`` (which still re-exports it for
-compatibility) and extended for the shared registry:
-
 * **exact bucketing** — bucket assignment is computed with
   :func:`math.frexp` on the float microsecond value instead of the old
   ``int(us)`` truncation, so fractional observations land in the bucket
@@ -15,76 +12,33 @@ compatibility) and extended for the shared registry:
   maximum instead of a fabricated power-of-two bound;
 * **merge / snapshot** — :meth:`merge` folds a peer histogram in (the
   per-thread-then-merge pattern the concurrency tests exercise), and
-  :meth:`state` captures an immutable snapshot the registry diff uses;
-* **exemplars (opt-in)** — after :meth:`enable_exemplars`, each bucket
-  remembers its *slowest* observation as an :class:`Exemplar` (value +
-  optional trace id + args digest), so a fat p99 bucket links directly
-  to the span tree that produced it (DESIGN.md §12).  Disabled
-  histograms pay nothing — ``record`` checks one attribute.
+  :meth:`state` captures an immutable snapshot the registry diff uses.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Exemplar", "LatencyHistogram", "NUM_BUCKETS"]
+__all__ = ["LatencyHistogram", "NUM_BUCKETS"]
 
 #: Bucket 0 covers < 1 µs; bucket ``i`` covers ``[2^(i-1), 2^i)`` µs for
 #: ``0 < i < NUM_BUCKETS - 1``; the last bucket is open-ended.
 NUM_BUCKETS = 24
 
 
-class Exemplar:
-    """One bucket's slowest observation, linkable back to its trace.
-
-    ``value`` is the recorded latency in seconds; ``trace_id`` is the
-    PR 4 tracer's root trace id (``None`` when recorded outside a
-    sampled trace); ``detail`` is a short free-form digest of the
-    operation's arguments (e.g. ``"srcs=1024 k=25"``).
-    """
-
-    __slots__ = ("value", "trace_id", "detail")
-
-    def __init__(
-        self,
-        value: float,
-        trace_id: Optional[int] = None,
-        detail: str = "",
-    ) -> None:
-        self.value = value
-        self.trace_id = trace_id
-        self.detail = detail
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "value": self.value,
-            "trace_id": self.trace_id,
-            "detail": self.detail,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Exemplar({self.value:.6g}s, trace={self.trace_id}, "
-            f"{self.detail!r})"
-        )
-
-
 class LatencyHistogram:
     """Log₂-bucketed latency histogram (microsecond resolution)."""
 
-    __slots__ = ("_buckets", "_count", "_sum", "_max", "_exemplars")
+    __slots__ = ("_buckets", "_count", "_sum", "_max")
 
     def __init__(self) -> None:
         self._buckets = [0] * NUM_BUCKETS
         self._count = 0
         self._sum = 0.0
         self._max = 0.0
-        #: ``None`` until :meth:`enable_exemplars` — the common case
-        #: pays a single attribute check per record.
-        self._exemplars: Optional[List[Optional[Exemplar]]] = None
 
     # ------------------------------------------------------------------
     # recording
@@ -105,51 +59,15 @@ class LatencyHistogram:
             return 0
         return exp if exp < NUM_BUCKETS else NUM_BUCKETS - 1
 
-    def record(
-        self,
-        seconds: float,
-        trace_id: Optional[int] = None,
-        detail: str = "",
-    ) -> None:
-        """Record one observation.
-
-        ``trace_id`` / ``detail`` are only kept when exemplars are
-        enabled (:meth:`enable_exemplars`) **and** this observation is
-        the slowest its bucket has seen.
-        """
+    def record(self, seconds: float) -> None:
+        """Record one observation."""
         if seconds < 0:
             raise ConfigurationError(f"latency cannot be negative: {seconds}")
-        idx = self.bucket_index(seconds)
-        self._buckets[idx] += 1
+        self._buckets[self.bucket_index(seconds)] += 1
         self._count += 1
         self._sum += seconds
         if seconds > self._max:
             self._max = seconds
-        if self._exemplars is not None:
-            current = self._exemplars[idx]
-            if current is None or seconds >= current.value:
-                self._exemplars[idx] = Exemplar(seconds, trace_id, detail)
-
-    # ------------------------------------------------------------------
-    # exemplars
-    # ------------------------------------------------------------------
-    def enable_exemplars(self) -> "LatencyHistogram":
-        """Turn on per-bucket slowest-op exemplars (idempotent)."""
-        if self._exemplars is None:
-            self._exemplars = [None] * NUM_BUCKETS
-        return self
-
-    @property
-    def exemplars_enabled(self) -> bool:
-        return self._exemplars is not None
-
-    def exemplars(self) -> Dict[int, Exemplar]:
-        """``{bucket_index: Exemplar}`` for every non-empty exemplar."""
-        if self._exemplars is None:
-            return {}
-        return {
-            i: ex for i, ex in enumerate(self._exemplars) if ex is not None
-        }
 
     # ------------------------------------------------------------------
     # bucket geometry
@@ -223,14 +141,6 @@ class LatencyHistogram:
         self._count += other._count
         self._sum += other._sum
         self._max = max(self._max, other._max)
-        if other._exemplars is not None:
-            self.enable_exemplars()
-            for i, theirs in enumerate(other._exemplars):
-                if theirs is None:
-                    continue
-                mine = self._exemplars[i]
-                if mine is None or theirs.value >= mine.value:
-                    self._exemplars[i] = theirs
 
     def state(self) -> Tuple[Tuple[int, ...], int, float, float]:
         """Immutable ``(buckets, count, sum, max)`` snapshot (diff unit)."""
@@ -266,8 +176,6 @@ class LatencyHistogram:
         self._count = 0
         self._sum = 0.0
         self._max = 0.0
-        if self._exemplars is not None:
-            self._exemplars = [None] * NUM_BUCKETS
 
     def summary(self) -> Dict[str, float]:
         """count / mean / p50 / p99 / max in one dict (seconds)."""

@@ -60,7 +60,7 @@ def make_spec(
 
     ``seed`` seeds the rig (graph, encoder, service, prewarm);
     ``scenario_seed`` seeds the event schedule and defaults to
-    ``seed + 7``, the convention ``run_scenario`` and the CLI use.
+    ``seed + 7``, the convention the CLI uses.
     ``rig_kwargs`` are forwarded to ``build_serving_rig`` (put
     ``monitor_interval`` here — alert replay needs the monitor).
     """

@@ -100,8 +100,7 @@ class Stats:
 
     A counter is a field whose default is its zero.  Derived read-outs
     stay properties; the ones named in :attr:`DERIVED` follow the
-    counters in :meth:`to_dict`.  A field built by a factory (a
-    per-shard dict) is cleared by :meth:`reset` and is not a counter.
+    counters in :meth:`to_dict`.
     """
 
     #: Property names :meth:`to_dict` reports after the counters.
@@ -109,19 +108,12 @@ class Stats:
 
     def counters(self) -> Tuple[str, ...]:
         """Counter field names, in declaration order."""
-        return tuple(
-            f.name
-            for f in dataclasses.fields(self)
-            if f.default is not dataclasses.MISSING
-        )
+        return tuple(f.name for f in dataclasses.fields(self))
 
     def reset(self) -> None:
         """Zero every counter in place (registered views stay bound)."""
         for f in dataclasses.fields(self):
-            if f.default is not dataclasses.MISSING:
-                setattr(self, f.name, f.default)
-            else:
-                getattr(self, f.name).clear()
+            setattr(self, f.name, f.default)
 
     def to_dict(self) -> Dict[str, float]:
         names = self.counters() + self.DERIVED

@@ -14,7 +14,6 @@ from repro.serving.scenarios import (
     ScenarioRunner,
     ServingRig,
     build_serving_rig,
-    run_scenario,
 )
 from repro.serving.service import Answer, InferenceService, Request, ServiceStats
 from repro.serving.slo import SLOReport, build_report
@@ -28,7 +27,6 @@ __all__ = [
     "DegradedAnswerCache",
     "InferenceService",
     "Request",
-    "run_scenario",
     "Scenario",
     "ScenarioRunner",
     "SCENARIOS",

@@ -27,9 +27,8 @@ key, and online serving degrades to it under faults.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +58,6 @@ __all__ = [
     "churn_burst",
     "regional_outage",
     "brownout",
-    "run_scenario",
     "SCENARIOS",
 ]
 
@@ -606,28 +604,3 @@ class ScenarioRunner:
             self._advance_to(self._t0 + t_rel)
             self._dispatch(kind, payload, self._t0 + t_rel)
         self._advance_to(self._t0 + t_stop_rel)
-
-
-def run_scenario(
-    name: str,
-    seed: int = 0,
-    shedding: bool = True,
-    rig_kwargs: Optional[Dict] = None,
-    scenario_kwargs: Optional[Dict] = None,
-    target_availability: float = 0.99,
-) -> Tuple[ServingRig, SLOReport]:
-    """Convenience wrapper: build a rig, run one named scenario."""
-    if name not in SCENARIOS:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; choose from "
-            f"{sorted(SCENARIOS)}"
-        )
-    rig = build_serving_rig(
-        seed=seed, shedding=shedding, **(rig_kwargs or {})
-    )
-    scenario = SCENARIOS[name](
-        rig.num_sources, seed=seed + 7, **(scenario_kwargs or {})
-    )
-    runner = ScenarioRunner(rig, scenario)
-    report = runner.run(target_availability=target_availability)
-    return rig, report

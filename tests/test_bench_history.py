@@ -26,17 +26,6 @@ from bench_history import (  # noqa: E402  (path bootstrap above)
 )
 
 
-def _sampling_payload(scale=1.0, mode="full"):
-    return {
-        "mode": mode,
-        "fanouts": {
-            "5": {"batched_warm_vertices_per_s": 350_000.0 * scale},
-            "10": {"batched_warm_vertices_per_s": 320_000.0 * scale},
-            "25": {"batched_warm_vertices_per_s": 260_000.0 * scale},
-        },
-    }
-
-
 def _ingest_payload(scale=1.0, mode="full"):
     return {
         "mode": mode,
@@ -47,10 +36,10 @@ def _ingest_payload(scale=1.0, mode="full"):
 
 class TestExtractMetrics:
     def test_known_benches(self):
-        m = extract_metrics("batched_sampling", _sampling_payload())
-        assert m["warm_vertices_per_s_k10"] == 320_000.0
         m = extract_metrics("bulk_ingest", _ingest_payload())
         assert set(m) == {"bulk_edges_per_s", "batched_update_ops_per_s"}
+        m = extract_metrics("monitoring", {"metrics": {"scrapes_per_s": 5900}})
+        assert m == {"scrapes_per_s": 5900.0}
 
     def test_unknown_bench_fails_loudly(self):
         with pytest.raises(KeyError):
@@ -132,7 +121,7 @@ class TestRecordedTrajectory:
     """The checked-in history must pass against the checked-in benches."""
 
     @pytest.mark.parametrize(
-        "bench", ["batched_sampling", "bulk_ingest"]
+        "bench", ["bulk_ingest", "monitoring", "flight_recorder"]
     )
     def test_recorded_bench_passes_checked_in_history(self, bench):
         payload_path = os.path.join(_REPO, f"BENCH_{bench}.json")

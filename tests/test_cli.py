@@ -94,6 +94,34 @@ class TestScenarioFlags:
                 assert parsed.scenario == name
 
 
+#: The CI readout flags of ``repro obs``.
+_OBS_FLAGS = [
+    "--shards", "3", "--vertices", "200", "--edges", "800",
+    "--rounds", "5", "--fault-rate", "0.05",
+]
+
+
+class TestReadoutsAreDeterministic:
+    """A seeded readout carries no wall-clock series: two runs of the
+    same invocation print the same bytes."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["obs", "--format", "json", *_OBS_FLAGS],
+            ["obs", "--format", "prometheus", *_OBS_FLAGS],
+            ["doctor", "--format", "json"],
+        ],
+        ids=["obs-json", "obs-prometheus", "doctor-json"],
+    )
+    def test_two_runs_print_the_same_bytes(self, capsys, argv):
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 class TestBadInput:
     """Bad input is refused with one ``error:`` line and exit code 2."""
 

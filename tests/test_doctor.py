@@ -1,4 +1,4 @@
-"""Tests for the samtree doctor and histogram exemplars.
+"""Tests for the samtree doctor.
 
 Pins the structural-health observability contract (DESIGN.md §12):
 
@@ -7,10 +7,7 @@ Pins the structural-health observability contract (DESIGN.md §12):
   and across cluster crash/recovery;
 * fill factors land in ``(0, 1]`` and depth equals the measured tree
   height; node counts match an independent walk;
-* the ``--fail-on`` threshold gate (parsing + violations + CLI exit 3);
-* histogram exemplars survive the merge path and the Prometheus
-  exposition round-trip (``lint_prometheus`` passes with exemplar
-  families present).
+* the ``--fail-on`` threshold gate (parsing + violations + CLI exit 3).
 """
 
 from __future__ import annotations
@@ -26,9 +23,6 @@ from repro.core.topology import DynamicGraphStore
 from repro.distributed import LocalCluster
 from repro.errors import ConfigurationError
 from repro.obs import (
-    LatencyHistogram,
-    MetricsRegistry,
-    Tracer,
     check_thresholds,
     diagnose,
     diagnose_cluster,
@@ -284,82 +278,6 @@ class TestThresholdGate:
         assert cli_main(args + ["--fail-on", "fill=0.3,depth=5"]) == 0
         capsys.readouterr()
         assert cli_main(args + ["--fail-on", "bytes=1b"]) == 3
-
-
-class TestExemplars:
-    def test_record_keeps_slowest_per_bucket(self):
-        h = LatencyHistogram().enable_exemplars()
-        h.record(3e-6, trace_id=1, detail="a")
-        h.record(3.5e-6, trace_id=2, detail="b")  # same bucket, slower
-        h.record(100e-6, trace_id=3, detail="c")
-        ex = h.exemplars()
-        values = {e.detail: e.value for e in ex.values()}
-        assert "b" in values and "a" not in values
-        assert "c" in values
-        # Disabled histograms expose nothing and pay nothing.
-        cold = LatencyHistogram()
-        cold.record(1e-3)
-        assert cold.exemplars() == {}
-        assert not cold.exemplars_enabled
-
-    def test_merge_takes_slower_exemplar(self):
-        a = LatencyHistogram().enable_exemplars()
-        b = LatencyHistogram().enable_exemplars()
-        a.record(3e-6, detail="mine")
-        b.record(3.9e-6, detail="theirs")
-        a.merge(b)
-        details = {e.detail for e in a.exemplars().values()}
-        assert details == {"theirs"}
-
-    def test_exemplars_survive_prometheus_lint_round_trip(self):
-        reg = MetricsRegistry()
-        h = reg.histogram(
-            "repro_sample_batch_seconds", "batched sampling latency",
-            shard=0,
-        ).enable_exemplars()
-        tracer = Tracer(seed=0)
-        with tracer.span("sample") as span:
-            h.record(0.004, trace_id=span.trace_id, detail="srcs=len:64 k=10")
-        h.record(0.5, trace_id=None, detail="cold path")
-        text = to_prometheus_text(reg)
-        stats = lint_prometheus(text)  # must not raise
-        assert stats["families"] >= 2
-        assert "repro_sample_batch_seconds_exemplar{" in text
-        assert 'detail="cold path"' in text
-        # Exemplar value is the recorded latency in seconds.
-        line = next(
-            ln for ln in text.splitlines()
-            if ln.startswith("repro_sample_batch_seconds_exemplar")
-            and 'detail="cold path"' in ln
-        )
-        assert float(line.rsplit(" ", 1)[1]) == 0.5
-
-    def test_reset_clears_exemplars(self):
-        h = LatencyHistogram().enable_exemplars()
-        h.record(1e-3, detail="x")
-        h.reset()
-        assert h.exemplars() == {}
-        assert h.exemplars_enabled  # stays enabled across reset
-
-    def test_instrumented_store_tags_ops_with_active_span(self):
-        from repro.core.metrics import InstrumentedStore
-
-        tracer = Tracer(seed=0)
-        store = InstrumentedStore(
-            DynamicGraphStore(SamtreeConfig(capacity=8)), tracer=tracer
-        )
-        store.metrics.enable_exemplars()
-        with tracer.span("ingest") as span:
-            for i in range(20):
-                store.add_edge(0, i)
-            want = span.trace_id
-        exemplars = store.metrics.histograms["insert"].exemplars()
-        assert exemplars, "insert ops must leave exemplars behind"
-        assert {e.trace_id for e in exemplars.values()} == {want}
-        # Without an active span the op still records, untagged.
-        store.sample_neighbors(0, 4, rng=random.Random(0))
-        sample_ex = store.metrics.histograms["sample"].exemplars()
-        assert all(e.trace_id is None for e in sample_ex.values())
 
 
 def test_fill_bins_cover_unit_interval():

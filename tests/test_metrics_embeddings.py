@@ -7,12 +7,10 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.metrics import InstrumentedStore, StoreMetrics
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.errors import ConfigurationError, VertexNotFoundError
 from repro.gnn.embeddings import EmbeddingTable, SkipGramTrainer
-from repro.gnn.samplers import sample_neighbor_matrix
 from repro.obs.hist import LatencyHistogram
 
 
@@ -55,62 +53,6 @@ class TestLatencyHistogram:
         hist = LatencyHistogram()
         hist.record(1e-5)
         assert set(hist.summary()) == {"count", "mean", "p50", "p99", "max"}
-
-
-class TestStoreMetrics:
-    def test_families(self):
-        metrics = StoreMetrics()
-        metrics.record("insert", 1e-6)
-        assert metrics.histograms["insert"].count == 1
-        with pytest.raises(ConfigurationError):
-            metrics.record("nope", 1e-6)
-
-    def test_report_format(self):
-        metrics = StoreMetrics()
-        metrics.record("sample", 2e-6)
-        report = metrics.report()
-        assert "sample" in report and "p99" in report
-
-    def test_reset(self):
-        metrics = StoreMetrics()
-        metrics.record("read", 1e-6)
-        metrics.reset()
-        assert metrics.histograms["read"].count == 0
-
-
-class TestInstrumentedStore:
-    def test_wraps_transparently(self, rng):
-        inner = DynamicGraphStore(SamtreeConfig(capacity=8))
-        store = InstrumentedStore(inner)
-        assert store.add_edge(1, 2, 0.5) is True
-        assert store.update_edge(1, 2, 0.9) is True
-        assert store.edge_weight(1, 2) == pytest.approx(0.9)
-        assert store.degree(1) == 1
-        assert store.neighbors(1) == [(2, 0.9)]
-        assert store.sample_neighbors(1, 3, rng) == [2, 2, 2]
-        assert store.remove_edge(1, 2) is True
-        assert store.num_edges == 0
-        store.check_invariants()
-
-    def test_records_per_family(self, rng):
-        store = InstrumentedStore(DynamicGraphStore())
-        for i in range(10):
-            store.add_edge(1, i, 1.0)
-        store.sample_neighbors(1, 5, rng)
-        store.neighbors(1)
-        h = store.metrics.histograms
-        assert h["insert"].count == 10
-        assert h["sample"].count == 1
-        assert h["read"].count == 1
-        assert h["delete"].count == 0
-
-    def test_usable_by_samplers(self, rng):
-        store = InstrumentedStore(DynamicGraphStore())
-        for i in range(5):
-            store.add_edge(7, 100 + i, 1.0)
-        out = sample_neighbor_matrix(store, [7], 4, rng)
-        assert out.shape == (1, 4)
-        assert store.metrics.histograms["sample"].count == 1
 
 
 class TestEmbeddingTable:

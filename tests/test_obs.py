@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
-from repro.core.metrics import InstrumentedStore, StoreMetrics
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.distributed import (
@@ -517,18 +516,6 @@ class TestStatsInstrumentation:
         }
         assert all(v == 0.0 for v in counters.values()), counters
         assert len(tracer.finished) == 0
-
-    def test_store_metrics_register_into(self):
-        store = InstrumentedStore(DynamicGraphStore(SamtreeConfig(capacity=8)))
-        reg = MetricsRegistry()
-        store.metrics.register_into(reg)
-        store.add_edge(1, 2, 1.0)
-        store.sample_neighbors(1, 2, random.Random(0))
-        snap = reg.snapshot()
-        key = 'repro_store_op_latency_seconds{op="insert"}'
-        assert snap.histograms[key][1] == 1
-        text = to_prometheus_text(reg)
-        assert lint_prometheus(text)["families"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,9 @@ def _client(frozen=False, **kwargs):
 
 
 def _hot_client():
-    cluster = LocalCluster(num_servers=4, hot_set_capacity=64)
+    cluster = LocalCluster(
+        num_servers=4, hot_set_capacity=64, network=NetworkModel()
+    )
     _load(cluster.client)
     for _ in range(3):
         cluster.client.sample_neighbors_many([1, 1, 1, 2, 2, 3] + KNOWN, 2, 0)
@@ -115,7 +117,6 @@ TARGETS = {
     "store_descent": (_store(cache=False), True),
     "client_coalesce": (_client().client, True),
     "client_frozen": (_client(frozen=True).client, True),
-    "client_no_coalesce": (_client(coalesce=False).client, True),
     "client_hot": (_hot_client().client, False),
     "baseline_api_default": (_load(PlatoGLStore()), True),
 }
@@ -166,13 +167,39 @@ def test_every_layer_returns_the_same_block(srcs, k, seed, weighted, name):
     _check_block(grouped, [s for s, c in zip(distinct, counts) for _ in range(c)], k)
 
 
+def _ledgers(target):
+    """What a client read charges: its serving counters, its hot
+    tracker's and its network's (none of them on a store)."""
+    holders = (
+        getattr(target, "serving_stats", None),
+        getattr(getattr(target, "hot_tracker", None), "stats", None),
+        getattr(getattr(target, "network", None), "stats", None),
+    )
+    return [h.to_dict() for h in holders if h is not None]
+
+
 @pytest.mark.parametrize(
-    "name", ["store_frozen", "store_warm", "store_descent", "baseline_api_default"]
+    "name",
+    [
+        "store_frozen",
+        "store_warm",
+        "store_descent",
+        "baseline_api_default",
+        "client_coalesce",
+        "client_frozen",
+        "client_hot",
+    ],
 )
 def test_negative_fanout_is_a_typed_error_on_every_store_tier(name):
     target, _ = TARGETS[name]
+    before = _ledgers(target)
     with pytest.raises(ConfigurationError):
-        target.sample_neighbors_many([1, 2], -1, 0)
+        target.sample_neighbors_many([1, 1], -1, 0)
+    if name.startswith("client"):
+        with pytest.raises(ConfigurationError):
+            target.sample_neighbors(1, -1, 0)
+    # Refused before any counter, tracker or network charge.
+    assert _ledgers(target) == before
 
 
 def test_block_rows_helper_maps_the_three_states():

@@ -58,8 +58,8 @@ class TestAdmission:
 
 
 class TestCoalescing:
-    def _cluster(self, coalesce: bool) -> LocalCluster:
-        cluster = LocalCluster(num_servers=2, coalesce=coalesce)
+    def _cluster(self) -> LocalCluster:
+        cluster = LocalCluster(num_servers=2)
         # One heavily-skewed source plus a second shard-mate.
         weights = [10.0, 5.0, 2.0, 2.0, 1.0]
         for dst, w in enumerate(weights):
@@ -68,7 +68,7 @@ class TestCoalescing:
         return cluster
 
     def test_counters_and_rate(self):
-        cluster = self._cluster(coalesce=True)
+        cluster = self._cluster()
         stats = cluster.client.serving_stats
         frontier = [7, 8, 7, 7, 8]
         cluster.client.sample_neighbors_many(
@@ -84,7 +84,7 @@ class TestCoalescing:
     def test_duplicates_get_independent_draws(self):
         # Every occurrence of a coalesced source must receive its own
         # draws (server-side expansion), not copies of one row.
-        cluster = self._cluster(coalesce=True)
+        cluster = self._cluster()
         rows = cluster.client.sample_neighbors_many(
             [7] * 400, 1, np.random.default_rng(1)
         ).rows()
@@ -98,30 +98,17 @@ class TestCoalescing:
     def test_distribution_matches_uncoalesced_path(self):
         weights = np.array([10.0, 5.0, 2.0, 2.0, 1.0])
         expected = 200 * weights / weights.sum()
-        for coalesce in (False, True):
-            cluster = self._cluster(coalesce=coalesce)
-            rows = cluster.client.sample_neighbors_many(
-                [7, 8, 7] * 200, 1, np.random.default_rng(2)
-            ).rows()
-            counts = Counter(int(rows[i][0]) for i in range(0, 600, 3))
-            observed = [counts.get(100 + i, 0) for i in range(5)]
-            assert _chi2_pvalue(observed, expected) > 0.01, coalesce
-
-    def test_uncoalesced_window_has_no_grouped_rpcs(self):
-        cluster = self._cluster(coalesce=False)
-        stats = cluster.client.serving_stats
-        cluster.client.sample_neighbors_many(
-            [7, 8, 7, 7], 2, np.random.default_rng(0)
-        )
-        assert stats.grouped_rpcs == 0
-        assert stats.coalesced_sources == 0
-        assert stats.shard_rpcs >= 1
+        cluster = self._cluster()
+        rows = cluster.client.sample_neighbors_many(
+            [7, 8, 7] * 200, 1, np.random.default_rng(2)
+        ).rows()
+        counts = Counter(int(rows[i][0]) for i in range(0, 600, 3))
+        observed = [counts.get(100 + i, 0) for i in range(5)]
+        assert _chi2_pvalue(observed, expected) > 0.01
 
 
 def _hot_cluster(num_servers: int = 4) -> LocalCluster:
-    cluster = LocalCluster(
-        num_servers=num_servers, hot_set_capacity=64, coalesce=True
-    )
+    cluster = LocalCluster(num_servers=num_servers, hot_set_capacity=64)
     rng = np.random.default_rng(3)
     hub = 9
     for dst in rng.integers(0, 1 << 20, 50):

@@ -22,15 +22,16 @@ from repro.errors import (
 )
 from repro.gnn.inference import embed_vertices
 from repro.gnn.samplers import sample_blocks_partial
+from repro.obs.replay import build_rig_from_spec, make_spec, scenario_from_spec
 from repro.serving import (
     AdmissionGate,
     CircuitBreaker,
     DegradedAnswerCache,
     InferenceService,
+    ScenarioRunner,
     TokenBucket,
     build_report,
     build_serving_rig,
-    run_scenario,
 )
 from repro.serving.admission import (
     SHED_DEADLINE_HOPELESS,
@@ -640,12 +641,19 @@ class TestInferenceService:
 # ---------------------------------------------------------------------------
 # scenarios + SLO reports
 # ---------------------------------------------------------------------------
+def _run_scenario(name, seed, **rig_kwargs):
+    """Build a rig and run one named scenario through the spec path the
+    CLI and incident replay use; returns ``(rig, report)``."""
+    spec = make_spec(name, seed=seed, rig_kwargs=rig_kwargs)
+    rig = build_rig_from_spec(spec)
+    scenario = scenario_from_spec(spec, rig.num_sources)
+    return rig, ScenarioRunner(rig, scenario).run()
+
+
 class TestScenarios:
     def test_regional_outage_degrades_instead_of_failing(self):
-        _rig, report = run_scenario(
-            "regional_outage",
-            seed=11,
-            rig_kwargs={"num_sources": 400, "num_shards": 4},
+        _rig, report = _run_scenario(
+            "regional_outage", seed=11, num_sources=400, num_shards=4
         )
         assert report.failed == 0
         assert report.sample_errors == 0
@@ -654,19 +662,26 @@ class TestScenarios:
         assert report.meets_target
 
     def test_flash_crowd_shedding_beats_the_control_arm(self):
-        shed_rig, shed = run_scenario(
-            "flash_crowd",
-            seed=11,
-            rig_kwargs={"num_sources": 400, "num_shards": 4},
+        shed_rig, shed = _run_scenario(
+            "flash_crowd", seed=11, num_sources=400, num_shards=4
         )
-        _noshed_rig, noshed = run_scenario(
+        _noshed_rig, noshed = _run_scenario(
             "flash_crowd",
             seed=11,
             shedding=False,
-            rig_kwargs={"num_sources": 400, "num_shards": 4},
+            num_sources=400,
+            num_shards=4,
+        )
+        _calm_rig, calm = _run_scenario(
+            "calm", seed=11, num_sources=400, num_shards=4
         )
         assert shed.availability >= 0.99
         assert sum(shed.shed.values()) > 0
+        # Shedding keeps the flash-crowd tail within twice the calm tail.
+        assert shed.p99_seconds <= 2.0 * calm.p99_seconds
+        # The control arm collapses below the target, so the scenario
+        # really overloads the tier.
+        assert noshed.availability < 0.99
         assert noshed.availability < shed.availability
         assert sum(noshed.shed.values()) == 0
         # Every shed is accounted to exactly one cause on the service.
@@ -674,8 +689,8 @@ class TestScenarios:
         assert stats.shed_total == sum(shed.shed.values())
 
     def test_report_shape_and_render(self):
-        _rig, report = run_scenario(
-            "calm", seed=3, rig_kwargs={"num_sources": 200, "num_shards": 2}
+        _rig, report = _run_scenario(
+            "calm", seed=3, num_sources=200, num_shards=2
         )
         payload = report.to_dict()
         assert payload["scenario"] == "calm"
@@ -696,4 +711,4 @@ class TestScenarios:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_scenario("tsunami")
+            make_spec("tsunami")

@@ -34,17 +34,13 @@ ALLOWED_ORPHANS = {
 
 #: The ``src/repro`` files that may read ``time.perf_counter``: the clock
 #: defaults of the tracer and the monitor, the PALM makespan, the build
-#: and batch-size workloads, and ``repro sample``'s timing; plus two
-#: timers that bench_batched_sampling's overhead gate and
-#: bench_zipf_serving's modeled makespan read until those benches retire.
+#: and batch-size workloads, and ``repro sample``'s timing.
 WALL_CLOCK_FILES = {
     "obs/trace.py",
     "obs/monitor.py",
     "concurrency/palm.py",
     "bench/workloads.py",
     "cli.py",
-    "core/metrics.py",
-    "distributed/client.py",
 }
 
 
