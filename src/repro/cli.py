@@ -505,7 +505,7 @@ def _cmd_incidents(args: argparse.Namespace) -> int:
             return 0
         print(f"{len(metas)} incident bundle(s) under {args.dir!r}:")
         for m in metas:
-            what = m.get("rule") or m.get("trigger", "?")
+            what = m.get("rule") or m.get("trigger") or "?"
             t_rel = m.get("t_rel")
             when = f"t_rel={t_rel:.3f}s" if t_rel is not None else "t_rel=?"
             print(f"  {m['id']:<44} {what:<28} {when}")

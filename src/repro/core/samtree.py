@@ -77,6 +77,8 @@ class OpStats(Stats):
     that bound (the samtree doctor reports it; DESIGN.md §12).
     """
 
+    GAUGES = ("leaf_fraction",)
+
     leaf_ops: int = 0
     internal_ops: int = 0
     leaf_splits: int = 0

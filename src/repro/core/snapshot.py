@@ -214,7 +214,7 @@ def flatten_tree(tree) -> Tuple[np.ndarray, np.ndarray]:
 class SnapshotCacheStats(Stats):
     """Counters describing image effectiveness (exported by benchmarks)."""
 
-    DERIVED = ("hit_rate",)
+    DERIVED = GAUGES = ("hit_rate",)
 
     hits: int = 0  #: lookups that found a clean row
     misses: int = 0  #: lookups that found none, or a dirty one

@@ -116,8 +116,8 @@ class DynamicGraphStore(GraphStoreAPI):
         self.stats = OpStats()
         #: Cumulative columnar-ingest ledger: every
         #: :meth:`apply_edge_batch` merges its per-call
-        #: :class:`IngestStats` in here, so registry views
-        #: (``repro_ingest_*``; DESIGN.md §11) see lifetime totals.
+        #: :class:`IngestStats` in here, so the registry's
+        #: ``repro_ingest_*`` series (DESIGN.md §11) see lifetime totals.
         self.ingest_stats = IngestStats()
         #: ``(etype, src)`` -> a :class:`Samtree`, or the ``int`` row of
         #: :attr:`slab` for a source that never outgrew ``c``.
@@ -332,29 +332,6 @@ class DynamicGraphStore(GraphStoreAPI):
     # ------------------------------------------------------------------
     # bulk ingestion (the columnar write path)
     # ------------------------------------------------------------------
-    def bulk_load(
-        self, src, dst=None, weight=None, etype=None
-    ) -> IngestStats:
-        """Insert-only columnar bulk load (the graph-build shape).
-
-        Accepts either an insert-only :class:`EdgeBatch` or raw columns
-        (``src``/``dst`` arrays plus optional ``weight``/``etype``, each
-        broadcastable from a scalar).  Equivalent to an ``add_edge`` loop
-        with last-wins upsert semantics, but every new source's
-        adjacency is placed by one segmented pass — a slab row, or a
-        samtree built bottom-up in O(n) when it exceeds ``c``.
-        """
-        if isinstance(src, EdgeBatch):
-            batch = src
-            if not batch.is_insert_only:
-                raise ConfigurationError(
-                    "bulk_load takes insert-only batches; use "
-                    "apply_edge_batch for mixed-op batches"
-                )
-        else:
-            batch = EdgeBatch.inserts(src, dst, weight, etype)
-        return self.apply_edge_batch(batch)
-
     def apply_edge_batch(
         self, batch, dst=None, weight=None, etype=None, op=None
     ) -> IngestStats:

@@ -211,7 +211,9 @@ class GraphStoreAPI(abc.ABC):
     # (:meth:`repro.core.topology.DynamicGraphStore.apply_edge_batch`).
     # Imports are lazy: :mod:`repro.core.ingest` imports this module.
     def bulk_load(self, src, dst=None, weight=None, etype=None):
-        """Insert-only columnar load; returns an ``IngestStats``."""
+        """Insert-only columnar load (the graph build) of an insert-only
+        ``EdgeBatch`` or of raw columns, each broadcastable from a
+        scalar; returns an ``IngestStats``."""
         from repro.core.ingest import EdgeBatch
 
         if isinstance(src, EdgeBatch):

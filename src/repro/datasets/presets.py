@@ -165,14 +165,6 @@ class GraphData:
             etype,
         )
 
-    def all_vertices(self) -> List[int]:
-        """Distinct vertex IDs appearing as any endpoint."""
-        seen = set()
-        for rel in self.relations:
-            seen.update(int(v) for v in rel.src)
-            seen.update(int(v) for v in rel.dst)
-        return sorted(seen)
-
     def forward_relations(self) -> List["RelationData"]:
         """Relations as listed in Table III (reversed twins excluded)."""
         return [r for r in self.relations if not r.spec.name.startswith("rev:")]

@@ -87,7 +87,7 @@ class ServingStats(Stats):
     coherence write fan-out to hot copies.
     """
 
-    DERIVED = ("coalesce_rate",)
+    DERIVED = GAUGES = ("coalesce_rate",)
 
     batches: int = 0
     #: Frontier rows requested through the batched sampling path.
@@ -514,19 +514,6 @@ class GraphClient(GraphStoreAPI):
                 for src in set(sub.src.tolist()):
                     hot.drop_shard(src, shard)
                 self.serving_stats.hot_write_drops += 1
-
-    def bulk_load(self, src, dst=None, weight=None, etype=None) -> IngestStats:
-        """Insert-only columnar load across the cluster (graph build)."""
-        if isinstance(src, EdgeBatch):
-            batch = src
-            if not batch.is_insert_only:
-                raise ConfigurationError(
-                    "bulk_load takes insert-only batches; use "
-                    "apply_edge_batch for mixed-op batches"
-                )
-        else:
-            batch = EdgeBatch.inserts(src, dst, weight, etype)
-        return self.apply_edge_batch(batch)
 
     # ------------------------------------------------------------------
     # queries (failover reads; may return UNAVAILABLE in degraded mode)

@@ -40,7 +40,6 @@ from repro.distributed.retry import RetryPolicy
 from repro.distributed.rpc import NetworkModel
 from repro.distributed.server import GraphServer
 from repro.errors import ConfigurationError
-from repro.obs.instrument import register_cluster, store_holders
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.storage.wal import ShardWAL
@@ -57,6 +56,64 @@ class ShardInfo:
     num_edges: int
     nbytes: int
     live_replicas: int = 1
+
+
+#: A topology store's ``*Stats`` holders: ``(metric prefix, attribute
+#: path)``; a store without one (a baseline's) exports no such family.
+_STORE_HOLDERS = (
+    ("repro_samtree", ("stats",)),
+    ("repro_snapshot_cache", ("snapshot_cache", "stats")),
+    ("repro_ingest", ("ingest_stats",)),
+    ("repro_frozen", ("frozen_stats",)),
+)
+
+# Read-outs no holder field carries, one table per owner
+# (:meth:`LocalCluster._register_views`): ``(name, read(owner), help,
+# kind)`` — the attached monitor's and flight recorder's own health, and
+# the hot-set tracker's size.
+_MONITOR_VIEWS = (
+    ("repro_monitor_scrapes_total", lambda m: m.store.scrapes,
+     "Registry scrapes taken by the attached monitor", "counter"),
+    ("repro_monitor_resets_total", lambda m: m.store.resets_total,
+     "Counter resets detected across scraped series", "counter"),
+    ("repro_monitor_series", lambda m: m.store.num_series,
+     "Series currently held by the time-series store", "gauge"),
+    ("repro_monitor_points", lambda m: m.store.num_points,
+     "Points across all series ring buffers", "gauge"),
+    ("repro_alerts_evaluations_total", lambda m: m.alerts.evaluations,
+     "Alert-rule evaluation passes", "counter"),
+    ("repro_alerts_transitions_total", lambda m: m.alerts.transitions,
+     "Alert lifecycle transitions recorded", "counter"),
+    ("repro_alerts_pending", lambda m: len(m.alerts.pending()),
+     "Alerts currently pending", "gauge"),
+    ("repro_alerts_firing", lambda m: len(m.alerts.firing()),
+     "Alerts currently firing", "gauge"),
+)
+_RECORDER_VIEWS = (
+    ("repro_recorder_events_total", lambda r: r.events_total,
+     "Events appended to the flight recorder's rings", "counter"),
+    ("repro_recorder_dropped_total", lambda r: r.dropped_total,
+     "Ring-evicted (overwritten) flight-recorder events", "counter"),
+    ("repro_recorder_categories", lambda r: len(r.categories),
+     "Event categories carried by the flight recorder", "gauge"),
+)
+_HOTSET_VIEWS = (
+    ("repro_hotset_tracked", len,
+     "Sources currently tracked by the hot-set sketch", "gauge"),
+)
+
+
+def _via(owner, *path):
+    """A getter of ``owner.<path...>`` read afresh on every call:
+    ``None`` as soon as a hop is missing (a crashed replica's store)."""
+
+    def get():
+        obj = owner
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        return obj
+
+    return get
 
 
 def read_adjacency(store, src: int) -> Dict[int, List[Tuple[int, float]]]:
@@ -210,16 +267,54 @@ class LocalCluster:
             if part is not None:
                 part.telemetry = self.telemetry
         self.hot_replicas = self.client.hot_replicas
-        #: Every layer's stats holder as live ``repro_*`` views
+        #: Every layer's stats holder as live ``repro_*`` series
         #: (DESIGN.md §11).
         self.registry = MetricsRegistry()
-        register_cluster(self.registry, self)
+        #: Getters of the holders registered below; :meth:`reset_stats`
+        #: zeroes exactly these.
+        self._holders: List[Callable[[], object]] = []
+        for prefix, holder, labels in self._holder_table():
+            if self.registry.watch(prefix, holder, **labels):
+                self._holders.append(holder)
+        if self.hot_tracker is not None:
+            self._register_views(_HOTSET_VIEWS, "hot_tracker")
         #: Continuous-monitoring loop over this cluster's registry
         #: (:meth:`attach_monitor`); ``None`` until attached.
         self.monitor = None
 
     def __len__(self) -> int:
         return len(self.servers)
+
+    def _register_views(self, views, owner: str) -> None:
+        """Register ``views`` once per registry, each reading through
+        ``self.<owner>`` so a re-attach rebinds it to the new instance."""
+        if self.registry.has(views[0][0]):
+            return
+        for name, read, help_text, kind in views:
+            self.registry.register_view(
+                name,
+                lambda c=self, read=read: float(read(getattr(c, owner))),
+                help=help_text,
+                kind=kind,
+            )
+
+    def _holder_table(self):
+        """``(prefix, getter, labels)`` of every ``*Stats`` holder:
+        cluster-wide ones, then per replica, labelled ``{shard,
+        replica}``, its server's, its WAL ledger and its store's — read
+        through ``server.store``, so crash and recover need no case."""
+        yield "repro_network", _via(self, "network", "stats"), {}
+        yield "repro_faults", _via(self, "fault_injector", "stats"), {}
+        yield "repro_retry", _via(self, "retry", "stats"), {}
+        yield "repro_cache", _via(self, "client", "serving_stats"), {}
+        yield "repro_hotset", _via(self, "hot_tracker", "stats"), {}
+        for shard, group in enumerate(self.replica_groups):
+            for r, server in enumerate(group):
+                labels = {"shard": str(shard), "replica": str(r)}
+                yield "repro_server", _via(server, "stats"), labels
+                yield "repro_wal", _via(server, "wal"), labels
+                for prefix, path in _STORE_HOLDERS:
+                    yield prefix, _via(server, "store", *path), labels
 
     @property
     def tracer(self):
@@ -533,54 +628,9 @@ class LocalCluster:
         # Transitions reach whatever recorder the hub holds when they
         # happen, so monitor/recorder attach order is immaterial.
         monitor.alerts.add_listener(self.telemetry.on_alert)
-        if not self.registry.has("repro_monitor_scrapes_total"):
-            # Views read through ``self.monitor`` so a re-attach (new
-            # interval / rules) does not leave them pointing at a stale
-            # monitor instance.
-            self.registry.register_view(
-                "repro_monitor_scrapes_total",
-                lambda c=self: float(c.monitor.store.scrapes),
-                help="Registry scrapes taken by the attached monitor",
-            )
-            self.registry.register_view(
-                "repro_monitor_resets_total",
-                lambda c=self: float(c.monitor.store.resets_total),
-                help="Counter resets detected across scraped series",
-            )
-            self.registry.register_view(
-                "repro_monitor_series",
-                lambda c=self: float(c.monitor.store.num_series),
-                help="Series currently held by the time-series store",
-                kind="gauge",
-            )
-            self.registry.register_view(
-                "repro_monitor_points",
-                lambda c=self: float(c.monitor.store.num_points),
-                help="Points across all series ring buffers",
-                kind="gauge",
-            )
-            self.registry.register_view(
-                "repro_alerts_evaluations_total",
-                lambda c=self: float(c.monitor.alerts.evaluations),
-                help="Alert-rule evaluation passes",
-            )
-            self.registry.register_view(
-                "repro_alerts_transitions_total",
-                lambda c=self: float(c.monitor.alerts.transitions),
-                help="Alert lifecycle transitions recorded",
-            )
-            self.registry.register_view(
-                "repro_alerts_pending",
-                lambda c=self: float(len(c.monitor.alerts.pending())),
-                help="Alerts currently pending",
-                kind="gauge",
-            )
-            self.registry.register_view(
-                "repro_alerts_firing",
-                lambda c=self: float(len(c.monitor.alerts.firing())),
-                help="Alerts currently firing",
-                kind="gauge",
-            )
+        # Through ``self.monitor``: a re-attach (new interval / rules)
+        # must not leave the views reading a stale monitor.
+        self._register_views(_MONITOR_VIEWS, "monitor")
         return monitor
 
     def attach_recorder(self, recorder=None, capacity: int = 1024):
@@ -605,56 +655,23 @@ class LocalCluster:
         elif recorder.clock is None:
             recorder.clock = self.telemetry.clock
         self.telemetry.recorder = recorder
-        if not self.registry.has("repro_recorder_events_total"):
-            # Views read through ``self.recorder`` so a re-attach
-            # rebinds them to the current instance.
-            self.registry.register_view(
-                "repro_recorder_events_total",
-                lambda c=self: float(c.recorder.events_total),
-                help="Events appended to the flight recorder's rings",
-            )
-            self.registry.register_view(
-                "repro_recorder_dropped_total",
-                lambda c=self: float(c.recorder.dropped_total),
-                help="Ring-evicted (overwritten) flight-recorder events",
-            )
-            self.registry.register_view(
-                "repro_recorder_categories",
-                lambda c=self: float(len(c.recorder.categories)),
-                help="Event categories carried by the flight recorder",
-                kind="gauge",
-            )
+        self._register_views(_RECORDER_VIEWS, "recorder")
         return recorder
 
     def reset_stats(self) -> None:
-        """Clear server, network, fault, and retry counters (plus any
-        registry-owned metrics and archived traces).
+        """Zero every registered holder (the list registration walked),
+        the inference service's request stats, registry-owned metrics
+        and archived traces.
 
-        Registered *views* need no reset of their own — they read the
-        stats holders live, so clearing the holders clears the views.
         The attached monitor and flight recorder are deliberately left
         alone: their history *is* the incident evidence.
         """
-        for group in self.replica_groups:
-            for s in group:
-                s.stats.reset()
-                for holder in store_holders(s.store):
-                    holder.reset()
-                wal = getattr(s, "wal", None)
-                if wal is not None:
-                    # Zero the append ledger in place; truncate() would
-                    # also drop records a future recovery still needs.
-                    wal.records_appended = 0
-                    wal.bytes_appended = 0
-        for owner in (
-            self.network, self.fault_injector, self.retry, self.hot_tracker
-        ):
-            if owner is not None:
-                owner.stats.reset()
-        self.client.serving_stats.reset()
-        # The online inference tier registers itself on construction
-        # (``repro.serving.service.InferenceService``); clear its
-        # request counters and latency histogram with everything else.
+        for holder in self._holders:
+            stats = holder()
+            if stats is not None:
+                stats.reset()
+        # The online inference tier (``repro.serving.service``) owns
+        # breakers and a cache beside its holder; it resets them itself.
         service = getattr(self, "inference_service", None)
         if service is not None:
             service.reset_stats()

@@ -117,10 +117,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # arming (chaos tests pause injection during verification phases)
     # ------------------------------------------------------------------
-    @property
-    def armed(self) -> bool:
-        return self._armed
-
     def pause(self) -> None:
         """Stop injecting (verification phases of chaos tests)."""
         self._armed = False

@@ -55,7 +55,7 @@ DEFAULT_DECAY_INTERVAL = 1 << 17
 @dataclass
 class HotSetStats(Stats):
     """Counters describing tracker behaviour (exported as
-    ``repro_hotset_*`` by :func:`repro.obs.instrument.register_cluster`)."""
+    ``repro_hotset_*`` by the cluster's registry)."""
 
     observations: int = 0
     replacements: int = 0

@@ -34,7 +34,6 @@ This module implements that loop online for the in-process cluster:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -141,31 +140,17 @@ class OverridePartitioner(Partitioner):
 # ---------------------------------------------------------------------------
 # load measurement
 # ---------------------------------------------------------------------------
-_SHARD_LABEL = re.compile(r'shard="(\d+)"')
-
-
-def _traffic_by_shard(cluster: LocalCluster) -> List[int]:
-    """Per-shard sampling traffic from the obs registry — the
-    ``repro_server_sample_sources{shard, replica}`` *row volume* series
-    (RPC counts would hide skew: the client ships one batched message
-    per shard per window regardless of how many rows it carries),
-    summed over each shard's replicas."""
-    snapshot = cluster.registry.snapshot()
-    loads = [0] * len(cluster.servers)
-    for key, value in snapshot.scalars.items():
-        if not key.startswith("repro_server_sample_sources{"):
-            continue
-        match = _SHARD_LABEL.search(key)
-        if match is None:
-            continue
-        loads[int(match.group(1))] += int(value)
-    return loads
-
-
 def _shard_loads(cluster: LocalCluster, by: str) -> List[int]:
+    """Per-shard load: the primary's edge count, or sampling traffic —
+    the ``sample_sources`` *row volume* (RPC counts would hide skew: the
+    client ships one batched message per shard per window regardless of
+    how many rows it carries), summed over each shard's replicas."""
     if by == "edges":
         return [server.store.num_edges for server in cluster.servers]
-    return _traffic_by_shard(cluster)
+    return [
+        sum(server.stats.sample_sources for server in group)
+        for group in cluster.replica_groups
+    ]
 
 
 def _source_loads(

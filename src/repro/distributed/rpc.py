@@ -30,6 +30,8 @@ class NetworkStats(Stats):
     backoff on one consistent time base.
     """
 
+    GAUGES = ("last_send_seconds",)
+
     messages: int = 0
     payload_bytes: int = 0
     simulated_seconds: float = 0.0

@@ -9,10 +9,11 @@ subsystem reports into:
 * :mod:`repro.obs.hist` — the log₂ :class:`LatencyHistogram`, with
   exact bucket bounds, merge, and snapshot state;
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` of named
-  counters, gauges, and histograms with labels, plus *views* over the
-  legacy ``*Stats`` holders (pull-based, so hot paths keep their plain
-  attribute increments and pay **zero** collection cost until a
-  snapshot or export materialises them);
+  counters, gauges, and histograms with labels; it *watches* each
+  ``*Stats`` holder through one getter (:meth:`MetricsRegistry.watch`:
+  a series per counter field and declared gauge, pull-based, so hot
+  paths keep their plain attribute increments and pay **zero**
+  collection cost until a snapshot or export materialises them);
 * :mod:`repro.obs.telemetry` — the one instrumentation seam: the
   :class:`Telemetry` hub every layer emits spans and flight events
   through (a cluster owns one and shares it by reference), and the
@@ -25,10 +26,6 @@ subsystem reports into:
   the exposition-format linter CI uses;
 * :mod:`repro.obs.report` — the human ``repro obs`` report (per-shard
   skew table, top-k slow traces, cache/retry/WAL counters);
-* :mod:`repro.obs.instrument` — helpers registering every legacy
-  ``*Stats`` holder (``OpStats``, ``ServerStats``, ``NetworkStats``,
-  ``RetryStats``, ``FaultStats``, ``IngestStats``,
-  ``SnapshotCacheStats``) into one shared registry;
 * :mod:`repro.obs.doctor` — the samtree doctor: structural-health
   diagnosis (depth/fill histograms, α-Split pivot quality, FSTable vs
   CSTable counts) plus the per-component memory breakdown whose sum
@@ -100,11 +97,6 @@ from repro.obs.incident import (
     load_bundle,
     write_bundle,
 )
-from repro.obs.instrument import (
-    register_cluster,
-    register_stats,
-    register_store,
-)
 from repro.obs.monitor import Monitor, TimeSeriesStore
 from repro.obs.registry import (
     Counter,
@@ -163,9 +155,6 @@ __all__ = [
     "load_bundle",
     "make_spec",
     "parse_fail_on",
-    "register_cluster",
-    "register_stats",
-    "register_store",
     "render_report",
     "replay_bundle",
     "scenario_from_spec",

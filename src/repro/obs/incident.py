@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import traceback
 from contextlib import contextmanager
 from typing import Dict, List, Optional
@@ -298,10 +299,55 @@ def write_bundle(bundle: Dict, out_dir: str) -> str:
     return path
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number a float format prints (``true`` is not one)."""
+    return isinstance(value, float) or (
+        _is_int(value) and abs(value) <= sys.float_info.max
+    )
+
+
+def _bad_field(section: str, value: Dict) -> Optional[str]:
+    """The first field ``repro incidents`` reads from a section that has
+    the wrong shape, or ``None``.  Absent optional fields are fine."""
+    if section == "meta":
+        if not isinstance(value.get("id"), str):
+            return "id"
+        for key in ("t", "t_rel", "value"):
+            if value.get(key) is not None and not _is_number(value[key]):
+                return key
+        for key in ("trigger", "rule"):
+            if not isinstance(value.get(key), (str, type(None))):
+                return key
+    elif section == "events":
+        for key in ("events_total", "dropped_total"):
+            if key in value and not _is_int(value[key]):
+                return key
+        categories = value.get("categories", {})
+        if not isinstance(categories, dict) or not all(
+            isinstance(cat, dict)
+            and _is_int(cat.get("total", 0))
+            and isinstance(cat.get("events", []), list)
+            for cat in categories.values()
+        ):
+            return "categories"
+    elif section == "metrics":
+        diff = value.get("window_diff", {})
+        if not isinstance(diff, dict) or not all(
+            map(_is_number, diff.values())
+        ):
+            return "window_diff"
+    return None
+
+
 def _read_section(path: str, section: str):
     """One bundle file's JSON: ``traces`` is an array, ``spec`` an
-    object or null, every other section an object.  Anything else —
-    or bytes that do not decode — raises :class:`ConfigurationError`
+    object or null, every other section an object whose fields the CLI
+    reads have their types (:func:`_bad_field`).  Anything else — or
+    bytes that do not decode — raises :class:`ConfigurationError`
     naming the file."""
     try:
         with open(path) as fh:
@@ -316,6 +362,9 @@ def _read_section(path: str, section: str):
             f"{path!r} holds a JSON {type(value).__name__}, not "
             f"{'an array' if kind is list else 'an object'}"
         )
+    bad = _bad_field(section, value) if kind is dict else None
+    if bad is not None:
+        raise ConfigurationError(f"{path!r} has a malformed {bad!r} field")
     return value
 
 

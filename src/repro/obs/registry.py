@@ -1,22 +1,25 @@
 """MetricsRegistry: named counters, gauges, and histograms with labels.
 
 One registry instance is the aggregation point of a deployment — a
-:class:`~repro.distributed.cluster.LocalCluster` owns one, a
-:class:`~repro.gnn.training.Trainer` can share it, and exporters
-(:mod:`repro.obs.export`) and the ``repro obs`` report read it.
+:class:`~repro.distributed.cluster.LocalCluster` owns one, and
+exporters (:mod:`repro.obs.export`) and the ``repro obs`` report read
+it.
 
-Two kinds of entries coexist:
+Three kinds of entries coexist:
 
 * **owned metrics** — :class:`Counter` / :class:`Gauge` /
   :class:`~repro.obs.hist.LatencyHistogram` objects created through
   :meth:`MetricsRegistry.counter` & friends; callers mutate them
   directly (``c.inc()``, ``h.record(dt)``);
-* **views** — zero-copy read-throughs over the legacy ``*Stats``
-  holders (:meth:`MetricsRegistry.register_view` /
-  :func:`repro.obs.instrument.register_stats`).  The holders keep their
+* **watched holders** — zero-copy read-throughs over the ``*Stats``
+  holders (:meth:`MetricsRegistry.watch`): one getter per holder, one
+  series per counter field and declared gauge.  The holders keep their
   plain attribute increments — the hot paths pay nothing — and the
   registry materialises their values only when a snapshot or export
-  asks.
+  asks;
+* **views** — one callback per series
+  (:meth:`MetricsRegistry.register_view`), for a read-out no holder
+  field carries (a monitor's scrape count, a tracker's size).
 
 Metric identity is ``(name, sorted labels)``; names follow the
 ``repro_<subsystem>_<metric>`` scheme (see DESIGN.md §11) and must match
@@ -85,9 +88,6 @@ class Counter:
             )
         self.value += amount
 
-    def get(self) -> float:
-        return self.value
-
 
 class Gauge:
     """Point-in-time value (owned metric)."""
@@ -103,12 +103,6 @@ class Gauge:
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def get(self) -> float:
-        return self.value
 
 
 class Sample:
@@ -129,21 +123,36 @@ class Sample:
 
 
 class _Entry:
-    """Registry slot: an owned metric or a view callback."""
+    """Registry slot: an owned metric, a view callback, or one field of
+    a watched holder."""
 
-    __slots__ = ("name", "kind", "help", "labels", "obj", "read", "key")
+    __slots__ = (
+        "name", "kind", "help", "labels", "obj", "read", "field", "key"
+    )
 
-    def __init__(self, name, kind, help_text, labels, obj, read) -> None:
+    def __init__(
+        self, name, kind, help_text, labels, obj, read, field
+    ) -> None:
         self.name = name
         self.kind = kind
         self.help = help_text
         self.labels = labels
         self.obj = obj  # owned metric / histogram, or None for views
-        self.read = read  # () -> float for scalars, unused for histograms
+        self.read = read  # a view's () -> float, a field's () -> holder
+        self.field = field  # the holder attribute a watched field reads
         # Canonical string identity, computed once: snapshot() runs on
         # the monitor's scrape cadence, so per-collect key building is
         # measurable registry-width work (bench_monitoring gates it).
         self.key = metric_key(name, labels)
+
+    def value(self) -> float:
+        """The scalar's current value (a down holder reads 0)."""
+        if self.read is None:
+            return self.obj.value
+        if self.field is None:
+            return self.read()
+        holder = self.read()
+        return getattr(holder, self.field) if holder is not None else 0.0
 
 
 class RegistrySnapshot:
@@ -253,8 +262,9 @@ class MetricsRegistry:
         help_text: str,
         labels: Dict[str, object],
         factory: Callable[[], object],
-        read: Optional[Callable[[], float]],
+        read: Optional[Callable[[], object]],
         allow_existing: bool = True,
+        field: Optional[str] = None,
     ) -> _Entry:
         if not _NAME_RE.match(name):
             raise ConfigurationError(f"invalid metric name {name!r}")
@@ -275,7 +285,7 @@ class MetricsRegistry:
                     )
                 return entry
             obj = factory()
-            entry = _Entry(name, kind, help_text, items, obj, read)
+            entry = _Entry(name, kind, help_text, items, obj, read, field)
             self._entries[key] = entry
             self._sorted = None
             self._kind[name] = kind
@@ -303,6 +313,34 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # views (pull-based: read the source of truth at collection time)
     # ------------------------------------------------------------------
+    def watch(
+        self, prefix: str, holder: Callable[[], object], **labels
+    ) -> bool:
+        """Export a ``*Stats`` holder: ``{prefix}_{field}`` per counter
+        of ``holder().counters()`` and per name its class lists in
+        ``GAUGES`` (those as gauges).
+
+        ``holder`` is called at every snapshot/export, so an owner that
+        swaps the object behind it — ``GraphServer.recover`` its store,
+        a new ``InferenceService`` the cluster's — stays visible, and
+        while it returns ``None`` (a crashed replica's store) the series
+        read 0.  The holder present now fixes the series; with none,
+        nothing is registered and ``False`` is returned.
+        """
+        stats = holder()
+        if stats is None:
+            return False
+        counters = stats.counters()
+        gauges = getattr(stats, "GAUGES", ())
+        what = prefix.replace("_", " ")
+        for field in counters + tuple(g for g in gauges if g not in counters):
+            kind = "gauge" if field in gauges else "counter"
+            self._slot(
+                f"{prefix}_{field}", kind, f"{what}: {field}", labels,
+                lambda: None, holder, allow_existing=False, field=field,
+            )
+        return True
+
     def register_view(
         self,
         name: str,
@@ -319,16 +357,6 @@ class MetricsRegistry:
         self._slot(
             name, kind, help, labels, lambda: None, read, allow_existing=False
         )
-
-    def register_histogram(
-        self, name: str, hist: LatencyHistogram, help: str = "", **labels
-    ) -> LatencyHistogram:
-        """Register an externally-owned histogram under ``(name, labels)``."""
-        self._slot(
-            name, "histogram", help, labels, lambda: hist, None,
-            allow_existing=False,
-        )
-        return hist
 
     # ------------------------------------------------------------------
     # collection
@@ -349,8 +377,9 @@ class MetricsRegistry:
         for e in self._entries_sorted():
             if e.kind == "histogram":
                 continue
-            value = e.read() if e.read is not None else e.obj.get()
-            out.append(Sample(e.name, e.kind, e.help, e.labels, float(value)))
+            out.append(
+                Sample(e.name, e.kind, e.help, e.labels, float(e.value()))
+            )
         return out
 
     def collect_histograms(
@@ -367,8 +396,8 @@ class MetricsRegistry:
         """Whether ``(name, labels)`` is already registered.
 
         Lets components that register non-idempotent entries (views,
-        external histograms) guard against double registration when
-        they may be constructed more than once against one registry.
+        watched holders) guard against double registration when they
+        may be constructed more than once against one registry.
         """
         key = (name, _canon_labels(labels))
         with self._lock:
@@ -381,11 +410,8 @@ class MetricsRegistry:
     def help_for(self, name: str) -> str:
         return self._help.get(name, "")
 
-    def kind_for(self, name: str) -> str:
-        return self._kind.get(name, "untyped")
-
     # ------------------------------------------------------------------
-    # snapshot / diff / merge
+    # snapshot / reset
     # ------------------------------------------------------------------
     def snapshot(
         self, prefixes: Optional[Tuple[str, ...]] = None
@@ -411,24 +437,9 @@ class MetricsRegistry:
                 hists[key] = e.obj.state()
                 kinds[key] = "histogram"
                 continue
-            value = e.read() if e.read is not None else e.obj.value
-            scalars[key] = float(value)
+            scalars[key] = float(e.value())
             kinds[key] = e.kind
         return RegistrySnapshot(scalars, hists, kinds)
-
-    def merge_from(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's materialised state into this one's
-        **owned** metrics (worker aggregation: counters add, gauges take
-        the other's value, histograms bucket-merge)."""
-        for s in other.collect():
-            labels = dict(s.labels)
-            if s.kind == "counter":
-                self.counter(s.name, s.help, **labels).inc(s.value)
-            else:
-                self.gauge(s.name, s.help, **labels).set(s.value)
-        for name, help_text, labels, hist in other.collect_histograms():
-            mine = self.histogram(name, help_text, **dict(labels))
-            mine.merge(hist)
 
     def reset_owned(self) -> None:
         """Zero every owned metric (views reset through their holders)."""

@@ -100,11 +100,14 @@ class Stats:
 
     A counter is a field whose default is its zero.  Derived read-outs
     stay properties; the ones named in :attr:`DERIVED` follow the
-    counters in :meth:`to_dict`.
+    counters in :meth:`to_dict`.  The registry exports every counter and
+    each name in :attr:`GAUGES` (:meth:`MetricsRegistry.watch`).
     """
 
     #: Property names :meth:`to_dict` reports after the counters.
     DERIVED: Tuple[str, ...] = ()
+    #: Fields or properties the registry exports as gauges.
+    GAUGES: Tuple[str, ...] = ()
 
     def counters(self) -> Tuple[str, ...]:
         """Counter field names, in declaration order."""

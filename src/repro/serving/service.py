@@ -68,6 +68,7 @@ class ServiceStats(Stats):
     """
 
     DERIVED = ("shed_total", "availability", "degraded_fraction")
+    GAUGES = ("availability",)
 
     submitted: int = 0
     answered_fresh: int = 0
@@ -273,37 +274,20 @@ class InferenceService:
         self._next_id = 0
         #: EWMA of measured per-request flush seconds (admission estimate).
         self._est_request_seconds = 1e-3
-        self._register(registry)
         # The cluster's reset_stats / doctor / report probe this handle.
         cluster.inference_service = self
-
-    def _register(self, registry) -> None:
-        if registry is None:
-            return
-        from repro.obs.instrument import live_view
-
-        # Views resolve through ``cluster.inference_service`` at read
-        # time, so a replacement service on the same cluster is what the
-        # registry reports from the moment it is constructed.
-        def live(*path):
-            return live_view(self.cluster, "inference_service", *path)
-
-        if not registry.has("repro_serving_submitted"):
-            for field in self.stats.counters():
-                registry.register_view(
-                    f"repro_serving_{field}",
-                    live("stats", field),
-                    help=f"repro serving: {field}",
-                )
-            registry.register_view(
-                "repro_serving_availability",
-                live("stats", "availability"),
-                help="Fraction of requests answered in deadline",
-                kind="gauge",
+        if registry is not None and not registry.has(
+            "repro_serving_submitted"
+        ):
+            # Both read through ``cluster.inference_service``, so a
+            # replacement service is what the registry reports from the
+            # moment it is constructed.
+            registry.watch(
+                "repro_serving", lambda c=cluster: c.inference_service.stats
             )
             registry.register_view(
                 "repro_serving_breaker_trips",
-                lambda c=self.cluster: float(
+                lambda c=cluster: float(
                     sum(b.trips for b in c.inference_service.breakers.values())
                 ),
                 help="Closed->open circuit breaker transitions",
@@ -639,8 +623,11 @@ class InferenceService:
             self.stats.deadline_missed += 1
 
     def reset_stats(self) -> None:
-        """Zero request counters, the latency histogram, and cache stats
-        (breaker state is operational and survives)."""
+        """Zero request counters, breaker trips, the latency histogram,
+        and cache stats (breaker state — open or half-open, and the
+        failure streak — is operational and survives)."""
         self.stats.reset()
+        for breaker in self.breakers.values():
+            breaker.trips = 0
         self.latency_hist.reset()
         self.cache.reset_stats()

@@ -39,7 +39,7 @@ import io
 import os
 import struct
 import zlib
-from typing import BinaryIO, Iterator, List, Optional, Sequence
+from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,6 +131,16 @@ class ShardWAL:
             self.bytes_appended = size
         else:
             self._write_header()
+
+    def counters(self) -> Tuple[str, ...]:
+        """The append ledger, exported as ``repro_wal_*`` (DESIGN.md §11)."""
+        return ("records_appended", "bytes_appended")
+
+    def reset(self) -> None:
+        """Zero the append ledger in place; unlike :meth:`truncate`, the
+        log keeps every record a future recovery still needs."""
+        self.records_appended = 0
+        self.bytes_appended = 0
 
     def close(self) -> None:
         """Release the append handle of a file-backed log (idempotent;

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
+from repro.errors import ReproError
 
 
 class TestParser:
@@ -177,3 +184,89 @@ class TestBadInput:
             ["incidents", "show", "--dir", str(tmp_path), "--id", "incident-x"],
             "spec.json",
         )
+
+
+# ---------------------------------------------------------------------------
+# fuzz: mutated bundles are read or refused, never crash the CLI
+# ---------------------------------------------------------------------------
+#: Any JSON value: what a hand-edited or damaged bundle field may hold.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def captured_bundle():
+    """One manual capture of a small monitored, recorded serving rig."""
+    from repro.obs.incident import IncidentManager
+    from repro.serving import build_serving_rig
+
+    rig = build_serving_rig(
+        num_shards=2, num_sources=64, degree=4, monitor_interval=0.01,
+        recorder=True,
+    )
+    manager = IncidentManager(rig.cluster)
+    manager.mark_start()
+    rig.cluster.crash_shard(0)
+    for v in range(12):
+        rig.service.submit([v])
+    rig.service.flush()
+    rig.monitor.scrape()
+    return json.loads(json.dumps(manager.trigger()))
+
+
+def _mutate(data, bundle):
+    """Delete a key (or element), or replace a value, at a random path
+    of one section; returns the section's name."""
+    section = data.draw(st.sampled_from(sorted(bundle)))
+    container, key = bundle, section
+    while True:
+        value = container[key]
+        children = (
+            sorted(value) if isinstance(value, dict)
+            else range(len(value)) if isinstance(value, list) else []
+        )
+        if not children or data.draw(st.booleans()):
+            break
+        container, key = value, data.draw(st.sampled_from(list(children)))
+    if container is not bundle and data.draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = data.draw(JSON_VALUES)
+    return section
+
+
+class TestMutatedBundles:
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_read_or_refused(self, data, captured_bundle):
+        from repro.obs.incident import list_bundles, load_bundle, write_bundle
+
+        bundle = json.loads(json.dumps(captured_bundle))
+        section = _mutate(data, bundle)
+        with tempfile.TemporaryDirectory() as root:
+            path = write_bundle(captured_bundle, root)
+            with open(os.path.join(path, f"{section}.json"), "w") as fh:
+                json.dump(bundle[section], fh)
+            for call in (lambda: list_bundles(root), lambda: load_bundle(path)):
+                try:
+                    call()
+                except ReproError:
+                    pass
+            bundle_id = os.path.basename(path)
+            for argv in (
+                ["incidents", "list", "--dir", root],
+                ["incidents", "show", "--dir", root, "--id", bundle_id],
+            ):
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), \
+                        contextlib.redirect_stderr(sink):
+                    assert main(argv) in (0, 2), sink.getvalue()

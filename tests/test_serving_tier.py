@@ -637,6 +637,31 @@ class TestInferenceService:
         assert rig.service.stats.submitted == 0
         assert rig.service.stats.answered_fresh == 0
 
+    def test_cluster_reset_stats_zeroes_breaker_trips(self):
+        """After a breaker tripped, ``reset_stats`` leaves no counter of
+        the cluster's registry non-zero but the monitor's and the
+        recorder's own history; the breaker stays open."""
+        rig = _small_rig(breaker_threshold=3)
+        rig.cluster.attach_recorder()
+        service, network = rig.service, rig.cluster.network
+        shard_for = rig.cluster.client.partitioner.shard_for
+        rig.cluster.crash_shard(0)
+        for v in [v for v in range(64) if shard_for(v) == 0][:3]:
+            service.submit([v])
+        service.flush()
+        assert service.breakers[0].trips == 1
+        rig.cluster.reset_stats()
+        snap = rig.cluster.registry.snapshot()
+        counters = {
+            key: value
+            for key, value in snap.scalars.items()
+            if snap.kinds[key] == "counter"
+            and not key.startswith(("repro_monitor_", "repro_recorder_"))
+        }
+        assert counters["repro_serving_breaker_trips"] == 0.0
+        assert all(value == 0.0 for value in counters.values()), counters
+        assert service.breakers[0].state(network.now()) == "open"
+
 
 # ---------------------------------------------------------------------------
 # scenarios + SLO reports
@@ -651,6 +676,20 @@ def _run_scenario(name, seed, **rig_kwargs):
 
 
 class TestScenarios:
+    def test_a_second_run_counts_only_its_own_breaker_trips(self):
+        spec = make_spec(
+            "regional_outage",
+            seed=0,
+            rig_kwargs={"num_shards": 4, "num_sources": 400},
+        )
+        rig = build_rig_from_spec(spec)
+        reports = [
+            ScenarioRunner(rig, scenario_from_spec(spec, rig.num_sources)).run()
+            for _ in range(2)
+        ]
+        assert reports[0].submitted == reports[1].submitted
+        assert reports[0].breaker_trips >= 1
+        assert reports[1].breaker_trips == reports[0].breaker_trips
     def test_regional_outage_degrades_instead_of_failing(self):
         _rig, report = _run_scenario(
             "regional_outage", seed=11, num_sources=400, num_shards=4

@@ -9,9 +9,11 @@ package ``__init__`` and ``__main__`` must have a live importer: a file
 outside the package, or a module that has one itself.  A re-export by
 one of its own packages' ``__init__``s keeps nothing alive.
 
-Two more guards keep the telemetry from growing back: a wall clock is
-read only in the files that own one (a phase is timed with a span), and
-the traced components take no metrics registry of their own.
+Three more guards keep the telemetry from growing back: a wall clock is
+read only in the files that own one (a phase is timed with a span), the
+traced components take no metrics registry of their own, and a
+per-series registry view is registered only where no ``*Stats`` field
+carries the read-out (a holder is watched whole).
 """
 
 from __future__ import annotations
@@ -41,6 +43,15 @@ WALL_CLOCK_FILES = {
     "concurrency/palm.py",
     "bench/workloads.py",
     "cli.py",
+}
+
+#: The ``src/repro`` files that may call ``register_view``: the
+#: cluster's monitor and recorder health and hot-set size, the service's
+#: breaker trips.  A ``*Stats`` holder goes through
+#: ``MetricsRegistry.watch`` instead, one call per holder.
+VIEW_FILES = {
+    "distributed/cluster.py",
+    "serving/service.py",
 }
 
 
@@ -207,3 +218,32 @@ def test_traced_components_take_no_registry():
     for component in (Trainer, Tracer, LocalCluster):
         params = inspect.signature(component).parameters
         assert "registry" not in params, component.__name__
+
+
+def _view_registrars() -> Set[str]:
+    """``src/repro`` files with a ``register_view(...)`` call."""
+    package = SRC / "repro"
+    return {
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        if any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "register_view"
+            for node in ast.walk(_parse(path))
+        )
+    }
+
+
+def test_views_are_registered_only_in_their_files():
+    extra = _view_registrars() - VIEW_FILES
+    assert not extra, (
+        f"register_view called in {sorted(extra)}: watch the *Stats "
+        "holder (MetricsRegistry.watch), or add the file to VIEW_FILES "
+        "with a reason"
+    )
+
+
+def test_the_view_allowlist_names_only_registrars():
+    stale = VIEW_FILES - _view_registrars()
+    assert not stale, f"no register_view call any more, drop: {sorted(stale)}"
