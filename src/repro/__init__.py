@@ -32,7 +32,6 @@ Quickstart::
 from repro.core import (
     CSTable,
     DynamicGraphStore,
-    Edge,
     EdgeOp,
     FSTable,
     GraphStoreAPI,
@@ -51,7 +50,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CSTable",
     "DynamicGraphStore",
-    "Edge",
     "EdgeOp",
     "FSTable",
     "GraphStoreAPI",

@@ -21,7 +21,7 @@ from repro.core.topology import DynamicGraphStore
 from repro.core.types import GraphStoreAPI
 from repro.datasets.presets import DATASET_SPECS, GraphData
 from repro.datasets.stream import EdgeStream
-from repro.errors import ConfigurationError, StoreOutOfMemoryError
+from repro.errors import ConfigurationError
 from repro.gnn.samplers import sample_subgraph
 
 __all__ = [

@@ -19,12 +19,7 @@ from repro.core.ingest import (
     fold_run,
 )
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel, humanize_bytes
-from repro.core.samtree import (
-    BULK_FILL_FRACTION,
-    OpStats,
-    Samtree,
-    SamtreeConfig,
-)
+from repro.core.samtree import OpStats, Samtree, SamtreeConfig
 from repro.core.snapshot import (
     ReadImage,
     SnapshotCacheStats,
@@ -35,7 +30,6 @@ from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import (
     DEFAULT_ETYPE,
-    Edge,
     EdgeOp,
     GraphStoreAPI,
     OpKind,
@@ -57,7 +51,6 @@ __all__ = [
     "OP_INSERT",
     "OP_UPDATE",
     "OP_DELETE",
-    "BULK_FILL_FRACTION",
     "MemoryModel",
     "DEFAULT_MEMORY_MODEL",
     "humanize_bytes",
@@ -71,7 +64,6 @@ __all__ = [
     "TemporalGraphStore",
     "DynamicGraphStore",
     "DEFAULT_ETYPE",
-    "Edge",
     "EdgeOp",
     "GraphStoreAPI",
     "OpKind",

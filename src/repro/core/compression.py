@@ -217,11 +217,6 @@ class CompressedIDList:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CompressedIDList(n={self._n}, z={self._z})"
 
-    @property
-    def prefix_length(self) -> int:
-        """Current shared-prefix length ``z`` in bytes."""
-        return self._z if self._n else ALLOWED_PREFIX_LENGTHS[0]
-
     def to_list(self) -> List[int]:
         """Decode the full ID list."""
         return list(self)
@@ -392,11 +387,6 @@ class PlainIDList:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PlainIDList(n={len(self._ids)})"
-
-    @property
-    def prefix_length(self) -> int:
-        """Always 0 — no compression."""
-        return 0
 
     def to_list(self) -> List[int]:
         return list(self._ids)

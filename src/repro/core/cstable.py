@@ -59,11 +59,6 @@ class CSTable:
                 running += _validate_weight(w)
                 self._sums.append(running)
 
-    @classmethod
-    def from_weights(cls, weights: Iterable[float]) -> "CSTable":
-        """Build from raw weights in ``O(n)``."""
-        return cls(weights)
-
     # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------

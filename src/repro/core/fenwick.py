@@ -50,22 +50,12 @@ from repro.errors import (
 
 __all__ = [
     "FSTable", "ROW_PAD", "build_tables", "cumsum_rows", "join_weight_columns",
-    "lsb", "pad_rows",
+    "pad_rows",
 ]
 
 #: Rows up to this long are processed as one zero-padded matrix per batch
 #: by the read image (:func:`pad_rows`); 99 % of a power-law graph's rows.
 ROW_PAD = 16
-
-
-def lsb(x: int) -> int:
-    """Return the value of the lowest set bit of ``x`` (``LSB`` in the paper).
-
-    ``lsb(6) == 2`` because ``6 == 0b110``.  ``x`` must be positive.
-    """
-    if x <= 0:
-        raise IndexOutOfRangeError(f"lsb() requires a positive integer, got {x}")
-    return x & -x
 
 
 _INF = float("inf")
@@ -127,11 +117,6 @@ class FSTable:
         self._tree = tree
 
     @classmethod
-    def from_weights(cls, weights: Iterable[float]) -> "FSTable":
-        """Build an FSTable from an iterable of raw weights in ``O(n)``."""
-        return cls(weights)
-
-    @classmethod
     def from_array(cls, weights) -> "FSTable":
         """Vectorized O(n) construction from a numpy weight array.
 
@@ -139,9 +124,9 @@ class FSTable:
         Fenwick *level* at a time — all elements whose entry covers a
         range of ``step`` elements push into their parents in one
         vectorized add — so the Python-level work is ``O(log n)`` array
-        ops instead of ``O(n)`` scalar iterations.  This is the leaf
-        constructor of the bulk ingestion tier
-        (:meth:`repro.core.samtree.Samtree.bulk_build`).
+        ops instead of ``O(n)`` scalar iterations.  The per-leaf
+        reference the segmented :func:`build_tables` is tested against
+        (DESIGN.md §9).
         """
         arr = np.asarray(weights, dtype=np.float64)
         if arr.ndim != 1:

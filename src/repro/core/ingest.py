@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,13 +52,12 @@ OP_INSERT = 0
 OP_UPDATE = 1
 OP_DELETE = 2
 
-#: ``OpKind`` <-> op-code mapping (both directions).
+#: ``OpKind`` -> op-code mapping.
 OP_KIND_CODES = {
     OpKind.INSERT: OP_INSERT,
     OpKind.UPDATE: OP_UPDATE,
     OpKind.DELETE: OP_DELETE,
 }
-_CODE_KINDS = {v: k for k, v in OP_KIND_CODES.items()}
 
 #: Modeled wire bytes per column entry: 8 (src) + 8 (dst) + 4 (weight,
 #: f32 on the wire) + 2 (etype) + 1 (op code); plus one fixed header per
@@ -88,10 +87,6 @@ class IngestStats(Stats):
     trees_incremental: int = 0
     #: Trees created fresh by the batch (bulk-built).
     trees_created: int = 0
-
-    @property
-    def net_edges(self) -> int:
-        return self.inserted - self.removed
 
 
 class EdgeBatch:
@@ -246,17 +241,6 @@ class EdgeBatch:
             self.op[indices],
         )
 
-    def to_edge_ops(self) -> List[EdgeOp]:
-        """Materialise per-op records (compatibility with scalar stores)."""
-        return [
-            EdgeOp(
-                _CODE_KINDS[int(o)], int(s), int(d), float(w), int(e)
-            )
-            for s, d, w, e, o in zip(
-                self.src, self.dst, self.weight, self.etype, self.op
-            )
-        ]
-
     def payload_nbytes(self) -> int:
         """Modeled wire bytes of this batch as one columnar message."""
         return _HEADER_BYTES + _ROW_BYTES * len(self)
@@ -283,22 +267,6 @@ class EdgeBatch:
             out=new_tree[1:n],
         )
         return np.flatnonzero(new_tree)
-
-    def iter_tree_groups(
-        self,
-    ) -> Iterator[Tuple[int, int, "EdgeBatch"]]:
-        """Yield ``(etype, src, sub_batch)`` per target samtree.
-
-        The batch must already be tree-sorted; each yielded sub-batch is
-        a contiguous slice (views, no copies of the underlying buffers).
-        """
-        if len(self) == 0:
-            return
-        bounds = self.tree_bounds().tolist()
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            yield int(self.etype[a]), int(self.src[a]), self.select(
-                slice(a, b)
-            )
 
     def folded_by_tree(self) -> "EdgeBatch":
         """Tree-sorted rows with every ``(etype, src, dst)`` key at most

@@ -29,9 +29,9 @@ Model assumptions (what the accounting does and does not cover)
   under the same layout report the same bytes regardless of Python
   version.
 * **Pre-allocated tables pay for empty slots.**  The cuckoo directory
-  charges every slot at its configured load factor
-  (:meth:`MemoryModel.directory_bytes`), matching a deployment where
-  the table is sized ahead of the keys.
+  charges every allocated slot (:meth:`CuckooHashMap.nbytes
+  <repro.storage.cuckoo.CuckooHashMap.nbytes>`), matching a deployment
+  where the table is sized ahead of the keys.
 * **Snapshot-cache entries are part of the store's footprint.**  The
   read path (:mod:`repro.core.snapshot`) keeps flat per-tree images —
   one ``id_bytes`` ID plus one ``weight_bytes`` cumulative-weight entry
@@ -71,8 +71,6 @@ class MemoryModel:
     tree_node_header_bytes: int = 16
     #: Per-vertex record in the cuckoo directory: key + degree + tree ptr.
     directory_entry_bytes: int = 8 + 8 + 8
-    #: Cuckoo tables run at ~80 % load; slots are paid whether used or not.
-    cuckoo_load_factor: float = 0.8
     #: PlatoGL composite key: source ID + block sequence + edge type +
     #: block metadata ("various information except the unique identifier").
     kv_key_bytes: int = 8 + 8 + 4 + 12
@@ -95,13 +93,6 @@ class MemoryModel:
     #: peak exceeds the steady-state footprint — the mechanism behind the
     #: paper's "o.o.m" entries at WeChat scale.
     aligraph_build_peak_factor: float = 2.5
-
-    def directory_bytes(self, num_entries: int) -> int:
-        """Bytes of a cuckoo directory holding ``num_entries`` records."""
-        if num_entries == 0:
-            return 0
-        slots = int(num_entries / self.cuckoo_load_factor) + 1
-        return slots * self.directory_entry_bytes
 
 
 #: The model every store uses unless told otherwise.

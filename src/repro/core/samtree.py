@@ -52,18 +52,10 @@ from repro.errors import (
 )
 from repro.obs.telemetry import Stats
 
-__all__ = ["Samtree", "SamtreeConfig", "OpStats", "BULK_FILL_FRACTION"]
+__all__ = ["Samtree", "SamtreeConfig", "OpStats"]
 
 #: Sentinel separator for the leftmost child of a fresh internal node.
 _MIN_KEY = 0
-
-#: Target node occupancy of a bottom-up bulk build, as a fraction of the
-#: capacity ``c``.  Packing below capacity leaves headroom so the first
-#: incremental inserts after a bulk load do not immediately split every
-#: leaf; the clamp in :meth:`Samtree.bulk_build` keeps the realised fill
-#: inside the paper's ``[c/2 - alpha, c]`` occupancy bounds regardless.
-BULK_FILL_FRACTION = 0.75
-
 
 @dataclass
 class OpStats(Stats):
@@ -280,7 +272,7 @@ class Samtree:
         Bumped by *every* path that changes the stored adjacency or its
         weights — single-edge upserts and deletes (Algorithm 2 and
         §IV-D) and the PALM within-tree batch
-        (:func:`repro.core.tree_batch.apply_tree_batch`).  The read
+        (:func:`repro.core.tree_batch.apply_tree_codes`).  The read
         layer (:mod:`repro.core.snapshot`) compares this counter to
         decide whether a flat snapshot is still coherent.
         """
@@ -344,11 +336,6 @@ class Samtree:
         existing weight was updated in place (Algorithm 2 lines 3-6).
         """
         return self._upsert(vertex_id, weight, add=False)
-
-    def add_weight(self, vertex_id: int, delta: float) -> bool:
-        """Insert with weight ``delta`` or *accumulate* onto an existing
-        edge (the common form for interaction-count graphs)."""
-        return self._upsert(vertex_id, delta, add=True)
 
     def update(self, vertex_id: int, weight: float) -> bool:
         """Overwrite the weight of an *existing* neighbor in one descent;
@@ -589,93 +576,8 @@ class Samtree:
         parent.counts[lo] = self._count_of(merged)
 
     # ------------------------------------------------------------------
-    # batched updates (paper Appendix B: bottom-up rounds)
+    # bulk construction (bottom-up, see build_roots)
     # ------------------------------------------------------------------
-    def apply_batch(self, ops) -> List[bool]:
-        """Apply ``(kind, vertex_id, weight)`` triples as one batch.
-
-        Descends once per op, applies all leaf modifications, then
-        repairs the tree bottom-up in rounds — see
-        :mod:`repro.core.tree_batch`.  Semantically identical to applying
-        the ops one by one.
-        """
-        return _tree_batch.apply_tree_batch(self, ops)
-
-    # ------------------------------------------------------------------
-    # bulk construction (bottom-up, the ingestion tier's tree builder)
-    # ------------------------------------------------------------------
-    @classmethod
-    def bulk_build(
-        cls,
-        ids,
-        weights=None,
-        config: Optional[SamtreeConfig] = None,
-        stats: Optional[OpStats] = None,
-        *,
-        assume_sorted_unique: bool = False,
-        fill: float = BULK_FILL_FRACTION,
-    ) -> "Samtree":
-        """Construct a samtree bottom-up from parallel id/weight arrays.
-
-        ``O(n)`` after the sort: leaves are packed at ``fill * capacity``
-        from contiguous slices of the sorted arrays (each FSTable built
-        with the linear vectorized Fenwick construction), then internal
-        separator levels and their CSTables are assembled level by level
-        until a single root remains (:func:`build_roots`).  The result
-        satisfies every structural invariant of :meth:`check_invariants`
-        and samples from the *identical* distribution as an insert-loop
-        tree over the same edges (the stored weights are equal; only the
-        node layout differs).
-
-        Duplicate ids resolve last-wins, matching an upsert loop.  Pass
-        ``assume_sorted_unique=True`` when the caller already sorted and
-        deduplicated to skip the ``argsort``.
-        """
-        if not 0.0 < fill <= 1.0:
-            raise ConfigurationError(
-                f"bulk fill fraction must be in (0, 1], got {fill}"
-            )
-        id_arr = np.asarray(ids, dtype=np.int64)
-        if id_arr.ndim != 1:
-            raise ConfigurationError(
-                f"ids must be one-dimensional, got shape {id_arr.shape}"
-            )
-        n = int(id_arr.size)
-        if weights is None:
-            w_arr = np.ones(n, dtype=np.float64)
-        else:
-            w_arr = np.asarray(weights, dtype=np.float64)
-            if w_arr.shape != id_arr.shape:
-                raise ConfigurationError(
-                    f"ids/weights shape mismatch: {id_arr.shape} vs "
-                    f"{w_arr.shape}"
-                )
-        if n and bool((id_arr < 0).any()):
-            raise InvalidWeightError(
-                f"vertex IDs must be non-negative, got {int(id_arr.min())}"
-            )
-        if n and (not bool(np.isfinite(w_arr).all())
-                  or bool((w_arr < 0.0).any())):
-            bad = w_arr[~(np.isfinite(w_arr) & (w_arr >= 0.0))][0]
-            raise InvalidWeightError(
-                f"edge weights must be finite and non-negative, got {bad!r}"
-            )
-        if not assume_sorted_unique and n:
-            order = np.argsort(id_arr, kind="stable")
-            id_arr = id_arr[order]
-            w_arr = w_arr[order]
-            # Last-wins dedup: stable sort keeps submission order inside
-            # each equal-id run, so keep each run's final element.
-            keep = np.empty(n, dtype=bool)
-            keep[:-1] = id_arr[1:] != id_arr[:-1]
-            keep[-1] = True
-            if not bool(keep.all()):
-                id_arr = id_arr[keep]
-                w_arr = w_arr[keep]
-        config = config or SamtreeConfig()
-        (built,) = build_roots(config, id_arr, w_arr, [int(id_arr.size)], fill)
-        return cls._over(config, stats if stats is not None else OpStats(), *built)
-
     @classmethod
     def _over(
         cls, config: SamtreeConfig, stats: OpStats, root: _Node, size: int
@@ -991,19 +893,21 @@ def build_roots(
     ids: np.ndarray,
     weights: np.ndarray,
     lengths: List[int],
-    fill: float = BULK_FILL_FRACTION,
 ) -> Iterator[Tuple[_Node, int]]:
     """The segmented builder of the bulk tier (DESIGN.md §9).
 
     ``ids`` / ``weights`` hold the validated, ascending, unique
     adjacency of ``len(lengths)`` trees back to back.  Every leaf of
-    every tree is packed in one pass over the columns — near
-    ``fill * capacity`` each, one leaf for a tree that fits one — then
-    each tree's separator levels are assembled bottom-up and its
-    ``(root, size)`` yielded for :meth:`Samtree._replace`.
+    every tree is packed in one pass over the columns — near three
+    quarters of the capacity each, one leaf for a tree that fits one —
+    then each tree's separator levels are assembled bottom-up and its
+    ``(root, size)`` yielded for :meth:`Samtree._replace`.  Packing below
+    capacity leaves headroom so the first inserts after a bulk load do
+    not split every leaf; :meth:`Samtree._level_bounds` keeps the realised
+    fill inside the paper's ``[c/2 - alpha, c]`` occupancy bounds.
     """
     cap = config.capacity
-    target = max(1, min(cap, int(round(cap * fill))))
+    target = max(1, min(cap, int(round(cap * 0.75))))
     level_bounds = Samtree._level_bounds
     leaf_min, internal_min = config.leaf_min_fill, config.internal_min_fill
     leaf_lengths: List[int] = []
@@ -1047,8 +951,3 @@ def build_roots(
             node_counts = [sum(parent.counts) for parent in parents]
             nodes = parents
         yield nodes[0], n
-
-
-# tree_batch builds on the node classes above: resolve the cycle once,
-# here, instead of on every ``apply_batch`` call.
-from repro.core import tree_batch as _tree_batch  # noqa: E402

@@ -28,6 +28,7 @@ import random
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core.ingest import OP_INSERT, check_row
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
@@ -101,12 +102,15 @@ class TemporalGraphStore(GraphStoreAPI):
 
         Returns True when the edge is new to the current window.
         Advances the clock to ``t`` first, so expired edges never absorb
-        the new observation.
+        the new observation.  A refused observation (a past ``t``, a bad
+        key or weight) raises before the clock moves or anything is
+        evicted.
         """
         if t < self._now:
             raise ConfigurationError(
                 f"timestamps must be non-decreasing: {t} < now {self._now}"
             )
+        check_row(src, dst, weight, OP_INSERT, etype)
         self.advance(t)
         key = (etype, src, dst)
         is_new = key not in self._last_seen
@@ -150,12 +154,6 @@ class TemporalGraphStore(GraphStoreAPI):
                 del self._last_seen[key]
         self._evicted += evicted
         return evicted
-
-    def last_seen(
-        self, src: int, dst: int, etype: int = DEFAULT_ETYPE
-    ) -> Optional[int]:
-        """Last observation time of an edge in the current window."""
-        return self._last_seen.get((etype, src, dst))
 
     # ------------------------------------------------------------------
     # GraphStoreAPI delegation (reads see the live window)

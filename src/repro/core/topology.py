@@ -52,7 +52,12 @@ from repro.core.snapshot import (
     coerce_scalar_rng,
 )
 from repro.core.tree_batch import apply_tree_codes, check_tree_ops
-from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI, SampleBlock
+from repro.core.types import (
+    DEFAULT_ETYPE,
+    GraphStoreAPI,
+    SampleBlock,
+    check_counts,
+)
 from repro.errors import ConfigurationError, InvariantViolationError
 from repro.storage.cuckoo import CuckooHashMap
 
@@ -716,7 +721,8 @@ class DynamicGraphStore(GraphStoreAPI):
 
         ``counts`` is the coalesced request shape (``counts[i]``
         consecutive rows for ``srcs[i]``); without it every entry of
-        ``srcs`` is one row.
+        ``srcs`` is one row.  A negative ``k``, or a ``counts`` that is
+        not one non-negative count per source, raises.
         """
         if k < 0:
             raise ConfigurationError(f"fanout must be >= 0, got {k}")
@@ -725,10 +731,11 @@ class DynamicGraphStore(GraphStoreAPI):
             return super().sample_neighbors_many(
                 srcs, k, rng, etype, weighted=weighted, counts=counts
             )
+        srcs = np.asarray(srcs, dtype=np.int64)
+        counts = check_counts(srcs, counts)
         with self.slab.lock:  # pointer rows are read in the slab's arena
             return SampleBlock(*cache.sample(
-                self._directory, self.slab, etype,
-                np.asarray(srcs, dtype=np.int64), counts,
+                self._directory, self.slab, etype, srcs, counts,
                 k, coerce_generator(rng), weighted, self.frozen_stats,
             ))
 
@@ -739,7 +746,10 @@ class DynamicGraphStore(GraphStoreAPI):
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
         """Node sampling (paper §III): ``k`` source vertices, degree-
-        weighted with replacement — the seed generator for training."""
+        weighted with replacement — the seed generator for training;
+        ``k < 0`` raises."""
+        if k < 0:
+            raise ConfigurationError(f"sample count must be >= 0, got {k}")
         pool: List[int] = []
         weights: List[float] = []
         for key_etype, src in self._directory.keys():

@@ -19,10 +19,12 @@ This amortises the Algorithm-2 path maintenance across the batch: a
 parent whose ten children changed is rebuilt once, not ten times.
 
 Operations are ``(kind, vertex_id, weight)`` triples with kind one of
-``"insert"`` (upsert), ``"update"`` (only if present), ``"delete"``.
-Outcomes mirror :meth:`GraphStoreAPI.apply` semantics per element.  The
-store's columnar pass calls the same core with the op codes of
-:mod:`repro.core.ingest` and columns it has already validated.
+``"insert"`` (upsert), ``"update"`` (only if present), ``"delete"``;
+:func:`check_tree_ops` turns them into the op codes of
+:mod:`repro.core.ingest` (the PALM per-source batch), and the store's
+columnar pass hands :func:`apply_tree_codes` columns it has already
+validated.  Outcomes mirror :meth:`GraphStoreAPI.apply` semantics per
+element.
 
 A tree whose root is a leaf — almost every tree of a power-law graph —
 skips the grouping descents and has no round to run below the root.
@@ -45,24 +47,12 @@ from repro.core.samtree import (
 )
 from repro.errors import ConfigurationError
 
-__all__ = ["apply_tree_batch", "apply_tree_codes", "check_tree_ops", "TreeOp"]
+__all__ = ["apply_tree_codes", "check_tree_ops", "TreeOp"]
 
 #: One batched operation against a single tree.
 TreeOp = Tuple[str, int, float]
 
 _KIND_CODES = {"insert": OP_INSERT, "update": OP_UPDATE, "delete": OP_DELETE}
-
-
-def apply_tree_batch(tree: Samtree, ops: Sequence[TreeOp]) -> List[bool]:
-    """Apply a batch to one samtree with bottom-up repair rounds.
-
-    Returns one outcome per op, in submission order: inserts report
-    "was new", updates/deletes report "existed".  Equivalent to applying
-    the ops sequentially (property-tested), but with each touched node
-    repaired once per round instead of once per op.  A bad kind, ID or
-    insert/update weight raises before anything is applied.
-    """
-    return apply_tree_codes(tree, *check_tree_ops(ops))
 
 
 def check_tree_ops(
@@ -91,7 +81,14 @@ def apply_tree_codes(
     codes: Sequence[int],
     weights: Sequence[float],
 ) -> List[bool]:
-    """:func:`apply_tree_batch` over validated parallel columns."""
+    """Apply a batch of validated parallel columns (:func:`check_tree_ops`)
+    to one samtree with bottom-up repair rounds.
+
+    Returns one outcome per op, in submission order: inserts report
+    "was new", updates/deletes report "existed".  Equivalent to applying
+    the ops sequentially (property-tested), but with each touched node
+    repaired once per round instead of once per op.
+    """
     outcomes = [False] * len(vids)
     if not vids:
         return outcomes

@@ -19,13 +19,14 @@ import numpy as np
 
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
+from repro.errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_ETYPE",
     "UNAVAILABLE",
     "SampleBlock",
     "run_bounds",
-    "Edge",
+    "check_counts",
     "OpKind",
     "EdgeOp",
     "GraphStoreAPI",
@@ -100,6 +101,26 @@ class SampleBlock:
         return rows
 
 
+def check_counts(srcs: np.ndarray, counts) -> Optional[np.ndarray]:
+    """``counts`` as an array, checked against the frontier ``srcs`` it
+    expands: one non-negative count per source, or ``None``.  Anything
+    else raises :class:`~repro.errors.ConfigurationError`."""
+    if counts is None:
+        return None
+    # Cheap on purpose: a client passes ``counts`` on every shard RPC
+    # (``len`` over ``shape``, ``argmin`` over a ufunc ``min``).
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 1 or len(counts) != len(srcs):
+        raise ConfigurationError(
+            f"counts has shape {counts.shape} for {len(srcs)} sources"
+        )
+    if len(counts) and counts[counts.argmin()] < 0:
+        raise ConfigurationError(
+            f"counts must be >= 0, got {int(counts[counts.argmin()])}"
+        )
+    return counts
+
+
 def run_bounds(sorted_keys: np.ndarray) -> np.ndarray:
     """Boundaries of the runs of equal values in a sorted array.
 
@@ -117,19 +138,9 @@ def run_bounds(sorted_keys: np.ndarray) -> np.ndarray:
 
 
 #: ``slots=True`` (3.10+) removes the per-instance ``__dict__`` from the
-#: per-edge record types — millions of them are alive during a stream
+#: per-op record type — millions of them are alive during a stream
 #: replay, so the dict header is the dominant overhead.
 _SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
-
-
-@dataclass(frozen=True, **_SLOTTED)
-class Edge:
-    """A weighted directed edge ``e(src, dst, weight)`` of type ``etype``."""
-
-    src: int
-    dst: int
-    weight: float = 1.0
-    etype: int = DEFAULT_ETYPE
 
 
 class OpKind(enum.Enum):
@@ -219,8 +230,6 @@ class GraphStoreAPI(abc.ABC):
         if isinstance(src, EdgeBatch):
             batch = src
             if not batch.is_insert_only:
-                from repro.errors import ConfigurationError
-
                 raise ConfigurationError(
                     "bulk_load takes insert-only batches; use "
                     "apply_edge_batch for mixed-op batches"
@@ -278,10 +287,6 @@ class GraphStoreAPI(abc.ABC):
         self, src: int, etype: int = DEFAULT_ETYPE
     ) -> List[Tuple[int, float]]:
         """All ``(dst, weight)`` pairs of ``src`` (order unspecified)."""
-
-    def has_edge(self, src: int, dst: int, etype: int = DEFAULT_ETYPE) -> bool:
-        """Whether ``e(src, dst)`` exists."""
-        return self.edge_weight(src, dst, etype) is not None
 
     @property
     @abc.abstractmethod
@@ -351,14 +356,14 @@ class GraphStoreAPI(abc.ABC):
         :class:`SampleBlock`.  ``weighted=False`` draws uniformly;
         ``counts`` gives ``srcs[i]`` that many consecutive rows (the
         coalesced wire shape: distinct sources + multiplicities), each
-        drawn independently.  This default loops the scalar endpoints;
+        drawn independently; a ``counts`` of another length or with a
+        negative entry raises.  This default loops the scalar endpoints;
         stores with a vectorized read path override it.
         """
         if k < 0:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(f"fanout must be >= 0, got {k}")
         srcs = np.asarray(srcs, dtype=np.int64)
+        counts = check_counts(srcs, counts)
         if counts is not None:
             srcs = np.repeat(srcs, counts)
         draw = (

@@ -2,7 +2,7 @@
 power-law generator, dynamic edge streams, and statistics helpers.
 """
 
-from repro.datasets.io import load_edge_list, read_edge_list, write_edge_list
+from repro.datasets.io import load_edge_list, read_edge_list
 from repro.datasets.presets import (
     DATASET_SPECS,
     GraphData,
@@ -13,25 +13,18 @@ from repro.datasets.presets import (
     reddit_scaled,
     wechat_scaled,
 )
-from repro.datasets.statistics import (
-    degree_histogram,
-    format_table3,
-    published_table3_rows,
-)
+from repro.datasets.statistics import format_table3, published_table3_rows
 from repro.datasets.stream import EdgeStream, RequestStream
 from repro.datasets.synthetic import (
     TYPE_ID_STRIDE,
     power_law_edges,
     type_offset,
     zipf_probabilities,
-    powerlaw_degrees,
-    zipf_request_sources,
 )
 
 __all__ = [
     "load_edge_list",
     "read_edge_list",
-    "write_edge_list",
     "DATASET_SPECS",
     "GraphData",
     "RelationData",
@@ -40,7 +33,6 @@ __all__ = [
     "ogbn_scaled",
     "reddit_scaled",
     "wechat_scaled",
-    "degree_histogram",
     "format_table3",
     "published_table3_rows",
     "EdgeStream",
@@ -49,6 +41,4 @@ __all__ = [
     "power_law_edges",
     "type_offset",
     "zipf_probabilities",
-    "powerlaw_degrees",
-    "zipf_request_sources",
 ]

@@ -1,4 +1,4 @@
-"""Edge-list I/O: load real graphs into the store, export generated ones.
+"""Edge-list I/O: load real graphs into the store.
 
 Downstream users have their own graphs; the exchange format is the
 universal tab/space-separated edge list::
@@ -8,34 +8,29 @@ universal tab/space-separated edge list::
     17     43   1.0
 
 * :func:`read_edge_list` streams parsed edges from a file;
-* :func:`load_edge_list` pours a file straight into any store;
-* :func:`write_edge_list` exports a store (or a GraphData) back out,
-  so generated datasets round-trip to standard tooling.
+* :func:`load_edge_list` pours a file straight into any store.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Optional, TextIO, Tuple, Union
+from typing import Iterator, TextIO, Tuple, Union
 
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
 from repro.errors import ConfigurationError
 
-__all__ = ["read_edge_list", "load_edge_list", "write_edge_list"]
+__all__ = ["read_edge_list", "load_edge_list"]
 
 _PathOrFile = Union[str, Path, TextIO]
+
+#: Rows per columnar chunk :func:`load_edge_list` flushes.
+CHUNK_SIZE = 262_144
 
 
 def _open_read(source: _PathOrFile):
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8"), True
     return source, False
-
-
-def _open_write(target: _PathOrFile):
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="utf-8"), True
-    return target, False
 
 
 def read_edge_list(
@@ -82,8 +77,6 @@ def load_edge_list(
     default_weight: float = 1.0,
     bidirected: bool = False,
     reverse_etype_offset: int = 8,
-    bulk: bool = True,
-    chunk_size: int = 262_144,
 ) -> int:
     """Insert every edge of a file into ``store``; returns ops applied.
 
@@ -91,23 +84,13 @@ def load_edge_list(
     ``etype + reverse_etype_offset``, matching the preset datasets'
     storage convention.
 
-    By default parsed rows accumulate into columnar chunks of
-    ``chunk_size`` and flush through :meth:`store.bulk_load
+    Parsed rows accumulate into columnar chunks of :data:`CHUNK_SIZE`
+    and flush through :meth:`store.bulk_load
     <repro.core.types.GraphStoreAPI.bulk_load>` — the samtree store
-    builds each touched tree bottom-up in O(n).  ``bulk=False`` keeps
-    the historical one-``add_edge``-per-row path (identical final
-    state; upserts resolve last-wins either way).
+    builds each touched tree bottom-up in O(n).  Upserts resolve
+    last-wins, as an ``add_edge`` loop would; a malformed line stops the
+    load with the chunk it falls in unapplied.
     """
-    if not bulk:
-        ops = 0
-        for src, dst, weight, etype in read_edge_list(source, default_weight):
-            store.add_edge(src, dst, weight, etype)
-            ops += 1
-            if bidirected:
-                store.add_edge(dst, src, weight, etype + reverse_etype_offset)
-                ops += 1
-        return ops
-
     from repro.core.ingest import EdgeBatch
 
     ops = 0
@@ -131,37 +114,7 @@ def load_edge_list(
             srcs.append(dst); dsts.append(src)
             weights.append(weight)
             etypes.append(etype + reverse_etype_offset)
-        if len(srcs) >= chunk_size:
+        if len(srcs) >= CHUNK_SIZE:
             _flush()
     _flush()
     return ops
-
-
-def write_edge_list(
-    store: GraphStoreAPI,
-    target: _PathOrFile,
-    etypes: Optional[Tuple[int, ...]] = None,
-    include_header: bool = True,
-) -> int:
-    """Export a store's edges as ``src dst weight etype`` lines.
-
-    Returns the number of edges written.  Relations default to whatever
-    the store reports via ``etypes()`` (or just etype 0).
-    """
-    if etypes is None:
-        getter = getattr(store, "etypes", None)
-        etypes = tuple(getter()) if getter is not None else (DEFAULT_ETYPE,)
-    handle, own = _open_write(target)
-    try:
-        if include_header:
-            handle.write("# src\tdst\tweight\tetype\n")
-        written = 0
-        for etype in etypes:
-            for src in sorted(store.sources(etype)):
-                for dst, weight in sorted(store.neighbors(src, etype)):
-                    handle.write(f"{src}\t{dst}\t{weight!r}\t{etype}\n")
-                    written += 1
-        return written
-    finally:
-        if own:
-            handle.close()

@@ -132,39 +132,6 @@ class GraphData:
             for s, d, w in rel.edge_tuples():
                 yield s, d, w, etype
 
-    def edge_columns(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The whole dataset as four parallel columns.
-
-        Returns ``(src, dst, weight, etype)`` arrays spanning every
-        relation — the shape the bulk ingestion tier consumes directly
-        (``store.bulk_load(*data.edge_columns())``), with no per-edge
-        Python objects in between.
-        """
-        if not self.relations:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.int16),
-            )
-        src = np.concatenate([r.src for r in self.relations])
-        dst = np.concatenate([r.dst for r in self.relations])
-        weight = np.concatenate([r.weight for r in self.relations])
-        etype = np.concatenate(
-            [
-                np.full(r.num_edges, r.spec.etype, dtype=np.int16)
-                for r in self.relations
-            ]
-        )
-        return (
-            src.astype(np.int64, copy=False),
-            dst.astype(np.int64, copy=False),
-            weight.astype(np.float64, copy=False),
-            etype,
-        )
-
     def forward_relations(self) -> List["RelationData"]:
         """Relations as listed in Table III (reversed twins excluded)."""
         return [r for r in self.relations if not r.spec.name.startswith("rev:")]

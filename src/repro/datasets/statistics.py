@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.datasets.presets import DATASET_SPECS, GraphData
+from repro.datasets.presets import DATASET_SPECS
 
-__all__ = ["published_table3_rows", "format_table3", "degree_histogram"]
+__all__ = ["published_table3_rows", "format_table3"]
 
 
 def published_table3_rows() -> List[Dict[str, object]]:
@@ -54,20 +54,3 @@ def format_table3(rows: Sequence[Dict[str, object]]) -> str:
             f"{float(row['density']):>9.2f}"
         )
     return "\n".join(lines)
-
-
-def degree_histogram(data: GraphData, num_buckets: int = 16) -> Dict[int, int]:
-    """Log2-bucketed out-degree histogram of a generated dataset —
-    evidence the generator's skew matches a power law."""
-    from collections import Counter, defaultdict
-
-    degrees: Counter = Counter()
-    for rel in data.relations:
-        degrees.update(int(s) for s in rel.src)
-    buckets: Dict[int, int] = defaultdict(int)
-    for deg in degrees.values():
-        b = 0
-        while (1 << (b + 1)) <= deg and b < num_buckets - 1:
-            b += 1
-        buckets[b] += 1
-    return dict(sorted(buckets.items()))

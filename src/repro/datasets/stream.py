@@ -270,10 +270,3 @@ class EdgeStream:
                     etype, src, dst = key
                     batch.append(EdgeOp.delete(src, dst, etype))
             yield batch
-
-    # ------------------------------------------------------------------
-    @property
-    def num_live_edges(self) -> int:
-        """Distinct (etype, src, dst) triples currently live."""
-        self._ensure_live()
-        return len(self._live_set)

@@ -24,8 +24,6 @@ __all__ = [
     "type_offset",
     "zipf_probabilities",
     "power_law_edges",
-    "powerlaw_degrees",
-    "zipf_request_sources",
 ]
 
 #: ID-space stride between node types: type ``t`` owns
@@ -92,83 +90,3 @@ def power_law_edges(
         np.float64
     )
     return src, dst, weights
-
-
-def zipf_request_sources(
-    num_sources: int,
-    num_requests: int,
-    exponent: float,
-    rng: np.random.Generator,
-    src_type: int = 0,
-    shuffle: bool = True,
-) -> np.ndarray:
-    """Draw a Zipf-skewed *serving* traffic trace: ``num_requests``
-    source-vertex read requests over a universe of ``num_sources``.
-
-    This is the read-side twin of :func:`power_law_edges` — production
-    sampling traffic concentrates on a tiny hot set (rank-1 share grows
-    with ``exponent``: ~3% at s=0.6, ~11% at s=0.99, ~68% at s=1.4 for a
-    10k universe), which is exactly the regime the hot-key serving layer
-    (replicas, TinyLFU admission, coalescing) is built for.  With
-    ``shuffle`` (default) popularity rank is decorrelated from vertex ID
-    via a seeded permutation, so hot keys land on arbitrary shards under
-    hash partitioning; pass ``shuffle=False`` to make vertex ``i`` the
-    rank-``i`` key (deterministic hot set, handy in tests).
-    """
-    if num_sources < 1:
-        raise ConfigurationError(
-            f"num_sources must be >= 1, got {num_sources}"
-        )
-    if num_requests < 0:
-        raise ConfigurationError(
-            f"num_requests must be >= 0, got {num_requests}"
-        )
-    ranks = rng.choice(
-        num_sources,
-        size=num_requests,
-        p=zipf_probabilities(num_sources, exponent),
-    )
-    if shuffle:
-        perm = rng.permutation(num_sources)
-        ranks = perm[ranks]
-    return ranks.astype(np.int64) + type_offset(src_type)
-
-
-def powerlaw_degrees(
-    num_sources: int,
-    hub_degree: int,
-    exponent: float = 1.4,
-    min_degree: int = 16,
-) -> np.ndarray:
-    """Rank-aligned power-law out-degrees: vertex ``r`` (the rank-``r``
-    key) gets ``max(min_degree, hub_degree / (r + 1)^exponent)`` edges.
-
-    Popularity and degree are *correlated* in real serving graphs — the
-    celebrity account that absorbs the most sampling requests is also
-    the one with millions of edges, so its flattened snapshot exceeds
-    any per-shard cache budget and every read of it pays an O(degree)
-    rebuild on the owning shard.  Pairing this with
-    :func:`zipf_request_sources` (``shuffle=False``) reproduces that
-    regime: the hot head is uncacheable (what read replicas spread), the
-    mid-tier is cacheable-under-pressure (what TinyLFU admission
-    protects), and the tail is cheap.
-    """
-    if num_sources < 1:
-        raise ConfigurationError(
-            f"num_sources must be >= 1, got {num_sources}"
-        )
-    if hub_degree < 1:
-        raise ConfigurationError(
-            f"hub_degree must be >= 1, got {hub_degree}"
-        )
-    if min_degree < 1:
-        raise ConfigurationError(
-            f"min_degree must be >= 1, got {min_degree}"
-        )
-    if exponent < 0:
-        raise ConfigurationError(
-            f"exponent must be >= 0, got {exponent}"
-        )
-    ranks = np.arange(num_sources, dtype=np.float64)
-    degrees = hub_degree / (ranks + 1.0) ** exponent
-    return np.maximum(min_degree, degrees).astype(np.int64)

@@ -44,6 +44,7 @@ from repro.core.types import (
     GraphStoreAPI,
     OpKind,
     SampleBlock,
+    check_counts,
     run_bounds,
 )
 from repro.distributed.hotset import HotReplicaDirectory, HotSetTracker
@@ -674,12 +675,14 @@ class GraphClient(GraphStoreAPI):
         * the **hot tracker** observes every distinct source with its
           window multiplicity.
 
-        A negative ``k`` raises before any counter, tracker or network
+        A negative ``k``, or a ``counts`` that is not one non-negative
+        count per source, raises before any counter, tracker or network
         charge.
         """
         if k < 0:
             raise ConfigurationError(f"fanout must be >= 0, got {k}")
         srcs = np.asarray(srcs, dtype=np.int64)
+        counts = check_counts(srcs, counts)
         if counts is not None:
             srcs = np.repeat(srcs, counts)
         n = srcs.size

@@ -361,12 +361,10 @@ class LocalCluster:
 
     def recover_all(self, sync: bool = True) -> int:
         """Recover every crashed replica; returns WAL records replayed."""
-        replayed = 0
-        for shard, group in enumerate(self.replica_groups):
-            for r, server in enumerate(group):
-                if not server.alive:
-                    replayed += self.recover(shard, r, sync=sync)
-        return replayed
+        return sum(
+            self.recover(shard, r, sync=sync)
+            for shard, r in self.dead_replicas()
+        )
 
     def checkpoint_all(self) -> int:
         """Checkpoint every live replica; returns total image bytes."""
@@ -502,43 +500,6 @@ class LocalCluster:
             rows += dsts.size
         return rows
 
-    def drop_hot_replicas(self, srcs: Optional[List[int]] = None) -> int:
-        """Tear down hot read replicas (all of them by default).
-
-        Deletes each extra copy's adjacency through the columnar write
-        path and removes the source from the directory; returns the
-        number of copies dropped.  Reads fall back to the primary from
-        the next batch on.
-        """
-        directory = self.client.hot_replicas
-        targets = (
-            list(srcs)
-            if srcs is not None
-            else [src for src, _ in directory.items()]
-        )
-        dropped = 0
-        for src in targets:
-            group = directory.shards(src)
-            if not group:
-                continue
-            primary = self.partitioner.shard_for(src)
-            for shard in group:
-                if shard == primary:
-                    continue
-                self.ship_adjacency(
-                    shard,
-                    src,
-                    read_adjacency(self.client._live_store(shard), src),
-                    op=OP_DELETE,
-                )
-                dropped += 1
-            directory.drop(src)
-        if targets:
-            self.telemetry.event(
-                "replica", "drop", copies=dropped, sources=len(targets)
-            )
-        return dropped
-
     def dead_replicas(self) -> List[Tuple[int, int]]:
         """``(shard, replica)`` pairs currently down."""
         return [
@@ -547,9 +508,6 @@ class LocalCluster:
             for r, server in enumerate(group)
             if not server.alive
         ]
-
-    def all_alive(self) -> bool:
-        return not self.dead_replicas()
 
     # ------------------------------------------------------------------
     # dashboards

@@ -96,7 +96,7 @@ class FaultInjector:
         spikes are charged to it so retry deadlines observe them.
     """
 
-    __slots__ = ("policy", "network", "stats", "telemetry", "_rng", "_armed")
+    __slots__ = ("policy", "network", "stats", "telemetry", "_rng")
 
     def __init__(
         self,
@@ -112,18 +112,10 @@ class FaultInjector:
             clock=network.now if network is not None else None
         )
         self._rng = random.Random(seed)
-        self._armed = True
 
     # ------------------------------------------------------------------
-    # arming (chaos tests pause injection during verification phases)
+    # runtime chaos knob
     # ------------------------------------------------------------------
-    def pause(self) -> None:
-        """Stop injecting (verification phases of chaos tests)."""
-        self._armed = False
-
-    def resume(self) -> None:
-        self._armed = True
-
     def set_policy(self, policy: "FaultPolicy") -> "FaultPolicy":
         """Swap the active fault policy, returning the previous one.
 
@@ -152,8 +144,6 @@ class FaultInjector:
         :class:`TransientRPCError` or — after crashing the server —
         :class:`ShardUnavailableError`.
         """
-        if not self._armed:
-            return 0.0
         self.stats.requests += 1
         rng = self._rng
         policy = self.policy

@@ -175,11 +175,6 @@ class HotSetTracker:
         if self._since_decay >= self.decay_interval:
             self._decay()
 
-    def observe_many(self, srcs: Iterable[int]) -> None:
-        """Record one read per element (duplicates count individually)."""
-        for src in srcs:
-            self.observe(int(src))
-
     def observe_counts(self, pairs: Iterable[Tuple[int, int]]) -> None:
         """Record pre-aggregated ``(src, multiplicity)`` pairs — the shape
         the coalescing client produces per batch."""
@@ -226,21 +221,6 @@ class HotSetTracker:
             self._entries.values(), key=lambda e: (-e.count, e.src)
         )
         return ranked[:n]
-
-    def hot_sources(
-        self, n: int, min_share: float = 0.0
-    ) -> List[HotSetEntry]:
-        """Top-``n`` entries whose share of observed traffic is at least
-        ``min_share`` — the replication planner's candidate set (a
-        barely-warm source is not worth the copy cost)."""
-        if not 0.0 <= min_share <= 1.0:
-            raise ConfigurationError(
-                f"min_share must be in [0, 1], got {min_share}"
-            )
-        total = max(1, self.stats.observations)
-        return [
-            e for e in self.top(n) if e.count / total >= min_share
-        ]
 
     def clear(self) -> None:
         """Drop all tracked entries (stats are kept; use ``stats.reset``)."""

@@ -16,7 +16,6 @@ A deterministic mixing hash (splitmix64) is used instead of Python's
 from __future__ import annotations
 
 import abc
-from typing import Sequence
 
 import numpy as np
 
@@ -76,10 +75,6 @@ class Partitioner(abc.ABC):
     @abc.abstractmethod
     def shard_for(self, src: int) -> int:
         """Shard index in ``[0, num_shards)`` owning ``src``."""
-
-    def shards_for(self, srcs: Sequence[int]) -> list:
-        """Vector form of :meth:`shard_for`."""
-        return [self.shard_for(s) for s in srcs]
 
     def shards_for_array(self, srcs) -> np.ndarray:
         """Array form of :meth:`shard_for` (loop fallback; hash-based

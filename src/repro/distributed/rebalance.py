@@ -131,11 +131,6 @@ class OverridePartitioner(Partitioner):
         else:
             self.overrides[src] = shard
 
-    def remove_override(self, src: int) -> bool:
-        """Drop one override (returns whether it existed); routing falls
-        back to the base hash."""
-        return self.overrides.pop(int(src), None) is not None
-
 
 # ---------------------------------------------------------------------------
 # load measurement

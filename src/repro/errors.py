@@ -31,14 +31,6 @@ class VertexNotFoundError(ReproError, KeyError):
     """A vertex (or edge endpoint) is not present in the store."""
 
 
-class StoreOutOfMemoryError(ReproError, MemoryError):
-    """The modeled memory footprint exceeded the configured budget.
-
-    Used by benchmark drivers to reproduce the paper's "o.o.m" entries
-    (e.g. AliGraph on the WeChat dataset in Table IV / Figure 8).
-    """
-
-
 class InvariantViolationError(ReproError, AssertionError):
     """A structural invariant check failed (used by ``check_invariants``)."""
 
@@ -83,15 +75,6 @@ class RPCError(ReproError, ConnectionError):
         self.endpoint = endpoint
         self.attempt = attempt
         self.timestamp = timestamp
-
-    def context(self) -> dict:
-        """The populated context fields as a flat dict (for logs/events)."""
-        out = {}
-        for key in ("shard", "endpoint", "attempt", "timestamp"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
 
 
 class TransientRPCError(RPCError):

@@ -3,8 +3,8 @@ and the mini-batch trainer.
 """
 
 from repro.gnn.embeddings import EmbeddingTable, SkipGramTrainer
-from repro.gnn.inference import embed_vertices, topk_similar
-from repro.gnn.layers import DenseLayer, GATLayer, GCNLayer, SAGEMeanLayer
+from repro.gnn.inference import embed_vertices
+from repro.gnn.layers import GATLayer, GCNLayer, SAGEMeanLayer
 from repro.gnn.models import GAT, GCN, GraphSAGE, SampledGNN
 from repro.gnn.ops import (
     accuracy,
@@ -24,19 +24,12 @@ from repro.gnn.samplers import (
     sample_subgraph,
 )
 from repro.gnn.training import Adam, Trainer, TrainResult
-from repro.gnn.walks import (
-    metapath_walks,
-    node2vec_walks,
-    random_walks,
-    walk_cooccurrence,
-)
+from repro.gnn.walks import random_walks, walk_cooccurrence
 
 __all__ = [
     "EmbeddingTable",
     "SkipGramTrainer",
     "embed_vertices",
-    "topk_similar",
-    "DenseLayer",
     "GATLayer",
     "GCNLayer",
     "SAGEMeanLayer",
@@ -44,8 +37,6 @@ __all__ = [
     "GCN",
     "GraphSAGE",
     "SampledGNN",
-    "metapath_walks",
-    "node2vec_walks",
     "random_walks",
     "walk_cooccurrence",
     "accuracy",

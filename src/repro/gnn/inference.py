@@ -6,26 +6,24 @@ training and inference).  This module batches that path:
 
 * :func:`embed_vertices` — sampled-neighborhood embeddings for any
   vertex list, mini-batched so a full-catalog refresh streams through
-  bounded memory;
-* :func:`topk_similar` — cosine top-k lookup over an embedding matrix,
-  the retrieval primitive of an embedding-based recommender.
+  bounded memory.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
-from repro.errors import ConfigurationError, ShapeError
+from repro.errors import ConfigurationError
 from repro.gnn.models import SampledGNN
 from repro.gnn.ops import l2_normalize
 from repro.gnn.samplers import sample_blocks, sample_blocks_partial
 from repro.storage.attributes import AttributeStore
 
-__all__ = ["embed_vertices", "topk_similar"]
+__all__ = ["embed_vertices"]
 
 
 def embed_vertices(
@@ -105,31 +103,3 @@ def embed_vertices(
         # untouched) so callers can overwrite them from a cache.
         return matrix, skipped
     return matrix
-
-
-def topk_similar(
-    embeddings: np.ndarray,
-    query: np.ndarray,
-    k: int,
-    exclude: Optional[int] = None,
-) -> List[Tuple[int, float]]:
-    """Top-``k`` rows of ``embeddings`` by dot product with ``query``.
-
-    Returns ``(row_index, score)`` pairs, best first.  ``exclude`` drops
-    one row (conventionally the query item itself).
-    """
-    if embeddings.ndim != 2 or query.shape != (embeddings.shape[1],):
-        raise ShapeError(
-            f"embeddings {embeddings.shape} incompatible with query "
-            f"{query.shape}"
-        )
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    scores = embeddings @ query
-    if exclude is not None and 0 <= exclude < len(scores):
-        scores = scores.copy()
-        scores[exclude] = -np.inf
-    k = min(k, len(scores))
-    top = np.argpartition(-scores, k - 1)[:k]
-    top = top[np.argsort(-scores[top])]
-    return [(int(i), float(scores[i])) for i in top]

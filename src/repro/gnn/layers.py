@@ -31,7 +31,7 @@ from repro.gnn.ops import (
     xavier_init,
 )
 
-__all__ = ["Layer", "DenseLayer", "SAGEMeanLayer", "GCNLayer", "GATLayer"]
+__all__ = ["Layer", "SAGEMeanLayer", "GCNLayer", "GATLayer"]
 
 
 class Layer:
@@ -51,44 +51,6 @@ class Layer:
     def _add_param(self, name: str, value: np.ndarray) -> None:
         self.params[name] = value
         self.grads[name] = np.zeros_like(value)
-
-
-class DenseLayer(Layer):
-    """Affine map ``y = x W + b`` with optional ReLU."""
-
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        rng: np.random.Generator,
-        activation: bool = True,
-    ) -> None:
-        super().__init__()
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.activation = activation
-        self._add_param("W", xavier_init(in_dim, out_dim, rng))
-        self._add_param("b", np.zeros(out_dim, dtype=np.float32))
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Apply the layer; caches inputs for the backward pass."""
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(
-                f"DenseLayer expects last dim {self.in_dim}, got {x.shape}"
-            )
-        z = x @ self.params["W"] + self.params["b"]
-        self._cache.append((x, z))
-        return relu(z) if self.activation else z
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Consume the most recent cached forward; returns grad wrt input."""
-        x, z = self._cache.pop()
-        gz = relu_grad(z, grad_out) if self.activation else grad_out
-        self.grads["W"] += x.reshape(-1, self.in_dim).T @ gz.reshape(
-            -1, self.out_dim
-        )
-        self.grads["b"] += gz.reshape(-1, self.out_dim).sum(axis=0)
-        return gz @ self.params["W"].T
 
 
 class SAGEMeanLayer(Layer):

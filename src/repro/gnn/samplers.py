@@ -54,14 +54,6 @@ class MiniBatchBlocks:
     def batch_size(self) -> int:
         return int(self.levels[0].shape[0])
 
-    @property
-    def num_hops(self) -> int:
-        return len(self.fanouts)
-
-    def num_sampled(self) -> int:
-        """Total vertices materialised across all levels."""
-        return int(sum(level.shape[0] for level in self.levels))
-
 
 def sample_seed_nodes(
     store: GraphStoreAPI,
@@ -73,8 +65,10 @@ def sample_seed_nodes(
 
     Uses the store's degree-weighted vertex sampler when it offers one
     (PlatoD2GL's store does); otherwise falls back to uniform choice over
-    the sources.
+    the sources.  A negative ``k`` raises.
     """
+    if k < 0:
+        raise ConfigurationError(f"sample count must be >= 0, got {k}")
     sampler = getattr(store, "sample_vertices", None)
     if sampler is not None:
         seeds = sampler(k, rng, etype)

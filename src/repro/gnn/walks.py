@@ -9,10 +9,6 @@ production recommenders.  This module runs them directly against any
 through the store's ITS/FTS path and always reflects the current graph.
 
 * :func:`random_walks` — plain weighted walks (restart-capable);
-* :func:`node2vec_walks` — 2nd-order walks with return/in-out bias
-  (p, q) via rejection sampling (KnightKing's technique: propose from
-  the static weighted distribution, accept against the dynamic bias);
-* :func:`metapath_walks` — typed walks over a heterogeneous schema;
 * :func:`walk_cooccurrence` — skip-gram (center, context) pair counts,
   the training signal for unsupervised embeddings.
 """
@@ -28,8 +24,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "random_walks",
-    "node2vec_walks",
-    "metapath_walks",
     "walk_cooccurrence",
 ]
 
@@ -69,104 +63,6 @@ def random_walks(
                 break
             current = int(step[0])
             walk.append(current)
-        walks.append(walk)
-    return walks
-
-
-def node2vec_walks(
-    store: GraphStoreAPI,
-    seeds: Sequence[int],
-    length: int,
-    p: float = 1.0,
-    q: float = 1.0,
-    rng: Optional[random.Random] = None,
-    etype: int = DEFAULT_ETYPE,
-    max_rejections: int = 32,
-) -> List[List[int]]:
-    """2nd-order (node2vec) walks with return parameter ``p`` and
-    in-out parameter ``q``.
-
-    Implemented with KnightKing-style rejection sampling: candidates are
-    proposed from the store's first-order weighted distribution and
-    accepted with probability ``bias / max_bias`` where the bias is
-    ``1/p`` for returning to the previous vertex, ``1`` for a common
-    neighbor of the previous vertex, and ``1/q`` otherwise.  This keeps
-    every proposal a plain O(log n) store draw — no per-vertex transition
-    tables, so the walk definition stays valid under dynamic updates.
-    """
-    if p <= 0 or q <= 0:
-        raise ConfigurationError(f"p and q must be > 0, got p={p}, q={q}")
-    if length < 0:
-        raise ConfigurationError(f"length must be >= 0, got {length}")
-    rng = rng or random
-    max_bias = max(1.0, 1.0 / p, 1.0 / q)
-    walks = []
-    for seed in seeds:
-        walk = [int(seed)]
-        prev: Optional[int] = None
-        current = int(seed)
-        for _ in range(length):
-            candidate: Optional[int] = None
-            for _ in range(max_rejections):
-                step = store.sample_neighbors(current, 1, rng, etype)
-                if not step:
-                    break
-                proposal = int(step[0])
-                if prev is None:
-                    candidate = proposal
-                    break
-                if proposal == prev:
-                    bias = 1.0 / p
-                elif store.has_edge(prev, proposal, etype):
-                    bias = 1.0
-                else:
-                    bias = 1.0 / q
-                if rng.random() * max_bias <= bias:
-                    candidate = proposal
-                    break
-            if candidate is None:
-                break
-            prev, current = current, candidate
-            walk.append(current)
-        walks.append(walk)
-    return walks
-
-
-def metapath_walks(
-    store: GraphStoreAPI,
-    seeds: Sequence[int],
-    schema: Sequence[int],
-    repetitions: int = 1,
-    rng: Optional[random.Random] = None,
-) -> List[List[int]]:
-    """Typed walks following an edge-type schema, repeated in a loop.
-
-    ``schema = [USER_LIVE, LIVE_LIVE]`` with ``repetitions=2`` walks
-    User→Live→Live→Live→Live (metapath2vec-style), stopping early when a
-    hop has no edges of the scheduled type.
-    """
-    if not schema:
-        raise ConfigurationError("schema must contain at least one etype")
-    if repetitions < 1:
-        raise ConfigurationError(
-            f"repetitions must be >= 1, got {repetitions}"
-        )
-    rng = rng or random
-    walks = []
-    for seed in seeds:
-        walk = [int(seed)]
-        current = int(seed)
-        alive = True
-        for _ in range(repetitions):
-            if not alive:
-                break
-            for etype in schema:
-                step = store.sample_neighbors(current, 1, rng, etype)
-                if not step:
-                    alive = False
-                    break
-                current = int(step[0])
-                walk.append(current)
         walks.append(walk)
     return walks
 

@@ -135,14 +135,6 @@ class ThresholdRule(AlertRule):
         value = self._measure(store, now)
         return _OPS[self.op](value, self.threshold), value
 
-    def describe(self) -> str:
-        expr = (
-            f"quantile_over_time({self.q}, {self.key}[{self.window:g}s])"
-            if self.mode == "quantile"
-            else f"{self.mode}({self.key}[{self.window:g}s])"
-        )
-        return f"{expr} {self.op} {self.threshold:g}"
-
 
 class BurnRateRule(AlertRule):
     """Multi-window multi-burn-rate SLO alert over a good/total pair.
@@ -203,13 +195,6 @@ class BurnRateRule(AlertRule):
         return (
             fast > self.threshold and slow > self.threshold,
             value,
-        )
-
-    def describe(self) -> str:
-        return (
-            f"burn({self.total}\\{self.good}, target={self.target:g}) > "
-            f"{self.threshold:g} in both [{self.fast_window:g}s] and "
-            f"[{self.slow_window:g}s]"
         )
 
 
@@ -345,9 +330,6 @@ class AlertManager:
 
     def pending(self) -> List[Alert]:
         return [a for a in self.alerts.values() if a.state == "pending"]
-
-    def state_of(self, rule_name: str) -> str:
-        return self.alerts[rule_name].state
 
     def timeline(self, rule: Optional[str] = None) -> List[AlertEvent]:
         """The event log, optionally filtered to one rule."""

@@ -16,9 +16,11 @@ Categories (fixed at construction; see :data:`DEFAULT_CATEGORIES`):
 * ``fault``     — injected faults, policy swaps, crashes, recoveries;
 * ``retry``     — transient failures, exhaustions, deadline aborts;
 * ``wal``       — WAL appends and checkpoints;
-* ``replica``   — hot-replica drops;
+* ``replica``   — hot-replica changes (no hook emits one today; the
+  ring stays so recorded bundles keep their shape);
 * ``migration`` — rebalance cutovers;
-* ``alert``     — alert lifecycle transitions (via ``observe_alerts``);
+* ``alert``     — alert lifecycle transitions (the cluster's hub
+  forwards its monitor's alerts to :meth:`FlightRecorder.record_alert`);
 * ``chaos``     — scenario-level chaos events with their seeds.
 
 No layer holds a recorder.  Hook sites emit through the one
@@ -187,12 +189,6 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # alert wiring
     # ------------------------------------------------------------------
-    def observe_alerts(self, manager) -> None:
-        """Subscribe to an :class:`~repro.obs.alerts.AlertManager` so
-        every lifecycle transition lands in the ``alert`` ring
-        (idempotent)."""
-        manager.add_listener(self.record_alert)
-
     def record_alert(self, event) -> None:
         self.record(
             "alert",

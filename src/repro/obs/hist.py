@@ -133,15 +133,6 @@ class LatencyHistogram:
     # ------------------------------------------------------------------
     # merge / snapshot / reset
     # ------------------------------------------------------------------
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram into this one (thread-local histograms
-        merged into a shared one — the registry's aggregation pattern)."""
-        for i in range(NUM_BUCKETS):
-            self._buckets[i] += other._buckets[i]
-        self._count += other._count
-        self._sum += other._sum
-        self._max = max(self._max, other._max)
-
     def state(self) -> Tuple[Tuple[int, ...], int, float, float]:
         """Immutable ``(buckets, count, sum, max)`` snapshot (diff unit)."""
         return (tuple(self._buckets), self._count, self._sum, self._max)
@@ -154,7 +145,7 @@ class LatencyHistogram:
 
         The monitor's ``quantile_over_time`` subtracts two scrape states
         and rehydrates the delta into a real histogram so the existing
-        :meth:`percentile` / :meth:`merge` machinery answers windowed
+        :meth:`percentile` machinery answers windowed
         quantile queries.  Components are clamped at zero so a slightly
         inconsistent delta (e.g. across a reset) degrades to an empty
         histogram instead of corrupting quantile math.

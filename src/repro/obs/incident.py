@@ -18,9 +18,7 @@ Triggers:
   on every ``firing`` transition, subject to a per-rule simulated-time
   ``cooldown`` so a flapping alert can't spam bundles;
 * **manual** — :meth:`trigger` captures on demand (an operator's
-  "grab me the state now");
-* **exception** — :meth:`capture_exception` (or the :meth:`guard`
-  context manager) captures when driver code blows up mid-run.
+  "grab me the state now").
 
 Bundles live in memory (``manager.incidents``) and, when ``out_dir`` is
 set, as JSON bundle directories (one file per section) that
@@ -32,8 +30,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import traceback
-from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
@@ -93,7 +89,7 @@ class IncidentManager:
     cooldown:
         Minimum simulated seconds between two *alert-triggered*
         captures of the same rule; suppressed firings are counted in
-        :attr:`suppressed`.  Manual and exception triggers ignore it.
+        :attr:`suppressed`.  A manual trigger ignores it.
     max_traces:
         Slowest trace trees to embed per bundle.
     """
@@ -169,26 +165,6 @@ class IncidentManager:
     def trigger(self, reason: str = "manual") -> Dict:
         """Capture a bundle right now (no cooldown)."""
         return self.capture(trigger="manual", reason=reason)
-
-    def capture_exception(self, exc: BaseException) -> Dict:
-        """Capture a bundle for an exception that escaped driver code."""
-        return self.capture(
-            trigger="exception",
-            error=repr(exc),
-            error_context=dict(getattr(exc, "context", dict)() or {}),
-            traceback="".join(
-                traceback.format_exception(type(exc), exc, exc.__traceback__)
-            )[-4000:],
-        )
-
-    @contextmanager
-    def guard(self):
-        """Context manager: capture a bundle if the body raises."""
-        try:
-            yield self
-        except Exception as exc:
-            self.capture_exception(exc)
-            raise
 
     # ------------------------------------------------------------------
     # the freeze

@@ -395,7 +395,3 @@ class Monitor:
     @property
     def scrapes(self) -> int:
         return self.store.scrapes
-
-    def firing(self):
-        """Currently-firing alerts (empty without an AlertManager)."""
-        return self.alerts.firing() if self.alerts is not None else []

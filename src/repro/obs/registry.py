@@ -101,9 +101,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
 
 class Sample:
     """One materialised scalar: ``(name, kind, help, labels, value)``."""

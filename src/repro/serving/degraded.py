@@ -89,13 +89,6 @@ class DegradedAnswerCache:
         self._entries.move_to_end(int(vertex))
         return embedding
 
-    def age(self, vertex: int, now: float) -> Optional[float]:
-        """Seconds since ``vertex``'s entry was stamped (None = absent)."""
-        entry = self._entries.get(int(vertex))
-        if entry is None:
-            return None
-        return now - entry[1]
-
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0

@@ -83,10 +83,6 @@ class Scenario:
     def sorted_events(self) -> List[Event]:
         return sorted(self.events, key=lambda e: e[0])
 
-    @property
-    def num_requests(self) -> int:
-        return sum(1 for e in self.events if e[1] == "request")
-
 
 # ---------------------------------------------------------------------------
 # arrival helpers

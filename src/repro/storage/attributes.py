@@ -207,12 +207,6 @@ class AttributeStore:
             )
         return slab.rows[slot].copy()
 
-    def get_or_default(self, name: str, vertex: int) -> np.ndarray:
-        """Feature vector (a copy), or a zero vector when missing (cold
-        vertices)."""
-        slab = self._slab(name)
-        return slab.rows[slab.index.get(int(vertex), 0)].copy()
-
     def delete(self, name: str, vertex: int) -> bool:
         """Drop one vertex's value; returns whether it existed."""
         slab = self._slab(name)
@@ -221,14 +215,6 @@ class AttributeStore:
             return False
         slab.free.append(slot)
         return True
-
-    def has(self, name: str, vertex: int) -> bool:
-        """Whether the vertex has a stored value for the field."""
-        return int(vertex) in self._slab(name).index
-
-    def num_vertices(self, name: str) -> int:
-        """Number of vertices with a stored value for the field."""
-        return len(self._slab(name).index)
 
     # ------------------------------------------------------------------
     # batch access (the GNN gather path)

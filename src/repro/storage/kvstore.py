@@ -70,13 +70,6 @@ class BlockKVStore:
         """Iterate over pairs."""
         return iter(self._data.items())
 
-    def keys_with_prefix(self, prefix: Tuple) -> Iterator[Hashable]:
-        """Iterate over tuple keys starting with ``prefix`` (block scans)."""
-        plen = len(prefix)
-        for key in self._data:
-            if isinstance(key, tuple) and key[:plen] == prefix:
-                yield key
-
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------

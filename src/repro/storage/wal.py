@@ -282,10 +282,6 @@ class ShardWAL:
             self._cut_to(pos)
         yield from pending
 
-    def num_records(self) -> int:
-        """Complete records currently in the log (scans the log)."""
-        return sum(1 for _ in self.replay())
-
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.samtree import SamtreeConfig
+from repro.core.samtree import OpStats, Samtree, SamtreeConfig, build_roots
+from repro.core.tree_batch import apply_tree_codes, check_tree_ops
 from repro.core.types import DEFAULT_ETYPE
 
 
@@ -44,3 +45,32 @@ def stores_equal(a, b) -> bool:
         }
 
     return edges(a) == edges(b)
+
+
+def bulk_tree(ids, weights=None, config=None, stats=None) -> Samtree:
+    """A samtree over distinct ``ids`` built bottom-up the way the store's
+    bulk tier builds one (:func:`build_roots`, then ``Samtree._over``)."""
+    config = config or SamtreeConfig()
+    ids = np.asarray(ids, dtype=np.int64)
+    weights = (
+        np.ones(ids.size) if weights is None
+        else np.asarray(weights, dtype=np.float64)
+    )
+    order = np.argsort(ids, kind="stable")
+    (built,) = build_roots(config, ids[order], weights[order], [int(ids.size)])
+    return Samtree._over(
+        config, stats if stats is not None else OpStats(), *built
+    )
+
+
+def tree_batch(tree: Samtree, ops):
+    """Apply ``(kind, vid, weight)`` triples to one samtree as one batch,
+    the way ``DynamicGraphStore.apply_source_batch`` does."""
+    return apply_tree_codes(tree, *check_tree_ops(ops))
+
+
+def live_edges(stream):
+    """The ``(etype, src, dst)`` triples an ``EdgeStream`` has inserted
+    and not deleted: the model a store fed the stream must match."""
+    stream._ensure_live()
+    return stream._live_set

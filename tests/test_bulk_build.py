@@ -1,6 +1,6 @@
 """Bulk-built samtrees are equivalent to insert-loop trees.
 
-The bottom-up O(n) builder (`Samtree.bulk_build`) must produce trees
+The bottom-up O(n) builder of the bulk tier (`build_roots`) must produce trees
 that are *indistinguishable* from incrementally grown ones everywhere it
 matters: structural invariants, degree, height bounds, the neighbor set
 and weights, the total weight, and — the property the whole system
@@ -14,8 +14,10 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.samtree import BULK_FILL_FRACTION, Samtree, SamtreeConfig
+from repro.core.samtree import Samtree, SamtreeConfig
+from repro.core.topology import DynamicGraphStore
 from repro.errors import ConfigurationError, InvalidWeightError
+from tests.conftest import bulk_tree
 
 try:
     from scipy import stats as _scipy_stats
@@ -55,7 +57,7 @@ def test_bulk_build_equivalence_sweep(capacity, alpha, compress):
     for n in (0, 1, 2, 3, capacity, capacity + 1, 10 * capacity + 7, 2000):
         ids = rng.sample(range(10 * n + 10), n)
         weights = [round(rng.random() * 5 + 0.01, 6) for _ in range(n)]
-        bulk = Samtree.bulk_build(ids, weights, config)
+        bulk = bulk_tree(ids, weights, config)
         inc = _incremental(ids, weights, config)
         bulk.check_invariants()
         assert bulk.degree == inc.degree == n
@@ -75,43 +77,33 @@ def test_bulk_build_equivalence_sweep(capacity, alpha, compress):
 
 
 def test_bulk_build_duplicates_resolve_last_wins():
-    config = SamtreeConfig(capacity=8)
+    store = DynamicGraphStore(SamtreeConfig(capacity=8))
     ids = [5, 3, 5, 9, 3, 3]
     weights = [1.0, 2.0, 7.0, 4.0, 5.0, 6.0]
-    tree = Samtree.bulk_build(ids, weights, config)
-    tree.check_invariants()
-    assert tree.to_dict() == {5: 7.0, 3: 6.0, 9: 4.0}
-
-
-def test_bulk_build_assume_sorted_unique_skips_sort():
-    config = SamtreeConfig(capacity=4)
-    ids = list(range(0, 100, 3))
-    weights = [float(i % 7 + 1) for i in ids]
-    a = Samtree.bulk_build(ids, weights, config, assume_sorted_unique=True)
-    b = Samtree.bulk_build(ids, weights, config)
-    a.check_invariants()
-    assert a.to_dict() == b.to_dict()
+    store.bulk_load([0] * len(ids), ids, weights)
+    store.check_invariants()
+    assert dict(store.neighbors(0)) == {5: 7.0, 3: 6.0, 9: 4.0}
 
 
 def test_bulk_build_weight_default_is_one():
-    tree = Samtree.bulk_build([4, 1, 9], config=SamtreeConfig(capacity=4))
-    assert tree.to_dict() == {1: 1.0, 4: 1.0, 9: 1.0}
+    store = DynamicGraphStore(SamtreeConfig(capacity=4))
+    store.bulk_load([0, 0, 0], [4, 1, 9])
+    assert dict(store.neighbors(0)) == {1: 1.0, 4: 1.0, 9: 1.0}
 
 
 def test_bulk_build_validation():
-    config = SamtreeConfig(capacity=4)
+    """A bad id, weight or column shape is refused before anything is
+    built."""
+    store = DynamicGraphStore(SamtreeConfig(capacity=4))
     with pytest.raises(InvalidWeightError):
-        Samtree.bulk_build([-1, 2], config=config)
+        store.bulk_load([0, 0], [-1, 2])
     with pytest.raises(InvalidWeightError):
-        Samtree.bulk_build([1, 2], [1.0, -3.0], config=config)
+        store.bulk_load([0, 0], [1, 2], [1.0, -3.0])
     with pytest.raises(InvalidWeightError):
-        Samtree.bulk_build([1], [float("nan")], config=config)
+        store.bulk_load([0], [1], [float("nan")])
     with pytest.raises(ConfigurationError):
-        Samtree.bulk_build([[1, 2]], config=config)  # 2-D ids
-    with pytest.raises(ConfigurationError):
-        Samtree.bulk_build([1, 2], [1.0], config=config)
-    with pytest.raises(ConfigurationError):
-        Samtree.bulk_build([1, 2], config=config, fill=0.0)
+        store.bulk_load([0, 0], [1, 2], [1.0])
+    assert store.num_edges == 0 and store.num_sources == 0
 
 
 def test_bulk_build_occupancy_matches_fill_fraction():
@@ -119,9 +111,9 @@ def test_bulk_build_occupancy_matches_fill_fraction():
     count is close to n / (fill * capacity), well below worst case."""
     config = SamtreeConfig(capacity=256)
     n = 100_000
-    tree = Samtree.bulk_build(np.arange(n), config=config)
+    tree = bulk_tree(np.arange(n), config=config)
     tree.check_invariants()
-    target = BULK_FILL_FRACTION * config.capacity
+    target = 0.75 * config.capacity  # build_roots' fill fraction
     leaves = -(-n // int(target))  # expected ~= ceil(n / target)
     # Count actual leaves by walking down to the leaf level.
     def count_leaves(node):
@@ -138,7 +130,7 @@ def test_bulk_build_supports_further_incremental_mutations():
     deletes after the build keep every invariant."""
     rng = random.Random(5)
     config = SamtreeConfig(capacity=8, alpha=1)
-    tree = Samtree.bulk_build(
+    tree = bulk_tree(
         list(range(0, 400, 2)), [1.0 + (i % 5) for i in range(200)], config
     )
     for _ in range(300):
@@ -159,7 +151,7 @@ def test_bulk_build_chi_square_sampling_equivalence():
     n = 40
     ids = list(range(0, 4 * n, 4))
     weights = [(i % 7 + 1) * (10.0 if i % 11 == 0 else 1.0) for i in range(n)]
-    bulk = Samtree.bulk_build(ids, weights, config)
+    bulk = bulk_tree(ids, weights, config)
     inc = _incremental(ids, weights, config)
 
     draws = 60_000

@@ -36,7 +36,7 @@ from repro.core.topology import (
     DynamicGraphStore,
 )
 from repro.core.types import GraphStoreAPI
-from repro.datasets.io import load_edge_list, write_edge_list
+from repro.datasets.io import load_edge_list
 from repro.datasets.presets import ogbn_scaled
 from repro.datasets.stream import EdgeStream
 from repro.distributed.client import GraphClient
@@ -49,7 +49,7 @@ from repro.distributed.rpc import NetworkModel
 from repro.distributed.server import GraphServer
 from repro.errors import ConfigurationError, InvalidWeightError
 
-from tests.conftest import stores_equal
+from tests.conftest import live_edges, stores_equal
 
 
 class _RefStore(DynamicGraphStore):
@@ -83,6 +83,7 @@ def test_edge_batch_broadcast_and_validation():
 
 
 def test_edge_batch_roundtrip_edge_ops():
+    from repro.core.ingest import OP_KIND_CODES
     from repro.core.types import EdgeOp
 
     ops = [
@@ -91,7 +92,14 @@ def test_edge_batch_roundtrip_edge_ops():
         EdgeOp.delete(6, 7, 2),
     ]
     batch = EdgeBatch.from_edge_ops(ops)
-    assert batch.to_edge_ops() == ops
+    kinds = {code: kind for kind, code in OP_KIND_CODES.items()}
+    assert [
+        EdgeOp(kinds[o], s, d, w, e)
+        for s, d, w, e, o in zip(
+            batch.src.tolist(), batch.dst.tolist(), batch.weight.tolist(),
+            batch.etype.tolist(), batch.op.tolist(),
+        )
+    ] == ops
     assert batch.payload_nbytes() == 16 + 3 * 23
 
 
@@ -106,7 +114,10 @@ def test_tree_groups_are_contiguous_and_complete():
     ).sorted_by_tree()
     seen = []
     rows = 0
-    for etype, src, sub in batch.iter_tree_groups():
+    bounds = batch.tree_bounds().tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        sub = batch.select(slice(a, b))
+        etype, src = int(sub.etype[0]), int(sub.src[0])
         assert (sub.src == src).all() and (sub.etype == etype).all()
         # dst-sorted within the group
         assert (np.diff(sub.dst) >= 0).all()
@@ -208,7 +219,7 @@ def test_apply_edge_batch_equals_per_op_application():
             sa = bulk.apply_edge_batch(batch)
             sb = ref.apply_edge_batch(batch)
             assert sa.ops == sb.ops == len(batch)
-            assert sa.net_edges == sb.net_edges
+            assert sa.inserted - sa.removed == sb.inserted - sb.removed
         bulk.check_invariants()
         assert stores_equal(bulk, ref), trial
         assert bulk.num_edges == ref.num_edges
@@ -283,7 +294,6 @@ def test_ingest_stats_merge():
     b = IngestStats(ops=3, removed=2, trees_rebuilt=1)
     a.merge_from(b)
     assert a.ops == 5 and a.inserted == 1 and a.removed == 2
-    assert a.net_edges == -1
     assert a.to_dict()["trees_rebuilt"] == 1
 
 
@@ -376,7 +386,7 @@ def test_columnar_stream_matches_scalar_stream():
         for op in ops:
             b.apply(op)
     assert stores_equal(a, b)
-    assert sa.num_live_edges == sb.num_live_edges
+    assert live_edges(sa) == live_edges(sb)
     # Same seed -> same churn sequence -> same final stores.
     for cb in sa.churn_batches_columnar(100, 4):
         a.apply_edge_batch(cb)
@@ -387,43 +397,40 @@ def test_columnar_stream_matches_scalar_stream():
     assert stores_equal(a, b)
 
 
-def test_edge_columns_cover_all_relations():
-    data = ogbn_scaled(scale=20000.0)
-    src, dst, w, et = data.edge_columns()
-    assert src.size == data.num_edges
-    assert set(np.unique(et).tolist()) == {
-        r.spec.etype for r in data.relations
-    }
-    store = DynamicGraphStore(SamtreeConfig(capacity=64))
-    store.bulk_load(src, dst, w, et)
-    ref = DynamicGraphStore(SamtreeConfig(capacity=64))
-    for s, d, ww, e in data.edge_ops():
-        ref.add_edge(s, d, ww, e)
-    assert stores_equal(store, ref)
+def test_load_edge_list_bulk_equals_per_op(tmp_path, monkeypatch):
+    import repro.datasets.io as edge_io
 
-
-def test_load_edge_list_bulk_equals_per_op(tmp_path):
+    monkeypatch.setattr(edge_io, "CHUNK_SIZE", 128)  # several flushes
     rng = random.Random(17)
     path = tmp_path / "edges.tsv"
+    rows = [
+        (rng.randrange(40), rng.randrange(99), round(rng.random(), 4),
+         rng.randrange(2))
+        for _ in range(800)
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# src dst weight etype\n")
-        for _ in range(800):
-            fh.write(
-                f"{rng.randrange(40)}\t{rng.randrange(99)}"
-                f"\t{round(rng.random(), 4)}\t{rng.randrange(2)}\n"
-            )
-    a = DynamicGraphStore(SamtreeConfig(capacity=16))
-    b = DynamicGraphStore(SamtreeConfig(capacity=16))
-    na = load_edge_list(a, path, bulk=True, chunk_size=128)
-    nb = load_edge_list(b, path, bulk=False)
-    assert na == nb == 800
-    assert stores_equal(a, b)
-    # bidirected round-trips too
-    c = DynamicGraphStore(SamtreeConfig(capacity=16))
-    d = DynamicGraphStore(SamtreeConfig(capacity=16))
-    load_edge_list(c, path, bidirected=True, chunk_size=200)
-    load_edge_list(d, path, bidirected=True, bulk=False)
-    assert stores_equal(c, d)
+        for row in rows:
+            fh.write("\t".join(map(str, row)) + "\n")
+    for bidirected in (False, True):
+        loaded = DynamicGraphStore(SamtreeConfig(capacity=16))
+        ref = DynamicGraphStore(SamtreeConfig(capacity=16))
+        for s, d, w, e in rows:
+            ref.add_edge(s, d, w, e)
+            if bidirected:
+                ref.add_edge(d, s, w, e + 8)
+        ops = load_edge_list(loaded, path, bidirected=bidirected)
+        assert ops == 800 * (1 + bidirected)
+        assert stores_equal(loaded, ref)
+
+
+def test_load_edge_list_malformed_line_leaves_its_chunk_unapplied():
+    import io
+
+    store = DynamicGraphStore(SamtreeConfig(capacity=16))
+    with pytest.raises(ConfigurationError, match="line 2"):
+        load_edge_list(store, io.StringIO("1 2 0.5\n3 x\n"))
+    assert store.num_edges == 0
 
 
 def test_build_store_use_bulk_matches_per_op():

@@ -17,6 +17,13 @@ from repro.core.compression import (
 )
 from repro.errors import IndexOutOfRangeError, InvalidWeightError
 
+def prefix_of(comp) -> int:
+    """The shared-prefix length ``z`` of a list of two or more IDs, read
+    back from Eq. 7: ``nbytes = 1 + z + n * (8 - z)``."""
+    n = len(comp)
+    return (1 + ID_BYTES * n - comp.nbytes()) // (n - 1)
+
+
 ids_st = st.lists(
     st.integers(min_value=0, max_value=MAX_ID), min_size=0, max_size=120
 )
@@ -40,7 +47,7 @@ class TestCompressedIDList:
         compressed size is 1 + 7 + 4*1 = 12 vs 32 uncompressed."""
         ids = [0x10, 0x81, 0x2B, 0x5A]
         comp = CompressedIDList(ids)
-        assert comp.prefix_length == 7
+        assert prefix_of(comp) == 7
         assert comp.to_list() == ids
         assert comp.nbytes() == 1 + 7 + 4 * 1
         assert PlainIDList(ids).nbytes() == 32
@@ -54,24 +61,24 @@ class TestCompressedIDList:
 
     def test_append_within_prefix(self):
         comp = CompressedIDList([0x1000, 0x1001])
-        assert comp.prefix_length == 7  # IDs differ only in the last byte
+        assert prefix_of(comp) == 7  # IDs differ only in the last byte
         comp.append(0x10FF)
-        assert comp.prefix_length == 7
+        assert prefix_of(comp) == 7
         assert comp.to_list() == [0x1000, 0x1001, 0x10FF]
 
     def test_append_narrows_prefix(self):
         comp = CompressedIDList([0x10000, 0x10001])
-        assert comp.prefix_length == 7
+        assert prefix_of(comp) == 7
         comp.append(0x1FF00)  # shares only 6 leading bytes → repack
-        assert comp.prefix_length == 6
+        assert prefix_of(comp) == 6
         assert comp.to_list() == [0x10000, 0x10001, 0x1FF00]
 
     def test_append_breaks_prefix(self):
         base = 7 << 40
         comp = CompressedIDList([base + 1, base + 2])
-        assert comp.prefix_length >= 4
+        assert prefix_of(comp) >= 4
         comp.append(1)  # shares no high bytes with base
-        assert comp.prefix_length == 0
+        assert prefix_of(comp) == 0
         assert comp.to_list() == [base + 1, base + 2, 1]
 
     def test_getitem_and_iteration(self):
@@ -97,7 +104,7 @@ class TestCompressedIDList:
         # suffix bytes form another ID's suffix at an unaligned offset.
         base = 0xAB << 16
         comp = CompressedIDList([base | 0x0102, base | 0x0304])
-        assert comp.prefix_length == 6 or comp.prefix_length == 4
+        assert prefix_of(comp) == 6 or prefix_of(comp) == 4
         # 0x0203 spans the boundary between the two stored suffixes.
         assert comp.index_of(base | 0x0203) is None
 
@@ -147,7 +154,6 @@ class TestPlainIDList:
         plain.set(0, 7)
         assert plain.swap_delete(0) == 7
         assert plain.to_list() == [3, 2]
-        assert plain.prefix_length == 0
         assert plain.nbytes() == 2 * ID_BYTES
 
     def test_factory(self):
@@ -165,8 +171,10 @@ def test_compression_never_larger(ids):
     """CP-IDs never exceeds the uncompressed footprint (beyond the 1-byte
     header on tiny lists) and matches Equation 7 exactly."""
     comp = CompressedIDList(ids)
-    z = comp.prefix_length if ids else 0
     if ids:
+        be = [i.to_bytes(ID_BYTES, "big") for i in ids]
+        raw = min(common_prefix_length(be[0], b) for b in be)
+        z = max(z for z in ALLOWED_PREFIX_LENGTHS if z <= min(raw, 7))
         expected = 1 + z + len(ids) * (ID_BYTES - z)
         assert comp.nbytes() == expected
         assert comp.nbytes() <= 1 + ID_BYTES * len(ids)

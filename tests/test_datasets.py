@@ -15,7 +15,6 @@ from repro.datasets.presets import (
     wechat_scaled,
 )
 from repro.datasets.statistics import (
-    degree_histogram,
     format_table3,
     published_table3_rows,
 )
@@ -23,12 +22,11 @@ from repro.datasets.stream import EdgeStream, RequestStream
 from repro.datasets.synthetic import (
     TYPE_ID_STRIDE,
     power_law_edges,
-    powerlaw_degrees,
     type_offset,
     zipf_probabilities,
-    zipf_request_sources,
 )
 from repro.errors import ConfigurationError
+from tests.conftest import live_edges
 
 
 class TestSynthetic:
@@ -70,46 +68,6 @@ class TestSynthetic:
             power_law_edges(0, 10, 10, rng)
         with pytest.raises(ConfigurationError):
             power_law_edges(10, 10, -1, rng)
-
-    def test_zipf_request_sources_skew_and_determinism(self):
-        draws = zipf_request_sources(
-            500, 4000, 1.4, np.random.default_rng(3), shuffle=False
-        )
-        assert draws.dtype == np.int64
-        assert draws.shape == (4000,)
-        ids, counts = np.unique(draws, return_counts=True)
-        # Unshuffled: rank == id, so id 0 is the celebrity.
-        assert ids[np.argmax(counts)] == 0
-        assert counts.max() / 4000 > 0.25
-        again = zipf_request_sources(
-            500, 4000, 1.4, np.random.default_rng(3), shuffle=False
-        )
-        assert np.array_equal(draws, again)
-
-    def test_zipf_request_sources_shuffle_and_type_offset(self):
-        draws = zipf_request_sources(
-            500, 2000, 1.2, np.random.default_rng(4), src_type=2
-        )
-        assert (draws >= type_offset(2)).all()
-        assert (draws < type_offset(3)).all()
-        # The shuffled hot key is (almost surely) not rank 0's id.
-        _, counts = np.unique(draws, return_counts=True)
-        assert counts.max() > 100
-        with pytest.raises(ConfigurationError):
-            zipf_request_sources(0, 10, 1.0, np.random.default_rng(0))
-        with pytest.raises(ConfigurationError):
-            zipf_request_sources(10, -1, 1.0, np.random.default_rng(0))
-
-    def test_powerlaw_degrees(self):
-        degrees = powerlaw_degrees(1000, hub_degree=10_000, min_degree=8)
-        assert degrees.shape == (1000,)
-        assert degrees[0] == 10_000
-        assert (np.diff(degrees) <= 0).all()  # rank-monotone
-        assert degrees[-1] == 8
-        with pytest.raises(ConfigurationError):
-            powerlaw_degrees(0, 100)
-        with pytest.raises(ConfigurationError):
-            powerlaw_degrees(10, 100, min_degree=0)
 
 
 class TestSpecs:
@@ -198,13 +156,6 @@ class TestStatistics:
         assert "63.30B" in table
         assert "489.27" in table or "489.3" in table
 
-    def test_degree_histogram(self):
-        data = ogbn_scaled(scale=10_000)
-        hist = degree_histogram(data)
-        assert sum(hist.values()) > 0
-        # Power-law: low-degree buckets dominate.
-        assert max(hist, key=hist.get) <= 6
-
 
 class TestRequestStream:
     def test_deterministic_by_seed(self):
@@ -266,11 +217,11 @@ class TestEdgeStream:
         for batch in stream.build_batches(256):
             for op in batch:
                 store.apply(op)
-        assert store.num_edges == stream.num_live_edges
+        assert store.num_edges == len(live_edges(stream))
         for batch in stream.churn_batches(128, 6, mix=(0.4, 0.3, 0.3)):
             for op in batch:
                 store.apply(op)
-        assert store.num_edges == stream.num_live_edges
+        assert store.num_edges == len(live_edges(stream))
 
     def test_mix_validation(self):
         stream = EdgeStream(ogbn_scaled(scale=20_000))
@@ -286,10 +237,10 @@ class TestEdgeStream:
         for batch in stream.build_batches(512):
             for op in batch:
                 store.apply(op)
-        before = stream.num_live_edges
+        before = len(live_edges(stream))
         for batch in stream.churn_batches(64, 3, mix=(0.0, 0.0, 1.0)):
             for op in batch:
                 assert op.kind.value == "delete"
                 store.apply(op)
-        assert stream.num_live_edges < before
-        assert store.num_edges == stream.num_live_edges
+        assert len(live_edges(stream)) < before
+        assert store.num_edges == len(live_edges(stream))

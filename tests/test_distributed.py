@@ -26,7 +26,6 @@ class TestPartitioner:
     def test_deterministic(self):
         p = HashBySourcePartitioner(8)
         assert p.shard_for(12345) == p.shard_for(12345)
-        assert p.shards_for([1, 2]) == [p.shard_for(1), p.shard_for(2)]
 
     def test_range(self):
         p = HashBySourcePartitioner(5)
@@ -93,7 +92,7 @@ class TestClientRouting:
         assert client.edge_weight(1, 2) == pytest.approx(0.5)
         assert client.update_edge(1, 2, 0.9) is True
         assert client.degree(1) == 1
-        assert client.has_edge(1, 2)
+        assert client.edge_weight(1, 2) is not None
         assert client.remove_edge(1, 2) is True
         assert client.num_edges == 0
 

@@ -23,7 +23,6 @@ from repro.errors import (
     PartitionError,
     ReproError,
     ShapeError,
-    StoreOutOfMemoryError,
     VertexNotFoundError,
 )
 
@@ -35,8 +34,7 @@ class TestErrorHierarchy:
             IndexOutOfRangeError,
             InvalidWeightError,
             VertexNotFoundError,
-            StoreOutOfMemoryError,
-            InvariantViolationError,
+                    InvariantViolationError,
             PartitionError,
             ShapeError,
             ConfigurationError,
@@ -49,7 +47,6 @@ class TestErrorHierarchy:
         assert issubclass(IndexOutOfRangeError, IndexError)
         assert issubclass(InvalidWeightError, ValueError)
         assert issubclass(VertexNotFoundError, KeyError)
-        assert issubclass(StoreOutOfMemoryError, MemoryError)
         assert issubclass(InvariantViolationError, AssertionError)
         assert issubclass(ShapeError, ValueError)
 

@@ -1,17 +1,14 @@
-"""Tests for edge-list I/O: parsing, loading into a store, round trip."""
+"""Tests for edge-list I/O: parsing and loading into a store."""
 
 from __future__ import annotations
 
 import io
-import random
 
 import pytest
 
 from repro.core.topology import DynamicGraphStore
-from repro.datasets.io import load_edge_list, read_edge_list, write_edge_list
+from repro.datasets.io import load_edge_list, read_edge_list
 from repro.errors import ConfigurationError
-
-from tests.conftest import stores_equal
 
 
 class TestEdgeListIO:
@@ -53,18 +50,3 @@ class TestEdgeListIO:
         load_edge_list(store, io.StringIO("1 2 0.5"), bidirected=True)
         assert store.edge_weight(1, 2) == pytest.approx(0.5)
         assert store.edge_weight(2, 1, etype=8) == pytest.approx(0.5)
-
-    def test_roundtrip_file(self, tmp_path):
-        store = DynamicGraphStore()
-        rng = random.Random(0)
-        for _ in range(200):
-            store.add_edge(
-                rng.randrange(20), rng.randrange(50),
-                round(rng.random(), 6), rng.randrange(2),
-            )
-        path = tmp_path / "edges.tsv"
-        written = write_edge_list(store, str(path))
-        assert written == store.num_edges
-        reloaded = DynamicGraphStore()
-        load_edge_list(reloaded, str(path))
-        assert stores_equal(store, reloaded)

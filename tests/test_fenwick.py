@@ -6,31 +6,12 @@ import random
 
 import pytest
 
-from repro.core.fenwick import FSTable, lsb
+from repro.core.fenwick import FSTable
 from repro.errors import (
     EmptyStructureError,
     IndexOutOfRangeError,
     InvalidWeightError,
 )
-
-
-class TestLSB:
-    def test_powers_of_two(self):
-        for k in range(20):
-            assert lsb(1 << k) == 1 << k
-
-    def test_mixed_values(self):
-        # Paper's example: LSB(6) = LSB(110b) = 2.
-        assert lsb(6) == 2
-        assert lsb(12) == 4
-        assert lsb(7) == 1
-        assert lsb(40) == 8
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(IndexOutOfRangeError):
-            lsb(0)
-        with pytest.raises(IndexOutOfRangeError):
-            lsb(-4)
 
 
 class TestConstruction:

@@ -36,7 +36,6 @@ from repro.distributed import (
 from repro.errors import (
     ConfigurationError,
     RetryExhaustedError,
-    RPCError,
     TransientRPCError,
 )
 from repro.obs.alerts import AlertEvent
@@ -156,8 +155,8 @@ class TestFlightRecorder:
                            window=1.0)],
         )
         rec = FlightRecorder(clock=clock, capacity=8)
-        rec.observe_alerts(manager)
-        rec.observe_alerts(manager)  # idempotent
+        manager.add_listener(rec.record_alert)
+        manager.add_listener(rec.record_alert)  # idempotent
         gauge.set(9.0)
         clock.advance(1.0)
         store.scrape(clock())
@@ -173,13 +172,6 @@ class TestFlightRecorder:
 # satellites: error context + alert event threshold
 # ---------------------------------------------------------------------------
 class TestRPCErrorContext:
-    def test_context_carries_only_set_fields(self):
-        err = RPCError("boom", shard=2, attempt=3, timestamp=1.5)
-        assert err.context() == {
-            "shard": 2, "attempt": 3, "timestamp": 1.5
-        }
-        assert RPCError("bare").context() == {}
-
     def test_retry_populates_context_and_records(self):
         clock = ManualClock()
         rec = FlightRecorder(clock=clock, capacity=16)
@@ -275,7 +267,7 @@ class TestClusterHooks:
             rec.events_total
         )
 
-    def test_replica_drop_and_migration_record(self):
+    def test_migration_record(self):
         import numpy as np
 
         from repro.datasets.stream import RequestStream
@@ -296,12 +288,6 @@ class TestClusterHooks:
             cluster.client.sample_neighbors_many(
                 requests.batch(32), 4, rng
             )
-        installed = cluster.replicate_hot(top_n=4, copies=1, min_count=1)
-        assert installed
-        assert cluster.drop_hot_replicas() > 0
-        drops = rec.events("replica")
-        assert drops and drops[0]["kind"] == "drop"
-        assert drops[0]["copies"] > 0
 
         moves = plan_rebalance(cluster, tolerance=0.01, max_moves=4)
         if moves:  # the seeded skew reliably yields at least one move
@@ -416,18 +402,6 @@ class TestIncidentManager:
             value=0.0, labels={},
         ))
         assert len(manager.incidents) == 2
-
-    def test_guard_captures_exception_bundles(self):
-        cluster = self._cluster()
-        manager = IncidentManager(cluster)
-        with pytest.raises(TransientRPCError):
-            with manager.guard():
-                raise TransientRPCError("mid-run blowup", shard=4)
-        assert len(manager.incidents) == 1
-        meta = manager.incidents[0]["meta"]
-        assert meta["trigger"] == "exception"
-        assert meta["error_context"]["shard"] == 4
-        assert "mid-run blowup" in meta["traceback"]
 
     def test_negative_cooldown_rejected(self):
         with pytest.raises(ConfigurationError):

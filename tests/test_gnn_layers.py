@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.gnn.layers import DenseLayer, GATLayer, GCNLayer, SAGEMeanLayer
+from repro.gnn.layers import GATLayer, GCNLayer, SAGEMeanLayer
 from repro.gnn.models import GCN, GraphSAGE, SampledGNN
 from repro.gnn.ops import softmax_cross_entropy
 
@@ -31,40 +31,6 @@ def promote_to_float64(*layers):
         for name in layer.params:
             layer.params[name] = layer.params[name].astype(np.float64)
         layer.zero_grads()
-
-
-class TestDenseLayer:
-    def test_forward_shape(self, nprng):
-        layer = DenseLayer(4, 3, nprng)
-        out = layer.forward(np.zeros((7, 4), dtype=np.float32))
-        assert out.shape == (7, 3)
-        with pytest.raises(ShapeError):
-            layer.forward(np.zeros((7, 5)))
-
-    def test_gradients(self, nprng):
-        layer = DenseLayer(4, 3, nprng, activation=True)
-        promote_to_float64(layer)
-        x = nprng.normal(size=(6, 4))
-        labels = np.array([0, 1, 2, 0, 1, 2])
-
-        def loss_fn():
-            out = layer.forward(x)
-            loss, _ = softmax_cross_entropy(out, labels)
-            layer._cache.pop()
-            return loss
-
-        layer.zero_grads()
-        out = layer.forward(x)
-        loss, grad_out = softmax_cross_entropy(out, labels)
-        gx = layer.backward(grad_out)
-        for idx in [(0, 0), (2, 1), (3, 2)]:
-            assert layer.grads["W"][idx] == pytest.approx(
-                numeric_grad(loss_fn, layer.params["W"], idx), abs=TOL
-            )
-        assert layer.grads["b"][1] == pytest.approx(
-            numeric_grad(loss_fn, layer.params["b"], (1,)), abs=TOL
-        )
-        assert gx[2, 3] == pytest.approx(numeric_grad(loss_fn, x, (2, 3)), abs=TOL)
 
 
 @pytest.mark.parametrize("conv_cls", [SAGEMeanLayer, GCNLayer, GATLayer])

@@ -21,6 +21,7 @@ from repro.gnn.models import GraphSAGE
 from repro.gnn.samplers import sample_blocks, sample_metapath, sample_seed_nodes
 from repro.gnn.training import Trainer
 from repro.storage.attributes import AttributeStore
+from tests.conftest import live_edges
 
 
 def test_wechat_pipeline_end_to_end():
@@ -32,7 +33,7 @@ def test_wechat_pipeline_end_to_end():
     stream = EdgeStream(data, seed=0)
     for batch in stream.build_batches(2048):
         executor.apply_batch(batch)
-    assert store.num_edges == stream.num_live_edges
+    assert store.num_edges == len(live_edges(stream))
     store.check_invariants()
     # Four forward relations plus their bi-directed reversed twins.
     assert set(store.etypes()) == {0, 1, 2, 3, 8, 9, 10, 11}
@@ -48,7 +49,7 @@ def test_wechat_pipeline_end_to_end():
     # Churn through the executor, then re-validate.
     for batch in stream.churn_batches(512, 4, mix=(0.4, 0.4, 0.2)):
         executor.apply_batch(batch)
-    assert store.num_edges == stream.num_live_edges
+    assert store.num_edges == len(live_edges(stream))
     store.check_invariants()
 
 

@@ -35,14 +35,6 @@ class TestLatencyHistogram:
         with pytest.raises(ConfigurationError):
             LatencyHistogram().record(-1.0)
 
-    def test_merge(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record(1e-6)
-        b.record(1e-3)
-        a.merge(b)
-        assert a.count == 2
-        assert a.max == pytest.approx(1e-3)
-
     def test_reset(self):
         hist = LatencyHistogram()
         hist.record(1e-6)

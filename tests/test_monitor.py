@@ -261,7 +261,7 @@ class TestAlertLifecycle:
         store.scrape()
         # Quiet: rate 0 -> inactive.
         manager.evaluate(store, clock.t)
-        assert manager.state_of("hot") == "inactive"
+        assert manager.alerts["hot"].state == "inactive"
         # Hot for three scrapes 0.1s apart: pending at the first,
         # firing once for_seconds elapses.
         for _ in range(3):
@@ -269,12 +269,12 @@ class TestAlertLifecycle:
             clock.advance(0.1)
             store.scrape()
             manager.evaluate(store, clock.t)
-        assert manager.state_of("hot") == "firing"
+        assert manager.alerts["hot"].state == "firing"
         # Cool down: resolved, back to inactive.
         clock.advance(2.0)
         store.scrape()
         manager.evaluate(store, clock.t)
-        assert manager.state_of("hot") == "inactive"
+        assert manager.alerts["hot"].state == "inactive"
         states = [(e.from_state, e.to_state) for e in manager.timeline()]
         assert states == [
             ("inactive", "pending"),
@@ -294,11 +294,11 @@ class TestAlertLifecycle:
         clock.advance(0.1)
         store.scrape()
         manager.evaluate(store, clock.t)
-        assert manager.state_of("hot") == "pending"
+        assert manager.alerts["hot"].state == "pending"
         clock.advance(1.0)  # burst long gone before for_seconds elapsed
         store.scrape()
         manager.evaluate(store, clock.t)
-        assert manager.state_of("hot") == "inactive"
+        assert manager.alerts["hot"].state == "inactive"
         assert [e.to_state for e in manager.timeline()] == [
             "pending",
             "inactive",
@@ -312,7 +312,7 @@ class TestAlertLifecycle:
         reg.gauge("g").set(3.0)
         store.scrape()
         manager.evaluate(store, clock.t)
-        assert manager.state_of("now") == "firing"
+        assert manager.alerts["now"].state == "firing"
         # pending and firing are two logged events at the same instant.
         assert [e.to_state for e in manager.timeline()] == [
             "pending",
@@ -360,7 +360,7 @@ class TestAlertLifecycle:
         )
         _, clock, store, manager = self._driven(rule)
         manager.evaluate(store, clock.t)
-        assert manager.state_of("burn") == "inactive"
+        assert manager.alerts["burn"].state == "inactive"
 
     def test_duplicate_rule_rejected(self):
         manager = AlertManager(
@@ -575,9 +575,8 @@ class TestFlashCrowdTimeline:
         assert self.SPIKE_END < resolved[0].t - t0 <= 2.0
         assert firing[0].value > 8.0  # burn at fire time beats threshold
         # End state: nothing stuck.
-        assert rig.monitor.alerts.state_of(
-            "serving_availability_burn"
-        ) == "inactive"
+        burn = rig.monitor.alerts.alerts["serving_availability_burn"]
+        assert burn.state == "inactive"
         # Shedding kept end-to-end availability at target throughout.
         assert report.meets_target
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -117,55 +116,6 @@ class TestHistogramBucketing:
 
 
 class TestHistogramMerge:
-    def test_concurrent_thread_local_merge(self):
-        """The per-thread-record / merge-once aggregation pattern: the
-        merged histogram equals one built serially from all samples."""
-        samples = [
-            [random.Random(seed).random() * 1e-3 for _ in range(2000)]
-            for seed in range(8)
-        ]
-        shared = LatencyHistogram()
-        lock = threading.Lock()
-
-        def worker(my_samples):
-            local = LatencyHistogram()
-            for s in my_samples:
-                local.record(s)
-            with lock:
-                shared.merge(local)
-
-        threads = [
-            threading.Thread(target=worker, args=(s,)) for s in samples
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        serial = LatencyHistogram()
-        for chunk in samples:
-            for s in chunk:
-                serial.record(s)
-        # Buckets, count, and max are integer/idempotent and must match
-        # exactly; the float sum accumulates in merge order, so compare
-        # it to within float tolerance.
-        s_buckets, s_count, s_sum, s_max = shared.state()
-        e_buckets, e_count, e_sum, e_max = serial.state()
-        assert s_buckets == e_buckets
-        assert s_count == e_count
-        assert s_max == e_max
-        assert s_sum == pytest.approx(e_sum)
-        assert shared.count == 8 * 2000
-
-    def test_merge_then_reset(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record(1e-6)
-        b.record(5e-3)
-        a.merge(b)
-        assert a.count == 2 and a.max == 5e-3
-        a.reset()
-        assert a.count == 0 and a.state()[0] == (0,) * NUM_BUCKETS
-
     def test_from_state_roundtrip(self):
         h = LatencyHistogram()
         for v in (1e-6, 3e-4, 2e-2, 7.0):
@@ -226,14 +176,17 @@ class TestWindowedQuantileProperty:
             q, "repro_lat_seconds", len(batches) + 0.5
         ) == direct.percentile(q)
 
-        # Per-interval deltas merge back into the whole window.
-        merged = LatencyHistogram()
-        for i in range(len(batches)):
-            merged.merge(
-                store.window_histogram(
-                    "repro_lat_seconds", 1.0, at=float(i + 1)
-                )
-            )
+        # Per-interval deltas add back up to the whole window.
+        parts = [
+            store.window_histogram("repro_lat_seconds", 1.0, at=float(i + 1))
+            for i in range(len(batches))
+        ]
+        merged = LatencyHistogram.from_state((
+            tuple(map(sum, zip(*(p.bucket_counts() for p in parts)))),
+            sum(p.count for p in parts),
+            sum(p.state()[2] for p in parts),
+            max(p.max for p in parts),
+        ))
         assert merged.bucket_counts() == direct.bucket_counts()
         assert merged.count == direct.count
         assert merged.percentile(q) == direct.percentile(q)

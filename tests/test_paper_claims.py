@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.core.cstable import CSTable
-from repro.core.fenwick import FSTable, lsb
+from repro.core.fenwick import FSTable
 from repro.core.samtree import OpStats, Samtree, SamtreeConfig
 
 
@@ -20,7 +20,7 @@ def fstable_touched_on_add(n: int, i: int) -> int:
     j = i
     while j < n:
         count += 1
-        j += lsb(j + 1)
+        j += (j + 1) & -(j + 1)  # LSB(j + 1)
     return count
 
 
@@ -49,7 +49,7 @@ class TestTableII:
             k = 0
             while (1 << k) < n + 1:
                 x = n - (1 << k)
-                if x >= 0 and lsb(x + 1) == (1 << k):
+                if x >= 0 and (x + 1) & -(x + 1) == (1 << k):  # LSB(x + 1)
                     reads += 1
                 k += 1
             assert reads <= (n + 1).bit_length()

@@ -81,14 +81,6 @@ class TestOverridePartitioner:
         assert src not in part.overrides
         assert part.shard_for(src) == home
 
-    def test_remove_override(self):
-        base = HashBySourcePartitioner(4)
-        part = OverridePartitioner(base)
-        part.add_override(5, (base.shard_for(5) + 1) % 4)
-        assert part.remove_override(5)
-        assert not part.remove_override(5)
-        assert part.shard_for(5) == base.shard_for(5)
-
     def test_shards_for_array_matches_scalar_path(self):
         base = HashBySourcePartitioner(4)
         part = OverridePartitioner(base)

@@ -202,6 +202,35 @@ def test_negative_fanout_is_a_typed_error_on_every_store_tier(name):
     assert _ledgers(target) == before
 
 
+@pytest.mark.parametrize("width", [2, 40])  # per-row loop, frontier kernel
+@pytest.mark.parametrize(
+    "name",
+    [
+        "store_frozen",
+        "store_warm",
+        "store_descent",
+        "baseline_api_default",
+        "client_coalesce",
+        "client_frozen",
+        "client_hot",
+    ],
+)
+def test_malformed_counts_are_a_typed_error_on_every_store_tier(name, width):
+    """``counts`` gives one non-negative count per source, or the call is
+    refused before any counter, tracker or network charge — a longer one
+    must not come back as extra all-zero rows marked served."""
+    target, _ = TARGETS[name]
+    srcs = KNOWN[:width]
+    ones = [1] * (width - 1)
+    before = _ledgers(target)
+    for counts in (ones + [1, 1], ones, [-1] + ones):
+        with pytest.raises(ConfigurationError):
+            target.sample_neighbors_many(srcs, 3, 0, counts=counts)
+    assert _ledgers(target) == before
+    block = target.sample_neighbors_many(srcs, 3, 0, counts=[0] + ones)
+    assert len(block) == width - 1
+
+
 def test_block_rows_helper_maps_the_three_states():
     block = SampleBlock(
         np.asarray([[7, 8], [0, 0], [0, 0]], dtype=np.int64),

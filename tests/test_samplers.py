@@ -47,6 +47,21 @@ class TestSeedSampling:
         assert sample_seed_nodes(DynamicGraphStore(), 5, rng).shape == (0,)
         assert sample_seed_nodes(PlatoGLStore(), 5, rng).shape == (0,)
 
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_negative_k_is_refused(self, chain_store, rng, empty):
+        """Node sampling keeps the one ``k < 0`` contract of every other
+        sampler, on the store's sampler, the fallback and an empty store."""
+        stores = (
+            [DynamicGraphStore(), PlatoGLStore()] if empty
+            else [chain_store, PlatoGLStore()]
+        )
+        stores[1].add_edge(1, 2, 1.0)
+        for store in stores:
+            with pytest.raises(ConfigurationError):
+                sample_seed_nodes(store, -2, rng)
+        with pytest.raises(ConfigurationError):
+            stores[0].sample_vertices(-2, rng)
+
 
 class TestNeighborMatrix:
     def test_shape_and_membership(self, chain_store, rng):
@@ -79,9 +94,8 @@ class TestBlocks:
         blocks = sample_blocks(chain_store, [0, 0], [3, 2], rng)
         assert isinstance(blocks, MiniBatchBlocks)
         assert blocks.batch_size == 2
-        assert blocks.num_hops == 2
+        assert len(blocks.fanouts) == 2
         assert [lvl.shape[0] for lvl in blocks.levels] == [2, 6, 12]
-        assert blocks.num_sampled() == 20
 
     def test_level_membership(self, chain_store, rng):
         blocks = sample_blocks(chain_store, [0], [4, 4], rng)
@@ -99,7 +113,7 @@ class TestSubgraph:
         assert edges
         for src, dst in edges:
             assert src in nodes and dst in nodes
-            assert chain_store.has_edge(src, dst)
+            assert chain_store.edge_weight(src, dst) is not None
 
     def test_terminates_on_sinks(self, chain_store, rng):
         nodes, edges = sample_subgraph(chain_store, 10, [5, 5], rng)

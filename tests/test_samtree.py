@@ -90,9 +90,10 @@ class TestInsertion:
         assert tree.get_weight(5) == pytest.approx(2.0)
 
     def test_add_weight_accumulates(self):
+        """The accumulating upsert ``accumulate_edge`` runs on a tree."""
         tree = build_tree([])
-        tree.add_weight(5, 1.0)
-        tree.add_weight(5, 2.5)
+        tree._upsert(5, 1.0, add=True)
+        tree._upsert(5, 2.5, add=True)
         assert tree.get_weight(5) == pytest.approx(3.5)
         assert tree.degree == 1
 

@@ -180,16 +180,3 @@ class TestHotReplicas:
             [src] * 4, 2, np.random.default_rng(6)
         ).rows()
         assert all(len(r) == 2 for r in rows)
-
-    def test_drop_hot_replicas_restores_primary_only_reads(self):
-        cluster = _hot_cluster()
-        cluster.replicate_hot(top_n=1, copies=2, min_count=2)
-        assert cluster.client.hot_replicas
-        cluster.drop_hot_replicas()
-        assert not cluster.client.hot_replicas
-        stats = cluster.client.serving_stats
-        stats.reset()
-        cluster.client.sample_neighbors_many(
-            [9, 9], 2, np.random.default_rng(7)
-        )
-        assert stats.hot_reads == 0

@@ -46,6 +46,7 @@ from repro.errors import (
 )
 from repro.storage.checkpoint import load_store, save_store
 from repro.storage.wal import ShardWAL
+from tests.conftest import bulk_tree, tree_batch
 
 try:
     from scipy import stats as _scipy_stats
@@ -113,7 +114,7 @@ class TreeOnlyStore:
                 return [False] * len(ops)
             tree = self.trees[key] = Samtree(self.config, self.stats)
         before = tree.degree
-        out = tree.apply_batch(ops)
+        out = tree_batch(tree, ops)
         self.num_edges += tree.degree - before
         self._drop_if_empty(key)
         return out
@@ -133,10 +134,7 @@ class TreeOnlyStore:
                 new = [(d, w) for d, c, w in group if c == OP_INSERT]
                 if new:
                     ids, ws = zip(*new)
-                    self.trees[key] = Samtree.bulk_build(
-                        ids, ws, self.config, self.stats,
-                        assume_sorted_unique=True,
-                    )
+                    self.trees[key] = bulk_tree(ids, ws, self.config, self.stats)
                     stats.inserted += len(new)
                 continue
             before, gone = tree.degree, 0
@@ -738,7 +736,7 @@ def test_sparse_batch_runs_no_samtree_op_and_probes_once_per_group(monkeypatch):
     directory.get_many = counted(
         "get_many", lambda keys: probed.extend(keys) or get_many(keys)
     )
-    for name in ("insert", "update", "delete", "_upsert", "apply_batch"):
+    for name in ("insert", "update", "delete", "_upsert"):
         monkeypatch.setattr(Samtree, name, counted("tree", getattr(Samtree, name)))
     monkeypatch.setattr(Slab, "apply", counted("scalar", Slab.apply))
     monkeypatch.setattr(Slab, "apply_round", counted("round", Slab.apply_round))
@@ -770,7 +768,7 @@ def test_nbytes_of_a_slab_row_is_its_one_leaf_samtrees(compress):
             store = DynamicGraphStore(config, snapshot_cache=None)
             store.bulk_load([5] * n, ids, 1.0)
             assert _is_row(store, 5)
-            tree = Samtree.bulk_build(ids, None, config)
+            tree = bulk_tree(ids, None, config)
             got = store.nbytes_breakdown()
             for part, nbytes in tree.nbytes_breakdown().items():
                 assert got[part] == nbytes, (spread, n, part)

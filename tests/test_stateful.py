@@ -28,6 +28,7 @@ from repro.core.snapshot import ALIAS_TOLERANCE, ROW_LOOP_BELOW
 from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import SampleBlock
+from tests.conftest import bulk_tree
 
 SRC = st.integers(min_value=0, max_value=6)
 DST = st.integers(min_value=0, max_value=30)
@@ -286,7 +287,7 @@ class StoreMachine(RuleBasedStateMachine):
             if type(value) is int:
                 assert value in live and degrees[key] <= config.capacity
                 ids, weights = slab.arrays(value)
-                parts = Samtree.bulk_build(ids, weights, config).nbytes_breakdown()
+                parts = bulk_tree(ids, weights, config).nbytes_breakdown()
                 assert parts["internal_nodes"] == parts["cstables"] == 0
                 leaf_nodes += parts["leaf_nodes"]
                 fstables += parts["fstables"]

@@ -8,7 +8,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel, humanize_bytes
+from repro.core.memory import DEFAULT_MEMORY_MODEL, humanize_bytes
 from repro.errors import ConfigurationError, ShapeError, VertexNotFoundError
 from repro.storage.attributes import AttributeSchema, AttributeStore
 from repro.storage.kvstore import BlockKVStore
@@ -35,17 +35,6 @@ class TestBlockKVStore:
         assert sorted(kv) == [("b", i) for i in range(5)]
         assert dict(kv.items())[("b", 2)] == b"x"
 
-    def test_keys_with_prefix(self):
-        kv = self.make()
-        kv.put(("head", 0, 7), b"")
-        kv.put(("block", 0, 7, 0), b"")
-        kv.put(("block", 0, 7, 1), b"")
-        kv.put(("block", 0, 8, 0), b"")
-        assert sorted(kv.keys_with_prefix(("block", 0, 7))) == [
-            ("block", 0, 7, 0),
-            ("block", 0, 7, 1),
-        ]
-
     def test_nbytes_includes_key_and_index_overhead(self):
         model = DEFAULT_MEMORY_MODEL
         kv = self.make()
@@ -71,17 +60,10 @@ class TestAttributeStore:
         store.register("feat", 3)
         store.put("feat", 7, [1.0, 2.0, 3.0])
         assert store.get("feat", 7).tolist() == [1.0, 2.0, 3.0]
-        assert store.has("feat", 7)
-        assert not store.has("feat", 8)
         with pytest.raises(VertexNotFoundError):
             store.get("feat", 8)
         with pytest.raises(ShapeError):
             store.put("feat", 9, [1.0, 2.0])
-
-    def test_get_or_default(self):
-        store = AttributeStore()
-        store.register("feat", 2)
-        assert store.get_or_default("feat", 1).tolist() == [0.0, 0.0]
 
     def test_put_many_and_gather(self):
         store = AttributeStore()
@@ -101,7 +83,7 @@ class TestAttributeStore:
         store.put("feat", 5, [1.0])
         assert store.delete("feat", 5) is True
         assert store.delete("feat", 5) is False
-        assert store.num_vertices("feat") == 0
+        assert store.export("feat")[0].size == 0
 
     def test_nbytes(self):
         store = AttributeStore()
@@ -119,8 +101,6 @@ class TestAttributeStore:
         store.put("feat", 1, [1.0, 2.0])
         for result in (
             store.get("feat", 1),
-            store.get_or_default("feat", 1),
-            store.get_or_default("feat", 404),
             store.gather("feat", [1, 404]),
         ):
             result[...] = 99.0
@@ -128,7 +108,6 @@ class TestAttributeStore:
             [1.0, 2.0], [0.0, 0.0], [0.0, 0.0],
         ]
         assert store.get("feat", 1).tolist() == [1.0, 2.0]
-        assert store.get_or_default("feat", 404).tolist() == [0.0, 0.0]
 
     def test_export_is_sorted_and_complete(self):
         store = AttributeStore()
@@ -221,8 +200,7 @@ class AttributeStoreMachine(RuleBasedStateMachine):
 
     @rule(v=st.one_of(_IDS, st.integers(100, 600)))
     def point_reads(self, v):
-        assert self.store.has("feat", v) is (v in self.model)
-        default = self.store.get_or_default("feat", v)
+        default = self.store.gather("feat", [v])[0]
         assert default.dtype == np.float32
         if v in self.model:
             assert self.store.get("feat", v).tolist() == self.model[v].tolist()
@@ -246,13 +224,13 @@ class AttributeStoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def accounting(self):
-        assert self.store.num_vertices("feat") == len(self.model)
         per_pair = (
             DEFAULT_MEMORY_MODEL.id_bytes
             + DEFAULT_MEMORY_MODEL.kv_index_entry_bytes
         )
         assert self.store.nbytes() == len(self.model) * (per_pair + 4 * _DIM)
         ids, matrix = self.store.export("feat")
+        assert ids.size == len(self.model)
         assert ids.tolist() == sorted(self.model)
         assert np.array_equal(matrix, self.reference_gather(ids.tolist()))
 
@@ -269,11 +247,6 @@ class TestMemoryModel:
         assert humanize_bytes(2048) == "2.00KB"
         assert humanize_bytes(1.5 * (1 << 30)) == "1.50GB"
         assert humanize_bytes(4.2 * (1 << 40)) == "4.20TB"
-
-    def test_directory_bytes(self):
-        model = MemoryModel()
-        assert model.directory_bytes(0) == 0
-        assert model.directory_bytes(100) > 100 * model.directory_entry_bytes * 0.99
 
     def test_model_is_frozen(self):
         with pytest.raises(Exception):

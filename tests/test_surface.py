@@ -9,6 +9,13 @@ package ``__init__`` and ``__main__`` must have a live importer: a file
 outside the package, or a module that has one itself.  A re-export by
 one of its own packages' ``__init__``s keeps nothing alive.
 
+The same holds one level down.  A ``def`` or ``class`` of ``src/repro``
+is live when its name is read in a file outside ``tests/``: as a name,
+as an attribute, or as an identifier-shaped string (``getattr`` by name,
+a ``Stats.GAUGES`` entry).  An import or an ``__all__`` entry is a
+re-export and reads nothing.  The scan is by name, so a dead method that
+shares its name with a live one passes it; dunders are not checked.
+
 Three more guards keep the telemetry from growing back: a wall clock is
 read only in the files that own one (a phase is timed with a span), the
 traced components take no metrics registry of their own, and a
@@ -32,6 +39,24 @@ ALLOWED_ORPHANS = {
     "repro.datasets.io",
     # The README's live shard migration (plan_rebalance / execute_plan).
     "repro.distributed.rebalance",
+}
+
+#: Definitions nothing outside ``tests/`` reads, each kept on purpose.
+ALLOWED_UNCALLED = {
+    # The per-leaf reference builders the segmented builders
+    # (`pack_id_lists`, `build_tables`) are tested against (DESIGN.md §9).
+    "core/compression.py:CompressedIDList.from_array",
+    "core/compression.py:PlainIDList.from_array",
+    "core/fenwick.py:FSTable.from_array",
+    # The README's entry points, as in ALLOWED_ORPHANS.
+    "datasets/io.py:load_edge_list",
+    "distributed/rebalance.py:plan_rebalance",
+    "distributed/rebalance.py:execute_plan",
+    # The README's model matrix beside GraphSAGE.
+    "gnn/models.py:GAT",
+    "gnn/models.py:GCN",
+    # The paper's node-sampling operator (§III).
+    "gnn/samplers.py:sample_seed_nodes",
 }
 
 #: The ``src/repro`` files that may read ``time.perf_counter``: the clock
@@ -185,6 +210,79 @@ def test_reexports_resolve_to_the_defining_module():
     assert "examples/distributed_cluster.py" in importers["repro.datasets.stream"]
     # A package re-export is not an importer.
     assert "repro.core" not in importers["repro.core.topology"]
+
+
+def _definitions() -> Iterator[Tuple[str, str]]:
+    """``(qualified name, name)`` of every non-dunder ``def`` and
+    ``class`` of ``src/repro`` at module or class level, qualified as
+    ``core/samtree.py:Samtree.insert``."""
+    package = SRC / "repro"
+    for path in sorted(package.rglob("*.py")):
+        todo = [(_parse(path).body, f"{path.relative_to(package).as_posix()}:")]
+        while todo:
+            body, prefix = todo.pop()
+            for node in body:
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    continue
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield prefix + name, name
+                if isinstance(node, ast.ClassDef):
+                    todo.append((node.body, f"{prefix}{name}."))
+
+
+def _reads(tree: ast.Module) -> Iterator[str]:
+    """Every name, attribute and identifier-shaped string ``tree``
+    reads; an ``__all__`` list and an import read nothing."""
+    exported: Set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in exported
+        ):
+            yield node.value
+
+
+def _uncalled() -> Set[str]:
+    """Definitions whose name no file outside ``tests/`` reads."""
+    read: Set[str] = set()
+    for path in _sources():
+        read.update(_reads(_parse(path)))
+    return {qual for qual, name in _definitions() if name not in read}
+
+
+def test_every_definition_has_a_caller():
+    unexpected = _uncalled() - ALLOWED_UNCALLED
+    assert not unexpected, (
+        f"only tests (or a re-export) reach {sorted(unexpected)}: "
+        "call each from the product or delete it with its tests"
+    )
+
+
+def test_the_definition_allowlist_names_only_uncalled():
+    stale = ALLOWED_UNCALLED - _uncalled()
+    assert not stale, f"called now, drop from ALLOWED_UNCALLED: {sorted(stale)}"
+
+
+def test_the_definition_scan_reads_names_not_reexports():
+    reads = set(_reads(ast.parse(
+        "from m import a\n__all__ = ['b']\nc.d(e, getattr(f, 'g'))\n"
+    )))
+    assert reads == {"__all__", "c", "d", "e", "getattr", "f", "g"}
+    assert ("core/samtree.py:Samtree.insert", "insert") in set(_definitions())
 
 
 def _clock_readers() -> Set[str]:

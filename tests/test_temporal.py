@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.samtree import SamtreeConfig
 from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 
 
 @pytest.fixture
@@ -30,6 +30,20 @@ class TestClock:
             temporal.advance(1)
         assert temporal.now == 5
 
+    @pytest.mark.parametrize(
+        "src, dst, weight, etype",
+        [(1, 3, float("nan"), 0), (1, 3, -1.0, 0), (-1, 3, 1.0, 0),
+         (1, -3, 1.0, 0), (1, 3, 1.0, 1 << 20)],
+    )
+    def test_refused_observation_changes_nothing(self, src, dst, weight, etype):
+        temporal = TemporalGraphStore(window=5)
+        temporal.observe(1, 1, 2, 1.0)
+        with pytest.raises(ReproError):
+            temporal.observe(100, src, dst, weight, etype)
+        assert temporal.now == 1 and temporal.num_evicted == 0
+        assert temporal.edge_weight(1, 2) == 1.0
+        temporal.check_invariants()
+
     def test_advance_returns_eviction_count(self, temporal):
         temporal.observe(0, 1, 2)
         temporal.observe(0, 1, 3)
@@ -42,9 +56,9 @@ class TestWindowSemantics:
     def test_edges_expire_after_window(self, temporal):
         temporal.observe(0, 1, 2, 1.0)
         temporal.advance(9)
-        assert temporal.has_edge(1, 2)
+        assert temporal.edge_weight(1, 2) is not None
         temporal.advance(10)
-        assert not temporal.has_edge(1, 2)
+        assert temporal.edge_weight(1, 2) is None
         assert temporal.num_edges == 0
         assert temporal.num_sources == 0
 
@@ -52,9 +66,9 @@ class TestWindowSemantics:
         temporal.observe(0, 1, 2, 1.0)
         temporal.observe(8, 1, 2, 1.0)  # refresh
         temporal.advance(12)             # 0+10 passed, 8+10 has not
-        assert temporal.has_edge(1, 2)
+        assert temporal.edge_weight(1, 2) is not None
         temporal.advance(18)
-        assert not temporal.has_edge(1, 2)
+        assert temporal.edge_weight(1, 2) is None
 
     def test_accumulation(self, temporal):
         assert temporal.observe(0, 1, 2, 1.0) is True
@@ -102,8 +116,8 @@ class TestWindowSemantics:
         temporal.observe(0, 1, 2, 1.0, etype=0)
         temporal.observe(5, 1, 2, 1.0, etype=1)
         temporal.advance(10)
-        assert not temporal.has_edge(1, 2, etype=0)
-        assert temporal.has_edge(1, 2, etype=1)
+        assert temporal.edge_weight(1, 2, etype=0) is None
+        assert temporal.edge_weight(1, 2, etype=1) is not None
 
     def test_wraps_existing_store(self):
         inner = DynamicGraphStore(SamtreeConfig(capacity=8))
@@ -117,9 +131,9 @@ class TestWindowSemantics:
         temporal.advance(7)
         temporal.add_edge(1, 2, 1.0)
         temporal.advance(16)
-        assert temporal.has_edge(1, 2)
+        assert temporal.edge_weight(1, 2) is not None
         temporal.advance(17)
-        assert not temporal.has_edge(1, 2)
+        assert temporal.edge_weight(1, 2) is None
 
     def test_nbytes_includes_metadata(self, temporal):
         empty = temporal.nbytes()

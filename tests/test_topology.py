@@ -84,11 +84,6 @@ class TestQueries:
         assert store.degree(8) == 0
         assert store.total_weight(8) == 0.0
 
-    def test_has_edge(self, store):
-        store.add_edge(1, 2)
-        assert store.has_edge(1, 2)
-        assert not store.has_edge(2, 1)
-
 
 class TestSampling:
     def test_sample_neighbors(self, store):

@@ -13,6 +13,7 @@ from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import EdgeOp
 from repro.errors import ConfigurationError
+from tests.conftest import tree_batch
 
 
 def sequential_apply(tree: Samtree, ops):
@@ -33,16 +34,17 @@ def sequential_apply(tree: Samtree, ops):
 class TestBasics:
     def test_empty_batch(self):
         tree = Samtree(SamtreeConfig(capacity=4))
-        assert tree.apply_batch([]) == []
+        assert tree_batch(tree, []) == []
 
     def test_unknown_kind(self):
         tree = Samtree(SamtreeConfig(capacity=4))
         with pytest.raises(ConfigurationError):
-            tree.apply_batch([("frob", 1, 1.0)])
+            tree_batch(tree, [("frob", 1, 1.0)])
 
     def test_outcome_semantics(self):
         tree = Samtree(SamtreeConfig(capacity=4))
-        out = tree.apply_batch(
+        out = tree_batch(
+            tree,
             [
                 ("insert", 1, 1.0),   # new -> True
                 ("insert", 1, 2.0),   # overwrite -> False
@@ -59,7 +61,7 @@ class TestBasics:
         """One batch can force a leaf to split several times."""
         tree = Samtree(SamtreeConfig(capacity=4))
         ops = [("insert", v, 1.0) for v in range(200)]
-        out = tree.apply_batch(ops)
+        out = tree_batch(tree, ops)
         assert all(out)
         tree.check_invariants()
         assert tree.degree == 200
@@ -67,8 +69,8 @@ class TestBasics:
 
     def test_mass_delete_collapses(self):
         tree = Samtree(SamtreeConfig(capacity=4))
-        tree.apply_batch([("insert", v, 1.0) for v in range(200)])
-        out = tree.apply_batch([("delete", v, 0.0) for v in range(200)])
+        tree_batch(tree, [("insert", v, 1.0) for v in range(200)])
+        out = tree_batch(tree, [("delete", v, 0.0) for v in range(200)])
         assert all(out)
         tree.check_invariants()
         assert tree.degree == 0
@@ -78,7 +80,8 @@ class TestBasics:
         tree = Samtree(SamtreeConfig(capacity=8))
         for v in range(100):
             tree.insert(v, 1.0)
-        tree.apply_batch(
+        tree_batch(
+            tree,
             [("delete", v, 0.0) for v in range(0, 100, 2)]
             + [("insert", 1000 + v, 2.0) for v in range(30)]
             + [("update", 1, 9.0, )]
@@ -110,7 +113,7 @@ class TestDecorativeKeyRegression:
                 else:
                     ops.append(("delete", dst, 0.0))
                     live.pop(dst, None)
-            tree.apply_batch(ops)
+            tree_batch(tree, ops)
             tree.check_invariants()
         assert tree.to_dict().keys() == live.keys()
 
@@ -126,7 +129,7 @@ class TestDecorativeKeyRegression:
             tree.delete(v)
         # Insert values below the (possibly decorative) smallest key via
         # one batch large enough to split child 0 repeatedly.
-        tree.apply_batch([("insert", v, 1.0) for v in range(1, 59, 2)])
+        tree_batch(tree, [("insert", v, 1.0) for v in range(1, 59, 2)])
         tree.check_invariants()
         expected = set(range(60, 120, 2)) | set(range(1, 59, 2))
         assert set(tree.neighbors()) == expected
@@ -146,10 +149,10 @@ ops_st = st.lists(
 @given(ops_st, st.sampled_from([4, 8, 16]), st.integers(min_value=0, max_value=3))
 @settings(max_examples=100, deadline=None)
 def test_batch_equals_sequential(ops, capacity, alpha):
-    """apply_batch ≡ sequential op application (outcomes + final state)."""
+    """A tree batch ≡ sequential op application (outcomes + final state)."""
     seq = Samtree(SamtreeConfig(capacity=capacity, alpha=alpha))
     bat = Samtree(SamtreeConfig(capacity=capacity, alpha=alpha))
-    out_b = bat.apply_batch(ops)
+    out_b = tree_batch(bat, ops)
     out_s = sequential_apply(seq, ops)
     assert out_b == out_s
     bat.check_invariants()
@@ -167,7 +170,7 @@ def test_batch_on_preloaded_tree(ops):
     for v in range(0, 250, 3):
         seq.insert(v, 0.5)
         bat.insert(v, 0.5)
-    assert bat.apply_batch(ops) == sequential_apply(seq, ops)
+    assert tree_batch(bat, ops) == sequential_apply(seq, ops)
     bat.check_invariants()
     assert bat.to_dict().keys() == seq.to_dict().keys()
 

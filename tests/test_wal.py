@@ -70,14 +70,14 @@ class TestFormatRoundtrip:
             np.testing.assert_array_equal(orig.weight, back.weight)
             np.testing.assert_array_equal(orig.etype, back.etype)
             np.testing.assert_array_equal(orig.op, back.op)
-        assert wal.num_records() == 3
+        assert len(list(wal.replay())) == 3
         assert not wal.torn_tail_seen
 
     def test_empty_batch_appends_nothing(self):
         wal = ShardWAL()
         assert wal.append_batch(EdgeBatch([], [])) == 0
         assert wal.append_ops([]) == 0
-        assert wal.num_records() == 0
+        assert len(list(wal.replay())) == 0
 
     def test_append_ops_matches_columnar(self):
         wal = ShardWAL()
@@ -94,9 +94,9 @@ class TestFormatRoundtrip:
         wal = ShardWAL()
         wal.append_batch(_random_batch(rng, 40))
         wal.truncate()
-        assert wal.num_records() == 0
+        assert len(list(wal.replay())) == 0
         wal.append_batch(_random_batch(rng, 4))
-        assert wal.num_records() == 1
+        assert len(list(wal.replay())) == 1
 
     def test_file_backed_survives_reopen(self, tmp_path):
         rng = random.Random(9)
@@ -105,7 +105,7 @@ class TestFormatRoundtrip:
         wal.append_batch(_random_batch(rng, 25))
         wal.append_batch(_random_batch(rng, 12))
         reopened = ShardWAL(path, shard_id=0)
-        assert reopened.num_records() == 2
+        assert len(list(reopened.replay())) == 2
 
     def test_shard_id_mismatch_refused(self, tmp_path):
         path = str(tmp_path / "shard3.wal")
@@ -221,7 +221,7 @@ class TestOneHandle:
             assert os.path.getsize(path) == wal.bytes_appended == wal.nbytes
             assert len(wal._read_all()) == wal.nbytes
         assert wal._file is handle  # not reopened per record
-        assert ShardWAL(path, shard_id=0).num_records() == 3
+        assert len(list(ShardWAL(path, shard_id=0).replay())) == 3
 
     def test_two_logs_on_one_path_interleave(self, tmp_path):
         path = str(tmp_path / "s.wal")
@@ -244,7 +244,7 @@ class TestOneHandle:
         wal.truncate()
         assert wal.nbytes == wal.bytes_appended == os.path.getsize(path)
         wal.append_ops([EdgeOp.insert(1, 2, 1.0)])
-        assert wal.num_records() == 1
+        assert len(list(wal.replay())) == 1
         assert wal.nbytes == wal.bytes_appended == os.path.getsize(path)
 
     def test_close_releases_the_handle_and_keeps_the_log(self, tmp_path):
@@ -254,7 +254,7 @@ class TestOneHandle:
         wal.close()
         wal.close()
         assert wal._file.closed
-        assert ShardWAL(path, shard_id=0).num_records() == 1
+        assert len(list(ShardWAL(path, shard_id=0).replay())) == 1
         ShardWAL().close()  # a memory-backed log has nothing to release
 
 
