@@ -41,8 +41,11 @@ __all__ = [
     "OP_KIND_CODES",
     "EdgeBatch",
     "IngestStats",
+    "ID_MAX",
+    "check_id",
     "check_key",
     "check_row",
+    "id_column",
     "chunked",
     "fold_run",
 ]
@@ -70,6 +73,11 @@ _HEADER_BYTES = 16
 
 #: Range of the ``etype`` column (int16).
 ETYPE_MIN, ETYPE_MAX = -(1 << 15), (1 << 15) - 1
+
+#: The largest vertex id: ids are ``0 .. ID_MAX``, what the ``int64``
+#: columns of a batch, a slab row, the WAL and a checkpoint all hold.
+ID_MAX = (1 << 63) - 1
+_ID_DOMAIN = "vertex IDs must be in 0..2**63-1"
 
 
 @dataclass
@@ -107,8 +115,8 @@ class EdgeBatch:
         etype=None,
         op=None,
     ) -> None:
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
+        self.src = id_column(src)
+        self.dst = id_column(dst)
         if self.src.ndim != 1 or self.src.shape != self.dst.shape:
             raise ConfigurationError(
                 f"src/dst must be equal-length 1-D arrays, got "
@@ -130,10 +138,6 @@ class EdgeBatch:
         )
         self.op = self._column(op, n, np.uint8, OP_INSERT, "op")
         if n:
-            if bool((self.src < 0).any()) or bool((self.dst < 0).any()):
-                raise InvalidWeightError(
-                    "vertex IDs must be non-negative"
-                )
             if bool((self.op > OP_DELETE).any()):
                 raise ConfigurationError(
                     f"op codes must be in {{0, 1, 2}}, got "
@@ -197,20 +201,15 @@ class EdgeBatch:
 
     @classmethod
     def from_edge_ops(cls, ops: Sequence[EdgeOp]) -> "EdgeBatch":
-        """Columnarise a sequence of :class:`EdgeOp` records."""
-        n = len(ops)
-        src = np.empty(n, dtype=np.int64)
-        dst = np.empty(n, dtype=np.int64)
-        weight = np.empty(n, dtype=np.float64)
-        etype = np.empty(n, dtype=np.int64)  # range-checked by __init__
-        op = np.empty(n, dtype=np.uint8)
-        for i, e in enumerate(ops):
-            src[i] = e.src
-            dst[i] = e.dst
-            weight[i] = e.weight
-            etype[i] = e.etype
-            op[i] = OP_KIND_CODES[e.kind]
-        return cls(src, dst, weight, etype, op)
+        """Columnarise a sequence of :class:`EdgeOp` records (every
+        column checked by ``__init__``, as for any batch)."""
+        return cls(
+            [e.src for e in ops],
+            [e.dst for e in ops],
+            [e.weight for e in ops],
+            [e.etype for e in ops],
+            [OP_KIND_CODES[e.kind] for e in ops],
+        )
 
     # ------------------------------------------------------------------
     # protocol
@@ -302,18 +301,46 @@ class EdgeBatch:
         return batch.select(keep)
 
 
+def check_id(vertex: int) -> int:
+    """``vertex`` as an ``int``; an id outside ``0 .. ID_MAX`` raises.
+    Every write path checks its ids with this or :func:`id_column`, so
+    each refuses a bad one with the same error before anything is
+    stored or logged."""
+    vertex = int(vertex)
+    if not 0 <= vertex <= ID_MAX:
+        raise InvalidWeightError(f"{_ID_DOMAIN}, got {vertex}")
+    return vertex
+
+
+def id_column(ids) -> np.ndarray:
+    """:func:`check_id` for a column: ``ids`` (an array or any sequence)
+    as an ``int64`` array.  A ``uint64`` array is checked before the
+    cast, which would wrap an id past ``ID_MAX`` to a negative one."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind == "u" and ids.size:
+        top = int(ids.max())
+        if top > ID_MAX:
+            raise InvalidWeightError(f"{_ID_DOMAIN}, got {top}")
+    try:
+        column = np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        raise InvalidWeightError(_ID_DOMAIN) from None
+    if column.size and bool((column < 0).any()):
+        raise InvalidWeightError(f"{_ID_DOMAIN}, got {int(column.min())}")
+    return column
+
+
 def check_key(src: int, etype: int) -> None:
     """The rules of a source key ``(etype, src)``: ``etype`` fits the
-    int16 column the WAL and checkpoints store, ``src`` is non-negative.
-    Every path that may create a key checks them (a scalar store write,
-    :func:`check_row`, :class:`EdgeBatch`), so each refuses a bad one
-    with the same error before anything is stored or logged."""
+    int16 column the WAL and checkpoints store, ``src`` is an id of
+    ``0 .. ID_MAX``.  Every path that may create a key checks them (a
+    scalar store write, :func:`check_row`, :class:`EdgeBatch`), so each
+    refuses a bad one with the same error before anything is stored or
+    logged."""
     if not ETYPE_MIN <= etype <= ETYPE_MAX:
         raise ConfigurationError(
             f"etype must fit int16 ({ETYPE_MIN}..{ETYPE_MAX}), got {etype}"
         )
-    if src < 0:
-        raise InvalidWeightError("vertex IDs must be non-negative")
+    check_id(src)
 
 
 def check_row(
@@ -323,8 +350,7 @@ def check_row(
     same rules, same errors — for a writer that packs a single
     operation without building a batch (``code`` is a valid op code)."""
     check_key(src, etype)
-    if dst < 0:
-        raise InvalidWeightError("vertex IDs must be non-negative")
+    check_id(dst)
     if code != OP_DELETE and not 0.0 <= weight < inf:
         raise InvalidWeightError(
             "edge weights must be finite and non-negative"

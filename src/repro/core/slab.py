@@ -47,7 +47,7 @@ from repro.core.memory import MemoryModel
 from repro.core.samtree import OpStats, _check_weight
 from repro.errors import InvariantViolationError
 
-__all__ = ["Slab", "SlabRow", "ROW_MIN_ROOM", "ROUND_PAD", "MAX_ROW_ID"]
+__all__ = ["Slab", "SlabRow", "ROW_MIN_ROOM", "ROUND_PAD"]
 
 #: Smallest room a row is given (clipped to the capacity ``c``).
 ROW_MIN_ROOM = 8
@@ -60,11 +60,6 @@ ROUND_PAD = 32
 #: floor below which a rewrite is not worth its fixed cost).
 GARBAGE_DIVISOR = 4
 _GARBAGE_FLOOR = 1024
-
-#: The largest id the ``int64`` columns hold.  A samtree takes all 64
-#: bits, so the store keeps a source with a wider id (its own or a
-#: neighbour's) as a tree.
-MAX_ROW_ID = (1 << 63) - 1
 
 _COLS = np.arange(ROUND_PAD)
 _ROW_COLUMNS = ("start", "length", "room", "version", "src")

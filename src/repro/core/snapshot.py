@@ -709,19 +709,16 @@ class _Image:
 class ReadImage:
     """The store's batched read tier: one row image per relation.
 
-    ``capacity_bytes`` bounds the modeled arena bytes (one ID + one
+    ``capacity_bytes`` (:data:`DEFAULT_CAPACITY_BYTES`, read when the
+    image is built) bounds the modeled arena bytes (one ID + one
     cumulative weight per slot, garbage included) over all relations;
     an image that outgrows it compacts at once, down to the budget.
     """
 
     __slots__ = ("capacity_bytes", "stats", "relations")
 
-    def __init__(self, capacity_bytes: int = DEFAULT_CAPACITY_BYTES) -> None:
-        if capacity_bytes < 0:
-            raise ConfigurationError(
-                f"capacity_bytes must be >= 0, got {capacity_bytes}"
-            )
-        self.capacity_bytes = capacity_bytes
+    def __init__(self) -> None:
+        self.capacity_bytes = DEFAULT_CAPACITY_BYTES
         self.stats = SnapshotCacheStats()
         #: ``etype -> _Image``; empty until the first batched read.
         self.relations: Dict[int, _Image] = {}

@@ -32,6 +32,7 @@ from repro.core.ingest import (
     OP_UPDATE,
     EdgeBatch,
     IngestStats,
+    check_id,
     check_key,
 )
 from repro.core.frozen import FrozenStats
@@ -43,8 +44,7 @@ from repro.core.samtree import (
     _check_weight,
     build_roots,
 )
-from repro.core.compression import _check_id
-from repro.core.slab import MAX_ROW_ID, Slab
+from repro.core.slab import Slab
 from repro.core.snapshot import (
     RNGLike,
     ReadImage,
@@ -67,9 +67,6 @@ __all__ = [
     "REBUILD_DEGREE_RATIO",
 ]
 
-#: Sentinel distinguishing "not passed" from "explicitly disabled".
-_DEFAULT_CACHE = object()
-
 #: Rebuild-vs-incremental heuristic (paper Fig. 8-9 axis): a per-tree
 #: group takes the O(n) bottom-up rebuild only when it is *both* big in
 #: absolute terms and big relative to the tree it targets.  Small
@@ -79,7 +76,6 @@ REBUILD_MIN_OPS = 16
 REBUILD_DEGREE_RATIO = 4
 
 _ONE = np.ones(1, dtype=np.int64)
-_NO_EDGES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
 #: The round kernel over slab rows costs a fixed ~40 numpy dispatches
 #: however few groups a round holds; below this many the scalar row
@@ -95,11 +91,11 @@ class DynamicGraphStore(GraphStoreAPI):
     config:
         Samtree parameters (capacity ``c``, slackness ``α``, CP-IDs
         compression); shared by every per-vertex tree.
-    snapshot_cache:
-        The read image serving vectorized frontier sampling
-        (:mod:`repro.core.snapshot`).  Defaults to a fresh
-        :class:`ReadImage` with the standard budget; pass ``None``
-        to force every draw down the exact ITS/FTS descent.
+
+    Every store owns a :class:`ReadImage` (``snapshot_cache``): the read
+    tier of its vectorized frontier sampling (:mod:`repro.core.snapshot`).
+    Vertex ids are ``0 .. 2**63 - 1`` on every write path
+    (:func:`~repro.core.ingest.check_id`).
 
     Examples
     --------
@@ -112,11 +108,7 @@ class DynamicGraphStore(GraphStoreAPI):
     2
     """
 
-    def __init__(
-        self,
-        config: Optional[SamtreeConfig] = None,
-        snapshot_cache=_DEFAULT_CACHE,
-    ) -> None:
+    def __init__(self, config: Optional[SamtreeConfig] = None) -> None:
         self.config = config or SamtreeConfig()
         self.stats = OpStats()
         #: Cumulative columnar-ingest ledger: every
@@ -132,10 +124,7 @@ class DynamicGraphStore(GraphStoreAPI):
         # threads mutating disjoint sources share this counter, and
         # update it under the slab lock.
         self._num_edges = 0
-        self.snapshot_cache: Optional[ReadImage] = (
-            ReadImage() if snapshot_cache is _DEFAULT_CACHE
-            else snapshot_cache
-        )
+        self.snapshot_cache = ReadImage()
         #: Reads of frozen relations (:meth:`freeze`), by draw kernel.
         self.frozen_stats = FrozenStats()
 
@@ -168,9 +157,9 @@ class DynamicGraphStore(GraphStoreAPI):
         once its source leaves the row (``moved``, :meth:`_release`).  A
         dict read and a flag store, so PALM threads may call it.
         """
-        cache = self.snapshot_cache
-        if cache is not None and cache.relations:
-            image = cache.relations.get(etype)
+        relations = self.snapshot_cache.relations
+        if relations:
+            image = relations.get(etype)
             if image is not None:
                 image.mark(src, moved)
 
@@ -214,8 +203,8 @@ class DynamicGraphStore(GraphStoreAPI):
 
         Key, weight and id are checked before anything is touched, so a
         rejected first write leaves neither a row nor a directory entry
-        (a samtree runs the same checks itself; a stored key was checked
-        when it was created).
+        (a samtree runs the weight check itself; a stored key was
+        checked when it was created).
         """
         key = (etype, src)
         value = self._directory.get(key)
@@ -223,11 +212,10 @@ class DynamicGraphStore(GraphStoreAPI):
             if code != OP_INSERT:
                 return False
             check_key(src, etype)
+        dst = check_id(dst)
+        if code != OP_DELETE and (value is None or type(value) is int):
+            weight = _check_weight(weight)
         self._mark_written(src, etype)
-        if value is None or type(value) is int:
-            if code != OP_DELETE:
-                weight = _check_weight(weight)
-            dst = _check_id(dst)
         with self.slab.lock:
             done, _ = self._apply_one(key, value, code, dst, weight, add)
             if done and code != OP_UPDATE:
@@ -245,12 +233,9 @@ class DynamicGraphStore(GraphStoreAPI):
         directory value afterwards; the edge counter is the caller's."""
         slab = self.slab
         if type(value) is int:
-            # `None`: an insert into a row at c, or of an id the int64
-            # column cannot hold — promoted, and the samtree takes it.
-            done = (
-                slab.apply(value, code, dst, weight, add)
-                if dst <= MAX_ROW_ID or code != OP_INSERT else None
-            )
+            # `None`: an insert into a row at c — promoted, and the
+            # samtree takes it.
+            done = slab.apply(value, code, dst, weight, add)
             if done is None:
                 ids, weights = slab.arrays(value)
                 order = np.argsort(ids)
@@ -262,17 +247,13 @@ class DynamicGraphStore(GraphStoreAPI):
                 value = None
         elif value is None:
             done = code == OP_INSERT
-            if done and dst <= MAX_ROW_ID and abs(key[1]) <= MAX_ROW_ID:
-                # First edge of a source: a row, no empty samtree.
+            if done:  # first edge of a source: a row, no empty samtree
                 (value,) = slab.alloc_many(
                     np.asarray([key[1]]), _ONE, np.asarray([dst]),
                     np.asarray([weight]),
                 ).tolist()
                 self.stats.leaf_ops += 1
                 self._directory.put(key, value)
-            elif done:  # an id past the int64 columns: a samtree from the start
-                value = self._plant(key, 0, *_NO_EDGES)
-                value._upsert(dst, weight, add)
         elif code == OP_INSERT:
             done = value._upsert(dst, weight, add)
         elif code == OP_UPDATE:
@@ -287,17 +268,16 @@ class DynamicGraphStore(GraphStoreAPI):
     def _plant(
         self, key, row: int, ids: np.ndarray, weights: np.ndarray
     ) -> Samtree:
-        """Promote: replace slab ``row`` of source ``key`` (0: it has
-        none yet) by the samtree built bottom-up over ``ids`` (ascending)
-        / ``weights``.  Never undone — a promoted source stays a tree
-        until its last edge goes."""
+        """Promote: replace slab ``row`` of source ``key`` by the samtree
+        built bottom-up over ``ids`` (ascending) / ``weights``.  Never
+        undone — a promoted source stays a tree until its last edge
+        goes."""
         ((root, size),) = build_roots(self.config, ids, weights, [ids.size])
         tree = Samtree._over(self.config, self.stats, root, size)
         self._directory.put(key, tree)
-        if row:
-            # Holders of the row's version must see the source move on.
-            tree._version += self.slab.version.item(row)
-            self._release(key, row)
+        # Holders of the row's version must see the source move on.
+        tree._version += self.slab.version.item(row)
+        self._release(key, row)
         return tree
 
     def apply_source_batch(
@@ -312,12 +292,12 @@ class DynamicGraphStore(GraphStoreAPI):
         share the arena a relocation replaces.  A bad kind, ID or weight,
         or a bad key for a new source, raises before anything is applied.
         """
-        self._mark_written(src, etype)
         vids, codes, weights = check_tree_ops(ops)
         key = (etype, src)
         value = self._directory.get(key)
         if value is None:
             check_key(src, etype)
+        self._mark_written(src, etype)
         if value is None or type(value) is int:
             outcomes: List[bool] = []
             with self.slab.lock:
@@ -358,8 +338,7 @@ class DynamicGraphStore(GraphStoreAPI):
             batch = EdgeBatch(batch, dst, weight, etype, op)
         stats = IngestStats(ops=len(batch))
         if len(batch):
-            if self.snapshot_cache is not None:
-                self.snapshot_cache.mark_batch(batch.etype, batch.src)
+            self.snapshot_cache.mark_batch(batch.etype, batch.src)
             with self.slab.lock:
                 self._apply_folded(batch.folded_by_tree(), stats)
                 self.slab.settle()
@@ -620,8 +599,7 @@ class DynamicGraphStore(GraphStoreAPI):
     def frozen_shards(self) -> list:
         """The frozen relations of the read image, one object each
         (``.sample_matrix(frontier, k, gen)`` is the alias kernel alone)."""
-        cache = self.snapshot_cache
-        return cache.frozen_relations if cache is not None else []
+        return self.snapshot_cache.frozen_relations
 
     def freeze(self, etype: Optional[int] = None) -> list:
         """Freeze relation ``etype`` of the read image (default: every
@@ -632,12 +610,9 @@ class DynamicGraphStore(GraphStoreAPI):
         pinned until :meth:`thaw`; batched reads then draw in O(1) per
         neighbor.  A later write dirties *its row* only: it is drawn by
         binary search until the next ``freeze()``, which rebuilds just
-        such rows.  Returns the frozen relations — none for a store
-        built with ``snapshot_cache=None``, which has no image.
+        such rows.  Returns the frozen relations.
         """
         cache = self.snapshot_cache
-        if cache is None:
-            return []
         groups: Dict[int, list] = {}
         for (et, src), tree in self._directory.items():
             if etype is None or et == etype:
@@ -653,8 +628,7 @@ class DynamicGraphStore(GraphStoreAPI):
     def thaw(self, etype: Optional[int] = None) -> int:
         """Drop the alias tables of relation ``etype`` (default: all)
         and unpin its rows; returns how many relations were frozen."""
-        cache = self.snapshot_cache
-        thawed = cache.thaw(etype) if cache is not None else 0
+        thawed = self.snapshot_cache.thaw(etype)
         self.frozen_stats.thaws += thawed
         return thawed
 
@@ -716,8 +690,7 @@ class DynamicGraphStore(GraphStoreAPI):
         draws at once — through the alias kernel for the rows of a
         frozen relation (:meth:`freeze`) not written since, by binary
         search for the rest; distributionally identical to the exact
-        ITS/FTS descent, which a store built with
-        ``snapshot_cache=None`` runs for every draw.
+        ITS/FTS descent of :meth:`sample_neighbors`.
 
         ``counts`` is the coalesced request shape (``counts[i]``
         consecutive rows for ``srcs[i]``); without it every entry of
@@ -726,15 +699,10 @@ class DynamicGraphStore(GraphStoreAPI):
         """
         if k < 0:
             raise ConfigurationError(f"fanout must be >= 0, got {k}")
-        cache = self.snapshot_cache
-        if cache is None:
-            return super().sample_neighbors_many(
-                srcs, k, rng, etype, weighted=weighted, counts=counts
-            )
         srcs = np.asarray(srcs, dtype=np.int64)
         counts = check_counts(srcs, counts)
         with self.slab.lock:  # pointer rows are read in the slab's arena
-            return SampleBlock(*cache.sample(
+            return SampleBlock(*self.snapshot_cache.sample(
                 self._directory, self.slab, etype, srcs, counts,
                 k, coerce_generator(rng), weighted, self.frozen_stats,
             ))
@@ -805,8 +773,8 @@ class DynamicGraphStore(GraphStoreAPI):
         parts["fstables"] += fstables
         parts["directory"] = self._directory.nbytes(model)
         cache = self.snapshot_cache
-        parts["snapshot_cache"] = cache.nbytes if cache is not None else 0
-        parts["frozen"] = cache.alias_nbytes if cache is not None else 0
+        parts["snapshot_cache"] = cache.nbytes
+        parts["frozen"] = cache.alias_nbytes
         return parts
 
     def check_invariants(self) -> None:
@@ -830,10 +798,9 @@ class DynamicGraphStore(GraphStoreAPI):
             raise InvariantViolationError(
                 f"edge counter {self._num_edges} != stored total {edges}"
             )
-        if self.snapshot_cache is not None:
-            stale = self.snapshot_cache.stale_rows(self._directory, self.slab)
-            if stale:
-                raise InvariantViolationError(
-                    f"image rows differ from their sources (mutated "
-                    f"outside the store?): {stale[:5]}"
-                )
+        stale = self.snapshot_cache.stale_rows(self._directory, self.slab)
+        if stale:
+            raise InvariantViolationError(
+                f"image rows differ from their sources (mutated "
+                f"outside the store?): {stale[:5]}"
+            )

@@ -35,9 +35,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.alpha_split import split_arrays
-from repro.core.compression import _check_id
 from repro.core.cstable import CSTable
-from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE
+from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, check_id
 from repro.core.samtree import (
     Samtree,
     _check_weight,
@@ -69,7 +68,7 @@ def check_tree_ops(
                 f"unknown tree op kind {kind!r}; expected one of "
                 f"{tuple(_KIND_CODES)}"
             )
-        vids.append(_check_id(vid))
+        vids.append(check_id(vid))
         codes.append(code)
         weights.append(weight if code == OP_DELETE else _check_weight(weight))
     return vids, codes, weights

@@ -338,13 +338,6 @@ class GraphClient(GraphStoreAPI):
                 return server.store
         raise ShardUnavailableError(f"no live replica of shard {shard}")
 
-    def _any_live_server(self) -> GraphServer:
-        for group in self.replica_groups:
-            for server in group:
-                if server.alive:
-                    return server
-        raise ShardUnavailableError("no live server in the cluster")
-
     # ------------------------------------------------------------------
     # single-edge updates (each one message per replica)
     # ------------------------------------------------------------------
@@ -563,8 +556,8 @@ class GraphClient(GraphStoreAPI):
                 )()
                 degrees = [store.degree(src, et) for et in etypes]
                 extra_edges += sum(degrees)
-                if any(d > 0 for d in degrees):
-                    extra_sources += 1
+                # One (etype, src) key per relation the copy holds.
+                extra_sources += sum(d > 0 for d in degrees)
         return extra_edges, extra_sources
 
     @property
@@ -659,8 +652,7 @@ class GraphClient(GraphStoreAPI):
         and their multiplicities, a ``searchsorted`` over the distinct
         sources' shards gives the per-shard cuts, each shard is sent
         array slices and its reply is one fancy assignment into the
-        output — the same shape :meth:`apply_edge_batch` and
-        :meth:`gather_attributes` use.  Rows owned by a fully
+        output — the same shape :meth:`apply_edge_batch` uses.  Rows owned by a fully
         unavailable shard come back ``state == UNAVAILABLE`` when
         degraded reads are enabled.
 
@@ -753,66 +745,6 @@ class GraphClient(GraphStoreAPI):
                     ids[positions] = block.ids
                     state[positions] = block.state
         return SampleBlock(ids, state)
-
-    # ------------------------------------------------------------------
-    # attributes (vertex features live on the shard that owns the vertex)
-    # ------------------------------------------------------------------
-    def register_attribute(self, name: str, dim: int) -> None:
-        """Declare an attribute field on every replica of every shard.
-
-        Replicas that are down are skipped — a later recovery restores
-        their schema from a checkpoint or a peer state transfer.
-        """
-        for group in self.replica_groups:
-            for server in group:
-                try:
-                    server.register_attribute(name, dim)
-                except ShardUnavailableError:
-                    continue
-
-    def put_attribute(self, name: str, vertex: int, value) -> None:
-        """Write one vertex's feature vector to its owning shard
-        (primary-backup, like the topology writes)."""
-        payload = _QUERY_BYTES + 8 * int(np.size(value))
-        self._write_shard(
-            self.partitioner.shard_for(vertex),
-            payload,
-            lambda s: s.put_attribute(name, vertex, value),
-        )
-
-    def gather_attributes(self, name: str, vertices) -> np.ndarray:
-        """Gather feature rows across shards, merged in input order.
-
-        ``vertices`` is an integer array or any iterable of ids; each
-        owning shard receives its ids as one array.  In degraded mode,
-        rows owned by fully-unavailable shards are zero-filled (matching
-        the store's unknown-vertex convention).
-        """
-        if not isinstance(vertices, np.ndarray):
-            vertices = list(vertices)
-        ids = np.asarray(vertices, dtype=np.int64)
-        shards = self.partitioner.shards_for_array(ids)
-        order = np.argsort(shards, kind="stable")
-        cuts = np.flatnonzero(np.diff(shards[order])) + 1
-        # One group of input positions per owning shard; none when empty.
-        groups = np.split(order, cuts) if ids.size else []
-        out: Optional[np.ndarray] = None
-        for positions in groups:
-            shard_ids = ids[positions]
-            rows = self._read_shard(
-                int(shards[positions[0]]),
-                _QUERY_BYTES * len(shard_ids),
-                lambda s, sv=shard_ids: s.gather_attributes(name, sv),
-            )
-            if rows is UNAVAILABLE:
-                continue
-            if out is None:
-                out = np.zeros((len(ids), rows.shape[1]), dtype=rows.dtype)
-            out[positions] = rows
-        if out is None:
-            schema = self._any_live_server().attributes.schema(name)
-            out = np.zeros((len(ids), schema.dim), dtype=schema.dtype)
-        return out
 
     # ------------------------------------------------------------------
     # accounting

@@ -1,10 +1,13 @@
 """Graph server: one shard of the distributed storage layer (paper Fig. 1).
 
-A server owns the samtrees of every source vertex hashed to it, plus an
-attribute store for the features of vertices it hosts.  Its interface is
-batch-first — the client ships one message per (server, request kind)
-per batch — and it counts requests so benchmarks can report routing
-fan-out.
+A server owns the topology of every source vertex hashed to it: one
+:class:`~repro.core.topology.DynamicGraphStore` (samtrees and slab rows
+behind a cuckoo directory).  Vertex features are not a shard's: the
+paper keeps them in a separate key-value store, and every trainer and
+serving path reads one local feature store
+(:mod:`repro.storage.attributes`).  Its interface is batch-first — the
+client ships one message per (server, request kind) per batch — and it
+counts requests so benchmarks can report routing fan-out.
 
 Fault tolerance (the production posture of the paper's 54-server
 storage tier):
@@ -17,7 +20,7 @@ storage tier):
   mutation is appended to the log **before** it is applied (write-ahead),
   and :meth:`checkpoint` captures a full binary image and truncates the
   log;
-* :meth:`crash` drops all volatile state (store + attributes);
+* :meth:`crash` drops all volatile state (the store);
   :meth:`recover` rebuilds it from the last checkpoint plus a WAL-tail
   replay through the columnar bulk-ingest path — or, when a live peer
   replica is given, from a state transfer off that peer.
@@ -28,8 +31,6 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.ingest import EdgeBatch, chunked
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
@@ -44,14 +45,7 @@ from repro.core.types import (
 )
 from repro.errors import ConfigurationError, ShardUnavailableError
 from repro.obs.telemetry import Stats, Telemetry
-from repro.storage.attributes import AttributeStore
-from repro.storage.checkpoint import (
-    LOAD_CHUNK_EDGES,
-    load_attributes,
-    load_store,
-    save_attributes,
-    save_store,
-)
+from repro.storage.checkpoint import LOAD_CHUNK_EDGES, load_store, save_store
 from repro.storage.wal import ShardWAL
 
 __all__ = ["GraphServer", "ServerStats"]
@@ -89,14 +83,13 @@ class ServerStats(Stats):
     #: the per-shard *traffic volume* series (RPC counts hide skew once
     #: the client batches one message per shard per window).
     sample_sources: int = 0
-    attribute_requests: int = 0
     ops_applied: int = 0
     recoveries: int = 0
     wal_records_replayed: int = 0
 
 
 class GraphServer:
-    """One storage shard: a topology store + an attribute store.
+    """One storage shard: one topology store.
 
     Parameters
     ----------
@@ -109,8 +102,7 @@ class GraphServer:
         Samtree parameters of the default store.
     wal:
         Optional :class:`ShardWAL`; attaching one turns on write-ahead
-        durability for the topology (attributes are durable via
-        :meth:`checkpoint` only).
+        durability.
     faults:
         Optional :class:`FaultInjector` consulted on every endpoint.
     store_factory:
@@ -145,7 +137,6 @@ class GraphServer:
         self.store: Optional[GraphStoreAPI] = (
             store if store is not None else self._fresh_store()
         )
-        self.attributes: Optional[AttributeStore] = AttributeStore()
         self.stats = ServerStats()
         self.wal = wal
         self.faults = faults
@@ -156,7 +147,6 @@ class GraphServer:
         self._alive = True
         # Durable (survives crash) checkpoint images of this replica.
         self._checkpoint_topology: Optional[bytes] = None
-        self._checkpoint_attributes: Optional[bytes] = None
 
     def _fresh_store(self) -> GraphStoreAPI:
         if self._store_factory is not None:
@@ -207,7 +197,6 @@ class GraphServer:
         """
         self._alive = False
         self.store = None
-        self.attributes = None
         self.telemetry.event("fault", "crash", **self._where)
 
     def checkpoint(self) -> int:
@@ -231,20 +220,15 @@ class GraphServer:
         return total
 
     def _capture_image(self, source: "GraphServer") -> int:
-        """Serialise ``source``'s store + attributes into this replica's
-        checkpoint buffers and truncate the local WAL (the image now
-        covers, or supersedes, everything it logged); returns bytes."""
+        """Serialise ``source``'s store into this replica's checkpoint
+        buffer and truncate the local WAL (the image now covers, or
+        supersedes, everything it logged); returns bytes."""
         buf = io.BytesIO()
         save_store(source.store, buf)
         self._checkpoint_topology = buf.getvalue()
-        abuf = io.BytesIO()
-        save_attributes(source.attributes, abuf)
-        self._checkpoint_attributes = abuf.getvalue()
         if self.wal is not None:
             self.wal.truncate()
-        return len(self._checkpoint_topology) + len(
-            self._checkpoint_attributes
-        )
+        return len(self._checkpoint_topology)
 
     def recover(self, sync_from: Optional["GraphServer"] = None) -> int:
         """Rebuild state and come back up; returns WAL records replayed.
@@ -255,9 +239,9 @@ class GraphServer:
         concatenated into batches of at most ``LOAD_CHUNK_EDGES`` rows.
 
         With a live ``sync_from`` peer replica: perform a state transfer
-        (serialize the peer's store + attributes into this replica's
-        checkpoint, truncate the local WAL) — the path a rejoining
-        backup takes after missing writes while it was down.
+        (serialize the peer's store into this replica's checkpoint,
+        truncate the local WAL) — the path a rejoining backup takes after
+        missing writes while it was down.
         """
         if self._alive and self.store is not None:
             return 0
@@ -278,12 +262,6 @@ class GraphServer:
             )
         else:
             self.store = self._fresh_store()
-        if self._checkpoint_attributes is not None:
-            self.attributes = load_attributes(
-                io.BytesIO(self._checkpoint_attributes)
-            )
-        else:
-            self.attributes = AttributeStore()
         replayed = 0
         if self.wal is not None:
             for tail in chunked(self.wal.replay(), len, LOAD_CHUNK_EDGES):
@@ -311,13 +289,14 @@ class GraphServer:
         ):
             self._serve("apply_ops")
             self.stats.update_requests += 1
-            self.stats.ops_applied += len(ops)
             if self.wal is not None:
                 self.wal.append_ops(ops)
                 self.telemetry.event(
                     "wal", "append", **self._where, ops=len(ops)
                 )
-            return [self.store.apply(op) for op in ops]
+            done = [self.store.apply(op) for op in ops]
+            self.stats.ops_applied += len(ops)
+            return done
 
     def ingest_batch(self, batch):
         """Apply one columnar :class:`~repro.core.ingest.EdgeBatch`.
@@ -333,21 +312,22 @@ class GraphServer:
         ):
             self._serve("ingest_batch")
             self.stats.ingest_requests += 1
-            self.stats.ops_applied += len(batch)
             if self.wal is not None:
                 self.wal.append_batch(batch)
                 self.telemetry.event(
                     "wal", "append", **self._where, ops=len(batch)
                 )
-            return self.store.apply_edge_batch(batch)
+            stats = self.store.apply_edge_batch(batch)
+            self.stats.ops_applied += len(batch)
+            return stats
 
     def freeze(self, etype: Optional[int] = None) -> int:
         """Freeze the store's read image for the hot read path.
 
         Counted as an ``update_request`` (it replaces server-side state),
         keeping the per-endpoint accounting identity intact.  Returns
-        the number of relations frozen; 0 when the store has nothing to
-        freeze (baseline stores, stores without a read image).
+        the number of relations frozen; 0 for a store with no read image
+        to freeze (a baseline store).
         Subsequent ``sample_neighbors_many`` RPCs draw through the alias
         kernel, except for rows written since.
         """
@@ -443,38 +423,13 @@ class GraphServer:
         return [self.store.edge_weight(s, d, etype) for s, d in pairs]
 
     # ------------------------------------------------------------------
-    # attribute path
-    # ------------------------------------------------------------------
-    def register_attribute(self, name: str, dim: int, dtype=None) -> None:
-        """Declare an attribute field on this shard."""
-        self._serve("register_attribute")
-        self.stats.attribute_requests += 1
-        if dtype is None:
-            self.attributes.register(name, dim)
-        else:
-            self.attributes.register(name, dim, dtype)
-
-    def put_attribute(self, name: str, vertex: int, value) -> None:
-        """Write one hosted vertex's feature vector."""
-        self._serve("put_attribute")
-        self.stats.attribute_requests += 1
-        self.attributes.put(name, vertex, value)
-
-    def gather_attributes(self, name: str, vertices) -> np.ndarray:
-        """Feature rows for vertices hosted on this shard (``vertices``:
-        an integer array or any iterable of ids)."""
-        self._serve("gather_attributes")
-        self.stats.attribute_requests += 1
-        return self.attributes.gather(name, vertices)
-
-    # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
     def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
-        """Modeled bytes of this shard (topology + attributes).
+        """Modeled bytes of this shard's store.
 
         A crashed replica holds no volatile state, so it reports 0.
         """
         if not self._alive or self.store is None:
             return 0
-        return self.store.nbytes(model) + self.attributes.nbytes()
+        return self.store.nbytes(model)

@@ -22,7 +22,7 @@ observable:
 * the report carries a :class:`~repro.core.memory.MemoryModel`-based
   byte breakdown by component (``leaf_nodes`` / ``fstables`` /
   ``internal_nodes`` / ``cstables`` / ``directory`` /
-  ``snapshot_cache``, plus ``wal`` / ``attributes`` at cluster level)
+  ``snapshot_cache``, plus ``wal`` at cluster level)
   whose sum **equals** the store's ``nbytes()`` by construction — the
   invariant ``tests/test_doctor.py`` pins under bulk build, churn, and
   crash/recovery;
@@ -107,8 +107,8 @@ class DoctorReport:
 
     The byte ``components`` dict is an exact partition:
     ``total_bytes == sum(components.values())`` and, for a single store,
-    ``total_bytes == store.nbytes(model)`` (plus WAL/attribute bytes at
-    cluster level) — both equalities are pinned by ``tests/test_doctor.py``.
+    ``total_bytes == store.nbytes(model)`` (plus WAL bytes at cluster
+    level) — both equalities are pinned by ``tests/test_doctor.py``.
     """
 
     def __init__(self, scope: str, capacity: int) -> None:
@@ -278,7 +278,7 @@ class DoctorReport:
         self.slab_slots += slab.used
         self.slab_garbage += slab.garbage
 
-    def observe_counters(self, op_stats, ingest_stats=None) -> None:
+    def observe_counters(self, op_stats, ingest_stats) -> None:
         """Fold structural-update counters (``OpStats`` +
         ``IngestStats``) into the aggregate."""
         c = self.counters
@@ -288,10 +288,9 @@ class DoctorReport:
         c["internal_splits"] += op_stats.internal_splits
         c["merges"] += op_stats.merges
         c["split_imbalance_sum"] += op_stats.split_imbalance_sum
-        if ingest_stats is not None:
-            c["trees_rebuilt"] += ingest_stats.trees_rebuilt
-            c["trees_incremental"] += ingest_stats.trees_incremental
-            c["trees_created"] += ingest_stats.trees_created
+        c["trees_rebuilt"] += ingest_stats.trees_rebuilt
+        c["trees_incremental"] += ingest_stats.trees_incremental
+        c["trees_created"] += ingest_stats.trees_created
 
     def add_components(self, parts: Dict[str, int]) -> None:
         for name, nbytes in parts.items():
@@ -647,6 +646,20 @@ class DoctorReport:
 # ---------------------------------------------------------------------------
 # diagnosis entry points
 # ---------------------------------------------------------------------------
+def _samtree_store(store):
+    """``store``, when it is the samtree store the doctor walks; a
+    baseline store has no samtrees, slab or read image, and is refused
+    the way :meth:`GraphServer.checkpoint` refuses it."""
+    from repro.core.topology import DynamicGraphStore  # core imports obs
+
+    if not isinstance(store, DynamicGraphStore):
+        raise ConfigurationError(
+            f"the doctor walks the samtree-backed DynamicGraphStore; "
+            f"a {type(store).__name__} has no samtrees to diagnose"
+        )
+    return store
+
+
 def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
     slab = store.slab
     for value in store.directory.values():
@@ -654,7 +667,7 @@ def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
             report.observe_tree(value)
             report.promoted += 1
     report.observe_slab(slab)
-    report.observe_counters(store.stats, getattr(store, "ingest_stats", None))
+    report.observe_counters(store.stats, store.ingest_stats)
     directory = store.directory
     report.directory_entries += len(directory)
     # Cluster scope keeps the *max* shard load factor (skew indicator);
@@ -662,25 +675,22 @@ def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
     report.directory_load_factor = max(
         report.directory_load_factor, directory.load_factor
     )
-    cache = getattr(store, "snapshot_cache", None)
-    if cache is not None:
-        for name, count in cache.occupancy().items():
-            name = f"cache_{name}"
-            setattr(report, name, getattr(report, name) + count)
-        # Worst (lowest) single-shard rate is the health signal; the raw
-        # counters below give the exact aggregate alongside it.
-        rate = cache.stats.hit_rate
-        if report.num_shards_seen <= 1:
-            report.cache_hit_rate = rate
-        else:
-            report.cache_hit_rate = min(report.cache_hit_rate, rate)
-        report.cache_hits += cache.stats.hits
-        report.cache_misses += cache.stats.misses
-        report.cache_stale_rows += len(cache.stale_rows(directory, slab))
-    frozen_stats = getattr(store, "frozen_stats", None)
-    if frozen_stats is not None:
-        report.alias_served += frozen_stats.vertices
-        report.alias_missed += frozen_stats.stale_misses
+    cache = store.snapshot_cache
+    for name, count in cache.occupancy().items():
+        name = f"cache_{name}"
+        setattr(report, name, getattr(report, name) + count)
+    # Worst (lowest) single-shard rate is the health signal; the raw
+    # counters below give the exact aggregate alongside it.
+    rate = cache.stats.hit_rate
+    if report.num_shards_seen <= 1:
+        report.cache_hit_rate = rate
+    else:
+        report.cache_hit_rate = min(report.cache_hit_rate, rate)
+    report.cache_hits += cache.stats.hits
+    report.cache_misses += cache.stats.misses
+    report.cache_stale_rows += len(cache.stale_rows(directory, slab))
+    report.alias_served += store.frozen_stats.vertices
+    report.alias_missed += store.frozen_stats.stale_misses
     report.add_components(store.nbytes_breakdown(model))
 
 
@@ -690,9 +700,10 @@ def diagnose_store(
     """Walk one :class:`DynamicGraphStore` into a :class:`DoctorReport`.
 
     ``report.total_bytes == store.nbytes(model)`` exactly — both sides
-    are the same component sum.
+    are the same component sum.  A baseline store raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    report = DoctorReport("store", store.config.capacity)
+    report = DoctorReport("store", _samtree_store(store).config.capacity)
     report.num_shards_seen = 1
     _observe_store(report, store, model)
     return report
@@ -704,31 +715,22 @@ def diagnose_cluster(
     """Walk every live *primary* replica of a ``LocalCluster``.
 
     Matches :meth:`LocalCluster.total_nbytes` semantics (primaries only,
-    comparable across replication factors); adds ``attributes`` and
-    ``wal`` byte components on top of the store breakdown, so
+    comparable across replication factors); adds a ``wal`` byte
+    component on top of the store breakdown, so
     ``total_bytes == cluster.total_nbytes(model) + Σ wal bytes`` on a
-    fully-live cluster.
+    fully-live cluster.  A cluster of baseline stores raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    capacity = 0
-    for server in cluster.servers:
-        if server.alive and server.store is not None:
-            capacity = server.store.config.capacity
-            break
-    report = DoctorReport("cluster", capacity)
-    attr_bytes = 0
+    live = [s for s in cluster.servers if s.alive and s.store is not None]
+    stores = [_samtree_store(server.store) for server in live]
+    report = DoctorReport("cluster", stores[0].config.capacity if stores else 0)
     wal_bytes = 0
-    for server in cluster.servers:
-        if not server.alive or server.store is None:
-            continue
+    for server, store in zip(live, stores):
         report.num_shards_seen += 1
-        _observe_store(report, server.store, model)
-        attributes = getattr(server, "attributes", None)
-        if attributes is not None:
-            attr_bytes += attributes.nbytes()
-        wal = getattr(server, "wal", None)
-        if wal is not None:
-            wal_bytes += wal.nbytes
-    report.add_components({"attributes": attr_bytes, "wal": wal_bytes})
+        _observe_store(report, store, model)
+        if server.wal is not None:
+            wal_bytes += server.wal.nbytes
+    report.add_components({"wal": wal_bytes})
     serving = getattr(getattr(cluster, "client", None), "serving_stats", None)
     if serving is not None:
         report.serving = serving.to_dict()

@@ -2,12 +2,7 @@
 binary checkpointing, and the per-shard write-ahead log."""
 
 from repro.storage.attributes import AttributeSchema, AttributeStore
-from repro.storage.checkpoint import (
-    load_attributes,
-    load_store,
-    save_attributes,
-    save_store,
-)
+from repro.storage.checkpoint import load_store, save_store
 from repro.storage.cuckoo import CuckooHashMap
 from repro.storage.kvstore import BlockKVStore
 from repro.storage.wal import ShardWAL
@@ -15,9 +10,7 @@ from repro.storage.wal import ShardWAL
 __all__ = [
     "AttributeSchema",
     "AttributeStore",
-    "load_attributes",
     "load_store",
-    "save_attributes",
     "save_store",
     "CuckooHashMap",
     "BlockKVStore",

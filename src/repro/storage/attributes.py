@@ -18,10 +18,11 @@ id -> slot lookup and a single ``ndarray.take``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
+from repro.core.ingest import check_id, id_column
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.errors import ConfigurationError, ShapeError, VertexNotFoundError
 from repro.storage.directory import IdDirectory
@@ -133,14 +134,6 @@ class AttributeStore:
             return
         self._slabs[name] = _Slab(schema)
 
-    def schema(self, name: str) -> AttributeSchema:
-        """Return the schema of a field."""
-        return self._slab(name).schema
-
-    def fields(self) -> Iterator[str]:
-        """Iterate over registered field names."""
-        return iter(self._slabs)
-
     def _slab(self, name: str) -> _Slab:
         try:
             return self._slabs[name]
@@ -153,7 +146,8 @@ class AttributeStore:
     # point access
     # ------------------------------------------------------------------
     def put(self, name: str, vertex: int, value: Sequence[float]) -> None:
-        """Set the feature vector of one vertex."""
+        """Set the feature vector of one vertex; an id outside
+        ``0 .. 2**63 - 1`` raises before anything is stored."""
         slab = self._slab(name)
         schema = slab.schema
         arr = np.asarray(value, dtype=schema.dtype)
@@ -162,7 +156,7 @@ class AttributeStore:
                 f"attribute {name!r} expects shape ({schema.dim},), "
                 f"got {arr.shape}"
             )
-        vertex = int(vertex)
+        vertex = check_id(vertex)
         slot = slab.index.get(vertex)
         if slot is None:
             slot = slab.allocate(np.array([vertex], dtype=np.int64))[0]
@@ -173,7 +167,8 @@ class AttributeStore:
     ) -> None:
         """Set feature vectors for many vertices from a dense matrix.
 
-        An id listed more than once keeps its last row.
+        An id listed more than once keeps its last row; an id outside
+        ``0 .. 2**63 - 1`` raises before anything is stored.
         """
         slab = self._slab(name)
         schema = slab.schema
@@ -183,7 +178,7 @@ class AttributeStore:
                 f"attribute {name!r} expects shape "
                 f"({len(vertices)}, {schema.dim}), got {matrix.shape}"
             )
-        ids = np.asarray(vertices, dtype=np.int64)
+        ids = id_column(vertices)
         # numpy leaves the winner of a repeated index in a fancy
         # assignment unspecified, so repeats are dropped here, last kept
         # (the first occurrence in the reversed column).
@@ -246,14 +241,6 @@ class AttributeStore:
             views.append(matrix[start : start + len(level)])
             start += len(level)
         return views
-
-    def export(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Every stored row of a field: ``(ids, matrix)`` with ``ids``
-        ascending ``int64`` and ``matrix[i]`` the value of ``ids[i]``."""
-        slab = self._slab(name)
-        ids, slots = slab.index.items()
-        order = np.argsort(ids)
-        return ids[order], slab.rows.take(slots[order], axis=0)
 
     # ------------------------------------------------------------------
     # accounting

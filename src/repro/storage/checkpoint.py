@@ -2,8 +2,9 @@
 
 A production deployment restarts graph servers without replaying weeks
 of update streams — it loads the last snapshot and replays only the
-tail.  This module serialises a :class:`DynamicGraphStore` (and
-optionally an :class:`AttributeStore`) to a compact binary image:
+tail.  This module serialises a :class:`DynamicGraphStore` — the
+topology only; vertex features live in a separate key-value store — to
+a compact binary image:
 
 * a fixed header (magic, version, counts);
 * one record per (etype, src) adjacency: the IDs and weights of the
@@ -12,12 +13,11 @@ optionally an :class:`AttributeStore`) to a compact binary image:
   a chunk of records per batch (no need to serialise tree internals or
   which form a source had — both are functions of the insertion stream,
   and any valid shape is equivalent);
-* attribute sections as (field, dtype, dim) blocks of packed rows;
-* a CRC-32 trailer over each section (topology, attributes).
+* a CRC-32 trailer over the section.
 
 The format is self-contained little-endian ``struct`` packing — no
 pickle, so a snapshot is safe to load from untrusted storage.  A loader
-walks a section twice: once only reading, up to the trailer check, then
+walks the section twice: once only reading, up to the trailer check, then
 again to build — so truncated, mutated or foreign bytes raise
 :class:`~repro.errors.ConfigurationError`, never anything else, and never
 yield part of a store, and a load holds one chunk of records
@@ -37,21 +37,17 @@ from repro.core.ingest import EdgeBatch, chunked
 from repro.core.samtree import SamtreeConfig
 from repro.core.snapshot import flatten_tree
 from repro.errors import ConfigurationError
-from repro.storage.attributes import AttributeStore
 
 # NOTE: repro.core.topology imports repro.storage.cuckoo, which runs this
 # package's __init__ — so the store class is imported lazily inside the
 # functions to keep the import graph acyclic.
 
-__all__ = ["save_store", "load_store", "save_attributes", "load_attributes"]
+__all__ = ["save_store", "load_store"]
 
 _MAGIC = b"PD2G"
 _VERSION = 3  # 3: CRC-32 trailer per section
 _HEADER = struct.Struct("<4sHHIIq")  # magic, version, flags, cap, alpha, nsrc
 _ADJ_HEADER = struct.Struct("<qqI")  # etype, src, degree
-_ATTR_MAGIC = b"PD2A"
-_ATTR_HEADER = struct.Struct("<4sHI")  # magic, version, num_fields
-_FIELD_HEADER = struct.Struct("<HHIq")  # name len, dtype len, dim, rows
 _TRAILER = struct.Struct("<I")  # crc32 of the section before it
 
 #: Edges a load (or a WAL-tail replay) hands the store per batch: enough
@@ -102,19 +98,6 @@ class _Section:
         self._left -= n
         self._crc = zlib.crc32(data, self._crc)
         return data
-
-    def read_header(self, header: struct.Struct, magic: bytes, what: str):
-        """Unpack and vet a section header; returns the fields after
-        ``(magic, version)``."""
-        got, version, *fields = header.unpack(self.read(header.size))
-        if got != magic:
-            raise ConfigurationError(f"not {what} (magic {got!r})")
-        if version != _VERSION:
-            raise ConfigurationError(
-                f"snapshot version {version} is not supported "
-                f"(this build reads version {_VERSION})"
-            )
-        return fields
 
     def check_trailer(self) -> None:
         """Vet the checksum of everything read, then go back to the
@@ -173,9 +156,18 @@ def save_store(store, target: Union[str, BinaryIO]) -> int:
 def _read_topology(src: _Section):
     """Yield the store's config, then ``(etype, vertex, ids, weights)``
     per adjacency record."""
-    flags, capacity, alpha, nsrc = src.read_header(
-        _HEADER, _MAGIC, "a PlatoD2GL snapshot"
+    magic, version, flags, capacity, alpha, nsrc = _HEADER.unpack(
+        src.read(_HEADER.size)
     )
+    if magic != _MAGIC:
+        raise ConfigurationError(
+            f"not a PlatoD2GL snapshot (magic {magic!r})"
+        )
+    if version != _VERSION:
+        raise ConfigurationError(
+            f"snapshot version {version} is not supported "
+            f"(this build reads version {_VERSION})"
+        )
     yield capacity, alpha, bool(flags & 1)
     for _ in range(nsrc):
         etype, vertex, degree = _ADJ_HEADER.unpack(src.read(_ADJ_HEADER.size))
@@ -205,10 +197,10 @@ def load_store(source: Union[str, BinaryIO], store=None):
     """Rebuild a :class:`~repro.core.topology.DynamicGraphStore` from a
     snapshot.
 
-    Builds into ``store`` when one is given — an empty store carrying
-    the caller's options (read image, cache budget) — and into a default
-    store of the snapshot's :class:`SamtreeConfig` otherwise; a given
-    store whose config disagrees with the snapshot's is refused.
+    Builds into ``store`` when one is given — an empty store from the
+    caller's factory — and into a default store of the snapshot's
+    :class:`SamtreeConfig` otherwise; a given store whose config
+    disagrees with the snapshot's is refused.
     """
     from repro.core.topology import DynamicGraphStore
 
@@ -230,69 +222,3 @@ def load_store(source: Union[str, BinaryIO], store=None):
             store.apply_edge_batch(_insert_batch(chunk))
         src.read(_TRAILER.size)  # leave the stream at the section's end
     return store
-
-
-def save_attributes(
-    attrs: AttributeStore, target: Union[str, BinaryIO]
-) -> int:
-    """Serialise an attribute store; returns bytes written."""
-    with _Section(target, "wb") as out:
-        fields = list(attrs.fields())
-        out.write(_ATTR_HEADER.pack(_ATTR_MAGIC, _VERSION, len(fields)))
-        for name in fields:
-            schema = attrs.schema(name)
-            name_bytes = name.encode("utf-8")
-            dtype_bytes = schema.dtype.str.encode("ascii")
-            vertices, matrix = attrs.export(name)
-            out.write(
-                _FIELD_HEADER.pack(
-                    len(name_bytes), len(dtype_bytes), schema.dim,
-                    len(vertices),
-                )
-            )
-            out.write(name_bytes)
-            out.write(dtype_bytes)
-            out.write(vertices.astype("<u8").tobytes())
-            out.write(matrix.tobytes())
-        return out.write_trailer()
-
-
-def _read_fields(src: _Section):
-    """Yield ``(name, dim, dtype, vertices, matrix)`` per field."""
-    (num_fields,) = src.read_header(
-        _ATTR_HEADER, _ATTR_MAGIC, "an attribute snapshot"
-    )
-    for _ in range(num_fields):
-        name_len, dtype_len, dim, count = _FIELD_HEADER.unpack(
-            src.read(_FIELD_HEADER.size)
-        )
-        try:
-            name = src.read(name_len).decode("utf-8")
-            dtype = np.dtype(src.read(dtype_len).decode("ascii"))
-        except (TypeError, ValueError, SyntaxError) as exc:
-            raise ConfigurationError(
-                f"corrupt attribute snapshot: {exc}"
-            ) from None
-        if dtype.kind not in "biufc":  # row width must be known to read on
-            raise ConfigurationError(
-                f"corrupt attribute snapshot: field dtype {dtype}"
-            )
-        vertices = np.frombuffer(src.read(8 * count), dtype="<u8")
-        matrix = np.frombuffer(
-            src.read(count * dim * dtype.itemsize), dtype=dtype
-        )
-        yield name, dim, dtype, vertices, matrix
-
-
-def load_attributes(source: Union[str, BinaryIO]) -> AttributeStore:
-    """Rebuild an :class:`AttributeStore` from a snapshot."""
-    with _Section(source, "rb") as src:
-        for _ in _read_fields(src):
-            pass
-        src.check_trailer()
-        attrs = AttributeStore()
-        for name, dim, dtype, vertices, matrix in _read_fields(src):
-            attrs.register(name, dim, dtype)
-            attrs.put_many(name, vertices, matrix.reshape(len(vertices), dim))
-        src.read(_TRAILER.size)  # leave the stream at the section's end
-    return attrs

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro.core.samtree import OpStats, Samtree, SamtreeConfig, build_roots
+from repro.core.topology import DynamicGraphStore
 from repro.core.tree_batch import apply_tree_codes, check_tree_ops
-from repro.core.types import DEFAULT_ETYPE
+from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
 
 
 @pytest.fixture
@@ -45,6 +46,14 @@ def stores_equal(a, b) -> bool:
         }
 
     return edges(a) == edges(b)
+
+
+class DescentStore(DynamicGraphStore):
+    """The exact-descent reference: a store whose batched draws are the
+    scalar ITS/FTS descent per row (the API's default loop), never the
+    read image's kernels."""
+
+    sample_neighbors_many = GraphStoreAPI.sample_neighbors_many
 
 
 def bulk_tree(ids, weights=None, config=None, stats=None) -> Samtree:

@@ -5,20 +5,13 @@ from __future__ import annotations
 import io
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.errors import ConfigurationError
-from repro.storage.attributes import AttributeStore
-from repro.storage.checkpoint import (
-    load_attributes,
-    load_store,
-    save_attributes,
-    save_store,
-)
+from repro.errors import ConfigurationError, InvalidWeightError
+from repro.storage.checkpoint import load_store, save_store
 
 
 def random_store(seed=0, n=2000, capacity=16) -> DynamicGraphStore:
@@ -98,6 +91,31 @@ class TestStoreRoundtrip:
         data[4] = 0xFF  # bump version byte
         with pytest.raises(ConfigurationError):
             load_store(io.BytesIO(bytes(data)))
+
+    @pytest.mark.parametrize("degree", [3, 9])  # a slab row, a samtree
+    def test_boundary_ids_roundtrip(self, degree):
+        """Ids ``0`` and ``2**63 - 1``, as source and as destination,
+        survive a snapshot; one past the domain is refused, so the store
+        never holds what no snapshot can restore."""
+        top = 2**63 - 1
+        edges = {0: 0.5, top: 1.5, **{d: 2.0 for d in range(7, 4 + degree)}}
+        store = DynamicGraphStore(SamtreeConfig(capacity=4))
+        for src in (0, top):
+            for dst, weight in edges.items():
+                store.add_edge(src, dst, weight)
+        for src, dst in ((top + 1, 0), (0, top + 1)):
+            with pytest.raises(InvalidWeightError):
+                store.add_edge(src, dst, 1.0)
+        buf = io.BytesIO()
+        save_store(store, buf)
+        buf.seek(0)
+        loaded = load_store(buf)
+        assert sorted(loaded.sources()) == [0, top]
+        for src in (0, top):
+            assert dict(loaded.neighbors(src)) == edges
+        block = loaded.sample_neighbors_many([top, 0], 4, rng=1)
+        assert set(block.ids.ravel().tolist()) <= set(edges)
+        loaded.check_invariants()
 
     def test_deterministic_bytes(self):
         a, b = io.BytesIO(), io.BytesIO()
@@ -248,102 +266,18 @@ class TestBulkBuiltRoundtrip:
         loaded.apply_edge_batch(batch)
         self._assert_equivalent(store, loaded)
 
-    def test_store_and_attribute_sections_share_a_buffer(self):
-        """A combined snapshot — topology section followed by the
-        attribute section in one stream — reloads both (the layout the
-        server's checkpoint/recover cycle relies on)."""
+    def test_two_store_sections_share_a_buffer(self):
+        """Snapshots written back to back into one stream reload in turn:
+        a load leaves the stream at the end of its own section."""
         store = DynamicGraphStore(SamtreeConfig(capacity=8))
         store.bulk_load(
             list(range(10)) * 3, list(range(30)), 2.0, 0
         )
-        attrs = AttributeStore()
-        attrs.register("feat", 3)
-        for v in range(10):
-            attrs.put("feat", v, [float(v), 0.5, -1.0])
+        other = random_store(seed=3, n=200, capacity=8)
         buf = io.BytesIO()
         save_store(store, buf)
-        save_attributes(attrs, buf)
+        save_store(other, buf)
         buf.seek(0)
-        loaded_store = load_store(buf)
-        loaded_attrs = load_attributes(buf)
-        self._assert_equivalent(store, loaded_store)
-        assert loaded_attrs.get("feat", 7).tolist() == [7.0, 0.5, -1.0]
-
-
-class TestAttributeRoundtrip:
-    def test_roundtrip(self):
-        attrs = AttributeStore()
-        attrs.register("feat", 4)
-        attrs.register("label", 1, np.dtype(np.int64))
-        rng = np.random.default_rng(0)
-        for v in range(100):
-            attrs.put("feat", v * 7, rng.normal(size=4).astype(np.float32))
-            attrs.put("label", v * 7, [v % 5])
-        buf = io.BytesIO()
-        save_attributes(attrs, buf)
-        buf.seek(0)
-        loaded = load_attributes(buf)
-        assert sorted(loaded.fields()) == ["feat", "label"]
-        assert loaded.schema("feat").dim == 4
-        assert loaded.schema("label").dtype == np.dtype(np.int64)
-        for v in range(100):
-            assert loaded.get("feat", v * 7) == pytest.approx(
-                attrs.get("feat", v * 7)
-            )
-            assert loaded.get("label", v * 7)[0] == v % 5
-
-    def test_snapshot_bytes_are_pinned(self):
-        """The on-disk image is a function of the content alone: the body
-        is what the dict-of-rows store wrote for it (ids ascending per
-        field, whatever order, overwrite or delete produced them), under
-        the version-3 header and ahead of the section's CRC-32 trailer."""
-        attrs = AttributeStore()
-        attrs.register("feat", 3)
-        attrs.register("label", 1, np.int64)
-        attrs.put("feat", 9, [1.0, 2.0, 3.0])
-        attrs.put_many(
-            "feat",
-            [4, 2**40, 0],
-            np.arange(9, dtype=np.float32).reshape(3, 3) / 4,
-        )
-        attrs.put("feat", 4, [-1.5, 0.0, 7.25])
-        attrs.put("feat", 5, [9.0, 9.0, 9.0])
-        attrs.delete("feat", 5)
-        attrs.put("label", 7, [3])
-        attrs.put("label", 1, [-2])
-        golden = bytes.fromhex(
-            "5044324103000200000004000300030000000400000000000000666561743c66"
-            "3400000000000000000400000000000000090000000000000000000000000100"
-            "000000c03f0000e03f000000400000c0bf000000000000e8400000803f000000"
-            "40000040400000403f0000803f0000a03f050003000100000002000000000000"
-            "006c6162656c3c693801000000000000000700000000000000feffffffffffff"
-            "ff0300000000000000"
-            "e644fda4"
-        )
-        buf = io.BytesIO()
-        assert save_attributes(attrs, buf) == len(golden)
-        assert buf.getvalue() == golden
-        loaded = load_attributes(io.BytesIO(golden))
-        out = io.BytesIO()
-        save_attributes(loaded, out)
-        assert out.getvalue() == golden
-        assert loaded.get("feat", 2**40).tolist() == [0.75, 1.0, 1.25]
-
-    def test_empty(self):
-        buf = io.BytesIO()
-        save_attributes(AttributeStore(), buf)
-        buf.seek(0)
-        assert list(load_attributes(buf).fields()) == []
-
-    def test_rejects_garbage(self):
-        with pytest.raises(ConfigurationError):
-            load_attributes(io.BytesIO(b"xxxxxxxxxxxx"))
-
-    def test_file_roundtrip(self, tmp_path):
-        attrs = AttributeStore()
-        attrs.register("feat", 2)
-        attrs.put("feat", 9, [1.0, 2.0])
-        path = str(tmp_path / "attrs.pd2a")
-        save_attributes(attrs, path)
-        loaded = load_attributes(path)
-        assert loaded.get("feat", 9).tolist() == [1.0, 2.0]
+        self._assert_equivalent(store, load_store(buf))
+        self._assert_equivalent(other, load_store(buf))
+        assert buf.read() == b""

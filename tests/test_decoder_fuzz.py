@@ -1,5 +1,5 @@
 """Decoders refuse garbage: byte mutation and truncation over WAL records
-and checkpoint sections.
+and the checkpoint's topology section.
 
 For any damaged input the outcome is one of
 
@@ -21,7 +21,6 @@ import os
 import random
 import tempfile
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,13 +28,7 @@ from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.errors import ReproError
-from repro.storage.attributes import AttributeStore
-from repro.storage.checkpoint import (
-    load_attributes,
-    load_store,
-    save_attributes,
-    save_store,
-)
+from repro.storage.checkpoint import load_store, save_store
 from repro.storage.wal import ShardWAL
 
 #: Damage to apply to an image of ``n`` bytes: byte overwrites at
@@ -131,7 +124,7 @@ def test_wal_replay_refuses_garbage(damage):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint sections
+# checkpoint section
 # ---------------------------------------------------------------------------
 def _store() -> DynamicGraphStore:
     store = DynamicGraphStore(SamtreeConfig(capacity=4))
@@ -148,25 +141,6 @@ def _adjacency(store) -> dict:
     }
 
 
-def _attributes() -> AttributeStore:
-    attrs = AttributeStore()
-    attrs.register("feat", 3)
-    attrs.register("label", 1, np.int64)
-    gen = np.random.default_rng(13)
-    attrs.put_many("feat", [5, 2, 2**40, 9], gen.normal(size=(4, 3)))
-    attrs.put_many("label", [7, 1], [[3], [-2]])
-    return attrs
-
-
-def _rows(attrs: AttributeStore) -> dict:
-    out = {}
-    for name in attrs.fields():
-        ids, matrix = attrs.export(name)
-        schema = attrs.schema(name)
-        out[name] = (schema.dim, schema.dtype.str, ids.tolist(), matrix.tolist())
-    return out
-
-
 def _image(save, obj) -> bytes:
     buf = io.BytesIO()
     save(obj, buf)
@@ -175,8 +149,6 @@ def _image(save, obj) -> bytes:
 
 _TOPOLOGY = _adjacency(_store())
 _TOPOLOGY_IMAGE = _image(save_store, _store())
-_ATTRIBUTES = _rows(_attributes())
-_ATTRIBUTES_IMAGE = _image(save_attributes, _attributes())
 
 
 @given(DAMAGE)
@@ -190,28 +162,15 @@ def test_topology_section_refuses_garbage(damage):
     loaded.check_invariants()
 
 
-@given(DAMAGE)
-@settings(max_examples=300, deadline=None)
-def test_attribute_section_refuses_garbage(damage):
-    try:
-        loaded = load_attributes(io.BytesIO(_damage(_ATTRIBUTES_IMAGE, damage)))
-    except ReproError:
-        return
-    assert _rows(loaded) == _ATTRIBUTES
-
-
 def test_every_single_byte_of_a_section_is_covered():
     """Exhaustive over position (Hypothesis samples it): flipping any one
-    byte of either section, or cutting it anywhere, is refused."""
-    for image, load in (
-        (_TOPOLOGY_IMAGE, load_store),
-        (_ATTRIBUTES_IMAGE, load_attributes),
-    ):
-        for i in range(len(image)):
-            flipped = image[:i] + bytes([image[i] ^ 0x41]) + image[i + 1:]
-            for data in (flipped, image[:i]):
-                try:
-                    load(io.BytesIO(data))
-                except ReproError:
-                    continue
-                raise AssertionError(f"damage at byte {i} loaded")
+    byte of the section, or cutting it anywhere, is refused."""
+    image = _TOPOLOGY_IMAGE
+    for i in range(len(image)):
+        flipped = image[:i] + bytes([image[i] ^ 0x41]) + image[i + 1:]
+        for data in (flipped, image[:i]):
+            try:
+                load_store(io.BytesIO(data))
+            except ReproError:
+                continue
+            raise AssertionError(f"damage at byte {i} loaded")

@@ -135,41 +135,6 @@ class TestClientRouting:
         client.sample_neighbors_many(list(range(100)), 5)
         assert net.stats.messages <= 8
 
-    def test_attributes_across_shards(self):
-        client, _, _ = self.make()
-        client.register_attribute("feat", 3)
-        for v in range(20):
-            client.put_attribute("feat", v, [float(v)] * 3)
-        out = client.gather_attributes("feat", [5, 99, 12])
-        assert out.shape == (3, 3)
-        assert out[0, 0] == 5.0
-        assert out[1].tolist() == [0.0, 0.0, 0.0]
-        assert out[2, 2] == 12.0
-        assert client.gather_attributes("feat", []).shape == (0, 3)
-
-    def test_gather_attributes_takes_a_frontier_array(self):
-        """An int64 frontier (repeats, misses, every shard) goes in as it
-        is: rows come back in input order, one message per owning shard."""
-        net = NetworkModel()
-        client, _, _ = self.make(network=net)
-        client.register_attribute("feat", 2)
-        for v in range(40):
-            client.put_attribute("feat", v, [float(v), -float(v)])
-        frontier = np.array([7, 31, 7, 500, 0, 12, 31, 39], dtype=np.int64)
-        before = net.stats.messages
-        out = client.gather_attributes("feat", frontier)
-        owners = {client.partitioner.shard_for(int(v)) for v in frontier}
-        assert net.stats.messages - before == len(owners)
-        expected = [[float(v), -float(v)] if v < 40 else [0.0, 0.0]
-                    for v in frontier.tolist()]
-        assert out.tolist() == expected
-        assert client.gather_attributes(
-            "feat", (int(v) for v in frontier)
-        ).tolist() == expected
-        assert client.gather_attributes(
-            "feat", np.empty(0, dtype=np.int64)
-        ).shape == (0, 2)
-
 
 class TestLocalCluster:
     def test_build_and_stats(self):

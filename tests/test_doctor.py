@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.baselines.platogl import PlatoGLStore
 from repro.cli import main as cli_main
 from repro.core.ingest import OP_UPDATE
 from repro.core.samtree import Samtree, SamtreeConfig
@@ -155,6 +156,22 @@ class TestDoctorInvariants:
         with pytest.raises(ConfigurationError):
             diagnose(object())
 
+    def test_a_baseline_store_is_refused_by_name(self):
+        """A baseline store has no samtrees to walk: the doctor refuses
+        it, and a cluster of them, with the store type in the error."""
+        store = PlatoGLStore()
+        store.add_edge(1, 2, 1.0)
+        cluster = LocalCluster(num_servers=2, store_factory=PlatoGLStore)
+        cluster.client.add_edge(1, 2, 1.0)
+        for call in (
+            lambda: diagnose_store(store),
+            lambda: diagnose_cluster(cluster),
+            lambda: diagnose(store),
+            lambda: diagnose(cluster),
+        ):
+            with pytest.raises(ConfigurationError, match="PlatoGLStore"):
+                call()
+
 
 class TestDoctorCluster:
     def _cluster(self, durable=True, replicas=1):
@@ -192,7 +209,7 @@ class TestDoctorCluster:
             report.total_bytes == cluster.total_nbytes() + wal_bytes
         )
         assert "wal" in report.components
-        assert "attributes" in report.components
+        assert "attributes" not in report.components  # shards hold no features
 
     def test_chaos_crash_recover_keeps_invariants(self):
         cluster = self._cluster(replicas=2)

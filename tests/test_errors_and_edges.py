@@ -80,10 +80,17 @@ class TestExtremeIDs:
         assert tree.degree == 50
 
     def test_store_with_full_64bit_ids(self):
+        """A samtree holds 64-bit ids; the store's domain is the int64
+        half its columns, WAL and checkpoints hold: it takes ids up to
+        ``2**63 - 1`` and refuses the rest."""
         store = DynamicGraphStore(SamtreeConfig(capacity=4))
-        ids = [0, 1, 2**32, 2**40 + 7, MAX_ID]
+        ids = [0, 1, 2**32, 2**40 + 7, 2**63 - 1]
         for i, v in enumerate(ids):
             store.add_edge(v, ids[(i + 1) % len(ids)], 1.0)
+        assert store.num_edges == len(ids)
+        for src, dst in ((MAX_ID, 1), (1, MAX_ID)):
+            with pytest.raises(InvalidWeightError):
+                store.add_edge(src, dst, 1.0)
         assert store.num_edges == len(ids)
         store.check_invariants()
 

@@ -200,7 +200,6 @@ class TestServerDurability:
             lambda: server.sample_neighbors_many([1], 2),
             lambda: server.degrees([1]),
             lambda: server.neighbors_batch([1]),
-            lambda: server.gather_attributes("f", [1]),
             lambda: server.checkpoint(),
         ):
             with pytest.raises(ShardUnavailableError):
@@ -233,15 +232,6 @@ class TestServerDurability:
         assert server.store.edge_weight(0, 999) == pytest.approx(2.0)
         assert server.store.num_edges == 21
 
-    def test_checkpoint_covers_attributes(self):
-        server = self._server()
-        server.register_attribute("feat", 2)
-        server.put_attribute("feat", 5, [1.0, 2.0])
-        server.checkpoint()
-        server.crash()
-        server.recover()
-        assert server.attributes.get("feat", 5).tolist() == [1.0, 2.0]
-
     def test_recover_without_durability_starts_empty(self):
         server = self._server(wal=False)
         server.apply_ops([EdgeOp.insert(1, 2, 1.0)])
@@ -260,9 +250,6 @@ class TestServerDurability:
             lambda: server.neighbors_batch([1]),
             lambda: server.degrees([1]),
             lambda: server.edge_weights([(1, 2)]),
-            lambda: server.register_attribute("f", 1),
-            lambda: server.put_attribute("f", 1, [0.5]),
-            lambda: server.gather_attributes("f", [1]),
         ]
         stats = server.stats
 
@@ -271,7 +258,6 @@ class TestServerDurability:
                 stats.update_requests
                 + stats.ingest_requests
                 + stats.sample_requests
-                + stats.attribute_requests
             )
 
         for call in endpoints:
@@ -282,7 +268,6 @@ class TestServerDurability:
         assert stats.update_requests == 2  # apply_ops + freeze
         assert stats.ingest_requests == 1
         assert stats.sample_requests == 5
-        assert stats.attribute_requests == 3
         assert stats.ops_applied == 2
 
         # Every endpoint, crashed: each arrival is counted and refused,
@@ -297,7 +282,7 @@ class TestServerDurability:
 
         stats.reset()
         assert stats.update_requests == stats.ingest_requests == 0
-        assert stats.sample_requests == stats.attribute_requests == 0
+        assert stats.sample_requests == 0
         assert stats.ops_applied == stats.recoveries == 0
         assert stats.wal_records_replayed == 0
         assert stats.requests == stats.refused_requests == 0
@@ -316,7 +301,6 @@ class TestRequestReconciliation:
             stats.update_requests
             + stats.ingest_requests
             + stats.sample_requests
-            + stats.attribute_requests
         )
 
     def test_single_server_ledgers_reconcile(self):
@@ -546,20 +530,6 @@ class TestDegradedReads:
         assert cluster.client.degree(src) is UNAVAILABLE
         assert cluster.client.edge_weight(src, src + 1000) is None
         assert cluster.client.neighbors(src) is UNAVAILABLE
-
-    def test_degraded_gather_zero_fills(self):
-        cluster, owned = self._down_shard_cluster()
-        # Re-register on live shards only (shard 1 is down and skipped).
-        cluster.client.register_attribute("feat", 2)
-        live_vertex = next(
-            s for s in range(60) if cluster.partitioner.shard_for(s) != 1
-        )
-        cluster.client.put_attribute("feat", live_vertex, [3.0, 4.0])
-        out = cluster.client.gather_attributes(
-            "feat", [live_vertex, owned[0]]
-        )
-        assert out[0].tolist() == [3.0, 4.0]
-        assert out[1].tolist() == [0.0, 0.0]
 
     def test_without_degraded_mode_reads_raise(self):
         cluster = LocalCluster(num_servers=2, config=SamtreeConfig(capacity=8))

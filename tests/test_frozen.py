@@ -33,15 +33,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.platogl import PlatoGLStore
 from repro.baselines.static_csr import StaticCSRStore
 from repro.core.compression import CompressedIDList, PlainIDList
 from repro.core.fenwick import FSTable
 from repro.core.fenwick import ROW_PAD
 from repro.core.frozen import FrozenStats, alias_mass, build_alias
+from repro.core.ingest import EdgeBatch
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.snapshot import ALIAS_TOLERANCE, coerce_generator, flatten_tree
 from repro.core.topology import DynamicGraphStore
 from repro.distributed.cluster import LocalCluster
+from repro.distributed.server import GraphServer
 from repro.errors import ConfigurationError, InvariantViolationError
 from repro.gnn.samplers import sample_blocks
 
@@ -212,16 +215,17 @@ class TestFrozenCompile:
         assert store.nbytes() == sum(store.nbytes_breakdown().values())
 
     def test_freeze_without_an_image_compiles_nothing(self):
-        """A store built with ``snapshot_cache=None`` reads by descent
-        only: there is nothing to freeze, and nothing to account."""
-        store = DynamicGraphStore(snapshot_cache=None)
-        store.add_edge(1, 2, 1.0)
-        before = store.nbytes()
-        assert store.freeze() == [] and store.frozen_shards == []
-        assert store.nbytes() == before
-        assert store.frozen_stats.compiles == 0
-        assert store.sample_neighbors_many([1], 2, rng=0).rows() == [[2, 2]]
-        assert store.thaw() == 0
+        """A shard whose store has no read image (a baseline store) has
+        nothing to freeze and nothing to account: its freeze is counted
+        and answers 0, its reads are unchanged."""
+        server = GraphServer(0, store=PlatoGLStore())
+        server.ingest_batch(EdgeBatch.inserts([1], [2]))
+        before = server.nbytes()
+        assert server.freeze() == 0 and server.freeze(etype=0) == 0
+        assert server.stats.update_requests == 2
+        assert server.nbytes() == before
+        block = server.sample_neighbors_many([1], 2, rng=0)
+        assert block.rows() == [[2, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +614,6 @@ class TestDistributedFreeze:
                 st.update_requests
                 + st.ingest_requests
                 + st.sample_requests
-                + st.attribute_requests
             )
 
     def test_write_after_freeze_falls_back_per_shard(self):
@@ -633,7 +636,7 @@ class TestDistributedFreeze:
 
     def test_freeze_all_on_image_less_stores_is_a_no_op(self):
         cluster = self._loaded_cluster(
-            store_factory=lambda: DynamicGraphStore(snapshot_cache=None)
+            store_factory=PlatoGLStore
         )
         before = cluster.total_nbytes()
         assert cluster.freeze_all() == 0

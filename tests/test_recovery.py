@@ -9,7 +9,8 @@ The contracts pinned here:
 * ``GraphServer.recover`` applies the WAL tail as a few concatenated
   batches and lands on exactly the store record-by-record replay lands
   on (float ``==``), counting records, not batches;
-* a recovered shard keeps the options its ``store_factory`` sets.
+* a recovered shard's store comes from its ``store_factory``: its type
+  and the options the factory sets.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.platogl import PlatoGLStore
 from repro.core.ingest import (
     OP_DELETE,
     OP_INSERT,
@@ -31,7 +33,6 @@ from repro.core.ingest import (
     chunked,
 )
 from repro.core.samtree import SamtreeConfig
-from repro.core.snapshot import ReadImage
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import EdgeOp, OpKind
 from repro.distributed import LocalCluster
@@ -41,7 +42,7 @@ from repro.storage import checkpoint
 from repro.storage.checkpoint import LOAD_CHUNK_EDGES, load_store, save_store
 from repro.storage.wal import ShardWAL
 
-from tests.conftest import stores_equal
+from tests.conftest import DescentStore, stores_equal
 
 CONFIG = SamtreeConfig(capacity=4)
 _KINDS = {OP_INSERT: OpKind.INSERT, OP_UPDATE: OpKind.UPDATE,
@@ -136,9 +137,8 @@ class TestChunkedLoad:
 
     def test_builds_into_the_store_it_is_given(self):
         original = _random_store(3)
-        target = DynamicGraphStore(CONFIG, snapshot_cache=None)
+        target = DescentStore(CONFIG)
         assert load_store(io.BytesIO(_image(original)), target) is target
-        assert target.snapshot_cache is None
         assert stores_equal(original, target)
 
     @pytest.mark.parametrize("config", [
@@ -154,21 +154,20 @@ class TestChunkedLoad:
 
 
 # ---------------------------------------------------------------------------
-# recover: the shard's store options survive
+# recover: the shard's store comes from its factory, options and all
 # ---------------------------------------------------------------------------
 def _small_image_store():
-    return DynamicGraphStore(
-        CONFIG, snapshot_cache=ReadImage(capacity_bytes=1 << 16)
-    )
+    store = DynamicGraphStore(CONFIG)
+    store.snapshot_cache.capacity_bytes = 1 << 16
+    return store
 
 
 def _descent_only_store():
-    return DynamicGraphStore(CONFIG, snapshot_cache=None)
+    return DescentStore(CONFIG)
 
 
 def _options(store):
-    cache = store.snapshot_cache
-    return None if cache is None else cache.capacity_bytes
+    return type(store), store.snapshot_cache.capacity_bytes
 
 
 @pytest.mark.parametrize(
@@ -213,6 +212,30 @@ class TestRecoverKeepsStoreOptions:
         backup, primary = cluster.replica_groups[0][1], cluster.servers[0]
         assert _options(backup.store) == _options(factory())
         assert stores_equal(primary.store, backup.store)
+
+
+def test_a_baseline_shard_recovers_from_its_wal_as_its_factory_store():
+    """A durable shard of baseline stores (no checkpoint format) replays
+    its whole WAL into a fresh store of its factory: the same type, the
+    same adjacency."""
+    cluster = LocalCluster(
+        num_servers=2, store_factory=PlatoGLStore, durable=True
+    )
+    rng = random.Random(8)
+    for _ in range(60):
+        cluster.client.add_edge(
+            rng.randrange(20), rng.randrange(50), rng.random() + 0.1
+        )
+    cluster.client.bulk_load([3, 3, 4], [70, 80, 90], [0.5, 0.25, 2.0])
+    cluster.client.remove_edge(3, 70)
+    before = {s: dict(cluster.client.neighbors(s)) for s in range(20)}
+    for shard in range(2):
+        cluster.crash(shard)
+        assert cluster.recover(shard) > 0
+        assert type(cluster.servers[shard].store) is PlatoGLStore
+    assert before == {
+        s: dict(cluster.client.neighbors(s)) for s in range(20)
+    }
 
 
 def test_recover_refuses_a_factory_that_disagrees_with_the_checkpoint():

@@ -34,6 +34,7 @@ from repro.distributed.cluster import LocalCluster
 from repro.distributed.rpc import NetworkModel
 from repro.errors import ConfigurationError
 from repro.gnn.samplers import sample_blocks, sample_blocks_partial
+from tests.conftest import DescentStore
 
 SERVED, EMPTY, DOWN = (
     SampleBlock.SERVED, SampleBlock.EMPTY, SampleBlock.UNAVAILABLE
@@ -80,7 +81,7 @@ def _warm(target):
 
 def _store(frozen=False, cache=True):
     store = _load(
-        DynamicGraphStore() if cache else DynamicGraphStore(snapshot_cache=None)
+        DynamicGraphStore() if cache else DescentStore()
     )
     if frozen:
         store.freeze()
@@ -372,7 +373,6 @@ def _identity_holds(server):
     s = server.stats
     return s.requests == s.refused_requests + (
         s.update_requests + s.ingest_requests + s.sample_requests
-        + s.attribute_requests
     )
 
 

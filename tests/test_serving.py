@@ -152,6 +152,21 @@ class TestHotReplicas:
                 reference
             )
 
+    def test_logical_totals_count_a_multi_relation_copy_once(self):
+        """A hot copy holds one ``(etype, src)`` key per relation of its
+        source: the client's totals subtract every one of them."""
+        cluster = LocalCluster(num_servers=4, hot_set_capacity=8)
+        src = np.repeat(np.arange(10), 10)
+        dst = np.tile(np.arange(100, 110), 10)
+        etype = np.tile(np.repeat([0, 1], 5), 10)
+        cluster.client.bulk_load(src, dst, 1.0, etype)
+        client = cluster.client
+        assert (client.num_sources, client.num_edges) == (20, 100)
+        client.sample_neighbors_many([3], 2, rng=0)
+        installed = cluster.replicate_hot()
+        assert [s for s, _ in installed] == [3]
+        assert (client.num_sources, client.num_edges) == (20, 100)
+
     def test_writes_fan_out_to_all_copies(self):
         cluster = _hot_cluster()
         (src, read_set), = cluster.replicate_hot(

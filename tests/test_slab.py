@@ -28,6 +28,8 @@ from repro.core.ingest import (
     OP_UPDATE,
     EdgeBatch,
     IngestStats,
+    check_key,
+    check_row,
 )
 from repro.core.samtree import OpStats, Samtree, SamtreeConfig, build_roots
 from repro.core.slab import ROUND_PAD, ROW_MIN_ROOM, Slab
@@ -39,11 +41,13 @@ from repro.core.topology import (
 )
 from repro.core.tree_batch import apply_tree_codes
 from repro.core.types import EdgeOp
+from repro.distributed import LocalCluster
 from repro.errors import (
     ConfigurationError,
     InvalidWeightError,
     InvariantViolationError,
 )
+from repro.storage.attributes import AttributeStore
 from repro.storage.checkpoint import load_store, save_store
 from repro.storage.wal import ShardWAL
 from tests.conftest import bulk_tree, tree_batch
@@ -478,31 +482,120 @@ def test_rejected_write_leaves_no_row_and_no_directory_entry(entry, dst, weight)
     store.check_invariants()
 
 
-@pytest.mark.parametrize("entry", ["add_edge", "accumulate_edge", "apply_source_batch"])
-def test_an_id_past_int64_makes_the_source_a_samtree(entry):
-    """The store takes the samtree's 64-bit ids whichever form a source
-    has: one the ``int64`` columns cannot hold — a neighbour's or the
-    source's own — moves the source to a tree instead of being refused."""
-    wide = 2**64 - 1
+#: Ids one past the domain ``0 .. 2**63 - 1``, and the widest.
+WIDE = [2**63, 2**64 - 1]
+WIDE_WRITES = {
+    "add_edge": lambda s, v: s.add_edge(7, v, 1.0),
+    "add_edge on a samtree": lambda s, v: s.add_edge(8, v, 1.0),
+    "add_edge of a new source": lambda s, v: s.add_edge(v, 3, 1.0),
+    "accumulate_edge": lambda s, v: s.accumulate_edge(7, v, 1.0),
+    "update_edge": lambda s, v: s.update_edge(8, v, 1.0),
+    "remove_edge": lambda s, v: s.remove_edge(7, v),
+    "apply_source_batch": lambda s, v: s.apply_source_batch(
+        7, 0, [("insert", 5, 1.0), ("insert", v, 1.0)]
+    ),
+    "apply_source_batch of a new source": lambda s, v: s.apply_source_batch(
+        v, 0, [("insert", 5, 1.0)]
+    ),
+    "apply_edge_batch": lambda s, v: s.apply_edge_batch(
+        EdgeBatch([7, 7], [5, v])
+    ),
+    "apply_edge_batch of uint64 columns": lambda s, v: s.apply_edge_batch(
+        EdgeBatch(np.array([7, v], np.uint64), np.array([5, 5], np.uint64))
+    ),
+    "bulk_load": lambda s, v: s.bulk_load([7, v], [5, 5], 1.0),
+}
+
+
+def _ledgers(store):
+    """Everything a refused write must leave as it was."""
+    return (
+        {(s, d): w for s in store.sources() for d, w in store.neighbors(s)},
+        store.num_edges, store.num_sources, store.slab.used,
+        store.tree(7).version, store.tree(8).version,
+        store.stats.to_dict(), store.ingest_stats.to_dict(),
+        store.snapshot_cache.stats.to_dict(),
+    )
+
+
+@pytest.mark.parametrize("wide", WIDE)
+@pytest.mark.parametrize("entry", sorted(WIDE_WRITES))
+def test_an_id_past_int64_is_refused_on_every_write_path(entry, wide):
+    """Vertex ids are ``0 .. 2**63 - 1`` whichever form a source has:
+    one past the domain — a neighbour's or a source's own — is refused
+    with the error of a negative id, before anything is stored."""
     store = DynamicGraphStore(SamtreeConfig(capacity=8))
     store.add_edge(7, 3, 2.0)
-    assert _is_row(store, 7)
-    version = store.tree(7).version
-    WRITES[entry](store, wide, 1.5)  # on a row: promoted
-    assert isinstance(store.tree(7), Samtree) and store.tree(7).version > version
-    assert store.edge_weight(7, wide) == 1.5 and store.edge_weight(7, 3) == 2.0
-    WRITES[entry](store, 2**63, 0.5)  # ... and on the tree, as before
-    other = DynamicGraphStore(SamtreeConfig(capacity=8))
-    WRITES[entry](other, wide, 1.5)  # as a first edge: a tree from the start
-    assert isinstance(other.tree(7), Samtree) and not other.slab.live_rows().size
-    assert dict(other.neighbors(7)).get(wide) == 1.5
-    other.add_edge(wide, 1, 1.0)  # a source id the src column cannot hold
-    assert isinstance(other.tree(wide), Samtree)
-    assert not other.update_edge(7, wide - 1, 1.0)
-    assert other.remove_edge(wide, 1) and other.tree(wide) is None
-    for s in (store, other):
-        assert s.num_edges == sum(s.degree(src) for src in s.sources())
-        s.check_invariants()
+    store.bulk_load([8] * 12, list(range(12)), 1.0)
+    assert _is_row(store, 7) and isinstance(store.tree(8), Samtree)
+    store.sample_neighbors_many([7, 8], 2, rng=0)
+    before = _ledgers(store)
+    with pytest.raises(InvalidWeightError, match="2\\*\\*63-1"):
+        WIDE_WRITES[entry](store, wide)
+    assert _ledgers(store) == before
+    store.check_invariants()
+
+
+@pytest.mark.parametrize("wide", WIDE)
+def test_an_id_past_int64_is_refused_by_the_checks_and_the_client(
+    tmp_path, wide
+):
+    """The shared checks and the cluster's write paths refuse the same
+    ids with the same error: the WAL logs nothing, no shard changes."""
+    for check in (
+        lambda: check_key(wide, 0),
+        lambda: check_row(1, wide, 1.0, OP_INSERT, 0),
+        lambda: check_row(wide, 1, 1.0, OP_DELETE, 0),
+        lambda: EdgeBatch.from_edge_ops(
+            [EdgeOp.insert(1, 2), EdgeOp.insert(wide, 2)]
+        ),
+    ):
+        with pytest.raises(InvalidWeightError):
+            check()
+    cluster = LocalCluster(num_servers=2, durable=True, wal_dir=str(tmp_path))
+    client = cluster.client
+    client.add_edge(7, 3, 2.0)
+    client.bulk_load([8] * 12, list(range(12)), 1.0)
+
+    def state():
+        return (
+            {s: client.neighbors(s) for s in (7, 8)},
+            client.num_edges, client.num_sources,
+            [s.wal.bytes_appended for s in cluster.servers],
+            [os.path.getsize(s.wal.path) for s in cluster.servers],
+            [s.stats.ops_applied for s in cluster.servers],
+            [s.store.ingest_stats.to_dict() for s in cluster.servers],
+        )
+
+    before = state()
+    for write in (
+        lambda: client.add_edge(7, wide, 1.0),
+        lambda: client.add_edge(wide, 3, 1.0),
+        lambda: client.apply_batch(
+            [EdgeOp.insert(7, 4), EdgeOp.insert(7, wide)]
+        ),
+        lambda: client.bulk_load([7, wide], [5, 5], 1.0),
+        lambda: client.bulk_load([7, 7], [5, wide], 1.0),
+    ):
+        with pytest.raises(InvalidWeightError):
+            write()
+        assert state() == before
+    features = AttributeStore()
+    features.register("f", 2)
+    features.put("f", 1, [1.0, 2.0])
+    size = features.nbytes()
+    for put in (
+        lambda: features.put("f", wide, [3.0, 4.0]),
+        lambda: features.put("f", -5, [3.0, 4.0]),
+        lambda: features.put_many("f", [1, wide], np.zeros((2, 2))),
+        lambda: features.put_many(
+            "f", np.array([1, wide], np.uint64), np.zeros((2, 2))
+        ),
+    ):
+        with pytest.raises(InvalidWeightError):
+            put()
+    assert features.nbytes() == size
+    assert features.gather("f", [1, -1]).tolist() == [[1.0, 2.0], [0.0, 0.0]]
 
 
 def test_total_weight_of_a_row_is_its_image_total_and_moves_an_ulp_at_most():
@@ -765,7 +858,7 @@ def test_nbytes_of_a_slab_row_is_its_one_leaf_samtrees(compress):
         for n in (1, 2, 9, 64):
             base = rng.randrange(1, 100) * spread if spread < 1 << 62 else 0
             ids = sorted(rng.sample(range(base, base + spread), n))
-            store = DynamicGraphStore(config, snapshot_cache=None)
+            store = DynamicGraphStore(config)
             store.bulk_load([5] * n, ids, 1.0)
             assert _is_row(store, 5)
             tree = bulk_tree(ids, None, config)

@@ -25,12 +25,12 @@ import pytest
 
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
 from repro.core.memory import DEFAULT_MEMORY_MODEL
+from repro.core import snapshot
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.snapshot import (
     GARBAGE_DIVISOR,
     KEEP_IDLE,
     ROW_LOOP_BELOW,
-    ReadImage,
     coerce_generator,
     coerce_scalar_rng,
     flatten_tree,
@@ -38,7 +38,7 @@ from repro.core.snapshot import (
 from repro.core.topology import DynamicGraphStore
 from repro.errors import ConfigurationError, InvariantViolationError
 from repro.storage.cuckoo import PROBE_LOOP_BELOW
-from tests.conftest import tree_batch
+from tests.conftest import DescentStore, tree_batch
 
 try:  # scipy is part of the baked toolchain, but degrade gracefully.
     from scipy import stats as _scipy_stats
@@ -161,7 +161,7 @@ class TestTreeSnapshot:
             assert set(_draws(store, 7, 512, 5, wide)) == {5, 6}
 
     def test_negative_shape_rejected(self):
-        for store in (_skewed_store(4), DynamicGraphStore(snapshot_cache=None)):
+        for store in (_skewed_store(4), DescentStore()):
             with pytest.raises(ConfigurationError):
                 store.sample_neighbors_many([7], -1, rng=0)
 
@@ -240,9 +240,8 @@ class TestChurnEquivalence:
     COLD = list(range(20, 28))
 
     def _churned(self, cache: bool) -> DynamicGraphStore:
-        store = DynamicGraphStore(
-            SamtreeConfig(capacity=8, alpha=0),
-            **({} if cache else {"snapshot_cache": None}),
+        store = (DynamicGraphStore if cache else DescentStore)(
+            SamtreeConfig(capacity=8, alpha=0)
         )
         rng = random.Random(2)
         frontier = [self.HUB, self.ZERO_EDGE, self.ALL_ZERO, self.LONER,
@@ -612,9 +611,7 @@ class TestCacheInvalidation:
         assert cache.stale_rows(store.directory, slab) == [(0, 8)]
 
     def test_cache_disabled_store_still_correct(self):
-        store = DynamicGraphStore(
-            SamtreeConfig(capacity=8), snapshot_cache=None
-        )
+        store = DescentStore(SamtreeConfig(capacity=8))
         for dst in range(5):
             store.add_edge(1, dst, 1.0)
         rows = store.sample_neighbors_many([1, 2, 1], 4, rng=0).rows()
@@ -680,8 +677,8 @@ class TestCacheInvalidation:
 class TestCompaction:
     DEG = 16
 
-    def _store(self, sources: int = 20, **kwargs) -> DynamicGraphStore:
-        store = DynamicGraphStore(SamtreeConfig(capacity=8, alpha=0), **kwargs)
+    def _store(self, sources: int = 20) -> DynamicGraphStore:
+        store = DynamicGraphStore(SamtreeConfig(capacity=8, alpha=0))
         for src in range(sources):
             for dst in range(self.DEG):
                 store.add_edge(src, 1000 + dst, 1.0 + dst + src)
@@ -723,9 +720,10 @@ class TestCompaction:
         assert cache.nbytes == live * SLOT_BYTES
         store.check_invariants()
 
-    def test_capacity_bytes_is_respected(self):
+    def test_capacity_bytes_is_respected(self, monkeypatch):
         budget = 4 * self.DEG * SLOT_BYTES
-        store = self._store(snapshot_cache=ReadImage(capacity_bytes=budget))
+        monkeypatch.setattr(snapshot, "DEFAULT_CAPACITY_BYTES", budget)
+        store = self._store()
         cache = store.snapshot_cache
         for src in range(10):
             block = store.sample_neighbors_many([src], 4, rng=src)
@@ -759,11 +757,10 @@ class TestLRUEviction:
         assert cache.stats.builds == builds + 1 and (0, 15) in cache
         store.check_invariants()
 
-    def test_oversized_entry_served_uncached(self):
-        cache = ReadImage(capacity_bytes=8)  # smaller than any row
-        store = DynamicGraphStore(
-            SamtreeConfig(capacity=8), snapshot_cache=cache
-        )
+    def test_oversized_entry_served_uncached(self, monkeypatch):
+        monkeypatch.setattr(snapshot, "DEFAULT_CAPACITY_BYTES", 8)  # < any row
+        store = DynamicGraphStore(SamtreeConfig(capacity=8))
+        cache = store.snapshot_cache
         for dst in range(12):
             store.add_edge(1, dst, 1.0)
         rows = store.sample_neighbors_many([1] * 3, 5, rng=0).rows()
@@ -784,10 +781,6 @@ class TestLRUEviction:
             "hits", "misses", "builds", "invalidations", "evictions",
             "compactions", "hit_rate",
         }
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ReadImage(capacity_bytes=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.memory import DEFAULT_MEMORY_MODEL, humanize_bytes
-from repro.errors import ConfigurationError, ShapeError, VertexNotFoundError
+from repro.errors import (
+    ConfigurationError,
+    InvalidWeightError,
+    ShapeError,
+    VertexNotFoundError,
+)
 from repro.storage.attributes import AttributeSchema, AttributeStore
 from repro.storage.kvstore import BlockKVStore
 
@@ -50,10 +55,9 @@ class TestAttributeStore:
         with pytest.raises(ConfigurationError):
             store.register("feat", 8)
         with pytest.raises(ConfigurationError):
-            store.schema("unknown")
+            store.gather("unknown", [1])
         with pytest.raises(ConfigurationError):
             AttributeSchema("bad", 0)
-        assert list(store.fields()) == ["feat"]
 
     def test_put_get(self):
         store = AttributeStore()
@@ -83,7 +87,7 @@ class TestAttributeStore:
         store.put("feat", 5, [1.0])
         assert store.delete("feat", 5) is True
         assert store.delete("feat", 5) is False
-        assert store.export("feat")[0].size == 0
+        assert store.nbytes() == 0
 
     def test_nbytes(self):
         store = AttributeStore()
@@ -109,19 +113,6 @@ class TestAttributeStore:
         ]
         assert store.get("feat", 1).tolist() == [1.0, 2.0]
 
-    def test_export_is_sorted_and_complete(self):
-        store = AttributeStore()
-        store.register("feat", 2)
-        store.put_many("feat", [30, -4, 7], np.arange(6).reshape(3, 2))
-        store.delete("feat", 7)
-        ids, matrix = store.export("feat")
-        assert ids.dtype == np.int64 and ids.tolist() == [-4, 30]
-        assert matrix.tolist() == [[2.0, 3.0], [0.0, 1.0]]
-        ids, matrix = _registered("x", 5).export("x")
-        assert ids.shape == (0,) and matrix.shape == (0, 5)
-        with pytest.raises(ConfigurationError):
-            store.export("unknown")
-
 
 def _registered(name, dim):
     store = AttributeStore()
@@ -130,7 +121,9 @@ def _registered(name, dim):
 
 
 _DIM = 3
-_IDS = st.integers(-5, 40)
+_IDS = st.integers(0, 45)
+#: Reads also ask for ids no write may store.
+_READ_IDS = st.integers(-5, 45)
 _ROWS = st.lists(st.integers(-9, 9), min_size=_DIM, max_size=_DIM)
 _FORMS = {
     "list": list,
@@ -198,7 +191,20 @@ class AttributeStoreMachine(RuleBasedStateMachine):
             assert self.store.delete("feat", v) is (v in self.model)
             self.model.pop(v, None)
 
-    @rule(v=st.one_of(_IDS, st.integers(100, 600)))
+    @rule(
+        v=st.one_of(st.integers(-5, -1), st.integers(2**63, 2**64)),
+        many=st.booleans(),
+    )
+    def refused_put(self, v, many):
+        """An id outside ``0 .. 2**63 - 1`` is refused, and nothing of
+        the call is stored (the invariant below checks)."""
+        with pytest.raises(InvalidWeightError):
+            if many:
+                self.store.put_many("feat", [0, v], np.zeros((2, _DIM)))
+            else:
+                self.store.put("feat", v, [1.0] * _DIM)
+
+    @rule(v=st.one_of(_READ_IDS, st.integers(100, 600)))
     def point_reads(self, v):
         default = self.store.gather("feat", [v])[0]
         assert default.dtype == np.float32
@@ -213,7 +219,7 @@ class AttributeStoreMachine(RuleBasedStateMachine):
         default[...] = 77.0
 
     @rule(
-        ids=st.lists(st.one_of(_IDS, st.integers(90, 620)), max_size=30),
+        ids=st.lists(st.one_of(_READ_IDS, st.integers(90, 620)), max_size=30),
         form=st.sampled_from(sorted(_FORMS)),
     )
     def gather(self, ids, form):
@@ -229,10 +235,10 @@ class AttributeStoreMachine(RuleBasedStateMachine):
             + DEFAULT_MEMORY_MODEL.kv_index_entry_bytes
         )
         assert self.store.nbytes() == len(self.model) * (per_pair + 4 * _DIM)
-        ids, matrix = self.store.export("feat")
-        assert ids.size == len(self.model)
-        assert ids.tolist() == sorted(self.model)
-        assert np.array_equal(matrix, self.reference_gather(ids.tolist()))
+        ids = sorted(self.model)
+        assert np.array_equal(
+            self.store.gather("feat", ids), self.reference_gather(ids)
+        )
 
 
 TestAttributeStoreModel = AttributeStoreMachine.TestCase

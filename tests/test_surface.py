@@ -13,8 +13,10 @@ The same holds one level down.  A ``def`` or ``class`` of ``src/repro``
 is live when its name is read in a file outside ``tests/``: as a name,
 as an attribute, or as an identifier-shaped string (``getattr`` by name,
 a ``Stats.GAUGES`` entry).  An import or an ``__all__`` entry is a
-re-export and reads nothing.  The scan is by name, so a dead method that
-shares its name with a live one passes it; dunders are not checked.
+re-export and reads nothing; so does a read of a definition's name
+inside that definition (an endpoint's own ``_serve("name")``, a
+recursive call).  The scan is by name, so a dead method that shares its
+name with a live one passes it; dunders are not checked.
 
 Three more guards keep the telemetry from growing back: a wall clock is
 read only in the files that own one (a phase is timed with a span), the
@@ -235,25 +237,37 @@ def _definitions() -> Iterator[Tuple[str, str]]:
 
 def _reads(tree: ast.Module) -> Iterator[str]:
     """Every name, attribute and identifier-shaped string ``tree``
-    reads; an ``__all__`` list and an import read nothing."""
+    reads; an ``__all__`` list and an import read nothing, and neither
+    does a read of a name inside a ``def`` or ``class`` of that name, at
+    any depth (an endpoint's own ``_serve("name")``, a recursive call)."""
     exported: Set[int] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             exported.update(map(id, ast.walk(node.value)))
-    for node in ast.walk(tree):
+    todo = [(tree, frozenset())]
+    while todo:
+        node, inside = todo.pop()
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            inside = inside | {node.name}
+        name = None
         if isinstance(node, ast.Name):
-            yield node.id
+            name = node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            name = node.attr
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
             and id(node) not in exported
         ):
-            yield node.value
+            name = node.value
+        if name is not None and name not in inside:
+            yield name
+        todo.extend((child, inside) for child in ast.iter_child_nodes(node))
 
 
 def _uncalled() -> Set[str]:
@@ -283,6 +297,14 @@ def test_the_definition_scan_reads_names_not_reexports():
     )))
     assert reads == {"__all__", "c", "d", "e", "getattr", "f", "g"}
     assert ("core/samtree.py:Samtree.insert", "insert") in set(_definitions())
+    # A definition's reads of its own name keep nothing alive.
+    reads = set(_reads(ast.parse(
+        "def h():\n    return h() + _serve('h')\n"
+        "class K:\n    def m(self):\n        return K(), self.m\n"
+        "def o():\n    return o\n"
+        "o()\n"
+    )))
+    assert reads == {"_serve", "self", "o"}
 
 
 def _clock_readers() -> Set[str]:
