@@ -348,9 +348,11 @@ def check_row(
 ) -> None:
     """The column checks of :class:`EdgeBatch` on one row of scalars —
     same rules, same errors — for a writer that packs a single
-    operation without building a batch (``code`` is a valid op code)."""
-    check_key(src, etype)
+    operation without building a batch (``code`` is a valid op code),
+    in its order: ids, then the relation, then the weight."""
+    check_id(src)
     check_id(dst)
+    check_key(src, etype)
     if code != OP_DELETE and not 0.0 <= weight < inf:
         raise InvalidWeightError(
             "edge weights must be finite and non-negative"

@@ -29,7 +29,8 @@ Model assumptions (what the accounting does and does not cover)
   under the same layout report the same bytes regardless of Python
   version.
 * **Pre-allocated tables pay for empty slots.**  The cuckoo directory
-  charges every allocated slot (:meth:`CuckooHashMap.nbytes
+  charges every allocated slot the paper's 24-byte record, not its 18
+  numpy bytes (:meth:`CuckooHashMap.nbytes
   <repro.storage.cuckoo.CuckooHashMap.nbytes>`), matching a deployment
   where the table is sized ahead of the keys.
 * **Snapshot-cache entries are part of the store's footprint.**  The

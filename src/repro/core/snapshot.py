@@ -72,7 +72,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -410,7 +409,7 @@ class _Image:
         slot_of = self.slot_of
         stale_keys = list(map(keys.__getitem__, stale))
         srcs = list(dict.fromkeys(stale_keys))  # first-seen order
-        found = trees.get_many([(etype, src) for src in srcs])
+        found = trees.get_many(etype, np.asarray(srcs, dtype=np.int64))
         at = self.slots_of(srcs)
         first = self.rows
         fresh = np.flatnonzero(at == 0)
@@ -426,21 +425,22 @@ class _Image:
         old = at[at < first]  # superseded: an arena row's slots are garbage
         self.garbage += int(self.length[old][self.slab_row[old] == 0].sum())
         # Every row a pointer row first; slab row 0 is empty.
-        pointer = np.array([v if type(v) is int else 0 for v in found], dtype=np.int64)
-        self.slab_row[at] = pointer
+        self.slab_row[at] = np.maximum(found, 0)
         self.length[at] = 0
         self.clean[at] = True
         self.aliased[at] = False
-        other = np.flatnonzero(pointer == 0)
-        tree = np.array([found[i] is not None for i in other.tolist()], dtype=bool)
+        other = np.flatnonzero(found <= 0)
+        tree = found[other] < 0
         empty = at[other[~tree]]
         self.aliased[empty] = True  # the empty row draws by the alias kernel
         self.garbage += empty.size
         stats.builds += at.size - other.size
         stats.invalidations += old.size - int(np.count_nonzero(empty < first))
-        built = other[tree].tolist()
-        if built:
-            self.flatten(at[built], *_tree_columns([found[i] for i in built]), stats)
+        built = other[tree]
+        if built.size:
+            self.flatten(at[built], *_tree_columns(
+                list(map(trees.decode, found[built].tolist()))
+            ), stats)
 
     def flatten(
         self, slots, ids: np.ndarray, weights: np.ndarray,
@@ -809,7 +809,7 @@ class ReadImage:
         for etype, image in self.relations.items():
             for slot in np.flatnonzero(image.clean[: image.rows]).tolist():
                 key = (etype, int(image.src[slot]))
-                tree = trees.get(key)
+                tree = trees.get(*key)
                 row = image.slab_row.item(slot)
                 if row:  # read in place: fresh while the key owns the row
                     if type(tree) is not int or tree != row:
@@ -858,14 +858,13 @@ class ReadImage:
     # -- freeze / thaw ----------------------------------------------------
     def freeze(self, etype: int, pairs: list, slab, frozen_stats) -> _Image:
         """Freeze relation ``etype``: every source of ``pairs`` (all its
-        ``(src, directory value)``, any order; ``slab`` holds the rows
+        ``(src, directory value)``, in ``src`` order; ``slab`` holds the rows
         among them) becomes a clean aliased row, pinned
         until :meth:`thaw`; only absent, dirty or table-less rows cost
         anything.  Returns the relation's image."""
         image = self.relations.get(etype)
         if image is None:
             image = self.relations[etype] = _Image(slab)
-        pairs.sort(key=itemgetter(0))
         image.freeze(pairs, self.stats, frozen_stats)
         self._settle(image)
         return image

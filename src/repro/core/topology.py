@@ -132,7 +132,7 @@ class DynamicGraphStore(GraphStoreAPI):
     # adjacency lookup
     # ------------------------------------------------------------------
     def _tree(self, src: int, etype: int):
-        value = self._directory.get((etype, src))
+        value = self._directory.get(etype, src)
         return self.slab.view(value) if type(value) is int else value
 
     def tree(self, src: int, etype: int = DEFAULT_ETYPE):
@@ -207,7 +207,7 @@ class DynamicGraphStore(GraphStoreAPI):
         checked when it was created).
         """
         key = (etype, src)
-        value = self._directory.get(key)
+        value = self._directory.get(etype, src)
         if value is None:
             if code != OP_INSERT:
                 return False
@@ -243,7 +243,7 @@ class DynamicGraphStore(GraphStoreAPI):
                 done = value._upsert(dst, weight, add)
             elif not slab.length[value]:  # gone with its last edge
                 self._release(key, value)
-                self._directory.delete(key)
+                self._directory.delete(*key)
                 value = None
         elif value is None:
             done = code == OP_INSERT
@@ -253,7 +253,7 @@ class DynamicGraphStore(GraphStoreAPI):
                     np.asarray([weight]),
                 ).tolist()
                 self.stats.leaf_ops += 1
-                self._directory.put(key, value)
+                self._directory.put(*key, value)
         elif code == OP_INSERT:
             done = value._upsert(dst, weight, add)
         elif code == OP_UPDATE:
@@ -261,7 +261,7 @@ class DynamicGraphStore(GraphStoreAPI):
         else:
             done = value.delete(dst)
             if done and not value:  # gone with its last edge
-                self._directory.delete(key)
+                self._directory.delete(*key)
                 value = None
         return done, value
 
@@ -274,7 +274,7 @@ class DynamicGraphStore(GraphStoreAPI):
         goes."""
         ((root, size),) = build_roots(self.config, ids, weights, [ids.size])
         tree = Samtree._over(self.config, self.stats, root, size)
-        self._directory.put(key, tree)
+        self._directory.put(*key, tree)
         # Holders of the row's version must see the source move on.
         tree._version += self.slab.version.item(row)
         self._release(key, row)
@@ -294,7 +294,7 @@ class DynamicGraphStore(GraphStoreAPI):
         """
         vids, codes, weights = check_tree_ops(ops)
         key = (etype, src)
-        value = self._directory.get(key)
+        value = self._directory.get(etype, src)
         if value is None:
             check_key(src, etype)
         self._mark_written(src, etype)
@@ -309,7 +309,7 @@ class DynamicGraphStore(GraphStoreAPI):
         before = value.degree
         outcomes = apply_tree_codes(value, vids, codes, weights)
         if not value:
-            self._directory.delete(key)
+            self._directory.delete(etype, src)
         with self.slab.lock:
             self._num_edges += value.degree - before
         return outcomes
@@ -351,33 +351,31 @@ class DynamicGraphStore(GraphStoreAPI):
         batch: one batched directory probe, then by what it found."""
         bounds = batch.tree_bounds()
         first = bounds[:-1]
-        keys = list(zip(batch.etype[first].tolist(), batch.src[first].tolist()))
-        values = self._directory.get_many(keys)
-        # One pass: a slab row's index, 0 for a samtree, -1 for nothing.
-        rows = np.fromiter(
-            (v if type(v) is int else -(v is None) for v in values),
-            np.int64, len(keys),
-        )
-        missing = rows < 0
-        np.maximum(rows, 0, out=rows)
+        etypes, srcs = batch.etype[first], batch.src[first]
+        directory = self._directory
+        # The value column: a slab row, ~i for a samtree, 0 for nothing.
+        found = directory.get_many(etypes, srcs)
+        missing = found == 0
         if missing.any():
-            self._create_missing(batch, bounds, keys, missing, stats)
+            self._create_missing(batch, bounds, missing, stats)
             if missing.all():  # a pure load reads no row below
                 return
         cols = (batch.dst.tolist(), batch.op.tolist(), batch.weight.tolist())
+        rows = np.maximum(found, 0)
         if rows.any():
-            self._apply_slab_groups(batch, bounds, keys, rows, cols, stats)
+            self._apply_slab_groups(batch, bounds, rows, cols, stats)
         bounds = bounds.tolist()
-        for g in np.flatnonzero(~missing & (rows == 0)).tolist():
-            tree, a, b = values[g], bounds[g], bounds[g + 1]
+        for g in np.flatnonzero(found < 0).tolist():
+            et, src = etypes.item(g), srcs.item(g)
+            tree, a, b = directory.decode(found.item(g)), bounds[g], bounds[g + 1]
             m = b - a
             if m >= REBUILD_MIN_OPS and m * REBUILD_DEGREE_RATIO >= tree.degree:
-                grown, gone = self._rebuild(keys[g], tree, a, b, cols)
+                grown, gone = self._rebuild((et, src), tree, a, b, cols)
                 stats.trees_rebuilt += 1
             elif m == 1:
                 # One op: what PALM degenerates to is the scalar operation
                 # (Algorithm 2 / §IV-D) — one descent, path refreshed in place.
-                grown, gone = self._apply_run(keys[g], tree, a, b, cols)
+                grown, gone = self._apply_run((et, src), tree, a, b, cols)
                 stats.trees_incremental += 1
             else:
                 # Small touch-up: one descent per op, leaf-local
@@ -388,52 +386,51 @@ class DynamicGraphStore(GraphStoreAPI):
                 grown = tree.degree - before + gone
                 stats.trees_incremental += 1
                 if not tree:
-                    self._directory.delete(keys[g])
+                    directory.delete(et, src)
             stats.inserted += grown
             stats.removed += gone
 
     def _create_missing(
-        self, batch: EdgeBatch, bounds: np.ndarray, keys: list,
-        missing: np.ndarray, stats: IngestStats,
+        self, batch: EdgeBatch, bounds: np.ndarray, missing: np.ndarray,
+        stats: IngestStats,
     ) -> None:
         """Store the net inserts of every group whose source is not in
         the directory (updates and deletes against it are no-ops): the
         adjacencies that fit a leaf become slab rows by one segmented
         scatter, the rest samtrees whose leaves are packed in one
-        segmented pass."""
+        segmented pass; each kind enters the directory by one
+        ``put_many``."""
         rows = np.repeat(missing, np.diff(bounds))
         rows &= batch.op == OP_INSERT
         lengths = np.add.reduceat(rows, bounds[:-1], dtype=np.int64)[missing]
         groups = np.flatnonzero(missing)[lengths > 0]
         lengths = lengths[lengths > 0]
         directory = self._directory
-        # The directory grows once for the sources about to be created,
-        # not by a rehash at every doubling under the put loop.
+        # The directory grows once for the sources about to be created.
         directory.reserve(len(directory) + groups.size)
         dst, weight = batch.dst[rows], batch.weight[rows]
         small = lengths <= self.config.capacity
         short = np.repeat(small, lengths)
-        new: list = []
+        heads = bounds[groups]
+        etypes, srcs = batch.etype[heads], batch.src[heads]
         if small.any():
-            new = self.slab.alloc_many(
-                batch.src[bounds[groups[small]]], lengths[small],
-                dst[short], weight[short],
-            ).tolist()
-        for g, value in zip(groups[small].tolist(), new):
-            directory.put(keys[g], value)
+            directory.put_many(etypes[small], srcs[small], self.slab.alloc_many(
+                srcs[small], lengths[small], dst[short], weight[short],
+            ))
         if not small.all():
-            for g, (root, size) in zip(groups[~small].tolist(), build_roots(
-                self.config, dst[~short], weight[~short], lengths[~small].tolist()
-            )):
-                directory.put(
-                    keys[g], Samtree._over(self.config, self.stats, root, size)
+            directory.put_many(etypes[~small], srcs[~small], [
+                Samtree._over(self.config, self.stats, root, size)
+                for root, size in build_roots(
+                    self.config, dst[~short], weight[~short],
+                    lengths[~small].tolist(),
                 )
+            ])
         stats.trees_created += groups.size
         stats.inserted += int(lengths.sum())
 
     def _apply_slab_groups(
-        self, batch: EdgeBatch, bounds: np.ndarray, keys: list,
-        rows: np.ndarray, cols: tuple, stats: IngestStats,
+        self, batch: EdgeBatch, bounds: np.ndarray, rows: np.ndarray,
+        cols: tuple, stats: IngestStats,
     ) -> None:
         """The groups that target slab rows: dense ones (the rebuild
         rule) rewrite their row sorted; the rest run through the padded
@@ -449,11 +446,12 @@ class DynamicGraphStore(GraphStoreAPI):
         dense &= m >= REBUILD_MIN_OPS
 
         def scalar(picked, depth: int, run) -> None:
-            for g, r, lo, n in zip(
-                group[picked].tolist(), row[picked].tolist(),
-                a[picked].tolist(), m[picked].tolist(),
+            at = a[picked]
+            for key, r, lo, n in zip(
+                zip(batch.etype[at].tolist(), batch.src[at].tolist()),
+                row[picked].tolist(), at.tolist(), m[picked].tolist(),
             ):
-                grown, gone = run(keys[g], r, lo + depth, lo + n, cols)
+                grown, gone = run(key, r, lo + depth, lo + n, cols)
                 stats.inserted += grown
                 stats.removed += gone
 
@@ -530,9 +528,9 @@ class DynamicGraphStore(GraphStoreAPI):
                 (row,) = slab.alloc_many(
                     np.asarray([key[1]]), np.asarray([ids.size]), ids, weights
                 ).tolist()
-                self._directory.put(key, row)
+                self._directory.put(*key, row)
         if not order:
-            self._directory.delete(key)
+            self._directory.delete(*key)
         return len(order) - before + gone, gone
 
     # ------------------------------------------------------------------
@@ -572,17 +570,18 @@ class DynamicGraphStore(GraphStoreAPI):
         return len(self._directory)
 
     def sources(self, etype: int = DEFAULT_ETYPE) -> Iterator[int]:
-        for key_etype, src in self._directory.keys():
-            if key_etype == etype:
-                yield src
+        """The sources of relation ``etype``, ascending."""
+        etypes, srcs, _ = self._directory.columns()
+        return iter(srcs[etypes == etype].tolist())
 
     def etypes(self) -> List[int]:
-        """Distinct relation types present in the store."""
-        return sorted({etype for etype, _ in self._directory.keys()})
+        """Distinct relation types present in the store, ascending."""
+        return np.unique(self._directory.columns()[0]).tolist()
 
     def iter_trees(self) -> Iterator[Tuple[Tuple[int, int], object]]:
-        """Iterate ``((etype, src), adjacency)`` pairs as :meth:`tree`
-        gives them — samtree or slab-row view (doctor's walk)."""
+        """Iterate ``((etype, src), adjacency)`` pairs, ascending, as
+        :meth:`tree` gives them — samtree or slab-row view (doctor's
+        walk)."""
         slab = self.slab
         for key, value in self._directory.items():
             yield key, slab.view(value) if type(value) is int else value
@@ -614,7 +613,7 @@ class DynamicGraphStore(GraphStoreAPI):
         """
         cache = self.snapshot_cache
         groups: Dict[int, list] = {}
-        for (et, src), tree in self._directory.items():
+        for (et, src), tree in self._directory.items():  # src ascending
             if etype is None or et == etype:
                 groups.setdefault(et, []).append((src, tree))
         if not groups:
@@ -661,7 +660,7 @@ class DynamicGraphStore(GraphStoreAPI):
         transform over the running sum of a slab row; ``k < 0`` raises."""
         if k < 0:
             raise ConfigurationError(f"sample count must be >= 0, got {k}")
-        value = self._directory.get((etype, src))
+        value = self._directory.get(etype, src)
         if value is None:
             return []
         rng = coerce_scalar_rng(rng)
@@ -714,20 +713,20 @@ class DynamicGraphStore(GraphStoreAPI):
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
         """Node sampling (paper §III): ``k`` source vertices, degree-
-        weighted with replacement — the seed generator for training;
-        ``k < 0`` raises."""
+        weighted with replacement, drawn over the sources in ascending
+        order — the seed generator for training; ``k < 0`` raises."""
         if k < 0:
             raise ConfigurationError(f"sample count must be >= 0, got {k}")
-        pool: List[int] = []
-        weights: List[float] = []
-        for key_etype, src in self._directory.keys():
-            if key_etype == etype:
-                pool.append(src)
-                weights.append(float(self.degree(src, etype)))
+        etypes, srcs, values = self._directory.columns()
+        pool, values = srcs[etypes == etype].tolist(), values[etypes == etype]
         if not pool:
             return []
+        # Degrees in one gather: a row's length, a samtree's own count.
+        weights = self.slab.length[np.maximum(values, 0)].astype(np.float64)
+        for i in np.flatnonzero(values < 0).tolist():
+            weights[i] = self._directory.decode(values.item(i)).degree
         rng = coerce_scalar_rng(rng) or random
-        return rng.choices(pool, weights=weights, k=k)
+        return rng.choices(pool, weights=weights.tolist(), k=k)
 
     # ------------------------------------------------------------------
     # accounting & validation
@@ -764,10 +763,9 @@ class DynamicGraphStore(GraphStoreAPI):
             "internal_nodes": 0,
             "cstables": 0,
         }
-        for value in self._directory.values():
-            if type(value) is not int:
-                for component, nbytes in value.nbytes_breakdown(model).items():
-                    parts[component] += nbytes
+        for tree in self._directory.trees.values():
+            for component, nbytes in tree.nbytes_breakdown(model).items():
+                parts[component] += nbytes
         leaf_nodes, fstables = self.slab.nbytes_parts(model, self.config.compress)
         parts["leaf_nodes"] += leaf_nodes
         parts["fstables"] += fstables

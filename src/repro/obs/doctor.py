@@ -662,10 +662,9 @@ def _samtree_store(store):
 
 def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
     slab = store.slab
-    for value in store.directory.values():
-        if type(value) is not int:
-            report.observe_tree(value)
-            report.promoted += 1
+    for tree in store.directory.trees.values():
+        report.observe_tree(tree)
+        report.promoted += 1
     report.observe_slab(slab)
     report.observe_counters(store.stats, store.ingest_stats)
     directory = store.directory

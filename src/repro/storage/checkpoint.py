@@ -117,7 +117,8 @@ def save_store(store, target: Union[str, BinaryIO]) -> int:
     path or a seekable one).
     """
     with _Section(target, "wb") as out:
-        items = sorted(store.directory.items())  # keys are distinct
+        directory = store.directory
+        etypes, srcs, values = directory.columns()  # ascending keys
         out.write(
             _HEADER.pack(
                 _MAGIC,
@@ -125,28 +126,26 @@ def save_store(store, target: Union[str, BinaryIO]) -> int:
                 1 if store.config.compress else 0,
                 store.config.capacity,
                 store.config.alpha,
-                len(items),
+                values.size,
             )
         )
         # Slab rows are written from the columns: one ragged gather in
         # key order, then a slice of its bytes per record.
-        ids, weights, lengths = store.slab.gather(
-            [value for _, value in items if type(value) is int]
-        )
+        ids, weights, lengths = store.slab.gather(values[values > 0])
         row_ids, row_weights = (
             ids.astype("<i8").tobytes(), weights.astype("<f8").tobytes()
         )
         lengths = iter(lengths)
         at = 0
-        for (etype, src), value in items:
-            if type(value) is int:
+        for etype, src, value in zip(*(c.tolist() for c in (etypes, srcs, values))):
+            if value > 0:
                 end = at + 8 * next(lengths)
                 out.write(_ADJ_HEADER.pack(etype, src, (end - at) // 8))
                 out.write(row_ids[at:end])
                 out.write(row_weights[at:end])
                 at = end
                 continue
-            ids, weights = flatten_tree(value)
+            ids, weights = flatten_tree(directory.decode(value))
             out.write(_ADJ_HEADER.pack(etype, src, ids.size))
             out.write(ids.astype("<i8").tobytes())
             out.write(weights.astype("<f8").tobytes())

@@ -1,37 +1,25 @@
-"""Concurrent cuckoo hashmap (paper §IV-B).
+"""Concurrent cuckoo hashmap (paper §IV-B), held in numpy columns.
 
-PlatoD2GL keeps one directory entry per source vertex — the value is the
-tuple ``<|N_u|, T_u>`` (out-degree and samtree) — in a *concurrent cuckoo
-hashmap* following MemC3 [7] and the algorithmic improvements of [23]:
-
-* two hash functions, bucketised slots (4 ways per bucket, as MemC3);
-* inserts displace residents along a bounded eviction path;
-* a full table (or an eviction path that exceeds the bound) doubles the
-  bucket count and rehashes;
-* a hit takes no lock: each slot holds one ``(key, value)`` pair, so a
-  slot read is a single GIL-atomic list access and never observes a
-  torn key/value combination.  A *miss* can be wrong, though: while an
-  insert displaces residents one pair is held outside the table, and a
-  rehash refills a fresh table pair by pair, so a present key may sit in
-  no slot for a moment.  As MemC3's version counter does, ``_moves`` is
-  odd while pairs are in flight; a probe that misses while it is odd,
-  or after it changed during the probe, looks again under the write
-  lock.  One write lock serialises mutators; the PALM executor
-  additionally partitions update batches so that no two threads ever
-  write the same tree;
-* a per-slot hash column (MemC3's tag array, at full width) answers a
-  whole batch of keys in a few numpy passes
-  (:meth:`CuckooHashMap.get_many`), every match confirmed by its key.
-
-The map accepts any hashable key so heterogeneous stores can key the
-directory by ``(edge_type, src)``.
+PlatoD2GL keeps one directory entry per source vertex — the tuple
+``<|N_u|, T_u>`` — in a concurrent cuckoo hashmap after MemC3 [7] and
+[23] (DESIGN.md §9): 4-way buckets; ``(etype, src)`` keys in an
+``int16`` and an ``int64`` column (``src == -1``: an empty slot) beside
+an ``int64`` value column, whose positive entries are slab rows and
+whose negative ones ``~i`` name samtree ``trees[i]``; two independent
+multiply-shift hashes that numpy and the scalar path compute alike.
+An insert into two full buckets shifts a breadth-first cuckoo path back
+from its free end, so no key is ever in no slot; a slot takes its value
+first and its key last, a delete clears the key first, and ``_moves``
+is a seqlock — odd while a mutator runs — under which reads take no
+lock.  Batches are array work: :meth:`CuckooHashMap.get_many` and
+:meth:`CuckooHashMap.put_many`.
 """
 
 from __future__ import annotations
 
 import threading
-from operator import itemgetter
-from typing import Any, Hashable, Iterator, List, Optional, Tuple
+from collections import deque
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,302 +31,355 @@ __all__ = ["CuckooHashMap"]
 #: Slots per bucket (MemC3 uses 4-way buckets).
 _BUCKET_WAYS = 4
 
-#: Maximum displacement-path length before we give up and resize.
-_MAX_EVICTIONS = 500
+#: Slots a cuckoo-path search visits before we give up and resize: every
+#: path of up to four moves (MemC3 bounds its search the same way).
+_MAX_SEARCH = 2048
 
-#: Odd multiplier deriving the second bucket choice from the first hash.
-_SEED = 0x9E3779B97F4A7C15
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: The two hashes' odd multipliers of ``src`` and of ``etype``.
+_HASHES = (
+    (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F),
+    (0xD6E8FEB86659FD93, 0x94D049BB133111EB),
+)
 
 #: :meth:`CuckooHashMap.get_many` of fewer keys is the scalar loop: the
-#: numpy probe costs ~20–30 µs however few keys it serves (DESIGN.md §9).
-PROBE_LOOP_BELOW = 32
-
-#: The ``default`` that tells a miss from a stored ``None``.
-_ABSENT = object()
+#: array probe's fixed cost is paid back from here on a warm table
+#: (≈ 64 keys on a cold one; DESIGN.md §9).
+PROBE_LOOP_BELOW = 48
 
 
-def _second_bucket(h: np.ndarray, mask: int) -> np.ndarray:
-    """The second bucket of every hash of ``h``: ``(h·SEED mod 2⁶⁴) >> 17
-    & mask`` in ``uint64`` arithmetic, as :meth:`CuckooHashMap._buckets_for`."""
-    second = (h.view(np.uint64) * np.uint64(_SEED)) >> np.uint64(17)
-    return second.view(np.int64) & mask
+def _pair(etype: int, src: int, shift: int, mask: int) -> Tuple[int, int]:
+    """The two buckets of one key: ``((src·A + etype·B) >> shift) & mask``."""
+    (a1, b1), (a2, b2) = _HASHES
+    return (
+        ((src * a1 + etype * b1) >> shift) & mask,
+        ((src * a2 + etype * b2) >> shift) & mask,
+    )
 
 
-def _probe_bucket(
-    table: np.ndarray, bucket: np.ndarray, h: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Read bucket ``bucket[i]`` of the ``(buckets, 4)`` hash column
-    ``table`` as one row and compare it with ``h[i]``: the first
-    matching slot of every key (meaningless where none does) and
-    whether one did."""
-    hit = table.take(bucket, axis=0) == h[:, None]
-    # A row's four one-byte flags read as one uint32: non-zero = a match.
-    found = hit.view(np.uint32).ravel() != 0
-    return bucket * _BUCKET_WAYS + hit.argmax(axis=1), found
+def _bucket_column(etype, src: np.ndarray, which: int, shift: int, mask: int):
+    """Bucket ``which`` (0 or 1) of every key (``etype`` a column or one
+    relation), in ``uint64`` arithmetic: what the scalar
+    :func:`_pair` gives."""
+    a, b = _HASHES[which]
+    x = src.view(np.uint64) * np.uint64(a)
+    x += np.asarray(etype).astype(np.int64).view(np.uint64) * np.uint64(b)
+    x >>= np.uint64(shift)
+    return x.view(np.int64) & mask
 
 
 class CuckooHashMap:
-    """4-way bucketised cuckoo hash map whose hits take no lock.
-
-    Parameters
-    ----------
-    initial_buckets:
-        Starting number of buckets (rounded up to a power of two).
-    """
+    """4-way bucketised cuckoo map of ``(etype, src)`` keys whose reads
+    take no lock; ``initial_buckets`` is rounded up to a power of two."""
 
     def __init__(self, initial_buckets: int = 16) -> None:
         if initial_buckets < 1:
             raise ConfigurationError(
                 f"initial_buckets must be >= 1, got {initial_buckets}"
             )
-        n = 1
-        while n < initial_buckets:
-            n <<= 1
-        self._num_buckets = n
-        # One (key, value) tuple or None per slot: single-read atomicity.
-        self._slots: List[Optional[Tuple[Hashable, Any]]] = [None] * (
-            n * _BUCKET_WAYS
-        )
-        #: ``hash(key)`` of every slot's key, -1 (no ``hash``) where empty.
-        self._hashes = np.full(n * _BUCKET_WAYS, -1, dtype=np.int64)
-        #: Odd while pairs move (an eviction path, a rehash); see :meth:`get`.
+        #: The samtrees of negative values: ``~i`` is ``trees[i]``.
+        self.trees: Dict[int, Any] = {}
+        self._next_tree = 0
+        #: Odd while a mutator runs (a seqlock); see :meth:`get`.
         self._moves = 0
         self._size = 0
-        self._resize_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._alloc(1 << (initial_buckets - 1).bit_length())
+        self._publish()
 
-    # ------------------------------------------------------------------
-    # hashing
-    # ------------------------------------------------------------------
-    def _buckets_for(self, h: int) -> Tuple[int, int]:
-        """The two buckets of a key whose ``hash`` is ``h``."""
-        mask = self._num_buckets - 1
-        h2 = ((h * _SEED) & _MASK64) >> 17
-        return h & mask, h2 & mask
+    def _alloc(self, num_buckets: int) -> None:
+        """Fresh empty columns of ``num_buckets`` buckets for the writer;
+        readers keep the published table until :meth:`_publish`."""
+        if num_buckets > 1 << 34:  # pragma: no cover - safety net
+            raise HashMapFullError("cuckoo hashmap grew past 2^34 buckets")
+        self._num_buckets = num_buckets
+        self._mask = num_buckets - 1
+        self._shift = 64 - max(1, num_buckets.bit_length() - 1)
+        slots = num_buckets * _BUCKET_WAYS
+        self._src = np.full(slots, -1, dtype=np.int64)
+        self._etype = np.zeros(slots, dtype=np.int16)
+        self._value = np.zeros(slots, dtype=np.int64)
+        self._cols = tuple(map(memoryview, (self._src, self._etype, self._value)))
 
-    # ------------------------------------------------------------------
-    # core slot operations (mutators hold the write lock)
-    # ------------------------------------------------------------------
-    def _find_slot(self, key: Hashable) -> int:
-        """Index of the slot holding ``key`` or -1."""
-        slots = self._slots
-        b1, b2 = self._buckets_for(hash(key))
-        base = b1 * _BUCKET_WAYS
-        for s in range(base, base + _BUCKET_WAYS):
-            pair = slots[s]
-            if pair is not None and pair[0] == key:
-                return s
-        if b2 != b1:
-            base = b2 * _BUCKET_WAYS
+    def _publish(self) -> None:
+        """Hand the writer's table to lock-free readers, one store per
+        form: memoryviews (scalar path), bucket rows (array path)."""
+        self._table = (self._shift, self._mask) + self._cols
+        self._rows = (
+            self._shift, self._mask, self._src.reshape(-1, _BUCKET_WAYS),
+            self._etype.reshape(-1, _BUCKET_WAYS), self._value,
+        )
+
+    def _find_slot(self, etype: int, src: int, table) -> int:
+        """Index of the slot of ``table`` holding the key, or -1."""
+        shift, mask, keys, etypes, _ = table
+        for bucket in _pair(etype, src, shift, mask):
+            base = bucket * _BUCKET_WAYS
             for s in range(base, base + _BUCKET_WAYS):
-                pair = slots[s]
-                if pair is not None and pair[0] == key:
+                if keys[s] == src and etypes[s] == etype:
                     return s
         return -1
 
-    def _free_slot(self, bucket: int) -> int:
-        base = bucket * _BUCKET_WAYS
-        for s in range(base, base + _BUCKET_WAYS):
-            if self._slots[s] is None:
-                return s
-        return -1
+    def _cuckoo_path(self, etype: int, src: int) -> Optional[List[int]]:
+        """Slots ``[s₀, …, f]``: ``s₀`` in a bucket of the key (the first
+        bucket's first), each next slot in the other bucket of the
+        previous one's resident, ``f`` free — a breadth-first search
+        over at most :data:`_MAX_SEARCH` slots that moves nothing."""
+        keys, etypes, _ = self._cols
+        parent = {}
+        queue = deque([-1])  # -1: the new key, whose buckets come first
+        while queue and len(parent) < _MAX_SEARCH:
+            s = queue.popleft()
+            if s < 0:
+                buckets = _pair(etype, src, self._shift, self._mask)
+            else:
+                b1, b2 = _pair(etypes[s], keys[s], self._shift, self._mask)
+                buckets = (b2 if s // _BUCKET_WAYS == b1 else b1,)
+            for bucket in buckets:
+                for t in range(bucket * _BUCKET_WAYS, (bucket + 1) * _BUCKET_WAYS):
+                    if t in parent:
+                        continue
+                    parent[t] = s
+                    if keys[t] < 0:
+                        path = [t]
+                        while parent[path[-1]] >= 0:
+                            path.append(parent[path[-1]])
+                        return path[::-1]
+                    queue.append(t)
+        return None
 
-    def _insert_with_evictions(self, key: Hashable, value: Any) -> None:
-        """Place the absent ``key`` via cuckoo displacement, growing the
-        table when the path gets too long.  From the first eviction on,
-        ``_moves`` is odd; the public mutator makes it even again."""
-        pair, h = (key, value), hash(key)
-        slots, hashes = self._slots, self._hashes
-        bucket = h & (self._num_buckets - 1)
-        for attempt in range(_MAX_EVICTIONS):
-            slot = self._free_slot(bucket)
-            if slot < 0:
-                # Try the alternate bucket before evicting.
-                alt = self._alternate(h, bucket)
-                slot = self._free_slot(alt)
-                if slot >= 0:
-                    bucket = alt
-            if slot >= 0:
-                slots[slot] = pair
-                hashes[slot] = h
-                return
-            # Evict a rotating resident of this bucket and re-home it in
-            # its alternate bucket next round.
-            self._moves |= 1
-            victim = bucket * _BUCKET_WAYS + (attempt % _BUCKET_WAYS)
-            pair, slots[victim] = slots[victim], pair
-            h, hashes[victim] = hashes.item(victim), h
-            bucket = self._alternate(h, bucket)
-        # Path too long: grow, then place the displaced pair.
-        self._rehash_locked(self._num_buckets * 2)
-        self._insert_with_evictions(*pair)
+    def _place(self, etype: int, src: int, value: int) -> bool:
+        """Put an absent key into the writer's table along a cuckoo path
+        (MemC3: the last resident moves to the free slot first, so no
+        key is ever in no slot); ``False`` when no path was found."""
+        path = self._cuckoo_path(etype, src)
+        if path is None:
+            return False
+        keys, etypes, values = self._cols
+        new = (etype, src, value)
+        for to, s in zip(path[::-1], path[-2::-1] + [-1]):
+            self._write_slot(to, *((etypes[s], keys[s], values[s]) if s >= 0 else new))
+        return True
 
-    def _alternate(self, h: int, bucket: int) -> int:
-        b1, b2 = self._buckets_for(h)
-        return b2 if bucket == b1 else b1
+    def _write_slot(self, slot: int, etype: int, src: int, value: int) -> None:
+        keys, etypes, values = self._cols
+        values[slot] = value  # value first, key last: a reader that
+        etypes[slot] = etype  # matches the key reads its value
+        keys[slot] = src
 
-    def _rehash_locked(self, num_buckets: int) -> None:
-        """Move every pair into a table of ``num_buckets`` buckets (write
-        lock already held; ``_moves`` left odd)."""
-        self._moves |= 1
-        old = self._slots
-        self._num_buckets = num_buckets
-        if self._num_buckets > 1 << 34:  # pragma: no cover - safety net
-            raise HashMapFullError("cuckoo hashmap grew past 2^34 buckets")
-        self._slots = [None] * (self._num_buckets * _BUCKET_WAYS)
-        self._hashes = np.full(len(self._slots), -1, dtype=np.int64)
-        for pair in old:
-            if pair is not None:
-                self._insert_with_evictions(*pair)
+    def _fill(self, etype: np.ndarray, src: np.ndarray, value: np.ndarray):
+        """Place distinct absent keys in two vectorised rounds — the
+        ``r``-th key of a bucket takes its ``r``-th free slot, if any;
+        first buckets, then second — then the rest (and all of a batch
+        too small to pay for a round) by :meth:`_place`.  Returns the
+        keys no path was found for."""
+        slots = self._src.reshape(-1, _BUCKET_WAYS)
+        for which in (0, 1):
+            if src.size < PROBE_LOOP_BELOW:
+                break
+            bucket = _bucket_column(etype, src, which, self._shift, self._mask)
+            order = np.argsort(bucket, kind="stable")  # rank in its bucket:
+            head = np.flatnonzero(np.diff(bucket[order], prepend=-1))
+            rank = np.empty_like(order)
+            run = np.diff(head, append=order.size)
+            rank[order] = np.arange(order.size) - np.repeat(head, run)
+            free = slots[bucket] < 0
+            pick = free & (np.cumsum(free, axis=1) == rank[:, None] + 1)
+            placed = pick.any(axis=1)
+            at = bucket[placed] * _BUCKET_WAYS + pick[placed].argmax(axis=1)
+            self._value[at] = value[placed]
+            self._etype[at] = etype[placed]
+            self._src[at] = src[placed]
+            left = ~placed
+            etype, src, value = etype[left], src[left], value[left]
+        for i, key in enumerate(zip(etype.tolist(), src.tolist(), value.tolist())):
+            if not self._place(*key):
+                return etype[i:], src[i:], value[i:]
+        return None
 
-    def _reprobe(self, key: Hashable, default: Any) -> Any:
-        """A lock-free probe missed ``key`` while pairs were moving: look
-        again with the mutators held off."""
-        with self._resize_lock:
-            slot = self._find_slot(key)
-            return self._slots[slot][1] if slot >= 0 else default
+    def _rebuild(self, num_buckets: int, extra=None) -> None:
+        """Move every key (and the ``extra`` key columns) into a fresh
+        table of ``num_buckets`` buckets or, should a path fail there,
+        of twice as many; readers see the old table until it is done."""
+        live = self._src >= 0
+        keys = (self._etype[live], self._src[live], self._value[live])
+        if extra is not None:
+            keys = [
+                np.concatenate([a, np.asarray(b, a.dtype)]) for a, b in zip(keys, extra)
+            ]
+        self._alloc(num_buckets)
+        while self._fill(*keys) is not None:
+            self._alloc(self._num_buckets * 2)
+        self._publish()
 
-    # ------------------------------------------------------------------
-    # public interface
-    # ------------------------------------------------------------------
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert or overwrite ``key``."""
-        with self._resize_lock:
-            slot = self._find_slot(key)
-            if slot >= 0:
-                self._slots[slot] = (key, value)
-                return
-            self._insert_with_evictions(key, value)
-            self._moves += self._moves & 1  # every pair is home again
-            self._size += 1
+    def _code(self, value) -> int:
+        """The value column's entry for ``value``: a slab row as is, a
+        samtree as ``~i`` of a new ``trees`` entry (``i`` never reused,
+        so a stale entry names no samtree rather than another one)."""
+        if type(value) is int:
+            return value
+        self._next_tree += 1
+        self.trees[self._next_tree] = value
+        return ~self._next_tree
 
-    def reserve(self, n: int) -> None:
-        """Make room for ``n`` keys in all with one rehash.
+    def _drop(self, code: int) -> None:
+        if code < 0:
+            del self.trees[~code]
 
-        Grows straight to the smallest table with a slot per key — the
-        size below which one-by-one :meth:`put` could not stop either,
-        so a reserved build never ends with more buckets than a grown
-        one — instead of doubling through every size on the way, each
-        step a full rehash behind a table packed to its last slots."""
-        with self._resize_lock:
-            buckets = self._num_buckets
-            while buckets * _BUCKET_WAYS < n:
-                buckets <<= 1
-            if buckets > self._num_buckets:
-                self._rehash_locked(buckets)
-                self._moves += 1
+    def decode(self, code: int):
+        """The directory value of a value-column entry (``code != 0``)."""
+        return code if code > 0 else self.trees[~code]
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Return the value for ``key`` or ``default`` (lock-free on a hit).
+    def _probe(self, etype: int, src: int) -> int:
+        """One key's value-column entry, 0 for a miss (no lock, no
+        seqlock: the caller's).  A bucket is read by one chain of slot
+        compares on ``src``; a match of another relation scans."""
+        table = self._table
+        shift, mask, keys, etypes, values = table
+        for a, b in _HASHES:
+            s = (((src * a + etype * b) >> shift) & mask) * _BUCKET_WAYS
+            if (
+                keys[s] == src or keys[s := s + 1] == src
+                or keys[s := s + 1] == src or keys[s := s + 1] == src
+            ):
+                if etypes[s] != etype:
+                    s = self._find_slot(etype, src, table)
+                    return values[s] if s >= 0 else 0
+                return values[s]
+        return 0
 
-        The store's hottest call: :meth:`_buckets_for` inlined (the second
-        hash only on a first-bucket miss), each bucket read as one slice.
-        A miss while pairs move is re-probed under the lock."""
+    def get(self, etype: int, src: int, default: Any = None) -> Any:
+        """The value of ``(etype, src)`` — a slab row or a samtree — or
+        ``default``; lock-free (the store's hottest call)."""
         moves = self._moves
-        slots = self._slots
-        h = hash(key)
-        mask = self._num_buckets - 1
-        base = (h & mask) * _BUCKET_WAYS
-        for pair in slots[base : base + _BUCKET_WAYS]:
-            if pair is not None and pair[0] == key:
-                return pair[1]
-        base = ((((h * _SEED) & _MASK64) >> 17) & mask) * _BUCKET_WAYS
-        for pair in slots[base : base + _BUCKET_WAYS]:
-            if pair is not None and pair[0] == key:
-                return pair[1]
-        if moves & 1 or moves != self._moves:
-            return self._reprobe(key, default)
-        return default
+        code = self._probe(etype, src)
+        value = default if not code else code if code > 0 else self.trees.get(~code)
+        if moves & 1 or moves != self._moves:  # raced a writer: read again
+            with self._lock:
+                return self.get(etype, src, default)
+        return value
 
-    def get_many(self, keys: List[Hashable]) -> List[Any]:
-        """``[self.get(key) for key in keys]`` (misses: ``None``) in one
-        vectorised probe of the hash column (DESIGN.md §9).
-
-        Every key's first bucket is read as one row of ``_hashes`` and
-        compared; the keys it misses read their second.  Every match is
-        confirmed by its key: a shared hash, or a slot emptied or moved
-        under the read, answers the whole call by scalar :meth:`get`\\ s,
-        and a miss while pairs move is re-probed under the lock.  Fewer
-        than :data:`PROBE_LOOP_BELOW` keys take the scalar loop."""
-        n = len(keys)
-        if n < PROBE_LOOP_BELOW:
-            return list(map(self.get, keys))
+    def get_many(self, etype, src: np.ndarray) -> np.ndarray:
+        """The value column of keys ``(etype, src)`` (``etype`` a column
+        or one relation for all): a slab row, ``~i`` for ``trees[i]``,
+        0 for a miss — by :meth:`_probe_rows`, or by the scalar loop
+        for fewer than :data:`PROBE_LOOP_BELOW` keys."""
+        src = np.asarray(src, dtype=np.int64)
+        etype = np.asarray(etype)
         moves = self._moves
-        slots = self._slots
-        table = self._hashes.reshape(-1, _BUCKET_WAYS)
-        mask = len(table) - 1
-        h = np.fromiter(map(hash, keys), np.int64, n)
-        slot, found = _probe_bucket(table, h & mask, h)
-        missed = np.flatnonzero(~found)
-        if missed.size:  # the second bucket, for what the first missed
-            h = h[missed]
-            slot[missed], again = _probe_bucket(table, _second_bucket(h, mask), h)
-            found[missed] = again
-            missed = missed[~again]
-        probed, at = keys, None
-        if missed.size:
-            slot = slot[found]
-            at = np.flatnonzero(found).tolist()
-            probed = list(map(keys.__getitem__, at))
-        try:
-            pairs = list(map(slots.__getitem__, slot.tolist()))
-            confirmed = list(map(itemgetter(0), pairs)) == probed
-        except (IndexError, TypeError):  # a table swapped, a slot emptied
-            confirmed = False
-        if not confirmed:
-            return list(map(self.get, keys))
-        values = list(map(itemgetter(1), pairs))
-        if at is None:
-            return values
-        out = [None] * n
-        for i, value in zip(at, values):
-            out[i] = value
-        if moves & 1 or moves != self._moves:
-            for i in missed.tolist():
-                out[i] = self._reprobe(keys[i], None)
+        if src.size < PROBE_LOOP_BELOW:
+            etypes = etype.tolist() if etype.ndim else [etype.item()] * src.size
+            out = np.fromiter(map(self._probe, etypes, src.tolist()), np.int64)
+        else:
+            out = self._probe_rows(etype, src)
+        if moves & 1 or moves != self._moves:  # raced a writer: read again
+            with self._lock:
+                return self.get_many(etype, src)
         return out
 
-    def delete(self, key: Hashable) -> bool:
-        """Remove ``key``; returns whether it was present."""
-        with self._resize_lock:
-            slot = self._find_slot(key)
+    def _probe_rows(self, etype: np.ndarray, src: np.ndarray) -> np.ndarray:
+        """The array probe (no lock, no seqlock): every key's first
+        bucket read as one row of each key column, then the second
+        bucket of the keys it missed."""
+        shift, mask, keys, etypes, values = self._rows
+        out = np.zeros(src.size, dtype=np.int64)
+        todo = np.arange(src.size)
+        for which in (0, 1):
+            e, s = etype if etype.ndim == 0 else etype[todo], src[todo]
+            bucket = _bucket_column(e, s, which, shift, mask)
+            hit = keys.take(bucket, axis=0) == s[:, None]
+            hit &= etypes.take(bucket, axis=0) == e[..., None]
+            found = hit.view(np.uint32).ravel() != 0  # a row's 4 flags, 1 word
+            at = bucket[found] * _BUCKET_WAYS + hit[found].argmax(axis=1)
+            out[todo[found]] = values.take(at)
+            todo = todo[~found]
+            if not todo.size:
+                break
+        return out
+
+    def put(self, etype: int, src: int, value: Any) -> None:
+        """Insert or overwrite ``(etype, src)``: ``value`` is a slab row
+        (an ``int > 0``) or a samtree."""
+        if type(value) is int and value <= 0:
+            raise ConfigurationError(f"slab rows are > 0, got {value}")
+        with self._lock:
+            self._moves += 1
+            code = self._code(value)
+            slot = self._find_slot(etype, src, self._table)
+            if slot >= 0:
+                self._drop(self._cols[2][slot])
+                self._cols[2][slot] = code
+            else:
+                self._size += 1
+                if not self._place(etype, src, code):
+                    self._rebuild(2 * self._num_buckets, ([etype], [src], [code]))
+            self._moves += 1
+
+    def put_many(self, etype, src: np.ndarray, values) -> None:
+        """Insert keys that are distinct and not stored: ``etype`` a
+        column or one relation for all, ``values`` an ``int64`` column of
+        slab rows or a list of samtrees.  Grows at most once up front
+        (:meth:`reserve`'s size), then :meth:`_fill`."""
+        src = np.asarray(src, dtype=np.int64)
+        etype = np.broadcast_to(np.asarray(etype, dtype=np.int16), src.shape)
+        with self._lock:
+            self._moves += 1
+            if isinstance(values, list):
+                values = np.fromiter(map(self._code, values), np.int64, src.size)
+            keys = (etype, src, np.asarray(values, dtype=np.int64))
+            buckets = self._fit(self._size + src.size)
+            left = keys if buckets > self._num_buckets else self._fill(*keys)
+            if left is not None:  # grow: to the reserved size, or double
+                self._rebuild(max(buckets, 2 * self._num_buckets), left)
+            self._size += src.size
+            self._moves += 1
+
+    def _fit(self, n: int) -> int:
+        """The smallest table, at least this one, with a slot per key."""
+        buckets = self._num_buckets
+        while buckets * _BUCKET_WAYS < n:
+            buckets <<= 1
+        return buckets
+
+    def reserve(self, n: int) -> None:
+        """Make room for ``n`` keys in all with one rebuild, straight to
+        the smallest table with a slot per key (one-by-one :meth:`put`
+        could not stop below it either)."""
+        with self._lock:
+            if self._fit(n) > self._num_buckets:
+                self._moves += 1
+                self._rebuild(self._fit(n))
+                self._moves += 1
+
+    def delete(self, etype: int, src: int) -> bool:
+        """Remove ``(etype, src)``; returns whether it was present."""
+        with self._lock:
+            slot = self._find_slot(etype, src, self._table)
             if slot < 0:
                 return False
-            self._slots[slot] = None
-            self._hashes[slot] = -1
+            self._moves += 1
+            keys, _, values = self._cols
+            keys[slot] = -1  # the key first: no reader matches it any more
+            self._drop(values[slot])
             self._size -= 1
+            self._moves += 1
             return True
 
-    def __contains__(self, key: Hashable) -> bool:
-        return self.get(key, _ABSENT) is not _ABSENT
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(etype, src, value)`` of every key, ascending by
+        ``(etype, src)`` (copies; ``value`` as :meth:`get_many` gives)."""
+        with self._lock:
+            live = np.flatnonzero(self._src >= 0)
+            etype, src = self._etype[live], self._src[live]
+            order = np.lexsort((src, etype))
+            return etype[order], src[order], self._value[live[order]]
+
+    def items(self) -> Iterator[Tuple[Tuple[int, int], Any]]:
+        """``((etype, src), value)`` pairs in :meth:`columns` order."""
+        etype, src, value = (col.tolist() for col in self.columns())
+        return (((e, s), self.decode(v)) for e, s, v in zip(etype, src, value))
 
     def __len__(self) -> int:
         return self._size
-
-    def __bool__(self) -> bool:
-        return self._size > 0
-
-    def __iter__(self) -> Iterator[Hashable]:
-        return self.keys()
-
-    def keys(self) -> Iterator[Hashable]:
-        """Iterate over keys (snapshot-free; callers should not mutate)."""
-        for pair in self._slots:
-            if pair is not None:
-                yield pair[0]
-
-    def items(self) -> Iterator[Tuple[Hashable, Any]]:
-        """Iterate over ``(key, value)`` pairs."""
-        for pair in self._slots:
-            if pair is not None:
-                yield pair
-
-    def values(self) -> Iterator[Any]:
-        """Iterate over values."""
-        for pair in self._slots:
-            if pair is not None:
-                yield pair[1]
 
     @property
     def load_factor(self) -> float:

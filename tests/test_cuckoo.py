@@ -1,4 +1,8 @@
-"""Tests for the concurrent cuckoo hashmap directory (paper §IV-B)."""
+"""Tests for the concurrent cuckoo hashmap directory (paper §IV-B).
+
+Keys are ``(etype, src)`` int pairs held in numpy columns; a value is a
+slab row (an ``int > 0``) or an object kept in the map's side list.
+"""
 
 from __future__ import annotations
 
@@ -11,80 +15,124 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.storage.cuckoo import PROBE_LOOP_BELOW, CuckooHashMap, _second_bucket
+from repro.storage.cuckoo import (
+    _HASHES,
+    PROBE_LOOP_BELOW,
+    CuckooHashMap,
+    _bucket_column,
+    _pair,
+)
+
+ID_MAX = 2**63 - 1
+
+
+class Tree:
+    """A stand-in samtree: compared by identity, as the store's are."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return f"Tree({self.tag})"
+
+
+def _decoded(m, codes):
+    return [m.decode(c) if c else None for c in codes.tolist()]
 
 
 class TestBasics:
     def test_put_get(self):
         m = CuckooHashMap()
-        m.put("a", 1)
-        assert m.get("a") == 1
-        assert m.get("b") is None
-        assert m.get("b", 7) == 7
+        m.put(0, 5, 1)
+        assert m.get(0, 5) == 1
+        assert m.get(0, 6) is None
+        assert m.get(0, 6, 7) == 7
+        assert m.get(1, 5) is None
         assert len(m) == 1
-        assert "a" in m and "b" not in m
 
     def test_overwrite(self):
         m = CuckooHashMap()
-        m.put(1, "x")
-        m.put(1, "y")
-        assert m.get(1) == "y"
+        m.put(1, 1, 3)
+        m.put(1, 1, 4)
+        assert m.get(1, 1) == 4
         assert len(m) == 1
 
     def test_delete(self):
         m = CuckooHashMap()
-        m.put(1, "x")
-        assert m.delete(1) is True
-        assert m.delete(1) is False
+        m.put(0, 1, 9)
+        assert m.delete(0, 1) is True
+        assert m.delete(0, 1) is False
         assert len(m) == 0
-        assert m.get(1) is None
+        assert m.get(0, 1) is None
 
-    def test_none_values_are_storable(self):
+    def test_objects_live_in_the_side_list(self):
         m = CuckooHashMap()
-        m.put("k", None)
-        assert "k" in m
-        assert m.get("k", "default") is None
+        a, b = Tree("a"), Tree("b")
+        m.put(0, 5, a)
+        m.put(0, 6, 2)
+        assert m.get(0, 5) is a and list(m.trees.values()) == [a]
+        m.put(0, 5, b)  # overwrite: a's entry goes
+        assert m.get(0, 5) is b and list(m.trees.values()) == [b]
+        codes = m.get_many(0, np.array([5, 6, 7] * PROBE_LOOP_BELOW))
+        assert _decoded(m, codes[:3]) == [b, 2, None]
+        assert codes[0] < 0 and m.trees[~codes[0]] is b
+        assert m.delete(0, 5) and m.trees == {}
+        m.put(0, 8, a)
+        assert m.get(0, 8) is a and list(m.trees.values()) == [a]
 
-    def test_tuple_keys(self):
-        m = CuckooHashMap()
-        m.put((0, 5), "tree")
-        assert m.get((0, 5)) == "tree"
-        assert m.get((1, 5)) is None
+    def test_extreme_keys(self):
+        m = CuckooHashMap(initial_buckets=1)
+        keys = [(e, s) for e in (0, 1, -32768, 32767) for s in (0, 1, ID_MAX)]
+        for i, key in enumerate(keys):
+            m.put(*key, i + 1)
+        assert [m.get(*key) for key in keys] == list(range(1, len(keys) + 1))
+        etype = np.array([e for e, _ in keys], dtype=np.int16)
+        src = np.array([s for _, s in keys], dtype=np.int64)
+        assert m.get_many(etype, src).tolist() == list(range(1, len(keys) + 1))
+        assert dict(m.items()) == {key: i + 1 for i, key in enumerate(keys)}
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             CuckooHashMap(initial_buckets=0)
+        m = CuckooHashMap()
+        for bad in (0, -3):
+            with pytest.raises(ConfigurationError):
+                m.put(0, 1, bad)
+        assert len(m) == 0 and m._moves % 2 == 0
 
 
 class TestGrowth:
     def test_grows_past_initial_capacity(self):
         m = CuckooHashMap(initial_buckets=1)
         for i in range(1000):
-            m.put(i, i * 2)
+            m.put(0, i, i * 2 + 1)
         assert len(m) == 1000
         for i in range(1000):
-            assert m.get(i) == i * 2
+            assert m.get(0, i) == i * 2 + 1
 
     def test_load_factor_reported(self):
         m = CuckooHashMap(initial_buckets=4)
         for i in range(10):
-            m.put(i, i)
+            m.put(0, i, i + 1)
         assert 0.0 < m.load_factor <= 1.0
 
     def test_iteration(self):
+        """Keys come back ascending by ``(etype, src)``, whatever the
+        insertion order."""
         m = CuckooHashMap()
-        for i in range(50):
-            m.put(i, -i)
-        assert sorted(m.keys()) == list(range(50))
-        assert sorted(m) == list(range(50))
-        assert dict(m.items()) == {i: -i for i in range(50)}
-        assert sorted(m.values()) == sorted(-i for i in range(50))
+        keys = [(e, s) for s in range(50, 0, -1) for e in (3, -2)]
+        for key in keys:
+            m.put(*key, key[1])
+        assert [key for key, _ in m.items()] == sorted(keys)
+        etype, src, value = m.columns()
+        assert list(zip(etype.tolist(), src.tolist())) == sorted(keys)
+        assert value.tolist() == [s for _, s in sorted(keys)]
 
     def test_nbytes_scales_with_buckets(self):
         small = CuckooHashMap(initial_buckets=4)
         big = CuckooHashMap(initial_buckets=4)
         for i in range(500):
-            big.put(i, i)
+            big.put(0, i, i + 1)
         assert big.nbytes() > small.nbytes()
 
 
@@ -96,7 +144,7 @@ class TestConcurrency:
         def writer(base):
             try:
                 for i in range(300):
-                    m.put((base, i), base * 1000 + i)
+                    m.put(base, i, base * 1000 + i + 1)
             except Exception as exc:  # pragma: no cover
                 errors.append(exc)
 
@@ -109,15 +157,16 @@ class TestConcurrency:
         assert len(m) == 8 * 300
         for t in range(8):
             for i in range(300):
-                assert m.get((t, i)) == t * 1000 + i
+                assert m.get(t, i) == t * 1000 + i + 1
 
 
 @given(
     st.lists(
         st.tuples(
             st.sampled_from(["put", "delete"]),
+            st.integers(0, 2),
             st.integers(min_value=0, max_value=100),
-            st.integers(),
+            st.integers(1, 2**62),
         ),
         max_size=300,
     )
@@ -126,19 +175,19 @@ class TestConcurrency:
 def test_matches_dict_semantics(ops):
     m = CuckooHashMap(initial_buckets=1)
     ref = {}
-    for kind, k, v in ops:
+    for kind, e, s, v in ops:
         if kind == "put":
-            m.put(k, v)
-            ref[k] = v
+            m.put(e, s, v)
+            ref[(e, s)] = v
         else:
-            assert m.delete(k) == (k in ref)
-            ref.pop(k, None)
+            assert m.delete(e, s) == ((e, s) in ref)
+            ref.pop((e, s), None)
     assert len(m) == len(ref)
     assert dict(m.items()) == ref
 
 
 # ---------------------------------------------------------------------------
-# reserve: one rehash, same semantics, never a bigger table
+# the state machine: put, put_many, reserve, delete against a dict
 # ---------------------------------------------------------------------------
 from hypothesis.stateful import (  # noqa: E402
     RuleBasedStateMachine,
@@ -147,35 +196,78 @@ from hypothesis.stateful import (  # noqa: E402
 )
 
 
-#: ``hash((0, s)) == hash((0, s + M61))`` for ``s >= 0``, as
-#: ``hash(-1) == hash(-2)``: keys that share a hash column entry.
-M61 = 2**61 - 1
+def _shared_first_bucket(count: int):
+    """Sources whose first hash has its top 10 bits zero: all of them
+    share bucket 0 in every table of up to 1 024 buckets."""
+    a, _ = _HASHES[0]
+    inverse = pow(a, -1, 2**64)
+    out = [(k << 40) * inverse % 2**64 for k in range(1, 4 * count)]
+    return [s for s in out if s <= ID_MAX][:count]
+
+
+def _same_first_hash(src: int, etype: int) -> int:
+    """The source that, in relation ``etype``, hashes exactly as
+    ``(0, src)`` does under the first hash (mod 2⁶⁴)."""
+    a, b = _HASHES[0]
+    return (src - etype * b * pow(a, -1, 2**64)) % 2**64
+
+
+SHARED = _shared_first_bucket(12)
+TWINS = [
+    (e, t) for e in (-1, -2, -3)
+    for t in (_same_first_hash(s, e) for s in range(0, 40, 7))
+    if t <= ID_MAX
+]
 KEYS = st.one_of(
-    st.tuples(st.integers(0, 1), st.integers(0, 400)),
-    st.integers(0, 400).map(lambda s: (0, s + M61)),
-    st.sampled_from([-1, -2]),
+    st.tuples(st.sampled_from([0, 1, 32767, -32768]), st.integers(0, 300)),
+    st.tuples(st.sampled_from([0, 32767]), st.sampled_from([0, ID_MAX])),
+    st.tuples(st.just(0), st.sampled_from(SHARED)),
+    st.sampled_from(TWINS),
 )
+VALUES = st.one_of(st.integers(1, 2**62), st.builds(Tree, st.integers()))
 
 
 class CuckooMachine(RuleBasedStateMachine):
-    """``CuckooHashMap`` against ``dict`` with ``reserve`` interleaved:
-    presizing moves pairs between tables and must lose or invent none;
-    ``get_many`` answers as the scalar ``get`` over keys that share
-    hashes, on both sides of ``PROBE_LOOP_BELOW``."""
+    """``CuckooHashMap`` against ``dict``: placement rounds, cuckoo
+    paths and rebuilds must lose or invent no key, over keys forced into
+    shared buckets; ``get_many`` answers as the scalar ``get`` on both
+    sides of ``PROBE_LOOP_BELOW``, with one relation or a column."""
 
     def __init__(self):
         super().__init__()
         self.map = CuckooHashMap(initial_buckets=1)
         self.ref = {}
 
-    @rule(key=KEYS, value=st.integers())
+    @rule(key=KEYS, value=VALUES)
     def put(self, key, value):
-        self.map.put(key, value)
+        self.map.put(*key, value)
         self.ref[key] = value
+
+    @rule(
+        keys=st.lists(KEYS, max_size=60, unique=True),
+        trees=st.booleans(), data=st.data(),
+    )
+    def put_many(self, keys, trees, data):
+        keys = [k for k in keys if k not in self.ref]
+        if trees:
+            values = [Tree(i) for i in range(len(keys))]
+        else:
+            values = data.draw(st.lists(
+                st.integers(1, 2**62), min_size=len(keys), max_size=len(keys)
+            ))
+        etype = [e for e, _ in keys]
+        if keys and len(set(etype)) == 1 and data.draw(st.booleans()):
+            etype = etype[0]  # one relation for all
+        self.map.put_many(
+            np.asarray(etype, dtype=np.int16),
+            np.asarray([s for _, s in keys], dtype=np.int64),
+            values if trees else np.asarray(values, dtype=np.int64),
+        )
+        self.ref.update(zip(keys, values))
 
     @rule(key=KEYS)
     def delete(self, key):
-        assert self.map.delete(key) == (key in self.ref)
+        assert self.map.delete(*key) == (key in self.ref)
         self.ref.pop(key, None)
 
     @rule(n=st.integers(-5, 3000))
@@ -190,31 +282,50 @@ class CuckooMachine(RuleBasedStateMachine):
 
     @rule(key=KEYS)
     def get(self, key):
-        assert self.map.get(key, "absent") == self.ref.get(key, "absent")
-        assert (key in self.map) == (key in self.ref)
+        assert self.map.get(*key, "absent") == self.ref.get(key, "absent")
 
     @rule(
         data=st.data(),
         n=st.sampled_from([0, 1, 4, PROBE_LOOP_BELOW - 1, PROBE_LOOP_BELOW, 90]),
+        one_relation=st.booleans(),
     )
-    def get_many(self, data, n):
-        stored = sorted(self.ref, key=repr)
+    def get_many(self, data, n, one_relation):
+        stored = sorted(self.ref)
         pool = st.one_of(KEYS, st.sampled_from(stored)) if stored else KEYS
         keys = data.draw(st.lists(pool, min_size=n, max_size=n))
-        assert self.map.get_many(keys) == [self.ref.get(k) for k in keys]
+        if one_relation:
+            keys = [(0, s) for _, s in keys]
+            etype = 0
+        else:
+            etype = np.asarray([e for e, _ in keys], dtype=np.int16)
+        codes = self.map.get_many(etype, np.asarray([s for _, s in keys], dtype=np.int64))
+        assert codes.dtype == np.int64 and codes.shape == (n,)
+        assert _decoded(self.map, codes) == [self.ref.get(k) for k in keys]
 
     @invariant()
     def same_pairs(self):
         assert len(self.map) == len(self.ref)
-        assert dict(self.map.items()) == self.ref
+        assert list(self.map.items()) == sorted(self.ref.items(), key=lambda kv: kv[0])
 
     @invariant()
-    def hash_column_mirrors_the_slots(self):
+    def columns_agree_with_the_side_list(self):
         m = self.map
-        assert m._hashes.tolist() == [
-            -1 if pair is None else hash(pair[0]) for pair in m._slots
-        ]
-        assert m._moves % 2 == 0  # no pair in flight between calls
+        live = m._src >= 0
+        codes = m._value[live]
+        assert (codes != 0).all()
+        assert sorted((~codes[codes < 0]).tolist()) == sorted(m.trees)
+        assert m._table[2] is m._cols[0]  # readers see the writer's table
+        # Every key sits in one of its two buckets.
+        etype, src = m._etype[live], m._src[live]
+        slot = np.flatnonzero(live) // 4
+        b1, b2 = (
+            _bucket_column(etype, src, which, m._shift, m._mask) for which in (0, 1)
+        )
+        assert ((slot == b1) | (slot == b2)).all()
+
+    @invariant()
+    def no_writer_in_flight(self):
+        assert self.map._moves % 2 == 0
 
 
 CuckooMachine.TestCase.settings = settings(
@@ -223,44 +334,70 @@ CuckooMachine.TestCase.settings = settings(
 TestCuckooMachine = CuckooMachine.TestCase
 
 
+# ---------------------------------------------------------------------------
+# reserve and put_many: one rehash, no bigger table than one-by-one growth
+# ---------------------------------------------------------------------------
 class TestReserve:
     @pytest.mark.parametrize("n", [1_000, 5_000, 10_000])
     @pytest.mark.parametrize("shard", [0, 3])
     def test_never_more_buckets_than_one_by_one(self, n, shard):
         """On a shard's directory keys — ``(etype, src)`` with the
-        sources a 4-way hash partition owns — presizing ends on the
-        table growing by doubling ends on, or a smaller one."""
-        keys = [(0, 4 * i + shard) for i in range(n)]
+        sources a 4-way hash partition owns — ``put_many`` ends on the
+        table one-by-one ``put`` grows to, or a smaller one."""
+        src = np.arange(n, dtype=np.int64) * 4 + shard
         grown = CuckooHashMap(initial_buckets=64)
-        for key in keys:
-            grown.put(key, None)
-        reserved = CuckooHashMap(initial_buckets=64)
-        reserved.reserve(len(keys))
-        for key in keys:
-            reserved.put(key, None)
-        assert reserved._num_buckets <= grown._num_buckets
-        assert len(reserved) == n and all(k in reserved for k in keys)
+        for s in src.tolist():
+            grown.put(0, s, 1)
+        placed = CuckooHashMap(initial_buckets=64)
+        placed.put_many(0, src, np.ones(n, dtype=np.int64))
+        assert placed._num_buckets <= grown._num_buckets
+        assert len(placed) == n and (placed.get_many(0, src) == 1).all()
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", [230, 922, 976])
+    def test_a_reserved_table_holds_its_keys_up_to_95_percent(self, seed, n):
+        """976 keys fit 256 buckets (95.3 %): neither ``put_many`` nor
+        one-by-one ``put`` into the reserved table grows it, over random
+        and shard-shaped key sets."""
+        reserved = 64 if n <= 256 else 256  # the smallest that fits n
+        rng = np.random.default_rng(seed)
+        for src in (
+            rng.permutation(np.unique(rng.integers(0, ID_MAX, 2 * n)))[:n],
+            np.arange(n, dtype=np.int64) * 4 + seed % 4,
+        ):
+            placed = CuckooHashMap()
+            placed.reserve(n)
+            placed.put_many(seed % 3, src, np.arange(1, n + 1))
+            looped = CuckooHashMap()
+            looped.reserve(n)
+            for s in src.tolist():
+                looped.put(seed % 3, s, 1)
+            assert placed._num_buckets == looped._num_buckets == reserved
+            assert placed.get_many(seed % 3, src).tolist() == list(range(1, n + 1))
 
     def test_grows_once(self, monkeypatch):
         m = CuckooHashMap(initial_buckets=1)
         for i in range(3):
-            m.put(i, i)
+            m.put(0, i, i + 1)
         rehashes = []
-        rehash = m._rehash_locked
+        rebuild = m._rebuild
         monkeypatch.setattr(
-            m, "_rehash_locked",
-            lambda buckets: rehashes.append(buckets) or rehash(buckets),
+            m, "_rebuild",
+            lambda buckets, extra=None: rehashes.append(buckets)
+            or rebuild(buckets, extra),
         )
         m.reserve(1000)
         assert rehashes == [256]  # 256 * 4 slots is the first >= 1000
         m.reserve(1000)
         m.reserve(0)
         assert rehashes == [256]
-        assert dict(m.items()) == {0: 0, 1: 1, 2: 2}
+        m.put_many(0, np.arange(3, 900), np.arange(4, 901))
+        assert rehashes == [256]  # room already made
+        m.put_many(0, np.arange(900, 1500), np.arange(901, 1501))
+        assert rehashes == [256, 512]  # one rebuild, with the new keys
+        assert dict(m.items()) == {(0, i): i + 1 for i in range(1500)}
 
     def test_bulk_load_presizes_the_directory(self):
-        import numpy as np
-
         from repro.core.topology import DynamicGraphStore
 
         src = np.repeat(np.arange(5_000) * 4, 2)
@@ -270,26 +407,37 @@ class TestReserve:
         looped = DynamicGraphStore()
         for s, d in zip(src.tolist(), dst.tolist()):
             looped.add_edge(s, d)
-        assert (
-            loaded.directory._num_buckets == looped.directory._num_buckets
-        )
+        assert loaded.directory._num_buckets <= looped.directory._num_buckets
 
 
 # ---------------------------------------------------------------------------
-# the batched probe: bucket math, placement
+# the array probe and placement: hash math, rounds
 # ---------------------------------------------------------------------------
 @given(
-    hashes=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=40),
+    keys=st.lists(
+        st.tuples(st.integers(-(2**15), 2**15 - 1), st.integers(0, ID_MAX)),
+        min_size=1, max_size=40,
+    ),
     log_buckets=st.integers(0, 34),
 )
 @settings(max_examples=200, deadline=None)
-def test_numpy_bucket_pair_is_buckets_for(hashes, log_buckets):
-    m = CuckooHashMap()
-    m._num_buckets = 1 << log_buckets  # the bucket math reads nothing else
-    mask = m._num_buckets - 1
-    h = np.asarray(hashes, dtype=np.int64)
-    pairs = list(zip((h & mask).tolist(), _second_bucket(h, mask).tolist()))
-    assert pairs == [m._buckets_for(x) for x in hashes]
+def test_numpy_bucket_pair_is_buckets_for(keys, log_buckets):
+    """The numpy bucket column is the scalar ``_pair``, bit for bit."""
+    shift, mask = 64 - max(1, log_buckets), (1 << log_buckets) - 1
+    if log_buckets <= 12:  # the map derives the same from its size
+        m = CuckooHashMap(initial_buckets=1 << log_buckets)
+        assert (m._shift, m._mask) == (shift, mask)
+    etype = np.asarray([e for e, _ in keys], dtype=np.int16)
+    src = np.asarray([s for _, s in keys], dtype=np.int64)
+    pairs = list(zip(*(
+        _bucket_column(etype, src, which, shift, mask).tolist() for which in (0, 1)
+    )))
+    assert pairs == [_pair(e, s, shift, mask) for e, s in keys]
+    assert all(0 <= b <= mask for pair in pairs for b in pair)
+    for which in (0, 1):  # one relation for all, as admission asks
+        assert _bucket_column(etype[0], src, which, shift, mask).tolist() == [
+            _pair(int(etype[0]), s, shift, mask)[which] for _, s in keys
+        ]
 
 
 @given(
@@ -301,66 +449,49 @@ def test_numpy_bucket_pair_is_buckets_for(hashes, log_buckets):
 @settings(max_examples=60, deadline=None)
 def test_get_many_leaves_placement_alone(ops):
     """The same puts and deletes, with and without batched probes in
-    between, leave the same slots (and so the same ``items()`` order)."""
+    between, leave the same columns."""
     plain = CuckooHashMap(initial_buckets=1)
     probed = CuckooHashMap(initial_buckets=1)
     for kind, key in ops:
         if kind == "put":
-            plain.put(key, 1)
-            probed.put(key, 1)
+            plain.put(*key, 1)
+            probed.put(*key, 1)
         elif kind == "delete":
-            plain.delete(key)
-            probed.delete(key)
+            plain.delete(*key)
+            probed.delete(*key)
         else:
-            probed.get_many([key] * PROBE_LOOP_BELOW + list(probed.keys()))
-    assert probed._slots == plain._slots
-    assert np.array_equal(probed._hashes, plain._hashes)
+            etype, src, _ = probed.columns()
+            probed.get_many(
+                np.append(etype, key[0]), np.append(src, key[1])
+            )
+    for name in ("_src", "_etype", "_value"):
+        assert np.array_equal(getattr(probed, name), getattr(plain, name))
 
 
-def test_placement_is_the_pre_hash_column_one():
-    """Slot order pinned from before the hash column existed: the column
-    changes no bucket choice, eviction or rehash order."""
-    m = CuckooHashMap(initial_buckets=2)
-    for i in range(40):
-        m.put((i % 2, 7 * i), i)
-    for i in range(0, 40, 3):
-        m.delete((i % 2, 7 * i))
-    m.reserve(100)
-    for i in range(40, 60):
-        m.put((i % 2, 7 * i), i)
-    assert m._num_buckets == 32
-    assert list(m.values()) == [
-        49, 58, 46, 43, 52, 31, 40, 28, 37, 53, 25, 34, 50, 13, 22, 59,
-        47, 56, 19, 35, 44, 16, 7, 4, 41, 57, 29, 38, 26, 10, 1, 51, 23,
-        32, 48, 11, 20, 45, 54, 17, 42, 14, 5, 2, 55, 8,
-    ]
+def test_put_many_fills_first_buckets_then_second():
+    """With room, the ``r``-th key of a bucket takes its ``r``-th free
+    slot; the keys a full first bucket turns away go to their second
+    (the few a round leaves, one by one); no key moves another."""
+    m = CuckooHashMap(initial_buckets=256)
+    src = np.asarray(SHARED[:10] + list(range(100, 400)), dtype=np.int64)
+    paths = []
+    cuckoo_path = m._cuckoo_path
+    m._cuckoo_path = lambda *key: paths.append(cuckoo_path(*key)) or paths[-1]
+    m.put_many(0, src, np.arange(1, src.size + 1))
+    assert all(len(path) == 1 for path in paths)  # a free slot, no move
+    b1, b2 = (_bucket_column(0, src, w, m._shift, m._mask) for w in (0, 1))
+    slot = np.asarray([m._find_slot(0, s, m._table) for s in src.tolist()])
+    assert (slot[:4] == np.arange(4)).all()  # bucket 0, in key order
+    assert (slot[4:10] // 4 == b2[4:10]).all()
+    assert ((slot // 4 == b1) | (slot // 4 == b2)).all()
+    assert m.get_many(0, src).tolist() == list(range(1, src.size + 1))
 
 
 # ---------------------------------------------------------------------------
-# a probe racing a displacement or a rehash (threads sequenced by events,
-# every wait bounded: a deadlock fails the test instead of hanging it)
+# a probe racing a cuckoo path, a rebuild or a batch (threads sequenced by
+# events, every wait bounded: a deadlock fails the test instead of hanging)
 # ---------------------------------------------------------------------------
 WAIT_S = 10.0
-
-
-def _pause_while_in_flight(m, acknowledged, paused, resume, flight):
-    """Make the writer stop, once, at the first placement attempt that
-    finds a key of ``acknowledged`` in no slot — a displaced pair held
-    between slots, or a rehash refilling a fresh table — and record
-    that key in ``flight``."""
-    free_slot = m._free_slot
-
-    def hook(bucket):
-        if not paused.is_set():
-            present = {pair[0] for pair in m._slots if pair is not None}
-            gone = [key for key in acknowledged if key not in present]
-            if gone:
-                flight.append(gone[0])
-                paused.set()
-                resume.wait(WAIT_S)
-        return free_slot(bucket)
-
-    m._free_slot = hook
 
 
 def _start(target):
@@ -369,95 +500,172 @@ def _start(target):
     return thread
 
 
+def _pause_once(obj, name, paused, resume, when=lambda *args: True, seen=None):
+    """Make ``obj.name`` stop, once, on its first call ``when`` accepts
+    (recording the arguments in ``seen``) until ``resume`` is set."""
+    original = getattr(obj, name)
+
+    def hook(*args):
+        if not paused.is_set() and when(*args):
+            if seen is not None:
+                seen.append(args)
+            paused.set()
+            resume.wait(WAIT_S)
+        return original(*args)
+
+    setattr(obj, name, hook)
+
+
+def _both_buckets_full(m, etype, candidates):
+    keys = m._src.reshape(-1, 4)
+    for s in candidates:
+        if all((keys[b] >= 0).all() for b in _pair(etype, s, m._shift, m._mask)):
+            return s
+    raise AssertionError("no candidate with both buckets full")
+
+
 @pytest.mark.parametrize("window", ["eviction", "rehash"])
 def test_a_probe_never_reports_an_acknowledged_key_absent(window):
+    """While a cuckoo path shifts (a resident in two slots, a slot
+    about to be overwritten) or a rebuild fills a fresh table, ``_moves``
+    is odd: every lock-free read waits for the writer, then answers."""
     m = CuckooHashMap(initial_buckets=64)
-    acknowledged = [(0, 3 * i) for i in range(200)]
-    for key in acknowledged:
-        m.put(key, ("value", key))
+    acknowledged = np.arange(240, dtype=np.int64) * 3
+    m.put_many(0, acknowledged, acknowledged + 1)
     buckets = m._num_buckets
-    paused, resume, flight = threading.Event(), threading.Event(), []
-    _pause_while_in_flight(m, acknowledged, paused, resume, flight)
-
-    def write():
-        if window == "rehash":
-            m.reserve(4 * len(m._slots))
-        else:  # fresh keys until one displaces an acknowledged pair
-            for i in range(200):
-                m.put((1, i), None)
-
-    writer = _start(write)
-    assert paused.wait(WAIT_S), "the writer never moved an acknowledged pair"
-    assert (m._num_buckets == buckets) == (window == "eviction")
-    key = flight[0]
+    paused, resume, seen = threading.Event(), threading.Event(), []
+    if window == "eviction":
+        newcomer = _both_buckets_full(m, 0, range(10**6, 10**6 + 10**4))
+        _pause_once(m, "_write_slot", paused, resume, seen=seen)
+        writer = _start(lambda: m.put(0, newcomer, 7))
+    else:
+        _pause_once(m, "_fill", paused, resume)
+        writer = _start(lambda: m.reserve(4 * len(m._src)))
+    assert paused.wait(WAIT_S), "the writer never paused"
+    assert m._moves % 2 == 1
+    if window == "eviction":
+        moved = seen[0][2]  # the resident written to the path's free end
+        assert moved in set(acknowledged.tolist())
+    else:
+        moved = int(acknowledged[5])
+    assert m._num_buckets == buckets if window == "eviction" else m._num_buckets > buckets
     others = acknowledged[:PROBE_LOOP_BELOW]
     answers = {}
     readers = [
-        _start(lambda: answers.__setitem__("get", m.get(key, "absent"))),
+        _start(lambda: answers.__setitem__("get", m.get(0, moved, "absent"))),
         _start(lambda: answers.__setitem__(
-            "get_many", m.get_many(others + [key])
+            "get_many", m.get_many(0, np.append(others, moved)).tolist()
         )),
-        _start(lambda: answers.__setitem__("in", key in m)),
+        _start(lambda: answers.__setitem__(
+            "loop", m.get_many(0, np.asarray([moved])).tolist()
+        )),
     ]
     for reader in readers:
         reader.join(0.1)
-    # A miss while a pair is in flight waits for the writer to finish.
     assert answers == {} and all(r.is_alive() for r in readers)
     resume.set()
     for thread in readers + [writer]:
         thread.join(WAIT_S)
         assert not thread.is_alive(), "deadlocked"
     assert answers == {
-        "get": ("value", key),
-        "get_many": [("value", k) for k in others + [key]],
-        "in": True,
+        "get": moved + 1,
+        "get_many": (np.append(others, moved) + 1).tolist(),
+        "loop": [moved + 1],
     }
 
 
-def test_readers_racing_growing_writers_never_miss_an_acknowledged_key():
-    """Stress: two writers grow a map from one bucket (evictions and
-    rehashes) while three readers, switching threads every microsecond,
-    probe keys whose ``put`` has returned — none may read as absent."""
-    m = CuckooHashMap(initial_buckets=1)
-    acknowledged, misses = [], []
-    done = threading.Event()
-
-    def write(base):
-        for i in range(1500):
-            m.put((base, i), i)
-            acknowledged.append((base, i))
-
-    def read():
-        try:
-            while not done.is_set():
-                keys = acknowledged[-2 * PROBE_LOOP_BELOW :]
-                misses.extend(k for k in keys if m.get(k) is None or k not in m)
-                misses.extend(
-                    k for k, v in zip(keys, m.get_many(keys)) if v is None
-                )
-        except Exception as exc:  # a reader that dies must fail the test
-            misses.append(exc)
-
+def _race(writers, readers, seconds=60):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    done = threading.Event()
     try:
-        readers = [_start(read) for _ in range(3)]
-        writers = [_start(lambda b=b: write(b)) for b in range(2)]
-        for thread in writers:
-            thread.join(60)
+        reading = [_start(lambda r=r: r(done)) for r in readers]
+        writing = [_start(w) for w in writers]
+        for thread in writing:
+            thread.join(seconds)
         done.set()
-        for thread in readers:
+        for thread in reading:
             thread.join(WAIT_S)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in readers + writers), "deadlocked"
+    assert not any(t.is_alive() for t in reading + writing), "deadlocked"
+
+
+def test_readers_racing_growing_writers_never_miss_an_acknowledged_key():
+    """Stress: two writers grow a map from one bucket (cuckoo paths and
+    rebuilds) while three readers, switching threads every microsecond,
+    probe keys whose ``put`` has returned — none may read as absent."""
+    m = CuckooHashMap(initial_buckets=1)
+    acknowledged, misses = [], []
+
+    def write(base):
+        for i in range(1500):
+            m.put(base, i, i + 1)
+            acknowledged.append((base, i))
+
+    def read(done):
+        try:
+            while not done.is_set():
+                keys = acknowledged[-2 * PROBE_LOOP_BELOW :]
+                misses.extend(k for k in keys if m.get(*k) != k[1] + 1)
+                if keys:
+                    etype = np.asarray([e for e, _ in keys], dtype=np.int16)
+                    src = np.asarray([s for _, s in keys], dtype=np.int64)
+                    for n in (len(keys), 3):
+                        got = m.get_many(etype[:n], src[:n])
+                        misses.extend(
+                            k for k, v in zip(keys, got.tolist()) if v != k[1] + 1
+                        )
+        except Exception as exc:  # a reader that dies must fail the test
+            misses.append(exc)
+
+    _race([lambda b=b: write(b) for b in range(2)], [read] * 3)
     assert len(m) == 3000 and not misses
+
+
+def test_get_many_racing_put_many_and_delete():
+    """Stress: one writer adds chunks by ``put_many`` and deletes every
+    other key of the chunk before; readers' array probes of the keys
+    never deleted always find them, and of the deleted ones read the
+    value or a miss — never another key's value."""
+    m = CuckooHashMap(initial_buckets=1)
+    kept, gone, wrong = [], [], []
+
+    def write():
+        for c in range(60):
+            src = np.arange(c * 100, (c + 1) * 100, dtype=np.int64)
+            m.put_many(c % 2, src, src + 1)
+            kept.extend((c % 2, s) for s in src[0::2].tolist())
+            for s in src[1::2].tolist():
+                m.delete(c % 2, s)
+                gone.append((c % 2, s))
+
+    def read(done):
+        try:
+            while not done.is_set():
+                keys = kept[-90:] + gone[-40:]
+                if not keys:
+                    continue
+                etype = np.asarray([e for e, _ in keys], dtype=np.int16)
+                src = np.asarray([s for _, s in keys], dtype=np.int64)
+                got = m.get_many(etype, src).tolist()
+                wrong.extend(
+                    k for k, v in zip(keys[:-40], got) if v != k[1] + 1
+                )
+                wrong.extend(
+                    k for k, v in zip(keys[-40:], got[-40:]) if v not in (0, k[1] + 1)
+                )
+        except Exception as exc:
+            wrong.append(exc)
+
+    _race([write], [read] * 2)
+    assert not wrong and len(m) == len(kept) == 3000
 
 
 def test_palm_write_racing_a_displacement_keeps_the_source():
     """A PALM thread's per-source batch probes outside every lock; one
-    that probes a source whose directory pair is in flight must see the
-    source, not create it afresh over its old row."""
+    that probes a source whose directory entry a cuckoo path is moving
+    must see the source, not create it afresh over its old row."""
     from repro.core.topology import DynamicGraphStore
 
     store = DynamicGraphStore()
@@ -465,19 +673,21 @@ def test_palm_write_racing_a_displacement_keeps_the_source():
         store.add_edge(s, 100 + s, 1.0)
         store.add_edge(s, 300 + s, 2.0)
     directory = store.directory
-    paused, resume, flight = threading.Event(), threading.Event(), []
-    _pause_while_in_flight(
-        directory, [(0, s) for s in range(200)], paused, resume, flight
+    paused, resume, seen = threading.Event(), threading.Event(), []
+    _pause_once(
+        directory, "_write_slot", paused, resume,
+        when=lambda slot, etype, src, value: src < 200, seen=seen,
     )
     writer = _start(
         lambda: [store.add_edge(s, 1, 1.0) for s in range(1000, 1400)]
     )
-    assert paused.wait(WAIT_S), "the writer never moved a source's pair"
-    _, k = flight[0]
+    assert paused.wait(WAIT_S), "the writer never moved a source's entry"
+    k = seen[0][2]
     palm = _start(
         lambda: store.apply_source_batch(k, 0, [("insert", 7, 3.0)])
     )
     palm.join(0.1)
+    assert palm.is_alive()  # waits for the path to land
     resume.set()
     for thread in (palm, writer):
         thread.join(WAIT_S)

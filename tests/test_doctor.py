@@ -143,10 +143,10 @@ class TestDoctorInvariants:
         assert report.to_dict()["snapshot_cache"]["stale_rows"] == 1
         # A slab row is read in place: a row op behind the store's back
         # is what the next draw reads, nothing goes stale ...
-        store.slab.apply(store.directory.get((0, 2)), OP_UPDATE, 0, 7.0)
+        store.slab.apply(store.directory.get(0, 2), OP_UPDATE, 0, 7.0)
         assert diagnose_store(store).cache_stale_rows == 1
         # ... until the directory stops mapping the key to the row
-        store.directory.put((0, 2), store.directory.get((0, 1)))
+        store.directory.put(0, 2, store.directory.get(0, 1))
         assert diagnose_store(store).cache_stale_rows == 2
 
     def test_diagnose_dispatch_and_bad_target(self):

@@ -487,7 +487,7 @@ class TestEpochInvalidation:
         for promoted in (True, False):  # a samtree's row, a slab row's
             src = next(
                 s for s in store.sources()
-                if (type(store.directory.get((0, s))) is not int) == promoted
+                if (type(store.directory.get(0, s)) is not int) == promoted
             )
             store.check_invariants()
             slot = image.slot_of[src]

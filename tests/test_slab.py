@@ -61,7 +61,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def _is_row(store, src, etype=0):
-    return type(store.directory.get((etype, src))) is int
+    return type(store.directory.get(etype, src)) is int
 
 
 def _adjacency(store):
@@ -288,7 +288,7 @@ def test_rows_that_never_outgrow_c_match_the_tree_in_order_and_leaf_ops(capacity
     discipline, and the round kernel counts what the leaf loop counts."""
     for seed in range(3):
         store, ref = _run_both(capacity, seed, dsts=capacity, dense=False)
-        assert all(type(v) is int for v in store.directory.values())
+        assert all(type(v) is int for _, v in store.directory.items())
         assert {k: v for k, v in _adjacency(store).items()} == {
             k: ref.neighbors(k) for k in ref.trees
         }
@@ -383,7 +383,7 @@ def test_row_relocated_in_the_batch_that_deletes_from_it():
         np.repeat(sources, ROW_MIN_ROOM),
         np.tile(np.arange(ROW_MIN_ROOM) * 2, len(sources)),
     )
-    starts = {s: int(store.slab.start[store.directory.get((0, s))]) for s in sources}
+    starts = {s: int(store.slab.start[store.directory.get(0, s)]) for s in sources}
     batch = _grouped_batch(sources, lambda src: [
         (1, OP_INSERT, 2.0),   # the row is full: grows, relocates
         (4, OP_DELETE, 0.0),   # ... and is deleted from where it went
@@ -393,7 +393,7 @@ def test_row_relocated_in_the_batch_that_deletes_from_it():
     want = [(0, 1.0), (2, 1.0), (1, 2.0), (6, 1.0), (8, 1.0), (10, 1.0),
             (12, 1.0), (14, 1.0), (5, 3.0)]
     for src in sources:
-        row = store.directory.get((0, src))
+        row = store.directory.get(0, src)
         assert int(store.slab.start[row]) != starts[src]
         assert store.slab.room[row] == 2 * ROW_MIN_ROOM
         assert sorted(store.neighbors(src)) == sorted(want)
@@ -629,7 +629,7 @@ def test_check_invariants_names_a_broken_slab():
     def fresh():
         store = DynamicGraphStore(SamtreeConfig(capacity=8))
         store.bulk_load([1, 1, 1, 2], [4, 5, 6, 7], 1.0)
-        return store, store.slab, store.directory.get((0, 1))
+        return store, store.slab, store.directory.get(0, 1)
 
     store, slab, row = fresh()
     slab.ids[slab.start[row] + 1] = 4  # duplicate id
@@ -827,7 +827,9 @@ def test_sparse_batch_runs_no_samtree_op_and_probes_once_per_group(monkeypatch):
     directory.get = counted("get", directory.get)
     get_many = directory.get_many
     directory.get_many = counted(
-        "get_many", lambda keys: probed.extend(keys) or get_many(keys)
+        "get_many",
+        lambda etypes, srcs: probed.extend(zip(etypes.tolist(), srcs.tolist()))
+        or get_many(etypes, srcs),
     )
     for name in ("insert", "update", "delete", "_upsert"):
         monkeypatch.setattr(Samtree, name, counted("tree", getattr(Samtree, name)))
@@ -895,7 +897,7 @@ def _saved(store):
 
 def test_checkpoint_round_trips_rows_and_trees_and_reaches_a_fixed_point():
     store = _golden_store()
-    forms = Counter(type(v) is int for v in store.directory.values())
+    forms = Counter(type(v) is int for _, v in store.directory.items())
     assert forms[True] >= 3 and forms[False] >= 3  # rows and trees
     first = _saved(store)
     loaded = load_store(io.BytesIO(first))
@@ -938,7 +940,7 @@ def test_golden_wal_replays_into_rows(tmp_path):
     assert _adjacency(store) == {
         (0, 1): [(2, 0.5)], (0, 3): [(4, 2.0)], (0, 10): [(12, 0.25)],
     }
-    assert all(type(v) is int for v in store.directory.values())
+    assert all(type(v) is int for _, v in store.directory.items())
     store.check_invariants()
 
 
@@ -977,7 +979,7 @@ def test_threaded_palm_over_rows_that_grow_relocate_and_promote():
             for key, adj in _adjacency(store).items():
                 assert dict(adj) == dict(sequential.neighbors(key[1], key[0]))
             assert store.num_edges == sequential.num_edges
-            forms = Counter(type(v) is int for v in store.directory.values())
+            forms = Counter(type(v) is int for _, v in store.directory.items())
             assert forms[True] > 50 and forms[False] > 50
             assert store.slab.garbage or store.slab.free  # rows did relocate
             store.check_invariants()

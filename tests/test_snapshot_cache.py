@@ -468,7 +468,7 @@ class TestCacheInvalidation:
         never draws 55's edges, and 55 draws only its own."""
         store, cache = self._warm_store()
         image = cache.relations[0]
-        row = store.directory.get((0, 8))
+        row = store.directory.get(0, 8)
         assert image.slab_row[image.slot_of[8]] == row
         if leave == "promote":
             for dst in range(4, 9):
@@ -481,7 +481,7 @@ class TestCacheInvalidation:
             mine = set()
         store.add_edge(55, 5000, 1.0)
         store.add_edge(55, 5001, 1.0)
-        assert store.directory.get((0, 55)) == row  # the released row, reused
+        assert store.directory.get(0, 55) == row  # the released row, reused
         assert (0, 8) not in cache
         slot = image.slot_of[8]
         image.clean[slot] = True  # as if a write had not set the dirty bit
@@ -534,7 +534,7 @@ class TestCacheInvalidation:
         hits, misses = cache.stats.hits, cache.stats.misses
         probes = []
         directory = store.directory
-        directory.get = lambda key: probes.append(key)
+        directory.get = lambda *key: probes.append(key)
         try:
             block = store.sample_neighbors_many(frontier, 3, rng=1)
         finally:
@@ -595,7 +595,7 @@ class TestCacheInvalidation:
         sum) fails ``check_invariants``, and the pointer goes stale only
         when the directory stops mapping its key to the row."""
         store, cache = self._warm_store()
-        slab, row = store.slab, store.directory.get((0, 8))
+        slab, row = store.slab, store.directory.get(0, 8)
         assert type(row) is int  # source 8 fits a leaf: a slab row
         slab.apply(row, OP_UPDATE, 2, 1e12)
         assert cache.stale_rows(store.directory, slab) == []
@@ -607,7 +607,7 @@ class TestCacheInvalidation:
         getattr(slab, column)[slab.start[row]] -= 1
         store.check_invariants()
         store.add_edge(9, 0, 1.0)
-        store.directory.put((0, 8), store.directory.get((0, 9)))
+        store.directory.put(0, 8, store.directory.get(0, 9))
         assert cache.stale_rows(store.directory, slab) == [(0, 8)]
 
     def test_cache_disabled_store_still_correct(self):
@@ -640,8 +640,9 @@ class TestCacheInvalidation:
     @pytest.mark.parametrize("rows", [1, 4, PROBE_LOOP_BELOW, 200])
     def test_admission_is_one_batched_probe_of_its_distinct_sources(self, rows):
         """A stale frontier asks the directory once, for each distinct
-        source once; below ``PROBE_LOOP_BELOW`` that one call is the
-        scalar loop (a serving admission of 1–4 rows)."""
+        source once, and never by scalar ``get``; below
+        ``PROBE_LOOP_BELOW`` that one call is the scalar loop inside
+        ``get_many`` (a serving admission of 1–4 rows)."""
         store = DynamicGraphStore()
         src = np.repeat(np.arange(300), 2)
         store.bulk_load(src, src % 7 + 1000, 1.0)
@@ -654,19 +655,18 @@ class TestCacheInvalidation:
             calls["get"] += 1
             return get(*args)
 
-        def counted_get_many(keys):
+        def counted_get_many(etype, srcs):
             calls["get_many"] += 1
-            probed.extend(keys)
-            return get_many(keys)
+            probed.extend((etype, s) for s in srcs.tolist())
+            return get_many(etype, srcs)
 
         directory.get, directory.get_many = counted_get, counted_get_many
         distinct = list(range(rows - 1)) + [5_000]  # one unknown source
         store.sample_neighbors_many(distinct * 2, 3, rng=1)
-        scalar = rows if rows < PROBE_LOOP_BELOW else 0
-        assert calls == {"get": scalar, "get_many": 1}
+        assert calls == {"get": 0, "get_many": 1}
         assert probed == [(0, s) for s in distinct]
         store.sample_neighbors_many(distinct, 3, rng=2)  # all clean now
-        assert calls == {"get": scalar, "get_many": 1}
+        assert calls == {"get": 0, "get_many": 1}
         del directory.get, directory.get_many
         store.check_invariants()
 

@@ -159,3 +159,70 @@ class TestLifecycle:
                 store.add_edge(s, d, 1.0)
         assert store.stats.leaf_ops == 100
         assert store.stats.leaf_splits > 0
+
+
+class TestIterationOrder:
+    """Iteration reads the directory's columns in ascending ``(etype,
+    src)`` order, so it is a function of the edge set alone — not of
+    where hashing placed the keys, which depends on how the store was
+    built and churned."""
+
+    @staticmethod
+    def _copies():
+        import io
+
+        import numpy as np
+
+        from repro.storage.checkpoint import load_store, save_store
+
+        rng = np.random.default_rng(7)
+        src = rng.integers(0, 5_000, 6_000)
+        dst = rng.integers(0, 5_000, 6_000)
+        etype = rng.integers(0, 3, 6_000).astype(np.int16)
+        weight = rng.random(6_000) + 0.5
+        loaded = DynamicGraphStore(SamtreeConfig(capacity=4))
+        loaded.bulk_load(src, dst, weight, etype)
+        looped = DynamicGraphStore(SamtreeConfig(capacity=4))
+        for s, d, w, e in zip(src.tolist(), dst.tolist(), weight.tolist(),
+                              etype.tolist()):
+            looped.add_edge(s, d, w, e)
+        for store in (loaded, looped):  # churn: sources leave, some return
+            for s in range(0, 5_000, 3):
+                for e in range(3):
+                    for d, _ in store.neighbors(s, e):
+                        store.remove_edge(s, d, e)
+            for s in range(0, 5_000, 9):
+                store.add_edge(s, 1, 1.0, 1)
+        buf = io.BytesIO()
+        save_store(loaded, buf)
+        buf.seek(0)
+        return loaded, looped, load_store(buf)
+
+    def test_copies_iterate_and_sample_alike(self):
+        copies = self._copies()
+        # Hashing placed the keys differently in the three copies.
+        slots = [c.directory._src.tolist() for c in copies]
+        assert slots[0] != slots[1] and slots[0] != slots[2]
+        for etype in range(3):
+            sources = [list(c.sources(etype)) for c in copies]
+            assert sources[0] == sorted(sources[0]) and sources[0]
+            assert sources[1] == sources[0] and sources[2] == sources[0]
+            for seed in range(5):
+                seeds = [
+                    c.sample_vertices(10, random.Random(seed), etype)
+                    for c in copies
+                ]
+                assert seeds[1] == seeds[0] and seeds[2] == seeds[0]
+        assert [c.etypes() for c in copies] == [[0, 1, 2]] * 3
+        keys = [[key for key, _ in c.iter_trees()] for c in copies]
+        assert keys[0] == sorted(keys[0]) and keys[1] == keys[2] == keys[0]
+
+    def test_sample_vertices_weights_by_degree_in_one_gather(self):
+        store = DynamicGraphStore(SamtreeConfig(capacity=4))
+        store.add_edge(5, 1)
+        store.add_edge(5, 2)
+        for d in range(12):  # promoted: a samtree's degree
+            store.add_edge(2, d)
+        draws = store.sample_vertices(7000, random.Random(1))
+        assert set(draws) == {2, 5}
+        assert 5.0 < draws.count(2) / draws.count(5) < 7.2

@@ -16,7 +16,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
@@ -305,6 +305,8 @@ _edge_op_st = st.builds(
 
 @settings(max_examples=400, deadline=None)
 @given(_edge_op_st)
+# A bad id and a bad relation at once: both forms name the id first.
+@example(EdgeOp(OpKind.INSERT, 0, -1, 0.0, 32768))
 def test_one_op_record_is_a_one_row_batch(op):
     def attempt(append):
         wal = ShardWAL(shard_id=9)

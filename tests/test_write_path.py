@@ -315,7 +315,9 @@ def test_sparse_batch_probes_once_per_tree_and_marks_rows_once(monkeypatch):
     directory.get = counted("get", directory.get)
     get_many = directory.get_many
     directory.get_many = counted(
-        "get_many", lambda keys: probed.extend(keys) or get_many(keys)
+        "get_many",
+        lambda etypes, srcs: probed.extend(zip(etypes.tolist(), srcs.tolist()))
+        or get_many(etypes, srcs),
     )
     monkeypatch.setattr(
         ReadImage, "mark_batch", counted("mark_batch", ReadImage.mark_batch)
@@ -427,7 +429,7 @@ def test_rejected_tree_batch_applies_nothing():
 def test_check_invariants_rejects_an_empty_tree_in_the_directory():
     store = DynamicGraphStore()
     store.add_edge(1, 2, 1.0)
-    store.directory.put((0, 9), Samtree(store.config, stats=store.stats))
+    store.directory.put(0, 9, Samtree(store.config, stats=store.stats))
     with pytest.raises(InvariantViolationError, match="empty samtree"):
         store.check_invariants()
 
