@@ -409,7 +409,7 @@ class _Image:
         slot_of = self.slot_of
         stale_keys = list(map(keys.__getitem__, stale))
         srcs = list(dict.fromkeys(stale_keys))  # first-seen order
-        found = trees.get_many(etype, np.asarray(srcs, dtype=np.int64))
+        found, samtrees = trees.get_many(etype, np.asarray(srcs, dtype=np.int64))
         at = self.slots_of(srcs)
         first = self.rows
         fresh = np.flatnonzero(at == 0)
@@ -438,9 +438,7 @@ class _Image:
         stats.invalidations += old.size - int(np.count_nonzero(empty < first))
         built = other[tree]
         if built.size:
-            self.flatten(at[built], *_tree_columns(
-                list(map(trees.decode, found[built].tolist()))
-            ), stats)
+            self.flatten(at[built], *_tree_columns(samtrees), stats)
 
     def flatten(
         self, slots, ids: np.ndarray, weights: np.ndarray,

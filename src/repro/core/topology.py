@@ -354,7 +354,7 @@ class DynamicGraphStore(GraphStoreAPI):
         etypes, srcs = batch.etype[first], batch.src[first]
         directory = self._directory
         # The value column: a slab row, ~i for a samtree, 0 for nothing.
-        found = directory.get_many(etypes, srcs)
+        found, trees = directory.get_many(etypes, srcs)
         missing = found == 0
         if missing.any():
             self._create_missing(batch, bounds, missing, stats)
@@ -365,9 +365,8 @@ class DynamicGraphStore(GraphStoreAPI):
         if rows.any():
             self._apply_slab_groups(batch, bounds, rows, cols, stats)
         bounds = bounds.tolist()
-        for g in np.flatnonzero(found < 0).tolist():
-            et, src = etypes.item(g), srcs.item(g)
-            tree, a, b = directory.decode(found.item(g)), bounds[g], bounds[g + 1]
+        for g, tree in zip(np.flatnonzero(found < 0).tolist(), trees):
+            et, src, a, b = etypes.item(g), srcs.item(g), bounds[g], bounds[g + 1]
             m = b - a
             if m >= REBUILD_MIN_OPS and m * REBUILD_DEGREE_RATIO >= tree.degree:
                 grown, gone = self._rebuild((et, src), tree, a, b, cols)
@@ -571,7 +570,7 @@ class DynamicGraphStore(GraphStoreAPI):
 
     def sources(self, etype: int = DEFAULT_ETYPE) -> Iterator[int]:
         """The sources of relation ``etype``, ascending."""
-        etypes, srcs, _ = self._directory.columns()
+        etypes, srcs = self._directory.columns()[:2]
         return iter(srcs[etypes == etype].tolist())
 
     def etypes(self) -> List[int]:
@@ -717,16 +716,16 @@ class DynamicGraphStore(GraphStoreAPI):
         order — the seed generator for training; ``k < 0`` raises."""
         if k < 0:
             raise ConfigurationError(f"sample count must be >= 0, got {k}")
-        etypes, srcs, values = self._directory.columns()
-        pool, values = srcs[etypes == etype].tolist(), values[etypes == etype]
-        if not pool:
-            return []
+        etypes, srcs, values, trees = self._directory.columns()
         # Degrees in one gather: a row's length, a samtree's own count.
         weights = self.slab.length[np.maximum(values, 0)].astype(np.float64)
-        for i in np.flatnonzero(values < 0).tolist():
-            weights[i] = self._directory.decode(values.item(i)).degree
+        weights[values < 0] = [tree.degree for tree in trees]
+        mine = etypes == etype
+        pool, weights = srcs[mine].tolist(), weights[mine].tolist()
+        if not pool:
+            return []
         rng = coerce_scalar_rng(rng) or random
-        return rng.choices(pool, weights=weights.tolist(), k=k)
+        return rng.choices(pool, weights=weights, k=k)
 
     # ------------------------------------------------------------------
     # accounting & validation

@@ -117,8 +117,7 @@ def save_store(store, target: Union[str, BinaryIO]) -> int:
     path or a seekable one).
     """
     with _Section(target, "wb") as out:
-        directory = store.directory
-        etypes, srcs, values = directory.columns()  # ascending keys
+        etypes, srcs, values, trees = store.directory.columns()  # ascending keys
         out.write(
             _HEADER.pack(
                 _MAGIC,
@@ -135,7 +134,7 @@ def save_store(store, target: Union[str, BinaryIO]) -> int:
         row_ids, row_weights = (
             ids.astype("<i8").tobytes(), weights.astype("<f8").tobytes()
         )
-        lengths = iter(lengths)
+        lengths, trees = iter(lengths), iter(trees)
         at = 0
         for etype, src, value in zip(*(c.tolist() for c in (etypes, srcs, values))):
             if value > 0:
@@ -145,7 +144,7 @@ def save_store(store, target: Union[str, BinaryIO]) -> int:
                 out.write(row_weights[at:end])
                 at = end
                 continue
-            ids, weights = flatten_tree(directory.decode(value))
+            ids, weights = flatten_tree(next(trees))
             out.write(_ADJ_HEADER.pack(etype, src, ids.size))
             out.write(ids.astype("<i8").tobytes())
             out.write(weights.astype("<f8").tobytes())

@@ -3,9 +3,10 @@
 PlatoD2GL keeps one directory entry per source vertex — the tuple
 ``<|N_u|, T_u>`` — in a concurrent cuckoo hashmap after MemC3 [7] and
 [23] (DESIGN.md §9): 4-way buckets; ``(etype, src)`` keys in an
-``int16`` and an ``int64`` column (``src == -1``: an empty slot) beside
-an ``int64`` value column, whose positive entries are slab rows and
-whose negative ones ``~i`` name samtree ``trees[i]``; two independent
+``int16`` and an ``int64`` column beside an ``int64`` value column,
+whose positive entries are slab rows and whose negative ones ``~i``
+name samtree ``trees[i]``; an empty slot is ``src == -1`` with value 0,
+so a probe of a negative id (never a key) reads a miss; two independent
 multiply-shift hashes that numpy and the scalar path compute alike.
 An insert into two full buckets shifts a breadth-first cuckoo path back
 from its free end, so no key is ever in no slot; a slot takes its value
@@ -46,20 +47,19 @@ _HASHES = (
 #: (≈ 64 keys on a cold one; DESIGN.md §9).
 PROBE_LOOP_BELOW = 48
 
+#: :meth:`CuckooHashMap.put_many` of fewer keys places them one by one:
+#: the vectorised rounds' fixed cost is paid back from here (DESIGN.md §9).
+PLACE_LOOP_BELOW = 64
+
 
 def _pair(etype: int, src: int, shift: int, mask: int) -> Tuple[int, int]:
     """The two buckets of one key: ``((src·A + etype·B) >> shift) & mask``."""
-    (a1, b1), (a2, b2) = _HASHES
-    return (
-        ((src * a1 + etype * b1) >> shift) & mask,
-        ((src * a2 + etype * b2) >> shift) & mask,
-    )
+    return tuple(((src * a + etype * b) >> shift) & mask for a, b in _HASHES)
 
 
 def _bucket_column(etype, src: np.ndarray, which: int, shift: int, mask: int):
     """Bucket ``which`` (0 or 1) of every key (``etype`` a column or one
-    relation), in ``uint64`` arithmetic: what the scalar
-    :func:`_pair` gives."""
+    relation), in ``uint64`` arithmetic: what the scalar :func:`_pair` gives."""
     a, b = _HASHES[which]
     x = src.view(np.uint64) * np.uint64(a)
     x += np.asarray(etype).astype(np.int64).view(np.uint64) * np.uint64(b)
@@ -174,7 +174,7 @@ class CuckooHashMap:
         keys no path was found for."""
         slots = self._src.reshape(-1, _BUCKET_WAYS)
         for which in (0, 1):
-            if src.size < PROBE_LOOP_BELOW:
+            if src.size < PLACE_LOOP_BELOW:
                 break
             bucket = _bucket_column(etype, src, which, self._shift, self._mask)
             order = np.argsort(bucket, kind="stable")  # rank in its bucket:
@@ -213,8 +213,7 @@ class CuckooHashMap:
 
     def _code(self, value) -> int:
         """The value column's entry for ``value``: a slab row as is, a
-        samtree as ``~i`` of a new ``trees`` entry (``i`` never reused,
-        so a stale entry names no samtree rather than another one)."""
+        samtree as ``~i`` of a new ``trees`` entry (``i`` never reused)."""
         if type(value) is int:
             return value
         self._next_tree += 1
@@ -225,9 +224,10 @@ class CuckooHashMap:
         if code < 0:
             del self.trees[~code]
 
-    def decode(self, code: int):
-        """The directory value of a value-column entry (``code != 0``)."""
-        return code if code > 0 else self.trees[~code]
+    def _trees_of(self, codes: np.ndarray) -> List[Any]:
+        """The samtrees of ``codes``' negative entries, in order (read in
+        the caller's lock or seqlock: ``None`` for one dropped since)."""
+        return list(map(self.trees.get, (~codes[codes < 0]).tolist()))
 
     def _probe(self, etype: int, src: int) -> int:
         """One key's value-column entry, 0 for a miss (no lock, no
@@ -258,11 +258,11 @@ class CuckooHashMap:
                 return self.get(etype, src, default)
         return value
 
-    def get_many(self, etype, src: np.ndarray) -> np.ndarray:
+    def get_many(self, etype, src: np.ndarray) -> Tuple[np.ndarray, List[Any]]:
         """The value column of keys ``(etype, src)`` (``etype`` a column
-        or one relation for all): a slab row, ``~i`` for ``trees[i]``,
-        0 for a miss — by :meth:`_probe_rows`, or by the scalar loop
-        for fewer than :data:`PROBE_LOOP_BELOW` keys."""
+        or one relation for all) — a slab row, ``~i`` for a samtree, 0
+        for a miss — and, read in the same pass, its samtrees in order; by
+        :meth:`_probe_rows`, or the scalar loop below :data:`PROBE_LOOP_BELOW`."""
         src = np.asarray(src, dtype=np.int64)
         etype = np.asarray(etype)
         moves = self._moves
@@ -271,10 +271,11 @@ class CuckooHashMap:
             out = np.fromiter(map(self._probe, etypes, src.tolist()), np.int64)
         else:
             out = self._probe_rows(etype, src)
+        trees = self._trees_of(out)
         if moves & 1 or moves != self._moves:  # raced a writer: read again
             with self._lock:
                 return self.get_many(etype, src)
-        return out
+        return out, trees
 
     def _probe_rows(self, etype: np.ndarray, src: np.ndarray) -> np.ndarray:
         """The array probe (no lock, no seqlock): every key's first
@@ -298,9 +299,9 @@ class CuckooHashMap:
 
     def put(self, etype: int, src: int, value: Any) -> None:
         """Insert or overwrite ``(etype, src)``: ``value`` is a slab row
-        (an ``int > 0``) or a samtree."""
-        if type(value) is int and value <= 0:
-            raise ConfigurationError(f"slab rows are > 0, got {value}")
+        (an ``int > 0``) or a samtree; ``src`` is an id (``>= 0``)."""
+        if src < 0 or type(value) is int and value <= 0:
+            raise ConfigurationError(f"ids are >= 0, rows > 0: got {src}, {value}")
         with self._lock:
             self._moves += 1
             code = self._code(value)
@@ -320,6 +321,8 @@ class CuckooHashMap:
         slab rows or a list of samtrees.  Grows at most once up front
         (:meth:`reserve`'s size), then :meth:`_fill`."""
         src = np.asarray(src, dtype=np.int64)
+        if src.size and src.min() < 0:
+            raise ConfigurationError(f"source ids are >= 0, got {src.min()}")
         etype = np.broadcast_to(np.asarray(etype, dtype=np.int16), src.shape)
         with self._lock:
             self._moves += 1
@@ -335,10 +338,8 @@ class CuckooHashMap:
 
     def _fit(self, n: int) -> int:
         """The smallest table, at least this one, with a slot per key."""
-        buckets = self._num_buckets
-        while buckets * _BUCKET_WAYS < n:
-            buckets <<= 1
-        return buckets
+        fit = 1 << ((max(n, 1) - 1) // _BUCKET_WAYS).bit_length()
+        return max(self._num_buckets, fit)
 
     def reserve(self, n: int) -> None:
         """Make room for ``n`` keys in all with one rebuild, straight to
@@ -354,29 +355,32 @@ class CuckooHashMap:
         """Remove ``(etype, src)``; returns whether it was present."""
         with self._lock:
             slot = self._find_slot(etype, src, self._table)
-            if slot < 0:
+            if slot < 0 or src < 0:  # -1 matches an empty slot: no key
                 return False
             self._moves += 1
             keys, _, values = self._cols
             keys[slot] = -1  # the key first: no reader matches it any more
             self._drop(values[slot])
+            values[slot] = 0  # empty: a probe of -1 that matches it misses
             self._size -= 1
             self._moves += 1
             return True
 
-    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(etype, src, value)`` of every key, ascending by
-        ``(etype, src)`` (copies; ``value`` as :meth:`get_many` gives)."""
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[Any]]:
+        """``(etype, src, value, trees)`` of every key, ascending by
+        ``(etype, src)`` (copies; ``value``, ``trees`` as in :meth:`get_many`)."""
         with self._lock:
             live = np.flatnonzero(self._src >= 0)
             etype, src = self._etype[live], self._src[live]
             order = np.lexsort((src, etype))
-            return etype[order], src[order], self._value[live[order]]
+            value = self._value[live[order]]
+            return etype[order], src[order], value, self._trees_of(value)
 
     def items(self) -> Iterator[Tuple[Tuple[int, int], Any]]:
         """``((etype, src), value)`` pairs in :meth:`columns` order."""
-        etype, src, value = (col.tolist() for col in self.columns())
-        return (((e, s), self.decode(v)) for e, s, v in zip(etype, src, value))
+        etype, src, value, trees = self.columns()
+        trees, keys = iter(trees), zip(etype.tolist(), src.tolist())
+        return ((k, v if v > 0 else next(trees)) for k, v in zip(keys, value.tolist()))
 
     def __len__(self) -> int:
         return self._size

@@ -36,8 +36,11 @@ class Tree:
         return f"Tree({self.tag})"
 
 
-def _decoded(m, codes):
-    return [m.decode(c) if c else None for c in codes.tolist()]
+def _decoded(found):
+    """What ``get_many`` found, one value or ``None`` per key."""
+    codes, trees = found
+    trees = iter(trees)
+    return [c if c > 0 else next(trees) if c else None for c in codes.tolist()]
 
 
 class TestBasics:
@@ -73,8 +76,8 @@ class TestBasics:
         assert m.get(0, 5) is a and list(m.trees.values()) == [a]
         m.put(0, 5, b)  # overwrite: a's entry goes
         assert m.get(0, 5) is b and list(m.trees.values()) == [b]
-        codes = m.get_many(0, np.array([5, 6, 7] * PROBE_LOOP_BELOW))
-        assert _decoded(m, codes[:3]) == [b, 2, None]
+        codes, trees = m.get_many(0, np.array([5, 6, 7] * PROBE_LOOP_BELOW))
+        assert _decoded((codes, trees)) == [b, 2, None] * PROBE_LOOP_BELOW
         assert codes[0] < 0 and m.trees[~codes[0]] is b
         assert m.delete(0, 5) and m.trees == {}
         m.put(0, 8, a)
@@ -88,7 +91,7 @@ class TestBasics:
         assert [m.get(*key) for key in keys] == list(range(1, len(keys) + 1))
         etype = np.array([e for e, _ in keys], dtype=np.int16)
         src = np.array([s for _, s in keys], dtype=np.int64)
-        assert m.get_many(etype, src).tolist() == list(range(1, len(keys) + 1))
+        assert m.get_many(etype, src)[0].tolist() == list(range(1, len(keys) + 1))
         assert dict(m.items()) == {key: i + 1 for i, key in enumerate(keys)}
 
     def test_validation(self):
@@ -124,9 +127,9 @@ class TestGrowth:
         for key in keys:
             m.put(*key, key[1])
         assert [key for key, _ in m.items()] == sorted(keys)
-        etype, src, value = m.columns()
+        etype, src, value, trees = m.columns()
         assert list(zip(etype.tolist(), src.tolist())) == sorted(keys)
-        assert value.tolist() == [s for _, s in sorted(keys)]
+        assert value.tolist() == [s for _, s in sorted(keys)] and trees == []
 
     def test_nbytes_scales_with_buckets(self):
         small = CuckooHashMap(initial_buckets=4)
@@ -298,9 +301,21 @@ class CuckooMachine(RuleBasedStateMachine):
             etype = 0
         else:
             etype = np.asarray([e for e, _ in keys], dtype=np.int16)
-        codes = self.map.get_many(etype, np.asarray([s for _, s in keys], dtype=np.int64))
-        assert codes.dtype == np.int64 and codes.shape == (n,)
-        assert _decoded(self.map, codes) == [self.ref.get(k) for k in keys]
+        found = self.map.get_many(etype, np.asarray([s for _, s in keys], dtype=np.int64))
+        assert found[0].dtype == np.int64 and found[0].shape == (n,)
+        assert _decoded(found) == [self.ref.get(k) for k in keys]
+
+    @rule(etype=st.sampled_from([0, 1, 32767, -32768]))
+    def minus_one_misses(self, etype):
+        """``-1`` marks an empty slot and is no key: a miss to ``get``,
+        ``get_many`` and ``delete``, refused by ``put``."""
+        assert self.map.get(etype, -1) is None
+        assert self.map.delete(etype, -1) is False
+        for n in (1, PROBE_LOOP_BELOW):
+            codes, trees = self.map.get_many(etype, np.full(n, -1))
+            assert not codes.any() and trees == []
+        with pytest.raises(ConfigurationError):
+            self.map.put(etype, -1, 1)
 
     @invariant()
     def same_pairs(self):
@@ -312,7 +327,7 @@ class CuckooMachine(RuleBasedStateMachine):
         m = self.map
         live = m._src >= 0
         codes = m._value[live]
-        assert (codes != 0).all()
+        assert (codes != 0).all() and not m._value[~live].any()  # empty: 0
         assert sorted((~codes[codes < 0]).tolist()) == sorted(m.trees)
         assert m._table[2] is m._cols[0]  # readers see the writer's table
         # Every key sits in one of its two buckets.
@@ -351,7 +366,7 @@ class TestReserve:
         placed = CuckooHashMap(initial_buckets=64)
         placed.put_many(0, src, np.ones(n, dtype=np.int64))
         assert placed._num_buckets <= grown._num_buckets
-        assert len(placed) == n and (placed.get_many(0, src) == 1).all()
+        assert len(placed) == n and (placed.get_many(0, src)[0] == 1).all()
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [230, 922, 976])
@@ -373,7 +388,7 @@ class TestReserve:
             for s in src.tolist():
                 looped.put(seed % 3, s, 1)
             assert placed._num_buckets == looped._num_buckets == reserved
-            assert placed.get_many(seed % 3, src).tolist() == list(range(1, n + 1))
+            assert placed.get_many(seed % 3, src)[0].tolist() == list(range(1, n + 1))
 
     def test_grows_once(self, monkeypatch):
         m = CuckooHashMap(initial_buckets=1)
@@ -460,7 +475,7 @@ def test_get_many_leaves_placement_alone(ops):
             plain.delete(*key)
             probed.delete(*key)
         else:
-            etype, src, _ = probed.columns()
+            etype, src = probed.columns()[:2]
             probed.get_many(
                 np.append(etype, key[0]), np.append(src, key[1])
             )
@@ -484,7 +499,7 @@ def test_put_many_fills_first_buckets_then_second():
     assert (slot[:4] == np.arange(4)).all()  # bucket 0, in key order
     assert (slot[4:10] // 4 == b2[4:10]).all()
     assert ((slot // 4 == b1) | (slot // 4 == b2)).all()
-    assert m.get_many(0, src).tolist() == list(range(1, src.size + 1))
+    assert m.get_many(0, src)[0].tolist() == list(range(1, src.size + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +569,10 @@ def test_a_probe_never_reports_an_acknowledged_key_absent(window):
     readers = [
         _start(lambda: answers.__setitem__("get", m.get(0, moved, "absent"))),
         _start(lambda: answers.__setitem__(
-            "get_many", m.get_many(0, np.append(others, moved)).tolist()
+            "get_many", m.get_many(0, np.append(others, moved))[0].tolist()
         )),
         _start(lambda: answers.__setitem__(
-            "loop", m.get_many(0, np.asarray([moved])).tolist()
+            "loop", m.get_many(0, np.asarray([moved]))[0].tolist()
         )),
     ]
     for reader in readers:
@@ -572,6 +587,25 @@ def test_a_probe_never_reports_an_acknowledged_key_absent(window):
         "get_many": (np.append(others, moved) + 1).tolist(),
         "loop": [moved + 1],
     }
+
+
+def test_a_samtree_dropped_between_probe_and_side_list_reads_as_a_miss():
+    """A lock-free ``get_many`` that found a samtree's entry, whose key a
+    writer deletes before the reader reads the side list, fails its
+    seqlock check and reads again under the lock: a miss, no KeyError."""
+    m = CuckooHashMap()
+    m.put(0, 5, Tree("t"))
+    m.put(0, 6, 2)
+    paused, resume, answers = threading.Event(), threading.Event(), []
+    _pause_once(m, "_trees_of", paused, resume)
+    reader = _start(lambda: answers.append(m.get_many(0, np.array([5, 6]))))
+    assert paused.wait(WAIT_S), "the reader never paused"
+    assert m.delete(0, 5) and m.trees == {}
+    resume.set()
+    reader.join(WAIT_S)
+    assert not reader.is_alive(), "deadlocked"
+    ((codes, trees),) = answers
+    assert codes.tolist() == [0, 2] and trees == []
 
 
 def _race(writers, readers, seconds=60):
@@ -612,7 +646,7 @@ def test_readers_racing_growing_writers_never_miss_an_acknowledged_key():
                     etype = np.asarray([e for e, _ in keys], dtype=np.int16)
                     src = np.asarray([s for _, s in keys], dtype=np.int64)
                     for n in (len(keys), 3):
-                        got = m.get_many(etype[:n], src[:n])
+                        got, _ = m.get_many(etype[:n], src[:n])
                         misses.extend(
                             k for k, v in zip(keys, got.tolist()) if v != k[1] + 1
                         )
@@ -648,7 +682,7 @@ def test_get_many_racing_put_many_and_delete():
                     continue
                 etype = np.asarray([e for e, _ in keys], dtype=np.int16)
                 src = np.asarray([s for _, s in keys], dtype=np.int64)
-                got = m.get_many(etype, src).tolist()
+                got = m.get_many(etype, src)[0].tolist()
                 wrong.extend(
                     k for k, v in zip(keys[:-40], got) if v != k[1] + 1
                 )
@@ -693,4 +727,48 @@ def test_palm_write_racing_a_displacement_keeps_the_source():
         thread.join(WAIT_S)
         assert not thread.is_alive(), "deadlocked"
     assert sorted(store.neighbors(k)) == [(7, 3.0), (100 + k, 1.0), (300 + k, 2.0)]
+    store.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# an empty slot is (src -1, value 0): no probe of a negative id matches it
+# ---------------------------------------------------------------------------
+def test_a_deleted_slot_never_answers_for_source_minus_one():
+    """Churn fills the bucket of ``(0, -1)`` with sources of relation 0
+    and empties it again; the freed slab rows go to other sources.  A
+    deleted slot keeps its relation, yet ``-1`` stays what it is at an
+    empty store: refused as a key, a miss to every probe."""
+    from repro.core.topology import DynamicGraphStore
+    from repro.errors import InvalidWeightError
+
+    store = DynamicGraphStore()
+    d = store.directory
+    (first, _) = _pair(0, -1, d._shift, d._mask)
+    shared = [
+        s for s in range(10**5) if _pair(0, s, d._shift, d._mask)[0] == first
+    ][:4]
+    for s in shared:
+        store.add_edge(s, 7, 1.0)
+    for s in shared:
+        store.remove_edge(s, 7)
+    for s in range(10**6, 10**6 + 4):  # the released rows, reused
+        store.add_edge(s, 8, 2.0)
+    buckets = d._src.reshape(-1, 4)[first]
+    assert (buckets == -1).all() and (d._etype.reshape(-1, 4)[first] == 0).all()
+    size = len(d)
+    with pytest.raises(InvalidWeightError):
+        store.add_edge(-1, 1)
+    assert store.neighbors(-1) == [] and store.degree(-1) == 0
+    assert store.remove_edge(-1, 8) is False
+    assert d.get(0, -1) is None and d.delete(0, -1) is False
+    for n in (1, PROBE_LOOP_BELOW):
+        codes, trees = d.get_many(0, np.full(n, -1))
+        assert not codes.any() and trees == []
+    with pytest.raises(ConfigurationError):
+        d.put(0, -1, 5)
+    with pytest.raises(ConfigurationError):
+        d.put_many(0, np.array([3, -1]), np.array([1, 2]))
+    assert len(d) == size == 4
+    block = store.sample_neighbors_many([-1, 10**6], 2, rng=0)
+    assert block.rows()[0] == [] and block.rows()[1] == [8, 8]
     store.check_invariants()
