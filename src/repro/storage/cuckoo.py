@@ -54,7 +54,11 @@ PLACE_LOOP_BELOW = 64
 
 def _pair(etype: int, src: int, shift: int, mask: int) -> Tuple[int, int]:
     """The two buckets of one key: ``((src·A + etype·B) >> shift) & mask``."""
-    return tuple(((src * a + etype * b) >> shift) & mask for a, b in _HASHES)
+    (a1, b1), (a2, b2) = _HASHES
+    return (
+        ((src * a1 + etype * b1) >> shift) & mask,
+        ((src * a2 + etype * b2) >> shift) & mask,
+    )
 
 
 def _bucket_column(etype, src: np.ndarray, which: int, shift: int, mask: int):
@@ -104,10 +108,8 @@ class CuckooHashMap:
         """Hand the writer's table to lock-free readers, one store per
         form: memoryviews (scalar path), bucket rows (array path)."""
         self._table = (self._shift, self._mask) + self._cols
-        self._rows = (
-            self._shift, self._mask, self._src.reshape(-1, _BUCKET_WAYS),
-            self._etype.reshape(-1, _BUCKET_WAYS), self._value,
-        )
+        rows = (c.reshape(-1, _BUCKET_WAYS) for c in (self._src, self._etype))
+        self._rows = (self._shift, self._mask, *rows, self._value)
 
     def _find_slot(self, etype: int, src: int, table) -> int:
         """Index of the slot of ``table`` holding the key, or -1."""
@@ -233,8 +235,7 @@ class CuckooHashMap:
         """One key's value-column entry, 0 for a miss (no lock, no
         seqlock: the caller's).  A bucket is read by one chain of slot
         compares on ``src``; a match of another relation scans."""
-        table = self._table
-        shift, mask, keys, etypes, values = table
+        shift, mask, keys, etypes, values = table = self._table
         for a, b in _HASHES:
             s = (((src * a + etype * b) >> shift) & mask) * _BUCKET_WAYS
             if (
