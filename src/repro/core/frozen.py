@@ -2,10 +2,11 @@
 
 The read image (:mod:`repro.core.snapshot`) answers a weighted draw by
 binary search over a row's cumulative weights — right for rows that are
-rewritten between reads.  ``freeze()`` adds two arena-parallel columns,
-``alias_prob`` / ``alias_idx``: a per-row **alias table** (Walker/Vose)
-over the same weights.  A weighted draw is then ``slot = floor(u *
-deg)``, ``frac = u * deg - slot``, pick ``slot`` if ``frac <
+rewritten between reads.  ``freeze()`` adds two columns, ``alias_prob``
+/ ``alias_idx``, beside a row's entries (in the slab for a small
+source, in the image's arena for a samtree): a per-row **alias table**
+(Walker/Vose) over the same weights.  A weighted draw is then ``slot =
+floor(u * deg)``, ``frac = u * deg - slot``, pick ``slot`` if ``frac <
 alias_prob[slot]`` else ``alias_idx[slot]`` — O(1) per draw, the whole
 frontier × fanout matrix in one uniform block and a handful of in-place
 ufuncs + gathers, zero per-vertex Python and zero binary searches.
@@ -37,6 +38,7 @@ from repro.obs.telemetry import Stats
 
 __all__ = [
     "FrozenStats",
+    "alias_cells",
     "alias_mass",
     "build_alias",
     "draw_alias",
@@ -167,37 +169,29 @@ def alias_mass(
 # ---------------------------------------------------------------------------
 # the draw kernel
 # ---------------------------------------------------------------------------
-def draw_alias(
-    ids: np.ndarray, alias_prob: np.ndarray, alias_idx: np.ndarray,
-    lo: np.ndarray, deg: np.ndarray, gen: np.random.Generator,
-    uniform: bool, workspace: tuple,
-) -> np.ndarray:
-    """Weighted (or uniform) fanout draws for a whole frontier.
-
-    ``lo`` / ``deg`` are the ``(n, 1)`` arena starts and lengths of the
-    frontier's rows, ``workspace`` five ``(n, k)`` buffers — two
-    float64, two int64, one bool — that every step writes through
-    ``out=``.  One uniform block, then in-place arithmetic and
-    flat gathers against the alias table; no per-vertex Python, no
-    binary searches.  Zero-length rows index garbage (``mode="clip"``
-    keeps it in bounds): the caller masks them.
-    """
-    uf, tf, slot, chosen, keep = workspace
-    gen.random(out=uf)
+def alias_cells(uf: np.ndarray, deg: np.ndarray, uniform: bool, slot) -> None:
+    """Step one of a frontier draw, in place: ``slot`` takes the cell
+    ``floor(u * deg)`` of each uniform of ``uf`` (``deg``: ``(n, 1)``
+    row lengths), and ``uf`` the fraction a weighted draw tests."""
     np.multiply(uf, deg, out=uf)  # u * deg in [0, deg)
     np.copyto(slot, uf, casting="unsafe")  # trunc == floor (u >= 0)
-    if uniform:
-        np.minimum(slot, deg - 1, out=slot)  # float round-up guard
-        np.add(slot, lo, out=slot)
-        chosen = slot
-    else:
+    if not uniform:
         np.subtract(uf, slot, out=uf)  # frac, before the clamp
-        np.minimum(slot, deg - 1, out=slot)
-        np.add(slot, lo, out=slot)  # edge position of the cell
-        # Alias decision: keep the cell with prob alias_prob, else
-        # take its alias.
-        alias_prob.take(slot, mode="clip", out=tf)
-        np.less(uf, tf, out=keep)
-        alias_idx.take(slot, mode="clip", out=chosen)
-        np.copyto(chosen, slot, where=keep)
+    np.minimum(slot, deg - 1, out=slot)  # float round-up guard
+
+
+def draw_alias(
+    ids: np.ndarray, alias_prob: np.ndarray, alias_idx: np.ndarray,
+    cell: np.ndarray, frac: np.ndarray, uniform: bool,
+    tf=None, chosen=None, keep=None,
+) -> np.ndarray:
+    """Step two: the ids drawn at arena positions ``cell`` (row start +
+    cell) — the cell with probability ``alias_prob``, else its alias —
+    by flat gathers through the buffers given, no per-vertex Python.  A
+    zero-length row indexes garbage (``mode="clip"``): the caller masks it."""
+    if uniform:
+        return ids.take(cell, mode="clip")
+    keep = np.less(frac, alias_prob.take(cell, mode="clip", out=tf), out=keep)
+    chosen = alias_idx.take(cell, mode="clip", out=chosen)
+    np.copyto(chosen, cell, where=keep)
     return ids.take(chosen, mode="clip")

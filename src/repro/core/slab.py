@@ -21,7 +21,9 @@ past ``c``:
   neighbours in the order the one-leaf samtree would) and relocates to
   twice the room when full; the segment it leaves is garbage;
 * once garbage passes ``1 / GARBAGE_DIVISOR`` of the live slots one
-  vectorised pass rewrites the arena (:meth:`Slab.settle`).
+  vectorised pass rewrites the arena (:meth:`Slab.settle`);
+* while a relation is frozen, ``alias_prob`` / ``alias_idx`` hold the
+  alias tables (:mod:`repro.core.frozen`) of rows; relocations move them.
 
 Every :class:`Slab` method takes *validated* input and none takes
 :attr:`Slab.lock`: the store checks weights and ids at its entry points
@@ -64,6 +66,7 @@ _GARBAGE_FLOOR = 1024
 _COLS = np.arange(ROUND_PAD)
 _ROW_COLUMNS = ("start", "length", "room", "version", "src")
 _ARENA_COLUMNS = ("ids", "weights", "cum")
+_ALIAS_COLUMNS = ("alias_prob", "alias_idx")
 
 
 class Slab:
@@ -71,7 +74,7 @@ class Slab:
 
     __slots__ = (
         "capacity", "stats", "lock", "rows", "free", "used", "garbage",
-    ) + _ROW_COLUMNS + _ARENA_COLUMNS
+    ) + _ROW_COLUMNS + _ARENA_COLUMNS + _ALIAS_COLUMNS
 
     def __init__(self, capacity: int, stats: OpStats) -> None:
         self.capacity = capacity
@@ -80,6 +83,8 @@ class Slab:
         self.ids = np.empty(1024, dtype=np.int64)
         self.weights = np.empty(1024, dtype=np.float64)
         self.cum = np.empty(1024, dtype=np.float64)
+        #: Alias columns, set by the read image while a relation is frozen.
+        self.alias_prob = self.alias_idx = None
         for name in _ROW_COLUMNS:
             setattr(self, name, np.zeros(64, dtype=np.int64))
         self.rows = 1  #: row slots handed out, the reserved row 0 included
@@ -99,11 +104,21 @@ class Slab:
         need = self.used + slots
         if need > self.ids.size:
             size = max(need, self.ids.size + self.ids.size // 2)
-            for name in _ARENA_COLUMNS:
+            alias = _ALIAS_COLUMNS if self.alias_prob is not None else ()
+            for name in _ARENA_COLUMNS + alias:
                 old = getattr(self, name)
                 grown = np.empty(size, dtype=old.dtype)
                 grown[: self.used] = old[: self.used]
                 setattr(self, name, grown)
+
+    def _move(self, new: np.ndarray, old: np.ndarray) -> None:
+        """Copy the arena entries at positions ``old`` to ``new`` — the
+        alias cells too, each edge position shifted with its row."""
+        for column in (self.ids, self.weights, self.cum):
+            column[new] = column.take(old)
+        if self.alias_prob is not None:
+            self.alias_prob[new] = self.alias_prob.take(old)
+            self.alias_idx[new] = self.alias_idx.take(old) + (new - old)
 
     def _room_for(self, length: np.ndarray) -> np.ndarray:
         """The smallest power of two holding ``length`` entries, between
@@ -170,10 +185,9 @@ class Slab:
         self._reserve(0, int(ends[-1]))
         start = self.used + ends - wider
         length = self.length[rows]
-        old = self._span(self.start[rows], length)
-        new = self._span(start, length)
-        for column in (self.ids, self.weights, self.cum):
-            column[new] = column[old]
+        self._move(
+            self._span(start, length), self._span(self.start[rows], length)
+        )
         self.used += int(ends[-1])
         self.garbage += int(room.sum())
         self.start[rows] = start
@@ -192,6 +206,9 @@ class Slab:
         b = self.used
         for column in (self.ids, self.weights, self.cum):
             column[b : b + n] = column[a : a + n]
+        if self.alias_prob is not None:
+            self.alias_prob[b : b + n] = self.alias_prob[a : a + n]
+            self.alias_idx[b : b + n] = self.alias_idx[a : a + n] + (b - a)
         self.used = b + wider
         self.garbage += room
         self.start[row] = b
@@ -219,10 +236,9 @@ class Slab:
         length = self.length[live]
         ends = np.cumsum(room)
         start = ends - room
-        old = self._span(self.start[live], length)
-        new = self._span(start, length)
-        for column in (self.ids, self.weights, self.cum):
-            column[new] = column.take(old)
+        self._move(
+            self._span(start, length), self._span(self.start[live], length)
+        )
         self.start[live] = start
         self.used = int(ends[-1]) if live.size else 0
         self.garbage = 0
@@ -365,8 +381,8 @@ class Slab:
 
     def gather(self, rows) -> Tuple[np.ndarray, np.ndarray, List[int]]:
         """The adjacency of ``rows`` back to back — ``(ids, weights)``
-        by one ragged gather, then their lengths: what ``freeze`` copies
-        into the read image and ``save_store`` writes."""
+        by one ragged gather, then their lengths: what ``save_store``
+        writes (the read image draws rows where they lie)."""
         rows = np.asarray(rows, dtype=np.int64)
         length = self.length[rows]
         at = self._span(self.start[rows], length)

@@ -20,14 +20,16 @@ snapshot-and-rebuild:
   is **read in place**: the :class:`~repro.core.slab.Slab` keeps each
   row's ``cum`` on write, so its slot holds a pointer (``slab_row``, 0
   for an arena row) and the search runs over ``slab.ids`` /
-  ``slab.cum``; only samtrees (and a frozen relation's rows, for their
-  alias tables) take arena slots.  Reads hold :attr:`Slab.lock`.
+  ``slab.cum``; only samtrees take arena slots.  Reads hold
+  :attr:`Slab.lock`.
 
 * **Coherence is one dirty bit** per row, set by the store's mutation
   entry points *before* they write; a row is *absent*, *dirty*, *clean*
   or clean and *aliased*.  A pointer row is read where the slab writes,
   so only its source leaving the slab row — a promotion or a release —
   dirties it: it is fresh while the directory maps its key to that row.
+  An aliased row is the exception: any write dirties it, wherever its
+  table lives.
   The dirty and absent rows of a frontier are re-admitted after one
   batched directory probe: a slab source becomes a pointer again,
   samtrees go through the one row builder (:meth:`_Image.flatten`: one
@@ -37,12 +39,12 @@ snapshot-and-rebuild:
   or re-point a directory entry behind the store's back;
   :meth:`ReadImage.stale_rows` checks it.
 
-* **Freezing a relation** is the same builder over every row that is
-  not clean, then an alias table (:mod:`repro.core.frozen`, two more
-  arena columns) for every row that lacks one.  Clean aliased rows draw
-  in O(1) per neighbor, a frontier of nothing else in exactly one
-  kernel call.  A write still dirties *its row* only: that row is
-  re-flattened and drawn by binary search beside the alias kernel until
+* **Freezing a relation** re-admits every row that is not clean, then
+  gives every row that lacks one an alias table (:mod:`repro.core.frozen`)
+  beside its entries, in the slab or the arena.  Clean aliased rows draw
+  in O(1) per neighbor, a frontier of nothing else in one kernel call.
+  A write dirties *its row* only: that row is
+  re-admitted and drawn by binary search beside the alias kernel until
   the next ``freeze()`` gives it its table back.  ``freeze()`` writes
   the row slots in ``src`` order, so a frozen relation resolves a
   frontier by ``searchsorted`` over its own ``src`` column and asks the
@@ -78,7 +80,7 @@ import numpy as np
 
 from repro.core.compression import decode_id_lists
 from repro.core.fenwick import cumsum_rows, join_weight_columns
-from repro.core.frozen import alias_mass, build_alias, draw_alias
+from repro.core.frozen import alias_cells, alias_mass, build_alias, draw_alias
 from repro.core.memory import DEFAULT_MEMORY_MODEL
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import Stats
@@ -339,13 +341,13 @@ class _Image:
 
     def mark(self, src: int, moved: bool = False) -> None:
         """Set the dirty bit of ``src``'s row, if it has one — a pointer
-        row's only once its source ``moved`` out of the slab row.
+        row's only with an alias table or once its source ``moved`` out.
 
         A dict read and one flag store: safe from PALM executor threads
         (no shared counter is touched).
         """
         slot = self.slot_of.get(src)
-        if slot is not None and (moved or not self.slab_row[slot]):
+        if slot and (moved or not self.slab_row[slot] or self.aliased[slot]):
             self.clean[slot] = False
 
     def slots_of(self, keys: List[int]) -> np.ndarray:
@@ -467,17 +469,16 @@ class _Image:
 
     # -- freeze / thaw ------------------------------------------------------
     def freeze(
-        self, pairs: list, stats: SnapshotCacheStats, frozen_stats
+        self, srcs: np.ndarray, values: np.ndarray, trees: list,
+        stats: SnapshotCacheStats, frozen_stats,
     ) -> None:
-        """Make every source of ``pairs`` — the relation's ``(src,
-        directory value)`` in ``src`` order — a clean aliased arena row,
-        in that order: clean arena rows are kept, the rest go to
-        :meth:`flatten` (one batch per row source), then every row
-        without an alias table gets one.  Rows of sources that left the
-        directory are dropped."""
-        count = len(pairs)
-        srcs = [src for src, _ in pairs]
-        old = self.slots_of(srcs)
+        """Make every source of ``srcs`` (ascending; ``values`` their
+        directory values, ``trees`` the samtrees among them) a clean
+        aliased row, in that order: clean rows are kept, a slab source
+        becomes a pointer row, the samtrees go to :meth:`flatten` together
+        and every row gains its alias table.  Gone sources are dropped."""
+        count = srcs.size
+        old = self.slots_of(srcs.tolist())
         self._reserve(count, 0)
         rows = count + 1
         for name, _ in _ROW_COLUMNS:
@@ -487,31 +488,31 @@ class _Image:
         self.aliased[1:rows] &= self.clean[1:rows]
         self.rows = rows
         self.ordered = count
-        self.slot_of = dict(zip(srcs, range(1, rows)))
-        # Pointer rows are copied too: an alias table lives in the arena.
-        stale = (~self.clean[1:rows] | (self.slab_row[1:rows] != 0)).nonzero()[0]
-        values = [pairs[i][1] for i in stale.tolist()]
-        in_slab = np.asarray([type(value) is int for value in values], dtype=bool)
-        trees = [value for value in values if type(value) is not int]
-        if trees:
-            self.flatten(stale[~in_slab] + 1, *_tree_columns(trees), stats)
-        if len(trees) < len(values):
-            self.flatten(stale[in_slab] + 1, *self.slab.gather(
-                [value for value in values if type(value) is int]
-            ), stats)
+        self.slot_of = dict(zip(srcs.tolist(), range(1, rows)))
+        stale = (~self.clean[1:rows]).nonzero()[0]
+        found = values[stale]
+        self.slab_row[stale + 1] = np.maximum(found, 0)  # a pointer row
+        self.length[stale + 1] = 0
+        self.clean[stale + 1] = True
+        built = stale[found < 0]
+        if built.size:  # a samtree's place in ``trees``: negatives before
+            at = (np.cumsum(values < 0)[built] - 1).tolist()
+            self.flatten(built + 1, *_tree_columns([trees[i] for i in at]), stats)
         self.garbage = self.used - int(self.length[1:rows].sum())
-        if not self.frozen:
-            self.alias_prob = np.empty(self.ids.size, dtype=np.float64)
-            self.alias_idx = np.empty(self.ids.size, dtype=np.int64)
         bare = (~self.aliased[1:rows]).nonzero()[0] + 1
-        length = self.length[bare]
-        build_alias(
-            self.cum, self.start[bare], length, self.alias_prob, self.alias_idx
-        )
+        row = self.slab_row[bare]
+        for home, at in ((self.slab, row[row != 0]), (self, bare[row == 0])):
+            if home.alias_prob is None:  # the alias columns of its arena
+                home.alias_prob = np.zeros(home.ids.size, dtype=np.float64)
+                home.alias_idx = np.zeros(home.ids.size, dtype=np.int64)
+            length = home.length[at]
+            build_alias(
+                home.cum, home.start[at], length, home.alias_prob, home.alias_idx
+            )
+            frozen_stats.compiled_edges += int(length.sum())
         self.aliased[bare] = True
         frozen_stats.compiles += 1
         frozen_stats.compiled_rows += bare.size
-        frozen_stats.compiled_edges += int(length.sum())
 
     def thaw(self) -> None:
         """Drop the alias columns: every row is a binary-search row."""
@@ -584,9 +585,16 @@ class _Image:
         self, rows: np.ndarray, k: int,
         gen: np.random.Generator, weighted: bool,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One O(1)-per-draw alias kernel over clean aliased rows."""
-        lo = self.start[rows][:, None]
-        deg = self.length[rows][:, None]
+        """One O(1)-per-draw alias kernel over clean aliased rows: one
+        uniform block, drawn over the slab, the samtree rows' over the arena."""
+        slab, pointer = self.slab, self.slab_row[rows]
+        lo = slab.start[pointer][:, None]
+        deg = slab.length[pointer][:, None]  # slab row 0 is empty
+        arena = (pointer == 0).nonzero()[0]  # samtrees, and empty rows
+        if arena.size:
+            at = rows[arena]
+            lo[arena, 0] = self.start[at]
+            deg[arena, 0] = self.length[at]
         shape = (rows.size, k)
         buffers = self._workspace
         if buffers is None or buffers[0].shape != shape:
@@ -597,10 +605,19 @@ class _Image:
                 np.empty(shape, dtype=np.int64),  # chosen edge index
                 np.empty(shape, dtype=bool),  # keep-slot mask
             )
+        uf, tf, slot, chosen, keep = buffers
+        gen.random(out=uf)
+        alias_cells(uf, deg, not weighted, slot)
+        np.add(slot, lo, out=slot)  # edge positions, each in its home
         out = draw_alias(
-            self.ids, self.alias_prob, self.alias_idx, lo, deg, gen,
-            not weighted, buffers,
+            slab.ids, slab.alias_prob, slab.alias_idx, slot, uf,
+            not weighted, tf, chosen, keep,
         )
+        if arena.size:
+            out[arena] = draw_alias(
+                self.ids, self.alias_prob, self.alias_idx, slot[arena],
+                uf[arena], not weighted,
+            )
         empty = deg[:, 0] == 0
         if empty.any():
             out[empty] = 0
@@ -745,11 +762,14 @@ class ReadImage:
 
     @property
     def alias_nbytes(self) -> int:
-        """Modeled bytes of the alias columns of the frozen relations
-        (one cell probability + one position per arena slot in use)."""
-        return _ALIAS_SLOT_BYTES * sum(
-            image.used for image in self.frozen_relations
-        )
+        """Modeled bytes of the alias columns of the frozen relations: one
+        cell probability + one position per arena slot in use and per edge
+        of an aliased pointer row (its table is in the slab)."""
+        cells = 0
+        for image in self.frozen_relations:
+            pointer = image.slab_row[: image.rows][image.aliased[: image.rows]]
+            cells += image.used + int(image.slab.length[pointer].sum())
+        return _ALIAS_SLOT_BYTES * cells
 
     @property
     def frozen_relations(self) -> List[_Image]:
@@ -799,7 +819,7 @@ class ReadImage:
         still maps its key to that row of ``slab`` (the slab's own rows
         are :meth:`Slab.check_rows`'s).  An arena row must equal
         :func:`flatten_tree` with ``==`` (a zero-length row: have no
-        source), and an aliased row's table
+        source), and an aliased row's table, in the slab or the arena,
         must give every edge its ``weight / total`` (uniform when all
         are zero) to within ``ALIAS_TOLERANCE``.
         """
@@ -809,30 +829,28 @@ class ReadImage:
                 key = (etype, int(image.src[slot]))
                 tree = trees.get(*key)
                 row = image.slab_row.item(slot)
+                home, at = (slab, row) if row else (image, slot)
+                a = home.start.item(at)
+                b = a + home.length.item(at)
                 if row:  # read in place: fresh while the key owns the row
-                    if type(tree) is not int or tree != row:
-                        bad.append(key)
-                    continue
-                if type(tree) is int:
-                    tree = slab.view(tree)
-                a = int(image.start[slot])
-                b = a + int(image.length[slot])
-                if not tree:
-                    if a == b:
-                        continue
+                    fresh = type(tree) is int and tree == row
+                    weights = slab.weights[a:b]
+                elif not tree:
+                    fresh = a == b
+                elif type(tree) is int:  # an arena row images a samtree
+                    fresh = False
                 else:
                     ids, weights = flatten_tree(tree)
                     fresh = np.array_equal(image.ids[a:b], ids) and np.array_equal(
                         image.cum[a:b], np.cumsum(weights)
                     )
-                    if fresh and image.frozen and image.aliased[slot]:
-                        total = float(weights.sum())
-                        wanted = weights / total if total > 0.0 else 1.0 / (b - a)
-                        mass = alias_mass(image.alias_prob, image.alias_idx, a, b)
-                        fresh = np.abs(mass - wanted).max() <= ALIAS_TOLERANCE
-                    if fresh:
-                        continue
-                bad.append(key)
+                if fresh and a < b and image.frozen and image.aliased[slot]:
+                    total = float(weights.sum())
+                    wanted = weights / total if total > 0.0 else 1.0 / (b - a)
+                    mass = alias_mass(home.alias_prob, home.alias_idx, a, b)
+                    fresh = np.abs(mass - wanted).max() <= ALIAS_TOLERANCE
+                if not fresh:
+                    bad.append(key)
         return bad
 
     # -- coherence --------------------------------------------------------
@@ -840,7 +858,8 @@ class ReadImage:
         """Set the dirty bit of every row a columnar batch writes to."""
         for etype, image in self.relations.items():
             slots = image.slots_of(srcs[etypes == etype].tolist())
-            image.clean[slots[image.slab_row[slots] == 0]] = False
+            dirty = (image.slab_row[slots] == 0) | image.aliased[slots]
+            image.clean[slots[dirty]] = False
 
     def compact(self) -> None:
         """Compact every relation now (also runs by itself, see module
@@ -851,19 +870,21 @@ class ReadImage:
 
     def clear(self) -> None:
         """Drop every row (counters are kept; use ``stats.reset()``)."""
+        self.thaw()
         self.relations.clear()
 
     # -- freeze / thaw ----------------------------------------------------
-    def freeze(self, etype: int, pairs: list, slab, frozen_stats) -> _Image:
-        """Freeze relation ``etype``: every source of ``pairs`` (all its
-        ``(src, directory value)``, in ``src`` order; ``slab`` holds the rows
-        among them) becomes a clean aliased row, pinned
-        until :meth:`thaw`; only absent, dirty or table-less rows cost
-        anything.  Returns the relation's image."""
+    def freeze(
+        self, etype: int, srcs: np.ndarray, values: np.ndarray, trees: list,
+        slab, frozen_stats,
+    ) -> _Image:
+        """Freeze relation ``etype`` (its columns as :meth:`_Image.freeze`
+        takes them), pinned until :meth:`thaw`; only absent, dirty or
+        table-less rows cost anything.  Returns the relation's image."""
         image = self.relations.get(etype)
         if image is None:
             image = self.relations[etype] = _Image(slab)
-        image.freeze(pairs, self.stats, frozen_stats)
+        image.freeze(srcs, values, trees, self.stats, frozen_stats)
         self._settle(image)
         return image
 
@@ -876,6 +897,9 @@ class ReadImage:
         ]
         for image in thawed:
             image.thaw()
+        if thawed and not self.frozen_relations:  # the slab's tables too
+            slab = thawed[0].slab
+            slab.alias_prob = slab.alias_idx = None
         return len(thawed)
 
     # -- the read ---------------------------------------------------------

@@ -603,24 +603,29 @@ class DynamicGraphStore(GraphStoreAPI):
         """Freeze relation ``etype`` of the read image (default: every
         relation present; an empty store freezes the default relation).
 
-        Every source's row is made clean (the absent and dirty ones in
-        one batched flatten), given an alias table if it lacks one and
-        pinned until :meth:`thaw`; batched reads then draw in O(1) per
-        neighbor.  A later write dirties *its row* only: it is drawn by
-        binary search until the next ``freeze()``, which rebuilds just
-        such rows.  Returns the frozen relations.
+        Every source's row is made clean (a slab row in place, the absent
+        and dirty samtrees in one batched flatten), given an alias table
+        beside its entries if it lacks one and pinned until :meth:`thaw`;
+        batched reads then draw in O(1) per neighbor.  A later write
+        dirties *its row* only: it is drawn by binary search until the
+        next ``freeze()``, which rebuilds just such rows.  Returns the
+        frozen relations.
         """
-        cache = self.snapshot_cache
-        groups: Dict[int, list] = {}
-        for (et, src), tree in self._directory.items():  # src ascending
-            if etype is None or et == etype:
-                groups.setdefault(et, []).append((src, tree))
-        if not groups:
-            groups[DEFAULT_ETYPE if etype is None else etype] = []
+        # Ascending (etype, src): a relation is a slice, its samtrees too.
+        etypes, srcs, values, trees = self._directory.columns()
+        wanted = [etype] if etype is not None else (
+            np.unique(etypes).tolist() or [DEFAULT_ETYPE]
+        )
+        bounds = np.searchsorted(etypes, wanted).tolist()
+        ends = np.searchsorted(etypes, wanted, "right").tolist()
+        held = [0] + np.cumsum(values < 0).tolist()  # samtrees before each
         with self.slab.lock:
             return [
-                cache.freeze(et, groups[et], self.slab, self.frozen_stats)
-                for et in sorted(groups)
+                self.snapshot_cache.freeze(
+                    et, srcs[a:b], values[a:b], trees[held[a] : held[b]],
+                    self.slab, self.frozen_stats,
+                )
+                for et, a, b in zip(wanted, bounds, ends)
             ]
 
     def thaw(self, etype: Optional[int] = None) -> int:

@@ -41,6 +41,7 @@ from repro.core.fenwick import ROW_PAD
 from repro.core.frozen import FrozenStats, alias_mass, build_alias
 from repro.core.ingest import EdgeBatch
 from repro.core.samtree import Samtree, SamtreeConfig
+from repro.core.slab import Slab
 from repro.core.snapshot import ALIAS_TOLERANCE, coerce_generator, flatten_tree
 from repro.core.topology import DynamicGraphStore
 from repro.distributed.cluster import LocalCluster
@@ -170,7 +171,10 @@ class TestFrozenCompile:
         store = _churned_store()
         (image,) = store.freeze()
         assert image.frozen and image.rows - 1 == store.num_sources
-        assert image.used == store.num_edges and image.garbage == 0
+        # Only samtrees take arena slots: a slab source is drawn in place.
+        in_trees = sum(tree.degree for tree in store.directory.trees.values())
+        assert 0 < in_trees < store.num_edges
+        assert image.used == in_trees and image.garbage == 0
         # Rows were written in src order: the searchsorted directory.
         assert image.ordered == store.num_sources
         assert (np.diff(image.src[1 : image.rows]) > 0).all()
@@ -178,6 +182,8 @@ class TestFrozenCompile:
             (slot,) = image.lookup(np.asarray([src])).tolist()
             assert slot == image.slot_of[src]
             assert image.clean[slot] and image.aliased[slot]
+            value = store.directory.get(0, src)
+            assert image.slab_row[slot] == (value if type(value) is int else 0)
             ids, weights = flatten_tree(store.tree(src))
             row_ids, row_cum = store.snapshot_cache.row((0, src))
             np.testing.assert_array_equal(row_ids, ids)
@@ -425,7 +431,9 @@ class TestEpochInvalidation:
         cache, stats = store.snapshot_cache, store.frozen_stats
         (image,) = store.freeze()
         builds = cache.stats.builds
-        assert builds == stats.compiled_rows == store.num_sources
+        assert stats.compiled_rows == store.num_sources
+        # Only the samtrees were flattened: slab rows alias in place.
+        assert builds == len(store.directory.trees) < store.num_sources
         store.add_edge(4, 31337, 2.0)
         others = [src for src in store.sources() if src != 4]
         store.sample_neighbors_many(others, 3, rng=1)
@@ -491,10 +499,13 @@ class TestEpochInvalidation:
             )
             store.check_invariants()
             slot = image.slot_of[src]
-            a = int(image.start[slot])
-            b = a + int(image.length[slot])
-            image.alias_prob[a:b] = 0.5  # half of every cell's mass ...
-            image.alias_idx[a:b] = a  # ... moved onto the first edge
+            row = image.slab_row.item(slot)  # the table's home
+            assert bool(row) != promoted
+            home, at = (store.slab, row) if row else (image, slot)
+            a = int(home.start[at])
+            b = a + int(home.length[at])
+            home.alias_prob[a:b] = 0.5  # half of every cell's mass ...
+            home.alias_idx[a:b] = a  # ... moved onto the first edge
             assert store.snapshot_cache.stale_rows(
                 store.directory, store.slab
             ) == [(0, src)]
@@ -502,6 +513,105 @@ class TestEpochInvalidation:
                 store.check_invariants()
             image.aliased[slot] = False  # a binary-search row has no table
             store.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# alias tables held in the slab
+# ---------------------------------------------------------------------------
+def _slab_store(sources: int = 40, capacity: int = 16) -> DynamicGraphStore:
+    """A store whose every source is a slab row (``degree <= c``)."""
+    rng = random.Random(5)
+    store = DynamicGraphStore(SamtreeConfig(capacity=capacity, alpha=0))
+    for src in range(sources):
+        for i in range(rng.randrange(1, capacity + 1)):
+            store.add_edge(src, 1000 + i, rng.random() + (i % 3))
+    assert not store.directory.trees
+    return store
+
+
+def _slab_table_mass(store, image, src):
+    """``(alias mass, weights)`` of ``src``'s aliased row, read in the slab."""
+    slot = image.slot_of[src]
+    assert image.clean[slot] and image.aliased[slot]
+    slab, row = store.slab, image.slab_row.item(slot)
+    assert row == store.directory.get(0, src)
+    a = slab.start.item(row)
+    b = a + slab.length.item(row)
+    return alias_mass(slab.alias_prob, slab.alias_idx, a, b), slab.weights[a:b]
+
+
+class TestSlabAliasTables:
+    def test_freezing_slab_rows_flattens_nothing(self):
+        store = _slab_store()
+        cache = store.snapshot_cache
+        store.sample_neighbors_many(range(0, 40, 2), 3, rng=0)  # half admitted
+        builds = cache.stats.builds
+        (image,) = store.freeze()
+        assert cache.stats.builds == builds and image.used == 0
+        parts = store.nbytes_breakdown()
+        assert parts["snapshot_cache"] == 0
+        assert parts["frozen"] == 12 * store.num_edges
+        store.sample_neighbors_many(range(40), 5, rng=1)
+        assert store.frozen_stats.vertices == 40
+        assert store.frozen_stats.stale_misses == 0
+        store.check_invariants()
+        assert store.thaw() == 1 and store.slab.alias_prob is None
+        assert store.nbytes_breakdown()["frozen"] == 0
+
+    def test_tables_follow_rows_the_slab_moves(self, monkeypatch):
+        store = _slab_store()
+        (image,) = store.freeze()
+        slab = store.slab
+        rows = [store.directory.get(0, src) for src in range(40)]
+        starts = slab.start[rows].copy()
+        compactions = []
+        compact = Slab.compact
+        monkeypatch.setattr(
+            Slab, "compact", lambda self: compactions.append(1) or compact(self)
+        )
+        # Other sources grow (relocate) and leave: garbage, then compaction.
+        for src in range(100, 260):
+            for dst in range(12):
+                store.add_edge(src, dst, 1.0 + dst)
+        store.apply_edge_batch(EdgeBatch.inserts(
+            np.repeat(np.arange(100, 260), 3), np.tile([20, 21, 22], 160)
+        ))
+        for src in range(100, 260):
+            for dst, _ in store.neighbors(src):
+                store.remove_edge(src, dst)
+        assert compactions and (slab.start[rows] != starts).any()
+        assert (0, 5) in store.snapshot_cache  # no frozen row was written
+        for src in range(40):
+            mass, weights = _slab_table_mass(store, image, src)
+            wanted = weights / weights.sum()
+            assert np.abs(mass - wanted).max() <= ALIAS_TOLERANCE
+        store.check_invariants()
+        hub = max(range(40), key=store.degree)
+        adjacency = dict(store.neighbors(hub))
+        support = sorted(adjacency)
+        total = sum(adjacency.values())
+        draws = store.sample_neighbors_many([hub] * 3000, 20, rng=11).ids
+        assert store.frozen_stats.stale_misses == 0
+        counts = np.asarray([np.count_nonzero(draws == d) for d in support])
+        expected = np.asarray([draws.size * adjacency[d] / total for d in support])
+        assert _chi2_pvalue(counts, expected) > 0.01
+
+    def test_a_batch_dirties_only_the_aliased_rows_it_writes(self):
+        store = _slab_store()
+        store.freeze()
+        cache = store.snapshot_cache
+        # One touched row (the scalar row op), then one among 20 new
+        # sources (the round kernel).
+        for written, batch in (
+            ({3}, EdgeBatch.inserts([3], [5000])),
+            ({3, 7}, EdgeBatch.inserts([7] + list(range(200, 220)), [6000] * 21)),
+        ):
+            store.apply_edge_batch(batch)
+            assert {src for src in range(40) if (0, src) not in cache} == written
+            store.check_invariants()
+        block = store.sample_neighbors_many([3, 7, 8], 50, rng=2)
+        assert 5000 in block.ids[0] and 6000 in block.ids[1]
+        assert store.frozen_stats.stale_misses == 2
 
 
 # ---------------------------------------------------------------------------
@@ -675,13 +785,16 @@ class TestDoctorFrozenSection:
         store = _churned_store()
         store.freeze()
         rows, degree = store.num_sources, store.degree(0)
+        assert type(store.directory.get(0, 0)) is not int  # a samtree
+        # Arena slots hold samtrees only: slab rows are drawn in place.
+        in_trees = sum(tree.degree for tree in store.directory.trees.values())
         store.add_edge(0, 31337, 1.0)
         image = diagnose_store(store).to_dict()["snapshot_cache"]
         assert image["rows"] == rows
         # The written row is dirty: its arena slots are nobody's.
         assert image["entries"] == image["aliased"] == rows - 1
         assert image["pinned"] == rows - 1
-        assert image["edges"] == store.num_edges - 1 - degree
+        assert image["edges"] == in_trees - degree
         assert image["garbage"] == degree
         store.sample_neighbors_many([0, 1, 10**8], 2, rng=0)
         report = diagnose_store(store)
@@ -689,7 +802,7 @@ class TestDoctorFrozenSection:
         assert image["rows"] == rows + 1  # every source and one sink
         assert image["entries"] == image["pinned"] == rows + 1
         assert image["aliased"] == rows  # all but the re-flattened row
-        assert image["edges"] == store.num_edges
+        assert image["edges"] == in_trees + 1
         assert image["alias_served"] == 2 and image["alias_missed"] == 1
         assert "frozen" not in report.to_dict()
         assert report.total_bytes == store.nbytes()

@@ -18,6 +18,7 @@ answers ``sample_neighbors_many`` with the same dense ``ids[n, k]`` +
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 
@@ -336,6 +337,8 @@ def test_dead_shard_rows_come_back_unavailable():
 # no per-vertex Python
 # ---------------------------------------------------------------------------
 def _python_calls(fn):
+    """Python-level calls made by ``fn()``.  The cyclic GC is off for
+    the call: a finaliser it ran inside the window would count too."""
     calls = 0
 
     def profiler(frame, event, arg):
@@ -343,11 +346,15 @@ def _python_calls(fn):
         if event == "call":
             calls += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 

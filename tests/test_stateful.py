@@ -242,9 +242,10 @@ class StoreMachine(RuleBasedStateMachine):
     @invariant()
     def frozen_rows_follow_the_model(self):
         """A frozen relation never holds a clean row older than its
-        tree, and every aliased one's table decomposes the *model's*
-        current weights (``check_invariants`` asks the tree instead).  A
-        row admitted since the freeze may be a pointer into the slab."""
+        tree, and every aliased one's table, read in its home (the slab
+        for a pointer row, which ``compact_slab`` moves), decomposes the
+        *model's* current weights (``check_invariants`` asks the tree
+        instead)."""
         cache = self.store.snapshot_cache
         for etype, image in cache.relations.items():
             if not image.frozen:
@@ -261,10 +262,12 @@ class StoreMachine(RuleBasedStateMachine):
                 if not adjacency:
                     continue
                 if image.aliased[slot]:
-                    a = int(image.start[slot])
-                    b = a + int(image.length[slot])
+                    row = image.slab_row.item(slot)
+                    home, at = (self.store.slab, row) if row else (image, slot)
+                    a = int(home.start[at])
+                    b = a + int(home.length[at])
                     weights = np.asarray([adjacency[dst] for dst in ids])
-                    mass = alias_mass(image.alias_prob, image.alias_idx, a, b)
+                    mass = alias_mass(home.alias_prob, home.alias_idx, a, b)
                     wanted = weights / weights.sum()
                     assert np.abs(mass - wanted).max() <= ALIAS_TOLERANCE
 
