@@ -11,6 +11,10 @@ alias_prob[slot]`` else ``alias_idx[slot]`` — O(1) per draw, the whole
 frontier × fanout matrix in one uniform block and a handful of in-place
 ufuncs + gathers, zero per-vertex Python and zero binary searches.
 
+A cell's alias is an **offset within its row** (a table moves with its
+row as plain bytes), as narrow as its home's longest row allows:
+``np.min_scalar_type(c - 1)`` in the slab, ``uint32`` in the arena.
+
 These are plain functions over image columns; the image decides which
 rows they see.  The table is an *exact* decomposition of each row's
 weights up to float residue (a zero-weight edge gets cell probability 0
@@ -72,8 +76,8 @@ def build_alias(
     the cumulative-weight column ``cum`` into the alias columns.
 
     Cell ``c`` of a row yields edge ``c`` with probability
-    ``alias_prob[c]`` and the edge at arena position ``alias_idx[c]``
-    otherwise.  The identity table (``prob=1``, ``alias=self``) is exact
+    ``alias_prob[c]`` and the edge at offset ``alias_idx[c]`` of the
+    row otherwise.  The identity table (``prob=1``, ``alias=c``) is exact
     for equal-weight rows — including all-zero rows, where it reproduces
     the uniform fallback — and for rows of one edge, so those skip the
     pairing.  Rows of at most ``ROW_PAD`` edges are paired together, in
@@ -95,7 +99,7 @@ def _pair_short_rows(cum, start, length, alias_prob, alias_idx) -> None:
     weights[~inside] = 0.0
     cells = pos[inside]
     alias_prob[cells] = 1.0
-    alias_idx[cells] = cells
+    alias_idx[cells] = cells - np.repeat(start, length)  # its own offset
     total = sums.max(axis=1)  # a cumulative row ends on its maximum
     lowest = np.where(inside, weights, np.inf).min(axis=1)
     rows = np.flatnonzero((lowest != weights.max(axis=1)) & (total > 0.0))
@@ -119,7 +123,7 @@ def _pair_short_rows(cum, start, length, alias_prob, alias_idx) -> None:
         kept = scaled[row, s]
         cell = pos[row, s]
         alias_prob[cell] = kept
-        alias_idx[cell] = pos[row, l]
+        alias_idx[cell] = l
         small[row, s] = False
         rest = scaled[row, l] - (1.0 - kept)
         scaled[row, l] = rest
@@ -131,7 +135,7 @@ def _pair_short_rows(cum, start, length, alias_prob, alias_idx) -> None:
 def _pair_row(cum, lo: int, hi: int, alias_prob, alias_idx) -> None:
     """Vose pairing of the one row at arena ``[lo, hi)``."""
     alias_prob[lo:hi] = 1.0
-    alias_idx[lo:hi] = np.arange(lo, hi)
+    alias_idx[lo:hi] = np.arange(hi - lo)
     row = np.diff(cum[lo:hi], prepend=0.0)
     total = float(cum[hi - 1])
     if float(row.min()) == float(row.max()) or total <= 0.0:
@@ -143,12 +147,12 @@ def _pair_row(cum, lo: int, hi: int, alias_prob, alias_idx) -> None:
     for i, q in enumerate(scaled):
         (small if q < 1.0 else large).append(i)
     prob = [1.0] * deg
-    alias = list(range(lo, hi))
+    alias = list(range(deg))
     while small and large:
         s = small.pop()
         l = large.pop()
         prob[s] = scaled[s]
-        alias[s] = lo + l
+        alias[s] = l
         scaled[l] -= 1.0 - scaled[s]
         (small if scaled[l] < 1.0 else large).append(l)
     alias_prob[lo:hi] = prob
@@ -159,11 +163,12 @@ def alias_mass(
     alias_prob: np.ndarray, alias_idx: np.ndarray, lo: int, hi: int
 ) -> np.ndarray:
     """The probability the table of the row at arena ``[lo, hi)`` gives
-    each of its edges (what :func:`draw_alias` draws from)."""
-    kept = alias_prob[lo:hi]
-    mass = kept.copy()
-    np.add.at(mass, alias_idx[lo:hi] - lo, 1.0 - kept)
-    return mass / (hi - lo)
+    each of its edges (what :func:`draw_alias` draws from); all NaN when
+    a cell names an offset past the row, which no weights match."""
+    kept, alias = alias_prob[lo:hi], alias_idx[lo:hi]
+    if alias.max(initial=0) >= hi - lo:
+        return np.full(hi - lo, np.nan)
+    return (np.bincount(alias, 1.0 - kept, minlength=hi - lo) + kept) / (hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +187,17 @@ def alias_cells(uf: np.ndarray, deg: np.ndarray, uniform: bool, slot) -> None:
 
 def draw_alias(
     ids: np.ndarray, alias_prob: np.ndarray, alias_idx: np.ndarray,
-    cell: np.ndarray, frac: np.ndarray, uniform: bool,
-    tf=None, chosen=None, keep=None,
+    cell: np.ndarray, lo: np.ndarray, frac: np.ndarray, uniform: bool,
+    tf=None, narrow=None, chosen=None, keep=None,
 ) -> np.ndarray:
-    """Step two: the ids drawn at arena positions ``cell`` (row start +
-    cell) — the cell with probability ``alias_prob``, else its alias —
-    by flat gathers through the buffers given, no per-vertex Python.  A
-    zero-length row indexes garbage (``mode="clip"``): the caller masks it."""
+    """Step two: the ids drawn at arena positions ``cell`` (row start
+    ``lo`` + cell) — the cell with probability ``alias_prob``, else ``lo``
+    + its alias — by flat gathers through the buffers given, no per-vertex
+    Python.  A zero-length row indexes garbage (``mode="clip"``): the
+    caller masks it."""
     if uniform:
         return ids.take(cell, mode="clip")
     keep = np.less(frac, alias_prob.take(cell, mode="clip", out=tf), out=keep)
-    chosen = alias_idx.take(cell, mode="clip", out=chosen)
+    chosen = np.add(alias_idx.take(cell, mode="clip", out=narrow), lo, out=chosen)
     np.copyto(chosen, cell, where=keep)
     return ids.take(chosen, mode="clip")

@@ -83,7 +83,8 @@ class MemoryModel:
     #: AliGraph stores in- and out-topology ("duplicate the graph
     #: topology for supporting fast sampling").
     aligraph_duplication_factor: int = 2
-    #: Alias-method sampling table: one float prob + one int alias per edge.
+    #: Alias-method sampling table in AliGraph's own C layout: one float
+    #: prob + one absolute 8 B index per edge (the store's are row offsets).
     alias_entry_bytes: int = 4 + 8
     #: Per-vertex runtime overhead in AliGraph: in/out index pointers,
     #: several hash-index entries (vertex lookup, type routing, partition

@@ -23,7 +23,8 @@ past ``c``:
 * once garbage passes ``1 / GARBAGE_DIVISOR`` of the live slots one
   vectorised pass rewrites the arena (:meth:`Slab.settle`);
 * while a relation is frozen, ``alias_prob`` / ``alias_idx`` hold the
-  alias tables (:mod:`repro.core.frozen`) of rows; relocations move them.
+  alias tables (:mod:`repro.core.frozen`) of rows, ``uint8`` row offsets
+  at ``c = 256``: relocations move them as plain bytes.
 
 Every :class:`Slab` method takes *validated* input and none takes
 :attr:`Slab.lock`: the store checks weights and ids at its entry points
@@ -111,14 +112,15 @@ class Slab:
                 grown[: self.used] = old[: self.used]
                 setattr(self, name, grown)
 
+    def _arena(self) -> List[np.ndarray]:
+        """The arena columns, the alias cells (row offsets) too if frozen."""
+        alias = _ALIAS_COLUMNS if self.alias_prob is not None else ()
+        return [getattr(self, name) for name in _ARENA_COLUMNS + alias]
+
     def _move(self, new: np.ndarray, old: np.ndarray) -> None:
-        """Copy the arena entries at positions ``old`` to ``new`` — the
-        alias cells too, each edge position shifted with its row."""
-        for column in (self.ids, self.weights, self.cum):
+        """Copy the arena entries at positions ``old`` to ``new``."""
+        for column in self._arena():
             column[new] = column.take(old)
-        if self.alias_prob is not None:
-            self.alias_prob[new] = self.alias_prob.take(old)
-            self.alias_idx[new] = self.alias_idx.take(old) + (new - old)
 
     def _room_for(self, length: np.ndarray) -> np.ndarray:
         """The smallest power of two holding ``length`` entries, between
@@ -204,11 +206,8 @@ class Slab:
         wider = min(2 * room, self.capacity)
         self._reserve(0, wider)
         b = self.used
-        for column in (self.ids, self.weights, self.cum):
+        for column in self._arena():
             column[b : b + n] = column[a : a + n]
-        if self.alias_prob is not None:
-            self.alias_prob[b : b + n] = self.alias_prob[a : a + n]
-            self.alias_idx[b : b + n] = self.alias_idx[a : a + n] + (b - a)
         self.used = b + wider
         self.garbage += room
         self.start[row] = b

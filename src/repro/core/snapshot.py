@@ -118,8 +118,6 @@ _EMPTY = 1
 
 #: Modeled bytes per arena slot: one ID + one cumulative weight.
 _SLOT_BYTES = DEFAULT_MEMORY_MODEL.id_bytes + DEFAULT_MEMORY_MODEL.weight_bytes
-#: ... and of its alias cell: one probability + one arena position.
-_ALIAS_SLOT_BYTES = DEFAULT_MEMORY_MODEL.weight_bytes + 8
 
 #: How far an alias table's probability of an edge may sit from
 #: ``weight / total`` (the Vose pairing's float residue is below 1e-13).
@@ -501,10 +499,14 @@ class _Image:
         self.garbage = self.used - int(self.length[1:rows].sum())
         bare = (~self.aliased[1:rows]).nonzero()[0] + 1
         row = self.slab_row[bare]
-        for home, at in ((self.slab, row[row != 0]), (self, bare[row == 0])):
+        slab = self.slab  # row offsets as wide as the home's longest row
+        for home, at, width in (
+            (slab, row[row != 0], np.min_scalar_type(slab.capacity - 1)),
+            (self, bare[row == 0], np.uint32),
+        ):
             if home.alias_prob is None:  # the alias columns of its arena
                 home.alias_prob = np.zeros(home.ids.size, dtype=np.float64)
-                home.alias_idx = np.zeros(home.ids.size, dtype=np.int64)
+                home.alias_idx = np.zeros(home.ids.size, dtype=width)
             length = home.length[at]
             build_alias(
                 home.cum, home.start[at], length, home.alias_prob, home.alias_idx
@@ -602,21 +604,22 @@ class _Image:
                 np.empty(shape, dtype=np.float64),  # uniforms / fracs
                 np.empty(shape, dtype=np.float64),  # gathered cell probs
                 np.empty(shape, dtype=np.int64),  # slot -> edge position
+                np.empty(shape, dtype=slab.alias_idx.dtype),  # cell aliases
                 np.empty(shape, dtype=np.int64),  # chosen edge index
                 np.empty(shape, dtype=bool),  # keep-slot mask
             )
-        uf, tf, slot, chosen, keep = buffers
+        uf, tf, slot, narrow, chosen, keep = buffers
         gen.random(out=uf)
         alias_cells(uf, deg, not weighted, slot)
         np.add(slot, lo, out=slot)  # edge positions, each in its home
         out = draw_alias(
-            slab.ids, slab.alias_prob, slab.alias_idx, slot, uf,
-            not weighted, tf, chosen, keep,
+            slab.ids, slab.alias_prob, slab.alias_idx, slot, lo, uf,
+            not weighted, tf, narrow, chosen, keep,
         )
         if arena.size:
             out[arena] = draw_alias(
                 self.ids, self.alias_prob, self.alias_idx, slot[arena],
-                uf[arena], not weighted,
+                lo[arena], uf[arena], not weighted,
             )
         empty = deg[:, 0] == 0
         if empty.any():
@@ -701,13 +704,10 @@ class _Image:
         start = ends - owned
         self.used = int(ends[-1]) if keep.size else 0
         self.garbage = 0
-        moved = np.repeat(self.start[keep] - start, owned)
-        take = moved + np.arange(self.used)
-        self.ids[: self.used] = self.ids.take(take)
-        self.cum[: self.used] = self.cum.take(take)
-        if pinned:
-            self.alias_prob[: self.used] = self.alias_prob.take(take)
-            self.alias_idx[: self.used] = self.alias_idx.take(take) - moved
+        take = np.repeat(self.start[keep] - start, owned) + np.arange(self.used)
+        for name in _ARENA_COLUMNS if pinned else _ARENA_COLUMNS[:2]:
+            column = getattr(self, name)
+            column[: self.used] = column.take(take)
         self.ordered = int(keep.searchsorted(self.ordered, "right"))
         self.rows = rows = keep.size + 1
         for name in ("src", "length", "slab_row", "aliased"):
@@ -762,14 +762,17 @@ class ReadImage:
 
     @property
     def alias_nbytes(self) -> int:
-        """Modeled bytes of the alias columns of the frozen relations: one
-        cell probability + one position per arena slot in use and per edge
-        of an aliased pointer row (its table is in the slab)."""
-        cells = 0
+        """Bytes of the alias columns of the frozen relations: a modeled
+        probability + a row offset of its home's width per arena slot in
+        use and per edge of an aliased pointer row (its table: the slab)."""
+        weight, nbytes = DEFAULT_MEMORY_MODEL.weight_bytes, 0
         for image in self.frozen_relations:
+            slab = image.slab
             pointer = image.slab_row[: image.rows][image.aliased[: image.rows]]
-            cells += image.used + int(image.slab.length[pointer].sum())
-        return _ALIAS_SLOT_BYTES * cells
+            cells = int(slab.length[pointer].sum())
+            nbytes += (weight + image.alias_idx.itemsize) * image.used
+            nbytes += (weight + slab.alias_idx.itemsize) * cells
+        return nbytes
 
     @property
     def frozen_relations(self) -> List[_Image]:

@@ -149,11 +149,21 @@ class CuckooHashMap:
                     queue.append(t)
         return None
 
+    def _free_slot(self, etype: int, src: int) -> int:
+        """The first free slot of the key's buckets in search order, or -1."""
+        keys = self._cols[0]
+        for bucket in _pair(etype, src, self._shift, self._mask):
+            for t in range(bucket * _BUCKET_WAYS, (bucket + 1) * _BUCKET_WAYS):
+                if keys[t] < 0:
+                    return t
+        return -1
+
     def _place(self, etype: int, src: int, value: int) -> bool:
         """Put an absent key into the writer's table along a cuckoo path
         (MemC3: the last resident moves to the free slot first, so no
         key is ever in no slot); ``False`` when no path was found."""
-        path = self._cuckoo_path(etype, src)
+        slot = self._free_slot(etype, src)  # a free bucket slot: no search
+        path = [slot] if slot >= 0 else self._cuckoo_path(etype, src)
         if path is None:
             return False
         keys, etypes, values = self._cols

@@ -493,13 +493,39 @@ def test_put_many_fills_first_buckets_then_second():
     cuckoo_path = m._cuckoo_path
     m._cuckoo_path = lambda *key: paths.append(cuckoo_path(*key)) or paths[-1]
     m.put_many(0, src, np.arange(1, src.size + 1))
-    assert all(len(path) == 1 for path in paths)  # a free slot, no move
+    assert not paths  # a free bucket slot for every key: no search, no move
     b1, b2 = (_bucket_column(0, src, w, m._shift, m._mask) for w in (0, 1))
     slot = np.asarray([m._find_slot(0, s, m._table) for s in src.tolist()])
     assert (slot[:4] == np.arange(4)).all()  # bucket 0, in key order
     assert (slot[4:10] // 4 == b2[4:10]).all()
     assert ((slot // 4 == b1) | (slot // 4 == b2)).all()
     assert m.get_many(0, src)[0].tolist() == list(range(1, src.size + 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_free_bucket_slot_is_the_searchs_first_path(seed):
+    """``put`` takes the first free slot of the key's buckets before any
+    search: the one-slot path the breadth-first search returns, so a
+    seeded ``put`` sequence leaves the columns the search alone leaves."""
+    rng = np.random.default_rng(seed)
+    etypes, srcs = rng.integers(0, 3, 2000), rng.integers(0, 1 << 40, 2000)
+    fast = CuckooHashMap(initial_buckets=4)
+    searched = CuckooHashMap(initial_buckets=4)
+    searched._free_slot = lambda etype, src: -1  # never a shortcut
+    one_slot = 0
+    for etype, src in zip(etypes.tolist(), srcs.tolist()):
+        path = fast._cuckoo_path(etype, src)
+        free = fast._free_slot(etype, src)
+        if path is not None and len(path) == 1:
+            one_slot += 1
+            assert free == path[0]
+        else:
+            assert free == -1
+        fast.put(etype, src, 1 + src % 1000)
+        searched.put(etype, src, 1 + src % 1000)
+    assert 0 < one_slot < 2000
+    for name in ("_src", "_etype", "_value"):
+        assert np.array_equal(getattr(fast, name), getattr(searched, name))
 
 
 # ---------------------------------------------------------------------------

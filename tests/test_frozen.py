@@ -264,7 +264,7 @@ class TestAliasBuilder:
             weights = np.asarray(row, dtype=np.float64)
             total = float(weights.sum())
             mass = alias_mass(prob, idx, lo, hi)
-            assert ((idx[lo:hi] >= lo) & (idx[lo:hi] < hi)).all()
+            assert ((idx[lo:hi] >= 0) & (idx[lo:hi] < hi - lo)).all()
             assert ((prob[lo:hi] >= 0.0) & (prob[lo:hi] <= 1.0)).all()
             if total > 0.0:
                 assert np.abs(mass - weights / total).max() <= ALIAS_TOLERANCE
@@ -292,7 +292,9 @@ class TestAliasBuilder:
         # Equal-weight and single-edge rows keep the identity table.
         prob, idx, starts, ends = _alias_tables(rows[:3])
         assert (prob == 1.0).all()
-        assert idx.tolist() == list(range(ends[-1]))
+        assert idx.tolist() == [
+            i for lo, hi in zip(starts, ends) for i in range(hi - lo)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +507,7 @@ class TestEpochInvalidation:
             a = int(home.start[at])
             b = a + int(home.length[at])
             home.alias_prob[a:b] = 0.5  # half of every cell's mass ...
-            home.alias_idx[a:b] = a  # ... moved onto the first edge
+            home.alias_idx[a:b] = 0  # ... moved onto the first edge
             assert store.snapshot_cache.stale_rows(
                 store.directory, store.slab
             ) == [(0, src)]
@@ -513,6 +515,33 @@ class TestEpochInvalidation:
                 store.check_invariants()
             image.aliased[slot] = False  # a binary-search row has no table
             store.check_invariants()
+
+    @pytest.mark.parametrize("promoted", [True, False])
+    def test_an_out_of_row_alias_cell_is_stale_not_a_crash(self, promoted):
+        """A cell naming an offset past its row — its length, or the
+        previous row's last edge (offset -1, wrapped by the unsigned
+        column) — would draw a non-neighbour: the checker calls the row
+        stale, in the arena and in the slab, and raises nothing else."""
+        store = _churned_store()
+        (image,) = store.freeze()
+        src = next(
+            s for s in store.sources()
+            if (type(store.directory.get(0, s)) is not int) == promoted
+        )
+        slot = image.slot_of[src]
+        row = image.slab_row.item(slot)
+        home, at = (store.slab, row) if row else (image, slot)
+        a = int(home.start[at])
+        cell = home.alias_idx[a]
+        for bad in (int(home.length[at]), np.iinfo(home.alias_idx.dtype).max):
+            home.alias_idx[a] = bad
+            assert store.snapshot_cache.stale_rows(
+                store.directory, store.slab
+            ) == [(0, src)]
+            with pytest.raises(InvariantViolationError):
+                store.check_invariants()
+        home.alias_idx[a] = cell
+        store.check_invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +579,7 @@ class TestSlabAliasTables:
         assert cache.stats.builds == builds and image.used == 0
         parts = store.nbytes_breakdown()
         assert parts["snapshot_cache"] == 0
-        assert parts["frozen"] == 12 * store.num_edges
+        assert parts["frozen"] == (4 + 1) * store.num_edges  # c = 16: uint8
         store.sample_neighbors_many(range(40), 5, rng=1)
         assert store.frozen_stats.vertices == 40
         assert store.frozen_stats.stale_misses == 0
@@ -612,6 +641,55 @@ class TestSlabAliasTables:
         block = store.sample_neighbors_many([3, 7, 8], 50, rng=2)
         assert 5000 in block.ids[0] and 6000 in block.ids[1]
         assert store.frozen_stats.stale_misses == 2
+
+
+class TestAliasCellWidth:
+    """``alias_idx`` holds row offsets, as narrow as the home allows:
+    the smallest unsigned type holding ``c - 1`` in the slab, ``uint32``
+    in the image's arena."""
+
+    @pytest.mark.parametrize("capacity, dtype", [
+        (16, np.uint8), (256, np.uint8), (257, np.uint16), (512, np.uint16),
+    ])
+    def test_slab_width_follows_the_capacity(self, capacity, dtype):
+        store = DynamicGraphStore(SamtreeConfig(capacity=capacity))
+        for src in range(4):
+            store.add_edge(src, 100 + src, 1.0 + src)
+        (image,) = store.freeze()
+        assert store.slab.alias_idx.dtype == dtype
+        assert image.alias_idx.dtype == np.uint32
+
+    def test_a_full_row_of_256_draws_its_weights_through_one_byte(self):
+        store = DynamicGraphStore(SamtreeConfig(capacity=256, alpha=0))
+        weights = [1.0 + i % 5 for i in range(255)] + [600.0]
+        for i, w in enumerate(weights):  # a full slab row, its last edge
+            store.add_edge(1, 1000 + i, w)  # the one large cell
+        for i in range(300):  # a samtree: its table is in the arena
+            store.add_edge(2, 1000 + i, 1.0 + i % 7)
+        for src in range(3, 10):
+            for i in range(src):
+                store.add_edge(src, 1000 + i, 1.0 + i)
+        (image,) = store.freeze()
+        slab = store.slab
+        assert slab.alias_idx.dtype == np.uint8
+        assert image.alias_idx.dtype == np.uint32
+        row = store.directory.get(0, 1)
+        a = slab.start.item(row)
+        b = a + slab.length.item(row)
+        assert b - a == 256 and slab.alias_idx[b - 1] == 255
+        store.check_invariants()
+        draws = store.sample_neighbors_many([1] * 3000, 20, rng=3).ids
+        assert store.frozen_stats.vertices == 3000
+        assert store.frozen_stats.stale_misses == 0
+        counts = np.bincount(draws.ravel() - 1000, minlength=256)
+        expected = draws.size * np.asarray(weights) / sum(weights)
+        assert _chi2_pvalue(counts, expected) > 0.01
+        # Each home is charged a 4-byte probability + its own offset width.
+        slab_edges = store.num_edges - 300
+        assert image.used == 300
+        assert store.nbytes_breakdown()["frozen"] == (
+            (4 + 1) * slab_edges + (4 + 4) * image.used
+        )
 
 
 # ---------------------------------------------------------------------------
