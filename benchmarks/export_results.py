@@ -151,7 +151,7 @@ def export_obs() -> dict:
 
     rng = random.Random(0)
     network = NetworkModel()
-    tracer = Tracer(clock=network.now, seed=0)
+    tracer = Tracer(clock=network.now)
     cluster = LocalCluster(num_servers=4, network=network, tracer=tracer)
     n = 500
     srcs = [rng.randrange(n) for _ in range(2000)]

@@ -197,7 +197,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.datasets.stream import RequestStream
 
     network = NetworkModel()
-    tracer = Tracer(clock=network.now, seed=args.seed)
+    tracer = Tracer(clock=network.now)
     fault_policy = None
     if args.fault_rate > 0:
         fault_policy = FaultPolicy(transient_error_rate=args.fault_rate)

@@ -58,10 +58,10 @@ snapshot-and-rebuild:
   cost would dominate it.
 
 * **Compaction is the only eviction**: once garbage passes
-  ``1/GARBAGE_DIVISOR`` of the live edges and rows — or the image
-  outgrows ``capacity_bytes`` — one vectorized pass rewrites the arena,
-  keeping the clean rows read within the last :data:`KEEP_IDLE` passes
-  (every clean row, for a frozen relation), pointer rows included.
+  ``1/GARBAGE_DIVISOR`` of the live edges and rows, one vectorized pass
+  rewrites the arena, keeping the clean rows read within the last
+  :data:`KEEP_IDLE` passes (every clean row, for a frozen relation),
+  pointer rows included.
 
 The batched read APIs take a seed — an ``int``, a ``random.Random``, or
 a ``numpy.random.Generator`` (passed through untouched, so one
@@ -96,9 +96,6 @@ __all__ = [
 
 #: Anything the sampling APIs accept as a randomness source.
 RNGLike = Union[None, int, random.Random, np.random.Generator]
-
-#: Default image budget: 64 MiB of modeled arena bytes.
-DEFAULT_CAPACITY_BYTES = 64 << 20
 
 #: Calls with fewer sources than this draw row by row; the frontier
 #: kernel costs a fixed ~40 numpy dispatches however few rows it serves.
@@ -677,14 +674,11 @@ class _Image:
         return out, ~state.view(np.bool_)
 
     # -- compaction ---------------------------------------------------------
-    def compact(self, budget: Optional[int] = None) -> int:
+    def compact(self) -> int:
         """Rewrite the arena with the clean rows read in the last
         ``KEEP_IDLE`` intervals, bit for bit; returns how many clean
-        rows were dropped.  Where those exceed ``budget`` arena slots
-        the shortest rows are kept first: a hub too large for the budget
-        is served once and dropped, it does not push everything else out.
-        A frozen relation's clean rows are pinned: all of them stay.  A
-        pointer row ages like any other row.
+        rows were dropped.  A frozen relation's clean rows are pinned:
+        all of them stay.  A pointer row ages like any other row.
         """
         rows = self.rows
         clean = self.clean[:rows]
@@ -694,11 +688,6 @@ class _Image:
         else:
             keep = np.flatnonzero(clean & (self.idle[:rows] < KEEP_IDLE))
         owned = np.where(self.slab_row[keep] != 0, 0, self.length[keep])
-        if not pinned and budget is not None and int(owned.sum()) > budget:
-            order = np.argsort(owned, kind="stable")
-            fits = int(np.searchsorted(np.cumsum(owned[order]), budget, "right"))
-            order = np.sort(order[:fits])
-            keep, owned = keep[order], owned[order]
         dropped = int(np.count_nonzero(clean)) - keep.size
         ends = np.cumsum(owned)
         start = ends - owned
@@ -722,18 +711,11 @@ class _Image:
 
 
 class ReadImage:
-    """The store's batched read tier: one row image per relation.
+    """The store's batched read tier: one row image per relation."""
 
-    ``capacity_bytes`` (:data:`DEFAULT_CAPACITY_BYTES`, read when the
-    image is built) bounds the modeled arena bytes (one ID + one
-    cumulative weight per slot, garbage included) over all relations;
-    an image that outgrows it compacts at once, down to the budget.
-    """
-
-    __slots__ = ("capacity_bytes", "stats", "relations")
+    __slots__ = ("stats", "relations")
 
     def __init__(self) -> None:
-        self.capacity_bytes = DEFAULT_CAPACITY_BYTES
         self.stats = SnapshotCacheStats()
         #: ``etype -> _Image``; empty until the first batched read.
         self.relations: Dict[int, _Image] = {}
@@ -864,13 +846,6 @@ class ReadImage:
             dirty = (image.slab_row[slots] == 0) | image.aliased[slots]
             image.clean[slots[dirty]] = False
 
-    def compact(self) -> None:
-        """Compact every relation now (also runs by itself, see module
-        docstring)."""
-        for image in self.relations.values():
-            self.stats.evictions += image.compact()
-            self.stats.compactions += 1
-
     def clear(self) -> None:
         """Drop every row (counters are kept; use ``stats.reset()``)."""
         self.thaw()
@@ -951,16 +926,11 @@ class ReadImage:
         return drawn
 
     def _settle(self, image: _Image) -> None:
-        """After a call that admitted rows: compact if garbage or the
-        byte budget says so.  Live is what the rows serve, in the arena
-        or the slab, plus one per row (an empty row serves nothing)."""
+        """After a call that admitted rows: compact if garbage says so.
+        Live is what the rows serve, in the arena or the slab, plus one
+        per row (an empty row serves nothing)."""
         served = image.slab.length[image.slab_row[: image.rows]]  # pointer rows
         live = int(image.length[: image.rows].sum() + served.sum()) + image.rows
-        spare = self.capacity_bytes - self.nbytes
-        # Nothing of a frozen relation can be evicted to meet the budget.
-        over = spare < 0 and not image.frozen
-        if over or image.garbage * GARBAGE_DIVISOR > live:
+        if image.garbage * GARBAGE_DIVISOR > live:
             self.stats.compactions += 1
-            self.stats.evictions += image.compact(
-                max(0, image.used + spare // _SLOT_BYTES)
-            )
+            self.stats.evictions += image.compact()

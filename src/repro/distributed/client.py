@@ -126,7 +126,6 @@ class GraphClient(GraphStoreAPI):
         replica_groups: Optional[Sequence[Sequence[GraphServer]]] = None,
         retry: Optional[RetryPolicy] = None,
         degraded_reads: bool = False,
-        tracer=None,
         hot_replicas: Optional[HotReplicaDirectory] = None,
         hot_tracker: Optional[HotSetTracker] = None,
     ) -> None:
@@ -162,7 +161,7 @@ class GraphClient(GraphStoreAPI):
         self.retry = retry
         self.degraded_reads = degraded_reads
         #: Telemetry hub; a cluster swaps in the one it shares.
-        self.telemetry = Telemetry(tracer=tracer)
+        self.telemetry = Telemetry()
         #: Hot-vertex read-replica directory (empty = no spreading).
         self.hot_replicas = (
             hot_replicas if hot_replicas is not None else HotReplicaDirectory()

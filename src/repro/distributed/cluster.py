@@ -553,7 +553,6 @@ class LocalCluster:
         self,
         interval: float = 0.05,
         rules=None,
-        max_points: int = 4096,
         name_filter=None,
     ):
         """Attach a continuous-monitoring scrape loop to this cluster.
@@ -579,7 +578,6 @@ class LocalCluster:
             clock=self.telemetry.clock,
             interval=interval,
             alerts=AlertManager(list(rules) if rules else []),
-            max_points=max_points,
             name_filter=name_filter,
         )
         self.monitor = monitor
@@ -591,7 +589,7 @@ class LocalCluster:
         self._register_views(_MONITOR_VIEWS, "monitor")
         return monitor
 
-    def attach_recorder(self, recorder=None, capacity: int = 1024):
+    def attach_recorder(self, recorder=None):
         """Attach a :class:`~repro.obs.flight.FlightRecorder` to every
         layer of this cluster.
 
@@ -607,9 +605,7 @@ class LocalCluster:
         from repro.obs.flight import FlightRecorder
 
         if recorder is None:
-            recorder = FlightRecorder(
-                clock=self.telemetry.clock, capacity=capacity
-            )
+            recorder = FlightRecorder(clock=self.telemetry.clock)
         elif recorder.clock is None:
             recorder.clock = self.telemetry.clock
         self.telemetry.recorder = recorder

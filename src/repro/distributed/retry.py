@@ -25,7 +25,7 @@ degradation instead of burning the attempt budget.
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional, TypeVar
 
 from repro.errors import (
@@ -86,11 +86,8 @@ class RetryPolicy:
     deadline_seconds: Optional[float] = None
     seed: int = 0
     stats: RetryStats = field(default_factory=RetryStats)
-    #: Optional :class:`~repro.obs.flight.FlightRecorder` for the
-    #: policy's own hub (constructor-only; wiring, not policy).
-    recorder: InitVar[Optional[object]] = None
 
-    def __post_init__(self, recorder) -> None:
+    def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
@@ -107,7 +104,7 @@ class RetryPolicy:
             raise ConfigurationError("deadline_seconds must be > 0")
         self._rng = random.Random(self.seed)
         #: Telemetry hub; a cluster swaps in the one it shares.
-        self.telemetry = Telemetry(recorder=recorder)
+        self.telemetry = Telemetry()
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -111,12 +111,6 @@ class GraphServer:
     replica_index:
         Position of this server inside its shard's replica group
         (0 = primary).
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer`; when given, every
-        endpoint opens a ``server.<endpoint>`` span (a child of the
-        client's RPC span, since the cluster runs in-process) and the
-        batched sampling path nests a ``samtree.sample_many`` span
-        around the store descent.
     """
 
     def __init__(
@@ -128,7 +122,6 @@ class GraphServer:
         faults=None,
         store_factory: Optional[Callable[[], GraphStoreAPI]] = None,
         replica_index: int = 0,
-        tracer=None,
     ) -> None:
         self.shard_id = shard_id
         self.replica_index = replica_index
@@ -141,7 +134,7 @@ class GraphServer:
         self.wal = wal
         self.faults = faults
         #: Telemetry hub; a cluster swaps in the one it shares.
-        self.telemetry = Telemetry(tracer=tracer)
+        self.telemetry = Telemetry()
         #: The tags every span and event of this replica leads with.
         self._where = {"shard": shard_id, "replica": replica_index}
         self._alive = True

@@ -21,7 +21,7 @@ subsystem reports into:
   ``to_dict`` / ``merge_from`` from;
 * :mod:`repro.obs.trace` — structured tracing: a :class:`Tracer`
   producing span trees (trace/span/parent ids, wall or simulated
-  clocks, tags) with head-based sampling and a slow-trace ring buffer;
+  clocks, tags) into a recent-trace and a slow-trace ring buffer;
 * :mod:`repro.obs.export` — Prometheus text exposition, JSON dump, and
   the exposition-format linter CI uses;
 * :mod:`repro.obs.report` — the human ``repro obs`` report (per-shard

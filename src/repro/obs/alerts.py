@@ -331,11 +331,9 @@ class AlertManager:
     def pending(self) -> List[Alert]:
         return [a for a in self.alerts.values() if a.state == "pending"]
 
-    def timeline(self, rule: Optional[str] = None) -> List[AlertEvent]:
-        """The event log, optionally filtered to one rule."""
-        if rule is None:
-            return list(self.events)
-        return [e for e in self.events if e.rule == rule]
+    def timeline(self) -> List[AlertEvent]:
+        """The event log, oldest first."""
+        return list(self.events)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -348,16 +346,9 @@ class AlertManager:
         }
 
 
-def default_serving_rules(
-    target: float = 0.99,
-    fast_window: float = 0.25,
-    slow_window: float = 1.0,
-    burn_threshold: float = 8.0,
-    for_seconds: float = 0.04,
-    p99_threshold_seconds: float = 25e-3,
-    failure_rate_threshold: float = 5.0,
-) -> List[AlertRule]:
-    """The serving tier's canonical rule set (scaled to simulated time).
+def default_serving_rules() -> List[AlertRule]:
+    """The serving tier's canonical rule set (scaled to simulated time:
+    a 0.25 s fast and a 1 s slow window, 40 ms of ``for``).
 
     The availability burn rate counts *fresh* in-SLO answers as good —
     a shed request rescued by the degraded cache still spends error
@@ -369,31 +360,31 @@ def default_serving_rules(
             "serving_availability_burn",
             good="repro_serving_answered_fresh",
             total="repro_serving_submitted",
-            target=target,
-            fast_window=fast_window,
-            slow_window=slow_window,
-            threshold=burn_threshold,
-            for_seconds=for_seconds,
-            labels={"severity": "page", "slo": f"{target:g}"},
+            target=0.99,
+            fast_window=0.25,
+            slow_window=1.0,
+            threshold=8.0,
+            for_seconds=0.04,
+            labels={"severity": "page", "slo": "0.99"},
         ),
         ThresholdRule(
             "serving_p99_high",
             key="repro_serving_request_seconds",
             mode="quantile",
             q=0.99,
-            window=slow_window,
+            window=1.0,
             op=">",
-            threshold=p99_threshold_seconds,
-            for_seconds=for_seconds,
+            threshold=25e-3,
+            for_seconds=0.04,
             labels={"severity": "ticket"},
         ),
         ThresholdRule(
             "serving_failure_rate",
             key="repro_serving_failed",
             mode="rate",
-            window=slow_window,
+            window=1.0,
             op=">",
-            threshold=failure_rate_threshold,
+            threshold=5.0,
             labels={"severity": "page"},
         ),
     ]

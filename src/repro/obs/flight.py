@@ -9,7 +9,7 @@ on the hot path — so a recorded run executes the *same* seeded
 simulation as a plain one, which is the property deterministic incident
 replay (:mod:`repro.obs.replay`) rests on.
 
-Categories (fixed at construction; see :data:`DEFAULT_CATEGORIES`):
+Categories (fixed; see :data:`DEFAULT_CATEGORIES`):
 
 * ``admission`` — request admits and sheds, with the shed cause;
 * ``breaker``   — per-shard circuit-breaker transitions;
@@ -44,10 +44,9 @@ from repro.errors import ConfigurationError
 
 __all__ = ["DEFAULT_CATEGORIES", "EventRing", "FlightRecorder"]
 
-#: The event categories every recorder carries by default (ISSUE 10's
-#: taxonomy); :class:`FlightRecorder` accepts per-category capacity
-#: overrides but not ad-hoc categories — a typo'd category in a hook
-#: must fail loudly, not open a silent ring.
+#: The event categories every recorder carries; :class:`FlightRecorder`
+#: accepts no ad-hoc category — a typo'd category in a hook must fail
+#: loudly, not open a silent ring.
 DEFAULT_CATEGORIES = (
     "admission",
     "breaker",
@@ -132,32 +131,18 @@ class FlightRecorder:
         :meth:`~repro.distributed.cluster.LocalCluster.attach_recorder`
         binds the cluster's network clock on attach.
     capacity:
-        Default slots per category ring.
-    capacities:
-        Optional per-category overrides, e.g. ``{"admission": 4096}``.
-    categories:
-        The category set (default :data:`DEFAULT_CATEGORIES`).
+        Slots per category ring.
     """
 
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
         capacity: int = 1024,
-        capacities: Optional[Dict[str, int]] = None,
-        categories: Tuple[str, ...] = DEFAULT_CATEGORIES,
     ) -> None:
-        overrides = dict(capacities or {})
-        unknown = set(overrides) - set(categories)
-        if unknown:
-            raise ConfigurationError(
-                f"capacity overrides for unknown categories: "
-                f"{sorted(unknown)}"
-            )
         self.clock = clock
-        self.capacity = capacity
         self._rings: Dict[str, EventRing] = {
-            category: EventRing(category, overrides.get(category, capacity))
-            for category in categories
+            category: EventRing(category, capacity)
+            for category in DEFAULT_CATEGORIES
         }
 
     # ------------------------------------------------------------------

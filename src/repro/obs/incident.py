@@ -57,6 +57,9 @@ BUNDLE_SECTIONS = (
 #: carries no rule (manual/exception captures).
 DEFAULT_WINDOW = 1.0
 
+#: Slowest trace trees embedded per bundle.
+MAX_TRACES = 5
+
 
 def _binding_window(rule) -> float:
     """The alert's binding window: the slow window of a burn-rate rule,
@@ -90,8 +93,6 @@ class IncidentManager:
         Minimum simulated seconds between two *alert-triggered*
         captures of the same rule; suppressed firings are counted in
         :attr:`suppressed`.  A manual trigger ignores it.
-    max_traces:
-        Slowest trace trees to embed per bundle.
     """
 
     def __init__(
@@ -99,7 +100,6 @@ class IncidentManager:
         cluster,
         out_dir: Optional[str] = None,
         cooldown: float = 0.5,
-        max_traces: int = 5,
     ) -> None:
         if cooldown < 0:
             raise ConfigurationError(
@@ -108,7 +108,6 @@ class IncidentManager:
         self.cluster = cluster
         self.out_dir = out_dir
         self.cooldown = cooldown
-        self.max_traces = max_traces
         self.incidents: List[Dict] = []
         #: Alert firings skipped because the rule was in cooldown.
         self.suppressed = 0
@@ -231,7 +230,7 @@ class IncidentManager:
 
         tracer = getattr(cluster, "tracer", None)
         traces = (
-            [span.to_dict() for span in tracer.top_slow(self.max_traces)]
+            [span.to_dict() for span in tracer.top_slow(MAX_TRACES)]
             if tracer is not None
             else []
         )

@@ -47,6 +47,10 @@ HistState = Tuple[Tuple[int, ...], int, float, float]
 
 _ZERO_HIST: HistState = ((0,) * 24, 0, 0.0, 0.0)
 
+#: Ring capacity per series: memory stays O(series × MAX_POINTS) no
+#: matter how long the deployment runs.
+MAX_POINTS = 4096
+
 
 def _add_states(a: HistState, b: HistState) -> HistState:
     return (
@@ -79,9 +83,6 @@ class TimeSeriesStore:
     clock:
         Time source for point timestamps (``NetworkModel.now`` on a
         cluster; defaults to ``time.perf_counter``).
-    max_points:
-        Ring capacity per series — memory stays O(series × max_points)
-        no matter how long the deployment runs.
     name_filter:
         Optional sequence of name prefixes; only series whose canonical
         key starts with one of them is scraped (bounds scrape cost on
@@ -92,14 +93,12 @@ class TimeSeriesStore:
         self,
         registry,
         clock: Optional[Callable[[], float]] = None,
-        max_points: int = 4096,
         name_filter: Optional[Sequence[str]] = None,
     ) -> None:
-        if max_points < 2:
-            raise ConfigurationError("max_points must be >= 2")
+        if MAX_POINTS < 2:  # a window query reads a ring's two ends
+            raise ConfigurationError("MAX_POINTS must be >= 2")
         self.registry = registry
         self.clock = clock if clock is not None else time.perf_counter
-        self.max_points = max_points
         self.name_filter = tuple(name_filter) if name_filter else None
         #: Adjusted (reset-corrected, monotone for counters) scalars.
         self._scalars: Dict[str, Deque[Tuple[float, float]]] = {}
@@ -135,8 +134,7 @@ class TimeSeriesStore:
         last_raw = self._last_raw
         offsets = self._offset
         scalars = self._scalars
-        max_points = self.max_points
-        full = max_points  # a full ring drops a point per append
+        full = MAX_POINTS  # a full ring drops a point per append
         added = 0
         for key, value in snap.scalars.items():
             kind = snap_kinds.get(key, "untyped")
@@ -154,7 +152,7 @@ class TimeSeriesStore:
                 adjusted = value
             ring = scalars.get(key)
             if ring is None:
-                ring = scalars[key] = deque(maxlen=max_points)
+                ring = scalars[key] = deque(maxlen=full)
             if len(ring) < full:
                 added += 1
             ring.append((t, adjusted))
@@ -176,7 +174,7 @@ class TimeSeriesStore:
             )
             hring = hists.get(key)
             if hring is None:
-                hring = hists[key] = deque(maxlen=max_points)
+                hring = hists[key] = deque(maxlen=full)
             if len(hring) < full:
                 added += 1
             hring.append((t, adjusted_state))
@@ -213,9 +211,9 @@ class TimeSeriesStore:
         """Raw ``(t, adjusted value)`` points of one scalar series."""
         return list(self._scalars.get(key, ()))
 
-    def latest(self, key: str, default: float = 0.0) -> float:
+    def latest(self, key: str) -> float:
         ring = self._scalars.get(key)
-        return ring[-1][1] if ring else default
+        return ring[-1][1] if ring else 0.0
 
     # ------------------------------------------------------------------
     # window selection helpers
@@ -349,16 +347,12 @@ class Monitor:
         clock: Optional[Callable[[], float]] = None,
         interval: float = 0.05,
         alerts=None,
-        max_points: int = 4096,
         name_filter: Optional[Sequence[str]] = None,
     ) -> None:
         if interval <= 0:
             raise ConfigurationError("scrape interval must be > 0")
         self.store = TimeSeriesStore(
-            registry,
-            clock=clock,
-            max_points=max_points,
-            name_filter=name_filter,
+            registry, clock=clock, name_filter=name_filter
         )
         self.clock = self.store.clock
         self.interval = interval
@@ -371,13 +365,13 @@ class Monitor:
             self._next_due = self.clock()
         return self._next_due
 
-    def poll(self, now: Optional[float] = None) -> bool:
+    def poll(self) -> bool:
         """Scrape iff the interval has elapsed; returns whether it did.
 
         The next due time is anchored at the *actual* scrape time, so a
         driver that fell behind does not trigger a catch-up storm.
         """
-        t = self.clock() if now is None else float(now)
+        t = self.clock()
         if t < self.next_due():
             return False
         self.scrape(t)

@@ -234,7 +234,7 @@ def _diff_events(original: Dict, replay: Dict, out: List[str]) -> bool:
 # ---------------------------------------------------------------------------
 # the replay
 # ---------------------------------------------------------------------------
-def replay_bundle(bundle_or_path, max_traces: int = 5) -> ReplayResult:
+def replay_bundle(bundle_or_path) -> ReplayResult:
     """Re-run a bundle's captured window; verify it converges.
 
     Accepts an in-memory bundle dict or a bundle directory path.  The
@@ -285,8 +285,7 @@ def replay_bundle(bundle_or_path, max_traces: int = 5) -> ReplayResult:
             "bundle was alert-triggered but the spec's rig has no "
             "monitor; put monitor_interval in spec['rig_kwargs']"
         )
-    manager = IncidentManager(rig.cluster, cooldown=0.0,
-                              max_traces=max_traces)
+    manager = IncidentManager(rig.cluster, cooldown=0.0)
     if rig.monitor is not None:
         manager.watch(rig.monitor.alerts)
     manager.mark_start(spec)

@@ -12,10 +12,10 @@ Renders, from a live cluster / registry / tracer:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.memory import humanize_bytes
-from repro.obs.registry import MetricsRegistry, RegistrySnapshot
+from repro.obs.registry import RegistrySnapshot
 
 __all__ = ["render_report", "render_span_tree"]
 
@@ -210,7 +210,7 @@ def _shard_table(cluster, snap: RegistrySnapshot) -> List[str]:
     return lines
 
 
-def render_span_tree(span, indent: int = 0, clock_note: str = "") -> List[str]:
+def render_span_tree(span, indent: int = 0) -> List[str]:
     """Indented one-line-per-span rendering of a trace tree."""
     tags = " ".join(
         f"{k}={v}" for k, v in sorted(span.tags.items(), key=lambda kv: kv[0])
@@ -218,7 +218,7 @@ def render_span_tree(span, indent: int = 0, clock_note: str = "") -> List[str]:
     marker = "" if span.status == "ok" else f" !{span.status}"
     head = "  " * indent + ("- " if indent else "")
     lines = [
-        f"    {head}{span.name} {span.duration * 1e3:.3f}ms{clock_note}"
+        f"    {head}{span.name} {span.duration * 1e3:.3f}ms"
         f"{marker}" + (f" [{tags}]" if tags else "")
     ]
     for child in span.children:
@@ -226,16 +226,10 @@ def render_span_tree(span, indent: int = 0, clock_note: str = "") -> List[str]:
     return lines
 
 
-def render_report(
-    cluster=None,
-    registry: Optional[MetricsRegistry] = None,
-    tracer=None,
-    top_k: int = 5,
-) -> str:
+def render_report(cluster=None, tracer=None, top_k: int = 5) -> str:
     """Render the full observability report as one string."""
-    if registry is None and cluster is not None:
-        registry = getattr(cluster, "registry", None)
-    if tracer is None and cluster is not None:
+    registry = getattr(cluster, "registry", None)
+    if tracer is None:
         tracer = getattr(cluster, "tracer", None)
     lines: List[str] = ["== repro observability report =="]
     snap = registry.snapshot() if registry is not None else None

@@ -35,13 +35,11 @@ class Telemetry:
     __slots__ = ("tracer", "recorder", "clock")
 
     def __init__(
-        self,
-        tracer=None,
-        recorder=None,
-        clock: Optional[Callable[[], float]] = None,
+        self, tracer=None, clock: Optional[Callable[[], float]] = None
     ) -> None:
         self.tracer = tracer
-        self.recorder = recorder
+        #: Set by :meth:`LocalCluster.attach_recorder` on the shared hub.
+        self.recorder = None
         #: Simulated time source (a cluster binds ``network.now``);
         #: ``None`` leaves stamping to the recorder's own clock.
         self.clock = clock
@@ -63,7 +61,7 @@ class Telemetry:
         return tracer.span(name, **tags)
 
     def current(self):
-        """The innermost open sampled span, if a tracer holds one."""
+        """The innermost open span, if a tracer holds one."""
         tracer = self.tracer
         return tracer.current() if tracer is not None else None
 

@@ -10,15 +10,10 @@ runs in-process, context propagation is a per-thread span stack: a span
 opened while another is active becomes its child automatically, which is
 exactly the client→RPC→server nesting the acceptance test asserts.
 
-Cost control, the two production levers:
-
-* **head-based sampling** — the keep/drop decision is made once at the
-  *root* span from a seeded RNG (``sample_rate``); dropped traces turn
-  every nested span into a no-op, so an unsampled request costs one RNG
-  draw;
-* **ring buffers** — finished traces land in a bounded ring
-  (``max_traces``) and those slower than ``slow_threshold_seconds`` in
-  a separate slow-trace ring, so memory is O(rings), never O(requests).
+Every root is kept.  Cost is bounded by **ring buffers**: finished
+traces land in a bounded ring (``max_traces``) and those slower than
+``slow_threshold_seconds`` in a separate slow-trace ring of
+:data:`MAX_SLOW_TRACES`, so memory is O(rings), never O(requests).
 
 The clock is injectable: pass ``clock=network.now`` to measure spans on
 the cluster's *simulated* clock (transfer costs, latency spikes, and
@@ -28,7 +23,6 @@ retry backoff all advance it), or leave the default
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from collections import deque
@@ -135,19 +129,14 @@ class Span:
 
 
 class _NullSpan:
-    """No-op span for unsampled traces (every method is free)."""
+    """No-op span for call sites without a tracer (every method is free)."""
 
-    __slots__ = ("_tracer",)
-
-    def __init__(self, tracer: Optional["Tracer"] = None) -> None:
-        self._tracer = tracer
+    __slots__ = ()
 
     def __enter__(self) -> "_NullSpan":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._tracer is not None:
-            self._tracer._pop_unsampled()
         return False
 
     def set_tag(self, key: str, value) -> "_NullSpan":
@@ -161,54 +150,38 @@ class _NullSpan:
 #: Shared inert span for "tracer is None" call sites.
 NULL_SPAN = _NullSpan()
 
-#: Stack sentinel marking an unsampled (dropped) trace in progress.
-_UNSAMPLED = object()
+#: Ring capacity of the slow-trace log.
+MAX_SLOW_TRACES = 64
 
 
 class Tracer:
-    """Produces span trees with head-based sampling and slow-trace rings.
+    """Produces span trees into a recent-trace and a slow-trace ring.
 
     Parameters
     ----------
     clock:
         Time source (seconds).  Defaults to ``time.perf_counter``; pass
         ``NetworkModel.now`` to trace on the simulated cluster clock.
-    sample_rate:
-        Head-sampling probability in ``[0, 1]`` (decided at the root).
-    seed:
-        Seeds the sampling RNG — the same seed over the same request
-        sequence keeps the same traces.
     max_traces:
         Ring capacity of finished root traces.
     slow_threshold_seconds:
         Roots at least this slow also land in the slow-trace ring.
-    max_slow_traces:
-        Ring capacity of the slow-trace log.
     """
 
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
-        sample_rate: float = 1.0,
-        seed: int = 0,
         max_traces: int = 256,
         slow_threshold_seconds: float = 0.0,
-        max_slow_traces: int = 64,
     ) -> None:
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ConfigurationError(
-                f"sample_rate must be in [0, 1], got {sample_rate}"
-            )
-        if max_traces < 1 or max_slow_traces < 1:
-            raise ConfigurationError("trace ring capacities must be >= 1")
+        if max_traces < 1:
+            raise ConfigurationError(f"max_traces must be >= 1, got {max_traces}")
         if slow_threshold_seconds < 0:
             raise ConfigurationError("slow_threshold_seconds must be >= 0")
         self.clock = clock if clock is not None else time.perf_counter
-        self.sample_rate = sample_rate
         self.slow_threshold_seconds = slow_threshold_seconds
         self.finished: "deque[Span]" = deque(maxlen=max_traces)
-        self.slow: "deque[Span]" = deque(maxlen=max_slow_traces)
-        self._rng = random.Random(seed)
+        self.slow: "deque[Span]" = deque(maxlen=MAX_SLOW_TRACES)
         self._local = threading.local()
         self._id_lock = threading.Lock()
         self._next_trace = 0
@@ -224,50 +197,33 @@ class Tracer:
         return stack
 
     def current(self) -> Optional[Span]:
-        """The innermost open (sampled) span of this thread, if any."""
+        """The innermost open span of this thread, if any."""
         stack = self._stack()
-        if stack and stack[-1] is not _UNSAMPLED:
-            return stack[-1]
-        return None
+        return stack[-1] if stack else None
 
     def _ids(self) -> int:
         with self._id_lock:
             self._next_span += 1
             return self._next_span
 
-    def span(self, name: str, **tags):
-        """Open a span: a child of the current span, or a new trace root.
-
-        Returns a context manager — a real :class:`Span` when the trace
-        is sampled, a no-op otherwise.
-        """
+    def span(self, name: str, **tags) -> Span:
+        """Open a span (a context manager): a child of the current span,
+        or a new trace root."""
         stack = self._stack()
         if stack:
             parent = stack[-1]
-            if parent is _UNSAMPLED:
-                stack.append(_UNSAMPLED)
-                return _NullSpan(self)
             span = Span(
                 self, parent.trace_id, self._ids(), parent.span_id, name, tags
             )
             parent.children.append(span)
             stack.append(span)
             return span
-        # Root: the head-based sampling decision.
-        if self.sample_rate < 1.0 and self._rng.random() >= self.sample_rate:
-            stack.append(_UNSAMPLED)
-            return _NullSpan(self)
         with self._id_lock:
             self._next_trace += 1
             trace_id = self._next_trace
         span = Span(self, trace_id, self._ids(), None, name, tags)
         stack.append(span)
         return span
-
-    def _pop_unsampled(self) -> None:
-        stack = self._stack()
-        if stack and stack[-1] is _UNSAMPLED:
-            stack.pop()
 
     def _finish(self, span: Span) -> None:
         span.end = self.clock()
@@ -290,7 +246,7 @@ class Tracer:
         """Finished root spans, oldest first."""
         return list(self.finished)
 
-    def to_chrome_trace(self, spans: Optional[List[Span]] = None) -> Dict:
+    def to_chrome_trace(self) -> Dict:
         """Export finished span trees as chrome://tracing JSON.
 
         Each finished span becomes a complete (``"ph": "X"``) event with
@@ -298,13 +254,10 @@ class Tracer:
         every request renders as its own lane in the flamegraph UI
         (``chrome://tracing`` or https://ui.perfetto.dev).  Tags land in
         ``args`` (non-JSON-native values are ``repr``'d), alongside the
-        span/parent ids so the tree is reconstructible.  ``spans``
-        defaults to every archived root; pass e.g. ``tracer.top_slow(5)``
-        to export just the slow ring.
+        span/parent ids so the tree is reconstructible.
         """
         events: List[Dict] = []
-        roots = self.traces() if spans is None else spans
-        for root in roots:
+        for root in self.finished:
             for span in root.walk():
                 if span.end is None:
                     continue

@@ -140,7 +140,6 @@ class CircuitBreaker:
         failure_threshold: int = 3,
         reset_timeout: float = 0.25,
         shard: Optional[int] = None,
-        recorder=None,
     ) -> None:
         if failure_threshold < 1:
             raise ConfigurationError(
@@ -160,7 +159,7 @@ class CircuitBreaker:
         #: Which shard this breaker guards (recorder events name it).
         self.shard = shard
         #: Telemetry hub; the service swaps in its cluster's.
-        self.telemetry = Telemetry(recorder=recorder)
+        self.telemetry = Telemetry()
 
     def state(self, now: float) -> str:
         if self.opened_at is None:

@@ -334,12 +334,7 @@ def build_serving_rig(
     """
     network = NetworkModel()
     tracer = (
-        Tracer(
-            clock=network.now,
-            seed=seed,
-            max_traces=512,
-            slow_threshold_seconds=8e-3,
-        )
+        Tracer(clock=network.now, max_traces=512, slow_threshold_seconds=8e-3)
         if trace
         else None
     )

@@ -83,3 +83,9 @@ def live_edges(stream):
     and not deleted: the model a store fed the stream must match."""
     stream._ensure_live()
     return stream._live_set
+
+
+def compact_image(image) -> int:
+    """Compact every relation of a ``ReadImage`` now (the store runs it
+    by itself once garbage says so); returns the clean rows dropped."""
+    return sum(relation.compact() for relation in image.relations.values())

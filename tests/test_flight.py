@@ -122,11 +122,6 @@ class TestFlightRecorder:
         with pytest.raises(ConfigurationError):
             rec.record("nope", "kind")
 
-    def test_per_category_capacities(self):
-        rec = FlightRecorder(capacity=4, capacities={"admission": 2})
-        assert rec.ring("admission").capacity == 2
-        assert rec.ring("wal").capacity == 4
-
     def test_snapshot_shape(self):
         rec = FlightRecorder(capacity=4)
         rec.record("breaker", "open", t=1.0, shard=2)
@@ -175,10 +170,8 @@ class TestRPCErrorContext:
     def test_retry_populates_context_and_records(self):
         clock = ManualClock()
         rec = FlightRecorder(clock=clock, capacity=16)
-        policy = RetryPolicy(
-            max_attempts=3, base_backoff_seconds=1e-4, seed=1,
-            recorder=rec,
-        )
+        policy = RetryPolicy(max_attempts=3, base_backoff_seconds=1e-4, seed=1)
+        policy.telemetry.recorder = rec
 
         def always_fails():
             raise TransientRPCError("shard flaked", shard=1, endpoint="w")
@@ -301,9 +294,8 @@ class TestClusterHooks:
     def test_breaker_transitions_record(self):
         clock = ManualClock()
         rec = FlightRecorder(clock=clock, capacity=8)
-        breaker = CircuitBreaker(
-            failure_threshold=2, reset_timeout=0.5, shard=1, recorder=rec
-        )
+        breaker = CircuitBreaker(failure_threshold=2, reset_timeout=0.5, shard=1)
+        breaker.telemetry.recorder = rec
         breaker.record_failure(clock())
         breaker.record_failure(clock())  # trips open
         clock.advance(0.6)

@@ -78,7 +78,8 @@ def golden_blocks() -> dict:
     store.update_edge(63, int(store.neighbors(63)[0][0]), 9.0)
     draw("frozen_written")
     store.thaw()
-    store.snapshot_cache.compact()
+    for image in store.snapshot_cache.relations.values():
+        image.compact()
     draw("thawed_again")
     for src in (0, 3, 5, 61, 64):
         out[f"scalar.{src}.w"] = np.asarray(store.sample_neighbors(src, 40, src))

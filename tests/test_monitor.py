@@ -21,6 +21,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.obs import monitor as monitor_module
 from repro.distributed import LocalCluster, NetworkModel
 from repro.errors import ConfigurationError
 from repro.obs import (
@@ -184,12 +185,13 @@ class TestTimeSeriesStore:
         store.scrape()
         assert store.series_names() == ["keep_this_total"]
 
-    def test_rings_are_bounded(self):
+    def test_rings_are_bounded(self, monkeypatch):
         reg = MetricsRegistry()
         clock = ManualClock()
         reg.counter("c_total")
         reg.histogram("h_seconds")
-        store = TimeSeriesStore(reg, clock=clock, max_points=8)
+        monkeypatch.setattr(monitor_module, "MAX_POINTS", 8)
+        store = TimeSeriesStore(reg, clock=clock)
         for _ in range(50):
             clock.advance(1.0)
             store.scrape()
@@ -199,10 +201,11 @@ class TestTimeSeriesStore:
         assert store.num_points == 16
         assert store.scrapes == 50
 
-    def test_max_points_validated(self):
+    def test_max_points_validated(self, monkeypatch):
         reg = MetricsRegistry()
+        monkeypatch.setattr(monitor_module, "MAX_POINTS", 1)
         with pytest.raises(ConfigurationError):
-            TimeSeriesStore(reg, max_points=1)
+            TimeSeriesStore(reg)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +412,7 @@ class TestCriticalPath:
     def _tree(self):
         """serve.batch [0,10]: sample [1,4] (rpc [2,4]), compute [5,9]."""
         clock = ManualClock()
-        tracer = Tracer(clock=clock, sample_rate=1.0, seed=0)
+        tracer = Tracer(clock=clock)
         with tracer.span("serve.batch"):
             clock.advance(1.0)
             with tracer.span("serve.sample"):
@@ -450,7 +453,7 @@ class TestCriticalPath:
         """A child overrunning its sibling is clamped, never double
         counted — segments still partition the root."""
         clock = ManualClock()
-        tracer = Tracer(clock=clock, sample_rate=1.0, seed=0)
+        tracer = Tracer(clock=clock)
         root = tracer.span("serve.batch")
         a = tracer.span("serve.sample")
         clock.advance(3.0)
@@ -465,7 +468,7 @@ class TestCriticalPath:
 
     def test_unfinished_children_skipped(self):
         clock = ManualClock()
-        tracer = Tracer(clock=clock, sample_rate=1.0, seed=0)
+        tracer = Tracer(clock=clock)
         root = tracer.span("serve.batch")
         tracer.span("serve.sample")  # never exits
         clock.advance(5.0)
@@ -484,7 +487,7 @@ class TestCriticalPath:
 
     def test_root_name_filter(self):
         clock = ManualClock()
-        tracer = Tracer(clock=clock, sample_rate=1.0, seed=0)
+        tracer = Tracer(clock=clock)
         with tracer.span("client.read"):
             clock.advance(1.0)
         with tracer.span("serve.batch"):
@@ -562,7 +565,10 @@ class TestFlashCrowdTimeline:
 
     def test_burn_alert_fires_in_onset_window_and_resolves(self):
         rig, report, t0 = self._run()
-        timeline = rig.monitor.alerts.timeline("serving_availability_burn")
+        timeline = [
+            e for e in rig.monitor.alerts.timeline()
+            if e.rule == "serving_availability_burn"
+        ]
         firing = [e for e in timeline if e.to_state == "firing"]
         resolved = [e for e in timeline if e.to_state == "resolved"]
         assert len(firing) == 1
@@ -582,7 +588,10 @@ class TestFlashCrowdTimeline:
 
     def test_no_firing_before_onset(self):
         rig, _, t0 = self._run()
-        timeline = rig.monitor.alerts.timeline("serving_availability_burn")
+        timeline = [
+            e for e in rig.monitor.alerts.timeline()
+            if e.rule == "serving_availability_burn"
+        ]
         assert all(
             e.t - t0 > self.ONSET
             for e in timeline

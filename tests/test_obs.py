@@ -46,6 +46,7 @@ from repro.obs import (
 )
 from repro.obs.hist import NUM_BUCKETS, LatencyHistogram
 from repro.obs.report import render_report
+from repro.obs.trace import MAX_SLOW_TRACES
 from repro.storage.attributes import AttributeStore
 
 
@@ -492,33 +493,13 @@ class TestTracer:
         assert root.status == "error"
         assert root.tags["error"] == "ValueError"
 
-    def test_head_sampling_drops_whole_trees(self):
-        tracer = Tracer(sample_rate=0.5, seed=123)
-        kept = 0
-        for _ in range(200):
-            with tracer.span("root"):
-                with tracer.span("inner"):  # must not become a root
-                    pass
-        kept = len(tracer.finished)
-        assert 0 < kept < 200
-        assert all(s.parent_id is None for s in tracer.finished)
-        assert all(len(s.children) == 1 for s in tracer.finished)
-        # determinism: the same seed keeps the same count
-        tracer2 = Tracer(sample_rate=0.5, seed=123)
-        for _ in range(200):
-            with tracer2.span("root"):
-                with tracer2.span("inner"):
-                    pass
-        assert len(tracer2.finished) == kept
-
     def test_rings_are_bounded(self):
-        tracer = Tracer(max_traces=8, slow_threshold_seconds=0.0,
-                        max_slow_traces=4)
-        for _ in range(50):
+        tracer = Tracer(max_traces=8, slow_threshold_seconds=0.0)
+        for _ in range(MAX_SLOW_TRACES + 50):
             with tracer.span("r"):
                 pass
         assert len(tracer.finished) == 8
-        assert len(tracer.slow) == 4
+        assert len(tracer.slow) == MAX_SLOW_TRACES
 
     def test_simulated_clock_durations(self):
         net = NetworkModel(latency_seconds=1e-3)
@@ -528,8 +509,6 @@ class TestTracer:
         assert span.duration == pytest.approx(net.stats.last_send_seconds)
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            Tracer(sample_rate=1.5)
         with pytest.raises(ConfigurationError):
             Tracer(max_traces=0)
         with pytest.raises(ConfigurationError):
@@ -576,15 +555,6 @@ class TestTracer:
             now[0] += 1.0
         events = tracer.to_chrome_trace()["traceEvents"]
         assert [e["name"] for e in events] == ["root"]
-
-    def test_chrome_trace_explicit_span_subset(self):
-        tracer = Tracer()
-        for name in ("a", "b"):
-            with tracer.span(name):
-                pass
-        subset = [s for s in tracer.traces() if s.name == "b"]
-        events = tracer.to_chrome_trace(spans=subset)["traceEvents"]
-        assert [e["name"] for e in events] == ["b"]
 
 
 # ---------------------------------------------------------------------------

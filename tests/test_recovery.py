@@ -157,9 +157,9 @@ class TestChunkedLoad:
 # recover: the shard's store comes from its factory, options and all
 # ---------------------------------------------------------------------------
 def _small_image_store():
-    store = DynamicGraphStore(CONFIG)
-    store.snapshot_cache.capacity_bytes = 1 << 16
-    return store
+    """A store on ``CONFIG``, not the default config: the option marker
+    a recovered store must carry."""
+    return DynamicGraphStore(CONFIG)
 
 
 def _descent_only_store():
@@ -167,7 +167,7 @@ def _descent_only_store():
 
 
 def _options(store):
-    return type(store), store.snapshot_cache.capacity_bytes
+    return type(store), store.config
 
 
 @pytest.mark.parametrize(

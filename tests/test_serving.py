@@ -12,6 +12,7 @@ from repro.core.samtree import SamtreeConfig
 from repro.core.snapshot import KEEP_IDLE
 from repro.core.topology import DynamicGraphStore
 from repro.distributed import LocalCluster
+from tests.conftest import compact_image
 
 try:  # scipy is part of the baked toolchain, but degrade gracefully.
     from scipy import stats as _scipy_stats
@@ -47,14 +48,15 @@ class TestAdmission:
             for dst in rng.integers(0, 1 << 20, 8):
                 store.add_edge(src, int(dst), 1.0)
         cache = store.snapshot_cache
+        evictions = cache.stats.evictions
         for start in range(len(hot), sources, window):
             store.sample_neighbors_many(hot, 4, rng)
             for scan in range(start, min(start + window, sources)):
                 store.sample_neighbors_many([scan], 4, rng)  # never again
-            cache.compact()
+            evictions += compact_image(cache)
             assert len(cache) <= len(hot) + KEEP_IDLE * window
         assert all((0, src) in cache for src in hot)
-        assert (0, 6) not in cache and cache.stats.evictions > 0
+        assert (0, 6) not in cache and evictions > 0
 
 
 class TestCoalescing:

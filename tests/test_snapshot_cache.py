@@ -8,12 +8,12 @@
   tree's current adjacency;
 * compaction is the only eviction: clean read rows survive it bit for
   bit, rows that went unread are dropped (``test_touch_refreshes_recency``)
-  and re-admitted on their next read, ``capacity_bytes`` is respected;
+  and re-admitted on their next read;
 * seed reproducibility of both draw loops.
 
 Class names predate the image (they keep the test ids stable):
 ``TestTreeSnapshot`` checks single rows, ``TestCacheInvalidation`` the
-dirty bit, ``TestLRUEviction`` the byte budget.
+dirty bit, ``TestLRUEviction`` idle aging.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import pytest
 
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
 from repro.core.memory import DEFAULT_MEMORY_MODEL
-from repro.core import snapshot
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.snapshot import (
     GARBAGE_DIVISOR,
@@ -38,7 +37,7 @@ from repro.core.snapshot import (
 from repro.core.topology import DynamicGraphStore
 from repro.errors import ConfigurationError, InvariantViolationError
 from repro.storage.cuckoo import PROBE_LOOP_BELOW
-from tests.conftest import DescentStore, tree_batch
+from tests.conftest import DescentStore, compact_image, tree_batch
 
 try:  # scipy is part of the baked toolchain, but degrade gracefully.
     from scipy import stats as _scipy_stats
@@ -279,9 +278,10 @@ class TestChurnEquivalence:
         store.add_edge(self.REBORN, 52, 3.0)
         if cache:
             # The cold rows sat unread through every compaction: gone.
+            evictions = store.snapshot_cache.stats.evictions
             for _ in range(KEEP_IDLE + 1):
-                store.snapshot_cache.compact()
-            assert store.snapshot_cache.stats.evictions >= len(self.COLD)
+                evictions += compact_image(store.snapshot_cache)
+            assert evictions >= len(self.COLD)
             assert (0, self.COLD[0]) not in store.snapshot_cache
         return store
 
@@ -695,7 +695,7 @@ class TestCompaction:
         assert cache.stats.compactions == 0
         assert cache.nbytes == 82 * self.DEG * SLOT_BYTES  # garbage counted
         before = {src: cache.row((0, src)) for src in everyone}
-        cache.compact()
+        compact_image(cache)
         assert cache.nbytes == 80 * self.DEG * SLOT_BYTES
         for src, (ids, cum) in before.items():
             got_ids, got_cum = cache.row((0, src))
@@ -703,7 +703,7 @@ class TestCompaction:
         store.check_invariants()
         # Same seed, same block, before and after a compaction.
         a = store.sample_neighbors_many(everyone, 4, rng=5)
-        cache.compact()
+        compact_image(cache)
         b = store.sample_neighbors_many(everyone, 4, rng=5)
         assert np.array_equal(a.ids, b.ids)
 
@@ -720,17 +720,6 @@ class TestCompaction:
         assert cache.nbytes == live * SLOT_BYTES
         store.check_invariants()
 
-    def test_capacity_bytes_is_respected(self, monkeypatch):
-        budget = 4 * self.DEG * SLOT_BYTES
-        monkeypatch.setattr(snapshot, "DEFAULT_CAPACITY_BYTES", budget)
-        store = self._store()
-        cache = store.snapshot_cache
-        for src in range(10):
-            block = store.sample_neighbors_many([src], 4, rng=src)
-            assert not block.state.any()
-            assert cache.nbytes <= budget
-        assert cache.stats.evictions > 0 and cache.stats.compactions > 0
-        store.check_invariants()
 
 
 class TestLRUEviction:
@@ -744,28 +733,19 @@ class TestLRUEviction:
                 store.add_edge(src, 1000 + dst, 1.0 + dst + src)
         cache = store.snapshot_cache
         store.sample_neighbors_many(list(range(20)), 4, rng=0)
+        evictions = cache.stats.evictions
         for _ in range(KEEP_IDLE):
-            cache.compact()
+            evictions += compact_image(cache)
             assert len(cache) == 20
             store.sample_neighbors_many(list(range(10)), 4, rng=0)  # touch
-        cache.compact()
-        assert len(cache) == 10 and cache.stats.evictions == 10
+        evictions += compact_image(cache)
+        assert len(cache) == 10 and evictions == 10
         assert (0, 3) in cache and (0, 15) not in cache
         builds = cache.stats.builds
         block = store.sample_neighbors_many([15, 3], 4, rng=0)
         assert not block.state.any()
         assert cache.stats.builds == builds + 1 and (0, 15) in cache
         store.check_invariants()
-
-    def test_oversized_entry_served_uncached(self, monkeypatch):
-        monkeypatch.setattr(snapshot, "DEFAULT_CAPACITY_BYTES", 8)  # < any row
-        store = DynamicGraphStore(SamtreeConfig(capacity=8))
-        cache = store.snapshot_cache
-        for dst in range(12):
-            store.add_edge(1, dst, 1.0)
-        rows = store.sample_neighbors_many([1] * 3, 5, rng=0).rows()
-        assert all(len(r) == 5 for r in rows)
-        assert len(cache) == 0 and cache.nbytes == 0
 
     def test_stats_export(self):
         store = DynamicGraphStore()

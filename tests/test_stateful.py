@@ -28,7 +28,7 @@ from repro.core.snapshot import ALIAS_TOLERANCE, ROW_LOOP_BELOW
 from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import SampleBlock
-from tests.conftest import bulk_tree
+from tests.conftest import bulk_tree, compact_image
 
 SRC = st.integers(min_value=0, max_value=6)
 DST = st.integers(min_value=0, max_value=30)
@@ -212,7 +212,7 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule()
     def compact(self):
-        self.store.snapshot_cache.compact()
+        compact_image(self.store.snapshot_cache)
 
     @rule()
     def compact_slab(self):

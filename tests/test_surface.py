@@ -22,15 +22,21 @@ Three more guards keep the telemetry from growing back: a wall clock is
 read only in the files that own one (a phase is timed with a span), the
 traced components take no metrics registry of their own, and a
 per-series registry view is registered only where no ``*Stats`` field
-carries the read-out (a holder is watched whole).
+carries the read-out (a holder is watched whole).  A last one pins the
+parameters of the callables whose unset options became constants or
+went (the tracer's sampling, the recorder's per-category rings, the
+hub attach knobs, the monitoring defaults, the read image's budget).
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Set, Tuple
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -338,6 +344,64 @@ def test_traced_components_take_no_registry():
     for component in (Trainer, Tracer, LocalCluster):
         params = inspect.signature(component).parameters
         assert "registry" not in params, component.__name__
+
+
+#: Options no caller outside ``tests/`` set are constants or gone; these
+#: are the parameters left, pinned so that none grows back.
+PINNED_SIGNATURES = {
+    "repro.obs.trace:Tracer": "clock max_traces slow_threshold_seconds",
+    "repro.obs.trace:Tracer.to_chrome_trace": "self",
+    "repro.obs.flight:FlightRecorder": "clock capacity",
+    "repro.obs.telemetry:Telemetry": "tracer clock",
+    "repro.distributed.client:GraphClient": (
+        "servers partitioner network replica_groups retry degraded_reads "
+        "hot_replicas hot_tracker"
+    ),
+    "repro.distributed.server:GraphServer": (
+        "shard_id store config wal faults store_factory replica_index"
+    ),
+    "repro.serving.admission:CircuitBreaker": (
+        "failure_threshold reset_timeout shard"
+    ),
+    "repro.distributed.retry:RetryPolicy": (
+        "max_attempts base_backoff_seconds backoff_multiplier jitter "
+        "deadline_seconds seed stats"
+    ),
+    "repro.distributed.cluster:LocalCluster.attach_monitor": (
+        "self interval rules name_filter"
+    ),
+    "repro.distributed.cluster:LocalCluster.attach_recorder": "self recorder",
+    "repro.obs.monitor:Monitor": "registry clock interval alerts name_filter",
+    "repro.obs.monitor:Monitor.poll": "self",
+    "repro.obs.monitor:TimeSeriesStore": "registry clock name_filter",
+    "repro.obs.monitor:TimeSeriesStore.latest": "self key",
+    "repro.obs.alerts:AlertManager.timeline": "self",
+    "repro.obs.alerts:default_serving_rules": "",
+    "repro.obs.replay:replay_bundle": "bundle_or_path",
+    "repro.obs.incident:IncidentManager": "cluster out_dir cooldown",
+    "repro.obs.report:render_report": "cluster tracer top_k",
+    "repro.obs.report:render_span_tree": "span indent",
+    "repro.core.snapshot:_Image.compact": "self",
+}
+
+
+@pytest.mark.parametrize("target", sorted(PINNED_SIGNATURES))
+def test_removed_options_stay_removed(target):
+    module, _, path = target.partition(":")
+    obj = importlib.import_module(module)
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    params = " ".join(inspect.signature(obj).parameters)
+    assert params == PINNED_SIGNATURES[target], target
+
+
+def test_the_read_image_has_no_byte_budget():
+    from repro.core import snapshot
+
+    image = snapshot.ReadImage()
+    assert not hasattr(snapshot, "DEFAULT_CAPACITY_BYTES")
+    for name in ("capacity_bytes", "compact"):
+        assert not hasattr(image, name), name
 
 
 def _view_registrars() -> Set[str]:
