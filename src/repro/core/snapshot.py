@@ -54,8 +54,9 @@ snapshot-and-rebuild:
 * **Two binary-search loops over the same rows**, picked from the call's
   own size: a frontier draws every row in one size-classed vectorized
   binary search; a call of fewer than :data:`ROW_LOOP_BELOW` sources
-  (a serving micro-batch) draws row by row, because the kernel's fixed
-  cost would dominate it.
+  (a serving micro-batch) resolves its slots, clean bits and stale
+  rows as Python lists and draws row by row, because at that size the
+  fixed cost of each NumPy call would dominate it.
 
 * **Compaction is the only eviction**: once garbage passes
   ``1/GARBAGE_DIVISOR`` of the live edges and rows, one vectorized pass
@@ -389,11 +390,11 @@ class _Image:
                 setattr(self, name, grown)
 
     def admit(
-        self, trees, etype: int, keys: List[int], slots,
+        self, trees, etype: int, keys: List[int],
         stale: List[int], stats: SnapshotCacheStats,
-    ) -> None:
+    ) -> List[int]:
         """Give the absent or dirty rows ``stale`` (positions in
-        ``keys``) a clean row and point ``slots`` at it.
+        ``keys``) a clean row; returns their row slots, in ``stale`` order.
 
         One batched directory probe over the distinct sources: a slab
         row becomes a pointer row (the probe is its whole cost), the
@@ -416,9 +417,6 @@ class _Image:
             fresh = list(map(srcs.__getitem__, fresh.tolist()))
             slot_of.update(zip(fresh, range(first, self.rows)))
             self.src[first : self.rows] = fresh
-        slots[stale] = np.fromiter(
-            map(slot_of.__getitem__, stale_keys), dtype=np.int64, count=len(stale)
-        )
         old = at[at < first]  # superseded: an arena row's slots are garbage
         self.garbage += int(self.length[old][self.slab_row[old] == 0].sum())
         # Every row a pointer row first; slab row 0 is empty.
@@ -436,6 +434,7 @@ class _Image:
         built = other[tree]
         if built.size:
             self.flatten(at[built], *_tree_columns(samtrees), stats)
+        return list(map(slot_of.__getitem__, stale_keys))
 
     def flatten(
         self, slots, ids: np.ndarray, weights: np.ndarray,
@@ -900,27 +899,34 @@ class ReadImage:
             image = self.relations[etype] = _Image(slab)
         stats = self.stats
         frozen = image.alias_prob is not None
+        small = not frozen and srcs.size < ROW_LOOP_BELOW
         keys = None if frozen else srcs.tolist()
-        slots = image.lookup(srcs) if frozen else image.slots_of(keys)
-        stale = (~image.clean[slots]).nonzero()[0].tolist()
+        if small:  # a handful of rows: slots and clean bits as Python lists
+            slots = list(map(image.slot_of.get, keys, repeat(0)))
+            clean = image.clean.item
+            stale = [i for i, slot in enumerate(slots) if not clean(slot)]
+        else:
+            slots = image.lookup(srcs) if frozen else image.slots_of(keys)
+            stale = (~image.clean[slots]).nonzero()[0].tolist()
         stats.hits += srcs.size - len(stale)
         stats.misses += len(stale)
         if stale:
-            image.admit(trees, etype, keys or srcs.tolist(), slots, stale, stats)
+            admitted = image.admit(trees, etype, keys or srcs.tolist(), stale, stats)
+            if small:
+                for i, slot in zip(stale, admitted):
+                    slots[i] = slot
+            else:
+                slots[stale] = admitted
         if frozen:
             drawn = image.draw_frozen(slots, counts, k, gen, weighted, frozen_stats)
-        elif srcs.size >= ROW_LOOP_BELOW:
+        elif not small:
             rows = slots if counts is None else np.repeat(slots, counts)
             drawn = image.draw_frontier(rows, k, gen, weighted)
         elif counts is None:
-            drawn = image.draw_rows(
-                slots.tolist(), repeat(1), srcs.size, k, gen, weighted
-            )
+            drawn = image.draw_rows(slots, repeat(1), srcs.size, k, gen, weighted)
         else:
-            counts = np.asarray(counts).tolist()
-            drawn = image.draw_rows(
-                slots.tolist(), counts, sum(counts), k, gen, weighted
-            )
+            counts = counts.tolist()
+            drawn = image.draw_rows(slots, counts, sum(counts), k, gen, weighted)
         if stale:
             self._settle(image)
         return drawn

@@ -30,6 +30,8 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import count
+from operator import methodcaller
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -200,12 +202,6 @@ class GraphClient(GraphStoreAPI):
     # ------------------------------------------------------------------
     # routing helpers
     # ------------------------------------------------------------------
-    def _account(self, payload_bytes: int) -> float:
-        """Charge one message; returns its simulated transfer seconds."""
-        if self.network is not None:
-            return self.network.send(payload_bytes)
-        return 0.0
-
     def _call(self, server: GraphServer, payload_bytes: int, fn):
         """One RPC against one replica, with retries on transient faults.
 
@@ -216,24 +212,13 @@ class GraphClient(GraphStoreAPI):
         its span with ``status="error"`` and the exception type, so
         retries are visible in the trace tree.
         """
-        span = self.telemetry.span
-        attempts = 0
+        if self.retry is None:
+            return self._attempt(server, payload_bytes, fn, 1)
+        attempts = count(1)
 
         def attempt():
-            nonlocal attempts
-            attempts += 1
-            with span(
-                "rpc.attempt",
-                attempt=attempts,
-                shard=server.shard_id,
-                replica=server.replica_index,
-                bytes=payload_bytes,
-            ):
-                self._account(payload_bytes)
-                return fn(server)
+            return self._attempt(server, payload_bytes, fn, next(attempts))
 
-        if self.retry is None:
-            return attempt()
         if self.network is None:
             return self.retry.run(attempt, deadline=self._request_deadline)
 
@@ -241,7 +226,9 @@ class GraphClient(GraphStoreAPI):
         # its own span so critical-path analysis can attribute it
         # instead of folding it into read_shard self-time.
         def sleep(delay):
-            with span("rpc.backoff", shard=server.shard_id, seconds=delay):
+            with self.telemetry.span(
+                "rpc.backoff", shard=server.shard_id, seconds=delay
+            ):
                 self.network.sleep(delay)
 
         return self.retry.run(
@@ -250,6 +237,22 @@ class GraphClient(GraphStoreAPI):
             sleep=sleep,
             deadline=self._request_deadline,
         )
+
+    def _attempt(
+        self, server: GraphServer, payload_bytes: int, fn, number: int
+    ):
+        """Attempt ``number`` of :meth:`_call`: one message charged to
+        the network model, one call."""
+        with self.telemetry.span(
+            "rpc.attempt",
+            attempt=number,
+            shard=server.shard_id,
+            replica=server.replica_index,
+            bytes=payload_bytes,
+        ):
+            if self.network is not None:
+                self.network.send(payload_bytes)
+            return fn(server)
 
     def _read_shard(self, shard: int, payload_bytes: int, fn):
         """Read with failover: primary first, then backups in order.
@@ -729,13 +732,11 @@ class GraphClient(GraphStoreAPI):
                         _SAMPLE_REQ_BYTES + k * _SAMPLE_RESP_BYTES
                     )
 
-                def fn(s, ss=distinct[a:b], cc=multiplicity[a:b]):
-                    return s.sample_neighbors_many(
-                        ss, k, gen, etype, weighted=weighted, counts=cc
-                    )
-
                 stats.shard_rpcs += 1
-                block = self._read_shard(shard, payload, fn)
+                block = self._read_shard(shard, payload, methodcaller(
+                    "sample_neighbors_many", distinct[a:b], k, gen, etype,
+                    weighted=weighted, counts=multiplicity[a:b],
+                ))
                 positions = order[lo:hi]
                 if block is UNAVAILABLE:
                     ids[positions] = 0

@@ -199,21 +199,26 @@ def sample_blocks_partial(
     seeds = _as_frontier(seeds)
     gen = coerce_generator(rng)
     block = store.sample_neighbors_many(seeds, fanouts[0], gen, etype)
-    unavailable = block.state == SampleBlock.UNAVAILABLE
-    unavailable_idx = np.flatnonzero(unavailable).tolist()
-    if len(unavailable_idx) == len(seeds):
-        return None, [], unavailable_idx
-    served_idx = np.flatnonzero(~unavailable)
-    seeds = seeds[served_idx]
-    matrix = _pad_self_loops(
-        block.ids[served_idx], block.state[served_idx], seeds
-    )
+    ids, state = block.ids, block.state
+    if SampleBlock.UNAVAILABLE in state:
+        unavailable = state == SampleBlock.UNAVAILABLE
+        unavailable_idx = np.flatnonzero(unavailable).tolist()
+        if len(unavailable_idx) == len(seeds):
+            return None, [], unavailable_idx
+        served_idx = np.flatnonzero(~unavailable)
+        seeds, ids, state = (
+            seeds[served_idx], ids[served_idx], state[served_idx]
+        )
+        served_idx = served_idx.tolist()
+    else:  # every seed served: no re-index
+        unavailable_idx, served_idx = [], list(range(seeds.size))
+    matrix = _pad_self_loops(ids, state, seeds)
     levels = [seeds, matrix.reshape(-1)]
     for fanout in fanouts[1:]:
         matrix = sample_neighbor_matrix(store, levels[-1], fanout, gen, etype)
         levels.append(matrix.reshape(-1))
     blocks = MiniBatchBlocks(levels=levels, fanouts=list(fanouts))
-    return blocks, served_idx.tolist(), unavailable_idx
+    return blocks, served_idx, unavailable_idx
 
 
 def sample_subgraph(

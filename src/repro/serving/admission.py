@@ -168,22 +168,29 @@ class CircuitBreaker:
             return "half_open"
         return "open"
 
+    def blocks(self, now: float) -> bool:
+        """Whether the guarded shard is shut right now: open, or
+        half-open with its one probe already taken (no side effect)."""
+        return self.opened_at is not None and (
+            self.probing or self.state(now) == "open"
+        )
+
     def allow(self, now: float) -> bool:
         """Whether a request may touch the guarded shard right now.
 
         In the half-open state exactly one caller wins the probe slot;
-        the rest stay shed until the probe resolves.
+        the rest stay shed until the probe resolves.  A caller that wins
+        it must report back (``record_success`` / ``record_failure``):
+        the slot stays taken until then.
         """
-        state = self.state(now)
-        if state == "closed":
-            return True
-        if state == "half_open" and not self.probing:
+        if self.blocks(now):
+            return False
+        if self.opened_at is not None:  # half-open: take the probe slot
             self.probing = True
             self.telemetry.event(
                 "breaker", "half_open", t=now, shard=self.shard
             )
-            return True
-        return False
+        return True
 
     def record_success(self) -> None:
         # Only a success that actually closes an open/half-open breaker

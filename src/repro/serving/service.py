@@ -337,13 +337,13 @@ class InferenceService:
         self.stats.submitted += 1
 
         # Breaker gate: a hard-open breaker on any touched shard sheds
-        # before queueing (half-open probes are admitted).
-        open_shard = any(
-            self.breakers[self.client.partitioner.shard_for(v)].state(now)
-            == "open"
-            for v in verts
-        )
-        if open_shard:
+        # before queueing (half-open probes are admitted).  Only a
+        # breaker that is not closed can shed: hash vertices only then.
+        breakers = self.breakers
+        shard_of = self.client.partitioner.shard_for
+        if any(b.opened_at is not None for b in breakers.values()) and any(
+            breakers[shard_of(v)].state(now) == "open" for v in verts
+        ):
             self.stats.shed_breaker_open += 1
             self._shed(request, SHED_BREAKER_OPEN, now)
             return request
@@ -425,28 +425,37 @@ class InferenceService:
         if not live:
             return
 
-        # Per-shard breaker probe gating, once per shard per batch.
+        # Each seed's shard, hashed once: breaker gating, the runnable
+        # filter and breaker feedback all read it.
         shard_of = self.client.partitioner.shard_for
-        batch_shards = {shard_of(v) for r in live for v in r.vertices}
-        allowed_shards = {
-            shard for shard in batch_shards
-            if self.breakers[shard].allow(now)
+        breakers = self.breakers
+        homes = [list(map(shard_of, r.vertices)) for r in live]
+        blocked = {
+            shard for shard in set().union(*homes)
+            if breakers[shard].blocks(now)
         }
         runnable: List[Request] = []
-        for request in live:
-            if all(shard_of(v) in allowed_shards for v in request.vertices):
+        home: List[int] = []  # the shard of every runnable seed
+        for request, shards in zip(live, homes):
+            if blocked.isdisjoint(shards):
                 runnable.append(request)
+                home.extend(shards)
             else:
                 self.stats.shed_breaker_open += 1
                 self._shed(request, SHED_BREAKER_OPEN, now)
         if not runnable:
             return
+        # A half-open shard gives its probe slot only to a batch that runs
+        # a request on it, and that batch's outcome resolves the probe.
+        touched = list(dict.fromkeys(home))
+        probes = [
+            breakers[shard] for shard in touched
+            if breakers[shard].opened_at is not None
+        ]
+        for breaker in probes:
+            breaker.allow(now)
 
-        seeds: List[int] = []
-        offsets: List[int] = [0]
-        for request in runnable:
-            seeds.extend(request.vertices)
-            offsets.append(len(seeds))
+        seeds = [v for request in runnable for v in request.vertices]
         deadlines = [r.deadline for r in runnable if r.deadline is not None]
         scope = min(deadlines) if deadlines else None
 
@@ -472,13 +481,14 @@ class InferenceService:
                 self.stats.sample_errors += 1
                 batch_span.set_tag("error", type(exc).__name__)
                 completed = self.network.now()
+                for breaker in probes:  # a probe that raised has failed
+                    breaker.record_failure(completed)
                 for request in runnable:
                     self._resolve_from_cache(
                         request, None, completed, error=repr(exc)
                     )
                 return
 
-            embeddings: Dict[int, np.ndarray] = {}
             if blocks is not None:
                 with span("serve.gather", levels=len(blocks.levels)):
                     feats = self.features.gather_levels(
@@ -487,13 +497,13 @@ class InferenceService:
                 with span("serve.compute", seeds=len(served_idx)):
                     out = self.encoder.forward(feats, blocks.fanouts)
                     out = l2_normalize(out.astype(np.float32))
+                    out.flags.writeable = False  # answers, cache share rows
                     cost = self.compute_seconds_per_seed * len(served_idx)
                     self.stats.compute_seconds += cost
                     self.network.sleep(cost)
                 completed = self.network.now()
-                for row, i in enumerate(served_idx):
-                    embeddings[i] = out[row]
-                    self.cache.put(seeds[i], out[row], completed)
+                for i, row in zip(served_idx, out):
+                    self.cache.put(seeds[i], row, completed)
                 # Admission estimate: EWMA of marginal per-request batch
                 # cost (sample + compute, amortised over the batch).
                 per_request = (completed - flush_started) / len(runnable)
@@ -503,42 +513,51 @@ class InferenceService:
             else:
                 completed = self.network.now()
 
-        # Breaker feedback: UNAVAILABLE seeds fail their shard, served
-        # seeds heal it.
+        # Breaker feedback, once per shard: UNAVAILABLE seeds fail their
+        # shard, served seeds heal it.
         for i in unavailable_idx:
-            self.breakers[shard_of(seeds[i])].record_failure(completed)
-        for i in served_idx:
-            self.breakers[shard_of(seeds[i])].record_success()
+            breakers[home[i]].record_failure(completed)
+        healed = (
+            dict.fromkeys(home[i] for i in served_idx)
+            if unavailable_idx else touched
+        )
+        for shard in healed:
+            breakers[shard].record_success()
 
-        unavailable = set(unavailable_idx)
-        for j, request in enumerate(runnable):
-            positions = range(offsets[j], offsets[j + 1])
-            rows: List[Optional[np.ndarray]] = []
+        # Every seed served: an answer is its request's rows of ``out``.
+        # Otherwise rows are assembled one by one, stale ones from cache.
+        fresh = None
+        if unavailable_idx:
+            fresh = dict(zip(served_idx, out)) if blocks is not None else {}
+        hi = 0
+        for request in runnable:
+            lo, hi = hi, hi + len(request.vertices)
             degraded = False
-            for i in positions:
-                if i in unavailable:
-                    stale = self.cache.get(seeds[i], completed)
-                    if stale is None:
-                        rows.append(None)
-                    else:
-                        rows.append(stale)
+            if fresh is None:
+                matrix = out[lo:hi]
+            else:
+                rows = []
+                for i in range(lo, hi):
+                    row = fresh.get(i)
+                    if row is None:
+                        row = self.cache.get(seeds[i], completed)
                         degraded = True
-                else:
-                    rows.append(embeddings[i])
-            if any(row is None for row in rows):
-                self._finish(
-                    request,
-                    Answer(
-                        request_id=request.request_id,
-                        status="failed",
-                        error="seed unavailable and not in degraded cache",
-                    ),
-                    completed,
-                )
-                continue
-            if degraded:
-                self.stats.cache_fallbacks += 1
-            matrix = np.stack(rows)
+                    rows.append(row)
+                if any(row is None for row in rows):
+                    self._finish(
+                        request,
+                        Answer(
+                            request_id=request.request_id,
+                            status="failed",
+                            error="seed unavailable and not in degraded "
+                            "cache",
+                        ),
+                        completed,
+                    )
+                    continue
+                if degraded:
+                    self.stats.cache_fallbacks += 1
+                matrix = np.stack(rows)
             score = (
                 float(matrix[0] @ matrix[1])
                 if request.kind == "link"

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -89,3 +91,25 @@ def compact_image(image) -> int:
     """Compact every relation of a ``ReadImage`` now (the store runs it
     by itself once garbage says so); returns the clean rows dropped."""
     return sum(relation.compact() for relation in image.relations.values())
+
+
+def python_calls(fn) -> int:
+    """Python-level calls made by ``fn()``.  The cyclic GC is off for
+    the call: a finaliser it ran inside the window would count too."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return calls

@@ -18,9 +18,7 @@ answers ``sample_neighbors_many`` with the same dense ``ids[n, k]`` +
 
 from __future__ import annotations
 
-import gc
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -35,7 +33,7 @@ from repro.distributed.cluster import LocalCluster
 from repro.distributed.rpc import NetworkModel
 from repro.errors import ConfigurationError
 from repro.gnn.samplers import sample_blocks, sample_blocks_partial
-from tests.conftest import DescentStore
+from tests.conftest import DescentStore, python_calls
 
 SERVED, EMPTY, DOWN = (
     SampleBlock.SERVED, SampleBlock.EMPTY, SampleBlock.UNAVAILABLE
@@ -336,28 +334,6 @@ def test_dead_shard_rows_come_back_unavailable():
 # ---------------------------------------------------------------------------
 # no per-vertex Python
 # ---------------------------------------------------------------------------
-def _python_calls(fn):
-    """Python-level calls made by ``fn()``.  The cyclic GC is off for
-    the call: a finaliser it ran inside the window would count too."""
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-        if collecting:
-            gc.enable()
-    return calls
-
-
 def test_frozen_client_draw_makes_no_per_vertex_python_call():
     client = TARGETS["client_frozen"][0]
     rng = np.random.default_rng(3)
@@ -367,7 +343,7 @@ def test_frozen_client_draw_makes_no_per_vertex_python_call():
     touched = {client.partitioner.shard_for(int(s)) for s in small}
     assert len(touched) == 4
     counts = [
-        _python_calls(lambda: client.sample_neighbors_many(frontier, 10, gen))
+        python_calls(lambda: client.sample_neighbors_many(frontier, 10, gen))
         for frontier in (small, large, small)
     ]
     assert counts[0] == counts[1] == counts[2]

@@ -6,6 +6,7 @@ harness with its SLO reports."""
 
 from __future__ import annotations
 
+import copy
 import random
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.errors import (
     TransientRPCError,
 )
 from repro.gnn.inference import embed_vertices
+from repro.gnn.ops import l2_normalize
 from repro.gnn.samplers import sample_blocks_partial
 from repro.obs.replay import build_rig_from_spec, make_spec, scenario_from_spec
 from repro.serving import (
@@ -34,9 +36,11 @@ from repro.serving import (
     build_serving_rig,
 )
 from repro.serving.admission import (
+    SHED_BREAKER_OPEN,
     SHED_DEADLINE_HOPELESS,
     SHED_QUEUE_FULL,
 )
+from tests.conftest import python_calls
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +605,143 @@ class TestInferenceService:
         service.flush()
         assert probe.answer.status == "fresh"
         assert service.breakers[0].state(network.now()) == "closed"
+
+    def _trip_then_half_open(self, rig):
+        """Trip shard 0's breaker on a crashed shard, bring the shard
+        back and wait out the reset timeout; returns the vertices of
+        shard 0 and of shard 1 not used yet."""
+        service, network = rig.service, rig.cluster.network
+        shard_for = rig.cluster.client.partitioner.shard_for
+        on_zero = [v for v in range(64) if shard_for(v) == 0]
+        on_one = [v for v in range(64) if shard_for(v) == 1]
+        rig.cluster.crash_shard(0)
+        for v in on_zero[:3]:
+            service.submit([v])
+        service.flush()
+        assert service.breakers[0].state(network.now()) == "open"
+        rig.cluster.recover_all(sync=True)
+        network.sleep(0.3)
+        assert service.breakers[0].state(network.now()) == "half_open"
+        return on_zero[3:], on_one
+
+    def _healthy_shard_zero_answers_fresh(self, rig, on_zero):
+        """Five seconds on, a batch on shard 0 (healthy again) probes
+        it and closes the breaker instead of being shed."""
+        service, network = rig.service, rig.cluster.network
+        network.sleep(5.0)
+        requests = [service.submit([v]) for v in on_zero[:5]]
+        service.flush()
+        assert [r.answer.status for r in requests] == ["fresh"] * 5
+        assert [r.answer.shed_cause for r in requests] == [None] * 5
+        assert service.breakers[0].state(network.now()) == "closed"
+
+    def test_probe_batch_that_raised_fails_the_probe(self, monkeypatch):
+        """A half-open probe whose batch raised counts as a failed
+        probe: the timeout restarts, the slot is free again, and the
+        next batch after it probes the shard instead of shedding it."""
+        rig = _small_rig(breaker_threshold=3, breaker_reset=0.25)
+        service, network = rig.service, rig.cluster.network
+        on_zero, _ = self._trip_then_half_open(rig)
+
+        def blown(*args, **kwargs):
+            raise DeadlineExceededError("deadline blown mid-batch")
+
+        monkeypatch.setattr(
+            rig.cluster.client, "sample_neighbors_many", blown
+        )
+        probe = service.submit([on_zero.pop(0)])
+        service.flush()
+        monkeypatch.undo()
+        assert service.stats.sample_errors == 1
+        assert probe.answer.status == "degraded"
+        breaker = service.breakers[0]
+        assert not breaker.probing
+        assert breaker.state(network.now()) == "open"  # timeout restarted
+        self._healthy_shard_zero_answers_fresh(rig, on_zero)
+
+    def test_shed_request_takes_no_probe_slot(self):
+        """A half-open shard gives its probe slot only to a batch that
+        runs a request on it: a request shed for another shard's open
+        breaker leaves the slot free."""
+        rig = _small_rig(breaker_threshold=3, breaker_reset=0.25)
+        service, network = rig.service, rig.cluster.network
+        on_zero, on_one = self._trip_then_half_open(rig)
+        link = service.submit([on_zero.pop(0), on_one[0]], kind="link")
+        # Shard 1's breaker opens while the request waits in the queue.
+        for _ in range(3):
+            service.breakers[1].record_failure(network.now())
+        service.flush()
+        assert link.answer.shed_cause == SHED_BREAKER_OPEN
+        assert not service.breakers[0].probing
+        self._healthy_shard_zero_answers_fresh(rig, on_zero)
+
+    @pytest.mark.parametrize("crashed", [False, True])
+    def test_answers_equal_the_pipeline_run_by_hand(self, crashed):
+        """A flush's answers are exactly sample -> gather -> encode ->
+        normalise run by hand on the same seeds and generator state —
+        all fresh, or with a crashed shard's seeds from the cache."""
+        rig = _small_rig()
+        service = rig.service
+        shard_for = rig.cluster.client.partitioner.shard_for
+        on_zero = [v for v in range(64) if shard_for(v) == 0]
+        on_one = [v for v in range(64) if shard_for(v) == 1]
+        batch = [
+            ([on_one[0]], "embed"),
+            ([on_zero[0], on_one[1]], "link"),
+            ([on_one[2], on_one[3], on_zero[1]], "embed"),
+            ([on_one[0]], "embed"),
+        ]
+        if crashed:
+            rig.cluster.crash_shard(0)
+        now = rig.cluster.network.now()
+        stale = {v: service.cache.get(v, now) for v in on_zero[:2]}
+        requests = [service.submit(vs, kind=kind) for vs, kind in batch]
+        rng = copy.deepcopy(service.rng)
+        service.flush()
+
+        seeds = [v for vs, _ in batch for v in vs]
+        blocks, served, unavailable = sample_blocks_partial(
+            service.client, seeds, service.fanouts, rng, service.etype
+        )
+        assert [seeds[i] for i in unavailable] == (
+            on_zero[:2] if crashed else []
+        )
+        feats = service.features.gather_levels(
+            service.feat_name, blocks.levels
+        )
+        out = service.encoder.forward(feats, blocks.fanouts)
+        rows = dict(zip(served, l2_normalize(out.astype(np.float32))))
+        at = 0
+        for request in requests:
+            n = len(request.vertices)
+            expected = np.stack([
+                rows[i] if i in rows else stale[seeds[i]]
+                for i in range(at, at + n)
+            ])
+            answer = request.answer
+            assert answer.status == (
+                "degraded" if any(i not in rows for i in range(at, at + n))
+                else "fresh"
+            )
+            assert np.array_equal(answer.embeddings, expected)
+            if request.kind == "link":
+                assert answer.score == float(expected[0] @ expected[1])
+            at += n
+
+    def test_warm_flush_python_call_budget(self):
+        """One warm 4-request flush pays its fixed costs once per flush
+        and once per shard RPC, not per request, seed or layer: its
+        Python-level call count is pinned."""
+        rig = build_serving_rig(
+            num_shards=4, num_sources=4000, degree=16, fanouts=(5, 5)
+        )
+        service = rig.service
+        for _ in range(2):  # the first flush warms the read images
+            for v in (1, 2, 3, 4):
+                service.submit([v])
+            calls = python_calls(service.flush)
+        assert service.stats.answered_fresh == 8
+        assert calls <= 322
 
     def test_terminal_accounting_invariant(self):
         rig = _small_rig(max_queue=2, max_batch=64)
