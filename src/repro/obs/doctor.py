@@ -28,9 +28,9 @@ observable:
   crash/recovery;
 * :func:`check_thresholds` turns a report into a pass/fail health gate
   (``repro doctor --fail-on fill=0.4,depth=4``), and
-  :meth:`DoctorReport.to_registry` exports everything as
-  ``repro_doctor_*`` gauges so the same readout ships through the PR 4
-  Prometheus exposition.
+  :meth:`DoctorReport.to_registry` derives one ``repro_doctor_*`` gauge
+  per numeric field of :meth:`DoctorReport.to_dict`, so the same readout
+  ships through the Prometheus exposition.
 """
 
 from __future__ import annotations
@@ -500,146 +500,36 @@ class DoctorReport:
         )
         return "\n".join(lines)
 
-    def to_registry(
-        self, registry: Optional[MetricsRegistry] = None
-    ) -> MetricsRegistry:
-        """Materialise the report as ``repro_doctor_*`` gauges.
-
-        A fresh registry is used by default so the doctor's point-in-time
-        gauges never collide with a live cluster registry; pass one in to
-        co-export (names are distinct from every ``repro_<subsystem>_*``
-        family PR 4 registers).
+    def to_registry(self) -> MetricsRegistry:
+        """:meth:`to_dict` as ``repro_doctor_*`` gauges, one per numeric
+        leaf: the leaf at ``a.b.c`` is ``repro_doctor_a_b_c``.  A key that
+        is not an identifier becomes a label instead — ``key`` for a dict
+        key (a depth-histogram height), ``index`` for a list position.
+        Strings and ``None`` are skipped.  The registry is a fresh one,
+        so the point-in-time gauges never collide with a live cluster's.
         """
-        reg = registry if registry is not None else MetricsRegistry()
-        g = reg.gauge
-        g("repro_doctor_trees", "Samtrees walked").set(self.num_trees)
-        g("repro_doctor_edges", "Edges stored").set(self.num_edges)
-        g(
-            "repro_doctor_leaf_nodes", "Leaf nodes (== FSTables)"
-        ).set(self.num_leaves)
-        g(
-            "repro_doctor_internal_nodes", "Internal nodes (== CSTables)"
-        ).set(self.num_internal)
-        g("repro_doctor_depth_max", "Deepest tree height").set(self.max_depth)
-        g("repro_doctor_depth_mean", "Mean tree height").set(self.mean_depth)
-        for depth, n in sorted(self.depth_hist.items()):
-            g(
-                "repro_doctor_depth_trees",
-                "Trees at each height",
-                depth=depth,
-            ).set(n)
-        for scope_label, fs in (
-            ("all", self.fill),
-            ("nonroot", self.fill_nonroot),
-        ):
-            g(
-                "repro_doctor_fill_mean",
-                "Mean leaf fill factor",
-                leaves=scope_label,
-            ).set(fs.mean)
-            g(
-                "repro_doctor_fill_min",
-                "Min leaf fill factor",
-                leaves=scope_label,
-            ).set(fs.min if fs.count else 0.0)
-            for i, n in enumerate(fs.bins):
-                g(
-                    "repro_doctor_fill_leaves",
-                    "Leaves per fill-factor bin (upper bound label)",
-                    leaves=scope_label,
-                    le=f"{(i + 1) / FILL_BINS:.1f}",
-                ).set(n)
-        g("repro_doctor_fanout_mean", "Mean internal fan-out").set(
-            self.mean_fanout
-        )
-        for name, value in self.counters.items():
-            g(
-                "repro_doctor_updates",
-                "Structural-update counters at diagnosis time",
-                kind=name,
-            ).set(value)
-        g(
-            "repro_doctor_split_imbalance_mean",
-            "Mean alpha-split pivot imbalance (0 = perfect median)",
-        ).set(self.mean_split_imbalance)
-        g(
-            "repro_doctor_directory_entries", "Cuckoo directory entries"
-        ).set(self.directory_entries)
-        g(
-            "repro_doctor_directory_load_factor", "Cuckoo directory load"
-        ).set(self.directory_load_factor)
-        for name, what, value in (
-            ("rows", "Sources held as slab rows", self.slab_rows),
-            ("promoted", "Sources promoted to samtrees", self.promoted),
-            ("garbage_share", "Share of slab arena slots no live row owns",
-             self.slab_garbage_share),
-        ):
-            g(f"repro_doctor_slab_{name}", what).set(value)
-        for name, what in (
-            ("rows", "Read-image row slots held"),
-            ("entries", "Clean read-image rows"),
-            ("aliased", "Clean read-image rows with an alias table"),
-            ("pinned", "Clean read-image rows pinned by a frozen relation"),
-            ("edges", "Arena slots owned by clean read-image rows"),
-            ("garbage", "Arena slots no clean read-image row owns"),
-        ):
-            g(f"repro_doctor_cache_{name}", what).set(
-                getattr(self, f"cache_{name}")
-            )
-        g(
-            "repro_doctor_cache_hit_rate", "Read-image row hit rate"
-        ).set(self.cache_hit_rate)
-        g(
-            "repro_doctor_cache_hit_rate_aggregate",
-            "Read-image row hit rate over all shards' raw counters",
-        ).set(self.cache_hit_rate_aggregate)
-        g(
-            "repro_doctor_cache_stale_rows",
-            "Clean image rows that differ from their tree (direct mutation)",
-        ).set(self.cache_stale_rows)
-        g(
-            "repro_doctor_cache_alias_share",
-            "Share of frozen relations' frontier rows the alias kernel drew",
-        ).set(self.alias_share)
-        if self.serving is not None:
-            g(
-                "repro_doctor_serving_coalesce_rate",
-                "Fraction of batched sample sources served by coalescing",
-            ).set(float(self.serving.get("coalesce_rate", 0.0)))
-            g(
-                "repro_doctor_serving_hot_reads",
-                "Reads routed through the hot-replica directory",
-            ).set(float(self.serving.get("hot_reads", 0)))
-        if self.inference is not None:
-            g(
-                "repro_doctor_inference_availability",
-                "Fraction of serving-tier requests answered in deadline",
-            ).set(float(self.inference.get("availability", 1.0)))
-            g(
-                "repro_doctor_inference_shed",
-                "Serving-tier requests shed by admission control",
-            ).set(float(self.inference.get("shed_total", 0)))
-            g(
-                "repro_doctor_inference_degraded",
-                "Serving-tier requests answered from the stale cache",
-            ).set(float(self.inference.get("answered_degraded", 0)))
-        for rank, (src, count, _error) in enumerate(self.hot_top):
-            g(
-                "repro_doctor_hotset_count",
-                "Decayed read count of the top-k hottest sources",
-                rank=str(rank),
-                src=str(src),
-            ).set(count)
-        for name, nbytes in sorted(self.components.items()):
-            g(
-                "repro_doctor_component_bytes",
-                "Modeled bytes by structural component",
-                component=name,
-            ).set(nbytes)
-        g(
-            "repro_doctor_total_bytes",
-            "Sum of the component breakdown (== store nbytes)",
-        ).set(self.total_bytes)
+        reg = MetricsRegistry()
+
+        def flatten(node, path: Tuple[str, ...], labels: Dict[str, object]):
+            if isinstance(node, dict):
+                label, items = "key", node.items()
+            elif isinstance(node, list):
+                label, items = "index", enumerate(node)
+            else:
+                if isinstance(node, (int, float)):
+                    reg.gauge(
+                        "_".join(("repro_doctor",) + path),
+                        f"doctor readout {'.'.join(path)}",
+                        **labels,
+                    ).set(node)
+                return
+            for key, child in items:
+                if isinstance(key, str) and key.isidentifier():
+                    flatten(child, path + (key,), labels)
+                else:
+                    flatten(child, path, {**labels, label: key})
+
+        flatten(self.to_dict(), (), {})
         return reg
 
 

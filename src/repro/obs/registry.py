@@ -248,6 +248,8 @@ class MetricsRegistry:
         # Sorted-entry cache: registration is rare, collection runs on
         # the monitor's scrape cadence.  Invalidated on every new slot.
         self._sorted: Optional[List[_Entry]] = None
+        #: :meth:`watch` getters by prefix, in registration order.
+        self._families: Dict[str, List[Callable[[], object]]] = {}
 
     # ------------------------------------------------------------------
     # registration internals
@@ -336,7 +338,15 @@ class MetricsRegistry:
                 f"{prefix}_{field}", kind, f"{what}: {field}", labels,
                 lambda: None, holder, allow_existing=False, field=field,
             )
+        with self._lock:
+            self._families.setdefault(prefix, []).append(holder)
         return True
+
+    def watched(self) -> Dict[str, List[Callable[[], object]]]:
+        """The getters :meth:`watch` registered, by prefix, in
+        registration order (what ``repro obs`` digests)."""
+        with self._lock:
+            return {p: list(g) for p, g in self._families.items()}
 
     def register_view(
         self,

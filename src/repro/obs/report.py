@@ -4,30 +4,21 @@ Renders, from a live cluster / registry / tracer:
 
 * a per-shard load table with skew factors (max/mean of edges and of
   sample requests — the imbalance a rebalancer would act on);
-* the cross-layer counter digest: snapshot cache, columnar ingest,
-  retries, injected faults, network, and WAL ledgers;
+* the counter digest: one row per ``*Stats`` family the registry
+  watches (:meth:`~repro.obs.registry.MetricsRegistry.watch`), summed
+  over shards and replicas, so a new family or field shows up unasked;
 * the top-k slow traces as indented span trees with per-span durations
   and tags.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.memory import humanize_bytes
-from repro.obs.registry import RegistrySnapshot
+from repro.obs.registry import MetricsRegistry
 
 __all__ = ["render_report", "render_span_tree"]
-
-
-def _sum_by_name(snap: RegistrySnapshot, name: str) -> float:
-    """Sum one metric across every label set (cluster-wide totals)."""
-    total = 0.0
-    for key, value in snap.scalars.items():
-        base = key.split("{", 1)[0]
-        if base == name:
-            total += value
-    return total
 
 
 def _fmt(value: float) -> str:
@@ -36,143 +27,32 @@ def _fmt(value: float) -> str:
     return f"{value:,.3f}"
 
 
-def _counter_digest(snap: RegistrySnapshot) -> List[str]:
+def _counter_digest(registry: MetricsRegistry) -> List[str]:
+    """One row per watched ``*Stats`` family with a non-zero counter, in
+    registration order: its counters summed over every label set, then
+    its class's ``DERIVED`` read-outs computed on that sum."""
     lines: List[str] = []
-
-    def row(title: str, parts: Dict[str, str]) -> None:
-        body = "  ".join(f"{k}={v}" for k, v in parts.items())
-        lines.append(f"  {title:<10} {body}")
-
-    hits = _sum_by_name(snap, "repro_snapshot_cache_hits")
-    misses = _sum_by_name(snap, "repro_snapshot_cache_misses")
-    total = hits + misses
-    row(
-        "cache",
-        {
-            "hits": _fmt(hits),
-            "misses": _fmt(misses),
-            "hit_rate": f"{hits / total:.2%}" if total else "n/a",
-            "builds": _fmt(_sum_by_name(snap, "repro_snapshot_cache_builds")),
-            "evictions": _fmt(_sum_by_name(snap, "repro_snapshot_cache_evictions")),
-            "invalidations": _fmt(
-                _sum_by_name(snap, "repro_snapshot_cache_invalidations")
-            ),
-            "compactions": _fmt(
-                _sum_by_name(snap, "repro_snapshot_cache_compactions")
-            ),
-        },
-    )
-    row(
-        "ingest",
-        {
-            "ops": _fmt(_sum_by_name(snap, "repro_ingest_ops")),
-            "inserted": _fmt(_sum_by_name(snap, "repro_ingest_inserted")),
-            "removed": _fmt(_sum_by_name(snap, "repro_ingest_removed")),
-            "rebuilt": _fmt(_sum_by_name(snap, "repro_ingest_trees_rebuilt")),
-            "incremental": _fmt(
-                _sum_by_name(snap, "repro_ingest_trees_incremental")
-            ),
-        },
-    )
-    batches = _sum_by_name(snap, "repro_cache_batches")
-    if batches:
-        sources = _sum_by_name(snap, "repro_cache_sources")
-        coalesced = _sum_by_name(snap, "repro_cache_coalesced_sources")
-        row(
-            "serving",
-            {
-                "batches": _fmt(batches),
-                "sources": _fmt(sources),
-                "coalesce_rate": (
-                    f"{coalesced / sources:.2%}" if sources else "n/a"
-                ),
-                "hot_reads": _fmt(_sum_by_name(snap, "repro_cache_hot_reads")),
-                "spread": _fmt(
-                    _sum_by_name(snap, "repro_cache_spread_reads")
-                ),
-            },
-        )
-    submitted = _sum_by_name(snap, "repro_serving_submitted")
-    if submitted:
-        answered = _sum_by_name(
-            snap, "repro_serving_answered_fresh"
-        ) + _sum_by_name(snap, "repro_serving_answered_degraded")
-        shed = (
-            _sum_by_name(snap, "repro_serving_shed_queue_full")
-            + _sum_by_name(snap, "repro_serving_shed_deadline_hopeless")
-            + _sum_by_name(snap, "repro_serving_shed_breaker_open")
-        )
-        row(
-            "inference",
-            {
-                "submitted": _fmt(submitted),
-                "answered": _fmt(answered),
-                "degraded": _fmt(
-                    _sum_by_name(snap, "repro_serving_answered_degraded")
-                ),
-                "shed": _fmt(shed),
-                "missed": _fmt(
-                    _sum_by_name(snap, "repro_serving_deadline_missed")
-                ),
-                "availability": f"{_sum_by_name(snap, 'repro_serving_availability'):.2%}",
-            },
-        )
-    observations = _sum_by_name(snap, "repro_hotset_observations")
-    if observations:
-        row(
-            "hotset",
-            {
-                "observed": _fmt(observations),
-                "tracked": _fmt(_sum_by_name(snap, "repro_hotset_tracked")),
-                "replacements": _fmt(
-                    _sum_by_name(snap, "repro_hotset_replacements")
-                ),
-                "decays": _fmt(_sum_by_name(snap, "repro_hotset_decays")),
-            },
-        )
-    row(
-        "retries",
-        {
-            "attempts": _fmt(_sum_by_name(snap, "repro_retry_attempts")),
-            "retries": _fmt(_sum_by_name(snap, "repro_retry_retries")),
-            "recoveries": _fmt(_sum_by_name(snap, "repro_retry_recoveries")),
-            "exhausted": _fmt(_sum_by_name(snap, "repro_retry_exhausted")),
-            "backoff_s": f"{_sum_by_name(snap, 'repro_retry_backoff_seconds'):.4f}",
-        },
-    )
-    row(
-        "faults",
-        {
-            "transient": _fmt(_sum_by_name(snap, "repro_faults_transient_errors")),
-            "spikes": _fmt(_sum_by_name(snap, "repro_faults_latency_spikes")),
-            "crashes": _fmt(_sum_by_name(snap, "repro_faults_crashes")),
-            "refused": _fmt(
-                _sum_by_name(snap, "repro_faults_refused_while_down")
-            ),
-        },
-    )
-    row(
-        "network",
-        {
-            "messages": _fmt(_sum_by_name(snap, "repro_network_messages")),
-            "bytes": _fmt(_sum_by_name(snap, "repro_network_payload_bytes")),
-            "sim_s": f"{_sum_by_name(snap, 'repro_network_simulated_seconds'):.4f}",
-        },
-    )
-    row(
-        "wal",
-        {
-            "appended": _fmt(_sum_by_name(snap, "repro_wal_records_appended")),
-            "replayed": _fmt(
-                _sum_by_name(snap, "repro_server_wal_records_replayed")
-            ),
-            "recoveries": _fmt(_sum_by_name(snap, "repro_server_recoveries")),
-        },
-    )
+    for prefix, getters in registry.watched().items():
+        holders = [h for h in (get() for get in getters) if h is not None]
+        if not holders:
+            continue
+        first = holders[0]
+        sums = {
+            name: sum(getattr(h, name) for h in holders)
+            for name in first.counters()
+        }
+        if not any(sums.values()):
+            continue
+        derived = getattr(first, "DERIVED", ())
+        if derived:
+            total = type(first)(**sums)
+            sums.update((name, getattr(total, name)) for name in derived)
+        body = "  ".join(f"{k}={_fmt(v)}" for k, v in sums.items())
+        lines.append(f"  {prefix.partition('_')[2]:<14} {body}")
     return lines
 
 
-def _shard_table(cluster, snap: RegistrySnapshot) -> List[str]:
+def _shard_table(cluster) -> List[str]:
     infos = cluster.shard_infos()
     lines = [
         f"  {'shard':>5} {'sources':>9} {'edges':>10} {'memory':>10} "
@@ -183,12 +63,11 @@ def _shard_table(cluster, snap: RegistrySnapshot) -> List[str]:
     for info in infos:
         shard = info.shard_id
         srq = wrq = refused = 0.0
-        for r, _ in enumerate(cluster.replica_groups[shard]):
-            labels = f'{{replica="{r}",shard="{shard}"}}'
-            srq += snap.get(f"repro_server_sample_requests{labels}")
-            wrq += snap.get(f"repro_server_update_requests{labels}")
-            wrq += snap.get(f"repro_server_ingest_requests{labels}")
-            refused += snap.get(f"repro_server_refused_requests{labels}")
+        for server in cluster.replica_groups[shard]:
+            stats = server.stats
+            srq += stats.sample_requests
+            wrq += stats.update_requests + stats.ingest_requests
+            refused += stats.refused_requests
         edges.append(float(info.num_edges))
         sample_rq.append(srq)
         lines.append(
@@ -232,21 +111,19 @@ def render_report(cluster=None, tracer=None, top_k: int = 5) -> str:
     if tracer is None:
         tracer = getattr(cluster, "tracer", None)
     lines: List[str] = ["== repro observability report =="]
-    snap = registry.snapshot() if registry is not None else None
 
-    if cluster is not None and snap is not None:
+    if registry is not None:
         lines.append("")
         lines.append("-- per-shard load --")
-        lines.extend(_shard_table(cluster, snap))
-
-    if snap is not None:
+        lines.extend(_shard_table(cluster))
         lines.append("")
         lines.append("-- counters --")
-        lines.extend(_counter_digest(snap))
-        if snap.histograms:
+        lines.extend(_counter_digest(registry))
+        histograms = registry.collect_histograms()
+        if histograms:
             lines.append("")
             lines.append("-- latency histograms --")
-            for name, _, labels, hist in registry.collect_histograms():
+            for name, _, labels, hist in histograms:
                 if hist.count == 0:
                     continue
                 s = hist.summary()

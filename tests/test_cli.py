@@ -117,9 +117,12 @@ class TestReadoutsAreDeterministic:
         [
             ["obs", "--format", "json", *_OBS_FLAGS],
             ["obs", "--format", "prometheus", *_OBS_FLAGS],
+            ["obs", *_OBS_FLAGS],
             ["doctor", "--format", "json"],
+            ["doctor", "--format", "prometheus"],
         ],
-        ids=["obs-json", "obs-prometheus", "doctor-json"],
+        ids=["obs-json", "obs-prometheus", "obs-human", "doctor-json",
+             "doctor-prometheus"],
     )
     def test_two_runs_print_the_same_bytes(self, capsys, argv):
         outputs = []

@@ -7,11 +7,14 @@ Pins the structural-health observability contract (DESIGN.md §12):
   and across cluster crash/recovery;
 * fill factors land in ``(0, 1]`` and depth equals the measured tree
   height; node counts match an independent walk;
-* the ``--fail-on`` threshold gate (parsing + violations + CLI exit 3).
+* the ``--fail-on`` threshold gate (parsing + violations + CLI exit 3);
+* the Prometheus export is derived from ``to_dict()``: every numeric
+  leaf is exactly one sample with the same value.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -239,13 +242,78 @@ class TestDoctorCluster:
         text = to_prometheus_text(report.to_registry())
         stats = lint_prometheus(text)
         assert stats["samples"] > 20
-        assert "repro_doctor_total_bytes" in text
-        assert 'repro_doctor_component_bytes{component="leaf_nodes"}' in text
+        assert "repro_doctor_memory_total_bytes" in text
+        assert "repro_doctor_memory_components_leaf_nodes" in text
         for name in ("rows", "promoted", "garbage_share"):
             assert f"repro_doctor_slab_{name} " in text
         slab = report.to_dict()["slab"]
         assert slab["rows"] + slab["promoted"] == report.num_trees
         assert 0.0 <= slab["garbage_share"] <= 1.0
+
+
+def _numeric_leaves(node, path=(), labels=()):
+    """``(series key, value)`` of every numeric leaf of a ``to_dict()``
+    payload, named by the export's flatten rule."""
+    if isinstance(node, (dict, list)):
+        label = "key" if isinstance(node, dict) else "index"
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            if isinstance(key, str) and key.isidentifier():
+                yield from _numeric_leaves(child, path + (key,), labels)
+            else:
+                yield from _numeric_leaves(
+                    child, path, labels + ((label, str(key)),)
+                )
+    elif isinstance(node, (int, float)):
+        name = "_".join(("repro_doctor",) + path)
+        inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels))
+        yield (f"{name}{{{inner}}}" if inner else name), float(node)
+
+
+def _exposition_samples(text):
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            key, _, value = line.rpartition(" ")
+            assert key not in samples, key
+            samples[key] = float(value)
+    return samples
+
+
+class TestDoctorExport:
+    """``to_registry`` is one flatten of ``to_dict()``: no field of the
+    report can miss the exposition."""
+
+    def _assert_every_leaf_is_one_sample(self, payload, text):
+        lint_prometheus(text)
+        leaves = dict(_numeric_leaves(payload))
+        assert len(leaves) == len(list(_numeric_leaves(payload)))
+        assert _exposition_samples(text) == leaves
+
+    def test_default_cli_cluster(self, capsys):
+        assert cli_main(["doctor", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert cli_main(["doctor", "--format", "prometheus"]) == 0
+        text = capsys.readouterr().out
+        self._assert_every_leaf_is_one_sample(payload, text)
+        assert len(_exposition_samples(text)) == 92
+        assert 'repro_doctor_depth_histogram{key="2"}' in text
+        assert 'repro_doctor_fill_bins{index="9"}' in text
+        assert "repro_doctor_serving_coalesce_rate" in text
+
+    def test_frozen_single_store(self):
+        store = _churned_store(num_edges=4_000, num_sources=60)
+        store.freeze()
+        store.add_edge(0, 1, 1.0)
+        store.sample_neighbors_many(list(range(60)), 3, rng=0)
+        report = diagnose_store(store)
+        payload = report.to_dict()
+        assert payload["serving"] is None and payload["scope"] == "store"
+        assert payload["snapshot_cache"]["alias_served"] > 0
+        text = to_prometheus_text(report.to_registry())
+        self._assert_every_leaf_is_one_sample(payload, text)
+        assert "repro_doctor_serving" not in text
+        assert "repro_doctor_scope" not in text
 
 
 class TestThresholdGate:

@@ -886,4 +886,4 @@ class TestDoctorFrozenSection:
         assert report.total_bytes == store.nbytes()
         assert f"aliased={rows}" in report.render()
         reg = report.to_registry().snapshot().to_dict()["scalars"]
-        assert any(k.startswith("repro_doctor_cache_aliased") for k in reg)
+        assert reg["repro_doctor_snapshot_cache_aliased"] == rows

@@ -703,6 +703,55 @@ class TestExporters:
             span = doc["slow_traces"][0]
             assert {"trace_id", "span_id", "children"} <= set(span)
 
+    def test_counter_digest_sums_every_watched_family(self):
+        cluster = LocalCluster(
+            num_servers=2, config=SamtreeConfig(capacity=8), durable=True
+        )
+        rng = random.Random(0)
+        cluster.client.bulk_load(
+            [rng.randrange(16) for _ in range(200)],
+            [rng.randrange(64) for _ in range(200)],
+        )
+        for _ in range(40):  # writes through the samtrees and slab rows
+            cluster.client.add_edge(rng.randrange(16), rng.randrange(64))
+        assert cluster.freeze_all() > 0
+        cluster.client.sample_neighbors_many(
+            list(range(16)), 3, random.Random(1)
+        )
+        text = render_report(cluster)
+        block = text.split("-- counters --\n", 1)[1].split("\n\n", 1)[0]
+        rows = {}
+        for line in block.splitlines():
+            title, *parts = line.split()
+            rows[title] = dict(part.split("=", 1) for part in parts)
+
+        def fmt(value):
+            if float(value).is_integer():
+                return f"{int(value):,}"
+            return f"{value:,.3f}"
+
+        # Independently of the digest: sum each family's series over
+        # every label set of the registry's snapshot.
+        totals = {}
+        for key, value in cluster.registry.snapshot().scalars.items():
+            base = key.split("{", 1)[0]
+            totals[base] = totals.get(base, 0.0) + value
+        expected = {}
+        for prefix, getters in cluster.registry.watched().items():
+            fields = next(g() for g in getters if g() is not None).counters()
+            sums = {f: totals[f"{prefix}_{f}"] for f in fields}
+            if any(sums.values()):
+                expected[prefix.partition("_")[2]] = sums
+        assert list(rows) == list(expected)
+        assert {"frozen", "samtree", "snapshot_cache", "wal"} <= set(rows)
+        for title, sums in expected.items():
+            for field, value in sums.items():
+                assert rows[title][field] == fmt(value), (title, field)
+        assert int(rows["frozen"]["vertices"]) > 0
+        cache = expected["snapshot_cache"]
+        hit_rate = cache["hits"] / (cache["hits"] + cache["misses"])
+        assert rows["snapshot_cache"]["hit_rate"] == fmt(hit_rate)
+
     def test_report_renders_shards_counters_traces(self):
         cluster, tracer = self._loaded_cluster()
         text = render_report(cluster, tracer=tracer, top_k=2)

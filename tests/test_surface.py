@@ -380,6 +380,7 @@ PINNED_SIGNATURES = {
     "repro.obs.replay:replay_bundle": "bundle_or_path",
     "repro.obs.incident:IncidentManager": "cluster out_dir cooldown",
     "repro.obs.report:render_report": "cluster tracer top_k",
+    "repro.obs.doctor:DoctorReport.to_registry": "self",
     "repro.obs.report:render_span_tree": "span indent",
     "repro.core.snapshot:_Image.compact": "self",
 }
