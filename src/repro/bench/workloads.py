@@ -163,9 +163,10 @@ def run_update_batches(
     """Apply churn batches; returns mean seconds per batch (Figure 9).
 
     ``use_bulk=True`` applies each batch through the columnar
-    ``apply_edge_batch`` path (one lexsort + per-tree rebuild/PALM
-    dispatch) instead of one ``apply`` per op; only application time is
-    measured either way.
+    ``apply_edge_batch`` path (one sort: a packed int64 key when the
+    columns fit 63 bits and the batch has 768+ rows, else ``np.lexsort``;
+    then per-tree rebuild/PALM dispatch) instead of one ``apply`` per
+    op; only application time is measured either way.
     """
     total = 0.0
     count = 0

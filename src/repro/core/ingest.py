@@ -7,9 +7,12 @@ parallel numpy arrays — ``src``/``dst`` (int64), ``weight`` (float64),
 ``etype`` (int16) and ``op`` (uint8) — instead of one Python object per
 operation.  Everything downstream operates on the arrays directly:
 
-* the store groups a batch per target samtree with one ``np.lexsort``
-  (no per-op dict churn) and resolves duplicate ``(etype, src, dst)``
-  keys *last-wins* with sequential-application semantics;
+* the store groups a batch per target samtree with one stable sort
+  (:func:`~repro.core.types.lexsort_rows`: the columns packed into one
+  int64 ``argsort`` when their ranges and the row index fit 63 bits,
+  else — or below the measured 768-row break-even — ``np.lexsort``) and
+  resolves duplicate ``(etype, src, dst)`` keys *last-wins* with
+  sequential-application semantics;
 * the distributed client slices one sub-batch per owning shard and
   accounts the :class:`~repro.distributed.rpc.NetworkModel` payload from
   the array bytes, not from per-op object framing;
@@ -30,7 +33,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.types import DEFAULT_ETYPE, EdgeOp, OpKind
+from repro.core.types import DEFAULT_ETYPE, EdgeOp, OpKind, lexsort_rows
 from repro.errors import ConfigurationError, InvalidWeightError
 from repro.obs.telemetry import Stats
 
@@ -251,8 +254,7 @@ class EdgeBatch:
         """Rows lexsorted by ``(etype, src, dst)`` (stable: submission
         order survives inside each equal key, which is what makes the
         last-wins fold below equivalent to sequential application)."""
-        order = np.lexsort((self.dst, self.src, self.etype))
-        return self.select(order)
+        return self.select(lexsort_rows(self.etype, self.src, self.dst))
 
     def tree_bounds(self) -> np.ndarray:
         """First row of every per-tree group of a tree-sorted batch,

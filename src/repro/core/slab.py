@@ -48,6 +48,7 @@ from repro.core.fenwick import cumsum_rows
 from repro.core.ingest import OP_DELETE, OP_INSERT
 from repro.core.memory import MemoryModel
 from repro.core.samtree import OpStats, _check_weight
+from repro.core.types import lexsort_rows
 from repro.errors import InvariantViolationError
 
 __all__ = ["Slab", "SlabRow", "ROW_MIN_ROOM", "ROUND_PAD"]
@@ -473,7 +474,7 @@ class Slab:
         cum = np.empty_like(weights)
         cumsum_rows(weights, np.cumsum(length) - length, length, cum)
         owner = np.repeat(np.arange(rows.size), length)
-        order = np.lexsort((ids, owner))
+        order = lexsort_rows(owner, ids)
         ids, owner = ids[order], owner[order]
         for broken, why in (
             ((ids < 0).any(), "negative neighbour id"),

@@ -322,8 +322,10 @@ class DynamicGraphStore(GraphStoreAPI):
     ) -> IngestStats:
         """Apply a columnar batch of dynamic updates (paper Table II).
 
-        One pass per batch (DESIGN.md §9): one ``lexsort`` groups the
-        rows per target source, duplicate ``(etype, src, dst)`` keys
+        One pass per batch (DESIGN.md §9): one stable sort groups the
+        rows per target source (``lexsort_rows``: one ``argsort`` of the
+        columns packed into an int64 when their ranges and the row index
+        fit 63 bits, else — or below 768 rows — ``np.lexsort``), duplicate ``(etype, src, dst)`` keys
         fold to their net effect over the whole sorted batch, every
         touched source is looked up once, and the groups then split
         three ways: new sources are placed in one segmented pass, slab

@@ -26,6 +26,7 @@ __all__ = [
     "UNAVAILABLE",
     "SampleBlock",
     "run_bounds",
+    "lexsort_rows",
     "check_counts",
     "OpKind",
     "EdgeOp",
@@ -135,6 +136,44 @@ def run_bounds(sorted_keys: np.ndarray) -> np.ndarray:
     edge[0] = edge[n] = True
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=edge[1:n])
     return edge.nonzero()[0]
+
+
+#: Fewer rows sort with ``np.lexsort``: packing costs ~15 µs of fixed
+#: dispatches, lexsort's indirect merge grows faster than ``n log n``.
+#: Two int64 keys, 2-core x86 (lexsort vs packed): 5 rows 1.6 vs 17 µs,
+#: 768 rows 28 vs 31 µs, 2 048 rows 212 vs 63 µs.
+PACKED_SORT_FROM = 768
+
+#: ``np.lexsort`` below its ``__array_function__`` dispatcher, a Python
+#: frame the sample plane's per-hop call budget has no room for.
+_lexsort = getattr(np.lexsort, "_implementation", np.lexsort)
+
+
+def lexsort_rows(*keys: np.ndarray) -> np.ndarray:
+    """The stable order of the rows by ``keys[0]``, then ``keys[1]``,
+    ...: ``np.lexsort`` of ``keys[::-1]``, bit for bit.
+
+    From :data:`PACKED_SORT_FROM` rows, if the keys' ranges (each offset
+    by its minimum) plus the row index fit in 63 bits, one ``argsort`` of
+    the keys packed into an int64, the row index lowest: the packed
+    values are distinct, so any sort is stable.  Else ``np.lexsort``.
+    """
+    n = len(keys[0])
+    if n >= PACKED_SORT_FROM:
+        packed, bits = np.zeros(n, dtype=np.int64), (n - 1).bit_length()
+        for key in keys:
+            low = np.minimum.reduce(key)
+            width = (int(np.maximum.reduce(key)) - int(low)).bit_length()
+            bits += width
+            if bits > 63:
+                break
+            packed <<= width
+            packed |= np.subtract(key, low, dtype=np.int64)
+        else:
+            packed <<= (n - 1).bit_length()
+            packed |= np.arange(n)
+            return packed.argsort()
+    return _lexsort(keys[::-1])
 
 
 #: ``slots=True`` (3.10+) removes the per-instance ``__dict__`` from the

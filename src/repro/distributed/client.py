@@ -47,6 +47,7 @@ from repro.core.types import (
     OpKind,
     SampleBlock,
     check_counts,
+    lexsort_rows,
     run_bounds,
 )
 from repro.distributed.hotset import HotReplicaDirectory, HotSetTracker
@@ -466,13 +467,14 @@ class GraphClient(GraphStoreAPI):
             stats.ops = 0
             return stats
         shards = self.partitioner.shards_for_array(batch.src)
-        unique_shards = np.unique(shards).tolist()
+        rows_per_shard = np.bincount(shards, minlength=len(self.servers))
+        touched = np.flatnonzero(rows_per_shard).tolist()
         with self.telemetry.span(
             "client.apply_edge_batch",
             ops=len(batch),
-            shards=len(unique_shards),
+            shards=len(touched),
         ):
-            for shard in unique_shards:
+            for shard in touched:
                 sub = batch.select(np.flatnonzero(shards == shard))
                 shard_stats = self._write_shard(
                     shard,
@@ -687,7 +689,7 @@ class GraphClient(GraphStoreAPI):
         stats.batches += 1
         stats.sources += n
         shards = self._route_frontier(srcs)
-        order = np.lexsort((srcs, shards))
+        order = lexsort_rows(shards, srcs)
         srcs = srcs[order]
         bounds = run_bounds(srcs)
         starts = bounds[:-1]

@@ -25,6 +25,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
+from repro.core.types import lexsort_rows
 from repro.errors import ConfigurationError, HashMapFullError
 
 __all__ = ["CuckooHashMap"]
@@ -383,7 +384,7 @@ class CuckooHashMap:
         with self._lock:
             live = np.flatnonzero(self._src >= 0)
             etype, src = self._etype[live], self._src[live]
-            order = np.lexsort((src, etype))
+            order = lexsort_rows(etype, src)
             value = self._value[live[order]]
             return etype[order], src[order], value, self._trees_of(value)
 

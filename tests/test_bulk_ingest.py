@@ -35,7 +35,8 @@ from repro.core.topology import (
     REBUILD_MIN_OPS,
     DynamicGraphStore,
 )
-from repro.core.types import GraphStoreAPI
+from repro.core import types
+from repro.core.types import PACKED_SORT_FROM, GraphStoreAPI, lexsort_rows
 from repro.datasets.io import load_edge_list
 from repro.datasets.presets import ogbn_scaled
 from repro.datasets.stream import EdgeStream
@@ -126,6 +127,113 @@ def test_tree_groups_are_contiguous_and_complete():
     assert rows == n
     assert seen == sorted(seen)  # groups in lexsorted order, no repeats
     assert len(seen) == len(set(seen))
+
+
+# ---------------------------------------------------------------------------
+# lexsort_rows: the packed-key sort is np.lexsort's permutation
+# ---------------------------------------------------------------------------
+_COLUMNS = {
+    "etype": (np.int16, -40, 40),
+    "etype_wide": (np.int16, -(2**15), 2**15 - 1),
+    "ids_dup": (np.int64, 0, 16),
+    "ids": (np.int64, 0, 2**40),
+    "ids_high": (np.int64, 2**63 - 2**20, 2**63 - 1),
+    "ids_full": (np.int64, 0, 2**63 - 1),
+}
+
+
+@given(
+    st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=3),
+    st.one_of(
+        st.sampled_from([0, 1, 2, PACKED_SORT_FROM - 1, PACKED_SORT_FROM]),
+        st.integers(0, 3 * PACKED_SORT_FROM),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_lexsort_rows_is_lexsort(columns, n, seed):
+    """Exactly ``np.lexsort(keys[::-1])``, on both sides of the
+    break-even, with duplicates, negative int16 keys and ids near
+    ``2**63`` (the wide ones take the fallback)."""
+    rng = np.random.default_rng(seed)
+    keys = [
+        rng.integers(lo, hi, n, dtype=dtype, endpoint=True)
+        for dtype, lo, hi in (_COLUMNS[c] for c in columns)
+    ]
+    expected = np.lexsort(keys[::-1])
+    got = lexsort_rows(*keys)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("bits", [52, 53])
+def test_lexsort_rows_at_the_63_bit_edge(bits):
+    """1 024 rows take 10 index bits: a 53-bit key range packs to
+    exactly 63 bits, a 54-bit one does not — both sort exactly, with
+    the extreme keys present."""
+    rng = np.random.default_rng(bits)
+    n = 1024
+    key = rng.integers(0, 2**bits, n, endpoint=True) + (2**63 - 1 - 2**bits)
+    key[:2] = key.min(), key.max()
+    key[-2:] = 2**63 - 1 - 2**bits, 2**63 - 1
+    second = rng.integers(0, 2, n)
+    for keys in ((key,), (second, key), (key, key % 3)):
+        assert np.array_equal(lexsort_rows(*keys), np.lexsort(keys[::-1]))
+
+
+def test_wide_ids_take_the_fallback_and_match_a_dict_reference(monkeypatch):
+    """A bulk load plus churn with ids >= 2**48 spread too wide to pack:
+    the grouping sort runs ``np.lexsort`` on the full batch, and the
+    store equals a dict-of-dicts replay of the same operations."""
+    fallback_rows = []
+
+    def spy(keys):
+        fallback_rows.append(len(keys[0]))
+        return np.lexsort(keys)
+
+    monkeypatch.setattr(types, "_lexsort", spy)
+    rng = np.random.default_rng(48)
+    sources = rng.integers(2**48, 2**63 - 1, 200)
+    targets = rng.integers(2**48, 2**63 - 1, 500)
+    store = DynamicGraphStore(SamtreeConfig(capacity=8))
+    ref = {}
+
+    def apply(src, dst, weight, etype, op):
+        store.apply_edge_batch(EdgeBatch(src, dst, weight, etype, op))
+        for e, s, d, w, code in zip(etype.tolist(), src.tolist(),
+                                    dst.tolist(), weight.tolist(), op.tolist()):
+            adjacency = ref.setdefault((e, s), {})
+            if code == OP_INSERT or (code == OP_UPDATE and d in adjacency):
+                adjacency[d] = w
+            elif code == OP_DELETE:
+                adjacency.pop(d, None)
+
+    n = 4000
+    apply(
+        rng.choice(sources, n), rng.choice(targets, n),
+        rng.integers(1, 100, n) / 8.0, rng.integers(0, 3, n).astype(np.int16),
+        np.full(n, OP_INSERT, dtype=np.uint8),
+    )
+    for _ in range(3):
+        n = 1500
+        apply(
+            rng.choice(sources, n), rng.choice(targets, n),
+            rng.integers(1, 100, n) / 8.0,
+            rng.integers(0, 3, n).astype(np.int16),
+            rng.choice([OP_INSERT, OP_UPDATE, OP_DELETE], n,
+                       p=[0.5, 0.3, 0.2]).astype(np.uint8),
+        )
+    wide = [rows for rows in fallback_rows if rows >= PACKED_SORT_FROM]
+    assert wide[:4] == [4000, 1500, 1500, 1500]
+    store.check_invariants()
+    expected = {key: adj for key, adj in ref.items() if adj}
+    got = {
+        (etype, src): dict(store.neighbors(src, etype))
+        for etype in store.etypes()
+        for src in store.sources(etype)
+    }
+    assert got == expected
+    assert store.num_edges == sum(map(len, expected.values()))
 
 
 # ---------------------------------------------------------------------------
