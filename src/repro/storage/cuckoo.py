@@ -7,13 +7,16 @@ PlatoD2GL keeps one directory entry per source vertex — the tuple
 whose positive entries are slab rows and whose negative ones ``~i``
 name samtree ``trees[i]``; an empty slot is ``src == -1`` with value 0,
 so a probe of a negative id (never a key) reads a miss; two independent
-multiply-shift hashes that numpy and the scalar path compute alike.
-An insert into two full buckets shifts a breadth-first cuckoo path back
-from its free end, so no key is ever in no slot; a slot takes its value
-first and its key last, a delete clears the key first, and ``_moves``
-is a seqlock — odd while a mutator runs — under which reads take no
-lock.  Batches are array work: :meth:`CuckooHashMap.get_many` and
-:meth:`CuckooHashMap.put_many`.
+multiply-shift hashes, range-reduced to any bucket count, that numpy
+and the scalar path compute alike.  A table is sized to its keys —
+90 % occupancy, or the smallest power of two that fits if fewer
+buckets — and grows by ≤ 1.25× past that.  An insert into two full
+buckets shifts a breadth-first cuckoo path back from its free end, so
+no key is ever in no slot; a slot takes its value first and its key
+last, a delete clears the key first, and ``_moves`` is a seqlock — odd
+while a mutator runs — under which reads take no lock.  Batches are
+array work: :meth:`CuckooHashMap.get_many` and
+:meth:`CuckooHashMap.put_many` (rank rounds, then eviction rounds).
 """
 
 from __future__ import annotations
@@ -52,29 +55,61 @@ PROBE_LOOP_BELOW = 48
 #: the vectorised rounds' fixed cost is paid back from here (DESIGN.md §9).
 PLACE_LOOP_BELOW = 64
 
+#: Vectorised eviction rounds leave fewer keys than this to the path
+#: search (a round costs ≈ 3 searches at 90 %; DESIGN.md §9).
+_PATHS_BELOW = 8
 
-def _pair(etype: int, src: int, shift: int, mask: int) -> Tuple[int, int]:
-    """The two buckets of one key: ``((src·A + etype·B) >> shift) & mask``."""
-    (a1, b1), (a2, b2) = _HASHES
-    return (
-        ((src * a1 + etype * b1) >> shift) & mask,
-        ((src * a2 + etype * b2) >> shift) & mask,
-    )
+#: ``_NTH_FREE[f, r]``: the ``r``-th of the free ways whose bits ``f``
+#: sets, −1 past the last.
+_NTH_FREE = np.array(
+    [([w for w in range(4) if f >> w & 1] + [-1] * 5)[:5] for f in range(16)]
+)
 
 
-def _bucket_column(etype, src: np.ndarray, which: int, shift: int, mask: int):
+def _free_way(rows: np.ndarray, bucket: np.ndarray, rank=0) -> np.ndarray:
+    """The way each bucket gives its ``rank``-th (≤ 4) new key, −1 for none: the
+    multiply lifts the low bit of each byte of the bucket's 4 empty-flags,
+    read as one little-endian ``uint32``, into the 4 bits of its free ways."""
+    flags = (rows.take(bucket, axis=0) < 0).view("<u4").ravel()
+    free = (flags * np.uint32(0x10204080)) >> np.uint32(28)
+    return _NTH_FREE[free, rank]
+
+
+def _buckets_for(n: int) -> int:
+    """The rule's bucket count for ``n`` keys, never decreasing in ``n``: the
+    smallest power of two with a slot per key, or ⌈n / (4 · 0.9)⌉ if fewer."""
+    fit = 1 << ((max(n, 1) - 1) // _BUCKET_WAYS).bit_length()
+    return min(fit, -(-5 * max(n, 1) // 18))
+
+
+def _bucket(etype: int, src: int, which: int, buckets: int) -> int:
+    """Bucket ``which`` (0 or 1) of one key: the high half ``h₃₂`` of
+    ``(src·A + etype·B) mod 2⁶⁴``, range-reduced: ``(h₃₂ · buckets) >>
+    32``, here ``(h₃₂·2³² · buckets) >> 64`` (the mask keeps it in place)."""
+    a, b = _HASHES[which]
+    return ((src * a + etype * b) & 0xFFFFFFFF00000000) * buckets >> 64
+
+
+def _pair(etype: int, src: int, buckets: int) -> Tuple[int, int]:
+    """The two buckets of one key."""
+    return _bucket(etype, src, 0, buckets), _bucket(etype, src, 1, buckets)
+
+
+def _bucket_column(etype, src: np.ndarray, which: int, buckets: int):
     """Bucket ``which`` (0 or 1) of every key (``etype`` a column or one
-    relation), in ``uint64`` arithmetic: what the scalar :func:`_pair` gives."""
+    relation), in ``uint64`` arithmetic: what the scalar :func:`_bucket` gives."""
     a, b = _HASHES[which]
     x = src.view(np.uint64) * np.uint64(a)
     x += np.asarray(etype).astype(np.int64).view(np.uint64) * np.uint64(b)
-    x >>= np.uint64(shift)
-    return x.view(np.int64) & mask
+    x >>= np.uint64(32)
+    x *= np.uint64(buckets)
+    x >>= np.uint64(32)
+    return x.view(np.int64)
 
 
 class CuckooHashMap:
     """4-way bucketised cuckoo map of ``(etype, src)`` keys whose reads
-    take no lock; ``initial_buckets`` is rounded up to a power of two."""
+    take no lock; it starts with ``initial_buckets`` buckets."""
 
     def __init__(self, initial_buckets: int = 16) -> None:
         if initial_buckets < 1:
@@ -88,17 +123,15 @@ class CuckooHashMap:
         self._moves = 0
         self._size = 0
         self._lock = threading.Lock()
-        self._alloc(1 << (initial_buckets - 1).bit_length())
+        self._alloc(initial_buckets)
         self._publish()
 
     def _alloc(self, num_buckets: int) -> None:
         """Fresh empty columns of ``num_buckets`` buckets for the writer;
         readers keep the published table until :meth:`_publish`."""
-        if num_buckets > 1 << 34:  # pragma: no cover - safety net
-            raise HashMapFullError("cuckoo hashmap grew past 2^34 buckets")
+        if num_buckets >= 1 << 32:  # pragma: no cover - safety net
+            raise HashMapFullError("cuckoo hashmap grew past 2^32 buckets")
         self._num_buckets = num_buckets
-        self._mask = num_buckets - 1
-        self._shift = 64 - max(1, num_buckets.bit_length() - 1)
         slots = num_buckets * _BUCKET_WAYS
         self._src = np.full(slots, -1, dtype=np.int64)
         self._etype = np.zeros(slots, dtype=np.int16)
@@ -107,15 +140,16 @@ class CuckooHashMap:
 
     def _publish(self) -> None:
         """Hand the writer's table to lock-free readers, one store per
-        form: memoryviews (scalar path), bucket rows (array path)."""
-        self._table = (self._shift, self._mask) + self._cols
+        form: memoryviews beside the bucket and slot counts (scalar
+        path), bucket rows (array path)."""
+        self._table = (self._num_buckets, self._src.size) + self._cols
         rows = (c.reshape(-1, _BUCKET_WAYS) for c in (self._src, self._etype))
-        self._rows = (self._shift, self._mask, *rows, self._value)
+        self._rows = (self._num_buckets, *rows, self._value)
 
     def _find_slot(self, etype: int, src: int, table) -> int:
         """Index of the slot of ``table`` holding the key, or -1."""
-        shift, mask, keys, etypes, _ = table
-        for bucket in _pair(etype, src, shift, mask):
+        buckets, _, keys, etypes, _ = table
+        for bucket in _pair(etype, src, buckets):
             base = bucket * _BUCKET_WAYS
             for s in range(base, base + _BUCKET_WAYS):
                 if keys[s] == src and etypes[s] == etype:
@@ -133,10 +167,12 @@ class CuckooHashMap:
         while queue and len(parent) < _MAX_SEARCH:
             s = queue.popleft()
             if s < 0:
-                buckets = _pair(etype, src, self._shift, self._mask)
-            else:
-                b1, b2 = _pair(etypes[s], keys[s], self._shift, self._mask)
-                buckets = (b2 if s // _BUCKET_WAYS == b1 else b1,)
+                buckets = _pair(etype, src, self._num_buckets)
+            else:  # the resident's other bucket: its second unless it is there
+                other = _bucket(etypes[s], keys[s], 1, self._num_buckets)
+                if other == s // _BUCKET_WAYS:
+                    other = _bucket(etypes[s], keys[s], 0, self._num_buckets)
+                buckets = (other,)
             for bucket in buckets:
                 for t in range(bucket * _BUCKET_WAYS, (bucket + 1) * _BUCKET_WAYS):
                     if t in parent:
@@ -153,7 +189,7 @@ class CuckooHashMap:
     def _free_slot(self, etype: int, src: int) -> int:
         """The first free slot of the key's buckets in search order, or -1."""
         keys = self._cols[0]
-        for bucket in _pair(etype, src, self._shift, self._mask):
+        for bucket in _pair(etype, src, self._num_buckets):
             for t in range(bucket * _BUCKET_WAYS, (bucket + 1) * _BUCKET_WAYS):
                 if keys[t] < 0:
                     return t
@@ -182,37 +218,91 @@ class CuckooHashMap:
     def _fill(self, etype: np.ndarray, src: np.ndarray, value: np.ndarray):
         """Place distinct absent keys in two vectorised rounds — the
         ``r``-th key of a bucket takes its ``r``-th free slot, if any;
-        first buckets, then second — then the rest (and all of a batch
-        too small to pay for a round) by :meth:`_place`.  Returns the
-        keys no path was found for."""
-        slots = self._src.reshape(-1, _BUCKET_WAYS)
+        first buckets (ranked in key order or, for > 2 keys a bucket,
+        by the room their second buckets will have), then second — then by
+        :meth:`_evict` in a table at most 90 % full, and the rest (and
+        all of a batch too small to pay for a round) by :meth:`_place`.
+        Returns the keys no path was found for."""
+        slots, buckets = self._src.reshape(-1, _BUCKET_WAYS), self._num_buckets
+        load = (np.count_nonzero(self._src >= 0) + src.size) / self._src.size
         for which in (0, 1):
             if src.size < PLACE_LOOP_BELOW:
                 break
-            bucket = _bucket_column(etype, src, which, self._shift, self._mask)
-            order = np.argsort(bucket, kind="stable")  # rank in its bucket:
+            bucket = _bucket_column(etype, src, which, buckets)
+            order = np.arange(src.size)
+            if not which and load <= 0.9 and src.size > 2 * buckets:
+                # > 2 keys a bucket overflow often: a bucket turns away
+                # those whose second bucket will have the most room
+                spare = np.maximum(4 - np.bincount(bucket, minlength=buckets), 0)
+                spare = spare[_bucket_column(etype, src, 1, buckets)].astype(np.uint8)
+                order = np.argsort(spare, kind="stable")
+            small = bucket[order].astype(np.min_scalar_type(buckets))  # radix
+            order = order[np.argsort(small, kind="stable")]  # rank in its bucket:
             head = np.flatnonzero(np.diff(bucket[order], prepend=-1))
             rank = np.empty_like(order)
             run = np.diff(head, append=order.size)
             rank[order] = np.arange(order.size) - np.repeat(head, run)
-            free = slots[bucket] < 0
-            pick = free & (np.cumsum(free, axis=1) == rank[:, None] + 1)
-            placed = pick.any(axis=1)
-            at = bucket[placed] * _BUCKET_WAYS + pick[placed].argmax(axis=1)
-            self._value[at] = value[placed]
-            self._etype[at] = etype[placed]
-            self._src[at] = src[placed]
+            way = _free_way(slots, bucket, np.minimum(rank, 4))
+            placed = way >= 0
+            at = bucket[placed] * _BUCKET_WAYS + way[placed]
+            self._set(at, etype[placed], src[placed], value[placed])
             left = ~placed
             etype, src, value = etype[left], src[left], value[left]
+        if load <= 0.9 and src.size >= PLACE_LOOP_BELOW:
+            etype, src, value = self._evict(etype, src, value)
         for i, key in enumerate(zip(etype.tolist(), src.tolist(), value.tolist())):
             if not self._place(*key):
                 return etype[i:], src[i:], value[i:]
         return None
 
+    def _evict(self, etype: np.ndarray, src: np.ndarray, value: np.ndarray):
+        """Eviction rounds until fewer than :data:`_PATHS_BELOW` keys are
+        left (returned): the key a scatter into ``owner`` keeps for a
+        bucket wins it and takes a free slot or, in a full bucket, the
+        slot of a resident (one with room in its other bucket if any),
+        who moves there (one per bucket, by a second scatter) or tries
+        it next round; a key that lost tries its other bucket."""
+        buckets, rows = self._num_buckets, self._src.reshape(-1, _BUCKET_WAYS)
+        pair = (_bucket_column(etype, src, w, buckets) for w in (0, 1))
+        keys = np.stack([etype, src, value, *pair])  # + bucket to try, other one
+        owner, rng = np.empty(buckets, np.int64), np.random.default_rng(src.size)
+        for _ in range(64):  # a safety net: ≈ 10 rounds place 10 000 keys at 90 %
+            if keys.shape[1] < _PATHS_BELOW:
+                break
+            here = keys[3]
+            key = np.arange(here.size)
+            owner[here] = key
+            won = owner[here] == key
+            way = _free_way(rows, here)
+            fits = won & (way >= 0)
+            self._set(here[fits] * 4 + way[fits], *keys[:3, fits])
+            full = np.flatnonzero(won & ~fits)
+            at = here[full, None]
+            seat = at * 4 + np.arange(4)
+            e, s, v = self._etype[seat], self._src[seat], self._value[seat]
+            # each resident's other bucket, and whether it has a free slot
+            alt = sum(_bucket_column(e, s, w, buckets) for w in (0, 1)) - at
+            room = _free_way(rows, alt.ravel()).reshape(alt.shape) >= 0
+            way = np.where(room.any(1), room.argmax(1), rng.integers(0, 4, full.size))
+            pick = np.arange(full.size), way  # the resident turned out
+            alt, room = alt[pick], room[pick]
+            gone = np.stack([e[pick], s[pick], v[pick], alt, at[:, 0]])
+            owner[alt] = pick[0]
+            moved = room & (owner[alt] == pick[0])
+            self._set(alt[moved] * 4 + _free_way(rows, alt[moved]), *gone[:3, moved])
+            self._set(seat[pick], *keys[:3, full])
+            lost = keys[[0, 1, 2, 4, 3]][:, ~won]  # to try their other bucket
+            keys = np.concatenate([lost, gone[:, ~moved]], axis=1)
+        return keys[:3]
+
+    def _set(self, slot, etype, src, value) -> None:
+        """:meth:`_write_slot` of columns: values first, keys last."""
+        self._value[slot], self._etype[slot], self._src[slot] = value, etype, src
+
     def _rebuild(self, num_buckets: int, extra=None) -> None:
         """Move every key (and the ``extra`` key columns) into a fresh
         table of ``num_buckets`` buckets or, should a path fail there,
-        of twice as many; readers see the old table until it is done."""
+        of :meth:`_grown`'s; readers see the old table until it is done."""
         live = self._src >= 0
         keys = (self._etype[live], self._src[live], self._value[live])
         if extra is not None:
@@ -221,8 +311,14 @@ class CuckooHashMap:
             ]
         self._alloc(num_buckets)
         while self._fill(*keys) is not None:
-            self._alloc(self._num_buckets * 2)
+            self._alloc(self._grown(keys[1].size))
         self._publish()
+
+    def _grown(self, n: int) -> int:
+        """The rule's count for ``n`` keys or, amortised as doubling was,
+        for 1.25 × those held — and at least one bucket more."""
+        held = self._size + self._size // 4
+        return max(_buckets_for(max(n, held)), self._num_buckets + 1)
 
     def _code(self, value) -> int:
         """The value column's entry for ``value``: a slab row as is, a
@@ -246,9 +342,9 @@ class CuckooHashMap:
         """One key's value-column entry, 0 for a miss (no lock, no
         seqlock: the caller's).  A bucket is read by one chain of slot
         compares on ``src``; a match of another relation scans."""
-        shift, mask, keys, etypes, values = table = self._table
-        for a, b in _HASHES:
-            s = (((src * a + etype * b) >> shift) & mask) * _BUCKET_WAYS
+        _, slots, keys, etypes, values = table = self._table
+        for a, b in _HASHES:  # 4 · _pair's bucket, as ⌊… · 4·buckets / 2⁶⁴⌋ & ~3
+            s = ((src * a + etype * b) & 0xFFFFFFFF00000000) * slots >> 64 & -4
             if (
                 keys[s] == src or keys[s := s + 1] == src
                 or keys[s := s + 1] == src or keys[s := s + 1] == src
@@ -293,12 +389,12 @@ class CuckooHashMap:
         """The array probe (no lock, no seqlock): every key's first
         bucket read as one row of each key column, then the second
         bucket of the keys it missed."""
-        shift, mask, keys, etypes, values = self._rows
+        buckets, keys, etypes, values = self._rows
         out = np.zeros(src.size, dtype=np.int64)
         todo = np.arange(src.size)
         for which in (0, 1):
             e, s = etype if etype.ndim == 0 else etype[todo], src[todo]
-            bucket = _bucket_column(e, s, which, shift, mask)
+            bucket = _bucket_column(e, s, which, buckets)
             hit = keys.take(bucket, axis=0) == s[:, None]
             hit &= etypes.take(bucket, axis=0) == e[..., None]
             found = hit.view(np.uint32).ravel() != 0  # a row's 4 flags, 1 word
@@ -321,17 +417,19 @@ class CuckooHashMap:
             if slot >= 0:
                 self._drop(self._cols[2][slot])
                 self._cols[2][slot] = code
-            else:
+            else:  # grow past the rule's count, or for a failed path
                 self._size += 1
-                if not self._place(etype, src, code):
-                    self._rebuild(2 * self._num_buckets, ([etype], [src], [code]))
+                grow = _buckets_for(self._size) > self._num_buckets
+                if grow or not self._place(etype, src, code):
+                    self._rebuild(self._grown(self._size), ([etype], [src], [code]))
             self._moves += 1
 
     def put_many(self, etype, src: np.ndarray, values) -> None:
         """Insert keys that are distinct and not stored: ``etype`` a
         column or one relation for all, ``values`` an ``int64`` column of
-        slab rows or a list of samtrees.  Grows at most once up front
-        (:meth:`reserve`'s size), then :meth:`_fill`."""
+        slab rows or a list of samtrees.  Grows up front to
+        :meth:`_grown`'s count when the rule's for all keys exceeds the
+        table, then :meth:`_fill`s: rank rounds, then eviction rounds."""
         src = np.asarray(src, dtype=np.int64)
         if src.size and src.min() < 0:
             raise ConfigurationError(f"source ids are >= 0, got {src.min()}")
@@ -341,26 +439,21 @@ class CuckooHashMap:
             if isinstance(values, list):
                 values = np.fromiter(map(self._code, values), np.int64, src.size)
             keys = (etype, src, np.asarray(values, dtype=np.int64))
-            buckets = self._fit(self._size + src.size)
-            left = keys if buckets > self._num_buckets else self._fill(*keys)
-            if left is not None:  # grow: to the reserved size, or double
-                self._rebuild(max(buckets, 2 * self._num_buckets), left)
+            n = self._size + src.size
+            left = keys if _buckets_for(n) > self._num_buckets else self._fill(*keys)
+            if left is not None:  # grow: past the rule's count, or a failed path
+                self._rebuild(self._grown(n), left)
             self._size += src.size
             self._moves += 1
 
-    def _fit(self, n: int) -> int:
-        """The smallest table, at least this one, with a slot per key."""
-        fit = 1 << ((max(n, 1) - 1) // _BUCKET_WAYS).bit_length()
-        return max(self._num_buckets, fit)
-
     def reserve(self, n: int) -> None:
-        """Make room for ``n`` keys in all with one rebuild, straight to
-        the smallest table with a slot per key (one-by-one :meth:`put`
-        could not stop below it either)."""
+        """Make room for ``n`` keys in all with one rebuild, to
+        :meth:`_grown`'s count when the rule's for ``n`` exceeds the table
+        (one-by-one :meth:`put` could not stop below it either)."""
         with self._lock:
-            if self._fit(n) > self._num_buckets:
+            if _buckets_for(n) > self._num_buckets:
                 self._moves += 1
-                self._rebuild(self._fit(n))
+                self._rebuild(self._grown(n))
                 self._moves += 1
 
     def delete(self, etype: int, src: int) -> bool:

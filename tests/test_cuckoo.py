@@ -20,6 +20,7 @@ from repro.storage.cuckoo import (
     PROBE_LOOP_BELOW,
     CuckooHashMap,
     _bucket_column,
+    _buckets_for,
     _pair,
 )
 
@@ -279,9 +280,9 @@ class CuckooMachine(RuleBasedStateMachine):
         self.map.reserve(n)
         buckets = self.map._num_buckets
         assert buckets >= before  # never shrinks
-        assert buckets & (buckets - 1) == 0
-        if buckets > before:  # grew: to the smallest table that fits n
-            assert buckets * 4 >= n > buckets * 2
+        if buckets > before:  # grew: to the rule's count for n (or, for
+            held = len(self.map) * 5 // 4  # less than a quarter more, for
+            assert buckets == _buckets_for(max(n, held))  # 1.25 × the keys)
 
     @rule(key=KEYS)
     def get(self, key):
@@ -334,7 +335,7 @@ class CuckooMachine(RuleBasedStateMachine):
         etype, src = m._etype[live], m._src[live]
         slot = np.flatnonzero(live) // 4
         b1, b2 = (
-            _bucket_column(etype, src, which, m._shift, m._mask) for which in (0, 1)
+            _bucket_column(etype, src, which, m._num_buckets) for which in (0, 1)
         )
         assert ((slot == b1) | (slot == b2)).all()
 
@@ -409,8 +410,43 @@ class TestReserve:
         m.put_many(0, np.arange(3, 900), np.arange(4, 901))
         assert rehashes == [256]  # room already made
         m.put_many(0, np.arange(900, 1500), np.arange(901, 1501))
-        assert rehashes == [256, 512]  # one rebuild, with the new keys
+        assert rehashes == [256, 417]  # one rebuild, with the new keys, to
+        assert _buckets_for(1500) == 417  # the rule's count for all of them
         assert dict(m.items()) == {(0, i): i + 1 for i in range(1500)}
+
+    @pytest.mark.parametrize("n", [976, 5_000])
+    def test_put_past_a_full_table_grows_by_at_most_half(self, n):
+        """A table the rule sized and filled to its limit takes ``put``s
+        until one grows it — past the rule's count or for a failed path
+        — to at most 1.5 × its buckets, with every key still found."""
+        rng = np.random.default_rng(n)
+        src = rng.permutation(np.unique(rng.integers(0, ID_MAX, 2 * n)))
+        m = CuckooHashMap()
+        m.reserve(n)
+        buckets = m._num_buckets
+        assert buckets == _buckets_for(n)
+        while _buckets_for(n + 1) == buckets and 5 * (n + 1) <= 18 * buckets:
+            n += 1  # the most keys the rule allows at 90 %
+        m.put_many(0, src[:n], src[:n] + 1)
+        assert m._num_buckets == buckets
+        while m._num_buckets == buckets:
+            m.put(0, int(src[n]), int(src[n]) + 1)
+            n += 1
+        assert buckets < m._num_buckets <= 1.5 * buckets
+        assert (m.get_many(0, src[:n])[0] == src[:n] + 1).all()
+        assert all(m.get(0, s) == s + 1 for s in src[:n].tolist())
+
+    @pytest.mark.parametrize("sources", [5_000, 10_000])
+    def test_a_bulk_loaded_directory_is_sized_to_its_keys(self, sources):
+        """The memory the rule saves: a bulk load's directory sits at
+        ≥ 85 % occupancy and models the rule's buckets × 96 B."""
+        from repro.core.topology import DynamicGraphStore
+
+        store = DynamicGraphStore()
+        store.bulk_load(np.repeat(np.arange(sources) * 4, 2), np.tile([1, 2], sources))
+        directory = store.directory
+        assert len(directory) == sources and directory.load_factor >= 0.85
+        assert directory.nbytes() == _buckets_for(sources) * 96
 
     def test_bulk_load_presizes_the_directory(self):
         from repro.core.topology import DynamicGraphStore
@@ -428,31 +464,100 @@ class TestReserve:
 # ---------------------------------------------------------------------------
 # the array probe and placement: hash math, rounds
 # ---------------------------------------------------------------------------
+PRIMES = [2, 3, 5, 7, 13, 251, 1_021, 65_521, 1_000_003, 2_147_483_647, 4_294_967_291]
+BUCKET_COUNTS = st.one_of(
+    st.integers(1, 2**32 - 1),
+    st.integers(0, 31).map(lambda k: 1 << k),
+    st.integers(1, 31).flatmap(lambda k: st.sampled_from([(1 << k) - 1, (1 << k) + 1])),
+    st.just(2**32 - 1),
+    st.sampled_from(PRIMES),
+)
+
+
 @given(
     keys=st.lists(
         st.tuples(st.integers(-(2**15), 2**15 - 1), st.integers(0, ID_MAX)),
         min_size=1, max_size=40,
     ),
-    log_buckets=st.integers(0, 34),
+    buckets=BUCKET_COUNTS,
 )
-@settings(max_examples=200, deadline=None)
-def test_numpy_bucket_pair_is_buckets_for(keys, log_buckets):
-    """The numpy bucket column is the scalar ``_pair``, bit for bit."""
-    shift, mask = 64 - max(1, log_buckets), (1 << log_buckets) - 1
-    if log_buckets <= 12:  # the map derives the same from its size
-        m = CuckooHashMap(initial_buckets=1 << log_buckets)
-        assert (m._shift, m._mask) == (shift, mask)
+@settings(max_examples=300, deadline=None)
+def test_numpy_bucket_pair_is_buckets_for(keys, buckets):
+    """The numpy bucket column is the scalar ``_pair``, bit for bit, for
+    any bucket count; for 2ᵏ buckets both are the hash's top k bits, so
+    a table the rule leaves at a power of two keeps its layout."""
+    if buckets <= 4096:  # the map keeps the count it is given
+        m = CuckooHashMap(initial_buckets=buckets)
+        assert m._num_buckets == buckets
     etype = np.asarray([e for e, _ in keys], dtype=np.int16)
     src = np.asarray([s for _, s in keys], dtype=np.int64)
     pairs = list(zip(*(
-        _bucket_column(etype, src, which, shift, mask).tolist() for which in (0, 1)
+        _bucket_column(etype, src, which, buckets).tolist() for which in (0, 1)
     )))
-    assert pairs == [_pair(e, s, shift, mask) for e, s in keys]
-    assert all(0 <= b <= mask for pair in pairs for b in pair)
-    for which in (0, 1):  # one relation for all, as admission asks
-        assert _bucket_column(etype[0], src, which, shift, mask).tolist() == [
-            _pair(int(etype[0]), s, shift, mask)[which] for _, s in keys
+    assert pairs == [_pair(e, s, buckets) for e, s in keys]
+    assert all(0 <= b < buckets for pair in pairs for b in pair)
+    if buckets & (buckets - 1) == 0:  # the multiply-shift top bits
+        shift = 64 - (buckets.bit_length() - 1)
+        assert pairs == [
+            tuple((s * a + e * b) % 2**64 >> shift for a, b in _HASHES) for e, s in keys
         ]
+    for which in (0, 1):  # one relation for all, as admission asks
+        assert _bucket_column(etype[0], src, which, buckets).tolist() == [
+            _pair(int(etype[0]), s, buckets)[which] for _, s in keys
+        ]
+
+
+#: Key counts at the rule's steps: the most keys ``b`` buckets hold at
+#: 90 % occupancy, and one more.
+RULE_STEPS = st.integers(1, 5_555).flatmap(
+    lambda b: st.sampled_from([b * 18 // 5, b * 18 // 5 + 1])
+)
+
+
+@given(
+    n=st.one_of(st.integers(0, 20_000), RULE_STEPS),
+    seed=st.integers(0, 2**32 - 1),
+    relations=st.integers(1, 3),
+    shard_shaped=st.booleans(),
+    reserved=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_put_many_into_a_rule_sized_table_is_a_dict(
+    n, seed, relations, shard_shaped, reserved
+):
+    """``put_many`` of ``n`` distinct keys into a table the rule sized —
+    eviction rounds at or below 90 %, today's placement above — reads
+    back as a ``dict`` under ``get``, ``get_many`` and ``columns``, with
+    every key in one of its two buckets."""
+    rng = np.random.default_rng(seed)
+    if shard_shaped:
+        src = rng.permutation(n) * 4 + seed % 4
+    else:
+        src = rng.permutation(np.unique(rng.integers(0, ID_MAX, n + 16)))[:n]
+    etype = rng.integers(0, relations, src.size).astype(np.int16)
+    keys = np.unique(np.stack([etype, src]), axis=1)  # distinct pairs
+    etype, src = keys[0].astype(np.int16), keys[1]
+    value = rng.integers(1, 2**62, src.size)
+    m = CuckooHashMap(initial_buckets=1)
+    if reserved:
+        m.reserve(src.size)
+    m.put_many(etype, src, value)
+    buckets = _buckets_for(src.size)
+    if src.size >= 1_000 and 5 * src.size <= 18 * buckets:  # ≤ 90 %: placed
+        assert m._num_buckets == buckets  # (a tiny table may not be)
+    assert m._num_buckets >= buckets
+    ref = dict(zip(zip(etype.tolist(), src.tolist()), value.tolist()))
+    assert len(m) == len(ref)
+    assert all(m.get(e, s) == v for (e, s), v in ref.items())
+    assert (m.get_many(etype, src)[0] == value).all()
+    e, s, v, trees = m.columns()
+    assert list(zip(zip(e.tolist(), s.tolist()), v.tolist())) == sorted(ref.items())
+    assert trees == []
+    live = np.flatnonzero(m._src >= 0)
+    b1, b2 = (
+        _bucket_column(m._etype[live], m._src[live], w, m._num_buckets) for w in (0, 1)
+    )
+    assert ((live // 4 == b1) | (live // 4 == b2)).all()
 
 
 @given(
@@ -494,7 +599,7 @@ def test_put_many_fills_first_buckets_then_second():
     m._cuckoo_path = lambda *key: paths.append(cuckoo_path(*key)) or paths[-1]
     m.put_many(0, src, np.arange(1, src.size + 1))
     assert not paths  # a free bucket slot for every key: no search, no move
-    b1, b2 = (_bucket_column(0, src, w, m._shift, m._mask) for w in (0, 1))
+    b1, b2 = (_bucket_column(0, src, w, m._num_buckets) for w in (0, 1))
     slot = np.asarray([m._find_slot(0, s, m._table) for s in src.tolist()])
     assert (slot[:4] == np.arange(4)).all()  # bucket 0, in key order
     assert (slot[4:10] // 4 == b2[4:10]).all()
@@ -560,7 +665,7 @@ def _pause_once(obj, name, paused, resume, when=lambda *args: True, seen=None):
 def _both_buckets_full(m, etype, candidates):
     keys = m._src.reshape(-1, 4)
     for s in candidates:
-        if all((keys[b] >= 0).all() for b in _pair(etype, s, m._shift, m._mask)):
+        if all((keys[b] >= 0).all() for b in _pair(etype, s, m._num_buckets)):
             return s
     raise AssertionError("no candidate with both buckets full")
 
@@ -769,9 +874,9 @@ def test_a_deleted_slot_never_answers_for_source_minus_one():
 
     store = DynamicGraphStore()
     d = store.directory
-    (first, _) = _pair(0, -1, d._shift, d._mask)
+    (first, _) = _pair(0, -1, d._num_buckets)
     shared = [
-        s for s in range(10**5) if _pair(0, s, d._shift, d._mask)[0] == first
+        s for s in range(10**5) if _pair(0, s, d._num_buckets)[0] == first
     ][:4]
     for s in shared:
         store.add_edge(s, 7, 1.0)
