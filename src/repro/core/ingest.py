@@ -33,7 +33,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.types import DEFAULT_ETYPE, EdgeOp, OpKind, lexsort_rows
+from repro.core.types import DEFAULT_ETYPE, EdgeOp, lexsort_rows
+from repro.core.types import OP_DELETE, OP_INSERT, OP_KIND_CODES, OP_UPDATE
 from repro.errors import ConfigurationError, InvalidWeightError
 from repro.obs.telemetry import Stats
 
@@ -53,18 +54,6 @@ __all__ = [
     "fold_run",
 ]
 
-#: Operation codes of the ``op`` column (upsert / in-place / delete).
-OP_INSERT = 0
-OP_UPDATE = 1
-OP_DELETE = 2
-
-#: ``OpKind`` -> op-code mapping.
-OP_KIND_CODES = {
-    OpKind.INSERT: OP_INSERT,
-    OpKind.UPDATE: OP_UPDATE,
-    OpKind.DELETE: OP_DELETE,
-}
-
 #: Modeled wire bytes per column entry: 8 (src) + 8 (dst) + 4 (weight,
 #: f32 on the wire) + 2 (etype) + 1 (op code); plus one fixed header per
 #: message.  Compare the per-op object framing of the scalar path
@@ -81,6 +70,8 @@ ETYPE_MIN, ETYPE_MAX = -(1 << 15), (1 << 15) - 1
 #: columns of a batch, a slab row, the WAL and a checkpoint all hold.
 ID_MAX = (1 << 63) - 1
 _ID_DOMAIN = "vertex IDs must be in 0..2**63-1"
+_ETYPE_DOMAIN = f"etype must fit int16 ({ETYPE_MIN}..{ETYPE_MAX})"
+_OP_DOMAIN = "op codes must be in {0, 1, 2}"
 
 
 @dataclass
@@ -143,8 +134,7 @@ class EdgeBatch:
         if n:
             if bool((self.op > OP_DELETE).any()):
                 raise ConfigurationError(
-                    f"op codes must be in {{0, 1, 2}}, got "
-                    f"{int(self.op.max())}"
+                    f"{_OP_DOMAIN}, got {int(self.op.max())}"
                 )
             non_delete = self.op != OP_DELETE
             w = self.weight[non_delete]
@@ -339,9 +329,7 @@ def check_key(src: int, etype: int) -> None:
     refuses a bad one with the same error before anything is stored or
     logged."""
     if not ETYPE_MIN <= etype <= ETYPE_MAX:
-        raise ConfigurationError(
-            f"etype must fit int16 ({ETYPE_MIN}..{ETYPE_MAX}), got {etype}"
-        )
+        raise ConfigurationError(f"{_ETYPE_DOMAIN}, got {etype}")
     check_id(src)
 
 
@@ -350,11 +338,14 @@ def check_row(
 ) -> None:
     """The column checks of :class:`EdgeBatch` on one row of scalars —
     same rules, same errors — for a writer that packs a single
-    operation without building a batch (``code`` is a valid op code),
-    in its order: ids, then the relation, then the weight."""
+    operation without building a batch, in its order: ids, then the
+    relation, then the op code, then the weight; each field once."""
     check_id(src)
     check_id(dst)
-    check_key(src, etype)
+    if not ETYPE_MIN <= etype <= ETYPE_MAX:
+        raise ConfigurationError(f"{_ETYPE_DOMAIN}, got {etype}")
+    if not OP_INSERT <= code <= OP_DELETE:
+        raise ConfigurationError(f"{_OP_DOMAIN}, got {code}")
     if code != OP_DELETE and not 0.0 <= weight < inf:
         raise InvalidWeightError(
             "edge weights must be finite and non-negative"

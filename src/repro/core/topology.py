@@ -175,7 +175,7 @@ class DynamicGraphStore(GraphStoreAPI):
         weight: float = 1.0,
         etype: int = DEFAULT_ETYPE,
     ) -> bool:
-        return self._write(src, etype, OP_INSERT, dst, weight)
+        return self.write_op(OP_INSERT, src, dst, weight, etype)
 
     def accumulate_edge(
         self,
@@ -185,18 +185,18 @@ class DynamicGraphStore(GraphStoreAPI):
         etype: int = DEFAULT_ETYPE,
     ) -> bool:
         """Insert or *add onto* an edge weight (interaction counting)."""
-        return self._write(src, etype, OP_INSERT, dst, delta, add=True)
+        return self.write_op(OP_INSERT, src, dst, delta, etype, add=True)
 
     def update_edge(
         self, src: int, dst: int, weight: float, etype: int = DEFAULT_ETYPE
     ) -> bool:
-        return self._write(src, etype, OP_UPDATE, dst, weight)
+        return self.write_op(OP_UPDATE, src, dst, weight, etype)
 
     def remove_edge(self, src: int, dst: int, etype: int = DEFAULT_ETYPE) -> bool:
-        return self._write(src, etype, OP_DELETE, dst, 0.0)
+        return self.write_op(OP_DELETE, src, dst, 0.0, etype)
 
-    def _write(
-        self, src: int, etype: int, code: int, dst: int, weight: float,
+    def write_op(
+        self, code: int, src: int, dst: int, weight: float, etype: int,
         add: bool = False,
     ) -> bool:
         """One scalar operation: one probe, then the row or tree op.

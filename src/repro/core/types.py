@@ -28,6 +28,10 @@ __all__ = [
     "run_bounds",
     "lexsort_rows",
     "check_counts",
+    "OP_INSERT",
+    "OP_UPDATE",
+    "OP_DELETE",
+    "OP_KIND_CODES",
     "OpKind",
     "EdgeOp",
     "GraphStoreAPI",
@@ -190,6 +194,15 @@ class OpKind(enum.Enum):
     DELETE = "delete"
 
 
+#: Operation codes of a write — the ``op`` column of a batch and of a
+#: WAL row, the ``code`` of :meth:`GraphStoreAPI.write_op`: upsert,
+#: in-place update, delete.
+OP_INSERT, OP_UPDATE, OP_DELETE = 0, 1, 2
+
+#: ``OpKind`` -> op-code mapping.
+OP_KIND_CODES = dict(zip(OpKind, (OP_INSERT, OP_UPDATE, OP_DELETE)))
+
+
 @dataclass(frozen=True, **_SLOTTED)
 class EdgeOp:
     """One dynamic-update operation against a topology store."""
@@ -247,13 +260,21 @@ class GraphStoreAPI(abc.ABC):
     ) -> bool:
         """Delete an edge; False when it does not exist."""
 
+    def write_op(
+        self, code: int, src: int, dst: int, weight: float, etype: int
+    ) -> bool:
+        """Apply one operation by op code (a delete ignores ``weight``);
+        by default through ``add_edge``/``update_edge``/``remove_edge``."""
+        if code == OP_INSERT:
+            return self.add_edge(src, dst, weight, etype)
+        if code == OP_UPDATE:
+            return self.update_edge(src, dst, weight, etype)
+        return self.remove_edge(src, dst, etype)
+
     def apply(self, op: EdgeOp) -> bool:
-        """Apply one :class:`EdgeOp` (dispatch helper)."""
-        if op.kind is OpKind.INSERT:
-            return self.add_edge(op.src, op.dst, op.weight, op.etype)
-        if op.kind is OpKind.UPDATE:
-            return self.update_edge(op.src, op.dst, op.weight, op.etype)
-        return self.remove_edge(op.src, op.dst, op.etype)
+        """Apply one :class:`EdgeOp` through :meth:`write_op`."""
+        code = OP_KIND_CODES[op.kind]
+        return self.write_op(code, op.src, op.dst, op.weight, op.etype)
 
     # -- columnar bulk ingestion ----------------------------------------
     # Generic fallbacks replaying row by row; samtree-backed stores
@@ -282,32 +303,23 @@ class GraphStoreAPI(abc.ABC):
         """Apply a columnar update batch; returns an ``IngestStats``.
 
         The fallback replays the batch op by op through
-        :meth:`add_edge`/:meth:`update_edge`/:meth:`remove_edge` — the
-        reference semantics every bulk path must reproduce exactly.
+        :meth:`write_op` — the reference semantics every bulk path must
+        reproduce exactly.
         """
-        from repro.core.ingest import (
-            OP_DELETE,
-            OP_INSERT,
-            EdgeBatch,
-            IngestStats,
-        )
+        from repro.core.ingest import EdgeBatch, IngestStats
 
         if not isinstance(batch, EdgeBatch):
             batch = EdgeBatch(batch, dst, weight, etype, op)
         stats = IngestStats(ops=len(batch))
-        for i in range(len(batch)):
-            code = int(batch.op[i])
-            s = int(batch.src[i])
-            d = int(batch.dst[i])
-            e = int(batch.etype[i])
-            if code == OP_INSERT:
-                if self.add_edge(s, d, float(batch.weight[i]), e):
+        for code, s, d, w, e in zip(
+            batch.op.tolist(), batch.src.tolist(), batch.dst.tolist(),
+            batch.weight.tolist(), batch.etype.tolist(),
+        ):
+            if self.write_op(code, s, d, w, e):
+                if code == OP_INSERT:
                     stats.inserted += 1
-            elif code == OP_DELETE:
-                if self.remove_edge(s, d, e):
+                elif code == OP_DELETE:
                     stats.removed += 1
-            else:
-                self.update_edge(s, d, float(batch.weight[i]), e)
         return stats
 
     # -- queries ---------------------------------------------------------

@@ -41,10 +41,12 @@ from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.snapshot import RNGLike, coerce_generator
 from repro.core.types import (
     DEFAULT_ETYPE,
+    OP_DELETE,
+    OP_INSERT,
+    OP_UPDATE,
     UNAVAILABLE,
     EdgeOp,
     GraphStoreAPI,
-    OpKind,
     SampleBlock,
     check_counts,
     lexsort_rows,
@@ -365,35 +367,35 @@ class GraphClient(GraphStoreAPI):
                 hot.drop_shard(src, shard)
                 self.serving_stats.hot_write_drops += 1
 
-    def _apply_op(self, op: EdgeOp) -> bool:
-        result = self._write_shard(
-            self.partitioner.shard_for(op.src),
-            _OP_BYTES,
-            lambda s: s.apply_ops([op])[0],
+    # One ``apply_op`` call per writer: a methodcaller runs no frame.
+    def add_edge(self, src: int, dst: int, weight: float = 1.0,
+                 etype: int = DEFAULT_ETYPE) -> bool:
+        write = methodcaller("apply_op", OP_INSERT, src, dst, weight, etype)
+        done = self._write_shard(
+            self.partitioner.shard_for(src), _OP_BYTES, write
         )
-        self._hot_write_extras(
-            op.src, _OP_BYTES, lambda s: s.apply_ops([op])[0]
-        )
-        return result
-
-    def add_edge(
-        self,
-        src: int,
-        dst: int,
-        weight: float = 1.0,
-        etype: int = DEFAULT_ETYPE,
-    ) -> bool:
-        return self._apply_op(EdgeOp(OpKind.INSERT, src, dst, weight, etype))
+        self._hot_write_extras(src, _OP_BYTES, write)
+        return done
 
     def update_edge(
         self, src: int, dst: int, weight: float, etype: int = DEFAULT_ETYPE
     ) -> bool:
-        return self._apply_op(EdgeOp(OpKind.UPDATE, src, dst, weight, etype))
+        write = methodcaller("apply_op", OP_UPDATE, src, dst, weight, etype)
+        done = self._write_shard(
+            self.partitioner.shard_for(src), _OP_BYTES, write
+        )
+        self._hot_write_extras(src, _OP_BYTES, write)
+        return done
 
     def remove_edge(
         self, src: int, dst: int, etype: int = DEFAULT_ETYPE
     ) -> bool:
-        return self._apply_op(EdgeOp(OpKind.DELETE, src, dst, 0.0, etype))
+        write = methodcaller("apply_op", OP_DELETE, src, dst, 0.0, etype)
+        done = self._write_shard(
+            self.partitioner.shard_for(src), _OP_BYTES, write
+        )
+        self._hot_write_extras(src, _OP_BYTES, write)
+        return done
 
     # ------------------------------------------------------------------
     # batched updates (one message per shard per replica)

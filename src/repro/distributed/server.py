@@ -291,6 +291,20 @@ class GraphServer:
             self.stats.ops_applied += len(ops)
             return done
 
+    def apply_op(
+        self, code: int, src: int, dst: int, weight: float, etype: int
+    ) -> bool:
+        """One op by code: :meth:`apply_ops`'s span, checks and counts."""
+        with self.telemetry.span("server.apply_ops", **self._where, ops=1):
+            self._serve("apply_ops")
+            self.stats.update_requests += 1
+            if self.wal is not None:
+                self.wal.append_op(code, src, dst, weight, etype)
+                self.telemetry.event("wal", "append", **self._where, ops=1)
+            done = self.store.write_op(code, src, dst, weight, etype)
+            self.stats.ops_applied += 1
+            return done
+
     def ingest_batch(self, batch):
         """Apply one columnar :class:`~repro.core.ingest.EdgeBatch`.
 

@@ -43,7 +43,7 @@ from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.ingest import OP_KIND_CODES, EdgeBatch, check_row
+from repro.core.ingest import EdgeBatch, check_row
 from repro.core.types import EdgeOp
 from repro.errors import ConfigurationError, WALCorruptionError
 
@@ -216,18 +216,19 @@ class ShardWAL:
 
     def append_ops(self, ops: Sequence[EdgeOp]) -> int:
         """Append a scalar op batch as one record (the ``apply_ops``
-        write path shares the log format with the bulk path).
+        write path shares the log format with the bulk path)."""
+        return self.append_batch(EdgeBatch.from_edge_ops(ops))
 
-        A single op — every ``add/update/remove_edge`` — is checked and
-        packed as scalars: the checks, their errors and the record
-        bytes are those of a one-row :class:`EdgeBatch`."""
-        if len(ops) != 1:
-            return self.append_batch(EdgeBatch.from_edge_ops(ops))
-        (op,) = ops
-        code = OP_KIND_CODES[op.kind]
-        check_row(op.src, op.dst, op.weight, code, op.etype)
+    def append_op(
+        self, code: int, src: int, dst: int, weight: float, etype: int
+    ) -> int:
+        """Append one operation — every ``add/update/remove_edge`` — as
+        a one-row record packed from scalars: the checks, their errors
+        and the record bytes are those of a one-row :class:`EdgeBatch`,
+        and a rejected row appends nothing."""
+        check_row(src, dst, weight, code, etype)
         try:
-            payload = _ROW.pack(op.src, op.dst, op.weight, op.etype, code)
+            payload = _ROW.pack(src, dst, weight, etype, code)
         except struct.error as exc:  # what a too-narrow numpy column raises
             raise OverflowError(str(exc)) from None
         return self._append_record(1, payload)

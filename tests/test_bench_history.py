@@ -134,6 +134,18 @@ class TestRecordedTrajectory:
         assert results, "gated metrics must be non-empty"
         assert not any(r["regressed"] for r in results)
 
+    def test_every_recorded_bench_still_exists(self):
+        """A history record outlives its bench only as noise: every
+        bench it names has a ``benchmarks/bench_<name>.py``."""
+        history = load_history(os.path.join(_REPO, "BENCH_HISTORY.jsonl"))
+        missing = sorted({
+            entry["bench"] for entry in history
+            if not os.path.exists(os.path.join(
+                _REPO, "benchmarks", f"bench_{entry['bench']}.py"
+            ))
+        })
+        assert not missing
+
     def test_cli_compare_exit_codes(self, tmp_path):
         hist = str(tmp_path / "hist.jsonl")
         payload = str(tmp_path / "payload.json")

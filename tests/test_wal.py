@@ -19,7 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
+from repro.core.ingest import (
+    OP_DELETE,
+    OP_INSERT,
+    OP_UPDATE,
+    EdgeBatch,
+    check_row,
+)
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import EdgeOp
@@ -27,6 +33,7 @@ from repro.core.types import OpKind
 from repro.errors import ConfigurationError, WALCorruptionError
 from repro.storage.checkpoint import load_store, save_store
 from repro.storage.wal import ShardWAL
+from tests.conftest import python_calls
 
 
 def _random_batch(rng: random.Random, n: int, nsrc=40, ndst=100, netype=2):
@@ -329,6 +336,57 @@ def test_one_op_record_is_a_one_row_batch(op):
         assert scalar == columnar
     else:
         assert scalar is columnar
+
+
+_id_st = st.integers(-3, 2**63 + 2) | st.sampled_from([0, 2**63 - 1, 2**63])
+_weight_st = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, float("nan"), float("inf"), float("-inf"), -1.0]
+)
+_etype_st = st.integers(_INT16[0] - 2, _INT16[1] + 2) | st.sampled_from(_INT16)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([OP_INSERT, OP_UPDATE, OP_DELETE]) | st.integers(0, 255),
+    _id_st, _id_st, _weight_st, _etype_st,
+)
+# Each field is checked once, in the batch's order: the ids, then the
+# relation, then the op code, then the weight.
+@example(OP_INSERT, -1, 2, -1.0, 2**15)
+@example(OP_INSERT, 1, 2**63, -1.0, 2**15)
+@example(OP_UPDATE, 1, 2, float("nan"), 2**15)
+@example(3, 1, 2, float("nan"), 0)
+def test_scalar_record_is_a_one_row_batch(code, src, dst, weight, etype):
+    """``append_op`` writes a one-row :class:`EdgeBatch` record's bytes,
+    raises the batch's exception type on every row the batch refuses,
+    and appends nothing when it does."""
+    def attempt(append):
+        wal = ShardWAL(shard_id=9)
+        wal.append_op(OP_INSERT, 1, 1, 1.0, 0)  # something to keep
+        before = wal._read_all()
+        try:
+            append(wal)
+        except Exception as exc:
+            assert wal._read_all() == before
+            assert wal.bytes_appended == len(before)
+            assert wal.records_appended == 1
+            return type(exc)
+        return wal._read_all()
+
+    scalar = attempt(lambda wal: wal.append_op(code, src, dst, weight, etype))
+    columnar = attempt(lambda wal: wal.append_batch(
+        EdgeBatch([src], [dst], [weight], [etype], [code])
+    ))
+    if isinstance(scalar, bytes) and isinstance(columnar, bytes):
+        assert scalar == columnar
+    else:
+        assert scalar is columnar
+
+
+def test_check_row_checks_each_field_once():
+    """``check_row`` is one frame plus one ``check_id`` per id: the
+    source is not checked a second time as part of its key."""
+    assert python_calls(lambda: check_row(1, 2, 1.0, OP_INSERT, 3)) == 4
 
 
 class TestGoldenLog:

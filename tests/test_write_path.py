@@ -11,7 +11,9 @@
   touched tree's key and marks image rows once;
 * a rejected write leaves no empty samtree behind, every write path
   refuses a bad source key with the same typed error, and ``update``
-  is a single descent.
+  is a single descent;
+* a single-edge write through the client is one frame per layer (its
+  Python-call budget is pinned) and leaves what the batch path leaves.
 """
 
 from __future__ import annotations
@@ -41,10 +43,15 @@ from repro.core.topology import (
     REBUILD_MIN_OPS,
     DynamicGraphStore,
 )
+from repro.core.types import OP_KIND_CODES, EdgeOp
 from repro.distributed import LocalCluster
+from repro.distributed.faults import FaultPolicy
+from repro.distributed.rpc import NetworkModel
 from repro.errors import InvalidWeightError, InvariantViolationError, ReproError
+from repro.obs.flight import FlightRecorder
+from repro.obs.trace import Tracer
 from repro.storage.checkpoint import load_store, save_store
-from tests.conftest import bulk_tree, tree_batch
+from tests.conftest import bulk_tree, python_calls, tree_batch
 
 CAPACITY = 4
 
@@ -468,3 +475,152 @@ def test_samtree_update_is_one_descent(monkeypatch):
     assert store.update_edge(1, 77, 2.0) is False
     assert store.update_edge(2, 4, 2.0) is False
     assert descents == [4, 77]
+
+
+# ---------------------------------------------------------------------------
+# (d) a single-edge write: one frame per layer, the batch path's results
+# ---------------------------------------------------------------------------
+def test_scalar_write_python_call_budget(tmp_path):
+    """One durable insert, update and delete through ``GraphClient`` on a
+    slab row with room (the ``ingest_churn`` cluster shape): no
+    ``EdgeOp``, one-op list or per-op lambda between client and row.
+    With them, these took 47, 48 and 47 calls."""
+    cluster = LocalCluster(
+        num_servers=4, network=NetworkModel(), durable=True,
+        wal_dir=str(tmp_path),
+    )
+    client = cluster.client
+    client.add_edge(1, 2, 1.0)
+    store = cluster.servers[cluster.partitioner.shard_for(1)].store
+    calls = [
+        python_calls(lambda: client.add_edge(1, 5, 2.0)),
+        python_calls(lambda: client.update_edge(1, 5, 3.0)),
+        python_calls(lambda: client.remove_edge(1, 5)),
+    ]
+    assert type(store.directory.get(0, 1)) is int  # a slab row throughout
+    assert client.neighbors(1) == [(2, 1.0)]
+    assert sum(len(list(s.wal.replay())) for s in cluster.servers) == 4
+    for server in cluster.servers:
+        server.wal.close()
+    assert max(calls) <= 40, calls
+
+
+def _mixed_stream(seed: int, n: int = 600):
+    """``n`` seeded ``(code, src, dst, weight, etype)`` writes over few
+    keys, so updates and deletes often hit and sources outgrow a row."""
+    rng = random.Random(seed)
+    codes = rng.choices([OP_INSERT, OP_UPDATE, OP_DELETE], [5, 2, 3], k=n)
+    return [
+        (code, rng.randrange(10), rng.randrange(12),
+         0.0 if code == OP_DELETE else round(rng.random() * 4, 3),
+         rng.randrange(2))
+        for code in codes
+    ]
+
+
+_SCALAR_WRITERS = {
+    OP_INSERT: lambda c, s, d, w, e: c.add_edge(s, d, w, e),
+    OP_UPDATE: lambda c, s, d, w, e: c.update_edge(s, d, w, e),
+    OP_DELETE: lambda c, s, d, w, e: c.remove_edge(s, d, e),
+}
+_KINDS = {code: kind for kind, code in OP_KIND_CODES.items()}
+#: Control-plane steps at op indices (multiples of the batch size):
+#: checkpoint, crash a backup, crash a primary, recover both by sync.
+_CHUNK = 25
+_STEPS = {
+    100: lambda c: c.checkpoint_all(),
+    150: lambda c: c.crash(0, 1),
+    300: lambda c: c.crash(1, 0),
+    450: lambda c: c.recover_all(),
+}
+
+
+def _wal_rows(cluster):
+    """Each replica's WAL replayed, as one list per column."""
+    rows = []
+    for group in cluster.replica_groups:
+        for server in group:
+            tail = list(server.wal.replay())
+            rows.append([
+                np.concatenate([getattr(b, c) for b in tail]).tolist()
+                for c in EdgeBatch.__slots__
+            ] if tail else [])
+    return rows
+
+
+def test_scalar_writes_equal_the_batch_path(tmp_path):
+    """The same seeded stream through ``add/update/remove_edge`` on an
+    R = 2 durable cluster and through ``apply_batch`` on its twin, with
+    a checkpoint, a backup and a primary crash and a sync recovery
+    mid-stream: same outcomes, adjacency and WAL rows, a dict model's
+    adjacency, the request ledger balanced, and every trace and fault
+    event still naming the endpoint ``apply_ops``."""
+    def cluster(name, **kw):
+        return LocalCluster(
+            num_servers=2, config=SamtreeConfig(capacity=CAPACITY),
+            replication_factor=2, durable=True,
+            wal_dir=str(tmp_path / name),
+            fault_policy=FaultPolicy(latency_spike_rate=0.25), **kw,
+        )
+
+    scalar = cluster("scalar", tracer=Tracer(max_traces=4096))
+    recorder = scalar.attach_recorder(FlightRecorder(capacity=4096))
+    twin = cluster("twin")
+    stream = _mixed_stream(7)
+    model, expected, got, got_twin = {}, [], [], []
+    for at in range(0, len(stream), _CHUNK):
+        for c in (scalar, twin):
+            if at in _STEPS:
+                _STEPS[at](c)
+        chunk = stream[at:at + _CHUNK]
+        for code, s, d, w, e in chunk:
+            got.append(_SCALAR_WRITERS[code](scalar.client, s, d, w, e))
+            adj = model.setdefault((e, s), {})
+            expected.append(d not in adj if code == OP_INSERT else d in adj)
+            _apply_to_model(model, [(s, d, w, e, code)])
+        got_twin += twin.client.apply_batch(
+            [EdgeOp(_KINDS[code], s, d, w, e) for code, s, d, w, e in chunk]
+        )
+    assert got == got_twin == expected
+    assert _wal_rows(scalar) == _wal_rows(twin)
+
+    fault_events = recorder.events("fault")
+    spikes = [e for e in fault_events if e["kind"] == "latency_spike"]
+    assert spikes and {e["endpoint"] for e in spikes} == {"apply_ops"}
+    assert [e["kind"] for e in fault_events if e["kind"] != "latency_spike"
+            ] == ["crash", "crash", "recover", "recover"]
+    spans = {s.name for root in scalar.tracer.traces() for s in root.walk()}
+    assert "server.apply_ops" in spans and "server.apply_op" not in spans
+
+    # Every replica holds its shard of the model, live and again when
+    # rebuilt from its own checkpoint and WAL tail alone.
+    for c in (scalar, twin):
+        for rebuilt in (False, True):
+            for shard, group in enumerate(c.replica_groups):
+                want = {
+                    (e, s, d): w for (e, s), adj in model.items()
+                    if c.partitioner.shard_for(s) == shard
+                    for d, w in adj.items()
+                }
+                for server in group:
+                    if rebuilt:
+                        server.crash()
+                        server.recover()
+                    store = server.store
+                    assert {
+                        (e, s, d): w for e in store.etypes()
+                        for s in store.sources(e)
+                        for d, w in store.neighbors(s, e)
+                    } == want
+    for c in (scalar, twin):
+        injector = c.fault_injector.stats
+        servers = [s for group in c.replica_groups for s in group]
+        for st in (s.stats for s in servers):
+            assert st.requests == st.refused_requests + (
+                st.update_requests + st.ingest_requests + st.sample_requests
+            )
+        assert injector.refused_while_down == sum(
+            s.stats.refused_requests for s in servers
+        ) > 0
+        for server in servers:
+            server.wal.close()
