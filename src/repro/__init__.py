@@ -12,7 +12,7 @@ describes:
 * :mod:`repro.concurrency` — the PALM-style batch latch-free executor;
 * :mod:`repro.distributed` — hash-by-source partitioning, graph servers,
   and the routing client;
-* :mod:`repro.gnn` — NumPy message passing, GraphSAGE/GCN models, and the
+* :mod:`repro.gnn` — NumPy message passing, the GraphSAGE model, and the
   node / neighbor / subgraph samplers of the operator layer;
 * :mod:`repro.datasets` — synthetic OGBN / Reddit / WeChat-scaled graphs
   and dynamic edge streams;

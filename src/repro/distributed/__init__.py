@@ -16,13 +16,6 @@ from repro.distributed.partition import (
     Partitioner,
     splitmix64,
 )
-from repro.distributed.rebalance import (
-    MigrationStats,
-    Move,
-    OverridePartitioner,
-    execute_plan,
-    plan_rebalance,
-)
 from repro.distributed.retry import RetryPolicy, RetryStats
 from repro.distributed.rpc import NetworkModel, NetworkStats
 from repro.distributed.server import GraphServer, ServerStats
@@ -42,11 +35,6 @@ __all__ = [
     "HashBySourcePartitioner",
     "Partitioner",
     "splitmix64",
-    "MigrationStats",
-    "Move",
-    "OverridePartitioner",
-    "execute_plan",
-    "plan_rebalance",
     "RetryPolicy",
     "RetryStats",
     "NetworkModel",

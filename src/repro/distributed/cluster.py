@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.ingest import OP_DELETE, OP_INSERT, EdgeBatch
+from repro.core.ingest import EdgeBatch
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import SamtreeConfig
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
@@ -164,8 +164,7 @@ class LocalCluster:
     hot_set_capacity:
         When > 0, attach a :class:`HotSetTracker` of that capacity to
         the client's batched read path (decayed SpaceSaving top-k of
-        source read traffic) — the input of :meth:`replicate_hot` and
-        the traffic-based rebalance planner.
+        source read traffic) — the input of :meth:`replicate_hot`.
     """
 
     def __init__(
@@ -473,12 +472,11 @@ class LocalCluster:
         shard: int,
         src: int,
         adjacency: Dict[int, List[Tuple[int, float]]],
-        op: int = OP_INSERT,
     ) -> int:
         """Ship one source's adjacency (as :func:`read_adjacency` returns
-        it) to ``shard``: one columnar batch per etype through the client
-        write path — WAL-covered, replica-group coherent — inserting, or
-        retracting with ``op=OP_DELETE``; returns rows shipped."""
+        it) to ``shard``: one columnar insert batch per etype through the
+        client write path — WAL-covered, replica-group coherent; returns
+        rows shipped."""
         rows = 0
         for etype, edges in adjacency.items():
             if not edges:
@@ -486,11 +484,7 @@ class LocalCluster:
             dsts = np.asarray([d for d, _ in edges], dtype=np.int64)
             weights = np.asarray([w for _, w in edges], dtype=np.float64)
             batch = EdgeBatch(
-                np.full(dsts.size, src, dtype=np.int64),
-                dsts,
-                1.0 if op == OP_DELETE else weights,
-                etype,
-                op,
+                np.full(dsts.size, src, dtype=np.int64), dsts, weights, etype
             )
             self.client._write_shard(
                 shard,

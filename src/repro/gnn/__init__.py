@@ -1,11 +1,11 @@
-"""GNN operator layer: sampling operators, NumPy message passing, models,
-and the mini-batch trainer.
+"""GNN operator layer: sampling operators, NumPy message passing, the
+GraphSAGE model, and the mini-batch trainer.
 """
 
 from repro.gnn.embeddings import EmbeddingTable, SkipGramTrainer
 from repro.gnn.inference import embed_vertices
-from repro.gnn.layers import GATLayer, GCNLayer, SAGEMeanLayer
-from repro.gnn.models import GAT, GCN, GraphSAGE, SampledGNN
+from repro.gnn.layers import SAGEMeanLayer
+from repro.gnn.models import GraphSAGE
 from repro.gnn.ops import (
     accuracy,
     l2_normalize,
@@ -30,13 +30,8 @@ __all__ = [
     "EmbeddingTable",
     "SkipGramTrainer",
     "embed_vertices",
-    "GATLayer",
-    "GCNLayer",
     "SAGEMeanLayer",
-    "GAT",
-    "GCN",
     "GraphSAGE",
-    "SampledGNN",
     "random_walks",
     "walk_cooccurrence",
     "accuracy",

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
 from repro.errors import ConfigurationError
-from repro.gnn.models import SampledGNN
+from repro.gnn.models import GraphSAGE
 from repro.gnn.ops import l2_normalize
 from repro.gnn.samplers import sample_blocks, sample_blocks_partial
 from repro.storage.attributes import AttributeStore
@@ -29,7 +29,7 @@ __all__ = ["embed_vertices"]
 def embed_vertices(
     store: GraphStoreAPI,
     features: AttributeStore,
-    encoder: SampledGNN,
+    encoder: GraphSAGE,
     vertices: Sequence[int],
     fanouts: Sequence[int],
     feat_name: str = "feat",

@@ -10,18 +10,19 @@ remain — exactly the paper's Figure 1 with ``K``-hop sampling.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple, Type, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.gnn.layers import GATLayer, GCNLayer, Layer, SAGEMeanLayer
+from repro.gnn.layers import SAGEMeanLayer
 
-__all__ = ["SampledGNN", "GraphSAGE", "GCN", "GAT"]
+__all__ = ["GraphSAGE"]
 
 
-class SampledGNN:
-    """An ``L``-layer GNN over ``L``-hop sampled blocks.
+class GraphSAGE:
+    """An ``L``-layer GraphSAGE-mean model over ``L``-hop sampled blocks
+    (the model family of the paper's Figure 1).
 
     Parameters
     ----------
@@ -29,8 +30,9 @@ class SampledGNN:
         Feature, hidden, and output widths.
     num_layers:
         Depth ``L``; the blocks must carry ``L`` fan-outs.
-    conv:
-        Layer class (``SAGEMeanLayer`` or ``GCNLayer``).
+    rng:
+        Generator of the initial weights (``default_rng(0)`` when
+        omitted).
     """
 
     def __init__(
@@ -38,21 +40,22 @@ class SampledGNN:
         in_dim: int,
         hidden_dim: int,
         num_classes: int,
-        num_layers: int,
-        rng: np.random.Generator,
-        conv: Type[Layer] = SAGEMeanLayer,
+        num_layers: int = 2,
+        rng: Optional[np.random.Generator] = None,
     ) -> None:
         if num_layers < 1:
             raise ConfigurationError(
                 f"num_layers must be >= 1, got {num_layers}"
             )
+        if rng is None:
+            rng = np.random.default_rng(0)
         self.num_layers = num_layers
-        self.layers: List[Layer] = []
+        self.layers: List[SAGEMeanLayer] = []
         for l in range(num_layers):
             dim_in = in_dim if l == 0 else hidden_dim
             dim_out = num_classes if l == num_layers - 1 else hidden_dim
             activation = l != num_layers - 1
-            self.layers.append(conv(dim_in, dim_out, rng, activation))
+            self.layers.append(SAGEMeanLayer(dim_in, dim_out, rng, activation))
 
     # ------------------------------------------------------------------
     def forward(
@@ -132,66 +135,3 @@ class SampledGNN:
     def num_parameters(self) -> int:
         """Total scalar parameter count."""
         return sum(p.size for _, p, _ in self.parameters())
-
-
-class GraphSAGE(SampledGNN):
-    """GraphSAGE-mean (the model family of the paper's Figure 1)."""
-
-    def __init__(
-        self,
-        in_dim: int,
-        hidden_dim: int,
-        num_classes: int,
-        num_layers: int = 2,
-        rng: Union[np.random.Generator, None] = None,
-    ) -> None:
-        super().__init__(
-            in_dim,
-            hidden_dim,
-            num_classes,
-            num_layers,
-            rng if rng is not None else np.random.default_rng(0),
-            conv=SAGEMeanLayer,
-        )
-
-
-class GCN(SampledGNN):
-    """Sampled GCN variant (shared self/neighbor transform)."""
-
-    def __init__(
-        self,
-        in_dim: int,
-        hidden_dim: int,
-        num_classes: int,
-        num_layers: int = 2,
-        rng: Union[np.random.Generator, None] = None,
-    ) -> None:
-        super().__init__(
-            in_dim,
-            hidden_dim,
-            num_classes,
-            num_layers,
-            rng if rng is not None else np.random.default_rng(0),
-            conv=GCNLayer,
-        )
-
-
-class GAT(SampledGNN):
-    """Graph attention network over sampled neighborhoods ([30])."""
-
-    def __init__(
-        self,
-        in_dim: int,
-        hidden_dim: int,
-        num_classes: int,
-        num_layers: int = 2,
-        rng: Union[np.random.Generator, None] = None,
-    ) -> None:
-        super().__init__(
-            in_dim,
-            hidden_dim,
-            num_classes,
-            num_layers,
-            rng if rng is not None else np.random.default_rng(0),
-            conv=GATLayer,
-        )

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
 from repro.errors import ConfigurationError, ShapeError
-from repro.gnn.models import SampledGNN
+from repro.gnn.models import GraphSAGE
 from repro.gnn.ops import accuracy, softmax_cross_entropy
 from repro.gnn.samplers import sample_blocks
 from repro.obs.telemetry import Telemetry
@@ -33,11 +33,11 @@ __all__ = ["Adam", "TrainResult", "Trainer"]
 
 
 class Adam:
-    """Adam optimiser over a :class:`SampledGNN`'s parameters."""
+    """Adam optimiser over a :class:`GraphSAGE`'s parameters."""
 
     def __init__(
         self,
-        model: SampledGNN,
+        model: GraphSAGE,
         lr: float = 1e-2,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -91,7 +91,7 @@ class Trainer:
     features:
         Attribute store carrying the ``feat_name`` field.
     model:
-        A :class:`SampledGNN`.
+        A :class:`GraphSAGE`.
     fanouts:
         Per-hop sample counts, length = model depth.
     tracer:
@@ -104,7 +104,7 @@ class Trainer:
         self,
         store: GraphStoreAPI,
         features: AttributeStore,
-        model: SampledGNN,
+        model: GraphSAGE,
         fanouts: Sequence[int],
         feat_name: str = "feat",
         lr: float = 1e-2,

@@ -46,9 +46,9 @@ subsystem reports into:
 * :mod:`repro.obs.flight` — the flight recorder: bounded, preallocated
   per-category ring buffers of cheap structured events (admission
   decisions, breaker transitions, fault injections, retries, WAL
-  activity, replica drops, migration cutovers, alert transitions,
-  chaos schedule), appended on the simulated clock by hooks in every
-  layer (DESIGN.md §17);
+  activity, replica drops, alert transitions, chaos schedule),
+  appended on the simulated clock by hooks in every layer (DESIGN.md
+  §17);
 * :mod:`repro.obs.incident` — alert-triggered incident bundles: the
   recorder rings + metrics snapshot/window diff + series windows +
   slow traces + doctor digest + scenario spec/seeds, frozen at the

@@ -18,7 +18,6 @@ Categories (fixed; see :data:`DEFAULT_CATEGORIES`):
 * ``wal``       — WAL appends and checkpoints;
 * ``replica``   — hot-replica changes (no hook emits one today; the
   ring stays so recorded bundles keep their shape);
-* ``migration`` — rebalance cutovers;
 * ``alert``     — alert lifecycle transitions (the cluster's hub
   forwards its monitor's alerts to :meth:`FlightRecorder.record_alert`);
 * ``chaos``     — scenario-level chaos events with their seeds.
@@ -54,7 +53,6 @@ DEFAULT_CATEGORIES = (
     "retry",
     "wal",
     "replica",
-    "migration",
     "alert",
     "chaos",
 )

@@ -3,7 +3,7 @@
 Renders, from a live cluster / registry / tracer:
 
 * a per-shard load table with skew factors (max/mean of edges and of
-  sample requests — the imbalance a rebalancer would act on);
+  sample requests);
 * the counter digest: one row per ``*Stats`` family the registry
   watches (:meth:`~repro.obs.registry.MetricsRegistry.watch`), summed
   over shards and replicas, so a new family or field shows up unasked;

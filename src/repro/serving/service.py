@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.snapshot import RNGLike, coerce_generator
 from repro.core.types import DEFAULT_ETYPE
 from repro.errors import ConfigurationError
-from repro.gnn.models import SampledGNN
+from repro.gnn.models import GraphSAGE
 from repro.gnn.ops import l2_normalize
 from repro.gnn.samplers import sample_blocks_partial
 from repro.obs.hist import LatencyHistogram
@@ -162,7 +162,7 @@ class InferenceService:
         instead of exceptions.
     features, encoder, fanouts:
         The embedding model: a local :class:`AttributeStore`, a
-        :class:`SampledGNN`, and per-layer fanouts (``len(fanouts)``
+        :class:`GraphSAGE`, and per-layer fanouts (``len(fanouts)``
         must equal the encoder depth).
     batch_window:
         Maximum simulated seconds a request waits for batch-mates.
@@ -189,7 +189,7 @@ class InferenceService:
         self,
         cluster,
         features: AttributeStore,
-        encoder: SampledGNN,
+        encoder: GraphSAGE,
         fanouts: Sequence[int],
         feat_name: str = "feat",
         batch_window: float = 4e-3,

@@ -326,15 +326,13 @@ class TestChaosSoak:
             primary.store.check_invariants()
             backup.store.check_invariants()
 
-    def test_hot_replication_and_rebalance_soak_under_faults(self, tmp_path):
-        """Mid-soak control-plane actions under fault injection: the
-        hot-set tracker drives ``replicate_hot`` and an online
-        ``plan_rebalance``/``execute_plan`` migration while transient
-        faults, latency spikes, and an explicit crash schedule run —
-        afterwards the cluster still equals the fault-free reference
-        and weighted sampling is chi-square-equivalent."""
+    def test_hot_replication_soak_under_faults(self, tmp_path):
+        """A mid-soak control-plane action under fault injection: the
+        hot-set tracker drives ``replicate_hot`` while transient faults,
+        latency spikes, and an explicit crash schedule run — afterwards
+        the cluster still equals the fault-free reference and weighted
+        sampling is chi-square-equivalent."""
         from repro.datasets.stream import RequestStream
-        from repro.distributed.rebalance import execute_plan, plan_rebalance
 
         rng = random.Random(20240808)
         num_servers = 3
@@ -356,12 +354,12 @@ class TestChaosSoak:
         )
         reference = DynamicGraphStore(config)
         # Power-law read traffic, so the tracker has a real hot head to
-        # replicate and the traffic-aware planner has skew to fix.
+        # replicate.
         requests = RequestStream(_NSRC, exponent=1.2, seed=5)
         sample_rng = np.random.default_rng(8)
 
         steps = 24
-        replicated = migrated = False
+        replicated = False
         for step in range(steps):
             batch = _churn_batch(rng, 70)
             reference.apply_edge_batch(batch)
@@ -378,14 +376,8 @@ class TestChaosSoak:
                     top_n=4, copies=1, min_count=1
                 )
                 replicated = bool(installed)
-            if step == 2 * steps // 3:
-                moves = plan_rebalance(cluster, tolerance=0.05, max_moves=8)
-                if moves:
-                    execute_plan(cluster, moves, verify=True)
-                    migrated = True
 
         assert replicated, "tracker never produced a hot set to replicate"
-        assert migrated, "planner found no moves; soak exercised nothing"
 
         cluster.recover_all(sync=True)
         assert not cluster.dead_replicas()

@@ -2,7 +2,7 @@
 
 The leaf keeps its weights in a column beside the Fenwick index, so every
 reader — ``neighbors``, ``edge_weight``, the flattening paths, checkpoint,
-WAL replay, hot copies, migration — returns the float that was stored,
+WAL replay, hot copies — returns the float that was stored,
 bit for bit.  Every comparison here is ``==`` against a dict model; none
 uses a tolerance.
 """
@@ -23,7 +23,6 @@ from repro.core.samtree import SamtreeConfig
 from repro.core.snapshot import flatten_tree
 from repro.core.topology import DynamicGraphStore
 from repro.distributed import LocalCluster
-from repro.distributed.rebalance import Move, execute_plan
 from repro.storage.checkpoint import load_store, save_store
 
 WEIGHT = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
@@ -263,24 +262,3 @@ def test_hot_copies_are_exact():
                 assert dict(store.neighbors(src, etype)) == churn.model.get(
                     (etype, src), {}
                 )
-
-
-def test_migration_target_is_exact():
-    churn = _Churn(seed=6, sources=8, dsts=300)
-    cluster = LocalCluster(num_servers=3, config=SamtreeConfig(capacity=4))
-    cluster.client.apply_edge_batch(churn.batch(2000))
-    churn.scalar_ops(cluster.client, 200)
-    moves = []
-    for src in range(8):
-        owner = cluster.partitioner.shard_for(src)
-        moves.append(Move(src, owner, (owner + 1) % 3, load=1))
-    execute_plan(cluster, moves, verify=True)
-    for move in moves:
-        target = cluster.servers[move.to_shard].store
-        source = cluster.servers[move.from_shard].store
-        for etype in (0, 1):
-            want = churn.model.get((etype, move.src), {})
-            assert dict(target.neighbors(move.src, etype)) == want
-            assert source.neighbors(move.src, etype) == []
-            for dst, w in list(want.items())[:5]:
-                assert cluster.client.edge_weight(move.src, dst, etype) == w

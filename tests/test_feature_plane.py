@@ -7,10 +7,9 @@ import copy
 import random
 
 import numpy as np
-import pytest
 
 from repro.gnn.inference import embed_vertices
-from repro.gnn.models import GAT, GCN, GraphSAGE
+from repro.gnn.models import GraphSAGE
 from repro.gnn.ops import softmax_cross_entropy
 from repro.gnn.samplers import sample_blocks
 from repro.gnn.training import Trainer
@@ -89,13 +88,10 @@ class TestLayerTape:
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("model_cls", [GraphSAGE, GCN, GAT])
-def test_skipping_the_bottom_input_half_keeps_parameter_gradients(
-    model_cls, nprng
-):
-    """``SampledGNN.backward`` (bottom layer: parameter half only) against
+def test_skipping_the_bottom_input_half_keeps_parameter_gradients(nprng):
+    """``GraphSAGE.backward`` (bottom layer: parameter half only) against
     the full backward of every layer on the same tape, bit for bit."""
-    model = model_cls(5, 7, 3, num_layers=2, rng=nprng)
+    model = GraphSAGE(5, 7, 3, num_layers=2, rng=nprng)
     sizes = [4, 4 * FANOUTS[0], 4 * FANOUTS[0] * FANOUTS[1]]
     feats = [nprng.normal(size=(n, 5)).astype(np.float32) for n in sizes]
     labels = np.array([0, 1, 2, 0])

@@ -3,7 +3,7 @@
 
 Covers the bounded event rings (wrap, eviction accounting, oldest-first
 iteration), the recorder's per-layer hooks (admission, breaker, fault,
-retry, WAL, replica, migration, alert, chaos), the RPC error context
+retry, WAL, replica, alert, chaos), the RPC error context
 satellite, the incident manager's trigger paths (alert with per-rule
 cooldown, manual, exception guard), bundle (de)serialization, and the
 CLI surfaces.
@@ -260,37 +260,6 @@ class TestClusterHooks:
             rec.events_total
         )
 
-    def test_migration_record(self):
-        import numpy as np
-
-        from repro.datasets.stream import RequestStream
-        from repro.distributed.rebalance import execute_plan, plan_rebalance
-
-        cluster = LocalCluster(
-            num_servers=3,
-            config=SamtreeConfig(capacity=8),
-            hot_set_capacity=64,
-        )
-        rec = cluster.attach_recorder()
-        rng = np.random.default_rng(1)
-        srcs = np.repeat(np.arange(60, dtype=np.int64), 6)
-        dsts = rng.integers(0, 60, srcs.size).astype(np.int64)
-        cluster.client.bulk_load(srcs, dsts, 1.0)
-        requests = RequestStream(60, exponent=1.2, seed=5)
-        for _ in range(8):
-            cluster.client.sample_neighbors_many(
-                requests.batch(32), 4, rng
-            )
-
-        moves = plan_rebalance(cluster, tolerance=0.01, max_moves=4)
-        if moves:  # the seeded skew reliably yields at least one move
-            execute_plan(cluster, moves, verify=True)
-            cuts = rec.events("migration")
-            assert cuts and cuts[0]["kind"] == "cutover"
-            assert {"src", "from_shard", "to_shard", "edges"} <= set(
-                cuts[0]
-            )
-
     def test_breaker_transitions_record(self):
         clock = ManualClock()
         rec = FlightRecorder(clock=clock, capacity=8)
@@ -519,6 +488,28 @@ class TestIncidentEndToEnd:
         assert not result.events_match
         assert result.alert_match  # the alert itself still re-fires
         assert any("admission" in m for m in result.mismatches)
+
+    def test_retired_category_replays_only_while_empty(
+        self, captured_incident
+    ):
+        """A bundle carrying a category the recorder no longer has (as
+        ``migration`` in bundles recorded before it was retired)
+        replays as a match while that ring is empty with nothing
+        dropped, and diverges once it holds an event."""
+        original = captured_incident["manager"].incidents[0]
+        old = copy.deepcopy(json.loads(json.dumps(original, sort_keys=True)))
+        ring = {"capacity": 1024, "total": 0, "dropped": 0, "events": []}
+        old["events"]["categories"]["migration"] = ring
+        result = replay_bundle(old)
+        assert result.converged, result.mismatches
+
+        ring["events"].append({"t": 0.0, "kind": "cutover", "src": 1})
+        ring["total"] = 1
+        result = replay_bundle(old)
+        assert not result.converged
+        assert result.mismatches == [
+            "events[migration]: present in only one run"
+        ]
 
     def test_bundle_without_spec_refuses_replay(self, captured_incident):
         orphan = copy.deepcopy(captured_incident["manager"].incidents[0])

@@ -1,4 +1,4 @@
-"""Gradient-checked tests for the GNN layers and models."""
+"""Gradient-checked tests for the GraphSAGE layer and model."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.gnn.layers import GATLayer, GCNLayer, SAGEMeanLayer
-from repro.gnn.models import GCN, GraphSAGE, SampledGNN
+from repro.gnn.layers import SAGEMeanLayer
+from repro.gnn.models import GraphSAGE
 from repro.gnn.ops import softmax_cross_entropy
 
 EPS = 1e-5
@@ -33,22 +33,21 @@ def promote_to_float64(*layers):
         layer.zero_grads()
 
 
-@pytest.mark.parametrize("conv_cls", [SAGEMeanLayer, GCNLayer, GATLayer])
 class TestConvLayers:
-    def test_forward_shapes(self, conv_cls, nprng):
-        layer = conv_cls(4, 6, nprng)
+    def test_forward_shapes(self, nprng):
+        layer = SAGEMeanLayer(4, 6, nprng)
         out = layer.forward(np.zeros((5, 4), np.float32), np.zeros((5, 3, 4), np.float32))
         assert out.shape == (5, 6)
 
-    def test_shape_validation(self, conv_cls, nprng):
-        layer = conv_cls(4, 6, nprng)
+    def test_shape_validation(self, nprng):
+        layer = SAGEMeanLayer(4, 6, nprng)
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((5, 4)), np.zeros((5, 4)))
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((5, 4)), np.zeros((6, 3, 4)))
 
-    def test_gradients(self, conv_cls, nprng):
-        layer = conv_cls(3, 4, nprng, activation=True)
+    def test_gradients(self, nprng):
+        layer = SAGEMeanLayer(3, 4, nprng, activation=True)
         promote_to_float64(layer)
         hs = nprng.normal(size=(5, 3))
         hn = nprng.normal(size=(5, 6, 3))
@@ -103,13 +102,12 @@ class TestSampledGNN:
 
     def test_depth_validation(self, nprng):
         with pytest.raises(ConfigurationError):
-            SampledGNN(4, 8, 2, num_layers=0, rng=nprng)
+            GraphSAGE(4, 8, 2, num_layers=0, rng=nprng)
 
-    @pytest.mark.parametrize("model_cls", [GraphSAGE, GCN])
-    def test_end_to_end_gradients(self, model_cls, nprng):
+    def test_end_to_end_gradients(self, nprng):
         """Full pyramid backward (shared layer applied at two depths)
         matches numeric gradients."""
-        model = model_cls(3, 5, 2, num_layers=2, rng=nprng)
+        model = GraphSAGE(3, 5, 2, num_layers=2, rng=nprng)
         promote_to_float64(*model.layers)
         fanouts = [2, 3]
         feats = self._feats(nprng, 3, fanouts, 3)

@@ -11,7 +11,7 @@ from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.errors import ConfigurationError
 from repro.gnn.inference import embed_vertices
-from repro.gnn.models import GAT, GraphSAGE
+from repro.gnn.models import GraphSAGE
 from repro.gnn.walks import random_walks, walk_cooccurrence
 from repro.storage.attributes import AttributeStore
 
@@ -69,12 +69,6 @@ class TestInference:
         store, feats = small_graph
         encoder = GraphSAGE(4, 8, 6, num_layers=2, rng=nprng)
         assert embed_vertices(store, feats, encoder, [], [2, 2], rng=rng).shape == (0, 6)
-
-    def test_gat_encoder_works(self, small_graph, rng, nprng):
-        store, feats = small_graph
-        encoder = GAT(4, 8, 6, num_layers=2, rng=nprng)
-        emb = embed_vertices(store, feats, encoder, [0, 1, 2], [3, 3], rng=rng)
-        assert emb.shape == (3, 6)
 
     def test_validation(self, small_graph, rng, nprng):
         store, feats = small_graph

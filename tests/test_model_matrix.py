@@ -1,5 +1,5 @@
-"""Cross-cutting matrix tests: every model family trains end to end, on
-local and distributed stores, homogeneous and heterogeneous graphs."""
+"""Cross-cutting matrix tests: GraphSAGE trains end to end, on local and
+distributed stores, homogeneous and heterogeneous graphs."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.distributed import LocalCluster
-from repro.gnn.models import GAT, GCN, GraphSAGE
+from repro.gnn.models import GraphSAGE
 from repro.gnn.samplers import sample_blocks, sample_metapath
 from repro.gnn.training import Trainer
 from repro.storage.attributes import AttributeStore
@@ -40,10 +40,9 @@ def make_problem(n=120, dim=6, seed=0, store=None):
     return store, feats, seeds, [labels[v] for v in seeds]
 
 
-@pytest.mark.parametrize("model_cls", [GraphSAGE, GCN, GAT])
-def test_every_model_family_learns(model_cls, nprng):
+def test_graphsage_learns(nprng):
     store, feats, seeds, labels = make_problem(seed=11)
-    model = model_cls(6, 16, 2, num_layers=2, rng=nprng)
+    model = GraphSAGE(6, 16, 2, num_layers=2, rng=nprng)
     trainer = Trainer(
         store, feats, model, fanouts=[4, 4], lr=0.01, rng=random.Random(1)
     )
@@ -67,7 +66,7 @@ def test_non_default_depths(depth, fanouts, nprng):
 def test_training_against_cluster_client(nprng):
     cluster = LocalCluster(num_servers=3, config=SamtreeConfig(capacity=16))
     store, feats, seeds, labels = make_problem(seed=13, store=cluster.client)
-    model = GCN(6, 12, 2, num_layers=2, rng=nprng)
+    model = GraphSAGE(6, 12, 2, num_layers=2, rng=nprng)
     trainer = Trainer(
         cluster.client, feats, model, fanouts=[4, 4], lr=0.01,
         rng=random.Random(3),

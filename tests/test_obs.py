@@ -332,7 +332,6 @@ def _stats_classes():
     from repro.distributed.client import ServingStats
     from repro.distributed.faults import FaultStats
     from repro.distributed.hotset import HotSetStats
-    from repro.distributed.rebalance import MigrationStats
     from repro.distributed.retry import RetryStats
     from repro.distributed.rpc import NetworkStats
     from repro.distributed.server import ServerStats
@@ -341,7 +340,7 @@ def _stats_classes():
     return [
         OpStats, IngestStats, SnapshotCacheStats, FrozenStats, ServerStats,
         ServingStats, NetworkStats, RetryStats, FaultStats, HotSetStats,
-        MigrationStats, ServiceStats,
+        ServiceStats,
     ]
 
 

@@ -45,8 +45,6 @@ SRC = ROOT / "src"
 ALLOWED_ORPHANS = {
     # The README's loader for users' own edge-list graphs.
     "repro.datasets.io",
-    # The README's live shard migration (plan_rebalance / execute_plan).
-    "repro.distributed.rebalance",
 }
 
 #: Definitions nothing outside ``tests/`` reads, each kept on purpose.
@@ -58,11 +56,6 @@ ALLOWED_UNCALLED = {
     "core/fenwick.py:FSTable.from_array",
     # The README's entry points, as in ALLOWED_ORPHANS.
     "datasets/io.py:load_edge_list",
-    "distributed/rebalance.py:plan_rebalance",
-    "distributed/rebalance.py:execute_plan",
-    # The README's model matrix beside GraphSAGE.
-    "gnn/models.py:GAT",
-    "gnn/models.py:GCN",
     # The paper's node-sampling operator (§III).
     "gnn/samplers.py:sample_seed_nodes",
 }
