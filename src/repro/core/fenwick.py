@@ -54,7 +54,9 @@ __all__ = [
 ]
 
 #: Rows up to this long are processed as one zero-padded matrix per batch
-#: by the read image (:func:`pad_rows`); 99 % of a power-law graph's rows.
+#: by the read image (:func:`pad_rows`) and paired in rounds by the alias
+#: builder, a row's cells one bit each of an int64 mask (so at most 62);
+#: 99 % of a power-law graph's rows.
 ROW_PAD = 16
 
 

@@ -28,16 +28,23 @@ A row's weights are read back from its cumulative column by
 differencing: a zero weight differences to exactly zero, and an edge
 whose weight the running sum absorbed is one the binary search over the
 same column never selects either.
+
+The builder (:func:`build_alias`) gathers its rows' cells back to back,
+unpadded, and scatters each table back flat.  Rows of at most
+``ROW_PAD`` edges pair in rounds over the rows still pairing, each row's
+*lowest-offset* small cell with its *lowest-offset* large one; longer
+rows pair one by one in stack order, the *last* small cell with the
+*last* large one.  The orders give different, equally exact tables: the
+golden draws (``tests/test_golden_draws.py``) pin both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
-from repro.core.fenwick import ROW_PAD, pad_rows
+from repro.core.fenwick import ROW_PAD
 from repro.obs.telemetry import Stats
 
 __all__ = [
@@ -81,82 +88,95 @@ def build_alias(
     for equal-weight rows — including all-zero rows, where it reproduces
     the uniform fallback — and for rows of one edge, so those skip the
     pairing.  Rows of at most ``ROW_PAD`` edges are paired together, in
-    vectorised rounds; longer rows one by one.
+    rounds; longer rows one by one, in stack order.
     """
-    short = length <= ROW_PAD
-    if short.any():
-        _pair_short_rows(cum, start[short], length[short], alias_prob, alias_idx)
-    long = ~short
-    for lo, m in zip(start[long].tolist(), length[long].tolist()):
-        _pair_row(cum, lo, lo + m, alias_prob, alias_idx)
+    for pair, rows in (
+        (_pair_short_rows, (length > 0) & (length <= ROW_PAD)),
+        (_pair_long_rows, length > ROW_PAD),
+    ):
+        if not rows.any():
+            continue
+        n = length[rows]
+        first = np.cumsum(n) - n  # each row's offset among the cells
+        col = np.arange(int(first[-1] + n[-1])) - first.repeat(n)
+        cells = start[rows].repeat(n) + col
+        sums = cum.take(cells)
+        weights = np.empty_like(sums)
+        np.subtract(sums[1:], sums[:-1], out=weights[1:])
+        weights[first] = sums[first]
+        total = sums.take(first + n - 1)  # a cumulative row ends on its maximum
+        uneven = weights != weights[first].repeat(n)
+        pairing = np.logical_or.reduceat(uneven, first) & (total > 0.0)
+        total[~pairing] = 1.0
+        # weight / total first: ``length / total`` overflows on a denormal total.
+        scaled = weights / total.repeat(n) * n.repeat(n)
+        alias = col.copy()
+        pair(scaled, alias, col, first, n, pairing)
+        # A paired cell keeps the mass it was paired with.  Leftovers on
+        # either side are float residue: their scaled mass is ~1, and the
+        # identity cell is the exact limit.
+        alias_prob[cells] = np.where(alias != col, scaled, 1.0)
+        alias_idx[cells] = alias
 
 
-def _pair_short_rows(cum, start, length, alias_prob, alias_idx) -> None:
-    """Vose pairing of many short rows at once: every round pairs one
-    small cell with one large cell in each row that still has both."""
-    sums, pos, inside = pad_rows(cum, start, length)
-    weights = np.diff(sums, axis=1, prepend=0.0)
-    weights[~inside] = 0.0
-    cells = pos[inside]
-    alias_prob[cells] = 1.0
-    alias_idx[cells] = cells - np.repeat(start, length)  # its own offset
-    total = sums.max(axis=1)  # a cumulative row ends on its maximum
-    lowest = np.where(inside, weights, np.inf).min(axis=1)
-    rows = np.flatnonzero((lowest != weights.max(axis=1)) & (total > 0.0))
-    # weight / total first: ``length / total`` overflows on a denormal total.
-    scaled = weights[rows] / total[rows][:, None] * length[rows][:, None]
-    pos = pos[rows]
-    small = inside[rows] & (scaled < 1.0)
-    large = inside[rows] & ~small
+def _pair_short_rows(scaled, alias, col, first, length, pairing) -> None:
+    """Vose pairing of the ``pairing`` rows at once: every round pairs
+    the lowest-offset small cell with the lowest-offset large cell in
+    each row that still has both.  A row's state is two bit masks (its
+    small and its large cells), so a round costs O(rows still pairing)."""
+    small = np.add.reduceat((scaled < 1.0) << col, first)
+    large = ((1 << length) - 1) ^ small
+    rows = pairing.nonzero()[0]
+    small, large, base = small[rows], large[rows], first[rows] - 1
     while True:
-        live = np.flatnonzero(small.any(axis=1) & large.any(axis=1))
+        live = ((small != 0) & (large != 0)).nonzero()[0]
         if live.size == 0:
-            # Leftovers on either side are float residue: their scaled
-            # mass is ~1, and the identity cell is the exact limit.
             return
-        if live.size < len(scaled):
-            scaled, pos = scaled[live], pos[live]
-            small, large = small[live], large[live]
-        row = np.arange(len(scaled))
-        s = small.argmax(axis=1)
-        l = large.argmax(axis=1)
-        kept = scaled[row, s]
-        cell = pos[row, s]
-        alias_prob[cell] = kept
-        alias_idx[cell] = l
-        small[row, s] = False
-        rest = scaled[row, l] - (1.0 - kept)
-        scaled[row, l] = rest
-        shrunk = rest < 1.0
-        small[row, l] = shrunk
-        large[row, l] = ~shrunk
+        if live.size < small.size:
+            small, large, base = small[live], large[live], base[live]
+        low_small = small & -small  # each mask's lowest bit
+        low_large = large & -large
+        small ^= low_small
+        # frexp(2 ** i) is (0.5, i + 1); ``base`` is the cell before the row.
+        s = base + np.frexp(low_small)[1]
+        l = base + np.frexp(low_large)[1]
+        kept = scaled.take(s)
+        alias[s] = col.take(l)
+        rest = scaled.take(l) - (1.0 - kept)
+        scaled[l] = rest
+        low_large *= rest < 1.0  # the large cells that shrank turn small
+        small |= low_large
+        large ^= low_large
 
 
-def _pair_row(cum, lo: int, hi: int, alias_prob, alias_idx) -> None:
-    """Vose pairing of the one row at arena ``[lo, hi)``."""
-    alias_prob[lo:hi] = 1.0
-    alias_idx[lo:hi] = np.arange(hi - lo)
-    row = np.diff(cum[lo:hi], prepend=0.0)
-    total = float(cum[hi - 1])
-    if float(row.min()) == float(row.max()) or total <= 0.0:
-        return  # the identity table is already exact
-    deg = hi - lo
-    scaled = (row / total * deg).tolist()
-    small: List[int] = []
-    large: List[int] = []
-    for i, q in enumerate(scaled):
-        (small if q < 1.0 else large).append(i)
-    prob = [1.0] * deg
-    alias = list(range(deg))
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = l
-        scaled[l] -= 1.0 - scaled[s]
-        (small if scaled[l] < 1.0 else large).append(l)
-    alias_prob[lo:hi] = prob
-    alias_idx[lo:hi] = alias
+def _pair_long_rows(scaled, alias, col, first, length, pairing) -> None:
+    """Vose pairing of the ``pairing`` rows one by one, in stack order:
+    the last small cell pairs with the last large one, and a large cell
+    that shrinks is the next small cell."""
+    below = scaled < 1.0
+    for a, n in zip(first[pairing].tolist(), length[pairing].tolist()):
+        small = below[a : a + n].nonzero()[0].tolist()
+        large = (~below[a : a + n]).nonzero()[0].tolist()
+        if not (small and large):
+            continue
+        mass, to = scaled[a : a + n].tolist(), list(range(n))
+        s, l = small.pop(), large.pop()
+        rest = mass[l]
+        while True:
+            to[s] = l
+            rest -= 1.0 - mass[s]
+            if rest < 1.0:
+                mass[l] = rest
+                if not large:
+                    break
+                s, l = l, large.pop()
+                rest = mass[l]
+            elif small:
+                s = small.pop()
+            else:
+                break
+        scaled[a : a + n] = mass
+        alias[a : a + n] = to
 
 
 def alias_mass(

@@ -360,6 +360,8 @@ class _Image:
         for what that misses."""
         n = self.ordered
         if not n:
+            if not self.slot_of:  # an empty image: nothing to look up
+                return np.zeros(srcs.size, dtype=np.int64)
             return self.slots_of(srcs.tolist())
         column = self.src[1 : n + 1]
         slots = column.searchsorted(srcs)
@@ -472,7 +474,7 @@ class _Image:
         becomes a pointer row, the samtrees go to :meth:`flatten` together
         and every row gains its alias table.  Gone sources are dropped."""
         count = srcs.size
-        old = self.slots_of(srcs.tolist())
+        old = self.lookup(srcs)
         self._reserve(count, 0)
         rows = count + 1
         for name, _ in _ROW_COLUMNS:

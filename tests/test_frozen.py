@@ -37,7 +37,7 @@ from repro.baselines.platogl import PlatoGLStore
 from repro.baselines.static_csr import StaticCSRStore
 from repro.core.compression import CompressedIDList, PlainIDList
 from repro.core.fenwick import FSTable
-from repro.core.fenwick import ROW_PAD
+from repro.core.fenwick import ROW_PAD, pad_rows
 from repro.core.frozen import FrozenStats, alias_mass, build_alias
 from repro.core.ingest import EdgeBatch
 from repro.core.samtree import Samtree, SamtreeConfig
@@ -48,6 +48,7 @@ from repro.distributed.cluster import LocalCluster
 from repro.distributed.server import GraphServer
 from repro.errors import ConfigurationError, InvariantViolationError
 from repro.gnn.samplers import sample_blocks
+from tests.conftest import python_calls
 
 try:  # scipy is part of the baked toolchain, but degrade gracefully.
     from scipy import stats as _scipy_stats
@@ -295,6 +296,182 @@ class TestAliasBuilder:
         assert idx.tolist() == [
             i for lo, hi in zip(starts, ends) for i in range(hi - lo)
         ]
+
+
+    def test_a_long_row_pairs_in_stack_order(self):
+        # A row of more than ROW_PAD edges pairs its *last* small cell
+        # with its *last* large one, and a large cell that shrinks is the
+        # next small cell; a short row pairs the *first* of each.  The
+        # frozen draws of every hub depend on this order: this literal
+        # table (weights in eighths summing to 16, so every mass is
+        # dyadic and exact) pins it.
+        k = [1, 12, 3, 9, 0, 7, 2, 14, 5, 6, 4, 11, 1, 8, 13, 2, 10, 3, 9, 8]
+        prob, idx, _, _ = _alias_tables([[v / 8.0 for v in k]])
+        assert prob.tolist() == [
+            0.15625, 1.0, 0.46875, 0.96875, 0.0, 0.5625, 0.3125, 0.46875,
+            0.78125, 0.9375, 0.625, 0.8125, 0.15625, 0.78125, 0.8125,
+            0.3125, 0.15625, 0.46875, 0.4375, 0.71875,
+        ]
+        assert idx.tolist() == [
+            1, 1, 7, 1, 7, 3, 11, 5, 13, 13, 14, 7, 16, 11, 13, 18, 14, 19,
+            16, 18,
+        ]
+
+
+# ---------------------------------------------------------------------------
+# the builder against its first form, bit for bit
+# ---------------------------------------------------------------------------
+def _padded_short_rows(cum, start, length, alias_prob, alias_idx) -> None:
+    """The short-row pairing as first written: every row padded to
+    ``ROW_PAD``, and every round over the full padded width."""
+    sums, pos, inside = pad_rows(cum, start, length)
+    weights = np.diff(sums, axis=1, prepend=0.0)
+    weights[~inside] = 0.0
+    cells = pos[inside]
+    alias_prob[cells] = 1.0
+    alias_idx[cells] = cells - np.repeat(start, length)  # its own offset
+    total = sums.max(axis=1)  # a cumulative row ends on its maximum
+    lowest = np.where(inside, weights, np.inf).min(axis=1)
+    rows = np.flatnonzero((lowest != weights.max(axis=1)) & (total > 0.0))
+    scaled = weights[rows] / total[rows][:, None] * length[rows][:, None]
+    pos = pos[rows]
+    small = inside[rows] & (scaled < 1.0)
+    large = inside[rows] & ~small
+    while True:
+        live = np.flatnonzero(small.any(axis=1) & large.any(axis=1))
+        if live.size == 0:
+            return
+        if live.size < len(scaled):
+            scaled, pos = scaled[live], pos[live]
+            small, large = small[live], large[live]
+        row = np.arange(len(scaled))
+        s = small.argmax(axis=1)
+        l = large.argmax(axis=1)
+        kept = scaled[row, s]
+        cell = pos[row, s]
+        alias_prob[cell] = kept
+        alias_idx[cell] = l
+        small[row, s] = False
+        rest = scaled[row, l] - (1.0 - kept)
+        scaled[row, l] = rest
+        shrunk = rest < 1.0
+        small[row, l] = shrunk
+        large[row, l] = ~shrunk
+
+
+def _stack_row(cum, lo: int, hi: int, alias_prob, alias_idx) -> None:
+    """The long-row pairing as first written: one list loop a row."""
+    alias_prob[lo:hi] = 1.0
+    alias_idx[lo:hi] = np.arange(hi - lo)
+    row = np.diff(cum[lo:hi], prepend=0.0)
+    total = float(cum[hi - 1])
+    if float(row.min()) == float(row.max()) or total <= 0.0:
+        return
+    deg = hi - lo
+    scaled = (row / total * deg).tolist()
+    small, large = [], []
+    for i, q in enumerate(scaled):
+        (small if q < 1.0 else large).append(i)
+    prob = [1.0] * deg
+    alias = list(range(deg))
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        (small if scaled[l] < 1.0 else large).append(l)
+    alias_prob[lo:hi] = prob
+    alias_idx[lo:hi] = alias
+
+
+def _reference_alias(cum, start, length, alias_prob, alias_idx) -> None:
+    """:func:`build_alias` as first written: the oracle of its bits."""
+    short = length <= ROW_PAD
+    if short.any():
+        _padded_short_rows(cum, start[short], length[short], alias_prob, alias_idx)
+    long = ~short
+    for lo, m in zip(start[long].tolist(), length[long].tolist()):
+        _stack_row(cum, lo, lo + m, alias_prob, alias_idx)
+
+
+def _arena(rows, gap: int = 0):
+    """``rows`` (weight sequences) as cumulative rows of one arena, each
+    after ``gap`` NaN cells, with one more at the end: cells no builder
+    may read or write."""
+    length = np.asarray([len(row) for row in rows], dtype=np.int64)
+    start = np.cumsum(length + gap) - length
+    cum = np.full(int(start[-1] + length[-1]) + 1, np.nan)
+    for row, lo in zip(rows, start.tolist()):
+        cum[lo : lo + len(row)] = np.cumsum(row)
+    return cum, start, length
+
+
+def _assert_reference_tables(rows, gap: int = 0) -> None:
+    """``build_alias`` writes the reference's bits, and nothing else."""
+    cum, start, length = _arena(rows, gap)
+    tables = []
+    for build in (build_alias, _reference_alias):
+        prob = np.full(cum.size, np.nan)
+        idx = np.full(cum.size, 0xEEEE, dtype=np.uint32)  # the image's width
+        build(cum, start, length, prob, idx)
+        tables.append((prob.view(np.int64), idx))
+    (prob, idx), (expected_prob, expected_idx) = tables
+    assert np.array_equal(prob, expected_prob)
+    assert np.array_equal(idx, expected_idx)
+
+
+def _training_rows(sources: int, seed: int = 0):
+    """Rows shaped like the e2e ``train_frozen`` graph: source ``r`` has
+    ``max(8, 2000 // (r + 1))`` edges, weights in eighths."""
+    degree = np.maximum(8, 2000 // np.arange(1, sources + 1))
+    weights = np.random.default_rng(seed).integers(1, 64, int(degree.sum())) / 8.0
+    return np.split(weights, np.cumsum(degree)[:-1])
+
+
+_EIGHTHS = st.integers(min_value=0, max_value=64).map(lambda v: v / 8.0)
+_DENORMAL = st.integers(min_value=0, max_value=64).map(lambda v: v * 5e-324)
+_HUGE = st.floats(min_value=0.0, max_value=1e300)
+_ORACLE_ROW = st.one_of(
+    st.lists(_EIGHTHS, max_size=ROW_PAD),  # zero weights, empty rows
+    st.lists(_DENORMAL, max_size=ROW_PAD),  # denormal totals
+    st.lists(_HUGE, max_size=ROW_PAD),  # 1e300-scale totals
+    st.builds(  # equal weights; all-zero rows
+        lambda w, n: [w] * n,
+        st.one_of(_EIGHTHS, _DENORMAL, _HUGE), st.integers(1, ROW_PAD),
+    ),
+    st.lists(_EIGHTHS, min_size=ROW_PAD + 1, max_size=3 * ROW_PAD),
+    st.lists(
+        st.floats(min_value=0.0, max_value=1e6), min_size=ROW_PAD + 1, max_size=60
+    ),
+)
+
+
+class TestAliasBuilderBits:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_ORACLE_ROW, min_size=1, max_size=30), st.integers(0, 3))
+    def test_tables_match_the_reference_bit_for_bit(self, rows, gap):
+        _assert_reference_tables(rows, gap)
+
+    def test_a_training_graph_matches_the_reference_bit_for_bit(self):
+        _assert_reference_tables(_training_rows(20_000), gap=3)
+
+    def test_the_short_row_compile_makes_a_fixed_number_of_python_calls(self):
+        # Every round of the short-row pairing is a few flat numpy passes
+        # over the rows still pairing: a build over 20 000 training-shaped
+        # rows (up to 16 edges: 15 rounds), over 2 000 of them and over
+        # rows of 4 edges (3 rounds) makes the same handful of calls.
+        calls = []
+        for rows in (
+            _training_rows(20_000), _training_rows(2_000),
+            [row[:4] for row in _training_rows(2_000)],
+        ):
+            cum, start, length = _arena([row for row in rows if len(row) <= ROW_PAD])
+            prob, idx = np.zeros(cum.size), np.zeros(cum.size, dtype=np.uint8)
+            calls.append(
+                python_calls(lambda: build_alias(cum, start, length, prob, idx))
+            )
+        assert calls[0] == calls[1] == calls[2] <= 12  # 10 with numpy 2.4
 
 
 # ---------------------------------------------------------------------------
