@@ -71,6 +71,15 @@ _ARENA_COLUMNS = ("ids", "weights", "cum")
 _ALIAS_COLUMNS = ("alias_prob", "alias_idx")
 
 
+def spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The positions ``start[i] : start[i] + length[i]``, back to back
+    (one ragged index)."""
+    ends = np.cumsum(length)
+    return np.repeat(start - ends + length, length) + np.arange(
+        int(ends[-1]) if ends.size else 0
+    )
+
+
 class Slab:
     """The rows of one store (see the module docstring)."""
 
@@ -130,14 +139,6 @@ class Slab:
         cap = self.capacity
         return np.clip(room, min(ROW_MIN_ROOM, cap), cap)
 
-    def _span(self, start: np.ndarray, length: np.ndarray) -> np.ndarray:
-        """The arena positions of rows ``start[i] : start[i] + length[i]``,
-        back to back (one ragged index)."""
-        ends = np.cumsum(length)
-        return np.repeat(start - ends + length, length) + np.arange(
-            int(ends[-1]) if ends.size else 0
-        )
-
     # -- allocation ---------------------------------------------------------
     def alloc_many(
         self, srcs: np.ndarray, length: np.ndarray,
@@ -160,7 +161,7 @@ class Slab:
         self.rows += fresh
         start = self.used + ends - room
         self.used += int(ends[-1])
-        at = self._span(start, length)
+        at = spans(start, length)
         self.ids[at] = ids
         self.weights[at] = weights
         cumsum_rows(self.weights, start, length, self.cum)
@@ -188,9 +189,7 @@ class Slab:
         self._reserve(0, int(ends[-1]))
         start = self.used + ends - wider
         length = self.length[rows]
-        self._move(
-            self._span(start, length), self._span(self.start[rows], length)
-        )
+        self._move(spans(start, length), spans(self.start[rows], length))
         self.used += int(ends[-1])
         self.garbage += int(room.sum())
         self.start[rows] = start
@@ -236,9 +235,7 @@ class Slab:
         length = self.length[live]
         ends = np.cumsum(room)
         start = ends - room
-        self._move(
-            self._span(start, length), self._span(self.start[live], length)
-        )
+        self._move(spans(start, length), spans(self.start[live], length))
         self.start[live] = start
         self.used = int(ends[-1]) if live.size else 0
         self.garbage = 0
@@ -385,7 +382,7 @@ class Slab:
         writes (the read image draws rows where they lie)."""
         rows = np.asarray(rows, dtype=np.int64)
         length = self.length[rows]
-        at = self._span(self.start[rows], length)
+        at = spans(self.start[rows], length)
         return self.ids.take(at), self.weights.take(at), length.tolist()
 
     def sample(
@@ -423,7 +420,7 @@ class Slab:
             leaf_nodes += ID_BYTES * edges
         elif live.size:
             ends = np.cumsum(length)
-            ids = self.ids.take(self._span(self.start[live], length))
+            ids = self.ids.take(spans(self.start[live], length))
             first = ends - length
             spread = np.bitwise_or.reduceat(
                 ids ^ np.repeat(ids[first], length), first
@@ -469,7 +466,7 @@ class Slab:
             room > self.capacity
         ).any():
             raise InvariantViolationError("slab: a row breaks 1 <= length <= room <= c")
-        at = self._span(self.start[rows], length)
+        at = spans(self.start[rows], length)
         ids, weights = self.ids.take(at), self.weights.take(at)
         cum = np.empty_like(weights)
         cumsum_rows(weights, np.cumsum(length) - length, length, cum)

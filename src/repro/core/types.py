@@ -182,8 +182,9 @@ def lexsort_rows(*keys: np.ndarray) -> np.ndarray:
 
 #: ``slots=True`` (3.10+) removes the per-instance ``__dict__`` from the
 #: per-op record type — millions of them are alive during a stream
-#: replay, so the dict header is the dominant overhead.
-_SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
+#: replay, so the dict header is the dominant overhead — and from the
+#: serving tier's per-request records.
+SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
 class OpKind(enum.Enum):
@@ -203,7 +204,7 @@ OP_INSERT, OP_UPDATE, OP_DELETE = 0, 1, 2
 OP_KIND_CODES = dict(zip(OpKind, (OP_INSERT, OP_UPDATE, OP_DELETE)))
 
 
-@dataclass(frozen=True, **_SLOTTED)
+@dataclass(frozen=True, **SLOTTED)
 class EdgeOp:
     """One dynamic-update operation against a topology store."""
 

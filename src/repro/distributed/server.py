@@ -251,7 +251,7 @@ class GraphServer:
             self._capture_image(sync_from)
         if self._checkpoint_topology is not None:
             self.store = load_store(
-                io.BytesIO(self._checkpoint_topology), self._fresh_store()
+                self._checkpoint_topology, self._fresh_store()
             )
         else:
             self.store = self._fresh_store()

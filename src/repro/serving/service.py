@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.snapshot import RNGLike, coerce_generator
-from repro.core.types import DEFAULT_ETYPE
+from repro.core.types import DEFAULT_ETYPE, SLOTTED
 from repro.errors import ConfigurationError
 from repro.gnn.models import GraphSAGE
 from repro.gnn.ops import l2_normalize
@@ -112,7 +112,7 @@ class ServiceStats(Stats):
         return self.answered_degraded / answered if answered else 0.0
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class Request:
     """One inference request; ``answer`` is set exactly once."""
 
@@ -124,7 +124,7 @@ class Request:
     answer: Optional["Answer"] = None
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class Answer:
     """Resolution of one request.
 

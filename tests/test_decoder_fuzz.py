@@ -19,15 +19,19 @@ from __future__ import annotations
 import io
 import os
 import random
+import struct
 import tempfile
+import zlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
+from repro.storage import checkpoint
 from repro.storage.checkpoint import load_store, save_store
 from repro.storage.wal import ShardWAL
 
@@ -174,3 +178,64 @@ def test_every_single_byte_of_a_section_is_covered():
             except ReproError:
                 continue
             raise AssertionError(f"damage at byte {i} loaded")
+
+
+# ---------------------------------------------------------------------------
+# structural garbage under a valid checksum
+# ---------------------------------------------------------------------------
+def _resealed(section: bytes, at: int, field: struct.Struct, value) -> bytes:
+    """``section`` with ``field`` at ``at`` set to ``value`` and the CRC-32
+    trailer recomputed over the damage: only the header walk's own bounds
+    stand between these bytes and a build."""
+    body = bytearray(section[:-4])
+    field.pack_into(body, at, value)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+_NSRC, _DEGREE = struct.Struct("<q"), struct.Struct("<I")
+_SECTION_HEADER, _RECORD_HEADER = 24, 20
+
+
+def _two_records() -> bytes:
+    store = DynamicGraphStore(SamtreeConfig(capacity=4))
+    store.add_edge(1, 10, 0.5)
+    for dst in range(6):  # a samtree beside the slab row
+        store.add_edge(2, dst, 1.0 + dst)
+    return _image(save_store, store)
+
+
+@pytest.mark.parametrize("where, field, value", [
+    # The last record's degree one past the section, and the first's at
+    # the field's top.
+    (_SECTION_HEADER + _RECORD_HEADER + 16 + _RECORD_HEADER - 4, _DEGREE, 7),
+    (_SECTION_HEADER + _RECORD_HEADER - 4, _DEGREE, 2**32 - 1),
+    # More records claimed than there are, far more, and fewer than none.
+    (16, _NSRC, 3),
+    (16, _NSRC, 2**63 - 1),
+    (16, _NSRC, -1),
+], ids=["degree-one-past", "degree-top", "nsrc-plus-one", "nsrc-max", "nsrc-negative"])
+def test_a_resealed_structural_lie_is_refused_before_a_build(where, field, value):
+    section = _two_records()
+    damaged = _resealed(section, where, field, value)
+    assert damaged != section
+    target = DynamicGraphStore(SamtreeConfig(capacity=4))
+    with pytest.raises(ConfigurationError):
+        load_store(io.BytesIO(damaged), target)
+    assert target.num_sources == 0 and len(target.directory) == 0
+    # The same edit, resealed to its own value, loads: the refusal is
+    # the walk's, not the checksum's.
+    intact = _resealed(section, where, field, field.unpack_from(section, where)[0])
+    assert intact == section and load_store(intact).num_edges == 7
+
+
+def test_a_resealed_bad_weight_in_a_later_chunk_builds_nothing(monkeypatch):
+    """Every column is checked before the first chunk is built: a
+    negative weight in the last record, one edge a chunk, leaves the
+    store empty, not holding the records before it."""
+    monkeypatch.setattr(checkpoint, "LOAD_CHUNK_EDGES", 1)
+    section = _two_records()
+    damaged = _resealed(section, len(section) - 4 - 8, struct.Struct("<d"), -1.0)
+    target = DynamicGraphStore(SamtreeConfig(capacity=4))
+    with pytest.raises(ConfigurationError):
+        load_store(io.BytesIO(damaged), target)
+    assert target.num_sources == 0 and len(target.directory) == 0
