@@ -211,33 +211,23 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         fault_seed=args.seed,
         retry=RetryPolicy(max_attempts=6) if fault_policy else None,
         tracer=tracer,
-        hot_set_capacity=256 if args.skew > 0 else 0,
     )
     n = args.vertices
     # Batched sampling rounds: uniform frontiers by default, a seeded
-    # power-law trace with ``--skew`` (which also enables the hot-set
-    # tracker, so the ``repro_hotset_*`` series carry real counts).
+    # power-law trace with ``--skew`` (its repeated sources show up as
+    # ``repro_cache_coalesced_sources``).
     sample_rng = np.random.default_rng(args.seed)
     requests = (
         RequestStream(n, exponent=args.skew, seed=args.seed)
         if args.skew > 0
         else None
     )
-    for round_idx in range(args.rounds):
+    for _ in range(args.rounds):
         if requests is not None:
             frontier = requests.batch(args.batch)
         else:
             frontier = [rng.randrange(n) for _ in range(args.batch)]
         cluster.client.sample_neighbors_many(frontier, args.k, sample_rng)
-        if (
-            args.hot_copies > 0
-            and requests is not None
-            and round_idx == args.rounds // 2
-        ):
-            # Mid-run, replicate the observed hot set like a production
-            # control loop would, so the tail of the run exercises
-            # replica spreading.
-            cluster.replicate_hot(top_n=8, copies=args.hot_copies)
     if args.format == "prometheus":
         _print_prometheus(cluster.registry)
     elif args.format == "json":
@@ -689,15 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--skew",
         type=float,
         default=0.0,
-        help="Zipf exponent for the sampling trace (0 = uniform; "
-        "> 0 also enables the hot-set tracker)",
-    )
-    p_obs.add_argument(
-        "--hot-copies",
-        type=int,
-        default=0,
-        help="with --skew, replicate the observed hot set to this many "
-        "extra shards mid-run",
+        help="Zipf exponent for the sampling trace (0 = uniform)",
     )
     p_obs.add_argument(
         "--fault-rate",

@@ -30,7 +30,7 @@ class RequestStream:
     """Seeded Zipf-skewed *sampling request* batches — the read-side
     counterpart of :class:`EdgeStream`.
 
-    Serving benchmarks, the hot-key tests, and ``repro obs --skew`` all
+    The serving scenarios, the chaos soak and ``repro obs --skew`` all
     need the same thing: a reproducible power-law trace of
     ``sample_neighbors_many`` frontiers over a known source universe.
     ``exponent`` is the Zipf skew ``s`` (0.6 ≈ mild, 0.99 ≈ classic web,
@@ -95,8 +95,8 @@ class RequestStream:
             yield self.batch(batch_size)
 
     def hot_sources(self, n: int) -> np.ndarray:
-        """The ``n`` most probable source IDs, hottest first (ground
-        truth for tracker-accuracy tests)."""
+        """The ``n`` most probable source IDs, hottest first (the keys
+        a flash crowd hammers)."""
         if n < 0:
             raise ConfigurationError(f"n must be >= 0, got {n}")
         top_ranks = np.argsort(-self._probs, kind="stable")[:n]

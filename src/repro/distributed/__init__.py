@@ -6,11 +6,6 @@ cluster harness.
 from repro.distributed.client import UNAVAILABLE, GraphClient, ServingStats
 from repro.distributed.cluster import LocalCluster, ShardInfo
 from repro.distributed.faults import FaultInjector, FaultPolicy, FaultStats
-from repro.distributed.hotset import (
-    HotReplicaDirectory,
-    HotSetStats,
-    HotSetTracker,
-)
 from repro.distributed.partition import (
     HashBySourcePartitioner,
     Partitioner,
@@ -29,9 +24,6 @@ __all__ = [
     "FaultInjector",
     "FaultPolicy",
     "FaultStats",
-    "HotReplicaDirectory",
-    "HotSetStats",
-    "HotSetTracker",
     "HashBySourcePartitioner",
     "Partitioner",
     "splitmix64",

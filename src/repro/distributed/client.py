@@ -52,7 +52,6 @@ from repro.core.types import (
     lexsort_rows,
     run_bounds,
 )
-from repro.distributed.hotset import HotReplicaDirectory, HotSetTracker
 from repro.distributed.partition import Partitioner
 from repro.distributed.retry import RetryPolicy
 from repro.distributed.rpc import NetworkModel
@@ -87,10 +86,8 @@ _FAILOVER_ERRORS = (ShardUnavailableError, RetryExhaustedError)
 class ServingStats(Stats):
     """Client-side serving counters (exported as ``repro_cache_*``).
 
-    Tracks the skew-aware serving layer: request coalescing (duplicate
-    in-flight sources within one ``sample_neighbors_many`` window are
-    shipped once per shard), hot-replica read spreading, and the
-    coherence write fan-out to hot copies.
+    Tracks request coalescing: duplicate in-flight sources within one
+    ``sample_neighbors_many`` window are shipped once per shard.
     """
 
     DERIVED = GAUGES = ("coalesce_rate",)
@@ -105,14 +102,6 @@ class ServingStats(Stats):
     shard_rpcs: int = 0
     #: Per-shard RPCs whose request carried multiplicities > 1.
     grouped_rpcs: int = 0
-    #: Reads routed through the hot-replica directory.
-    hot_reads: int = 0
-    #: Hot reads served by a non-primary copy.
-    spread_reads: int = 0
-    #: Extra write messages keeping hot copies coherent.
-    hot_write_ops: int = 0
-    #: Hot copies dropped because their coherence write failed.
-    hot_write_drops: int = 0
 
     @property
     def coalesce_rate(self) -> float:
@@ -131,8 +120,6 @@ class GraphClient(GraphStoreAPI):
         replica_groups: Optional[Sequence[Sequence[GraphServer]]] = None,
         retry: Optional[RetryPolicy] = None,
         degraded_reads: bool = False,
-        hot_replicas: Optional[HotReplicaDirectory] = None,
-        hot_tracker: Optional[HotSetTracker] = None,
     ) -> None:
         if len(servers) != partitioner.num_shards:
             raise PartitionError(
@@ -167,13 +154,6 @@ class GraphClient(GraphStoreAPI):
         self.degraded_reads = degraded_reads
         #: Telemetry hub; a cluster swaps in the one it shares.
         self.telemetry = Telemetry()
-        #: Hot-vertex read-replica directory (empty = no spreading).
-        self.hot_replicas = (
-            hot_replicas if hot_replicas is not None else HotReplicaDirectory()
-        )
-        #: Optional decayed top-k read-frequency tracker fed by the
-        #: batched sampling path (drives replication decisions).
-        self.hot_tracker = hot_tracker
         self.serving_stats = ServingStats()
         #: ``searchsorted`` probes cutting a shard-sorted frontier.
         self._shard_ids = np.arange(len(self.servers) + 1)
@@ -313,28 +293,6 @@ class GraphClient(GraphStoreAPI):
             span.set_tag("applied", applied)
             return result
 
-    def _route_read(self, src: int) -> int:
-        """Owning shard of a read, spread across hot replicas when the
-        source is in the hot directory (round-robin over its read set)."""
-        hot = self.hot_replicas
-        if hot:
-            group = hot.shards(src)
-            if group:
-                shard = hot.route(src)
-                stats = self.serving_stats
-                stats.hot_reads += 1
-                if shard != group[0]:
-                    stats.spread_reads += 1
-                return shard
-        return self.partitioner.shard_for(src)
-
-    def _hot_sources(self) -> np.ndarray:
-        """Every source in the hot-replica directory, as an array."""
-        hot = self.hot_replicas
-        return np.fromiter(
-            (src for src, _ in hot.items()), dtype=np.int64, count=len(hot)
-        )
-
     def _live_store(self, shard: int):
         """First live replica's store (control-plane introspection —
         no fault injection, no network charge)."""
@@ -346,56 +304,29 @@ class GraphClient(GraphStoreAPI):
     # ------------------------------------------------------------------
     # single-edge updates (each one message per replica)
     # ------------------------------------------------------------------
-    def _hot_write_extras(self, src: int, payload_bytes: int, fn) -> None:
-        """Mirror a write to every extra hot copy of ``src``.
-
-        Hot read replicas are only safe to sample from while they are
-        byte-coherent with the primary, so every write path fans out to
-        the extra shards of a replicated source.  A copy whose
-        coherence write fails is dropped from the read set (reads stop
-        spreading there) instead of being served stale.
-        """
-        hot = self.hot_replicas
-        if not hot or src not in hot:
-            return
-        primary = self.partitioner.shard_for(src)
-        for shard in hot.extras(src, primary):
-            try:
-                self._write_shard(shard, payload_bytes, fn)
-                self.serving_stats.hot_write_ops += 1
-            except _FAILOVER_ERRORS:
-                hot.drop_shard(src, shard)
-                self.serving_stats.hot_write_drops += 1
-
     # One ``apply_op`` call per writer: a methodcaller runs no frame.
     def add_edge(self, src: int, dst: int, weight: float = 1.0,
                  etype: int = DEFAULT_ETYPE) -> bool:
         write = methodcaller("apply_op", OP_INSERT, src, dst, weight, etype)
-        done = self._write_shard(
+        return self._write_shard(
             self.partitioner.shard_for(src), _OP_BYTES, write
         )
-        self._hot_write_extras(src, _OP_BYTES, write)
-        return done
 
     def update_edge(
         self, src: int, dst: int, weight: float, etype: int = DEFAULT_ETYPE
     ) -> bool:
         write = methodcaller("apply_op", OP_UPDATE, src, dst, weight, etype)
-        done = self._write_shard(
+        return self._write_shard(
             self.partitioner.shard_for(src), _OP_BYTES, write
         )
-        self._hot_write_extras(src, _OP_BYTES, write)
-        return done
 
     def remove_edge(
         self, src: int, dst: int, etype: int = DEFAULT_ETYPE
     ) -> bool:
         write = methodcaller("apply_op", OP_DELETE, src, dst, 0.0, etype)
-        done = self._write_shard(
+        return self._write_shard(
             self.partitioner.shard_for(src), _OP_BYTES, write
         )
-        self._hot_write_extras(src, _OP_BYTES, write)
-        return done
 
     # ------------------------------------------------------------------
     # batched updates (one message per shard per replica)
@@ -419,32 +350,7 @@ class GraphClient(GraphStoreAPI):
                 )
                 for (i, _), result in zip(indexed, results):
                     outcomes[i] = result
-            self._hot_batch_extras(ops)
             return outcomes
-
-    def _hot_batch_extras(self, ops: Sequence[EdgeOp]) -> None:
-        """Mirror the hot-source subset of an op batch to extra copies."""
-        hot = self.hot_replicas
-        if not hot:
-            return
-        per_extra: Dict[int, List[EdgeOp]] = defaultdict(list)
-        for op in ops:
-            if op.src in hot:
-                primary = self.partitioner.shard_for(op.src)
-                for shard in hot.extras(op.src, primary):
-                    per_extra[shard].append(op)
-        for shard, shard_ops in per_extra.items():
-            try:
-                self._write_shard(
-                    shard,
-                    _OP_BYTES * len(shard_ops),
-                    lambda s, shard_ops=shard_ops: s.apply_ops(shard_ops),
-                )
-                self.serving_stats.hot_write_ops += 1
-            except _FAILOVER_ERRORS:
-                for op in shard_ops:
-                    hot.drop_shard(op.src, shard)
-                self.serving_stats.hot_write_drops += 1
 
     # ------------------------------------------------------------------
     # columnar bulk ingestion (one columnar message per shard per replica)
@@ -484,36 +390,7 @@ class GraphClient(GraphStoreAPI):
                     lambda s, sub=sub: s.ingest_batch(sub),
                 )
                 stats.merge_from(shard_stats)
-            if self.hot_replicas:
-                mask = np.isin(batch.src, self._hot_sources())
-                if mask.any():
-                    self._hot_columnar_extras(batch.select(
-                        np.flatnonzero(mask)
-                    ))
             return stats
-
-    def _hot_columnar_extras(self, hot_batch: EdgeBatch) -> None:
-        """Mirror the hot-source rows of a columnar batch to extra copies."""
-        hot = self.hot_replicas
-        primaries = self.partitioner.shards_for_array(hot_batch.src)
-        per_extra: Dict[int, List[int]] = defaultdict(list)
-        src_col = hot_batch.src.tolist()
-        for row, (src, primary) in enumerate(zip(src_col, primaries.tolist())):
-            for shard in hot.extras(src, primary):
-                per_extra[shard].append(row)
-        for shard, rows in per_extra.items():
-            sub = hot_batch.select(np.asarray(rows, dtype=np.int64))
-            try:
-                self._write_shard(
-                    shard,
-                    sub.payload_nbytes(),
-                    lambda s, sub=sub: s.ingest_batch(sub),
-                )
-                self.serving_stats.hot_write_ops += 1
-            except _FAILOVER_ERRORS:
-                for src in set(sub.src.tolist()):
-                    hot.drop_shard(src, shard)
-                self.serving_stats.hot_write_drops += 1
 
     # ------------------------------------------------------------------
     # queries (failover reads; may return UNAVAILABLE in degraded mode)
@@ -544,62 +421,23 @@ class GraphClient(GraphStoreAPI):
             lambda s: s.neighbors_batch([src], etype)[0],
         )
 
-    def _hot_copy_overcount(self) -> Tuple[int, int]:
-        """(edges, sources) counted more than once because of hot copies.
-
-        Hot-replicated adjacencies exist verbatim on every extra shard
-        (write-coherent), so naive per-shard sums overcount; subtracting
-        the extra copies keeps the logical totals stable whether or not
-        replication is active.
-        """
-        extra_edges = 0
-        extra_sources = 0
-        for src, group in self.hot_replicas.items():
-            for shard in group[1:]:
-                store = self._live_store(shard)
-                etypes = getattr(
-                    store, "etypes", lambda: [DEFAULT_ETYPE]
-                )()
-                degrees = [store.degree(src, et) for et in etypes]
-                extra_edges += sum(degrees)
-                # One (etype, src) key per relation the copy holds.
-                extra_sources += sum(d > 0 for d in degrees)
-        return extra_edges, extra_sources
-
     @property
     def num_edges(self) -> int:
-        total = sum(
+        return sum(
             self._live_store(shard).num_edges
             for shard in range(len(self.replica_groups))
         )
-        if self.hot_replicas:
-            total -= self._hot_copy_overcount()[0]
-        return total
 
     @property
     def num_sources(self) -> int:
-        total = sum(
+        return sum(
             self._live_store(shard).num_sources
             for shard in range(len(self.replica_groups))
         )
-        if self.hot_replicas:
-            total -= self._hot_copy_overcount()[1]
-        return total
 
     def sources(self, etype: int = DEFAULT_ETYPE) -> Iterator[int]:
-        replicated = (
-            {src for src, _ in self.hot_replicas.items()}
-            if self.hot_replicas
-            else ()
-        )
-        emitted: set = set()
         for shard in range(len(self.replica_groups)):
-            for src in self._live_store(shard).sources(etype):
-                if src in replicated:
-                    if src in emitted:
-                        continue
-                    emitted.add(src)
-                yield src
+            yield from self._live_store(shard).sources(etype)
 
     # ------------------------------------------------------------------
     # sampling (one message per shard per batch)
@@ -614,30 +452,12 @@ class GraphClient(GraphStoreAPI):
         """Scalar read: the ``n = 1`` case of the one server endpoint."""
         if k < 0:
             raise ConfigurationError(f"sample count must be >= 0, got {k}")
-        if self.hot_tracker is not None:
-            self.hot_tracker.observe(int(src))
         block = self._read_shard(
-            self._route_read(src),
+            self.partitioner.shard_for(src),
             _SAMPLE_REQ_BYTES + k * _SAMPLE_RESP_BYTES,
             lambda s: s.sample_neighbors_many([src], k, rng, etype),
         )
         return block if block is UNAVAILABLE else block.rows()[0]
-
-    def _route_frontier(self, srcs: np.ndarray) -> np.ndarray:
-        """Owning shard of every frontier row: one vectorized hash pass,
-        then each *distinct* hot source present takes one rotation step
-        of its replica set (all its rows follow it)."""
-        shards = self.partitioner.shards_for_array(srcs)
-        if self.hot_replicas:
-            rows = np.flatnonzero(np.isin(srcs, self._hot_sources()))
-            if rows.size:
-                present = np.unique(srcs[rows])
-                routed = np.asarray(
-                    [self._route_read(src) for src in present.tolist()],
-                    dtype=np.int64,
-                )
-                shards[rows] = routed[np.searchsorted(present, srcs[rows])]
-        return shards
 
     def sample_neighbors_many(
         self,
@@ -662,20 +482,13 @@ class GraphClient(GraphStoreAPI):
         unavailable shard come back ``state == UNAVAILABLE`` when
         degraded reads are enabled.
 
-        Skew-aware extras (all no-ops in the default idle state):
-
-        * duplicate in-flight sources are **coalesced** — a shard is
-          sent its distinct sources plus multiplicities and expands
-          them locally, so every occurrence still receives its own
-          independent draws;
-        * sources in the **hot-replica directory** rotate across their
-          replica set (all copies are write-coherent);
-        * the **hot tracker** observes every distinct source with its
-          window multiplicity.
+        Duplicate in-flight sources are **coalesced**: a shard is sent
+        its distinct sources plus multiplicities and expands them
+        locally, so every occurrence still receives its own independent
+        draws.
 
         A negative ``k``, or a ``counts`` that is not one non-negative
-        count per source, raises before any counter, tracker or network
-        charge.
+        count per source, raises before any counter or network charge.
         """
         if k < 0:
             raise ConfigurationError(f"fanout must be >= 0, got {k}")
@@ -690,7 +503,7 @@ class GraphClient(GraphStoreAPI):
         stats = self.serving_stats
         stats.batches += 1
         stats.sources += n
-        shards = self._route_frontier(srcs)
+        shards = self.partitioner.shards_for_array(srcs)
         order = lexsort_rows(shards, srcs)
         srcs = srcs[order]
         bounds = run_bounds(srcs)
@@ -698,10 +511,6 @@ class GraphClient(GraphStoreAPI):
         distinct = srcs[starts]
         multiplicity = bounds[1:] - starts
         stats.distinct_sources += distinct.size
-        if self.hot_tracker is not None:
-            self.hot_tracker.observe_counts(
-                zip(distinct.tolist(), multiplicity.tolist())
-            )
         # Distinct sources are shard-sorted: shard ``s`` owns
         # ``distinct[cuts[s]:cuts[s + 1]]``, i.e. sorted rows
         # ``row_cuts[s]:row_cuts[s + 1]``.

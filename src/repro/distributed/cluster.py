@@ -24,17 +24,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.ingest import EdgeBatch
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import SamtreeConfig
-from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
+from repro.core.types import GraphStoreAPI
 from repro.distributed.client import GraphClient
 from repro.distributed.faults import FaultInjector, FaultPolicy
-from repro.distributed.hotset import HotSetTracker
 from repro.distributed.partition import HashBySourcePartitioner, Partitioner
 from repro.distributed.retry import RetryPolicy
 from repro.distributed.rpc import NetworkModel
@@ -69,8 +65,7 @@ _STORE_HOLDERS = (
 
 # Read-outs no holder field carries, one table per owner
 # (:meth:`LocalCluster._register_views`): ``(name, read(owner), help,
-# kind)`` — the attached monitor's and flight recorder's own health, and
-# the hot-set tracker's size.
+# kind)`` — the attached monitor's and flight recorder's own health.
 _MONITOR_VIEWS = (
     ("repro_monitor_scrapes_total", lambda m: m.store.scrapes,
      "Registry scrapes taken by the attached monitor", "counter"),
@@ -97,10 +92,6 @@ _RECORDER_VIEWS = (
     ("repro_recorder_categories", lambda r: len(r.categories),
      "Event categories carried by the flight recorder", "gauge"),
 )
-_HOTSET_VIEWS = (
-    ("repro_hotset_tracked", len,
-     "Sources currently tracked by the hot-set sketch", "gauge"),
-)
 
 
 def _via(owner, *path):
@@ -114,13 +105,6 @@ def _via(owner, *path):
         return obj
 
     return get
-
-
-def read_adjacency(store, src: int) -> Dict[int, List[Tuple[int, float]]]:
-    """One source's full adjacency off one store, per etype — what
-    :meth:`LocalCluster.ship_adjacency` ships."""
-    etypes = getattr(store, "etypes", lambda: [DEFAULT_ETYPE])()
-    return {etype: store.neighbors(src, etype) for etype in list(etypes)}
 
 
 class LocalCluster:
@@ -161,10 +145,6 @@ class LocalCluster:
         Optional :class:`~repro.obs.trace.Tracer` for the cluster's
         :class:`~repro.obs.telemetry.Telemetry` hub, producing
         client→RPC→server span trees.
-    hot_set_capacity:
-        When > 0, attach a :class:`HotSetTracker` of that capacity to
-        the client's batched read path (decayed SpaceSaving top-k of
-        source read traffic) — the input of :meth:`replicate_hot`.
     """
 
     def __init__(
@@ -182,7 +162,6 @@ class LocalCluster:
         retry: Optional[RetryPolicy] = None,
         degraded_reads: bool = False,
         tracer=None,
-        hot_set_capacity: int = 0,
     ) -> None:
         if num_servers < 1:
             raise ConfigurationError(
@@ -241,13 +220,6 @@ class LocalCluster:
             self.replica_groups.append(group)
         self.servers: List[GraphServer] = [g[0] for g in self.replica_groups]
         self.network = network
-        #: Decayed top-k read-frequency tracker (``hot_set_capacity=0``
-        #: disables tracking — and with it ``replicate_hot``).
-        self.hot_tracker: Optional[HotSetTracker] = (
-            HotSetTracker(hot_set_capacity)
-            if hot_set_capacity > 0
-            else None
-        )
         self.client = GraphClient(
             self.servers,
             self.partitioner,
@@ -255,7 +227,6 @@ class LocalCluster:
             replica_groups=self.replica_groups,
             retry=retry,
             degraded_reads=degraded_reads,
-            hot_tracker=self.hot_tracker,
         )
         for part in (
             self.fault_injector,
@@ -265,7 +236,6 @@ class LocalCluster:
         ):
             if part is not None:
                 part.telemetry = self.telemetry
-        self.hot_replicas = self.client.hot_replicas
         #: Every layer's stats holder as live ``repro_*`` series
         #: (DESIGN.md §11).
         self.registry = MetricsRegistry()
@@ -275,8 +245,6 @@ class LocalCluster:
         for prefix, holder, labels in self._holder_table():
             if self.registry.watch(prefix, holder, **labels):
                 self._holders.append(holder)
-        if self.hot_tracker is not None:
-            self._register_views(_HOTSET_VIEWS, "hot_tracker")
         #: Continuous-monitoring loop over this cluster's registry
         #: (:meth:`attach_monitor`); ``None`` until attached.
         self.monitor = None
@@ -306,7 +274,6 @@ class LocalCluster:
         yield "repro_faults", _via(self, "fault_injector", "stats"), {}
         yield "repro_retry", _via(self, "retry", "stats"), {}
         yield "repro_cache", _via(self, "client", "serving_stats"), {}
-        yield "repro_hotset", _via(self, "hot_tracker", "stats"), {}
         for shard, group in enumerate(self.replica_groups):
             for r, server in enumerate(group):
                 labels = {"shard": str(shard), "replica": str(r)}
@@ -390,109 +357,6 @@ class LocalCluster:
                 if server.alive:
                     compiled += server.freeze(etype)
         return compiled
-
-    # ------------------------------------------------------------------
-    # hot-vertex read replication (load, not fault-tolerance)
-    # ------------------------------------------------------------------
-    def replicate_hot(
-        self,
-        top_n: int = 8,
-        copies: int = 1,
-        min_count: int = 1,
-    ) -> List[Tuple[int, List[int]]]:
-        """Replicate the tracker's hottest sources to extra shards.
-
-        For each of the ``top_n`` hottest tracked sources (with decayed
-        count >= ``min_count``), copies its full adjacency to the
-        ``copies`` least-sampled shards that do not already hold it —
-        through the columnar ingest path via the client, so WALs and
-        fault-tolerance replica groups stay consistent — then installs
-        the source's read set in the hot-replica directory.  Reads
-        rotate across the set from the next batch on; writes fan out to
-        every copy (see :meth:`GraphClient._hot_write_extras`).
-
-        Returns ``(src, read_set)`` pairs actually installed.  Requires
-        ``hot_set_capacity > 0`` at construction.
-        """
-        if self.hot_tracker is None:
-            raise ConfigurationError(
-                "replicate_hot requires hot_set_capacity > 0"
-            )
-        if copies < 1:
-            raise ConfigurationError(f"copies must be >= 1, got {copies}")
-        num_shards = len(self.servers)
-        if num_shards < 2:
-            return []
-        directory = self.client.hot_replicas
-        installed: List[Tuple[int, List[int]]] = []
-        # Projected per-shard load: seeded from measured sampling
-        # traffic, then updated as each hot source's read set is placed —
-        # otherwise every hot source would pick the SAME least-loaded
-        # shards and simply mint new hot spots.
-        projected = [
-            float(server.stats.sample_sources) for server in self.servers
-        ]
-        for entry in self.hot_tracker.top(top_n):
-            if entry.count < min_count:
-                continue
-            src = entry.src
-            primary = self.partitioner.shard_for(src)
-            current = directory.shards(src) or [primary]
-            wanted = min(copies, num_shards - 1) - (len(current) - 1)
-            if wanted <= 0:
-                installed.append((src, list(current)))
-                continue
-            # Cheapest targets first: least projected sampling traffic.
-            targets = sorted(
-                (s for s in range(num_shards) if s not in current),
-                key=lambda s: projected[s],
-            )[:wanted]
-            read_set = list(current)
-            adjacency = read_adjacency(self.client._live_store(primary), src)
-            for shard in targets:
-                try:
-                    if self.ship_adjacency(shard, src, adjacency):
-                        read_set.append(shard)
-                except Exception:
-                    pass  # an unreachable target just gets no copy
-            if len(read_set) > 1:
-                directory.set_replicas(src, read_set)
-                installed.append((src, read_set))
-                # Round-robin reads split this source's traffic evenly
-                # across the read set from now on.
-                share = entry.count / len(read_set)
-                projected[primary] -= entry.count - share
-                for shard in read_set:
-                    if shard != primary:
-                        projected[shard] += share
-        return installed
-
-    def ship_adjacency(
-        self,
-        shard: int,
-        src: int,
-        adjacency: Dict[int, List[Tuple[int, float]]],
-    ) -> int:
-        """Ship one source's adjacency (as :func:`read_adjacency` returns
-        it) to ``shard``: one columnar insert batch per etype through the
-        client write path — WAL-covered, replica-group coherent; returns
-        rows shipped."""
-        rows = 0
-        for etype, edges in adjacency.items():
-            if not edges:
-                continue
-            dsts = np.asarray([d for d, _ in edges], dtype=np.int64)
-            weights = np.asarray([w for _, w in edges], dtype=np.float64)
-            batch = EdgeBatch(
-                np.full(dsts.size, src, dtype=np.int64), dsts, weights, etype
-            )
-            self.client._write_shard(
-                shard,
-                batch.payload_nbytes(),
-                lambda s, b=batch: s.ingest_batch(b),
-            )
-            rows += dsts.size
-        return rows
 
     def dead_replicas(self) -> List[Tuple[int, int]]:
         """``(shard, replica)`` pairs currently down."""

@@ -167,15 +167,12 @@ class DoctorReport:
         self.alias_served = 0
         self.alias_missed = 0
         #: Cluster-scope serving readout: the client's ``ServingStats``
-        #: dict (coalesce rate, hot reads, ...) — ``None`` at store scope.
+        #: dict (batches, coalesce rate, ...) — ``None`` at store scope.
         self.serving: Optional[Dict[str, object]] = None
         #: Online inference tier readout (``ServiceStats.to_dict`` of the
         #: cluster's attached ``InferenceService``) — ``None`` when no
         #: service is attached or at store scope.
         self.inference: Optional[Dict[str, float]] = None
-        #: Hot-set top-k entries ``(src, count, error)``, hottest first.
-        self.hot_top: List[Tuple[int, int, int]] = []
-        self.hot_observations = 0
         self.components: Dict[str, int] = {}
         self.num_shards_seen = 0  #: live primaries walked (cluster scope)
 
@@ -352,13 +349,6 @@ class DoctorReport:
             },
             "serving": self.serving,
             "inference": self.inference,
-            "hot_set": {
-                "observations": self.hot_observations,
-                "top": [
-                    {"src": src, "count": count, "error": error}
-                    for src, count, error in self.hot_top
-                ],
-            },
             "memory": {
                 "components": dict(sorted(self.components.items())),
                 "total_bytes": self.total_bytes,
@@ -459,9 +449,7 @@ class DoctorReport:
                 "  serving: "
                 f"batches={int(s.get('batches', 0))} "
                 f"sources={int(s.get('sources', 0))} "
-                f"coalesce_rate={float(s.get('coalesce_rate', 0.0)):.2f} "
-                f"hot_reads={int(s.get('hot_reads', 0))} "
-                f"spread_reads={int(s.get('spread_reads', 0))}"
+                f"coalesce_rate={float(s.get('coalesce_rate', 0.0)):.2f}"
             )
         if self.inference is not None:
             i = self.inference
@@ -475,17 +463,6 @@ class DoctorReport:
                 f"missed={int(i.get('deadline_missed', 0))} "
                 f"availability={float(i.get('availability', 1.0)):.2%}"
             )
-        if self.hot_top:
-            lines.append(
-                f"  hot set (top {len(self.hot_top)} of "
-                f"{self.hot_observations} observed reads):"
-            )
-            total = self.hot_observations or 1
-            for src, count, error in self.hot_top:
-                lines.append(
-                    f"    src={src:<12} count={count:<8} "
-                    f"(±{error}) {100.0 * count / total:5.1f}%"
-                )
         lines.append("  memory breakdown:")
         total = self.total_bytes or 1
         for name, nbytes in sorted(
@@ -626,13 +603,6 @@ def diagnose_cluster(
     inference = getattr(cluster, "inference_service", None)
     if inference is not None:
         report.inference = inference.stats.to_dict()
-    tracker = getattr(cluster, "hot_tracker", None)
-    if tracker is not None:
-        report.hot_observations = tracker.stats.observations
-        report.hot_top = [
-            (int(e.src), int(e.count), int(e.error))
-            for e in tracker.top(10)
-        ]
     return report
 
 

@@ -16,8 +16,6 @@ Categories (fixed; see :data:`DEFAULT_CATEGORIES`):
 * ``fault``     — injected faults, policy swaps, crashes, recoveries;
 * ``retry``     — transient failures, exhaustions, deadline aborts;
 * ``wal``       — WAL appends and checkpoints;
-* ``replica``   — hot-replica changes (no hook emits one today; the
-  ring stays so recorded bundles keep their shape);
 * ``alert``     — alert lifecycle transitions (the cluster's hub
   forwards its monitor's alerts to :meth:`FlightRecorder.record_alert`);
 * ``chaos``     — scenario-level chaos events with their seeds.
@@ -52,7 +50,6 @@ DEFAULT_CATEGORIES = (
     "fault",
     "retry",
     "wal",
-    "replica",
     "alert",
     "chaos",
 )

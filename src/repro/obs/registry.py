@@ -19,7 +19,7 @@ Three kinds of entries coexist:
   asks;
 * **views** — one callback per series
   (:meth:`MetricsRegistry.register_view`), for a read-out no holder
-  field carries (a monitor's scrape count, a tracker's size).
+  field carries (a monitor's scrape count, a breaker's trips).
 
 Metric identity is ``(name, sorted labels)``; names follow the
 ``repro_<subsystem>_<metric>`` scheme (see DESIGN.md §11) and must match

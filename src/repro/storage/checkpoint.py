@@ -176,6 +176,8 @@ def load_store(source: Union[str, bytes, BinaryIO], store=None):
         )
     except ValueError as exc:  # checksummed garbage
         raise ConfigurationError(f"corrupt snapshot: {exc}") from None
+    # One directory rebuild for every key, not one per chunk that grows it.
+    store.directory.reserve(len(store.directory) + nsrc)
     b = 0
     for run in chunked(degrees.tolist(), int, LOAD_CHUNK_EDGES):
         a, b = b, b + sum(run)

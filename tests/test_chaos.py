@@ -326,12 +326,11 @@ class TestChaosSoak:
             primary.store.check_invariants()
             backup.store.check_invariants()
 
-    def test_hot_replication_soak_under_faults(self, tmp_path):
-        """A mid-soak control-plane action under fault injection: the
-        hot-set tracker drives ``replicate_hot`` while transient faults,
-        latency spikes, and an explicit crash schedule run — afterwards
-        the cluster still equals the fault-free reference and weighted
-        sampling is chi-square-equivalent."""
+    def test_power_law_soak_under_faults(self, tmp_path):
+        """Power-law reads beside churn under fault injection: transient
+        faults, latency spikes and an explicit crash schedule run —
+        afterwards the cluster still equals the fault-free reference and
+        weighted sampling is chi-square-equivalent."""
         from repro.datasets.stream import RequestStream
 
         rng = random.Random(20240808)
@@ -350,16 +349,14 @@ class TestChaosSoak:
             ),
             fault_seed=41,
             retry=retry,
-            hot_set_capacity=64,
         )
         reference = DynamicGraphStore(config)
-        # Power-law read traffic, so the tracker has a real hot head to
-        # replicate.
+        # Power-law read traffic: a hot head of sources repeats in
+        # every frontier.
         requests = RequestStream(_NSRC, exponent=1.2, seed=5)
         sample_rng = np.random.default_rng(8)
 
         steps = 24
-        replicated = False
         for step in range(steps):
             batch = _churn_batch(rng, 70)
             reference.apply_edge_batch(batch)
@@ -371,13 +368,6 @@ class TestChaosSoak:
             if step % 6 == 5:
                 cluster.crash_shard(step // 6 % num_servers)
                 cluster.recover_all(sync=True)
-            if step == steps // 3:
-                installed = cluster.replicate_hot(
-                    top_n=4, copies=1, min_count=1
-                )
-                replicated = bool(installed)
-
-        assert replicated, "tracker never produced a hot set to replicate"
 
         cluster.recover_all(sync=True)
         assert not cluster.dead_replicas()
@@ -390,7 +380,7 @@ class TestChaosSoak:
                 if server.store is not None:
                     server.store.check_invariants()
         # The chaos actually happened: faults were injected and the
-        # control-plane work rode through retries.
+        # reads and writes rode through retries.
         stats = cluster.fault_injector.stats
         assert stats.transient_errors > 0
         assert retry.stats.recoveries > 0

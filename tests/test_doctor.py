@@ -296,7 +296,7 @@ class TestDoctorExport:
         assert cli_main(["doctor", "--format", "prometheus"]) == 0
         text = capsys.readouterr().out
         self._assert_every_leaf_is_one_sample(payload, text)
-        assert len(_exposition_samples(text)) == 92
+        assert len(_exposition_samples(text)) == 87
         assert 'repro_doctor_depth_histogram{key="2"}' in text
         assert 'repro_doctor_fill_bins{index="9"}' in text
         assert "repro_doctor_serving_coalesce_rate" in text

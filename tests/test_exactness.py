@@ -2,7 +2,7 @@
 
 The leaf keeps its weights in a column beside the Fenwick index, so every
 reader — ``neighbors``, ``edge_weight``, the flattening paths, checkpoint,
-WAL replay, hot copies — returns the float that was stored,
+WAL replay, peer state transfer — returns the float that was stored,
 bit for bit.  Every comparison here is ``==`` against a dict model; none
 uses a tolerance.
 """
@@ -241,24 +241,3 @@ def test_recover_by_peer_state_transfer_is_exact():
         primary, backup = cluster.replica_groups[shard]
         assert _adjacency(backup.store) == churn.owned_by(cluster, shard)
         assert _adjacency(primary.store) == _adjacency(backup.store)
-
-
-def test_hot_copies_are_exact():
-    churn = _Churn(seed=5, sources=6, dsts=200)
-    cluster = LocalCluster(
-        num_servers=3, config=SamtreeConfig(capacity=4), hot_set_capacity=8
-    )
-    cluster.client.apply_edge_batch(churn.batch(1500))
-    gen = np.random.default_rng(0)
-    for _ in range(10):
-        cluster.client.sample_neighbors_many([0, 0, 0, 1, 1, 2], 2, gen)
-    installed = cluster.replicate_hot(top_n=3, copies=2)
-    assert installed
-    for src, read_set in installed:
-        assert len(read_set) == 3
-        for shard in read_set:
-            store = cluster.servers[shard].store
-            for etype in (0, 1):
-                assert dict(store.neighbors(src, etype)) == churn.model.get(
-                    (etype, src), {}
-                )

@@ -3,7 +3,7 @@
 
 Covers the bounded event rings (wrap, eviction accounting, oldest-first
 iteration), the recorder's per-layer hooks (admission, breaker, fault,
-retry, WAL, replica, alert, chaos), the RPC error context
+retry, WAL, alert, chaos), the RPC error context
 satellite, the incident manager's trigger paths (alert with per-rule
 cooldown, manual, exception guard), bundle (de)serialization, and the
 CLI surfaces.
@@ -493,23 +493,26 @@ class TestIncidentEndToEnd:
         self, captured_incident
     ):
         """A bundle carrying a category the recorder no longer has (as
-        ``migration`` in bundles recorded before it was retired)
-        replays as a match while that ring is empty with nothing
-        dropped, and diverges once it holds an event."""
+        ``migration`` or ``replica`` in bundles recorded before each was
+        retired) replays as a match while that ring is empty with
+        nothing dropped, and diverges once it holds an event."""
         original = captured_incident["manager"].incidents[0]
-        old = copy.deepcopy(json.loads(json.dumps(original, sort_keys=True)))
-        ring = {"capacity": 1024, "total": 0, "dropped": 0, "events": []}
-        old["events"]["categories"]["migration"] = ring
-        result = replay_bundle(old)
-        assert result.converged, result.mismatches
+        for category in ("migration", "replica"):
+            old = copy.deepcopy(
+                json.loads(json.dumps(original, sort_keys=True))
+            )
+            ring = {"capacity": 1024, "total": 0, "dropped": 0, "events": []}
+            old["events"]["categories"][category] = ring
+            result = replay_bundle(old)
+            assert result.converged, (category, result.mismatches)
 
-        ring["events"].append({"t": 0.0, "kind": "cutover", "src": 1})
-        ring["total"] = 1
-        result = replay_bundle(old)
-        assert not result.converged
-        assert result.mismatches == [
-            "events[migration]: present in only one run"
-        ]
+            ring["events"].append({"t": 0.0, "kind": "cutover", "src": 1})
+            ring["total"] = 1
+            result = replay_bundle(old)
+            assert not result.converged
+            assert result.mismatches == [
+                f"events[{category}]: present in only one run"
+            ]
 
     def test_bundle_without_spec_refuses_replay(self, captured_incident):
         orphan = copy.deepcopy(captured_incident["manager"].incidents[0])

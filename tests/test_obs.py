@@ -331,7 +331,6 @@ def _stats_classes():
     from repro.core.snapshot import SnapshotCacheStats
     from repro.distributed.client import ServingStats
     from repro.distributed.faults import FaultStats
-    from repro.distributed.hotset import HotSetStats
     from repro.distributed.retry import RetryStats
     from repro.distributed.rpc import NetworkStats
     from repro.distributed.server import ServerStats
@@ -339,8 +338,7 @@ def _stats_classes():
 
     return [
         OpStats, IngestStats, SnapshotCacheStats, FrozenStats, ServerStats,
-        ServingStats, NetworkStats, RetryStats, FaultStats, HotSetStats,
-        ServiceStats,
+        ServingStats, NetworkStats, RetryStats, FaultStats, ServiceStats,
     ]
 
 

@@ -40,6 +40,7 @@ from repro.distributed.server import GraphServer
 from repro.errors import ConfigurationError
 from repro.storage import checkpoint
 from repro.storage.checkpoint import LOAD_CHUNK_EDGES, load_store, save_store
+from repro.storage.cuckoo import CuckooHashMap
 from repro.storage.wal import ShardWAL
 
 from tests.conftest import DescentStore, stores_equal
@@ -134,6 +135,27 @@ class TestChunkedLoad:
                 taken += degrees[at]
                 at += 1
             assert taken == n and n + degrees[at] > 25
+
+    def test_the_directory_is_rebuilt_once_for_all_chunks(self):
+        """The load sizes the directory for every record up front: one
+        rebuild, however many chunks grow the store's key count."""
+        rng = np.random.default_rng(5)
+        src = np.repeat(np.arange(3000, dtype=np.int64), 2)
+        original = DynamicGraphStore(CONFIG)
+        original.bulk_load(src, rng.integers(0, 1 << 20, src.size), 1.0)
+        rebuilds = []
+        rebuild = CuckooHashMap._rebuild
+
+        def spy(self, *args):
+            rebuilds.append(args[0])
+            return rebuild(self, *args)
+
+        with mock.patch.object(checkpoint, "LOAD_CHUNK_EDGES", 500), \
+                mock.patch.object(CuckooHashMap, "_rebuild", spy):
+            loaded = load_store(io.BytesIO(_image(original)))
+        assert stores_equal(original, loaded)
+        assert len(rebuilds) == 1, rebuilds
+        assert loaded.directory._num_buckets == rebuilds[0]
 
     def test_builds_into_the_store_it_is_given(self):
         original = _random_store(3)

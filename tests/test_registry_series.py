@@ -1,8 +1,8 @@
 """The cluster registry's exported series inventory.
 
 One cluster carries every ``repro_*`` family at once: replicated,
-durable shards, a fault injector, a retry policy, a hot-set tracker, a
-network model, an inference service, a monitor and a flight recorder.
+durable shards, a fault injector, a retry policy, a network model, an
+inference service, a monitor and a flight recorder.
 After a seeded round of churn, sampling and serving, the sorted
 ``(name, labels, kind)`` set of ``registry.snapshot()`` must equal the
 recorded ``tests/data/registry_series.json`` — with every replica up,
@@ -73,7 +73,6 @@ def build_rig():
         network=network,
         fault_policy=FaultPolicy(),
         retry=RetryPolicy(seed=0),
-        hot_set_capacity=16,
     )
     rng = np.random.default_rng(0)
     srcs = np.repeat(np.arange(NUM_SOURCES, dtype=np.int64), 4)
@@ -134,7 +133,6 @@ def holder_expectations(cluster, service):
     expect("repro_faults", cluster.fault_injector.stats)
     expect("repro_retry", cluster.retry.stats)
     expect("repro_cache", cluster.client.serving_stats)
-    expect("repro_hotset", cluster.hot_tracker.stats)
     expect("repro_serving", service.stats)
     for shard, group in enumerate(cluster.replica_groups):
         for r, server in enumerate(group):

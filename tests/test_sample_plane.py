@@ -13,7 +13,7 @@ answers ``sample_neighbors_many`` with the same dense ``ids[n, k]`` +
   raises, and the samplers pad or drop them;
 * no per-vertex Python on the frozen client path (a deterministic call
   count, not a timing);
-* the ledgers: messages, request accounting, coalescing, hot rotation.
+* the ledgers: messages, request accounting, coalescing.
 """
 
 from __future__ import annotations
@@ -96,29 +96,14 @@ def _client(frozen=False, **kwargs):
     return cluster
 
 
-def _hot_client():
-    cluster = LocalCluster(
-        num_servers=4, hot_set_capacity=64, network=NetworkModel()
-    )
-    _load(cluster.client)
-    for _ in range(3):
-        cluster.client.sample_neighbors_many([1, 1, 1, 2, 2, 3] + KNOWN, 2, 0)
-    installed = cluster.replicate_hot(top_n=3, copies=2)
-    assert {src for src, _ in installed} == {1, 2, 3}
-    return cluster
-
-
-#: name -> (target, whether two calls with one seed must agree).  Hot
-#: replicas rotate between calls, so the shards (and the order they
-#: draw from the shared generator) differ from call to call by design.
+#: name -> target; two calls with one seed agree on every one.
 TARGETS = {
-    "store_frozen": (_store(frozen=True), True),
-    "store_warm": (_store(), True),
-    "store_descent": (_store(cache=False), True),
-    "client_coalesce": (_client().client, True),
-    "client_frozen": (_client(frozen=True).client, True),
-    "client_hot": (_hot_client().client, False),
-    "baseline_api_default": (_load(PlatoGLStore()), True),
+    "store_frozen": _store(frozen=True),
+    "store_warm": _store(),
+    "store_descent": _store(cache=False),
+    "client_coalesce": _client().client,
+    "client_frozen": _client(frozen=True).client,
+    "baseline_api_default": _load(PlatoGLStore()),
 }
 
 frontier_st = st.lists(
@@ -151,13 +136,12 @@ def _check_block(block, srcs, k):
     name=st.sampled_from(sorted(TARGETS)),
 )
 def test_every_layer_returns_the_same_block(srcs, k, seed, weighted, name):
-    target, repeatable = TARGETS[name]
+    target = TARGETS[name]
     block = target.sample_neighbors_many(srcs, k, seed, weighted=weighted)
     _check_block(block, srcs, k)
-    if repeatable:
-        again = target.sample_neighbors_many(srcs, k, seed, weighted=weighted)
-        assert np.array_equal(block.ids, again.ids)
-        assert np.array_equal(block.state, again.state)
+    again = target.sample_neighbors_many(srcs, k, seed, weighted=weighted)
+    assert np.array_equal(block.ids, again.ids)
+    assert np.array_equal(block.state, again.state)
     # The coalesced request shape: distinct sources + multiplicities.
     distinct = sorted(set(srcs))
     counts = [srcs.count(s) for s in distinct]
@@ -168,11 +152,10 @@ def test_every_layer_returns_the_same_block(srcs, k, seed, weighted, name):
 
 
 def _ledgers(target):
-    """What a client read charges: its serving counters, its hot
-    tracker's and its network's (none of them on a store)."""
+    """What a client read charges: its serving counters and its
+    network's (neither on a store)."""
     holders = (
         getattr(target, "serving_stats", None),
-        getattr(getattr(target, "hot_tracker", None), "stats", None),
         getattr(getattr(target, "network", None), "stats", None),
     )
     return [h.to_dict() for h in holders if h is not None]
@@ -187,18 +170,17 @@ def _ledgers(target):
         "baseline_api_default",
         "client_coalesce",
         "client_frozen",
-        "client_hot",
     ],
 )
 def test_negative_fanout_is_a_typed_error_on_every_store_tier(name):
-    target, _ = TARGETS[name]
+    target = TARGETS[name]
     before = _ledgers(target)
     with pytest.raises(ConfigurationError):
         target.sample_neighbors_many([1, 1], -1, 0)
     if name.startswith("client"):
         with pytest.raises(ConfigurationError):
             target.sample_neighbors(1, -1, 0)
-    # Refused before any counter, tracker or network charge.
+    # Refused before any counter or network charge.
     assert _ledgers(target) == before
 
 
@@ -212,14 +194,13 @@ def test_negative_fanout_is_a_typed_error_on_every_store_tier(name):
         "baseline_api_default",
         "client_coalesce",
         "client_frozen",
-        "client_hot",
     ],
 )
 def test_malformed_counts_are_a_typed_error_on_every_store_tier(name, width):
     """``counts`` gives one non-negative count per source, or the call is
-    refused before any counter, tracker or network charge — a longer one
+    refused before any counter or network charge — a longer one
     must not come back as extra all-zero rows marked served."""
-    target, _ = TARGETS[name]
+    target = TARGETS[name]
     srcs = KNOWN[:width]
     ones = [1] * (width - 1)
     before = _ledgers(target)
@@ -266,7 +247,7 @@ def test_client_draws_match_the_exact_distribution():
     # 400 coalesced occurrences of one source among a mixed frontier.
     frontier = [src] * 400 + others + [src] * 100 + UNKNOWN
     for frozen in (True, False):
-        client = TARGETS["client_frozen" if frozen else "client_coalesce"][0]
+        client = TARGETS["client_frozen" if frozen else "client_coalesce"]
         for weighted in (True, False):
             coalesced = client.serving_stats.coalesced_sources
             block = client.sample_neighbors_many(
@@ -335,7 +316,7 @@ def test_dead_shard_rows_come_back_unavailable():
 # no per-vertex Python
 # ---------------------------------------------------------------------------
 def test_frozen_client_draw_makes_no_per_vertex_python_call():
-    client = TARGETS["client_frozen"][0]
+    client = TARGETS["client_frozen"]
     rng = np.random.default_rng(3)
     small = rng.choice(KNOWN, 256)
     large = rng.choice(KNOWN, 2560)
@@ -396,26 +377,3 @@ def test_ledgers_one_message_per_touched_shard_per_hop():
         len({shard_of(int(s)) for s in level}) for level in blocks.levels[:-1]
     ]
     assert network.stats.messages - before == sum(per_hop)
-
-
-def test_hot_source_takes_one_rotation_step_per_call():
-    cluster = _hot_client()
-    client, tracker = cluster.client, cluster.hot_tracker
-    stats = client.serving_stats
-    read_set = client.hot_replicas.shards(1)
-    assert len(read_set) == 3
-    seen = []
-    for _ in range(len(read_set)):
-        hot_reads, observed = stats.hot_reads, tracker.stats.observations
-        served = [s.stats.sample_sources for s in cluster.servers]
-        client.sample_neighbors_many([1] * 5, 2, 0)
-        assert stats.hot_reads - hot_reads == 1
-        assert tracker.stats.observations - observed == 5
-        delta = [
-            s.stats.sample_sources - b
-            for s, b in zip(cluster.servers, served)
-        ]
-        (shard,) = [i for i, d in enumerate(delta) if d]
-        assert delta[shard] == 5
-        seen.append(shard)
-    assert sorted(seen) == sorted(read_set)

@@ -1,5 +1,5 @@
-"""Tests for the skew-aware serving layer: the read image under a scan,
-request coalescing, and hot-replica read spreading / write coherence."""
+"""Tests for the skew-aware serving layer: the read image under a scan
+and request coalescing."""
 
 from __future__ import annotations
 
@@ -107,93 +107,3 @@ class TestCoalescing:
         counts = Counter(int(rows[i][0]) for i in range(0, 600, 3))
         observed = [counts.get(100 + i, 0) for i in range(5)]
         assert _chi2_pvalue(observed, expected) > 0.01
-
-
-def _hot_cluster(num_servers: int = 4) -> LocalCluster:
-    cluster = LocalCluster(num_servers=num_servers, hot_set_capacity=64)
-    rng = np.random.default_rng(3)
-    hub = 9
-    for dst in rng.integers(0, 1 << 20, 50):
-        cluster.client.add_edge(hub, int(dst), 1.0)
-    for src in range(40):
-        cluster.client.add_edge(src + 100, int(rng.integers(0, 1 << 20)), 1.0)
-    # Train the tracker: the hub dominates traffic.
-    for _ in range(20):
-        cluster.client.sample_neighbors_many(
-            [hub] * 8 + [100, 101], 2, np.random.default_rng(4)
-        )
-    return cluster
-
-
-class TestHotReplicas:
-    def test_replicate_and_spread_reads(self):
-        cluster = _hot_cluster()
-        installed = cluster.replicate_hot(top_n=2, copies=2, min_count=2)
-        assert installed
-        src, read_set = installed[0]
-        assert src == 9
-        assert len(read_set) == 3  # primary + 2 copies
-        stats = cluster.client.serving_stats
-        stats.reset()
-        for _ in range(6):
-            cluster.client.sample_neighbors_many(
-                [9, 9, 9], 2, np.random.default_rng(5)
-            )
-        assert stats.hot_reads == 6
-        # Round-robin: two thirds of the windows hit a non-primary copy.
-        assert stats.spread_reads == 4
-
-    def test_replica_stores_hold_identical_adjacency(self):
-        cluster = _hot_cluster()
-        (src, read_set), = cluster.replicate_hot(
-            top_n=1, copies=2, min_count=2
-        )
-        reference = sorted(cluster.servers[read_set[0]].store.neighbors(src))
-        for shard in read_set[1:]:
-            assert sorted(cluster.servers[shard].store.neighbors(src)) == (
-                reference
-            )
-
-    def test_logical_totals_count_a_multi_relation_copy_once(self):
-        """A hot copy holds one ``(etype, src)`` key per relation of its
-        source: the client's totals subtract every one of them."""
-        cluster = LocalCluster(num_servers=4, hot_set_capacity=8)
-        src = np.repeat(np.arange(10), 10)
-        dst = np.tile(np.arange(100, 110), 10)
-        etype = np.tile(np.repeat([0, 1], 5), 10)
-        cluster.client.bulk_load(src, dst, 1.0, etype)
-        client = cluster.client
-        assert (client.num_sources, client.num_edges) == (20, 100)
-        client.sample_neighbors_many([3], 2, rng=0)
-        installed = cluster.replicate_hot()
-        assert [s for s, _ in installed] == [3]
-        assert (client.num_sources, client.num_edges) == (20, 100)
-
-    def test_writes_fan_out_to_all_copies(self):
-        cluster = _hot_cluster()
-        (src, read_set), = cluster.replicate_hot(
-            top_n=1, copies=2, min_count=2
-        )
-        cluster.client.add_edge(src, 777_777, 3.0)
-        for shard in read_set:
-            store = cluster.servers[shard].store
-            assert store.edge_weight(src, 777_777) == pytest.approx(3.0)
-        assert cluster.client.serving_stats.hot_write_ops >= 2
-
-    def test_failed_coherence_write_drops_copy(self):
-        cluster = _hot_cluster()
-        (src, read_set), = cluster.replicate_hot(
-            top_n=1, copies=2, min_count=2
-        )
-        victim = read_set[1]
-        cluster.crash_shard(victim)
-        cluster.client.add_edge(src, 888_888, 1.0)
-        stats = cluster.client.serving_stats
-        assert stats.hot_write_drops >= 1
-        remaining = cluster.client.hot_replicas.shards(src)
-        assert victim not in remaining
-        # Reads keep flowing through the surviving copies.
-        rows = cluster.client.sample_neighbors_many(
-            [src] * 4, 2, np.random.default_rng(6)
-        ).rows()
-        assert all(len(r) == 2 for r in rows)

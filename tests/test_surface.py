@@ -72,8 +72,7 @@ WALL_CLOCK_FILES = {
 }
 
 #: The ``src/repro`` files that may call ``register_view``: the
-#: cluster's monitor and recorder health and hot-set size, the service's
-#: breaker trips.  A ``*Stats`` holder goes through
+#: cluster's monitor and recorder health, the service's breaker trips.  A ``*Stats`` holder goes through
 #: ``MetricsRegistry.watch`` instead, one call per holder.
 VIEW_FILES = {
     "distributed/cluster.py",
@@ -347,8 +346,12 @@ PINNED_SIGNATURES = {
     "repro.obs.flight:FlightRecorder": "clock capacity",
     "repro.obs.telemetry:Telemetry": "tracer clock",
     "repro.distributed.client:GraphClient": (
-        "servers partitioner network replica_groups retry degraded_reads "
-        "hot_replicas hot_tracker"
+        "servers partitioner network replica_groups retry degraded_reads"
+    ),
+    "repro.distributed.cluster:LocalCluster": (
+        "num_servers config store_factory network partitioner "
+        "replication_factor durable wal_dir fault_policy fault_seed retry "
+        "degraded_reads tracer"
     ),
     "repro.distributed.server:GraphServer": (
         "shard_id store config wal faults store_factory replica_index"
