@@ -75,6 +75,17 @@ class DegradedAnswerCache:
             self.evictions += 1
         self._entries[key] = (np.asarray(embedding, dtype=np.float32), now)
 
+    def put_many(self, vertices, rows, now: float) -> None:
+        """:meth:`put` of each ``(vertex, row)`` in order, in one pass."""
+        entries, capacity = self._entries, self.capacity
+        for key, row in zip(map(int, vertices), np.asarray(rows, dtype=np.float32)):
+            if key in entries:
+                entries.move_to_end(key)
+            elif len(entries) >= capacity:
+                entries.popitem(last=False)
+                self.evictions += 1
+            entries[key] = (row, now)
+
     def get(self, vertex: int, now: float) -> Optional[np.ndarray]:
         """Last-good embedding of ``vertex``, or ``None`` if absent/stale."""
         entry = self._entries.get(int(vertex))

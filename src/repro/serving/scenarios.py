@@ -391,11 +391,8 @@ def build_serving_rig(
             rng=seed + 3,
             skip_unavailable=True,
         )
-        stamped = network.now()
-        missing = set(skipped)
-        for i, vertex in enumerate(catalog):
-            if i not in missing:
-                service.cache.put(vertex, matrix[i], stamped)
+        served = np.delete(np.arange(num_sources), skipped)  # catalog order
+        service.cache.put_many(served.tolist(), matrix[served], network.now())
     if tracer is not None:
         # Prewarm traffic produced client.* traces; drop them so the
         # rings start the scenario holding serving trees only.

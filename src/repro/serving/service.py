@@ -502,8 +502,7 @@ class InferenceService:
                     self.stats.compute_seconds += cost
                     self.network.sleep(cost)
                 completed = self.network.now()
-                for i, row in zip(served_idx, out):
-                    self.cache.put(seeds[i], row, completed)
+                self.cache.put_many([seeds[i] for i in served_idx], out, completed)
                 # Admission estimate: EWMA of marginal per-request batch
                 # cost (sample + compute, amortised over the batch).
                 per_request = (completed - flush_started) / len(runnable)

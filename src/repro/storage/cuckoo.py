@@ -8,14 +8,13 @@ whose positive entries are slab rows and whose negative ones ``~i``
 name samtree ``trees[i]``; an empty slot is ``src == -1`` with value 0,
 so a probe of a negative id (never a key) reads a miss; two independent
 multiply-shift hashes, range-reduced to any bucket count, that numpy
-and the scalar path compute alike.  A table is sized to its keys —
-90 % occupancy, or the smallest power of two that fits if fewer
-buckets — and grows by ≤ 1.25× past that.  An insert into two full
-buckets shifts a breadth-first cuckoo path back from its free end, so
-no key is ever in no slot; a slot takes its value first and its key
-last, a delete clears the key first, and ``_moves`` is a seqlock — odd
-while a mutator runs — under which reads take no lock.  Batches are
-array work: :meth:`CuckooHashMap.get_many` and
+and the scalar path compute alike.  A table is sized to its keys by
+one rule, ⌈n / 3.6⌉ buckets for ``n`` keys (at most 90 % full), and
+grows by ≤ 1.25× past that.  An insert into two full buckets shifts a
+breadth-first cuckoo path back from its free end, so no key is ever
+in no slot; a slot takes its value first and its key last, a delete
+clears the key first, and ``_moves`` is a seqlock — odd while a
+mutator runs — under which reads take no lock.  Batches are array work: :meth:`CuckooHashMap.get_many` and
 :meth:`CuckooHashMap.put_many` (rank rounds, then eviction rounds).
 """
 
@@ -76,10 +75,9 @@ def _free_way(rows: np.ndarray, bucket: np.ndarray, rank=0) -> np.ndarray:
 
 
 def _buckets_for(n: int) -> int:
-    """The rule's bucket count for ``n`` keys, never decreasing in ``n``: the
-    smallest power of two with a slot per key, or ⌈n / (4 · 0.9)⌉ if fewer."""
-    fit = 1 << ((max(n, 1) - 1) // _BUCKET_WAYS).bit_length()
-    return min(fit, -(-5 * max(n, 1) // 18))
+    """The rule's bucket count for ``n`` keys, never decreasing in ``n``:
+    ⌈n / (4 · 0.9)⌉, so a table the rule sized is at most 90 % full."""
+    return -(-5 * max(n, 1) // 18)
 
 
 def _bucket(etype: int, src: int, which: int, buckets: int) -> int:
@@ -220,17 +218,16 @@ class CuckooHashMap:
         ``r``-th key of a bucket takes its ``r``-th free slot, if any;
         first buckets (ranked in key order or, for > 2 keys a bucket,
         by the room their second buckets will have), then second — then by
-        :meth:`_evict` in a table at most 90 % full, and the rest (and
-        all of a batch too small to pay for a round) by :meth:`_place`.
-        Returns the keys no path was found for."""
+        :meth:`_evict` (the rule keeps every table at most 90 % full), and
+        the rest (and all of a batch too small to pay for a round) by
+        :meth:`_place`.  Returns the keys no path was found for."""
         slots, buckets = self._src.reshape(-1, _BUCKET_WAYS), self._num_buckets
-        load = (np.count_nonzero(self._src >= 0) + src.size) / self._src.size
         for which in (0, 1):
             if src.size < PLACE_LOOP_BELOW:
                 break
             bucket = _bucket_column(etype, src, which, buckets)
             order = np.arange(src.size)
-            if not which and load <= 0.9 and src.size > 2 * buckets:
+            if not which and src.size > 2 * buckets:
                 # > 2 keys a bucket overflow often: a bucket turns away
                 # those whose second bucket will have the most room
                 spare = np.maximum(4 - np.bincount(bucket, minlength=buckets), 0)
@@ -248,7 +245,7 @@ class CuckooHashMap:
             self._set(at, etype[placed], src[placed], value[placed])
             left = ~placed
             etype, src, value = etype[left], src[left], value[left]
-        if load <= 0.9 and src.size >= PLACE_LOOP_BELOW:
+        if src.size >= PLACE_LOOP_BELOW:
             etype, src, value = self._evict(etype, src, value)
         for i, key in enumerate(zip(etype.tolist(), src.tolist(), value.tolist())):
             if not self._place(*key):

@@ -370,12 +370,14 @@ class TestReserve:
         assert len(placed) == n and (placed.get_many(0, src)[0] == 1).all()
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("n", [230, 922, 976])
-    def test_a_reserved_table_holds_its_keys_up_to_95_percent(self, seed, n):
-        """976 keys fit 256 buckets (95.3 %): neither ``put_many`` nor
-        one-by-one ``put`` into the reserved table grows it, over random
-        and shard-shaped key sets."""
-        reserved = 64 if n <= 256 else 256  # the smallest that fits n
+    @pytest.mark.parametrize(
+        "n, reserved", [(230, 64), (921, 256), (979, 272), (1018, 283)]
+    )
+    def test_a_reserved_table_holds_its_keys_up_to_90_percent(self, seed, n, reserved):
+        """At the rule's limit — one key more needs one bucket more —
+        neither ``put_many`` nor one-by-one ``put`` into the reserved
+        table grows it, over random and shard-shaped key sets."""
+        assert _buckets_for(n) == reserved == _buckets_for(n + 1) - 1
         rng = np.random.default_rng(seed)
         for src in (
             rng.permutation(np.unique(rng.integers(0, ID_MAX, 2 * n)))[:n],
@@ -387,9 +389,10 @@ class TestReserve:
             looped = CuckooHashMap()
             looped.reserve(n)
             for s in src.tolist():
-                looped.put(seed % 3, s, 1)
+                looped.put(seed % 3, s, s + 1)
             assert placed._num_buckets == looped._num_buckets == reserved
             assert placed.get_many(seed % 3, src)[0].tolist() == list(range(1, n + 1))
+            assert (looped.get_many(seed % 3, src)[0] == src + 1).all()
 
     def test_grows_once(self, monkeypatch):
         m = CuckooHashMap(initial_buckets=1)
@@ -403,14 +406,14 @@ class TestReserve:
             or rebuild(buckets, extra),
         )
         m.reserve(1000)
-        assert rehashes == [256]  # 256 * 4 slots is the first >= 1000
+        assert rehashes == [278]  # ⌈1000 / 3.6⌉: 1000 keys at ≤ 90 %
         m.reserve(1000)
         m.reserve(0)
-        assert rehashes == [256]
+        assert rehashes == [278]
         m.put_many(0, np.arange(3, 900), np.arange(4, 901))
-        assert rehashes == [256]  # room already made
+        assert rehashes == [278]  # room already made
         m.put_many(0, np.arange(900, 1500), np.arange(901, 1501))
-        assert rehashes == [256, 417]  # one rebuild, with the new keys, to
+        assert rehashes == [278, 417]  # one rebuild, with the new keys, to
         assert _buckets_for(1500) == 417  # the rule's count for all of them
         assert dict(m.items()) == {(0, i): i + 1 for i in range(1500)}
 
@@ -447,6 +450,7 @@ class TestReserve:
         directory = store.directory
         assert len(directory) == sources and directory.load_factor >= 0.85
         assert directory.nbytes() == _buckets_for(sources) * 96
+        assert directory._num_buckets == {5_000: 1_389, 10_000: 2_778}[sources]
 
     def test_bulk_load_presizes_the_directory(self):
         from repro.core.topology import DynamicGraphStore
@@ -459,6 +463,54 @@ class TestReserve:
         for s, d in zip(src.tolist(), dst.tolist()):
             looped.add_edge(s, d)
         assert loaded.directory._num_buckets <= looped.directory._num_buckets
+
+
+# ---------------------------------------------------------------------------
+# the sizing rule: ⌈n / 3.6⌉ buckets, every table at most 90 % full
+# ---------------------------------------------------------------------------
+class TestSizingRule:
+    def test_the_rule_is_one_count_never_decreasing(self):
+        """R(n) is the fewest buckets holding ``n`` keys at ≤ 90 % — so
+        also past every power of two that ``n`` would fill beyond 90 %,
+        n ∈ (3.6 · 2ᵏ, 4 · 2ᵏ] — for every n up to 2¹⁷."""
+        counts = [_buckets_for(n) for n in range(1, 2**17 + 1)]
+        for n, buckets in enumerate(counts, start=1):
+            assert 18 * (buckets - 1) < 5 * n <= 18 * buckets  # n ≤ 3.6 · R(n)
+        assert all(a <= b for a, b in zip(counts, counts[1:]))
+        for k in range(15):
+            edge = range(18 * 2**k // 5 + 1, 4 * 2**k + 1)  # n > 3.6 · 2ᵏ
+            assert all(counts[n - 1] > 2**k for n in edge)
+
+    def test_a_batch_into_a_fresh_map_leaves_it_at_most_90_percent_full(self):
+        """At both ends of every (3.6 · 2ᵏ, 4 · 2ᵏ] up to 16 384 keys."""
+        rng = np.random.default_rng(0)
+        for k in range(2, 13):
+            for n in (18 * 2**k // 5, 18 * 2**k // 5 + 1, 4 * 2**k):
+                src = rng.permutation(np.unique(rng.integers(0, ID_MAX, 2 * n)))[:n]
+                m = CuckooHashMap()
+                m.put_many(k % 3, src, src + 1)
+                assert m.load_factor <= 0.9
+                assert m._num_buckets == max(_buckets_for(n), 16)  # 16: the default
+                assert (m.get_many(k % 3, src)[0] == src + 1).all()
+
+    def test_the_serving_rig_directories_are_placed_by_rounds(self, monkeypatch):
+        """The ``serve_zipf`` shape's four ≈ 1 000-key shard directories
+        sit at ≤ 90 %, so the eviction rounds place them and the
+        breadth-first search sees only their tails (92 searches; 366
+        when a power-of-two cap left them 95–99 % full)."""
+        from repro.serving.scenarios import build_serving_rig
+
+        searches = []
+        cuckoo_path = CuckooHashMap._cuckoo_path
+        monkeypatch.setattr(
+            CuckooHashMap, "_cuckoo_path",
+            lambda self, *key: searches.append(key) or cuckoo_path(self, *key),
+        )
+        rig = build_serving_rig(num_shards=4, num_sources=4000, degree=16, fanouts=(5, 5))
+        directories = [s.store.directory for g in rig.cluster.replica_groups for s in g]
+        assert sum(map(len, directories)) == 4000
+        assert all(d.load_factor <= 0.9 for d in directories)
+        assert len(searches) <= 120
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +536,7 @@ BUCKET_COUNTS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_numpy_bucket_pair_is_buckets_for(keys, buckets):
     """The numpy bucket column is the scalar ``_pair``, bit for bit, for
-    any bucket count; for 2ᵏ buckets both are the hash's top k bits, so
-    a table the rule leaves at a power of two keeps its layout."""
+    any bucket count; for 2ᵏ buckets both are the hash's top k bits."""
     if buckets <= 4096:  # the map keeps the count it is given
         m = CuckooHashMap(initial_buckets=buckets)
         assert m._num_buckets == buckets

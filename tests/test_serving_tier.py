@@ -192,6 +192,28 @@ class TestDegradedAnswerCache:
         assert cache.get(2, now=0.0) is None
         assert cache.evictions == 1
 
+    @pytest.mark.parametrize("capacity, batch", [(8, 5), (8, 20), (64, 40)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_put_many_is_a_put_loop(self, seed, capacity, batch):
+        """Entries, LRU order, stamps and ``evictions`` as a ``put`` loop
+        leaves them — repeats in a batch re-stamped to the end, a batch
+        past ``capacity`` evicting as it goes."""
+        rng = np.random.default_rng(seed)
+        looped, batched = (DegradedAnswerCache(capacity=capacity) for _ in range(2))
+        for now in (1.0, 2.0, 3.0):
+            vertices = rng.integers(0, 2 * capacity, batch).tolist()
+            rows = rng.standard_normal((batch, 3)).astype(np.float32)
+            for vertex, row in zip(vertices, rows):
+                looped.put(vertex, row, now)
+            batched.put_many(vertices, rows, now)
+            for cache in (looped, batched):
+                cache.get(vertices[0], now)  # a hit moves a key to the end
+            assert list(batched._entries) == list(looped._entries)
+            for (a, t), (b, u) in zip(batched._entries.values(), looped._entries.values()):
+                assert t == u and a.dtype == b.dtype and np.array_equal(a, b)
+            assert batched.evictions == looped.evictions
+        assert looped.evictions > 0 and len(looped) == capacity
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             DegradedAnswerCache(staleness_budget_seconds=0.0)
