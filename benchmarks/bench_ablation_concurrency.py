@@ -14,14 +14,15 @@ from __future__ import annotations
 import random
 import time
 
+import numpy as np
 import pytest
 
 from repro.bench.report import format_table
-from repro.concurrency.batch import group_batch, partition_groups
-from repro.concurrency.palm import PalmExecutor
+from repro.concurrency.palm import PalmExecutor, partition_groups
+from repro.core.ingest import EdgeBatch
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import EdgeOp
+from repro.core.types import GraphStoreAPI, lexsort_rows
 
 try:
     from conftest import BENCH_DATASETS
@@ -29,14 +30,19 @@ except ImportError:
     from benchmarks.conftest import BENCH_DATASETS
 
 
-def _ops(n=2**13, seed=0):
+def _ops(n=2**13, seed=0) -> EdgeBatch:
     r = random.Random(seed)
-    ops = []
+    src, dst, weight = [], [], []
     for _ in range(n):
-        src = r.randrange(256)
-        dst = r.randrange(4096)
-        ops.append(EdgeOp.insert(src, dst, r.random() + 0.01))
-    return ops
+        src.append(r.randrange(256))
+        dst.append(r.randrange(4096))
+        weight.append(r.random() + 0.01)
+    return EdgeBatch.inserts(src, dst, weight)
+
+
+def _by_source(batch: EdgeBatch) -> EdgeBatch:
+    """The batch stably sorted by ``(etype, src)``: PALM stage 1."""
+    return batch.select(lexsort_rows(batch.etype, batch.src))
 
 
 @pytest.mark.parametrize("threads", [1, 8])
@@ -56,25 +62,24 @@ def test_batch_sorting(benchmark, sorted_batch):
     benchmark.group = "ablation-palm-sorting"
     ops = _ops()
     if sorted_batch:
-        ops = sorted(ops, key=lambda op: (op.etype, op.src))
+        ops = _by_source(ops)
     store = DynamicGraphStore(SamtreeConfig())
 
     def run():
-        for op in ops:
-            store.apply(op)
+        GraphStoreAPI.apply_edge_batch(store, ops)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
 
 def test_partition_balance_property():
     """LPT assignment keeps thread loads within one group of each other."""
-    groups = group_batch(_ops())
+    lengths = np.diff(_by_source(_ops()).tree_bounds()).tolist()
     for threads in (2, 4, 8):
         loads = [
-            sum(len(g) for g in a)
-            for a in partition_groups(groups, threads)
+            sum(lengths[g] for g in a)
+            for a in partition_groups(lengths, threads)
         ]
-        assert max(loads) - min(loads) <= max(len(g) for g in groups)
+        assert max(loads) - min(loads) <= max(lengths)
 
 
 def main() -> str:
@@ -100,12 +105,11 @@ def main() -> str:
     rows2 = []
     for label, batch in (
         ("unsorted", _ops(2**14, seed=1)),
-        ("sorted", sorted(_ops(2**14, seed=1), key=lambda op: (op.etype, op.src))),
+        ("sorted", _by_source(_ops(2**14, seed=1))),
     ):
         store = DynamicGraphStore(SamtreeConfig())
         start = time.perf_counter()
-        for op in batch:
-            store.apply(op)
+        GraphStoreAPI.apply_edge_batch(store, batch)
         rows2.append([label, f"{(time.perf_counter() - start) * 1e3:.2f}ms"])
     table2 = format_table(
         ["batch order", "apply time"],

@@ -21,6 +21,7 @@ import pytest
 from repro.baselines.static_csr import StaticCSRStore
 from repro.bench.report import format_table
 from repro.bench.workloads import make_store
+from repro.core.types import GraphStoreAPI
 from repro.datasets.stream import EdgeStream
 
 try:
@@ -43,8 +44,7 @@ def _interleaved_workload(store, data, rounds=20, updates_per_round=16,
     where static rebuilds hurt the most.  Returns elapsed seconds."""
     stream = EdgeStream(data, seed=seed)
     for batch in stream.build_batches(8192):
-        for op in batch:
-            store.apply(op)
+        GraphStoreAPI.apply_edge_batch(store, batch)
     rng = random.Random(seed)
     sources = []
     for src in store.sources():
@@ -54,8 +54,7 @@ def _interleaved_workload(store, data, rounds=20, updates_per_round=16,
     churn = stream.churn_batches(updates_per_round, rounds, (0.5, 0.3, 0.2))
     start = time.perf_counter()
     for batch in churn:
-        for op in batch:
-            store.apply(op)
+        GraphStoreAPI.apply_edge_batch(store, batch)
         for _ in range(samples_per_round):
             store.sample_neighbors(sources[rng.randrange(len(sources))], 10, rng)
     return time.perf_counter() - start

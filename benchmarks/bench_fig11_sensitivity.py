@@ -16,8 +16,10 @@ import pytest
 from repro.bench.report import format_series, format_table
 from repro.bench.workloads import make_store
 from repro.concurrency.palm import PalmExecutor
+from repro.core.ingest import EdgeBatch
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
+from repro.core.types import GraphStoreAPI
 from repro.datasets.stream import EdgeStream
 
 try:
@@ -43,8 +45,7 @@ def _insert_time(data, capacity=256, alpha=0, batch_size=4096) -> float:
     batches = list(stream.build_batches(batch_size))
     start = time.perf_counter()
     for batch in batches:
-        for op in batch:
-            store.apply(op)
+        GraphStoreAPI.apply_edge_batch(store, batch)
     return (time.perf_counter() - start) / len(batches)
 
 
@@ -63,8 +64,7 @@ def test_11a_insert_by_batch_size(benchmark, datasets, batch_size):
         batch = next(batches, None)
         if batch is None:
             return
-        for op in batch:
-            store.apply(op)
+        GraphStoreAPI.apply_edge_batch(store, batch)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
 
@@ -85,7 +85,9 @@ def test_11c_concurrent_by_threads(benchmark, datasets, threads):
     benchmark.group = "fig11c-concurrent-by-threads"
     data = datasets["WeChat"]
     stream = EdgeStream(data)
-    ops = [op for batch in stream.build_batches(2**12) for op in batch][: 2**12]
+    ops = EdgeBatch.concat(list(stream.build_batches(2**12))).select(
+        slice(0, 2**12)
+    )
     store = DynamicGraphStore(SamtreeConfig())
     executor = PalmExecutor(store, num_threads=threads, simulate=True)
     result = benchmark.pedantic(
@@ -107,7 +109,9 @@ def test_11c_makespan_decreases(datasets):
     """More threads → smaller modeled critical path (Fig 11c's trend)."""
     data = datasets["WeChat"]
     stream = EdgeStream(data)
-    ops = [op for batch in stream.build_batches(2**13) for op in batch][: 2**13]
+    ops = EdgeBatch.concat(list(stream.build_batches(2**13))).select(
+        slice(0, 2**13)
+    )
     makespans = []
     for threads in (1, 8):
         store = DynamicGraphStore(SamtreeConfig())
@@ -155,10 +159,10 @@ def main() -> str:
 
     # (c) thread sweep for three batch sizes (makespan model)
     stream = EdgeStream(data)
-    all_ops = [op for batch in stream.build_batches(2**14) for op in batch]
+    all_ops = EdgeBatch.concat(list(stream.build_batches(2**14)))
     rows = []
     for batch_size in BATCHES_11C:
-        ops = all_ops[:batch_size]
+        ops = all_ops.select(slice(0, batch_size))
         row = [f"2^{batch_size.bit_length() - 1}"]
         for threads in THREADS:
             # Best of three runs: simulate-mode makespans are wall-clock

@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench.report import format_series, speedup
 from repro.bench.workloads import make_store, run_update_batches
+from repro.core.types import GraphStoreAPI
 from repro.datasets.stream import EdgeStream
 
 try:
@@ -32,8 +33,7 @@ def _built(system):
     store = make_store(system)
     stream = EdgeStream(data)
     for batch in stream.build_batches(4096):
-        for op in batch:
-            store.apply(op)
+        GraphStoreAPI.apply_edge_batch(store, batch)
     return store, stream
 
 
@@ -46,8 +46,7 @@ def test_dynamic_updates(benchmark, system, batch_size):
 
     def run():
         for batch in batches:
-            for op in batch:
-                store.apply(op)
+            GraphStoreAPI.apply_edge_batch(store, batch)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.bench.report import format_table
 from repro.bench.workloads import make_store
+from repro.core.types import GraphStoreAPI
 from repro.datasets.stream import EdgeStream
 
 try:
@@ -27,8 +28,7 @@ def build_with_capacity(capacity: int, data):
     store = make_store("PlatoD2GL", capacity=capacity)
     stream = EdgeStream(data)
     for batch in stream.build_batches(4096):
-        for op in batch:
-            store.apply(op)
+        GraphStoreAPI.apply_edge_batch(store, batch)
     return store
 
 

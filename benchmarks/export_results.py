@@ -29,6 +29,7 @@ from repro.bench.workloads import (
 )
 from repro.core.cstable import CSTable
 from repro.core.fenwick import FSTable
+from repro.core.types import GraphStoreAPI
 from repro.datasets.stream import EdgeStream
 
 import bench_table2_complexity
@@ -78,8 +79,7 @@ def export_fig9(batch_sizes=(2**8, 2**10, 2**12)) -> dict:
         store = make_store(system)
         stream = EdgeStream(data)
         for batch in stream.build_batches(4096):
-            for op in batch:
-                store.apply(op)
+            GraphStoreAPI.apply_edge_batch(store, batch)
         out[system] = {
             str(b): run_update_batches(store, stream, b, 3, (0.4, 0.4, 0.2))
             for b in batch_sizes

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 
 from repro.baselines import PlatoGLStore
-from repro.core import EdgeOp, SamtreeConfig, humanize_bytes
+from repro.core import EdgeBatch, SamtreeConfig, humanize_bytes
 from repro.datasets import EdgeStream, ogbn_scaled
 from repro.distributed import LocalCluster, NetworkModel
 
@@ -27,7 +27,7 @@ from repro.distributed import LocalCluster, NetworkModel
 def load(cluster: LocalCluster, data) -> None:
     stream = EdgeStream(data)
     for batch in stream.build_batches(4096):
-        cluster.client.apply_batch(batch)
+        cluster.client.apply_edge_batch(batch)
 
 
 def main() -> None:
@@ -56,16 +56,16 @@ def main() -> None:
     )
 
     # --- batching matters: one message per shard vs one per edge -------------
-    ops = [
-        EdgeOp.insert(rng.randrange(10**6), rng.randrange(10**6), 1.0)
-        for _ in range(1000)
-    ]
+    batch = EdgeBatch.inserts(
+        [rng.randrange(10**6) for _ in range(1000)],
+        [rng.randrange(10**6) for _ in range(1000)],
+    )
     net.stats.reset()
-    cluster.client.apply_batch(ops)
+    cluster.client.apply_edge_batch(batch)
     batched = net.stats.messages
     net.stats.reset()
-    for op in ops:
-        cluster.client.add_edge(op.src, op.dst, op.weight)
+    for src, dst in zip(batch.src.tolist(), batch.dst.tolist()):
+        cluster.client.add_edge(src, dst, 1.0)
     per_edge = net.stats.messages
     print(
         f"\n1000 inserts: {batched} messages batched vs {per_edge} per-edge "

@@ -25,7 +25,7 @@ import random
 from collections import Counter
 
 from repro.concurrency import PalmExecutor
-from repro.core import DynamicGraphStore, EdgeOp, SamtreeConfig
+from repro.core import DynamicGraphStore, EdgeBatch, SamtreeConfig
 from repro.datasets import EdgeStream, wechat_scaled
 from repro.gnn import sample_metapath
 
@@ -65,11 +65,12 @@ def main() -> None:
     # --- the user's interest shifts: heavy interaction with a new room ----
     new_room = max(store.sources(LIVE_LIVE), key=lambda l: store.degree(l, LIVE_LIVE))
     print(f"\nuser {user} starts watching hub room {new_room} intensively...")
-    churn = [EdgeOp.insert(user, new_room, 50.0, USER_LIVE),
-             EdgeOp.insert(new_room, user, 50.0, REV_USER_LIVE)]
+    churn = EdgeBatch.inserts(
+        [user, new_room], [new_room, user], 50.0, [USER_LIVE, REV_USER_LIVE]
+    )
     # Interleave the interest shift with unrelated background churn.
     for batch in stream.churn_batches(512, 4, mix=(0.5, 0.4, 0.1)):
-        executor.apply_batch(list(batch) + churn)
+        executor.apply_batch(EdgeBatch.concat([batch, churn]))
 
     after = recommend_rooms(store, user, rng)
     print("top recommendations after interest shift:",

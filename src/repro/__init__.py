@@ -32,11 +32,9 @@ Quickstart::
 from repro.core import (
     CSTable,
     DynamicGraphStore,
-    EdgeOp,
     FSTable,
     GraphStoreAPI,
     MemoryModel,
-    OpKind,
     OpStats,
     Samtree,
     SamtreeConfig,
@@ -50,11 +48,9 @@ __version__ = "1.0.0"
 __all__ = [
     "CSTable",
     "DynamicGraphStore",
-    "EdgeOp",
     "FSTable",
     "GraphStoreAPI",
     "MemoryModel",
-    "OpKind",
     "OpStats",
     "Samtree",
     "SamtreeConfig",

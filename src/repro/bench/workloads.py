@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -106,25 +107,20 @@ def build_store(
     the paper's cluster budget — reproducing the "o.o.m" entries the way
     they happen in production: partway through loading.
 
-    ``use_bulk=True`` streams the same batches columnar through the
-    store's bulk ingestion path (``bulk_load``) instead of one
-    ``apply`` per edge — same final state, the Fig. 8 comparison axis
-    of the bulk-ingestion benchmark.
+    ``use_bulk=True`` loads each batch through the store's bulk
+    ingestion path (``bulk_load``) instead of replaying it op by op
+    (``GraphStoreAPI.apply_edge_batch``, the per-op reference) — same
+    final state, the Fig. 8 comparison axis of the bulk-ingestion
+    benchmark.
     """
     stream = EdgeStream(data)
     num_ops = 0
     start = time.perf_counter()
-    batches = (
-        stream.build_batches_columnar(batch_size)
-        if use_bulk
-        else stream.build_batches(batch_size)
+    load = store.bulk_load if use_bulk else partial(
+        GraphStoreAPI.apply_edge_batch, store
     )
-    for batch in batches:
-        if use_bulk:
-            store.bulk_load(batch)
-        else:
-            for op in batch:
-                store.apply(op)
+    for batch in stream.build_batches(batch_size):
+        load(batch)
         num_ops += len(batch)
         oom = False
         if memory_budget is not None:
@@ -165,24 +161,18 @@ def run_update_batches(
     ``use_bulk=True`` applies each batch through the columnar
     ``apply_edge_batch`` path (one sort: a packed int64 key when the
     columns fit 63 bits and the batch has 768+ rows, else ``np.lexsort``;
-    then per-tree rebuild/PALM dispatch) instead of one ``apply`` per
-    op; only application time is measured either way.
+    then per-tree rebuild/PALM dispatch) instead of replaying it op by
+    op (``GraphStoreAPI.apply_edge_batch``, the per-op reference); only
+    application time is measured either way.
     """
+    apply = store.apply_edge_batch if use_bulk else partial(
+        GraphStoreAPI.apply_edge_batch, store
+    )
     total = 0.0
     count = 0
-    if use_bulk:
-        for cbatch in stream.churn_batches_columnar(
-            batch_size, num_batches, mix
-        ):
-            start = time.perf_counter()
-            store.apply_edge_batch(cbatch)
-            total += time.perf_counter() - start
-            count += 1
-        return total / count if count else 0.0
     for batch in stream.churn_batches(batch_size, num_batches, mix):
         start = time.perf_counter()
-        for op in batch:
-            store.apply(op)
+        apply(batch)
         total += time.perf_counter() - start
         count += 1
     return total / count if count else 0.0

@@ -2,19 +2,10 @@
 thread partitioning, and the batch executor.
 """
 
-from repro.concurrency.batch import (
-    OpGroup,
-    group_batch,
-    partition_groups,
-    sort_batch,
-)
-from repro.concurrency.palm import BatchResult, PalmExecutor
+from repro.concurrency.palm import BatchResult, PalmExecutor, partition_groups
 
 __all__ = [
-    "OpGroup",
-    "group_batch",
     "partition_groups",
-    "sort_batch",
     "BatchResult",
     "PalmExecutor",
 ]

@@ -1,18 +1,23 @@
 """PALM-style batch latch-free concurrent updates (paper §VI-B, Fig. 12).
 
 The paper adapts the PALM tree's multi-threaded scheme [27] to samtrees:
-instead of latching every node on an update path, a *batch* of updates is
+instead of latching every node on an update path, a *batch* of updates
+(an :class:`~repro.core.ingest.EdgeBatch`) is
 
-1. sorted by source-vertex ID,
-2. partitioned across threads so each samtree is owned by exactly one
-   thread (latch-free by construction — threads share no tree; the
-   store's small sources are rows of one slab whose two arenas a
-   relocation moves, so ``apply_source_batch`` on a row holds the slab's
-   lock), and
-3. applied bottom-up inside each tree: the leaf modifications first,
-   then the CSTable refreshes propagate towards the root in rounds
-   (which is what :meth:`~repro.core.samtree.Samtree.insert` already
-   does per operation).
+1. **sorted by source key** — one stable sort by ``(etype, src)``
+   makes the updates to one samtree a contiguous group, in submission
+   order (so ``insert(e); delete(e)`` in one batch still nets out to a
+   deletion);
+2. **partitioned across threads** with a greedy longest-processing-time
+   assignment of whole groups (:func:`partition_groups`), so each
+   samtree is owned by exactly one thread — latch-free by construction:
+   threads share no tree; the store's small sources are rows of one slab
+   whose two arenas a relocation moves, so ``apply_source_batch`` on a
+   row holds the slab's lock — and per-thread op counts stay balanced
+   even when a few hub vertices hold most of the batch;
+3. **applied bottom-up inside each tree**: the leaf modifications
+   first, then the CSTable refreshes propagate towards the root in
+   rounds (:mod:`repro.core.tree_batch`).
 
 Two execution back-ends are provided:
 
@@ -25,26 +30,51 @@ Two execution back-ends are provided:
 ``simulate=True``
     The deterministic **makespan model**: the same partitioning is
     executed serially while metering each thread's assigned work; the
-    reported batch latency is ``max(per-thread time) + sync_overhead``.
-    This is the quantity the paper's Figure 11(c) plots — the critical
-    path of the partitioned batch — and is the documented substitution
-    for the GIL (see DESIGN.md).  Both back-ends run byte-identical
-    batching code.
+    reported batch latency is ``max(per-thread time)``.  This is the
+    quantity the paper's Figure 11(c) plots — the critical path of the
+    partitioned batch — and is the documented substitution for the GIL
+    (see DESIGN.md).  Both back-ends run byte-identical batching code.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.concurrency.batch import OpGroup, group_batch, partition_groups, sort_batch
+import numpy as np
+
+from repro.core.ingest import EdgeBatch
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import EdgeOp
+from repro.core.types import lexsort_rows
 from repro.errors import ConfigurationError
 
-__all__ = ["BatchResult", "PalmExecutor"]
+__all__ = ["BatchResult", "PalmExecutor", "partition_groups"]
+
+
+def partition_groups(
+    lengths: Sequence[int], num_threads: int
+) -> List[List[int]]:
+    """Assign groups of ``lengths`` ops to ``num_threads`` threads,
+    longest first onto the least-loaded thread (LPT greedy).
+
+    Returns one list of group indices per thread (some possibly empty).
+    A group is never split: a tree belongs to exactly one thread, which
+    is the latch-free guarantee.
+    """
+    if num_threads < 1:
+        raise ConfigurationError(
+            f"num_threads must be >= 1, got {num_threads}"
+        )
+    assignments: List[List[int]] = [[] for _ in range(num_threads)]
+    heap = [(0, t) for t in range(num_threads)]
+    for g in sorted(range(len(lengths)), key=lambda i: -lengths[i]):
+        load, t = heapq.heappop(heap)
+        assignments[t].append(g)
+        heapq.heappush(heap, (load + lengths[g], t))
+    return assignments
 
 
 @dataclass
@@ -69,8 +99,9 @@ class BatchResult:
 
 
 class PalmExecutor:
-    """Applies :class:`EdgeOp` batches to a :class:`DynamicGraphStore`
-    with the paper's sort → partition → latch-free-apply scheme.
+    """Applies :class:`~repro.core.ingest.EdgeBatch` batches to a
+    :class:`DynamicGraphStore` with the paper's sort → partition →
+    latch-free-apply scheme.
 
     Parameters
     ----------
@@ -80,9 +111,6 @@ class PalmExecutor:
         Worker count (paper Figure 11c sweeps 1–32).
     simulate:
         Use the makespan model instead of real threads (see module docs).
-    sync_overhead:
-        Modeled per-batch synchronisation cost in seconds added by the
-        simulate back-end (barrier + redistribution, paper Fig. 12).
     """
 
     def __init__(
@@ -90,8 +118,6 @@ class PalmExecutor:
         store: DynamicGraphStore,
         num_threads: int = 4,
         simulate: bool = False,
-        sync_overhead: float = 0.0,
-        tree_batching: bool = True,
     ) -> None:
         if num_threads < 1:
             raise ConfigurationError(
@@ -100,93 +126,53 @@ class PalmExecutor:
         self.store = store
         self.num_threads = num_threads
         self.simulate = simulate
-        self.sync_overhead = float(sync_overhead)
-        # Intra-tree bottom-up batching (paper Appendix B) when the store
-        # supports it; falls back to per-op application otherwise.
-        self.tree_batching = tree_batching and hasattr(
-            store, "apply_source_batch"
-        )
 
-    # ------------------------------------------------------------------
-    def apply_batch(self, ops: Sequence[EdgeOp]) -> BatchResult:
-        """Apply one batch; returns per-batch timing and op outcomes."""
-        ordered = sort_batch(ops)
-        groups = group_batch(ordered)
-        assignments = partition_groups(groups, self.num_threads)
+    def apply_batch(self, batch: EdgeBatch) -> BatchResult:
+        """Apply one batch; returns per-batch timing and the op outcomes
+        in submission order.  The batch was validated when it was built,
+        so a refused row never reaches the store."""
+        order = lexsort_rows(batch.etype, batch.src)
+        rows = batch.select(order)
+        bounds = rows.tree_bounds().tolist()
+        srcs, etypes = rows.src.tolist(), rows.etype.tolist()
+        cols = (rows.dst.tolist(), rows.op.tolist(), rows.weight.tolist())
+        lengths = [b - a for a, b in zip(bounds, bounds[1:])]
+        assignments = partition_groups(lengths, self.num_threads)
+        results: List[List[bool]] = [[]] * len(lengths)
+        apply_source_batch = self.store.apply_source_batch
+
+        def run(groups: List[int]) -> None:
+            for g in groups:
+                a, b = bounds[g], bounds[g + 1]
+                results[g] = apply_source_batch(
+                    srcs[a], etypes[a], *(col[a:b] for col in cols)
+                )
+
+        thread_times: List[float] = []
         if self.simulate:
-            return self._apply_simulated(ops, groups, assignments)
-        return self._apply_threaded(ops, groups, assignments)
-
-    # ------------------------------------------------------------------
-    def _apply_group(self, group: OpGroup) -> List[bool]:
-        store = self.store
-        if self.tree_batching:
-            tree_ops = [
-                (op.kind.value, op.dst, op.weight) for op in group.ops
-            ]
-            return store.apply_source_batch(group.src, group.etype, tree_ops)
-        return [store.apply(op) for op in group.ops]
-
-    def _apply_threaded(
-        self,
-        ops: Sequence[EdgeOp],
-        groups: List[OpGroup],
-        assignments: List[List[OpGroup]],
-    ) -> BatchResult:
-        start = time.perf_counter()
-        results: dict = {}
-
-        def run(thread_groups: List[OpGroup]) -> None:
-            for group in thread_groups:
-                results[group.key] = self._apply_group(group)
-
-        busy = [a for a in assignments if a]
-        if len(busy) <= 1:
-            for a in busy:
-                run(a)
+            for groups in assignments:
+                start = time.perf_counter()
+                run(groups)
+                thread_times.append(time.perf_counter() - start)
+            elapsed = max(thread_times)
         else:
-            with ThreadPoolExecutor(max_workers=len(busy)) as pool:
-                list(pool.map(run, busy))
-        elapsed = time.perf_counter() - start
+            start = time.perf_counter()
+            busy = [groups for groups in assignments if groups]
+            if len(busy) > 1:
+                with ThreadPoolExecutor(max_workers=len(busy)) as pool:
+                    list(pool.map(run, busy))
+            else:
+                for groups in busy:
+                    run(groups)
+            elapsed = time.perf_counter() - start
+        # Scatter the outcomes, grouped in sorted order, back through it.
+        outcomes = np.zeros(len(batch), dtype=bool)
+        outcomes[order] = [done for group in results for done in group]
         return BatchResult(
-            num_ops=len(ops),
-            num_groups=len(groups),
+            num_ops=len(batch),
+            num_groups=len(lengths),
             num_threads=self.num_threads,
             elapsed=elapsed,
-            outcomes=self._collect(ops, results),
-        )
-
-    def _apply_simulated(
-        self,
-        ops: Sequence[EdgeOp],
-        groups: List[OpGroup],
-        assignments: List[List[OpGroup]],
-    ) -> BatchResult:
-        results: dict = {}
-        thread_times: List[float] = []
-        for thread_groups in assignments:
-            t0 = time.perf_counter()
-            for group in thread_groups:
-                results[group.key] = self._apply_group(group)
-            thread_times.append(time.perf_counter() - t0)
-        makespan = (max(thread_times) if thread_times else 0.0) + self.sync_overhead
-        return BatchResult(
-            num_ops=len(ops),
-            num_groups=len(groups),
-            num_threads=self.num_threads,
-            elapsed=makespan,
             thread_times=thread_times,
-            outcomes=self._collect(ops, results),
+            outcomes=outcomes.tolist(),
         )
-
-    @staticmethod
-    def _collect(ops: Sequence[EdgeOp], results: dict) -> List[bool]:
-        """Re-assemble per-op outcomes in the original submission order."""
-        cursors: dict = {}
-        outcomes: List[bool] = []
-        for op in ops:
-            key = (op.etype, op.src)
-            i = cursors.get(key, 0)
-            outcomes.append(results[key][i])
-            cursors[key] = i + 1
-        return outcomes

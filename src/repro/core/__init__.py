@@ -30,9 +30,7 @@ from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import (
     DEFAULT_ETYPE,
-    EdgeOp,
     GraphStoreAPI,
-    OpKind,
     SampleBlock,
 )
 
@@ -64,8 +62,6 @@ __all__ = [
     "TemporalGraphStore",
     "DynamicGraphStore",
     "DEFAULT_ETYPE",
-    "EdgeOp",
     "GraphStoreAPI",
-    "OpKind",
     "SampleBlock",
 ]

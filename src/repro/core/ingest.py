@@ -16,9 +16,9 @@ operation.  Everything downstream operates on the arrays directly:
 * the distributed client slices one sub-batch per owning shard and
   accounts the :class:`~repro.distributed.rpc.NetworkModel` payload from
   the array bytes, not from per-op object framing;
-* :class:`~repro.datasets.stream.EdgeStream` and the dataset loaders
-  emit these batches end to end, so a bulk load never materialises
-  millions of :class:`~repro.core.types.EdgeOp` records.
+* :class:`~repro.datasets.stream.EdgeStream`, the dataset loaders and
+  the PALM executor (:mod:`repro.concurrency.palm`) take and emit these
+  batches end to end: no write is ever one Python object per operation.
 
 Op codes are small ints (:data:`OP_INSERT` upsert, :data:`OP_UPDATE`
 in-place only, :data:`OP_DELETE`), mirroring the three dynamic-update
@@ -33,8 +33,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.types import DEFAULT_ETYPE, EdgeOp, lexsort_rows
-from repro.core.types import OP_DELETE, OP_INSERT, OP_KIND_CODES, OP_UPDATE
+from repro.core.types import DEFAULT_ETYPE, lexsort_rows
+from repro.core.types import OP_DELETE, OP_INSERT, OP_UPDATE
 from repro.errors import ConfigurationError, InvalidWeightError
 from repro.obs.telemetry import Stats
 
@@ -42,7 +42,6 @@ __all__ = [
     "OP_INSERT",
     "OP_UPDATE",
     "OP_DELETE",
-    "OP_KIND_CODES",
     "EdgeBatch",
     "IngestStats",
     "ID_MAX",
@@ -85,7 +84,8 @@ class IngestStats(Stats):
     removed: int = 0
     #: Trees that took the O(n) bottom-up rebuild path.
     trees_rebuilt: int = 0
-    #: Trees that took the incremental PALM/`apply_source_batch` path.
+    #: Trees that took the incremental path (the scalar op, or the
+    #: bottom-up rounds of :mod:`repro.core.tree_batch`).
     trees_incremental: int = 0
     #: Trees created fresh by the batch (bulk-built).
     trees_created: int = 0
@@ -191,18 +191,6 @@ class EdgeBatch:
             np.concatenate([getattr(b, column) for b in batches])
             for column in cls.__slots__
         ))
-
-    @classmethod
-    def from_edge_ops(cls, ops: Sequence[EdgeOp]) -> "EdgeBatch":
-        """Columnarise a sequence of :class:`EdgeOp` records (every
-        column checked by ``__init__``, as for any batch)."""
-        return cls(
-            [e.src for e in ops],
-            [e.dst for e in ops],
-            [e.weight for e in ops],
-            [e.etype for e in ops],
-            [OP_KIND_CODES[e.kind] for e in ops],
-        )
 
     # ------------------------------------------------------------------
     # protocol

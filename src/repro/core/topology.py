@@ -51,7 +51,7 @@ from repro.core.snapshot import (
     coerce_generator,
     coerce_scalar_rng,
 )
-from repro.core.tree_batch import apply_tree_codes, check_tree_ops
+from repro.core.tree_batch import apply_tree_codes
 from repro.core.types import (
     DEFAULT_ETYPE,
     GraphStoreAPI,
@@ -281,33 +281,31 @@ class DynamicGraphStore(GraphStoreAPI):
         return tree
 
     def apply_source_batch(
-        self, src: int, etype: int, ops
+        self, src: int, etype: int, dsts: List[int], codes: List[int],
+        weights: List[float],
     ) -> List[bool]:
-        """Apply a batch of ``(kind, dst, weight)`` triples to one source.
+        """Apply the rows of one source, given as list columns cut from
+        a validated :class:`EdgeBatch` (the PALM executor's per-source
+        groups), in order; returns one outcome per row.
 
-        Used by the PALM executor's per-source groups.  A samtree
-        applies the whole batch with one descent per op and bottom-up
-        repair rounds (:mod:`repro.core.tree_batch`); a slab row applies
-        it op by op under the slab lock — rows of different sources
-        share the arena a relocation replaces.  A bad kind, ID or weight,
-        or a bad key for a new source, raises before anything is applied.
+        A samtree applies the whole group with one descent per op and
+        bottom-up repair rounds (:mod:`repro.core.tree_batch`); a slab
+        row applies it op by op under the slab lock — rows of different
+        sources share the arena a relocation replaces.
         """
-        vids, codes, weights = check_tree_ops(ops)
         key = (etype, src)
         value = self._directory.get(etype, src)
-        if value is None:
-            check_key(src, etype)
         self._mark_written(src, etype)
         if value is None or type(value) is int:
             outcomes: List[bool] = []
             with self.slab.lock:
                 grown, gone = self._apply_run(
-                    key, value, 0, len(vids), (vids, codes, weights), outcomes
+                    key, value, 0, len(dsts), (dsts, codes, weights), outcomes
                 )
                 self._num_edges += grown - gone
             return outcomes
         before = value.degree
-        outcomes = apply_tree_codes(value, vids, codes, weights)
+        outcomes = apply_tree_codes(value, dsts, codes, weights)
         if not value:
             self._directory.delete(etype, src)
         with self.slab.lock:

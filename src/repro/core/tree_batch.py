@@ -18,13 +18,11 @@ of walking root→leaf once per operation, a batch against one tree is
 This amortises the Algorithm-2 path maintenance across the batch: a
 parent whose ten children changed is rebuilt once, not ten times.
 
-Operations are ``(kind, vertex_id, weight)`` triples with kind one of
-``"insert"`` (upsert), ``"update"`` (only if present), ``"delete"``;
-:func:`check_tree_ops` turns them into the op codes of
-:mod:`repro.core.ingest` (the PALM per-source batch), and the store's
-columnar pass hands :func:`apply_tree_codes` columns it has already
-validated.  Outcomes mirror :meth:`GraphStoreAPI.apply` semantics per
-element.
+Operations are three parallel list columns — destination ids, op codes
+(:data:`~repro.core.types.OP_INSERT` upsert, ``OP_UPDATE`` only if
+present, ``OP_DELETE``) and weights — cut from an
+:class:`~repro.core.ingest.EdgeBatch`, which validated them.  Outcomes
+mirror :meth:`GraphStoreAPI.write_op` per element.
 
 A tree whose root is a leaf — almost every tree of a power-law graph —
 skips the grouping descents and has no round to run below the root.
@@ -36,42 +34,15 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.alpha_split import split_arrays
 from repro.core.cstable import CSTable
-from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, check_id
+from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE
 from repro.core.samtree import (
     Samtree,
-    _check_weight,
     _InternalNode,
     _LeafNode,
     _MIN_KEY,
 )
-from repro.errors import ConfigurationError
 
-__all__ = ["apply_tree_codes", "check_tree_ops", "TreeOp"]
-
-#: One batched operation against a single tree.
-TreeOp = Tuple[str, int, float]
-
-_KIND_CODES = {"insert": OP_INSERT, "update": OP_UPDATE, "delete": OP_DELETE}
-
-
-def check_tree_ops(
-    ops: Sequence[TreeOp],
-) -> Tuple[List[int], List[int], List[float]]:
-    """Validate ``ops`` into the ``(vids, codes, weights)`` columns of
-    :func:`apply_tree_codes`; raises on the first bad kind, ID or
-    insert/update weight."""
-    vids, codes, weights = [], [], []
-    for kind, vid, weight in ops:
-        code = _KIND_CODES.get(kind)
-        if code is None:
-            raise ConfigurationError(
-                f"unknown tree op kind {kind!r}; expected one of "
-                f"{tuple(_KIND_CODES)}"
-            )
-        vids.append(check_id(vid))
-        codes.append(code)
-        weights.append(weight if code == OP_DELETE else _check_weight(weight))
-    return vids, codes, weights
+__all__ = ["apply_tree_codes"]
 
 
 def apply_tree_codes(
@@ -80,8 +51,8 @@ def apply_tree_codes(
     codes: Sequence[int],
     weights: Sequence[float],
 ) -> List[bool]:
-    """Apply a batch of validated parallel columns (:func:`check_tree_ops`)
-    to one samtree with bottom-up repair rounds.
+    """Apply a batch of validated parallel columns to one samtree with
+    bottom-up repair rounds.
 
     Returns one outcome per op, in submission order: inserts report
     "was new", updates/deletes report "existed".  Equivalent to applying

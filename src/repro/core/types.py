@@ -1,4 +1,4 @@
-"""Shared types: edge records, update operations, and the store interface.
+"""Shared types: op codes, sample blocks, and the store interface.
 
 Every topology store in this package — PlatoD2GL's samtree store, the
 PlatoGL block-KV baseline, and the AliGraph static baseline — implements
@@ -9,10 +9,8 @@ the GNN samplers are store-agnostic.
 from __future__ import annotations
 
 import abc
-import enum
 import random
 import sys
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,9 +29,6 @@ __all__ = [
     "OP_INSERT",
     "OP_UPDATE",
     "OP_DELETE",
-    "OP_KIND_CODES",
-    "OpKind",
-    "EdgeOp",
     "GraphStoreAPI",
 ]
 
@@ -181,54 +176,15 @@ def lexsort_rows(*keys: np.ndarray) -> np.ndarray:
 
 
 #: ``slots=True`` (3.10+) removes the per-instance ``__dict__`` from the
-#: per-op record type — millions of them are alive during a stream
-#: replay, so the dict header is the dominant overhead — and from the
 #: serving tier's per-request records.
 SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
-class OpKind(enum.Enum):
-    """The three dynamic-update kinds of the paper's Table II."""
-
-    INSERT = "insert"
-    UPDATE = "update"
-    DELETE = "delete"
-
-
 #: Operation codes of a write — the ``op`` column of a batch and of a
 #: WAL row, the ``code`` of :meth:`GraphStoreAPI.write_op`: upsert,
-#: in-place update, delete.
+#: in-place update, delete (the three dynamic-update kinds of the
+#: paper's Table II).
 OP_INSERT, OP_UPDATE, OP_DELETE = 0, 1, 2
-
-#: ``OpKind`` -> op-code mapping.
-OP_KIND_CODES = dict(zip(OpKind, (OP_INSERT, OP_UPDATE, OP_DELETE)))
-
-
-@dataclass(frozen=True, **SLOTTED)
-class EdgeOp:
-    """One dynamic-update operation against a topology store."""
-
-    kind: OpKind
-    src: int
-    dst: int
-    weight: float = 1.0
-    etype: int = DEFAULT_ETYPE
-
-    @classmethod
-    def insert(
-        cls, src: int, dst: int, weight: float = 1.0, etype: int = DEFAULT_ETYPE
-    ) -> "EdgeOp":
-        return cls(OpKind.INSERT, src, dst, weight, etype)
-
-    @classmethod
-    def update(
-        cls, src: int, dst: int, weight: float, etype: int = DEFAULT_ETYPE
-    ) -> "EdgeOp":
-        return cls(OpKind.UPDATE, src, dst, weight, etype)
-
-    @classmethod
-    def delete(cls, src: int, dst: int, etype: int = DEFAULT_ETYPE) -> "EdgeOp":
-        return cls(OpKind.DELETE, src, dst, 0.0, etype)
 
 
 class GraphStoreAPI(abc.ABC):
@@ -271,11 +227,6 @@ class GraphStoreAPI(abc.ABC):
         if code == OP_UPDATE:
             return self.update_edge(src, dst, weight, etype)
         return self.remove_edge(src, dst, etype)
-
-    def apply(self, op: EdgeOp) -> bool:
-        """Apply one :class:`EdgeOp` through :meth:`write_op`."""
-        code = OP_KIND_CODES[op.kind]
-        return self.write_op(code, op.src, op.dst, op.weight, op.etype)
 
     # -- columnar bulk ingestion ----------------------------------------
     # Generic fallbacks replaying row by row; samtree-backed stores

@@ -20,7 +20,7 @@ column as the paper's Table III.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -99,11 +99,6 @@ class RelationData:
     def num_edges(self) -> int:
         return int(self.src.shape[0])
 
-    def edge_tuples(self) -> Iterator[Tuple[int, int, float]]:
-        """Iterate ``(src, dst, weight)`` (python ints/floats)."""
-        for s, d, w in zip(self.src, self.dst, self.weight):
-            yield int(s), int(d), float(w)
-
 
 @dataclass
 class GraphData:
@@ -124,13 +119,6 @@ class GraphData:
         raise ConfigurationError(
             f"dataset {self.name!r} has no relation {name!r}"
         )
-
-    def edge_ops(self) -> Iterator[Tuple[int, int, float, int]]:
-        """Iterate every edge as ``(src, dst, weight, etype)``."""
-        for rel in self.relations:
-            etype = rel.spec.etype
-            for s, d, w in rel.edge_tuples():
-                yield s, d, w, etype
 
     def forward_relations(self) -> List["RelationData"]:
         """Relations as listed in Table III (reversed twins excluded)."""

@@ -19,8 +19,9 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.ingest import EdgeBatch
-from repro.core.types import EdgeOp
+from repro.core.types import OP_DELETE, OP_INSERT, OP_UPDATE
 from repro.datasets.presets import GraphData
+from repro.datasets.synthetic import type_offset
 from repro.errors import ConfigurationError
 
 __all__ = ["EdgeStream", "RequestStream"]
@@ -62,7 +63,7 @@ class RequestStream:
         self._rng = np.random.default_rng(seed)
         # One probability vector + one rank->id permutation per stream,
         # so every batch draws from the same popularity law.
-        from repro.datasets.synthetic import type_offset, zipf_probabilities
+        from repro.datasets.synthetic import zipf_probabilities
 
         self._probs = zipf_probabilities(num_sources, exponent)
         self._perm = (
@@ -118,32 +119,13 @@ class EdgeStream:
         self._pending: List[Tuple[int, object, object]] = []
 
     # ------------------------------------------------------------------
-    def build_batches(self, batch_size: int) -> Iterator[List[EdgeOp]]:
-        """Insert batches covering every edge of the dataset, in order."""
-        if batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
-        batch: List[EdgeOp] = []
-        for src, dst, weight, etype in self.data.edge_ops():
-            batch.append(EdgeOp.insert(src, dst, weight, etype))
-            self._track_insert(src, dst, etype)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+    def build_batches(self, batch_size: int) -> Iterator[EdgeBatch]:
+        """Insert batches covering every edge of the dataset, in order.
 
-    def build_batches_columnar(
-        self, batch_size: int
-    ) -> Iterator[EdgeBatch]:
-        """Columnar insert batches covering every edge, in order.
-
-        Each batch is a contiguous slice of one relation's arrays — no
-        per-edge :class:`EdgeOp` objects are ever materialised, which is
-        what lets a bulk load stream millions of edges through the
-        columnar ingest RPCs.  Live-edge tracking (for a later churn
-        phase) is deferred until churn actually needs targets.
+        Each batch is a contiguous slice of one relation's arrays, so a
+        bulk load streams millions of edges through the columnar ingest
+        RPCs without a Python object per edge.  Live-edge tracking (for
+        a later churn phase) is deferred until churn needs targets.
         """
         if batch_size < 1:
             raise ConfigurationError(
@@ -158,17 +140,6 @@ class EdgeStream:
                 yield EdgeBatch.inserts(
                     rel.src[a:b], rel.dst[a:b], rel.weight[a:b], etype
                 )
-
-    def churn_batches_columnar(
-        self,
-        batch_size: int,
-        num_batches: int,
-        mix: Tuple[float, float, float] = (0.5, 0.3, 0.2),
-        id_space: Optional[int] = None,
-    ) -> Iterator[EdgeBatch]:
-        """Columnar form of :meth:`churn_batches` (same op sequence)."""
-        for ops in self.churn_batches(batch_size, num_batches, mix, id_space):
-            yield EdgeBatch.from_edge_ops(ops)
 
     def _track_insert(self, src: int, dst: int, etype: int) -> None:
         key = (etype, src, dst)
@@ -218,13 +189,15 @@ class EdgeStream:
         num_batches: int,
         mix: Tuple[float, float, float] = (0.5, 0.3, 0.2),
         id_space: Optional[int] = None,
-    ) -> Iterator[List[EdgeOp]]:
+    ) -> Iterator[EdgeBatch]:
         """Mixed dynamic-update batches.
 
         ``mix = (insert, update, delete)`` fractions.  Inserts target
         fresh (src, dst) pairs drawn from the dataset's vertex ranges;
         updates and deletes target currently live edges (falling back to
-        an insert when the live set is empty).
+        an insert when the live set is empty).  The arguments are
+        checked and the deferred build inserts join the live set at the
+        call, so a timed loop over the batches times only the batches.
         """
         if batch_size < 1 or num_batches < 0:
             raise ConfigurationError(
@@ -234,18 +207,24 @@ class EdgeStream:
         total = p_insert + p_update + p_delete
         if total <= 0:
             raise ConfigurationError(f"mix must have positive mass: {mix}")
-        p_insert, p_update = p_insert / total, p_update / total
         self._ensure_live()
+        return self._churn(
+            batch_size, num_batches, p_insert / total, p_update / total,
+            id_space,
+        )
+
+    def _churn(
+        self, batch_size: int, num_batches: int, p_insert: float,
+        p_update: float, id_space: Optional[int],
+    ) -> Iterator[EdgeBatch]:
         rng = self._rng
         specs = [r.spec for r in self.data.relations]
         for _ in range(num_batches):
-            batch: List[EdgeOp] = []
+            rows: List[Tuple[int, int, float, int, int]] = []
             for _ in range(batch_size):
                 r = rng.random()
                 if r < p_insert or not self._live_set:
                     spec = specs[rng.randrange(len(specs))]
-                    from repro.datasets.synthetic import type_offset
-
                     src = type_offset(spec.src_type) + rng.randrange(
                         spec.num_src
                     )
@@ -253,20 +232,19 @@ class EdgeStream:
                         id_space or spec.num_dst
                     )
                     weight = 0.1 + 0.9 * rng.random()
-                    batch.append(EdgeOp.insert(src, dst, weight, spec.etype))
+                    rows.append((src, dst, weight, spec.etype, OP_INSERT))
                     self._track_insert(src, dst, spec.etype)
                 elif r < p_insert + p_update:
                     key = self._pick_live()
                     if key is None:
                         continue
                     etype, src, dst = key
-                    batch.append(
-                        EdgeOp.update(src, dst, 0.1 + 0.9 * rng.random(), etype)
-                    )
+                    weight = 0.1 + 0.9 * rng.random()
+                    rows.append((src, dst, weight, etype, OP_UPDATE))
                 else:
                     key = self._pop_live()
                     if key is None:
                         continue
                     etype, src, dst = key
-                    batch.append(EdgeOp.delete(src, dst, etype))
-            yield batch
+                    rows.append((src, dst, 0.0, etype, OP_DELETE))
+            yield EdgeBatch(*(tuple(zip(*rows)) or ((),) * 5))

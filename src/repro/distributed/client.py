@@ -27,12 +27,11 @@ Fault tolerance:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
 from operator import methodcaller
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +44,6 @@ from repro.core.types import (
     OP_INSERT,
     OP_UPDATE,
     UNAVAILABLE,
-    EdgeOp,
     GraphStoreAPI,
     SampleBlock,
     check_counts,
@@ -327,30 +325,6 @@ class GraphClient(GraphStoreAPI):
         return self._write_shard(
             self.partitioner.shard_for(src), _OP_BYTES, write
         )
-
-    # ------------------------------------------------------------------
-    # batched updates (one message per shard per replica)
-    # ------------------------------------------------------------------
-    def apply_batch(self, ops: Sequence[EdgeOp]) -> List[bool]:
-        """Route a batch of operations, one message per involved shard,
-        and return per-op outcomes in submission order."""
-        per_shard: Dict[int, List[Tuple[int, EdgeOp]]] = defaultdict(list)
-        for i, op in enumerate(ops):
-            per_shard[self.partitioner.shard_for(op.src)].append((i, op))
-        with self.telemetry.span(
-            "client.apply_batch", ops=len(ops), shards=len(per_shard)
-        ):
-            outcomes: List[bool] = [False] * len(ops)
-            for shard, indexed in per_shard.items():
-                shard_ops = [op for _, op in indexed]
-                results = self._write_shard(
-                    shard,
-                    _OP_BYTES * len(indexed),
-                    lambda s, shard_ops=shard_ops: s.apply_ops(shard_ops),
-                )
-                for (i, _), result in zip(indexed, results):
-                    outcomes[i] = result
-            return outcomes
 
     # ------------------------------------------------------------------
     # columnar bulk ingestion (one columnar message per shard per replica)

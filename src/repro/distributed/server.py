@@ -39,7 +39,6 @@ from repro.core.snapshot import RNGLike
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import (
     DEFAULT_ETYPE,
-    EdgeOp,
     GraphStoreAPI,
     SampleBlock,
 )
@@ -275,26 +274,13 @@ class GraphServer:
     # ------------------------------------------------------------------
     # update path
     # ------------------------------------------------------------------
-    def apply_ops(self, ops: Sequence[EdgeOp]) -> List[bool]:
-        """Apply a batch of edge operations owned by this shard."""
-        with self.telemetry.span(
-            "server.apply_ops", **self._where, ops=len(ops)
-        ):
-            self._serve("apply_ops")
-            self.stats.update_requests += 1
-            if self.wal is not None:
-                self.wal.append_ops(ops)
-                self.telemetry.event(
-                    "wal", "append", **self._where, ops=len(ops)
-                )
-            done = [self.store.apply(op) for op in ops]
-            self.stats.ops_applied += len(ops)
-            return done
-
     def apply_op(
         self, code: int, src: int, dst: int, weight: float, etype: int
     ) -> bool:
-        """One op by code: :meth:`apply_ops`'s span, checks and counts."""
+        """Apply one operation owned by this shard, by op code: WAL
+        first, then the store.  The span and the fault endpoint are
+        named ``apply_ops``, the names readouts and fault plans use for
+        a shard's scalar writes."""
         with self.telemetry.span("server.apply_ops", **self._where, ops=1):
             self._serve("apply_ops")
             self.stats.update_requests += 1

@@ -39,12 +39,11 @@ import io
 import os
 import struct
 import zlib
-from typing import BinaryIO, Iterator, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.ingest import EdgeBatch, check_row
-from repro.core.types import EdgeOp
 from repro.errors import ConfigurationError, WALCorruptionError
 
 __all__ = ["ShardWAL", "WAL_MAGIC", "WAL_VERSION"]
@@ -213,11 +212,6 @@ class ShardWAL:
         if n == 0:
             return 0
         return self._append_record(n, _pack_payload(batch))
-
-    def append_ops(self, ops: Sequence[EdgeOp]) -> int:
-        """Append a scalar op batch as one record (the ``apply_ops``
-        write path shares the log format with the bulk path)."""
-        return self.append_batch(EdgeBatch.from_edge_ops(ops))
 
     def append_op(
         self, code: int, src: int, dst: int, weight: float, etype: int

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.samtree import OpStats, Samtree, SamtreeConfig, build_roots
 from repro.core.topology import DynamicGraphStore
-from repro.core.tree_batch import apply_tree_codes, check_tree_ops
+from repro.core.tree_batch import apply_tree_codes
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
 
 
@@ -75,9 +75,11 @@ def bulk_tree(ids, weights=None, config=None, stats=None) -> Samtree:
 
 
 def tree_batch(tree: Samtree, ops):
-    """Apply ``(kind, vid, weight)`` triples to one samtree as one batch,
-    the way ``DynamicGraphStore.apply_source_batch`` does."""
-    return apply_tree_codes(tree, *check_tree_ops(ops))
+    """Apply ``(code, vid, weight)`` triples (``OP_*`` codes, valid
+    rows) to one samtree as one batch, the way
+    ``DynamicGraphStore.apply_source_batch`` does."""
+    codes, vids, weights = zip(*ops) if ops else ((), (), ())
+    return apply_tree_codes(tree, list(vids), list(codes), list(weights))
 
 
 def live_edges(stream):

@@ -79,8 +79,7 @@ class TestWorkloads:
         store = make_store("PlatoD2GL")
         stream = EdgeStream(data)
         for batch in stream.build_batches(1024):
-            for op in batch:
-                store.apply(op)
+            store.apply_edge_batch(batch)
         mean = run_update_batches(store, stream, batch_size=64, num_batches=3)
         assert mean > 0
 

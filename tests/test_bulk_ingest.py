@@ -84,23 +84,16 @@ def test_edge_batch_broadcast_and_validation():
 
 
 def test_edge_batch_roundtrip_edge_ops():
-    from repro.core.ingest import OP_KIND_CODES
-    from repro.core.types import EdgeOp
-
-    ops = [
-        EdgeOp.insert(1, 2, 0.5, 3),
-        EdgeOp.update(4, 5, 1.5),
-        EdgeOp.delete(6, 7, 2),
+    rows = [
+        (1, 2, 0.5, 3, OP_INSERT),
+        (4, 5, 1.5, 0, OP_UPDATE),
+        (6, 7, 0.0, 2, OP_DELETE),
     ]
-    batch = EdgeBatch.from_edge_ops(ops)
-    kinds = {code: kind for kind, code in OP_KIND_CODES.items()}
-    assert [
-        EdgeOp(kinds[o], s, d, w, e)
-        for s, d, w, e, o in zip(
-            batch.src.tolist(), batch.dst.tolist(), batch.weight.tolist(),
-            batch.etype.tolist(), batch.op.tolist(),
-        )
-    ] == ops
+    batch = EdgeBatch(*zip(*rows))
+    assert list(zip(
+        batch.src.tolist(), batch.dst.tolist(), batch.weight.tolist(),
+        batch.etype.tolist(), batch.op.tolist(),
+    )) == rows
     assert batch.payload_nbytes() == 16 + 3 * 23
 
 
@@ -488,19 +481,16 @@ def test_columnar_stream_matches_scalar_stream():
     a = DynamicGraphStore(SamtreeConfig(capacity=64))
     b = DynamicGraphStore(SamtreeConfig(capacity=64))
     sa, sb = EdgeStream(data, seed=3), EdgeStream(data, seed=3)
-    for batch in sa.build_batches_columnar(512):
+    for batch, same in zip(sa.build_batches(512), sb.build_batches(512)):
         a.bulk_load(batch)
-    for ops in sb.build_batches(512):
-        for op in ops:
-            b.apply(op)
+        GraphStoreAPI.apply_edge_batch(b, same)  # the per-op reference
     assert stores_equal(a, b)
     assert live_edges(sa) == live_edges(sb)
     # Same seed -> same churn sequence -> same final stores.
-    for cb in sa.churn_batches_columnar(100, 4):
-        a.apply_edge_batch(cb)
-    for ops in sb.churn_batches(100, 4):
-        for op in ops:
-            b.apply(op)
+    churn = zip(sa.churn_batches(100, 4), sb.churn_batches(100, 4))
+    for batch, same in churn:
+        a.apply_edge_batch(batch)
+        GraphStoreAPI.apply_edge_batch(b, same)
     a.check_invariants()
     assert stores_equal(a, b)
 

@@ -883,6 +883,7 @@ def test_palm_write_racing_a_displacement_keeps_the_source():
     that probes a source whose directory entry a cuckoo path is moving
     must see the source, not create it afresh over its old row."""
     from repro.core.topology import DynamicGraphStore
+    from repro.core.types import OP_INSERT
 
     store = DynamicGraphStore()
     for s in range(200):
@@ -900,7 +901,7 @@ def test_palm_write_racing_a_displacement_keeps_the_source():
     assert paused.wait(WAIT_S), "the writer never moved a source's entry"
     k = seen[0][2]
     palm = _start(
-        lambda: store.apply_source_batch(k, 0, [("insert", 7, 3.0)])
+        lambda: store.apply_source_batch(k, 0, [7], [OP_INSERT], [3.0])
     )
     palm.join(0.1)
     assert palm.is_alive()  # waits for the path to land

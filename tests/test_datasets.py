@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.topology import DynamicGraphStore
+from repro.core.types import OP_DELETE
 from repro.datasets.presets import (
     DATASET_SPECS,
     RelationSpec,
@@ -215,13 +218,36 @@ class TestEdgeStream:
         stream = EdgeStream(data, seed=3)
         store = DynamicGraphStore()
         for batch in stream.build_batches(256):
-            for op in batch:
-                store.apply(op)
+            store.apply_edge_batch(batch)
         assert store.num_edges == len(live_edges(stream))
         for batch in stream.churn_batches(128, 6, mix=(0.4, 0.3, 0.3)):
-            for op in batch:
-                store.apply(op)
+            store.apply_edge_batch(batch)
         assert store.num_edges == len(live_edges(stream))
+
+    #: sha256 of every churn batch's columns (src, dst, weight, etype,
+    #: op bytes) after a 4096-row build, per (seed, mix): the op
+    #: sequence the stream has always drawn.
+    CHURN_DIGESTS = {
+        (0, (0.5, 0.3, 0.2)): "9f44c26d7a92b0aca1354c7079a4c3ed46c67ed9b553fc7339bc42ca0a2bfb45",
+        (0, (0.2, 0.3, 0.5)): "f1e73bde21f5095abb376a8ab4502cec004318bc0b5c177fb06af99810dfd56d",
+        (7, (0.5, 0.3, 0.2)): "e51fe26a990cfe0a4cb025049e62738a302606f22c3a8253301c1b3613684743",
+        (7, (0.2, 0.3, 0.5)): "e9ec5e05d1d63dfb39fd4b56868e250266116bcd796cb4ac6b312371d73f6e88",
+    }
+
+    @pytest.mark.parametrize("seed, mix", sorted(CHURN_DIGESTS))
+    def test_churn_op_sequence_is_pinned(self, seed, mix):
+        stream = EdgeStream(ogbn_scaled(scale=20_000), seed=seed)
+        for _ in stream.build_batches(4096):
+            pass
+        digest = hashlib.sha256()
+        rows = 0
+        for batch in stream.churn_batches(64, 6, mix):
+            rows += len(batch)
+            for column in (batch.src, batch.dst, batch.weight, batch.etype,
+                           batch.op):
+                digest.update(column.tobytes())
+        assert rows == 384
+        assert digest.hexdigest() == self.CHURN_DIGESTS[seed, mix]
 
     def test_mix_validation(self):
         stream = EdgeStream(ogbn_scaled(scale=20_000))
@@ -235,12 +261,10 @@ class TestEdgeStream:
         stream = EdgeStream(data, seed=1)
         store = DynamicGraphStore()
         for batch in stream.build_batches(512):
-            for op in batch:
-                store.apply(op)
+            store.apply_edge_batch(batch)
         before = len(live_edges(stream))
         for batch in stream.churn_batches(64, 3, mix=(0.0, 0.0, 1.0)):
-            for op in batch:
-                assert op.kind.value == "delete"
-                store.apply(op)
+            assert (batch.op == OP_DELETE).all()
+            store.apply_edge_batch(batch)
         assert len(live_edges(stream)) < before
         assert store.num_edges == len(live_edges(stream))

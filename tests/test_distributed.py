@@ -10,7 +10,8 @@ import pytest
 from repro.baselines.platogl import PlatoGLStore
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import EdgeOp
+from repro.core.ingest import EdgeBatch
+from repro.core.types import OP_DELETE, OP_INSERT
 from repro.distributed import (
     GraphClient,
     GraphServer,
@@ -19,7 +20,7 @@ from repro.distributed import (
     NetworkModel,
     splitmix64,
 )
-from repro.errors import ConfigurationError, PartitionError
+from repro.errors import ConfigurationError, InvalidWeightError, PartitionError
 
 
 class TestPartitioner:
@@ -98,16 +99,14 @@ class TestClientRouting:
 
     def test_apply_batch_order_and_outcomes(self):
         client, _, _ = self.make()
-        ops = [
-            EdgeOp.insert(1, 2, 1.0),
-            EdgeOp.insert(9, 2, 1.0),
-            EdgeOp.insert(1, 2, 2.0),
-            EdgeOp.delete(9, 2),
-            EdgeOp.delete(9, 3),
-        ]
-        outcomes = client.apply_batch(ops)
-        assert outcomes == [True, True, False, True, False]
+        stats = client.apply_edge_batch(EdgeBatch(
+            [1, 9, 1, 9, 9], [2, 2, 2, 2, 3], [1.0, 1.0, 2.0, 0.0, 0.0], 0,
+            [OP_INSERT, OP_INSERT, OP_INSERT, OP_DELETE, OP_DELETE],
+        ))
+        # Net of the batch: 9 -> 2 comes and goes, 9 -> 3 never was.
+        assert (stats.ops, stats.inserted, stats.removed) == (5, 1, 0)
         assert client.num_edges == 1
+        assert client.edge_weight(1, 2) == 2.0  # the later insert wins
 
     def test_batch_sampling_preserves_order(self, rng):
         client, _, _ = self.make()
@@ -130,7 +129,7 @@ class TestClientRouting:
     def test_network_accounting(self):
         net = NetworkModel()
         client, _, _ = self.make(network=net)
-        client.apply_batch([EdgeOp.insert(i, 0, 1.0) for i in range(100)])
+        client.apply_edge_batch(EdgeBatch.inserts(np.arange(100), np.zeros(100)))
         assert 1 <= net.stats.messages <= 4  # one message per shard
         client.sample_neighbors_many(list(range(100)), 5)
         assert net.stats.messages <= 8
@@ -139,14 +138,30 @@ class TestClientRouting:
 class TestLocalCluster:
     def test_build_and_stats(self):
         cluster = LocalCluster(num_servers=4, config=SamtreeConfig(capacity=16))
-        ops = [EdgeOp.insert(i % 50, i, 1.0) for i in range(500)]
-        cluster.client.apply_batch(ops)
+        ids = np.arange(500)
+        cluster.client.apply_edge_batch(EdgeBatch.inserts(ids % 50, ids))
         infos = cluster.shard_infos()
         assert len(infos) == 4
         assert sum(i.num_edges for i in infos) == 500
         assert cluster.total_nbytes() == sum(i.nbytes for i in infos)
         cluster.reset_stats()
         assert all(s.stats.ops_applied == 0 for s in cluster.servers)
+
+    def test_a_refused_batch_writes_nothing(self, tmp_path):
+        """A bad row refuses the whole batch at the client, before any
+        shard's WAL or store is touched."""
+        cluster = LocalCluster(num_servers=2, durable=True, wal_dir=str(tmp_path))
+        client = cluster.client
+        client.add_edge(5, 6, 0.5)
+        adjacency = {s: client.neighbors(s) for s in range(1, 6)}
+        logs = [server.wal._read_all() for server in cluster.servers]
+        with pytest.raises(InvalidWeightError):
+            client.apply_edge_batch([1, 2, 1], [2, 3, 4], [1.0, 1.0, -1.0])
+        assert client.num_edges == 1
+        assert {s: client.neighbors(s) for s in range(1, 6)} == adjacency
+        assert [server.wal._read_all() for server in cluster.servers] == logs
+        for server in cluster.servers:
+            server.wal.close()
 
     def test_store_factory_runs_baselines(self):
         cluster = LocalCluster(num_servers=2, store_factory=PlatoGLStore)

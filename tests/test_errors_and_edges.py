@@ -7,13 +7,10 @@ import random
 import pytest
 
 import repro
-from repro.baselines.platogl import PlatoGLStore
-from repro.concurrency.palm import PalmExecutor
 from repro.core.compression import MAX_ID
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import EdgeOp
 from repro.errors import (
     ConfigurationError,
     EmptyStructureError,
@@ -145,26 +142,6 @@ class TestConfigBoundaries:
 
 
 class TestWrapperCompositions:
-    def test_palm_over_instrumented_store(self, rng):
-        """The executor falls back to per-op application on a store
-        without the ``apply_source_batch`` hook and still applies
-        every op."""
-        store = PlatoGLStore()
-        executor = PalmExecutor(store, num_threads=2)
-        assert executor.tree_batching is False
-        ops = [EdgeOp.insert(i % 5, i, 1.0) for i in range(100)]
-        result = executor.apply_batch(ops)
-        assert all(result.outcomes)
-        assert store.num_edges == 100
-
-    def test_palm_over_temporal_store(self):
-        temporal = TemporalGraphStore(window=10)
-        executor = PalmExecutor(temporal, num_threads=2)
-        executor.apply_batch([EdgeOp.insert(1, i, 1.0) for i in range(5)])
-        assert temporal.num_edges == 5
-        temporal.advance(10)
-        assert temporal.num_edges == 0
-
     def test_temporal_over_instrumented(self):
         """The window inserts into and expires from the store it wraps."""
         inner = DynamicGraphStore()

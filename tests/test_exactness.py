@@ -173,7 +173,8 @@ def test_store_interleaving_with_splits_and_merges():
             adj[dst] = adj[dst] + delta
             w = churn.weight()
             store.apply_source_batch(
-                src, etype, [("insert", 10_000 + round_, w), ("delete", dst, 0.0)]
+                src, etype, [10_000 + round_, dst], [OP_INSERT, OP_DELETE],
+                [w, 0.0],
             )
             churn.record(etype, src, 10_000 + round_, OP_INSERT, w)
             churn.record(etype, src, dst, OP_DELETE, 0.0)

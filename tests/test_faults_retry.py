@@ -11,7 +11,7 @@ import pytest
 from repro.core.ingest import EdgeBatch
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import EdgeOp
+from repro.core.types import OP_DELETE, OP_INSERT
 from repro.distributed import (
     UNAVAILABLE,
     FaultInjector,
@@ -192,10 +192,10 @@ class TestServerDurability:
 
     def test_crashed_endpoints_refuse(self):
         server = self._server()
-        server.apply_ops([EdgeOp.insert(1, 2, 1.0)])
+        server.apply_op(OP_INSERT, 1, 2, 1.0, 0)
         server.crash()
         for call in (
-            lambda: server.apply_ops([EdgeOp.insert(3, 4, 1.0)]),
+            lambda: server.apply_op(OP_INSERT, 3, 4, 1.0, 0),
             lambda: server.ingest_batch(EdgeBatch.inserts([1], [5])),
             lambda: server.sample_neighbors_many([1], 2),
             lambda: server.degrees([1]),
@@ -207,9 +207,9 @@ class TestServerDurability:
 
     def test_recover_from_wal_only(self):
         server = self._server()
-        server.apply_ops([EdgeOp.insert(1, 2, 0.5), EdgeOp.insert(1, 3, 1.5)])
+        server.ingest_batch(EdgeBatch.inserts([1, 1], [2, 3], [0.5, 1.5]))
         server.ingest_batch(EdgeBatch.inserts([9, 9], [1, 2], [2.0, 3.0]))
-        server.apply_ops([EdgeOp.delete(1, 3)])
+        server.apply_op(OP_DELETE, 1, 3, 0.0, 0)
         before = {s: dict(server.store.neighbors(s)) for s in (1, 9)}
         server.crash()
         replayed = server.recover()
@@ -225,7 +225,7 @@ class TestServerDurability:
         )
         server.checkpoint()
         assert not list(server.wal.replay())
-        server.apply_ops([EdgeOp.insert(0, 999, 2.0)])
+        server.apply_op(OP_INSERT, 0, 999, 2.0, 0)
         server.crash()
         replayed = server.recover()
         assert replayed == 1  # only the tail
@@ -234,7 +234,7 @@ class TestServerDurability:
 
     def test_recover_without_durability_starts_empty(self):
         server = self._server(wal=False)
-        server.apply_ops([EdgeOp.insert(1, 2, 1.0)])
+        server.apply_op(OP_INSERT, 1, 2, 1.0, 0)
         server.crash()
         server.recover()
         assert server.store.num_edges == 0  # volatile state truly lost
@@ -242,7 +242,7 @@ class TestServerDurability:
     def test_uniform_request_accounting(self):
         server = self._server(wal=False)
         endpoints = [
-            lambda: server.apply_ops([EdgeOp.insert(1, 2, 1.0)]),
+            lambda: server.apply_op(OP_INSERT, 1, 2, 1.0, 0),
             lambda: server.ingest_batch(EdgeBatch.inserts([1], [3])),
             lambda: server.freeze(),
             lambda: server.sample_neighbors_many([1], 2),
@@ -265,7 +265,7 @@ class TestServerDurability:
         assert stats.requests == len(endpoints)
         assert stats.refused_requests == 0
         assert identity_holds()
-        assert stats.update_requests == 2  # apply_ops + freeze
+        assert stats.update_requests == 2  # apply_op + freeze
         assert stats.ingest_requests == 1
         assert stats.sample_requests == 5
         assert stats.ops_applied == 2
@@ -311,7 +311,7 @@ class TestRequestReconciliation:
             wal=ShardWAL(),
             faults=injector,
         )
-        server.apply_ops([EdgeOp.insert(1, 2, 1.0)])
+        server.apply_op(OP_INSERT, 1, 2, 1.0, 0)
         server.sample_neighbors_many([1], 2)
         server.crash()
         for _ in range(4):  # refused while down

@@ -39,7 +39,7 @@ from repro.core.compression import CompressedIDList, PlainIDList
 from repro.core.fenwick import FSTable
 from repro.core.fenwick import ROW_PAD, pad_rows
 from repro.core.frozen import FrozenStats, alias_mass, build_alias
-from repro.core.ingest import EdgeBatch
+from repro.core.ingest import OP_INSERT, EdgeBatch
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.slab import Slab
 from repro.core.snapshot import ALIAS_TOLERANCE, coerce_generator, flatten_tree
@@ -572,7 +572,7 @@ class TestEpochInvalidation:
             lambda: store.accumulate_edge(1, 2, 0.5),
             lambda: store.update_edge(1, 2, 3.0),
             lambda: store.remove_edge(1, 2),
-            lambda: store.apply_source_batch(1, 0, [("insert", 9, 1.0)]),
+            lambda: store.apply_source_batch(1, 0, [9], [OP_INSERT], [1.0]),
             lambda: store.bulk_load([1, 1], [7, 8], 1.0),
         ):
             store.freeze()

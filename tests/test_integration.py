@@ -13,7 +13,8 @@ import numpy as np
 from repro.concurrency.palm import PalmExecutor
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import EdgeOp
+from repro.core.ingest import EdgeBatch
+from repro.core.types import OP_DELETE, OP_INSERT
 from repro.datasets.presets import wechat_scaled
 from repro.datasets.stream import EdgeStream
 from repro.distributed import LocalCluster, NetworkModel
@@ -93,13 +94,14 @@ def test_concurrent_updates_visible_to_sampler():
     """Figure 1's core premise: samples reflect the latest graph state."""
     store = DynamicGraphStore(SamtreeConfig(capacity=8))
     executor = PalmExecutor(store, num_threads=2)
-    executor.apply_batch([EdgeOp.insert(1, 100, 1.0)])
+    executor.apply_batch(EdgeBatch.inserts([1], [100]))
     rng = random.Random(3)
     assert set(store.sample_neighbors(1, 20, rng)) == {100}
     # A batch rewires vertex 1 entirely.
-    executor.apply_batch(
-        [EdgeOp.delete(1, 100)] + [EdgeOp.insert(1, 200 + i, 1.0) for i in range(5)]
-    )
+    executor.apply_batch(EdgeBatch(
+        [1] * 6, [100] + [200 + i for i in range(5)], 1.0, 0,
+        [OP_DELETE] + [OP_INSERT] * 5,
+    ))
     out = set(store.sample_neighbors(1, 200, rng))
     assert 100 not in out
     assert out <= {200, 201, 202, 203, 204}
@@ -123,16 +125,21 @@ def test_store_survives_adversarial_interleaving():
     r = random.Random(5)
     live = set()
     for round_no in range(30):
-        batch = []
+        dsts, weights, ops = [], [], []
         for _ in range(200):
             dst = r.randrange(300)
+            dsts.append(dst)
             if r.random() < 0.55:
-                batch.append(EdgeOp.insert(7, dst, r.random() + 0.01))
+                weights.append(r.random() + 0.01)
+                ops.append(OP_INSERT)
                 live.add(dst)
             else:
-                batch.append(EdgeOp.delete(7, dst))
+                weights.append(0.0)
+                ops.append(OP_DELETE)
                 live.discard(dst)
-        PalmExecutor(store, num_threads=2).apply_batch(batch)
+        PalmExecutor(store, num_threads=2).apply_batch(
+            EdgeBatch([7] * len(dsts), dsts, weights, 0, ops)
+        )
         if round_no % 10 == 9:
             store.check_invariants()
     assert store.degree(7) == len(live)

@@ -34,7 +34,6 @@ from repro.core.ingest import (
 )
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import EdgeOp, OpKind
 from repro.distributed import LocalCluster
 from repro.distributed.server import GraphServer
 from repro.errors import ConfigurationError
@@ -46,8 +45,6 @@ from repro.storage.wal import ShardWAL
 from tests.conftest import DescentStore, stores_equal
 
 CONFIG = SamtreeConfig(capacity=4)
-_KINDS = {OP_INSERT: OpKind.INSERT, OP_UPDATE: OpKind.UPDATE,
-          OP_DELETE: OpKind.DELETE}
 
 
 def _image(store) -> bytes:
@@ -265,7 +262,7 @@ def test_recover_refuses_a_factory_that_disagrees_with_the_checkpoint():
         0, store=DynamicGraphStore(SamtreeConfig(capacity=8)),
         config=CONFIG, wal=ShardWAL(),
     )
-    server.apply_ops([EdgeOp.insert(1, 2, 1.0)])
+    server.apply_op(OP_INSERT, 1, 2, 1.0, 0)
     server.checkpoint()
     server.crash()
     with pytest.raises(ConfigurationError, match="cannot load"):
@@ -282,7 +279,7 @@ _row_st = st.tuples(
     st.integers(0, 1),  # etype
     st.sampled_from([OP_INSERT, OP_UPDATE, OP_DELETE]),
 )
-#: A logged record: a scalar op (one row), an op list or a columnar batch.
+#: A logged record: a scalar op (one row) or a columnar batch.
 _record_st = st.one_of(
     st.lists(_row_st, min_size=1, max_size=1),
     st.lists(_row_st, min_size=1, max_size=12),
@@ -311,10 +308,9 @@ def test_concatenated_tail_equals_record_by_record(tail, seed, bound, base):
         if base else DynamicGraphStore(CONFIG)
     )
     for k, rows in enumerate(tail):
-        if len(rows) == 1 or k % 2:  # through the scalar endpoint
-            server.apply_ops([
-                EdgeOp(_KINDS[o], s, d, w, e) for s, d, w, e, o in rows
-            ])
+        if len(rows) == 1 and k % 2:  # through the scalar endpoint
+            ((s, d, w, e, o),) = rows
+            server.apply_op(o, s, d, w, e)
         else:
             server.ingest_batch(_batch_of(rows))
         reference.apply_edge_batch(_batch_of(rows))  # one call per record

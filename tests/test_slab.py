@@ -40,7 +40,6 @@ from repro.core.topology import (
     DynamicGraphStore,
 )
 from repro.core.tree_batch import apply_tree_codes
-from repro.core.types import EdgeOp
 from repro.distributed import LocalCluster
 from repro.errors import (
     ConfigurationError,
@@ -114,7 +113,7 @@ class TreeOnlyStore:
     def apply_source_batch(self, key, ops):
         tree = self.trees.get(key)
         if tree is None:
-            if not any(kind == "insert" for kind, _, _ in ops):
+            if not any(code == OP_INSERT for code, _, _ in ops):
                 return [False] * len(ops)
             tree = self.trees[key] = Samtree(self.config, self.stats)
         before = tree.degree
@@ -178,9 +177,6 @@ class TreeOnlyStore:
         return stats
 
 
-_KIND = {OP_INSERT: "insert", OP_UPDATE: "update", OP_DELETE: "delete"}
-
-
 def _stream(rng, capacity, steps, sources, dsts, dense):
     """A mixed op stream: scalar ops, ``accumulate_edge``, per-source
     batches, sparse columnar batches with duplicate keys over two
@@ -201,7 +197,7 @@ def _stream(rng, capacity, steps, sources, dsts, dense):
             yield "accumulate", key, OP_INSERT, rng.randrange(dsts), w()
         elif kind < 0.55:
             yield "source_batch", key, [
-                (_KIND[op()], rng.randrange(dsts), w())
+                (op(), rng.randrange(dsts), w())
                 for _ in range(rng.randrange(1, 7))
             ]
         elif kind < 0.6:  # delete a source to empty, then re-insert
@@ -241,9 +237,10 @@ def _run_both(capacity, seed, dsts, dense):
             assert got == ref.write((etype, src), code, dst, weight, add)
         elif what == "source_batch":
             _, (etype, src), ops = step
-            assert store.apply_source_batch(src, etype, ops) == (
-                ref.apply_source_batch((etype, src), ops)
-            )
+            codes, dsts, weights = (list(col) for col in zip(*ops))
+            assert store.apply_source_batch(
+                src, etype, dsts, codes, weights
+            ) == ref.apply_source_batch((etype, src), ops)
         elif what == "empty":
             _, (etype, src) = step
             for dst, _ in store.neighbors(src, etype):
@@ -455,8 +452,10 @@ WRITES = {
     "add_edge": lambda s, d, w: s.add_edge(7, d, w),
     "accumulate_edge": lambda s, d, w: s.accumulate_edge(7, d, w),
     "update_edge": lambda s, d, w: s.update_edge(7, d, w),
-    "apply_source_batch": lambda s, d, w: s.apply_source_batch(
-        7, 0, [("insert", 5, 1.0), ("insert", d, w)]
+    # PALM's per-source batches: apply_source_batch's one caller, which
+    # takes an EdgeBatch, checked when it is built.
+    "apply_source_batch": lambda s, d, w: PalmExecutor(s, 1).apply_batch(
+        EdgeBatch([7, 7], [5, d], [1.0, w])
     ),
     "apply_edge_batch": lambda s, d, w: s.apply_edge_batch(
         EdgeBatch([7, 7], [5, d], [1.0, w])
@@ -491,12 +490,13 @@ WIDE_WRITES = {
     "accumulate_edge": lambda s, v: s.accumulate_edge(7, v, 1.0),
     "update_edge": lambda s, v: s.update_edge(8, v, 1.0),
     "remove_edge": lambda s, v: s.remove_edge(7, v),
-    "apply_source_batch": lambda s, v: s.apply_source_batch(
-        7, 0, [("insert", 5, 1.0), ("insert", v, 1.0)]
+    # PALM's per-source batches, as in WRITES.
+    "apply_source_batch": lambda s, v: PalmExecutor(s, 1).apply_batch(
+        EdgeBatch([7, 7], [5, v])
     ),
-    "apply_source_batch of a new source": lambda s, v: s.apply_source_batch(
-        v, 0, [("insert", 5, 1.0)]
-    ),
+    "apply_source_batch of a new source": lambda s, v: PalmExecutor(
+        s, 1
+    ).apply_batch(EdgeBatch([v], [5])),
     "apply_edge_batch": lambda s, v: s.apply_edge_batch(
         EdgeBatch([7, 7], [5, v])
     ),
@@ -546,9 +546,7 @@ def test_an_id_past_int64_is_refused_by_the_checks_and_the_client(
         lambda: check_key(wide, 0),
         lambda: check_row(1, wide, 1.0, OP_INSERT, 0),
         lambda: check_row(wide, 1, 1.0, OP_DELETE, 0),
-        lambda: EdgeBatch.from_edge_ops(
-            [EdgeOp.insert(1, 2), EdgeOp.insert(wide, 2)]
-        ),
+        lambda: EdgeBatch([1, wide], [2, 2]),
     ):
         with pytest.raises(InvalidWeightError):
             check()
@@ -571,9 +569,7 @@ def test_an_id_past_int64_is_refused_by_the_checks_and_the_client(
     for write in (
         lambda: client.add_edge(7, wide, 1.0),
         lambda: client.add_edge(wide, 3, 1.0),
-        lambda: client.apply_batch(
-            [EdgeOp.insert(7, 4), EdgeOp.insert(7, wide)]
-        ),
+        lambda: client.apply_edge_batch([7, 7], [4, wide]),
         lambda: client.bulk_load([7, wide], [5, 5], 1.0),
         lambda: client.bulk_load([7, 7], [5, wide], 1.0),
     ):
@@ -950,38 +946,38 @@ def test_golden_wal_replays_into_rows(tmp_path):
 def test_threaded_palm_over_rows_that_grow_relocate_and_promote():
     c = 8
     rng = random.Random(11)
-    ops = []
+    rows = []
     for _ in range(6_000):
         src = rng.randrange(300)
         dst = rng.randrange(40 if src % 3 else c)  # a third never outgrow c
         roll = rng.random()
         if roll < 0.65:
-            ops.append(EdgeOp.insert(src, dst, rng.randrange(1, 64) / 8.0))
+            rows.append((src, dst, rng.randrange(1, 64) / 8.0, OP_INSERT))
         elif roll < 0.8:
-            ops.append(EdgeOp.update(src, dst, rng.randrange(1, 64) / 8.0))
+            rows.append((src, dst, rng.randrange(1, 64) / 8.0, OP_UPDATE))
         else:
-            ops.append(EdgeOp.delete(src, dst))
+            rows.append((src, dst, 0.0, OP_DELETE))
     sequential = DynamicGraphStore(SamtreeConfig(capacity=c))
-    want = [sequential.apply(op) for op in ops]
+    want = [sequential.write_op(o, s, d, w, 0) for s, d, w, o in rows]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for tree_batching in (True, False):
-            store = DynamicGraphStore(SamtreeConfig(capacity=c))
-            executor = PalmExecutor(
-                store, num_threads=8, tree_batching=tree_batching
-            )
-            got = []
-            for lo in range(0, len(ops), 500):
-                got += executor.apply_batch(ops[lo : lo + 500]).outcomes
-            assert got == want
-            assert _adjacency(store).keys() == _adjacency(sequential).keys()
-            for key, adj in _adjacency(store).items():
-                assert dict(adj) == dict(sequential.neighbors(key[1], key[0]))
-            assert store.num_edges == sequential.num_edges
-            forms = Counter(type(v) is int for _, v in store.directory.items())
-            assert forms[True] > 50 and forms[False] > 50
-            assert store.slab.garbage or store.slab.free  # rows did relocate
-            store.check_invariants()
+        store = DynamicGraphStore(SamtreeConfig(capacity=c))
+        executor = PalmExecutor(store, num_threads=8)
+        got = []
+        for lo in range(0, len(rows), 500):
+            src, dst, weight, op = zip(*rows[lo : lo + 500])
+            got += executor.apply_batch(
+                EdgeBatch(src, dst, weight, 0, op)
+            ).outcomes
+        assert got == want
+        assert _adjacency(store).keys() == _adjacency(sequential).keys()
+        for key, adj in _adjacency(store).items():
+            assert dict(adj) == dict(sequential.neighbors(key[1], key[0]))
+        assert store.num_edges == sequential.num_edges
+        forms = Counter(type(v) is int for _, v in store.directory.items())
+        assert forms[True] > 50 and forms[False] > 50
+        assert store.slab.garbage or store.slab.free  # rows did relocate
+        store.check_invariants()
     finally:
         sys.setswitchinterval(interval)

@@ -263,7 +263,7 @@ class TestChurnEquivalence:
             store.accumulate_edge(self.HUB, 300 + step, 0.25)
             store.remove_edge(self.HUB, 130 + step)
             store.apply_source_batch(
-                self.ZERO_EDGE, 0, [("update", 3, 5.0 + step)]
+                self.ZERO_EDGE, 0, [3], [OP_UPDATE], [5.0 + step]
             )
             store.apply_edge_batch(EdgeBatch(
                 [self.HUB, self.LONER], [400 + step, 77], [2.0, 3.0 + step],
@@ -343,7 +343,7 @@ class TestVersionCounter:
         v = tree.version
         tree_batch(
             tree,
-            [("insert", 10, 2.0), ("delete", 0, 0.0), ("update", 1, 9.0)],
+            [(OP_INSERT, 10, 2.0), (OP_DELETE, 0, 0.0), (OP_UPDATE, 1, 9.0)],
         )
         assert tree.version > v
 
@@ -359,7 +359,7 @@ class TestVersionCounter:
         checkpoints.append(tree.version)
         store.accumulate_edge(1, 3, 1.0)
         checkpoints.append(tree.version)
-        store.apply_source_batch(1, 0, [("insert", 4, 1.0)])
+        store.apply_source_batch(1, 0, [4], [OP_INSERT], [1.0])
         checkpoints.append(tree.version)
         store.remove_edge(1, 4)
         checkpoints.append(tree.version)
@@ -377,7 +377,7 @@ MUTATIONS = {
     "update_edge": lambda s: s.update_edge(7, 101, 100.0),
     "remove_edge": lambda s: s.remove_edge(7, 100),
     "apply_source_batch": lambda s: s.apply_source_batch(
-        7, 0, [("delete", 100, 0.0), ("insert", 500, 100.0)]
+        7, 0, [100, 500], [OP_DELETE, OP_INSERT], [0.0, 100.0]
     ),
     "apply_edge_batch": lambda s: s.apply_edge_batch(
         EdgeBatch([7, 7], [100, 500], [0.0, 100.0], None, [OP_DELETE, OP_INSERT])
@@ -430,7 +430,7 @@ class TestCacheInvalidation:
     def test_tree_batch_mutation_invalidates(self):
         store, cache = self._warm_store()
         store.apply_source_batch(
-            7, 0, [("delete", 100, 0.0), ("insert", 500, 100.0)]
+            7, 0, [100, 500], [OP_DELETE, OP_INSERT], [0.0, 100.0]
         )
         rows = store.sample_neighbors_many([7] * 4, 128, rng=5).rows()
         assert cache.stats.invalidations == 1

@@ -35,7 +35,6 @@ DST = st.integers(min_value=0, max_value=30)
 WEIGHT = st.floats(min_value=0.01, max_value=50.0, allow_nan=False)
 ETYPE = st.sampled_from([0, 1])
 OP = st.sampled_from([OP_INSERT, OP_UPDATE, OP_DELETE])
-_KIND = {OP_INSERT: "insert", OP_UPDATE: "update", OP_DELETE: "delete"}
 #: Frontiers on both sides of the read image's draw-loop cut; sources 7
 #: and 8 never get edges.
 FRONTIER = st.lists(
@@ -113,7 +112,8 @@ class StoreMachine(RuleBasedStateMachine):
         force several leaf splits and merges in one repair round."""
         self._note_growth(etype, src, sum(op == OP_INSERT for op, _, _ in ops))
         self.store.apply_source_batch(
-            src, etype, [(_KIND[op], dst, w) for op, dst, w in ops]
+            src, etype, [dst for _, dst, _ in ops], [op for op, _, _ in ops],
+            [w for _, _, w in ops],
         )
         self.platogl.apply_edge_batch(
             [src] * len(ops),

@@ -25,7 +25,8 @@ per-series registry view is registered only where no ``*Stats`` field
 carries the read-out (a holder is watched whole).  A last one pins the
 parameters of the callables whose unset options became constants or
 went (the tracer's sampling, the recorder's per-category rings, the
-hub attach knobs, the monitoring defaults, the read image's budget).
+hub attach knobs, the monitoring defaults, the read image's budget,
+the PALM executor's per-op fallback and modeled sync cost).
 """
 
 from __future__ import annotations
@@ -379,6 +380,7 @@ PINNED_SIGNATURES = {
     "repro.obs.doctor:DoctorReport.to_registry": "self",
     "repro.obs.report:render_span_tree": "span indent",
     "repro.core.snapshot:_Image.compact": "self",
+    "repro.concurrency.palm:PalmExecutor": "store num_threads simulate",
 }
 
 

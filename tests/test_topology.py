@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import EdgeOp, OpKind
+from repro.core.types import OP_DELETE, OP_INSERT, OP_UPDATE
 
 
 @pytest.fixture
@@ -45,10 +45,11 @@ class TestUpdates:
         assert store.num_sources == 0
 
     def test_apply_dispatch(self, store):
-        assert store.apply(EdgeOp.insert(1, 2, 1.0)) is True
-        assert store.apply(EdgeOp.update(1, 2, 3.0)) is True
-        assert store.apply(EdgeOp.delete(1, 2)) is True
-        assert store.apply(EdgeOp(OpKind.DELETE, 1, 2)) is False
+        assert store.write_op(OP_INSERT, 1, 2, 1.0, 0) is True
+        assert store.write_op(OP_UPDATE, 1, 2, 3.0, 0) is True
+        assert store.neighbors(1) == [(2, 3.0)]
+        assert store.write_op(OP_DELETE, 1, 2, 0.0, 0) is True
+        assert store.write_op(OP_DELETE, 1, 2, 0.0, 0) is False
 
 
 class TestHeterogeneous:

@@ -9,19 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.concurrency.palm import PalmExecutor
+from repro.core.ingest import EdgeBatch
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import EdgeOp
-from repro.errors import ConfigurationError
+from repro.core.types import OP_DELETE, OP_INSERT, OP_UPDATE
 from tests.conftest import tree_batch
 
 
 def sequential_apply(tree: Samtree, ops):
     outcomes = []
-    for kind, vid, w in ops:
-        if kind == "insert":
+    for code, vid, w in ops:
+        if code == OP_INSERT:
             outcomes.append(tree.insert(vid, w))
-        elif kind == "update":
+        elif code == OP_UPDATE:
             present = vid in tree
             if present:
                 tree.insert(vid, w)
@@ -36,22 +36,17 @@ class TestBasics:
         tree = Samtree(SamtreeConfig(capacity=4))
         assert tree_batch(tree, []) == []
 
-    def test_unknown_kind(self):
-        tree = Samtree(SamtreeConfig(capacity=4))
-        with pytest.raises(ConfigurationError):
-            tree_batch(tree, [("frob", 1, 1.0)])
-
     def test_outcome_semantics(self):
         tree = Samtree(SamtreeConfig(capacity=4))
         out = tree_batch(
             tree,
             [
-                ("insert", 1, 1.0),   # new -> True
-                ("insert", 1, 2.0),   # overwrite -> False
-                ("update", 2, 1.0),   # missing -> False
-                ("update", 1, 3.0),   # present -> True
-                ("delete", 1, 0.0),   # present -> True
-                ("delete", 1, 0.0),   # gone -> False
+                (OP_INSERT, 1, 1.0),   # new -> True
+                (OP_INSERT, 1, 2.0),   # overwrite -> False
+                (OP_UPDATE, 2, 1.0),   # missing -> False
+                (OP_UPDATE, 1, 3.0),   # present -> True
+                (OP_DELETE, 1, 0.0),   # present -> True
+                (OP_DELETE, 1, 0.0),   # gone -> False
             ]
         )
         assert out == [True, False, False, True, True, False]
@@ -60,7 +55,7 @@ class TestBasics:
     def test_mass_insert_multi_split(self):
         """One batch can force a leaf to split several times."""
         tree = Samtree(SamtreeConfig(capacity=4))
-        ops = [("insert", v, 1.0) for v in range(200)]
+        ops = [(OP_INSERT, v, 1.0) for v in range(200)]
         out = tree_batch(tree, ops)
         assert all(out)
         tree.check_invariants()
@@ -69,8 +64,8 @@ class TestBasics:
 
     def test_mass_delete_collapses(self):
         tree = Samtree(SamtreeConfig(capacity=4))
-        tree_batch(tree, [("insert", v, 1.0) for v in range(200)])
-        out = tree_batch(tree, [("delete", v, 0.0) for v in range(200)])
+        tree_batch(tree, [(OP_INSERT, v, 1.0) for v in range(200)])
+        out = tree_batch(tree, [(OP_DELETE, v, 0.0) for v in range(200)])
         assert all(out)
         tree.check_invariants()
         assert tree.degree == 0
@@ -82,9 +77,9 @@ class TestBasics:
             tree.insert(v, 1.0)
         tree_batch(
             tree,
-            [("delete", v, 0.0) for v in range(0, 100, 2)]
-            + [("insert", 1000 + v, 2.0) for v in range(30)]
-            + [("update", 1, 9.0, )]
+            [(OP_DELETE, v, 0.0) for v in range(0, 100, 2)]
+            + [(OP_INSERT, 1000 + v, 2.0) for v in range(30)]
+            + [(OP_UPDATE, 1, 9.0, )]
         )
         tree.check_invariants()
         assert tree.degree == 50 + 30
@@ -108,10 +103,10 @@ class TestDecorativeKeyRegression:
                 dst = rng.randrange(300)
                 if rng.random() < 0.55:
                     w = rng.random() + 0.01
-                    ops.append(("insert", dst, w))
+                    ops.append((OP_INSERT, dst, w))
                     live[dst] = w
                 else:
-                    ops.append(("delete", dst, 0.0))
+                    ops.append((OP_DELETE, dst, 0.0))
                     live.pop(dst, None)
             tree_batch(tree, ops)
             tree.check_invariants()
@@ -129,7 +124,7 @@ class TestDecorativeKeyRegression:
             tree.delete(v)
         # Insert values below the (possibly decorative) smallest key via
         # one batch large enough to split child 0 repeatedly.
-        tree_batch(tree, [("insert", v, 1.0) for v in range(1, 59, 2)])
+        tree_batch(tree, [(OP_INSERT, v, 1.0) for v in range(1, 59, 2)])
         tree.check_invariants()
         expected = set(range(60, 120, 2)) | set(range(1, 59, 2))
         assert set(tree.neighbors()) == expected
@@ -137,7 +132,7 @@ class TestDecorativeKeyRegression:
 
 ops_st = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "insert", "update", "delete"]),
+        st.sampled_from([OP_INSERT, OP_INSERT, OP_UPDATE, OP_DELETE]),
         st.integers(min_value=0, max_value=250),
         st.floats(min_value=0.001, max_value=10.0, allow_nan=False),
     ),
@@ -179,7 +174,7 @@ class TestStoreIntegration:
     def test_apply_source_batch_counters(self):
         store = DynamicGraphStore(SamtreeConfig(capacity=8))
         out = store.apply_source_batch(
-            5, 0, [("insert", 1, 1.0), ("insert", 2, 1.0), ("delete", 1, 0.0)]
+            5, 0, [1, 2, 1], [OP_INSERT, OP_INSERT, OP_DELETE], [1.0, 1.0, 0.0]
         )
         assert out == [True, True, True]
         assert store.num_edges == 1
@@ -187,35 +182,38 @@ class TestStoreIntegration:
 
     def test_apply_source_batch_no_tree_creation_for_updates(self):
         store = DynamicGraphStore()
-        out = store.apply_source_batch(5, 0, [("update", 1, 1.0), ("delete", 2, 0.0)])
+        out = store.apply_source_batch(
+            5, 0, [1, 2], [OP_UPDATE, OP_DELETE], [1.0, 0.0]
+        )
         assert out == [False, False]
         assert store.num_sources == 0
 
     def test_apply_source_batch_drops_empty_tree(self):
         store = DynamicGraphStore()
         store.add_edge(5, 1, 1.0)
-        store.apply_source_batch(5, 0, [("delete", 1, 0.0)])
+        store.apply_source_batch(5, 0, [1], [OP_DELETE], [0.0])
         assert store.num_sources == 0
         assert store.num_edges == 0
 
     def test_palm_backends_agree(self):
+        """PALM's per-tree rounds against the per-op reference."""
         rng = random.Random(1)
-        ops = []
-        for _ in range(3000):
-            src, dst = rng.randrange(15), rng.randrange(200)
-            if rng.random() < 0.7:
-                ops.append(EdgeOp.insert(src, dst, round(rng.random(), 4)))
-            else:
-                ops.append(EdgeOp.delete(src, dst))
+        n = 3000
+        src = [rng.randrange(15) for _ in range(n)]
+        dst = [rng.randrange(200) for _ in range(n)]
+        op = [OP_INSERT if rng.random() < 0.7 else OP_DELETE for _ in range(n)]
+        weight = [round(rng.random(), 4) for _ in range(n)]
         batched = DynamicGraphStore(SamtreeConfig(capacity=8))
         per_op = DynamicGraphStore(SamtreeConfig(capacity=8))
-        r1 = PalmExecutor(batched, 4, tree_batching=True).apply_batch(ops)
-        r2 = PalmExecutor(per_op, 4, tree_batching=False).apply_batch(ops)
-        assert r1.outcomes == r2.outcomes
+        result = PalmExecutor(batched, 4).apply_batch(
+            EdgeBatch(src, dst, weight, 0, op)
+        )
+        want = [
+            per_op.write_op(c, s, d, w, 0)
+            for s, d, w, c in zip(src, dst, weight, op)
+        ]
+        assert result.outcomes == want
         assert batched.num_edges == per_op.num_edges
         batched.check_invariants()
-        for src in range(15):
-            a, b = dict(batched.neighbors(src)), dict(per_op.neighbors(src))
-            assert a.keys() == b.keys()
-            for k in a:
-                assert a[k] == pytest.approx(b[k])
+        for s in range(15):
+            assert dict(batched.neighbors(s)) == dict(per_op.neighbors(s))

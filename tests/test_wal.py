@@ -28,8 +28,6 @@ from repro.core.ingest import (
 )
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
-from repro.core.types import EdgeOp
-from repro.core.types import OpKind
 from repro.errors import ConfigurationError, WALCorruptionError
 from repro.storage.checkpoint import load_store, save_store
 from repro.storage.wal import ShardWAL
@@ -83,18 +81,7 @@ class TestFormatRoundtrip:
     def test_empty_batch_appends_nothing(self):
         wal = ShardWAL()
         assert wal.append_batch(EdgeBatch([], [])) == 0
-        assert wal.append_ops([]) == 0
         assert len(list(wal.replay())) == 0
-
-    def test_append_ops_matches_columnar(self):
-        wal = ShardWAL()
-        ops = [EdgeOp.insert(1, 2, 0.5), EdgeOp.delete(3, 4, etype=1)]
-        wal.append_ops(ops)
-        (batch,) = wal.replay()
-        assert batch.src.tolist() == [1, 3]
-        assert batch.dst.tolist() == [2, 4]
-        assert batch.op.tolist() == [OP_INSERT, OP_DELETE]
-        assert batch.etype.tolist() == [0, 1]
 
     def test_truncate_clears(self):
         rng = random.Random(5)
@@ -224,7 +211,7 @@ class TestOneHandle:
         wal = ShardWAL(path, shard_id=0)
         handle = wal._file
         for i in range(3):
-            wal.append_ops([EdgeOp.insert(i, i + 1, 1.0)])
+            wal.append_op(OP_INSERT, i, i + 1, 1.0, 0)
             assert os.path.getsize(path) == wal.bytes_appended == wal.nbytes
             assert len(wal._read_all()) == wal.nbytes
         assert wal._file is handle  # not reopened per record
@@ -233,15 +220,15 @@ class TestOneHandle:
     def test_two_logs_on_one_path_interleave(self, tmp_path):
         path = str(tmp_path / "s.wal")
         a = ShardWAL(path, shard_id=0)
-        a.append_ops([EdgeOp.insert(1, 2, 1.0)])
+        a.append_op(OP_INSERT, 1, 2, 1.0, 0)
         b = ShardWAL(path, shard_id=0)
         assert b.bytes_appended == a.bytes_appended
-        b.append_ops([EdgeOp.insert(3, 4, 1.0)])
-        a.append_ops([EdgeOp.insert(5, 6, 1.0)])
+        b.append_op(OP_INSERT, 3, 4, 1.0, 0)
+        a.append_op(OP_INSERT, 5, 6, 1.0, 0)
         assert [r.src.tolist() for r in a.replay()] == [[1], [3], [5]]
         assert [r.src.tolist() for r in b.replay()] == [[1], [3], [5]]
         b.truncate()  # a's handle appends at the new end, not its old one
-        a.append_ops([EdgeOp.insert(7, 8, 1.0)])
+        a.append_op(OP_INSERT, 7, 8, 1.0, 0)
         assert [r.src.tolist() for r in b.replay()] == [[7]]
 
     def test_truncate_then_append_on_the_same_handle(self, tmp_path):
@@ -250,14 +237,14 @@ class TestOneHandle:
         wal.append_batch(_random_batch(random.Random(1), 30))
         wal.truncate()
         assert wal.nbytes == wal.bytes_appended == os.path.getsize(path)
-        wal.append_ops([EdgeOp.insert(1, 2, 1.0)])
+        wal.append_op(OP_INSERT, 1, 2, 1.0, 0)
         assert len(list(wal.replay())) == 1
         assert wal.nbytes == wal.bytes_appended == os.path.getsize(path)
 
     def test_close_releases_the_handle_and_keeps_the_log(self, tmp_path):
         path = str(tmp_path / "s.wal")
         wal = ShardWAL(path, shard_id=0)
-        wal.append_ops([EdgeOp.insert(1, 2, 1.0)])
+        wal.append_op(OP_INSERT, 1, 2, 1.0, 0)
         wal.close()
         wal.close()
         assert wal._file.closed
@@ -298,46 +285,6 @@ class TestSizeAccounting:
 # The scalar record: a one-op append is a one-row batch, byte for byte
 # ---------------------------------------------------------------------------
 _INT16 = (-(2**15), 2**15 - 1)
-_edge_op_st = st.builds(
-    EdgeOp,
-    st.sampled_from(list(OpKind)),
-    st.integers(-3, 2**63 - 1) | st.sampled_from([0, 2**63 - 1]),
-    st.integers(-3, 2**63 - 1) | st.sampled_from([0, 2**63 - 1]),
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-    | st.sampled_from([0.0, -0.0, 5e-324, float("nan"), float("inf"),
-                       float("-inf"), -1.0]),
-    st.integers(_INT16[0] - 2, _INT16[1] + 2) | st.sampled_from(_INT16),
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_edge_op_st)
-# A bad id and a bad relation at once: both forms name the id first.
-@example(EdgeOp(OpKind.INSERT, 0, -1, 0.0, 32768))
-def test_one_op_record_is_a_one_row_batch(op):
-    def attempt(append):
-        wal = ShardWAL(shard_id=9)
-        wal.append_ops([EdgeOp.insert(1, 1, 1.0)])  # something to keep
-        before = wal._read_all()
-        try:
-            append(wal)
-        except Exception as exc:
-            assert wal._read_all() == before  # nothing appended on reject
-            assert wal.bytes_appended == len(before)
-            assert wal.records_appended == 1
-            return type(exc)
-        return wal._read_all()
-
-    scalar = attempt(lambda wal: wal.append_ops([op]))
-    columnar = attempt(
-        lambda wal: wal.append_batch(EdgeBatch.from_edge_ops([op]))
-    )
-    if isinstance(scalar, bytes) and isinstance(columnar, bytes):
-        assert scalar == columnar
-    else:
-        assert scalar is columnar
-
-
 _id_st = st.integers(-3, 2**63 + 2) | st.sampled_from([0, 2**63 - 1, 2**63])
 _weight_st = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, float("nan"), float("inf"), float("-inf"), -1.0]
@@ -419,14 +366,13 @@ class TestGoldenLog:
 
     def test_rewritten_byte_for_byte(self, tmp_path):
         wal = ShardWAL(str(tmp_path / "new.wal"), shard_id=5)
-        wal.append_ops([EdgeOp.insert(1, 2, 0.5)])
-        wal.append_ops([EdgeOp.update(2**40, 7, 1.25, etype=3)])
-        wal.append_ops([EdgeOp.delete(9, 4, etype=-1)])
-        wal.append_ops([
-            EdgeOp.insert(3, 4, 2.0),
-            EdgeOp.delete(3, 5),
-            EdgeOp.update(6, 7, 0.0, etype=1),
-        ])
+        wal.append_op(OP_INSERT, 1, 2, 0.5, 0)
+        wal.append_op(OP_UPDATE, 2**40, 7, 1.25, 3)
+        wal.append_op(OP_DELETE, 9, 4, 0.0, -1)
+        wal.append_batch(EdgeBatch(
+            [3, 3, 6], [4, 5, 7], [2.0, 0.0, 0.0], [0, 0, 1],
+            [OP_INSERT, OP_DELETE, OP_UPDATE],
+        ))
         wal.append_batch(
             EdgeBatch([10, 11], [12, 13], [0.25, 4.0], [0, 2], [0, 1])
         )

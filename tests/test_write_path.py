@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.concurrency.palm import PalmExecutor
 from repro.core.compression import CompressedIDList, PlainIDList
 from repro.core.fenwick import FSTable
 from repro.core.ingest import (
@@ -43,7 +44,6 @@ from repro.core.topology import (
     REBUILD_MIN_OPS,
     DynamicGraphStore,
 )
-from repro.core.types import OP_KIND_CODES, EdgeOp
 from repro.distributed import LocalCluster
 from repro.distributed.faults import FaultPolicy
 from repro.distributed.rpc import NetworkModel
@@ -51,7 +51,7 @@ from repro.errors import InvalidWeightError, InvariantViolationError, ReproError
 from repro.obs.flight import FlightRecorder
 from repro.obs.trace import Tracer
 from repro.storage.checkpoint import load_store, save_store
-from tests.conftest import bulk_tree, python_calls, tree_batch
+from tests.conftest import bulk_tree, python_calls
 
 CAPACITY = 4
 
@@ -349,10 +349,11 @@ def test_sparse_batch_probes_once_per_tree_and_marks_rows_once(monkeypatch):
     lambda s: s.add_edge(7, 1, -1.0),
     lambda s: s.add_edge(7, -1, 1.0),
     lambda s: s.accumulate_edge(7, 1, float("inf")),
-    lambda s: s.apply_source_batch(7, 0, [("insert", 1, float("nan"))]),
-    lambda s: s.apply_source_batch(
-        7, 0, [("insert", 1, 1.0), ("insert", -2, 1.0)]
+    # PALM's per-source batches, checked when the EdgeBatch is built.
+    lambda s: PalmExecutor(s, 1).apply_batch(
+        EdgeBatch([7], [1], [float("nan")])
     ),
+    lambda s: PalmExecutor(s, 1).apply_batch(EdgeBatch([7, 7], [1, -2])),
 ])
 def test_rejected_write_leaves_no_empty_tree(write):
     store = DynamicGraphStore()
@@ -372,8 +373,9 @@ BAD_KEYS = [(-1, 0), (5, 70000), (5, -(2**15) - 1)]
 KEY_WRITES = {
     "add_edge": lambda w, src, et: w.add_edge(src, 2, 1.0, et),
     "accumulate_edge": lambda w, src, et: w.accumulate_edge(src, 2, 1.0, et),
-    "apply_source_batch": lambda w, src, et: w.apply_source_batch(
-        src, et, [("insert", 2, 1.0)]
+    # PALM's per-source batches: apply_source_batch's one caller.
+    "apply_source_batch": lambda w, src, et: PalmExecutor(w, 1).apply_batch(
+        EdgeBatch([src], [2], 1.0, et)
     ),
     "EdgeBatch": lambda w, src, et: w.apply_edge_batch(
         EdgeBatch([src], [2], 1.0, et)
@@ -421,15 +423,19 @@ def test_every_write_path_refuses_a_bad_key_with_a_typed_error(
 
 
 def test_rejected_tree_batch_applies_nothing():
-    tree = Samtree(SamtreeConfig(capacity=4))
-    tree_batch(tree, [("insert", v, 1.0) for v in range(3)])
-    version = tree.version
+    """A PALM batch whose last row is bad leaves the samtree it targets
+    as it was: the batch is refused before any group runs."""
+    store = DynamicGraphStore(SamtreeConfig(capacity=CAPACITY))
+    store.bulk_load([7] * 6, list(range(6)), 1.0)
+    tree = store.tree(7)
+    assert isinstance(tree, Samtree)
+    version, before = tree.version, tree.to_dict()
     with pytest.raises(InvalidWeightError):
-        tree_batch(
-            tree,
-            [("insert", v, 1.0) for v in range(3, 9)] + [("update", 0, -1.0)]
-        )
-    assert tree.version == version and tree.to_dict() == {0: 1.0, 1: 1.0, 2: 1.0}
+        PalmExecutor(store, 1).apply_batch(EdgeBatch(
+            [7] * 7, list(range(6, 12)) + [0], [1.0] * 6 + [-1.0], 0,
+            [OP_INSERT] * 6 + [OP_UPDATE],
+        ))
+    assert tree.version == version and tree.to_dict() == before
     tree.check_invariants()
 
 
@@ -523,7 +529,6 @@ _SCALAR_WRITERS = {
     OP_UPDATE: lambda c, s, d, w, e: c.update_edge(s, d, w, e),
     OP_DELETE: lambda c, s, d, w, e: c.remove_edge(s, d, e),
 }
-_KINDS = {code: kind for kind, code in OP_KIND_CODES.items()}
 #: Control-plane steps at op indices (multiples of the batch size):
 #: checkpoint, crash a backup, crash a primary, recover both by sync.
 _CHUNK = 25
@@ -550,11 +555,11 @@ def _wal_rows(cluster):
 
 def test_scalar_writes_equal_the_batch_path(tmp_path):
     """The same seeded stream through ``add/update/remove_edge`` on an
-    R = 2 durable cluster and through ``apply_batch`` on its twin, with
-    a checkpoint, a backup and a primary crash and a sync recovery
-    mid-stream: same outcomes, adjacency and WAL rows, a dict model's
-    adjacency, the request ledger balanced, and every trace and fault
-    event still naming the endpoint ``apply_ops``."""
+    R = 2 durable cluster and through ``apply_edge_batch`` on its twin,
+    with a checkpoint, a backup and a primary crash and a sync recovery
+    mid-stream: a dict model's outcomes, the same adjacency and WAL
+    rows, the request ledger balanced, and every trace and fault event
+    still naming the endpoint ``apply_ops``."""
     def cluster(name, **kw):
         return LocalCluster(
             num_servers=2, config=SamtreeConfig(capacity=CAPACITY),
@@ -567,7 +572,7 @@ def test_scalar_writes_equal_the_batch_path(tmp_path):
     recorder = scalar.attach_recorder(FlightRecorder(capacity=4096))
     twin = cluster("twin")
     stream = _mixed_stream(7)
-    model, expected, got, got_twin = {}, [], [], []
+    model, expected, got = {}, [], []
     for at in range(0, len(stream), _CHUNK):
         for c in (scalar, twin):
             if at in _STEPS:
@@ -578,10 +583,9 @@ def test_scalar_writes_equal_the_batch_path(tmp_path):
             adj = model.setdefault((e, s), {})
             expected.append(d not in adj if code == OP_INSERT else d in adj)
             _apply_to_model(model, [(s, d, w, e, code)])
-        got_twin += twin.client.apply_batch(
-            [EdgeOp(_KINDS[code], s, d, w, e) for code, s, d, w, e in chunk]
-        )
-    assert got == got_twin == expected
+        code, s, d, w, e = zip(*chunk)
+        twin.client.apply_edge_batch(EdgeBatch(s, d, w, e, code))
+    assert got == expected
     assert _wal_rows(scalar) == _wal_rows(twin)
 
     fault_events = recorder.events("fault")
