@@ -34,7 +34,6 @@ from repro.core import (
     DynamicGraphStore,
     FSTable,
     GraphStoreAPI,
-    MemoryModel,
     OpStats,
     Samtree,
     SamtreeConfig,
@@ -50,7 +49,6 @@ __all__ = [
     "DynamicGraphStore",
     "FSTable",
     "GraphStoreAPI",
-    "MemoryModel",
     "OpStats",
     "Samtree",
     "SamtreeConfig",

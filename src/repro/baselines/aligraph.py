@@ -25,7 +25,14 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
+from repro.core.memory import (
+    ALIAS_ENTRY_BYTES,
+    ALIGRAPH_BUILD_PEAK_FACTOR,
+    ALIGRAPH_DUPLICATION_FACTOR,
+    ALIGRAPH_VERTEX_HEADER_BYTES,
+    ID_BYTES,
+    WEIGHT_BYTES,
+)
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
 from repro.errors import EmptyStructureError
@@ -84,9 +91,9 @@ class AliasTable:
             return i
         return self._alias[i]
 
-    def nbytes(self, model: MemoryModel) -> int:
+    def nbytes(self) -> int:
         """One probability + one alias index per element."""
-        return self._n * model.alias_entry_bytes
+        return self._n * ALIAS_ENTRY_BYTES
 
 
 class _Adjacency:
@@ -113,8 +120,7 @@ class AliGraphStore(GraphStoreAPI):
     and 9 penalise.
     """
 
-    def __init__(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> None:
-        self._model = model
+    def __init__(self) -> None:
         self._adj: Dict[Tuple[int, int], _Adjacency] = {}
         self._num_edges = 0
 
@@ -257,25 +263,23 @@ class AliGraphStore(GraphStoreAPI):
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
+    def nbytes(self) -> int:
         """Duplicated topology + alias tables + per-vertex headers."""
         total = 0
-        dup = model.aligraph_duplication_factor
         for adj in self._adj.values():
             n = len(adj.ids)
-            topo = n * (model.id_bytes + model.weight_bytes)
-            total += dup * topo
-            total += adj.alias.nbytes(model)
+            total += ALIGRAPH_DUPLICATION_FACTOR * n * (ID_BYTES + WEIGHT_BYTES)
+            total += adj.alias.nbytes()
             # The dst->slot membership index (one entry per edge).
-            total += n * (model.id_bytes + 4)
-            total += model.aligraph_vertex_header_bytes
+            total += n * (ID_BYTES + 4)
+            total += ALIGRAPH_VERTEX_HEADER_BYTES
         return total
 
-    def peak_nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
+    def peak_nbytes(self) -> int:
         """Build-time peak footprint (steady state × load-peak factor).
 
         AliGraph's loading pipeline holds the raw edge lists while the
         CSR/alias structures are assembled; budget checks against this
         value reproduce the paper's WeChat "o.o.m" entries.
         """
-        return int(self.nbytes(model) * model.aligraph_build_peak_factor)
+        return int(self.nbytes() * ALIGRAPH_BUILD_PEAK_FACTOR)

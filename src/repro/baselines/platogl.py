@@ -35,7 +35,7 @@ import random
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core.cstable import CSTable
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
+from repro.core.memory import ID_BYTES, KV_BLOCK_HEADER_BYTES
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
 from repro.errors import ConfigurationError, EmptyStructureError
@@ -64,9 +64,9 @@ class NeighborBlock:
     def size(self) -> int:
         return len(self.ids)
 
-    def nbytes(self, model: MemoryModel) -> int:
+    def nbytes(self) -> int:
         """Block header + ``capacity`` pre-allocated ID slots."""
-        return model.kv_block_header_bytes + self.capacity * model.id_bytes
+        return KV_BLOCK_HEADER_BYTES + self.capacity * ID_BYTES
 
 
 class _HeadRecord:
@@ -79,10 +79,8 @@ class _HeadRecord:
         self.num_blocks = 0
         self.cstable = CSTable()
 
-    def nbytes(self, model: MemoryModel) -> int:
-        return model.kv_block_header_bytes + self.cstable.nbytes(
-            model.weight_bytes
-        )
+    def nbytes(self) -> int:
+        return KV_BLOCK_HEADER_BYTES + self.cstable.nbytes()
 
 
 class PlatoGLStore(GraphStoreAPI):
@@ -101,23 +99,15 @@ class PlatoGLStore(GraphStoreAPI):
     _HEAD = "head"
     _BLOCK = "block"
 
-    def __init__(
-        self,
-        block_size: int = 128,
-        model: MemoryModel = DEFAULT_MEMORY_MODEL,
-    ) -> None:
+    def __init__(self, block_size: int = 128) -> None:
         if block_size < 1:
             raise ConfigurationError(
                 f"block_size must be >= 1, got {block_size}"
             )
         self.block_size = block_size
-        self._model = model
-        self._kv = BlockKVStore(self._value_nbytes, model)
+        self._kv = BlockKVStore(lambda value: value.nbytes())
         self._num_edges = 0
         self._num_sources = 0
-
-    def _value_nbytes(self, value) -> int:
-        return value.nbytes(self._model)
 
     # ------------------------------------------------------------------
     # record access
@@ -323,10 +313,5 @@ class PlatoGLStore(GraphStoreAPI):
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
-        if model is not self._model:
-            # Re-account under a caller-supplied model.
-            store = BlockKVStore(lambda v: v.nbytes(model), model)
-            store._data = self._kv._data  # share payloads, reprice them
-            return store.nbytes()
+    def nbytes(self) -> int:
         return self._kv.nbytes()

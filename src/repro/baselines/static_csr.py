@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
+from repro.core.memory import ID_BYTES, POINTER_BYTES, WEIGHT_BYTES
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
 
@@ -80,13 +80,13 @@ class _RelationCSR:
             return None
         return int(self.indptr[i]), int(self.indptr[i + 1])
 
-    def nbytes(self, model: MemoryModel) -> int:
+    def nbytes(self) -> int:
         return (
-            len(self.src_ids) * model.id_bytes
+            len(self.src_ids) * ID_BYTES
             + self.indptr.size * 8
-            + self.indices.size * model.id_bytes
-            + self.weights.size * model.weight_bytes
-            + self.cumweights.size * model.weight_bytes
+            + self.indices.size * ID_BYTES
+            + self.weights.size * WEIGHT_BYTES
+            + self.cumweights.size * WEIGHT_BYTES
         )
 
 
@@ -266,15 +266,15 @@ class StaticCSRStore(GraphStoreAPI):
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
+    def nbytes(self) -> int:
         self._ensure_built()
         # CSR image + the staging copy (the "offline" adjacency the
         # rebuild reads from — static deployments keep both).
         total = 0
         for rel in self._csr.values():
-            total += rel.nbytes(model)
+            total += rel.nbytes()
         for adjacency in self._staging.values():
             for row in adjacency.values():
-                total += len(row) * (model.id_bytes + model.weight_bytes)
-            total += len(adjacency) * model.pointer_bytes
+                total += len(row) * (ID_BYTES + WEIGHT_BYTES)
+            total += len(adjacency) * POINTER_BYTES
         return total

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.aligraph import AliGraphStore
 from repro.baselines.platogl import PlatoGLStore
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import GraphStoreAPI
@@ -67,13 +66,13 @@ def make_store(
     )
 
 
-def _peak_bytes(store: GraphStoreAPI, model: MemoryModel) -> int:
+def _peak_bytes(store: GraphStoreAPI) -> int:
     """Budget checks use the build-time peak where the store has one
     (AliGraph's load pipeline), otherwise the steady footprint."""
     peak = getattr(store, "peak_nbytes", None)
     if peak is not None:
-        return peak(model)
-    return store.nbytes(model)
+        return peak()
+    return store.nbytes()
 
 
 @dataclass
@@ -95,7 +94,6 @@ def build_store(
     data: GraphData,
     batch_size: int = 4096,
     memory_budget: Optional[int] = None,
-    model: MemoryModel = DEFAULT_MEMORY_MODEL,
     enforce_cluster_budget_for: Optional[str] = None,
     use_bulk: bool = False,
 ) -> BuildResult:
@@ -124,17 +122,13 @@ def build_store(
         num_ops += len(batch)
         oom = False
         if memory_budget is not None:
-            oom = _peak_bytes(store, model) > memory_budget
+            oom = _peak_bytes(store) > memory_budget
         if not oom and enforce_cluster_budget_for is not None:
             # Let per-edge cost stabilise before extrapolating.
             if num_ops >= min(10 * batch_size, data.num_edges):
                 oom = (
                     full_scale_bytes(
-                        store,
-                        data,
-                        enforce_cluster_budget_for,
-                        model,
-                        use_peak=True,
+                        store, data, enforce_cluster_budget_for, use_peak=True
                     )
                     > CLUSTER_BUDGET_BYTES
                 )
@@ -238,7 +232,6 @@ def full_scale_bytes(
     store: GraphStoreAPI,
     data: GraphData,
     dataset_name: str,
-    model: MemoryModel = DEFAULT_MEMORY_MODEL,
     use_peak: bool = False,
 ) -> float:
     """Extrapolate the store's modeled footprint to the published size.
@@ -257,5 +250,5 @@ def full_scale_bytes(
     measured_edges = store.num_edges
     if measured_edges == 0:
         return 0.0
-    measured = _peak_bytes(store, model) if use_peak else store.nbytes(model)
+    measured = _peak_bytes(store) if use_peak else store.nbytes()
     return measured / measured_edges * published_edges

@@ -271,6 +271,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
             target.client.sample_neighbors_many(frontier, 10, rng)
 
     report = diagnose(target)
+    if not args.snapshot:
+        target.close()
     if args.format == "json":
         print(report.to_json())
     elif args.format == "prometheus":

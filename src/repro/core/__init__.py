@@ -1,5 +1,5 @@
 """Core of the PlatoD2GL reproduction: samtree, FSTable, CSTable, α-Split,
-CP-IDs compression, the dynamic topology store, and the memory model.
+CP-IDs compression, the dynamic topology store, and the byte layout.
 """
 
 from repro.core.alpha_split import alpha_split, hoare_partition, split_arrays
@@ -18,7 +18,7 @@ from repro.core.ingest import (
     IngestStats,
     fold_run,
 )
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel, humanize_bytes
+from repro.core.memory import humanize_bytes
 from repro.core.samtree import OpStats, Samtree, SamtreeConfig
 from repro.core.snapshot import (
     ReadImage,
@@ -49,8 +49,6 @@ __all__ = [
     "OP_INSERT",
     "OP_UPDATE",
     "OP_DELETE",
-    "MemoryModel",
-    "DEFAULT_MEMORY_MODEL",
     "humanize_bytes",
     "OpStats",
     "Samtree",

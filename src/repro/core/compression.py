@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.memory import ID_BYTES
 from repro.errors import IndexOutOfRangeError, InvalidWeightError
 
 __all__ = [
@@ -41,9 +42,6 @@ __all__ = [
     "common_prefix_length",
     "decode_id_lists",
 ]
-
-#: Width of a vertex ID in bytes (64-bit IDs throughout the system).
-ID_BYTES = 8
 
 #: Largest representable vertex ID.
 MAX_ID = (1 << (8 * ID_BYTES)) - 1

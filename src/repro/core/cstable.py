@@ -24,6 +24,7 @@ import math
 import random
 from typing import Iterable, Iterator, List, Optional
 
+from repro.core.memory import WEIGHT_BYTES
 from repro.errors import (
     EmptyStructureError,
     IndexOutOfRangeError,
@@ -211,6 +212,6 @@ class CSTable:
     # ------------------------------------------------------------------
     # memory accounting
     # ------------------------------------------------------------------
-    def nbytes(self, weight_bytes: int = 4) -> int:
+    def nbytes(self) -> int:
         """Bytes a C implementation would use (one float per element)."""
-        return weight_bytes * len(self._sums)
+        return WEIGHT_BYTES * len(self._sums)

@@ -42,6 +42,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.memory import WEIGHT_BYTES
 from repro.errors import (
     EmptyStructureError,
     IndexOutOfRangeError,
@@ -371,12 +372,12 @@ class FSTable:
     # ------------------------------------------------------------------
     # memory accounting
     # ------------------------------------------------------------------
-    def nbytes(self, weight_bytes: int = 4) -> int:
+    def nbytes(self) -> int:
         """Bytes the paper's C layout uses: one weight-sized slot per
         element (there the FSTable replaces — not supplements — the raw
         weights; this class's exact column is a host cost, DESIGN.md §2).
         """
-        return weight_bytes * len(self._tree)
+        return WEIGHT_BYTES * len(self._tree)
 
 
 def build_tables(weights: np.ndarray, lengths: np.ndarray) -> List[FSTable]:

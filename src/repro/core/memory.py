@@ -5,7 +5,7 @@ samtree versus PlatoGL's key-value blocks versus AliGraph's duplicated
 topology.  A pure-Python reimplementation cannot measure those layouts —
 ``sys.getsizeof`` would report CPython object headers, not the C structs
 the paper deploys — so every store in this package *accounts* its bytes
-under one shared layout model:
+under one shared byte layout:
 
 * vertex IDs are 8 bytes (64-bit, as the CP-IDs compressor assumes);
 * edge weights / prefix sums are 4-byte floats;
@@ -15,9 +15,9 @@ under one shared layout model:
   source ID *plus* "various information ... for uniquely mapping to a
   specific block") and each key-value pair pays a hash-index entry.
 
-The constants live in a :class:`MemoryModel` so tests and benchmarks can
-vary them; defaults are chosen from the published layouts and calibrated
-against the ratios in Table IV (PlatoD2GL ≈ 20–34 % of PlatoGL).
+The constants below are that layout: fixed properties of the
+reproduction, chosen from the published layouts and calibrated against
+the ratios in Table IV (PlatoD2GL ≈ 20–34 % of PlatoGL).
 
 Model assumptions (what the accounting does and does not cover)
 ---------------------------------------------------------------
@@ -35,12 +35,9 @@ Model assumptions (what the accounting does and does not cover)
   where the table is sized ahead of the keys.
 * **Snapshot-cache entries are part of the store's footprint.**  The
   read path (:mod:`repro.core.snapshot`) keeps flat per-tree images —
-  one ``id_bytes`` ID plus one ``weight_bytes`` cumulative-weight entry
+  one ``ID_BYTES`` ID plus one ``WEIGHT_BYTES`` cumulative-weight entry
   per cached edge.  ``DynamicGraphStore.nbytes`` includes them (they
-  are resident memory the read path pays for); each entry is accounted
-  under the **cache's own** model at build time, so passing a different
-  model to ``nbytes`` rescales the tree/directory components but not
-  already-cached entries.
+  are resident memory the read path pays for).
 * **No feature bytes.**  Vertex attributes are accounted separately by
   :class:`~repro.storage.attributes.AttributeStore`; topology/attribute
   totals are only combined at the server level
@@ -51,54 +48,55 @@ Model assumptions (what the accounting does and does not cover)
   Σ(components) == ``nbytes()`` invariant holds by construction.
 """
 
-from __future__ import annotations
+__all__ = [
+    "ID_BYTES",
+    "WEIGHT_BYTES",
+    "POINTER_BYTES",
+    "TREE_NODE_HEADER_BYTES",
+    "DIRECTORY_ENTRY_BYTES",
+    "KV_KEY_BYTES",
+    "KV_INDEX_ENTRY_BYTES",
+    "KV_BLOCK_HEADER_BYTES",
+    "ALIGRAPH_DUPLICATION_FACTOR",
+    "ALIAS_ENTRY_BYTES",
+    "ALIGRAPH_VERTEX_HEADER_BYTES",
+    "ALIGRAPH_BUILD_PEAK_FACTOR",
+    "humanize_bytes",
+]
 
-from dataclasses import dataclass
-
-__all__ = ["MemoryModel", "DEFAULT_MEMORY_MODEL", "humanize_bytes"]
-
-
-@dataclass(frozen=True)
-class MemoryModel:
-    """Byte-size constants shared by every store's accounting."""
-
-    #: Width of a vertex ID.
-    id_bytes: int = 8
-    #: Width of an edge weight / prefix-sum entry.
-    weight_bytes: int = 4
-    #: Width of a pointer (child links, value pointers).
-    pointer_bytes: int = 8
-    #: Per-node fixed header of a samtree node (size, capacity, flags).
-    tree_node_header_bytes: int = 16
-    #: Per-vertex record in the cuckoo directory: key + degree + tree ptr.
-    directory_entry_bytes: int = 8 + 8 + 8
-    #: PlatoGL composite key: source ID + block sequence + edge type +
-    #: block metadata ("various information except the unique identifier").
-    kv_key_bytes: int = 8 + 8 + 4 + 12
-    #: Per key-value pair index overhead in a general KV store
-    #: (hash bucket entry, key pointer, value pointer, allocator header).
-    kv_index_entry_bytes: int = 48
-    #: Fixed header of a PlatoGL neighbor block (count, capacity, sums).
-    kv_block_header_bytes: int = 24
-    #: AliGraph stores in- and out-topology ("duplicate the graph
-    #: topology for supporting fast sampling").
-    aligraph_duplication_factor: int = 2
-    #: Alias-method sampling table in AliGraph's own C layout: one float
-    #: prob + one absolute 8 B index per edge (the store's are row offsets).
-    alias_entry_bytes: int = 4 + 8
-    #: Per-vertex runtime overhead in AliGraph: in/out index pointers,
-    #: several hash-index entries (vertex lookup, type routing, partition
-    #: map), and the per-vertex sampler header.  Dominates at low density.
-    aligraph_vertex_header_bytes: int = 256
-    #: AliGraph's loading pipeline (GraphFlat-style) materialises raw edge
-    #: lists alongside the CSR + alias structures it builds, so its build
-    #: peak exceeds the steady-state footprint — the mechanism behind the
-    #: paper's "o.o.m" entries at WeChat scale.
-    aligraph_build_peak_factor: float = 2.5
-
-
-#: The model every store uses unless told otherwise.
-DEFAULT_MEMORY_MODEL = MemoryModel()
+#: Width of a vertex ID (64-bit IDs throughout the system).
+ID_BYTES = 8
+#: Width of an edge weight / prefix-sum entry.
+WEIGHT_BYTES = 4
+#: Width of a pointer (child links, value pointers).
+POINTER_BYTES = 8
+#: Per-node fixed header of a samtree node (size, capacity, flags).
+TREE_NODE_HEADER_BYTES = 16
+#: Per-vertex record in the cuckoo directory: key + degree + tree ptr.
+DIRECTORY_ENTRY_BYTES = 8 + 8 + 8
+#: PlatoGL composite key: source ID + block sequence + edge type +
+#: block metadata ("various information except the unique identifier").
+KV_KEY_BYTES = 8 + 8 + 4 + 12
+#: Per key-value pair index overhead in a general KV store
+#: (hash bucket entry, key pointer, value pointer, allocator header).
+KV_INDEX_ENTRY_BYTES = 48
+#: Fixed header of a PlatoGL neighbor block (count, capacity, sums).
+KV_BLOCK_HEADER_BYTES = 24
+#: AliGraph stores in- and out-topology ("duplicate the graph
+#: topology for supporting fast sampling").
+ALIGRAPH_DUPLICATION_FACTOR = 2
+#: Alias-method sampling table in AliGraph's own C layout: one float
+#: prob + one absolute 8 B index per edge (the store's are row offsets).
+ALIAS_ENTRY_BYTES = 4 + 8
+#: Per-vertex runtime overhead in AliGraph: in/out index pointers,
+#: several hash-index entries (vertex lookup, type routing, partition
+#: map), and the per-vertex sampler header.  Dominates at low density.
+ALIGRAPH_VERTEX_HEADER_BYTES = 256
+#: AliGraph's loading pipeline (GraphFlat-style) materialises raw edge
+#: lists alongside the CSR + alias structures it builds, so its build
+#: peak exceeds the steady-state footprint — the mechanism behind the
+#: paper's "o.o.m" entries at WeChat scale.
+ALIGRAPH_BUILD_PEAK_FACTOR = 2.5
 
 _UNITS = ["B", "KB", "MB", "GB", "TB", "PB"]
 

@@ -43,7 +43,7 @@ from repro.core.alpha_split import split_arrays
 from repro.core.compression import make_id_list, pack_id_lists
 from repro.core.cstable import CSTable
 from repro.core.fenwick import FSTable, build_tables
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
+from repro.core.memory import ID_BYTES, POINTER_BYTES, TREE_NODE_HEADER_BYTES
 from repro.errors import (
     ConfigurationError,
     EmptyStructureError,
@@ -743,18 +743,16 @@ class Samtree:
     # ------------------------------------------------------------------
     # memory accounting & invariants
     # ------------------------------------------------------------------
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
-        """Modeled bytes of the whole tree under the shared layout model.
+    def nbytes(self) -> int:
+        """Modeled bytes of the whole tree under the shared byte layout.
 
         Defined as the exact sum of :meth:`nbytes_breakdown` — the
         samtree doctor's per-component invariant (DESIGN.md §12) is
         therefore true by construction, not by coincidence.
         """
-        return sum(self.nbytes_breakdown(model).values())
+        return sum(self.nbytes_breakdown().values())
 
-    def nbytes_breakdown(
-        self, model: MemoryModel = DEFAULT_MEMORY_MODEL
-    ) -> Dict[str, int]:
+    def nbytes_breakdown(self) -> Dict[str, int]:
         """Per-component modeled bytes of this tree.
 
         Components (the samtree doctor's schema):
@@ -772,15 +770,15 @@ class Samtree:
         while stack:
             node = stack.pop()
             if node.is_leaf:
-                leaf_nodes += model.tree_node_header_bytes
+                leaf_nodes += TREE_NODE_HEADER_BYTES
                 leaf_nodes += node.ids.nbytes()
-                fstables += node.fstable.nbytes(model.weight_bytes)
+                fstables += node.fstable.nbytes()
             else:
-                internal_nodes += model.tree_node_header_bytes
-                internal_nodes += model.id_bytes * len(node.keys)
-                internal_nodes += model.pointer_bytes * len(node.children)
+                internal_nodes += TREE_NODE_HEADER_BYTES
+                internal_nodes += ID_BYTES * len(node.keys)
+                internal_nodes += POINTER_BYTES * len(node.children)
                 internal_nodes += 4 * len(node.counts)
-                cstables += node.cstable.nbytes(model.weight_bytes)
+                cstables += node.cstable.nbytes()
                 stack.extend(node.children)
         return {
             "leaf_nodes": leaf_nodes,

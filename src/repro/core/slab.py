@@ -43,10 +43,10 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.compression import ALLOWED_PREFIX_LENGTHS, ID_BYTES
+from repro.core.compression import ALLOWED_PREFIX_LENGTHS
 from repro.core.fenwick import cumsum_rows
 from repro.core.ingest import OP_DELETE, OP_INSERT
-from repro.core.memory import MemoryModel
+from repro.core.memory import ID_BYTES, TREE_NODE_HEADER_BYTES, WEIGHT_BYTES
 from repro.core.samtree import OpStats, _check_weight
 from repro.core.types import lexsort_rows
 from repro.errors import InvariantViolationError
@@ -407,7 +407,7 @@ class Slab:
         return [ids[rng.randrange(n)] for _ in range(k)]
 
     # -- accounting & validation ----------------------------------------------
-    def nbytes_parts(self, model: MemoryModel, compress: bool) -> Tuple[int, int]:
+    def nbytes_parts(self, compress: bool) -> Tuple[int, int]:
         """``(leaf_nodes, fstables)`` bytes of the paper's layout of the
         live rows: each charged as the one-leaf samtree it stands for —
         a node header, its CP-IDs list ``1 + z + n * (8 - z)`` (``8 n``
@@ -415,7 +415,7 @@ class Slab:
         live = self.live_rows()
         length = self.length[live]
         edges = int(length.sum())
-        leaf_nodes = model.tree_node_header_bytes * live.size
+        leaf_nodes = TREE_NODE_HEADER_BYTES * live.size
         if not compress:
             leaf_nodes += ID_BYTES * edges
         elif live.size:
@@ -429,7 +429,7 @@ class Slab:
             for z in ALLOWED_PREFIX_LENGTHS[-2::-1]:  # widest prefix last
                 width[spread < (1 << (8 * (ID_BYTES - z)))] = ID_BYTES - z
             leaf_nodes += int((1 + ID_BYTES - width + length * width).sum())
-        return leaf_nodes, model.weight_bytes * edges
+        return leaf_nodes, WEIGHT_BYTES * edges
 
     def check(self, rows: List[int], srcs: List[int]) -> int:
         """Validate the slab against the directory's ``rows`` (and the

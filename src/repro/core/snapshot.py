@@ -82,7 +82,7 @@ import numpy as np
 from repro.core.compression import decode_id_lists
 from repro.core.fenwick import cumsum_rows, join_weight_columns
 from repro.core.frozen import alias_cells, alias_mass, build_alias, draw_alias
-from repro.core.memory import DEFAULT_MEMORY_MODEL
+from repro.core.memory import ID_BYTES, WEIGHT_BYTES
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import Stats
 
@@ -115,7 +115,7 @@ KEEP_IDLE = 16
 _EMPTY = 1
 
 #: Modeled bytes per arena slot: one ID + one cumulative weight.
-_SLOT_BYTES = DEFAULT_MEMORY_MODEL.id_bytes + DEFAULT_MEMORY_MODEL.weight_bytes
+_SLOT_BYTES = ID_BYTES + WEIGHT_BYTES
 
 #: How far an alias table's probability of an edge may sit from
 #: ``weight / total`` (the Vose pairing's float residue is below 1e-13).
@@ -748,13 +748,13 @@ class ReadImage:
         """Bytes of the alias columns of the frozen relations: a modeled
         probability + a row offset of its home's width per arena slot in
         use and per edge of an aliased pointer row (its table: the slab)."""
-        weight, nbytes = DEFAULT_MEMORY_MODEL.weight_bytes, 0
+        nbytes = 0
         for image in self.frozen_relations:
             slab = image.slab
             pointer = image.slab_row[: image.rows][image.aliased[: image.rows]]
             cells = int(slab.length[pointer].sum())
-            nbytes += (weight + image.alias_idx.itemsize) * image.used
-            nbytes += (weight + slab.alias_idx.itemsize) * cells
+            nbytes += (WEIGHT_BYTES + image.alias_idx.itemsize) * image.used
+            nbytes += (WEIGHT_BYTES + slab.alias_idx.itemsize) * cells
         return nbytes
 
     @property

@@ -29,7 +29,7 @@ from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.ingest import OP_INSERT, check_row
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
+from repro.core.memory import ID_BYTES
 from repro.core.samtree import SamtreeConfig
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
@@ -230,13 +230,11 @@ class TemporalGraphStore(GraphStoreAPI):
         coherence is by tree version, so window evictions invalidate)."""
         return self.store.sample_neighbors_many(srcs, k, rng, etype, **kwargs)
 
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
+    def nbytes(self) -> int:
         """Underlying store + timestamp map + calendar entries."""
-        meta = len(self._last_seen) * (3 * model.id_bytes + 8)
-        calendar = sum(len(b) for b in self._calendar.values()) * (
-            3 * model.id_bytes
-        )
-        return self.store.nbytes(model) + meta + calendar
+        meta = len(self._last_seen) * (3 * ID_BYTES + 8)
+        calendar = sum(len(b) for b in self._calendar.values()) * 3 * ID_BYTES
+        return self.store.nbytes() + meta + calendar
 
     def check_invariants(self) -> None:
         """Window metadata and the underlying store must agree."""

@@ -36,7 +36,6 @@ from repro.core.ingest import (
     check_key,
 )
 from repro.core.frozen import FrozenStats
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import (
     OpStats,
     Samtree,
@@ -735,28 +734,25 @@ class DynamicGraphStore(GraphStoreAPI):
     # ------------------------------------------------------------------
     # accounting & validation
     # ------------------------------------------------------------------
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
+    def nbytes(self) -> int:
         """Total modeled bytes of the store.
 
-        Exactly ``sum(self.nbytes_breakdown(model).values())`` — the
+        Exactly ``sum(self.nbytes_breakdown().values())`` — the
         samtree doctor pins this equality as an invariant.  Includes the
         per-tree snapshot-cache overhead (cached flat read images are
         real resident memory the read path pays for; earlier versions
         under-reported by omitting them).
         """
-        return sum(self.nbytes_breakdown(model).values())
+        return sum(self.nbytes_breakdown().values())
 
-    def nbytes_breakdown(
-        self, model: MemoryModel = DEFAULT_MEMORY_MODEL
-    ) -> Dict[str, int]:
+    def nbytes_breakdown(self) -> Dict[str, int]:
         """Per-component modeled bytes (the doctor's memory schema).
 
         Components: the four samtree node components aggregated over
         every tree (``leaf_nodes`` / ``fstables`` / ``internal_nodes`` /
         ``cstables`` — a slab row is charged as the one-leaf samtree of
         the paper's layout it stands for), the cuckoo ``directory``, the
-        ``snapshot_cache`` (the read image's arena slots, accounted
-        under the cache's own :class:`MemoryModel` — see
+        ``snapshot_cache`` (the read image's arena slots — see
         :mod:`repro.core.memory` for the assumptions), and ``frozen``
         (the image's alias columns, present between :meth:`freeze` and
         :meth:`thaw`).
@@ -768,12 +764,12 @@ class DynamicGraphStore(GraphStoreAPI):
             "cstables": 0,
         }
         for tree in self._directory.trees.values():
-            for component, nbytes in tree.nbytes_breakdown(model).items():
+            for component, nbytes in tree.nbytes_breakdown().items():
                 parts[component] += nbytes
-        leaf_nodes, fstables = self.slab.nbytes_parts(model, self.config.compress)
+        leaf_nodes, fstables = self.slab.nbytes_parts(self.config.compress)
         parts["leaf_nodes"] += leaf_nodes
         parts["fstables"] += fstables
-        parts["directory"] = self._directory.nbytes(model)
+        parts["directory"] = self._directory.nbytes()
         cache = self.snapshot_cache
         parts["snapshot_cache"] = cache.nbytes
         parts["frozen"] = cache.alias_nbytes

@@ -15,7 +15,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
 from repro.errors import ConfigurationError
 
@@ -385,5 +384,5 @@ class GraphStoreAPI(abc.ABC):
 
     # -- accounting -------------------------------------------------------
     @abc.abstractmethod
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
+    def nbytes(self) -> int:
         """Modeled memory footprint in bytes (see ``repro.core.memory``)."""

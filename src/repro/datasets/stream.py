@@ -14,17 +14,25 @@ Two phases mirror the paper's evaluation:
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.ingest import EdgeBatch
-from repro.core.types import OP_DELETE, OP_INSERT, OP_UPDATE
+from repro.core.types import OP_DELETE, OP_INSERT, OP_UPDATE, lexsort_rows
 from repro.datasets.presets import GraphData
 from repro.datasets.synthetic import type_offset
 from repro.errors import ConfigurationError
 
 __all__ = ["EdgeStream", "RequestStream"]
+
+#: Odd multipliers of a live key's 64-bit fingerprint
+#: ``etype * K0 + src * K1 + dst`` (wrapping); a fingerprint only
+#: narrows the search, the rows it matches decide membership.
+_K0, _K1 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9
+_MIX = np.array([_K0, _K1, 1], dtype=np.uint64)
+_MASK64 = (1 << 64) - 1
 
 
 class RequestStream:
@@ -110,12 +118,20 @@ class EdgeStream:
     def __init__(self, data: GraphData, seed: int = 0) -> None:
         self.data = data
         self._rng = random.Random(seed)
-        # Live-edge tracking for valid update/delete targets.
-        self._live: List[Tuple[int, int, int]] = []
-        self._live_set: set = set()
+        # The live edges (valid update/delete targets), one
+        # ``(etype, src, dst)`` row each: the first ``_n`` rows of
+        # ``_live``, in the order churn indexes them.
+        self._live = np.empty((0, 3), dtype=np.int64)
+        self._n = 0
+        # Membership: the rows live at the last ``_ensure_live``, sorted
+        # by fingerprint (``_index`` holds the fingerprints), and the
+        # keys churn has flipped since (inserted or deleted).
+        self._index: List[int] = []
+        self._index_rows = self._live
+        self._flipped: set = set()
         # Columnar build batches defer live-set materialisation: the
-        # arrays are stashed here and only expanded into per-edge keys
-        # the first time churn actually needs targets.
+        # arrays are stashed here and only join the live rows the first
+        # time churn actually needs targets.
         self._pending: List[Tuple[int, object, object]] = []
 
     # ------------------------------------------------------------------
@@ -141,46 +157,63 @@ class EdgeStream:
                     rel.src[a:b], rel.dst[a:b], rel.weight[a:b], etype
                 )
 
+    def _is_live(self, key: Tuple[int, int, int]) -> bool:
+        etype, src, dst = key
+        fp = (etype * _K0 + src * _K1 + dst) & _MASK64
+        lo = bisect_left(self._index, fp)
+        hi = bisect_right(self._index, fp, lo)
+        indexed = lo < hi and key in map(
+            tuple, self._index_rows[lo:hi].tolist()
+        )
+        return indexed != (key in self._flipped)
+
     def _track_insert(self, src: int, dst: int, etype: int) -> None:
         key = (etype, src, dst)
-        if key not in self._live_set:
-            self._live_set.add(key)
-            self._live.append(key)
+        if self._is_live(key):
+            return
+        self._flipped ^= {key}
+        if self._n == len(self._live):  # grow by doubling
+            spare = np.empty((max(self._n, 16), 3), dtype=np.int64)
+            self._live = np.concatenate([self._live, spare])
+        self._live[self._n] = key
+        self._n += 1
 
     def _ensure_live(self) -> None:
-        """Materialise deferred columnar inserts into the live set."""
+        """Join the deferred columnar inserts to the live rows: the
+        first occurrence of each new key, in build order, after the
+        rows already live."""
         if not self._pending:
             return
         pending, self._pending = self._pending, []
-        for etype, src_arr, dst_arr in pending:
-            for s, d in zip(src_arr, dst_arr):
-                self._track_insert(int(s), int(d), etype)
+        rows = np.concatenate([self._live[: self._n]] + [
+            np.column_stack([np.full(len(src), etype), src, dst])
+            for etype, src, dst in pending
+        ]).astype(np.int64)
+        fp = (rows.astype(np.uint64) * _MIX).sum(axis=1)
+        # By fingerprint, then key; stable, so a key's first occurrence
+        # leads its run of duplicates.
+        order = lexsort_rows(fp, rows[:, 0], rows[:, 1], rows[:, 2])
+        ranked = rows[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        self._index = fp[order][first].tolist()
+        self._index_rows = ranked[first]
+        self._flipped = set()
+        self._live = rows[np.sort(order[first])]
+        self._n = len(self._live)
 
-    def _pop_live(self) -> Optional[Tuple[int, int, int]]:
-        self._ensure_live()
-        rng = self._rng
-        while self._live:
-            i = rng.randrange(len(self._live))
-            key = self._live[i]
-            self._live[i] = self._live[-1]
-            self._live.pop()
-            if key in self._live_set:
-                self._live_set.discard(key)
-                return key
-        return None
+    def _pop_live(self) -> Tuple[int, int, int]:
+        """Remove and return a uniformly drawn live edge (swap-with-last)."""
+        i = self._rng.randrange(self._n)
+        key = tuple(self._live[i].tolist())
+        self._n -= 1
+        self._live[i] = self._live[self._n]
+        self._flipped ^= {key}
+        return key
 
-    def _pick_live(self) -> Optional[Tuple[int, int, int]]:
-        self._ensure_live()
-        rng = self._rng
-        while self._live:
-            i = rng.randrange(len(self._live))
-            key = self._live[i]
-            if key in self._live_set:
-                return key
-            # Lazily compact entries removed by deletion.
-            self._live[i] = self._live[-1]
-            self._live.pop()
-        return None
+    def _pick_live(self) -> Tuple[int, int, int]:
+        """A uniformly drawn live edge."""
+        return tuple(self._live[self._rng.randrange(self._n)].tolist())
 
     # ------------------------------------------------------------------
     def churn_batches(
@@ -223,7 +256,7 @@ class EdgeStream:
             rows: List[Tuple[int, int, float, int, int]] = []
             for _ in range(batch_size):
                 r = rng.random()
-                if r < p_insert or not self._live_set:
+                if r < p_insert or not self._n:
                     spec = specs[rng.randrange(len(specs))]
                     src = type_offset(spec.src_type) + rng.randrange(
                         spec.num_src
@@ -235,16 +268,10 @@ class EdgeStream:
                     rows.append((src, dst, weight, spec.etype, OP_INSERT))
                     self._track_insert(src, dst, spec.etype)
                 elif r < p_insert + p_update:
-                    key = self._pick_live()
-                    if key is None:
-                        continue
-                    etype, src, dst = key
+                    etype, src, dst = self._pick_live()
                     weight = 0.1 + 0.9 * rng.random()
                     rows.append((src, dst, weight, etype, OP_UPDATE))
                 else:
-                    key = self._pop_live()
-                    if key is None:
-                        continue
-                    etype, src, dst = key
+                    etype, src, dst = self._pop_live()
                     rows.append((src, dst, 0.0, etype, OP_DELETE))
             yield EdgeBatch(*(tuple(zip(*rows)) or ((),) * 5))

@@ -8,7 +8,6 @@ from repro.distributed.cluster import LocalCluster, ShardInfo
 from repro.distributed.faults import FaultInjector, FaultPolicy, FaultStats
 from repro.distributed.partition import (
     HashBySourcePartitioner,
-    Partitioner,
     splitmix64,
 )
 from repro.distributed.retry import RetryPolicy, RetryStats
@@ -25,7 +24,6 @@ __all__ = [
     "FaultPolicy",
     "FaultStats",
     "HashBySourcePartitioner",
-    "Partitioner",
     "splitmix64",
     "RetryPolicy",
     "RetryStats",

@@ -36,7 +36,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.ingest import EdgeBatch, IngestStats
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.snapshot import RNGLike, coerce_generator
 from repro.core.types import (
     DEFAULT_ETYPE,
@@ -50,7 +49,7 @@ from repro.core.types import (
     lexsort_rows,
     run_bounds,
 )
-from repro.distributed.partition import Partitioner
+from repro.distributed.partition import HashBySourcePartitioner
 from repro.distributed.retry import RetryPolicy
 from repro.distributed.rpc import NetworkModel
 from repro.distributed.server import GraphServer
@@ -113,7 +112,7 @@ class GraphClient(GraphStoreAPI):
     def __init__(
         self,
         servers: Sequence[GraphServer],
-        partitioner: Partitioner,
+        partitioner: HashBySourcePartitioner,
         network: Optional[NetworkModel] = None,
         replica_groups: Optional[Sequence[Sequence[GraphServer]]] = None,
         retry: Optional[RetryPolicy] = None,
@@ -335,7 +334,7 @@ class GraphClient(GraphStoreAPI):
 
         The write-path mirror of :meth:`sample_neighbors_many`: the whole
         ``src`` column is hashed in one vectorized pass
-        (:meth:`~repro.distributed.partition.Partitioner.shards_for_array`),
+        (``HashBySourcePartitioner.shards_for_array``),
         each shard receives one contiguous columnar sub-batch, and the
         :class:`~repro.distributed.rpc.NetworkModel` is charged the
         *array* payload bytes of each sub-batch — not per-op object
@@ -536,11 +535,11 @@ class GraphClient(GraphStoreAPI):
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
+    def nbytes(self) -> int:
         """Modeled bytes across the whole deployment (replicas included;
         crashed replicas hold no volatile state and report 0)."""
         return sum(
-            server.nbytes(model)
+            server.nbytes()
             for group in self.replica_groups
             for server in group
         )

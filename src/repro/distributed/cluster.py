@@ -26,12 +26,11 @@ import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import SamtreeConfig
 from repro.core.types import GraphStoreAPI
 from repro.distributed.client import GraphClient
 from repro.distributed.faults import FaultInjector, FaultPolicy
-from repro.distributed.partition import HashBySourcePartitioner, Partitioner
+from repro.distributed.partition import HashBySourcePartitioner
 from repro.distributed.retry import RetryPolicy
 from repro.distributed.rpc import NetworkModel
 from repro.distributed.server import GraphServer
@@ -153,7 +152,6 @@ class LocalCluster:
         config: Optional[SamtreeConfig] = None,
         store_factory: Optional[Callable[[], GraphStoreAPI]] = None,
         network: Optional[NetworkModel] = None,
-        partitioner: Optional[Partitioner] = None,
         replication_factor: int = 1,
         durable: bool = False,
         wal_dir: Optional[str] = None,
@@ -173,11 +171,7 @@ class LocalCluster:
             )
         if wal_dir is not None and not durable:
             raise ConfigurationError("wal_dir requires durable=True")
-        self.partitioner = partitioner or HashBySourcePartitioner(num_servers)
-        if self.partitioner.num_shards != num_servers:
-            raise ConfigurationError(
-                "partitioner shard count does not match num_servers"
-            )
+        self.partitioner = HashBySourcePartitioner(num_servers)
         self.replication_factor = replication_factor
         #: The cluster's one telemetry hub, shared by reference with
         #: every component wired below.
@@ -358,6 +352,14 @@ class LocalCluster:
                     compiled += server.freeze(etype)
         return compiled
 
+    def close(self) -> None:
+        """Release every replica's WAL handle (idempotent; file-backed
+        logs stay on disk for a later cluster to reopen)."""
+        for group in self.replica_groups:
+            for server in group:
+                if server.wal is not None:
+                    server.wal.close()
+
     def dead_replicas(self) -> List[Tuple[int, int]]:
         """``(shard, replica)`` pairs currently down."""
         return [
@@ -370,7 +372,7 @@ class LocalCluster:
     # ------------------------------------------------------------------
     # dashboards
     # ------------------------------------------------------------------
-    def shard_infos(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> List[ShardInfo]:
+    def shard_infos(self) -> List[ShardInfo]:
         """Per-shard load snapshot (balance diagnostics).
 
         Reports the first live replica's view; a fully-down shard
@@ -386,7 +388,7 @@ class LocalCluster:
                         shard_id=shard,
                         num_sources=view.store.num_sources,
                         num_edges=view.store.num_edges,
-                        nbytes=view.nbytes(model),
+                        nbytes=view.nbytes(),
                         live_replicas=len(live),
                     )
                 )
@@ -402,10 +404,10 @@ class LocalCluster:
                 )
         return infos
 
-    def total_nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
+    def total_nbytes(self) -> int:
         """Cluster-wide modeled memory (primary replicas only, so the
         figure stays comparable across replication factors)."""
-        return sum(s.nbytes(model) for s in self.servers)
+        return sum(s.nbytes() for s in self.servers)
 
     def attach_monitor(
         self,

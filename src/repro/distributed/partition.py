@@ -15,14 +15,11 @@ A deterministic mixing hash (splitmix64) is used instead of Python's
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
 from repro.errors import PartitionError
 
 __all__ = [
-    "Partitioner",
     "HashBySourcePartitioner",
     "splitmix64",
     "splitmix64_array",
@@ -64,31 +61,17 @@ def splitmix64_array(xs) -> np.ndarray:
     return x
 
 
-class Partitioner(abc.ABC):
-    """Maps a source vertex to the shard that owns its out-adjacency."""
+class HashBySourcePartitioner:
+    """Maps a source vertex to the shard that owns its out-adjacency:
+    hash-by-source placement, the dynamic-graph-friendly one."""
 
     def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise PartitionError(f"num_shards must be >= 1, got {num_shards}")
         self.num_shards = num_shards
 
-    @abc.abstractmethod
     def shard_for(self, src: int) -> int:
         """Shard index in ``[0, num_shards)`` owning ``src``."""
-
-    def shards_for_array(self, srcs) -> np.ndarray:
-        """Array form of :meth:`shard_for` (loop fallback; hash-based
-        partitioners vectorize it)."""
-        return np.asarray(
-            [self.shard_for(int(s)) for s in np.asarray(srcs).ravel()],
-            dtype=np.int64,
-        )
-
-
-class HashBySourcePartitioner(Partitioner):
-    """Hash-by-source placement (the dynamic-graph-friendly default)."""
-
-    def shard_for(self, src: int) -> int:
         return splitmix64(int(src)) % self.num_shards
 
     def shards_for_array(self, srcs) -> np.ndarray:

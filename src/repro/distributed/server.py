@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.ingest import EdgeBatch, chunked
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.samtree import SamtreeConfig
 from repro.core.snapshot import RNGLike
 from repro.core.topology import DynamicGraphStore
@@ -418,11 +417,11 @@ class GraphServer:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
+    def nbytes(self) -> int:
         """Modeled bytes of this shard's store.
 
         A crashed replica holds no volatile state, so it reports 0.
         """
         if not self._alive or self.store is None:
             return 0
-        return self.store.nbytes(model)
+        return self.store.nbytes()

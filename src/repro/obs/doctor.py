@@ -19,8 +19,8 @@ observable:
   the paper actually bounds), FSTable/CSTable node counts, mean internal
   fan-out, split/merge/rebuild counters, and the α-Split pivot-imbalance
   readout accumulated by :class:`~repro.core.samtree.OpStats`;
-* the report carries a :class:`~repro.core.memory.MemoryModel`-based
-  byte breakdown by component (``leaf_nodes`` / ``fstables`` /
+* the report carries a byte breakdown (under the fixed layout of
+  :mod:`repro.core.memory`) by component (``leaf_nodes`` / ``fstables`` /
   ``internal_nodes`` / ``cstables`` / ``directory`` /
   ``snapshot_cache``, plus ``wal`` at cluster level)
   whose sum **equals** the store's ``nbytes()`` by construction — the
@@ -39,11 +39,7 @@ import json
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.memory import (
-    DEFAULT_MEMORY_MODEL,
-    MemoryModel,
-    humanize_bytes,
-)
+from repro.core.memory import humanize_bytes
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 
@@ -107,7 +103,7 @@ class DoctorReport:
 
     The byte ``components`` dict is an exact partition:
     ``total_bytes == sum(components.values())`` and, for a single store,
-    ``total_bytes == store.nbytes(model)`` (plus WAL bytes at cluster
+    ``total_bytes == store.nbytes()`` (plus WAL bytes at cluster
     level) — both equalities are pinned by ``tests/test_doctor.py``.
     """
 
@@ -527,7 +523,7 @@ def _samtree_store(store):
     return store
 
 
-def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
+def _observe_store(report: DoctorReport, store) -> None:
     slab = store.slab
     for tree in store.directory.trees.values():
         report.observe_tree(tree)
@@ -557,33 +553,29 @@ def _observe_store(report: DoctorReport, store, model: MemoryModel) -> None:
     report.cache_stale_rows += len(cache.stale_rows(directory, slab))
     report.alias_served += store.frozen_stats.vertices
     report.alias_missed += store.frozen_stats.stale_misses
-    report.add_components(store.nbytes_breakdown(model))
+    report.add_components(store.nbytes_breakdown())
 
 
-def diagnose_store(
-    store, model: MemoryModel = DEFAULT_MEMORY_MODEL
-) -> DoctorReport:
+def diagnose_store(store) -> DoctorReport:
     """Walk one :class:`DynamicGraphStore` into a :class:`DoctorReport`.
 
-    ``report.total_bytes == store.nbytes(model)`` exactly — both sides
+    ``report.total_bytes == store.nbytes()`` exactly — both sides
     are the same component sum.  A baseline store raises
     :class:`~repro.errors.ConfigurationError`.
     """
     report = DoctorReport("store", _samtree_store(store).config.capacity)
     report.num_shards_seen = 1
-    _observe_store(report, store, model)
+    _observe_store(report, store)
     return report
 
 
-def diagnose_cluster(
-    cluster, model: MemoryModel = DEFAULT_MEMORY_MODEL
-) -> DoctorReport:
+def diagnose_cluster(cluster) -> DoctorReport:
     """Walk every live *primary* replica of a ``LocalCluster``.
 
     Matches :meth:`LocalCluster.total_nbytes` semantics (primaries only,
     comparable across replication factors); adds a ``wal`` byte
     component on top of the store breakdown, so
-    ``total_bytes == cluster.total_nbytes(model) + Σ wal bytes`` on a
+    ``total_bytes == cluster.total_nbytes() + Σ wal bytes`` on a
     fully-live cluster.  A cluster of baseline stores raises
     :class:`~repro.errors.ConfigurationError`.
     """
@@ -593,7 +585,7 @@ def diagnose_cluster(
     wal_bytes = 0
     for server, store in zip(live, stores):
         report.num_shards_seen += 1
-        _observe_store(report, store, model)
+        _observe_store(report, store)
         if server.wal is not None:
             wal_bytes += server.wal.nbytes
     report.add_components({"wal": wal_bytes})
@@ -606,12 +598,12 @@ def diagnose_cluster(
     return report
 
 
-def diagnose(target, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> DoctorReport:
+def diagnose(target) -> DoctorReport:
     """Dispatch on the target's shape: store or cluster."""
     if hasattr(target, "iter_trees"):
-        return diagnose_store(target, model)
+        return diagnose_store(target)
     if hasattr(target, "replica_groups"):
-        return diagnose_cluster(target, model)
+        return diagnose_cluster(target)
     raise ConfigurationError(
         f"doctor cannot diagnose a {type(target).__name__}; expected a "
         f"DynamicGraphStore or LocalCluster"

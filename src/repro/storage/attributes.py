@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Sequence
 import numpy as np
 
 from repro.core.ingest import check_id, id_column
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
+from repro.core.memory import ID_BYTES, KV_INDEX_ENTRY_BYTES
 from repro.errors import ConfigurationError, ShapeError, VertexNotFoundError
 from repro.storage.directory import IdDirectory
 
@@ -112,9 +112,8 @@ class AttributeStore:
     (2, 4)
     """
 
-    def __init__(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> None:
+    def __init__(self) -> None:
         self._slabs: Dict[str, _Slab] = {}
-        self._model = model
 
     # ------------------------------------------------------------------
     # schema management
@@ -246,14 +245,13 @@ class AttributeStore:
     # accounting
     # ------------------------------------------------------------------
     def nbytes(self) -> int:
-        """Keys + index entries + payload bytes under the memory model.
+        """Keys + index entries + payload bytes under the byte layout.
 
         This is the paper's accounting of a C key-value layout (Table
         IV), a function of the stored pairs only; the slab's spare
         capacity and the directory's are not part of it.
         """
-        model = self._model
-        per_pair = model.id_bytes + model.kv_index_entry_bytes
+        per_pair = ID_BYTES + KV_INDEX_ENTRY_BYTES
         total = 0
         for slab in self._slabs.values():
             schema = slab.schema

@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
+from repro.core.memory import DIRECTORY_ENTRY_BYTES
 from repro.core.types import lexsort_rows
 from repro.errors import ConfigurationError, HashMapFullError
 
@@ -492,8 +492,8 @@ class CuckooHashMap:
         """Fraction of slots occupied."""
         return self._size / (self._num_buckets * _BUCKET_WAYS)
 
-    def nbytes(self, model: MemoryModel = DEFAULT_MEMORY_MODEL) -> int:
+    def nbytes(self) -> int:
         """Modeled bytes: every slot pays a directory entry whether used
         or not (the table is pre-allocated), matching the paper's
         directory accounting."""
-        return self._num_buckets * _BUCKET_WAYS * model.directory_entry_bytes
+        return self._num_buckets * _BUCKET_WAYS * DIRECTORY_ENTRY_BYTES

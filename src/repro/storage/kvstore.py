@@ -6,12 +6,12 @@ specific block" and the value is a block of neighbors.  The cost the
 paper attacks is structural: every key-value pair pays
 
 * the composite key itself (source ID, block sequence, edge type, block
-  metadata — :attr:`MemoryModel.kv_key_bytes`), and
+  metadata — :data:`~repro.core.memory.KV_KEY_BYTES`), and
 * a hash-index entry mapping the key to its value
-  (:attr:`MemoryModel.kv_index_entry_bytes`).
+  (:data:`~repro.core.memory.KV_INDEX_ENTRY_BYTES`).
 
 This module provides that substrate: a dict-backed store that *accounts*
-its footprint under the shared memory model.  The PlatoGL baseline keeps
+its footprint under the shared byte layout.  The PlatoGL baseline keeps
 all of its blocks in one of these so its Table IV numbers emerge from
 the same accounting rules as PlatoD2GL's samtrees.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, Iterator, Tuple
 
-from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
+from repro.core.memory import KV_INDEX_ENTRY_BYTES, KV_KEY_BYTES
 
 __all__ = ["BlockKVStore"]
 
@@ -33,14 +33,9 @@ class BlockKVStore:
     attribute store sizes feature vectors).
     """
 
-    def __init__(
-        self,
-        value_nbytes: Callable[[Any], int],
-        model: MemoryModel = DEFAULT_MEMORY_MODEL,
-    ) -> None:
+    def __init__(self, value_nbytes: Callable[[Any], int]) -> None:
         self._data: Dict[Hashable, Any] = {}
         self._value_nbytes = value_nbytes
-        self._model = model
 
     # ------------------------------------------------------------------
     # mapping interface
@@ -74,10 +69,8 @@ class BlockKVStore:
     # accounting
     # ------------------------------------------------------------------
     def nbytes(self) -> int:
-        """Keys + index entries + value payloads under the memory model."""
-        model = self._model
-        per_pair = model.kv_key_bytes + model.kv_index_entry_bytes
-        total = per_pair * len(self._data)
+        """Keys + index entries + value payloads under the byte layout."""
+        total = (KV_KEY_BYTES + KV_INDEX_ENTRY_BYTES) * len(self._data)
         for value in self._data.values():
             total += self._value_nbytes(value)
         return total

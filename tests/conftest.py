@@ -86,7 +86,7 @@ def live_edges(stream):
     """The ``(etype, src, dst)`` triples an ``EdgeStream`` has inserted
     and not deleted: the model a store fed the stream must match."""
     stream._ensure_live()
-    return stream._live_set
+    return set(map(tuple, stream._live[: stream._n].tolist()))
 
 
 def compact_image(image) -> int:

@@ -8,7 +8,12 @@ import pytest
 
 from repro.baselines.aligraph import AliasTable, AliGraphStore
 from repro.baselines.platogl import PlatoGLStore
-from repro.core.memory import DEFAULT_MEMORY_MODEL
+from repro.core.memory import (
+    ALIGRAPH_BUILD_PEAK_FACTOR,
+    ALIGRAPH_DUPLICATION_FACTOR,
+    ID_BYTES,
+    WEIGHT_BYTES,
+)
 from repro.errors import ConfigurationError, EmptyStructureError
 
 
@@ -155,19 +160,15 @@ class TestAliGraph:
         store = AliGraphStore()
         for i in range(100):
             store.add_edge(i % 5, i, 1.0)
-        model = DEFAULT_MEMORY_MODEL
-        assert store.peak_nbytes(model) == int(
-            store.nbytes(model) * model.aligraph_build_peak_factor
+        assert store.peak_nbytes() == int(
+            store.nbytes() * ALIGRAPH_BUILD_PEAK_FACTOR
         )
-        assert store.peak_nbytes(model) > store.nbytes(model)
+        assert store.peak_nbytes() > store.nbytes()
 
     def test_duplication_factor_in_accounting(self):
         store = AliGraphStore()
         for i in range(1000):
             store.add_edge(1, i, 1.0)
-        model = DEFAULT_MEMORY_MODEL
-        per_edge = store.nbytes(model) / 1000
-        floor = model.aligraph_duplication_factor * (
-            model.id_bytes + model.weight_bytes
-        )
+        per_edge = store.nbytes() / 1000
+        floor = ALIGRAPH_DUPLICATION_FACTOR * (ID_BYTES + WEIGHT_BYTES)
         assert per_edge > floor

@@ -160,8 +160,20 @@ class TestLocalCluster:
         assert client.num_edges == 1
         assert {s: client.neighbors(s) for s in range(1, 6)} == adjacency
         assert [server.wal._read_all() for server in cluster.servers] == logs
-        for server in cluster.servers:
-            server.wal.close()
+        cluster.close()
+
+    def test_close_releases_every_wal_handle(self, tmp_path):
+        cluster = LocalCluster(
+            num_servers=2, replication_factor=2, durable=True,
+            wal_dir=str(tmp_path),
+        )
+        cluster.client.add_edge(5, 6, 0.5)
+        handles = [s.wal._file for g in cluster.replica_groups for s in g]
+        assert len(handles) == 4 and not any(h.closed for h in handles)
+        cluster.close()
+        cluster.close()  # idempotent
+        assert all(h.closed for h in handles)
+        LocalCluster(num_servers=2).close()  # no WAL: nothing to release
 
     def test_store_factory_runs_baselines(self):
         cluster = LocalCluster(num_servers=2, store_factory=PlatoGLStore)
@@ -172,8 +184,6 @@ class TestLocalCluster:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             LocalCluster(num_servers=0)
-        with pytest.raises(ConfigurationError):
-            LocalCluster(num_servers=2, partitioner=HashBySourcePartitioner(3))
 
     def test_distributed_equals_local(self):
         """The cluster and a single local store expose the same graph."""

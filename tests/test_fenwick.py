@@ -236,7 +236,6 @@ class TestAccounting:
     def test_nbytes(self):
         table = FSTable([1.0] * 10)
         assert table.nbytes() == 40
-        assert table.nbytes(weight_bytes=8) == 80
 
     def test_iter_yields_raw_weights(self):
         weights = [0.1, 0.2, 0.3, 0.4, 0.5]

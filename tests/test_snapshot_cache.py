@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
-from repro.core.memory import DEFAULT_MEMORY_MODEL
+from repro.core.memory import ID_BYTES, WEIGHT_BYTES
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.snapshot import (
     GARBAGE_DIVISOR,
@@ -44,7 +44,7 @@ try:  # scipy is part of the baked toolchain, but degrade gracefully.
 except ImportError:  # pragma: no cover
     _scipy_stats = None
 
-SLOT_BYTES = DEFAULT_MEMORY_MODEL.id_bytes + DEFAULT_MEMORY_MODEL.weight_bytes
+SLOT_BYTES = ID_BYTES + WEIGHT_BYTES
 #: Sources no test gives edges to: padding that lifts a frontier over
 #: the cut between the two draw loops.
 PADDING = list(range(10_000, 10_000 + ROW_LOOP_BELOW))

@@ -22,7 +22,6 @@ from hypothesis.stateful import (
 from repro.baselines.platogl import PlatoGLStore
 from repro.core.frozen import alias_mass
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
-from repro.core.memory import DEFAULT_MEMORY_MODEL
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.snapshot import ALIAS_TOLERANCE, ROW_LOOP_BELOW
 from repro.core.temporal import TemporalGraphStore
@@ -297,7 +296,7 @@ class StoreMachine(RuleBasedStateMachine):
             else:
                 assert isinstance(value, Samtree) and value.degree
                 assert key in self.may_have_outgrown
-        assert slab.nbytes_parts(DEFAULT_MEMORY_MODEL, config.compress) == (
+        assert slab.nbytes_parts(config.compress) == (
             leaf_nodes, fstables
         )
 

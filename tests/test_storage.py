@@ -8,7 +8,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.core.memory import DEFAULT_MEMORY_MODEL, humanize_bytes
+from repro.core import memory
+from repro.core.memory import (
+    ID_BYTES,
+    KV_INDEX_ENTRY_BYTES,
+    KV_KEY_BYTES,
+    humanize_bytes,
+)
 from repro.errors import (
     ConfigurationError,
     InvalidWeightError,
@@ -41,10 +47,9 @@ class TestBlockKVStore:
         assert dict(kv.items())[("b", 2)] == b"x"
 
     def test_nbytes_includes_key_and_index_overhead(self):
-        model = DEFAULT_MEMORY_MODEL
         kv = self.make()
         kv.put(("b", 1), b"xyzw")
-        assert kv.nbytes() == model.kv_key_bytes + model.kv_index_entry_bytes + 4
+        assert kv.nbytes() == KV_KEY_BYTES + KV_INDEX_ENTRY_BYTES + 4
 
 
 class TestAttributeStore:
@@ -230,10 +235,7 @@ class AttributeStoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def accounting(self):
-        per_pair = (
-            DEFAULT_MEMORY_MODEL.id_bytes
-            + DEFAULT_MEMORY_MODEL.kv_index_entry_bytes
-        )
+        per_pair = ID_BYTES + KV_INDEX_ENTRY_BYTES
         assert self.store.nbytes() == len(self.model) * (per_pair + 4 * _DIM)
         ids = sorted(self.model)
         assert np.array_equal(
@@ -254,6 +256,19 @@ class TestMemoryModel:
         assert humanize_bytes(1.5 * (1 << 30)) == "1.50GB"
         assert humanize_bytes(4.2 * (1 << 40)) == "4.20TB"
 
-    def test_model_is_frozen(self):
-        with pytest.raises(Exception):
-            DEFAULT_MEMORY_MODEL.id_bytes = 4  # type: ignore[misc]
+    def test_layout_is_module_constants(self):
+        """One byte layout: plain integers (the AliGraph build-peak
+        factor a float) with the published values, and no settable
+        model object beside them."""
+        layout = {
+            "ID_BYTES": 8, "WEIGHT_BYTES": 4, "POINTER_BYTES": 8,
+            "TREE_NODE_HEADER_BYTES": 16, "DIRECTORY_ENTRY_BYTES": 24,
+            "KV_KEY_BYTES": 32, "KV_INDEX_ENTRY_BYTES": 48,
+            "KV_BLOCK_HEADER_BYTES": 24, "ALIGRAPH_DUPLICATION_FACTOR": 2,
+            "ALIAS_ENTRY_BYTES": 12, "ALIGRAPH_VERTEX_HEADER_BYTES": 256,
+            "ALIGRAPH_BUILD_PEAK_FACTOR": 2.5,
+        }
+        assert {name: getattr(memory, name) for name in layout} == layout
+        assert set(memory.__all__) == set(layout) | {"humanize_bytes"}
+        for name in ("MemoryModel", "DEFAULT_MEMORY_MODEL"):
+            assert not hasattr(memory, name), name

@@ -350,9 +350,46 @@ PINNED_SIGNATURES = {
         "servers partitioner network replica_groups retry degraded_reads"
     ),
     "repro.distributed.cluster:LocalCluster": (
-        "num_servers config store_factory network partitioner "
-        "replication_factor durable wal_dir fault_policy fault_seed retry "
-        "degraded_reads tracer"
+        "num_servers config store_factory network replication_factor "
+        "durable wal_dir fault_policy fault_seed retry degraded_reads tracer"
+    ),
+    "repro.distributed.cluster:LocalCluster.close": "self",
+    # One byte layout (repro.core.memory constants): no accounting
+    # method takes a layout or a width.
+    "repro.core.types:GraphStoreAPI.nbytes": "self",
+    "repro.core.topology:DynamicGraphStore.nbytes": "self",
+    "repro.core.topology:DynamicGraphStore.nbytes_breakdown": "self",
+    "repro.core.samtree:Samtree.nbytes": "self",
+    "repro.core.samtree:Samtree.nbytes_breakdown": "self",
+    "repro.core.slab:Slab.nbytes_parts": "self compress",
+    "repro.core.fenwick:FSTable.nbytes": "self",
+    "repro.core.cstable:CSTable.nbytes": "self",
+    "repro.core.temporal:TemporalGraphStore.nbytes": "self",
+    "repro.storage.cuckoo:CuckooHashMap.nbytes": "self",
+    "repro.storage.kvstore:BlockKVStore": "value_nbytes",
+    "repro.storage.kvstore:BlockKVStore.nbytes": "self",
+    "repro.storage.attributes:AttributeStore": "",
+    "repro.storage.attributes:AttributeStore.nbytes": "self",
+    "repro.distributed.server:GraphServer.nbytes": "self",
+    "repro.distributed.client:GraphClient.nbytes": "self",
+    "repro.distributed.cluster:LocalCluster.shard_infos": "self",
+    "repro.distributed.cluster:LocalCluster.total_nbytes": "self",
+    "repro.baselines.platogl:PlatoGLStore": "block_size",
+    "repro.baselines.platogl:PlatoGLStore.nbytes": "self",
+    "repro.baselines.aligraph:AliGraphStore": "",
+    "repro.baselines.aligraph:AliGraphStore.nbytes": "self",
+    "repro.baselines.aligraph:AliGraphStore.peak_nbytes": "self",
+    "repro.baselines.aligraph:AliasTable.nbytes": "self",
+    "repro.baselines.static_csr:StaticCSRStore.nbytes": "self",
+    "repro.obs.doctor:diagnose": "target",
+    "repro.obs.doctor:diagnose_store": "store",
+    "repro.obs.doctor:diagnose_cluster": "cluster",
+    "repro.bench.workloads:full_scale_bytes": (
+        "store data dataset_name use_peak"
+    ),
+    "repro.bench.workloads:build_store": (
+        "store data batch_size memory_budget enforce_cluster_budget_for "
+        "use_bulk"
     ),
     "repro.distributed.server:GraphServer": (
         "shard_id store config wal faults store_factory replica_index"

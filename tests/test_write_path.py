@@ -413,8 +413,7 @@ def test_every_write_path_refuses_a_bad_key_with_a_typed_error(
         cluster.crash(shard)
         cluster.recover(shard)
         assert writer.neighbors(5, 3) == [(2, 1.0)]
-        for server in cluster.servers:
-            server.wal.close()
+        cluster.close()
     else:  # ... and the store round-trips through a snapshot
         buf = io.BytesIO()
         save_store(writer, buf)
@@ -626,5 +625,4 @@ def test_scalar_writes_equal_the_batch_path(tmp_path):
         assert injector.refused_while_down == sum(
             s.stats.refused_requests for s in servers
         ) > 0
-        for server in servers:
-            server.wal.close()
+        c.close()
