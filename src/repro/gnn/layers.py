@@ -6,6 +6,10 @@ applied at several depths of a sampled mini-batch (GraphSAGE reuses the
 level-1 layer for both the seeds and the sampled frontier; the gradient
 contributions sum).
 
+The layer takes the mean of each row's sampled neighbors, not the
+neighbor rows: :class:`~repro.gnn.models.GraphSAGE` averages them, or
+receives the bottom level already averaged by the feature gather.
+
 ``forward`` pushes what ``backward`` needs onto the layer's tape
 (``_cache``) and ``backward`` pops it, last in first out; the model
 driving the layers empties the tape before each pass.
@@ -22,13 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.gnn.ops import (
-    mean_aggregate,
-    mean_aggregate_grad,
-    relu,
-    relu_grad,
-    xavier_init,
-)
+from repro.gnn.ops import mean_aggregate_grad, relu, relu_grad, xavier_init
 
 __all__ = ["SAGEMeanLayer"]
 
@@ -67,36 +65,44 @@ class SAGEMeanLayer:
         for name, p in self.params.items():
             self.grads[name] = np.zeros_like(p)
 
-    def forward(self, h_self: np.ndarray, h_neigh: np.ndarray) -> np.ndarray:
-        """``h_self``: (B, D); ``h_neigh``: (B, F, D) → (B, out_dim)."""
-        if h_self.ndim != 2 or h_neigh.ndim != 3:
+    def forward(
+        self, h_self: np.ndarray, agg: np.ndarray, fanout: int
+    ) -> np.ndarray:
+        """``h_self``: (B, D); ``agg``: (B, D), each row the mean of its
+        ``fanout`` sampled neighbors → (B, out_dim).
+
+        The tape keeps ``fanout``, not the neighbor rows: the input
+        gradient spreads ``grad / fanout`` over them, and nothing else
+        of them is needed.
+        """
+        if h_self.ndim != 2 or agg.ndim != 2:
             raise ShapeError(
-                f"SAGEMeanLayer expects (B, D) and (B, F, D); got "
-                f"{h_self.shape} and {h_neigh.shape}"
+                f"SAGEMeanLayer expects (B, D) and (B, D); got "
+                f"{h_self.shape} and {agg.shape}"
             )
-        if h_self.shape[0] != h_neigh.shape[0]:
+        if h_self.shape[0] != agg.shape[0]:
             raise ShapeError(
-                f"batch mismatch: {h_self.shape[0]} vs {h_neigh.shape[0]}"
+                f"batch mismatch: {h_self.shape[0]} vs {agg.shape[0]}"
             )
-        if h_self.shape[1] != self.in_dim or h_neigh.shape[2] != self.in_dim:
+        if h_self.shape[1] != self.in_dim or agg.shape[1] != self.in_dim:
             raise ShapeError(
                 f"SAGEMeanLayer expects feature dim {self.in_dim}; got "
-                f"{h_self.shape} and {h_neigh.shape}"
+                f"{h_self.shape} and {agg.shape}"
             )
-        agg = mean_aggregate(h_neigh)
         z = (
             h_self @ self.params["W_self"]
             + agg @ self.params["W_neigh"]
             + self.params["b"]
         )
-        self._cache.append((h_self, h_neigh, agg, z))
+        self._cache.append((h_self, fanout, agg, z))
         return relu(z) if self.activation else z
 
     def backward(
         self, grad_out: np.ndarray, input_grad: bool = True
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Returns ``(grad_h_self, grad_h_neigh)`` for the latest forward."""
-        h_self, h_neigh, agg, z = self._cache.pop()
+        """Returns ``(grad_h_self, grad_h_neigh)`` for the latest forward,
+        ``grad_h_neigh`` of shape (B, fanout, D)."""
+        h_self, fanout, agg, z = self._cache.pop()
         gz = relu_grad(z, grad_out) if self.activation else grad_out
         self.grads["W_self"] += h_self.T @ gz
         self.grads["W_neigh"] += agg.T @ gz
@@ -105,5 +111,4 @@ class SAGEMeanLayer:
             return None
         grad_self = gz @ self.params["W_self"].T
         grad_agg = gz @ self.params["W_neigh"].T
-        grad_neigh = mean_aggregate_grad(grad_agg, h_neigh.shape[1])
-        return grad_self, grad_neigh
+        return grad_self, mean_aggregate_grad(grad_agg, fanout)

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.gnn.layers import SAGEMeanLayer
+from repro.gnn.ops import mean_aggregate
 
 __all__ = ["GraphSAGE"]
 
@@ -64,7 +65,12 @@ class GraphSAGE:
         """Seed logits from per-level features.
 
         ``feats[d]`` holds the features of block level ``d``; level sizes
-        must telescope by the fan-outs.  Each forward starts a fresh
+        must telescope by the fan-outs.  The bottom level ``feats[L]``
+        may instead hold the mean of each parent's ``fanouts[L - 1]``
+        rows, one row per row of ``feats[L - 1]`` (what
+        :meth:`~repro.storage.attributes.AttributeStore.gather_mean`
+        returns): the row count tells the two apart, and for a fan-out
+        of 1 they are the same array.  Each forward starts a fresh
         tape: :meth:`backward` differentiates the latest forward only,
         and a forward that is never differentiated (evaluation,
         inference) leaves nothing behind for the next one to pile on.
@@ -80,19 +86,25 @@ class GraphSAGE:
                 f"fanouts, got {len(fanouts)}"
             )
         h = [np.asarray(f, dtype=np.float32) for f in feats]
+        bottom = self.num_layers - 1
         for d in range(self.num_layers):
-            if h[d + 1].shape[0] != h[d].shape[0] * fanouts[d]:
+            rows, parents = h[d + 1].shape[0], h[d].shape[0]
+            as_mean = d == bottom and rows == parents
+            if rows != parents * fanouts[d] and not as_mean:
                 raise ShapeError(
-                    f"level {d + 1} has {h[d + 1].shape[0]} rows, expected "
-                    f"{h[d].shape[0]} * {fanouts[d]}"
+                    f"level {d + 1} has {rows} rows, expected "
+                    f"{parents} * {fanouts[d]}"
+                    + (f" (or {parents}, their mean)" if d == bottom else "")
                 )
         for layer in self.layers:
             layer._cache.clear()
             new_h = []
             for d in range(len(h) - 1):
                 n_d = h[d].shape[0]
-                neigh = h[d + 1].reshape(n_d, fanouts[d], -1)
-                new_h.append(layer.forward(h[d], neigh))
+                agg = h[d + 1]
+                if len(agg) == n_d * fanouts[d]:
+                    agg = mean_aggregate(agg.reshape(n_d, fanouts[d], -1))
+                new_h.append(layer.forward(h[d], agg, fanouts[d]))
             h = new_h
         return h[0]
 

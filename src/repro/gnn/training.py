@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,15 @@ __all__ = ["Adam", "TrainResult", "Trainer"]
 
 
 class Adam:
-    """Adam optimiser over a :class:`GraphSAGE`'s parameters."""
+    """Adam optimiser over a :class:`GraphSAGE`'s parameters.
+
+    The moments are one flat pair over every parameter: a step
+    concatenates the gradients once, updates ``m`` / ``v`` and computes
+    the update over the flat arrays, and subtracts each parameter's
+    slice.  Elementwise this is the per-parameter arithmetic, so the
+    parameters are bit for bit those of a loop over them, in a fixed
+    handful of array calls instead of a handful per parameter.
+    """
 
     def __init__(
         self,
@@ -50,8 +58,8 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: Dict[str, np.ndarray] = {}
-        self._v: Dict[str, np.ndarray] = {}
+        self._m: Optional[np.ndarray] = None
+        self._v: Optional[np.ndarray] = None
         self._t = 0
 
     def step(self) -> None:
@@ -60,15 +68,20 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self._t
         bias2 = 1.0 - b2 ** self._t
-        for name, param, grad in self.model.parameters():
-            m = self._m.setdefault(name, np.zeros_like(param))
-            v = self._v.setdefault(name, np.zeros_like(param))
-            m *= b1
-            m += (1 - b1) * grad
-            v *= b2
-            v += (1 - b2) * grad * grad
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            param -= self.lr * update
+        triples = list(self.model.parameters())
+        grad = np.concatenate([grad.ravel() for _, _, grad in triples])
+        if self._m is None:
+            self._m, self._v = np.zeros_like(grad), np.zeros_like(grad)
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        v += (1 - b2) * grad * grad
+        update = self.lr * ((m / bias1) / (np.sqrt(v / bias2) + self.eps))
+        start = 0
+        for _, param, _ in triples:
+            param -= update[start : start + param.size].reshape(param.shape)
+            start += param.size
 
 
 @dataclass
@@ -142,10 +155,21 @@ class Trainer:
             )
 
     def _gather_phase(self, blocks) -> List[np.ndarray]:
+        """Rows of levels ``0 .. L - 1`` and the bottom level's fan-out
+        mean, all the bottom layer reads of it: the bottom level's rows
+        (ten times its parents', larger than L2 at the benchmark's
+        shapes) are never built."""
+        *upper, bottom = blocks.levels
         with self.telemetry.span(
             "train.gather", vertices=sum(len(l) for l in blocks.levels)
         ):
-            return self.features.gather_levels(self.feat_name, blocks.levels)
+            feats = self.features.gather_levels(self.feat_name, upper)
+            feats.append(
+                self.features.gather_mean(
+                    self.feat_name, bottom, blocks.fanouts[-1]
+                )
+            )
+            return feats
 
     def forward_batch(self, seeds: Sequence[int]) -> np.ndarray:
         """Sample + gather + forward; returns seed logits."""

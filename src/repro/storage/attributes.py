@@ -241,6 +241,38 @@ class AttributeStore:
             start += len(level)
         return views
 
+    def gather_mean(
+        self, name: str, vertices: Iterable[int], fanout: int
+    ) -> np.ndarray:
+        """The mean of each run of ``fanout`` consecutive rows of
+        :meth:`gather` (a float field): a ``(len(vertices) // fanout,
+        dim)`` matrix.
+
+        This is a sampled level's fan-out mean without the level's rows:
+        one directory lookup, then one ``take`` per fan-out column summed
+        in column order into one buffer, then one in-place divide — bit
+        for bit ``mean_aggregate`` of the gathered ``(n, fanout, dim)``
+        tensor, which sums the same terms in the same order.
+        """
+        ids = _as_ids(vertices)
+        if fanout < 1 or len(ids) % fanout:
+            raise ShapeError(
+                f"{len(ids)} vertices do not split into runs of {fanout}"
+            )
+        slab = self._slab(name)
+        # Row f of ``columns`` holds the slots of every run's f-th id.
+        columns = np.ascontiguousarray(
+            slab.index.lookup(ids).reshape(-1, fanout).T
+        )
+        total = slab.rows.take(columns[0], axis=0)
+        column = np.empty_like(total)
+        for slots in columns[1:]:
+            # Every slot is in range; numpy buffers a ``take`` into
+            # ``out`` in the default mode, "clip" writes it in place.
+            total += slab.rows.take(slots, axis=0, out=column, mode="clip")
+        total /= fanout
+        return total
+
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------

@@ -29,8 +29,8 @@ class BlockKVStore:
     """A key-value store whose pairs pay key + index overhead.
 
     ``value_nbytes`` — a callable sizing each stored value's payload —
-    is supplied by the owner (PlatoGL sizes its neighbor blocks; the
-    attribute store sizes feature vectors).
+    is supplied by the owner, the PlatoGL baseline, which sizes its
+    neighbor blocks.
     """
 
     def __init__(self, value_nbytes: Callable[[Any], int]) -> None:

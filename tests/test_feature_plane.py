@@ -1,5 +1,6 @@
 """The path from a sampled frontier to seed logits: block gathers, the
-layer tape, and the bottom layer's skipped input gradient."""
+bottom level's fused fan-out mean, the layer tape, and the bottom
+layer's skipped input gradient."""
 
 from __future__ import annotations
 
@@ -7,12 +8,17 @@ import copy
 import random
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import ShapeError
 from repro.gnn.inference import embed_vertices
 from repro.gnn.models import GraphSAGE
-from repro.gnn.ops import softmax_cross_entropy
+from repro.gnn.ops import mean_aggregate, softmax_cross_entropy
 from repro.gnn.samplers import sample_blocks
 from repro.gnn.training import Trainer
+from repro.storage.attributes import AttributeStore
 
 from tests.test_model_matrix import make_problem
 
@@ -43,9 +49,126 @@ class TestGatherLevels:
         assert [g.shape for g in got] == [(0, 6), (0, 6)]
 
 
+def _field(stored=30, dim=5):
+    """A ``feat`` field holding ids ``0 .. stored - 1``."""
+    feats = AttributeStore()
+    feats.register("feat", dim)
+    values = np.random.default_rng(4).normal(size=(stored, dim))
+    feats.put_many("feat", np.arange(stored), values.astype(np.float32))
+    return feats
+
+
+_FIELD = _field()
+
+
+class TestGatherMean:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fanout=st.integers(1, 12),
+        ids=st.lists(st.integers(0, 39), max_size=60),
+    )
+    def test_equals_the_mean_of_the_gathered_rows(self, fanout, ids):
+        """Ids 30..39 are missing (the zero row); ids repeat freely."""
+        ids = np.asarray(ids[: len(ids) - len(ids) % fanout], dtype=np.int64)
+        got = _FIELD.gather_mean("feat", ids, fanout)
+        rows = _FIELD.gather("feat", ids).reshape(-1, fanout, 5)
+        assert got.dtype == np.float32 and got.shape == (len(rows), 5)
+        assert np.array_equal(got, mean_aggregate(rows))
+
+    def test_an_empty_input_is_an_empty_matrix(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert _FIELD.gather_mean("feat", empty, 4).shape == (0, 5)
+
+    @pytest.mark.parametrize("count,fanout", [(7, 2), (1, 3), (5, 0)])
+    def test_a_partial_run_raises(self, count, fanout):
+        with pytest.raises(ShapeError):
+            _FIELD.gather_mean("feat", np.arange(count), fanout)
+
+
+@pytest.mark.parametrize("fanouts", [[4], [3, 2], [3, 2, 4]])
+def test_the_bottom_level_as_rows_or_as_its_mean_is_one_model(
+    fanouts, nprng
+):
+    """``GraphSAGE.forward`` + ``backward`` over the bottom level's rows
+    and over their fan-out mean: equal logits and gradients, bit for
+    bit."""
+    model = GraphSAGE(5, 7, 3, num_layers=len(fanouts), rng=nprng)
+    sizes = [4]
+    for fanout in fanouts:
+        sizes.append(sizes[-1] * fanout)
+    rows = [nprng.normal(size=(n, 5)).astype(np.float32) for n in sizes]
+    bottom = rows[-1].reshape(sizes[-2], fanouts[-1], 5)
+    labels = np.array([0, 1, 2, 0])
+    results = []
+    for feats in (rows, rows[:-1] + [mean_aggregate(bottom)]):
+        logits = model.forward(feats, fanouts)
+        _, grad = softmax_cross_entropy(logits, labels)
+        model.zero_grads()
+        model.backward(grad)
+        results.append((logits, _grads(model)))
+    (logits_rows, grads_rows), (logits_mean, grads_mean) = results
+    assert np.array_equal(logits_rows, logits_mean)
+    for name, grad in grads_rows.items():
+        assert np.array_equal(grad, grads_mean[name]), name
+
+
+def test_the_trainer_steps_as_it_would_on_the_rows(nprng):
+    """Two copies of one trainer (the store shared, so it locks and is
+    read alike), one fed the bottom level's rows and one its mean, end
+    every step with the same loss and the same parameters."""
+    store, feats, seeds, labels = make_problem(seed=6)
+    model = GraphSAGE(6, 8, 2, num_layers=2, rng=nprng)
+    fused, rows = (
+        Trainer(store, feats, m, FANOUTS, rng=random.Random(4))
+        for m in (model, copy.deepcopy(model))
+    )
+    rows._gather_phase = lambda blocks: rows.features.gather_levels(
+        rows.feat_name, blocks.levels
+    )
+    for _ in range(3):
+        loss_rows, _ = rows.train_step(seeds[:20], labels[:20])
+        loss_fused, _ = fused.train_step(seeds[:20], labels[:20])
+        assert loss_rows == loss_fused
+    for (name, a, _), (_, b, _) in zip(
+        rows.model.parameters(), fused.model.parameters()
+    ):
+        assert np.array_equal(a, b), name
+
+
+def test_a_training_step_never_builds_the_bottom_level(nprng):
+    """At the benchmark's shapes (256 seeds, fan-outs [10, 10]) the
+    bottom level is 25 600 ids: neither the gathered features nor any
+    array on the layers' tape may hold that many feature rows."""
+    store, feats, seeds, labels = make_problem(seed=7)
+    picks = np.random.default_rng(7).integers(0, len(seeds), 256)
+    batch = np.asarray(seeds)[picks]
+    batch_labels = np.asarray(labels)[picks]
+    model = GraphSAGE(6, 8, 2, num_layers=2, rng=nprng)
+    trainer = Trainer(store, feats, model, [10, 10], rng=random.Random(5))
+    seen = []
+    gather_phase, backward = trainer._gather_phase, model.backward
+
+    def gather_and_keep(blocks):
+        seen.extend(gather_phase(blocks))
+        return seen[-3:]
+
+    def keep_tape_then_backward(grad):
+        for layer in model.layers:
+            for entry in layer._cache:
+                seen.extend(a for a in entry if isinstance(a, np.ndarray))
+        backward(grad)
+
+    trainer._gather_phase = gather_and_keep
+    model.backward = keep_tape_then_backward
+    trainer.train_step(batch, batch_labels)
+    rows = [a.size // a.shape[-1] for a in seen]
+    assert len(seen) > 3 and 2560 in rows
+    assert 25600 not in rows, rows
+
+
 class TestLayerTape:
     """A forward that is never differentiated must not pile up on the
-    layers' tape (each entry pins a ``(B, F, D)`` neighbor tensor)."""
+    layers' tape (each entry pins the layer's inputs and output)."""
 
     #: Entries of one 2-layer forward: layer 0 at two depths, layer 1 at one.
     ONE_FORWARD = [2, 1]

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError, ShapeError
 from repro.gnn.layers import SAGEMeanLayer
 from repro.gnn.models import GraphSAGE
-from repro.gnn.ops import softmax_cross_entropy
+from repro.gnn.ops import mean_aggregate, softmax_cross_entropy
 
 EPS = 1e-5
 TOL = 1e-4
@@ -36,15 +36,17 @@ def promote_to_float64(*layers):
 class TestConvLayers:
     def test_forward_shapes(self, nprng):
         layer = SAGEMeanLayer(4, 6, nprng)
-        out = layer.forward(np.zeros((5, 4), np.float32), np.zeros((5, 3, 4), np.float32))
+        out = layer.forward(np.zeros((5, 4), np.float32), np.zeros((5, 4), np.float32), 3)
         assert out.shape == (5, 6)
 
     def test_shape_validation(self, nprng):
         layer = SAGEMeanLayer(4, 6, nprng)
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((5, 4)), np.zeros((5, 4)))
+            layer.forward(np.zeros((5, 4)), np.zeros((5, 3, 4)), 3)
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((5, 4)), np.zeros((6, 3, 4)))
+            layer.forward(np.zeros((5, 4)), np.zeros((6, 4)), 3)
+        with pytest.raises(ShapeError):
+            layer.forward(np.zeros((5, 4)), np.zeros((5, 5)), 3)
 
     def test_gradients(self, nprng):
         layer = SAGEMeanLayer(3, 4, nprng, activation=True)
@@ -54,13 +56,13 @@ class TestConvLayers:
         labels = np.array([0, 1, 2, 3, 0])
 
         def loss_fn():
-            out = layer.forward(hs, hn)
+            out = layer.forward(hs, mean_aggregate(hn), 6)
             loss, _ = softmax_cross_entropy(out, labels)
             layer._cache.pop()
             return loss
 
         layer.zero_grads()
-        out = layer.forward(hs, hn)
+        out = layer.forward(hs, mean_aggregate(hn), 6)
         loss, grad_out = softmax_cross_entropy(out, labels)
         gs, gn = layer.backward(grad_out)
         for name in layer.params:
@@ -99,6 +101,12 @@ class TestSampledGNN:
         bad[1] = bad[1][:-1]
         with pytest.raises(ShapeError):
             model.forward(bad, [3, 2])
+        # Only the bottom level may come as its fan-out mean.
+        with pytest.raises(ShapeError):
+            model.forward([feats[0], feats[0], feats[2]], [3, 2])
+        with pytest.raises(ShapeError):
+            model.forward(feats[:2] + [feats[1][:-1]], [3, 2])
+        assert model.forward(feats[:2] + [feats[1]], [3, 2]).shape == (4, 3)
 
     def test_depth_validation(self, nprng):
         with pytest.raises(ConfigurationError):

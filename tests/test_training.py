@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import numpy as np
@@ -52,6 +53,41 @@ class TestAdam:
             )
             adam.step()
         assert np.abs(model.layers[0].params["W_self"]).max() < 0.05
+
+    def test_flat_moments_step_as_a_per_parameter_loop(self, nprng):
+        """The flat moment pair against the textbook loop (one ``m`` /
+        ``v`` per parameter), bit for bit over many steps."""
+        model = GraphSAGE(6, 8, 3, num_layers=2, rng=nprng)
+        reference = copy.deepcopy(model)
+        adam = Adam(model, lr=0.02)
+        b1, b2, eps = adam.beta1, adam.beta2, adam.eps
+        moments = {
+            name: (np.zeros_like(p), np.zeros_like(p))
+            for name, p, _ in reference.parameters()
+        }
+        for t in range(1, 301):
+            for each in (model, reference):
+                each.zero_grads()
+            for (_, p, g), (_, _, ref_g) in zip(
+                model.parameters(), reference.parameters()
+            ):
+                g += nprng.normal(size=p.shape).astype(np.float32)
+                ref_g += g
+            adam.step()
+            for name, param, grad in reference.parameters():
+                m, v = moments[name]
+                m *= b1
+                m += (1 - b1) * grad
+                v *= b2
+                v += (1 - b2) * grad * grad
+                update = (m / (1.0 - b1 ** t)) / (
+                    np.sqrt(v / (1.0 - b2 ** t)) + eps
+                )
+                param -= adam.lr * update
+        for (name, a, _), (_, b, _) in zip(
+            model.parameters(), reference.parameters()
+        ):
+            assert a.dtype == np.float32 and np.array_equal(a, b), name
 
     def test_lr_validation(self, nprng):
         model = GraphSAGE(2, 4, 2, num_layers=1, rng=nprng)
