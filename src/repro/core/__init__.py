@@ -26,7 +26,6 @@ from repro.core.snapshot import (
     coerce_generator,
     coerce_scalar_rng,
 )
-from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import (
     DEFAULT_ETYPE,
@@ -57,7 +56,6 @@ __all__ = [
     "SnapshotCacheStats",
     "coerce_generator",
     "coerce_scalar_rng",
-    "TemporalGraphStore",
     "DynamicGraphStore",
     "DEFAULT_ETYPE",
     "GraphStoreAPI",

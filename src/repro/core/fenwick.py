@@ -228,16 +228,6 @@ class FSTable:
     # ------------------------------------------------------------------
     # dynamic updates (paper Algorithms 3 and 4)
     # ------------------------------------------------------------------
-    def add(self, i: int, delta: float) -> None:
-        """Add ``delta`` to ``w_i`` — Algorithm 3 (in-place update).
-
-        Updates every Fenwick entry whose range covers ``i`` by walking
-        ``i <- i + LSB(i + 1)``; ``O(log n)``.
-        """
-        self._check_index(i)
-        self._weights[i] = _validate_weight(self._weights[i] + delta)
-        self._push(i, delta)
-
     def _push(self, i: int, delta: float) -> None:
         """Add ``delta`` to every Fenwick entry covering index ``i``."""
         tree = self._tree
@@ -247,7 +237,12 @@ class FSTable:
             i |= i + 1  # == i + lsb(i + 1)
 
     def update(self, i: int, new_weight: float) -> float:
-        """Set ``w_i`` to ``new_weight``; returns the previous weight."""
+        """Set ``w_i`` to ``new_weight`` — Algorithm 3 (in-place update);
+        returns the previous weight.
+
+        Adds the difference to every Fenwick entry whose range covers
+        ``i`` by walking ``i <- i + LSB(i + 1)``; ``O(log n)``.
+        """
         new_weight = _validate_weight(new_weight)
         self._check_index(i)
         old = self._weights[i]

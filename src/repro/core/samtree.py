@@ -335,35 +335,14 @@ class Samtree:
         Returns ``True`` when the neighbor is new, ``False`` when an
         existing weight was updated in place (Algorithm 2 lines 3-6).
         """
-        return self._upsert(vertex_id, weight, add=False)
-
-    def update(self, vertex_id: int, weight: float) -> bool:
-        """Overwrite the weight of an *existing* neighbor in one descent;
-        returns ``False`` (and changes nothing) when it is absent."""
-        weight = _check_weight(weight)
-        leaf, path = self._descend(vertex_id)
-        idx = leaf.ids.index_of(vertex_id)
-        if idx is None:
-            return False
-        self._version += 1
-        old = leaf.fstable.update(idx, weight)
-        self.stats.leaf_ops += 1
-        self._propagate_up(path, None, weight - old, 0)
-        return True
-
-    def _upsert(self, vertex_id: int, weight: float, add: bool) -> bool:
         weight = _check_weight(weight)
         self._version += 1
         leaf, path = self._descend(vertex_id)
         idx = leaf.ids.index_of(vertex_id)
         overflow: Optional[Tuple[_Node, _Node, int]] = None
         if idx is not None:
-            if add:
-                leaf.fstable.add(idx, weight)
-                delta_w = weight
-            else:
-                old = leaf.fstable.update(idx, weight)
-                delta_w = weight - old
+            old = leaf.fstable.update(idx, weight)
+            delta_w = weight - old
             dcount = 0
             is_new = False
         else:
@@ -378,6 +357,20 @@ class Samtree:
         self.stats.leaf_ops += 1
         self._propagate_up(path, overflow, delta_w, dcount)
         return is_new
+
+    def update(self, vertex_id: int, weight: float) -> bool:
+        """Overwrite the weight of an *existing* neighbor in one descent;
+        returns ``False`` (and changes nothing) when it is absent."""
+        weight = _check_weight(weight)
+        leaf, path = self._descend(vertex_id)
+        idx = leaf.ids.index_of(vertex_id)
+        if idx is None:
+            return False
+        self._version += 1
+        old = leaf.fstable.update(idx, weight)
+        self.stats.leaf_ops += 1
+        self._propagate_up(path, None, weight - old, 0)
+        return True
 
     def _propagate_up(
         self,

@@ -47,7 +47,7 @@ from repro.core.compression import ALLOWED_PREFIX_LENGTHS
 from repro.core.fenwick import cumsum_rows
 from repro.core.ingest import OP_DELETE, OP_INSERT
 from repro.core.memory import ID_BYTES, TREE_NODE_HEADER_BYTES, WEIGHT_BYTES
-from repro.core.samtree import OpStats, _check_weight
+from repro.core.samtree import OpStats
 from repro.core.types import lexsort_rows
 from repro.errors import InvariantViolationError
 
@@ -249,15 +249,15 @@ class Slab:
         return a, n, seg.index(dst) if dst in seg else -1
 
     def apply(
-        self, row: int, code: int, dst: int, weight: float, add: bool = False
+        self, row: int, code: int, dst: int, weight: float
     ) -> Optional[bool]:
         """One scalar operation on ``row`` — an insert stores ``dst`` or
-        overwrites (``add``: adds onto) its weight, an update overwrites
-        an existing neighbour only, a delete swaps the last entry into
-        its place (the caller releases a row left empty).  Returns the
-        outcome (inserts: "was new", else "existed"), or ``None``,
-        nothing done, for a new ``dst`` on a row already holding ``c``
-        edges: the caller promotes."""
+        overwrites its weight, an update overwrites an existing neighbour
+        only, a delete swaps the last entry into its place (the caller
+        releases a row left empty).  Returns the outcome (inserts: "was
+        new", else "existed"), or ``None``, nothing done, for a new
+        ``dst`` on a row already holding ``c`` edges: the caller
+        promotes."""
         a, n, i = self._find(row, dst)
         if code == OP_INSERT and i < 0:
             if n == self.room.item(row):
@@ -277,8 +277,6 @@ class Slab:
             self.length[row] = n - 1
             self._resum(a + i, a + n - 1, i > 0)
         else:
-            if add:
-                weight = _check_weight(self.weights.item(a + i) + weight)
             self.weights[a + i] = weight
             self._resum(a + i, a + n, i > 0)
         self.version[row] += 1

@@ -176,16 +176,6 @@ class DynamicGraphStore(GraphStoreAPI):
     ) -> bool:
         return self.write_op(OP_INSERT, src, dst, weight, etype)
 
-    def accumulate_edge(
-        self,
-        src: int,
-        dst: int,
-        delta: float,
-        etype: int = DEFAULT_ETYPE,
-    ) -> bool:
-        """Insert or *add onto* an edge weight (interaction counting)."""
-        return self.write_op(OP_INSERT, src, dst, delta, etype, add=True)
-
     def update_edge(
         self, src: int, dst: int, weight: float, etype: int = DEFAULT_ETYPE
     ) -> bool:
@@ -195,8 +185,7 @@ class DynamicGraphStore(GraphStoreAPI):
         return self.write_op(OP_DELETE, src, dst, 0.0, etype)
 
     def write_op(
-        self, code: int, src: int, dst: int, weight: float, etype: int,
-        add: bool = False,
+        self, code: int, src: int, dst: int, weight: float, etype: int
     ) -> bool:
         """One scalar operation: one probe, then the row or tree op.
 
@@ -216,15 +205,12 @@ class DynamicGraphStore(GraphStoreAPI):
             weight = _check_weight(weight)
         self._mark_written(src, etype)
         with self.slab.lock:
-            done, _ = self._apply_one(key, value, code, dst, weight, add)
+            done, _ = self._apply_one(key, value, code, dst, weight)
             if done and code != OP_UPDATE:
                 self._num_edges += 1 if code == OP_INSERT else -1
         return done
 
-    def _apply_one(
-        self, key, value, code: int, dst: int, weight: float,
-        add: bool = False,
-    ):
+    def _apply_one(self, key, value, code: int, dst: int, weight: float):
         """Apply one validated operation to the source ``key`` whose
         directory value is ``value`` — a slab row (the caller holds the
         slab lock), a samtree or ``None``.  Returns the outcome
@@ -234,12 +220,12 @@ class DynamicGraphStore(GraphStoreAPI):
         if type(value) is int:
             # `None`: an insert into a row at c — promoted, and the
             # samtree takes it.
-            done = slab.apply(value, code, dst, weight, add)
+            done = slab.apply(value, code, dst, weight)
             if done is None:
                 ids, weights = slab.arrays(value)
                 order = np.argsort(ids)
                 value = self._plant(key, value, ids[order], weights[order])
-                done = value._upsert(dst, weight, add)
+                done = value.insert(dst, weight)
             elif not slab.length[value]:  # gone with its last edge
                 self._release(key, value)
                 self._directory.delete(*key)
@@ -254,7 +240,7 @@ class DynamicGraphStore(GraphStoreAPI):
                 self.stats.leaf_ops += 1
                 self._directory.put(*key, value)
         elif code == OP_INSERT:
-            done = value._upsert(dst, weight, add)
+            done = value.insert(dst, weight)
         elif code == OP_UPDATE:
             done = value.update(dst, weight)
         else:

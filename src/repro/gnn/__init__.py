@@ -2,7 +2,6 @@
 GraphSAGE model, and the mini-batch trainer.
 """
 
-from repro.gnn.embeddings import EmbeddingTable, SkipGramTrainer
 from repro.gnn.inference import embed_vertices
 from repro.gnn.layers import SAGEMeanLayer
 from repro.gnn.models import GraphSAGE
@@ -24,16 +23,11 @@ from repro.gnn.samplers import (
     sample_subgraph,
 )
 from repro.gnn.training import Adam, Trainer, TrainResult
-from repro.gnn.walks import random_walks, walk_cooccurrence
 
 __all__ = [
-    "EmbeddingTable",
-    "SkipGramTrainer",
     "embed_vertices",
     "SAGEMeanLayer",
     "GraphSAGE",
-    "random_walks",
-    "walk_cooccurrence",
     "accuracy",
     "l2_normalize",
     "log_softmax",

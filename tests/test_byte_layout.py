@@ -17,7 +17,6 @@ from repro.baselines.aligraph import AliGraphStore
 from repro.baselines.platogl import PlatoGLStore
 from repro.baselines.static_csr import StaticCSRStore
 from repro.core.samtree import SamtreeConfig
-from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
 from repro.distributed.cluster import LocalCluster
 from repro.obs.doctor import diagnose
@@ -92,13 +91,6 @@ def test_baseline_figures_are_pinned():
     aligraph = _load(AliGraphStore())
     assert (aligraph.nbytes(), aligraph.peak_nbytes()) == (85264, 213160)
     assert _load(StaticCSRStore()).nbytes() == 34212
-
-
-def test_temporal_store_figure_is_pinned():
-    temporal = TemporalGraphStore(window=5)
-    for t, (src, dst, weight, etype) in enumerate(_edges()[:300]):
-        temporal.observe(t // 40, src, dst, weight, etype)
-    assert temporal.nbytes() == 17706
 
 
 def test_attribute_store_figure_is_pinned():

@@ -9,7 +9,6 @@ import pytest
 import repro
 from repro.core.compression import MAX_ID
 from repro.core.samtree import Samtree, SamtreeConfig
-from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
 from repro.errors import (
     ConfigurationError,
@@ -139,17 +138,6 @@ class TestConfigBoundaries:
         config = SamtreeConfig()
         with pytest.raises(Exception):
             config.capacity = 8  # type: ignore[misc]
-
-
-class TestWrapperCompositions:
-    def test_temporal_over_instrumented(self):
-        """The window inserts into and expires from the store it wraps."""
-        inner = DynamicGraphStore()
-        temporal = TemporalGraphStore(window=5, store=inner)
-        temporal.observe(0, 1, 2, 1.0)
-        assert inner.edge_weight(1, 2) == 1.0
-        temporal.advance(5)
-        assert inner.num_edges == 0
 
 
 class TestSamtreeDeepStructures:

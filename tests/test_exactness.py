@@ -31,7 +31,6 @@ table_ops = st.lists(
     st.one_of(
         st.tuples(st.just("append"), WEIGHT),
         st.tuples(st.just("update"), st.integers(0, 10**6), WEIGHT),
-        st.tuples(st.just("add"), st.integers(0, 10**6), WEIGHT),
         st.tuples(st.just("delete"), st.integers(0, 10**6)),
         st.tuples(st.just("from_array"), st.lists(WEIGHT, max_size=40)),
     ),
@@ -42,7 +41,7 @@ table_ops = st.lists(
 @given(table_ops)
 @settings(max_examples=200, deadline=None)
 def test_fstable_returns_what_was_written(ops):
-    """Any sequence of append/update/add/delete and ``from_array``
+    """Any sequence of append/update/delete and ``from_array``
     rebuilds leaves both readers equal to a plain list model, and the
     Fenwick index beside the column still sums the same weights."""
     table = FSTable()
@@ -61,10 +60,6 @@ def test_fstable_returns_what_was_written(ops):
             i = op[1] % len(model)
             assert table.update(i, op[2]) == model[i]
             model[i] = op[2]
-        elif kind == "add":
-            i = op[1] % len(model)
-            table.add(i, op[2])
-            model[i] = model[i] + op[2]
         else:  # swap-with-last delete
             i = op[1] % len(model)
             assert table.delete(i) == model[i]
@@ -165,11 +160,11 @@ def test_store_interleaving_with_splits_and_merges():
     for round_ in range(12):
         churn.scalar_ops(store, 150)
         store.apply_edge_batch(churn.batch(200))  # incremental + rebuild
-        # accumulate_edge and the PALM per-source batch
+        # an in-place weight change and the PALM per-source batch
         for (etype, src), adj in list(churn.model.items())[:4]:
             dst = next(iter(adj))
             delta = churn.weight()
-            store.accumulate_edge(src, dst, delta, etype)
+            store.update_edge(src, dst, adj[dst] + delta, etype)
             adj[dst] = adj[dst] + delta
             w = churn.weight()
             store.apply_source_batch(

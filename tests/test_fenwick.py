@@ -97,17 +97,6 @@ class TestUpdates:
         assert table.weight(1) == pytest.approx(5.0)
         assert table.total() == pytest.approx(9.0)
 
-    def test_add_delta(self):
-        table = FSTable([1.0, 2.0, 3.0, 4.0])
-        table.add(2, 1.5)
-        assert table.weight(2) == pytest.approx(4.5)
-        assert table.to_weights() == pytest.approx([1.0, 2.0, 4.5, 4.0])
-
-    def test_add_rejects_nan(self):
-        table = FSTable([1.0])
-        with pytest.raises(InvalidWeightError):
-            table.add(0, float("nan"))
-
     def test_append_returns_index(self):
         table = FSTable()
         for i in range(10):

@@ -7,7 +7,7 @@
   property, pad boundaries, degenerate rows);
 * chi-square distribution equivalence — alias rows, binary-search rows
   and the samtree descent draw one distribution on a *churned* store
-  (insert/update/delete/accumulate mix), weighted and uniform;
+  (insert/update/delete mix), weighted and uniform;
 * row-granular coherence — a write after ``freeze()`` sends *its row*
   to a re-flattened binary-search row (never a stale read) and leaves
   every other row on the alias kernel; the next ``freeze()`` rebuilds
@@ -72,7 +72,7 @@ def _chi2_pvalue(observed, expected):
 
 
 def _churned_store(seed: int = 17, capacity: int = 8) -> DynamicGraphStore:
-    """A store that has lived: inserts, updates, deletes, accumulates."""
+    """A store that has lived: inserts, updates, deletes."""
     rng = random.Random(seed)
     store = DynamicGraphStore(SamtreeConfig(capacity=capacity, alpha=0))
     for src in range(30):
@@ -81,7 +81,7 @@ def _churned_store(seed: int = 17, capacity: int = 8) -> DynamicGraphStore:
     for src in range(0, 30, 3):
         store.update_edge(src, 1000, 50.0)
         store.remove_edge(src, 1001)
-        store.accumulate_edge(src, 1002, 7.5)
+        store.update_edge(src, 1002, 3**1.5 + 7.5)
         store.add_edge(src, 2000 + src, rng.random() + 0.5)
     return store
 
@@ -569,7 +569,6 @@ class TestEpochInvalidation:
         cache = store.snapshot_cache
         for mutate in (
             lambda: store.add_edge(1, 4, 1.0),
-            lambda: store.accumulate_edge(1, 2, 0.5),
             lambda: store.update_edge(1, 2, 3.0),
             lambda: store.remove_edge(1, 2),
             lambda: store.apply_source_batch(1, 0, [9], [OP_INSERT], [1.0]),

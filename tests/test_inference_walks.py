@@ -1,4 +1,4 @@
-"""Tests for embedding inference and random walks."""
+"""Tests for embedding inference."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.core.topology import DynamicGraphStore
 from repro.errors import ConfigurationError
 from repro.gnn.inference import embed_vertices
 from repro.gnn.models import GraphSAGE
-from repro.gnn.walks import random_walks, walk_cooccurrence
 from repro.storage.attributes import AttributeStore
 
 
@@ -77,54 +76,3 @@ class TestInference:
             embed_vertices(store, feats, encoder, [0], [2], rng=rng)
         with pytest.raises(ConfigurationError):
             embed_vertices(store, feats, encoder, [0], [2, 2], batch_size=0)
-
-
-class TestRandomWalks:
-    def test_walks_follow_edges(self, small_graph, rng):
-        store, _ = small_graph
-        walks = random_walks(store, [0, 1, 2], length=10, rng=rng)
-        assert len(walks) == 3
-        for walk in walks:
-            for a, b in zip(walk, walk[1:]):
-                assert store.edge_weight(a, b) is not None or a == b
-
-    def test_sink_stops_walk(self, rng):
-        store = DynamicGraphStore()
-        store.add_edge(1, 2, 1.0)  # 2 is a sink
-        walks = random_walks(store, [1], length=5, rng=rng)
-        assert walks[0] == [1, 2]
-
-    def test_restart(self, rng):
-        store = DynamicGraphStore()
-        store.add_edge(1, 2, 1.0)
-        store.add_edge(2, 3, 1.0)
-        store.add_edge(3, 1, 1.0)
-        walks = random_walks(store, [1], length=200, rng=rng, restart_prob=0.5)
-        assert walks[0].count(1) > 40  # frequent teleports home
-
-    def test_validation(self, rng):
-        store = DynamicGraphStore()
-        with pytest.raises(ConfigurationError):
-            random_walks(store, [1], length=-1, rng=rng)
-        with pytest.raises(ConfigurationError):
-            random_walks(store, [1], 1, rng=rng, restart_prob=1.0)
-
-
-class TestCooccurrence:
-    def test_window_pairs(self):
-        pairs = walk_cooccurrence([[1, 2, 3]], window=1)
-        assert pairs == {
-            (1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1,
-        }
-
-    def test_window_two(self):
-        pairs = walk_cooccurrence([[1, 2, 3]], window=2)
-        assert pairs[(1, 3)] == 1 and pairs[(3, 1)] == 1
-
-    def test_counts_accumulate_across_walks(self):
-        pairs = walk_cooccurrence([[1, 2], [1, 2]], window=1)
-        assert pairs[(1, 2)] == 2
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            walk_cooccurrence([[1, 2]], window=0)

@@ -89,14 +89,6 @@ class TestInsertion:
         assert tree.degree == 1
         assert tree.get_weight(5) == pytest.approx(2.0)
 
-    def test_add_weight_accumulates(self):
-        """The accumulating upsert ``accumulate_edge`` runs on a tree."""
-        tree = build_tree([])
-        tree._upsert(5, 1.0, add=True)
-        tree._upsert(5, 2.5, add=True)
-        assert tree.get_weight(5) == pytest.approx(3.5)
-        assert tree.degree == 1
-
     def test_many_inserts_keep_invariants(self):
         tree = build_tree([], capacity=8)
         for i in range(500):

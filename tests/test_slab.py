@@ -93,12 +93,12 @@ class TreeOnlyStore:
         if not self.trees[key]:
             del self.trees[key]
 
-    def write(self, key, code, dst, weight, add=False):
+    def write(self, key, code, dst, weight):
         tree = self.trees.get(key)
         if code == OP_INSERT:
             if tree is None:
                 tree = self.trees[key] = Samtree(self.config, self.stats)
-            done = tree._upsert(dst, weight, add)
+            done = tree.insert(dst, weight)
             self.num_edges += done
         elif tree is None:
             return False
@@ -178,10 +178,10 @@ class TreeOnlyStore:
 
 
 def _stream(rng, capacity, steps, sources, dsts, dense):
-    """A mixed op stream: scalar ops, ``accumulate_edge``, per-source
-    batches, sparse columnar batches with duplicate keys over two
-    relations, deletes to empty with re-insert, and (``dense``) groups
-    that take the rebuild branch."""
+    """A mixed op stream: scalar ops, per-source batches, sparse
+    columnar batches with duplicate keys over two relations, deletes to
+    empty with re-insert, and (``dense``) groups that take the rebuild
+    branch."""
     def op():
         return rng.choice([OP_INSERT, OP_INSERT, OP_UPDATE, OP_DELETE])
 
@@ -193,8 +193,8 @@ def _stream(rng, capacity, steps, sources, dsts, dense):
         key = (rng.randrange(2), rng.randrange(sources))
         if kind < 0.35:
             yield "scalar", key, op(), rng.randrange(dsts), w()
-        elif kind < 0.45:
-            yield "accumulate", key, OP_INSERT, rng.randrange(dsts), w()
+        elif kind < 0.45:  # an insert or an in-place overwrite
+            yield "scalar", key, OP_INSERT, rng.randrange(dsts), w()
         elif kind < 0.55:
             yield "source_batch", key, [
                 (op(), rng.randrange(dsts), w())
@@ -223,18 +223,16 @@ def _run_both(capacity, seed, dsts, dense):
     store, ref = DynamicGraphStore(config), TreeOnlyStore(config)
     for step in _stream(rng, capacity, 250, 60, dsts, dense):
         what = step[0]
-        if what in ("scalar", "accumulate"):
+        if what == "scalar":
             _, (etype, src), code, dst, weight = step
-            add = what == "accumulate"
             fn = {
-                OP_INSERT: store.accumulate_edge if add else store.add_edge,
-                OP_UPDATE: store.update_edge,
+                OP_INSERT: store.add_edge, OP_UPDATE: store.update_edge,
             }.get(code)
             got = (
                 store.remove_edge(src, dst, etype) if fn is None
                 else fn(src, dst, weight, etype)
             )
-            assert got == ref.write((etype, src), code, dst, weight, add)
+            assert got == ref.write((etype, src), code, dst, weight)
         elif what == "source_batch":
             _, (etype, src), ops = step
             codes, dsts, weights = (list(col) for col in zip(*ops))
@@ -450,7 +448,6 @@ def test_arena_compacts_and_free_rows_are_reused():
 BAD = [(1, float("nan")), (1, -1.0), (1, float("inf")), (-3, 1.0), (2**64, 1.0)]
 WRITES = {
     "add_edge": lambda s, d, w: s.add_edge(7, d, w),
-    "accumulate_edge": lambda s, d, w: s.accumulate_edge(7, d, w),
     "update_edge": lambda s, d, w: s.update_edge(7, d, w),
     # PALM's per-source batches: apply_source_batch's one caller, which
     # takes an EdgeBatch, checked when it is built.
@@ -487,7 +484,6 @@ WIDE_WRITES = {
     "add_edge": lambda s, v: s.add_edge(7, v, 1.0),
     "add_edge on a samtree": lambda s, v: s.add_edge(8, v, 1.0),
     "add_edge of a new source": lambda s, v: s.add_edge(v, 3, 1.0),
-    "accumulate_edge": lambda s, v: s.accumulate_edge(7, v, 1.0),
     "update_edge": lambda s, v: s.update_edge(8, v, 1.0),
     "remove_edge": lambda s, v: s.remove_edge(7, v),
     # PALM's per-source batches, as in WRITES.
@@ -827,7 +823,7 @@ def test_sparse_batch_runs_no_samtree_op_and_probes_once_per_group(monkeypatch):
         lambda etypes, srcs: probed.extend(zip(etypes.tolist(), srcs.tolist()))
         or get_many(etypes, srcs),
     )
-    for name in ("insert", "update", "delete", "_upsert"):
+    for name in ("insert", "update", "delete"):
         monkeypatch.setattr(Samtree, name, counted("tree", getattr(Samtree, name)))
     monkeypatch.setattr(Slab, "apply", counted("scalar", Slab.apply))
     monkeypatch.setattr(Slab, "apply_round", counted("round", Slab.apply_round))
@@ -838,7 +834,7 @@ def test_sparse_batch_runs_no_samtree_op_and_probes_once_per_group(monkeypatch):
     # One batched probe, each group's key once; no scalar get.
     assert calls["get_many"] == 1 and calls["get"] == 0
     assert sorted(probed) == sorted({(0, s) for s in batch.src.tolist()})
-    assert 1 <= calls["tree"] <= 2  # the hub's one op (insert -> _upsert)
+    assert calls["tree"] == 1  # the hub's one op
     assert 2 <= calls["round"] <= 6
     assert calls["scalar"] < 0.05 * n  # what the rounds leave
     assert stats.trees_created > 0 and stats.trees_incremental > 0.8 * touched

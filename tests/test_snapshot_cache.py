@@ -260,7 +260,7 @@ class TestChurnEquivalence:
         store.sample_neighbors_many(frontier + self.COLD + PADDING, 3, rng=0)
         for step in range(12):  # churn beside small and wide reads
             store.update_edge(self.HUB, 100 + step, 1.0 + step)
-            store.accumulate_edge(self.HUB, 300 + step, 0.25)
+            store.add_edge(self.HUB, 300 + step, 0.25)
             store.remove_edge(self.HUB, 130 + step)
             store.apply_source_batch(
                 self.ZERO_EDGE, 0, [3], [OP_UPDATE], [5.0 + step]
@@ -357,8 +357,6 @@ class TestVersionCounter:
         checkpoints.append(tree.version)
         store.update_edge(1, 2, 5.0)
         checkpoints.append(tree.version)
-        store.accumulate_edge(1, 3, 1.0)
-        checkpoints.append(tree.version)
         store.apply_source_batch(1, 0, [4], [OP_INSERT], [1.0])
         checkpoints.append(tree.version)
         store.remove_edge(1, 4)
@@ -373,7 +371,6 @@ class TestVersionCounter:
 # ---------------------------------------------------------------------------
 MUTATIONS = {
     "add_edge": lambda s: s.add_edge(7, 500, 100.0),
-    "accumulate_edge": lambda s: s.accumulate_edge(7, 101, 100.0),
     "update_edge": lambda s: s.update_edge(7, 101, 100.0),
     "remove_edge": lambda s: s.remove_edge(7, 100),
     "apply_source_batch": lambda s: s.apply_source_batch(

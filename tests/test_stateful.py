@@ -1,9 +1,8 @@
-"""Hypothesis stateful (rule-based) machines for the store stack.
+"""A Hypothesis stateful (rule-based) machine for the store stack.
 
 These machines drive long, adversarial interleavings that example-based
 tests cannot enumerate: every rule application cross-checks the samtree
-store against a dict-of-dicts model, and the temporal machine checks the
-window semantics against a brute-force filter.
+store against a dict-of-dicts model.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.core.frozen import alias_mass
 from repro.core.ingest import OP_DELETE, OP_INSERT, OP_UPDATE, EdgeBatch
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.snapshot import ALIAS_TOLERANCE, ROW_LOOP_BELOW
-from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
 from repro.core.types import SampleBlock
 from tests.conftest import bulk_tree, compact_image
@@ -84,15 +82,6 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.store.remove_edge(src, dst, etype) == expected
         assert self.platogl.remove_edge(src, dst, etype) == expected
         self.model.pop((etype, src, dst), None)
-
-    @rule(src=SRC, dst=DST, w=WEIGHT, etype=ETYPE)
-    def accumulate(self, src, dst, w, etype):
-        key = (etype, src, dst)
-        expected_new = key not in self.model
-        self._note_growth(etype, src)
-        assert self.store.accumulate_edge(src, dst, w, etype) == expected_new
-        self.model[key] = w if expected_new else self.model[key] + w
-        self.platogl.add_edge(src, dst, self.model[key], etype)
 
     def _model_apply(self, etype, src, dst, op, w):
         key = (etype, src, dst)
@@ -336,7 +325,7 @@ def test_sample_rule_reaches_every_read_tier():
     stats = machine.store.frozen_stats
     machine.sample_many(srcs=many, k=2, etype=0, weighted=True, seed=4)
     assert (stats.batches, stats.vertices) == (1, len(many))
-    machine.accumulate(src=2, dst=0, w=1.0, etype=0)  # one row leaves the kernel
+    machine.update(src=2, dst=0, w=1.5, etype=0)  # one row leaves the kernel
     machine.sample_many(srcs=many, k=2, etype=0, weighted=True, seed=5)
     assert stats.stale_misses == many.count(2)
     assert stats.vertices == 2 * len(many) - many.count(2)
@@ -367,65 +356,7 @@ def test_edge_batch_rules_reach_both_branches():
     machine.teardown()
 
 
-class TemporalMachine(RuleBasedStateMachine):
-    """TemporalGraphStore vs a brute-force (last_seen, window) filter."""
-
-    WINDOW = 7
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.temporal = TemporalGraphStore(
-            self.WINDOW, config=SamtreeConfig(capacity=4)
-        )
-        self.last_seen: dict = {}
-        self.now = 0
-
-    def _expire(self):
-        self.last_seen = {
-            k: t
-            for k, t in self.last_seen.items()
-            if t + self.WINDOW > self.now
-        }
-
-    @rule(src=SRC, dst=DST, w=WEIGHT, delta=st.integers(min_value=0, max_value=4))
-    def observe(self, src, dst, w, delta):
-        self.now += delta
-        self.temporal.observe(self.now, src, dst, w)
-        self._expire()
-        self.last_seen[(src, dst)] = self.now
-
-    @rule(delta=st.integers(min_value=0, max_value=12))
-    def advance(self, delta):
-        self.now += delta
-        self.temporal.advance(self.now)
-        self._expire()
-
-    @rule(src=SRC, dst=DST)
-    def remove(self, src, dst):
-        expected = (src, dst) in self.last_seen
-        assert self.temporal.remove_edge(src, dst) == expected
-        self.last_seen.pop((src, dst), None)
-
-    @invariant()
-    def live_set_matches(self):
-        live = {
-            (s, d)
-            for s in self.temporal.sources()
-            for d, _ in self.temporal.neighbors(s)
-        }
-        assert live == set(self.last_seen)
-
-    @invariant()
-    def structure_valid(self):
-        self.temporal.check_invariants()
-
-
 TestStoreMachine = StoreMachine.TestCase
 TestStoreMachine.settings = settings(
-    max_examples=40, stateful_step_count=60, deadline=None
-)
-
-TestTemporalMachine = TemporalMachine.TestCase
-TestTemporalMachine.settings = settings(
     max_examples=40, stateful_step_count=60, deadline=None
 )

@@ -364,7 +364,6 @@ PINNED_SIGNATURES = {
     "repro.core.slab:Slab.nbytes_parts": "self compress",
     "repro.core.fenwick:FSTable.nbytes": "self",
     "repro.core.cstable:CSTable.nbytes": "self",
-    "repro.core.temporal:TemporalGraphStore.nbytes": "self",
     "repro.storage.cuckoo:CuckooHashMap.nbytes": "self",
     "repro.storage.kvstore:BlockKVStore": "value_nbytes",
     "repro.storage.kvstore:BlockKVStore.nbytes": "self",
@@ -418,6 +417,12 @@ PINNED_SIGNATURES = {
     "repro.obs.report:render_span_tree": "span indent",
     "repro.core.snapshot:_Image.compact": "self",
     "repro.concurrency.palm:PalmExecutor": "store num_threads simulate",
+    # One scalar write: an op code and a weight, never an add-onto flag.
+    "repro.core.topology:DynamicGraphStore.write_op": (
+        "self code src dst weight etype"
+    ),
+    "repro.core.slab:Slab.apply": "self row code dst weight",
+    "repro.core.samtree:Samtree.insert": "self vertex_id weight",
 }
 
 

@@ -24,12 +24,6 @@ class TestUpdates:
         assert store.num_edges == 1
         assert store.num_sources == 1
 
-    def test_accumulate_edge(self, store):
-        store.accumulate_edge(1, 2, 1.0)
-        store.accumulate_edge(1, 2, 2.0)
-        assert store.edge_weight(1, 2) == pytest.approx(3.0)
-        assert store.num_edges == 1
-
     def test_update_edge_requires_existence(self, store):
         assert store.update_edge(1, 2, 1.0) is False
         store.add_edge(1, 2, 1.0)

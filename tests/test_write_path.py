@@ -348,7 +348,7 @@ def test_sparse_batch_probes_once_per_tree_and_marks_rows_once(monkeypatch):
 @pytest.mark.parametrize("write", [
     lambda s: s.add_edge(7, 1, -1.0),
     lambda s: s.add_edge(7, -1, 1.0),
-    lambda s: s.accumulate_edge(7, 1, float("inf")),
+    lambda s: s.add_edge(7, 1, float("inf")),
     # PALM's per-source batches, checked when the EdgeBatch is built.
     lambda s: PalmExecutor(s, 1).apply_batch(
         EdgeBatch([7], [1], [float("nan")])
@@ -372,7 +372,6 @@ def test_rejected_write_leaves_no_empty_tree(write):
 BAD_KEYS = [(-1, 0), (5, 70000), (5, -(2**15) - 1)]
 KEY_WRITES = {
     "add_edge": lambda w, src, et: w.add_edge(src, 2, 1.0, et),
-    "accumulate_edge": lambda w, src, et: w.accumulate_edge(src, 2, 1.0, et),
     # PALM's per-source batches: apply_source_batch's one caller.
     "apply_source_batch": lambda w, src, et: PalmExecutor(w, 1).apply_batch(
         EdgeBatch([src], [2], 1.0, et)
