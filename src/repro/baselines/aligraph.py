@@ -35,7 +35,7 @@ from repro.core.memory import (
 )
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
-from repro.errors import EmptyStructureError
+from repro.errors import ConfigurationError, EmptyStructureError
 
 __all__ = ["AliasTable", "AliGraphStore"]
 
@@ -235,26 +235,13 @@ class AliGraphStore(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
+        if k < 0:
+            raise ConfigurationError(f"sample count must be >= 0, got {k}")
         adj = self._get(src, etype)
         if adj is None or not adj.ids:
             return []
         rng = coerce_scalar_rng(rng)
         return [adj.ids[adj.alias.sample(rng)] for _ in range(k)]
-
-    def sample_neighbors_uniform(
-        self,
-        src: int,
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[int]:
-        """Uniform draw straight off the adjacency array."""
-        adj = self._get(src, etype)
-        if adj is None or not adj.ids:
-            return []
-        rng = coerce_scalar_rng(rng) or random
-        n = len(adj.ids)
-        return [adj.ids[rng.randrange(n)] for _ in range(k)]
 
     # Batched sampling stays the generic :class:`GraphStoreAPI` loop:
     # AliGraph's alias tables answer one O(1) draw at a time and have no

@@ -273,6 +273,8 @@ class PlatoGLStore(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
+        if k < 0:
+            raise ConfigurationError(f"sample count must be >= 0, got {k}")
         head = self._head(src, etype)
         if head is None or head.degree == 0:
             return []
@@ -287,23 +289,6 @@ class PlatoGLStore(GraphStoreAPI):
             slot = head.cstable.search(rng.random() * total)
             out.append(self._id_at(src, etype, slot))
         return out
-
-    def sample_neighbors_uniform(
-        self,
-        src: int,
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[int]:
-        """Uniform draw over the neighbor sequence (slot = randrange)."""
-        head = self._head(src, etype)
-        if head is None or head.degree == 0:
-            return []
-        rng = coerce_scalar_rng(rng) or random
-        return [
-            self._id_at(src, etype, rng.randrange(head.degree))
-            for _ in range(k)
-        ]
 
     # The batched forms intentionally stay the generic per-source loop of
     # :class:`GraphStoreAPI` — PlatoGL has no read-optimized cache; the

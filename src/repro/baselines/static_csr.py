@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.memory import ID_BYTES, POINTER_BYTES, WEIGHT_BYTES
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
+from repro.errors import ConfigurationError
 
 __all__ = ["StaticCSRStore"]
 
@@ -222,6 +223,8 @@ class StaticCSRStore(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
+        if k < 0:
+            raise ConfigurationError(f"sample count must be >= 0, got {k}")
         self._ensure_built()
         rel = self._csr.get(etype)
         if rel is None:
@@ -239,25 +242,6 @@ class StaticCSRStore(GraphStoreAPI):
         slots = np.searchsorted(rel.cumweights[lo:hi], draws, side="right")
         slots = np.minimum(slots, hi - lo - 1)
         return [int(rel.indices[lo + s]) for s in slots]
-
-    def sample_neighbors_uniform(
-        self,
-        src: int,
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[int]:
-        """Uniform draw off the CSR row (no weight lookup needed)."""
-        self._ensure_built()
-        rel = self._csr.get(etype)
-        if rel is None:
-            return []
-        row = rel.row(src)
-        if row is None or row[0] == row[1]:
-            return []
-        lo, hi = row
-        rng = coerce_scalar_rng(rng) or random
-        return [int(rel.indices[lo + rng.randrange(hi - lo)]) for _ in range(k)]
 
     # Batched sampling uses the generic :class:`GraphStoreAPI` loop — the
     # static regime's cost lives in `_ensure_built`, which the first call

@@ -194,20 +194,19 @@ def alias_mass(
 # ---------------------------------------------------------------------------
 # the draw kernel
 # ---------------------------------------------------------------------------
-def alias_cells(uf: np.ndarray, deg: np.ndarray, uniform: bool, slot) -> None:
+def alias_cells(uf: np.ndarray, deg: np.ndarray, slot) -> None:
     """Step one of a frontier draw, in place: ``slot`` takes the cell
     ``floor(u * deg)`` of each uniform of ``uf`` (``deg``: ``(n, 1)``
     row lengths), and ``uf`` the fraction a weighted draw tests."""
     np.multiply(uf, deg, out=uf)  # u * deg in [0, deg)
     np.copyto(slot, uf, casting="unsafe")  # trunc == floor (u >= 0)
-    if not uniform:
-        np.subtract(uf, slot, out=uf)  # frac, before the clamp
+    np.subtract(uf, slot, out=uf)  # frac, before the clamp
     np.minimum(slot, deg - 1, out=slot)  # float round-up guard
 
 
 def draw_alias(
     ids: np.ndarray, alias_prob: np.ndarray, alias_idx: np.ndarray,
-    cell: np.ndarray, lo: np.ndarray, frac: np.ndarray, uniform: bool,
+    cell: np.ndarray, lo: np.ndarray, frac: np.ndarray,
     tf=None, narrow=None, chosen=None, keep=None,
 ) -> np.ndarray:
     """Step two: the ids drawn at arena positions ``cell`` (row start
@@ -215,8 +214,6 @@ def draw_alias(
     + its alias — by flat gathers through the buffers given, no per-vertex
     Python.  A zero-length row indexes garbage (``mode="clip"``): the
     caller masks it."""
-    if uniform:
-        return ids.take(cell, mode="clip")
     keep = np.less(frac, alias_prob.take(cell, mode="clip", out=tf), out=keep)
     chosen = np.add(alias_idx.take(cell, mode="clip", out=narrow), lo, out=chosen)
     np.copyto(chosen, cell, where=keep)

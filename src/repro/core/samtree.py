@@ -11,8 +11,8 @@ level) specialised for *dynamic weighted neighbor sampling*:
 * **internal nodes** store an *ordered* separator-ID list (one per child,
   ``keys[j] <= min(child j)``) for routing, plus a
   :class:`~repro.core.cstable.CSTable` over the child subtree weight sums
-  so a weighted draw descends by ITS, and a per-child vertex count so a
-  uniform draw can descend by counts;
+  so a weighted draw descends by ITS, and a per-child vertex count so an
+  all-zero-weight tree draws uniformly by counts;
 * an overflowing leaf is split around an α-approximate median found by
   :func:`~repro.core.alpha_split.alpha_split` (average ``O(n_L)``,
   Theorem 1); internal nodes split at their exact median (they are
@@ -676,8 +676,8 @@ class Samtree:
         return out
 
     def sample_uniform(self, rng: Optional[random.Random] = None) -> int:
-        """Draw one neighbor uniformly at random (unweighted sampling),
-        descending by the per-child counts."""
+        """Draw one neighbor uniformly at random, descending by the
+        per-child counts: the draw of a tree whose weights are all zero."""
         if self._size == 0:
             raise EmptyStructureError("cannot sample from an empty samtree")
         r = (rng or random).randrange(self._size)

@@ -384,7 +384,7 @@ class Slab:
         return self.ids.take(at), self.weights.take(at), length.tolist()
 
     def sample(
-        self, row: int, k: int, rng: Optional[random.Random], weighted: bool
+        self, row: int, k: int, rng: Optional[random.Random]
     ) -> List[int]:
         """``k`` (>= 0) draws with replacement by inverse transform over
         the row's ``cum`` — the read image's rule: a zero-weight edge is
@@ -393,15 +393,14 @@ class Slab:
         a = self.start.item(row)
         n = self.length.item(row)
         ids = self.ids[a : a + n].tolist()
-        if weighted:
-            cum = self.cum[a : a + n].tolist()
-            total = cum[-1]
-            if total > 0.0:
-                last = n - 1  # the guard against round-up at the top
-                return [
-                    ids[min(bisect_right(cum, rng.random() * total), last)]
-                    for _ in range(k)
-                ]
+        cum = self.cum[a : a + n].tolist()
+        total = cum[-1]
+        if total > 0.0:
+            last = n - 1  # the guard against round-up at the top
+            return [
+                ids[min(bisect_right(cum, rng.random() * total), last)]
+                for _ in range(k)
+            ]
         return [ids[rng.randrange(n)] for _ in range(k)]
 
     # -- accounting & validation ----------------------------------------------

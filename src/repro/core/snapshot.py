@@ -244,7 +244,7 @@ def _tree_columns(trees: list):
     )
 
 
-def _search(ids, cum, start, length, uniforms, weighted: bool) -> np.ndarray:
+def _search(ids, cum, start, length, uniforms) -> np.ndarray:
     """The draws of rows ``start[i] : start[i] + length[i]`` of ``ids``
     / ``cum`` (none empty, longest first), one row of ``uniforms`` each.
 
@@ -256,42 +256,39 @@ def _search(ids, cum, start, length, uniforms, weighted: bool) -> np.ndarray:
     if length.size < ROW_LOOP_BELOW:
         out = np.empty(uniforms.shape, dtype=np.int64)
         for i, (a, m) in enumerate(zip(start.tolist(), length.tolist())):
-            _draw_row(ids, cum, a, m, uniforms[i], weighted, out[i])
+            _draw_row(ids, cum, a, m, uniforms[i], out[i])
         return out
     span = length[:, None]
     start = start[:, None]
-    if weighted:
-        total = cum[start[:, 0] + length - 1]
-        mass = uniforms * total[:, None]
-        idx = np.zeros(mass.shape, dtype=np.int64)
-        below = start - 1
-        shorter = -length
-        bit = int(length[0]).bit_length()
-        while bit:
-            bit -= 1
-            step = 1 << bit
-            live = int(shorter.searchsorted(-step, side="right"))
-            cand = idx[:live] + step
-            take = cum.take(below[:live] + cand, mode="clip") <= mass[:live]
-            take &= cand <= span[:live]
-            np.copyto(idx[:live], cand, where=take)
-        flat = total <= 0.0  # all-zero weights: fall back to uniform
-        if flat.any():
-            idx[flat] = (uniforms[flat] * span[flat]).astype(np.int64)
-    else:
-        idx = (uniforms * span).astype(np.int64)
+    total = cum[start[:, 0] + length - 1]
+    mass = uniforms * total[:, None]
+    idx = np.zeros(mass.shape, dtype=np.int64)
+    below = start - 1
+    shorter = -length
+    bit = int(length[0]).bit_length()
+    while bit:
+        bit -= 1
+        step = 1 << bit
+        live = int(shorter.searchsorted(-step, side="right"))
+        cand = idx[:live] + step
+        take = cum.take(below[:live] + cand, mode="clip") <= mass[:live]
+        take &= cand <= span[:live]
+        np.copyto(idx[:live], cand, where=take)
+    flat = total <= 0.0  # all-zero weights: fall back to uniform
+    if flat.any():
+        idx[flat] = (uniforms[flat] * span[flat]).astype(np.int64)
     # Guard against float round-up at the top of the mass range.
     np.minimum(idx, span - 1, out=idx)
     idx += start
     return ids.take(idx)
 
 
-def _draw_row(ids, cum, a: int, m: int, uniforms, weighted: bool, out) -> None:
+def _draw_row(ids, cum, a: int, m: int, uniforms, out) -> None:
     """:func:`_search` of the one row ``a : a + m`` (``m > 0``) into ``out``."""
     mass = cum.item(a + m - 1)
-    if weighted and mass > 0.0:
+    if mass > 0.0:
         idx = cum[a : a + m].searchsorted(uniforms * mass, side="right")
-    else:  # uniform, or the all-zero-weight fallback
+    else:  # the all-zero-weight fallback
         idx = (uniforms * m).astype(np.int64)
     # mode="clip" guards against float round-up at the top of the mass range.
     ids[a : a + m].take(idx, mode="clip", out=out)
@@ -522,8 +519,7 @@ class _Image:
 
     # -- the draw loops -----------------------------------------------------
     def draw_rows(
-        self, slots: List[int], counts, n: int, k: int,
-        gen: np.random.Generator, weighted: bool,
+        self, slots: List[int], counts, n: int, k: int, gen: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Row-by-row draw for a handful of sources: one ``searchsorted``
         per row (arena or slab) over its slice of one uniform block."""
@@ -542,12 +538,11 @@ class _Image:
                 continue
             self.idle[slot] = 0
             a = home.start.item(at)
-            _draw_row(home.ids, home.cum, a, m, uniforms[lo:hi], weighted, out[lo:hi])
+            _draw_row(home.ids, home.cum, a, m, uniforms[lo:hi], out[lo:hi])
         return out, state
 
     def draw_frontier(
-        self, rows: np.ndarray, k: int,
-        gen: np.random.Generator, weighted: bool,
+        self, rows: np.ndarray, k: int, gen: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One vectorized draw over a whole frontier: the uniform block
         is drawn for the rows longest first, then :func:`_search` runs
@@ -572,18 +567,17 @@ class _Image:
         if arena.size:
             out[order[arena]] = _search(
                 self.ids, self.cum, self.start[rows[arena]], length[arena],
-                uniforms[arena], weighted,
+                uniforms[arena],
             )
         if arena.size < rows.size:
             out[order[in_slab]] = _search(
                 slab.ids, slab.cum, slab.start[pointer[in_slab]],
-                length[in_slab], uniforms[in_slab], weighted,
+                length[in_slab], uniforms[in_slab],
             )
         return out, state
 
     def draw_aliased(
-        self, rows: np.ndarray, k: int,
-        gen: np.random.Generator, weighted: bool,
+        self, rows: np.ndarray, k: int, gen: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One O(1)-per-draw alias kernel over clean aliased rows: one
         uniform block, drawn over the slab, the samtree rows' over the arena."""
@@ -608,16 +602,16 @@ class _Image:
             )
         uf, tf, slot, narrow, chosen, keep = buffers
         gen.random(out=uf)
-        alias_cells(uf, deg, not weighted, slot)
+        alias_cells(uf, deg, slot)
         np.add(slot, lo, out=slot)  # edge positions, each in its home
         out = draw_alias(
             slab.ids, slab.alias_prob, slab.alias_idx, slot, lo, uf,
-            not weighted, tf, narrow, chosen, keep,
+            tf, narrow, chosen, keep,
         )
         if arena.size:
             out[arena] = draw_alias(
                 self.ids, self.alias_prob, self.alias_idx, slot[arena],
-                lo[arena], uf[arena], not weighted,
+                lo[arena], uf[arena],
             )
         empty = deg[:, 0] == 0
         if empty.any():
@@ -626,7 +620,7 @@ class _Image:
 
     def draw_frozen(
         self, slots: np.ndarray, counts, k: int,
-        gen: np.random.Generator, weighted: bool, frozen_stats,
+        gen: np.random.Generator, frozen_stats
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The draw of a frozen relation (all rows clean): one alias
         kernel call when every row is aliased, else that for the aliased
@@ -635,21 +629,19 @@ class _Image:
         fast = self.aliased[rows]
         if fast.all():
             missed = 0
-            drawn = self.draw_aliased(rows, k, gen, weighted)
+            drawn = self.draw_aliased(rows, k, gen)
         else:  # the rest draw as the empty row, then are overwritten
             cold = (~fast).nonzero()[0]
             missed = cold.size
             out, state = drawn = self.draw_aliased(
-                np.where(fast, rows, 0), k, gen, weighted
+                np.where(fast, rows, 0), k, gen
             )
             if cold.size < ROW_LOOP_BELOW:
                 out[cold], state[cold] = self.draw_rows(
-                    rows[cold].tolist(), repeat(1), cold.size, k, gen, weighted
+                    rows[cold].tolist(), repeat(1), cold.size, k, gen
                 )
             else:
-                out[cold], state[cold] = self.draw_frontier(
-                    rows[cold], k, gen, weighted
-                )
+                out[cold], state[cold] = self.draw_frontier(rows[cold], k, gen)
         served = rows.size - missed
         empty = int(np.count_nonzero(drawn[1]))  # a re-flattened row has edges
         frozen_stats.batches += 1
@@ -660,7 +652,7 @@ class _Image:
         return drawn
 
     def sample_matrix(
-        self, srcs, k: int, gen: np.random.Generator, uniform: bool = False
+        self, srcs, k: int, gen: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The alias kernel alone over a frontier of a frozen relation:
         the ``(len(srcs), k)`` draws and a row mask, False (and the row
@@ -671,7 +663,7 @@ class _Image:
         usable = self.clean[slots] & self.aliased[slots]
         if not usable.all():
             slots[~usable] = 0  # the empty row
-        out, state = self.draw_aliased(slots, k, gen, not uniform)
+        out, state = self.draw_aliased(slots, k, gen)
         return out, ~state.view(np.bool_)
 
     # -- compaction ---------------------------------------------------------
@@ -884,7 +876,7 @@ class ReadImage:
     # -- the read ---------------------------------------------------------
     def sample(
         self, trees, slab, etype: int, srcs: np.ndarray, counts, k: int,
-        gen: np.random.Generator, weighted: bool, frozen_stats,
+        gen: np.random.Generator, frozen_stats,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``k`` draws for every row of a frontier, from image rows.
 
@@ -920,15 +912,15 @@ class ReadImage:
             else:
                 slots[stale] = admitted
         if frozen:
-            drawn = image.draw_frozen(slots, counts, k, gen, weighted, frozen_stats)
+            drawn = image.draw_frozen(slots, counts, k, gen, frozen_stats)
         elif not small:
             rows = slots if counts is None else np.repeat(slots, counts)
-            drawn = image.draw_frontier(rows, k, gen, weighted)
+            drawn = image.draw_frontier(rows, k, gen)
         elif counts is None:
-            drawn = image.draw_rows(slots, repeat(1), srcs.size, k, gen, weighted)
+            drawn = image.draw_rows(slots, repeat(1), srcs.size, k, gen)
         else:
             counts = counts.tolist()
-            drawn = image.draw_rows(slots, counts, sum(counts), k, gen, weighted)
+            drawn = image.draw_rows(slots, counts, sum(counts), k, gen)
         if stale:
             self._settle(image)
         return drawn

@@ -630,21 +630,6 @@ class DynamicGraphStore(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
-        return self._sample(src, etype, k, rng, True)
-
-    def sample_neighbors_uniform(
-        self,
-        src: int,
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[int]:
-        """Unweighted variant (each neighbor equally likely)."""
-        return self._sample(src, etype, k, rng, False)
-
-    def _sample(
-        self, src: int, etype: int, k: int, rng: RNGLike, weighted: bool
-    ) -> List[int]:
         """Scalar draws: the ITS/FTS descent of a samtree, inverse
         transform over the running sum of a slab row; ``k < 0`` raises."""
         if k < 0:
@@ -655,10 +640,8 @@ class DynamicGraphStore(GraphStoreAPI):
         rng = coerce_scalar_rng(rng)
         if type(value) is int:
             with self.slab.lock:
-                return self.slab.sample(value, k, rng, weighted)
-        if weighted:
-            return value.sample_many(k, rng)
-        return [value.sample_uniform(rng) for _ in range(k)]
+                return self.slab.sample(value, k, rng)
+        return value.sample_many(k, rng)
 
     def sample_neighbors_many(
         self,
@@ -667,7 +650,6 @@ class DynamicGraphStore(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
         *,
-        weighted: bool = True,
         counts: Optional[Sequence[int]] = None,
     ) -> SampleBlock:
         """Vectorized frontier sampling (the batched read path).
@@ -692,7 +674,7 @@ class DynamicGraphStore(GraphStoreAPI):
         with self.slab.lock:  # pointer rows are read in the slab's arena
             return SampleBlock(*self.snapshot_cache.sample(
                 self._directory, self.slab, etype, srcs, counts,
-                k, coerce_generator(rng), weighted, self.frozen_stats,
+                k, coerce_generator(rng), self.frozen_stats,
             ))
 
     def sample_vertices(

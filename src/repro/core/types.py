@@ -9,7 +9,6 @@ the GNN samplers are store-agnostic.
 from __future__ import annotations
 
 import abc
-import random
 import sys
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -321,25 +320,6 @@ class GraphStoreAPI(abc.ABC):
         or ``None``.
         """
 
-    def sample_neighbors_uniform(
-        self,
-        src: int,
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[int]:
-        """Draw ``k`` *uniform* neighbor samples (with replacement).
-
-        Generic fallback over :meth:`neighbors`; stores with a native
-        uniform path (the samtree's count descent) override this.
-        """
-        ids = [dst for dst, _ in self.neighbors(src, etype)]
-        if not ids:
-            return []
-        rng = coerce_scalar_rng(rng) or random
-        n = len(ids)
-        return [ids[rng.randrange(n)] for _ in range(k)]
-
     def sample_neighbors_many(
         self,
         srcs: Sequence[int],
@@ -347,7 +327,6 @@ class GraphStoreAPI(abc.ABC):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
         *,
-        weighted: bool = True,
         counts: Optional[Sequence[int]] = None,
     ) -> SampleBlock:
         """Batched sampling: ``k`` draws for every row of a frontier.
@@ -355,12 +334,12 @@ class GraphStoreAPI(abc.ABC):
         The one batched read endpoint — the operator layer
         (:mod:`repro.gnn.samplers`) calls it for whole frontiers and
         every layer (store, server, client) returns the same
-        :class:`SampleBlock`.  ``weighted=False`` draws uniformly;
-        ``counts`` gives ``srcs[i]`` that many consecutive rows (the
-        coalesced wire shape: distinct sources + multiplicities), each
-        drawn independently; a ``counts`` of another length or with a
-        negative entry raises.  This default loops the scalar endpoints;
-        stores with a vectorized read path override it.
+        :class:`SampleBlock`.  ``counts`` gives ``srcs[i]`` that many
+        consecutive rows (the coalesced wire shape: distinct sources +
+        multiplicities), each drawn independently; a ``counts`` of
+        another length or with a negative entry raises.  This default
+        loops the scalar endpoint; stores with a vectorized read path
+        override it.
         """
         if k < 0:
             raise ConfigurationError(f"fanout must be >= 0, got {k}")
@@ -368,14 +347,11 @@ class GraphStoreAPI(abc.ABC):
         counts = check_counts(srcs, counts)
         if counts is not None:
             srcs = np.repeat(srcs, counts)
-        draw = (
-            self.sample_neighbors if weighted else self.sample_neighbors_uniform
-        )
         rng = coerce_scalar_rng(rng)
         ids = np.zeros((srcs.size, k), dtype=np.int64)
         state = np.zeros(srcs.size, dtype=np.int8)
         for i, src in enumerate(srcs.tolist()):
-            row = draw(src, k, rng, etype)
+            row = self.sample_neighbors(src, k, rng, etype)
             if len(row):
                 ids[i] = row
             elif k or not self.degree(src, etype):

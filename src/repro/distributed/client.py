@@ -439,7 +439,6 @@ class GraphClient(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
         *,
-        weighted: bool = True,
         counts: Optional[Sequence[int]] = None,
     ) -> SampleBlock:
         """Route a frontier with array operations, issue **one** RPC per
@@ -521,7 +520,7 @@ class GraphClient(GraphStoreAPI):
                 stats.shard_rpcs += 1
                 block = self._read_shard(shard, payload, methodcaller(
                     "sample_neighbors_many", distinct[a:b], k, gen, etype,
-                    weighted=weighted, counts=multiplicity[a:b],
+                    counts=multiplicity[a:b],
                 ))
                 positions = order[lo:hi]
                 if block is UNAVAILABLE:

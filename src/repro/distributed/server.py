@@ -341,7 +341,6 @@ class GraphServer:
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
         *,
-        weighted: bool = True,
         counts: Optional[Sequence[int]] = None,
     ) -> SampleBlock:
         """The one sampling endpoint: the shard's store answers the
@@ -367,22 +366,16 @@ class GraphServer:
                 "samtree.sample_many", **self._where, sources=len(srcs)
             ):
                 block = self.store.sample_neighbors_many(
-                    srcs, k, rng, etype, weighted=weighted, counts=counts
+                    srcs, k, rng, etype, counts=counts
                 )
             self.stats.sample_sources += len(block)
             return block
 
-    def sample_neighbors_uniform_many(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> SampleBlock:
-        # Kept by name only: benchmarks/e2e/test_e2e_smoke.py deletes this
-        # attribute with ``raising=True`` and the benchmark cannot change
-        # in the PR that removed the endpoint.
-        return self.sample_neighbors_many(srcs, k, rng, etype, weighted=False)
+    def sample_neighbors_uniform_many(self, *args, **kwargs):
+        # A name without an endpoint: every draw is weighted, but
+        # benchmarks/e2e/test_e2e_smoke.py deletes this attribute with
+        # ``raising=True``, so it stays until the benchmark changes.
+        raise ConfigurationError("unweighted draws are retired")
 
     def neighbors_batch(
         self, srcs: Sequence[int], etype: int = DEFAULT_ETYPE

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import repro
+from repro.baselines import AliGraphStore, PlatoGLStore, StaticCSRStore
 from repro.core.compression import MAX_ID
 from repro.core.samtree import Samtree, SamtreeConfig
 from repro.core.topology import DynamicGraphStore
@@ -21,6 +22,7 @@ from repro.errors import (
     ShapeError,
     VertexNotFoundError,
 )
+from repro.gnn.samplers import sample_subgraph
 
 
 class TestErrorHierarchy:
@@ -89,6 +91,25 @@ class TestExtremeIDs:
                 store.add_edge(src, dst, 1.0)
         assert store.num_edges == len(ids)
         store.check_invariants()
+
+
+@pytest.mark.parametrize("src", [1, 99], ids=["present", "absent"])
+@pytest.mark.parametrize(
+    "make", [PlatoGLStore, StaticCSRStore, AliGraphStore],
+    ids=["platogl", "static_csr", "aligraph"],
+)
+def test_a_baseline_refuses_a_negative_sample_count(make, src):
+    """The baselines keep the store's contract for ``k < 0``: a scalar
+    draw raises whether the source is present or not, so a subgraph at
+    a negative fan-out is an error, not an empty sample."""
+    store = make()
+    for dst in range(3):
+        store.add_edge(1, dst, 1.0)
+    with pytest.raises(ConfigurationError, match="sample count"):
+        store.sample_neighbors(src, -1, 0)
+    with pytest.raises(ConfigurationError, match="sample count"):
+        sample_subgraph(store, src, [-1])
+    assert store.sample_neighbors(src, 0, 0) == []
 
 
 class TestZeroWeightRegimes:

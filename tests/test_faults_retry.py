@@ -246,7 +246,6 @@ class TestServerDurability:
             lambda: server.ingest_batch(EdgeBatch.inserts([1], [3])),
             lambda: server.freeze(),
             lambda: server.sample_neighbors_many([1], 2),
-            lambda: server.sample_neighbors_uniform_many([1], 2),
             lambda: server.neighbors_batch([1]),
             lambda: server.degrees([1]),
             lambda: server.edge_weights([(1, 2)]),
@@ -267,7 +266,7 @@ class TestServerDurability:
         assert identity_holds()
         assert stats.update_requests == 2  # apply_op + freeze
         assert stats.ingest_requests == 1
-        assert stats.sample_requests == 5
+        assert stats.sample_requests == 4
         assert stats.ops_applied == 2
 
         # Every endpoint, crashed: each arrival is counted and refused,

@@ -7,7 +7,7 @@
   property, pad boundaries, degenerate rows);
 * chi-square distribution equivalence — alias rows, binary-search rows
   and the samtree descent draw one distribution on a *churned* store
-  (insert/update/delete mix), weighted and uniform;
+  (insert/update/delete mix);
 * row-granular coherence — a write after ``freeze()`` sends *its row*
   to a re-flattened binary-search row (never a stale read) and leaves
   every other row on the alias kernel; the next ``freeze()`` rebuilds
@@ -520,19 +520,6 @@ class TestDistributionEquivalence:
         for rows in (exact_rows, searched_rows, frozen_rows):
             p = _chi2_pvalue(self._histogram(rows, support), expected)
             assert p > 0.01
-
-    def test_uniform_matches_expectation(self):
-        store = _churned_store()
-        src = 3
-        support = sorted(d for d, _ in store.neighbors(src))
-        store.freeze()
-        k = 20
-        n_batches = self.DRAWS // k
-        rows = store.sample_neighbors_many(
-            [src] * n_batches, k, rng=42, weighted=False
-        ).rows()
-        expected = np.full(len(support), self.DRAWS / len(support))
-        assert _chi2_pvalue(self._histogram(rows, support), expected) > 0.01
 
     def test_zero_weight_edge_never_drawn_weighted(self):
         store = DynamicGraphStore()

@@ -53,20 +53,21 @@ def golden_blocks() -> dict:
     big = rng.integers(0, 70, 4 * ROW_LOOP_BELOW)
     small = rng.integers(0, 70, ROW_LOOP_BELOW // 3)
     out: dict = {}
-    seed = iter(range(1000))
+    # The seeds the recording gave the weighted calls, when each call
+    # pair was followed by a pair of (since retired) uniform calls.
+    seed = (s for s in range(1000) if s % 4 < 2)
 
     def draw(tag: str) -> None:
         for name, frontier in (("big", big), ("small", small)):
             counts = (np.arange(frontier.size) % 3).tolist()
-            for weighted in (True, False):
-                for shaped in (False, True):
-                    block = store.sample_neighbors_many(
-                        frontier, 5, next(seed), weighted=weighted,
-                        counts=counts if shaped else None,
-                    )
-                    key = f"{tag}.{name}.{'w' if weighted else 'u'}.{int(shaped)}"
-                    out[key + ".ids"] = block.ids
-                    out[key + ".state"] = block.state
+            for shaped in (False, True):
+                block = store.sample_neighbors_many(
+                    frontier, 5, next(seed),
+                    counts=counts if shaped else None,
+                )
+                key = f"{tag}.{name}.w.{int(shaped)}"
+                out[key + ".ids"] = block.ids
+                out[key + ".state"] = block.state
 
     draw("thawed")
     store.add_edge(5, 3_000_000, 2.5)  # a slab row and a samtree, dirtied
@@ -83,9 +84,6 @@ def golden_blocks() -> dict:
     draw("thawed_again")
     for src in (0, 3, 5, 61, 64):
         out[f"scalar.{src}.w"] = np.asarray(store.sample_neighbors(src, 40, src))
-        out[f"scalar.{src}.u"] = np.asarray(
-            store.sample_neighbors_uniform(src, 40, src + 1)
-        )
     return out
 
 

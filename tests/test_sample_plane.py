@@ -8,7 +8,7 @@ answers ``sample_neighbors_many`` with the same dense ``ids[n, k]`` +
 * a Hypothesis property over frontiers with duplicates, unknown ids and
   empty-adjacency sources, across every layer and tier;
 * chi-square: client draws match the exact per-source distribution,
-  frozen and thawed, weighted and uniform, coalesced duplicates included;
+  frozen and thawed, coalesced duplicates included;
 * degraded reads: a dead shard's rows come back ``UNAVAILABLE``, nothing
   raises, and the samplers pad or drop them;
 * no per-vertex Python on the frozen client path (a deterministic call
@@ -132,22 +132,19 @@ def _check_block(block, srcs, k):
     srcs=frontier_st,
     k=st.integers(0, 6),
     seed=st.integers(0, 2**32),
-    weighted=st.booleans(),
     name=st.sampled_from(sorted(TARGETS)),
 )
-def test_every_layer_returns_the_same_block(srcs, k, seed, weighted, name):
+def test_every_layer_returns_the_same_block(srcs, k, seed, name):
     target = TARGETS[name]
-    block = target.sample_neighbors_many(srcs, k, seed, weighted=weighted)
+    block = target.sample_neighbors_many(srcs, k, seed)
     _check_block(block, srcs, k)
-    again = target.sample_neighbors_many(srcs, k, seed, weighted=weighted)
+    again = target.sample_neighbors_many(srcs, k, seed)
     assert np.array_equal(block.ids, again.ids)
     assert np.array_equal(block.state, again.state)
     # The coalesced request shape: distinct sources + multiplicities.
     distinct = sorted(set(srcs))
     counts = [srcs.count(s) for s in distinct]
-    grouped = target.sample_neighbors_many(
-        distinct, k, seed, weighted=weighted, counts=counts
-    )
+    grouped = target.sample_neighbors_many(distinct, k, seed, counts=counts)
     _check_block(grouped, [s for s, c in zip(distinct, counts) for _ in range(c)], k)
 
 
@@ -233,10 +230,8 @@ def _pvalue(draws, expected_share):
     return float(scipy_stats.chisquare(observed, expected).pvalue)
 
 
-def _shares(src, weighted):
+def _shares(src):
     row = ADJ[src]
-    if not weighted:
-        return {d: 1.0 / len(row) for d in row}
     total = sum(row.values())
     return {d: w / total for d, w in row.items()}
 
@@ -248,18 +243,15 @@ def test_client_draws_match_the_exact_distribution():
     frontier = [src] * 400 + others + [src] * 100 + UNKNOWN
     for frozen in (True, False):
         client = TARGETS["client_frozen" if frozen else "client_coalesce"]
-        for weighted in (True, False):
-            coalesced = client.serving_stats.coalesced_sources
-            block = client.sample_neighbors_many(
-                frontier, 12, 20240928, weighted=weighted
-            )
-            assert client.serving_stats.coalesced_sources - coalesced == 499
-            mine = np.flatnonzero(np.asarray(frontier) == src)
-            draws = block.ids[mine].reshape(-1).tolist()
-            assert len(draws) == 500 * 12
-            assert _pvalue(draws, _shares(src, weighted)) > 0.01
-            # Occurrences of a coalesced source draw independently.
-            assert len({tuple(r) for r in block.ids[mine].tolist()}) > 400
+        coalesced = client.serving_stats.coalesced_sources
+        block = client.sample_neighbors_many(frontier, 12, 20240928)
+        assert client.serving_stats.coalesced_sources - coalesced == 499
+        mine = np.flatnonzero(np.asarray(frontier) == src)
+        draws = block.ids[mine].reshape(-1).tolist()
+        assert len(draws) == 500 * 12
+        assert _pvalue(draws, _shares(src)) > 0.01
+        # Occurrences of a coalesced source draw independently.
+        assert len({tuple(r) for r in block.ids[mine].tolist()}) > 400
 
 
 # ---------------------------------------------------------------------------

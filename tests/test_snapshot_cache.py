@@ -72,14 +72,14 @@ def _skewed_store(n: int = 40, src: int = 7) -> DynamicGraphStore:
     return store
 
 
-def _draws(store, src, n, seed, wide, **kwargs):
+def _draws(store, src, n, seed, wide):
     """``n`` draws for ``src`` through the row loop (``wide=False``) or
     the frontier kernel (``wide=True``: one call of ``n/4`` rows)."""
     if wide:
         assert n // 4 >= ROW_LOOP_BELOW
-        block = store.sample_neighbors_many([src] * (n // 4), 4, seed, **kwargs)
+        block = store.sample_neighbors_many([src] * (n // 4), 4, seed)
     else:
-        block = store.sample_neighbors_many([src], n, seed, **kwargs)
+        block = store.sample_neighbors_many([src], n, seed)
     assert not block.state.any()
     return block.ids.reshape(-1).tolist()
 
@@ -143,7 +143,6 @@ class TestTreeSnapshot:
         valid = {v for v, _ in store.neighbors(7)}
         for wide in (False, True):
             assert set(_draws(store, 7, 256, 3, wide)) <= valid
-            assert set(_draws(store, 7, 256, 3, wide, weighted=False)) <= valid
 
     def test_zero_weight_neighbor_never_sampled(self):
         store = DynamicGraphStore()
@@ -217,19 +216,6 @@ class TestDistributionEquivalence:
         p = _chi2_pvalue(_frequencies(draws, ids), expected)
         assert p > 0.01, f"store batched path diverges (p={p:.4g})"
 
-    def test_uniform_batched_path_is_uniform(self):
-        store = DynamicGraphStore(SamtreeConfig(capacity=8, alpha=0))
-        for dst in range(20, 28):
-            store.add_edge(2, dst, float(dst))  # skewed weights, ignored
-        n = 16_000
-        rows = store.sample_neighbors_many(
-            [2] * 16, n // 16, rng=9, weighted=False
-        ).rows()
-        draws = [int(v) for row in rows for v in row]
-        ids = list(range(20, 28))
-        p = _chi2_pvalue(_frequencies(draws, ids), [n / len(ids)] * len(ids))
-        assert p > 0.01, f"uniform batched path diverges (p={p:.4g})"
-
 
 class TestChurnEquivalence:
     """Fixed-seed chi-square of image draws against the descent-only
@@ -285,21 +271,20 @@ class TestChurnEquivalence:
             assert (0, self.COLD[0]) not in store.snapshot_cache
         return store
 
-    @pytest.mark.parametrize("weighted", [True, False])
     @BOTH_LOOPS
-    def test_image_matches_descent_after_churn(self, wide, weighted):
+    def test_image_matches_descent_after_churn(self, wide):
         image, exact = self._churned(True), self._churned(False)
         n = 12_000
         for src in (self.HUB, self.ZERO_EDGE, self.ALL_ZERO, self.LONER,
                     self.REBORN, self.COLD[0]):
             adjacency = dict(exact.neighbors(src))
             assert dict(image.neighbors(src)) == adjacency
-            flat = not weighted or not any(adjacency.values())
+            flat = not any(adjacency.values())
             support = sorted(
                 d for d, w in adjacency.items() if flat or w > 0.0
             )
-            got = _draws(image, src, n, 17, wide, weighted=weighted)
-            want = _draws(exact, src, n, 18, False, weighted=weighted)
+            got = _draws(image, src, n, 17, wide)
+            want = _draws(exact, src, n, 18, False)
             assert set(got) <= set(support) and set(want) <= set(support)
             if len(support) == 1:
                 continue
@@ -434,15 +419,6 @@ class TestCacheInvalidation:
         drawn = {int(v) for row in rows for v in row}
         assert 100 not in drawn
         assert 500 in drawn  # dominant new neighbor shows up immediately
-
-    def test_uniform_path_shares_coherence(self):
-        store, cache = self._warm_store()
-        store.remove_edge(7, 129)
-        rows = store.sample_neighbors_many(
-            [7] * 4, 64, rng=6, weighted=False
-        ).rows()
-        drawn = {int(v) for row in rows for v in row}
-        assert 129 not in drawn
 
     @BOTH_LOOPS
     def test_recreated_source_never_sees_its_predecessor(self, wide):

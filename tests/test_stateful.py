@@ -165,15 +165,12 @@ class StoreMachine(RuleBasedStateMachine):
         srcs=FRONTIER,
         k=st.integers(min_value=0, max_value=4),
         etype=ETYPE,
-        weighted=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def sample_many(self, srcs, k, etype, weighted, seed):
+    def sample_many(self, srcs, k, etype, seed):
         """The batched read tier — the read image's row loop, frontier
         kernel or alias kernel — serves only current neighbours."""
-        block = self.store.sample_neighbors_many(
-            srcs, k, seed, etype, weighted=weighted
-        )
+        block = self.store.sample_neighbors_many(srcs, k, seed, etype)
         assert block.ids.shape == (len(srcs), k)
         for src, row, state in zip(srcs, block.ids.tolist(), block.state.tolist()):
             adjacency = {
@@ -186,7 +183,7 @@ class StoreMachine(RuleBasedStateMachine):
                 assert row == [0] * k
                 continue
             positive = {d for d, w in adjacency.items() if w > 0.0}
-            if not weighted or not positive:  # an all-zero row draws uniformly
+            if not positive:  # an all-zero row draws uniformly
                 positive = set(adjacency)
             assert set(row) <= positive
 
@@ -309,31 +306,31 @@ def test_sample_rule_reaches_every_read_tier():
     assert len(few) < ROW_LOOP_BELOW <= len(many)
     cache = machine.store.snapshot_cache
     for frontier in (few, many):
-        machine.sample_many(srcs=frontier, k=3, etype=0, weighted=True, seed=1)
+        machine.sample_many(srcs=frontier, k=3, etype=0, seed=1)
     assert cache.stats.builds == 5 and cache.stats.hits > 0
     machine.remove(src=0, dst=0, etype=0)  # tree 0 leaves the directory
     machine.update(src=3, dst=1, w=9.0, etype=0)
     assert (0, 3) in cache and (0, 0) not in cache  # 3 is written in place
     for frontier in (few, many):
-        machine.sample_many(srcs=frontier, k=3, etype=0, weighted=False, seed=2)
+        machine.sample_many(srcs=frontier, k=3, etype=0, seed=2)
     assert cache.stats.invalidations == 0  # 0 re-probed to an empty row
     machine.add(src=0, dst=9, w=1.0, etype=0)  # ... and is re-created
     machine.compact()
-    machine.sample_many(srcs=few, k=2, etype=0, weighted=True, seed=3)
+    machine.sample_many(srcs=few, k=2, etype=0, seed=3)
     machine.freeze()
     machine.frozen_rows_follow_the_model()
     stats = machine.store.frozen_stats
-    machine.sample_many(srcs=many, k=2, etype=0, weighted=True, seed=4)
+    machine.sample_many(srcs=many, k=2, etype=0, seed=4)
     assert (stats.batches, stats.vertices) == (1, len(many))
     machine.update(src=2, dst=0, w=1.5, etype=0)  # one row leaves the kernel
-    machine.sample_many(srcs=many, k=2, etype=0, weighted=True, seed=5)
+    machine.sample_many(srcs=many, k=2, etype=0, seed=5)
     assert stats.stale_misses == many.count(2)
     assert stats.vertices == 2 * len(many) - many.count(2)
     machine.frozen_rows_follow_the_model()
     machine.structure_valid()
     machine.freeze()  # ... and is given its table back
     assert stats.compiled_rows == 5 + 1
-    machine.sample_many(srcs=many, k=2, etype=0, weighted=False, seed=6)
+    machine.sample_many(srcs=many, k=2, etype=0, seed=6)
     assert stats.stale_misses == many.count(2)
     machine.thaw()
     machine.structure_valid()

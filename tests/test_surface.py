@@ -423,6 +423,23 @@ PINNED_SIGNATURES = {
     ),
     "repro.core.slab:Slab.apply": "self row code dst weight",
     "repro.core.samtree:Samtree.insert": "self vertex_id weight",
+    # One draw mode: every draw is weighted (an all-zero row draws
+    # uniformly), so no layer takes a weighted / uniform flag.
+    "repro.core.topology:DynamicGraphStore.sample_neighbors_many": (
+        "self srcs k rng etype counts"
+    ),
+    "repro.distributed.server:GraphServer.sample_neighbors_many": (
+        "self srcs k rng etype counts"
+    ),
+    "repro.distributed.client:GraphClient.sample_neighbors_many": (
+        "self srcs k rng etype counts"
+    ),
+    "repro.core.slab:Slab.sample": "self row k rng",
+    "repro.core.frozen:alias_cells": "uf deg slot",
+    "repro.core.frozen:draw_alias": (
+        "ids alias_prob alias_idx cell lo frac tf narrow chosen keep"
+    ),
+    "repro.core.snapshot:_Image.sample_matrix": "self srcs k gen",
 }
 
 

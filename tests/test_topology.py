@@ -91,12 +91,6 @@ class TestSampling:
     def test_sample_missing_source_is_empty(self, store):
         assert store.sample_neighbors(42, 10) == []
 
-    def test_sample_uniform(self, store):
-        store.add_edge(1, 10, 100.0)
-        store.add_edge(1, 20, 0.1)
-        out = store.sample_neighbors_uniform(1, 4000, random.Random(1))
-        assert out.count(10) / 4000 == pytest.approx(0.5, abs=0.03)
-
     def test_sample_batch_shape(self, store):
         for s in range(5):
             store.add_edge(s, 100 + s, 1.0)
