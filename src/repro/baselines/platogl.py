@@ -38,7 +38,7 @@ from repro.core.cstable import CSTable
 from repro.core.memory import ID_BYTES, KV_BLOCK_HEADER_BYTES
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
-from repro.errors import ConfigurationError, EmptyStructureError
+from repro.errors import ConfigurationError
 from repro.storage.kvstore import BlockKVStore
 
 __all__ = ["PlatoGLStore", "NeighborBlock"]
@@ -279,16 +279,13 @@ class PlatoGLStore(GraphStoreAPI):
         if head is None or head.degree == 0:
             return []
         total = head.cstable.total()
-        if total <= 0.0:
-            raise EmptyStructureError(
-                f"source {src} has zero total weight; cannot ITS-sample"
-            )
         rng = coerce_scalar_rng(rng) or random
-        out: List[int] = []
-        for _ in range(k):
-            slot = head.cstable.search(rng.random() * total)
-            out.append(self._id_at(src, etype, slot))
-        return out
+        if total <= 0.0:  # an all-zero row draws uniformly
+            slots = [rng.randrange(head.degree) for _ in range(k)]
+        else:
+            search = head.cstable.search
+            slots = [search(rng.random() * total) for _ in range(k)]
+        return [self._id_at(src, etype, slot) for slot in slots]
 
     # The batched forms intentionally stay the generic per-source loop of
     # :class:`GraphStoreAPI` — PlatoGL has no read-optimized cache; the

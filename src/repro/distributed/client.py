@@ -27,10 +27,8 @@ Fault tolerance:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
-from operator import methodcaller
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -161,8 +159,7 @@ class GraphClient(GraphStoreAPI):
     # ------------------------------------------------------------------
     # per-request deadlines
     # ------------------------------------------------------------------
-    @contextmanager
-    def deadline_scope(self, deadline: Optional[float]):
+    def deadline_scope(self, deadline: Optional[float]) -> "_DeadlineScope":
         """Apply an *absolute* deadline to every RPC inside the block.
 
         ``deadline`` is a point on the same clock the retry policy
@@ -172,94 +169,87 @@ class GraphClient(GraphStoreAPI):
         backoff budget the request no longer has.  Scopes nest; the
         innermost wins and the previous value is restored on exit.
         """
-        prev = self._request_deadline
-        self._request_deadline = deadline
-        try:
-            yield self
-        finally:
-            self._request_deadline = prev
+        return _DeadlineScope(self, deadline)
 
     # ------------------------------------------------------------------
     # routing helpers
     # ------------------------------------------------------------------
-    def _call(self, server: GraphServer, payload_bytes: int, fn):
-        """One RPC against one replica, with retries on transient faults.
+    def _call(self, server: GraphServer, payload_bytes: int, endpoint,
+              args, kwargs):
+        """One RPC against one replica through the retry policy.
 
-        Every attempt is charged to the network model (retries cost
-        messages), and the retry policy measures deadlines / accounts
-        backoff on the same simulated clock.  Each attempt opens an
-        ``rpc.attempt`` span (numbered from 1) — a failed attempt closes
-        its span with ``status="error"`` and the exception type, so
-        retries are visible in the trace tree.
+        An RPC names its server endpoint and arguments.  Every attempt
+        opens an ``rpc.attempt`` span (numbered from 1; a failed one
+        closes with ``status="error"`` and the exception type), is
+        charged one message on the network model and calls the endpoint
+        once; the policy measures deadlines and backoff on the same
+        simulated clock.  Without a policy the read and write loops
+        make their one attempt inline, with no frame between the loop
+        and the server.
         """
-        if self.retry is None:
-            return self._attempt(server, payload_bytes, fn, 1)
+        span = self.telemetry.span
+        network = self.network
         attempts = count(1)
 
         def attempt():
-            return self._attempt(server, payload_bytes, fn, next(attempts))
-
-        if self.network is None:
-            return self.retry.run(attempt, deadline=self._request_deadline)
+            with span("rpc.attempt", next(attempts), server.shard_id,
+                      server.replica_index, payload_bytes):
+                if network is not None:
+                    network.send(payload_bytes)
+                return getattr(server, endpoint)(*args, **kwargs)
 
         # Backoff is the classic invisible tail-latency eater; give it
         # its own span so critical-path analysis can attribute it
         # instead of folding it into read_shard self-time.
         def sleep(delay):
-            with self.telemetry.span(
-                "rpc.backoff", shard=server.shard_id, seconds=delay
-            ):
-                self.network.sleep(delay)
+            with span("rpc.backoff", server.shard_id, delay):
+                network.sleep(delay)
 
+        timed = network is not None
         return self.retry.run(
             attempt,
-            now=self.network.now,
-            sleep=sleep,
+            now=network.now if timed else None,
+            sleep=sleep if timed else None,
             deadline=self._request_deadline,
         )
 
-    def _attempt(
-        self, server: GraphServer, payload_bytes: int, fn, number: int
-    ):
-        """Attempt ``number`` of :meth:`_call`: one message charged to
-        the network model, one call."""
-        with self.telemetry.span(
-            "rpc.attempt",
-            attempt=number,
-            shard=server.shard_id,
-            replica=server.replica_index,
-            bytes=payload_bytes,
-        ):
-            if self.network is not None:
-                self.network.send(payload_bytes)
-            return fn(server)
-
-    def _read_shard(self, shard: int, payload_bytes: int, fn):
-        """Read with failover: primary first, then backups in order.
+    def _read_shard(self, shard: int, payload_bytes: int, endpoint: str,
+                    *args, **kwargs):
+        """Call ``endpoint`` with failover: primary first, then backups
+        in order.
 
         Returns :data:`UNAVAILABLE` when every replica is down and
         degraded reads are enabled; raises otherwise.
         """
         group = self.replica_groups[shard]
-        with self.telemetry.span(
-            "rpc.read_shard", shard=shard, replicas=len(group)
-        ) as span:
+        span = self.telemetry.span
+        network = self.network
+        with span("rpc.read_shard", shard, len(group)) as read:
             last: Optional[Exception] = None
             for server in group:
                 try:
-                    return self._call(server, payload_bytes, fn)
+                    if self.retry is not None:
+                        return self._call(
+                            server, payload_bytes, endpoint, args, kwargs
+                        )
+                    with span("rpc.attempt", 1, server.shard_id,
+                              server.replica_index, payload_bytes):
+                        if network is not None:
+                            network.send(payload_bytes)
+                        return getattr(server, endpoint)(*args, **kwargs)
                 except _FAILOVER_ERRORS as exc:
                     last = exc
             if self.degraded_reads:
-                span.set_tag("degraded", True)
+                read.set_tag("degraded", True)
                 return UNAVAILABLE
             raise ShardUnavailableError(
                 f"all {len(group)} replica(s) of shard {shard} are "
                 f"unavailable"
             ) from last
 
-    def _write_shard(self, shard: int, payload_bytes: int, fn):
-        """Primary-backup write: apply to every live replica.
+    def _write_shard(self, shard: int, payload_bytes: int, endpoint: str,
+                     *args):
+        """Primary-backup write: call ``endpoint`` on every live replica.
 
         Returns the first successful replica's result (the logical
         outcome — replicas apply identical state transitions).  Raises
@@ -267,62 +257,67 @@ class GraphClient(GraphStoreAPI):
         the write.
         """
         group = self.replica_groups[shard]
-        with self.telemetry.span(
-            "rpc.write_shard", shard=shard, replicas=len(group)
-        ) as span:
-            result = None
-            applied = 0
+        span = self.telemetry.span
+        network = self.network
+        with span("rpc.write_shard", shard, len(group)) as write:
+            results = []
             last: Optional[Exception] = None
             for server in group:
                 try:
-                    r = self._call(server, payload_bytes, fn)
+                    if self.retry is not None:
+                        results.append(self._call(
+                            server, payload_bytes, endpoint, args, {}
+                        ))
+                        continue
+                    with span("rpc.attempt", 1, server.shard_id,
+                              server.replica_index, payload_bytes):
+                        if network is not None:
+                            network.send(payload_bytes)
+                        results.append(getattr(server, endpoint)(*args))
                 except _FAILOVER_ERRORS as exc:
                     last = exc
-                    continue
-                applied += 1
-                if applied == 1:
-                    result = r
-            if applied == 0:
+            if not results:
                 raise ShardUnavailableError(
                     f"write rejected: all {len(group)} replica(s) of "
                     f"shard {shard} are unavailable"
                 ) from last
-            span.set_tag("applied", applied)
-            return result
+            write.set_tag("applied", len(results))
+            return results[0]
 
-    def _live_store(self, shard: int):
-        """First live replica's store (control-plane introspection —
-        no fault injection, no network charge)."""
-        for server in self.replica_groups[shard]:
-            if server.alive:
-                return server.store
-        raise ShardUnavailableError(f"no live replica of shard {shard}")
+    def _live_stores(self) -> Iterator[GraphStoreAPI]:
+        """Each shard's first live replica's store, in shard order
+        (control-plane introspection — no fault injection, no network
+        charge)."""
+        for shard, group in enumerate(self.replica_groups):
+            live = [server.store for server in group if server.alive]
+            if not live:
+                raise ShardUnavailableError(f"no live replica of shard {shard}")
+            yield live[0]
 
     # ------------------------------------------------------------------
     # single-edge updates (each one message per replica)
     # ------------------------------------------------------------------
-    # One ``apply_op`` call per writer: a methodcaller runs no frame.
     def add_edge(self, src: int, dst: int, weight: float = 1.0,
                  etype: int = DEFAULT_ETYPE) -> bool:
-        write = methodcaller("apply_op", OP_INSERT, src, dst, weight, etype)
         return self._write_shard(
-            self.partitioner.shard_for(src), _OP_BYTES, write
+            self.partitioner.shard_for(src), _OP_BYTES,
+            "apply_op", OP_INSERT, src, dst, weight, etype,
         )
 
     def update_edge(
         self, src: int, dst: int, weight: float, etype: int = DEFAULT_ETYPE
     ) -> bool:
-        write = methodcaller("apply_op", OP_UPDATE, src, dst, weight, etype)
         return self._write_shard(
-            self.partitioner.shard_for(src), _OP_BYTES, write
+            self.partitioner.shard_for(src), _OP_BYTES,
+            "apply_op", OP_UPDATE, src, dst, weight, etype,
         )
 
     def remove_edge(
         self, src: int, dst: int, etype: int = DEFAULT_ETYPE
     ) -> bool:
-        write = methodcaller("apply_op", OP_DELETE, src, dst, 0.0, etype)
         return self._write_shard(
-            self.partitioner.shard_for(src), _OP_BYTES, write
+            self.partitioner.shard_for(src), _OP_BYTES,
+            "apply_op", OP_DELETE, src, dst, 0.0, etype,
         )
 
     # ------------------------------------------------------------------
@@ -351,16 +346,12 @@ class GraphClient(GraphStoreAPI):
         rows_per_shard = np.bincount(shards, minlength=len(self.servers))
         touched = np.flatnonzero(rows_per_shard).tolist()
         with self.telemetry.span(
-            "client.apply_edge_batch",
-            ops=len(batch),
-            shards=len(touched),
+            "client.apply_edge_batch", len(batch), len(touched)
         ):
             for shard in touched:
                 sub = batch.select(np.flatnonzero(shards == shard))
                 shard_stats = self._write_shard(
-                    shard,
-                    sub.payload_nbytes(),
-                    lambda s, sub=sub: s.ingest_batch(sub),
+                    shard, sub.payload_nbytes(), "ingest_batch", sub
                 )
                 stats.merge_from(shard_stats)
             return stats
@@ -368,49 +359,40 @@ class GraphClient(GraphStoreAPI):
     # ------------------------------------------------------------------
     # queries (failover reads; may return UNAVAILABLE in degraded mode)
     # ------------------------------------------------------------------
-    def degree(self, src: int, etype: int = DEFAULT_ETYPE):
-        return self._read_shard(
-            self.partitioner.shard_for(src),
-            _QUERY_BYTES,
-            lambda s: s.degrees([src], etype)[0],
+    def _query(self, src: int, endpoint: str, key, etype: int):
+        """A scalar query: the one-key case of a batched read endpoint
+        (:data:`UNAVAILABLE` passes through)."""
+        result = self._read_shard(
+            self.partitioner.shard_for(src), _QUERY_BYTES, endpoint,
+            [key], etype,
         )
+        return result if result is UNAVAILABLE else result[0]
+
+    def degree(self, src: int, etype: int = DEFAULT_ETYPE):
+        return self._query(src, "degrees", src, etype)
 
     def edge_weight(
         self, src: int, dst: int, etype: int = DEFAULT_ETYPE
     ):
-        result = self._read_shard(
-            self.partitioner.shard_for(src),
-            _QUERY_BYTES,
-            lambda s: s.edge_weights([(src, dst)], etype)[0],
-        )
+        result = self._query(src, "edge_weights", (src, dst), etype)
         return None if result is UNAVAILABLE else result
 
     def neighbors(
         self, src: int, etype: int = DEFAULT_ETYPE
     ) -> List[Tuple[int, float]]:
-        return self._read_shard(
-            self.partitioner.shard_for(src),
-            _QUERY_BYTES,
-            lambda s: s.neighbors_batch([src], etype)[0],
-        )
+        return self._query(src, "neighbors_batch", src, etype)
 
     @property
     def num_edges(self) -> int:
-        return sum(
-            self._live_store(shard).num_edges
-            for shard in range(len(self.replica_groups))
-        )
+        return sum(store.num_edges for store in self._live_stores())
 
     @property
     def num_sources(self) -> int:
-        return sum(
-            self._live_store(shard).num_sources
-            for shard in range(len(self.replica_groups))
-        )
+        return sum(store.num_sources for store in self._live_stores())
 
     def sources(self, etype: int = DEFAULT_ETYPE) -> Iterator[int]:
-        for shard in range(len(self.replica_groups)):
-            yield from self._live_store(shard).sources(etype)
+        for store in self._live_stores():
+            yield from store.sources(etype)
 
     # ------------------------------------------------------------------
     # sampling (one message per shard per batch)
@@ -428,7 +410,7 @@ class GraphClient(GraphStoreAPI):
         block = self._read_shard(
             self.partitioner.shard_for(src),
             _SAMPLE_REQ_BYTES + k * _SAMPLE_RESP_BYTES,
-            lambda s: s.sample_neighbors_many([src], k, rng, etype),
+            "sample_neighbors_many", [src], k, rng, etype,
         )
         return block if block is UNAVAILABLE else block.rows()[0]
 
@@ -495,10 +477,7 @@ class GraphClient(GraphStoreAPI):
         ids = np.empty((n, k), dtype=np.int64)
         state = np.empty(n, dtype=np.int8)
         with self.telemetry.span(
-            "client.sample_neighbors_many",
-            sources=n,
-            k=k,
-            shards=len(touched),
+            "client.sample_neighbors_many", n, k, len(touched)
         ):
             for shard in touched:
                 a, b = cuts[shard], cuts[shard + 1]
@@ -518,10 +497,10 @@ class GraphClient(GraphStoreAPI):
                     )
 
                 stats.shard_rpcs += 1
-                block = self._read_shard(shard, payload, methodcaller(
-                    "sample_neighbors_many", distinct[a:b], k, gen, etype,
-                    counts=multiplicity[a:b],
-                ))
+                block = self._read_shard(
+                    shard, payload, "sample_neighbors_many",
+                    distinct[a:b], k, gen, etype, counts=multiplicity[a:b],
+                )
                 positions = order[lo:hi]
                 if block is UNAVAILABLE:
                     ids[positions] = 0
@@ -542,3 +521,21 @@ class GraphClient(GraphStoreAPI):
             for group in self.replica_groups
             for server in group
         )
+
+
+class _DeadlineScope:
+    """:meth:`GraphClient.deadline_scope`'s context manager."""
+
+    __slots__ = ("client", "deadline", "prev")
+
+    def __init__(self, client: GraphClient, deadline: Optional[float]):
+        self.client, self.deadline, self.prev = client, deadline, None
+
+    def __enter__(self) -> GraphClient:
+        self.prev = self.client._request_deadline
+        self.client._request_deadline = self.deadline
+        return self.client
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.client._request_deadline = self.prev
+        return False

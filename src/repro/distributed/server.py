@@ -133,7 +133,7 @@ class GraphServer:
         self.faults = faults
         #: Telemetry hub; a cluster swaps in the one it shares.
         self.telemetry = Telemetry()
-        #: The tags every span and event of this replica leads with.
+        #: The tags every event of this replica leads with.
         self._where = {"shard": shard_id, "replica": replica_index}
         self._alive = True
         # Durable (survives crash) checkpoint images of this replica.
@@ -280,7 +280,9 @@ class GraphServer:
         first, then the store.  The span and the fault endpoint are
         named ``apply_ops``, the names readouts and fault plans use for
         a shard's scalar writes."""
-        with self.telemetry.span("server.apply_ops", **self._where, ops=1):
+        with self.telemetry.span(
+            "server.apply_ops", self.shard_id, self.replica_index, 1
+        ):
             self._serve("apply_ops")
             self.stats.update_requests += 1
             if self.wal is not None:
@@ -300,7 +302,10 @@ class GraphServer:
         :class:`~repro.core.ingest.IngestStats`.
         """
         with self.telemetry.span(
-            "server.ingest_batch", **self._where, ops=len(batch)
+            "server.ingest_batch",
+            self.shard_id,
+            self.replica_index,
+            len(batch),
         ):
             self._serve("ingest_batch")
             self.stats.ingest_requests += 1
@@ -323,7 +328,9 @@ class GraphServer:
         Subsequent ``sample_neighbors_many`` RPCs draw through the alias
         kernel, except for rows written since.
         """
-        with self.telemetry.span("server.freeze", **self._where):
+        with self.telemetry.span(
+            "server.freeze", self.shard_id, self.replica_index
+        ):
             self._serve("freeze")
             self.stats.update_requests += 1
             compile_fn = getattr(self.store, "freeze", None)
@@ -354,17 +361,11 @@ class GraphServer:
         replacement), so the reply is in the client's fan-out order.
         """
         span = self.telemetry.span
-        with span(
-            "server.sample_neighbors_many",
-            **self._where,
-            sources=len(srcs),
-            k=k,
-        ):
+        shard, replica, n = self.shard_id, self.replica_index, len(srcs)
+        with span("server.sample_neighbors_many", shard, replica, n, k):
             self._serve("sample_neighbors_many")
             self.stats.sample_requests += 1
-            with span(
-                "samtree.sample_many", **self._where, sources=len(srcs)
-            ):
+            with span("samtree.sample_many", shard, replica, n):
                 block = self.store.sample_neighbors_many(
                     srcs, k, rng, etype, counts=counts
                 )

@@ -153,10 +153,7 @@ def sample_blocks(
     levels = [_as_frontier(seeds)]
     for hop, fanout in enumerate(fanouts):
         with telemetry.span(
-            "sampler.hop",
-            hop=hop,
-            frontier=int(levels[-1].shape[0]),
-            fanout=fanout,
+            "sampler.hop", hop, int(levels[-1].shape[0]), fanout
         ):
             matrix = sample_neighbor_matrix(
                 store, levels[-1], fanout, gen, etype

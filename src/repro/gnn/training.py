@@ -144,7 +144,7 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def _sample_phase(self, seeds: Sequence[int]):
-        with self.telemetry.span("train.sample", seeds=len(seeds)):
+        with self.telemetry.span("train.sample", len(seeds)):
             return sample_blocks(
                 self.store,
                 seeds,
@@ -161,7 +161,7 @@ class Trainer:
         shapes) are never built."""
         *upper, bottom = blocks.levels
         with self.telemetry.span(
-            "train.gather", vertices=sum(len(l) for l in blocks.levels)
+            "train.gather", sum(len(l) for l in blocks.levels)
         ):
             feats = self.features.gather_levels(self.feat_name, upper)
             feats.append(
@@ -191,7 +191,7 @@ class Trainer:
             raise ShapeError(
                 f"{len(seeds)} seeds but {len(labels_arr)} labels"
             )
-        with self.telemetry.span("train.step", seeds=len(seeds)):
+        with self.telemetry.span("train.step", len(seeds)):
             blocks = self._sample_phase(seeds)
             feats = self._gather_phase(blocks)
             with self.telemetry.span("train.compute"):

@@ -3,15 +3,17 @@
 A layer that wants to be observable holds one :class:`Telemetry` handle
 and calls it unconditionally::
 
-    with self.telemetry.span("rpc.read_shard", shard=shard):
+    with self.telemetry.span("rpc.read_shard", shard, len(group)):
         ...
     self.telemetry.event("fault", "crash", shard=shard)
 
-Whether a :class:`~repro.obs.trace.Tracer` or a
+A span's tag values are positional, in the order :data:`SPAN_TAGS`
+names them.  Whether a :class:`~repro.obs.trace.Tracer` or a
 :class:`~repro.obs.flight.FlightRecorder` is listening is the hub's
 business: with neither, an unobserved hot path pays one method call per
-hook.  A :class:`~repro.distributed.cluster.LocalCluster` owns one hub
-and **shares it by reference** with everything it wires, so attaching a
+hook and builds no tag dict.  A
+:class:`~repro.distributed.cluster.LocalCluster` owns one hub and
+**shares it by reference** with everything it wires, so attaching a
 tracer or recorder is one assignment that reaches components built
 before *and* after it; a component built without a cluster keeps its
 own detached hub.  :class:`Stats` is the same idea for counters: each
@@ -25,7 +27,32 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.obs.trace import NULL_SPAN
 
-__all__ = ["Stats", "Telemetry"]
+__all__ = ["SPAN_TAGS", "Stats", "Telemetry"]
+
+#: Every span the package opens, and its tag names in the order
+#: :meth:`Telemetry.span` takes their values.
+SPAN_TAGS: Dict[str, Tuple[str, ...]] = {
+    "client.sample_neighbors_many": ("sources", "k", "shards"),
+    "client.apply_edge_batch": ("ops", "shards"),
+    "rpc.read_shard": ("shard", "replicas"),
+    "rpc.write_shard": ("shard", "replicas"),
+    "rpc.attempt": ("attempt", "shard", "replica", "bytes"),
+    "rpc.backoff": ("shard", "seconds"),
+    "server.apply_ops": ("shard", "replica", "ops"),
+    "server.ingest_batch": ("shard", "replica", "ops"),
+    "server.freeze": ("shard", "replica"),
+    "server.sample_neighbors_many": ("shard", "replica", "sources", "k"),
+    "samtree.sample_many": ("shard", "replica", "sources"),
+    "sampler.hop": ("hop", "frontier", "fanout"),
+    "serve.batch": ("requests", "seeds"),
+    "serve.sample": ("seeds",),
+    "serve.gather": ("levels",),
+    "serve.compute": ("seeds",),
+    "train.step": ("seeds",),
+    "train.sample": ("seeds",),
+    "train.gather": ("vertices",),
+    "train.compute": (),
+}
 
 
 class Telemetry:
@@ -53,17 +80,16 @@ class Telemetry:
             hub.tracer = tracer
         return hub
 
-    def span(self, name: str, **tags):
-        """Open ``name`` on the tracer; the inert span without one."""
+    def span(self, name: str, *values):
+        """Open ``name`` on the tracer, its tags ``values`` in
+        :data:`SPAN_TAGS` order; the inert span without a tracer."""
         tracer = self.tracer
         if tracer is None:
             return NULL_SPAN
-        return tracer.span(name, **tags)
-
-    def current(self):
-        """The innermost open span, if a tracer holds one."""
-        tracer = self.tracer
-        return tracer.current() if tracer is not None else None
+        names = SPAN_TAGS[name]
+        if len(values) != len(names):
+            raise TypeError(f"span {name!r} takes tags {names}, got {values}")
+        return tracer.span(name, **dict(zip(names, values)))
 
     def now(self) -> Optional[float]:
         """The hub clock's reading (``None`` when no clock is bound)."""

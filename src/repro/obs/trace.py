@@ -120,13 +120,6 @@ class Span:
             "children": [c.to_dict() for c in self.children],
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Span({self.name!r}, trace={self.trace_id}, id={self.span_id}, "
-            f"parent={self.parent_id}, {self.duration * 1e3:.3f}ms, "
-            f"{self.status})"
-        )
-
 
 class _NullSpan:
     """No-op span for call sites without a tracer (every method is free)."""
@@ -141,10 +134,6 @@ class _NullSpan:
 
     def set_tag(self, key: str, value) -> "_NullSpan":
         return self
-
-    @property
-    def duration(self) -> float:
-        return 0.0
 
 
 #: Shared inert span for "tracer is None" call sites.
@@ -195,11 +184,6 @@ class Tracer:
         if stack is None:
             stack = self._local.stack = []
         return stack
-
-    def current(self) -> Optional[Span]:
-        """The innermost open span of this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
 
     def _ids(self) -> int:
         with self._id_lock:

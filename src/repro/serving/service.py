@@ -461,12 +461,10 @@ class InferenceService:
 
         flush_started = now
         span = self.telemetry.span
-        batch_span = span(
-            "serve.batch", requests=len(runnable), seeds=len(seeds)
-        )
+        batch_span = span("serve.batch", len(runnable), len(seeds))
         with batch_span:
             try:
-                with span("serve.sample", seeds=len(seeds)):
+                with span("serve.sample", len(seeds)):
                     with self.client.deadline_scope(scope):
                         blocks, served_idx, unavailable_idx = (
                             sample_blocks_partial(
@@ -490,11 +488,11 @@ class InferenceService:
                 return
 
             if blocks is not None:
-                with span("serve.gather", levels=len(blocks.levels)):
+                with span("serve.gather", len(blocks.levels)):
                     feats = self.features.gather_levels(
                         self.feat_name, blocks.levels
                     )
-                with span("serve.compute", seeds=len(served_idx)):
+                with span("serve.compute", len(served_idx)):
                     out = self.encoder.forward(feats, blocks.fanouts)
                     out = l2_normalize(out.astype(np.float32))
                     out.flags.writeable = False  # answers, cache share rows

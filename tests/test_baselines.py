@@ -8,13 +8,42 @@ import pytest
 
 from repro.baselines.aligraph import AliasTable, AliGraphStore
 from repro.baselines.platogl import PlatoGLStore
+from repro.baselines.static_csr import StaticCSRStore
 from repro.core.memory import (
     ALIGRAPH_BUILD_PEAK_FACTOR,
     ALIGRAPH_DUPLICATION_FACTOR,
     ID_BYTES,
     WEIGHT_BYTES,
 )
+from repro.core.topology import DynamicGraphStore
+from repro.core.types import SampleBlock
 from repro.errors import ConfigurationError, EmptyStructureError
+from repro.gnn.samplers import sample_subgraph
+
+
+@pytest.mark.parametrize(
+    "make",
+    [DynamicGraphStore, StaticCSRStore, AliGraphStore, PlatoGLStore],
+    ids=["samtree", "static_csr", "aligraph", "platogl"],
+)
+def test_an_all_zero_row_draws_uniformly(make):
+    """Every store serves a row whose weights are all zero: its draws
+    are uniform over the row's neighbors, scalar, batched and through
+    subgraph sampling alike."""
+    store = make()
+    store.add_edge(1, 2, 0.0)
+    store.add_edge(1, 3, 0.0)
+    assert set(store.sample_neighbors(1, 50, 0)) == {2, 3}
+    block = store.sample_neighbors_many([1, 7, 1], 25, 0)
+    assert block.state.tolist() == [
+        SampleBlock.SERVED, SampleBlock.EMPTY, SampleBlock.SERVED
+    ]
+    rows = block.rows()
+    assert set(rows[0]) == set(rows[2]) == {2, 3}
+    nodes, edges = sample_subgraph(store, 1, [50], random.Random(0))
+    assert nodes == {1, 2, 3}
+    assert {dst for _, dst in edges} == {2, 3}
+    assert all(src == 1 for src, _ in edges)
 
 
 class TestPlatoGL:
@@ -70,12 +99,6 @@ class TestPlatoGL:
 
     def test_sampling_missing_source(self):
         assert PlatoGLStore().sample_neighbors(9, 5) == []
-
-    def test_zero_weight_source_raises(self):
-        store = PlatoGLStore()
-        store.add_edge(1, 2, 0.0)
-        with pytest.raises(EmptyStructureError):
-            store.sample_neighbors(1, 1)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -409,6 +409,32 @@ class TestClientRetryIntegration:
 # ---------------------------------------------------------------------------
 # Replication: primary-backup writes, read failover, peer resync
 # ---------------------------------------------------------------------------
+#: The client makes an attempt inline without a retry policy and through
+#: ``RetryPolicy.run`` with one; failover must read the same either way.
+ATTEMPT_BRANCHES = pytest.mark.parametrize(
+    "retry", [False, True], ids=["no_retry", "retry"]
+)
+
+
+def _policy(retry: bool):
+    return RetryPolicy() if retry else None
+
+
+def assert_attempts_reconcile(cluster):
+    """Each server's ledger reconciles, and every attempt was one
+    message that reached one server."""
+    servers = [s for group in cluster.replica_groups for s in group]
+    for server in servers:
+        s = server.stats
+        assert s.requests == s.refused_requests + (
+            s.update_requests + s.ingest_requests + s.sample_requests
+        )
+    attempts = sum(server.stats.requests for server in servers)
+    assert cluster.network.stats.messages == attempts
+    if cluster.retry is not None:
+        assert cluster.retry.stats.attempts == attempts
+
+
 class TestReplication:
     def _cluster(self, **kw):
         return LocalCluster(
@@ -431,8 +457,9 @@ class TestReplication:
                     backup.store.neighbors(s)
                 )
 
-    def test_read_failover_to_backup(self):
-        cluster = self._cluster()
+    @ATTEMPT_BRANCHES
+    def test_read_failover_to_backup(self, retry):
+        cluster = self._cluster(network=NetworkModel(), retry=_policy(retry))
         for src in range(40):
             cluster.client.add_edge(src, src + 100, 2.0)
         cluster.crash(0, replica=0)  # primary of shard 0 down
@@ -443,6 +470,8 @@ class TestReplication:
         rows = cluster.client.sample_neighbors_many(list(range(40)), 3).rows()
         assert all(row == [s + 100] * 3 for s, row in enumerate(rows))
         assert cluster.client.num_edges == 40
+        assert sum(s.stats.refused_requests for s in cluster.servers) > 0
+        assert_attempts_reconcile(cluster)
 
     def test_recover_resyncs_missed_writes_from_peer(self):
         cluster = self._cluster()
@@ -474,14 +503,17 @@ class TestReplication:
         assert replayed > 0
         assert cluster.client.num_edges == 40
 
-    def test_write_fails_only_when_all_replicas_down(self):
-        cluster = self._cluster()
+    @ATTEMPT_BRANCHES
+    def test_write_fails_only_when_all_replicas_down(self, retry):
+        cluster = self._cluster(network=NetworkModel(), retry=_policy(retry))
         shard = cluster.partitioner.shard_for(7)
         cluster.crash(shard, replica=0)
         assert cluster.client.add_edge(7, 8, 1.0) is True  # backup took it
         cluster.crash(shard, replica=1)
         with pytest.raises(ShardUnavailableError):
             cluster.client.add_edge(7, 9, 1.0)
+        assert cluster.network.stats.messages == 4
+        assert_attempts_reconcile(cluster)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -494,11 +526,12 @@ class TestReplication:
 # Graceful degradation
 # ---------------------------------------------------------------------------
 class TestDegradedReads:
-    def _down_shard_cluster(self):
+    def _down_shard_cluster(self, **kw):
         cluster = LocalCluster(
             num_servers=3,
             config=SamtreeConfig(capacity=8),
             degraded_reads=True,
+            **kw,
         )
         for src in range(60):
             cluster.client.add_edge(src, src + 1000, 1.0)
@@ -509,8 +542,11 @@ class TestDegradedReads:
         assert owned  # 60 sources over 3 shards: shard 1 owns some
         return cluster, owned
 
-    def test_partial_batch_with_unavailable_markers(self):
-        cluster, owned = self._down_shard_cluster()
+    @ATTEMPT_BRANCHES
+    def test_partial_batch_with_unavailable_markers(self, retry):
+        cluster, owned = self._down_shard_cluster(
+            network=NetworkModel(), retry=_policy(retry)
+        )
         srcs = list(range(60))
         rows = cluster.client.sample_neighbors_many(srcs, 4).rows()
         for s, row in zip(srcs, rows):
@@ -522,6 +558,8 @@ class TestDegradedReads:
         assert not UNAVAILABLE
         assert len(UNAVAILABLE) == 0
         assert list(UNAVAILABLE) == []
+        assert cluster.servers[1].stats.refused_requests == 1
+        assert_attempts_reconcile(cluster)
 
     def test_scalar_reads_degrade(self):
         cluster, owned = self._down_shard_cluster()
@@ -530,12 +568,20 @@ class TestDegradedReads:
         assert cluster.client.edge_weight(src, src + 1000) is None
         assert cluster.client.neighbors(src) is UNAVAILABLE
 
-    def test_without_degraded_mode_reads_raise(self):
-        cluster = LocalCluster(num_servers=2, config=SamtreeConfig(capacity=8))
+    @ATTEMPT_BRANCHES
+    def test_without_degraded_mode_reads_raise(self, retry):
+        cluster = LocalCluster(
+            num_servers=2,
+            config=SamtreeConfig(capacity=8),
+            network=NetworkModel(),
+            retry=_policy(retry),
+        )
         cluster.client.add_edge(1, 2, 1.0)
         cluster.crash_shard(cluster.partitioner.shard_for(1))
         with pytest.raises(ShardUnavailableError):
             cluster.client.sample_neighbors_many([1], 3)
+        assert cluster.network.stats.messages == 2
+        assert_attempts_reconcile(cluster)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ inside that definition (an endpoint's own ``_serve("name")``, a
 recursive call).  The scan is by name, so a dead method that shares its
 name with a live one passes it; dunders are not checked.
 
-Three more guards keep the telemetry from growing back: a wall clock is
+Four more guards keep the telemetry from growing back: a wall clock is
 read only in the files that own one (a phase is timed with a span), the
-traced components take no metrics registry of their own, and a
+traced components take no metrics registry of their own, every span is
+opened with its ``SPAN_TAGS`` name and positional tag values, and a
 per-series registry view is registered only where no ``*Stats`` field
 carries the read-out (a holder is watched whole).  A last one pins the
 parameters of the callables whose unset options became constants or
@@ -460,6 +461,61 @@ def test_the_read_image_has_no_byte_budget():
     assert not hasattr(snapshot, "DEFAULT_CAPACITY_BYTES")
     for name in ("capacity_bytes", "compact"):
         assert not hasattr(image, name), name
+
+
+def _span_sites() -> Iterator[Tuple[str, ast.Call]]:
+    """Every ``.span(...)`` call (or call of a local ``span`` alias) in
+    ``src/repro`` outside ``repro/obs``, with its file."""
+    package = SRC / "repro"
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package).as_posix()
+        if rel.startswith("obs/"):
+            continue
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "span") or (
+                isinstance(func, ast.Name) and func.id == "span"
+            ):
+                yield f"{rel}:{node.lineno}", node
+
+
+def test_every_span_site_passes_its_schema_tags():
+    """A span is opened with a literal name from ``SPAN_TAGS`` and
+    exactly that many positional tag values: no keyword tags, no
+    unpacked ones."""
+    from repro.obs.telemetry import SPAN_TAGS
+
+    bad = []
+    for where, call in _span_sites():
+        name, *values = call.args
+        if not (
+            isinstance(name, ast.Constant) and name.value in SPAN_TAGS
+        ):
+            bad.append(f"{where}: span name is not a literal in SPAN_TAGS")
+        elif call.keywords or any(
+            isinstance(v, ast.Starred) for v in values
+        ):
+            bad.append(f"{where}: {name.value} takes positional tags only")
+        elif len(values) != len(SPAN_TAGS[name.value]):
+            bad.append(
+                f"{where}: {name.value} takes {SPAN_TAGS[name.value]}, "
+                f"got {len(values)} values"
+            )
+    assert not bad, "\n".join(bad)
+
+
+def test_the_span_schema_names_only_opened_spans():
+    from repro.obs.telemetry import SPAN_TAGS
+
+    opened = {
+        call.args[0].value
+        for _, call in _span_sites()
+        if isinstance(call.args[0], ast.Constant)
+    }
+    stale = set(SPAN_TAGS) - opened
+    assert not stale, f"no site opens these spans, drop: {sorted(stale)}"
 
 
 def _view_registrars() -> Set[str]:
