@@ -85,8 +85,8 @@ def embed_vertices(
         else:
             blocks = sample_blocks(store, chunk, fanouts, rng, etype)
             served_idx = list(range(len(chunk)))
-        feats = features.gather_levels(feat_name, blocks.levels)
-        served = encoder.forward(feats, blocks.fanouts)
+        feats = features.gather_levels(feat_name, blocks.nodes)
+        served = encoder.forward(feats, blocks.fanouts, blocks.inverse)
         if skip_unavailable:
             out[np.asarray(served_idx, dtype=np.int64)] = served
             chunks.append(out)

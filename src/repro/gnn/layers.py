@@ -12,7 +12,9 @@ receives the bottom level already averaged by the feature gather.
 
 ``forward`` pushes what ``backward`` needs onto the layer's tape
 (``_cache``) and ``backward`` pops it, last in first out; the model
-driving the layers empties the tape before each pass.
+driving the layers empties the tape before each pass.  A deduplicated
+level's tape keeps its occurrence rows, and ``backward`` reads the tape
+through them: no gradient is scattered onto distinct rows.
 ``backward(grad_out, input_grad=False)`` stops after the parameter
 gradients: the products that give the gradients of the layer's *inputs*
 are the larger half of a backward, and below the bottom layer nothing
@@ -66,14 +68,15 @@ class SAGEMeanLayer:
             self.grads[name] = np.zeros_like(p)
 
     def forward(
-        self, h_self: np.ndarray, agg: np.ndarray, fanout: int
+        self, h_self: np.ndarray, agg: np.ndarray, fanout: int, rows=None
     ) -> np.ndarray:
         """``h_self``: (B, D); ``agg``: (B, D), each row the mean of its
         ``fanout`` sampled neighbors → (B, out_dim).
 
         The tape keeps ``fanout``, not the neighbor rows: the input
         gradient spreads ``grad / fanout`` over them, and nothing else
-        of them is needed.
+        of them is needed.  ``rows`` (kept too) maps occurrences onto
+        distinct ``B`` rows: the backward takes one row per occurrence.
         """
         if h_self.ndim != 2 or agg.ndim != 2:
             raise ShapeError(
@@ -94,15 +97,18 @@ class SAGEMeanLayer:
             + agg @ self.params["W_neigh"]
             + self.params["b"]
         )
-        self._cache.append((h_self, fanout, agg, z))
+        self._cache.append((h_self, fanout, agg, z, rows))
         return relu(z) if self.activation else z
 
     def backward(
         self, grad_out: np.ndarray, input_grad: bool = True
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Returns ``(grad_h_self, grad_h_neigh)`` for the latest forward,
-        ``grad_h_neigh`` of shape (B, fanout, D)."""
-        h_self, fanout, agg, z = self._cache.pop()
+        ``grad_h_neigh`` of shape (B, fanout, D), with ``B`` the
+        occurrences when that forward had ``rows``."""
+        h_self, fanout, agg, z, rows = self._cache.pop()
+        if rows is not None:
+            h_self, agg, z = (a.take(rows, axis=0) for a in (h_self, agg, z))
         gz = relu_grad(z, grad_out) if self.activation else grad_out
         self.grads["W_self"] += h_self.T @ gz
         self.grads["W_neigh"] += agg.T @ gz

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.gnn.layers import SAGEMeanLayer
-from repro.gnn.ops import mean_aggregate
+from repro.gnn.ops import mean_aggregate, occurrence_rows
 
 __all__ = ["GraphSAGE"]
 
@@ -60,14 +60,17 @@ class GraphSAGE:
 
     # ------------------------------------------------------------------
     def forward(
-        self, feats: Sequence[np.ndarray], fanouts: Sequence[int]
+        self, feats: Sequence[np.ndarray], fanouts: Sequence[int], inverse=None
     ) -> np.ndarray:
         """Seed logits from per-level features.
 
-        ``feats[d]`` holds the features of block level ``d``; level sizes
-        must telescope by the fan-outs.  The bottom level ``feats[L]``
-        may instead hold the mean of each parent's ``fanouts[L - 1]``
-        rows, one row per row of ``feats[L - 1]`` (what
+        ``feats[d]`` holds the features of ``MiniBatchBlocks.nodes[d]``
+        and ``inverse`` is the block's (``None``: the ``levels`` view).
+        A distinct level is computed once per vertex and taken through
+        its inverse where the level above reads ``fanouts[d]`` rows a
+        parent.  The bottom level ``feats[L]`` may instead hold the
+        mean of each parent's ``fanouts[L - 1]`` rows, one row per row
+        of ``feats[L - 1]`` (what
         :meth:`~repro.storage.attributes.AttributeStore.gather_mean`
         returns): the row count tells the two apart, and for a fan-out
         of 1 they are the same array.  Each forward starts a fresh
@@ -75,10 +78,12 @@ class GraphSAGE:
         and a forward that is never differentiated (evaluation,
         inference) leaves nothing behind for the next one to pile on.
         """
-        if len(feats) != self.num_layers + 1:
+        inverse = [None] * len(feats) if inverse is None else inverse
+        if not len(feats) == len(inverse) == self.num_layers + 1:
             raise ShapeError(
                 f"{self.num_layers}-layer model needs {self.num_layers + 1} "
-                f"feature levels, got {len(feats)}"
+                f"feature levels and inverses, got {len(feats)} and "
+                f"{len(inverse)}"
             )
         if len(fanouts) != self.num_layers:
             raise ShapeError(
@@ -88,28 +93,35 @@ class GraphSAGE:
         h = [np.asarray(f, dtype=np.float32) for f in feats]
         bottom = self.num_layers - 1
         for d in range(self.num_layers):
-            rows, parents = h[d + 1].shape[0], h[d].shape[0]
-            as_mean = d == bottom and rows == parents
+            inv, parents = inverse[d + 1], h[d].shape[0]
+            rows = h[d + 1].shape[0] if inv is None else len(inv)
+            as_mean = d == bottom and inv is None and rows == parents
             if rows != parents * fanouts[d] and not as_mean:
                 raise ShapeError(
                     f"level {d + 1} has {rows} rows, expected "
                     f"{parents} * {fanouts[d]}"
                     + (f" (or {parents}, their mean)" if d == bottom else "")
                 )
+        # The tape of a level with distinct rows keeps its occurrences.
+        tape_rows = occurrence_rows(inverse, fanouts[:-1])
         for layer in self.layers:
             layer._cache.clear()
             new_h = []
             for d in range(len(h) - 1):
                 n_d = h[d].shape[0]
                 agg = h[d + 1]
+                if inverse[d + 1] is not None:
+                    agg = agg.take(inverse[d + 1], axis=0)
                 if len(agg) == n_d * fanouts[d]:
                     agg = mean_aggregate(agg.reshape(n_d, fanouts[d], -1))
-                new_h.append(layer.forward(h[d], agg, fanouts[d]))
+                new_h.append(layer.forward(h[d], agg, fanouts[d], tape_rows[d]))
             h = new_h
         return h[0]
 
     def backward(self, grad_logits: np.ndarray) -> None:
-        """Accumulate parameter gradients from seed-logit gradients."""
+        """Accumulate parameter gradients from seed-logit gradients,
+        one row per occurrence at every level (the layers' tapes map
+        occurrences onto distinct rows)."""
         grads: List[np.ndarray] = [grad_logits]
         for layer in reversed(self.layers[1:]):
             depths = len(grads)

@@ -11,7 +11,7 @@ Everything here is a pure function over ``numpy`` arrays; layers in
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "sum_aggregate",
     "mean_aggregate",
     "mean_aggregate_grad",
+    "occurrence_rows",
     "log_softmax",
     "softmax_cross_entropy",
     "accuracy",
@@ -81,6 +82,23 @@ def mean_aggregate_grad(
             f"mean_aggregate_grad expects (batch, dim), got {grad_out.shape}"
         )
     return np.repeat(grad_out[:, None, :] / fanout, fanout, axis=1)
+
+
+def occurrence_rows(
+    inverse: Sequence[Optional[np.ndarray]], fanouts: Sequence[int]
+) -> List[Optional[np.ndarray]]:
+    """The row of each occurrence at levels ``0 .. len(fanouts)`` of a
+    block (``None``: the identity).  Occurrence ``r`` of level ``d``
+    drew occurrences ``r * fanouts[d] + j`` of level ``d + 1``, and
+    ``inverse[d + 1]`` maps the draws of level ``d``'s rows onto rows."""
+    rows: List[Optional[np.ndarray]] = [None]
+    for d, fanout in enumerate(fanouts):
+        inv, above = inverse[d + 1], rows[-1]
+        if above is not None:
+            above = (above[:, None] * fanout + np.arange(fanout)).reshape(-1)
+            inv = above if inv is None else inv.take(above)
+        rows.append(inv)
+    return rows
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

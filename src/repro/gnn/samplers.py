@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.snapshot import RNGLike, coerce_generator, coerce_scalar_rng
 from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI, SampleBlock
 from repro.errors import ConfigurationError
+from repro.gnn.ops import occurrence_rows
 from repro.obs.telemetry import Telemetry
 
 __all__ = [
@@ -38,21 +39,40 @@ __all__ = [
 ]
 
 
+#: A level of at least this many draws, above the bottom, is reduced
+#: to its distinct vertices before the next hop: a whole step broke
+#: even at 160–240 draws on the training and serving graphs (DESIGN.md
+#: §20), so a serving flush's ≤ 30 draws stay as drawn.
+DEDUP_FROM = 256
+
+
 @dataclass(frozen=True)
 class MiniBatchBlocks:
-    """A sampled multi-hop mini-batch.
+    """A sampled multi-hop mini-batch, in the shape of DGL's blocks.
 
-    ``levels[0]`` are the seeds (shape ``(B,)``); ``levels[d + 1]`` holds
-    the flattened fan-out of ``levels[d]`` (shape
-    ``(B * fanouts[0] * ... * fanouts[d],)``).
+    ``nodes[0]`` are the seeds as given (shape ``(B,)``);
+    ``nodes[d + 1]`` holds the ``fanouts[d]`` draws of each row of
+    ``nodes[d]``, flat (``inverse[d + 1]`` is ``None``) or, for a
+    level of at least :data:`DEDUP_FROM` draws above the bottom, as
+    their sorted distinct vertices with ``inverse[d + 1]`` mapping each
+    draw to its row.  Occurrences of a vertex share one draw set.
     """
 
-    levels: List[np.ndarray]
+    nodes: List[np.ndarray]
+    inverse: List[Optional[np.ndarray]]
     fanouts: List[int]
 
     @property
     def batch_size(self) -> int:
-        return int(self.levels[0].shape[0])
+        return int(self.nodes[0].shape[0])
+
+    @property
+    def levels(self) -> List[np.ndarray]:
+        """One row per occurrence: ``levels[d + 1]`` lists the draws of
+        every row of ``levels[d]`` in order.  Built per read, for the
+        benchmarks and tests; the package reads nodes and inverse."""
+        rows = occurrence_rows(self.inverse, self.fanouts)
+        return [n if r is None else n[r] for n, r in zip(self.nodes, rows)]
 
 
 def sample_seed_nodes(
@@ -125,6 +145,20 @@ def sample_neighbor_matrix(
     return _pad_self_loops(block.ids, block.state, srcs)
 
 
+def _add_level(nodes: list, inverse: list, matrix: np.ndarray, depth: int):
+    """Append the level ``matrix`` (the draws of each row of
+    ``nodes[-1]``) makes: distinct unless small or the bottom of a
+    ``depth``-hop block."""
+    flat = matrix.reshape(-1)
+    if len(nodes) == depth or flat.size < DEDUP_FROM:
+        nodes.append(flat)
+        inverse.append(None)
+    else:
+        distinct, inv = np.unique(flat, return_inverse=True)
+        nodes.append(distinct)
+        inverse.append(inv)
+
+
 def sample_blocks(
     store: GraphStoreAPI,
     seeds: Sequence[int],
@@ -135,10 +169,11 @@ def sample_blocks(
 ) -> MiniBatchBlocks:
     """Multi-hop expansion for mini-batch training (K-hop sampling).
 
-    Level ``d + 1`` is the flattened neighbor matrix of level ``d``; the
-    result feeds :meth:`repro.gnn.models.GraphSAGE.forward` directly.
-    Every hop is one batched ``sample_neighbors_many`` call and the
-    frontier stays an ``int64`` array from hop to hop.  One
+    Hop ``d`` draws ``fanouts[d]`` neighbors for every row of
+    ``nodes[d]``; the result feeds
+    :meth:`repro.gnn.models.GraphSAGE.forward` directly.  Every hop is
+    one batched ``sample_neighbors_many`` call and the frontier stays
+    an ``int64`` array from hop to hop.  One
     ``numpy.random.Generator`` is derived from ``rng`` for the whole
     expansion and passed down as is, so no layer below re-seeds per hop
     or per shard.
@@ -150,16 +185,16 @@ def sample_blocks(
     """
     telemetry = Telemetry.of(store, tracer)
     gen = coerce_generator(rng)
-    levels = [_as_frontier(seeds)]
+    nodes, inverse = [_as_frontier(seeds)], [None]
     for hop, fanout in enumerate(fanouts):
         with telemetry.span(
-            "sampler.hop", hop, int(levels[-1].shape[0]), fanout
+            "sampler.hop", hop, int(nodes[-1].shape[0]), fanout
         ):
             matrix = sample_neighbor_matrix(
-                store, levels[-1], fanout, gen, etype
+                store, nodes[-1], fanout, gen, etype
             )
-        levels.append(matrix.reshape(-1))
-    return MiniBatchBlocks(levels=levels, fanouts=list(fanouts))
+        _add_level(nodes, inverse, matrix, len(fanouts))
+    return MiniBatchBlocks(nodes, inverse, list(fanouts))
 
 
 def sample_blocks_partial(
@@ -188,7 +223,7 @@ def sample_blocks_partial(
       fresh at hop 0, which is what the breaker keys on).
 
     Returns ``(blocks, served_idx, unavailable_idx)``; ``blocks`` is
-    ``None`` when no seed was servable.  ``blocks.levels[0]`` holds only
+    ``None`` when no seed was servable.  ``blocks.nodes[0]`` holds only
     the served seeds, in ``served_idx`` order.
     """
     if not fanouts:
@@ -209,12 +244,13 @@ def sample_blocks_partial(
         served_idx = served_idx.tolist()
     else:  # every seed served: no re-index
         unavailable_idx, served_idx = [], list(range(seeds.size))
+    nodes, inverse = [seeds], [None]
     matrix = _pad_self_loops(ids, state, seeds)
-    levels = [seeds, matrix.reshape(-1)]
+    _add_level(nodes, inverse, matrix, len(fanouts))
     for fanout in fanouts[1:]:
-        matrix = sample_neighbor_matrix(store, levels[-1], fanout, gen, etype)
-        levels.append(matrix.reshape(-1))
-    blocks = MiniBatchBlocks(levels=levels, fanouts=list(fanouts))
+        matrix = sample_neighbor_matrix(store, nodes[-1], fanout, gen, etype)
+        _add_level(nodes, inverse, matrix, len(fanouts))
+    blocks = MiniBatchBlocks(nodes, inverse, list(fanouts))
     return blocks, served_idx, unavailable_idx
 
 

@@ -159,9 +159,9 @@ class Trainer:
         mean, all the bottom layer reads of it: the bottom level's rows
         (ten times its parents', larger than L2 at the benchmark's
         shapes) are never built."""
-        *upper, bottom = blocks.levels
+        *upper, bottom = blocks.nodes
         with self.telemetry.span(
-            "train.gather", sum(len(l) for l in blocks.levels)
+            "train.gather", sum(len(l) for l in blocks.nodes)
         ):
             feats = self.features.gather_levels(self.feat_name, upper)
             feats.append(
@@ -176,7 +176,7 @@ class Trainer:
         blocks = self._sample_phase(seeds)
         feats = self._gather_phase(blocks)
         with self.telemetry.span("train.compute"):
-            return self.model.forward(feats, blocks.fanouts)
+            return self.model.forward(feats, blocks.fanouts, blocks.inverse)
 
     def train_step(
         self, seeds: Sequence[int], labels: Sequence[int]
@@ -195,7 +195,9 @@ class Trainer:
             blocks = self._sample_phase(seeds)
             feats = self._gather_phase(blocks)
             with self.telemetry.span("train.compute"):
-                logits = self.model.forward(feats, blocks.fanouts)
+                logits = self.model.forward(
+                    feats, blocks.fanouts, blocks.inverse
+                )
                 loss, grad = softmax_cross_entropy(logits, labels_arr)
                 self.model.zero_grads()
                 self.model.backward(grad)
@@ -210,6 +212,7 @@ class Trainer:
         epoch: int = 0,
     ) -> TrainResult:
         """Shuffle and run one pass over the seed set."""
+        _check_batches(seeds, labels, batch_size)
         order = list(range(len(seeds)))
         self.rng.shuffle(order)
         order = np.asarray(order, dtype=np.intp)
@@ -236,6 +239,7 @@ class Trainer:
         batch_size: int = 512,
     ) -> float:
         """Accuracy over a held-out seed set (no parameter updates)."""
+        _check_batches(seeds, labels, batch_size)
         labels = np.asarray(labels, dtype=np.int64)
         seeds = np.asarray(seeds, dtype=np.int64)
         correct = 0
@@ -244,3 +248,13 @@ class Trainer:
             chunk_labels = labels[start : start + batch_size]
             correct += int((logits.argmax(axis=1) == chunk_labels).sum())
         return correct / len(seeds) if len(seeds) else 0.0
+
+
+def _check_batches(
+    seeds: Sequence[int], labels: Sequence[int], batch_size: int
+) -> None:
+    """Refuse a pass that would run no batch or fail partway through."""
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+    if len(seeds) != len(labels):
+        raise ShapeError(f"{len(seeds)} seeds but {len(labels)} labels")

@@ -488,12 +488,14 @@ class InferenceService:
                 return
 
             if blocks is not None:
-                with span("serve.gather", len(blocks.levels)):
+                with span("serve.gather", len(blocks.nodes)):
                     feats = self.features.gather_levels(
-                        self.feat_name, blocks.levels
+                        self.feat_name, blocks.nodes
                     )
                 with span("serve.compute", len(served_idx)):
-                    out = self.encoder.forward(feats, blocks.fanouts)
+                    out = self.encoder.forward(
+                        feats, blocks.fanouts, blocks.inverse
+                    )
                     out = l2_normalize(out.astype(np.float32))
                     out.flags.writeable = False  # answers, cache share rows
                     cost = self.compute_seconds_per_seed * len(served_idx)

@@ -138,32 +138,38 @@ def test_the_trainer_steps_as_it_would_on_the_rows(nprng):
 def test_a_training_step_never_builds_the_bottom_level(nprng):
     """At the benchmark's shapes (256 seeds, fan-outs [10, 10]) the
     bottom level is 25 600 ids: neither the gathered features nor any
-    array on the layers' tape may hold that many feature rows."""
+    array on the layers' tape may hold that many feature rows.  Level
+    1's 2 560 draws are deduplicated, so its features and its forward
+    tape hold one row per distinct vertex."""
     store, feats, seeds, labels = make_problem(seed=7)
     picks = np.random.default_rng(7).integers(0, len(seeds), 256)
     batch = np.asarray(seeds)[picks]
     batch_labels = np.asarray(labels)[picks]
     model = GraphSAGE(6, 8, 2, num_layers=2, rng=nprng)
     trainer = Trainer(store, feats, model, [10, 10], rng=random.Random(5))
-    seen = []
+    seen, distinct = [], []
     gather_phase, backward = trainer._gather_phase, model.backward
 
     def gather_and_keep(blocks):
+        distinct.append(len(blocks.nodes[1]))
         seen.extend(gather_phase(blocks))
         return seen[-3:]
 
     def keep_tape_then_backward(grad):
         for layer in model.layers:
             for entry in layer._cache:
-                seen.extend(a for a in entry if isinstance(a, np.ndarray))
+                seen.extend(
+                    a for a in entry
+                    if isinstance(a, np.ndarray) and a.ndim == 2
+                )
         backward(grad)
 
     trainer._gather_phase = gather_and_keep
     model.backward = keep_tape_then_backward
     trainer.train_step(batch, batch_labels)
-    rows = [a.size // a.shape[-1] for a in seen]
-    assert len(seen) > 3 and 2560 in rows
-    assert 25600 not in rows, rows
+    rows = [len(a) for a in seen]
+    assert len(seen) > 3 and distinct[0] in rows and distinct[0] < 2560
+    assert 25600 not in rows and 2560 not in rows, rows
 
 
 class TestLayerTape:

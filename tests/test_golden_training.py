@@ -89,53 +89,53 @@ def train_run(churn: bool) -> dict:
 PINNED = {
     "frozen": {
         "losses": [
-            "0x1.8796c60000000p+0",
-            "0x1.9ca8f40000000p+0",
-            "0x1.91571a0000000p+0",
-            "0x1.5ff4380000000p+0",
-            "0x1.7341740000000p+0",
-            "0x1.6611f20000000p+0",
-            "0x1.3d034e0000000p+0",
-            "0x1.4840580000000p+0",
-            "0x1.1b5f540000000p+0",
-            "0x1.0c149e0000000p+0",
-            "0x1.0d60e20000000p+0",
-            "0x1.2932440000000p+0",
-            "0x1.fdf1840000000p-1",
-            "0x1.1be7740000000p+0",
-            "0x1.fd0da40000000p-1",
-            "0x1.deaf6c0000000p-1",
-            "0x1.1cb77a0000000p+0",
-            "0x1.ee47d20000000p-1",
-            "0x1.d95d540000000p-1",
-            "0x1.0206a40000000p+0",
+            "0x1.8798120000000p+0",
+            "0x1.8e2b860000000p+0",
+            "0x1.87bc600000000p+0",
+            "0x1.5a00540000000p+0",
+            "0x1.709e380000000p+0",
+            "0x1.6d45d80000000p+0",
+            "0x1.4832940000000p+0",
+            "0x1.51b2a60000000p+0",
+            "0x1.1febd40000000p+0",
+            "0x1.0f7e580000000p+0",
+            "0x1.136f540000000p+0",
+            "0x1.33242c0000000p+0",
+            "0x1.fc76a20000000p-1",
+            "0x1.13f1180000000p+0",
+            "0x1.0991700000000p+0",
+            "0x1.e678ba0000000p-1",
+            "0x1.1cb5500000000p+0",
+            "0x1.eb8d020000000p-1",
+            "0x1.d9740c0000000p-1",
+            "0x1.0118780000000p+0",
         ],
-        "params": "53a8e08970e5cafd5837a6e44c7a19f675a9ca04a9c583855abf5d91833b73f4",
+        "params": "ada26e43d8a10f34655c77dc9fb81bf653a9aad217e6f1113b770044172fe779",
     },
     "churn": {
         "losses": [
-            "0x1.9a90000000000p+0",
-            "0x1.6f697c0000000p+0",
-            "0x1.7e6b8c0000000p+0",
-            "0x1.7711c00000000p+0",
-            "0x1.71cc900000000p+0",
-            "0x1.58612c0000000p+0",
-            "0x1.4cb1ca0000000p+0",
-            "0x1.4a8c8e0000000p+0",
-            "0x1.3a5fe40000000p+0",
-            "0x1.38bd000000000p+0",
-            "0x1.2f2e0c0000000p+0",
-            "0x1.3167a20000000p+0",
-            "0x1.1f36e40000000p+0",
-            "0x1.f014bc0000000p-1",
-            "0x1.ac69c80000000p-1",
-            "0x1.c772320000000p-1",
-            "0x1.ca5ae00000000p-1",
-            "0x1.bda3500000000p-1",
-            "0x1.ea018e0000000p-1",
-            "0x1.b63bd80000000p-1",
+            "0x1.8f13b40000000p+0",
+            "0x1.6c036e0000000p+0",
+            "0x1.7be4780000000p+0",
+            "0x1.7ea4180000000p+0",
+            "0x1.7b30b40000000p+0",
+            "0x1.5c26880000000p+0",
+            "0x1.55d5d20000000p+0",
+            "0x1.4e9ff60000000p+0",
+            "0x1.3883e40000000p+0",
+            "0x1.3c786e0000000p+0",
+            "0x1.2c3eac0000000p+0",
+            "0x1.394b300000000p+0",
+            "0x1.25ca7a0000000p+0",
+            "0x1.e8cba80000000p-1",
+            "0x1.b257c80000000p-1",
+            "0x1.c374060000000p-1",
+            "0x1.dabe3c0000000p-1",
+            "0x1.c4cc300000000p-1",
+            "0x1.ecc0c00000000p-1",
+            "0x1.c6807a0000000p-1",
         ],
-        "params": "a09784cd55ab15b5ca09b4b92ce9bb0cbd52fe88a493bef4f501e572846d8508",
+        "params": "50e721f521525ceb5823196652f4e73e24f3de31cfbba512ff3b376ed8104bc1",
     },
 }
 

@@ -545,3 +545,23 @@ def test_views_are_registered_only_in_their_files():
 def test_the_view_allowlist_names_only_registrars():
     stale = VIEW_FILES - _view_registrars()
     assert not stale, f"no register_view call any more, drop: {sorted(stale)}"
+
+
+def _occurrence_view_reads() -> Set[str]:
+    """``src/repro`` sites that read an attribute named ``levels``."""
+    package = SRC / "repro"
+    return {
+        f"{path.relative_to(package).as_posix()}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "levels"
+    }
+
+
+def test_the_package_never_reads_a_blocks_occurrence_view():
+    """``MiniBatchBlocks.levels`` expands a deduplicated block to one
+    row per occurrence, undoing what deduplication saved.  It is there
+    for the benchmark's ladder and for tests; the trainer, inference
+    and serving read ``nodes`` and ``inverse``."""
+    reads = _occurrence_view_reads()
+    assert not reads, f"a block's occurrence view is read at {sorted(reads)}"

@@ -172,3 +172,26 @@ class TestTrainer:
         model = GraphSAGE(8, 8, 2, num_layers=2, rng=nprng)
         trainer = Trainer(store, feats, model, fanouts=[2, 2])
         assert trainer.evaluate([], []) == 0.0
+
+    @pytest.mark.parametrize("batch_size", [0, -1, -32])
+    def test_a_pass_refuses_a_batch_size_below_one(self, nprng, batch_size):
+        """A negative size used to run no batch and report a loss of
+        0.0; zero raised from ``range``."""
+        store, feats, seeds, labels = two_cluster_problem(40)
+        model = GraphSAGE(8, 8, 2, num_layers=2, rng=nprng)
+        trainer = Trainer(store, feats, model, fanouts=[2, 2])
+        with pytest.raises(ConfigurationError):
+            trainer.train_epoch(seeds, labels, batch_size=batch_size)
+        with pytest.raises(ConfigurationError):
+            trainer.evaluate(seeds, labels, batch_size=batch_size)
+
+    def test_an_epoch_refuses_unequal_seeds_and_labels_up_front(self, nprng):
+        store, feats, seeds, labels = two_cluster_problem(40)
+        model = GraphSAGE(8, 8, 2, num_layers=2, rng=nprng)
+        trainer = Trainer(store, feats, model, fanouts=[2, 2])
+        before = [p.copy() for _, p, _ in model.parameters()]
+        with pytest.raises(ShapeError):
+            trainer.train_epoch(seeds, labels[:-1], batch_size=4)
+        # Nothing stepped before the refusal.
+        for (_, p, _), q in zip(model.parameters(), before):
+            assert np.array_equal(p, q)
